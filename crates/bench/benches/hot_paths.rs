@@ -1,12 +1,16 @@
 //! Microbenches for the hot-path overhaul: per-MU report application,
+//! the per-broadcast report digest (build, and per-client probing),
 //! dense vs hashed per-item tables, and wake-heap vs full-scan sleeper
-//! handling. These are the three mechanisms the per-interval loop is
-//! built from; `BENCH_report.json` (see the `bench_report` binary)
-//! measures their end-to-end effect.
+//! handling. These are the mechanisms the per-interval loop is built
+//! from; `BENCH_report.json` (see the `bench_report` binary) and
+//! `benchmark/` measure their end-to-end effect.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, TsHandler};
-use sleepers::server::{Database, ItemTable, ReportBuilder, TsBuilder, UpdateEngine};
+use sleepers::client::{
+    AtHandler, Cache, DigestScratch, MobileUnit, MuConfig, ReplacementPolicy, ReportHandler,
+    TsHandler,
+};
+use sleepers::server::{AtBuilder, Database, ItemTable, ReportBuilder, TsBuilder, UpdateEngine};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,10 +18,10 @@ use std::hint::black_box;
 
 const N_ITEMS: u64 = 10_000;
 
-fn loaded_db(mu: f64, horizon: f64) -> Database {
+fn loaded_db(n_items: u64, mu: f64, horizon: f64) -> Database {
     let mut rng = MasterSeed(1).stream(StreamId::Updates);
-    let mut db = Database::new(N_ITEMS, |i| i, SimDuration::from_secs(horizon * 2.0));
-    let mut engine = UpdateEngine::new(N_ITEMS, mu, &mut rng);
+    let mut db = Database::new(n_items, |i| i, SimDuration::from_secs(horizon * 2.0));
+    let mut engine = UpdateEngine::new(n_items, mu, &mut rng);
     engine.advance(
         &mut db,
         SimTime::ZERO,
@@ -30,7 +34,7 @@ fn loaded_db(mu: f64, horizon: f64) -> Database {
 /// One interval of a single MU: generate queries, hear the TS report,
 /// answer from cache — with the cache dense (universe known) or hashed.
 fn bench_report_apply_per_mu(c: &mut Criterion) {
-    let db = loaded_db(1e-4, 1_000.0);
+    let db = loaded_db(N_ITEMS, 1e-4, 1_000.0);
     let latency = SimDuration::from_secs(10.0);
     let payload = TsBuilder::new(latency, 100).build(100, SimTime::from_secs(1_000.0), &db);
 
@@ -75,6 +79,54 @@ fn bench_report_apply_per_mu(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
+    }
+    group.finish();
+}
+
+/// The per-broadcast digest: what one build costs as the report grows
+/// (a quiet AT interval, `workaholic_ts`'s window, `at_churn`'s
+/// Scenario 3 interval), and what one client's cache walk costs against
+/// it at both ends of the update-rate range — the walk is bounded by
+/// the 30-entry cache, not by the report.
+fn bench_report_digest(c: &mut Criterion) {
+    let latency = SimDuration::from_secs(10.0);
+    let t_i = SimTime::from_secs(1_000.0);
+    let at = |n, mu| AtBuilder::new(latency).build(100, t_i, &loaded_db(n, mu, 1_000.0));
+    let ts = |n, mu| TsBuilder::new(latency, 100).build(100, t_i, &loaded_db(n, mu, 1_000.0));
+
+    let mut group = c.benchmark_group("report_digest");
+    for (label, payload) in [
+        ("build/at_1_id", at(1_000, 1e-4)),
+        ("build/ts_190_entries", ts(2_000, 1e-4)),
+        ("build/at_630_ids", at(1_000, 0.1)),
+    ] {
+        let mut scratch = DigestScratch::default();
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(scratch.digest(black_box(&payload)).report_time()))
+        });
+    }
+
+    let mut cache = Cache::for_universe(1_000);
+    for item in (0..1_000).step_by(34) {
+        cache.insert(item, item, SimTime::from_secs(995.0));
+    }
+    let t_l = Some(SimTime::from_secs(990.0));
+    for (label, mu) in [("mu=1e-4", 1e-4), ("mu=0.1", 0.1)] {
+        let handlers: [(&str, Box<dyn ReportHandler>, _); 2] = [
+            ("at", Box::new(AtHandler::new(latency)), at(1_000, mu)),
+            ("ts", Box::new(TsHandler::new(latency, 100)), ts(1_000, mu)),
+        ];
+        for (name, mut handler, payload) in handlers {
+            let mut scratch = DigestScratch::default();
+            let digest = scratch.digest(&payload);
+            group.bench_function(format!("apply_per_client/{name}/{label}"), |b| {
+                b.iter_batched(
+                    || cache.clone(),
+                    |mut cache| black_box(handler.process_digest(&mut cache, &digest, t_l)),
+                    BatchSize::SmallInput,
+                )
+            });
+        }
     }
     group.finish();
 }
@@ -222,6 +274,7 @@ fn bench_interval_cost_vs_sleep(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_report_apply_per_mu,
+    bench_report_digest,
     bench_item_table,
     bench_wake_scan,
     bench_interval_cost_vs_sleep

@@ -19,8 +19,7 @@
 //! evicted entry, so a later requery can be classified as a pure
 //! capacity miss (the copy was still fresh — one more slot would have
 //! made it a hit) or an unavoidable one (a report proved the copy stale
-//! anyway). Reports retire ghosts through
-//! [`Cache::ghosts_mark_stale`] / [`Cache::ghost_mark_stale_item`].
+//! anyway). Reports retire ghosts through [`Cache::ghosts_mark_stale`].
 
 use sw_capacity::{victim_key, EntryMeta, GhostFate, ReplacementPolicy};
 use sw_server::{ItemId, ItemTable};
@@ -280,7 +279,7 @@ impl Cache {
 
     /// Marks every still-fresh ghost for which `proven_stale(item,
     /// eviction_stamp)` returns true as stale — the per-report retire
-    /// pass for strategies that name updated items (TS entries).
+    /// pass for strategies that name updated items (TS entries, AT ids).
     pub fn ghosts_mark_stale<F: FnMut(ItemId, SimTime) -> bool>(&mut self, mut proven_stale: F) {
         if let Some(ghosts) = &mut self.ghosts {
             ghosts.for_each_mut(|item, g| {
@@ -288,16 +287,6 @@ impl Cache {
                     g.stale = true;
                 }
             });
-        }
-    }
-
-    /// Marks the ghost of `item` stale, if one exists — the per-id
-    /// retire pass for strategies that broadcast plain id lists (AT).
-    pub fn ghost_mark_stale_item(&mut self, item: ItemId) {
-        if let Some(ghosts) = &mut self.ghosts {
-            if let Some(g) = ghosts.get_mut(item) {
-                g.stale = true;
-            }
         }
     }
 
@@ -542,7 +531,7 @@ mod tests {
         assert_eq!(c.take_ghost(1), None, "take consumes the ghost");
 
         c.insert(3, 3, SimTime::from_secs(3.0)); // evicts 2
-        c.ghost_mark_stale_item(2);
+        c.ghosts_mark_stale(|item, _| item == 2);
         assert_eq!(c.take_ghost(2), Some(GhostFate::Stale));
     }
 

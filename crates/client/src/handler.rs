@@ -22,6 +22,7 @@ use sw_sim::{SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
+use crate::digest::{DigestScratch, ReportDigest};
 
 /// Converts a wire timestamp (integer micros) back to [`SimTime`].
 #[inline]
@@ -43,7 +44,10 @@ pub struct ProcessOutcome {
     /// True if the whole cache was dropped (disconnection gap exceeded
     /// the strategy's tolerance).
     pub dropped_all: bool,
-    /// Items individually invalidated by this report.
+    /// Items individually invalidated by this report, ascending by item
+    /// id for *any* payload — sorted, unsorted or with duplicated ids —
+    /// on every backend. HYB alone has two runs: ascending within the
+    /// hot pass, then ascending within the cold pass.
     pub invalidated: Vec<ItemId>,
     /// Items that survived and were restamped to `T_i`.
     pub revalidated: usize,
@@ -64,13 +68,28 @@ pub trait ReportHandler {
     fn on_fetch(&mut self, _item: ItemId) {}
 
     /// Processes the report heard at `T_i`. `t_l` is the time the unit
-    /// last heard a report (`None` if it never has).
+    /// last heard a report (`None` if it never has). For the handlers
+    /// that probe a [`ReportDigest`] this digests `payload` on the spot
+    /// and defers to [`Self::process_digest`].
     fn process(
         &mut self,
         cache: &mut Cache,
         payload: &FramePayload,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome;
+
+    /// [`Self::process`] given the broadcast's shared digest, so a cell
+    /// digests each report once for all its listeners. Default: the
+    /// strategy reads nothing the digest indexes, and processes the
+    /// payload behind it.
+    fn process_digest(
+        &mut self,
+        cache: &mut Cache,
+        digest: &ReportDigest<'_>,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        self.process(cache, digest.payload(), t_l)
+    }
 
     /// Syndrome-decode telemetry: how many cached subsets' signatures
     /// failed to match in the last processed report. `None` for
@@ -81,6 +100,61 @@ pub trait ReportHandler {
     fn last_unmatched_subsets(&self) -> Option<u32> {
         None
     }
+}
+
+/// The AT-family gap tolerance: `L` plus a relative epsilon, so a unit
+/// that heard the previous report is never dropped by float rounding.
+pub fn gap_limit(latency: SimDuration) -> SimDuration {
+    latency + SimDuration::from_secs(latency.as_secs() * 1e-9)
+}
+
+/// `if (T_i − T_l > tolerance) { drop the entire cache }` — the shared
+/// opening of the TS (`w`), AT and GR (`L`) algorithms. A missed report
+/// means changes the client can no longer reconstruct; a unit that
+/// never heard one can prove nothing about what it holds.
+fn drop_on_gap(
+    cache: &mut Cache,
+    t_i: SimTime,
+    t_l: Option<SimTime>,
+    tolerance: SimDuration,
+) -> Option<ProcessOutcome> {
+    let gap_too_large = match t_l {
+        Some(t_l) => t_i.saturating_duration_since(t_l) > tolerance,
+        None => !cache.is_empty(),
+    };
+    gap_too_large.then(|| {
+        cache.clear();
+        ProcessOutcome {
+            report_time: t_i,
+            dropped_all: true,
+            invalidated: Vec::new(),
+            revalidated: 0,
+        }
+    })
+}
+
+/// "For every item j in the MU cache": one walk, the report only
+/// probed. Entries `stale(item, t_cache)` condemns are dropped and
+/// collected; the rest are verified as of `T_i` (`t_cache := T_i`).
+fn sweep_cache(
+    cache: &mut Cache,
+    t_i: SimTime,
+    mut stale: impl FnMut(ItemId, SimTime) -> bool,
+) -> Vec<ItemId> {
+    let mut invalidated = Vec::new();
+    cache.retain_entries(|item, entry| {
+        let keep = !stale(item, entry.timestamp);
+        if keep {
+            entry.timestamp = t_i;
+        } else {
+            invalidated.push(item);
+        }
+        keep
+    });
+    // Ascending already for dense caches; hashed ones visit in
+    // arbitrary order.
+    invalidated.sort_unstable();
+    invalidated
 }
 
 /// Broadcasting Timestamps — client algorithm of §3.1.
@@ -122,85 +196,40 @@ impl ReportHandler for TsHandler {
         payload: &FramePayload,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (report_ts_micros, entries) = match payload {
-            FramePayload::TimestampReport {
-                report_ts_micros,
-                entries,
-            } => (*report_ts_micros, entries),
-            other => panic!("TS handler fed a non-TS report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
+        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
+    }
 
-        // if (T_i − T_l > w) { drop the entire cache }
-        let gap_too_large = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.window,
-            None => !cache.is_empty(), // never heard a report: nothing provable
-        };
-        if gap_too_large {
-            cache.clear();
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
+    fn process_digest(
+        &mut self,
+        cache: &mut Cache,
+        digest: &ReportDigest<'_>,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        assert!(
+            matches!(digest.payload(), FramePayload::TimestampReport { .. }),
+            "TS handler fed a non-TS report: {:?}",
+            digest.payload()
+        );
+        let t_i = digest.report_time();
+        if let Some(dropped) = drop_on_gap(cache, t_i, t_l, self.window) {
+            return dropped;
         }
-
-        // Report builders emit entries in ascending item order, so a
-        // binary search replaces the per-report hash table; an unsorted
-        // payload (hand-built in tests) falls back to sorting a copy.
-        let sorted_copy: Vec<(u64, u64)>;
-        let reported: &[(u64, u64)] = if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            entries
-        } else {
-            sorted_copy = {
-                let mut v = entries.clone();
-                v.sort_unstable_by_key(|&(item, _)| item);
-                v
-            };
-            &sorted_copy
-        };
-        let mut invalidated = Vec::new();
         // for every item j in the MU cache:
         //   if [j, t_j] in U_i { if t_cache < t_j drop else t_cache := T_i }
         //   (not mentioned ⇒ unchanged within w ⇒ t_cache := T_i)
-        cache.retain_entries(|item, entry| {
-            let cached_micros = time_to_micros(entry.timestamp);
-            match reported
-                .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                .ok()
-                .map(|ix| reported[ix].1)
-            {
-                Some(t_j) if cached_micros < t_j => {
-                    invalidated.push(item);
-                    false
-                }
-                _ => {
-                    entry.timestamp = t_i;
-                    true
-                }
-            }
+        let invalidated = sweep_cache(cache, t_i, |item, stamp| {
+            digest.ts_newer_than(item, time_to_micros(stamp))
         });
-        // Ascending already for dense caches; hashed ones visit in
-        // arbitrary order, so sort for deterministic output.
-        invalidated.sort_unstable();
         // Ghost retire: a report entry [j, t_j] with t_j newer than an
         // evicted copy's stamp proves that copy would have been dropped
         // anyway — the eviction cost nothing. Sound because any update
         // inside the window w appears in the report.
-        cache.ghosts_mark_stale(|item, stamp| {
-            let stamp_micros = time_to_micros(stamp);
-            reported
-                .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                .ok()
-                .is_some_and(|ix| stamp_micros < reported[ix].1)
-        });
-        let revalidated = cache.len();
+        cache.ghosts_mark_stale(|item, stamp| digest.ts_newer_than(item, time_to_micros(stamp)));
         ProcessOutcome {
             report_time: t_i,
             dropped_all: false,
             invalidated,
-            revalidated,
+            revalidated: cache.len(),
         }
     }
 }
@@ -230,50 +259,35 @@ impl ReportHandler for AtHandler {
         payload: &FramePayload,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (report_ts_micros, ids) = match payload {
-            FramePayload::AmnesicReport {
-                report_ts_micros,
-                ids,
-            } => (*report_ts_micros, ids),
-            other => panic!("AT handler fed a non-AT report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
+        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
+    }
 
-        // if (T_i − T_l > L) { drop the entire cache }
-        // A missed report means a whole interval of changes was never
-        // heard — the amnesic client cannot reconstruct it.
-        let epsilon = SimDuration::from_secs(self.latency.as_secs() * 1e-9);
-        let gap_too_large = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.latency + epsilon,
-            None => !cache.is_empty(),
-        };
-        if gap_too_large {
-            cache.clear();
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
+    fn process_digest(
+        &mut self,
+        cache: &mut Cache,
+        digest: &ReportDigest<'_>,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        assert!(
+            matches!(digest.payload(), FramePayload::AmnesicReport { .. }),
+            "AT handler fed a non-AT report: {:?}",
+            digest.payload()
+        );
+        let t_i = digest.report_time();
+        if let Some(dropped) = drop_on_gap(cache, t_i, t_l, gap_limit(self.latency)) {
+            return dropped;
         }
-
-        let mut invalidated = Vec::new();
-        for &item in ids {
-            if cache.remove(item).is_some() {
-                invalidated.push(item);
-            }
-            // A reported id changed this interval, so any evicted copy
-            // of it is provably stale: the eviction cost nothing.
-            cache.ghost_mark_stale_item(item);
-        }
-        // Surviving entries are verified as of T_i.
-        cache.restamp_all(t_i);
-        let revalidated = cache.len();
+        // A listed id changed this interval: drop the copy; every
+        // survivor is verified as of T_i.
+        let invalidated = sweep_cache(cache, t_i, |item, _| digest.listed(item));
+        // ... and any evicted copy of a listed id is provably stale:
+        // the eviction cost nothing.
+        cache.ghosts_mark_stale(|item, _| digest.listed(item));
         ProcessOutcome {
             report_time: t_i,
             dropped_all: false,
             invalidated,
-            revalidated,
+            revalidated: cache.len(),
         }
     }
 }
@@ -473,42 +487,36 @@ impl ReportHandler for HybridHandler {
         payload: &FramePayload,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (report_ts_micros, hot_ids, signatures) = match payload {
-            FramePayload::HybridReport {
-                report_ts_micros,
-                hot_ids,
-                signatures,
-                ..
-            } => (*report_ts_micros, hot_ids, signatures),
+        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
+    }
+
+    fn process_digest(
+        &mut self,
+        cache: &mut Cache,
+        digest: &ReportDigest<'_>,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        let signatures = match digest.payload() {
+            FramePayload::HybridReport { signatures, .. } => signatures,
             other => panic!("hybrid handler fed a wrong report: {other:?}"),
         };
-        let t_i = time_from_micros(report_ts_micros);
-        let mut invalidated = Vec::new();
+        let t_i = digest.report_time();
 
-        // Hot half: AT semantics, scoped to hot items only.
-        let epsilon = SimDuration::from_secs(self.latency.as_secs() * 1e-9);
+        // Hot half: AT semantics, scoped to hot items only — a missed
+        // report condemns every hot copy, a heard one the listed ids.
+        // (Survivors of either half end up stamped T_i.)
         let missed_report = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.latency + epsilon,
+            Some(t_l) => t_i.saturating_duration_since(t_l) > gap_limit(self.latency),
             None => true,
         };
         let hot = &self.hot;
-        if missed_report {
-            let mut dropped: Vec<ItemId> = cache
-                .sorted_items()
-                .into_iter()
-                .filter(|&i| hot.contains(i))
-                .collect();
-            for &i in &dropped {
-                cache.remove(i);
+        let mut invalidated = sweep_cache(cache, t_i, |item, _| {
+            if missed_report {
+                hot.contains(item)
+            } else {
+                digest.listed(item)
             }
-            invalidated.append(&mut dropped);
-        } else {
-            for &id in hot_ids {
-                if cache.remove(id).is_some() {
-                    invalidated.push(id);
-                }
-            }
-        }
+        });
 
         // Cold half: SIG semantics over the remaining cached items.
         let cold_items: Vec<ItemId> = cache
@@ -543,13 +551,11 @@ impl ReportHandler for HybridHandler {
         }
         self.last_report = Arc::clone(signatures);
 
-        cache.restamp_all(t_i);
-        let revalidated = cache.len();
         ProcessOutcome {
             report_time: t_i,
             dropped_all: false,
             invalidated,
-            revalidated,
+            revalidated: cache.len(),
         }
     }
 
@@ -590,53 +596,32 @@ impl ReportHandler for GroupHandler {
         payload: &FramePayload,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (report_ts_micros, group_ids) = match payload {
-            FramePayload::AmnesicReport {
-                report_ts_micros,
-                ids,
-            } => (*report_ts_micros, ids),
-            other => panic!("group handler fed a wrong report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-        let epsilon = SimDuration::from_secs(self.latency.as_secs() * 1e-9);
-        let gap_too_large = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.latency + epsilon,
-            None => !cache.is_empty(),
-        };
-        if gap_too_large {
-            cache.clear();
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
+        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
+    }
+
+    fn process_digest(
+        &mut self,
+        cache: &mut Cache,
+        digest: &ReportDigest<'_>,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        assert!(
+            matches!(digest.payload(), FramePayload::AmnesicReport { .. }),
+            "group handler fed a wrong report: {:?}",
+            digest.payload()
+        );
+        let t_i = digest.report_time();
+        if let Some(dropped) = drop_on_gap(cache, t_i, t_l, gap_limit(self.latency)) {
+            return dropped;
         }
-        // The group id list is tiny and (from the builder) sorted; a
-        // binary search over a sorted copy beats hashing per item.
-        let changed = {
-            let mut v = group_ids.clone();
-            v.sort_unstable();
-            v
-        };
+        // The report lists changed *group* ids.
         let map = self.map;
-        let mut invalidated: Vec<ItemId> = Vec::new();
-        cache.retain_entries(|i, entry| {
-            if changed.binary_search(&map.group_of(i)).is_ok() {
-                invalidated.push(i);
-                false
-            } else {
-                entry.timestamp = t_i;
-                true
-            }
-        });
-        invalidated.sort_unstable();
-        let revalidated = cache.len();
+        let invalidated = sweep_cache(cache, t_i, |item, _| digest.listed(map.group_of(item)));
         ProcessOutcome {
             report_time: t_i,
             dropped_all: false,
             invalidated,
-            revalidated,
+            revalidated: cache.len(),
         }
     }
 }

@@ -6,6 +6,11 @@
 //!   with optional capacity-bounded eviction under a pluggable
 //!   `sw-capacity` replacement policy (LRU/LFU/window-age) plus ghost
 //!   bookkeeping for the capacity-miss statistics;
+//! * [`digest`] — the per-broadcast [`digest::ReportDigest`]: the
+//!   report time plus a membership bitset over the listed ids, built
+//!   once per report so every client walks its own cache and only
+//!   *probes* the report; its verdict methods are the one definition of
+//!   keep / restamp / invalidate;
 //! * [`handler`] — the per-strategy report-processing algorithms,
 //!   transcribed from §3 of the paper: [`handler::TsHandler`] (window
 //!   check, per-item timestamp comparison), [`handler::AtHandler`]
@@ -21,10 +26,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod digest;
 pub mod handler;
 pub mod mu;
 
 pub use cache::{Cache, CacheEntry};
+pub use digest::{DigestScratch, ReportDigest};
 pub use sw_capacity::{GhostFate, ReplacementPolicy};
 pub use handler::{
     AtHandler, GroupHandler, HybridHandler, NoCacheHandler, ProcessOutcome, ReportHandler,

@@ -20,6 +20,7 @@ use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, S
 use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
+use crate::digest::{DigestScratch, ReportDigest};
 use crate::handler::{ProcessOutcome, ReportHandler};
 
 /// A query waiting for the next report.
@@ -332,8 +333,16 @@ impl MobileUnit {
     /// Panics if called while asleep — the cell driver must not deliver
     /// reports to sleeping units.
     pub fn hear_report_and_answer(&mut self, payload: &FramePayload) -> IntervalReport {
+        self.hear_digest_and_answer(&DigestScratch::default().digest(payload))
+    }
+
+    /// [`Self::hear_report_and_answer`] given the broadcast's shared
+    /// digest: a cell digests each report once for all its listeners.
+    pub fn hear_digest_and_answer(&mut self, digest: &ReportDigest<'_>) -> IntervalReport {
         assert!(self.awake, "a sleeping unit cannot hear a report");
-        let outcome = self.handler.process(&mut self.cache, payload, self.t_l);
+        let outcome = self
+            .handler
+            .process_digest(&mut self.cache, digest, self.t_l);
         let t_i = outcome.report_time;
         // Latency accounting: every pending query is answered now.
         for q in &self.pending {

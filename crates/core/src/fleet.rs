@@ -12,24 +12,34 @@
 //! subset of its hotspot: queries draw only hotspot items, and entries
 //! are installed only by answers to queries. So every client owns a
 //! fixed block of `H = hotspot_size` *slots*, one per hotspot item in
-//! ascending id order, and the whole fleet is six flat vectors indexed
-//! by `client * H + slot`:
+//! ascending id order, and the whole fleet is flat vectors indexed by
+//! `client * H + slot` (bitmaps: `client * ⌈H/64⌉ + slot / 64`):
 //!
 //! * `slot_items` — the hotspot, sorted (slot → item id);
 //! * `valid` — one bit per slot (cached or not), `⌈H/64⌉` words/client;
 //! * `values`, `stamps` — the cached value and validity timestamp;
-//! * plus per-client scalars (stats, `T_l`, awake flag, pending
-//!   queries, the query/sleep processes).
+//! * `draw_slot` — the hotspot in draw order, as slots (query draw
+//!   index → slot);
+//! * `pending_mask` — one bit per slot queried since the last heard
+//!   report: the deduplicated `Q_i`, already in answer order;
+//! * plus per-client scalars (stats, `T_l`, awake flag, query pose
+//!   times, the query/sleep processes).
 //!
 //! One report sweep is then a cache-friendly linear scan over the slot
 //! block, and disjoint client ranges of the columns can be swept by
-//! parallel workers with no aliasing. Slot order is ascending item id,
-//! which is exactly the iteration order of the dense `ItemTable` cache
-//! — the per-strategy kernels below therefore produce *bit-identical*
-//! outcomes (same invalidation lists in the same order, same stats,
-//! same uplink requests) as the `MobileUnit` path. The equivalence is
-//! pinned by `tests/columnar_equivalence.rs` and, transitively, by the
-//! figure-3 regression artifact, which now runs on this backend.
+//! parallel workers with no aliasing. The sweep loops the way §3 writes
+//! the client algorithms — "for every item j *in the MU cache*" — one
+//! ascending walk over the client's valid slots, *probing* the
+//! broadcast's shared [`ReportDigest`] (a bit test per slot), never a
+//! loop over the report: an interval costs O(|report| + awake·H). The
+//! digest's verdict methods are the same ones the boxed handlers call.
+//! Slot order is ascending item id, which is exactly the iteration
+//! order of the dense `ItemTable` cache — the per-strategy kernels
+//! below therefore produce *bit-identical* outcomes (same invalidation
+//! lists in the same order, same stats, same uplink requests) as the
+//! `MobileUnit` path. The equivalence is pinned by
+//! `tests/columnar_equivalence.rs` and, transitively, by the figure-3
+//! regression artifact, which now runs on this backend.
 //!
 //! Bounded caches ride along as optional columns ([`CapColumns`]):
 //! per-slot recency/frequency ticks, a per-client access clock, and a
@@ -49,12 +59,24 @@
 use std::sync::Arc;
 
 use sw_capacity::{victim_key, EntryMeta, ReplacementPolicy};
-use sw_client::handler::{time_from_micros, time_to_micros};
-use sw_client::{IntervalReport, MuStats, PendingQuery, ProcessOutcome};
+use sw_client::handler::{gap_limit, time_to_micros};
+use sw_client::{IntervalReport, MuStats, ProcessOutcome, ReportDigest};
 use sw_server::{GroupMap, HotSet, ItemId, QueryAnswer};
 use sw_signature::{CombinedSignature, SyndromeDecoder};
 use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
 use sw_wireless::FramePayload;
+
+/// Set bit positions of `word`, ascending, offset by `base`. `word` is
+/// a copy, so the loop body may clear bits of the column it came from.
+fn set_bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            base + bit
+        })
+    })
+}
 
 /// Strategy-specific machinery shared by every client of the fleet
 /// (none of it is per-client except the SIG tracking columns, which
@@ -160,12 +182,6 @@ struct CapChunk<'a> {
     clock: &'a mut [u64],
 }
 
-/// The AT-family gap tolerance: `L` plus the same relative epsilon the
-/// boxed handlers use.
-fn gap_limit(latency: SimDuration) -> SimDuration {
-    latency + SimDuration::from_secs(latency.as_secs() * 1e-9)
-}
-
 /// The columnar client fleet. See the module docs for the layout.
 pub(crate) struct ColumnarFleet {
     n: usize,
@@ -173,9 +189,10 @@ pub(crate) struct ColumnarFleet {
     h: usize,
     /// Validity bitmap words per client.
     words: usize,
-    /// Hotspot in *draw order*, stride `h` (query draws map a uniform
-    /// index through this, exactly like `MuConfig::hotspot`).
-    hotspot_draw: Vec<ItemId>,
+    /// Draw index → slot, stride `h`: a query's uniform (or Zipf) draw
+    /// indexes the hotspot in *draw order*, exactly like
+    /// `MuConfig::hotspot`; this maps it straight to the slot.
+    draw_slot: Vec<u32>,
     /// Hotspot in ascending id order, stride `h` (slot → item).
     slot_items: Vec<ItemId>,
     /// Validity bitmap, stride `words`.
@@ -188,7 +205,11 @@ pub(crate) struct ColumnarFleet {
     cached: Vec<u32>,
     t_l: Vec<Option<SimTime>>,
     awake: Vec<bool>,
-    pending: Vec<Vec<PendingQuery>>,
+    /// Slots queried since the last heard report, one bit each, stride
+    /// `words` — the deduplicated `Q_i`, already in answer order.
+    pending_mask: Vec<u64>,
+    /// When each of those queries was posed (latency accounting).
+    posed_at: Vec<Vec<SimTime>>,
     stats: Vec<MuStats>,
     queries: Vec<PoissonProcess>,
     sleep: Vec<BernoulliIntervalProcess>,
@@ -232,7 +253,7 @@ impl ColumnarFleet {
             n: 0,
             h: hotspot_size,
             words: hotspot_size.div_ceil(64),
-            hotspot_draw: Vec::new(),
+            draw_slot: Vec::new(),
             slot_items: Vec::new(),
             valid: Vec::new(),
             values: Vec::new(),
@@ -240,7 +261,8 @@ impl ColumnarFleet {
             cached: Vec::new(),
             t_l: Vec::new(),
             awake: Vec::new(),
-            pending: Vec::new(),
+            pending_mask: Vec::new(),
+            posed_at: Vec::new(),
             stats: Vec::new(),
             queries: Vec::new(),
             sleep: Vec::new(),
@@ -269,15 +291,21 @@ impl ColumnarFleet {
             sorted.windows(2).all(|w| w[0] < w[1]),
             "hotspot draws must be distinct for the slot mapping"
         );
-        self.hotspot_draw.extend_from_slice(&hotspot);
+        self.draw_slot.extend(hotspot.iter().map(|item| {
+            sorted
+                .binary_search(item)
+                .expect("the sorted hotspot holds every drawn item") as u32
+        }));
         self.slot_items.extend_from_slice(&sorted);
         self.valid.extend(std::iter::repeat_n(0u64, self.words));
+        self.pending_mask
+            .extend(std::iter::repeat_n(0u64, self.words));
         self.values.extend(std::iter::repeat_n(0u64, self.h));
         self.stamps.extend(std::iter::repeat_n(SimTime::ZERO, self.h));
         self.cached.push(0);
         self.t_l.push(None);
         self.awake.push(true);
-        self.pending.push(Vec::new());
+        self.posed_at.push(Vec::new());
         self.stats.push(MuStats::default());
         self.queries.push(PoissonProcess::new(total_rate, query_rng));
         self.sleep.push(BernoulliIntervalProcess::new(sleep_probability));
@@ -345,7 +373,7 @@ impl ColumnarFleet {
     }
 
     /// Starts interval `(from, to]` for awake client `idx`: generates
-    /// this interval's query arrivals into its pending list, consuming
+    /// this interval's query arrivals into its pending set, consuming
     /// `query_rng` exactly like `MobileUnit::begin_awake_interval`.
     /// When `pick` is `Some` (Zipf skew), each arrival's hotspot index
     /// comes from the closure and the uniform draw on `query_rng` is
@@ -368,8 +396,9 @@ impl ColumnarFleet {
                 Some(pick) => pick(),
                 None => query_rng.uniform_index(self.h as u64) as usize,
             };
-            let item = self.hotspot_draw[base + j];
-            self.pending[idx].push(PendingQuery { item, posed_at: at });
+            let slot = self.draw_slot[base + j] as usize;
+            self.pending_mask[idx * self.words + slot / 64] |= 1 << (slot % 64);
+            self.posed_at[idx].push(at);
             stats.queries_posed += 1;
         }
     }
@@ -476,7 +505,8 @@ impl ColumnarFleet {
 
     /// The whole-fleet report sweep: every listening client (the
     /// `heard` awake-slots, client indices `awake[slot]` ascending)
-    /// applies the shared payload and answers its pending queries.
+    /// probes the broadcast's shared digest over its own slot block and
+    /// answers its pending queries.
     /// Pure per-client work — no randomness, no shared mutation — so
     /// when `threads > 1` and the listening set is large enough the
     /// columns are split at client boundaries into contiguous chunks
@@ -486,12 +516,31 @@ impl ColumnarFleet {
         &mut self,
         heard: &[usize],
         awake: &[usize],
-        payload: &FramePayload,
+        digest: &ReportDigest<'_>,
         observing: bool,
         threads: usize,
         par_min: usize,
     ) -> Vec<super::simulation::SweepItem> {
-        let prepared = PreparedReport::new(&self.spec, payload);
+        // The one payload field no digest indexes: the signatures.
+        // Checking the frame kind here keeps a mis-wired builder loud.
+        let signatures = match (&self.spec, digest.payload()) {
+            (ColumnarSpec::Ts { .. }, FramePayload::TimestampReport { .. })
+            | (
+                ColumnarSpec::At { .. } | ColumnarSpec::Group { .. },
+                FramePayload::AmnesicReport { .. },
+            )
+            | (ColumnarSpec::NoCache, _) => None,
+            (ColumnarSpec::Sig { .. }, FramePayload::SignatureReport { signatures, .. })
+            | (ColumnarSpec::Hybrid { .. }, FramePayload::HybridReport { signatures, .. }) => {
+                Some(signatures)
+            }
+            (_, other) => panic!("columnar fleet fed another strategy's report: {other:?}"),
+        };
+        let kernel = Kernel {
+            spec: &self.spec,
+            digest,
+            signatures,
+        };
         let h = self.h;
         let words = self.words;
         if threads > 1 && heard.len() >= par_min {
@@ -506,7 +555,8 @@ impl ColumnarFleet {
             let mut stamps = &mut self.stamps[..];
             let mut cached = &mut self.cached[..];
             let mut t_l = &mut self.t_l[..];
-            let mut pending = &mut self.pending[..];
+            let mut pending_mask = &mut self.pending_mask[..];
+            let mut posed_at = &mut self.posed_at[..];
             let mut stats = &mut self.stats[..];
             let mut sig_cols = self.sig.as_mut().map(|s| {
                 (
@@ -540,8 +590,10 @@ impl ColumnarFleet {
                     cached = cached_r;
                     let (t_l_c, t_l_r) = t_l.split_at_mut(take);
                     t_l = t_l_r;
-                    let (pending_c, pending_r) = pending.split_at_mut(take);
-                    pending = pending_r;
+                    let (mask_c, mask_r) = pending_mask.split_at_mut(take * words);
+                    pending_mask = mask_r;
+                    let (posed_c, posed_r) = posed_at.split_at_mut(take);
+                    posed_at = posed_r;
                     let (stats_c, stats_r) = stats.split_at_mut(take);
                     stats = stats_r;
                     let sig_chunk = match &mut sig_cols {
@@ -598,18 +650,19 @@ impl ColumnarFleet {
                         stamps: stamps_c,
                         cached: cached_c,
                         t_l: t_l_c,
-                        pending: pending_c,
+                        pending_mask: mask_c,
+                        posed_at: posed_c,
                         stats: stats_c,
                         sig: sig_chunk,
                         cap: cap_chunk,
                     };
                     base = last_idx + 1;
-                    let prepared = &prepared;
+                    let kernel = &kernel;
                     handles.push(scope.spawn(move || {
                         let mut items = Vec::with_capacity(chunk.len());
                         for &slot in chunk {
                             let idx = awake[slot];
-                            items.push(sweep_client(&mut view, prepared, idx, slot, observing));
+                            items.push(sweep_client(&mut view, kernel, idx, slot, observing));
                         }
                         items
                     }));
@@ -630,7 +683,8 @@ impl ColumnarFleet {
                 stamps: &mut self.stamps,
                 cached: &mut self.cached,
                 t_l: &mut self.t_l,
-                pending: &mut self.pending,
+                pending_mask: &mut self.pending_mask,
+                posed_at: &mut self.posed_at,
                 stats: &mut self.stats,
                 sig: self.sig.as_mut().map(|s| SigChunk {
                     m: s.m,
@@ -651,7 +705,7 @@ impl ColumnarFleet {
                 .iter()
                 .map(|&slot| {
                     let idx = awake[slot];
-                    sweep_client(&mut view, &prepared, idx, slot, observing)
+                    sweep_client(&mut view, &kernel, idx, slot, observing)
                 })
                 .collect()
         }
@@ -677,168 +731,13 @@ impl SigColumns {
     }
 }
 
-/// Per-interval report digest hoisted out of the per-client loop: the
-/// payload fields every client reads, parsed (and, where the boxed
-/// handlers sort a per-client copy, sorted) exactly once.
-enum PreparedReport<'a> {
-    Ts {
-        t_i: SimTime,
-        window: SimDuration,
-        /// Ascending by item id (the builders emit them sorted; the
-        /// hand-built-payload fallback sorts a copy once).
-        entries: std::borrow::Cow<'a, [(u64, u64)]>,
-    },
-    At {
-        t_i: SimTime,
-        limit: SimDuration,
-        ids: &'a [u64],
-    },
-    Nc {
-        t_i: SimTime,
-    },
-    Group {
-        t_i: SimTime,
-        limit: SimDuration,
-        map: GroupMap,
-        /// Changed group ids, sorted.
-        changed: Vec<u64>,
-    },
-    Sig {
-        t_i: SimTime,
-        decoder: &'a SyndromeDecoder,
-        signatures: &'a Arc<Vec<CombinedSignature>>,
-    },
-    Hybrid {
-        t_i: SimTime,
-        limit: SimDuration,
-        hot: &'a HotSet,
-        hot_ids: &'a [u64],
-        decoder: &'a SyndromeDecoder,
-        signatures: &'a Arc<Vec<CombinedSignature>>,
-    },
-}
-
-impl<'a> PreparedReport<'a> {
-    fn new(spec: &'a ColumnarSpec, payload: &'a FramePayload) -> Self {
-        match spec {
-            ColumnarSpec::Ts { window } => {
-                let (report_ts_micros, entries) = match payload {
-                    FramePayload::TimestampReport {
-                        report_ts_micros,
-                        entries,
-                    } => (*report_ts_micros, entries),
-                    other => panic!("TS handler fed a non-TS report: {other:?}"),
-                };
-                let entries = if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-                    std::borrow::Cow::Borrowed(entries.as_slice())
-                } else {
-                    let mut v = entries.clone();
-                    v.sort_unstable_by_key(|&(item, _)| item);
-                    std::borrow::Cow::Owned(v)
-                };
-                PreparedReport::Ts {
-                    t_i: time_from_micros(report_ts_micros),
-                    window: *window,
-                    entries,
-                }
-            }
-            ColumnarSpec::At { latency } => {
-                let (report_ts_micros, ids) = match payload {
-                    FramePayload::AmnesicReport {
-                        report_ts_micros,
-                        ids,
-                    } => (*report_ts_micros, ids),
-                    other => panic!("AT handler fed a non-AT report: {other:?}"),
-                };
-                PreparedReport::At {
-                    t_i: time_from_micros(report_ts_micros),
-                    limit: gap_limit(*latency),
-                    ids,
-                }
-            }
-            ColumnarSpec::NoCache => {
-                let t_i = match payload {
-                    FramePayload::AmnesicReport {
-                        report_ts_micros, ..
-                    }
-                    | FramePayload::TimestampReport {
-                        report_ts_micros, ..
-                    }
-                    | FramePayload::SignatureReport {
-                        report_ts_micros, ..
-                    } => time_from_micros(*report_ts_micros),
-                    other => panic!("NC handler fed a non-report frame: {other:?}"),
-                };
-                PreparedReport::Nc { t_i }
-            }
-            ColumnarSpec::Group { latency, map } => {
-                let (report_ts_micros, ids) = match payload {
-                    FramePayload::AmnesicReport {
-                        report_ts_micros,
-                        ids,
-                    } => (*report_ts_micros, ids),
-                    other => panic!("group handler fed a wrong report: {other:?}"),
-                };
-                let mut changed = ids.clone();
-                changed.sort_unstable();
-                PreparedReport::Group {
-                    t_i: time_from_micros(report_ts_micros),
-                    limit: gap_limit(*latency),
-                    map: *map,
-                    changed,
-                }
-            }
-            ColumnarSpec::Sig { decoder } => {
-                let (report_ts_micros, signatures) = match payload {
-                    FramePayload::SignatureReport {
-                        report_ts_micros,
-                        signatures,
-                        ..
-                    } => (*report_ts_micros, signatures),
-                    other => panic!("SIG handler fed a non-SIG report: {other:?}"),
-                };
-                PreparedReport::Sig {
-                    t_i: time_from_micros(report_ts_micros),
-                    decoder,
-                    signatures,
-                }
-            }
-            ColumnarSpec::Hybrid {
-                latency,
-                hot,
-                decoder,
-            } => {
-                let (report_ts_micros, hot_ids, signatures) = match payload {
-                    FramePayload::HybridReport {
-                        report_ts_micros,
-                        hot_ids,
-                        signatures,
-                        ..
-                    } => (*report_ts_micros, hot_ids, signatures),
-                    other => panic!("hybrid handler fed a wrong report: {other:?}"),
-                };
-                PreparedReport::Hybrid {
-                    t_i: time_from_micros(report_ts_micros),
-                    limit: gap_limit(*latency),
-                    hot,
-                    hot_ids,
-                    decoder,
-                    signatures,
-                }
-            }
-        }
-    }
-
-    fn report_time(&self) -> SimTime {
-        match self {
-            PreparedReport::Ts { t_i, .. }
-            | PreparedReport::At { t_i, .. }
-            | PreparedReport::Nc { t_i }
-            | PreparedReport::Group { t_i, .. }
-            | PreparedReport::Sig { t_i, .. }
-            | PreparedReport::Hybrid { t_i, .. } => *t_i,
-        }
-    }
+/// What one sweep's per-client kernel reads besides the columns: the
+/// fleet's strategy, the broadcast's digest, and (SIG/HYB) the
+/// broadcast signatures.
+struct Kernel<'a> {
+    spec: &'a ColumnarSpec,
+    digest: &'a ReportDigest<'a>,
+    signatures: Option<&'a Arc<Vec<CombinedSignature>>>,
 }
 
 /// SIG columns of one contiguous client chunk.
@@ -862,7 +761,8 @@ struct ChunkView<'a> {
     stamps: &'a mut [SimTime],
     cached: &'a mut [u32],
     t_l: &'a mut [Option<SimTime>],
-    pending: &'a mut [Vec<PendingQuery>],
+    pending_mask: &'a mut [u64],
+    posed_at: &'a mut [Vec<SimTime>],
     stats: &'a mut [MuStats],
     sig: Option<SigChunk<'a>>,
     cap: Option<CapChunk<'a>>,
@@ -920,6 +820,57 @@ impl ChunkView<'_> {
             }
         }
     }
+
+    /// "For every item j in the MU cache": one ascending walk over the
+    /// client's valid slots, the report only probed. Slots `stale(item,
+    /// t_cache)` condemns are cleared and collected (ascending, as slot
+    /// order is id order); the rest are restamped to `t_i`. The
+    /// columnar twin of the boxed handlers' cache walk — both ask the
+    /// same [`ReportDigest`] verdicts.
+    fn sweep_slots(
+        &mut self,
+        local: usize,
+        idx: usize,
+        t_i: SimTime,
+        mut stale: impl FnMut(ItemId, SimTime) -> bool,
+    ) -> Vec<ItemId> {
+        let mut invalidated = Vec::new();
+        for w in 0..self.words {
+            let word = local * self.words + w;
+            for slot in set_bits(self.valid[word], w * 64) {
+                let item = self.slot_items[idx * self.h + slot];
+                let stamp = &mut self.stamps[local * self.h + slot];
+                if stale(item, *stamp) {
+                    self.valid[word] &= !(1 << (slot % 64));
+                    self.cached[local] -= 1;
+                    invalidated.push(item);
+                } else {
+                    *stamp = t_i;
+                }
+            }
+        }
+        invalidated
+    }
+
+    /// Ghost retire (`Cache::ghosts_mark_stale`): a fresh ghost the
+    /// report proves stale would have been dropped anyway — the
+    /// eviction cost nothing.
+    fn retire_ghosts(
+        &mut self,
+        local: usize,
+        idx: usize,
+        mut proven_stale: impl FnMut(ItemId, SimTime) -> bool,
+    ) {
+        let Some(cap) = &mut self.cap else { return };
+        for slot in 0..self.h {
+            let at = local * self.h + slot;
+            if cap.ghost[at] == 1
+                && proven_stale(self.slot_items[idx * self.h + slot], cap.ghost_stamps[at])
+            {
+                cap.ghost[at] = 2;
+            }
+        }
+    }
 }
 
 /// One client's share of the report sweep: the columnar transcription
@@ -929,7 +880,7 @@ impl ChunkView<'_> {
 /// position inside the chunk.
 fn sweep_client(
     view: &mut ChunkView<'_>,
-    prepared: &PreparedReport<'_>,
+    kernel: &Kernel<'_>,
     idx: usize,
     awake_slot: usize,
     observing: bool,
@@ -941,63 +892,63 @@ fn sweep_client(
     } else {
         None
     };
-    let outcome = process_report(view, prepared, local, idx);
+    let outcome = process_report(view, kernel, local, idx);
     let t_i = outcome.report_time;
     let stats = &mut view.stats[local];
-    for q in &view.pending[local] {
-        let lat = t_i.saturating_duration_since(q.posed_at).as_secs();
+    for &posed_at in &view.posed_at[local] {
+        let lat = t_i.saturating_duration_since(posed_at).as_secs();
         stats.latency_sum_secs += lat;
         if lat > stats.latency_max_secs {
             stats.latency_max_secs = lat;
         }
     }
+    view.posed_at[local].clear();
     view.t_l[local] = Some(t_i);
     if outcome.dropped_all {
         stats.cache_drops += 1;
     }
     stats.items_invalidated += outcome.invalidated.len() as u64;
-    // Answer Q_i: one event per distinct pending item.
-    let mut seen: Vec<ItemId> = view.pending[local].iter().map(|q| q.item).collect();
-    seen.sort_unstable();
-    seen.dedup();
+    // Answer Q_i: one event per distinct pending item. The pending mask
+    // is that set already — one bit per queried slot, and ascending
+    // bits are ascending item ids.
     let mut uplink = Vec::new();
-    for item in seen {
-        let slot = view.slot_of(idx, item);
-        let hit = slot.is_some_and(|slot| view.is_valid(local, slot));
-        // Mirror `Cache::get`: the access clock ticks on every read,
-        // hit or miss; a hit also bumps recency and the LFU count.
-        if let Some(cap) = &mut view.cap {
-            cap.clock[local] += 1;
-            if hit {
-                let at = local * view.h + slot.expect("hits have a slot");
-                cap.last_used[at] = cap.clock[local];
-                cap.use_count[at] += 1;
+    for w in 0..view.words {
+        let word = local * view.words + w;
+        for slot in set_bits(std::mem::take(&mut view.pending_mask[word]), w * 64) {
+            let hit = view.valid[word] & (1 << (slot % 64)) != 0;
+            let at = local * view.h + slot;
+            // Mirror `Cache::get`: the access clock ticks on every
+            // read, hit or miss; a hit also bumps recency and the LFU
+            // count.
+            if let Some(cap) = &mut view.cap {
+                cap.clock[local] += 1;
+                if hit {
+                    cap.last_used[at] = cap.clock[local];
+                    cap.use_count[at] += 1;
+                }
             }
-        }
-        if hit {
-            view.stats[local].hit_events += 1;
-        } else {
-            view.stats[local].miss_events += 1;
+            if hit {
+                stats.hit_events += 1;
+                continue;
+            }
+            stats.miss_events += 1;
             // `Cache::take_ghost`: classify the requery of an evicted
             // copy — fresh ghost ⇒ the capacity bound caused this miss.
-            if let (Some(cap), Some(slot)) = (&mut view.cap, slot) {
-                let at = local * view.h + slot;
-                match cap.ghost[at] {
+            if let Some(cap) = &mut view.cap {
+                match std::mem::take(&mut cap.ghost[at]) {
                     1 => {
-                        view.stats[local].capacity_misses += 1;
-                        view.stats[local].evicted_then_requeried += 1;
+                        stats.capacity_misses += 1;
+                        stats.evicted_then_requeried += 1;
                     }
-                    2 => view.stats[local].evicted_then_requeried += 1,
+                    2 => stats.evicted_then_requeried += 1,
                     _ => {}
                 }
-                cap.ghost[at] = 0;
             }
             // Piggyback histories are ineligible for the columnar
             // fleet, so the uplink request never carries one.
-            uplink.push((item, None));
+            uplink.push((view.slot_items[idx * view.h + slot], None));
         }
     }
-    view.pending[local].clear();
     super::simulation::SweepItem {
         slot: awake_slot,
         pre,
@@ -1010,177 +961,71 @@ fn sweep_client(
     }
 }
 
-/// The strategy kernels: each arm is a line-for-line transcription of
-/// the corresponding `ReportHandler::process` over the slot block.
+/// The strategy kernels, each the corresponding
+/// `ReportHandler::process_digest` over the slot block: the same gap
+/// rules, the same [`ReportDigest`] verdicts, the same outcome.
 fn process_report(
     view: &mut ChunkView<'_>,
-    prepared: &PreparedReport<'_>,
+    kernel: &Kernel<'_>,
     local: usize,
     idx: usize,
 ) -> ProcessOutcome {
-    let t_i = prepared.report_time();
-    match prepared {
-        PreparedReport::Ts {
-            window, entries, ..
-        } => {
-            let gap_too_large = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *window,
-                None => view.cached[local] > 0, // never heard a report: nothing provable
-            };
-            if gap_too_large {
-                view.clear_cache(local);
-                return ProcessOutcome {
-                    report_time: t_i,
-                    dropped_all: true,
-                    invalidated: Vec::new(),
-                    revalidated: 0,
-                };
-            }
-            let mut invalidated = Vec::new();
-            for slot in 0..view.h {
-                if !view.is_valid(local, slot) {
-                    continue;
-                }
-                let item = view.item(idx, slot);
-                let cached_micros = time_to_micros(view.stamps[local * view.h + slot]);
-                match entries
-                    .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                    .ok()
-                    .map(|ix| entries[ix].1)
-                {
-                    Some(t_j) if cached_micros < t_j => {
-                        view.clear_slot(local, slot);
-                        invalidated.push(item);
-                    }
-                    _ => view.stamps[local * view.h + slot] = t_i,
-                }
-            }
-            // Ghost retire (`Cache::ghosts_mark_stale`): a report entry
-            // [j, t_j] newer than an evicted copy's stamp proves that
-            // copy would have been dropped anyway — the eviction cost
-            // nothing.
-            if let Some(cap) = &mut view.cap {
-                for slot in 0..view.h {
-                    let at = local * view.h + slot;
-                    if cap.ghost[at] != 1 {
-                        continue;
-                    }
-                    let item = view.slot_items[idx * view.h + slot];
-                    let stamp_micros = time_to_micros(cap.ghost_stamps[at]);
-                    if entries
-                        .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                        .ok()
-                        .is_some_and(|ix| stamp_micros < entries[ix].1)
-                    {
-                        cap.ghost[at] = 2;
-                    }
-                }
-            }
-            // Slot order is ascending item id, so `invalidated` is
-            // already sorted — same output as the dense-cache walk.
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
+    let digest = kernel.digest;
+    let t_i = digest.report_time();
+    let outcome = |invalidated: Vec<ItemId>, view: &ChunkView<'_>| ProcessOutcome {
+        report_time: t_i,
+        dropped_all: false,
+        invalidated,
+        revalidated: view.cached[local] as usize,
+    };
+    // `if (T_i − T_l > tolerance) { drop the entire cache }`: TS
+    // tolerates its window, AT and GR one latency; a unit that never
+    // heard a report can prove nothing about what it holds.
+    let tolerance = match kernel.spec {
+        ColumnarSpec::Ts { window } => Some(*window),
+        ColumnarSpec::At { latency } | ColumnarSpec::Group { latency, .. } => {
+            Some(gap_limit(*latency))
         }
-        PreparedReport::At { limit, ids, .. } => {
-            let gap_too_large = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *limit,
-                None => view.cached[local] > 0,
-            };
-            if gap_too_large {
-                view.clear_cache(local);
-                return ProcessOutcome {
-                    report_time: t_i,
-                    dropped_all: true,
-                    invalidated: Vec::new(),
-                    revalidated: 0,
-                };
-            }
-            let mut invalidated = Vec::new();
-            for &item in *ids {
-                if let Some(slot) = view.slot_of(idx, item) {
-                    if view.is_valid(local, slot) {
-                        view.clear_slot(local, slot);
-                        invalidated.push(item);
-                    }
-                    // `Cache::ghost_mark_stale_item`: a reported id
-                    // changed this interval, so any evicted copy of it
-                    // is provably stale — the eviction cost nothing.
-                    if let Some(cap) = &mut view.cap {
-                        let at = local * view.h + slot;
-                        if cap.ghost[at] != 0 {
-                            cap.ghost[at] = 2;
-                        }
-                    }
-                }
-            }
-            view.restamp_all(local, t_i);
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
-        }
-        PreparedReport::Nc { .. } => {
+        _ => None,
+    };
+    if let Some(tolerance) = tolerance {
+        let gap_too_large = match view.t_l[local] {
+            Some(t_l) => t_i.saturating_duration_since(t_l) > tolerance,
+            None => view.cached[local] > 0,
+        };
+        if gap_too_large {
             view.clear_cache(local);
-            ProcessOutcome {
+            return ProcessOutcome {
                 report_time: t_i,
-                dropped_all: false,
+                dropped_all: true,
                 invalidated: Vec::new(),
                 revalidated: 0,
-            }
-        }
-        PreparedReport::Group {
-            limit,
-            map,
-            changed,
-            ..
-        } => {
-            let gap_too_large = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *limit,
-                None => view.cached[local] > 0,
             };
-            if gap_too_large {
-                view.clear_cache(local);
-                return ProcessOutcome {
-                    report_time: t_i,
-                    dropped_all: true,
-                    invalidated: Vec::new(),
-                    revalidated: 0,
-                };
-            }
-            let mut invalidated = Vec::new();
-            for slot in 0..view.h {
-                if !view.is_valid(local, slot) {
-                    continue;
-                }
-                let item = view.item(idx, slot);
-                if changed.binary_search(&map.group_of(item)).is_ok() {
-                    view.clear_slot(local, slot);
-                    invalidated.push(item);
-                } else {
-                    view.stamps[local * view.h + slot] = t_i;
-                }
-            }
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
         }
-        PreparedReport::Sig {
-            decoder,
-            signatures,
-            ..
-        } => {
+    }
+    match kernel.spec {
+        ColumnarSpec::Ts { .. } => {
+            let newer = |item, stamp| digest.ts_newer_than(item, time_to_micros(stamp));
+            let invalidated = view.sweep_slots(local, idx, t_i, newer);
+            view.retire_ghosts(local, idx, newer);
+            outcome(invalidated, view)
+        }
+        ColumnarSpec::At { .. } => {
+            let invalidated = view.sweep_slots(local, idx, t_i, |item, _| digest.listed(item));
+            view.retire_ghosts(local, idx, |item, _| digest.listed(item));
+            outcome(invalidated, view)
+        }
+        ColumnarSpec::Group { map, .. } => {
+            let invalidated =
+                view.sweep_slots(local, idx, t_i, |item, _| digest.listed(map.group_of(item)));
+            outcome(invalidated, view)
+        }
+        ColumnarSpec::NoCache => {
+            view.clear_cache(local);
+            outcome(Vec::new(), view)
+        }
+        ColumnarSpec::Sig { decoder } => {
+            let signatures = kernel.signatures.expect("SIG sweep has signatures");
             let cached_items = view.cached_items(local, idx);
             let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
             let m = sig.m;
@@ -1216,49 +1061,29 @@ fn process_report(
             view.restamp_all(local, t_i);
             let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
             sig.last_report[local] = Arc::clone(signatures);
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated: diagnosis.invalidated,
-                revalidated,
-            }
+            outcome(diagnosis.invalidated, view)
         }
-        PreparedReport::Hybrid {
-            limit,
+        ColumnarSpec::Hybrid {
+            latency,
             hot,
-            hot_ids,
             decoder,
-            signatures,
-            ..
         } => {
-            let mut invalidated = Vec::new();
-            // Hot half: AT semantics, scoped to hot items only.
+            let signatures = kernel.signatures.expect("HYB sweep has signatures");
+            // Hot half: AT semantics, scoped to hot items only — a
+            // missed report condemns every hot copy, a heard one the
+            // listed ids. (Survivors of either half end up stamped
+            // `t_i`.)
             let missed_report = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *limit,
+                Some(t_l) => t_i.saturating_duration_since(t_l) > gap_limit(*latency),
                 None => true,
             };
-            if missed_report {
-                for slot in 0..view.h {
-                    if !view.is_valid(local, slot) {
-                        continue;
-                    }
-                    let item = view.item(idx, slot);
-                    if hot.contains(item) {
-                        view.clear_slot(local, slot);
-                        invalidated.push(item);
-                    }
+            let mut invalidated = view.sweep_slots(local, idx, t_i, |item, _| {
+                if missed_report {
+                    hot.contains(item)
+                } else {
+                    digest.listed(item)
                 }
-            } else {
-                for &item in *hot_ids {
-                    if let Some(slot) = view.slot_of(idx, item) {
-                        if view.is_valid(local, slot) {
-                            view.clear_slot(local, slot);
-                            invalidated.push(item);
-                        }
-                    }
-                }
-            }
+            });
             // Cold half: SIG semantics over the remaining cached items.
             let cold_items: Vec<ItemId> = {
                 let mut out = Vec::with_capacity(view.cached[local] as usize);
@@ -1307,14 +1132,10 @@ fn process_report(
             }
             let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
             sig.last_report[local] = Arc::clone(signatures);
-            view.restamp_all(local, t_i);
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
+            outcome(invalidated, view)
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -28,7 +28,7 @@ use std::collections::{BinaryHeap, HashSet, VecDeque};
 use sw_adaptive::FeedbackMethod;
 use sw_capacity::{CapacityStats, CoopDirectory, CoopFeed, CoopStats};
 use sw_client::handler::time_to_micros;
-use sw_client::{IntervalReport, MobileUnit, MuConfig, MuStats};
+use sw_client::{DigestScratch, IntervalReport, MobileUnit, MuConfig, MuStats, ReportDigest};
 use sw_faults::{FaultLayer, ReportFate};
 use sw_query::{QueryPlane, QueryStats};
 use sw_server::{Database, ItemId, PiggybackInfo, QueryAnswer, UpdateEngine, UplinkProcessor};
@@ -225,17 +225,15 @@ const SWEEP_PAR_MIN: usize = 256;
 /// other family (signatures, hybrid, group, adaptive) cannot prove
 /// per-item freshness from its report, so it always declines — the
 /// never-stale safety audit stays armed downstream either way.
-fn coop_vouch(payload: &FramePayload, feed_stamp_micros: u64, item: ItemId) -> bool {
-    match payload {
-        FramePayload::TimestampReport { entries, .. } => entries
-            .iter()
-            .all(|&(id, t)| id != item || t <= feed_stamp_micros),
-        FramePayload::AmnesicReport { ids, .. } => !ids.contains(&item),
+fn coop_vouch(digest: &ReportDigest<'_>, feed_stamp_micros: u64, item: ItemId) -> bool {
+    match digest.payload() {
+        FramePayload::TimestampReport { .. } => !digest.ts_newer_than(item, feed_stamp_micros),
+        FramePayload::AmnesicReport { .. } => !digest.listed(item),
         _ => false,
     }
 }
 
-/// One client's share of the report sweep: apply the shared payload,
+/// One client's share of the report sweep: apply the shared digest,
 /// answer pending queries, and record what the merge pass needs. Reads
 /// and writes only `mu` — no shared state, no randomness — which is
 /// what lets the sweep fan out over disjoint client ranges.
@@ -244,7 +242,7 @@ fn sweep_client(
     slot: usize,
     observing: bool,
     migrated: bool,
-    payload: &FramePayload,
+    digest: &ReportDigest<'_>,
 ) -> SweepItem {
     // Pre-processing snapshot for the per-interval series; the
     // last-report time is the false-alarm reference point (§6).
@@ -258,7 +256,7 @@ fn sweep_client(
     // report is attributable to the cell switch (an empty carried
     // cache has nothing to lose and counts no drop).
     let migrated_pre_len = if migrated { Some(mu.cache().len()) } else { None };
-    let outcome = mu.hear_report_and_answer(payload);
+    let outcome = mu.hear_digest_and_answer(digest);
     SweepItem {
         slot,
         pre,
@@ -378,6 +376,9 @@ pub struct CellSimulation {
     /// `SW_THREADS`/machine parallelism); results are bit-identical at
     /// any value, so this is purely a throughput knob.
     sweep_threads: usize,
+    /// Buffers behind the per-broadcast [`ReportDigest`], reused every
+    /// interval.
+    digest_scratch: DigestScratch,
     /// Mirror of `pending_uplinks` as a membership set, so the
     /// duplicate-fetch check is O(1) instead of a queue scan. Under a
     /// saturated cold start the queue holds tens of thousands of
@@ -739,6 +740,7 @@ impl CellSimulation {
             sweep_threads: config
                 .sweep_threads
                 .unwrap_or_else(|| sw_sim::ParallelRunner::from_env().threads()),
+            digest_scratch: DigestScratch::default(),
             queued_exchanges: HashSet::new(),
             faults,
             delivery,
@@ -1276,18 +1278,24 @@ impl CellSimulation {
             heard.push(slot);
         }
 
-        // 4c. The report sweep: every listening client applies the one
-        // shared payload to its own cache and collects its fetch list.
+        // 4c. The report sweep. The report is digested once — its time
+        // plus a membership bitset over the listed ids — and every
+        // listening client walks its *own* cache probing that digest,
+        // then collects its fetch list. (The scratch leaves `self` for
+        // the rest of phase 4 so the digest can outlive `&mut self`
+        // calls in the merge.)
         // The sweep touches only per-client state and draws no
         // randomness, so it fans out over disjoint contiguous client
         // ranges when the cell is big enough — bit-identical at any
         // worker count because the per-client work is independent and
         // the results are merged in ascending order below.
+        let mut digest_scratch = std::mem::take(&mut self.digest_scratch);
+        let digest = digest_scratch.digest(&payload);
         let results: Vec<SweepItem> = if let Some(fleet) = &mut self.columnar {
             fleet.sweep(
                 &heard,
                 &awake,
-                &payload,
+                &digest,
                 observing,
                 self.sweep_threads,
                 SWEEP_PAR_MIN,
@@ -1296,7 +1304,7 @@ impl CellSimulation {
                 let workers = self.sweep_threads.min(heard.len());
                 let chunk_len = heard.len().div_ceil(workers);
                 let newly_migrated = &self.newly_migrated;
-                let payload_ref = &payload;
+                let digest_ref = &digest;
                 let awake_ref = &awake;
                 let mut rest: &mut [MobileUnit] = &mut self.clients;
                 let mut base = 0usize;
@@ -1318,7 +1326,7 @@ impl CellSimulation {
                                     slot,
                                     observing,
                                     newly_migrated[idx],
-                                    payload_ref,
+                                    digest_ref,
                                 ));
                             }
                             items
@@ -1339,7 +1347,7 @@ impl CellSimulation {
                             slot,
                             observing,
                             self.newly_migrated[idx],
-                            &payload,
+                            &digest,
                         )
                     })
                     .collect()
@@ -1411,7 +1419,7 @@ impl CellSimulation {
                     match feed.get(item) {
                         Some(value)
                             if coop_vouch(
-                                &payload,
+                                &digest,
                                 time_to_micros(
                                     feed.stamp.expect("a holding feed carries its stamp"),
                                 ),
@@ -1497,6 +1505,7 @@ impl CellSimulation {
                 obs_misses += s.miss_events - pre_stats.miss_events;
             }
         }
+        self.digest_scratch = digest_scratch;
         self.obs.finish(process_timer);
 
         // 5. Energy accounting (§9/§10): asleep units pay sleep energy;

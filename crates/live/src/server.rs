@@ -285,6 +285,24 @@ struct BarrierState {
     rows: Vec<Vec<DecisionRow>>,
 }
 
+impl BarrierState {
+    /// Files client `idx`'s row and marks it done for this tick. The
+    /// halt path harvests `rows` with `mem::take`, so a `Done` that
+    /// lands after it has no slot left: that is a typed error for the
+    /// connection thread to hang up on, never an index panic.
+    fn record_done(&mut self, idx: usize, row: DecisionRow) -> io::Result<()> {
+        let (Some(rows), Some(done)) = (self.rows.get_mut(idx), self.done.get_mut(idx)) else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("Done from client {idx} after the session closed its barrier"),
+            ));
+        };
+        rows.push(row);
+        *done = true;
+        Ok(())
+    }
+}
+
 /// Replication-facing session state the connection threads consult:
 /// the current epoch and role (a replica refuses registration with
 /// `Standby`), the announced successor order, and whether the session
@@ -716,8 +734,7 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                     ));
                 };
                 let mut bar = shared.bar.lock().expect("barrier lock");
-                bar.rows[idx].push(row);
-                bar.done[idx] = true;
+                bar.record_done(idx, row)?;
                 shared.bar_cv.notify_all();
             }
             Msg::Bye => break,
@@ -1204,4 +1221,27 @@ fn paced_sleep_until(shared: &Shared, due: Instant) -> bool {
         thread::sleep(remaining.min(Duration::from_millis(5)));
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn late_done_after_the_rows_were_harvested_is_an_error_not_a_panic() {
+        let mut bar = BarrierState {
+            done: vec![false; 2],
+            rows: vec![Vec::new(); 2],
+        };
+        bar.record_done(1, DecisionRow::default())
+            .expect("a Done during the session files its row");
+        assert_eq!((bar.rows[1].len(), bar.done[1]), (1, true));
+        // The halt path of `ticker_loop`, verbatim.
+        let harvested = std::mem::take(&mut bar.rows);
+        assert_eq!(harvested[1].len(), 1);
+        let late = bar
+            .record_done(1, DecisionRow::default())
+            .expect_err("no row slot is left after the harvest");
+        assert_eq!(late.kind(), io::ErrorKind::InvalidData);
+    }
 }

@@ -223,6 +223,11 @@ echo "==> bench gate: current driver must beat the legacy loop at s=0.5"
 # so the PR 3-5 per-interval regression cannot silently recur.
 SW_BENCH_GATE=1 cargo run --release -q -p sw-experiments --bin bench_report >/dev/null
 
+echo "==> benchmark smoke (benchmark/: every workload at 1/50 size, all checks on)"
+# Its own package and lock file, outside the workspace the legs above
+# cover; this is what keeps it compiling against the crates' public API.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> bench smoke: mesh_step (sharded envelope vs single-cell baseline)"
 # The A/B guard for the mesh PR: hot_paths above exercises only the
 # single-cell driver and must stay green untouched; mesh_step measures

@@ -394,3 +394,69 @@ fn bounded_caches_ignore_sweep_threads_at_scale() {
         }
     }
 }
+
+/// The digest kernels where they work hardest, with the chunked sweep
+/// engaged (≥ 256 listeners) at every pinned worker count: AT at
+/// Scenario 3's update rate (most of the database listed every
+/// interval, so the walk invalidates more than it keeps), bounded AT and
+/// TS (ghost slots live, retired by probing the digest), and a hot spot
+/// wider than 64 items (valid and pending masks cross a word boundary).
+/// The boxed fleet at one thread is the oracle for every column.
+#[test]
+fn digest_kernels_match_units_at_scale() {
+    let scenario3_rate = |mut cfg: CellConfig| {
+        cfg.params.mu = ScenarioParams::scenario3().mu;
+        cfg
+    };
+    let cases: [(&str, Strategy, CellConfig); 5] = [
+        (
+            "AT at Scenario 3 update rate",
+            Strategy::AmnesicTerminals,
+            scenario3_rate(base_config(300, 0.1, 13)),
+        ),
+        (
+            "bounded AT at Scenario 3 update rate",
+            Strategy::AmnesicTerminals,
+            scenario3_rate(base_config(300, 0.1, 13)).with_cache_capacity(8),
+        ),
+        (
+            "bounded TS",
+            Strategy::BroadcastTimestamps,
+            base_config(300, 0.1, 17)
+                .with_cache_capacity(8)
+                .with_replacement(ReplacementPolicy::Lfu),
+        ),
+        (
+            "TS over a 70-item hot spot",
+            Strategy::BroadcastTimestamps,
+            base_config(300, 0.1, 19).with_hotspot_size(70),
+        ),
+        (
+            "bounded AT over a 70-item hot spot",
+            Strategy::AmnesicTerminals,
+            base_config(300, 0.1, 23)
+                .with_hotspot_size(70)
+                .with_cache_capacity(66),
+        ),
+    ];
+    for (name, strategy, cfg) in cases {
+        let want = fingerprint(
+            cfg.clone()
+                .with_fleet(FleetBackend::Units)
+                .with_sweep_threads(1),
+            strategy,
+            30,
+        );
+        for threads in [1usize, 2, 8] {
+            let got = fingerprint(
+                cfg.clone()
+                    .with_fleet(FleetBackend::Columnar)
+                    .with_sweep_threads(threads),
+                strategy,
+                30,
+            );
+            assert_eq!(want.0, got.0, "{name}: report diverged at {threads} sweep threads");
+            assert_eq!(want.1, got.1, "{name}: client stats diverged at {threads} sweep threads");
+        }
+    }
+}
