@@ -12,7 +12,7 @@ use sw_server::ItemId;
 use sw_sim::{SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
-use sw_client::{Cache, ProcessOutcome, ReportHandler};
+use sw_client::{Cache, ProcessOutcome, ReportDigest, ReportHandler};
 
 use crate::window::WindowTable;
 
@@ -53,13 +53,20 @@ impl ReportHandler for AdaptiveTsHandler {
         "ATS"
     }
 
-    fn process(
+    fn accepts(&self, payload: &FramePayload) -> bool {
+        matches!(
+            payload,
+            FramePayload::AdaptiveTimestampReport { .. } | FramePayload::TimestampReport { .. }
+        )
+    }
+
+    fn process_digest(
         &mut self,
         cache: &mut Cache,
-        payload: &FramePayload,
+        digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (report_ts_micros, entries) = match payload {
+        let (report_ts_micros, entries) = match digest.payload() {
             // The adaptive report carries its window table in-band.
             FramePayload::AdaptiveTimestampReport {
                 report_ts_micros,

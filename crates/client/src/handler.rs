@@ -1,18 +1,17 @@
-//! The MU-side report-processing algorithms of §3.
+//! The MU side of a strategy, as a [`crate::MobileUnit`] holds it.
 //!
-//! Each strategy is a [`ReportHandler`] invoked when the unit hears the
-//! report broadcast at `T_i`. The handler mutates the cache exactly as
-//! the paper's pseudo-code prescribes and reports what happened. The
-//! caller (the [`crate::mu::MobileUnit`]) owns `T_l` — "a variable that
+//! A [`ReportHandler`] is invoked when the unit hears the report
+//! broadcast at `T_i`; it mutates the cache as the strategy prescribes
+//! and reports what happened. The caller owns `T_l` — "a variable that
 //! indicates the last time it received a report" — and passes it in.
 //!
-//! Safety discipline: TS and AT "will only allow false alarm errors and
-//! will always correctly inform the client if his copy is invalid" (§2).
-//! SIG is probabilistic: a changed item escapes only if its combined
-//! signatures collide (probability ≈ 2^−g each), plus a one-interval
-//! blind spot for items fetched mid-interval whose subsets were not
-//! previously tracked (see [`SigHandler`] docs); both are measured, not
-//! assumed, by the integration tests.
+//! The §3 algorithms themselves are not here: they are
+//! [`ReportRule::apply`], and every handler in this module is a
+//! [`RuleHandler`] — one rule plus, for SIG/HYB, the per-client tracking
+//! state the rule borrows. [`TsHandler`] … [`NoCacheHandler`] are named
+//! constructors over it. The trait stays open for the strategies whose
+//! client half carries driver-wired state of its own (`sw-adaptive`,
+//! `sw-quasi`).
 
 use std::sync::Arc;
 
@@ -23,6 +22,7 @@ use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
 use crate::digest::{DigestScratch, ReportDigest};
+use crate::rule::{ReportRule, SigTrack};
 
 /// Converts a wire timestamp (integer micros) back to [`SimTime`].
 #[inline]
@@ -59,37 +59,38 @@ pub trait ReportHandler {
     /// "NC").
     fn name(&self) -> &'static str;
 
+    /// Whether `payload` is a report this handler can process. Frames
+    /// from outside the program (a live MU's socket) are screened with
+    /// this and discarded like line noise when refused;
+    /// [`Self::process_digest`] may panic on a frame it does not accept.
+    fn accepts(&self, payload: &FramePayload) -> bool;
+
     /// Observes an uplink fetch installing `item` into the cache
     /// (called after the report for the current interval was
-    /// processed). Default: no-op. SIG uses it to start tracking the
-    /// fetched item's subsets *from the just-heard report*, closing the
-    /// fetch-to-next-report blind spot: the fetched value is current as
-    /// of `T_i`, exactly the state the report's signatures describe.
+    /// processed). Default: no-op; see [`ReportRule::on_fetch`] for
+    /// what the signature strategies do with it.
     fn on_fetch(&mut self, _item: ItemId) {}
 
-    /// Processes the report heard at `T_i`. `t_l` is the time the unit
-    /// last heard a report (`None` if it never has). For the handlers
-    /// that probe a [`ReportDigest`] this digests `payload` on the spot
-    /// and defers to [`Self::process_digest`].
+    /// Processes the report heard at `T_i`, digesting `payload` on the
+    /// spot. `t_l` is the time the unit last heard a report (`None` if
+    /// it never has).
     fn process(
         &mut self,
         cache: &mut Cache,
         payload: &FramePayload,
         t_l: Option<SimTime>,
-    ) -> ProcessOutcome;
+    ) -> ProcessOutcome {
+        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
+    }
 
     /// [`Self::process`] given the broadcast's shared digest, so a cell
-    /// digests each report once for all its listeners. Default: the
-    /// strategy reads nothing the digest indexes, and processes the
-    /// payload behind it.
+    /// digests each report once for all its listeners.
     fn process_digest(
         &mut self,
         cache: &mut Cache,
         digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        self.process(cache, digest.payload(), t_l)
-    }
+    ) -> ProcessOutcome;
 
     /// Syndrome-decode telemetry: how many cached subsets' signatures
     /// failed to match in the last processed report. `None` for
@@ -102,342 +103,176 @@ pub trait ReportHandler {
     }
 }
 
-/// The AT-family gap tolerance: `L` plus a relative epsilon, so a unit
-/// that heard the previous report is never dropped by float rounding.
-pub fn gap_limit(latency: SimDuration) -> SimDuration {
-    latency + SimDuration::from_secs(latency.as_secs() * 1e-9)
-}
-
-/// `if (T_i − T_l > tolerance) { drop the entire cache }` — the shared
-/// opening of the TS (`w`), AT and GR (`L`) algorithms. A missed report
-/// means changes the client can no longer reconstruct; a unit that
-/// never heard one can prove nothing about what it holds.
-fn drop_on_gap(
-    cache: &mut Cache,
-    t_i: SimTime,
-    t_l: Option<SimTime>,
-    tolerance: SimDuration,
-) -> Option<ProcessOutcome> {
-    let gap_too_large = match t_l {
-        Some(t_l) => t_i.saturating_duration_since(t_l) > tolerance,
-        None => !cache.is_empty(),
-    };
-    gap_too_large.then(|| {
-        cache.clear();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: true,
-            invalidated: Vec::new(),
-            revalidated: 0,
-        }
-    })
-}
-
-/// "For every item j in the MU cache": one walk, the report only
-/// probed. Entries `stale(item, t_cache)` condemns are dropped and
-/// collected; the rest are verified as of `T_i` (`t_cache := T_i`).
-fn sweep_cache(
-    cache: &mut Cache,
-    t_i: SimTime,
-    mut stale: impl FnMut(ItemId, SimTime) -> bool,
-) -> Vec<ItemId> {
-    let mut invalidated = Vec::new();
-    cache.retain_entries(|item, entry| {
-        let keep = !stale(item, entry.timestamp);
-        if keep {
-            entry.timestamp = t_i;
-        } else {
-            invalidated.push(item);
-        }
-        keep
-    });
-    // Ascending already for dense caches; hashed ones visit in
-    // arbitrary order.
-    invalidated.sort_unstable();
-    invalidated
-}
-
-/// Broadcasting Timestamps — client algorithm of §3.1.
+/// One boxed client's signature-tracking state; what a [`SigTrack`]
+/// borrows.
 #[derive(Debug, Clone)]
-pub struct TsHandler {
-    window: SimDuration,
+struct SigState {
+    tracked: Vec<Option<CombinedSignature>>,
+    count: usize,
+    last_report: Arc<Vec<CombinedSignature>>,
+    last_unmatched: u32,
+}
+
+/// A [`ReportRule`] as one boxed unit's handler.
+#[derive(Debug, Clone)]
+pub struct RuleHandler {
+    rule: ReportRule,
+    /// `Some` exactly when the rule has a decoder (SIG, HYB).
+    sig: Option<SigState>,
+}
+
+impl RuleHandler {
+    /// Wraps `rule` with fresh (nothing tracked) per-client state.
+    pub fn new(rule: ReportRule) -> Self {
+        let sig = rule.decoder().map(|decoder| SigState {
+            tracked: vec![None; decoder.plan().m as usize],
+            count: 0,
+            last_report: Arc::new(Vec::new()),
+            last_unmatched: 0,
+        });
+        RuleHandler { rule, sig }
+    }
+
+    /// Number of subset signatures currently tracked (0 for the rules
+    /// that track none).
+    pub fn tracked_subsets(&self) -> usize {
+        self.sig.as_ref().map_or(0, |s| s.count)
+    }
+
+    fn parts(&mut self) -> (&ReportRule, Option<SigTrack<'_>>) {
+        let track = self.sig.as_mut().map(|s| SigTrack {
+            tracked: &mut s.tracked,
+            count: &mut s.count,
+            last_report: &mut s.last_report,
+            last_unmatched: &mut s.last_unmatched,
+        });
+        (&self.rule, track)
+    }
+}
+
+impl ReportHandler for RuleHandler {
+    fn name(&self) -> &'static str {
+        self.rule.name()
+    }
+
+    fn accepts(&self, payload: &FramePayload) -> bool {
+        self.rule.accepts(payload)
+    }
+
+    fn on_fetch(&mut self, item: ItemId) {
+        let (rule, track) = self.parts();
+        rule.on_fetch(track, item);
+    }
+
+    fn process_digest(
+        &mut self,
+        cache: &mut Cache,
+        digest: &ReportDigest<'_>,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        let (rule, track) = self.parts();
+        rule.apply(cache, track, digest, t_l)
+    }
+
+    fn last_unmatched_subsets(&self) -> Option<u32> {
+        self.sig.as_ref().map(|s| s.last_unmatched)
+    }
+}
+
+/// Declares a named handler type: a [`RuleHandler`] that can only hold
+/// the one rule its constructors build.
+macro_rules! named_handler {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone)]
+        pub struct $name(RuleHandler);
+
+        impl ReportHandler for $name {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+
+            fn accepts(&self, payload: &FramePayload) -> bool {
+                self.0.accepts(payload)
+            }
+
+            fn on_fetch(&mut self, item: ItemId) {
+                self.0.on_fetch(item);
+            }
+
+            fn process_digest(
+                &mut self,
+                cache: &mut Cache,
+                digest: &ReportDigest<'_>,
+                t_l: Option<SimTime>,
+            ) -> ProcessOutcome {
+                self.0.process_digest(cache, digest, t_l)
+            }
+
+            fn last_unmatched_subsets(&self) -> Option<u32> {
+                self.0.last_unmatched_subsets()
+            }
+        }
+    };
+}
+
+named_handler! {
+    /// Broadcasting Timestamps — [`ReportRule::Ts`], §3.1.
+    TsHandler
+}
+named_handler! {
+    /// Amnesic Terminals — [`ReportRule::At`], §3.2.
+    AtHandler
+}
+named_handler! {
+    /// Signatures — [`ReportRule::Sig`], §3.3.
+    SigHandler
+}
+named_handler! {
+    /// Hybrid weighted reports — [`ReportRule::Hybrid`], §10.
+    HybridHandler
+}
+named_handler! {
+    /// Group-granularity reports — [`ReportRule::Group`], §10.
+    GroupHandler
+}
+named_handler! {
+    /// The no-caching baseline — [`ReportRule::NoCache`], §4.2.
+    NoCacheHandler
 }
 
 impl TsHandler {
     /// Creates the handler with window `w = k·L` (must match the
     /// server's [`sw_server::TsBuilder`]).
     pub fn new(latency: SimDuration, k: u32) -> Self {
-        assert!(k >= 1, "TS window multiple k must be at least 1");
-        TsHandler {
-            window: latency.scaled(k as f64),
-        }
+        TsHandler(RuleHandler::new(ReportRule::ts(latency, k)))
     }
 
     /// Creates the handler with an explicit window.
     pub fn with_window(window: SimDuration) -> Self {
         assert!(!window.is_zero(), "TS window must be positive");
-        TsHandler { window }
+        TsHandler(RuleHandler::new(ReportRule::Ts { window }))
     }
-
-    /// The window `w`.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-}
-
-impl ReportHandler for TsHandler {
-    fn name(&self) -> &'static str {
-        "TS"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
-    }
-
-    fn process_digest(
-        &mut self,
-        cache: &mut Cache,
-        digest: &ReportDigest<'_>,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        assert!(
-            matches!(digest.payload(), FramePayload::TimestampReport { .. }),
-            "TS handler fed a non-TS report: {:?}",
-            digest.payload()
-        );
-        let t_i = digest.report_time();
-        if let Some(dropped) = drop_on_gap(cache, t_i, t_l, self.window) {
-            return dropped;
-        }
-        // for every item j in the MU cache:
-        //   if [j, t_j] in U_i { if t_cache < t_j drop else t_cache := T_i }
-        //   (not mentioned ⇒ unchanged within w ⇒ t_cache := T_i)
-        let invalidated = sweep_cache(cache, t_i, |item, stamp| {
-            digest.ts_newer_than(item, time_to_micros(stamp))
-        });
-        // Ghost retire: a report entry [j, t_j] with t_j newer than an
-        // evicted copy's stamp proves that copy would have been dropped
-        // anyway — the eviction cost nothing. Sound because any update
-        // inside the window w appears in the report.
-        cache.ghosts_mark_stale(|item, stamp| digest.ts_newer_than(item, time_to_micros(stamp)));
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated: cache.len(),
-        }
-    }
-}
-
-/// Amnesic Terminals — client algorithm of §3.2.
-#[derive(Debug, Clone)]
-pub struct AtHandler {
-    latency: SimDuration,
 }
 
 impl AtHandler {
     /// Creates the handler for broadcast latency `L`.
     pub fn new(latency: SimDuration) -> Self {
         assert!(!latency.is_zero(), "latency must be positive");
-        AtHandler { latency }
+        AtHandler(RuleHandler::new(ReportRule::At { latency }))
     }
-}
-
-impl ReportHandler for AtHandler {
-    fn name(&self) -> &'static str {
-        "AT"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
-    }
-
-    fn process_digest(
-        &mut self,
-        cache: &mut Cache,
-        digest: &ReportDigest<'_>,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        assert!(
-            matches!(digest.payload(), FramePayload::AmnesicReport { .. }),
-            "AT handler fed a non-AT report: {:?}",
-            digest.payload()
-        );
-        let t_i = digest.report_time();
-        if let Some(dropped) = drop_on_gap(cache, t_i, t_l, gap_limit(self.latency)) {
-            return dropped;
-        }
-        // A listed id changed this interval: drop the copy; every
-        // survivor is verified as of T_i.
-        let invalidated = sweep_cache(cache, t_i, |item, _| digest.listed(item));
-        // ... and any evicted copy of a listed id is provably stale:
-        // the eviction cost nothing.
-        cache.ghosts_mark_stale(|item, _| digest.listed(item));
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated: cache.len(),
-        }
-    }
-}
-
-/// Signatures — client algorithm of §3.3.
-///
-/// The handler tracks, between reports, the combined signatures of every
-/// subset containing a cached item. On a report it syndrome-decodes:
-/// subsets whose tracked signature differs from the broadcast are
-/// unmatched; cached items in more than `K·m·p · m⁻¹`… i.e. more than
-/// the plan's count threshold of unmatched subsets are dropped. Tracked
-/// signatures are then refreshed to the broadcast values and re-scoped
-/// to the surviving cache contents.
-///
-/// **Blind spot (documented deviation):** an item fetched uplink during
-/// the interval joins the tracked set only at the *next* report; a
-/// subset of that item not already tracked cannot witness an update to
-/// it that lands between the fetch and that report. The stale window is
-/// at most one interval and occurs with probability ≤ 1 − e^(−μL) per
-/// fetch; the integration suite measures it. TS/AT have no such window.
-#[derive(Debug, Clone)]
-pub struct SigHandler {
-    decoder: SyndromeDecoder,
-    /// Tracked combined signature per subset index, dense over the
-    /// plan's `m` subsets (`None` = untracked). Subset indices are
-    /// dense by construction, so no hashing on the per-report path.
-    tracked: Vec<Option<CombinedSignature>>,
-    tracked_count: usize,
-    /// The signatures of the last heard report — an [`Arc`] share of
-    /// the broadcast payload, never a copy — kept so that uplink
-    /// fetches within the current interval can adopt tracking for their
-    /// subsets (see [`ReportHandler::on_fetch`]).
-    last_report: Arc<Vec<CombinedSignature>>,
-    /// Unmatched-subset count from the last diagnosis (telemetry).
-    last_unmatched: u32,
 }
 
 impl SigHandler {
     /// Creates the handler sharing the server's decoder configuration.
     pub fn new(decoder: SyndromeDecoder) -> Self {
-        let m = decoder.family().m() as usize;
-        SigHandler {
-            decoder,
-            tracked: vec![None; m],
-            tracked_count: 0,
-            last_report: Arc::new(Vec::new()),
-            last_unmatched: 0,
-        }
+        SigHandler(RuleHandler::new(ReportRule::Sig { decoder }))
     }
 
     /// Number of subset signatures currently tracked.
     pub fn tracked_subsets(&self) -> usize {
-        self.tracked_count
+        self.0.tracked_subsets()
     }
-}
-
-impl ReportHandler for SigHandler {
-    fn name(&self) -> &'static str {
-        "SIG"
-    }
-
-    fn on_fetch(&mut self, item: ItemId) {
-        if self.last_report.is_empty() {
-            return; // fetched before any report was heard
-        }
-        for j in self.decoder.family().subsets_of(item) {
-            let slot = &mut self.tracked[j as usize];
-            if slot.is_none() {
-                *slot = Some(self.last_report[j as usize]);
-                self.tracked_count += 1;
-            }
-        }
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        _t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let (report_ts_micros, signatures) = match payload {
-            FramePayload::SignatureReport {
-                report_ts_micros,
-                signatures,
-                ..
-            } => (*report_ts_micros, signatures),
-            other => panic!("SIG handler fed a non-SIG report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-
-        let cached_items = cache.sorted_items();
-        let tracked = &self.tracked;
-        let diagnosis = self.decoder.diagnose(
-            &cached_items,
-            |j| tracked.get(j as usize).copied().flatten(),
-            signatures,
-        );
-        self.last_unmatched = diagnosis.unmatched_subsets;
-        for &item in &diagnosis.invalidated {
-            cache.remove(item);
-        }
-        // Re-scope tracking to the surviving cache and adopt the
-        // broadcast signatures ("the combined uncached signatures are
-        // considered equal to the ones that are being broadcast").
-        self.tracked.iter_mut().for_each(|slot| *slot = None);
-        self.tracked_count = 0;
-        for item in cache.items() {
-            for j in self.decoder.family().subsets_of(item) {
-                let slot = &mut self.tracked[j as usize];
-                if slot.is_none() {
-                    self.tracked_count += 1;
-                }
-                *slot = Some(signatures[j as usize]);
-            }
-        }
-        // Survivors are valid as of T_i with probability P_nf.
-        cache.restamp_all(t_i);
-        self.last_report = Arc::clone(signatures);
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated: diagnosis.invalidated,
-            revalidated,
-        }
-    }
-
-    fn last_unmatched_subsets(&self) -> Option<u32> {
-        Some(self.last_unmatched)
-    }
-}
-
-/// Hybrid weighted reports — client half of the §10 extension.
-///
-/// Hot cached items follow AT rules: a missed report drops them (the
-/// amnesic id list cannot be reconstructed), and a listed id is
-/// dropped. Cold cached items follow SIG rules: syndrome decoding over
-/// the cold-only combined signatures, nap-proof. One report serves
-/// both.
-#[derive(Debug, Clone)]
-pub struct HybridHandler {
-    latency: SimDuration,
-    hot: sw_server::HotSet,
-    decoder: SyndromeDecoder,
-    /// Dense per-subset tracking, as in [`SigHandler`].
-    tracked: Vec<Option<CombinedSignature>>,
-    tracked_count: usize,
-    last_report: Arc<Vec<CombinedSignature>>,
-    /// Unmatched-subset count from the last cold-half diagnosis.
-    last_unmatched: u32,
 }
 
 impl HybridHandler {
@@ -445,135 +280,17 @@ impl HybridHandler {
     /// [`sw_server::HybridSigBuilder`].
     pub fn new(latency: SimDuration, hot: sw_server::HotSet, decoder: SyndromeDecoder) -> Self {
         assert!(!latency.is_zero(), "latency must be positive");
-        let m = decoder.family().m() as usize;
-        HybridHandler {
+        HybridHandler(RuleHandler::new(ReportRule::Hybrid {
             latency,
             hot,
             decoder,
-            tracked: vec![None; m],
-            tracked_count: 0,
-            last_report: Arc::new(Vec::new()),
-            last_unmatched: 0,
-        }
+        }))
     }
 
     /// Number of cold-subset signatures currently tracked.
     pub fn tracked_subsets(&self) -> usize {
-        self.tracked_count
+        self.0.tracked_subsets()
     }
-}
-
-impl ReportHandler for HybridHandler {
-    fn name(&self) -> &'static str {
-        "HYB"
-    }
-
-    fn on_fetch(&mut self, item: ItemId) {
-        if self.hot.contains(item) || self.last_report.is_empty() {
-            return;
-        }
-        for j in self.decoder.family().subsets_of(item) {
-            let slot = &mut self.tracked[j as usize];
-            if slot.is_none() {
-                *slot = Some(self.last_report[j as usize]);
-                self.tracked_count += 1;
-            }
-        }
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
-    }
-
-    fn process_digest(
-        &mut self,
-        cache: &mut Cache,
-        digest: &ReportDigest<'_>,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let signatures = match digest.payload() {
-            FramePayload::HybridReport { signatures, .. } => signatures,
-            other => panic!("hybrid handler fed a wrong report: {other:?}"),
-        };
-        let t_i = digest.report_time();
-
-        // Hot half: AT semantics, scoped to hot items only — a missed
-        // report condemns every hot copy, a heard one the listed ids.
-        // (Survivors of either half end up stamped T_i.)
-        let missed_report = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > gap_limit(self.latency),
-            None => true,
-        };
-        let hot = &self.hot;
-        let mut invalidated = sweep_cache(cache, t_i, |item, _| {
-            if missed_report {
-                hot.contains(item)
-            } else {
-                digest.listed(item)
-            }
-        });
-
-        // Cold half: SIG semantics over the remaining cached items.
-        let cold_items: Vec<ItemId> = cache
-            .sorted_items()
-            .into_iter()
-            .filter(|&i| !hot.contains(i))
-            .collect();
-        let tracked = &self.tracked;
-        let diagnosis = self.decoder.diagnose(
-            &cold_items,
-            |j| tracked.get(j as usize).copied().flatten(),
-            signatures,
-        );
-        self.last_unmatched = diagnosis.unmatched_subsets;
-        for &item in &diagnosis.invalidated {
-            cache.remove(item);
-            invalidated.push(item);
-        }
-        self.tracked.iter_mut().for_each(|slot| *slot = None);
-        self.tracked_count = 0;
-        for item in cache.items() {
-            if self.hot.contains(item) {
-                continue;
-            }
-            for j in self.decoder.family().subsets_of(item) {
-                let slot = &mut self.tracked[j as usize];
-                if slot.is_none() {
-                    self.tracked_count += 1;
-                }
-                *slot = Some(signatures[j as usize]);
-            }
-        }
-        self.last_report = Arc::clone(signatures);
-
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated: cache.len(),
-        }
-    }
-
-    fn last_unmatched_subsets(&self) -> Option<u32> {
-        Some(self.last_unmatched)
-    }
-}
-
-/// Aggregate group-granularity reports — client half of the §10
-/// "changes reported only per group of items" extension.
-///
-/// AT semantics lifted to groups: a missed report drops everything; a
-/// listed group drops every cached member (group-level false alarms —
-/// safe, coarse).
-#[derive(Debug, Clone)]
-pub struct GroupHandler {
-    latency: SimDuration,
-    map: sw_server::GroupMap,
 }
 
 impl GroupHandler {
@@ -581,86 +298,20 @@ impl GroupHandler {
     /// [`sw_server::GroupReportBuilder`].
     pub fn new(latency: SimDuration, map: sw_server::GroupMap) -> Self {
         assert!(!latency.is_zero(), "latency must be positive");
-        GroupHandler { latency, map }
+        GroupHandler(RuleHandler::new(ReportRule::Group { latency, map }))
     }
 }
 
-impl ReportHandler for GroupHandler {
-    fn name(&self) -> &'static str {
-        "GR"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
-    }
-
-    fn process_digest(
-        &mut self,
-        cache: &mut Cache,
-        digest: &ReportDigest<'_>,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        assert!(
-            matches!(digest.payload(), FramePayload::AmnesicReport { .. }),
-            "group handler fed a wrong report: {:?}",
-            digest.payload()
-        );
-        let t_i = digest.report_time();
-        if let Some(dropped) = drop_on_gap(cache, t_i, t_l, gap_limit(self.latency)) {
-            return dropped;
-        }
-        // The report lists changed *group* ids.
-        let map = self.map;
-        let invalidated = sweep_cache(cache, t_i, |item, _| digest.listed(map.group_of(item)));
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated: cache.len(),
-        }
+impl NoCacheHandler {
+    /// Creates the handler.
+    pub fn new() -> Self {
+        NoCacheHandler(RuleHandler::new(ReportRule::NoCache))
     }
 }
 
-/// The no-caching baseline: the unit never keeps anything, so every
-/// query goes uplink (§4.2).
-#[derive(Debug, Clone, Default)]
-pub struct NoCacheHandler;
-
-impl ReportHandler for NoCacheHandler {
-    fn name(&self) -> &'static str {
-        "NC"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        _t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let t_i = match payload {
-            FramePayload::AmnesicReport {
-                report_ts_micros, ..
-            } => time_from_micros(*report_ts_micros),
-            FramePayload::TimestampReport {
-                report_ts_micros, ..
-            } => time_from_micros(*report_ts_micros),
-            FramePayload::SignatureReport {
-                report_ts_micros, ..
-            } => time_from_micros(*report_ts_micros),
-            other => panic!("NC handler fed a non-report frame: {other:?}"),
-        };
-        cache.clear();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated: Vec::new(),
-            revalidated: 0,
-        }
+impl Default for NoCacheHandler {
+    fn default() -> Self {
+        NoCacheHandler::new()
     }
 }
 
@@ -785,16 +436,26 @@ mod tests {
 
     #[test]
     fn nc_never_retains() {
-        let mut h = NoCacheHandler;
-        let mut c = Cache::unbounded();
-        c.insert(1, 1, SimTime::ZERO);
-        let out = h.process(&mut c, &at_report(10.0, vec![]), None);
-        assert!(c.is_empty());
-        assert_eq!(out.revalidated, 0);
+        // Whatever kind of report is on the air: NC reads only `T_i`.
+        let hybrid = FramePayload::HybridReport {
+            report_ts_micros: 10_000_000,
+            hot_ids: vec![1],
+            sig_bits: 16,
+            signatures: Arc::new(vec![0; 4]),
+        };
+        for payload in [at_report(10.0, vec![]), ts_report(10.0, vec![]), hybrid] {
+            let mut h = NoCacheHandler::new();
+            let mut c = Cache::unbounded();
+            c.insert(1, 1, SimTime::ZERO);
+            let out = h.process(&mut c, &payload, None);
+            assert!(c.is_empty());
+            assert_eq!(out.revalidated, 0);
+            assert_eq!(out.report_time, SimTime::from_secs(10.0));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "non-TS report")]
+    #[should_panic(expected = "TS rule fed a report it cannot process")]
     fn ts_rejects_wrong_payload() {
         let mut h = TsHandler::new(SimDuration::from_secs(10.0), 5);
         let mut c = Cache::unbounded();

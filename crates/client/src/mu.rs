@@ -248,6 +248,12 @@ impl MobileUnit {
         self.awake
     }
 
+    /// Whether `payload` is a report this unit's strategy can process
+    /// (see [`ReportHandler::accepts`]); hearing one it refuses panics.
+    pub fn accepts_report(&self, payload: &FramePayload) -> bool {
+        self.handler.accepts(payload)
+    }
+
     /// Starts interval `(from, to]`: draws the sleep state and, if
     /// awake, generates this interval's query arrivals into the pending
     /// list.

@@ -27,26 +27,26 @@
 //!
 //! One report sweep is then a cache-friendly linear scan over the slot
 //! block, and disjoint client ranges of the columns can be swept by
-//! parallel workers with no aliasing. The sweep loops the way §3 writes
-//! the client algorithms — "for every item j *in the MU cache*" — one
-//! ascending walk over the client's valid slots, *probing* the
-//! broadcast's shared [`ReportDigest`] (a bit test per slot), never a
-//! loop over the report: an interval costs O(|report| + awake·H). The
-//! digest's verdict methods are the same ones the boxed handlers call.
-//! Slot order is ascending item id, which is exactly the iteration
-//! order of the dense `ItemTable` cache — the per-strategy kernels
-//! below therefore produce *bit-identical* outcomes (same invalidation
-//! lists in the same order, same stats, same uplink requests) as the
-//! `MobileUnit` path. The equivalence is pinned by
-//! `tests/columnar_equivalence.rs` and, transitively, by the figure-3
-//! regression artifact, which now runs on this backend.
+//! parallel workers with no aliasing. This module holds no report
+//! algorithm of its own: the §3 client algorithms live once, in
+//! [`ReportRule::apply`], generic over a [`CacheSlots`] view, and the
+//! fleet's share is [`SlotBlock`] — that view over one client's block
+//! of the columns — plus lending the client's row of the SIG columns
+//! as a [`SigTrack`]. A boxed `MobileUnit` runs the same function over
+//! its `Cache`. `SlotBlock`'s walk is the way §3 writes the loop — "for
+//! every item j *in the MU cache*" — ascending over the client's valid
+//! bits (slot order is item-id order), with the broadcast's shared
+//! [`ReportDigest`] only *probed*, a bit test per slot: an interval
+//! costs O(|report| + awake·H). What remains for
+//! `tests/columnar_equivalence.rs` to pin is everything around the
+//! rule: query draws, the answer loop, capacity columns, uplinks.
 //!
 //! Bounded caches ride along as optional columns ([`CapColumns`]):
 //! per-slot recency/frequency ticks, a per-client access clock, and a
 //! per-slot ghost byte remembering evicted-entry stamps. They are
 //! materialized only when the cell bounds its caches, so unbounded
 //! sweeps touch nothing new; when armed, eviction at install time and
-//! ghost classification at answer time transcribe
+//! ghost classification at answer time follow
 //! `sw_client::Cache` exactly (the victim key's item-id tiebreak makes
 //! the minimum unique, so the slot scan and the boxed table walk pick
 //! the same victim).
@@ -59,12 +59,10 @@
 use std::sync::Arc;
 
 use sw_capacity::{victim_key, EntryMeta, ReplacementPolicy};
-use sw_client::handler::{gap_limit, time_to_micros};
-use sw_client::{IntervalReport, MuStats, ProcessOutcome, ReportDigest};
-use sw_server::{GroupMap, HotSet, ItemId, QueryAnswer};
-use sw_signature::{CombinedSignature, SyndromeDecoder};
+use sw_client::{CacheSlots, IntervalReport, MuStats, ReportDigest, ReportRule, SigTrack};
+use sw_server::{ItemId, QueryAnswer};
+use sw_signature::CombinedSignature;
 use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
-use sw_wireless::FramePayload;
 
 /// Set bit positions of `word`, ascending, offset by `base`. `word` is
 /// a copy, so the loop body may clear bits of the column it came from.
@@ -78,67 +76,30 @@ fn set_bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Strategy-specific machinery shared by every client of the fleet
-/// (none of it is per-client except the SIG tracking columns, which
-/// live in [`SigColumns`] so the report sweep can borrow the two
-/// disjointly).
-pub(crate) enum ColumnarSpec {
-    /// §3.1 TS: window `w = k·L`.
-    Ts {
-        /// The window `w`.
-        window: SimDuration,
-    },
-    /// §3.2 AT: drop on any gap longer than `L`.
-    At {
-        /// The broadcast latency `L`.
-        latency: SimDuration,
-    },
-    /// §4.2 NC: never retain anything.
-    NoCache,
-    /// §10 group-granular AT.
-    Group {
-        /// The broadcast latency `L`.
-        latency: SimDuration,
-        /// The shared item → group partition.
-        map: GroupMap,
-    },
-    /// §3.3 SIG: syndrome decoding over tracked subset signatures.
-    Sig {
-        /// The shared decoder (family + plan).
-        decoder: SyndromeDecoder,
-    },
-    /// §10 hybrid: hot items AT-style, cold items SIG-style.
-    Hybrid {
-        /// The broadcast latency `L` (hot-half gap rule).
-        latency: SimDuration,
-        /// The shared hot set.
-        hot: HotSet,
-        /// The shared cold-half decoder.
-        decoder: SyndromeDecoder,
-    },
-}
-
-impl ColumnarSpec {
-    fn decoder(&self) -> Option<&SyndromeDecoder> {
-        match self {
-            ColumnarSpec::Sig { decoder } | ColumnarSpec::Hybrid { decoder, .. } => Some(decoder),
-            _ => None,
-        }
-    }
-}
-
-/// Per-client SIG/HYB tracking state, columnar: `m` signature slots per
-/// client (mirroring `SigHandler::tracked`), the tracked count, the
-/// last-heard report share, and the unmatched-subset telemetry.
+/// Per-client SIG/HYB tracking state, columnar: what each client lends
+/// the rule as a [`SigTrack`] — `m` signature slots per client, the
+/// tracked count, the last-heard report share, and the unmatched-subset
+/// telemetry.
 struct SigColumns {
     m: usize,
     /// Tracked combined signature per subset, stride `m` per client.
     tracked: Vec<Option<CombinedSignature>>,
     tracked_count: Vec<usize>,
-    /// The signatures of the last heard report (an `Arc` share of the
-    /// broadcast payload, as in `SigHandler::last_report`).
     last_report: Vec<Arc<Vec<CombinedSignature>>>,
     last_unmatched: Vec<u32>,
+}
+
+impl SigColumns {
+    /// All clients' columns as one chunk.
+    fn chunk(&mut self) -> SigChunk<'_> {
+        SigChunk {
+            m: self.m,
+            tracked: &mut self.tracked,
+            tracked_count: &mut self.tracked_count,
+            last_report: &mut self.last_report,
+            last_unmatched: &mut self.last_unmatched,
+        }
+    }
 }
 
 /// Capacity configuration for a bounded fleet (mirrors the boxed
@@ -213,7 +174,8 @@ pub(crate) struct ColumnarFleet {
     stats: Vec<MuStats>,
     queries: Vec<PoissonProcess>,
     sleep: Vec<BernoulliIntervalProcess>,
-    spec: ColumnarSpec,
+    /// The strategy's client half, shared by every client.
+    rule: ReportRule,
     sig: Option<SigColumns>,
     cap: Option<CapColumns>,
 }
@@ -224,11 +186,11 @@ impl ColumnarFleet {
     /// the rng draw order matches the boxed-unit path exactly.
     pub(crate) fn new(
         hotspot_size: usize,
-        spec: ColumnarSpec,
+        rule: ReportRule,
         capacity: Option<CapacitySpec>,
     ) -> Self {
         assert!(hotspot_size > 0, "hotspot cannot be empty");
-        let sig = spec.decoder().map(|d| {
+        let sig = rule.decoder().map(|d| {
             let m = d.plan().m as usize;
             SigColumns {
                 m,
@@ -266,7 +228,7 @@ impl ColumnarFleet {
             stats: Vec::new(),
             queries: Vec::new(),
             sleep: Vec::new(),
-            spec,
+            rule,
             sig,
             cap,
         }
@@ -367,7 +329,7 @@ impl ColumnarFleet {
     }
 
     /// Unmatched-subset telemetry from the last processed report
-    /// (SIG/HYB only, mirroring `ReportHandler::last_unmatched_subsets`).
+    /// (SIG/HYB only; `ReportHandler::last_unmatched_subsets`).
     pub(crate) fn last_unmatched_subsets(&self, idx: usize) -> Option<u32> {
         self.sig.as_ref().map(|s| s.last_unmatched[idx])
     }
@@ -463,17 +425,9 @@ impl ColumnarFleet {
                 self.stats[idx].evictions += 1;
             }
         }
-        match &self.spec {
-            ColumnarSpec::Sig { decoder } => {
-                let sig = self.sig.as_mut().expect("SIG fleet has sig columns");
-                sig.adopt_tracking(idx, answer.item, decoder);
-            }
-            ColumnarSpec::Hybrid { hot, decoder, .. } if !hot.contains(answer.item) => {
-                let sig = self.sig.as_mut().expect("HYB fleet has sig columns");
-                sig.adopt_tracking(idx, answer.item, decoder);
-            }
-            _ => {}
-        }
+        let mut sig = self.sig.as_mut().map(SigColumns::chunk);
+        self.rule
+            .on_fetch(sig.as_mut().map(|s| s.track(idx)), answer.item);
     }
 
     /// Records a listened-for-but-missed report (fault injection).
@@ -521,26 +475,7 @@ impl ColumnarFleet {
         threads: usize,
         par_min: usize,
     ) -> Vec<super::simulation::SweepItem> {
-        // The one payload field no digest indexes: the signatures.
-        // Checking the frame kind here keeps a mis-wired builder loud.
-        let signatures = match (&self.spec, digest.payload()) {
-            (ColumnarSpec::Ts { .. }, FramePayload::TimestampReport { .. })
-            | (
-                ColumnarSpec::At { .. } | ColumnarSpec::Group { .. },
-                FramePayload::AmnesicReport { .. },
-            )
-            | (ColumnarSpec::NoCache, _) => None,
-            (ColumnarSpec::Sig { .. }, FramePayload::SignatureReport { signatures, .. })
-            | (ColumnarSpec::Hybrid { .. }, FramePayload::HybridReport { signatures, .. }) => {
-                Some(signatures)
-            }
-            (_, other) => panic!("columnar fleet fed another strategy's report: {other:?}"),
-        };
-        let kernel = Kernel {
-            spec: &self.spec,
-            digest,
-            signatures,
-        };
+        let rule = &self.rule;
         let h = self.h;
         let words = self.words;
         if threads > 1 && heard.len() >= par_min {
@@ -657,12 +592,13 @@ impl ColumnarFleet {
                         cap: cap_chunk,
                     };
                     base = last_idx + 1;
-                    let kernel = &kernel;
                     handles.push(scope.spawn(move || {
                         let mut items = Vec::with_capacity(chunk.len());
                         for &slot in chunk {
                             let idx = awake[slot];
-                            items.push(sweep_client(&mut view, kernel, idx, slot, observing));
+                            items.push(sweep_client(
+                                &mut view, rule, digest, idx, slot, observing,
+                            ));
                         }
                         items
                     }));
@@ -686,13 +622,7 @@ impl ColumnarFleet {
                 pending_mask: &mut self.pending_mask,
                 posed_at: &mut self.posed_at,
                 stats: &mut self.stats,
-                sig: self.sig.as_mut().map(|s| SigChunk {
-                    m: s.m,
-                    tracked: &mut s.tracked,
-                    tracked_count: &mut s.tracked_count,
-                    last_report: &mut s.last_report,
-                    last_unmatched: &mut s.last_unmatched,
-                }),
+                sig: self.sig.as_mut().map(SigColumns::chunk),
                 cap: self.cap.as_mut().map(|c| CapChunk {
                     last_used: &mut c.last_used,
                     use_count: &mut c.use_count,
@@ -705,39 +635,11 @@ impl ColumnarFleet {
                 .iter()
                 .map(|&slot| {
                     let idx = awake[slot];
-                    sweep_client(&mut view, &kernel, idx, slot, observing)
+                    sweep_client(&mut view, rule, digest, idx, slot, observing)
                 })
                 .collect()
         }
     }
-}
-
-impl SigColumns {
-    /// `SigHandler::on_fetch`: start tracking the fetched item's
-    /// subsets from the last heard report.
-    fn adopt_tracking(&mut self, idx: usize, item: ItemId, decoder: &SyndromeDecoder) {
-        let last = &self.last_report[idx];
-        if last.is_empty() {
-            return; // fetched before any report was heard
-        }
-        let tracked = &mut self.tracked[idx * self.m..(idx + 1) * self.m];
-        for j in decoder.family().subsets_of(item) {
-            let slot = &mut tracked[j as usize];
-            if slot.is_none() {
-                *slot = Some(last[j as usize]);
-                self.tracked_count[idx] += 1;
-            }
-        }
-    }
-}
-
-/// What one sweep's per-client kernel reads besides the columns: the
-/// fleet's strategy, the broadcast's digest, and (SIG/HYB) the
-/// broadcast signatures.
-struct Kernel<'a> {
-    spec: &'a ColumnarSpec,
-    digest: &'a ReportDigest<'a>,
-    signatures: Option<&'a Arc<Vec<CombinedSignature>>>,
 }
 
 /// SIG columns of one contiguous client chunk.
@@ -747,6 +649,18 @@ struct SigChunk<'a> {
     tracked_count: &'a mut [usize],
     last_report: &'a mut [Arc<Vec<CombinedSignature>>],
     last_unmatched: &'a mut [u32],
+}
+
+impl SigChunk<'_> {
+    /// The tracking state of the chunk's `local`-th client.
+    fn track(&mut self, local: usize) -> SigTrack<'_> {
+        SigTrack {
+            tracked: &mut self.tracked[local * self.m..(local + 1) * self.m],
+            count: &mut self.tracked_count[local],
+            last_report: &mut self.last_report[local],
+            last_unmatched: &mut self.last_unmatched[local],
+        }
+    }
 }
 
 /// A contiguous client range of the fleet's columns, local indices
@@ -768,81 +682,45 @@ struct ChunkView<'a> {
     cap: Option<CapChunk<'a>>,
 }
 
-impl ChunkView<'_> {
-    fn is_valid(&self, local: usize, slot: usize) -> bool {
-        self.valid[local * self.words + slot / 64] & (1 << (slot % 64)) != 0
+/// One client's block of the cache columns: the fleet's [`CacheSlots`].
+/// Slot order is ascending item id, so every walk is ascending.
+struct SlotBlock<'a> {
+    /// Slot → item: the client's hotspot, ascending.
+    items: &'a [ItemId],
+    /// The client's validity words.
+    valid: &'a mut [u64],
+    stamps: &'a mut [SimTime],
+    cached: &'a mut u32,
+    /// Ghost state and eviction stamp per slot (bounded fleets only).
+    ghosts: Option<(&'a mut [u8], &'a [SimTime])>,
+}
+
+impl CacheSlots for SlotBlock<'_> {
+    fn len(&self) -> usize {
+        *self.cached as usize
     }
 
-    fn clear_slot(&mut self, local: usize, slot: usize) {
-        self.valid[local * self.words + slot / 64] &= !(1 << (slot % 64));
-        self.cached[local] -= 1;
-    }
-
-    fn clear_cache(&mut self, local: usize) {
-        self.valid[local * self.words..(local + 1) * self.words].fill(0);
-        self.cached[local] = 0;
-        // A whole-cache drop retires the ghosts too (`Cache::clear`):
-        // after it *nothing* would have been a hit, so no later miss is
-        // attributable to an earlier eviction.
-        if let Some(cap) = &mut self.cap {
-            cap.ghost[local * self.h..(local + 1) * self.h].fill(0);
+    fn clear(&mut self) {
+        self.valid.fill(0);
+        *self.cached = 0;
+        if let Some((ghost, _)) = &mut self.ghosts {
+            ghost.fill(0);
         }
     }
 
-    fn item(&self, idx: usize, slot: usize) -> ItemId {
-        // slot_items is the full shared column, indexed by the global
-        // client index.
-        self.slot_items[idx * self.h + slot]
-    }
-
-    fn slot_of(&self, idx: usize, item: ItemId) -> Option<usize> {
-        self.slot_items[idx * self.h..(idx + 1) * self.h]
-            .binary_search(&item)
-            .ok()
-    }
-
-    /// Cached item ids of client `idx`, ascending (= the dense cache's
-    /// `sorted_items`).
-    fn cached_items(&self, local: usize, idx: usize) -> Vec<ItemId> {
-        let mut out = Vec::with_capacity(self.cached[local] as usize);
-        for slot in 0..self.h {
-            if self.is_valid(local, slot) {
-                out.push(self.item(idx, slot));
-            }
-        }
-        out
-    }
-
-    fn restamp_all(&mut self, local: usize, t_i: SimTime) {
-        for slot in 0..self.h {
-            if self.is_valid(local, slot) {
-                self.stamps[local * self.h + slot] = t_i;
-            }
-        }
-    }
-
-    /// "For every item j in the MU cache": one ascending walk over the
-    /// client's valid slots, the report only probed. Slots `stale(item,
-    /// t_cache)` condemns are cleared and collected (ascending, as slot
-    /// order is id order); the rest are restamped to `t_i`. The
-    /// columnar twin of the boxed handlers' cache walk — both ask the
-    /// same [`ReportDigest`] verdicts.
-    fn sweep_slots(
+    fn sweep(
         &mut self,
-        local: usize,
-        idx: usize,
         t_i: SimTime,
         mut stale: impl FnMut(ItemId, SimTime) -> bool,
     ) -> Vec<ItemId> {
         let mut invalidated = Vec::new();
-        for w in 0..self.words {
-            let word = local * self.words + w;
-            for slot in set_bits(self.valid[word], w * 64) {
-                let item = self.slot_items[idx * self.h + slot];
-                let stamp = &mut self.stamps[local * self.h + slot];
+        for (w, word) in self.valid.iter_mut().enumerate() {
+            for slot in set_bits(*word, w * 64) {
+                let item = self.items[slot];
+                let stamp = &mut self.stamps[slot];
                 if stale(item, *stamp) {
-                    self.valid[word] &= !(1 << (slot % 64));
-                    self.cached[local] -= 1;
+                    *word &= !(1 << (slot % 64));
+                    *self.cached -= 1;
                     invalidated.push(item);
                 } else {
                     *stamp = t_i;
@@ -852,35 +730,35 @@ impl ChunkView<'_> {
         invalidated
     }
 
-    /// Ghost retire (`Cache::ghosts_mark_stale`): a fresh ghost the
-    /// report proves stale would have been dropped anyway — the
-    /// eviction cost nothing.
-    fn retire_ghosts(
-        &mut self,
-        local: usize,
-        idx: usize,
-        mut proven_stale: impl FnMut(ItemId, SimTime) -> bool,
-    ) {
-        let Some(cap) = &mut self.cap else { return };
-        for slot in 0..self.h {
-            let at = local * self.h + slot;
-            if cap.ghost[at] == 1
-                && proven_stale(self.slot_items[idx * self.h + slot], cap.ghost_stamps[at])
-            {
-                cap.ghost[at] = 2;
+    fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
+        let Some((ghost, ghost_stamps)) = &mut self.ghosts else {
+            return;
+        };
+        for (slot, state) in ghost.iter_mut().enumerate() {
+            if *state == 1 && proven_stale(self.items[slot], ghost_stamps[slot]) {
+                *state = 2;
             }
         }
     }
+
+    fn sorted_items(&self) -> Vec<ItemId> {
+        let mut out = Vec::with_capacity(*self.cached as usize);
+        for (w, &word) in self.valid.iter().enumerate() {
+            out.extend(set_bits(word, w * 64).map(|slot| self.items[slot]));
+        }
+        out
+    }
 }
 
-/// One client's share of the report sweep: the columnar transcription
-/// of `MobileUnit::hear_report_and_answer` (strategy processing,
-/// latency accounting, hit/miss events, deduplicated uplink requests).
-/// `idx` is the global client index, `local = idx - view.base` its
-/// position inside the chunk.
+/// One client's share of the report sweep — what
+/// `MobileUnit::hear_report_and_answer` does for a boxed unit: apply
+/// the rule, then latency accounting, hit/miss events, deduplicated
+/// uplink requests. `idx` is the global client index, `local = idx -
+/// view.base` its position inside the chunk.
 fn sweep_client(
     view: &mut ChunkView<'_>,
-    kernel: &Kernel<'_>,
+    rule: &ReportRule,
+    digest: &ReportDigest<'_>,
     idx: usize,
     awake_slot: usize,
     observing: bool,
@@ -892,7 +770,23 @@ fn sweep_client(
     } else {
         None
     };
-    let outcome = process_report(view, kernel, local, idx);
+    let (h, words) = (view.h, view.words);
+    let mut block = SlotBlock {
+        // slot_items is the full shared column, indexed by the global
+        // client index; every other column is the chunk's.
+        items: &view.slot_items[idx * h..(idx + 1) * h],
+        valid: &mut view.valid[local * words..(local + 1) * words],
+        stamps: &mut view.stamps[local * h..(local + 1) * h],
+        cached: &mut view.cached[local],
+        ghosts: view.cap.as_mut().map(|cap| {
+            (
+                &mut cap.ghost[local * h..(local + 1) * h],
+                &cap.ghost_stamps[local * h..(local + 1) * h],
+            )
+        }),
+    };
+    let sig = view.sig.as_mut().map(|s| s.track(local));
+    let outcome = rule.apply(&mut block, sig, digest, view.t_l[local]);
     let t_i = outcome.report_time;
     let stats = &mut view.stats[local];
     for &posed_at in &view.posed_at[local] {
@@ -958,182 +852,6 @@ fn sweep_client(
             outcome: Some(outcome),
             uplink_requests: uplink,
         },
-    }
-}
-
-/// The strategy kernels, each the corresponding
-/// `ReportHandler::process_digest` over the slot block: the same gap
-/// rules, the same [`ReportDigest`] verdicts, the same outcome.
-fn process_report(
-    view: &mut ChunkView<'_>,
-    kernel: &Kernel<'_>,
-    local: usize,
-    idx: usize,
-) -> ProcessOutcome {
-    let digest = kernel.digest;
-    let t_i = digest.report_time();
-    let outcome = |invalidated: Vec<ItemId>, view: &ChunkView<'_>| ProcessOutcome {
-        report_time: t_i,
-        dropped_all: false,
-        invalidated,
-        revalidated: view.cached[local] as usize,
-    };
-    // `if (T_i − T_l > tolerance) { drop the entire cache }`: TS
-    // tolerates its window, AT and GR one latency; a unit that never
-    // heard a report can prove nothing about what it holds.
-    let tolerance = match kernel.spec {
-        ColumnarSpec::Ts { window } => Some(*window),
-        ColumnarSpec::At { latency } | ColumnarSpec::Group { latency, .. } => {
-            Some(gap_limit(*latency))
-        }
-        _ => None,
-    };
-    if let Some(tolerance) = tolerance {
-        let gap_too_large = match view.t_l[local] {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > tolerance,
-            None => view.cached[local] > 0,
-        };
-        if gap_too_large {
-            view.clear_cache(local);
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
-        }
-    }
-    match kernel.spec {
-        ColumnarSpec::Ts { .. } => {
-            let newer = |item, stamp| digest.ts_newer_than(item, time_to_micros(stamp));
-            let invalidated = view.sweep_slots(local, idx, t_i, newer);
-            view.retire_ghosts(local, idx, newer);
-            outcome(invalidated, view)
-        }
-        ColumnarSpec::At { .. } => {
-            let invalidated = view.sweep_slots(local, idx, t_i, |item, _| digest.listed(item));
-            view.retire_ghosts(local, idx, |item, _| digest.listed(item));
-            outcome(invalidated, view)
-        }
-        ColumnarSpec::Group { map, .. } => {
-            let invalidated =
-                view.sweep_slots(local, idx, t_i, |item, _| digest.listed(map.group_of(item)));
-            outcome(invalidated, view)
-        }
-        ColumnarSpec::NoCache => {
-            view.clear_cache(local);
-            outcome(Vec::new(), view)
-        }
-        ColumnarSpec::Sig { decoder } => {
-            let signatures = kernel.signatures.expect("SIG sweep has signatures");
-            let cached_items = view.cached_items(local, idx);
-            let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-            let m = sig.m;
-            let tracked = &sig.tracked[local * m..(local + 1) * m];
-            let diagnosis =
-                decoder.diagnose(&cached_items, |j| tracked[j as usize], signatures);
-            sig.last_unmatched[local] = diagnosis.unmatched_subsets;
-            for &item in &diagnosis.invalidated {
-                let slot = view
-                    .slot_of(idx, item)
-                    .expect("diagnosed items come from the cache");
-                view.clear_slot(local, slot);
-            }
-            // Re-scope tracking to the surviving cache and adopt the
-            // broadcast signatures.
-            let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-            sig.tracked[local * m..(local + 1) * m].fill(None);
-            sig.tracked_count[local] = 0;
-            for slot in 0..view.h {
-                if view.valid[local * view.words + slot / 64] & (1 << (slot % 64)) == 0 {
-                    continue;
-                }
-                let item = view.slot_items[idx * view.h + slot];
-                let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-                for j in decoder.family().subsets_of(item) {
-                    let cell = &mut sig.tracked[local * m + j as usize];
-                    if cell.is_none() {
-                        sig.tracked_count[local] += 1;
-                    }
-                    *cell = Some(signatures[j as usize]);
-                }
-            }
-            view.restamp_all(local, t_i);
-            let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-            sig.last_report[local] = Arc::clone(signatures);
-            outcome(diagnosis.invalidated, view)
-        }
-        ColumnarSpec::Hybrid {
-            latency,
-            hot,
-            decoder,
-        } => {
-            let signatures = kernel.signatures.expect("HYB sweep has signatures");
-            // Hot half: AT semantics, scoped to hot items only — a
-            // missed report condemns every hot copy, a heard one the
-            // listed ids. (Survivors of either half end up stamped
-            // `t_i`.)
-            let missed_report = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > gap_limit(*latency),
-                None => true,
-            };
-            let mut invalidated = view.sweep_slots(local, idx, t_i, |item, _| {
-                if missed_report {
-                    hot.contains(item)
-                } else {
-                    digest.listed(item)
-                }
-            });
-            // Cold half: SIG semantics over the remaining cached items.
-            let cold_items: Vec<ItemId> = {
-                let mut out = Vec::with_capacity(view.cached[local] as usize);
-                for slot in 0..view.h {
-                    if view.is_valid(local, slot) {
-                        let item = view.item(idx, slot);
-                        if !hot.contains(item) {
-                            out.push(item);
-                        }
-                    }
-                }
-                out
-            };
-            let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-            let m = sig.m;
-            let tracked = &sig.tracked[local * m..(local + 1) * m];
-            let diagnosis =
-                decoder.diagnose(&cold_items, |j| tracked[j as usize], signatures);
-            sig.last_unmatched[local] = diagnosis.unmatched_subsets;
-            for &item in &diagnosis.invalidated {
-                let slot = view
-                    .slot_of(idx, item)
-                    .expect("diagnosed items come from the cache");
-                view.clear_slot(local, slot);
-                invalidated.push(item);
-            }
-            let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-            sig.tracked[local * m..(local + 1) * m].fill(None);
-            sig.tracked_count[local] = 0;
-            for slot in 0..view.h {
-                if view.valid[local * view.words + slot / 64] & (1 << (slot % 64)) == 0 {
-                    continue;
-                }
-                let item = view.slot_items[idx * view.h + slot];
-                if hot.contains(item) {
-                    continue;
-                }
-                let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-                for j in decoder.family().subsets_of(item) {
-                    let cell = &mut sig.tracked[local * m + j as usize];
-                    if cell.is_none() {
-                        sig.tracked_count[local] += 1;
-                    }
-                    *cell = Some(signatures[j as usize]);
-                }
-            }
-            let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-            sig.last_report[local] = Arc::clone(signatures);
-            outcome(invalidated, view)
-        }
     }
 }
 

@@ -491,15 +491,15 @@ impl CellSimulation {
         // boxed `MobileUnit` fleet. `config.fleet` forces the choice
         // either way (the equivalence suite runs both on the same
         // config).
-        let columnar_spec = if config.backbone.is_none() && !piggyback && config.query.is_none() {
-            strategy.columnar_spec(&params, protocol_seed)
+        let columnar_rule = if config.backbone.is_none() && !piggyback && config.query.is_none() {
+            strategy.report_rule(&params, protocol_seed)
         } else {
             None
         };
         let use_columnar = match config.fleet {
             Some(FleetBackend::Units) => false,
             Some(FleetBackend::Columnar) => {
-                if columnar_spec.is_none() {
+                if columnar_rule.is_none() {
                     // Name every disqualifier, not just the tuple of
                     // settings: the caller forced the columnar backend,
                     // so tell them exactly what keeps this configuration
@@ -520,7 +520,7 @@ impl CellSimulation {
                             "the query-result plane attaches to boxed units".into(),
                         );
                     }
-                    if strategy.columnar_spec(&params, protocol_seed).is_none() {
+                    if strategy.report_rule(&params, protocol_seed).is_none() {
                         reasons.push(format!(
                             "strategy {} builds its reports from per-client feedback \
                              state that only boxed units carry",
@@ -534,7 +534,7 @@ impl CellSimulation {
                 }
                 true
             }
-            None => columnar_spec.is_some(),
+            None => columnar_rule.is_some(),
         };
         // Finite capacity runs on either backend with the same policy
         // and the same TS window `w = kL` feeding the window-age rule.
@@ -544,8 +544,8 @@ impl CellSimulation {
             window: latency.scaled(params.k as f64),
         });
         let mut columnar = if use_columnar {
-            let spec = columnar_spec.expect("eligibility was just checked");
-            Some(ColumnarFleet::new(config.hotspot_size, spec, cap_spec))
+            let rule = columnar_rule.expect("eligibility was just checked");
+            Some(ColumnarFleet::new(config.hotspot_size, rule, cap_spec))
         } else {
             None
         };

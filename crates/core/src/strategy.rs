@@ -7,15 +7,13 @@
 //! goes through this one place.
 
 use sw_adaptive::{AdaptiveTsHandler, FeedbackMethod};
-use sw_client::{
-    AtHandler, GroupHandler, HybridHandler, NoCacheHandler, ReportHandler, SigHandler, TsHandler,
-};
+use sw_client::{ReportHandler, ReportRule, RuleHandler};
 use sw_quasi::DelayQuasiHandler;
 use sw_server::{
     AtBuilder, Database, GroupMap, GroupReportBuilder, HotSet, HybridSigBuilder, NoReportBuilder,
     ReportBuilder, SigBuilder, TsBuilder,
 };
-use sw_signature::{SigPlan, SubsetFamily};
+use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, SimDuration, StreamId};
 use sw_workload::ScenarioParams;
 
@@ -147,15 +145,8 @@ impl Strategy {
             Strategy::BroadcastTimestamps => Box::new(TsBuilder::new(latency, params.k)),
             Strategy::AmnesicTerminals => Box::new(AtBuilder::new(latency)),
             Strategy::Signatures => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Box::new(SigBuilder::new(plan, family, db))
+                let decoder = sig_decoder(params, seed);
+                Box::new(SigBuilder::new(*decoder.plan(), *decoder.family(), db))
             }
             Strategy::NoCache => Box::new(NoReportBuilder),
             Strategy::AdaptiveTs { .. } => {
@@ -171,26 +162,48 @@ impl Strategy {
                 unreachable!("the stateful baseline is constructed by the simulation driver")
             }
             Strategy::HybridSig { hot_count } => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
+                let decoder = sig_decoder(params, seed);
                 Box::new(HybridSigBuilder::new(
                     latency,
-                    HotSet::top_by_rank((*hot_count).min(params.n_items)),
-                    plan,
-                    family,
+                    hot_set(*hot_count, params),
+                    *decoder.plan(),
+                    *decoder.family(),
                     db,
                 ))
             }
-            Strategy::GroupReports { groups } => Box::new(GroupReportBuilder::new(
+            Strategy::GroupReports { groups } => {
+                Box::new(GroupReportBuilder::new(latency, group_map(*groups, params)))
+            }
+        }
+    }
+
+    /// The strategy's client half as a [`ReportRule`]: the §3 algorithm
+    /// and the window/latency/decoder/hot-set/group-map every client of
+    /// a cell shares. The one description boxed units
+    /// ([`Strategy::make_handler`]), the columnar fleet and — through
+    /// `MobileUnit` — the live MU all apply. `None` for the strategies
+    /// whose client half carries driver-wired per-client state
+    /// (adaptive TS, quasi-delay, stateful): those run on boxed units
+    /// only.
+    pub fn report_rule(&self, params: &ScenarioParams, seed: MasterSeed) -> Option<ReportRule> {
+        let latency = SimDuration::from_secs(params.latency_secs);
+        match self {
+            Strategy::BroadcastTimestamps => Some(ReportRule::ts(latency, params.k)),
+            Strategy::AmnesicTerminals => Some(ReportRule::At { latency }),
+            Strategy::Signatures => Some(ReportRule::Sig {
+                decoder: sig_decoder(params, seed),
+            }),
+            Strategy::NoCache => Some(ReportRule::NoCache),
+            Strategy::HybridSig { hot_count } => Some(ReportRule::Hybrid {
                 latency,
-                GroupMap::new(params.n_items, (*groups).clamp(1, params.n_items)),
-            )),
+                hot: hot_set(*hot_count, params),
+                decoder: sig_decoder(params, seed),
+            }),
+            Strategy::GroupReports { groups } => Some(ReportRule::Group {
+                latency,
+                map: group_map(*groups, params),
+            }),
+            Strategy::AdaptiveTs { .. } | Strategy::QuasiDelay { .. } | Strategy::Stateful => None,
         }
     }
 
@@ -206,22 +219,6 @@ impl Strategy {
     ) -> Box<dyn ReportHandler + Send> {
         let latency = SimDuration::from_secs(params.latency_secs);
         match self {
-            Strategy::BroadcastTimestamps => Box::new(TsHandler::new(latency, params.k)),
-            Strategy::AmnesicTerminals => Box::new(AtHandler::new(latency)),
-            Strategy::Signatures => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Box::new(SigHandler::new(sw_signature::SyndromeDecoder::new(
-                    family, plan,
-                )))
-            }
-            Strategy::NoCache => Box::new(NoCacheHandler),
             Strategy::AdaptiveTs { .. } => Box::new(AdaptiveTsHandler::new(latency, params.k)),
             Strategy::QuasiDelay { alpha_intervals } => {
                 Box::new(DelayQuasiHandler::new(latency, *alpha_intervals))
@@ -229,86 +226,37 @@ impl Strategy {
             // Stateful clients process the union of their directed
             // invalidations, which the driver frames as an AT-style id
             // list; the gap-drop models losing the cache on reconnect.
-            Strategy::Stateful => Box::new(AtHandler::new(latency)),
-            Strategy::HybridSig { hot_count } => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Box::new(HybridHandler::new(
-                    latency,
-                    HotSet::top_by_rank((*hot_count).min(params.n_items)),
-                    sw_signature::SyndromeDecoder::new(family, plan),
-                ))
-            }
-            Strategy::GroupReports { groups } => Box::new(GroupHandler::new(
-                latency,
-                GroupMap::new(params.n_items, (*groups).clamp(1, params.n_items)),
+            Strategy::Stateful => Box::new(RuleHandler::new(ReportRule::At { latency })),
+            _ => Box::new(RuleHandler::new(
+                self.report_rule(params, seed)
+                    .expect("every remaining strategy has a report rule"),
             )),
         }
     }
+}
 
-    /// Builds the fleet-shared kernel state for the columnar client
-    /// backend — the same window/latency/decoder/hot-set/group-map a
-    /// [`Strategy::make_handler`] call would embed in each boxed
-    /// handler, constructed once. Returns `None` for the strategies
-    /// whose handlers carry driver-wired per-client state (adaptive TS,
-    /// quasi-delay, stateful): those stay on boxed units.
-    pub(crate) fn columnar_spec(
-        &self,
-        params: &ScenarioParams,
-        seed: MasterSeed,
-    ) -> Option<crate::fleet::ColumnarSpec> {
-        use crate::fleet::ColumnarSpec;
-        let latency = SimDuration::from_secs(params.latency_secs);
-        match self {
-            Strategy::BroadcastTimestamps => {
-                assert!(params.k >= 1, "TS window multiple k must be at least 1");
-                Some(ColumnarSpec::Ts {
-                    window: latency.scaled(params.k as f64),
-                })
-            }
-            Strategy::AmnesicTerminals => Some(ColumnarSpec::At { latency }),
-            Strategy::Signatures => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Some(ColumnarSpec::Sig {
-                    decoder: sw_signature::SyndromeDecoder::new(family, plan),
-                })
-            }
-            Strategy::NoCache => Some(ColumnarSpec::NoCache),
-            Strategy::HybridSig { hot_count } => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Some(ColumnarSpec::Hybrid {
-                    latency,
-                    hot: HotSet::top_by_rank((*hot_count).min(params.n_items)),
-                    decoder: sw_signature::SyndromeDecoder::new(family, plan),
-                })
-            }
-            Strategy::GroupReports { groups } => Some(ColumnarSpec::Group {
-                latency,
-                map: GroupMap::new(params.n_items, (*groups).clamp(1, params.n_items)),
-            }),
-            Strategy::AdaptiveTs { .. } | Strategy::QuasiDelay { .. } | Strategy::Stateful => None,
-        }
-    }
+/// The SIG/HYB decoder (plan + subset family) both sides derive from
+/// the scenario parameters and the master seed — otherwise every
+/// diagnosis is garbage.
+fn sig_decoder(params: &ScenarioParams, seed: MasterSeed) -> SyndromeDecoder {
+    let plan = SigPlan::new(
+        params.f,
+        params.g,
+        params.n_items,
+        params.sig_delta,
+        SigPlan::DEFAULT_K,
+    );
+    SyndromeDecoder::new(SubsetFamily::new(sig_seed(seed), plan.m, plan.f), plan)
+}
+
+/// HYB's individually broadcast items: the `hot_count` most popular.
+fn hot_set(hot_count: u64, params: &ScenarioParams) -> HotSet {
+    HotSet::top_by_rank(hot_count.min(params.n_items))
+}
+
+/// GR's partition of the database into `groups` contiguous groups.
+fn group_map(groups: u64, params: &ScenarioParams) -> GroupMap {
+    GroupMap::new(params.n_items, groups.clamp(1, params.n_items))
 }
 
 /// The SIG subset-family seed both sides derive from the master seed.

@@ -1,52 +1,33 @@
 //! Machine-readable performance report (`BENCH_report.json`).
 //!
-//! Three wall-clock measurements of the hot-path overhaul:
+//! Wall-clock measurements of the cell driver:
 //!
 //! 1. **Figure grid**: the Figure-3 sweep grid (x × strategy cells)
 //!    through [`ParallelRunner`] at 1 thread vs all available threads.
 //!    Cells are independent and identically seeded either way (the
 //!    determinism tests pin byte-identical output), so the speedup is
 //!    the runner's parallel efficiency × available cores.
-//! 2. **Per-interval loop**: the current cell driver (columnar
-//!    struct-of-arrays fleet, single-pass prepared report kernels,
-//!    wake-run scheduling, zero-copy report charge) vs a re-creation
-//!    of the pre-overhaul loop — the seed's three-lookup TS report
-//!    handler, hashed per-item caches, and a per-interval deep clone
-//!    of the payload — swept over the sleep probability `s`.
-//!
-//!    Both drivers consume the *identical* random streams
-//!    (`Hotspot{idx}`/`Queries{idx}`/`Sleep{idx}` per client,
-//!    `Database`/`Updates` from the protocol seed) and the channel is
-//!    given enough bandwidth that it never defers an exchange, so the
-//!    two runs execute the same workload — enforced, not assumed: the
-//!    measured windows must agree exactly on (queries, hits, misses)
-//!    or the bench aborts. Earlier revisions drew legacy hotspots and
-//!    queries from different streams and ran the current driver
-//!    through its cold-start saturation transient, which is why their
-//!    hit ratios diverged (0.68 cumulative vs 0.99): the 0.68 was a
-//!    cumulative average dragged down by a queue-draining start-up
-//!    phase the legacy driver never modeled.
-//! 3. **Scale runs**: the columnar sweep at 100k (and, outside gate
-//!    mode, 1M) clients in one cell, timed at 1 sweep thread vs all
-//!    available — the intra-cell parallel speedup.
+//! 2. **Per-interval loop**: the cell driver (columnar struct-of-arrays
+//!    fleet, wake-run scheduling, zero-copy report charge) swept over
+//!    the sleep probability `s`, on a channel wide enough never to
+//!    defer an exchange, warm-up discarded. (The comparison against a
+//!    re-creation of the seed-era loop that used to run beside it is
+//!    recorded in CHANGES.md, PRs 1 and 6; `benchmark/` gates
+//!    regressions now.)
+//! 3. **Bounded caches**: the same cell with capacity clamped to half
+//!    the hot spot, against the unbounded run.
+//! 4. **Scale runs**: the columnar sweep at 100k and 1M clients in one
+//!    cell, timed at 1 sweep thread vs all available — the intra-cell
+//!    parallel speedup.
 //!
 //! Usage: `cargo run --release -p sw-experiments --bin bench_report`.
 //! Knobs: `SW_BENCH_INTERVALS` / `SW_BENCH_WARMUP` /
 //! `SW_BENCH_CLIENTS` / `SW_BENCH_LAMBDA_SCALE`.
-//! `SW_BENCH_GATE=1` runs only the s = 0.5 leg (no artifact rewrite)
-//! and exits nonzero if the current driver is slower than the legacy
-//! loop — the regression gate wired into `scripts/check.sh`.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use sleepers::client::handler::{time_from_micros, time_to_micros};
-use sleepers::client::{Cache, MobileUnit, MuConfig, ProcessOutcome, ReplacementPolicy, ReportHandler};
+use sleepers::client::ReplacementPolicy;
 use sleepers::prelude::*;
-use sleepers::server::{Database, ItemId, ReportBuilder, TsBuilder, UpdateEngine, UplinkProcessor};
-use sleepers::sim::{SimDuration, SimTime, StreamId};
-use sleepers::wireless::FramePayload;
-use sleepers::workload::HotspotSpec;
 use sw_experiments::figures::{run_figure, FigureSpec, SimSettings};
 
 const CLIENTS: usize = 1_000;
@@ -79,18 +60,13 @@ fn warmup_intervals() -> u64 {
     env_u64("SW_BENCH_WARMUP", 120)
 }
 
-fn gate_mode() -> bool {
-    std::env::var("SW_BENCH_GATE").is_ok_and(|v| v != "0")
-}
-
 fn bench_params(sleep_s: f64) -> ScenarioParams {
     let mut p = ScenarioParams::scenario1();
     p.n_items = N_ITEMS;
     // Wide-open channel: the cold-start fetch burst (≈ awake clients ×
     // hot-spot items exchanges) must clear within its own interval, so
-    // the channel never defers an exchange and the legacy driver —
-    // which has no channel — sees the exact same install schedule.
-    // This is the precondition for the workload-identity assertion.
+    // the channel never defers an exchange and the timing measures the
+    // driver, not a queue draining.
     p.bandwidth_bps *= 2_048;
     if let Ok(scale) = std::env::var("SW_BENCH_LAMBDA_SCALE") {
         p.lambda *= scale.parse::<f64>().unwrap_or(1.0);
@@ -98,32 +74,15 @@ fn bench_params(sleep_s: f64) -> ScenarioParams {
     p.with_s(sleep_s)
 }
 
-/// What a measured window observed, for the workload-identity check.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-struct Counts {
-    queries: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl Counts {
-    fn hit_ratio(&self) -> f64 {
-        if self.hits + self.misses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / (self.hits + self.misses) as f64
-        }
-    }
-}
-
-/// The current per-interval loop: the real cell driver (columnar fleet
+/// The per-interval loop: the real cell driver (columnar fleet
 /// auto-selected for this TS configuration). Warm-up intervals are run
-/// and discarded, then the measured horizon is timed. With
+/// and discarded, then the measured horizon is timed; returns seconds,
+/// hit ratio and queries posed. With
 /// `SW_OBSERVE=1` (and the `observe` cargo feature) the run also
 /// records a per-interval series and writes it next to the JSON
 /// report — the timing then deliberately includes the recorder, which
 /// is how observation overhead itself gets measured.
-fn run_current(sleep_s: f64, warmup: u64, intervals: u64) -> (f64, Counts) {
+fn run_current(sleep_s: f64, warmup: u64, intervals: u64) -> (f64, f64, u64) {
     let mut cfg = CellConfig::new(bench_params(sleep_s))
         .with_clients(client_count())
         .with_hotspot_size(HOTSPOT)
@@ -152,205 +111,7 @@ fn run_current(sleep_s: f64, warmup: u64, intervals: u64) -> (f64, Counts) {
             Err(e) => eprintln!("could not write bench series: {e}"),
         }
     }
-    let counts = Counts {
-        queries: report.queries_posed,
-        hits: report.hit_events,
-        misses: report.miss_events,
-    };
-    (secs, counts)
-}
-
-/// The seed's `TsHandler::process`, verbatim: a per-report hash map of
-/// the entries, then a `sorted_items` walk doing a `peek` plus a
-/// `restamp`/`remove` per cached item — an id-vector allocation and
-/// three table lookups per entry, all replaced in the overhaul by one
-/// single-pass walk over a prepared, binary-searched slice.
-struct SeedTsHandler {
-    window: SimDuration,
-}
-
-impl ReportHandler for SeedTsHandler {
-    fn name(&self) -> &'static str {
-        "TS(seed)"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let (report_ts_micros, entries) = match payload {
-            FramePayload::TimestampReport {
-                report_ts_micros,
-                entries,
-            } => (*report_ts_micros, entries),
-            other => panic!("TS handler fed a non-TS report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-        let gap_too_large = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.window,
-            None => !cache.is_empty(),
-        };
-        if gap_too_large {
-            cache.clear();
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
-        }
-        let reported: HashMap<ItemId, u64> = entries.iter().copied().collect();
-        let mut invalidated = Vec::new();
-        for item in cache.sorted_items() {
-            let cached_micros =
-                time_to_micros(cache.peek(item).expect("iterating cached items").timestamp);
-            match reported.get(&item) {
-                Some(&t_j) if cached_micros < t_j => {
-                    cache.remove(item);
-                    invalidated.push(item);
-                }
-                _ => cache.restamp(item, t_i),
-            }
-        }
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated,
-        }
-    }
-}
-
-/// The pre-overhaul per-interval loop, re-created from the seed's
-/// `step()`: a full-fleet scan every interval, hashed per-item caches
-/// (`item_universe: None`), the seed's three-lookup TS report
-/// processing, and a per-interval deep clone of the payload into the
-/// wire frame.
-///
-/// Unlike earlier revisions of this bench, the driver consumes the
-/// *same* streams the cell driver does — `Hotspot{idx}` through
-/// [`HotspotSpec`], `Queries{idx}` into [`MobileUnit::new`] and the
-/// arrival draws, `Sleep{idx}` for whole sleep runs, and the protocol
-/// seed's `Database`/`Updates` streams — so both drivers run one
-/// workload and their measured windows must agree exactly.
-fn run_legacy(sleep_s: f64, warmup: u64, intervals: u64) -> (f64, Counts) {
-    let params = bench_params(sleep_s);
-    let latency = SimDuration::from_secs(params.latency_secs);
-    // Same retention the cell driver derives: cover the TS window kL.
-    let retention = latency.scaled((params.k as f64 + 2.0).max(4.0));
-    let mut db_rng = MasterSeed(SEED).stream(StreamId::Database);
-    let mut db = Database::new(N_ITEMS, |_| db_rng.next_u64(), retention);
-    let mut update_rng = MasterSeed(SEED).stream(StreamId::Updates);
-    let mut engine = UpdateEngine::new(N_ITEMS, params.mu, &mut update_rng);
-    let mut builder = TsBuilder::new(latency, params.k);
-    let mut uplink = UplinkProcessor::new();
-    let spec = HotspotSpec::new(N_ITEMS, HOTSPOT, Popularity::Uniform);
-
-    let n_clients = client_count();
-    let mut query_rngs = Vec::with_capacity(n_clients);
-    let mut sleep_rngs = Vec::with_capacity(n_clients);
-    // Interval index at which each client next wakes (u64::MAX: never).
-    let mut next_wake = Vec::with_capacity(n_clients);
-    let mut clients: Vec<MobileUnit> = (0..n_clients as u64)
-        .map(|id| {
-            let mut hotspot_rng = MasterSeed(SEED).stream(StreamId::Hotspot { index: id });
-            let hotspot = spec.draw(&mut hotspot_rng);
-            let mut query_rng = MasterSeed(SEED).stream(StreamId::Queries { index: id });
-            let handler: Box<dyn ReportHandler + Send> = Box::new(SeedTsHandler {
-                window: latency.scaled(params.k as f64),
-            });
-            let mut mu = MobileUnit::new(
-                MuConfig {
-                    id,
-                    hotspot,
-                    query_rate_per_item: params.lambda,
-                    sleep_probability: sleep_s,
-                    cache_capacity: None,
-                    replacement: ReplacementPolicy::Lru,
-                    replacement_window: SimDuration::ZERO,
-                    piggyback_hits: false,
-                    item_universe: None,
-                },
-                handler,
-                &mut query_rng,
-            );
-            let mut sleep_rng = MasterSeed(SEED).stream(StreamId::Sleep { index: id });
-            let k0 = mu.draw_sleep_run(&mut sleep_rng);
-            if k0 > 0 {
-                mu.enter_sleep();
-            }
-            next_wake.push(1u64.saturating_add(k0));
-            query_rngs.push(query_rng);
-            sleep_rngs.push(sleep_rng);
-            mu
-        })
-        .collect();
-
-    let mut measuring = false;
-    let mut start = Instant::now();
-    let mut secs = 0.0;
-    for i in 1..=warmup + intervals {
-        if i == warmup + 1 {
-            for mu in &mut clients {
-                mu.reset_stats();
-            }
-            measuring = true;
-            start = Instant::now();
-        }
-        let from = SimTime::from_secs((i - 1) as f64 * params.latency_secs);
-        let to = SimTime::from_secs(i as f64 * params.latency_secs);
-        engine.advance(&mut db, from, to, &mut update_rng);
-        let payload = builder.build(i, to, &db);
-        // Old loop: the payload was deep-cloned into the wire frame
-        // every interval (pre-`Arc`, pre-zero-copy charge).
-        let frame_copy = std::hint::black_box(payload.clone());
-        drop(frame_copy);
-        // Old loop: a full-fleet scan every interval. (The sleep draws
-        // themselves come as whole runs from the same `Sleep{idx}`
-        // streams the cell driver consumes — the workload identity
-        // requires it — so the scan is cheaper here than the seed's
-        // per-sleeper coin flip was, making the speedups conservative.)
-        for (idx, client) in clients.iter_mut().enumerate() {
-            if next_wake[idx] != i {
-                continue;
-            }
-            client.begin_awake_interval(from, to, &mut query_rngs[idx]);
-            let outcome = client.hear_report_and_answer(&payload);
-            for (item, _) in outcome.uplink_requests {
-                let ans = uplink.answer(&db, item, to, None);
-                client.install_answer(ans);
-            }
-            let k = client.draw_sleep_run(&mut sleep_rngs[idx]);
-            if k > 0 {
-                client.enter_sleep();
-            }
-            next_wake[idx] = if k == u64::MAX { u64::MAX } else { i + 1 + k };
-        }
-        db.prune_log(to);
-    }
-    if measuring {
-        secs = start.elapsed().as_secs_f64();
-    }
-
-    let counts = clients.iter().fold(
-        Counts {
-            queries: 0,
-            hits: 0,
-            misses: 0,
-        },
-        |acc, c| {
-            let s = c.stats();
-            Counts {
-                queries: acc.queries + s.queries_posed,
-                hits: acc.hits + s.hit_events,
-                misses: acc.misses + s.miss_events,
-            }
-        },
-    );
-    (secs, counts)
+    (secs, report.hit_ratio(), report.queries_posed)
 }
 
 /// The bounded-cache leg: the same columnar TS cell as `run_current`,
@@ -427,31 +188,6 @@ fn time_figure_grid(threads: &str) -> (f64, usize) {
     (secs, result.simulated.len())
 }
 
-/// One sleep-probability leg: both drivers, workload identity
-/// asserted, speedup computed.
-fn per_interval_leg(s: f64, warmup: u64, intervals: u64) -> (serde_json::Value, f64) {
-    eprintln!("per-interval loop at s={s}, current driver, {warmup}+{intervals} intervals ...");
-    let (current_secs, current) = run_current(s, warmup, intervals);
-    eprintln!("per-interval loop at s={s}, legacy-style driver, {warmup}+{intervals} intervals ...");
-    let (legacy_secs, legacy) = run_legacy(s, warmup, intervals);
-    assert_eq!(
-        current, legacy,
-        "the two drivers must execute the same workload at s={s}; \
-         a stream or scheduling divergence crept back in"
-    );
-    let speedup = legacy_secs / current_secs;
-    let leg = serde_json::json!({
-        "sleep_probability": s,
-        "legacy_us_per_interval": legacy_secs / intervals as f64 * 1e6,
-        "current_us_per_interval": current_secs / intervals as f64 * 1e6,
-        "single_thread_speedup": speedup,
-        "hit_ratio": current.hit_ratio(),
-        "workload_match": true,
-        "queries": current.queries,
-    });
-    (leg, speedup)
-}
-
 /// The short git revision the binary is benchmarked at, `"unknown"`
 /// outside a git checkout.
 fn git_rev() -> String {
@@ -491,31 +227,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    if gate_mode() {
-        // The check.sh regression gate: one leg, hard threshold, no
-        // artifact rewrite.
-        let (leg, speedup) = per_interval_leg(0.5, warmup, intervals);
-        let gate = serde_json::json!({
-            "host": run_metadata(auto_threads),
-            "leg": leg,
-        });
-        let pretty = serde_json::to_string_pretty(&gate).expect("serializes");
-        // The gate writes its own artifact instead of clobbering the
-        // committed full report with a single-leg run.
-        std::fs::write("BENCH_gate.json", &pretty).expect("writes BENCH_gate.json");
-        println!("{pretty}");
-        if speedup < 1.0 {
-            eprintln!(
-                "BENCH GATE FAILED: current driver is {:.2}x the legacy loop at s=0.5 \
-                 (must be >= 1.0x)",
-                speedup
-            );
-            std::process::exit(1);
-        }
-        eprintln!("bench gate passed: {speedup:.2}x vs legacy at s=0.5");
-        return;
-    }
-
     eprintln!("figure grid (fig 3, quick settings), 1 thread ...");
     let (grid_1, cells) = time_figure_grid("1");
     eprintln!("figure grid, {auto_threads} thread(s) ...");
@@ -523,8 +234,14 @@ fn main() {
 
     let mut sweep = Vec::new();
     for s in SLEEPS {
-        let (leg, _) = per_interval_leg(s, warmup, intervals);
-        sweep.push(leg);
+        eprintln!("per-interval loop at s={s}, {warmup}+{intervals} intervals ...");
+        let (secs, hit_ratio, queries) = run_current(s, warmup, intervals);
+        sweep.push(serde_json::json!({
+            "sleep_probability": s,
+            "us_per_interval": secs / intervals as f64 * 1e6,
+            "hit_ratio": hit_ratio,
+            "queries": queries,
+        }));
     }
 
     eprintln!("bounded-cache leg: unbounded baseline, {warmup}+{intervals} intervals ...");
@@ -592,14 +309,8 @@ fn main() {
             "warmup_intervals": warmup,
             "intervals": intervals,
             "sweep": serde_json::Value::Array(sweep),
-            "note": "both drivers consume identical random streams on a channel \
-                     wide enough never to defer an exchange; each leg asserts the \
-                     measured windows saw the same (queries, hits, misses), so the \
-                     timings compare one workload. The legacy driver re-creates the \
-                     pre-overhaul costs (seed TS handler's per-client hash map, \
-                     hashed caches, per-interval deep payload clone, full-fleet \
-                     scan) but skips the simulator's channel/energy/safety \
-                     accounting, so the speedups are conservative",
+            "note": "the cell driver on a channel wide enough never to defer an \
+                     exchange (asserted), warm-up intervals discarded",
         }),
         "bounded": serde_json::json!({
             "strategy": "TS",
@@ -614,8 +325,7 @@ fn main() {
                      clock through the identical driver — victim ranking and \
                      ghost bookkeeping plus the extra uplink exchanges the \
                      halved hit ratio genuinely costs. The zero-cost claim for \
-                     the *unbounded* path is pinned separately by the bench \
-                     gate and hot_guard",
+                     the *unbounded* path is pinned separately by hot_guard",
         }),
         "scale": serde_json::json!({
             "strategy": "TS",

@@ -165,6 +165,36 @@ impl LiveMu {
         time_to_micros(self.clock.report_time(i))
     }
 
+    /// Decodes a frame far enough to read a report's timestamp stamp —
+    /// the tag live receivers discard stale datagrams by. `None` for
+    /// non-report traffic, undecodable bytes, and reports this unit's
+    /// strategy cannot process (reports are small by design, §3, so the
+    /// full decode is cheap).
+    pub fn report_stamp_micros(&self, frame: &[u8]) -> Option<u64> {
+        let payload = self.encode.deserialize(frame).ok()?.payload;
+        if !self.mu.accepts_report(&payload) {
+            return None;
+        }
+        match payload {
+            FramePayload::TimestampReport {
+                report_ts_micros, ..
+            }
+            | FramePayload::AmnesicReport {
+                report_ts_micros, ..
+            }
+            | FramePayload::SignatureReport {
+                report_ts_micros, ..
+            }
+            | FramePayload::AdaptiveTimestampReport {
+                report_ts_micros, ..
+            }
+            | FramePayload::HybridReport {
+                report_ts_micros, ..
+            } => Some(report_ts_micros),
+            _ => None,
+        }
+    }
+
     /// The all-zero decision row an asleep interval contributes.
     pub fn asleep_row(&self, i: u64) -> DecisionRow {
         DecisionRow {
@@ -210,7 +240,10 @@ impl LiveMu {
     /// same bit the simulator would flip in these bytes, verifies the
     /// checksum catches it, and misses the report; `Heard` decodes and
     /// applies it, returning the uplink requests the report could not
-    /// satisfy locally.
+    /// satisfy locally. A well-formed frame the unit's strategy cannot
+    /// process — another strategy's report, a SIG/HYB report with the
+    /// wrong signature count — is [`WireDecodeError::Malformed`], not a
+    /// panic: any peer can put one on the air.
     pub fn hear_frame(
         &mut self,
         frame: &[u8],
@@ -236,6 +269,11 @@ impl LiveMu {
             }
             ReportFate::Heard => {
                 let decoded = self.encode.deserialize(frame)?;
+                if !self.mu.accepts_report(&decoded.payload) {
+                    return Err(WireDecodeError::Malformed(
+                        "not a report this unit's strategy can process",
+                    ));
+                }
                 let outcome = self.mu.hear_report_and_answer(&decoded.payload);
                 Ok(outcome.uplink_requests)
             }
@@ -968,7 +1006,7 @@ pub fn run_mu(
         let datagram = if wants_bytes {
             recv_report(
                 &udp,
-                live.encoder(),
+                &live,
                 expected,
                 deadline,
                 &mut lookahead,
@@ -1175,7 +1213,7 @@ pub fn run_mu(
 /// declared missed). Stale or undecodable datagrams are discarded.
 fn recv_report(
     udp: &UdpSocket,
-    encode: WireEncode,
+    live: &LiveMu,
     expected: u64,
     deadline: Instant,
     lookahead: &mut Option<(u64, Vec<u8>)>,
@@ -1218,8 +1256,8 @@ fn recv_report(
             continue; // a deposed broadcaster from an older epoch
         }
         *epoch_floor = epoch.max(*epoch_floor);
-        let Some(ts) = report_stamp_micros(&encode, frame) else {
-            continue; // not a report frame
+        let Some(ts) = live.report_stamp_micros(frame) else {
+            continue; // not a report frame, or not one of this strategy's
         };
         match ts.cmp(&expected) {
             std::cmp::Ordering::Equal => return Ok(Some(frame.to_vec())),
@@ -1232,34 +1270,81 @@ fn recv_report(
     }
 }
 
-/// Decodes a frame far enough to read a report's timestamp stamp —
-/// the tag live receivers discard stale datagrams by. `None` for
-/// non-report traffic or undecodable bytes (reports are small by
-/// design, §3, so the full decode is cheap).
-fn report_stamp_micros(encode: &WireEncode, frame: &[u8]) -> Option<u64> {
-    match encode.deserialize(frame).ok()?.payload {
-        FramePayload::TimestampReport {
-            report_ts_micros, ..
-        }
-        | FramePayload::AmnesicReport {
-            report_ts_micros, ..
-        }
-        | FramePayload::SignatureReport {
-            report_ts_micros, ..
-        }
-        | FramePayload::AdaptiveTimestampReport {
-            report_ts_micros, ..
-        }
-        | FramePayload::HybridReport {
-            report_ts_micros, ..
-        } => Some(report_ts_micros),
-        _ => None,
-    }
-}
-
 fn sleep_until(at: Instant) {
     let now = Instant::now();
     if let Some(d) = at.checked_duration_since(now) {
         std::thread::sleep(d);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sw_server::Database;
+    use sw_sim::SimTime;
+    use sw_workload::ScenarioParams;
+
+    /// A well-formed datagram of another strategy's report kind, or a
+    /// SIG/HYB report with one signature too few or too many, is what
+    /// any peer on the segment can send: `hear_frame` must refuse it as
+    /// malformed (and `recv_report`, through `report_stamp_micros`,
+    /// discard it like line noise) instead of panicking the MU thread —
+    /// and refuse it *whole*, so the genuine report still applies.
+    #[test]
+    fn reports_of_another_strategy_or_signature_count_are_refused_not_a_panic() {
+        let mut params = ScenarioParams::scenario1().with_s(0.0);
+        params.n_items = 300;
+        let cfg = CellConfig::new(params).with_clients(1).with_hotspot_size(15);
+        let db = Database::new(params.n_items, |i| i, SimDuration::from_secs(1e6));
+        let strategies = [
+            Strategy::BroadcastTimestamps,
+            Strategy::AmnesicTerminals,
+            Strategy::Signatures,
+            Strategy::HybridSig { hot_count: 40 },
+        ];
+        let t_1 = SimTime::from_secs(params.latency_secs);
+        let genuine: Vec<FramePayload> = strategies
+            .iter()
+            .map(|s| s.make_builder(&params, cfg.protocol_seed(), &db).build(1, t_1, &db))
+            .collect();
+        for (own, strategy) in strategies.iter().enumerate() {
+            let mut live = LiveMu::new(&cfg, *strategy, 0);
+            live.begin_interval(1);
+            let mut hostile: Vec<FramePayload> = genuine.clone();
+            hostile.remove(own);
+            // Short and long signature vectors of the unit's own kind.
+            for longer in [false, true] {
+                let mut wrong = genuine[own].clone();
+                if let FramePayload::SignatureReport { signatures, .. }
+                | FramePayload::HybridReport { signatures, .. } = &mut wrong
+                {
+                    let signatures = Arc::make_mut(signatures);
+                    if longer {
+                        signatures.push(7);
+                    } else {
+                        signatures.pop();
+                    }
+                    hostile.push(wrong);
+                }
+            }
+            for payload in &hostile {
+                let frame = live.encoder().serialize_payload(payload);
+                assert_eq!(live.report_stamp_micros(&frame), None, "{payload:?}");
+                let refused = live.hear_frame(&frame, ReportFate::Heard);
+                assert!(
+                    matches!(refused, Err(WireDecodeError::Malformed(_))),
+                    "{} unit given {payload:?}: {refused:?}",
+                    strategy.name()
+                );
+            }
+            let frame = live.encoder().serialize_payload(&genuine[own]);
+            assert_eq!(
+                live.report_stamp_micros(&frame),
+                Some(live.expected_report_micros(1))
+            );
+            live.hear_frame(&frame, ReportFate::Heard)
+                .expect("the unit's own report is heard after the hostile ones");
+            assert_eq!(live.end_interval(1).drops, 0, "nothing was half-applied");
+        }
     }
 }

