@@ -128,10 +128,8 @@ impl MuStats {
 /// What one interval did at this unit (for the cell driver's log).
 #[derive(Debug, Clone)]
 pub struct IntervalReport {
-    /// Whether the unit was awake this interval.
-    pub awake: bool,
-    /// Outcome of report processing (None when asleep).
-    pub outcome: Option<ProcessOutcome>,
+    /// Outcome of report processing.
+    pub outcome: ProcessOutcome,
     /// Query events that missed and must go uplink, deduplicated.
     pub uplink_requests: Vec<(ItemId, Option<PiggybackInfo>)>,
 }
@@ -403,8 +401,7 @@ impl MobileUnit {
         }
         self.pending.clear();
         IntervalReport {
-            awake: true,
-            outcome: Some(outcome),
+            outcome,
             uplink_requests: uplink,
         }
     }
@@ -428,18 +425,6 @@ impl MobileUnit {
     pub fn miss_report(&mut self) {
         assert!(self.awake, "a sleeping unit was not listening for the report");
         self.stats.reports_missed += 1;
-    }
-
-    /// Skips the interval-closing report (asleep units). Pending queries
-    /// cannot exist (no queries are posed while asleep).
-    pub fn skip_report(&mut self) -> IntervalReport {
-        assert!(!self.awake, "an awake unit must hear the report");
-        debug_assert!(self.pending.is_empty());
-        IntervalReport {
-            awake: false,
-            outcome: None,
-            uplink_requests: Vec::new(),
-        }
     }
 
     /// Installs the answer to an uplink request: caches the fresh copy
@@ -536,8 +521,6 @@ mod tests {
         mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
         assert!(!mu.is_awake());
         assert_eq!(mu.pending_len(), 0);
-        let rep = mu.skip_report();
-        assert!(!rep.awake);
         assert_eq!(mu.stats().intervals_asleep, 1);
     }
 

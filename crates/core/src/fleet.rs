@@ -1,13 +1,26 @@
-//! Columnar client fleet: struct-of-arrays mobile-unit state.
+//! The client fleet: one set of interval-protocol phase calls over two
+//! client stores.
 //!
-//! The boxed-[`sw_client::MobileUnit`] fleet stores each client's cache
-//! as a dense `n_items`-wide table behind a trait-object handler. That
-//! layout is exact but hostile to the hot path: one report sweep visits
-//! a thousand heap-scattered caches, each a universe-sized vector of
-//! `Option<CacheEntry>`, and at 10⁵–10⁶ clients per cell the per-client
-//! tables alone dwarf RAM (a million 2000-item dense caches ≈ 48 GB).
+//! [`Fleet`] is what the cell driver steps. Its two variants hold the
+//! same clients in different layouts — [`Fleet::Units`], a vector of
+//! [`ClientSeat`]s (one boxed [`sw_client::MobileUnit`] each, behind a
+//! trait-object handler), and [`Fleet::Columnar`], the struct-of-arrays
+//! [`ColumnarFleet`] below — and answer the same calls: `open_interval`,
+//! `miss_report`, `sweep`, `install_answer`, `close_interval`. The
+//! driver never asks which one it has. Both start every client from
+//! the same [`ClientStreams`], so the backend choice never perturbs a
+//! random stream, and both sweep a report with the one parallel driver
+//! in this module ([`SweepStore`]).
 //!
-//! This module keeps the *same observable semantics* in parallel
+//! # The columnar store
+//!
+//! The boxed layout is exact but hostile to the hot path: one report
+//! sweep visits a thousand heap-scattered caches, each a universe-sized
+//! vector of `Option<CacheEntry>`, and at 10⁵–10⁶ clients per cell the
+//! per-client tables alone dwarf RAM (a million 2000-item dense caches
+//! ≈ 48 GB).
+//!
+//! [`ColumnarFleet`] keeps the *same observable semantics* in parallel
 //! columns. The enabling invariant is that a client's cache is always a
 //! subset of its hotspot: queries draw only hotspot items, and entries
 //! are installed only by answers to queries. So every client owns a
@@ -22,8 +35,10 @@
 //!   index → slot);
 //! * `pending_mask` — one bit per slot queried since the last heard
 //!   report: the deduplicated `Q_i`, already in answer order;
-//! * plus per-client scalars (stats, `T_l`, awake flag, query pose
-//!   times, the query/sleep processes).
+//! * plus per-client scalars — everything a [`ClientSeat`] holds beside
+//!   its cache: stats, `T_l`, awake flag, query pose times, the
+//!   query/sleep processes and their streams, the settled-interval and
+//!   next-wake marks.
 //!
 //! One report sweep is then a cache-friendly linear scan over the slot
 //! block, and disjoint client ranges of the columns can be swept by
@@ -38,8 +53,8 @@
 //! bits (slot order is item-id order), with the broadcast's shared
 //! [`ReportDigest`] only *probed*, a bit test per slot: an interval
 //! costs O(|report| + awake·H). What remains for
-//! `tests/columnar_equivalence.rs` to pin is everything around the
-//! rule: query draws, the answer loop, capacity columns, uplinks.
+//! `tests/columnar_equivalence.rs` to pin is what the stores do around
+//! the rule: the answer loop, capacity columns, query draws.
 //!
 //! Bounded caches ride along as optional columns ([`CapColumns`]):
 //! per-slot recency/frequency ticks, a per-client access clock, and a
@@ -51,18 +66,520 @@
 //! the minimum unique, so the slot scan and the boxed table walk pick
 //! the same victim).
 //!
-//! Eligibility is decided by the simulation driver: static report
-//! builders only (TS/AT/SIG/NC/HYB/GR), no piggyback histories,
-//! standalone cells (no mesh backbone). Everything else stays on the
-//! boxed-unit fleet.
+//! Eligibility is decided in [`Fleet::new`]: static report builders
+//! only (TS/AT/SIG/NC/HYB/GR), no piggyback histories, no query plane,
+//! standalone cells (no mesh backbone — handoffs move whole seats).
+//! Everything else stays on seats.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sw_capacity::{victim_key, EntryMeta, ReplacementPolicy};
 use sw_client::{CacheSlots, IntervalReport, MuStats, ReportDigest, ReportRule, SigTrack};
+use sw_query::QueryPlane;
 use sw_server::{ItemId, QueryAnswer};
 use sw_signature::CombinedSignature;
 use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
+use sw_workload::ZipfPicker;
+
+use crate::config::{CellConfig, FleetBackend, WakeMode};
+use crate::seat::{piggybacks, shared_zipf, wake_after, ClientSeat, ClientStreams};
+use crate::simulation::SimulationError;
+use crate::strategy::Strategy;
+
+/// Below this many listening clients the parallel sweep is not worth
+/// its thread hand-off; the sequential path runs instead. Purely a
+/// performance threshold — both paths are bit-identical.
+const SWEEP_PAR_MIN: usize = 256;
+
+/// Per-client output of the (possibly parallel) report sweep. The
+/// sweep applies the shared report to disjoint client ranges; the
+/// items are then merged sequentially in ascending client order, so
+/// every channel charge, random draw, and observation event happens in
+/// the same order at any worker count.
+pub(crate) struct SweepItem {
+    /// Position in the interval's awake set.
+    pub(crate) slot: usize,
+    /// Pre-processing stats snapshot and last-heard-report time
+    /// (captured only when observing; feeds the per-interval series
+    /// and the false-alarm analysis).
+    pub(crate) pre: Option<(MuStats, Option<SimTime>)>,
+    /// This was the unit's first report after a handoff and it dropped
+    /// a non-empty carried cache: the cell switch cost it its cache.
+    pub(crate) handoff_drop: bool,
+    /// What the client did with the report and which fetches it needs.
+    pub(crate) outcome: IntervalReport,
+}
+
+/// The cell's clients, on either store. See the module docs.
+// One per cell and never moved once built: boxing the columns would
+// only put a pointer hop in front of every phase call.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Fleet {
+    /// One [`ClientSeat`] per slot; departed slots hold husks.
+    Units(Vec<ClientSeat>),
+    /// Struct-of-arrays columns.
+    Columnar(ColumnarFleet),
+}
+
+/// `method(idx, args…)` on either store: the seat's `method(args…)`,
+/// or the columnar fleet's `method(idx, args…)`. The per-client calls
+/// below are `#[inline]` (as are the seat's): they sit between the
+/// driver's phase loops and the stores in other modules, and without
+/// the hint each would be a call per client per phase.
+macro_rules! per_client {
+    ($fleet:expr, $idx:expr, $method:ident($($arg:expr),*)) => {
+        match $fleet {
+            Fleet::Units(seats) => seats[$idx].$method($($arg),*),
+            Fleet::Columnar(fleet) => fleet.$method($idx $(, $arg)*),
+        }
+    };
+}
+
+impl Fleet {
+    /// Builds the cell's clients. The columnar store hosts every
+    /// eligible configuration unless `config.fleet` forces the choice
+    /// (the equivalence suite runs both on the same config).
+    pub(crate) fn new(config: &CellConfig, strategy: Strategy) -> Result<Self, SimulationError> {
+        let params = &config.params;
+        let piggyback = piggybacks(config, strategy);
+        let static_rule = strategy.report_rule(params, config.protocol_seed());
+        let eligible = config.backbone.is_none() && !piggyback && config.query.is_none();
+        let rule = match config.fleet {
+            Some(FleetBackend::Units) => None,
+            Some(FleetBackend::Columnar) if !eligible || static_rule.is_none() => {
+                // The caller forced the columnar store: name every
+                // disqualifier, not just the first.
+                let mut reasons: Vec<String> = Vec::new();
+                if config.backbone.is_some() {
+                    reasons.push("mesh handoffs move whole boxed units between cells".into());
+                }
+                if piggyback {
+                    reasons.push("piggybacked hit histories live on boxed units".into());
+                }
+                if config.query.is_some() {
+                    reasons.push("the query-result plane attaches to boxed units".into());
+                }
+                if static_rule.is_none() {
+                    reasons.push(format!(
+                        "strategy {} builds its reports from per-client feedback \
+                         state that only boxed units carry",
+                        strategy.name()
+                    ));
+                }
+                return Err(SimulationError::InvalidConfig(format!(
+                    "the columnar fleet cannot host this configuration: {}",
+                    reasons.join("; ")
+                )));
+            }
+            _ => static_rule.filter(|_| eligible),
+        };
+        let zipf = shared_zipf(config);
+        Ok(match rule {
+            Some(rule) => {
+                // Finite capacity runs on either store with the same
+                // policy and the same TS window `w = kL` feeding the
+                // window-age rule.
+                let capacity = config.cache_capacity.map(|cap| CapacitySpec {
+                    cap,
+                    policy: config.replacement,
+                    window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
+                });
+                let mut fleet = ColumnarFleet::new(config.hotspot_size, rule, capacity, zipf);
+                for idx in 0..config.n_clients {
+                    fleet.push_client(ClientStreams::draw(config, idx), params.lambda);
+                }
+                Fleet::Columnar(fleet)
+            }
+            None => Fleet::Units(
+                (0..config.n_clients)
+                    .map(|idx| ClientSeat::new(config, strategy, idx, zipf.as_ref()))
+                    .collect(),
+            ),
+        })
+    }
+
+    /// Number of client slots, departed husks included.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Fleet::Units(seats) => seats.len(),
+            Fleet::Columnar(fleet) => fleet.n,
+        }
+    }
+
+    pub(crate) fn is_columnar(&self) -> bool {
+        matches!(self, Fleet::Columnar(_))
+    }
+
+    #[inline]
+    fn seat(&self, idx: usize) -> Option<&ClientSeat> {
+        match self {
+            Fleet::Units(seats) => Some(&seats[idx]),
+            Fleet::Columnar(_) => None,
+        }
+    }
+
+    /// The unit's id. Columnar cells are standalone: slots are never
+    /// reassigned, so the id a seat would carry is the slot index.
+    #[inline]
+    pub(crate) fn id(&self, idx: usize) -> u64 {
+        self.seat(idx).map_or(idx as u64, |seat| seat.unit().id())
+    }
+
+    /// Whether slot `idx` holds the husk of a unit that migrated away.
+    #[inline]
+    pub(crate) fn is_departed(&self, idx: usize) -> bool {
+        self.seat(idx).is_some_and(ClientSeat::is_husk)
+    }
+
+    /// Whether the unit arrived by handoff and has not yet heard a
+    /// report here.
+    pub(crate) fn newly_migrated(&self, idx: usize) -> bool {
+        self.seat(idx).is_some_and(ClientSeat::newly_migrated)
+    }
+
+    pub(crate) fn query_plane(&self, idx: usize) -> Option<&QueryPlane> {
+        self.seat(idx)?.query_plane()
+    }
+
+    /// Every armed query plane, in slot order.
+    pub(crate) fn query_planes(&self) -> impl Iterator<Item = &QueryPlane> + '_ {
+        (0..self.len()).filter_map(|idx| self.query_plane(idx))
+    }
+
+    #[inline]
+    pub(crate) fn stats(&self, idx: usize) -> MuStats {
+        match self {
+            Fleet::Units(seats) => seats[idx].unit().stats(),
+            Fleet::Columnar(fleet) => fleet.stats[idx],
+        }
+    }
+
+    /// Every slot's stats, in slot order (husks report zeros).
+    pub(crate) fn stats_iter(&self) -> impl Iterator<Item = MuStats> + '_ {
+        (0..self.len()).map(|idx| self.stats(idx))
+    }
+
+    #[inline]
+    pub(crate) fn is_awake(&self, idx: usize) -> bool {
+        match self {
+            Fleet::Units(seats) => seats[idx].unit().is_awake(),
+            Fleet::Columnar(fleet) => fleet.awake[idx],
+        }
+    }
+
+    /// The next interval the unit is awake in (`u64::MAX` = never).
+    #[inline]
+    pub(crate) fn next_wake(&self, idx: usize) -> u64 {
+        match self {
+            Fleet::Units(seats) => seats[idx].next_wake(),
+            Fleet::Columnar(fleet) => fleet.next_wake[idx],
+        }
+    }
+
+    /// Appends every unit due at interval `i` to `awake`, ascending.
+    pub(crate) fn due(&self, i: u64, awake: &mut Vec<usize>) {
+        awake.extend((0..self.len()).filter(|&idx| self.next_wake(idx) <= i));
+    }
+
+    /// Unmatched-subset telemetry from the last processed report
+    /// (SIG/HYB only).
+    #[inline]
+    pub(crate) fn last_unmatched_subsets(&self, idx: usize) -> Option<u32> {
+        match self {
+            Fleet::Units(seats) => seats[idx].unit().last_unmatched_subsets(),
+            Fleet::Columnar(fleet) => fleet.sig.as_ref().map(|s| s.last_unmatched[idx]),
+        }
+    }
+
+    /// How many clients' caches use the dense item-table layout
+    /// (columnar slot blocks are dense by construction).
+    pub(crate) fn dense_layouts(&self) -> usize {
+        match self {
+            Fleet::Units(seats) => seats.iter().filter(|s| s.unit().cache().is_dense()).count(),
+            Fleet::Columnar(fleet) => fleet.n,
+        }
+    }
+
+    /// Phase 1 for one waking unit: settle its sleep run, pose queries.
+    #[inline]
+    pub(crate) fn open_interval(&mut self, idx: usize, i: u64, from: SimTime, to: SimTime) {
+        per_client!(self, idx, open_interval(i, from, to))
+    }
+
+    /// The unit listened for the report and never received it intact.
+    #[inline]
+    pub(crate) fn miss_report(&mut self, idx: usize) {
+        per_client!(self, idx, miss_report())
+    }
+
+    /// The report sweep: every listening client (the `heard` positions
+    /// of the awake set, client indices `awake[slot]` ascending) walks
+    /// its own cache probing the broadcast's shared digest, then
+    /// answers its pending queries. Results ascend by client at any
+    /// `threads`.
+    pub(crate) fn sweep(
+        &mut self,
+        heard: &[usize],
+        awake: &[usize],
+        digest: &ReportDigest<'_>,
+        observing: bool,
+        threads: usize,
+    ) -> Vec<SweepItem> {
+        match self {
+            Fleet::Units(seats) => {
+                sweep_store(&mut seats[..], heard, awake, digest, observing, threads)
+            }
+            Fleet::Columnar(fleet) => {
+                sweep_store(fleet.view(), heard, awake, digest, observing, threads)
+            }
+        }
+    }
+
+    #[inline]
+    pub(crate) fn install_answer(&mut self, idx: usize, answer: QueryAnswer) {
+        per_client!(self, idx, install_answer(answer))
+    }
+
+    /// The query plane's fetch list after a heard report (`None`: the
+    /// client has no plane).
+    #[inline]
+    pub(crate) fn check_queries(&mut self, idx: usize, t_i: SimTime) -> Option<Vec<ItemId>> {
+        match self {
+            Fleet::Units(seats) => seats[idx].check_queries(t_i),
+            Fleet::Columnar(_) => None,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn settle_queries(&mut self, idx: usize, t_i: SimTime) {
+        if let Fleet::Units(seats) = self {
+            seats[idx].settle_queries(t_i);
+        }
+    }
+
+    /// Last phase for one awake unit: draw its next sleep run; returns
+    /// the next interval it is awake in.
+    #[inline]
+    pub(crate) fn close_interval(&mut self, idx: usize, i: u64) -> u64 {
+        per_client!(self, idx, close_interval(i))
+    }
+
+    /// Zeroes every client's stats after a warm-up ending at `now`.
+    pub(crate) fn reset_stats(&mut self, now: u64) {
+        match self {
+            Fleet::Units(seats) => seats.iter_mut().for_each(|seat| seat.reset_stats(now)),
+            Fleet::Columnar(fleet) => fleet.reset_stats(now),
+        }
+    }
+
+    /// Visits every cached entry as `(item, value, timestamp)` in
+    /// client order, items ascending.
+    pub(crate) fn for_each_cached_entry(&self, mut f: impl FnMut(ItemId, u64, SimTime)) {
+        match self {
+            Fleet::Units(seats) => {
+                for seat in seats {
+                    let cache = seat.unit().cache();
+                    for item in cache.sorted_items() {
+                        let entry = cache.peek(item).expect("iterating cached items");
+                        f(item, entry.value, entry.timestamp);
+                    }
+                }
+            }
+            Fleet::Columnar(fleet) => fleet.for_each_cached_entry(f),
+        }
+    }
+
+    fn seats_mut(&mut self) -> &mut Vec<ClientSeat> {
+        match self {
+            Fleet::Units(seats) => seats,
+            Fleet::Columnar(_) => panic!(
+                "handoffs move whole boxed units; mesh shards (backbone set) \
+                 never construct the columnar fleet"
+            ),
+        }
+    }
+
+    /// Moves the seat in slot `idx` out for a handoff, leaving a husk.
+    pub(crate) fn detach(&mut self, idx: usize) -> ClientSeat {
+        std::mem::replace(&mut self.seats_mut()[idx], ClientSeat::husk())
+    }
+
+    /// Appends an arriving seat; returns its slot.
+    pub(crate) fn attach(&mut self, seat: ClientSeat) -> usize {
+        let seats = self.seats_mut();
+        seats.push(seat);
+        seats.len() - 1
+    }
+}
+
+/// The sleeper skip-list: which unit wakes in which interval, under
+/// either [`WakeMode`]. A unit's wake interval is stored once, in the
+/// fleet; the scan reads those marks, the heap orders a copy of them.
+/// Both produce the identical due set in the identical ascending-index
+/// order (all entries due in interval `i` carry wake time exactly `i`,
+/// so heap pops order by index; the scan is index-ordered by
+/// construction), so every random stream downstream is consumed in the
+/// same sequence regardless of mode.
+pub(crate) enum WakeSchedule {
+    /// One sequential pass over the fleet's next-wake marks per
+    /// interval.
+    Scan,
+    /// Min-heap of `(wake_interval, client_idx)`; never-waking units
+    /// simply leave the heap.
+    Heap(BinaryHeap<Reverse<(u64, usize)>>),
+}
+
+impl WakeSchedule {
+    /// Schedules every client of `fleet` for its first awake interval.
+    pub(crate) fn new(mode: WakeMode, fleet: &Fleet) -> Self {
+        let mut schedule = match mode {
+            WakeMode::Scan => WakeSchedule::Scan,
+            WakeMode::Heap => WakeSchedule::Heap(BinaryHeap::with_capacity(fleet.len())),
+        };
+        for idx in 0..fleet.len() {
+            schedule.schedule(idx, fleet.next_wake(idx));
+        }
+        schedule
+    }
+
+    /// Notes that unit `idx` next wakes in interval `wake` (`u64::MAX`
+    /// = never). Each unit must be rescheduled after every pop.
+    pub(crate) fn schedule(&mut self, idx: usize, wake: u64) {
+        if let WakeSchedule::Heap(heap) = self {
+            if wake != u64::MAX {
+                heap.push(Reverse((wake, idx)));
+            }
+        }
+    }
+
+    /// Appends every unit due at interval `i` to `awake`, ascending by
+    /// client index.
+    pub(crate) fn pop_due(&mut self, i: u64, fleet: &Fleet, awake: &mut Vec<usize>) {
+        match self {
+            WakeSchedule::Scan => fleet.due(i, awake),
+            WakeSchedule::Heap(heap) => {
+                while let Some(&Reverse((wake, idx))) = heap.peek() {
+                    if wake > i {
+                        break;
+                    }
+                    heap.pop();
+                    // Heap entries can't be deleted: a unit that left
+                    // the cell still has its one pre-departure entry.
+                    if !fleet.is_departed(idx) {
+                        awake.push(idx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A client store the report sweep can split at client boundaries:
+/// the seats as a slice, the columns as a [`ChunkView`].
+trait SweepStore: Send {
+    /// Splits the first `n` clients off the front.
+    fn split_front(&mut self, n: usize) -> Self;
+
+    /// One client's share of the sweep — apply the shared digest,
+    /// answer pending queries, record what the merge needs. Touches
+    /// only that client, draws no randomness. `local` is the client's
+    /// position in this store, `idx` its fleet index, `slot` its
+    /// position in the awake set.
+    fn sweep_client(
+        &mut self,
+        local: usize,
+        idx: usize,
+        slot: usize,
+        observing: bool,
+        digest: &ReportDigest<'_>,
+    ) -> SweepItem;
+}
+
+/// Sweeps the `heard` clients of `store`. The per-client work is
+/// independent, so with `threads > 1` and enough listeners the store is
+/// split into contiguous client ranges swept by scoped workers; results
+/// ascend by client either way, bit-identical at any worker count.
+fn sweep_store<S: SweepStore>(
+    mut store: S,
+    heard: &[usize],
+    awake: &[usize],
+    digest: &ReportDigest<'_>,
+    observing: bool,
+    threads: usize,
+) -> Vec<SweepItem> {
+    if threads <= 1 || heard.len() < SWEEP_PAR_MIN {
+        return heard
+            .iter()
+            .map(|&slot| store.sweep_client(awake[slot], awake[slot], slot, observing, digest))
+            .collect();
+    }
+    let chunk_len = heard.len().div_ceil(threads.min(heard.len()));
+    let mut out = Vec::with_capacity(heard.len());
+    let mut base = 0usize;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = heard
+            .chunks(chunk_len)
+            .map(|chunk| {
+                let end = awake[*chunk.last().expect("chunks are non-empty")] + 1;
+                let mut mine = store.split_front(end - base);
+                let mine_base = std::mem::replace(&mut base, end);
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&slot| {
+                            let idx = awake[slot];
+                            mine.sweep_client(idx - mine_base, idx, slot, observing, digest)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            out.extend(worker.join().expect("sweep worker panicked"));
+        }
+    });
+    out
+}
+
+/// Splits the first `n` elements off a column.
+fn front<'a, T>(column: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    column
+        .split_off_mut(..n)
+        .expect("a chunk ends inside the column")
+}
+
+impl SweepStore for &mut [ClientSeat] {
+    fn split_front(&mut self, n: usize) -> Self {
+        front(self, n)
+    }
+
+    fn sweep_client(
+        &mut self,
+        local: usize,
+        _idx: usize,
+        slot: usize,
+        observing: bool,
+        digest: &ReportDigest<'_>,
+    ) -> SweepItem {
+        let seat = &mut self[local];
+        let unit = seat.unit();
+        // The last-report time is the false-alarm reference point (§6).
+        let pre = observing.then(|| (unit.stats(), unit.last_report_heard()));
+        // A whole-cache drop at the first report after a handoff is
+        // attributable to the cell switch (an empty carried cache has
+        // nothing to lose and counts no drop).
+        let carrying = seat.newly_migrated() && !unit.cache().is_empty();
+        let outcome = seat.hear(digest);
+        SweepItem {
+            slot,
+            pre,
+            handoff_drop: carrying && outcome.outcome.dropped_all,
+            outcome,
+        }
+    }
+}
 
 /// Set bit positions of `word`, ascending, offset by `base`. `word` is
 /// a copy, so the loop body may clear bits of the column it came from.
@@ -143,7 +660,7 @@ struct CapChunk<'a> {
     clock: &'a mut [u64],
 }
 
-/// The columnar client fleet. See the module docs for the layout.
+/// The columnar client store. See the module docs for the layout.
 pub(crate) struct ColumnarFleet {
     n: usize,
     /// Hotspot size `H` = slots per client.
@@ -174,6 +691,16 @@ pub(crate) struct ColumnarFleet {
     stats: Vec<MuStats>,
     queries: Vec<PoissonProcess>,
     sleep: Vec<BernoulliIntervalProcess>,
+    query_rngs: Vec<RngStream>,
+    sleep_rngs: Vec<RngStream>,
+    /// The cell's shared Zipf rank CDF and each client's pick stream
+    /// (`None` when queries pick uniformly from the query stream).
+    zipf: Option<(Arc<ZipfPicker>, Vec<RngStream>)>,
+    /// Last interval whose sleep accounting was settled, per client.
+    last_settled: Vec<u64>,
+    /// Next interval each client is awake in (`u64::MAX` = never); the
+    /// scan wake schedule reads this column directly.
+    next_wake: Vec<u64>,
     /// The strategy's client half, shared by every client.
     rule: ReportRule,
     sig: Option<SigColumns>,
@@ -182,12 +709,12 @@ pub(crate) struct ColumnarFleet {
 
 impl ColumnarFleet {
     /// Creates an empty fleet; clients are appended by
-    /// [`Self::push_client`] in the constructor's per-index loop, so
-    /// the rng draw order matches the boxed-unit path exactly.
+    /// [`Self::push_client`].
     pub(crate) fn new(
         hotspot_size: usize,
         rule: ReportRule,
         capacity: Option<CapacitySpec>,
+        zipf: Option<Arc<ZipfPicker>>,
     ) -> Self {
         assert!(hotspot_size > 0, "hotspot cannot be empty");
         let sig = rule.decoder().map(|d| {
@@ -228,6 +755,11 @@ impl ColumnarFleet {
             stats: Vec::new(),
             queries: Vec::new(),
             sleep: Vec::new(),
+            query_rngs: Vec::new(),
+            sleep_rngs: Vec::new(),
+            zipf: zipf.map(|picker| (picker, Vec::new())),
+            last_settled: Vec::new(),
+            next_wake: Vec::new(),
             rule,
             sig,
             cap,
@@ -235,16 +767,18 @@ impl ColumnarFleet {
     }
 
     /// Appends one client, consuming exactly the draws
-    /// `MobileUnit::new` would: one exponential from `query_rng` for
-    /// the Poisson query process's first arrival. The hotspot arrives
-    /// in draw order and is sorted into slot order here.
-    pub(crate) fn push_client(
-        &mut self,
-        hotspot: Vec<ItemId>,
-        query_rate_per_item: f64,
-        sleep_probability: f64,
-        query_rng: &mut RngStream,
-    ) {
+    /// `ClientSeat::new` would: one exponential from the query stream
+    /// for the Poisson process's first arrival, one geometric from the
+    /// sleep stream for the first sleep run. The hotspot arrives in
+    /// draw order and is sorted into slot order here.
+    pub(crate) fn push_client(&mut self, streams: ClientStreams, query_rate_per_item: f64) {
+        let ClientStreams {
+            hotspot,
+            sleep_probability,
+            mut query_rng,
+            sleep_rng,
+            zipf_rng,
+        } = streams;
         assert_eq!(hotspot.len(), self.h, "fleet hotspots must share one size");
         let total_rate = query_rate_per_item * hotspot.len() as f64;
         let mut sorted = hotspot.clone();
@@ -263,14 +797,24 @@ impl ColumnarFleet {
         self.pending_mask
             .extend(std::iter::repeat_n(0u64, self.words));
         self.values.extend(std::iter::repeat_n(0u64, self.h));
-        self.stamps.extend(std::iter::repeat_n(SimTime::ZERO, self.h));
+        self.stamps
+            .extend(std::iter::repeat_n(SimTime::ZERO, self.h));
         self.cached.push(0);
         self.t_l.push(None);
         self.awake.push(true);
         self.posed_at.push(Vec::new());
         self.stats.push(MuStats::default());
-        self.queries.push(PoissonProcess::new(total_rate, query_rng));
-        self.sleep.push(BernoulliIntervalProcess::new(sleep_probability));
+        self.queries
+            .push(PoissonProcess::new(total_rate, &mut query_rng));
+        self.sleep
+            .push(BernoulliIntervalProcess::new(sleep_probability));
+        self.query_rngs.push(query_rng);
+        self.sleep_rngs.push(sleep_rng);
+        if let Some((_, rngs)) = &mut self.zipf {
+            rngs.push(zipf_rng.expect("a Zipf cell draws every client a pick stream"));
+        }
+        self.last_settled.push(0);
+        self.next_wake.push(0);
         if let Some(sig) = &mut self.sig {
             sig.tracked.extend(std::iter::repeat_n(None, sig.m));
             sig.tracked_count.push(0);
@@ -286,76 +830,40 @@ impl ColumnarFleet {
             cap.clock.push(0);
         }
         self.n += 1;
+        // The first sleep run, as if closing interval 0.
+        self.close_interval(self.n - 1, 0);
     }
 
-    /// Number of clients.
-    pub(crate) fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether client `idx` is awake this interval.
-    pub(crate) fn is_awake(&self, idx: usize) -> bool {
-        self.awake[idx]
-    }
-
-    /// Stats snapshot for client `idx`.
-    pub(crate) fn stats(&self, idx: usize) -> MuStats {
-        self.stats[idx]
-    }
-
-    /// Iterates all per-client stats (report aggregation).
-    pub(crate) fn stats_iter(&self) -> impl Iterator<Item = &MuStats> + '_ {
-        self.stats.iter()
-    }
-
-    /// Zeroes every client's stats (warm-up reset).
-    pub(crate) fn reset_stats(&mut self) {
+    /// Zeroes every client's stats (warm-up reset at interval `now`).
+    /// Sleep runs straddling the reset must not credit their pre-reset
+    /// intervals into the fresh stats.
+    fn reset_stats(&mut self, now: u64) {
         self.stats.fill(MuStats::default());
+        for settled in &mut self.last_settled {
+            *settled = (*settled).max(now);
+        }
     }
 
-    /// Marks client `idx` asleep.
-    pub(crate) fn enter_sleep(&mut self, idx: usize) {
-        self.awake[idx] = false;
-    }
-
-    /// Credits `k` asleep intervals (lazy settlement at wake-up).
-    pub(crate) fn credit_asleep_intervals(&mut self, idx: usize, k: u64) {
-        self.stats[idx].intervals_asleep += k;
-    }
-
-    /// Draws client `idx`'s next sleep run.
-    pub(crate) fn draw_sleep_run(&self, idx: usize, rng: &mut RngStream) -> u64 {
-        self.sleep[idx].draw_sleep_run(rng)
-    }
-
-    /// Unmatched-subset telemetry from the last processed report
-    /// (SIG/HYB only; `ReportHandler::last_unmatched_subsets`).
-    pub(crate) fn last_unmatched_subsets(&self, idx: usize) -> Option<u32> {
-        self.sig.as_ref().map(|s| s.last_unmatched[idx])
-    }
-
-    /// Starts interval `(from, to]` for awake client `idx`: generates
-    /// this interval's query arrivals into its pending set, consuming
-    /// `query_rng` exactly like `MobileUnit::begin_awake_interval`.
-    /// When `pick` is `Some` (Zipf skew), each arrival's hotspot index
-    /// comes from the closure and the uniform draw on `query_rng` is
-    /// *not consumed* — mirroring
-    /// `MobileUnit::begin_awake_interval_skewed`.
-    pub(crate) fn begin_awake_interval_skewed(
-        &mut self,
-        idx: usize,
-        from: SimTime,
-        to: SimTime,
-        query_rng: &mut RngStream,
-        mut pick: Option<&mut dyn FnMut() -> usize>,
-    ) {
-        self.awake[idx] = true;
+    /// [`ClientSeat::open_interval`] over the columns: credits the
+    /// sleep run that just ended and generates interval `i`'s query
+    /// arrivals into the pending set, consuming the client's streams
+    /// draw for draw like the seat (a Zipf pick leaves the uniform draw
+    /// on the query stream *unconsumed*).
+    fn open_interval(&mut self, idx: usize, i: u64, from: SimTime, to: SimTime) {
         let stats = &mut self.stats[idx];
+        stats.intervals_asleep += i - self.last_settled[idx] - 1;
+        self.last_settled[idx] = i;
+        self.awake[idx] = true;
         stats.intervals_awake += 1;
         let base = idx * self.h;
+        let query_rng = &mut self.query_rngs[idx];
+        let mut zipf = self
+            .zipf
+            .as_mut()
+            .map(|(picker, rngs)| (&**picker, &mut rngs[idx]));
         for at in self.queries[idx].arrivals_in(from, to, query_rng) {
-            let j = match pick.as_deref_mut() {
-                Some(pick) => pick(),
+            let j = match &mut zipf {
+                Some((picker, rng)) => picker.draw(rng),
                 None => query_rng.uniform_index(self.h as u64) as usize,
             };
             let slot = self.draw_slot[base + j] as usize;
@@ -363,6 +871,16 @@ impl ColumnarFleet {
             self.posed_at[idx].push(at);
             stats.queries_posed += 1;
         }
+    }
+
+    /// [`ClientSeat::close_interval`] over the columns.
+    fn close_interval(&mut self, idx: usize, i: u64) -> u64 {
+        let run = self.sleep[idx].draw_sleep_run(&mut self.sleep_rngs[idx]);
+        if run > 0 {
+            self.awake[idx] = false;
+        }
+        self.next_wake[idx] = wake_after(i, run);
+        self.next_wake[idx]
     }
 
     /// Slot of `item` in client `idx`'s hotspot block, if any.
@@ -374,7 +892,7 @@ impl ColumnarFleet {
     /// Installs an uplink answer: cache the fresh copy under the
     /// request's server timestamp and (SIG/HYB) adopt tracking for the
     /// item's subsets from the last heard report.
-    pub(crate) fn install_answer(&mut self, idx: usize, answer: QueryAnswer) {
+    fn install_answer(&mut self, idx: usize, answer: QueryAnswer) {
         let slot = self
             .slot_of(idx, answer.item)
             .expect("uplink answers only items the client queried, i.e. hotspot items");
@@ -431,7 +949,7 @@ impl ColumnarFleet {
     }
 
     /// Records a listened-for-but-missed report (fault injection).
-    pub(crate) fn miss_report(&mut self, idx: usize) {
+    fn miss_report(&mut self, idx: usize) {
         assert!(
             self.awake[idx],
             "a sleeping unit was not listening for the report"
@@ -442,7 +960,7 @@ impl ColumnarFleet {
     /// Visits every cached entry as `(item, value, timestamp)` in
     /// client order, items ascending — the iteration order of the
     /// boxed-unit safety check.
-    pub(crate) fn for_each_cached_entry<F: FnMut(ItemId, u64, SimTime)>(&self, mut f: F) {
+    fn for_each_cached_entry(&self, mut f: impl FnMut(ItemId, u64, SimTime)) {
         for idx in 0..self.n {
             let base = idx * self.h;
             for slot in 0..self.h {
@@ -457,187 +975,29 @@ impl ColumnarFleet {
         }
     }
 
-    /// The whole-fleet report sweep: every listening client (the
-    /// `heard` awake-slots, client indices `awake[slot]` ascending)
-    /// probes the broadcast's shared digest over its own slot block and
-    /// answers its pending queries.
-    /// Pure per-client work — no randomness, no shared mutation — so
-    /// when `threads > 1` and the listening set is large enough the
-    /// columns are split at client boundaries into contiguous chunks
-    /// and swept by scoped workers; results are returned in ascending
-    /// order either way, bit-identical at any worker count.
-    pub(crate) fn sweep(
-        &mut self,
-        heard: &[usize],
-        awake: &[usize],
-        digest: &ReportDigest<'_>,
-        observing: bool,
-        threads: usize,
-        par_min: usize,
-    ) -> Vec<super::simulation::SweepItem> {
-        let rule = &self.rule;
-        let h = self.h;
-        let words = self.words;
-        if threads > 1 && heard.len() >= par_min {
-            let workers = threads.min(heard.len());
-            let chunk_len = heard.len().div_ceil(workers);
-            let mut out = Vec::with_capacity(heard.len());
-            // Progressively split every mutable column at the chunk's
-            // last client index; read-only columns are shared whole.
-            let slot_items = &self.slot_items;
-            let awake_flags = &self.awake;
-            let mut valid = &mut self.valid[..];
-            let mut stamps = &mut self.stamps[..];
-            let mut cached = &mut self.cached[..];
-            let mut t_l = &mut self.t_l[..];
-            let mut pending_mask = &mut self.pending_mask[..];
-            let mut posed_at = &mut self.posed_at[..];
-            let mut stats = &mut self.stats[..];
-            let mut sig_cols = self.sig.as_mut().map(|s| {
-                (
-                    s.m,
-                    &mut s.tracked[..],
-                    &mut s.tracked_count[..],
-                    &mut s.last_report[..],
-                    &mut s.last_unmatched[..],
-                )
-            });
-            let mut cap_cols = self.cap.as_mut().map(|c| {
-                (
-                    &mut c.last_used[..],
-                    &mut c.use_count[..],
-                    &mut c.ghost[..],
-                    &mut c.ghost_stamps[..],
-                    &mut c.clock[..],
-                )
-            });
-            let mut base = 0usize;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for chunk in heard.chunks(chunk_len) {
-                    let last_idx = awake[*chunk.last().expect("chunks are non-empty")];
-                    let take = last_idx + 1 - base;
-                    let (valid_c, valid_r) = valid.split_at_mut(take * words);
-                    valid = valid_r;
-                    let (stamps_c, stamps_r) = stamps.split_at_mut(take * h);
-                    stamps = stamps_r;
-                    let (cached_c, cached_r) = cached.split_at_mut(take);
-                    cached = cached_r;
-                    let (t_l_c, t_l_r) = t_l.split_at_mut(take);
-                    t_l = t_l_r;
-                    let (mask_c, mask_r) = pending_mask.split_at_mut(take * words);
-                    pending_mask = mask_r;
-                    let (posed_c, posed_r) = posed_at.split_at_mut(take);
-                    posed_at = posed_r;
-                    let (stats_c, stats_r) = stats.split_at_mut(take);
-                    stats = stats_r;
-                    let sig_chunk = match &mut sig_cols {
-                        Some((m, tracked, count, last, unmatched)) => {
-                            let m = *m;
-                            let (tr_c, tr_r) = std::mem::take(tracked).split_at_mut(take * m);
-                            *tracked = tr_r;
-                            let (ct_c, ct_r) = std::mem::take(count).split_at_mut(take);
-                            *count = ct_r;
-                            let (lr_c, lr_r) = std::mem::take(last).split_at_mut(take);
-                            *last = lr_r;
-                            let (um_c, um_r) = std::mem::take(unmatched).split_at_mut(take);
-                            *unmatched = um_r;
-                            Some(SigChunk {
-                                m,
-                                tracked: tr_c,
-                                tracked_count: ct_c,
-                                last_report: lr_c,
-                                last_unmatched: um_c,
-                            })
-                        }
-                        None => None,
-                    };
-                    let cap_chunk = match &mut cap_cols {
-                        Some((last_used, use_count, ghost, ghost_stamps, clock)) => {
-                            let (lu_c, lu_r) = std::mem::take(last_used).split_at_mut(take * h);
-                            *last_used = lu_r;
-                            let (uc_c, uc_r) = std::mem::take(use_count).split_at_mut(take * h);
-                            *use_count = uc_r;
-                            let (gh_c, gh_r) = std::mem::take(ghost).split_at_mut(take * h);
-                            *ghost = gh_r;
-                            let (gs_c, gs_r) =
-                                std::mem::take(ghost_stamps).split_at_mut(take * h);
-                            *ghost_stamps = gs_r;
-                            let (ck_c, ck_r) = std::mem::take(clock).split_at_mut(take);
-                            *clock = ck_r;
-                            Some(CapChunk {
-                                last_used: lu_c,
-                                use_count: uc_c,
-                                ghost: gh_c,
-                                ghost_stamps: gs_c,
-                                clock: ck_c,
-                            })
-                        }
-                        None => None,
-                    };
-                    let mut view = ChunkView {
-                        base,
-                        h,
-                        words,
-                        slot_items,
-                        awake: awake_flags,
-                        valid: valid_c,
-                        stamps: stamps_c,
-                        cached: cached_c,
-                        t_l: t_l_c,
-                        pending_mask: mask_c,
-                        posed_at: posed_c,
-                        stats: stats_c,
-                        sig: sig_chunk,
-                        cap: cap_chunk,
-                    };
-                    base = last_idx + 1;
-                    handles.push(scope.spawn(move || {
-                        let mut items = Vec::with_capacity(chunk.len());
-                        for &slot in chunk {
-                            let idx = awake[slot];
-                            items.push(sweep_client(
-                                &mut view, rule, digest, idx, slot, observing,
-                            ));
-                        }
-                        items
-                    }));
-                }
-                for handle in handles {
-                    out.extend(handle.join().expect("columnar sweep worker panicked"));
-                }
-            });
-            out
-        } else {
-            let mut view = ChunkView {
-                base: 0,
-                h,
-                words,
-                slot_items: &self.slot_items,
-                awake: &self.awake,
-                valid: &mut self.valid,
-                stamps: &mut self.stamps,
-                cached: &mut self.cached,
-                t_l: &mut self.t_l,
-                pending_mask: &mut self.pending_mask,
-                posed_at: &mut self.posed_at,
-                stats: &mut self.stats,
-                sig: self.sig.as_mut().map(SigColumns::chunk),
-                cap: self.cap.as_mut().map(|c| CapChunk {
-                    last_used: &mut c.last_used,
-                    use_count: &mut c.use_count,
-                    ghost: &mut c.ghost,
-                    ghost_stamps: &mut c.ghost_stamps,
-                    clock: &mut c.clock,
-                }),
-            };
-            heard
-                .iter()
-                .map(|&slot| {
-                    let idx = awake[slot];
-                    sweep_client(&mut view, rule, digest, idx, slot, observing)
-                })
-                .collect()
+    /// Every client's sweep-time columns as one chunk.
+    fn view(&mut self) -> ChunkView<'_> {
+        ChunkView {
+            rule: &self.rule,
+            h: self.h,
+            words: self.words,
+            slot_items: &self.slot_items,
+            awake: &self.awake,
+            valid: &mut self.valid,
+            stamps: &mut self.stamps,
+            cached: &mut self.cached,
+            t_l: &mut self.t_l,
+            pending_mask: &mut self.pending_mask,
+            posed_at: &mut self.posed_at,
+            stats: &mut self.stats,
+            sig: self.sig.as_mut().map(SigColumns::chunk),
+            cap: self.cap.as_mut().map(|c| CapChunk {
+                last_used: &mut c.last_used,
+                use_count: &mut c.use_count,
+                ghost: &mut c.ghost,
+                ghost_stamps: &mut c.ghost_stamps,
+                clock: &mut c.clock,
+            }),
         }
     }
 }
@@ -663,10 +1023,12 @@ impl SigChunk<'_> {
     }
 }
 
-/// A contiguous client range of the fleet's columns, local indices
-/// rebased by `base`. One chunk per sweep worker; chunks never alias.
+/// The sweep-time columns of a contiguous client range. The read-only
+/// columns are shared whole and indexed by fleet index; the mutable
+/// ones are this chunk's alone, indexed by position in the chunk. One
+/// chunk per sweep worker; chunks never alias.
 struct ChunkView<'a> {
-    base: usize,
+    rule: &'a ReportRule,
     h: usize,
     words: usize,
     slot_items: &'a [ItemId],
@@ -750,108 +1112,132 @@ impl CacheSlots for SlotBlock<'_> {
     }
 }
 
-/// One client's share of the report sweep — what
-/// `MobileUnit::hear_report_and_answer` does for a boxed unit: apply
-/// the rule, then latency accounting, hit/miss events, deduplicated
-/// uplink requests. `idx` is the global client index, `local = idx -
-/// view.base` its position inside the chunk.
-fn sweep_client(
-    view: &mut ChunkView<'_>,
-    rule: &ReportRule,
-    digest: &ReportDigest<'_>,
-    idx: usize,
-    awake_slot: usize,
-    observing: bool,
-) -> super::simulation::SweepItem {
-    assert!(view.awake[idx], "a sleeping unit cannot hear a report");
-    let local = idx - view.base;
-    let pre = if observing {
-        Some((view.stats[local], view.t_l[local]))
-    } else {
-        None
-    };
-    let (h, words) = (view.h, view.words);
-    let mut block = SlotBlock {
-        // slot_items is the full shared column, indexed by the global
-        // client index; every other column is the chunk's.
-        items: &view.slot_items[idx * h..(idx + 1) * h],
-        valid: &mut view.valid[local * words..(local + 1) * words],
-        stamps: &mut view.stamps[local * h..(local + 1) * h],
-        cached: &mut view.cached[local],
-        ghosts: view.cap.as_mut().map(|cap| {
-            (
-                &mut cap.ghost[local * h..(local + 1) * h],
-                &cap.ghost_stamps[local * h..(local + 1) * h],
-            )
-        }),
-    };
-    let sig = view.sig.as_mut().map(|s| s.track(local));
-    let outcome = rule.apply(&mut block, sig, digest, view.t_l[local]);
-    let t_i = outcome.report_time;
-    let stats = &mut view.stats[local];
-    for &posed_at in &view.posed_at[local] {
-        let lat = t_i.saturating_duration_since(posed_at).as_secs();
-        stats.latency_sum_secs += lat;
-        if lat > stats.latency_max_secs {
-            stats.latency_max_secs = lat;
+impl SweepStore for ChunkView<'_> {
+    fn split_front(&mut self, n: usize) -> Self {
+        let (h, words) = (self.h, self.words);
+        ChunkView {
+            rule: self.rule,
+            h,
+            words,
+            slot_items: self.slot_items,
+            awake: self.awake,
+            valid: front(&mut self.valid, n * words),
+            stamps: front(&mut self.stamps, n * h),
+            cached: front(&mut self.cached, n),
+            t_l: front(&mut self.t_l, n),
+            pending_mask: front(&mut self.pending_mask, n * words),
+            posed_at: front(&mut self.posed_at, n),
+            stats: front(&mut self.stats, n),
+            sig: self.sig.as_mut().map(|s| SigChunk {
+                m: s.m,
+                tracked: front(&mut s.tracked, n * s.m),
+                tracked_count: front(&mut s.tracked_count, n),
+                last_report: front(&mut s.last_report, n),
+                last_unmatched: front(&mut s.last_unmatched, n),
+            }),
+            cap: self.cap.as_mut().map(|c| CapChunk {
+                last_used: front(&mut c.last_used, n * h),
+                use_count: front(&mut c.use_count, n * h),
+                ghost: front(&mut c.ghost, n * h),
+                ghost_stamps: front(&mut c.ghost_stamps, n * h),
+                clock: front(&mut c.clock, n),
+            }),
         }
     }
-    view.posed_at[local].clear();
-    view.t_l[local] = Some(t_i);
-    if outcome.dropped_all {
-        stats.cache_drops += 1;
-    }
-    stats.items_invalidated += outcome.invalidated.len() as u64;
-    // Answer Q_i: one event per distinct pending item. The pending mask
-    // is that set already — one bit per queried slot, and ascending
-    // bits are ascending item ids.
-    let mut uplink = Vec::new();
-    for w in 0..view.words {
-        let word = local * view.words + w;
-        for slot in set_bits(std::mem::take(&mut view.pending_mask[word]), w * 64) {
-            let hit = view.valid[word] & (1 << (slot % 64)) != 0;
-            let at = local * view.h + slot;
-            // Mirror `Cache::get`: the access clock ticks on every
-            // read, hit or miss; a hit also bumps recency and the LFU
-            // count.
-            if let Some(cap) = &mut view.cap {
-                cap.clock[local] += 1;
-                if hit {
-                    cap.last_used[at] = cap.clock[local];
-                    cap.use_count[at] += 1;
-                }
+
+    /// What `MobileUnit::hear_digest_and_answer` does for a seat: apply
+    /// the rule, then latency accounting, hit/miss events, deduplicated
+    /// uplink requests.
+    fn sweep_client(
+        &mut self,
+        local: usize,
+        idx: usize,
+        awake_slot: usize,
+        observing: bool,
+        digest: &ReportDigest<'_>,
+    ) -> SweepItem {
+        assert!(self.awake[idx], "a sleeping unit cannot hear a report");
+        let pre = observing.then(|| (self.stats[local], self.t_l[local]));
+        let (h, words) = (self.h, self.words);
+        let mut block = SlotBlock {
+            items: &self.slot_items[idx * h..(idx + 1) * h],
+            valid: &mut self.valid[local * words..(local + 1) * words],
+            stamps: &mut self.stamps[local * h..(local + 1) * h],
+            cached: &mut self.cached[local],
+            ghosts: self.cap.as_mut().map(|cap| {
+                (
+                    &mut cap.ghost[local * h..(local + 1) * h],
+                    &cap.ghost_stamps[local * h..(local + 1) * h],
+                )
+            }),
+        };
+        let sig = self.sig.as_mut().map(|s| s.track(local));
+        let outcome = self.rule.apply(&mut block, sig, digest, self.t_l[local]);
+        let t_i = outcome.report_time;
+        let stats = &mut self.stats[local];
+        for &posed_at in &self.posed_at[local] {
+            let lat = t_i.saturating_duration_since(posed_at).as_secs();
+            stats.latency_sum_secs += lat;
+            if lat > stats.latency_max_secs {
+                stats.latency_max_secs = lat;
             }
-            if hit {
-                stats.hit_events += 1;
-                continue;
-            }
-            stats.miss_events += 1;
-            // `Cache::take_ghost`: classify the requery of an evicted
-            // copy — fresh ghost ⇒ the capacity bound caused this miss.
-            if let Some(cap) = &mut view.cap {
-                match std::mem::take(&mut cap.ghost[at]) {
-                    1 => {
-                        stats.capacity_misses += 1;
-                        stats.evicted_then_requeried += 1;
+        }
+        self.posed_at[local].clear();
+        self.t_l[local] = Some(t_i);
+        if outcome.dropped_all {
+            stats.cache_drops += 1;
+        }
+        stats.items_invalidated += outcome.invalidated.len() as u64;
+        // Answer Q_i: one event per distinct pending item. The pending mask
+        // is that set already — one bit per queried slot, and ascending
+        // bits are ascending item ids.
+        let mut uplink = Vec::new();
+        for w in 0..self.words {
+            let word = local * self.words + w;
+            for slot in set_bits(std::mem::take(&mut self.pending_mask[word]), w * 64) {
+                let hit = self.valid[word] & (1 << (slot % 64)) != 0;
+                let at = local * self.h + slot;
+                // Mirror `Cache::get`: the access clock ticks on every
+                // read, hit or miss; a hit also bumps recency and the LFU
+                // count.
+                if let Some(cap) = &mut self.cap {
+                    cap.clock[local] += 1;
+                    if hit {
+                        cap.last_used[at] = cap.clock[local];
+                        cap.use_count[at] += 1;
                     }
-                    2 => stats.evicted_then_requeried += 1,
-                    _ => {}
                 }
+                if hit {
+                    stats.hit_events += 1;
+                    continue;
+                }
+                stats.miss_events += 1;
+                // `Cache::take_ghost`: classify the requery of an evicted
+                // copy — fresh ghost ⇒ the capacity bound caused this miss.
+                if let Some(cap) = &mut self.cap {
+                    match std::mem::take(&mut cap.ghost[at]) {
+                        1 => {
+                            stats.capacity_misses += 1;
+                            stats.evicted_then_requeried += 1;
+                        }
+                        2 => stats.evicted_then_requeried += 1,
+                        _ => {}
+                    }
+                }
+                // Piggyback histories are ineligible for the columnar
+                // fleet, so the uplink request never carries one.
+                uplink.push((self.slot_items[idx * self.h + slot], None));
             }
-            // Piggyback histories are ineligible for the columnar
-            // fleet, so the uplink request never carries one.
-            uplink.push((view.slot_items[idx * view.h + slot], None));
         }
-    }
-    super::simulation::SweepItem {
-        slot: awake_slot,
-        pre,
-        migrated_pre_len: None,
-        outcome: IntervalReport {
-            awake: true,
-            outcome: Some(outcome),
-            uplink_requests: uplink,
-        },
+        SweepItem {
+            slot: awake_slot,
+            pre,
+            handoff_drop: false,
+            outcome: IntervalReport {
+                outcome,
+                uplink_requests: uplink,
+            },
+        }
     }
 }
 

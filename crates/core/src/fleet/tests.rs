@@ -1,13 +1,19 @@
-//! Boxed `MobileUnit` against a one-client `ColumnarFleet` on payloads
-//! no report builder emits: unsorted, with duplicated ids, with ids
-//! outside every hot spot. `tests/columnar_equivalence.rs` only ever
-//! feeds both backends what `ReportBuilder`s produce (ascending, unique),
-//! so the `ProcessOutcome::invalidated` ordering contract, the
-//! duplicate-id verdicts and the gap rule at its exact boundary are
-//! pinned here, for every rule, where a payload can be hand-built and
-//! handed to `ColumnarFleet::sweep` directly. Both backends apply the
-//! same `ReportRule`; what can differ is the `CacheSlots` store under
-//! it and the answer loop around it.
+//! `Fleet::Units` against `Fleet::Columnar`, one client each, driven
+//! through the *same* phase calls — `open_interval`, `miss_report`,
+//! `sweep`, `install_answer`, `close_interval` — on payloads and
+//! schedules the cell driver never produces.
+//!
+//! `tests/columnar_equivalence.rs` only ever feeds both stores what
+//! `ReportBuilder`s emit (ascending, unique), so the
+//! `ProcessOutcome::invalidated` ordering contract, the duplicate-id
+//! verdicts and the gap rule at its exact boundary are pinned here, for
+//! every rule, where a payload can be hand-built: unsorted, with
+//! duplicated ids, with ids outside every hot spot. Both stores apply
+//! the same `ReportRule`; what can differ is the `CacheSlots` store
+//! under it and the answer loop around it. The remaining rows pin what
+//! the seat and the columns each keep beside the cache: sleep-run
+//! settlement across a stats reset, the never-wake sentinel, the Zipf
+//! pick's stream discipline, and the pending set across missed reports.
 
 use sw_client::{DigestScratch, MobileUnit, MuConfig, ProcessOutcome, RuleHandler};
 use sw_server::{GroupMap, HotSet};
@@ -79,19 +85,16 @@ fn rule(kind: Kind) -> ReportRule {
 /// What one heard report did, in comparable form.
 type Heard = (ProcessOutcome, Vec<ItemId>, String);
 
-/// The two backends behind one face, one client each.
-enum Unit {
-    Boxed(Box<MobileUnit>),
-    Columnar(Box<ColumnarFleet>),
+fn report_time(i: u64) -> SimTime {
+    SimTime::from_secs(LATENCY * i as f64)
 }
 
-impl Unit {
-    fn begin(&mut self, from: f64, to: f64, rng: &mut RngStream) {
-        let (from, to) = (SimTime::from_secs(from), SimTime::from_secs(to));
-        match self {
-            Unit::Boxed(mu) => mu.begin_awake_interval(from, to, rng),
-            Unit::Columnar(fleet) => fleet.begin_awake_interval_skewed(0, from, to, rng, None),
-        }
+/// One-client fleets are driven through the interval protocol by the
+/// phase calls `CellSimulation::step` makes — the same ones on either
+/// variant.
+impl Fleet {
+    fn open(&mut self, i: u64) {
+        self.open_interval(0, i, report_time(i - 1), report_time(i));
     }
 
     /// Hears `payload`, then installs an answer stamped `T_i` for every
@@ -99,13 +102,8 @@ impl Unit {
     fn hear(&mut self, payload: &FramePayload) -> Heard {
         let mut scratch = DigestScratch::default();
         let digest = scratch.digest(payload);
-        let report = match self {
-            Unit::Boxed(mu) => mu.hear_digest_and_answer(&digest),
-            Unit::Columnar(fleet) => {
-                let mut items = fleet.sweep(&[0], &[0], &digest, false, 1, usize::MAX);
-                items.pop().expect("one listener, one item").outcome
-            }
-        };
+        let mut items = self.sweep(&[0], &[0], &digest, false, 1);
+        let report = items.pop().expect("one listener, one item").outcome;
         let uplink: Vec<ItemId> = report
             .uplink_requests
             .iter()
@@ -117,41 +115,50 @@ impl Unit {
                 value: item + 1,
                 timestamp: digest.report_time(),
             };
-            match self {
-                Unit::Boxed(mu) => mu.install_answer(answer),
-                Unit::Columnar(fleet) => fleet.install_answer(0, answer),
-            }
+            self.install_answer(0, answer);
         }
-        let (stats, unmatched) = match self {
-            Unit::Boxed(mu) => (mu.stats(), mu.last_unmatched_subsets()),
-            Unit::Columnar(fleet) => (fleet.stats(0), fleet.last_unmatched_subsets(0)),
-        };
-        (
-            report.outcome.expect("an awake unit processes the report"),
-            uplink,
-            format!("{stats:?} unmatched={unmatched:?}"),
+        (report.outcome, uplink, self.summary())
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "{:?} unmatched={:?} awake={} next_wake={}",
+            self.stats(0),
+            self.last_unmatched_subsets(0),
+            self.is_awake(0),
+            self.next_wake(0)
         )
     }
 }
 
-fn unit(columnar: bool, kind: Kind, capacity: Option<usize>) -> (Unit, RngStream) {
-    let mut rng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
+/// One client over `HOTSPOT` with sleep probability `s`, on either
+/// store, from the same streams.
+fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Option<f64>) -> Fleet {
+    let stream = |id| MasterSeed::TEST.stream(id);
+    let streams = ClientStreams {
+        hotspot: HOTSPOT.to_vec(),
+        sleep_probability: s,
+        query_rng: stream(StreamId::Queries { index: 0 }),
+        sleep_rng: stream(StreamId::Sleep { index: 0 }),
+        zipf_rng: zipf.map(|_| stream(StreamId::ZipfQuery { index: 0 })),
+    };
+    let picker = zipf.map(|theta| Arc::new(ZipfPicker::new(HOTSPOT.len(), theta)));
     let window = SimDuration::from_secs(LATENCY).scaled(K as f64);
-    let unit = if columnar {
+    if columnar {
         let capacity = capacity.map(|cap| CapacitySpec {
             cap,
             policy: ReplacementPolicy::Lru,
             window,
         });
-        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(kind), capacity);
-        fleet.push_client(HOTSPOT.to_vec(), LAMBDA, 0.0, &mut rng);
-        Unit::Columnar(Box::new(fleet))
+        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(kind), capacity, picker);
+        fleet.push_client(streams, LAMBDA);
+        Fleet::Columnar(fleet)
     } else {
         let config = MuConfig {
             id: 0,
-            hotspot: HOTSPOT.to_vec(),
+            hotspot: streams.hotspot,
             query_rate_per_item: LAMBDA,
-            sleep_probability: 0.0,
+            sleep_probability: s,
             cache_capacity: capacity,
             replacement: ReplacementPolicy::Lru,
             replacement_window: window,
@@ -159,9 +166,22 @@ fn unit(columnar: bool, kind: Kind, capacity: Option<usize>) -> (Unit, RngStream
             item_universe: Some(UNIVERSE),
         };
         let handler = Box::new(RuleHandler::new(rule(kind)));
-        Unit::Boxed(Box::new(MobileUnit::new(config, handler, &mut rng)))
-    };
-    (unit, rng)
+        let mut query_rng = streams.query_rng;
+        let mu = MobileUnit::new(config, handler, &mut query_rng);
+        let zipf = picker.zip(streams.zipf_rng);
+        Fleet::Units(vec![ClientSeat::seated(
+            mu,
+            query_rng,
+            streams.sleep_rng,
+            zipf,
+            None,
+        )])
+    }
+}
+
+/// Both stores of the same one-client cell.
+fn both(kind: Kind, capacity: Option<usize>, s: f64, zipf: Option<f64>) -> [Fleet; 2] {
+    [false, true].map(|columnar| fleet(columnar, kind, capacity, s, zipf))
 }
 
 /// The hand-built report stream of one strategy. Every other report is
@@ -278,8 +298,7 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
         (Hyb, 8, 0),
     ] {
         for capacity in [None, Some(4)] {
-            let (mut boxed, mut boxed_rng) = unit(false, kind, capacity);
-            let (mut columnar, mut columnar_rng) = unit(true, kind, capacity);
+            let [mut boxed, mut columnar] = both(kind, capacity, 0.0, None);
             let mut reports = Reports::new(kind);
             let (mut invalidated_total, mut drops) = (0, 0);
             for i in 1..=INTERVALS {
@@ -287,9 +306,8 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
                 if ASLEEP.contains(&i) {
                     continue;
                 }
-                let (from, to) = (LATENCY * (i - 1) as f64, LATENCY * i as f64);
-                boxed.begin(from, to, &mut boxed_rng);
-                columnar.begin(from, to, &mut columnar_rng);
+                boxed.open(i);
+                columnar.open(i);
                 // The first report finds the cache empty (and `T_l`
                 // unset): no rule may call that a drop.
                 let expected = boxed.hear(&payload);
@@ -298,6 +316,9 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
                     columnar.hear(&payload),
                     "{kind:?} capacity={capacity:?} interval {i}"
                 );
+                // A workaholic is due again the very next interval.
+                assert_eq!(boxed.close_interval(0, i), i + 1);
+                assert_eq!(columnar.close_interval(0, i), i + 1);
                 let outcome = &expected.0;
                 assert!(
                     i > 1 || !outcome.dropped_all,
@@ -321,4 +342,139 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
             assert!(kind != Ts || drops == 1, "TS drops at 4L only, saw {drops}");
         }
     }
+}
+
+#[test]
+fn sleep_run_straddling_a_stats_reset_credits_no_pre_reset_intervals() {
+    for mut fleet in both(Kind::Ts, None, 0.0, None) {
+        fleet.open(1);
+        fleet.hear(&Reports::new(Kind::Ts).next(1));
+        fleet.close_interval(0, 1);
+        // Asleep over 2..=6; the warm-up ends after interval 4.
+        fleet.reset_stats(4);
+        fleet.open(7);
+        let stats = fleet.stats(0);
+        assert_eq!(
+            stats.intervals_asleep, 2,
+            "only intervals 5 and 6 are post-reset"
+        );
+        assert_eq!(stats.intervals_awake, 1);
+        // A reset while awake credits nothing at the next wake either.
+        fleet.close_interval(0, 7);
+        fleet.reset_stats(7);
+        fleet.open(8);
+        assert_eq!(fleet.stats(0).intervals_asleep, 0);
+    }
+}
+
+#[test]
+fn never_wake_sentinel_leaves_the_schedule_under_both_wake_modes() {
+    for fleet in both(Kind::At, None, 1.0, None) {
+        // s = 1: the first sleep run is the sentinel.
+        assert_eq!(fleet.next_wake(0), u64::MAX);
+        assert!(!fleet.is_awake(0));
+        for mode in [WakeMode::Scan, WakeMode::Heap] {
+            let mut schedule = WakeSchedule::new(mode, &fleet);
+            let mut awake = Vec::new();
+            for i in [1, 2, 1 << 40, u64::MAX - 1] {
+                schedule.pop_due(i, &fleet, &mut awake);
+            }
+            assert!(awake.is_empty(), "{mode:?}: a never-waking unit came due");
+            assert!(
+                matches!(schedule, WakeSchedule::Scan)
+                    || matches!(&schedule, WakeSchedule::Heap(heap) if heap.is_empty()),
+                "{mode:?}: the sentinel must not sit in the heap"
+            );
+        }
+    }
+    // A unit that does wake is due exactly once per scheduling, in
+    // either mode.
+    for fleet in both(Kind::At, None, 0.0, None) {
+        for mode in [WakeMode::Scan, WakeMode::Heap] {
+            let mut schedule = WakeSchedule::new(mode, &fleet);
+            let mut awake = Vec::new();
+            schedule.pop_due(1, &fleet, &mut awake);
+            assert_eq!(awake, [0], "{mode:?}");
+        }
+    }
+}
+
+#[test]
+fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
+    let [mut boxed, mut columnar] = both(Kind::At, None, 0.0, Some(0.8));
+    let [mut uniform, _] = both(Kind::At, None, 0.0, None);
+    // The query stream with nothing but arrival times drawn from it.
+    let mut rng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
+    let mut arrivals = PoissonProcess::new(LAMBDA * HOTSPOT.len() as f64, &mut rng);
+    let mut posed = 0u64;
+    for i in 1..=12 {
+        posed += arrivals
+            .arrivals_in(report_time(i - 1), report_time(i), &mut rng)
+            .len() as u64;
+        for fleet in [&mut boxed, &mut columnar, &mut uniform] {
+            fleet.open(i);
+        }
+        assert_eq!(boxed.stats(0).queries_posed, posed, "interval {i}");
+        assert_eq!(columnar.stats(0).queries_posed, posed, "interval {i}");
+        let payload = Reports::new(Kind::At).next(i);
+        assert_eq!(
+            boxed.hear(&payload),
+            columnar.hear(&payload),
+            "interval {i}"
+        );
+        uniform.hear(&payload);
+    }
+    assert!(posed > 20, "the row needs arrivals to mean anything");
+    assert_ne!(
+        uniform.stats(0).queries_posed,
+        posed,
+        "uniform picks interleave with the arrival draws, so the schedules part"
+    );
+}
+
+#[test]
+fn missed_reports_keep_the_pending_set_and_accrue_latency() {
+    let [mut boxed, mut columnar] = both(Kind::Ts, None, 0.0, None);
+    let mut reports = Reports::new(Kind::Ts);
+    for fleet in [&mut boxed, &mut columnar] {
+        fleet.open(1);
+    }
+    let first = reports.next(1);
+    assert_eq!(boxed.hear(&first), columnar.hear(&first));
+    let answered = boxed.stats(0).query_events();
+    // Intervals 2 and 3: queries are posed, the report never arrives.
+    for i in 2..=3 {
+        reports.next(i);
+        for fleet in [&mut boxed, &mut columnar] {
+            fleet.open(i);
+            fleet.miss_report(0);
+            assert_eq!(fleet.close_interval(0, i), i + 1);
+            let stats = fleet.stats(0);
+            assert_eq!(stats.reports_missed, i - 1);
+            assert_eq!(
+                stats.query_events(),
+                answered,
+                "nothing is answered without a report"
+            );
+        }
+        assert_eq!(boxed.summary(), columnar.summary(), "interval {i}");
+    }
+    assert!(boxed.stats(0).queries_posed > answered, "queries piled up");
+    let fourth = reports.next(4);
+    for fleet in [&mut boxed, &mut columnar] {
+        fleet.open(4);
+    }
+    let heard = boxed.hear(&fourth);
+    assert_eq!(heard, columnar.hear(&fourth));
+    let stats = boxed.stats(0);
+    assert!(
+        stats.query_events() > answered,
+        "the pending set is answered at report 4"
+    );
+    // A query of interval 2 waited from (T_1, T_2] to T_4: over 2L.
+    assert!(
+        stats.latency_max_secs >= 2.0 * LATENCY,
+        "latency keeps accruing across missed reports: {}",
+        stats.latency_max_secs
+    );
 }

@@ -50,12 +50,14 @@ pub(crate) mod fleet;
 pub mod metrics;
 pub mod prelude;
 pub mod safety;
+pub mod seat;
 pub mod simulation;
 pub mod strategy;
 
 pub use config::{CellConfig, FleetBackend, WakeMode};
 pub use driver::ServerDriver;
 pub use metrics::{MigrationStats, SimulationReport};
+pub use seat::ClientSeat;
 pub use simulation::{CellSimulation, HandoffClient, SimulationError};
 pub use strategy::Strategy;
 

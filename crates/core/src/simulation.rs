@@ -7,44 +7,52 @@
 //! within an interval, updates and query arrivals occur at exact
 //! exponential arrival times.
 //!
-//! Per interval `i` (covering `(T_{i−1}, T_i]`):
+//! Per interval `i` (covering `(T_{i−1}, T_i]`), [`CellSimulation::step`]
+//! runs these phases in order over the crate's `Fleet` — boxed seats or
+//! columns; no phase asks which:
 //!
-//! 1. the update engine applies this interval's updates to the database
-//!    (report builders observe each via `on_update`);
-//! 2. the builder produces the report broadcast at `T_i`, which is
-//!    charged `B_c` bits against the interval budget `L·W`;
-//! 3. every client draws its sleep state; awake clients generate query
-//!    arrivals, hear the report (running their strategy's §3
-//!    algorithm), answer pending queries from cache, and send misses
-//!    uplink — each costing `b_q + b_a` bits;
-//! 4. optionally, the safety checker verifies every cache entry against
-//!    the full value history;
-//! 5. adaptive/quasi bookkeeping (evaluation periods, obligation lists)
-//!    runs at the boundary.
+//! 1. `wake_and_pose` — the units due this interval wake, settle the
+//!    sleep run that just ended, and generate their query arrivals
+//!    (`registry_transitions` then charges the stateful baseline's
+//!    connect/disconnect messages);
+//! 2. `apply_updates` — the update engine applies this interval's
+//!    updates to the database (report builders observe each via
+//!    `on_update`);
+//! 3. `broadcast` — the builder produces the report broadcast at `T_i`,
+//!    which is charged `B_c` bits against the interval budget `L·W`;
+//! 4. `drain_deferred_uplinks`, `draw_fates`, `Fleet::sweep`, `merge` —
+//!    awake clients hear the report (running their strategy's §3
+//!    algorithm) or miss it, answer pending queries from cache, and
+//!    send misses uplink — each costing `b_q + b_a` bits;
+//! 5. `charge_energy` — §9/§10 radio-state accounting;
+//! 6. `audit_safety` — optionally, the safety checker verifies every
+//!    cache entry against the full value history;
+//! 7. `close_period` — adaptive/quasi bookkeeping (evaluation periods,
+//!    obligation lists) runs at the boundary, the update log is pruned;
+//! 8. `schedule_sleep` — every awake unit draws its next sleep run;
+//!    `record_interval` writes the observation record.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-use sw_adaptive::FeedbackMethod;
 use sw_capacity::{CapacityStats, CoopDirectory, CoopFeed, CoopStats};
 use sw_client::handler::time_to_micros;
-use sw_client::{DigestScratch, IntervalReport, MobileUnit, MuConfig, MuStats, ReportDigest};
-use sw_faults::{FaultLayer, ReportFate};
+use sw_client::{DigestScratch, MuStats, ReportDigest};
+use sw_faults::{FaultLayer, FaultTotals, ReportFate};
+use sw_observe::{Recorder, Value};
 use sw_query::{QueryPlane, QueryStats};
 use sw_server::{Database, ItemId, PiggybackInfo, QueryAnswer, UpdateEngine, UplinkProcessor};
-use sw_observe::{Recorder, Value};
-use sw_sim::{IntervalClock, MasterSeed, RngStream, SimDuration, SimTime, StreamId};
-use sw_wireless::frame::{checksum64, flip_bit};
+use sw_sim::{IntervalClock, RngStream, SimDuration, SimTime, StreamId};
+use sw_wireless::frame::checksum64;
 use sw_wireless::{
     BroadcastChannel, ChannelError, EnergyTotals, FramePayload, ReportDelivery, WireEncode,
 };
-use sw_workload::{HotspotSpec, ZipfPicker};
 
-use crate::config::{CellConfig, FleetBackend, WakeMode};
+use crate::config::{CellConfig, WakeMode};
 use crate::driver::ServerDriver;
-use crate::fleet::{CapacitySpec, ColumnarFleet};
+use crate::fleet::{Fleet, SweepItem, WakeSchedule};
 use crate::metrics::{MigrationStats, SimulationReport};
 use crate::safety::{SafetyExpectation, SafetyStats, ValueHistory};
+use crate::seat::{demonstrate_corruption, ClientSeat};
 use crate::strategy::Strategy;
 
 /// Errors a simulation can raise.
@@ -101,83 +109,6 @@ impl std::error::Error for SimulationError {}
 /// pass beats paying a push+pop per awake client per interval.
 const HEAP_SLEEP_THRESHOLD: f64 = 0.95;
 
-/// The sleeper skip-list: which unit wakes in which interval, under
-/// either [`WakeMode`] representation. Both produce the identical due
-/// set in the identical ascending-index order (all entries due in
-/// interval `i` carry wake time exactly `i`, so heap pops order by
-/// index; the scan is index-ordered by construction), so every random
-/// stream downstream is consumed in the same sequence regardless of
-/// mode.
-enum WakeSchedule {
-    /// `wake_at[idx]` = next interval in which unit `idx` is awake
-    /// (`u64::MAX` = never wakes again).
-    Scan { wake_at: Vec<u64> },
-    /// Min-heap of `(wake_interval, client_idx)`; never-waking units
-    /// simply leave the heap.
-    Heap { heap: BinaryHeap<Reverse<(u64, usize)>> },
-}
-
-impl WakeSchedule {
-    fn new(mode: WakeMode, n_clients: usize) -> Self {
-        match mode {
-            WakeMode::Scan => WakeSchedule::Scan {
-                wake_at: vec![u64::MAX; n_clients],
-            },
-            WakeMode::Heap => WakeSchedule::Heap {
-                heap: BinaryHeap::with_capacity(n_clients),
-            },
-        }
-    }
-
-    /// Schedules unit `idx` to wake in interval `wake` (`u64::MAX` =
-    /// never). Each unit must be rescheduled after every pop.
-    fn schedule(&mut self, idx: usize, wake: u64) {
-        match self {
-            WakeSchedule::Scan { wake_at } => wake_at[idx] = wake,
-            WakeSchedule::Heap { heap } => {
-                if wake != u64::MAX {
-                    heap.push(Reverse((wake, idx)));
-                }
-            }
-        }
-    }
-
-    /// Extends the schedule for one appended client slot (mesh attach).
-    /// Scan mode must grow its wake vector; heap mode just pushes.
-    fn push_client(&mut self, idx: usize, wake: u64) {
-        match self {
-            WakeSchedule::Scan { wake_at } => {
-                debug_assert_eq!(wake_at.len(), idx, "attach appends, never inserts");
-                wake_at.push(wake);
-            }
-            WakeSchedule::Heap { .. } => self.schedule(idx, wake),
-        }
-    }
-
-    /// Appends every unit due at interval `i` to `awake`, ascending by
-    /// client index.
-    fn pop_due(&mut self, i: u64, awake: &mut Vec<usize>) {
-        match self {
-            WakeSchedule::Scan { wake_at } => {
-                for (idx, &wake) in wake_at.iter().enumerate() {
-                    if wake <= i {
-                        awake.push(idx);
-                    }
-                }
-            }
-            WakeSchedule::Heap { heap } => {
-                while let Some(&Reverse((wake, idx))) = heap.peek() {
-                    if wake > i {
-                        break;
-                    }
-                    heap.pop();
-                    awake.push(idx);
-                }
-            }
-        }
-    }
-}
-
 /// A query exchange rejected by a saturated interval (or abandoned by
 /// the uplink fault model), waiting for a later interval's budget.
 /// Deferred exchanges are charged to the traffic totals only when they
@@ -190,31 +121,6 @@ struct QueuedExchange {
     /// Piggybacked hit history captured when the miss occurred.
     piggyback: Option<PiggybackInfo>,
 }
-
-/// Per-client output of the (possibly parallel) report sweep. The
-/// sweep applies the shared report to disjoint client ranges; the
-/// items are then merged sequentially in ascending client order, so
-/// every channel charge, random draw, and observation event happens in
-/// the same order at any worker count.
-pub(crate) struct SweepItem {
-    /// Position in the interval's awake set.
-    pub(crate) slot: usize,
-    /// Pre-processing stats snapshot and last-heard-report time
-    /// (captured only when observing; feeds the per-interval series
-    /// and the false-alarm analysis).
-    pub(crate) pre: Option<(MuStats, Option<SimTime>)>,
-    /// Cache length carried into the first report after a handoff
-    /// (`Some` only for newly migrated units; always `None` on the
-    /// columnar fleet, which never hosts migrations).
-    pub(crate) migrated_pre_len: Option<usize>,
-    /// What the client did with the report and which fetches it needs.
-    pub(crate) outcome: IntervalReport,
-}
-
-/// Below this many listening clients the parallel sweep is not worth
-/// its thread hand-off; the sequential path runs instead. Purely a
-/// performance threshold — both paths are bit-identical.
-const SWEEP_PAR_MIN: usize = 256;
 
 /// Whether the report just heard vouches that a cooperative copy
 /// stamped at `feed_stamp_micros` is still current for `item`. TS is
@@ -230,38 +136,6 @@ fn coop_vouch(digest: &ReportDigest<'_>, feed_stamp_micros: u64, item: ItemId) -
         FramePayload::TimestampReport { .. } => !digest.ts_newer_than(item, feed_stamp_micros),
         FramePayload::AmnesicReport { .. } => !digest.listed(item),
         _ => false,
-    }
-}
-
-/// One client's share of the report sweep: apply the shared digest,
-/// answer pending queries, and record what the merge pass needs. Reads
-/// and writes only `mu` — no shared state, no randomness — which is
-/// what lets the sweep fan out over disjoint client ranges.
-fn sweep_client(
-    mu: &mut MobileUnit,
-    slot: usize,
-    observing: bool,
-    migrated: bool,
-    digest: &ReportDigest<'_>,
-) -> SweepItem {
-    // Pre-processing snapshot for the per-interval series; the
-    // last-report time is the false-alarm reference point (§6).
-    let pre = if observing {
-        Some((mu.stats(), mu.last_report_heard()))
-    } else {
-        None
-    };
-    // A unit hearing its first report after a handoff: snapshot the
-    // cache it carried in, so a whole-cache drop triggered by this
-    // report is attributable to the cell switch (an empty carried
-    // cache has nothing to lose and counts no drop).
-    let migrated_pre_len = if migrated { Some(mu.cache().len()) } else { None };
-    let outcome = mu.hear_digest_and_answer(digest);
-    SweepItem {
-        slot,
-        pre,
-        migrated_pre_len,
-        outcome,
     }
 }
 
@@ -281,31 +155,54 @@ enum ExchangeOutcome {
 /// A mobile unit in transit between two cells of a mesh, detached from
 /// its source cell and not yet attached to its destination.
 ///
-/// The whole client travels: its cache, its strategy handler (so SIG's
-/// tracked signatures survive the move), its query and sleep streams,
-/// and its settled-interval bookkeeping. The mesh layer only ferries
-/// this between [`CellSimulation::detach_client`] and
-/// [`CellSimulation::attach_client`]; the contents stay private to the
-/// cell driver.
-pub struct HandoffClient {
-    mu: MobileUnit,
-    query_rng: RngStream,
-    sleep_rng: RngStream,
-    /// The interval the unit was scheduled to wake in at its source
-    /// cell (`u64::MAX` = never); attach clamps it forward to enforce
-    /// the transit blackout.
-    next_wake: u64,
-    /// Last interval whose sleep accounting was settled (the mesh's
-    /// cells share one absolute interval clock, so this carries over).
-    last_settled: u64,
+/// The whole [`ClientSeat`] travels: the cache, the strategy handler
+/// (so SIG's tracked signatures survive the move), the query and sleep
+/// streams, and the wake and settled-interval marks (the mesh's cells
+/// share one absolute interval clock, so these carry over). The mesh
+/// layer only ferries this between [`CellSimulation::detach_client`]
+/// and [`CellSimulation::attach_client`]; the contents stay private to
+/// the cell driver.
+pub struct HandoffClient(ClientSeat);
+
+/// What the phases of one interval observed, for the interval record.
+/// Cheap register-width counters, dead code when the recorder is
+/// disabled (and compiled out entirely without the `observe` feature,
+/// where `is_enabled()` is a compile-time `false`).
+#[derive(Default)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    invalidated: u64,
+    drops: u64,
+    false_alarms: u64,
+    unmatched: u64,
+    query: QueryStats,
+    updates: u64,
+    report_bits: u64,
 }
 
-impl HandoffClient {
-    /// Whether the traveling unit holds any cached entries (the mesh's
-    /// drop accounting peeks at this; contents stay private).
-    pub fn has_cache(&self) -> bool {
-        !self.mu.cache().is_empty()
-    }
+/// One interval in flight, handed from phase to phase.
+struct Interval {
+    /// The interval index; it covers `(from, t_i]`.
+    i: u64,
+    from: SimTime,
+    t_i: SimTime,
+    /// This interval's awake units, ascending by client index.
+    awake: Vec<usize>,
+    /// Uplink exchanges completed per awake unit, parallel to `awake`.
+    uplinks: Vec<u32>,
+    observing: bool,
+    tally: Tally,
+    // Cell-level counters as the interval opened; the record reports
+    // their deltas.
+    overflow_before: u64,
+    violations_before: u64,
+    faults_before: FaultTotals,
+    /// Eviction counters live per client; an O(n) fold before/after
+    /// catches every eviction this interval caused. Only paid when
+    /// observing a bounded cell.
+    capacity_before: Option<CapacityStats>,
+    coop_before: CoopStats,
 }
 
 /// One simulated cell.
@@ -318,41 +215,18 @@ pub struct CellSimulation {
     uplink: UplinkProcessor,
     channel: BroadcastChannel,
     clock: IntervalClock,
-    clients: Vec<MobileUnit>,
-    /// The columnar client backend (`Some` = the fleet's state lives in
-    /// struct-of-arrays columns and `clients` is empty). Chosen at
-    /// construction when the configuration is eligible — static report
-    /// strategies, no piggybacking, no mesh backbone; bounded caches
-    /// clock along as extra columns — or forced either way by
-    /// `config.fleet`. Bit-identical to the boxed-unit fleet (pinned by
-    /// the columnar-equivalence suite).
-    columnar: Option<ColumnarFleet>,
-    /// The next interval in which each currently-sleeping (or
-    /// yet-unprocessed) unit is awake. The per-interval loop takes
-    /// exactly the awake set from it — heap-backed sleeper cells never
-    /// visit sleepers; scan-backed workaholic cells pay one sequential
-    /// pass instead of heap churn.
+    /// The clients: boxed seats or struct-of-arrays columns, chosen at
+    /// construction (see [`Fleet::new`]) and bit-identical either way
+    /// (pinned by the columnar-equivalence suite). Everything
+    /// per-client lives in here.
+    fleet: Fleet,
+    /// The per-interval loop takes exactly the awake set from this —
+    /// heap-backed sleeper cells never visit sleepers; scan-backed
+    /// workaholic cells pay one sequential pass instead of heap churn.
     wake: WakeSchedule,
-    /// Last interval whose sleep accounting was settled, per client
-    /// (sleep runs are credited lazily at wake-up).
-    last_settled: Vec<u64>,
     /// Stateful baseline only: units that went to sleep after the
     /// previous interval and must disconnect at the start of this one.
     pending_disconnects: Vec<usize>,
-    sleep_rngs: Vec<RngStream>,
-    query_rngs: Vec<RngStream>,
-    /// Per-slot query-result planes (`sw-query`), index-parallel to the
-    /// fleet. All `None` unless the config arms `query`; always `None`
-    /// on the columnar backend (query-armed cells force boxed units).
-    /// Each plane draws only from `StreamId::QueryPlan { index }`, so
-    /// arming it never perturbs the item-plane streams.
-    query_planes: Vec<Option<QueryPlane>>,
-    /// Zipf-skewed hotspot picker (`config.query_zipf`): the shared CDF
-    /// over hotspot ranks plus one dedicated RNG stream per client
-    /// (`StreamId::ZipfQuery`). Arrival *times* stay on the query
-    /// streams; only the per-arrival item pick moves here, so unarmed
-    /// runs consume exactly the classic draw sequence.
-    zipf: Option<(ZipfPicker, Vec<RngStream>)>,
     /// Cooperative-miss state (mesh shards with `config.coop` armed):
     /// the merged neighbor directory installed at the last barrier,
     /// consumed by this interval's fresh misses. `None` for standalone
@@ -371,10 +245,10 @@ pub struct CellSimulation {
     /// phase. Normally empty: the simulated fleet sits far below
     /// channel capacity.
     pending_uplinks: VecDeque<QueuedExchange>,
-    /// Worker count for the intra-cell report sweep (phase 4b).
-    /// Resolved once at construction from the config (or
-    /// `SW_THREADS`/machine parallelism); results are bit-identical at
-    /// any value, so this is purely a throughput knob.
+    /// Worker count for the intra-cell report sweep. Resolved once at
+    /// construction from the config (or `SW_THREADS`/machine
+    /// parallelism); results are bit-identical at any value, so this
+    /// is purely a throughput knob.
     sweep_threads: usize,
     /// Buffers behind the per-broadcast [`ReportDigest`], reused every
     /// interval.
@@ -397,20 +271,10 @@ pub struct CellSimulation {
     delivery: ReportDelivery,
     delivery_rng: RngStream,
     energy: EnergyTotals,
-    /// `departed[idx]` = the unit in slot `idx` migrated away and the
-    /// slot holds an inert husk. Slots are never reused (index-parallel
-    /// vectors and heap entries must stay stable); arrivals append.
-    departed: Vec<bool>,
-    /// Number of `true` entries in `departed` (present population =
-    /// `clients.len() - departed_count`).
+    /// Slots holding the husk of a unit that migrated away (present
+    /// population = `fleet.len() - departed_count`). Slots are never
+    /// reused; arrivals append.
     departed_count: usize,
-    /// Mirror of each unit's currently scheduled wake interval, so a
-    /// detach can read a sleeper's wake time (the heap can't be asked).
-    next_wake_hint: Vec<u64>,
-    /// `newly_migrated[idx]` = the unit arrived by handoff and has not
-    /// yet heard a report here; the first report heard decides whether
-    /// the handoff cost it its cache.
-    newly_migrated: Vec<bool>,
     /// Next id to hand an arriving unit (ids stay unique within the
     /// cell across any number of arrivals).
     next_client_id: u64,
@@ -440,9 +304,7 @@ pub struct CellSimulation {
 impl CellSimulation {
     /// Builds the cell: database, server, channel, and client fleet.
     pub fn new(config: CellConfig, strategy: Strategy) -> Result<Self, SimulationError> {
-        config
-            .validate()
-            .map_err(SimulationError::InvalidConfig)?;
+        config.validate().map_err(SimulationError::InvalidConfig)?;
         let params = config.params;
         let latency = SimDuration::from_secs(params.latency_secs);
         // The update log must cover the largest lookback any strategy
@@ -473,86 +335,9 @@ impl CellSimulation {
         );
         let channel = BroadcastChannel::new(params.bandwidth_bps, params.latency_secs, encode);
 
-        let spec = HotspotSpec::new(params.n_items, config.hotspot_size, config.popularity);
-        let piggyback = config.piggyback_hits
-            || matches!(
-                strategy,
-                Strategy::AdaptiveTs {
-                    method: FeedbackMethod::Method1,
-                    ..
-                }
-            );
-        let stateful = matches!(strategy, Strategy::Stateful);
-        // Columnar fleet eligibility: static report builders whose
-        // per-client state is columnar — (cache, T_l), plus the
-        // bounded-cache replacement clocks, which ride along as extra
-        // columns — but no piggyback histories and no mesh handoffs
-        // moving whole units between cells. Everything else keeps the
-        // boxed `MobileUnit` fleet. `config.fleet` forces the choice
-        // either way (the equivalence suite runs both on the same
-        // config).
-        let columnar_rule = if config.backbone.is_none() && !piggyback && config.query.is_none() {
-            strategy.report_rule(&params, protocol_seed)
-        } else {
-            None
-        };
-        let use_columnar = match config.fleet {
-            Some(FleetBackend::Units) => false,
-            Some(FleetBackend::Columnar) => {
-                if columnar_rule.is_none() {
-                    // Name every disqualifier, not just the tuple of
-                    // settings: the caller forced the columnar backend,
-                    // so tell them exactly what keeps this configuration
-                    // on boxed units.
-                    let mut reasons: Vec<String> = Vec::new();
-                    if config.backbone.is_some() {
-                        reasons.push(
-                            "mesh handoffs move whole boxed units between cells".into(),
-                        );
-                    }
-                    if piggyback {
-                        reasons.push(
-                            "piggybacked hit histories live on boxed units".into(),
-                        );
-                    }
-                    if config.query.is_some() {
-                        reasons.push(
-                            "the query-result plane attaches to boxed units".into(),
-                        );
-                    }
-                    if strategy.report_rule(&params, protocol_seed).is_none() {
-                        reasons.push(format!(
-                            "strategy {} builds its reports from per-client feedback \
-                             state that only boxed units carry",
-                            strategy.name()
-                        ));
-                    }
-                    return Err(SimulationError::InvalidConfig(format!(
-                        "the columnar fleet cannot host this configuration: {}",
-                        reasons.join("; ")
-                    )));
-                }
-                true
-            }
-            None => columnar_rule.is_some(),
-        };
-        // Finite capacity runs on either backend with the same policy
-        // and the same TS window `w = kL` feeding the window-age rule.
-        let cap_spec = config.cache_capacity.map(|cap| CapacitySpec {
-            cap,
-            policy: config.replacement,
-            window: latency.scaled(params.k as f64),
-        });
-        let mut columnar = if use_columnar {
-            let rule = columnar_rule.expect("eligibility was just checked");
-            Some(ColumnarFleet::new(config.hotspot_size, rule, cap_spec))
-        } else {
-            None
-        };
-        let mut clients = Vec::with_capacity(if use_columnar { 0 } else { config.n_clients });
-        let mut sleep_rngs = Vec::with_capacity(config.n_clients);
-        let mut query_rngs = Vec::with_capacity(config.n_clients);
-        let mut query_planes = Vec::with_capacity(config.n_clients);
+        // Every unit drew its initial sleep run as it was built; units
+        // starting asleep are not visited again until they wake.
+        let fleet = Fleet::new(&config, strategy)?;
         let wake_mode = config.wake_mode.unwrap_or_else(|| {
             if config.mean_sleep_probability() >= HEAP_SLEEP_THRESHOLD {
                 WakeMode::Heap
@@ -560,80 +345,14 @@ impl CellSimulation {
                 WakeMode::Scan
             }
         });
-        let mut wake = WakeSchedule::new(wake_mode, config.n_clients);
-        let mut next_wake_hint = Vec::with_capacity(config.n_clients);
-        let mut pending_disconnects = Vec::new();
-        for idx in 0..config.n_clients as u64 {
-            let mut hotspot_rng = config.seed.stream(StreamId::Hotspot { index: idx });
-            let hotspot = spec.draw(&mut hotspot_rng);
-            // The query plane's workload and draw sequence are a pure
-            // function of (seed, QueryPlan{idx}) over the hotspot the
-            // item plane already drew — built before the hotspot moves
-            // into the unit's config.
-            query_planes.push(config.query.map(|qc| {
-                QueryPlane::new(
-                    &hotspot,
-                    qc,
-                    config.seed.stream(StreamId::QueryPlan { index: idx }),
-                )
-            }));
-            let mut query_rng = config.seed.stream(StreamId::Queries { index: idx });
-            let sleep_probability = match &config.sleep_profile {
-                Some(profile) => profile[idx as usize % profile.len()],
-                None => params.s,
-            };
-            let mut sleep_rng = config.seed.stream(StreamId::Sleep { index: idx });
-            // Draw the unit's initial sleep run and schedule its first
-            // awake interval; units starting asleep are not visited
-            // again until they wake. Both fleet backends consume the
-            // exact same draws here (one exponential from the query
-            // stream, one geometric from the sleep stream), so the
-            // backend choice never perturbs the streams.
-            let k0 = match &mut columnar {
-                Some(fleet) => {
-                    fleet.push_client(hotspot, params.lambda, sleep_probability, &mut query_rng);
-                    let k0 = fleet.draw_sleep_run(idx as usize, &mut sleep_rng);
-                    if k0 > 0 {
-                        fleet.enter_sleep(idx as usize);
-                    }
-                    k0
-                }
-                None => {
-                    let mu_config = MuConfig {
-                        id: idx,
-                        hotspot,
-                        query_rate_per_item: params.lambda,
-                        sleep_probability,
-                        cache_capacity: config.cache_capacity,
-                        replacement: config.replacement,
-                        replacement_window: latency.scaled(params.k as f64),
-                        piggyback_hits: piggyback,
-                        item_universe: Some(params.n_items),
-                    };
-                    let handler = strategy.make_handler(&params, protocol_seed);
-                    let mut mu = MobileUnit::new(mu_config, handler, &mut query_rng);
-                    let k0 = mu.draw_sleep_run(&mut sleep_rng);
-                    if k0 > 0 {
-                        mu.enter_sleep();
-                        if stateful {
-                            pending_disconnects.push(idx as usize);
-                        }
-                    }
-                    clients.push(mu);
-                    k0
-                }
-            };
-            let first_wake = if k0 == u64::MAX {
-                u64::MAX
-            } else {
-                1u64.saturating_add(k0)
-            };
-            wake.schedule(idx as usize, first_wake);
-            next_wake_hint.push(first_wake);
-            query_rngs.push(query_rng);
-            sleep_rngs.push(sleep_rng);
-        }
-        let last_settled = vec![0u64; config.n_clients];
+        let wake = WakeSchedule::new(wake_mode, &fleet);
+        let pending_disconnects = if server.is_stateful() {
+            (0..fleet.len())
+                .filter(|&idx| !fleet.is_awake(idx))
+                .collect()
+        } else {
+            Vec::new()
+        };
 
         let mut obs = match &config.observe {
             Some(label) => Recorder::enabled(label.clone()),
@@ -661,13 +380,8 @@ impl CellSimulation {
             }
             obs.series_schema(&schema);
             // ItemTable layout census: every hashed entry is a dense
-            // fast-path fallback activation. Columnar slot blocks are
-            // dense by construction.
-            let dense = if use_columnar {
-                config.n_clients
-            } else {
-                clients.iter().filter(|mu| mu.cache().is_dense()).count()
-            };
+            // fast-path fallback activation.
+            let dense = fleet.dense_layouts();
             obs.add("cache_dense_layouts", dense as u64);
             obs.add("cache_hashed_fallbacks", (config.n_clients - dense) as u64);
             obs.event(
@@ -695,22 +409,9 @@ impl CellSimulation {
         let mut update_rng = protocol_seed.stream(StreamId::Updates);
         let update_engine = UpdateEngine::new(params.n_items, params.mu, &mut update_rng);
 
-        // The Zipf pick machinery: one shared rank CDF, one dedicated
-        // stream per client. Built even for clients that start asleep —
-        // the streams are index-parallel to the fleet and drawn from
-        // only at awake arrivals.
-        let zipf = config.query_zipf.map(|theta| {
-            let picker = ZipfPicker::new(config.hotspot_size, theta);
-            let rngs = (0..config.n_clients as u64)
-                .map(|idx| config.seed.stream(StreamId::ZipfQuery { index: idx }))
-                .collect();
-            (picker, rngs)
-        });
-
         let delivery = ReportDelivery::new(config.delivery);
         let delivery_rng = config.seed.stream(StreamId::Custom { tag: 0xDE11 });
         let faults = FaultLayer::new(config.faults.as_ref(), config.seed, config.n_clients);
-        let n_slots = config.n_clients;
         Ok(CellSimulation {
             strategy,
             db,
@@ -719,15 +420,9 @@ impl CellSimulation {
             uplink: UplinkProcessor::with_universe(params.n_items),
             channel,
             clock: IntervalClock::new(latency),
-            clients,
-            columnar,
+            fleet,
             wake,
-            last_settled,
             pending_disconnects,
-            sleep_rngs,
-            query_rngs,
-            query_planes,
-            zipf,
             coop_feed: None,
             coop_stats: CoopStats::default(),
             update_rng,
@@ -746,11 +441,8 @@ impl CellSimulation {
             delivery,
             delivery_rng,
             energy: EnergyTotals::default(),
-            departed: vec![false; n_slots],
             departed_count: 0,
-            next_wake_hint,
-            newly_migrated: vec![false; n_slots],
-            next_client_id: n_slots as u64,
+            next_client_id: config.n_clients as u64,
             migration: MigrationStats::default(),
             arrivals_since_step: 0,
             report_digests: VecDeque::new(),
@@ -770,48 +462,31 @@ impl CellSimulation {
         &self.db
     }
 
-    /// Read access to the boxed client fleet (tests). Empty when the
-    /// cell runs the columnar backend — use [`Self::client_slots`] and
-    /// [`Self::client_stats`] for backend-independent access.
-    pub fn clients(&self) -> &[MobileUnit] {
-        &self.clients
-    }
-
     /// Number of client slots in the cell, including departed husks
     /// (slot indices are stable; arrivals append).
     pub fn client_slots(&self) -> usize {
-        match &self.columnar {
-            Some(fleet) => fleet.len(),
-            None => self.clients.len(),
-        }
+        self.fleet.len()
     }
 
     /// Stats snapshot of the client in slot `idx`, on either fleet
     /// backend (a departed slot reports the zeroed husk stats).
     pub fn client_stats(&self, idx: usize) -> MuStats {
-        match &self.columnar {
-            Some(fleet) => fleet.stats(idx),
-            None => self.clients[idx].stats(),
-        }
+        self.fleet.stats(idx)
     }
 
     /// Whether the cell runs the columnar client backend.
     pub fn is_columnar(&self) -> bool {
-        self.columnar.is_some()
+        self.fleet.is_columnar()
     }
 
     /// Fleet-wide eviction counters: one O(n) fold over the per-client
     /// stats, on either backend. All zeros for unbounded cells.
     fn capacity_totals(&self) -> CapacityStats {
         let mut total = CapacityStats::default();
-        let mut tally = |s: &MuStats| {
+        for s in self.fleet.stats_iter() {
             total.evictions += s.evictions;
             total.capacity_misses += s.capacity_misses;
             total.evicted_then_requeried += s.evicted_then_requeried;
-        };
-        match &self.columnar {
-            Some(fleet) => fleet.stats_iter().for_each(&mut tally),
-            None => self.clients.iter().for_each(|mu| tally(&mu.stats())),
         }
         total
     }
@@ -823,20 +498,16 @@ impl CellSimulation {
     /// builds these at its barrier and hands each cell the merged
     /// neighbor view via [`Self::install_coop_feed`].
     ///
-    /// Mesh shards are always boxed, so only the boxed fleet is
-    /// scanned; clients are visited in ascending slot order and items
-    /// in sorted order, keeping the snapshot deterministic.
+    /// Clients are visited in ascending slot order and items in sorted
+    /// order, keeping the snapshot deterministic.
     pub fn coop_directory(&self) -> CoopDirectory {
         let t_last = self.clock.report_time(self.clock.next_index());
         let mut dir = CoopDirectory::new(t_last);
-        for mu in &self.clients {
-            for item in mu.cache().sorted_items() {
-                let entry = mu.cache().peek(item).expect("iterating cached items");
-                if entry.timestamp == t_last {
-                    dir.insert(item, entry.value);
-                }
+        self.fleet.for_each_cached_entry(|item, value, timestamp| {
+            if timestamp == t_last {
+                dir.insert(item, value);
             }
-        }
+        });
         dir
     }
 
@@ -855,30 +526,14 @@ impl CellSimulation {
     /// Query-plane stats for the client in slot `idx` (`None` unless
     /// the cell was configured with [`CellConfig::with_query`]).
     pub fn client_query_stats(&self, idx: usize) -> Option<QueryStats> {
-        self.query_planes[idx].as_ref().map(|p| p.stats())
+        self.query_plane(idx).map(QueryPlane::stats)
     }
 
     /// The query plane of the client in slot `idx`, for audits and the
     /// committed-read log (`None` unless the cell was configured with
     /// [`CellConfig::with_query`]).
     pub fn query_plane(&self, idx: usize) -> Option<&QueryPlane> {
-        self.query_planes[idx].as_ref()
-    }
-
-    fn mu_id(&self, idx: usize) -> u64 {
-        match &self.columnar {
-            // Columnar cells are standalone: slots are never reassigned,
-            // so the id a boxed unit would carry is just the slot index.
-            Some(_) => idx as u64,
-            None => self.clients[idx].id(),
-        }
-    }
-
-    fn mu_is_awake(&self, idx: usize) -> bool {
-        match &self.columnar {
-            Some(fleet) => fleet.is_awake(idx),
-            None => self.clients[idx].is_awake(),
-        }
+        self.fleet.query_plane(idx)
     }
 
     /// Uplink exchanges currently deferred behind the channel budget
@@ -897,8 +552,11 @@ impl CellSimulation {
 
     fn enqueue_exchange(&mut self, idx: usize, item: ItemId, piggyback: Option<PiggybackInfo>) {
         if self.queued_exchanges.insert((idx, item)) {
-            self.pending_uplinks
-                .push_back(QueuedExchange { idx, item, piggyback });
+            self.pending_uplinks.push_back(QueuedExchange {
+                idx,
+                item,
+                piggyback,
+            });
         }
     }
 
@@ -923,7 +581,7 @@ impl CellSimulation {
         i: u64,
         t_i: SimTime,
     ) -> ExchangeOutcome {
-        let mu_id = self.mu_id(idx);
+        let mu_id = self.fleet.id(idx);
         let uplink_model = self.faults.uplink_model();
         let max_attempts = uplink_model.map_or(1, |m| m.max_attempts);
         let mut attempt = 1u32;
@@ -958,151 +616,130 @@ impl CellSimulation {
         let answer = self.uplink.answer(&self.db, item, t_i, piggyback.as_ref());
         self.server
             .note_uplink(mu_id, item, i, t_i, piggyback.as_ref());
-        match &mut self.columnar {
-            Some(fleet) => fleet.install_answer(idx, answer),
-            None => self.clients[idx].install_answer(answer),
-        }
+        self.fleet.install_answer(idx, answer);
         ExchangeOutcome::Done
     }
 
-    /// Runs one broadcast interval; returns the report's size in bits
-    /// (zero for the stateful baseline, which sends directed messages
-    /// instead).
+    /// Runs one broadcast interval — Figure 2, phase by phase — and
+    /// returns the report's size in bits (zero for the stateful
+    /// baseline, which sends directed messages instead).
     pub fn step(&mut self) -> Result<u64, SimulationError> {
+        let mut iv = self.begin_interval();
+        self.wake_and_pose(&mut iv);
+        self.registry_transitions(&iv);
+        self.apply_updates(&mut iv);
+        let payload = self.broadcast(&mut iv)?;
+        let process_timer = self.obs.timer("client_process");
+        self.drain_deferred_uplinks(&mut iv);
+        let heard = self.draw_fates(&iv, &payload);
+        // The report is digested once — its time plus a membership
+        // bitset over the listed ids — and every listening client walks
+        // its *own* cache probing that digest. (The scratch leaves
+        // `self` so the digest can outlive the merge's `&mut self`
+        // calls.)
+        let mut digest_scratch = std::mem::take(&mut self.digest_scratch);
+        let digest = digest_scratch.digest(&payload);
+        let swept = self
+            .fleet
+            .sweep(&heard, &iv.awake, &digest, iv.observing, self.sweep_threads);
+        self.merge(&mut iv, swept, &digest);
+        self.digest_scratch = digest_scratch;
+        self.obs.finish(process_timer);
+        self.charge_energy(&iv);
+        self.audit_safety(&iv)?;
+        self.close_period(&iv);
+        self.schedule_sleep(&iv);
+        self.record_interval(&iv);
+        Ok(iv.tally.report_bits)
+    }
+
+    /// Ticks the clock, opens the channel budget, and snapshots the
+    /// cell-level counters the interval record reports deltas of.
+    fn begin_interval(&mut self) -> Interval {
         let (i, t_i) = self.clock.tick();
-        let from = self.clock.report_time(i - 1);
         self.channel.begin_interval();
-
-        // Observation bookkeeping: cheap register-width locals, dead
-        // code when the recorder is disabled (and compiled out entirely
-        // without the `observe` feature, where `is_enabled()` is a
-        // compile-time `false`).
         let observing = self.obs.is_enabled();
-        let overflow_before = self.overflow_exchanges;
-        let violations_before = self.safety.violations;
-        let faults_before = self.faults.totals();
-        // Eviction counters live per client; an O(n) fold before/after
-        // catches every eviction this interval caused, including those
-        // from the 4a queue drain. Only paid when observing a bounded
-        // cell.
-        let capacity_before = (observing && self.config.cache_capacity.is_some())
-            .then(|| self.capacity_totals());
-        let coop_before = self.coop_stats;
-        let (mut obs_hits, mut obs_misses) = (0u64, 0u64);
-        let (mut obs_invalidated, mut obs_drops) = (0u64, 0u64);
-        let (mut obs_false_alarms, mut obs_unmatched) = (0u64, 0u64);
-        let mut query_delta = QueryStats::default();
+        Interval {
+            i,
+            from: self.clock.report_time(i - 1),
+            t_i,
+            awake: Vec::new(),
+            uplinks: Vec::new(),
+            observing,
+            tally: Tally::default(),
+            overflow_before: self.overflow_exchanges,
+            violations_before: self.safety.violations,
+            faults_before: self.faults.totals(),
+            capacity_before: (observing && self.config.cache_capacity.is_some())
+                .then(|| self.capacity_totals()),
+            coop_before: self.coop_stats,
+        }
+    }
 
-        // 1. Take this interval's wake-ups off the schedule and generate
-        // their query arrivals. Each unit drew its whole sleep run when
-        // it went under, so sleepers cost nothing here beyond (in scan
-        // mode) one sequential wake-time comparison. Either wake mode
-        // yields the awake set in ascending client index, preserving the
-        // old per-index loop's rng consumption order.
-        let mut awake: Vec<usize> = Vec::new();
-        self.wake.pop_due(i, &mut awake);
-        if self.departed_count > 0 {
-            // Departed slots are inert husks; heap mode can still pop
-            // their one stale pre-departure entry (heap entries can't
-            // be deleted), scan mode never schedules them. Filtering
-            // preserves the ascending-index order.
-            let departed = &self.departed;
-            awake.retain(|&idx| !departed[idx]);
+    /// Phase 1: take this interval's wake-ups off the schedule and
+    /// generate their query arrivals. Each unit drew its whole sleep
+    /// run when it went under, so sleepers cost nothing here beyond (in
+    /// scan mode) one sequential wake-time comparison. Either wake mode
+    /// yields the awake set in ascending client index, so the rng
+    /// consumption order never depends on it.
+    fn wake_and_pose(&mut self, iv: &mut Interval) {
+        self.wake.pop_due(iv.i, &self.fleet, &mut iv.awake);
+        for &idx in &iv.awake {
+            self.fleet.open_interval(idx, iv.i, iv.from, iv.t_i);
         }
-        let zipf = &mut self.zipf;
-        for &idx in &awake {
-            // Lazily settle the sleep run that just ended.
-            let slept = i - self.last_settled[idx] - 1;
-            self.last_settled[idx] = i;
-            // Zipf skew (`config.query_zipf`): each arrival's hotspot
-            // rank comes from the shared CDF on the client's dedicated
-            // stream instead of the uniform draw — arrival times stay
-            // on the query stream, identically on both backends.
-            let mut zipf_pick = zipf.as_mut().map(|(picker, rngs)| {
-                let picker = &*picker;
-                let rng = &mut rngs[idx];
-                move || picker.draw(rng)
-            });
-            let pick = zipf_pick
-                .as_mut()
-                .map(|f| f as &mut dyn FnMut() -> usize);
-            match &mut self.columnar {
-                Some(fleet) => {
-                    if slept > 0 {
-                        fleet.credit_asleep_intervals(idx, slept);
-                    }
-                    fleet.begin_awake_interval_skewed(
-                        idx,
-                        from,
-                        t_i,
-                        &mut self.query_rngs[idx],
-                        pick,
-                    );
-                }
-                None => {
-                    if slept > 0 {
-                        self.clients[idx].credit_asleep_intervals(slept);
-                    }
-                    self.clients[idx].begin_awake_interval_skewed(
-                        from,
-                        t_i,
-                        &mut self.query_rngs[idx],
-                        pick,
-                    );
-                }
-            }
-            // The query plane draws this interval's predicate-query and
-            // transaction events from its own stream.
-            if let Some(plane) = self.query_planes[idx].as_mut() {
-                plane.begin_awake_interval();
-            }
+        iv.uplinks = vec![0; iv.awake.len()];
+    }
+
+    /// Stateful baseline only: clients announce connects/disconnects;
+    /// each transition is one control message on the channel. Units
+    /// that fell asleep after the previous interval disconnect now,
+    /// waking units (re)connect — same transition count as observing
+    /// every client's state each interval. A unit that left the cell
+    /// between intervals was disconnected in the registry at detach
+    /// time; its control message is charged here, in the first interval
+    /// with an open budget.
+    fn registry_transitions(&mut self, iv: &Interval) {
+        let Some(registry) = self.server.registry_mut() else {
+            return;
+        };
+        for id in self.deferred_control.drain(..) {
+            let _ = self.channel.send_invalidation(id); // control msg
+            self.registration_messages += 1;
         }
-        if let Some(registry) = self.server.registry_mut() {
-            // Clients announce connects/disconnects; each transition is
-            // one control message on the channel. Units that fell asleep
-            // after the previous interval disconnect now, waking units
-            // (re)connect — same transition count as observing every
-            // client's state each interval. A unit that left the cell
-            // between intervals was disconnected in the registry at
-            // detach time; its control message is charged here, in the
-            // first interval with an open budget.
-            for id in self.deferred_control.drain(..) {
+        for idx in self.pending_disconnects.drain(..) {
+            if self.fleet.is_departed(idx) {
+                continue; // already disconnected at detach
+            }
+            let id = self.fleet.id(idx);
+            if registry.is_connected(id) {
+                registry.disconnect(id);
                 let _ = self.channel.send_invalidation(id); // control msg
                 self.registration_messages += 1;
             }
-            for idx in self.pending_disconnects.drain(..) {
-                if self.departed[idx] {
-                    continue; // already disconnected at detach
-                }
-                let id = self.clients[idx].id();
-                if registry.is_connected(id) {
-                    registry.disconnect(id);
-                    let _ = self.channel.send_invalidation(id); // control msg
-                    self.registration_messages += 1;
-                }
-            }
-            for &idx in &awake {
-                let id = self.clients[idx].id();
-                if !registry.is_connected(id) {
-                    registry.connect(id);
-                    let _ = self.channel.send_invalidation(id); // control msg
-                    self.registration_messages += 1;
-                    if self.newly_migrated[idx] {
-                        // First registration with a server that has
-                        // never seen this unit: the stateful baseline's
-                        // per-handoff price.
-                        self.migration.cross_cell_registrations += 1;
-                        self.obs.add("cross_cell_registrations", 1);
-                    }
+        }
+        for &idx in &iv.awake {
+            let id = self.fleet.id(idx);
+            if !registry.is_connected(id) {
+                registry.connect(id);
+                let _ = self.channel.send_invalidation(id); // control msg
+                self.registration_messages += 1;
+                if self.fleet.newly_migrated(idx) {
+                    // First registration with a server that has never
+                    // seen this unit: the stateful baseline's
+                    // per-handoff price.
+                    self.migration.cross_cell_registrations += 1;
+                    self.obs.add("cross_cell_registrations", 1);
                 }
             }
         }
+    }
 
-        // 2. Apply this interval's updates; the stateful server fires a
-        // directed invalidation message per registered holder.
+    /// Phase 2: apply this interval's updates; the stateful server
+    /// fires a directed invalidation message per registered holder.
+    fn apply_updates(&mut self, iv: &mut Interval) {
         let recs = self
             .update_engine
-            .advance(&mut self.db, from, t_i, &mut self.update_rng);
+            .advance(&mut self.db, iv.from, iv.t_i, &mut self.update_rng);
         for rec in &recs {
             if let Some(registry) = self.server.registry_mut() {
                 let recipients = registry.on_update(rec);
@@ -1115,21 +752,22 @@ impl CellSimulation {
                 h.record(rec);
             }
         }
+        iv.tally.updates = recs.len() as u64;
+    }
 
-        // 3. Build and broadcast the report (skipped by the stateful
-        // baseline, whose messages were charged above; the AT-style
-        // framing still drives the client algorithm).
+    /// Phase 3: build and broadcast the report (not charged by the
+    /// stateful baseline, whose messages were charged above; the
+    /// AT-style framing still drives the client algorithm). Zero-copy:
+    /// the payload is charged by reference (its bit size computed in
+    /// place) and then lent to every listening client — no
+    /// per-interval frame clone, no per-client copies.
+    fn broadcast(&mut self, iv: &mut Interval) -> Result<FramePayload, SimulationError> {
         let payload = {
             let _span = self.obs.span("server_build");
-            self.server.build(i, t_i, &self.db)
+            self.server.build(iv.i, iv.t_i, &self.db)
         };
-        let is_stateful = self.server.is_stateful();
-        // Zero-copy broadcast: the payload is charged by reference (its
-        // bit size computed in place) and then lent to every listening
-        // client — no per-interval frame clone, no per-client copies.
-        let report_bits = if is_stateful {
-            // Directed messages were charged above; the size only feeds
-            // the energy model's listening window.
+        iv.tally.report_bits = if self.server.is_stateful() {
+            // The size only feeds the energy model's listening window.
             self.channel.encoder().payload_bits(&payload)
         } else {
             let bits = self
@@ -1153,248 +791,143 @@ impl CellSimulation {
             // Pure bookkeeping over the already-built payload — no
             // randomness, no feedback into the simulation.
             let bytes = self.channel.encoder().serialize_payload(&payload);
-            self.report_digests.push_back((i, checksum64(&bytes)));
+            self.report_digests.push_back((iv.i, checksum64(&bytes)));
             let retention = self.config.params.k as usize + 4;
             while self.report_digests.len() > retention {
                 self.report_digests.pop_front();
             }
         }
+        Ok(payload)
+    }
 
-        // 4. Awake clients hear the report / their invalidations and
-        // answer the interval's queries.
-        let process_timer = self.obs.timer("client_process");
-        let mut uplink_counts = vec![0u32; awake.len()];
-        // 4a. Drain exchanges deferred by earlier saturated intervals,
-        // oldest first, before this interval's fresh misses compete for
-        // the budget — strict FIFO across intervals. Entries whose
-        // client is asleep keep their place; the first renewed
-        // saturation stops the drain and the rest wait in order.
-        if !self.pending_uplinks.is_empty() {
-            let mut queue = std::mem::take(&mut self.pending_uplinks);
-            let mut stalled = false;
-            while let Some(q) = queue.pop_front() {
-                if self.departed[q.idx] {
-                    // Tombstone: the client left the cell while its
-                    // fetch waited. Nobody is listening for the answer;
-                    // discard instead of serving or re-queuing.
-                    self.queued_exchanges.remove(&(q.idx, q.item));
-                    continue;
-                }
-                if stalled || !self.mu_is_awake(q.idx) {
-                    self.pending_uplinks.push_back(q);
-                    continue;
-                }
-                let slot = awake
-                    .binary_search(&q.idx)
-                    .expect("an awake client is always in the interval's awake set");
-                // Drop the membership mark before the attempt: a
-                // deferral re-queues (and re-marks) the same exchange.
+    /// Phase 4a: drain exchanges deferred by earlier saturated
+    /// intervals, oldest first, before this interval's fresh misses
+    /// compete for the budget — strict FIFO across intervals. Entries
+    /// whose client is asleep keep their place; the first renewed
+    /// saturation stops the drain and the rest wait in order.
+    fn drain_deferred_uplinks(&mut self, iv: &mut Interval) {
+        if self.pending_uplinks.is_empty() {
+            return;
+        }
+        let mut queue = std::mem::take(&mut self.pending_uplinks);
+        let mut stalled = false;
+        while let Some(q) = queue.pop_front() {
+            if self.fleet.is_departed(q.idx) {
+                // Tombstone: the client left the cell while its fetch
+                // waited. Nobody is listening for the answer; discard
+                // instead of serving or re-queuing.
                 self.queued_exchanges.remove(&(q.idx, q.item));
-                match self.attempt_uplink_exchange(q.idx, q.item, q.piggyback, i, t_i) {
-                    ExchangeOutcome::Done => uplink_counts[slot] += 1,
-                    // Already re-queued by the attempt; keep the
-                    // remaining entries behind it, in order.
-                    ExchangeOutcome::Saturated => stalled = true,
-                    ExchangeOutcome::FaultDeferred => {}
-                }
+                continue;
+            }
+            if stalled || !self.fleet.is_awake(q.idx) {
+                self.pending_uplinks.push_back(q);
+                continue;
+            }
+            let slot = iv
+                .awake
+                .binary_search(&q.idx)
+                .expect("an awake client is always in the interval's awake set");
+            // Drop the membership mark before the attempt: a deferral
+            // re-queues (and re-marks) the same exchange.
+            self.queued_exchanges.remove(&(q.idx, q.item));
+            match self.attempt_uplink_exchange(q.idx, q.item, q.piggyback, iv.i, iv.t_i) {
+                ExchangeOutcome::Done => iv.uplinks[slot] += 1,
+                // Already re-queued by the attempt; keep the remaining
+                // entries behind it, in order.
+                ExchangeOutcome::Saturated => stalled = true,
+                ExchangeOutcome::FaultDeferred => {}
             }
         }
+    }
+
+    /// Phase 4b: decide every awake client's report fate; returns the
+    /// awake-set positions that hear the report. Drift (woke too
+    /// late), loss (fade-out), or corruption (checksum failure) all
+    /// mean the strategy's recovery path runs at the *next* intact
+    /// report, exactly as the paper prescribes for a unit that slept
+    /// through reports. Fates consume the per-client fault streams in
+    /// ascending index order (a client's fate draw always precedes its
+    /// uplink-retry draws), and drawing them here leaves the report
+    /// sweep entirely free of randomness.
+    fn draw_fates(&mut self, iv: &Interval, payload: &FramePayload) -> Vec<usize> {
         // Fault injection only attacks the *broadcast* downlink; the
         // stateful baseline's directed invalidations model a reliable
         // connection-oriented link (its consistency story depends on
         // it, §2).
-        let faults_active = self.faults.is_active() && !is_stateful;
-        // 4b. Decide every client's report fate first: drift (woke too
-        // late), loss (fade-out), or corruption (checksum failure) all
-        // mean the strategy's recovery path runs at the *next* intact
-        // report, exactly as the paper prescribes for a unit that slept
-        // through reports. Fates consume the per-client fault streams
-        // in ascending index order — the same per-client draw sequence
-        // as the old interleaved loop (a client's fate draw always
-        // precedes its uplink-retry draws) — and splitting them out
-        // leaves the report sweep below entirely free of randomness.
-        let mut heard: Vec<usize> = Vec::with_capacity(awake.len());
-        // Serialized report + checksum, computed lazily at most once
-        // per interval, only when a corruption fate needs real bytes to
-        // flip.
-        let mut wire_check: Option<(Vec<u8>, u64)> = None;
-        for (slot, &idx) in awake.iter().enumerate() {
-            if faults_active {
-                let delivery = self.delivery;
-                let fate = self
-                    .faults
-                    .report_fate(idx, i, |drift| delivery.misses_with_drift(drift));
-                if fate.is_missed() {
-                    if fate == ReportFate::Corrupted {
-                        // Demonstrate detection on real bytes: flip one
-                        // bit of the serialized report and require the
-                        // checksum to catch it. An undetected flip
-                        // would mean a half-applied report.
-                        let (bytes, clean) = wire_check.get_or_insert_with(|| {
-                            let b = self.channel.encoder().serialize_payload(&payload);
-                            let c = checksum64(&b);
-                            (b, c)
-                        });
-                        let mut damaged = bytes.clone();
-                        let bit = self
-                            .faults
-                            .corrupt_bit_index(idx, damaged.len() as u64 * 8);
-                        flip_bit(&mut damaged, bit);
-                        if checksum64(&damaged) == *clean {
-                            self.faults.note_undetected_corruption();
-                        }
-                    }
-                    match &mut self.columnar {
-                        Some(fleet) => fleet.miss_report(idx),
-                        None => self.clients[idx].miss_report(),
-                    }
-                    if let Some(plane) = self.query_planes[idx].as_mut() {
-                        plane.on_report_missed();
-                    }
-                    if observing {
-                        self.obs.event(
-                            i,
-                            "report_missed",
-                            &[
-                                ("client", Value::U64(idx as u64)),
-                                (
-                                    "fate",
-                                    Value::Str(
-                                        match fate {
-                                            ReportFate::Lost => "lost",
-                                            ReportFate::Corrupted => "corrupted",
-                                            ReportFate::DriftMissed => "drift",
-                                            ReportFate::Heard => unreachable!(),
-                                        }
-                                        .to_string(),
-                                    ),
-                                ),
-                            ],
-                        );
-                    }
-                    continue;
-                }
-            }
-            heard.push(slot);
+        if !self.faults.is_active() || self.server.is_stateful() {
+            return (0..iv.awake.len()).collect();
         }
-
-        // 4c. The report sweep. The report is digested once — its time
-        // plus a membership bitset over the listed ids — and every
-        // listening client walks its *own* cache probing that digest,
-        // then collects its fetch list. (The scratch leaves `self` for
-        // the rest of phase 4 so the digest can outlive `&mut self`
-        // calls in the merge.)
-        // The sweep touches only per-client state and draws no
-        // randomness, so it fans out over disjoint contiguous client
-        // ranges when the cell is big enough — bit-identical at any
-        // worker count because the per-client work is independent and
-        // the results are merged in ascending order below.
-        let mut digest_scratch = std::mem::take(&mut self.digest_scratch);
-        let digest = digest_scratch.digest(&payload);
-        let results: Vec<SweepItem> = if let Some(fleet) = &mut self.columnar {
-            fleet.sweep(
-                &heard,
-                &awake,
-                &digest,
-                observing,
-                self.sweep_threads,
-                SWEEP_PAR_MIN,
-            )
-        } else if self.sweep_threads > 1 && heard.len() >= SWEEP_PAR_MIN {
-                let workers = self.sweep_threads.min(heard.len());
-                let chunk_len = heard.len().div_ceil(workers);
-                let newly_migrated = &self.newly_migrated;
-                let digest_ref = &digest;
-                let awake_ref = &awake;
-                let mut rest: &mut [MobileUnit] = &mut self.clients;
-                let mut base = 0usize;
-                let mut out: Vec<SweepItem> = Vec::with_capacity(heard.len());
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(workers);
-                    for chunk in heard.chunks(chunk_len) {
-                        let last_idx = awake_ref[*chunk.last().expect("chunks are non-empty")];
-                        let (mine, tail) = rest.split_at_mut(last_idx + 1 - base);
-                        let mine_base = base;
-                        rest = tail;
-                        base = last_idx + 1;
-                        handles.push(scope.spawn(move || {
-                            let mut items = Vec::with_capacity(chunk.len());
-                            for &slot in chunk {
-                                let idx = awake_ref[slot];
-                                items.push(sweep_client(
-                                    &mut mine[idx - mine_base],
-                                    slot,
-                                    observing,
-                                    newly_migrated[idx],
-                                    digest_ref,
-                                ));
-                            }
-                            items
-                        }));
-                    }
-                    for h in handles {
-                        out.extend(h.join().expect("sweep worker panicked"));
-                    }
-                });
-                out
-            } else {
-                heard
-                    .iter()
-                    .map(|&slot| {
-                        let idx = awake[slot];
-                        sweep_client(
-                            &mut self.clients[idx],
-                            slot,
-                            observing,
-                            self.newly_migrated[idx],
-                            &digest,
-                        )
-                    })
-                    .collect()
-            };
-
-        // 4d. Sequential merge in ascending client order: handoff drop
-        // accounting, observation deltas, and the uplink exchanges —
-        // everything that charges the shared channel, draws randomness,
-        // or emits events.
-        for sw in results {
-            let slot = sw.slot;
-            let idx = awake[slot];
-            let outcome = sw.outcome;
-            let mu_id = self.mu_id(idx);
-            if let Some(pre_len) = sw.migrated_pre_len {
-                self.newly_migrated[idx] = false;
-                let dropped_all = outcome
-                    .outcome
-                    .as_ref()
-                    .is_some_and(|po| po.dropped_all);
-                if dropped_all && pre_len > 0 {
-                    self.migration.handoff_drops += 1;
-                    self.obs.add("handoff_drops", 1);
-                }
+        let mut heard = Vec::with_capacity(iv.awake.len());
+        // The serialized report, computed lazily at most once per
+        // interval, only when a corruption fate needs real bytes to
+        // flip.
+        let mut wire: Option<Vec<u8>> = None;
+        for (slot, &idx) in iv.awake.iter().enumerate() {
+            let delivery = self.delivery;
+            let fate = self
+                .faults
+                .report_fate(idx, iv.i, |drift| delivery.misses_with_drift(drift));
+            if !fate.is_missed() {
+                heard.push(slot);
+                continue;
             }
-            if observing {
-                if let Some(po) = &outcome.outcome {
-                    obs_invalidated += po.invalidated.len() as u64;
-                    obs_drops += po.dropped_all as u64;
-                    // The last-report time is the false-alarm reference
-                    // point: an invalidation is *false* iff the item did
-                    // not actually change since this client last heard a
-                    // report (SIG's diagnosis risk, §6).
-                    if let Some((_, Some(t_l))) = &sw.pre {
-                        for &item in &po.invalidated {
-                            if self.db.updated_at(item) <= *t_l {
-                                obs_false_alarms += 1;
-                            }
+            if fate == ReportFate::Corrupted {
+                let bytes =
+                    wire.get_or_insert_with(|| self.channel.encoder().serialize_payload(payload));
+                demonstrate_corruption(&mut self.faults, idx, bytes);
+            }
+            self.fleet.miss_report(idx);
+            if iv.observing {
+                let fate = match fate {
+                    ReportFate::Lost => "lost",
+                    ReportFate::Corrupted => "corrupted",
+                    ReportFate::DriftMissed => "drift",
+                    ReportFate::Heard => unreachable!(),
+                };
+                self.obs.event(
+                    iv.i,
+                    "report_missed",
+                    &[
+                        ("client", Value::U64(idx as u64)),
+                        ("fate", Value::Str(fate.to_string())),
+                    ],
+                );
+            }
+        }
+        heard
+    }
+
+    /// Phase 4d: the sequential merge of the sweep's results in
+    /// ascending client order — handoff drop accounting, observation
+    /// deltas, and the uplink exchanges: everything that charges the
+    /// shared channel, draws randomness, or emits events.
+    fn merge(&mut self, iv: &mut Interval, swept: Vec<SweepItem>, digest: &ReportDigest<'_>) {
+        let (i, t_i) = (iv.i, iv.t_i);
+        for sw in swept {
+            let slot = sw.slot;
+            let idx = iv.awake[slot];
+            let outcome = sw.outcome;
+            if sw.handoff_drop {
+                self.migration.handoff_drops += 1;
+                self.obs.add("handoff_drops", 1);
+            }
+            if iv.observing {
+                let po = &outcome.outcome;
+                iv.tally.invalidated += po.invalidated.len() as u64;
+                iv.tally.drops += po.dropped_all as u64;
+                // The last-report time is the false-alarm reference
+                // point: an invalidation is *false* iff the item did
+                // not actually change since this client last heard a
+                // report (SIG's diagnosis risk, §6).
+                if let Some((_, Some(t_l))) = &sw.pre {
+                    for &item in &po.invalidated {
+                        if self.db.updated_at(item) <= *t_l {
+                            iv.tally.false_alarms += 1;
                         }
                     }
                 }
-                let unmatched = match &self.columnar {
-                    Some(fleet) => fleet.last_unmatched_subsets(idx),
-                    None => self.clients[idx].last_unmatched_subsets(),
-                };
-                if let Some(u) = unmatched {
-                    obs_unmatched += u as u64;
+                if let Some(u) = self.fleet.last_unmatched_subsets(idx) {
+                    iv.tally.unmatched += u as u64;
                 }
             }
             for (item, piggyback) in outcome.uplink_requests {
@@ -1405,21 +938,18 @@ impl CellSimulation {
                 }
                 // Cooperative miss path: a neighbor cell snapshotted a
                 // copy of this item stamped at the last report, and the
-                // report this client *just heard* (everything in 4d
-                // heard an intact one) can vouch nothing changed since.
-                // Served copies cost `b_coop` sidelink bits instead of
-                // an uplink exchange; hit/miss counts are untouched
-                // (the miss already counted in the sweep) and the
-                // installed entry faces the same safety audit as any
-                // uplink answer. Mesh shards are always boxed, so the
-                // direct `clients[idx]` install is safe here.
-                if let (Some(coop), Some(feed)) =
-                    (self.config.coop, self.coop_feed.as_ref())
-                {
+                // report this client *just heard* (everything merged
+                // here heard an intact one) can vouch nothing changed
+                // since. Served copies cost `b_coop` sidelink bits
+                // instead of an uplink exchange; hit/miss counts are
+                // untouched (the miss already counted in the sweep) and
+                // the installed entry faces the same safety audit as
+                // any uplink answer.
+                if let (Some(coop), Some(feed)) = (self.config.coop, self.coop_feed.as_ref()) {
                     match feed.get(item) {
                         Some(value)
                             if coop_vouch(
-                                &digest,
+                                digest,
                                 time_to_micros(
                                     feed.stamp.expect("a holding feed carries its stamp"),
                                 ),
@@ -1428,23 +958,27 @@ impl CellSimulation {
                         {
                             self.coop_stats.coop_served += 1;
                             self.coop_stats.coop_bits += coop.b_coop;
-                            self.clients[idx].install_answer(QueryAnswer {
-                                item,
-                                value,
-                                timestamp: t_i,
-                            });
+                            self.fleet.install_answer(
+                                idx,
+                                QueryAnswer {
+                                    item,
+                                    value,
+                                    timestamp: t_i,
+                                },
+                            );
                             continue;
                         }
                         _ => self.coop_stats.coop_declined += 1,
                     }
                 }
                 match self.attempt_uplink_exchange(idx, item, piggyback, i, t_i) {
-                    ExchangeOutcome::Done => uplink_counts[slot] += 1,
+                    ExchangeOutcome::Done => iv.uplinks[slot] += 1,
                     ExchangeOutcome::Saturated => {
                         // First deferral of a fresh exchange: count the
                         // overage once (retries are the same exchange).
                         self.overflow_exchanges += 1;
-                        if observing {
+                        if iv.observing {
+                            let mu_id = self.fleet.id(idx);
                             self.obs.event(
                                 i,
                                 "overflow",
@@ -1462,30 +996,23 @@ impl CellSimulation {
             // entries and resolves transaction reads. All RNG-free, so
             // the sweep/merge split keeps runs byte-identical at any
             // `SW_THREADS`.
-            if let Some(mut plane) = self.query_planes[idx].take() {
-                let before = plane.stats();
-                let check = plane.observe_report(self.clients[idx].cache(), t_i);
-                for item in check.fetch {
+            let before = iv.observing.then(|| self.client_query_stats(idx)).flatten();
+            if let Some(fetch) = self.fleet.check_queries(idx, t_i) {
+                for item in fetch {
                     if self.exchange_queued(idx, item) {
-                        // The same fetch is already waiting from an
-                        // earlier interval; answering it once is enough.
                         continue;
                     }
                     match self.attempt_uplink_exchange(idx, item, None, i, t_i) {
-                        ExchangeOutcome::Done => uplink_counts[slot] += 1,
-                        ExchangeOutcome::Saturated => {
-                            // The entry stays unmaterialized (a txn read
-                            // aborts conservatively); count the overage
-                            // like any deferred exchange.
-                            self.overflow_exchanges += 1;
-                        }
+                        ExchangeOutcome::Done => iv.uplinks[slot] += 1,
+                        // The entry stays unmaterialized (a txn read
+                        // aborts conservatively); count the overage
+                        // like any deferred exchange.
+                        ExchangeOutcome::Saturated => self.overflow_exchanges += 1,
                         ExchangeOutcome::FaultDeferred => {}
                     }
                 }
-                plane.settle(self.clients[idx].cache(), t_i);
-                if observing {
-                    let mut after = plane.stats();
-                    let b = before;
+                self.fleet.settle_queries(idx, t_i);
+                if let (Some(b), Some(mut after)) = (before, self.client_query_stats(idx)) {
                     after.queries_posed -= b.queries_posed;
                     after.hits -= b.hits;
                     after.misses -= b.misses;
@@ -1495,147 +1022,124 @@ impl CellSimulation {
                     after.txns_begun -= b.txns_begun;
                     after.txn_commits -= b.txn_commits;
                     after.txn_aborts -= b.txn_aborts;
-                    query_delta.absorb(&after);
+                    iv.tally.query.absorb(&after);
                 }
-                self.query_planes[idx] = Some(plane);
             }
             if let Some((pre_stats, _)) = sw.pre {
-                let s = self.client_stats(idx);
-                obs_hits += s.hit_events - pre_stats.hit_events;
-                obs_misses += s.miss_events - pre_stats.miss_events;
+                let s = self.fleet.stats(idx);
+                iv.tally.hits += s.hit_events - pre_stats.hit_events;
+                iv.tally.misses += s.miss_events - pre_stats.miss_events;
             }
         }
-        self.digest_scratch = digest_scratch;
-        self.obs.finish(process_timer);
+    }
 
-        // 5. Energy accounting (§9/§10): asleep units pay sleep energy;
-        // awake units listen for the report (delivery-mode dependent),
-        // transmit their queries, receive their answers, and doze the
-        // rest of the interval.
-        {
-            let model = self.config.energy_model;
-            let interval = SimDuration::from_secs(self.config.params.latency_secs);
-            // One O(1) charge settles the whole sleeping population for
-            // this interval (sleep power is linear in time). Departed
-            // slots are husks, not sleepers — nobody pays for them.
-            let asleep = self.client_slots() - self.departed_count - awake.len();
-            if asleep > 0 {
-                self.energy
-                    .add_sleep(&model, interval.scaled(asleep as f64));
-            }
-            let report_tx =
-                SimDuration::from_secs(self.channel.transmission_secs(report_bits));
-            let per_query_tx = SimDuration::from_secs(
-                self.channel
-                    .transmission_secs(self.config.params.query_bits as u64),
+    /// Phase 5, energy accounting (§9/§10): asleep units pay sleep
+    /// energy; awake units listen for the report (delivery-mode
+    /// dependent), transmit their queries, receive their answers, and
+    /// doze the rest of the interval.
+    fn charge_energy(&mut self, iv: &Interval) {
+        let model = self.config.energy_model;
+        let params = &self.config.params;
+        let interval = SimDuration::from_secs(params.latency_secs);
+        // One O(1) charge settles the whole sleeping population for
+        // this interval (sleep power is linear in time). Departed
+        // slots are husks, not sleepers — nobody pays for them.
+        let asleep = self.present_clients() - iv.awake.len();
+        if asleep > 0 {
+            self.energy
+                .add_sleep(&model, interval.scaled(asleep as f64));
+        }
+        let tx_time = |bits: u64| SimDuration::from_secs(self.channel.transmission_secs(bits));
+        let report_tx = tx_time(iv.tally.report_bits);
+        let per_query_tx = tx_time(params.query_bits as u64);
+        let per_answer_rx = tx_time(params.answer_bits as u64);
+        // `uplinks` is parallel to the awake set, in ascending client
+        // order — the order the delivery rng draws in.
+        for &misses in &iv.uplinks {
+            let outcome = self
+                .delivery
+                .deliver(iv.t_i, report_tx, &mut self.delivery_rng);
+            let active = SimDuration::from_secs(
+                (outcome.listening.as_secs()
+                    + misses as f64 * (per_query_tx.as_secs() + per_answer_rx.as_secs()))
+                .min(interval.as_secs()),
             );
-            let per_answer_rx = SimDuration::from_secs(
-                self.channel
-                    .transmission_secs(self.config.params.answer_bits as u64),
+            self.energy.add_rx(
+                &model,
+                SimDuration::from_secs(
+                    (outcome.listening.as_secs() + misses as f64 * per_answer_rx.as_secs())
+                        .min(interval.as_secs()),
+                ),
             );
-            // `uplink_counts` is parallel to the awake set, in ascending
-            // client order — the delivery rng draws in the same order as
-            // the old full-fleet loop.
-            for &misses in &uplink_counts {
-                let outcome = self.delivery.deliver(t_i, report_tx, &mut self.delivery_rng);
-                let active = SimDuration::from_secs(
-                    (outcome.listening.as_secs()
-                        + misses as f64 * (per_query_tx.as_secs() + per_answer_rx.as_secs()))
-                    .min(interval.as_secs()),
-                );
-                self.energy.add_rx(
-                    &model,
-                    SimDuration::from_secs(
-                        (outcome.listening.as_secs() + misses as f64 * per_answer_rx.as_secs())
-                            .min(interval.as_secs()),
-                    ),
-                );
-                self.energy
-                    .add_tx(&model, per_query_tx.scaled(misses as f64));
-                self.energy
-                    .add_doze(&model, interval - active.min(interval));
+            self.energy
+                .add_tx(&model, per_query_tx.scaled(misses as f64));
+            self.energy
+                .add_doze(&model, interval - active.min(interval));
+        }
+        if iv.observing {
+            // Radio-state transition census (§9/§10): how many
+            // client-intervals each energy state absorbed.
+            self.obs.add("energy_sleep_intervals", asleep as u64);
+            self.obs.add("energy_rx_intervals", iv.awake.len() as u64);
+            let tx: u64 = iv.uplinks.iter().map(|&c| c as u64).sum();
+            self.obs.add("energy_tx_queries", tx);
+        }
+    }
+
+    /// Phase 6, the safety invariant: every cache entry's value must
+    /// match the item's historical value at the entry's validity
+    /// timestamp. Query-result rows are audited by the same rule — a
+    /// stale row is a stale *query answer*, so it counts against the
+    /// owning strategy's safety contract exactly like a stale
+    /// item-cache entry.
+    fn audit_safety(&mut self, iv: &Interval) -> Result<(), SimulationError> {
+        let Some(history) = &self.history else {
+            return Ok(());
+        };
+        let safety = &mut self.safety;
+        let mut check = |item, value, timestamp| {
+            safety.entries_checked += 1;
+            if !history.is_consistent(item, value, timestamp) {
+                safety.violations += 1;
             }
-            if observing {
-                // Radio-state transition census (§9/§10): how many
-                // client-intervals each energy state absorbed.
-                self.obs.add("energy_sleep_intervals", asleep as u64);
-                self.obs.add("energy_rx_intervals", awake.len() as u64);
-                let tx: u64 = uplink_counts.iter().map(|&c| c as u64).sum();
-                self.obs.add("energy_tx_queries", tx);
+        };
+        self.fleet.for_each_cached_entry(&mut check);
+        for plane in self.fleet.query_planes() {
+            for row in plane.cache().iter().flat_map(|entry| &entry.rows) {
+                check(row.item, row.value, row.timestamp);
             }
         }
-
-        // 6. Safety invariant: every cache entry's value must match the
-        // item's historical value at the entry's validity timestamp.
-        if let Some(history) = &self.history {
-            match &self.columnar {
-                Some(fleet) => fleet.for_each_cached_entry(|item, value, timestamp| {
-                    self.safety.entries_checked += 1;
-                    if !history.is_consistent(item, value, timestamp) {
-                        self.safety.violations += 1;
-                    }
-                }),
-                None => {
-                    for mu in &self.clients {
-                        for item in mu.cache().sorted_items() {
-                            let entry = mu.cache().peek(item).expect("iterating cached items");
-                            self.safety.entries_checked += 1;
-                            if !history.is_consistent(item, entry.value, entry.timestamp) {
-                                self.safety.violations += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            // Query-result rows are audited by the same rule: every
-            // materialized footprint row must still match the item's
-            // historical value at its verification timestamp. A stale
-            // row is a stale *query answer*, so it counts against the
-            // owning strategy's safety contract exactly like a stale
-            // item-cache entry.
-            for plane in self.query_planes.iter().flatten() {
-                for entry in plane.cache().iter() {
-                    for row in &entry.rows {
-                        self.safety.entries_checked += 1;
-                        if !history.is_consistent(row.item, row.value, row.timestamp) {
-                            self.safety.violations += 1;
-                        }
-                    }
-                }
-            }
-            if observing {
-                // Stale entries the strategy validated anyway — SIG's
-                // false-validation risk made visible per interval.
-                self.obs.add(
-                    "safety_false_validations",
-                    self.safety.violations - violations_before,
-                );
-            }
-            // The no-stale-reads guarantee is absolute for never-stale
-            // strategies: abort at the first false validation instead
-            // of averaging it into a rate. SIG/HYB keep counting (their
-            // contract is a bounded rate), quasi-copies are stale by
-            // design.
-            if self.safety.violations > violations_before
-                && self.strategy.safety_expectation() == SafetyExpectation::NeverStale
-            {
-                return Err(SimulationError::SafetyViolated {
-                    strategy: self.strategy.name(),
-                    interval: i,
-                });
-            }
+        let violations = self.safety.violations - iv.violations_before;
+        if iv.observing {
+            // Stale entries the strategy validated anyway — SIG's
+            // false-validation risk made visible per interval.
+            self.obs.add("safety_false_validations", violations);
         }
+        // The no-stale-reads guarantee is absolute for never-stale
+        // strategies: abort at the first false validation instead of
+        // averaging it into a rate. SIG/HYB keep counting (their
+        // contract is a bounded rate), quasi-copies are stale by
+        // design.
+        if violations > 0 && self.strategy.safety_expectation() == SafetyExpectation::NeverStale {
+            return Err(SimulationError::SafetyViolated {
+                strategy: self.strategy.name(),
+                interval: iv.i,
+            });
+        }
+        Ok(())
+    }
 
-        // 7. Period boundaries and log hygiene.
+    /// Phase 7: period boundaries and log hygiene.
+    fn close_period(&mut self, iv: &Interval) {
         if let Some((default_k, exceptions)) = self.server.end_period_if_due(
-            i,
+            iv.i,
             &mut self.uplink,
             &mut self.db,
             SimDuration::from_secs(self.config.params.latency_secs),
         ) {
-            if observing {
+            if iv.observing {
                 self.obs.event(
-                    i,
+                    iv.i,
                     "adaptive_period",
                     &[
                         ("default_k", Value::U64(default_k as u64)),
@@ -1644,144 +1148,131 @@ impl CellSimulation {
                 );
             }
         }
-        self.db.prune_log(t_i);
+        self.db.prune_log(iv.t_i);
+    }
 
-        // 8. Each awake unit draws its next sleep run and schedules its
-        // wake-up: a run of k > 0 means the unit is absent until
-        // interval i+1+k (and, stateful, disconnects at i+1). Units
-        // drawing the never-wake sentinel leave the schedule for good.
-        for &idx in &awake {
-            let k = match &mut self.columnar {
-                Some(fleet) => {
-                    let k = fleet.draw_sleep_run(idx, &mut self.sleep_rngs[idx]);
-                    if k > 0 {
-                        fleet.enter_sleep(idx);
-                    }
-                    k
-                }
-                None => {
-                    let k = self.clients[idx].draw_sleep_run(&mut self.sleep_rngs[idx]);
-                    if k > 0 {
-                        self.clients[idx].enter_sleep();
-                        if is_stateful {
-                            self.pending_disconnects.push(idx);
-                        }
-                    }
-                    k
-                }
-            };
-            let next_wake = if k == u64::MAX {
-                u64::MAX
-            } else {
-                (i + 1).saturating_add(k)
-            };
-            if observing && k == u64::MAX {
+    /// Phase 8: each awake unit draws its next sleep run and schedules
+    /// its wake-up: a run of k > 0 means the unit is absent until
+    /// interval i+1+k (and, stateful, disconnects at i+1). Units
+    /// drawing the never-wake sentinel leave the schedule for good.
+    fn schedule_sleep(&mut self, iv: &Interval) {
+        let stateful = self.server.is_stateful();
+        for &idx in &iv.awake {
+            let next_wake = self.fleet.close_interval(idx, iv.i);
+            if stateful && !self.fleet.is_awake(idx) {
+                self.pending_disconnects.push(idx);
+            }
+            if iv.observing && next_wake == u64::MAX {
                 self.obs.add("never_wake_draws", 1);
             }
             self.wake.schedule(idx, next_wake);
-            self.next_wake_hint[idx] = next_wake;
         }
+    }
 
-        if observing {
-            let uplinks: u64 = uplink_counts.iter().map(|&c| c as u64).sum();
-            let overflow = self.overflow_exchanges - overflow_before;
-            let ft = self.faults.totals();
-            self.obs.add("intervals", 1);
-            self.obs.add("updates_applied", recs.len() as u64);
-            self.obs.add("overflow_exchanges", overflow);
-            self.obs.add("sig_false_alarms", obs_false_alarms);
-            self.obs.add("sig_unmatched_subsets", obs_unmatched);
-            if self.config.query.is_some() {
-                // The query-plane counter family mirrors the item-plane
-                // one; absent (and traces unchanged) unless a query
-                // config is armed.
-                self.obs.add("query_posed", query_delta.queries_posed);
-                self.obs.add("query_hits", query_delta.hits);
-                self.obs.add("query_misses", query_delta.misses);
-                self.obs.add("query_invalidated", query_delta.entries_invalidated);
-                self.obs.add("query_reverified", query_delta.entries_reverified);
-                self.obs.add("query_txn_commits", query_delta.txn_commits);
-                self.obs.add("query_txn_aborts", query_delta.txn_aborts);
-            }
-            if self.faults.is_active() {
-                // The fault event family: counters stay absent (and
-                // faultless trace summaries stay byte-identical) unless
-                // a plan is actually armed.
-                self.obs
-                    .add("reports_lost", ft.reports_lost - faults_before.reports_lost);
-                self.obs.add(
-                    "frames_corrupted",
-                    ft.frames_corrupted - faults_before.frames_corrupted,
-                );
-                self.obs.add(
-                    "drift_missed_reports",
-                    ft.drift_missed_reports - faults_before.drift_missed_reports,
-                );
-                self.obs.add(
-                    "uplink_retries",
-                    ft.uplink_retries - faults_before.uplink_retries,
-                );
-                self.obs.add(
-                    "backoff_intervals",
-                    ft.backoff_intervals - faults_before.backoff_intervals,
-                );
-                // Every whole-cache drop this interval followed a
-                // report gap (sleep- or fault-induced): the recovery
-                // cost the fig_loss sweep plots.
-                self.obs.add("cache_drops_on_gap", obs_drops);
-            }
-            if let Some(before) = capacity_before {
-                // The eviction-statistics family: absent (and traces
-                // unchanged) unless the cell bounds its caches.
-                let after = self.capacity_totals();
-                self.obs
-                    .add("capacity_evictions", after.evictions - before.evictions);
-                self.obs.add(
-                    "capacity_misses",
-                    after.capacity_misses - before.capacity_misses,
-                );
-                self.obs.add(
-                    "evicted_then_requeried",
-                    after.evicted_then_requeried - before.evicted_then_requeried,
-                );
-            }
-            if self.config.coop.is_some() {
-                self.obs
-                    .add("coop_served", self.coop_stats.coop_served - coop_before.coop_served);
-                self.obs
-                    .add("coop_bits", self.coop_stats.coop_bits - coop_before.coop_bits);
-                self.obs.add(
-                    "coop_declined",
-                    self.coop_stats.coop_declined - coop_before.coop_declined,
-                );
-            }
-            self.obs.record("report_bits", report_bits);
-            self.obs.record("awake_clients", awake.len() as u64);
-            self.obs.record("uplinks_per_interval", uplinks);
-            self.obs.record("used_bits", self.channel.budget().used);
-            let mut row = vec![
-                awake.len() as u64,
-                obs_hits,
-                obs_misses,
-                uplinks,
-                obs_invalidated,
-                obs_drops,
-                report_bits,
-                self.channel.budget().used,
-                overflow,
-                ft.reports_missed_total() - faults_before.reports_missed_total(),
+    /// Writes the interval's observation record (counters, histograms,
+    /// one series row). Nothing here feeds back into the simulation.
+    fn record_interval(&mut self, iv: &Interval) {
+        let arrivals = std::mem::take(&mut self.arrivals_since_step);
+        if !iv.observing {
+            return;
+        }
+        let tally = &iv.tally;
+        let uplinks: u64 = iv.uplinks.iter().map(|&c| c as u64).sum();
+        let overflow = self.overflow_exchanges - iv.overflow_before;
+        let ft = self.faults.totals();
+        let faults_before = &iv.faults_before;
+        self.obs.add("intervals", 1);
+        self.obs.add("updates_applied", tally.updates);
+        self.obs.add("overflow_exchanges", overflow);
+        self.obs.add("sig_false_alarms", tally.false_alarms);
+        self.obs.add("sig_unmatched_subsets", tally.unmatched);
+        if self.config.query.is_some() {
+            // The query-plane counter family mirrors the item-plane
+            // one; absent (and traces unchanged) unless a query
+            // config is armed.
+            self.obs.add("query_posed", tally.query.queries_posed);
+            self.obs.add("query_hits", tally.query.hits);
+            self.obs.add("query_misses", tally.query.misses);
+            self.obs
+                .add("query_invalidated", tally.query.entries_invalidated);
+            self.obs
+                .add("query_reverified", tally.query.entries_reverified);
+            self.obs.add("query_txn_commits", tally.query.txn_commits);
+            self.obs.add("query_txn_aborts", tally.query.txn_aborts);
+        }
+        if self.faults.is_active() {
+            // The fault event family: counters stay absent (and
+            // faultless trace summaries stay byte-identical) unless
+            // a plan is actually armed.
+            self.obs
+                .add("reports_lost", ft.reports_lost - faults_before.reports_lost);
+            self.obs.add(
+                "frames_corrupted",
+                ft.frames_corrupted - faults_before.frames_corrupted,
+            );
+            self.obs.add(
+                "drift_missed_reports",
+                ft.drift_missed_reports - faults_before.drift_missed_reports,
+            );
+            self.obs.add(
+                "uplink_retries",
                 ft.uplink_retries - faults_before.uplink_retries,
-            ];
-            if self.config.backbone.is_some() {
-                // The mesh series column: units that arrived by handoff
-                // at the barrier preceding this interval.
-                row.push(self.arrivals_since_step);
-            }
-            self.obs.series_row(i, &row);
+            );
+            self.obs.add(
+                "backoff_intervals",
+                ft.backoff_intervals - faults_before.backoff_intervals,
+            );
+            // Every whole-cache drop this interval followed a
+            // report gap (sleep- or fault-induced): the recovery
+            // cost the fig_loss sweep plots.
+            self.obs.add("cache_drops_on_gap", tally.drops);
         }
-        self.arrivals_since_step = 0;
-
-        Ok(report_bits)
+        if let Some(before) = &iv.capacity_before {
+            // The eviction-statistics family: absent (and traces
+            // unchanged) unless the cell bounds its caches.
+            let after = self.capacity_totals();
+            self.obs
+                .add("capacity_evictions", after.evictions - before.evictions);
+            self.obs.add(
+                "capacity_misses",
+                after.capacity_misses - before.capacity_misses,
+            );
+            self.obs.add(
+                "evicted_then_requeried",
+                after.evicted_then_requeried - before.evicted_then_requeried,
+            );
+        }
+        if self.config.coop.is_some() {
+            let (now, before) = (self.coop_stats, iv.coop_before);
+            self.obs
+                .add("coop_served", now.coop_served - before.coop_served);
+            self.obs.add("coop_bits", now.coop_bits - before.coop_bits);
+            self.obs
+                .add("coop_declined", now.coop_declined - before.coop_declined);
+        }
+        self.obs.record("report_bits", tally.report_bits);
+        self.obs.record("awake_clients", iv.awake.len() as u64);
+        self.obs.record("uplinks_per_interval", uplinks);
+        self.obs.record("used_bits", self.channel.budget().used);
+        let mut row = vec![
+            iv.awake.len() as u64,
+            tally.hits,
+            tally.misses,
+            uplinks,
+            tally.invalidated,
+            tally.drops,
+            tally.report_bits,
+            self.channel.budget().used,
+            overflow,
+            ft.reports_missed_total() - faults_before.reports_missed_total(),
+            ft.uplink_retries - faults_before.uplink_retries,
+        ];
+        if self.config.backbone.is_some() {
+            // The mesh series column: units that arrived by handoff
+            // at the barrier preceding this interval.
+            row.push(arrivals);
+        }
+        self.obs.series_row(iv.i, &row);
     }
 
     /// Runs `intervals` broadcast intervals and summarizes.
@@ -1799,23 +1290,8 @@ impl CellSimulation {
     /// to 1, Eq. 9's `1/(1−h)` amplifies even a 1% cold-cache miss
     /// inflation severalfold.
     pub fn reset_metrics(&mut self) {
-        match &mut self.columnar {
-            Some(fleet) => fleet.reset_stats(),
-            None => {
-                for mu in &mut self.clients {
-                    mu.reset_stats();
-                }
-            }
-        }
-        // Sleep runs straddling the reset must not credit their
-        // pre-reset intervals into the fresh stats.
-        let now = self.clock.next_index();
-        for settled in &mut self.last_settled {
-            *settled = (*settled).max(now);
-        }
-        for plane in self.query_planes.iter_mut().flatten() {
-            plane.reset_stats();
-        }
+        // Eviction and query-plane counters live with the clients.
+        self.fleet.reset_stats(self.clock.next_index());
         self.channel.reset_totals();
         self.report_bits_total = 0;
         self.overflow_exchanges = 0;
@@ -1823,8 +1299,6 @@ impl CellSimulation {
         self.energy = EnergyTotals::default();
         self.safety = SafetyStats::default();
         self.migration = MigrationStats::default();
-        // Eviction counters live in the per-client stats and were
-        // zeroed above; the sidelink counters are cell-level.
         self.coop_stats = CoopStats::default();
         // Counters only: the fault processes (burst state, drift) keep
         // evolving across the warm-up boundary, like every other
@@ -1857,26 +1331,22 @@ impl CellSimulation {
         let mut queries_posed = 0;
         let mut cache_drops = 0;
         let mut items_invalidated = 0;
-        let mut tally = |s: &MuStats| {
+        for s in self.fleet.stats_iter() {
             hit_events += s.hit_events;
             miss_events += s.miss_events;
             queries_posed += s.queries_posed;
             cache_drops += s.cache_drops;
             items_invalidated += s.items_invalidated;
-        };
-        match &self.columnar {
-            Some(fleet) => fleet.stats_iter().for_each(&mut tally),
-            None => self.clients.iter().for_each(|mu| tally(&mu.stats())),
         }
         let mut query = QueryStats::default();
-        for plane in self.query_planes.iter().flatten() {
+        for plane in self.fleet.query_planes() {
             query.absorb(&plane.stats());
         }
         let params = &self.config.params;
         SimulationReport {
             strategy: self.strategy.name(),
             intervals: self.channel.intervals_elapsed(),
-            n_clients: self.client_slots() - self.departed_count,
+            n_clients: self.present_clients(),
             hit_events,
             miss_events,
             queries_posed,
@@ -1980,10 +1450,15 @@ impl CellSimulation {
     }
 
     /// Detaches the unit in slot `idx` for a handoff, returning the
-    /// traveling client. The slot is replaced by an inert husk (zero
-    /// query rate, permanently asleep, never scheduled) and marked
-    /// departed; slots are never reused, so every index-parallel vector
-    /// and outstanding heap entry stays valid.
+    /// traveling client. The seat moves out whole; the slot keeps an
+    /// inert husk (zero query rate, permanently asleep, never
+    /// scheduled). Slots are never reused, so every outstanding index —
+    /// heap entries, queued exchanges — stays valid.
+    ///
+    /// A queued exchange belongs to the unit, not the slot; it
+    /// re-queries from its destination cell at its next miss. The queue
+    /// entries become tombstones that the FIFO drain discards when it
+    /// reaches them, so detaching is O(1) in the queue length.
     ///
     /// Under the stateful baseline the registry drops the unit
     /// immediately (the server learns of the disconnect at the
@@ -1993,63 +1468,14 @@ impl CellSimulation {
     ///
     /// # Panics
     ///
-    /// Panics if the slot already departed.
+    /// Panics if the slot already departed, or on a columnar cell.
     pub fn detach_client(&mut self, idx: usize) -> HandoffClient {
-        assert!(
-            self.columnar.is_none(),
-            "handoffs move whole boxed units; mesh shards (backbone set) \
-             never construct the columnar fleet"
-        );
-        assert!(!self.departed[idx], "slot {idx} already departed");
-        // The husk: never queries, never wakes, caches nothing. Its
-        // RNG stream is a throwaway — the husk draws nothing, and the
-        // departing unit keeps its real streams.
-        let params = &self.config.params;
-        let husk_config = MuConfig {
-            id: u64::MAX,
-            hotspot: vec![0],
-            query_rate_per_item: 0.0,
-            sleep_probability: 1.0,
-            cache_capacity: self.config.cache_capacity,
-            replacement: self.config.replacement,
-            replacement_window: SimDuration::from_secs(params.latency_secs)
-                .scaled(params.k as f64),
-            piggyback_hits: false,
-            item_universe: Some(params.n_items),
-        };
-        let handler = Strategy::NoCache.make_handler(params, self.config.protocol_seed());
-        let mut throwaway = MasterSeed(0).stream(StreamId::Custom { tag: 0xDEAD });
-        let mut husk = MobileUnit::new(husk_config, handler, &mut throwaway);
-        husk.enter_sleep();
-
-        let mu = std::mem::replace(&mut self.clients[idx], husk);
-        let query_rng = std::mem::replace(
-            &mut self.query_rngs[idx],
-            MasterSeed(0).stream(StreamId::Custom { tag: 0xDEAD }),
-        );
-        let sleep_rng = std::mem::replace(
-            &mut self.sleep_rngs[idx],
-            MasterSeed(0).stream(StreamId::Custom { tag: 0xDEAD }),
-        );
-        // The query plane does not travel: config::validate rejects
-        // query + backbone, so a detaching slot never carries one. The
-        // take keeps the husk invariant (`None` everywhere) honest.
-        self.query_planes[idx] = None;
-        let next_wake = self.next_wake_hint[idx];
-        self.departed[idx] = true;
+        assert!(!self.fleet.is_departed(idx), "slot {idx} already departed");
+        let seat = self.fleet.detach(idx);
         self.departed_count += 1;
-        self.newly_migrated[idx] = false;
-        self.wake.schedule(idx, u64::MAX);
-        self.next_wake_hint[idx] = u64::MAX;
-        // A queued exchange belongs to the unit, not the slot; it
-        // re-queries from its destination cell at its next miss. The
-        // queue entries become tombstones (`departed[idx]` is set) that
-        // the FIFO drain discards when it reaches them — detaching is
-        // O(1) in the queue length where it used to be a full retain
-        // scan, which went quadratic for mesh detaches at large fleets.
         self.pending_disconnects.retain(|&p| p != idx);
         if let Some(registry) = self.server.registry_mut() {
-            let id = mu.id();
+            let id = seat.unit().id();
             if registry.is_connected(id) {
                 registry.disconnect(id);
                 self.deferred_control.push(id);
@@ -2057,13 +1483,7 @@ impl CellSimulation {
         }
         self.migration.migrations_out += 1;
         self.obs.add("migrations_out", 1);
-        HandoffClient {
-            mu,
-            query_rng,
-            sleep_rng,
-            next_wake,
-            last_settled: self.last_settled[idx],
-        }
+        HandoffClient(seat)
     }
 
     /// Attaches a traveling unit to this cell, appending a fresh slot,
@@ -2071,66 +1491,38 @@ impl CellSimulation {
     ///
     /// `histories_agree` is the caller's verdict on whether the source
     /// and destination cells broadcast the same invalidation
-    /// information (see [`report_history_agrees`]
-    /// (Self::report_history_agrees)); when they diverge the carried
-    /// cache is unconditionally dropped — no report from *this* cell
-    /// can vouch for entries validated against a different history.
+    /// information (see
+    /// [`report_history_agrees`](Self::report_history_agrees)); when
+    /// they diverge the carried cache is unconditionally dropped — no
+    /// report from *this* cell can vouch for entries validated against
+    /// a different history.
     /// When the histories agree, the cache rides along and the unit's
     /// own strategy rules decide its fate at the first report heard
     /// here (the handoff is exactly a sleep gap: AT drops everything
     /// regardless, TS keeps entries iff the gap stayed inside `w`, SIG
-    /// re-diagnoses by signature, the stateful baseline re-registers).
+    /// re-diagnoses by signature, the stateful baseline re-registers
+    /// at its wake-up reconnect, like any returning sleeper).
     ///
     /// The arrival enforces a one-interval transit blackout: the unit
-    /// cannot hear the report already in flight at the barrier it
-    /// crossed, so its first audible report is the following one.
-    pub fn attach_client(&mut self, h: HandoffClient, histories_agree: bool) -> usize {
-        assert!(
-            self.columnar.is_none(),
-            "handoffs move whole boxed units; mesh shards (backbone set) \
-             never construct the columnar fleet"
-        );
-        let HandoffClient {
-            mut mu,
-            query_rng,
-            sleep_rng,
-            next_wake,
-            last_settled,
-        } = h;
-        let idx = self.clients.len();
-        let id = self.next_client_id;
-        self.next_client_id += 1;
-        mu.reassign_id(id);
-        if !histories_agree {
-            let dropped = mu.drop_cache_for_handoff();
-            if dropped > 0 {
-                self.migration.handoff_drops += 1;
-                self.obs.add("handoff_drops", 1);
-            }
-        }
-        // Transit blackout: the unit is in transit for the whole next
-        // interval (`clock.next_index()` is the index of the *last*
-        // report broadcast; the transit interval is the one after it)
-        // and misses that interval's report in both cells. It behaves
-        // exactly like a sleeper over the blackout — `newly_migrated`
-        // defers the drop-vs-keep verdict to its strategy at the first
-        // report it actually hears, which closes a gap of 2L.
+    /// is in transit for the whole next interval
+    /// (`clock.next_index()` is the index of the *last* report
+    /// broadcast; the transit interval is the one after it) and misses
+    /// that interval's report in both cells. It behaves exactly like a
+    /// sleeper over the blackout — the drop-vs-keep verdict falls to
+    /// its strategy at the first report it actually hears, which
+    /// closes a gap of 2L.
+    pub fn attach_client(&mut self, traveler: HandoffClient, histories_agree: bool) -> usize {
+        let HandoffClient(mut seat) = traveler;
         let transit = self.clock.next_index() + 1;
-        let wake = next_wake.max(transit.saturating_add(1));
-        mu.enter_sleep();
-        self.clients.push(mu);
-        self.query_rngs.push(query_rng);
-        self.query_planes.push(None);
-        self.sleep_rngs.push(sleep_rng);
-        self.last_settled.push(last_settled.max(transit));
-        self.departed.push(false);
-        self.newly_migrated.push(true);
-        self.next_wake_hint.push(wake);
-        self.wake.push_client(idx, wake);
+        if seat.arrive(self.next_client_id, transit, histories_agree) {
+            self.migration.handoff_drops += 1;
+            self.obs.add("handoff_drops", 1);
+        }
+        self.next_client_id += 1;
+        let wake = seat.next_wake();
+        let idx = self.fleet.attach(seat);
+        self.wake.schedule(idx, wake);
         self.faults.push_client(self.config.seed, idx, transit);
-        // Stateful baseline: the new id registers at the unit's wake-up
-        // reconnect, like any returning sleeper — the reconnect loop
-        // sees an unknown id and charges the registration there.
         self.migration.migrations_in += 1;
         self.arrivals_since_step += 1;
         self.obs.add("migrations", 1);
@@ -2141,6 +1533,9 @@ impl CellSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FleetBackend;
+    use sw_adaptive::FeedbackMethod;
+    use sw_sim::MasterSeed;
     use sw_workload::ScenarioParams;
 
     fn quick_params() -> ScenarioParams {

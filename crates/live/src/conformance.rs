@@ -106,37 +106,6 @@ pub struct Conformance {
     pub live: Vec<Vec<DecisionRow>>,
 }
 
-fn row_from_deltas(
-    i: u64,
-    prev: &MuStats,
-    s: &MuStats,
-    prev_q: &QueryStats,
-    q: &QueryStats,
-) -> DecisionRow {
-    if s.intervals_awake == prev.intervals_awake {
-        return DecisionRow {
-            interval: i,
-            ..DecisionRow::default()
-        };
-    }
-    DecisionRow {
-        interval: i,
-        awake: true,
-        heard: s.reports_missed == prev.reports_missed,
-        queries: s.queries_posed - prev.queries_posed,
-        hits: s.hit_events - prev.hit_events,
-        misses: s.miss_events - prev.miss_events,
-        invalidated: s.items_invalidated - prev.items_invalidated,
-        drops: s.cache_drops - prev.cache_drops,
-        qhits: q.hits - prev_q.hits,
-        qmisses: q.misses - prev_q.misses,
-        qcommits: q.txn_commits - prev_q.txn_commits,
-        qaborts: q.txn_aborts - prev_q.txn_aborts,
-        evictions: s.evictions - prev.evictions,
-        capacity_misses: s.capacity_misses - prev.capacity_misses,
-    }
-}
-
 /// Runs the reference simulation interval by interval and extracts
 /// each client's decision row per interval from its stat deltas.
 pub fn sim_decision_log(
@@ -156,7 +125,7 @@ pub fn sim_decision_log(
         for (idx, log) in rows.iter_mut().enumerate() {
             let s = sim.client_stats(idx);
             let q = sim.client_query_stats(idx).unwrap_or_default();
-            log.push(row_from_deltas(i, &prev[idx], &s, &prev_q[idx], &q));
+            log.push(DecisionRow::from_deltas(i, &prev[idx], &s, &prev_q[idx], &q));
             prev[idx] = s;
             prev_q[idx] = q;
         }

@@ -1,14 +1,15 @@
 //! The live mobile-unit: a real `crates/client` cache behind real
 //! sockets.
 //!
-//! [`LiveMu`] is the transport-free core: it replicates, stream for
-//! stream, the per-client construction and per-interval call sequence
-//! of `CellSimulation` (hotspot draw, query generation, the strategy's
-//! report handler, the sleep-run schedule, and — when armed — the
-//! fault layer's per-client fate draws), so that a live unit fed the
-//! same seed and the same report bytes makes byte-identical decisions
-//! to its simulated twin. That identity is what the conformance
-//! harness pins (see [`crate::conformance`]).
+//! [`LiveMu`] is the transport-free core: a [`ClientSeat`] — the very
+//! struct `CellSimulation` seats its boxed clients in, built by the
+//! same constructor and driven through the same phase methods — plus
+//! what only a live unit has: the wire codec, and its own copy of the
+//! fault layer's per-client fate draws. A live unit fed the same seed
+//! and the same report bytes therefore makes byte-identical decisions
+//! to its simulated twin by construction; the conformance harness
+//! (see [`crate::conformance`]) pins what is left — the codec, the
+//! server side, and the order the daemon calls the phases in.
 //!
 //! [`run_mu`] wraps the core in the actual transport: a TCP control
 //! connection to `sw-serve` (registration, uplink queries, lockstep
@@ -25,21 +26,21 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sleepers::safety::ValueHistory;
-use sleepers::{CellConfig, Strategy};
+use sleepers::seat::{demonstrate_corruption, shared_zipf};
+use sleepers::{CellConfig, ClientSeat, Strategy};
 use sw_client::handler::{time_from_micros, time_to_micros};
-use sw_client::{MobileUnit, MuConfig, MuStats};
+use sw_client::{DigestScratch, MuStats};
 use sw_faults::{FaultLayer, ReportFate};
 use sw_observe::event::Value;
 use sw_observe::{ObserveSnapshot, Recorder};
 use sw_ops::{FlightRecorder, MetricsHub, Published};
-use sw_query::{QueryPlane, QueryStats};
+use sw_query::QueryStats;
 use sw_server::uplink::{PiggybackInfo, QueryAnswer};
 use sw_sim::{IntervalClock, RngStream, SimDuration, StreamId};
 use sw_wireless::frame::{
-    checksum64, flip_bit, open_frame, seal_frame, FramePayload, WireDecodeError, WireEncode,
+    open_frame, seal_frame, FramePayload, WireDecodeError, WireEncode,
 };
 use sw_wireless::ReportDelivery;
-use sw_workload::HotspotSpec;
 
 use crate::proto::{DecisionRow, Msg};
 
@@ -56,83 +57,34 @@ const BACKOFF_TAG: u64 = 0xBAC0_0FF5;
 /// Connection attempts granted to the initial registration.
 const STARTUP_ATTEMPTS: u32 = 40;
 
-/// Transport-free replica of one simulated client.
+/// Transport-free twin of one simulated client.
 ///
-/// Construction consumes exactly the streams the simulator consumes
-/// for client `index` (hotspot, query, sleep, and the fault streams),
-/// and each method mirrors one phase of `CellSimulation::step` for
-/// that client. Timestamps cross the wire as integer microseconds and
-/// convert back via [`time_from_micros`], which round-trips exactly
-/// whenever `L·10⁶` is integral.
+/// The seat consumes exactly the streams the simulator consumes for
+/// client `index` (hotspot, query, sleep, Zipf, query plan), and each
+/// method below is one phase of `CellSimulation::step` for that client,
+/// delegated to the seat. Timestamps cross the wire as integer
+/// microseconds and convert back via [`time_from_micros`], which
+/// round-trips exactly whenever `L·10⁶` is integral.
 pub struct LiveMu {
-    mu: MobileUnit,
-    query_rng: RngStream,
-    sleep_rng: RngStream,
+    seat: ClientSeat,
     faults: FaultLayer,
     delivery: ReportDelivery,
     clock: IntervalClock,
     encode: WireEncode,
     index: usize,
-    next_wake: u64,
-    last_settled: u64,
+    /// Item- and query-plane stats as the current interval opened; the
+    /// decision row is their delta.
     prev: MuStats,
-    /// The query-result plane, when the config arms one — the same
-    /// `sw-query` state machine the simulator drives, fed in the same
-    /// per-interval order.
-    plane: Option<QueryPlane>,
     prev_q: QueryStats,
 }
 
 impl LiveMu {
-    /// Builds the unit exactly as `CellSimulation::new` builds client
-    /// `index` of this configuration: same stream ids, same draw
-    /// order, same initial sleep run.
+    /// Seats client `index` of this configuration exactly as
+    /// `CellSimulation::new` does.
     pub fn new(cfg: &CellConfig, strategy: Strategy, index: usize) -> Self {
         let params = cfg.params;
-        let idx = index as u64;
-        let spec = HotspotSpec::new(params.n_items, cfg.hotspot_size, cfg.popularity);
-        let mut hotspot_rng = cfg.seed.stream(StreamId::Hotspot { index: idx });
-        let hotspot = spec.draw(&mut hotspot_rng);
-        let mut query_rng = cfg.seed.stream(StreamId::Queries { index: idx });
-        let sleep_probability = match &cfg.sleep_profile {
-            Some(profile) => profile[index % profile.len()],
-            None => params.s,
-        };
-        // The query plane draws from its own stream family, so arming
-        // it leaves every other stream untouched — exactly as in the
-        // simulator.
-        let plane = cfg.query.map(|qc| {
-            QueryPlane::new(&hotspot, qc, cfg.seed.stream(StreamId::QueryPlan { index: idx }))
-        });
-        let mu_config = MuConfig {
-            id: idx,
-            hotspot,
-            query_rate_per_item: params.lambda,
-            sleep_probability,
-            cache_capacity: cfg.cache_capacity,
-            replacement: cfg.replacement,
-            replacement_window: SimDuration::from_secs(params.latency_secs)
-                .scaled(params.k as f64),
-            piggyback_hits: cfg.piggyback_hits,
-            item_universe: Some(params.n_items),
-        };
-        let handler = strategy.make_handler(&params, cfg.protocol_seed());
-        let mut mu = MobileUnit::new(mu_config, handler, &mut query_rng);
-        let mut sleep_rng = cfg.seed.stream(StreamId::Sleep { index: idx });
-        let k0 = mu.draw_sleep_run(&mut sleep_rng);
-        if k0 > 0 {
-            mu.enter_sleep();
-        }
-        let next_wake = if k0 == u64::MAX {
-            u64::MAX
-        } else {
-            1u64.saturating_add(k0)
-        };
-        let prev = mu.stats();
         Self {
-            mu,
-            query_rng,
-            sleep_rng,
+            seat: ClientSeat::new(cfg, strategy, index, shared_zipf(cfg).as_ref()),
             // The full-fleet layer (same per-client streams as the
             // simulator's); this unit only ever consumes slot `index`.
             faults: FaultLayer::new(cfg.faults.as_ref(), cfg.seed, cfg.n_clients),
@@ -145,17 +97,14 @@ impl LiveMu {
                 params.answer_bits,
             ),
             index,
-            next_wake,
-            last_settled: 0,
-            prev,
-            plane,
+            prev: MuStats::default(),
             prev_q: QueryStats::default(),
         }
     }
 
     /// First interval the unit will be awake for (`u64::MAX`: never).
     pub fn next_wake(&self) -> u64 {
-        self.next_wake
+        self.seat.next_wake()
     }
 
     /// The report timestamp the server stamps on interval `i`'s
@@ -172,7 +121,7 @@ impl LiveMu {
     /// full decode is cheap).
     pub fn report_stamp_micros(&self, frame: &[u8]) -> Option<u64> {
         let payload = self.encode.deserialize(frame).ok()?.payload;
-        if !self.mu.accepts_report(&payload) {
+        if !self.seat.unit().accepts_report(&payload) {
             return None;
         }
         match payload {
@@ -203,24 +152,13 @@ impl LiveMu {
         }
     }
 
-    /// Opens interval `i` for an awake unit: lazily credits the sleep
-    /// run that just ended and generates the interval's query arrivals
-    /// — the simulator's phase 1 for this client.
+    /// Opens interval `i` for an awake unit — the simulator's phase 1
+    /// for this client.
     pub fn begin_interval(&mut self, i: u64) {
-        debug_assert!(i >= self.next_wake, "begin_interval before the scheduled wake");
-        self.prev = self.mu.stats();
-        let slept = i - self.last_settled - 1;
-        if slept > 0 {
-            self.mu.credit_asleep_intervals(slept);
-        }
-        self.last_settled = i;
-        let from = self.clock.report_time(i - 1);
-        let to = self.clock.report_time(i);
-        self.mu.begin_awake_interval(from, to, &mut self.query_rng);
-        if let Some(plane) = self.plane.as_mut() {
-            self.prev_q = plane.stats();
-            plane.begin_awake_interval();
-        }
+        self.prev = self.stats();
+        self.prev_q = self.query_stats().unwrap_or_default();
+        let (from, to) = (self.clock.report_time(i - 1), self.clock.report_time(i));
+        self.seat.open_interval(i, from, to);
     }
 
     /// Draws this interval's delivery fate from the unit's own fault
@@ -249,44 +187,28 @@ impl LiveMu {
         frame: &[u8],
         fate: ReportFate,
     ) -> Result<Vec<(u64, Option<PiggybackInfo>)>, WireDecodeError> {
-        match fate {
-            ReportFate::Corrupted => {
-                let clean = checksum64(frame);
-                let mut damaged = frame.to_vec();
-                let bit = self
-                    .faults
-                    .corrupt_bit_index(self.index, damaged.len() as u64 * 8);
-                flip_bit(&mut damaged, bit);
-                if checksum64(&damaged) == clean {
-                    self.faults.note_undetected_corruption();
-                }
-                self.miss_report();
-                Ok(Vec::new())
+        if fate.is_missed() {
+            if fate == ReportFate::Corrupted {
+                demonstrate_corruption(&mut self.faults, self.index, frame);
             }
-            ReportFate::Lost | ReportFate::DriftMissed => {
-                self.miss_report();
-                Ok(Vec::new())
-            }
-            ReportFate::Heard => {
-                let decoded = self.encode.deserialize(frame)?;
-                if !self.mu.accepts_report(&decoded.payload) {
-                    return Err(WireDecodeError::Malformed(
-                        "not a report this unit's strategy can process",
-                    ));
-                }
-                let outcome = self.mu.hear_report_and_answer(&decoded.payload);
-                Ok(outcome.uplink_requests)
-            }
+            self.miss_report();
+            return Ok(Vec::new());
         }
+        let decoded = self.encode.deserialize(frame)?;
+        if !self.seat.unit().accepts_report(&decoded.payload) {
+            return Err(WireDecodeError::Malformed(
+                "not a report this unit's strategy can process",
+            ));
+        }
+        let mut scratch = DigestScratch::default();
+        let heard = self.seat.hear(&scratch.digest(&decoded.payload));
+        Ok(heard.uplink_requests)
     }
 
     /// Records a report that never arrived (loss, drift, a receive
     /// timeout): pending queries stay queued for the next report.
     pub fn miss_report(&mut self) {
-        self.mu.miss_report();
-        if let Some(plane) = self.plane.as_mut() {
-            plane.on_report_missed();
-        }
+        self.seat.miss_report();
     }
 
     /// Runs the query plane's footprint check against the item cache
@@ -296,44 +218,19 @@ impl LiveMu {
     /// plane is armed.
     pub fn check_queries(&mut self, i: u64) -> Vec<u64> {
         let t_i = self.clock.report_time(i);
-        match self.plane.as_mut() {
-            Some(plane) => plane.observe_report(self.mu.cache(), t_i).fetch,
-            None => Vec::new(),
-        }
+        self.seat.check_queries(t_i).unwrap_or_default()
     }
 
     /// Settles the query plane for interval `i` after the fetch list
     /// was served: materializes missed results and resolves
     /// transactional reads. No-op when no plane is armed.
     pub fn settle_queries(&mut self, i: u64) {
-        let t_i = self.clock.report_time(i);
-        if let Some(plane) = self.plane.as_mut() {
-            plane.settle(self.mu.cache(), t_i);
-        }
+        self.seat.settle_queries(self.clock.report_time(i));
     }
 
     /// Accumulated query-plane counters (`None`: no plane armed).
     pub fn query_stats(&self) -> Option<QueryStats> {
-        self.plane.as_ref().map(|p| p.stats())
-    }
-
-    /// Snapshot of every materialized query-result row as `(item,
-    /// value, wire-micros verification timestamp)` — audited against
-    /// the server's [`ValueHistory`] exactly like the item cache.
-    pub fn query_snapshot(&self) -> Vec<(u64, u64, u64)> {
-        let Some(plane) = self.plane.as_ref() else {
-            return Vec::new();
-        };
-        plane
-            .cache()
-            .iter()
-            .flat_map(|entry| {
-                entry
-                    .rows
-                    .iter()
-                    .map(|r| (r.item, r.value, time_to_micros(r.timestamp)))
-            })
-            .collect()
+        self.seat.query_plane().map(|p| p.stats())
     }
 
     /// Serializes and seals an uplink query frame for `item`. The
@@ -359,7 +256,7 @@ impl LiveMu {
         else {
             return Err(WireDecodeError::Malformed("expected a query answer"));
         };
-        self.mu.install_answer(QueryAnswer {
+        self.seat.install_answer(QueryAnswer {
             item,
             value,
             timestamp: time_from_micros(ts_micros),
@@ -371,43 +268,15 @@ impl LiveMu {
     /// deltas, then draws the next sleep run and schedules the wake —
     /// the simulator's phase 8 for this client.
     pub fn end_interval(&mut self, i: u64) -> DecisionRow {
-        let s = self.mu.stats();
-        let q = self
-            .plane
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default();
-        let row = DecisionRow {
-            interval: i,
-            awake: true,
-            heard: s.reports_missed == self.prev.reports_missed,
-            queries: s.queries_posed - self.prev.queries_posed,
-            hits: s.hit_events - self.prev.hit_events,
-            misses: s.miss_events - self.prev.miss_events,
-            invalidated: s.items_invalidated - self.prev.items_invalidated,
-            drops: s.cache_drops - self.prev.cache_drops,
-            qhits: q.hits - self.prev_q.hits,
-            qmisses: q.misses - self.prev_q.misses,
-            qcommits: q.txn_commits - self.prev_q.txn_commits,
-            qaborts: q.txn_aborts - self.prev_q.txn_aborts,
-            evictions: s.evictions - self.prev.evictions,
-            capacity_misses: s.capacity_misses - self.prev.capacity_misses,
-        };
-        let k = self.mu.draw_sleep_run(&mut self.sleep_rng);
-        if k > 0 {
-            self.mu.enter_sleep();
-        }
-        self.next_wake = if k == u64::MAX {
-            u64::MAX
-        } else {
-            (i + 1).saturating_add(k)
-        };
+        let q = self.query_stats().unwrap_or_default();
+        let row = DecisionRow::from_deltas(i, &self.prev, &self.stats(), &self.prev_q, &q);
+        self.seat.close_interval(i);
         row
     }
 
     /// Cumulative client statistics.
     pub fn stats(&self) -> MuStats {
-        self.mu.stats()
+        self.seat.unit().stats()
     }
 
     /// The cell's wire-encoding parameters.
@@ -415,18 +284,30 @@ impl LiveMu {
         self.encode
     }
 
-    /// Snapshot of every cache entry as `(item, value, wire-micros
-    /// validity timestamp)` — the live analogue of the simulator's
-    /// phase-6 safety sweep, audited against the server's
+    /// Snapshot of everything the unit would answer a query from — each
+    /// item-cache entry, then each materialized query-result row — as
+    /// audit rows stamped with interval `i`: the live analogue of the
+    /// simulator's phase-6 safety sweep, audited against the server's
     /// [`ValueHistory`] after the run.
-    pub fn cache_snapshot(&self) -> Vec<(u64, u64, u64)> {
-        let cache = self.mu.cache();
-        cache
-            .sorted_items()
-            .into_iter()
-            .map(|item| {
-                let entry = cache.peek(item).expect("iterating cached items");
-                (item, entry.value, time_to_micros(entry.timestamp))
+    pub fn audit_snapshot(&self, i: u64) -> Vec<CacheAuditRow> {
+        let cache = self.seat.unit().cache();
+        let items = cache.sorted_items().into_iter().map(|item| {
+            let entry = cache.peek(item).expect("iterating cached items");
+            (item, entry.value, entry.timestamp)
+        });
+        let rows = self.seat.query_plane().into_iter().flat_map(|plane| {
+            plane
+                .cache()
+                .iter()
+                .flat_map(|entry| entry.rows.iter().map(|r| (r.item, r.value, r.timestamp)))
+        });
+        items
+            .chain(rows)
+            .map(|(item, value, timestamp)| CacheAuditRow {
+                interval: i,
+                item,
+                value,
+                ts_micros: time_to_micros(timestamp),
             })
             .collect()
     }
@@ -790,6 +671,28 @@ impl Uplink {
         }
         result
     }
+
+    /// Fetches `items` one uplink round-trip each and installs the
+    /// answers. `Ok(false)`: the server halted the session
+    /// mid-exchange. A link that dies on the way (the server crashed)
+    /// leaves the remaining items unanswered; the next barrier wait or
+    /// probe re-registers.
+    fn fetch(
+        &mut self,
+        live: &mut LiveMu,
+        items: impl IntoIterator<Item = u64>,
+    ) -> io::Result<bool> {
+        for item in items {
+            match self.exchange_query(live.query_frame(item)) {
+                Ok(Some(frame)) => live
+                    .install_answer_frame(&frame)
+                    .map_err(|e| other_err(format!("undecodable answer: {e}")))?,
+                Ok(None) => return Ok(false),
+                Err(_) => break,
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// Runs one live client session against an `sw-serve` daemon at
@@ -968,22 +871,7 @@ pub fn run_mu(
                 live.query_stats(),
             );
             if opts.audit_cache {
-                audit.extend(live.cache_snapshot().into_iter().map(|(item, value, ts)| {
-                    CacheAuditRow {
-                        interval: i,
-                        item,
-                        value,
-                        ts_micros: ts,
-                    }
-                }));
-                audit.extend(live.query_snapshot().into_iter().map(|(item, value, ts)| {
-                    CacheAuditRow {
-                        interval: i,
-                        item,
-                        value,
-                        ts_micros: ts,
-                    }
-                }));
+                audit.extend(live.audit_snapshot(i));
             }
             continue;
         }
@@ -1090,23 +978,12 @@ pub fn run_mu(
                 }
             }
         }
-        for (item, _piggyback) in requests {
-            // Piggybacked hit histories are an adaptive-strategy input;
-            // the live wire carries the plain query (static strategies
-            // never read them server-side).
-            match uplink.exchange_query(live.query_frame(item)) {
-                Ok(Some(frame)) => live
-                    .install_answer_frame(&frame)
-                    .map_err(|e| other_err(format!("undecodable answer: {e}")))?,
-                Ok(None) => {
-                    halted = true;
-                    break 'session;
-                }
-                // The link died mid-exchange (the server crashed): the
-                // remaining queries stay unanswered; the next barrier
-                // wait or probe re-registers.
-                Err(_) => break,
-            }
+        // Piggybacked hit histories are an adaptive-strategy input; the
+        // live wire carries the plain query (static strategies never
+        // read them server-side).
+        if !uplink.fetch(&mut live, requests.into_iter().map(|(item, _)| item))? {
+            halted = true;
+            break 'session;
         }
         if heard {
             // Query plane, in the simulator's order: footprint check
@@ -1114,17 +991,10 @@ pub fn run_mu(
             // footprint rows over the same uplink, then materialize and
             // resolve transactional reads. Missed reports skip all of
             // it — the plane already queued its work via miss_report.
-            for item in live.check_queries(i) {
-                match uplink.exchange_query(live.query_frame(item)) {
-                    Ok(Some(frame)) => live
-                        .install_answer_frame(&frame)
-                        .map_err(|e| other_err(format!("undecodable answer: {e}")))?,
-                    Ok(None) => {
-                        halted = true;
-                        break 'session;
-                    }
-                    Err(_) => break,
-                }
+            let footprint = live.check_queries(i);
+            if !uplink.fetch(&mut live, footprint)? {
+                halted = true;
+                break 'session;
             }
             live.settle_queries(i);
         }
@@ -1153,22 +1023,7 @@ pub fn run_mu(
             live.query_stats(),
         );
         if opts.audit_cache {
-            audit.extend(live.cache_snapshot().into_iter().map(|(item, value, ts)| {
-                CacheAuditRow {
-                    interval: i,
-                    item,
-                    value,
-                    ts_micros: ts,
-                }
-            }));
-            audit.extend(live.query_snapshot().into_iter().map(|(item, value, ts)| {
-                CacheAuditRow {
-                    interval: i,
-                    item,
-                    value,
-                    ts_micros: ts,
-                }
-            }));
+            audit.extend(live.audit_snapshot(i));
         }
         if lockstep {
             uplink.send_soft(&Msg::Done { row });

@@ -16,6 +16,8 @@
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 
+use sw_client::MuStats;
+use sw_query::QueryStats;
 use sw_wireless::frame::checksum64;
 
 /// Hard cap on a single control message, far above any real frame
@@ -66,6 +68,40 @@ pub struct DecisionRow {
 impl DecisionRow {
     /// Serialized width: interval + flags byte + eleven counters.
     pub const WIRE_LEN: usize = 8 + 1 + 11 * 8;
+
+    /// Interval `i`'s row from the client's item- and query-plane stats
+    /// before (`prev`, `prev_q`) and after (`s`, `q`) it: all zeros
+    /// when the unit slept through it.
+    pub fn from_deltas(
+        i: u64,
+        prev: &MuStats,
+        s: &MuStats,
+        prev_q: &QueryStats,
+        q: &QueryStats,
+    ) -> Self {
+        if s.intervals_awake == prev.intervals_awake {
+            return Self {
+                interval: i,
+                ..Self::default()
+            };
+        }
+        Self {
+            interval: i,
+            awake: true,
+            heard: s.reports_missed == prev.reports_missed,
+            queries: s.queries_posed - prev.queries_posed,
+            hits: s.hit_events - prev.hit_events,
+            misses: s.miss_events - prev.miss_events,
+            invalidated: s.items_invalidated - prev.items_invalidated,
+            drops: s.cache_drops - prev.cache_drops,
+            qhits: q.hits - prev_q.hits,
+            qmisses: q.misses - prev_q.misses,
+            qcommits: q.txn_commits - prev_q.txn_commits,
+            qaborts: q.txn_aborts - prev_q.txn_aborts,
+            evictions: s.evictions - prev.evictions,
+            capacity_misses: s.capacity_misses - prev.capacity_misses,
+        }
+    }
 
     /// Fixed-width big-endian encoding; decision logs are compared as
     /// the concatenation of these.

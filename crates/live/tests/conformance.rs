@@ -131,6 +131,25 @@ fn bounded_cache_decision_logs_are_byte_identical() {
     );
 }
 
+/// The Zipf gate: `CellConfig::query_zipf` moves every arrival's item
+/// pick onto the client's dedicated stream, and a live unit honours it
+/// because it sits in the same seat the simulator's clients do. Bounded
+/// LRU caches make the skew bite: which items are hot decides what gets
+/// evicted.
+#[test]
+fn zipf_bounded_decision_logs_are_byte_identical() {
+    use sleepers::capacity::ReplacementPolicy;
+
+    let cell = |s: f64| {
+        small_cell(s)
+            .with_query_zipf(0.8)
+            .with_cache_capacity(6)
+            .with_replacement(ReplacementPolicy::Lru)
+    };
+    assert_conforms(&cell(0.4), Strategy::BroadcastTimestamps, 48);
+    assert_conforms(&cell(0.6), Strategy::AmnesicTerminals, 48);
+}
+
 /// The `ServerDriver` extraction makes the feedback strategies
 /// live-eligible: Method-2 adaptive TS (per-item windows steered by
 /// uplink deltas the daemon already sees) and delay-condition quasi

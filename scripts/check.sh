@@ -5,6 +5,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Runs "$@" until it succeeds: every 0.1 s, for 10 s at most.
+retry() {
+    retry_tries=0
+    until "$@"; do
+        retry_tries=$((retry_tries + 1))
+        [ "$retry_tries" -le 100 ] || return 1
+        sleep 0.1
+    done
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -39,31 +49,37 @@ rm -f "$live_addr_file" "$live_metrics_file"
     --announce "$live_addr_file" \
     --metrics-port 0 --metrics-announce "$live_metrics_file" --flight 16 >/dev/null &
 live_serve_pid=$!
-live_tries=0
-while [ ! -s "$live_addr_file" ] || [ ! -s "$live_metrics_file" ]; do
-    live_tries=$((live_tries + 1))
-    if [ "$live_tries" -gt 100 ]; then
-        echo "sw-serve never announced its addresses" >&2
-        kill "$live_serve_pid" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
-./target/release/sw-mu --server "$(cat "$live_addr_file")" --index 0 --clients 1 >/dev/null &
-live_mu_pid=$!
+retry [ -s "$live_addr_file" ] && retry [ -s "$live_metrics_file" ] || {
+    echo "sw-serve never announced its addresses" >&2
+    kill "$live_serve_pid" 2>/dev/null || true
+    exit 1
+}
 live_metrics_addr=$(cat "$live_metrics_file")
-# The ops plane must answer while the session runs: health, a
-# well-formed Prometheus page, and one sw-top frame.
+# The ops plane is probed *before* the one client registers: sw-serve
+# blocks in wait_for_registration until then, so the session cannot
+# have ended under the probes however slow the host (a 30 x 20 ms
+# session is over 600 ms after sw-mu connects). Health, a well-formed
+# Prometheus page, and one sw-top frame; the pages of a ticking session
+# are the live crate's ops_plane and conformance tests' business.
+live_probe_failed() {
+    echo "$1" >&2
+    kill "$live_serve_pid" 2>/dev/null || true
+    exit 1
+}
 if command -v curl >/dev/null 2>&1; then
-    [ "$(curl -sf "http://$live_metrics_addr/healthz")" = "ok" ] || {
-        echo "metrics /healthz did not answer ok" >&2; exit 1; }
-    curl -sf "http://$live_metrics_addr/metrics" | grep -q '^sw_interval' || {
-        echo "metrics /metrics is missing sw_interval" >&2; exit 1; }
+    [ "$(curl -sf "http://$live_metrics_addr/healthz")" = "ok" ] ||
+        live_probe_failed "metrics /healthz did not answer ok"
+    live_metrics_page() { curl -sf "http://$live_metrics_addr/metrics" | grep -q '^sw_interval'; }
+    retry live_metrics_page || live_probe_failed "metrics /metrics is missing sw_interval"
 else
     echo "   curl not found; probing via sw-top only"
 fi
-./target/release/sw-top --metrics "$live_metrics_addr" --once | grep -q 'sw-top' || {
-    echo "sw-top --once produced no dashboard frame" >&2; exit 1; }
+live_top_frame() {
+    ./target/release/sw-top --metrics "$live_metrics_addr" --once | grep -q 'sw-top'
+}
+retry live_top_frame || live_probe_failed "sw-top --once produced no dashboard frame"
+./target/release/sw-mu --server "$(cat "$live_addr_file")" --index 0 --clients 1 >/dev/null &
+live_mu_pid=$!
 wait "$live_mu_pid"
 wait "$live_serve_pid"
 rm -f "$live_addr_file" "$live_metrics_file"
@@ -78,16 +94,11 @@ ha_pid0=$!
     --ha-node 1 --ha-announce "$ha_dir/node1" --ha-peer "$ha_dir/node0" \
     --metrics-port 0 --metrics-announce "$ha_dir/metrics1" >"$ha_dir/serve1.log" 2>&1 &
 ha_pid1=$!
-ha_tries=0
-while [ ! -s "$ha_dir/addr0" ] || [ ! -s "$ha_dir/metrics1" ]; do
-    ha_tries=$((ha_tries + 1))
-    if [ "$ha_tries" -gt 100 ]; then
-        echo "sw-ha fleet never announced its addresses" >&2
-        kill "$ha_pid0" "$ha_pid1" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
+retry [ -s "$ha_dir/addr0" ] && retry [ -s "$ha_dir/metrics1" ] || {
+    echo "sw-ha fleet never announced its addresses" >&2
+    kill "$ha_pid0" "$ha_pid1" 2>/dev/null || true
+    exit 1
+}
 ha_addr0=$(cat "$ha_dir/addr0")
 ha_addr1=$(awk '{print $2}' "$ha_dir/node1")
 ha_metrics1=$(cat "$ha_dir/metrics1")
@@ -100,18 +111,11 @@ sleep 1
 kill -9 "$ha_pid0" 2>/dev/null || true
 # The takeover must be observable *during* the run: the replica's
 # epoch gauge bumps to 2 and its role flips to PRIMARY.
-ha_took=""
-ha_tries=0
-while [ "$ha_tries" -lt 40 ]; do
-    if ./target/release/sw-top --metrics "$ha_metrics1" --once 2>/dev/null \
-        | grep -q 'epoch 2 PRIMARY'; then
-        ha_took=yes
-        break
-    fi
-    ha_tries=$((ha_tries + 1))
-    sleep 0.1
-done
-[ "$ha_took" = yes ] || {
+ha_took_over() {
+    ./target/release/sw-top --metrics "$ha_metrics1" --once 2>/dev/null |
+        grep -q 'epoch 2 PRIMARY'
+}
+retry ha_took_over || {
     echo "replica never took over (no epoch-2 PRIMARY on its metrics page)" >&2
     kill "$ha_pid1" "$ha_mu0" "$ha_mu1" 2>/dev/null || true
     exit 1
