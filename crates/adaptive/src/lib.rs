@@ -21,21 +21,19 @@
 //!
 //! [`window`] holds the per-item window table shared (by value, via the
 //! report) between server and clients; [`server`] implements the
-//! adaptive report builder; [`client`] the matching handler whose
-//! whole-cache drop check of §3.1 becomes a *per-item* check
-//! `T_i − T_l > w_i`; [`controller`] runs the evaluation periods.
+//! adaptive report builder; [`controller`] runs the evaluation periods.
+//! The client half — §3.1's whole-cache drop check made *per item*,
+//! `T_i − T_l > w_i` — is `sw_client::ReportRule::AdaptiveTs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod controller;
 pub mod method1;
 pub mod method2;
 pub mod server;
 pub mod window;
 
-pub use client::AdaptiveTsHandler;
 pub use controller::{Adjustment, AdaptiveController, FeedbackMethod, PeriodItemStats, PeriodSummary};
 pub use method1::{estimate_ahr, estimate_mhr, gain_method1};
 pub use method2::gain_method2;

@@ -7,8 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sleepers::client::{
-    AtHandler, Cache, DigestScratch, MobileUnit, MuConfig, ReplacementPolicy, ReportHandler,
-    TsHandler,
+    Cache, DigestScratch, MobileUnit, MuConfig, ReplacementPolicy, ReportRule, RuleHandler,
 };
 use sleepers::server::{AtBuilder, Database, ItemTable, ReportBuilder, TsBuilder, UpdateEngine};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
@@ -57,7 +56,7 @@ fn bench_report_apply_per_mu(c: &mut Criterion) {
                             piggyback_hits: false,
                             item_universe: universe,
                         },
-                        Box::new(TsHandler::new(latency, 100)),
+                        RuleHandler::new(ReportRule::ts(latency, 100)),
                         &mut rng,
                     );
                     for item in 0..50 {
@@ -112,9 +111,9 @@ fn bench_report_digest(c: &mut Criterion) {
     }
     let t_l = Some(SimTime::from_secs(990.0));
     for (label, mu) in [("mu=1e-4", 1e-4), ("mu=0.1", 0.1)] {
-        let handlers: [(&str, Box<dyn ReportHandler>, _); 2] = [
-            ("at", Box::new(AtHandler::new(latency)), at(1_000, mu)),
-            ("ts", Box::new(TsHandler::new(latency, 100)), ts(1_000, mu)),
+        let handlers = [
+            ("at", RuleHandler::new(ReportRule::at(latency)), at(1_000, mu)),
+            ("ts", RuleHandler::new(ReportRule::ts(latency, 100)), ts(1_000, mu)),
         ];
         for (name, mut handler, payload) in handlers {
             let mut scratch = DigestScratch::default();

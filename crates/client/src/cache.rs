@@ -19,11 +19,13 @@
 //! evicted entry, so a later requery can be classified as a pure
 //! capacity miss (the copy was still fresh — one more slot would have
 //! made it a hit) or an unavoidable one (a report proved the copy stale
-//! anyway). Reports retire ghosts through [`Cache::ghosts_mark_stale`].
+//! anyway). Reports retire ghosts through [`CacheSlots::retire_ghosts`].
 
 use sw_capacity::{victim_key, EntryMeta, GhostFate, ReplacementPolicy};
 use sw_server::{ItemId, ItemTable};
 use sw_sim::{SimDuration, SimTime};
+
+use crate::rule::{CacheSlots, Verdict};
 
 /// One cached item.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -277,10 +279,51 @@ impl Cache {
         })
     }
 
-    /// Marks every still-fresh ghost for which `proven_stale(item,
-    /// eviction_stamp)` returns true as stale — the per-report retire
-    /// pass for strategies that name updated items (TS entries, AT ids).
-    pub fn ghosts_mark_stale<F: FnMut(ItemId, SimTime) -> bool>(&mut self, mut proven_stale: F) {
+    /// Number of remembered evicted items (test hook).
+    pub fn ghost_len(&self) -> usize {
+        self.ghosts.as_ref().map_or(0, |g| g.len())
+    }
+
+    /// Cached ids as a sorted vector (deterministic iteration for the
+    /// strategy algorithms and tests). Free of sorting for dense caches.
+    pub fn sorted_items(&self) -> Vec<ItemId> {
+        self.entries.sorted_ids()
+    }
+}
+
+impl CacheSlots for Cache {
+    fn len(&self) -> usize {
+        Cache::len(self)
+    }
+
+    fn clear(&mut self) {
+        Cache::clear(self);
+    }
+
+    fn sweep(
+        &mut self,
+        t_i: SimTime,
+        mut verdict: impl FnMut(ItemId, SimTime) -> Verdict,
+    ) -> Vec<ItemId> {
+        let mut invalidated = Vec::new();
+        self.entries.retain_mut(|item, entry| {
+            match verdict(item, entry.timestamp) {
+                Verdict::Drop => {
+                    invalidated.push(item);
+                    return false;
+                }
+                Verdict::Restamp => entry.timestamp = t_i,
+                Verdict::Keep => {}
+            }
+            true
+        });
+        // Ascending already for dense caches; hashed ones visit in
+        // arbitrary order.
+        invalidated.sort_unstable();
+        invalidated
+    }
+
+    fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
         if let Some(ghosts) = &mut self.ghosts {
             ghosts.for_each_mut(|item, g| {
                 if !g.stale && proven_stale(item, g.stamp) {
@@ -290,60 +333,8 @@ impl Cache {
         }
     }
 
-    /// Number of remembered evicted items (test hook).
-    pub fn ghost_len(&self) -> usize {
-        self.ghosts.as_ref().map_or(0, |g| g.len())
-    }
-
-    /// Sets the validity timestamp of `item` (report processing).
-    ///
-    /// # Panics
-    /// Panics if the item is not cached — strategies only restamp items
-    /// they just verified.
-    pub fn restamp(&mut self, item: ItemId, timestamp: SimTime) {
-        let e = self
-            .entries
-            .get_mut(item)
-            .expect("cannot restamp an item that is not cached");
-        e.timestamp = timestamp;
-    }
-
-    /// Iterates over cached item ids (ascending for dense caches,
-    /// arbitrary for hashed ones).
-    pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.entries.iter().map(|(k, _)| k)
-    }
-
-    /// Cached ids as a sorted vector (deterministic iteration for the
-    /// strategy algorithms and tests). Free of sorting for dense caches.
-    pub fn sorted_items(&self) -> Vec<ItemId> {
-        self.entries.sorted_ids()
-    }
-
-    /// One mutable pass over the whole cache — the shape of the §3
-    /// report algorithms: `f` restamps the entry in place and returns
-    /// `true` to keep it, or `false` to invalidate it. Dense caches are
-    /// visited in ascending item order; recency is untouched (report
-    /// processing is not a read). Replaces the
-    /// `sorted_items` + `peek` + `restamp`/`remove` walk, which cost an
-    /// id-vector allocation and three lookups per entry per report.
-    pub fn retain_entries<F: FnMut(ItemId, &mut CacheEntry) -> bool>(&mut self, f: F) {
-        self.entries.retain_mut(f);
-    }
-
-    /// Restamps every cached entry to `timestamp` in one pass (the "all
-    /// survivors are verified as of `T_i`" step shared by the report
-    /// algorithms).
-    pub fn restamp_all(&mut self, timestamp: SimTime) {
-        self.entries.for_each_mut(|_, e| e.timestamp = timestamp);
-    }
-
-    /// Removes every item for which `predicate` returns true, returning
-    /// how many were dropped.
-    pub fn drop_where<F: FnMut(ItemId, &CacheEntry) -> bool>(&mut self, mut predicate: F) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|k, e| !predicate(k, e));
-        before - self.entries.len()
+    fn sorted_items(&self) -> Vec<ItemId> {
+        Cache::sorted_items(self)
     }
 }
 
@@ -381,21 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn restamp_updates_validity() {
-        let mut c = Cache::unbounded();
-        c.insert(1, 10, SimTime::from_secs(10.0));
-        c.restamp(1, SimTime::from_secs(20.0));
-        assert_eq!(c.peek(1).unwrap().timestamp, SimTime::from_secs(20.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "not cached")]
-    fn restamp_missing_panics() {
-        let mut c = Cache::unbounded();
-        c.restamp(1, SimTime::from_secs(1.0));
-    }
-
-    #[test]
     fn clear_drops_everything() {
         let mut c = Cache::unbounded();
         for i in 0..10 {
@@ -426,19 +402,6 @@ mod tests {
         let _ = c.peek(1); // no recency bump: 1 remains LRU
         c.insert(3, 3, SimTime::ZERO);
         assert!(!c.contains(1));
-    }
-
-    #[test]
-    fn drop_where_filters() {
-        let mut c = Cache::unbounded();
-        for i in 0..10 {
-            c.insert(i, i, SimTime::from_secs(i as f64));
-        }
-        let dropped = c.drop_where(|i, _| i % 2 == 0);
-        assert_eq!(dropped, 5);
-        assert_eq!(c.len(), 5);
-        assert!(!c.contains(0));
-        assert!(c.contains(1));
     }
 
     #[test]
@@ -531,21 +494,21 @@ mod tests {
         assert_eq!(c.take_ghost(1), None, "take consumes the ghost");
 
         c.insert(3, 3, SimTime::from_secs(3.0)); // evicts 2
-        c.ghosts_mark_stale(|item, _| item == 2);
+        c.retire_ghosts(|item, _| item == 2);
         assert_eq!(c.take_ghost(2), Some(GhostFate::Stale));
     }
 
     #[test]
-    fn ghosts_mark_stale_uses_eviction_stamp() {
+    fn retire_ghosts_uses_eviction_stamp() {
         let mut c = Cache::with_capacity(1);
         c.insert(1, 1, SimTime::from_secs(5.0));
         c.insert(2, 2, SimTime::from_secs(6.0)); // ghost(1) stamped 5.0
         // An update at t = 4 predates the evicted copy: still fresh.
-        c.ghosts_mark_stale(|item, stamp| item == 1 && stamp < SimTime::from_secs(4.0));
+        c.retire_ghosts(|item, stamp| item == 1 && stamp < SimTime::from_secs(4.0));
         assert_eq!(c.take_ghost(1), Some(GhostFate::Fresh));
         c.insert(3, 3, SimTime::from_secs(7.0)); // ghost(2) stamped 6.0
         // An update at t = 8 postdates it: the eviction cost nothing.
-        c.ghosts_mark_stale(|item, stamp| item == 2 && stamp < SimTime::from_secs(8.0));
+        c.retire_ghosts(|item, stamp| item == 2 && stamp < SimTime::from_secs(8.0));
         assert_eq!(c.take_ghost(2), Some(GhostFate::Stale));
     }
 

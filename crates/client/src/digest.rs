@@ -14,8 +14,9 @@
 //!
 //! The two verdict methods, [`ReportDigest::listed`] and
 //! [`ReportDigest::ts_newer_than`], are the single definition of
-//! keep / restamp / invalidate for TS, AT, GR and the hot half of HYB;
-//! no handler or kernel compares against the report on its own.
+//! keep / restamp / invalidate for TS, AT, GR, the hot half of HYB,
+//! adaptive TS and quasi-delay; nothing else compares against the
+//! report on its own.
 //!
 //! The buffers live in a [`DigestScratch`] the cell keeps across
 //! intervals: building a digest allocates nothing once the scratch has

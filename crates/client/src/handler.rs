@@ -1,28 +1,26 @@
 //! The MU side of a strategy, as a [`crate::MobileUnit`] holds it.
 //!
-//! A [`ReportHandler`] is invoked when the unit hears the report
+//! A [`RuleHandler`] is invoked when the unit hears the report
 //! broadcast at `T_i`; it mutates the cache as the strategy prescribes
 //! and reports what happened. The caller owns `T_l` — "a variable that
 //! indicates the last time it received a report" — and passes it in.
 //!
-//! The §3 algorithms themselves are not here: they are
-//! [`ReportRule::apply`], and every handler in this module is a
-//! [`RuleHandler`] — one rule plus, for SIG/HYB, the per-client tracking
-//! state the rule borrows. [`TsHandler`] … [`NoCacheHandler`] are named
-//! constructors over it. The trait stays open for the strategies whose
-//! client half carries driver-wired state of its own (`sw-adaptive`,
-//! `sw-quasi`).
+//! The algorithms themselves are not here: they are
+//! [`ReportRule::apply`]. A handler is one rule plus the per-client
+//! state that rule borrows — SIG/HYB's signature tracking, adaptive
+//! TS's window table, nothing for the rest.
 
 use std::sync::Arc;
 
+use sw_adaptive::WindowTable;
 use sw_server::ItemId;
-use sw_signature::{CombinedSignature, SyndromeDecoder};
-use sw_sim::{SimDuration, SimTime};
+use sw_signature::CombinedSignature;
+use sw_sim::SimTime;
 use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
 use crate::digest::{DigestScratch, ReportDigest};
-use crate::rule::{ReportRule, SigTrack};
+use crate::rule::{Lent, ReportRule, SigTrack};
 
 /// Converts a wire timestamp (integer micros) back to [`SimTime`].
 #[inline]
@@ -49,58 +47,9 @@ pub struct ProcessOutcome {
     /// on every backend. HYB alone has two runs: ascending within the
     /// hot pass, then ascending within the cold pass.
     pub invalidated: Vec<ItemId>,
-    /// Items that survived and were restamped to `T_i`.
+    /// Items that survived (restamped to `T_i`, except quasi-delay
+    /// copies still within their allowed lag).
     pub revalidated: usize,
-}
-
-/// A strategy's client half.
-pub trait ReportHandler {
-    /// Strategy name, matching the server builder ("TS", "AT", "SIG",
-    /// "NC").
-    fn name(&self) -> &'static str;
-
-    /// Whether `payload` is a report this handler can process. Frames
-    /// from outside the program (a live MU's socket) are screened with
-    /// this and discarded like line noise when refused;
-    /// [`Self::process_digest`] may panic on a frame it does not accept.
-    fn accepts(&self, payload: &FramePayload) -> bool;
-
-    /// Observes an uplink fetch installing `item` into the cache
-    /// (called after the report for the current interval was
-    /// processed). Default: no-op; see [`ReportRule::on_fetch`] for
-    /// what the signature strategies do with it.
-    fn on_fetch(&mut self, _item: ItemId) {}
-
-    /// Processes the report heard at `T_i`, digesting `payload` on the
-    /// spot. `t_l` is the time the unit last heard a report (`None` if
-    /// it never has).
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
-    }
-
-    /// [`Self::process`] given the broadcast's shared digest, so a cell
-    /// digests each report once for all its listeners.
-    fn process_digest(
-        &mut self,
-        cache: &mut Cache,
-        digest: &ReportDigest<'_>,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome;
-
-    /// Syndrome-decode telemetry: how many cached subsets' signatures
-    /// failed to match in the last processed report. `None` for
-    /// non-signature strategies. Mismatched subsets are where SIG's
-    /// false alarms (and, when the mismatch count stays under the
-    /// decoding threshold, its false validations) originate, so the
-    /// observability layer tracks them per interval.
-    fn last_unmatched_subsets(&self) -> Option<u32> {
-        None
-    }
 }
 
 /// One boxed client's signature-tracking state; what a [`SigTrack`]
@@ -113,211 +62,129 @@ struct SigState {
     last_unmatched: u32,
 }
 
+/// What one boxed client keeps between reports; what a [`Lent`]
+/// borrows.
+#[derive(Debug, Clone)]
+enum State {
+    Nothing,
+    Sig(SigState),
+    Windows(WindowTable),
+}
+
 /// A [`ReportRule`] as one boxed unit's handler.
 #[derive(Debug, Clone)]
 pub struct RuleHandler {
     rule: ReportRule,
-    /// `Some` exactly when the rule has a decoder (SIG, HYB).
-    sig: Option<SigState>,
+    state: State,
 }
 
 impl RuleHandler {
-    /// Wraps `rule` with fresh (nothing tracked) per-client state.
+    /// Wraps `rule` with fresh per-client state: nothing tracked, every
+    /// window at its default.
     pub fn new(rule: ReportRule) -> Self {
-        let sig = rule.decoder().map(|decoder| SigState {
-            tracked: vec![None; decoder.plan().m as usize],
-            count: 0,
-            last_report: Arc::new(Vec::new()),
-            last_unmatched: 0,
-        });
-        RuleHandler { rule, sig }
+        let state = match (&rule, rule.decoder()) {
+            (ReportRule::AdaptiveTs { default_k, .. }, _) => {
+                State::Windows(WindowTable::new(*default_k))
+            }
+            (_, Some(decoder)) => State::Sig(SigState {
+                tracked: vec![None; decoder.plan().m as usize],
+                count: 0,
+                last_report: Arc::new(Vec::new()),
+                last_unmatched: 0,
+            }),
+            (_, None) => State::Nothing,
+        };
+        RuleHandler { rule, state }
+    }
+
+    /// Strategy name, matching the server builder ("TS", "AT", "SIG",
+    /// "NC", …).
+    pub fn name(&self) -> &'static str {
+        self.rule.name()
+    }
+
+    /// Whether `payload` is a report this handler can process. Frames
+    /// from outside the program (a live MU's socket) are screened with
+    /// this and discarded like line noise when refused;
+    /// [`Self::process_digest`] panics on a frame it does not accept.
+    pub fn accepts(&self, payload: &FramePayload) -> bool {
+        self.rule.accepts(payload)
     }
 
     /// Number of subset signatures currently tracked (0 for the rules
     /// that track none).
     pub fn tracked_subsets(&self) -> usize {
-        self.sig.as_ref().map_or(0, |s| s.count)
+        match &self.state {
+            State::Sig(s) => s.count,
+            _ => 0,
+        }
     }
 
-    fn parts(&mut self) -> (&ReportRule, Option<SigTrack<'_>>) {
-        let track = self.sig.as_mut().map(|s| SigTrack {
-            tracked: &mut s.tracked,
-            count: &mut s.count,
-            last_report: &mut s.last_report,
-            last_unmatched: &mut s.last_unmatched,
-        });
-        (&self.rule, track)
-    }
-}
-
-impl ReportHandler for RuleHandler {
-    fn name(&self) -> &'static str {
-        self.rule.name()
+    /// Syndrome-decode telemetry: how many cached subsets' signatures
+    /// failed to match in the last processed report. `None` for
+    /// non-signature strategies. Mismatched subsets are where SIG's
+    /// false alarms (and, when the mismatch count stays under the
+    /// decoding threshold, its false validations) originate, so the
+    /// observability layer tracks them per interval.
+    pub fn last_unmatched_subsets(&self) -> Option<u32> {
+        match &self.state {
+            State::Sig(s) => Some(s.last_unmatched),
+            _ => None,
+        }
     }
 
-    fn accepts(&self, payload: &FramePayload) -> bool {
-        self.rule.accepts(payload)
+    fn parts(&mut self) -> (&ReportRule, Lent<'_>) {
+        let lent = match &mut self.state {
+            State::Nothing => Lent::Nothing,
+            State::Sig(s) => Lent::Sig(SigTrack {
+                tracked: &mut s.tracked,
+                count: &mut s.count,
+                last_report: &mut s.last_report,
+                last_unmatched: &mut s.last_unmatched,
+            }),
+            State::Windows(windows) => Lent::Windows(windows),
+        };
+        (&self.rule, lent)
     }
 
-    fn on_fetch(&mut self, item: ItemId) {
-        let (rule, track) = self.parts();
-        rule.on_fetch(track, item);
+    /// Observes an uplink fetch installing `item` into the cache
+    /// (called after the report for the current interval was
+    /// processed); see [`ReportRule::on_fetch`] for what the signature
+    /// strategies do with it.
+    pub fn on_fetch(&mut self, item: ItemId) {
+        let (rule, lent) = self.parts();
+        rule.on_fetch(lent, item);
     }
 
-    fn process_digest(
+    /// Processes the report heard at `T_i`, digesting `payload` on the
+    /// spot. `t_l` is the time the unit last heard a report (`None` if
+    /// it never has).
+    pub fn process(
+        &mut self,
+        cache: &mut Cache,
+        payload: &FramePayload,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        self.process_digest(cache, &DigestScratch::default().digest(payload), t_l)
+    }
+
+    /// [`Self::process`] given the broadcast's shared digest, so a cell
+    /// digests each report once for all its listeners.
+    pub fn process_digest(
         &mut self,
         cache: &mut Cache,
         digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (rule, track) = self.parts();
-        rule.apply(cache, track, digest, t_l)
-    }
-
-    fn last_unmatched_subsets(&self) -> Option<u32> {
-        self.sig.as_ref().map(|s| s.last_unmatched)
-    }
-}
-
-/// Declares a named handler type: a [`RuleHandler`] that can only hold
-/// the one rule its constructors build.
-macro_rules! named_handler {
-    ($(#[$doc:meta])* $name:ident) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name(RuleHandler);
-
-        impl ReportHandler for $name {
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-
-            fn accepts(&self, payload: &FramePayload) -> bool {
-                self.0.accepts(payload)
-            }
-
-            fn on_fetch(&mut self, item: ItemId) {
-                self.0.on_fetch(item);
-            }
-
-            fn process_digest(
-                &mut self,
-                cache: &mut Cache,
-                digest: &ReportDigest<'_>,
-                t_l: Option<SimTime>,
-            ) -> ProcessOutcome {
-                self.0.process_digest(cache, digest, t_l)
-            }
-
-            fn last_unmatched_subsets(&self) -> Option<u32> {
-                self.0.last_unmatched_subsets()
-            }
-        }
-    };
-}
-
-named_handler! {
-    /// Broadcasting Timestamps — [`ReportRule::Ts`], §3.1.
-    TsHandler
-}
-named_handler! {
-    /// Amnesic Terminals — [`ReportRule::At`], §3.2.
-    AtHandler
-}
-named_handler! {
-    /// Signatures — [`ReportRule::Sig`], §3.3.
-    SigHandler
-}
-named_handler! {
-    /// Hybrid weighted reports — [`ReportRule::Hybrid`], §10.
-    HybridHandler
-}
-named_handler! {
-    /// Group-granularity reports — [`ReportRule::Group`], §10.
-    GroupHandler
-}
-named_handler! {
-    /// The no-caching baseline — [`ReportRule::NoCache`], §4.2.
-    NoCacheHandler
-}
-
-impl TsHandler {
-    /// Creates the handler with window `w = k·L` (must match the
-    /// server's [`sw_server::TsBuilder`]).
-    pub fn new(latency: SimDuration, k: u32) -> Self {
-        TsHandler(RuleHandler::new(ReportRule::ts(latency, k)))
-    }
-
-    /// Creates the handler with an explicit window.
-    pub fn with_window(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "TS window must be positive");
-        TsHandler(RuleHandler::new(ReportRule::Ts { window }))
-    }
-}
-
-impl AtHandler {
-    /// Creates the handler for broadcast latency `L`.
-    pub fn new(latency: SimDuration) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        AtHandler(RuleHandler::new(ReportRule::At { latency }))
-    }
-}
-
-impl SigHandler {
-    /// Creates the handler sharing the server's decoder configuration.
-    pub fn new(decoder: SyndromeDecoder) -> Self {
-        SigHandler(RuleHandler::new(ReportRule::Sig { decoder }))
-    }
-
-    /// Number of subset signatures currently tracked.
-    pub fn tracked_subsets(&self) -> usize {
-        self.0.tracked_subsets()
-    }
-}
-
-impl HybridHandler {
-    /// Creates the handler; `hot` and `decoder` must match the server's
-    /// [`sw_server::HybridSigBuilder`].
-    pub fn new(latency: SimDuration, hot: sw_server::HotSet, decoder: SyndromeDecoder) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        HybridHandler(RuleHandler::new(ReportRule::Hybrid {
-            latency,
-            hot,
-            decoder,
-        }))
-    }
-
-    /// Number of cold-subset signatures currently tracked.
-    pub fn tracked_subsets(&self) -> usize {
-        self.0.tracked_subsets()
-    }
-}
-
-impl GroupHandler {
-    /// Creates the handler; `map` must match the server's
-    /// [`sw_server::GroupReportBuilder`].
-    pub fn new(latency: SimDuration, map: sw_server::GroupMap) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        GroupHandler(RuleHandler::new(ReportRule::Group { latency, map }))
-    }
-}
-
-impl NoCacheHandler {
-    /// Creates the handler.
-    pub fn new() -> Self {
-        NoCacheHandler(RuleHandler::new(ReportRule::NoCache))
-    }
-}
-
-impl Default for NoCacheHandler {
-    fn default() -> Self {
-        NoCacheHandler::new()
+        let (rule, lent) = self.parts();
+        rule.apply(cache, lent, digest, t_l)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_sim::SimDuration;
 
     fn ts_report(t_i: f64, entries: Vec<(u64, f64)>) -> FramePayload {
         FramePayload::TimestampReport {
@@ -338,7 +205,7 @@ mod tests {
 
     #[test]
     fn ts_drops_updated_item() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 10);
+        let mut h = RuleHandler::new(ReportRule::ts(SimDuration::from_secs(10.0), 10));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         c.insert(2, 20, SimTime::from_secs(10.0));
@@ -359,7 +226,7 @@ mod tests {
     fn ts_keeps_item_updated_before_fetch() {
         // Cache stamped at 16 (uplink fetch), item's last change was 15:
         // the cached copy already reflects it.
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 10);
+        let mut h = RuleHandler::new(ReportRule::ts(SimDuration::from_secs(10.0), 10));
         let mut c = Cache::unbounded();
         c.insert(1, 99, SimTime::from_secs(16.0));
         let out = h.process(
@@ -373,7 +240,7 @@ mod tests {
 
     #[test]
     fn ts_window_gap_drops_cache() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 2); // w = 20
+        let mut h = RuleHandler::new(ReportRule::ts(SimDuration::from_secs(10.0), 2)); // w = 20
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         // Last report heard at 10; this one at 40: gap 30 > 20.
@@ -384,7 +251,7 @@ mod tests {
 
     #[test]
     fn ts_gap_exactly_w_is_kept() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 2); // w = 20
+        let mut h = RuleHandler::new(ReportRule::ts(SimDuration::from_secs(10.0), 2)); // w = 20
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         let out = h.process(&mut c, &ts_report(30.0, vec![]), Some(SimTime::from_secs(10.0)));
@@ -394,7 +261,7 @@ mod tests {
 
     #[test]
     fn at_drops_reported_ids() {
-        let mut h = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut h = RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         c.insert(2, 20, SimTime::from_secs(10.0));
@@ -405,7 +272,7 @@ mod tests {
 
     #[test]
     fn at_missed_report_drops_cache() {
-        let mut h = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut h = RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         // Heard the report at 10, slept through 20, hears 30: gap 20 > L.
@@ -416,7 +283,7 @@ mod tests {
 
     #[test]
     fn at_consecutive_reports_keep_cache() {
-        let mut h = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut h = RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         let out = h.process(&mut c, &at_report(20.0, vec![]), Some(SimTime::from_secs(10.0)));
@@ -427,8 +294,8 @@ mod tests {
 
     #[test]
     fn first_report_with_empty_cache_is_clean() {
-        let mut ts = TsHandler::new(SimDuration::from_secs(10.0), 5);
-        let mut at = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut ts = RuleHandler::new(ReportRule::ts(SimDuration::from_secs(10.0), 5));
+        let mut at = RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         assert!(!ts.process(&mut c, &ts_report(10.0, vec![]), None).dropped_all);
         assert!(!at.process(&mut c, &at_report(10.0, vec![]), None).dropped_all);
@@ -444,7 +311,7 @@ mod tests {
             signatures: Arc::new(vec![0; 4]),
         };
         for payload in [at_report(10.0, vec![]), ts_report(10.0, vec![]), hybrid] {
-            let mut h = NoCacheHandler::new();
+            let mut h = RuleHandler::new(ReportRule::NoCache);
             let mut c = Cache::unbounded();
             c.insert(1, 1, SimTime::ZERO);
             let out = h.process(&mut c, &payload, None);
@@ -457,7 +324,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "TS rule fed a report it cannot process")]
     fn ts_rejects_wrong_payload() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 5);
+        let mut h = RuleHandler::new(ReportRule::ts(SimDuration::from_secs(10.0), 5));
         let mut c = Cache::unbounded();
         h.process(&mut c, &at_report(10.0, vec![]), None);
     }
@@ -468,7 +335,7 @@ mod tests {
         use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
         use sw_sim::SimDuration;
 
-        fn setup() -> (Database, HybridSigBuilder, HybridHandler) {
+        fn setup() -> (Database, HybridSigBuilder, RuleHandler) {
             let n = 300;
             let db = Database::new(n, |i| i + 9000, SimDuration::from_secs(1e6));
             let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
@@ -481,11 +348,11 @@ mod tests {
                 family,
                 &db,
             );
-            let handler = HybridHandler::new(
+            let handler = RuleHandler::new(ReportRule::hybrid(
                 latency,
                 HotSet::top_by_rank(20),
                 SyndromeDecoder::new(family, plan),
-            );
+            ));
             (db, builder, handler)
         }
 
@@ -549,12 +416,14 @@ mod tests {
         use sw_server::{Database, ReportBuilder, SigBuilder};
         use sw_signature::{SigPlan, SubsetFamily};
 
-        fn setup(n: u64) -> (Database, SigBuilder, SigHandler) {
+        fn setup(n: u64) -> (Database, SigBuilder, RuleHandler) {
             let db = Database::new(n, |i| i + 5000, SimDuration::from_secs(1e6));
             let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
             let family = SubsetFamily::new(0xFEED, plan.m, plan.f);
             let builder = SigBuilder::new(plan, family, &db);
-            let handler = SigHandler::new(builder.decoder());
+            let handler = RuleHandler::new(ReportRule::Sig {
+                decoder: builder.decoder(),
+            });
             (db, builder, handler)
         }
 

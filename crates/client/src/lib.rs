@@ -11,17 +11,16 @@
 //!   once per report so every client walks its own cache and only
 //!   *probes* the report; its verdict methods are the one definition of
 //!   keep / restamp / invalidate;
-//! * [`rule`] — the §3 report-processing algorithms, once:
+//! * [`rule`] — the report-processing algorithms, once:
 //!   [`rule::ReportRule::apply`] holds the frame check, the gap rule,
 //!   the keep / restamp / invalidate walk, ghost retire and SIG's
-//!   syndrome decode for TS/AT/NC/GR/SIG/HYB, generic over a
-//!   [`rule::CacheSlots`] view that [`cache::Cache`] and the columnar
-//!   fleet's per-client slot block both implement;
-//! * [`handler`] — the [`handler::ReportHandler`] trait a
-//!   [`mu::MobileUnit`] holds its strategy by, and
-//!   [`handler::RuleHandler`]: a rule plus one client's
-//!   signature-tracking state ([`handler::TsHandler`] … are named
-//!   constructors over it);
+//!   syndrome decode for TS/AT/NC/GR/SIG/HYB and for §7 quasi-delay and
+//!   §8 adaptive TS, generic over a [`rule::CacheSlots`] view that
+//!   [`cache::Cache`] and the columnar fleet's per-client slot block
+//!   both implement;
+//! * [`handler`] — [`handler::RuleHandler`], what a [`mu::MobileUnit`]
+//!   holds its strategy by: a rule plus the per-client state it borrows
+//!   (signature tracking, adaptive windows);
 //! * [`mu`] — the [`mu::MobileUnit`] driver that ties the sleep process,
 //!   the query stream, the pending-query list `Q_i`, and the handler
 //!   together, implementing the interval semantics of Figure 2: queries
@@ -40,9 +39,6 @@ pub mod rule;
 pub use cache::{Cache, CacheEntry};
 pub use digest::{DigestScratch, ReportDigest};
 pub use sw_capacity::{GhostFate, ReplacementPolicy};
-pub use handler::{
-    AtHandler, GroupHandler, HybridHandler, NoCacheHandler, ProcessOutcome, ReportHandler,
-    RuleHandler, SigHandler, TsHandler,
-};
+pub use handler::{ProcessOutcome, RuleHandler};
 pub use mu::{IntervalReport, MobileUnit, MuConfig, MuStats, PendingQuery};
-pub use rule::{CacheSlots, ReportRule, SigTrack};
+pub use rule::{CacheSlots, Lent, ReportRule, SigTrack, Verdict};

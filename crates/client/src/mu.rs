@@ -21,7 +21,7 @@ use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
 use crate::digest::{DigestScratch, ReportDigest};
-use crate::handler::{ProcessOutcome, ReportHandler};
+use crate::handler::{ProcessOutcome, RuleHandler};
 
 /// A query waiting for the next report.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,7 +138,7 @@ pub struct IntervalReport {
 pub struct MobileUnit {
     config: MuConfig,
     cache: Cache,
-    handler: Box<dyn ReportHandler + Send>,
+    handler: RuleHandler,
     sleep: BernoulliIntervalProcess,
     queries: PoissonProcess,
     t_l: Option<SimTime>,
@@ -162,11 +162,7 @@ impl std::fmt::Debug for MobileUnit {
 impl MobileUnit {
     /// Creates the unit with its strategy handler, drawing the query
     /// process's first arrival from `rng`.
-    pub fn new(
-        config: MuConfig,
-        handler: Box<dyn ReportHandler + Send>,
-        rng: &mut RngStream,
-    ) -> Self {
+    pub fn new(config: MuConfig, handler: RuleHandler, rng: &mut RngStream) -> Self {
         assert!(!config.hotspot.is_empty(), "hotspot cannot be empty");
         assert!(
             config.query_rate_per_item.is_finite() && config.query_rate_per_item >= 0.0,
@@ -203,11 +199,6 @@ impl MobileUnit {
         self.config.id
     }
 
-    /// Strategy name.
-    pub fn strategy(&self) -> &'static str {
-        self.handler.name()
-    }
-
     /// The unit's hotspot.
     pub fn hotspot(&self) -> &[ItemId] {
         &self.config.hotspot
@@ -234,22 +225,16 @@ impl MobileUnit {
         self.t_l
     }
 
-    /// Strategy telemetry passthrough: unmatched subsets in the last
-    /// processed report (signature strategies only; see
-    /// [`ReportHandler::last_unmatched_subsets`]).
-    pub fn last_unmatched_subsets(&self) -> Option<u32> {
-        self.handler.last_unmatched_subsets()
+    /// The unit's strategy: its name, which report frames it
+    /// [accepts](RuleHandler::accepts) (hearing one it refuses panics),
+    /// its signature telemetry.
+    pub fn handler(&self) -> &RuleHandler {
+        &self.handler
     }
 
     /// Whether the unit is awake in the current interval.
     pub fn is_awake(&self) -> bool {
         self.awake
-    }
-
-    /// Whether `payload` is a report this unit's strategy can process
-    /// (see [`ReportHandler::accepts`]); hearing one it refuses panics.
-    pub fn accepts_report(&self, payload: &FramePayload) -> bool {
-        self.handler.accepts(payload)
     }
 
     /// Starts interval `(from, to]`: draws the sleep state and, if
@@ -470,7 +455,7 @@ impl MobileUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handler::AtHandler;
+    use crate::rule::ReportRule;
     use sw_sim::{MasterSeed, SimDuration, StreamId};
 
     fn at_report(t_i: f64, ids: Vec<u64>) -> FramePayload {
@@ -502,7 +487,7 @@ mod tests {
         };
         let mut qrng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
         let srng = MasterSeed::TEST.stream(StreamId::Sleep { index: 0 });
-        let handler = Box::new(AtHandler::new(SimDuration::from_secs(10.0)));
+        let handler = RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0)));
         let mu = MobileUnit::new(cfg, handler, &mut qrng);
         (mu, qrng, srng)
     }

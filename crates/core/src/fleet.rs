@@ -3,9 +3,9 @@
 //!
 //! [`Fleet`] is what the cell driver steps. Its two variants hold the
 //! same clients in different layouts — [`Fleet::Units`], a vector of
-//! [`ClientSeat`]s (one boxed [`sw_client::MobileUnit`] each, behind a
-//! trait-object handler), and [`Fleet::Columnar`], the struct-of-arrays
-//! [`ColumnarFleet`] below — and answer the same calls: `open_interval`,
+//! [`ClientSeat`]s (one boxed [`sw_client::MobileUnit`] each), and
+//! [`Fleet::Columnar`], the struct-of-arrays [`ColumnarFleet`] below —
+//! and answer the same calls: `open_interval`,
 //! `miss_report`, `sweep`, `install_answer`, `close_interval`. The
 //! driver never asks which one it has. Both start every client from
 //! the same [`ClientStreams`], so the backend choice never perturbs a
@@ -47,7 +47,7 @@
 //! [`ReportRule::apply`], generic over a [`CacheSlots`] view, and the
 //! fleet's share is [`SlotBlock`] — that view over one client's block
 //! of the columns — plus lending the client's row of the SIG columns
-//! as a [`SigTrack`]. A boxed `MobileUnit` runs the same function over
+//! as a [`Lent::Sig`]. A boxed `MobileUnit` runs the same function over
 //! its `Cache`. `SlotBlock`'s walk is the way §3 writes the loop — "for
 //! every item j *in the MU cache*" — ascending over the client's valid
 //! bits (slot order is item-id order), with the broadcast's shared
@@ -66,17 +66,20 @@
 //! the minimum unique, so the slot scan and the boxed table walk pick
 //! the same victim).
 //!
-//! Eligibility is decided in [`Fleet::new`]: static report builders
-//! only (TS/AT/SIG/NC/HYB/GR), no piggyback histories, no query plane,
-//! standalone cells (no mesh backbone — handoffs move whole seats).
-//! Everything else stays on seats.
+//! Eligibility is decided in [`Fleet::new`]: TS/AT/SIG/NC/HYB/GR only
+//! (adaptive TS, quasi-delay and the stateful baseline stay on seats),
+//! no piggyback histories, no query plane, standalone cells (no mesh
+//! backbone — handoffs move whole seats). Everything else stays on
+//! seats.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sw_capacity::{victim_key, EntryMeta, ReplacementPolicy};
-use sw_client::{CacheSlots, IntervalReport, MuStats, ReportDigest, ReportRule, SigTrack};
+use sw_client::{
+    CacheSlots, IntervalReport, Lent, MuStats, ReportDigest, ReportRule, SigTrack, Verdict,
+};
 use sw_query::QueryPlane;
 use sw_server::{ItemId, QueryAnswer};
 use sw_signature::CombinedSignature;
@@ -144,11 +147,17 @@ impl Fleet {
     pub(crate) fn new(config: &CellConfig, strategy: Strategy) -> Result<Self, SimulationError> {
         let params = &config.params;
         let piggyback = piggybacks(config, strategy);
-        let static_rule = strategy.report_rule(params, config.protocol_seed());
-        let eligible = config.backbone.is_none() && !piggyback && config.query.is_none();
-        let rule = match config.fleet {
-            Some(FleetBackend::Units) => None,
-            Some(FleetBackend::Columnar) if !eligible || static_rule.is_none() => {
+        // Adaptive TS (a window table per client), quasi-delay and the
+        // stateful baseline run on seats only.
+        let feedback = matches!(
+            strategy,
+            Strategy::AdaptiveTs { .. } | Strategy::QuasiDelay { .. } | Strategy::Stateful
+        );
+        let eligible =
+            config.backbone.is_none() && !piggyback && config.query.is_none() && !feedback;
+        let columnar = match config.fleet {
+            Some(FleetBackend::Units) => false,
+            Some(FleetBackend::Columnar) if !eligible => {
                 // The caller forced the columnar store: name every
                 // disqualifier, not just the first.
                 let mut reasons: Vec<String> = Vec::new();
@@ -161,7 +170,7 @@ impl Fleet {
                 if config.query.is_some() {
                     reasons.push("the query-result plane attaches to boxed units".into());
                 }
-                if static_rule.is_none() {
+                if feedback {
                     reasons.push(format!(
                         "strategy {} builds its reports from per-client feedback \
                          state that only boxed units carry",
@@ -173,31 +182,29 @@ impl Fleet {
                     reasons.join("; ")
                 )));
             }
-            _ => static_rule.filter(|_| eligible),
+            _ => eligible,
         };
         let zipf = shared_zipf(config);
-        Ok(match rule {
-            Some(rule) => {
-                // Finite capacity runs on either store with the same
-                // policy and the same TS window `w = kL` feeding the
-                // window-age rule.
-                let capacity = config.cache_capacity.map(|cap| CapacitySpec {
-                    cap,
-                    policy: config.replacement,
-                    window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
-                });
-                let mut fleet = ColumnarFleet::new(config.hotspot_size, rule, capacity, zipf);
-                for idx in 0..config.n_clients {
-                    fleet.push_client(ClientStreams::draw(config, idx), params.lambda);
-                }
-                Fleet::Columnar(fleet)
-            }
-            None => Fleet::Units(
+        if !columnar {
+            return Ok(Fleet::Units(
                 (0..config.n_clients)
                     .map(|idx| ClientSeat::new(config, strategy, idx, zipf.as_ref()))
                     .collect(),
-            ),
-        })
+            ));
+        }
+        // Finite capacity runs on either store with the same policy and
+        // the same TS window `w = kL` feeding the window-age rule.
+        let capacity = config.cache_capacity.map(|cap| CapacitySpec {
+            cap,
+            policy: config.replacement,
+            window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
+        });
+        let rule = strategy.report_rule(params, config.protocol_seed());
+        let mut fleet = ColumnarFleet::new(config.hotspot_size, rule, capacity, zipf);
+        for idx in 0..config.n_clients {
+            fleet.push_client(ClientStreams::draw(config, idx), params.lambda);
+        }
+        Ok(Fleet::Columnar(fleet))
     }
 
     /// Number of client slots, departed husks included.
@@ -288,7 +295,7 @@ impl Fleet {
     #[inline]
     pub(crate) fn last_unmatched_subsets(&self, idx: usize) -> Option<u32> {
         match self {
-            Fleet::Units(seats) => seats[idx].unit().last_unmatched_subsets(),
+            Fleet::Units(seats) => seats[idx].unit().handler().last_unmatched_subsets(),
             Fleet::Columnar(fleet) => fleet.sig.as_ref().map(|s| s.last_unmatched[idx]),
         }
     }
@@ -945,7 +952,7 @@ impl ColumnarFleet {
         }
         let mut sig = self.sig.as_mut().map(SigColumns::chunk);
         self.rule
-            .on_fetch(sig.as_mut().map(|s| s.track(idx)), answer.item);
+            .on_fetch(SigChunk::lend(&mut sig, idx), answer.item);
     }
 
     /// Records a listened-for-but-missed report (fault injection).
@@ -1012,13 +1019,17 @@ struct SigChunk<'a> {
 }
 
 impl SigChunk<'_> {
-    /// The tracking state of the chunk's `local`-th client.
-    fn track(&mut self, local: usize) -> SigTrack<'_> {
-        SigTrack {
-            tracked: &mut self.tracked[local * self.m..(local + 1) * self.m],
-            count: &mut self.tracked_count[local],
-            last_report: &mut self.last_report[local],
-            last_unmatched: &mut self.last_unmatched[local],
+    /// The tracking state of the chunk's `local`-th client, as the rule
+    /// borrows it (nothing when the fleet's rule tracks no signatures).
+    fn lend<'a>(chunk: &'a mut Option<SigChunk<'_>>, local: usize) -> Lent<'a> {
+        match chunk {
+            Some(chunk) => Lent::Sig(SigTrack {
+                tracked: &mut chunk.tracked[local * chunk.m..(local + 1) * chunk.m],
+                count: &mut chunk.tracked_count[local],
+                last_report: &mut chunk.last_report[local],
+                last_unmatched: &mut chunk.last_unmatched[local],
+            }),
+            None => Lent::Nothing,
         }
     }
 }
@@ -1073,19 +1084,21 @@ impl CacheSlots for SlotBlock<'_> {
     fn sweep(
         &mut self,
         t_i: SimTime,
-        mut stale: impl FnMut(ItemId, SimTime) -> bool,
+        mut verdict: impl FnMut(ItemId, SimTime) -> Verdict,
     ) -> Vec<ItemId> {
         let mut invalidated = Vec::new();
         for (w, word) in self.valid.iter_mut().enumerate() {
             for slot in set_bits(*word, w * 64) {
                 let item = self.items[slot];
                 let stamp = &mut self.stamps[slot];
-                if stale(item, *stamp) {
-                    *word &= !(1 << (slot % 64));
-                    *self.cached -= 1;
-                    invalidated.push(item);
-                } else {
-                    *stamp = t_i;
+                match verdict(item, *stamp) {
+                    Verdict::Drop => {
+                        *word &= !(1 << (slot % 64));
+                        *self.cached -= 1;
+                        invalidated.push(item);
+                    }
+                    Verdict::Restamp => *stamp = t_i,
+                    Verdict::Keep => {}
                 }
             }
         }
@@ -1171,8 +1184,8 @@ impl SweepStore for ChunkView<'_> {
                 )
             }),
         };
-        let sig = self.sig.as_mut().map(|s| s.track(local));
-        let outcome = self.rule.apply(&mut block, sig, digest, self.t_l[local]);
+        let lent = SigChunk::lend(&mut self.sig, local);
+        let outcome = self.rule.apply(&mut block, lent, digest, self.t_l[local]);
         let t_i = outcome.report_time;
         let stats = &mut self.stats[local];
         for &posed_at in &self.posed_at[local] {

@@ -165,7 +165,7 @@ fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Opti
             piggyback_hits: false,
             item_universe: Some(UNIVERSE),
         };
-        let handler = Box::new(RuleHandler::new(rule(kind)));
+        let handler = RuleHandler::new(rule(kind));
         let mut query_rng = streams.query_rng;
         let mu = MobileUnit::new(config, handler, &mut query_rng);
         let zipf = picker.zip(streams.zipf_rng);

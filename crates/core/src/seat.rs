@@ -28,8 +28,7 @@ use std::sync::Arc;
 
 use sw_adaptive::FeedbackMethod;
 use sw_capacity::ReplacementPolicy;
-use sw_client::handler::NoCacheHandler;
-use sw_client::{IntervalReport, MobileUnit, MuConfig, ReportDigest};
+use sw_client::{IntervalReport, MobileUnit, MuConfig, ReportDigest, ReportRule, RuleHandler};
 use sw_faults::FaultLayer;
 use sw_query::QueryPlane;
 use sw_server::{ItemId, QueryAnswer};
@@ -204,7 +203,7 @@ impl ClientSeat {
             piggyback_hits: false,
             item_universe: None,
         };
-        let mu = MobileUnit::new(config, Box::new(NoCacheHandler::new()), &mut rng());
+        let mu = MobileUnit::new(config, RuleHandler::new(ReportRule::NoCache), &mut rng());
         Self::seated(mu, rng(), rng(), None, None)
     }
 

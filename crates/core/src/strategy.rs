@@ -6,9 +6,8 @@
 //! server with an AT client would be silently wrong, so construction
 //! goes through this one place.
 
-use sw_adaptive::{AdaptiveTsHandler, FeedbackMethod};
-use sw_client::{ReportHandler, ReportRule, RuleHandler};
-use sw_quasi::DelayQuasiHandler;
+use sw_adaptive::FeedbackMethod;
+use sw_client::{ReportRule, RuleHandler};
 use sw_server::{
     AtBuilder, Database, GroupMap, GroupReportBuilder, HotSet, HybridSigBuilder, NoReportBuilder,
     ReportBuilder, SigBuilder, TsBuilder,
@@ -177,61 +176,46 @@ impl Strategy {
         }
     }
 
-    /// The strategy's client half as a [`ReportRule`]: the §3 algorithm
-    /// and the window/latency/decoder/hot-set/group-map every client of
-    /// a cell shares. The one description boxed units
+    /// The strategy's client half as a [`ReportRule`]: the algorithm
+    /// and the window/latency/decoder/hot-set/group-map/lag bound every
+    /// client of a cell shares. The one description boxed units
     /// ([`Strategy::make_handler`]), the columnar fleet and — through
-    /// `MobileUnit` — the live MU all apply. `None` for the strategies
-    /// whose client half carries driver-wired per-client state
-    /// (adaptive TS, quasi-delay, stateful): those run on boxed units
-    /// only.
-    pub fn report_rule(&self, params: &ScenarioParams, seed: MasterSeed) -> Option<ReportRule> {
+    /// `MobileUnit` — the live MU all apply.
+    pub fn report_rule(&self, params: &ScenarioParams, seed: MasterSeed) -> ReportRule {
         let latency = SimDuration::from_secs(params.latency_secs);
         match self {
-            Strategy::BroadcastTimestamps => Some(ReportRule::ts(latency, params.k)),
-            Strategy::AmnesicTerminals => Some(ReportRule::At { latency }),
-            Strategy::Signatures => Some(ReportRule::Sig {
+            Strategy::BroadcastTimestamps => ReportRule::ts(latency, params.k),
+            // Stateful clients process the union of their directed
+            // invalidations, which the driver frames as an AT-style id
+            // list; the gap-drop models losing the cache on reconnect.
+            Strategy::AmnesicTerminals | Strategy::Stateful => ReportRule::at(latency),
+            Strategy::Signatures => ReportRule::Sig {
                 decoder: sig_decoder(params, seed),
-            }),
-            Strategy::NoCache => Some(ReportRule::NoCache),
-            Strategy::HybridSig { hot_count } => Some(ReportRule::Hybrid {
+            },
+            Strategy::NoCache => ReportRule::NoCache,
+            Strategy::AdaptiveTs { .. } => ReportRule::adaptive_ts(latency, params.k),
+            Strategy::QuasiDelay { alpha_intervals } => {
+                ReportRule::quasi_delay(latency, *alpha_intervals)
+            }
+            Strategy::HybridSig { hot_count } => ReportRule::hybrid(
                 latency,
-                hot: hot_set(*hot_count, params),
-                decoder: sig_decoder(params, seed),
-            }),
-            Strategy::GroupReports { groups } => Some(ReportRule::Group {
-                latency,
-                map: group_map(*groups, params),
-            }),
-            Strategy::AdaptiveTs { .. } | Strategy::QuasiDelay { .. } | Strategy::Stateful => None,
+                hot_set(*hot_count, params),
+                sig_decoder(params, seed),
+            ),
+            Strategy::GroupReports { groups } => {
+                ReportRule::group(latency, group_map(*groups, params))
+            }
         }
     }
 
-    /// Builds one client's report handler.
+    /// Builds one client's report handler: the rule plus fresh
+    /// per-client state.
     ///
     /// Public for the same reason as [`Strategy::make_builder`]: a live
     /// MU must process reports with exactly the handler the simulated
     /// MU would use.
-    pub fn make_handler(
-        &self,
-        params: &ScenarioParams,
-        seed: MasterSeed,
-    ) -> Box<dyn ReportHandler + Send> {
-        let latency = SimDuration::from_secs(params.latency_secs);
-        match self {
-            Strategy::AdaptiveTs { .. } => Box::new(AdaptiveTsHandler::new(latency, params.k)),
-            Strategy::QuasiDelay { alpha_intervals } => {
-                Box::new(DelayQuasiHandler::new(latency, *alpha_intervals))
-            }
-            // Stateful clients process the union of their directed
-            // invalidations, which the driver frames as an AT-style id
-            // list; the gap-drop models losing the cache on reconnect.
-            Strategy::Stateful => Box::new(RuleHandler::new(ReportRule::At { latency })),
-            _ => Box::new(RuleHandler::new(
-                self.report_rule(params, seed)
-                    .expect("every remaining strategy has a report rule"),
-            )),
-        }
+    pub fn make_handler(&self, params: &ScenarioParams, seed: MasterSeed) -> RuleHandler {
+        RuleHandler::new(self.report_rule(params, seed))
     }
 }
 

@@ -30,7 +30,7 @@
 //!    asserted bit-identical to two independent single-cell runs — the
 //!    sharded environment itself must be invisible.
 
-use sleepers::client::{AtHandler, MobileUnit, MuConfig, ReplacementPolicy, ReportHandler, TsHandler};
+use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule, RuleHandler};
 use sleepers::server::AtBuilder;
 use sleepers::server::{Database, ReportBuilder, TsBuilder, UpdateEngine, UplinkProcessor};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
@@ -54,7 +54,7 @@ fn new_cell(n: u64, k: u32, latency: SimDuration) -> Cell {
     }
 }
 
-fn mu(seed: u64, hotspot: Vec<u64>, handler: Box<dyn ReportHandler + Send>) -> MobileUnit {
+fn mu(seed: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit {
     let mut rng = MasterSeed(seed).stream(StreamId::Queries { index: seed });
     MobileUnit::new(
         MuConfig {
@@ -91,11 +91,11 @@ fn run_client(
     let mut update_rng = MasterSeed(0xE20).stream(StreamId::Updates);
     let mut engine = UpdateEngine::new(n, 1e-3, &mut update_rng);
 
-    let handler: Box<dyn ReportHandler + Send> = if use_ts {
-        Box::new(TsHandler::new(latency, k))
+    let handler = RuleHandler::new(if use_ts {
+        ReportRule::ts(latency, k)
     } else {
-        Box::new(AtHandler::new(latency))
-    };
+        ReportRule::at(latency)
+    });
     let mut client = mu(1, (0..25).collect(), handler);
     let mut srng = MasterSeed(2).stream(StreamId::Sleep { index: 1 });
     let mut qrng = MasterSeed(3).stream(StreamId::Custom { tag: 1 });

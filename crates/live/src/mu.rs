@@ -121,7 +121,7 @@ impl LiveMu {
     /// full decode is cheap).
     pub fn report_stamp_micros(&self, frame: &[u8]) -> Option<u64> {
         let payload = self.encode.deserialize(frame).ok()?.payload;
-        if !self.seat.unit().accepts_report(&payload) {
+        if !self.seat.unit().handler().accepts(&payload) {
             return None;
         }
         match payload {
@@ -195,7 +195,7 @@ impl LiveMu {
             return Ok(Vec::new());
         }
         let decoded = self.encode.deserialize(frame)?;
-        if !self.seat.unit().accepts_report(&decoded.payload) {
+        if !self.seat.unit().handler().accepts(&decoded.payload) {
             return Err(WireDecodeError::Malformed(
                 "not a report this unit's strategy can process",
             ));

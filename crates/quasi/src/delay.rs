@@ -15,20 +15,11 @@
 //! not be considered." An empty queue means no outstanding copies — the
 //! item need not be reported at all.
 //!
-//! Client side ([`DelayQuasiHandler`]): the cache entry is kept until
-//! it is invalidated by a report or it reaches age `α`; at that point
-//! the unit waits for the next report — "if x is there, it drops the
-//! cache, otherwise it keeps it and makes ts(x) equal to the time of
-//! the current report." A client that *missed* the due report cannot
-//! apply that rule safely, so entries older than `α` are dropped
-//! whenever the unit slept through any report (gap > L).
+//! Client side: `sw_client::ReportRule::QuasiDelay`.
 
 use std::collections::VecDeque;
 
-use sw_client::{Cache, ProcessOutcome, ReportDigest, ReportHandler};
 use sw_server::{ItemId, ItemTable};
-use sw_sim::{SimDuration, SimTime};
-use sw_wireless::FramePayload;
 
 /// Server-side obligation lists for the delay condition.
 #[derive(Debug, Clone)]
@@ -119,126 +110,8 @@ impl ObligationTracker {
     }
 }
 
-/// Client half of the delay condition, layered on TS-style reports.
-#[derive(Debug, Clone)]
-pub struct DelayQuasiHandler {
-    latency: SimDuration,
-    /// `α` in seconds.
-    alpha: SimDuration,
-}
-
-impl DelayQuasiHandler {
-    /// Creates the handler with `α = alpha_intervals · L`.
-    pub fn new(latency: SimDuration, alpha_intervals: u64) -> Self {
-        assert!(alpha_intervals >= 1, "α must be at least one interval");
-        assert!(!latency.is_zero(), "latency must be positive");
-        DelayQuasiHandler {
-            latency,
-            alpha: latency.scaled(alpha_intervals as f64),
-        }
-    }
-
-    /// The allowed lag `α`.
-    pub fn alpha(&self) -> SimDuration {
-        self.alpha
-    }
-}
-
-impl ReportHandler for DelayQuasiHandler {
-    fn name(&self) -> &'static str {
-        "QD"
-    }
-
-    fn accepts(&self, payload: &FramePayload) -> bool {
-        matches!(payload, FramePayload::TimestampReport { .. })
-    }
-
-    fn process_digest(
-        &mut self,
-        cache: &mut Cache,
-        digest: &ReportDigest<'_>,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let (report_ts_micros, entries) = match digest.payload() {
-            FramePayload::TimestampReport {
-                report_ts_micros,
-                entries,
-            } => (*report_ts_micros, entries),
-            other => panic!("delay-quasi handler fed a wrong report: {other:?}"),
-        };
-        let t_i = SimTime::from_secs(report_ts_micros as f64 / 1e6);
-        let gap = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l),
-            None => SimDuration::from_secs(f64::MAX / 2.0),
-        };
-        let missed_reports = gap.as_secs() > self.latency.as_secs() * (1.0 + 1e-9);
-        // Dense-id reports arrive item-sorted, so membership checks are
-        // binary searches over the entry slice — no per-call hash map.
-        let sorted_entries;
-        let reported: &[(ItemId, u64)] = if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            entries
-        } else {
-            let mut copy = entries.clone();
-            copy.sort_unstable_by_key(|&(item, _)| item);
-            sorted_entries = copy;
-            &sorted_entries
-        };
-
-        let mut invalidated = Vec::new();
-        let alpha_secs = self.alpha.as_secs();
-        cache.retain_entries(|item, entry| {
-            let age = t_i.saturating_duration_since(entry.timestamp);
-            // The copy reaches its allowed lag exactly at age = α —
-            // the same interval the server-side obligation comes due
-            // (l + j). Checking with ≥ keeps client and server in
-            // lockstep; a strict > would look one interval late, after
-            // the server already popped the obligation.
-            let over_alpha = age.as_secs() >= alpha_secs * (1.0 - 1e-12);
-            let in_report = reported
-                .binary_search_by_key(&item, |&(it, _)| it)
-                .is_ok();
-            // Cache is dropped when: the due report names the item, or
-            // the unit slept past a report while over-α (it cannot know
-            // whether the due report named it).
-            if over_alpha && (in_report || missed_reports) {
-                invalidated.push(item);
-                return false;
-            }
-            if over_alpha {
-                // The due report did not name it: re-validated, restart
-                // the lag clock.
-                entry.timestamp = t_i;
-            }
-            // Under α: keep as-is; the delay condition allows the lag,
-            // so the entry's timestamp is NOT advanced (the lag clock
-            // keeps running from the copy's birth).
-            true
-        });
-        invalidated.sort_unstable();
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn report(t_i: f64, items: Vec<(u64, f64)>) -> FramePayload {
-        FramePayload::TimestampReport {
-            report_ts_micros: (t_i * 1e6) as u64,
-            entries: items
-                .into_iter()
-                .map(|(i, t)| (i, (t * 1e6) as u64))
-                .collect(),
-        }
-    }
-
     mod tracker {
         use super::super::ObligationTracker;
 
@@ -294,69 +167,5 @@ mod tests {
             assert!(!t.due(1, 16), "next copy (12) is due at 17");
             assert!(t.due(1, 17));
         }
-    }
-
-    #[test]
-    fn young_entries_keep_their_lag_clock() {
-        let mut h = DelayQuasiHandler::new(SimDuration::from_secs(10.0), 3); // α = 30
-        let mut c = Cache::unbounded();
-        c.insert(1, 5, SimTime::from_secs(10.0));
-        let _ = h.process(&mut c, &report(20.0, vec![]), Some(SimTime::from_secs(10.0)));
-        // Age 10 < α: timestamp untouched (lag clock running).
-        assert_eq!(c.peek(1).unwrap().timestamp, SimTime::from_secs(10.0));
-    }
-
-    #[test]
-    fn over_alpha_unreported_is_revalidated() {
-        let mut h = DelayQuasiHandler::new(SimDuration::from_secs(10.0), 2); // α = 20
-        let mut c = Cache::unbounded();
-        c.insert(1, 5, SimTime::from_secs(10.0));
-        // Heard every report; at T=30 the age reaches exactly α — the
-        // due instant — with the item absent from the report → keep and
-        // restamp to T=30 (the lag clock restarts).
-        for t in [20.0, 30.0, 40.0] {
-            let _ = h.process(
-                &mut c,
-                &report(t, vec![]),
-                Some(SimTime::from_secs(t - 10.0)),
-            );
-        }
-        assert!(c.contains(1));
-        assert_eq!(c.peek(1).unwrap().timestamp, SimTime::from_secs(30.0));
-    }
-
-    #[test]
-    fn over_alpha_reported_is_dropped() {
-        let mut h = DelayQuasiHandler::new(SimDuration::from_secs(10.0), 2);
-        let mut c = Cache::unbounded();
-        c.insert(1, 5, SimTime::from_secs(10.0));
-        let out = h.process(
-            &mut c,
-            &report(40.0, vec![(1, 35.0)]),
-            Some(SimTime::from_secs(30.0)),
-        );
-        assert_eq!(out.invalidated, vec![1]);
-    }
-
-    #[test]
-    fn sleeper_over_alpha_drops_conservatively() {
-        let mut h = DelayQuasiHandler::new(SimDuration::from_secs(10.0), 2);
-        let mut c = Cache::unbounded();
-        c.insert(1, 5, SimTime::from_secs(10.0));
-        // Slept from 20 to 50 (gap 30 > L): over-α entries must go even
-        // though this report does not name them.
-        let out = h.process(&mut c, &report(50.0, vec![]), Some(SimTime::from_secs(20.0)));
-        assert_eq!(out.invalidated, vec![1]);
-    }
-
-    #[test]
-    fn sleeper_under_alpha_keeps_entry() {
-        let mut h = DelayQuasiHandler::new(SimDuration::from_secs(10.0), 10); // α = 100
-        let mut c = Cache::unbounded();
-        c.insert(1, 5, SimTime::from_secs(10.0));
-        // Slept 20→50; age 40 < 100: the delay condition still holds.
-        let out = h.process(&mut c, &report(50.0, vec![]), Some(SimTime::from_secs(20.0)));
-        assert!(out.invalidated.is_empty());
-        assert!(c.contains(1));
     }
 }

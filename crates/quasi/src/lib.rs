@@ -25,4 +25,4 @@ pub mod arithmetic;
 pub mod delay;
 
 pub use arithmetic::EpsilonFilter;
-pub use delay::{DelayQuasiHandler, ObligationTracker};
+pub use delay::ObligationTracker;

@@ -619,6 +619,7 @@ impl QueryPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_client::{CacheSlots, Verdict};
     use sw_sim::{MasterSeed, StreamId};
 
     fn rng(i: u64) -> RngStream {
@@ -649,6 +650,11 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// A heard report that names nothing: every entry verified as of `t`.
+    fn restamp_all(cache: &mut Cache, t: SimTime) {
+        CacheSlots::sweep(cache, t, |_, _| Verdict::Restamp);
+    }
+
     #[test]
     fn miss_then_hit_through_materialization() {
         let d = domain();
@@ -672,7 +678,7 @@ mod tests {
         let misses_before = plane.stats().misses;
         plane.begin_awake_interval();
         let mut cache2 = cache.clone();
-        cache2.restamp_all(t(20.0));
+        restamp_all(&mut cache2, t(20.0));
         let check2 = plane.observe_report(&cache2, t(20.0));
         assert!(check2.fetch.is_empty());
         plane.settle(&cache2, t(20.0));
@@ -716,7 +722,7 @@ mod tests {
         // entry: the report handler removes it from the item cache.
         let victim = plane.cache().get(cached[0]).unwrap().rows[0].item;
         cache.remove(victim);
-        cache.restamp_all(t(20.0));
+        restamp_all(&mut cache, t(20.0));
         plane.observe_report(&cache, t(20.0));
         assert!(
             plane.cache().get(cached[0]).is_none(),
@@ -738,7 +744,7 @@ mod tests {
         let entry = plane.cache().iter().next().unwrap();
         let (rank, victim) = (entry.rank, entry.rows[0].item);
         cache.insert(victim, 0xDEAD_BEEF, t(20.0));
-        cache.restamp_all(t(20.0));
+        restamp_all(&mut cache, t(20.0));
         plane.observe_report(&cache, t(20.0));
         assert!(plane.cache().get(rank).is_none());
     }
@@ -769,7 +775,7 @@ mod tests {
         plane.begin_awake_interval();
         plane.observe_report(&cache, t(10.0));
         plane.settle(&cache, t(10.0));
-        cache.restamp_all(t(20.0));
+        restamp_all(&mut cache, t(20.0));
         plane.observe_report(&cache, t(20.0));
         for e in plane.cache().iter() {
             assert_eq!(e.verified_at, t(20.0));
@@ -825,7 +831,7 @@ mod tests {
         assert!(plane.txn_in_flight());
         assert_eq!(plane.stats().txns_begun, 1);
         // Interval 2: nothing changed; the second read commits.
-        cache.restamp_all(t(20.0));
+        restamp_all(&mut cache, t(20.0));
         plane.observe_report(&cache, t(20.0));
         plane.settle(&cache, t(20.0));
         assert!(!plane.txn_in_flight());
@@ -849,7 +855,7 @@ mod tests {
         // report at t=20 invalidates it from the item cache.
         let pinned = plane.txn.as_ref().unwrap().pins[0].item;
         cache.remove(pinned);
-        cache.restamp_all(t(20.0));
+        restamp_all(&mut cache, t(20.0));
         let check = plane.observe_report(&cache, t(20.0));
         // The second read may need the invalidated item refetched; a
         // refetch delivers a NEW value, so simulate the uplink install.
@@ -874,7 +880,7 @@ mod tests {
             let mut cache = warm_cache(&d, t(0.0));
             for i in 1..=50u64 {
                 let t_i = t(i as f64 * 10.0);
-                cache.restamp_all(t_i);
+                restamp_all(&mut cache, t_i);
                 plane.begin_awake_interval();
                 plane.observe_report(&cache, t_i);
                 plane.settle(&cache, t_i);
@@ -901,7 +907,7 @@ mod tests {
         // Interval 3: the next intact report answers the backlog. The
         // item handler dropped nothing (values unchanged), stamps
         // advance to the heard report.
-        cache.restamp_all(t(30.0));
+        restamp_all(&mut cache, t(30.0));
         plane.begin_awake_interval();
         plane.observe_report(&cache, t(30.0));
         plane.settle(&cache, t(30.0));

@@ -236,38 +236,11 @@ impl<V> ItemTable<V> {
         }
     }
 
-    /// Keeps only entries for which `keep(item, &value)` is true;
-    /// O(occupied) for the dense layout.
-    pub fn retain<F: FnMut(ItemId, &V) -> bool>(&mut self, mut keep: F) {
-        match self {
-            ItemTable::Dense {
-                slots,
-                occupied,
-                len,
-            } => {
-                for (w, word) in occupied.iter_mut().enumerate() {
-                    let mut bits = *word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let idx = w * 64 + b;
-                        let v = slots[idx].as_ref().expect("occupancy bit set");
-                        if !keep(idx as ItemId, v) {
-                            slots[idx] = None;
-                            *word &= !(1u64 << b);
-                            *len -= 1;
-                        }
-                    }
-                }
-            }
-            ItemTable::Hashed(m) => m.retain(|&item, v| keep(item, v)),
-        }
-    }
-
-    /// Like [`ItemTable::retain`], but `keep` may mutate the value —
-    /// the single-pass shape of the §3 report algorithms (restamp the
-    /// survivors in place, drop the invalidated). Dense entries are
-    /// visited in ascending id order.
+    /// Keeps only entries for which `keep(item, &mut value)` is true;
+    /// `keep` may mutate the value — the single-pass shape of the report
+    /// algorithms (restamp the survivors in place, drop the
+    /// invalidated). O(occupied) for the dense layout, visited in
+    /// ascending id order.
     pub fn retain_mut<F: FnMut(ItemId, &mut V) -> bool>(&mut self, mut keep: F) {
         match self {
             ItemTable::Dense {
@@ -443,7 +416,7 @@ mod tests {
             for item in 0..6 {
                 t.insert(item, item);
             }
-            t.retain(|item, _| item % 2 == 0);
+            t.retain_mut(|item, _| item % 2 == 0);
             assert_eq!(t.sorted_ids(), vec![0, 2, 4]);
             t.clear();
             assert!(t.is_empty());

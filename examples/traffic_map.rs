@@ -16,7 +16,7 @@
 //! cargo run --example traffic_map
 //! ```
 
-use sleepers_workaholics::client::{AtHandler, Cache, ReportHandler};
+use sleepers_workaholics::client::{Cache, ReportRule, RuleHandler};
 use sleepers_workaholics::server::{AtBuilder, Database, ReportBuilder, UpdateEngine, UplinkProcessor};
 use sleepers_workaholics::sim::{MasterSeed, SimDuration, SimTime, StreamId};
 use sleepers_workaholics::workload::{TrafficGrid, TrafficMapWorkload};
@@ -49,7 +49,9 @@ fn main() {
         })
         .collect();
     let mut caches: Vec<Cache> = (0..5).map(|_| Cache::unbounded()).collect();
-    let mut handlers: Vec<AtHandler> = (0..5).map(|_| AtHandler::new(latency)).collect();
+    let mut handlers: Vec<RuleHandler> = (0..5)
+        .map(|_| RuleHandler::new(ReportRule::at(latency)))
+        .collect();
     let mut t_l: Vec<Option<SimTime>> = vec![None; 5];
     let mut walk_rng = seed.stream(StreamId::Custom { tag: 9 });
 

@@ -15,6 +15,20 @@ retry() {
     done
 }
 
+# Builds an sw-experiments bin, then runs the built binary with quick
+# settings from a scratch directory: outside cargo its results_dir() is
+# ./results, so a smoke never overwrites the committed full-run
+# artifacts under results/.
+# Usage: smoke <features, "" for none> <bin> [bin args...]
+repo=$PWD
+smoke_dir=$(mktemp -d)
+smoke() {
+    smoke_bin=$2
+    cargo build --release -q -p sw-experiments --features "$1" --bin "$smoke_bin"
+    shift 2
+    (cd "$smoke_dir" && SW_FAST=1 "$repo/target/release/$smoke_bin" "$@" >/dev/null)
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -36,10 +50,10 @@ echo "==> cargo clippy --workspace -D warnings (--features observe)"
 cargo clippy --workspace --all-targets --features observe -- -D warnings
 
 echo "==> trace_run smoke (figure 3, quick settings, observed)"
-SW_FAST=1 cargo run --release -q -p sw-experiments --features observe --bin trace_run -- 3 >/dev/null
+smoke observe trace_run 3
 
 echo "==> trace_run smoke (live session, lockstep, merged server+client trace)"
-SW_FAST=1 cargo run --release -q -p sw-experiments --features observe --bin trace_run -- live >/dev/null
+smoke observe trace_run live
 
 echo "==> live smoke (sw-serve + metrics plane, one sw-mu round, sw-top --once, clean shutdown)"
 live_addr_file=$(mktemp)
@@ -143,16 +157,17 @@ echo "==> cargo test --workspace (release, --features observe,faults)"
 cargo test --workspace --release -q --features observe,faults
 
 echo "==> fault-matrix smoke (fig_loss: loss 0/0.05/0.2 x TS/AT/SIG + burst)"
-SW_FAST=1 cargo run --release -q -p sw-experiments --features faults --bin fig_loss >/dev/null
+smoke faults fig_loss
 
 echo "==> mesh smoke (fig_mesh: migration-rate sweep, paper-consistent ordering asserted)"
-SW_FAST=1 cargo run --release -q -p sw-experiments --bin fig_mesh >/dev/null
+smoke "" fig_mesh
 
 echo "==> query smoke (fig_query: query hit ratio / uplink bits / abort rate vs s)"
-SW_FAST=1 cargo run --release -q -p sw-experiments --bin fig_query >/dev/null
+smoke "" fig_query
 
 echo "==> capacity smoke (fig_capacity: capacity x replacement x strategy x s + coop mesh leg)"
-SW_FAST=1 cargo run --release -q -p sw-experiments --bin fig_capacity >/dev/null
+smoke "" fig_capacity
+rm -rf "$smoke_dir"
 
 echo "==> figure artifact A/B guard: mesh seed domain must not move results/fig3.json"
 cargo test --release -q -p sw-experiments --test fig3_regression -- --ignored
@@ -199,7 +214,14 @@ awk -v off="$hot_off" -v on="$hot_on" 'BEGIN {
 echo "==> benchmark smoke (benchmark/: every workload at 1/50 size, all checks on)"
 # Its own package and lock file, outside the workspace the legs above
 # cover; this is what keeps it compiling against the crates' public API.
+# A PR that changes the crates may not touch benchmark/, so when it
+# moves a dependency edge cargo re-resolves the lock file on the spot
+# (offline, path dependencies only): put the committed one back.
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
 cargo test --offline --manifest-path benchmark/Cargo.toml
+cp "$bench_lock" benchmark/Cargo.lock
+rm -f "$bench_lock"
 
 echo "==> bench smoke: mesh_step (sharded envelope vs single-cell baseline)"
 # The A/B guard for the mesh PR: hot_paths above exercises only the

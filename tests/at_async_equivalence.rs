@@ -99,9 +99,9 @@ fn total_message_accounting() {
 /// client that slept through individual messages must also do.
 #[test]
 fn both_lose_cache_on_disconnection() {
-    use sleepers_workaholics::client::{AtHandler, Cache, ReportHandler};
+    use sleepers_workaholics::client::{Cache, ReportRule, RuleHandler};
     let latency = SimDuration::from_secs(10.0);
-    let mut handler = AtHandler::new(latency);
+    let mut handler = RuleHandler::new(ReportRule::at(latency));
     let mut cache = Cache::unbounded();
     cache.insert(1, 10, SimTime::from_secs(10.0));
     cache.insert(2, 20, SimTime::from_secs(10.0));

@@ -8,7 +8,9 @@
 //!   during the interval in which the query was posed ... even if the
 //!   query predates the update during the interval."
 
-use sleepers_workaholics::client::{AtHandler, MobileUnit, MuConfig, ReplacementPolicy};
+use sleepers_workaholics::client::{
+    MobileUnit, MuConfig, ReplacementPolicy, ReportRule, RuleHandler,
+};
 use sleepers_workaholics::server::{AtBuilder, Database, QueryAnswer, ReportBuilder, UplinkProcessor};
 use sleepers_workaholics::sim::{MasterSeed, SimDuration, SimTime, StreamId};
 
@@ -26,7 +28,7 @@ fn mu_with_hotspot(hotspot: Vec<u64>, lambda: f64) -> MobileUnit {
             piggyback_hits: false,
             item_universe: None,
         },
-        Box::new(AtHandler::new(SimDuration::from_secs(10.0))),
+        RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0))),
         &mut rng,
     )
 }

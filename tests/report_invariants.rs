@@ -184,11 +184,11 @@ fn families_agree_and_empty_cache_is_silent() {
 /// the exact boundary, one tick inside, and one tick outside.
 #[test]
 fn drop_boundaries_are_exact() {
-    use sleepers_workaholics::client::{AtHandler, Cache, ReportHandler, TsHandler};
+    use sleepers_workaholics::client::{Cache, ReportRule, RuleHandler};
     let latency = SimDuration::from_secs(10.0);
 
     for (gap, expect_drop) in [(20.0, false), (20.0001, true), (19.9999, false)] {
-        let mut h = TsHandler::new(latency, 2); // w = 20
+        let mut h = RuleHandler::new(ReportRule::ts(latency, 2)); // w = 20
         let mut c = Cache::unbounded();
         c.insert(1, 1, SimTime::from_secs(100.0));
         let report = FramePayload::TimestampReport {
@@ -203,7 +203,7 @@ fn drop_boundaries_are_exact() {
     }
 
     for (gap, expect_drop) in [(10.0, false), (10.001, true)] {
-        let mut h = AtHandler::new(latency);
+        let mut h = RuleHandler::new(ReportRule::at(latency));
         let mut c = Cache::unbounded();
         c.insert(1, 1, SimTime::from_secs(100.0));
         let report = FramePayload::AmnesicReport {
