@@ -140,11 +140,6 @@ impl Cache {
         self.window = window;
     }
 
-    /// The active replacement policy.
-    pub fn replacement(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
     /// Number of cached items.
     pub fn len(&self) -> usize {
         self.entries.len()

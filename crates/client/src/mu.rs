@@ -112,17 +112,6 @@ impl MuStats {
     pub fn query_events(&self) -> u64 {
         self.hit_events + self.miss_events
     }
-
-    /// Mean query latency in seconds (0 when no queries were posed).
-    /// Synchronous methods bound this by `L` (§2): a query waits at
-    /// most one full interval for the next report.
-    pub fn latency_mean_secs(&self) -> f64 {
-        if self.queries_posed == 0 {
-            0.0
-        } else {
-            self.latency_sum_secs / self.queries_posed as f64
-        }
-    }
 }
 
 /// What one interval did at this unit (for the cell driver's log).
@@ -197,11 +186,6 @@ impl MobileUnit {
     /// Unit id.
     pub fn id(&self) -> u64 {
         self.config.id
-    }
-
-    /// The unit's hotspot.
-    pub fn hotspot(&self) -> &[ItemId] {
-        &self.config.hotspot
     }
 
     /// Read access to the cache (tests and invariant checks).

@@ -1,5 +1,5 @@
-//! The server-side strategy driver, shared by the simulator and the
-//! live daemon.
+//! The server half of Figure 2, shared by the simulator and the live
+//! daemon.
 //!
 //! A *static* broadcast strategy (TS, AT, SIG, hybrid) is fully
 //! described by its [`ReportBuilder`]: feed it updates, ask it for the
@@ -8,9 +8,17 @@
 //! controller, quasi-delay thins the TS report to the *due* obligations,
 //! and the stateful baseline keeps a per-client registry for directed
 //! invalidations. [`ServerDriver`] packages all four shapes behind one
-//! seam so both `CellSimulation` and the live `sw-serve` ticker run the
-//! identical server logic: same construction, same update ingestion,
-//! same build rule, same uplink feedback, same period boundary.
+//! seam.
+//!
+//! [`CellServer`] is the paper's one server loop around that driver
+//! (§2): the database, the update process, the uplink processor and the
+//! current `(i, T_i)`, with one method per phase — apply the interval's
+//! updates, build the report, answer uplink queries stamped `T_i`, then
+//! close the interval (evaluation-period boundary, *then* log prune).
+//! `CellSimulation`, the live `sw-serve` ticker and every HA replica
+//! drive this one type, so sim-vs-live conformance compares two drivers
+//! of one server, and there is one place where the retention rule, the
+//! seed streams and the phase order are spelled.
 //!
 //! The live daemon can host every driver shape except the stateful
 //! baseline (directed messages need per-client connections the
@@ -23,13 +31,15 @@ use sw_adaptive::{
 };
 use sw_quasi::ObligationTracker;
 use sw_server::{
-    Database, ItemId, ItemTable, PiggybackInfo, ReportBuilder, StatefulServer, TsBuilder,
-    UpdateRecord, UplinkProcessor,
+    Database, ItemId, ItemTable, PiggybackInfo, QueryAnswer, ReportBuilder, StatefulServer,
+    TsBuilder, UpdateEngine, UpdateRecord, UplinkProcessor,
 };
-use sw_sim::{MasterSeed, SimDuration, SimTime};
+use sw_sim::{MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::FramePayload;
 use sw_workload::ScenarioParams;
 
+use crate::config::CellConfig;
+use crate::safety::ValueHistory;
 use crate::strategy::Strategy;
 
 /// Server-side machinery; adaptive and quasi strategies carry extra
@@ -255,12 +265,13 @@ impl ServerDriver {
     /// and widens the database's update-log retention to cover the
     /// largest granted window. Returns `(default_k, exceptions)` when a
     /// period actually closed (for observation), `None` otherwise.
-    pub fn end_period_if_due(
+    /// Private: [`CellServer::close_interval`] is the one caller, so the
+    /// boundary cannot be sequenced against the log prune a second way.
+    fn end_period_if_due(
         &mut self,
         i: u64,
         uplink: &mut UplinkProcessor,
         db: &mut Database,
-        latency: SimDuration,
     ) -> Option<(u32, usize)> {
         let Side::Adaptive {
             builder,
@@ -320,10 +331,241 @@ impl ServerDriver {
             .chain(std::iter::once(builder.windows().default_k()))
             .max()
             .unwrap_or(1);
-        db.widen_log_retention(latency.scaled(max_k as f64 + 2.0));
+        db.widen_log_retention(builder.latency().scaled(max_k as f64 + 2.0));
         Some((
             builder.windows().default_k(),
             builder.windows().exceptions().len(),
         ))
+    }
+}
+
+/// One cell's stationary server (§2, Figure 2): everything between the
+/// update process and the report, with no channel, no clients and no
+/// sockets. See the module docs.
+pub struct CellServer {
+    db: Database,
+    history: Option<ValueHistory>,
+    driver: ServerDriver,
+    uplink: UplinkProcessor,
+    engine: UpdateEngine,
+    update_rng: RngStream,
+    /// The interval being served and its report time `T_i`: reports are
+    /// built for it, uplink answers stamped with it.
+    interval: u64,
+    now: SimTime,
+    publishes_applied: u64,
+}
+
+impl CellServer {
+    /// Builds the server half of `strategy` for the cell `config`
+    /// describes.
+    pub fn new(config: &CellConfig, strategy: Strategy) -> Self {
+        let params = config.params;
+        let latency = SimDuration::from_secs(params.latency_secs);
+        // The update log must cover the largest lookback any strategy
+        // performs: w = kL for TS (also the quasi α and the adaptive
+        // starting window), one L for AT.
+        let retention = latency.scaled((params.k as f64 + 2.0).max(4.0));
+        // Cell-independent machinery (database contents, the update
+        // process, the SIG subset family) derives from the protocol
+        // seed: the cell's own seed when standalone, the shared
+        // backbone seed when the cell is a mesh shard — every shard
+        // then replicates the same database seeing the same updates,
+        // which is what makes a migrated cache entry meaningful.
+        let protocol_seed = config.protocol_seed();
+        let mut db_rng = protocol_seed.stream(StreamId::Database);
+        let db = Database::new(params.n_items, |_| db_rng.next_u64(), retention);
+        let history = config
+            .check_safety
+            .then(|| ValueHistory::new(params.n_items, |i| db.value(i)));
+        let driver = ServerDriver::new(strategy, &params, protocol_seed, &db, config.n_clients);
+        let mut update_rng = protocol_seed.stream(StreamId::Updates);
+        let engine = UpdateEngine::new(params.n_items, params.mu, &mut update_rng);
+        CellServer {
+            db,
+            history,
+            driver,
+            uplink: UplinkProcessor::with_universe(params.n_items),
+            engine,
+            update_rng,
+            interval: 0,
+            now: SimTime::ZERO,
+            publishes_applied: 0,
+        }
+    }
+
+    /// Opens interval `i`, covering `(from, t_i]`: applies the seeded
+    /// update arrivals in that window, then the interval's external
+    /// `publishes` stamped `t_i`, feeding each record to the driver and
+    /// the value history. Returns the applied records in that order.
+    /// Every replicated node calls this with the *same* publish
+    /// sequence, which is what keeps database, builder and history
+    /// identical clusterwide.
+    pub fn advance(
+        &mut self,
+        i: u64,
+        from: SimTime,
+        t_i: SimTime,
+        publishes: &[(ItemId, u64)],
+    ) -> Vec<UpdateRecord> {
+        (self.interval, self.now) = (i, t_i);
+        let mut recs = self
+            .engine
+            .advance(&mut self.db, from, t_i, &mut self.update_rng);
+        self.publishes_applied += publishes.len() as u64;
+        recs.extend(
+            publishes
+                .iter()
+                .map(|&(item, value)| self.db.apply_update(item, value, t_i)),
+        );
+        for rec in &recs {
+            self.driver.on_update(rec);
+            if let Some(h) = self.history.as_mut() {
+                h.record(rec);
+            }
+        }
+        recs
+    }
+
+    /// Builds the current interval's report, broadcast at `T_i`.
+    pub fn build(&mut self) -> FramePayload {
+        self.driver.build(self.interval, self.now, &self.db)
+    }
+
+    /// Answers one uplink query from the current database state,
+    /// stamped `T_i`, and feeds it to the strategy's server state
+    /// (adaptive counts, quasi obligations, stateful registration).
+    pub fn answer(
+        &mut self,
+        mu_id: u64,
+        item: ItemId,
+        piggyback: Option<&PiggybackInfo>,
+    ) -> QueryAnswer {
+        let answer = self.uplink.answer(&self.db, item, self.now, piggyback);
+        self.driver
+            .note_uplink(mu_id, item, self.interval, self.now, piggyback);
+        answer
+    }
+
+    /// Closes the current interval once its uplink feedback is
+    /// complete: the adaptive evaluation-period boundary, *then* the
+    /// log prune — a boundary that grows a window widens the retention
+    /// first, so the history the wider window reports from is still
+    /// there. Returns `(default_k, exceptions)` when a period closed.
+    pub fn close_interval(&mut self) -> Option<(u32, usize)> {
+        let closed = self
+            .driver
+            .end_period_if_due(self.interval, &mut self.uplink, &mut self.db);
+        self.db.prune_log(self.now);
+        closed
+    }
+
+    /// The database.
+    pub fn database(&self) -> &Database {
+        &self.db
+    }
+
+    /// The full value history, when the config enabled safety checking.
+    pub fn history(&self) -> Option<&ValueHistory> {
+        self.history.as_ref()
+    }
+
+    /// Moves the value history out, for a post-run staleness audit.
+    pub fn take_history(&mut self) -> Option<ValueHistory> {
+        self.history.take()
+    }
+
+    /// The strategy driver.
+    pub fn driver(&self) -> &ServerDriver {
+        &self.driver
+    }
+
+    /// The strategy driver, for the stateful registry's connect and
+    /// disconnect bookkeeping.
+    pub fn driver_mut(&mut self) -> &mut ServerDriver {
+        &mut self.driver
+    }
+
+    /// Updates applied by the seeded update engine.
+    pub fn updates_applied(&self) -> u64 {
+        self.db.update_count() - self.publishes_applied
+    }
+
+    /// External publishes applied.
+    pub fn publishes_applied(&self) -> u64 {
+        self.publishes_applied
+    }
+
+    /// Uplink queries answered.
+    pub fn uplink_answers(&self) -> u64 {
+        self.uplink.total_uplink_queries()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sw_sim::IntervalClock;
+
+    const ITEM: ItemId = 7;
+
+    fn listed(payload: &FramePayload) -> Vec<ItemId> {
+        match payload {
+            FramePayload::AdaptiveTimestampReport { entries, .. } => {
+                entries.iter().map(|&(item, _)| item).collect()
+            }
+            other => panic!("adaptive TS builds adaptive reports, not {other:?}"),
+        }
+    }
+
+    /// The order inside [`CellServer::close_interval`] is behaviour:
+    /// swap its two lines and this fails at report 9.
+    ///
+    /// `k = 1`, so the log starts out retaining `4L`. One update to
+    /// `ITEM` lands at `T_1 = L` and one uplink query asks for it. The
+    /// boundary at interval 4 grows its window 1 → 5 (retention `7L`),
+    /// the boundary at interval 8 grows it 5 → 9 (retention `11L`). At
+    /// `T_8` the update is exactly `7L` old: pruning under the *old*
+    /// retention before the boundary widens it throws the record away,
+    /// and report 9 — whose window `(0, 9L]` covers it — would go out
+    /// without the entry sleepers of up to nine intervals rely on.
+    #[test]
+    fn close_interval_widens_retention_before_it_prunes() {
+        let mut params = ScenarioParams::scenario1();
+        params.n_items = 64;
+        params.mu = 0.0; // the one published update is the only update
+        params.k = 1;
+        let strategy = Strategy::AdaptiveTs {
+            method: FeedbackMethod::Method2,
+            eval_period: 4,
+            step: 4,
+        };
+        let mut server = CellServer::new(&CellConfig::new(params), strategy);
+        let mut clock = IntervalClock::new(SimDuration::from_secs(params.latency_secs));
+        let mut reports = Vec::new();
+        for _ in 0..9 {
+            let (i, t_i) = clock.tick();
+            let publishes: &[(ItemId, u64)] = if i == 1 { &[(ITEM, 0xFEED)] } else { &[] };
+            server.advance(i, clock.report_time(i - 1), t_i, publishes);
+            reports.push(listed(&server.build()));
+            if i == 1 {
+                server.answer(0, ITEM, None);
+            }
+            server.close_interval();
+        }
+        assert_eq!(server.driver().adaptive_window(ITEM), Some(9));
+        assert_eq!(
+            (server.updates_applied(), server.publishes_applied(), server.uplink_answers()),
+            (0, 1, 1),
+            "the publish is not a seeded update; the one query was answered"
+        );
+        assert_eq!(reports[0], [ITEM], "report 1 lists the fresh update");
+        assert_eq!(reports[4], [ITEM], "the 5-interval window reaches back to T_1");
+        assert!(reports[7].is_empty(), "at T_8 the update is outside w = 5L");
+        assert_eq!(
+            reports[8],
+            [ITEM],
+            "the window grown at T_8 covers the update again; its log record must have survived"
+        );
     }
 }

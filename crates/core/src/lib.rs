@@ -55,7 +55,7 @@ pub mod simulation;
 pub mod strategy;
 
 pub use config::{CellConfig, FleetBackend, WakeMode};
-pub use driver::ServerDriver;
+pub use driver::{CellServer, ServerDriver};
 pub use metrics::{MigrationStats, SimulationReport};
 pub use seat::ClientSeat;
 pub use simulation::{CellSimulation, HandoffClient, SimulationError};

@@ -1,11 +1,11 @@
 //! The discrete-event cell simulation.
 //!
 //! One [`CellSimulation`] drives a single cell: the stationary server
-//! (database + update process + report builder), the broadcast channel,
-//! and a fleet of mobile units. Time advances interval by interval
-//! (everything in the paper synchronizes on the report at `T_i = i·L`);
-//! within an interval, updates and query arrivals occur at exact
-//! exponential arrival times.
+//! (one [`CellServer`]: database + update process + report builder +
+//! uplink processor), the broadcast channel, and a fleet of mobile
+//! units. Time advances interval by interval (everything in the paper
+//! synchronizes on the report at `T_i = i·L`); within an interval,
+//! updates and query arrivals occur at exact exponential arrival times.
 //!
 //! Per interval `i` (covering `(T_{i−1}, T_i]`), [`CellSimulation::step`]
 //! runs these phases in order over the crate's `Fleet` — boxed seats or
@@ -15,11 +15,12 @@
 //!    sleep run that just ended, and generate their query arrivals
 //!    (`registry_transitions` then charges the stateful baseline's
 //!    connect/disconnect messages);
-//! 2. `apply_updates` — the update engine applies this interval's
-//!    updates to the database (report builders observe each via
-//!    `on_update`);
-//! 3. `broadcast` — the builder produces the report broadcast at `T_i`,
-//!    which is charged `B_c` bits against the interval budget `L·W`;
+//! 2. `apply_updates` — `CellServer::advance` applies this interval's
+//!    updates; the cell charges the stateful baseline's directed
+//!    invalidations for them;
+//! 3. `broadcast` — `CellServer::build` produces the report broadcast
+//!    at `T_i`, which is charged `B_c` bits against the interval budget
+//!    `L·W`;
 //! 4. `drain_deferred_uplinks`, `draw_fates`, `Fleet::sweep`, `merge` —
 //!    awake clients hear the report (running their strategy's §3
 //!    algorithm) or miss it, answer pending queries from cache, and
@@ -27,8 +28,9 @@
 //! 5. `charge_energy` — §9/§10 radio-state accounting;
 //! 6. `audit_safety` — optionally, the safety checker verifies every
 //!    cache entry against the full value history;
-//! 7. `close_period` — adaptive/quasi bookkeeping (evaluation periods,
-//!    obligation lists) runs at the boundary, the update log is pruned;
+//! 7. `close_period` — `CellServer::close_interval`: the adaptive
+//!    evaluation period closes at its boundary, then the update log is
+//!    pruned;
 //! 8. `schedule_sleep` — every awake unit draws its next sleep run;
 //!    `record_interval` writes the observation record.
 
@@ -40,7 +42,7 @@ use sw_client::{DigestScratch, MuStats, ReportDigest};
 use sw_faults::{FaultLayer, FaultTotals, ReportFate};
 use sw_observe::{Recorder, Value};
 use sw_query::{QueryPlane, QueryStats};
-use sw_server::{Database, ItemId, PiggybackInfo, QueryAnswer, UpdateEngine, UplinkProcessor};
+use sw_server::{Database, ItemId, PiggybackInfo, QueryAnswer};
 use sw_sim::{IntervalClock, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::frame::checksum64;
 use sw_wireless::{
@@ -48,10 +50,10 @@ use sw_wireless::{
 };
 
 use crate::config::{CellConfig, WakeMode};
-use crate::driver::ServerDriver;
+use crate::driver::CellServer;
 use crate::fleet::{Fleet, SweepItem, WakeSchedule};
 use crate::metrics::{MigrationStats, SimulationReport};
-use crate::safety::{SafetyExpectation, SafetyStats, ValueHistory};
+use crate::safety::{SafetyExpectation, SafetyStats};
 use crate::seat::{demonstrate_corruption, ClientSeat};
 use crate::strategy::Strategy;
 
@@ -209,10 +211,10 @@ struct Interval {
 pub struct CellSimulation {
     config: CellConfig,
     strategy: Strategy,
-    db: Database,
-    history: Option<ValueHistory>,
-    server: ServerDriver,
-    uplink: UplinkProcessor,
+    /// The server half of Figure 2. What stays out here belongs to the
+    /// cell, not the server: channel charges, the stateful registry's
+    /// directed and control messages, observation, the clock.
+    server: CellServer,
     channel: BroadcastChannel,
     clock: IntervalClock,
     /// The clients: boxed seats or struct-of-arrays columns, chosen at
@@ -234,8 +236,6 @@ pub struct CellSimulation {
     coop_feed: Option<CoopFeed>,
     /// Sidelink serve counters (all zeros unless `config.coop` armed).
     coop_stats: CoopStats,
-    update_rng: RngStream,
-    update_engine: UpdateEngine,
     report_bits_total: u64,
     overflow_exchanges: u64,
     registration_messages: u64,
@@ -307,25 +307,7 @@ impl CellSimulation {
         config.validate().map_err(SimulationError::InvalidConfig)?;
         let params = config.params;
         let latency = SimDuration::from_secs(params.latency_secs);
-        // The update log must cover the largest lookback any strategy
-        // performs: w = kL for TS (also the quasi α and the adaptive
-        // starting window), one L for AT.
-        let retention = latency.scaled((params.k as f64 + 2.0).max(4.0));
-
-        // Cell-independent machinery (database contents, the update
-        // process, the SIG subset family) derives from the protocol
-        // seed: the cell's own seed when standalone, the shared
-        // backbone seed when the cell is a mesh shard — every shard
-        // then replicates the same database seeing the same updates,
-        // which is what makes a migrated cache entry meaningful.
-        let protocol_seed = config.protocol_seed();
-        let mut db_rng = protocol_seed.stream(StreamId::Database);
-        let db = Database::new(params.n_items, |_| db_rng.next_u64(), retention);
-        let history = config
-            .check_safety
-            .then(|| ValueHistory::new(params.n_items, |i| db.value(i)));
-
-        let server = ServerDriver::new(strategy, &params, protocol_seed, &db, config.n_clients);
+        let server = CellServer::new(&config, strategy);
 
         let encode = WireEncode::new(
             params.n_items,
@@ -346,7 +328,7 @@ impl CellSimulation {
             }
         });
         let wake = WakeSchedule::new(wake_mode, &fleet);
-        let pending_disconnects = if server.is_stateful() {
+        let pending_disconnects = if server.driver().is_stateful() {
             (0..fleet.len())
                 .filter(|&idx| !fleet.is_awake(idx))
                 .collect()
@@ -406,18 +388,12 @@ impl CellSimulation {
             );
         }
 
-        let mut update_rng = protocol_seed.stream(StreamId::Updates);
-        let update_engine = UpdateEngine::new(params.n_items, params.mu, &mut update_rng);
-
         let delivery = ReportDelivery::new(config.delivery);
         let delivery_rng = config.seed.stream(StreamId::Custom { tag: 0xDE11 });
         let faults = FaultLayer::new(config.faults.as_ref(), config.seed, config.n_clients);
         Ok(CellSimulation {
             strategy,
-            db,
-            history,
             server,
-            uplink: UplinkProcessor::with_universe(params.n_items),
             channel,
             clock: IntervalClock::new(latency),
             fleet,
@@ -425,8 +401,6 @@ impl CellSimulation {
             pending_disconnects,
             coop_feed: None,
             coop_stats: CoopStats::default(),
-            update_rng,
-            update_engine,
             report_bits_total: 0,
             overflow_exchanges: 0,
             registration_messages: 0,
@@ -459,7 +433,7 @@ impl CellSimulation {
 
     /// Read access to the database (tests).
     pub fn database(&self) -> &Database {
-        &self.db
+        self.server.database()
     }
 
     /// Number of client slots in the cell, including departed husks
@@ -536,13 +510,6 @@ impl CellSimulation {
         self.fleet.query_plane(idx)
     }
 
-    /// Uplink exchanges currently deferred behind the channel budget
-    /// (diagnostic: a persistently growing queue means the cell is
-    /// provisioned below its steady-state uplink demand).
-    pub fn pending_uplink_len(&self) -> usize {
-        self.pending_uplinks.len()
-    }
-
     /// Whether an identical exchange is already queued for `idx`. A
     /// client re-querying an item it is still waiting for must not
     /// enqueue (or be served) a second copy of the same fetch.
@@ -578,8 +545,6 @@ impl CellSimulation {
         idx: usize,
         item: ItemId,
         piggyback: Option<PiggybackInfo>,
-        i: u64,
-        t_i: SimTime,
     ) -> ExchangeOutcome {
         let mu_id = self.fleet.id(idx);
         let uplink_model = self.faults.uplink_model();
@@ -613,9 +578,7 @@ impl CellSimulation {
             self.faults.note_backoff_interval();
             attempt += 1;
         }
-        let answer = self.uplink.answer(&self.db, item, t_i, piggyback.as_ref());
-        self.server
-            .note_uplink(mu_id, item, i, t_i, piggyback.as_ref());
+        let answer = self.server.answer(mu_id, item, piggyback.as_ref());
         self.fleet.install_answer(idx, answer);
         ExchangeOutcome::Done
     }
@@ -699,7 +662,7 @@ impl CellSimulation {
     /// time; its control message is charged here, in the first interval
     /// with an open budget.
     fn registry_transitions(&mut self, iv: &Interval) {
-        let Some(registry) = self.server.registry_mut() else {
+        let Some(registry) = self.server.driver_mut().registry_mut() else {
             return;
         };
         for id in self.deferred_control.drain(..) {
@@ -737,19 +700,12 @@ impl CellSimulation {
     /// Phase 2: apply this interval's updates; the stateful server
     /// fires a directed invalidation message per registered holder.
     fn apply_updates(&mut self, iv: &mut Interval) {
-        let recs = self
-            .update_engine
-            .advance(&mut self.db, iv.from, iv.t_i, &mut self.update_rng);
-        for rec in &recs {
-            if let Some(registry) = self.server.registry_mut() {
-                let recipients = registry.on_update(rec);
-                for _ in &recipients {
+        let recs = self.server.advance(iv.i, iv.from, iv.t_i, &[]);
+        if let Some(registry) = self.server.driver_mut().registry_mut() {
+            for rec in &recs {
+                for _ in &registry.on_update(rec) {
                     let _ = self.channel.send_invalidation(rec.item);
                 }
-            }
-            self.server.on_update(rec);
-            if let Some(h) = self.history.as_mut() {
-                h.record(rec);
             }
         }
         iv.tally.updates = recs.len() as u64;
@@ -764,9 +720,9 @@ impl CellSimulation {
     fn broadcast(&mut self, iv: &mut Interval) -> Result<FramePayload, SimulationError> {
         let payload = {
             let _span = self.obs.span("server_build");
-            self.server.build(iv.i, iv.t_i, &self.db)
+            self.server.build()
         };
-        iv.tally.report_bits = if self.server.is_stateful() {
+        iv.tally.report_bits = if self.server.driver().is_stateful() {
             // The size only feeds the energy model's listening window.
             self.channel.encoder().payload_bits(&payload)
         } else {
@@ -830,7 +786,7 @@ impl CellSimulation {
             // Drop the membership mark before the attempt: a deferral
             // re-queues (and re-marks) the same exchange.
             self.queued_exchanges.remove(&(q.idx, q.item));
-            match self.attempt_uplink_exchange(q.idx, q.item, q.piggyback, iv.i, iv.t_i) {
+            match self.attempt_uplink_exchange(q.idx, q.item, q.piggyback) {
                 ExchangeOutcome::Done => iv.uplinks[slot] += 1,
                 // Already re-queued by the attempt; keep the remaining
                 // entries behind it, in order.
@@ -854,7 +810,7 @@ impl CellSimulation {
         // stateful baseline's directed invalidations model a reliable
         // connection-oriented link (its consistency story depends on
         // it, §2).
-        if !self.faults.is_active() || self.server.is_stateful() {
+        if !self.faults.is_active() || self.server.driver().is_stateful() {
             return (0..iv.awake.len()).collect();
         }
         let mut heard = Vec::with_capacity(iv.awake.len());
@@ -921,7 +877,7 @@ impl CellSimulation {
                 // report (SIG's diagnosis risk, §6).
                 if let Some((_, Some(t_l))) = &sw.pre {
                     for &item in &po.invalidated {
-                        if self.db.updated_at(item) <= *t_l {
+                        if self.server.database().updated_at(item) <= *t_l {
                             iv.tally.false_alarms += 1;
                         }
                     }
@@ -971,7 +927,7 @@ impl CellSimulation {
                         _ => self.coop_stats.coop_declined += 1,
                     }
                 }
-                match self.attempt_uplink_exchange(idx, item, piggyback, i, t_i) {
+                match self.attempt_uplink_exchange(idx, item, piggyback) {
                     ExchangeOutcome::Done => iv.uplinks[slot] += 1,
                     ExchangeOutcome::Saturated => {
                         // First deferral of a fresh exchange: count the
@@ -1002,7 +958,7 @@ impl CellSimulation {
                     if self.exchange_queued(idx, item) {
                         continue;
                     }
-                    match self.attempt_uplink_exchange(idx, item, None, i, t_i) {
+                    match self.attempt_uplink_exchange(idx, item, None) {
                         ExchangeOutcome::Done => iv.uplinks[slot] += 1,
                         // The entry stays unmaterialized (a txn read
                         // aborts conservatively); count the overage
@@ -1012,17 +968,8 @@ impl CellSimulation {
                     }
                 }
                 self.fleet.settle_queries(idx, t_i);
-                if let (Some(b), Some(mut after)) = (before, self.client_query_stats(idx)) {
-                    after.queries_posed -= b.queries_posed;
-                    after.hits -= b.hits;
-                    after.misses -= b.misses;
-                    after.entries_invalidated -= b.entries_invalidated;
-                    after.entries_reverified -= b.entries_reverified;
-                    after.fetch_items -= b.fetch_items;
-                    after.txns_begun -= b.txns_begun;
-                    after.txn_commits -= b.txn_commits;
-                    after.txn_aborts -= b.txn_aborts;
-                    iv.tally.query.absorb(&after);
+                if let (Some(before), Some(after)) = (before, self.client_query_stats(idx)) {
+                    iv.tally.query.absorb(&after.since(&before));
                 }
             }
             if let Some((pre_stats, _)) = sw.pre {
@@ -1093,7 +1040,7 @@ impl CellSimulation {
     /// owning strategy's safety contract exactly like a stale
     /// item-cache entry.
     fn audit_safety(&mut self, iv: &Interval) -> Result<(), SimulationError> {
-        let Some(history) = &self.history else {
+        let Some(history) = self.server.history() else {
             return Ok(());
         };
         let safety = &mut self.safety;
@@ -1131,12 +1078,7 @@ impl CellSimulation {
 
     /// Phase 7: period boundaries and log hygiene.
     fn close_period(&mut self, iv: &Interval) {
-        if let Some((default_k, exceptions)) = self.server.end_period_if_due(
-            iv.i,
-            &mut self.uplink,
-            &mut self.db,
-            SimDuration::from_secs(self.config.params.latency_secs),
-        ) {
+        if let Some((default_k, exceptions)) = self.server.close_interval() {
             if iv.observing {
                 self.obs.event(
                     iv.i,
@@ -1148,7 +1090,6 @@ impl CellSimulation {
                 );
             }
         }
-        self.db.prune_log(iv.t_i);
     }
 
     /// Phase 8: each awake unit draws its next sleep run and schedules
@@ -1156,7 +1097,7 @@ impl CellSimulation {
     /// interval i+1+k (and, stateful, disconnects at i+1). Units
     /// drawing the never-wake sentinel leave the schedule for good.
     fn schedule_sleep(&mut self, iv: &Interval) {
-        let stateful = self.server.is_stateful();
+        let stateful = self.server.driver().is_stateful();
         for &idx in &iv.awake {
             let next_wake = self.fleet.close_interval(idx, iv.i);
             if stateful && !self.fleet.is_awake(idx) {
@@ -1382,7 +1323,7 @@ impl CellSimulation {
     /// Current per-item adaptive window (adaptive strategy only; test
     /// hook).
     pub fn adaptive_window(&self, item: ItemId) -> Option<u32> {
-        self.server.adaptive_window(item)
+        self.server.driver().adaptive_window(item)
     }
 
     /// The interval index the next [`step`](Self::step) will simulate.
@@ -1395,12 +1336,6 @@ impl CellSimulation {
     /// The cell's configuration.
     pub fn config(&self) -> &CellConfig {
         &self.config
-    }
-
-    /// Handoff counters accumulated so far (all zero for standalone
-    /// cells).
-    pub fn migration_stats(&self) -> MigrationStats {
-        self.migration
     }
 
     /// Number of units currently present (live slots, excluding
@@ -1474,7 +1409,7 @@ impl CellSimulation {
         let seat = self.fleet.detach(idx);
         self.departed_count += 1;
         self.pending_disconnects.retain(|&p| p != idx);
-        if let Some(registry) = self.server.registry_mut() {
+        if let Some(registry) = self.server.driver_mut().registry_mut() {
             let id = seat.unit().id();
             if registry.is_connected(id) {
                 registry.disconnect(id);

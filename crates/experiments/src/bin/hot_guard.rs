@@ -1,8 +1,14 @@
 //! Hot-path zero-cost guard probe.
 //!
 //! Runs one fixed, deterministic hot-path workload — a TS cell big
-//! enough that the per-interval sweep dominates — and prints the
-//! measured µs/interval as a bare number on stdout.
+//! enough that the per-interval sweep dominates — timing each of 60
+//! intervals on its own, and prints their 5th percentile (the third
+//! fastest) in µs as a bare number on stdout. That is the floor
+//! compiled-in-but-disabled features could raise, `benchmark/`'s
+//! `interval_us_p05` by the same reasoning: a mean over the run moves
+//! 10 %+ with one slow spell of a shared host, and the single fastest
+//! interval is the noisiest order statistic of all (CHANGES.md, PR 18,
+//! has the same-binary spreads of the three).
 //!
 //! `scripts/check.sh` builds this binary twice (feature-off, and with
 //! `observe,faults` compiled in but disabled at runtime), interleaves
@@ -33,10 +39,14 @@ fn main() {
         CellSimulation::new(cfg, Strategy::BroadcastTimestamps).expect("guard cell constructs");
     sim.run(20).expect("guard warmup runs");
     sim.reset_metrics();
-    let intervals = 60u64;
-    let start = Instant::now();
-    let report = sim.run(intervals).expect("guard cell runs");
-    let us = start.elapsed().as_secs_f64() / intervals as f64 * 1e6;
-    assert_eq!(report.overflow_exchanges, 0, "guard channel saturated");
-    println!("{us:.1}");
+    let mut interval_us: Vec<f64> = (0..60)
+        .map(|_| {
+            let start = Instant::now();
+            sim.step().expect("guard cell runs");
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    assert_eq!(sim.report().overflow_exchanges, 0, "guard channel saturated");
+    interval_us.sort_by(f64::total_cmp);
+    println!("{:.1}", interval_us[2]);
 }

@@ -8,12 +8,16 @@
 //! queries, hits, misses, invalidations, whole-cache drops — is
 //! **byte-identical** between the two. The comparison is over the
 //! fixed-width [`DecisionRow`] encodings, so "identical" means equal
-//! byte strings, not approximately-equal statistics.
+//! byte strings, not approximately-equal statistics. Rows alone do not
+//! pin the server — a report can list one entry more or less without a
+//! client deciding differently — so the two sides' summed report bits
+//! and applied-update counts ([`ServerTotals`]) must be equal too.
 //!
 //! Preconditions for the identity (checked, not assumed):
 //!
-//! - a static broadcast strategy (TS, AT, SIG, hybrid) — the
-//!   stateless-server shapes the live daemon can run;
+//! - a strategy the live daemon can serve (the static builders,
+//!   Method-2 adaptive TS, quasi-delay; `LiveServer::spawn` refuses
+//!   the rest);
 //! - zero channel overflow in the simulated run (`overflow_exchanges
 //!   == 0`): the live TCP uplink has no per-interval bit budget, so a
 //!   saturated simulated interval would defer answers the live stack
@@ -58,6 +62,13 @@ pub enum ConformanceError {
         /// The live stack's row.
         live: Box<DecisionRow>,
     },
+    /// Every row agrees, but the two servers did different work.
+    ServerMismatch {
+        /// The simulator's server totals.
+        sim: ServerTotals,
+        /// The live server's totals.
+        live: ServerTotals,
+    },
 }
 
 impl std::fmt::Display for ConformanceError {
@@ -79,6 +90,10 @@ impl std::fmt::Display for ConformanceError {
                 f,
                 "client {client} diverged at interval {interval}: sim {sim:?}, live {live:?}"
             ),
+            Self::ServerMismatch { sim, live } => write!(
+                f,
+                "decision rows agree but the servers diverged: sim {sim:?}, live {live:?}"
+            ),
         }
     }
 }
@@ -97,6 +112,16 @@ impl From<io::Error> for ConformanceError {
     }
 }
 
+/// What one side's server did over a session — the part of the server
+/// half the clients' rows cannot see.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerTotals {
+    /// Report payload bits aired, summed over the session.
+    pub report_bits: u64,
+    /// Updates applied to the database.
+    pub updates_applied: u64,
+}
+
 /// Both decision logs of a passed conformance run, for further
 /// inspection (they are equal, per [`check_conformance`]).
 pub struct Conformance {
@@ -104,7 +129,12 @@ pub struct Conformance {
     pub sim: Vec<Vec<DecisionRow>>,
     /// Per-client rows from the live run.
     pub live: Vec<Vec<DecisionRow>>,
+    /// The server totals both sides agreed on.
+    pub server: ServerTotals,
 }
+
+/// One side's session: every client's rows and what its server did.
+type Session = (Vec<Vec<DecisionRow>>, ServerTotals);
 
 /// Runs the reference simulation interval by interval and extracts
 /// each client's decision row per interval from its stat deltas.
@@ -113,6 +143,14 @@ pub fn sim_decision_log(
     strategy: Strategy,
     intervals: u64,
 ) -> Result<Vec<Vec<DecisionRow>>, ConformanceError> {
+    sim_session(cfg, strategy, intervals).map(|(rows, _)| rows)
+}
+
+fn sim_session(
+    cfg: &CellConfig,
+    strategy: Strategy,
+    intervals: u64,
+) -> Result<Session, ConformanceError> {
     let mut sim = CellSimulation::new(cfg.clone(), strategy)?;
     let n = cfg.n_clients;
     let mut prev: Vec<MuStats> = (0..n).map(|idx| sim.client_stats(idx)).collect();
@@ -136,32 +174,20 @@ pub fn sim_decision_log(
             overflow_exchanges: report.overflow_exchanges,
         });
     }
-    Ok(rows)
+    let totals = ServerTotals {
+        report_bits: report.report_bits_total,
+        updates_applied: sim.database().update_count(),
+    };
+    Ok((rows, totals))
 }
 
-/// Runs the same configuration through the live stack — a lockstep
-/// server plus one client thread per fleet index, over real loopback
-/// TCP/UDP — and collects each client's decision rows.
-pub fn live_decision_log(
-    cfg: &CellConfig,
-    strategy: Strategy,
-    intervals: u64,
-) -> Result<Vec<Vec<DecisionRow>>, ConformanceError> {
-    live_decision_log_with(
-        cfg,
-        strategy,
-        LiveOptions::lockstep(intervals),
-        MuOptions::default(),
-        |_| {},
-    )
-}
-
-/// [`live_decision_log`] with explicit server/client options. Must be
-/// a lockstep session (the barrier is what makes the rows
-/// deterministic). `on_spawn` runs once the server is up, receiving
-/// its metrics address when [`LiveOptions::metrics_bind`] armed one —
-/// the hook a test uses to scrape `/metrics` *while* the conformance
-/// session runs.
+/// Runs the same configuration through the live stack — a server plus
+/// one client thread per fleet index, over real loopback TCP/UDP — and
+/// collects each client's decision rows. Must be a lockstep session
+/// (the barrier is what makes the rows deterministic). `on_spawn` runs
+/// once the server is up, receiving its metrics address when
+/// [`LiveOptions::metrics_bind`] armed one — the hook a test uses to
+/// scrape `/metrics` *while* the conformance session runs.
 pub fn live_decision_log_with(
     cfg: &CellConfig,
     strategy: Strategy,
@@ -169,6 +195,16 @@ pub fn live_decision_log_with(
     mu_opts: MuOptions,
     on_spawn: impl FnOnce(Option<SocketAddr>),
 ) -> Result<Vec<Vec<DecisionRow>>, ConformanceError> {
+    live_session(cfg, strategy, opts, mu_opts, on_spawn).map(|(rows, _)| rows)
+}
+
+fn live_session(
+    cfg: &CellConfig,
+    strategy: Strategy,
+    opts: LiveOptions,
+    mu_opts: MuOptions,
+    on_spawn: impl FnOnce(Option<SocketAddr>),
+) -> Result<Session, ConformanceError> {
     let handle = LiveServer::spawn(cfg.clone(), strategy, opts)?;
     let addr = handle.addr();
     on_spawn(handle.metrics_addr());
@@ -207,19 +243,39 @@ pub fn live_decision_log_with(
             ))));
         }
     }
-    Ok(rows)
+    let totals = ServerTotals {
+        report_bits: server.report_bits,
+        updates_applied: server.updates_applied + server.publishes_applied,
+    };
+    Ok((rows, totals))
 }
 
 /// The headline check: same seed, same update schedule ⇒ byte-identical
 /// per-client decision logs between `CellSimulation` and the live
-/// stack.
+/// stack, from servers that aired the same report bits over the same
+/// updates.
 pub fn check_conformance(
     cfg: &CellConfig,
     strategy: Strategy,
     intervals: u64,
 ) -> Result<Conformance, ConformanceError> {
-    let sim = sim_decision_log(cfg, strategy, intervals)?;
-    let live = live_decision_log(cfg, strategy, intervals)?;
+    let sim = sim_session(cfg, strategy, intervals)?;
+    let live = live_session(
+        cfg,
+        strategy,
+        LiveOptions::lockstep(intervals),
+        MuOptions::default(),
+        |_| {},
+    )?;
+    compare(sim, live)
+}
+
+/// The comparison itself: the first diverging row, else unequal server
+/// totals, else the identity.
+fn compare(
+    (sim, sim_server): Session,
+    (live, live_server): Session,
+) -> Result<Conformance, ConformanceError> {
     for (client, (s_rows, l_rows)) in sim.iter().zip(&live).enumerate() {
         if encode_rows(s_rows) == encode_rows(l_rows) {
             continue;
@@ -237,5 +293,51 @@ pub fn check_conformance(
             live: Box::new(live_row),
         });
     }
-    Ok(Conformance { sim, live })
+    if sim_server != live_server {
+        return Err(ConformanceError::ServerMismatch {
+            sim: sim_server,
+            live: live_server,
+        });
+    }
+    Ok(Conformance {
+        sim,
+        live,
+        server: sim_server,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Equal rows are not enough: a server that aired different report
+    /// bits, or applied a different number of updates, does not conform.
+    #[test]
+    fn equal_rows_over_unequal_server_totals_do_not_conform() {
+        let rows = vec![vec![DecisionRow::default()]];
+        let totals = ServerTotals {
+            report_bits: 1_112_898,
+            updates_applied: 72,
+        };
+        let session = |totals| (rows.clone(), totals);
+        let passed = compare(session(totals), session(totals)).expect("identical sessions");
+        assert_eq!(passed.server, totals);
+        for drifted in [
+            ServerTotals {
+                report_bits: 1_114_040,
+                ..totals
+            },
+            ServerTotals {
+                updates_applied: 73,
+                ..totals
+            },
+        ] {
+            match compare(session(totals), session(drifted)) {
+                Err(ConformanceError::ServerMismatch { sim, live }) => {
+                    assert_eq!((sim, live), (totals, drifted));
+                }
+                other => panic!("expected a server mismatch, got {:?}", other.err()),
+            }
+        }
+    }
 }

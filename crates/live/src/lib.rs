@@ -8,9 +8,9 @@
 //! simulator's own wire format:
 //!
 //! - [`server`]: the `sw-serve` engine — ingests updates over TCP,
-//!   builds reports via the same `crates/server` report builders the
-//!   simulator uses (TS / AT / SIG / hybrid), and broadcasts each one
-//!   as a sealed UDP datagram every `L` milliseconds;
+//!   drives the same `sleepers::CellServer` the simulator steps, and
+//!   broadcasts each report as a sealed UDP datagram every `L`
+//!   milliseconds;
 //! - [`mu`]: the `sw-mu` client library — a real `crates/client`
 //!   cache behind real sockets, buffering queries until the next heard
 //!   report (the paper's latency rule), falling back to TCP uplink on
@@ -21,7 +21,7 @@
 //!   [`proto::DecisionRow`] decision-log encoding;
 //! - [`conformance`]: the harness that makes the simulator the
 //!   daemon's executable spec — same master seed and update schedule
-//!   ⇒ byte-identical per-client decision logs.
+//!   ⇒ byte-identical per-client decision logs from equal report bits.
 //!
 //! The `observe` and `faults` cargo features forward to the same
 //! switches everywhere else in the workspace: observation hangs
@@ -37,7 +37,7 @@ pub mod mu;
 pub mod proto;
 pub mod server;
 
-pub use conformance::{check_conformance, Conformance, ConformanceError};
+pub use conformance::{check_conformance, Conformance, ConformanceError, ServerTotals};
 pub use mu::{audit_against_history, run_mu, CacheAuditRow, LiveMu, LiveMuReport, MuOptions};
 pub use proto::{encode_rows, DecisionRow, Msg};
 pub use server::{

@@ -85,6 +85,7 @@ impl DecisionRow {
                 ..Self::default()
             };
         }
+        let dq = q.since(prev_q);
         Self {
             interval: i,
             awake: true,
@@ -94,10 +95,10 @@ impl DecisionRow {
             misses: s.miss_events - prev.miss_events,
             invalidated: s.items_invalidated - prev.items_invalidated,
             drops: s.cache_drops - prev.cache_drops,
-            qhits: q.hits - prev_q.hits,
-            qmisses: q.misses - prev_q.misses,
-            qcommits: q.txn_commits - prev_q.txn_commits,
-            qaborts: q.txn_aborts - prev_q.txn_aborts,
+            qhits: dq.hits,
+            qmisses: dq.misses,
+            qcommits: dq.txn_commits,
+            qaborts: dq.txn_aborts,
             evictions: s.evictions - prev.evictions,
             capacity_misses: s.capacity_misses - prev.capacity_misses,
         }

@@ -2,19 +2,19 @@
 //!
 //! One daemon per cell, stateless toward its clients exactly as the
 //! paper prescribes (§2): it never tracks who is listening, what they
-//! cache, or when they sleep. It owns the database, ingests updates
-//! (a seeded in-process update engine and/or `Publish` messages over
-//! TCP), and every `L` milliseconds builds one invalidation report via
-//! the *same* `crates/server` report builders the simulator uses and
-//! broadcasts it as one sealed UDP datagram per registered receiver.
-//! Uplink queries arrive over TCP and are answered from the current
-//! database state stamped with the current report-tick time — the
-//! simulator's `UplinkProcessor::answer` rule.
+//! cache, or when they sleep. It owns one [`CellServer`] — the server
+//! the simulator steps: database, seeded update engine, report
+//! builder, uplink processor — and adds what a daemon has and a
+//! simulated server does not: `Publish` messages ingested over TCP,
+//! one sealed UDP datagram per registered receiver every `L`
+//! milliseconds, uplink queries arriving over TCP (answered by the
+//! same [`CellServer::answer`], stamped with the current report time).
 //!
 //! Threading model: one accept thread, one connection thread per
 //! client (registration, uplink answers, barrier collection), and one
 //! ticker thread that owns the report cadence. All server state lives
-//! in a single mutex (`Core`); the only cross-thread signals are the
+//! in a single mutex (`Core`: the `CellServer` plus the publishes
+//! waiting for the next tick); the only cross-thread signals are the
 //! registration condvar (all clients present → session starts) and
 //! the lockstep barrier condvar (all clients done → next interval).
 //!
@@ -33,15 +33,12 @@ use std::time::{Duration, Instant};
 
 use sleepers::adaptive::FeedbackMethod;
 use sleepers::safety::ValueHistory;
-use sleepers::{CellConfig, ServerDriver, Strategy};
+use sleepers::{CellConfig, CellServer, Strategy};
 use sw_client::handler::time_to_micros;
 use sw_observe::event::Value;
 use sw_observe::{ObserveSnapshot, Recorder};
 use sw_ops::{FlightRecorder, MetricsExporter, MetricsHub, Published};
-use sw_server::database::Database;
-use sw_server::update::UpdateEngine;
-use sw_server::uplink::UplinkProcessor;
-use sw_sim::{IntervalClock, RngStream, SimDuration, StreamId};
+use sw_sim::{IntervalClock, SimDuration};
 use sw_wireless::frame::{open_frame, seal_frame, FramePayload, WireEncode};
 
 use crate::proto::{DecisionRow, Msg};
@@ -225,6 +222,10 @@ pub struct LiveServerReport {
     pub datagrams_sent: u64,
     /// Total sealed report bytes broadcast.
     pub report_bytes: u64,
+    /// Total report payload bits broadcast — `B_c` summed, what the
+    /// simulator's channel charges for the same reports (headers and
+    /// the seal excluded, as the paper sizes them).
+    pub report_bits: u64,
     /// Updates applied by the seeded update engine.
     pub updates_applied: u64,
     /// Updates ingested over TCP (`Publish`).
@@ -244,26 +245,12 @@ pub struct LiveServerReport {
     pub flight: FlightRecorder,
 }
 
-/// Server state guarded by one mutex: the database and everything that
-/// must mutate atomically with it.
+/// Server state guarded by one mutex: the cell's server — the same
+/// [`CellServer`] the simulator steps — and the `Publish`es that
+/// arrived since the last tick.
 struct Core {
-    db: Database,
-    history: Option<ValueHistory>,
-    driver: ServerDriver,
-    uplink: UplinkProcessor,
-    engine: UpdateEngine,
-    update_rng: RngStream,
+    server: CellServer,
     pending_publishes: Vec<(u64, u64)>,
-    /// The current report-tick time; uplink answers are stamped with
-    /// it (the simulator answers interval `i`'s queries at `t_i`).
-    now: sw_sim::SimTime,
-    /// The current report-tick interval index; uplink feedback into the
-    /// driver (quasi obligations, adaptive Method 2 counts) is indexed
-    /// by it.
-    interval: u64,
-    updates_applied: u64,
-    publishes_applied: u64,
-    uplink_answers: u64,
 }
 
 /// One registered client: where its reports go and how to reach it
@@ -489,16 +476,6 @@ impl LiveServer {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let params = cfg.params;
         let latency = SimDuration::from_secs(params.latency_secs);
-        let retention = latency.scaled((params.k as f64 + 2.0).max(4.0));
-        let protocol_seed = cfg.protocol_seed();
-        let mut db_rng = protocol_seed.stream(StreamId::Database);
-        let db = Database::new(params.n_items, |_| db_rng.next_u64(), retention);
-        let history = cfg
-            .check_safety
-            .then(|| ValueHistory::new(params.n_items, |i| db.value(i)));
-        let driver = ServerDriver::new(strategy, &params, protocol_seed, &db, cfg.n_clients);
-        let mut update_rng = protocol_seed.stream(StreamId::Updates);
-        let engine = UpdateEngine::new(params.n_items, params.mu, &mut update_rng);
         let encode = WireEncode::new(
             params.n_items,
             params.timestamp_bits,
@@ -526,18 +503,8 @@ impl LiveServer {
         };
         let shared = Arc::new(Shared {
             core: Mutex::new(Core {
-                db,
-                history,
-                driver,
-                uplink: UplinkProcessor::with_universe(params.n_items),
-                engine,
-                update_rng,
+                server: CellServer::new(&cfg, strategy),
                 pending_publishes: Vec::new(),
-                now: sw_sim::SimTime::from_secs(0.0),
-                interval: 0,
-                updates_applied: 0,
-                publishes_applied: 0,
-                uplink_answers: 0,
             }),
             reg: Mutex::new(Registry {
                 slots: vec![None; n_clients],
@@ -692,20 +659,14 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                         "expected an uplink query frame",
                     ));
                 };
-                let answer = {
-                    let mut core = shared.core.lock().expect("core lock");
-                    let core = &mut *core;
-                    let answer = core.uplink.answer(&core.db, item, core.now, None);
-                    // The same feedback the simulator's exchange gives
-                    // the server side: quasi registers the fresh
-                    // obligation, adaptive Method 2 counts the query.
-                    // (No piggyback: the live frame does not carry it,
-                    // which is why Method 1 is not servable.)
-                    core.driver
-                        .note_uplink(0, item, core.interval, core.now, None);
-                    core.uplink_answers += 1;
-                    answer
-                };
+                // No piggyback: the live frame does not carry it, which
+                // is why adaptive Method 1 is not servable.
+                let answer = shared
+                    .core
+                    .lock()
+                    .expect("core lock")
+                    .server
+                    .answer(0, item, None);
                 let payload = FramePayload::QueryAnswer {
                     item: answer.item,
                     value: answer.value,
@@ -747,43 +708,6 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Advances one tick's worth of simulated time on the database: seeded
-/// update-engine arrivals in `(from, t_i]`, then the tick's sequenced
-/// external publishes stamped at `t_i`, then the report build. Every
-/// replicated node runs this with the *same* publish sequence, which
-/// is what keeps database, builder, and history identical clusterwide.
-fn build_tick(
-    core: &mut Core,
-    i: u64,
-    from: sw_sim::SimTime,
-    t_i: sw_sim::SimTime,
-    publishes: &[(u64, u64)],
-) -> FramePayload {
-    let recs = core
-        .engine
-        .advance(&mut core.db, from, t_i, &mut core.update_rng);
-    for rec in &recs {
-        core.driver.on_update(rec);
-        if let Some(h) = core.history.as_mut() {
-            h.record(rec);
-        }
-    }
-    core.updates_applied += recs.len() as u64;
-    for &(item, value) in publishes {
-        let rec = core.db.apply_update(item, value, t_i);
-        core.driver.on_update(&rec);
-        if let Some(h) = core.history.as_mut() {
-            h.record(&rec);
-        }
-        core.publishes_applied += 1;
-    }
-    let payload = core.driver.build(i, t_i, &core.db);
-    core.db.prune_log(t_i);
-    core.now = t_i;
-    core.interval = i;
-    payload
 }
 
 /// Sends `Welcome` then `Successors` — the fixed greeting pair every
@@ -884,6 +808,7 @@ fn ticker_loop(
     let mut clock = IntervalClock::new(latency);
     let mut datagrams_sent = 0u64;
     let mut report_bytes = 0u64;
+    let mut report_bits = 0u64;
     let mut intervals_run = 0u64;
     if obs.is_enabled() {
         obs.series_schema(&["report_bits", "updates", "answers"]);
@@ -994,12 +919,12 @@ fn ticker_loop(
             }
         }
         let build_started = Instant::now();
-        let (payload, queue_depth, answers_now, updates_now) = {
+        let queue_depth = dir.publishes.len();
+        let (payload, answers_now, updates_now) = {
             let _span = obs.span("report_build");
             let mut core = shared.core.lock().expect("core lock");
-            let depth = dir.publishes.len();
-            let p = build_tick(&mut core, i, from, t_i, &dir.publishes);
-            (p, depth, core.uplink_answers, core.updates_applied)
+            core.server.advance(i, from, t_i, &dir.publishes);
+            (core.server.build(), core.server.uplink_answers(), core.server.updates_applied())
         };
         let build_elapsed = build_started.elapsed();
         let peers = current_peers(&shared);
@@ -1020,6 +945,7 @@ fn ticker_loop(
             }
             fanout_elapsed = fanout_started.elapsed();
             report_bytes += datagram.len() as u64;
+            report_bits += shared.encode.payload_bits(&payload);
             if obs.is_enabled() {
                 obs.add("reports_built", 1);
                 obs.series_row(
@@ -1094,29 +1020,16 @@ fn ticker_loop(
             bar.done.iter_mut().for_each(|d| *d = false);
         }
 
-        // Adaptive evaluation-period boundary, after the barrier (or
-        // this tick's paced window) so the period's uplink feedback is
-        // complete. Per-item counts are order-independent within an
-        // interval, so lockstep sessions close periods exactly as the
-        // simulator does regardless of uplink arrival order.
-        {
-            let mut core = shared.core.lock().expect("core lock");
-            let core = &mut *core;
-            if let Some((default_k, exceptions)) =
-                core.driver
-                    .end_period_if_due(i, &mut core.uplink, &mut core.db, latency)
-            {
-                if obs.is_enabled() {
-                    obs.event(
-                        i,
-                        "adaptive_period",
-                        &[
-                            ("default_k", Value::U64(default_k as u64)),
-                            ("exceptions", Value::U64(exceptions as u64)),
-                        ],
-                    );
-                }
-                flight.push(
+        // Close the interval — evaluation-period boundary, then log
+        // prune — after the barrier (or this tick's paced window) so
+        // the period's uplink feedback is complete. Per-item counts are
+        // order-independent within an interval, so lockstep sessions
+        // close periods exactly as the simulator does regardless of
+        // uplink arrival order.
+        let closed = shared.core.lock().expect("core lock").server.close_interval();
+        if let Some((default_k, exceptions)) = closed {
+            if obs.is_enabled() {
+                obs.event(
                     i,
                     "adaptive_period",
                     &[
@@ -1125,6 +1038,14 @@ fn ticker_loop(
                     ],
                 );
             }
+            flight.push(
+                i,
+                "adaptive_period",
+                &[
+                    ("default_k", Value::U64(default_k as u64)),
+                    ("exceptions", Value::U64(exceptions as u64)),
+                ],
+            );
         }
     }
 
@@ -1170,9 +1091,9 @@ fn ticker_loop(
     let registered = shared.reg.lock().expect("registry lock").registered;
     let mut core = shared.core.lock().expect("core lock");
     if obs.is_enabled() {
-        obs.add("updates_applied", core.updates_applied);
-        obs.add("publishes_applied", core.publishes_applied);
-        obs.add("uplink_answers", core.uplink_answers);
+        obs.add("updates_applied", core.server.updates_applied());
+        obs.add("publishes_applied", core.server.publishes_applied());
+        obs.add("uplink_answers", core.server.uplink_answers());
         obs.add("report_bytes", report_bytes);
     }
     // One last view so a scraper that polls right at session end sees
@@ -1188,8 +1109,8 @@ fn ticker_loop(
         Duration::ZERO,
         datagrams_sent,
         report_bytes,
-        core.uplink_answers,
-        core.updates_applied,
+        core.server.uplink_answers(),
+        core.server.updates_applied(),
     );
     if let Some((_, mut exporter)) = metrics {
         exporter.shutdown();
@@ -1198,11 +1119,12 @@ fn ticker_loop(
         intervals: intervals_run,
         datagrams_sent,
         report_bytes,
-        updates_applied: core.updates_applied,
-        publishes_applied: core.publishes_applied,
-        uplink_answers: core.uplink_answers,
+        report_bits,
+        updates_applied: core.server.updates_applied(),
+        publishes_applied: core.server.publishes_applied(),
+        uplink_answers: core.server.uplink_answers(),
         rows,
-        history: core.history.take(),
+        history: core.server.take_history(),
         observe: obs.snapshot(),
         flight,
     })

@@ -174,6 +174,25 @@ fn adaptive_and_quasi_go_live_and_conform() {
         Strategy::QuasiDelay { alpha_intervals: 3 },
         40,
     );
+    // Windows that grow past the starting retention (`k = 1`, four
+    // intervals a step): the report after a period boundary reaches
+    // back into history a prune *before* the boundary has already
+    // discarded, so this pins the server's period-then-prune order.
+    let growing = Strategy::AdaptiveTs {
+        method: FeedbackMethod::Method2,
+        eval_period: 4,
+        step: 4,
+    };
+    let mut grower = small_cell(0.7).with_seed(3);
+    grower.params.k = 1;
+    assert_conforms(&grower, growing, 300);
+    // The same drift where no client happens to decide differently:
+    // only the servers' totals tell the two orders apart (the
+    // prune-first daemon aired 1 114 040 bits here).
+    let mut quiet = small_cell(0.4);
+    quiet.params.k = 1;
+    let outcome = check_conformance(&quiet, growing, 120).expect("ATS k=1 conformance");
+    assert_eq!(outcome.server.report_bits, 1_112_898);
 }
 
 /// Arming the ops plane must not perturb the session: with the metrics

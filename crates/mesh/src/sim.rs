@@ -306,11 +306,6 @@ impl MeshSimulation {
         &self.cells
     }
 
-    /// Which cell the unit with home index `home` currently occupies.
-    pub fn client_cell(&self, home: usize) -> usize {
-        self.locations[home].cell
-    }
-
     /// Total accepted migrations so far.
     pub fn migrations(&self) -> u64 {
         self.migrations

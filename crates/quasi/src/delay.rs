@@ -51,11 +51,6 @@ impl ObligationTracker {
         }
     }
 
-    /// The lag bound in intervals (`j`).
-    pub fn alpha_intervals(&self) -> u64 {
-        self.alpha_intervals
-    }
-
     /// Records that `item` was reported at interval `i` (every client
     /// copy is now at most as old as `T_i`).
     pub fn on_reported(&mut self, item: ItemId, interval: u64) {

@@ -280,17 +280,32 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// Applies `f` to every counter paired with `other`'s: the one
+    /// field list [`absorb`](Self::absorb) and [`since`](Self::since)
+    /// share, so a new counter is added here and nowhere else.
+    fn zip(&mut self, other: &QueryStats, f: impl Fn(&mut u64, u64)) {
+        f(&mut self.queries_posed, other.queries_posed);
+        f(&mut self.hits, other.hits);
+        f(&mut self.misses, other.misses);
+        f(&mut self.entries_invalidated, other.entries_invalidated);
+        f(&mut self.entries_reverified, other.entries_reverified);
+        f(&mut self.fetch_items, other.fetch_items);
+        f(&mut self.txns_begun, other.txns_begun);
+        f(&mut self.txn_commits, other.txn_commits);
+        f(&mut self.txn_aborts, other.txn_aborts);
+    }
+
     /// Folds another counter set into this one (fleet-level totals).
     pub fn absorb(&mut self, other: &QueryStats) {
-        self.queries_posed += other.queries_posed;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.entries_invalidated += other.entries_invalidated;
-        self.entries_reverified += other.entries_reverified;
-        self.fetch_items += other.fetch_items;
-        self.txns_begun += other.txns_begun;
-        self.txn_commits += other.txn_commits;
-        self.txn_aborts += other.txn_aborts;
+        self.zip(other, |mine, theirs| *mine += theirs);
+    }
+
+    /// What these counters gained since the earlier snapshot `before`
+    /// of the same plane (per-interval deltas).
+    pub fn since(&self, before: &QueryStats) -> QueryStats {
+        let mut delta = *self;
+        delta.zip(before, |now, then| *now -= then);
+        delta
     }
 
     /// Measured query hit ratio.
@@ -642,6 +657,53 @@ mod tests {
 
     fn domain() -> Vec<ItemId> {
         (0..20).collect()
+    }
+
+    /// Every field spelled out (no `..Default::default()`): a new
+    /// counter fails to compile here until it is given a value, and the
+    /// round trip below fails until `QueryStats::zip` lists it.
+    #[test]
+    fn since_then_absorb_round_trips_every_counter() {
+        let after = QueryStats {
+            queries_posed: 90,
+            hits: 80,
+            misses: 70,
+            entries_invalidated: 60,
+            entries_reverified: 50,
+            fetch_items: 40,
+            txns_begun: 30,
+            txn_commits: 20,
+            txn_aborts: 10,
+        };
+        let before = QueryStats {
+            queries_posed: 1,
+            hits: 2,
+            misses: 3,
+            entries_invalidated: 4,
+            entries_reverified: 5,
+            fetch_items: 6,
+            txns_begun: 7,
+            txn_commits: 8,
+            txn_aborts: 9,
+        };
+        let delta = after.since(&before);
+        assert_eq!(
+            delta,
+            QueryStats {
+                queries_posed: 89,
+                hits: 78,
+                misses: 67,
+                entries_invalidated: 56,
+                entries_reverified: 45,
+                fetch_items: 34,
+                txns_begun: 23,
+                txn_commits: 12,
+                txn_aborts: 1,
+            }
+        );
+        let mut rebuilt = before;
+        rebuilt.absorb(&delta);
+        assert_eq!(rebuilt, after);
     }
 
     const T1: SimTime = SimTime::ZERO;

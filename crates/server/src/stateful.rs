@@ -141,11 +141,6 @@ impl StatefulServer {
         self.invalidations_sent
     }
 
-    /// Number of currently connected clients.
-    pub fn connected_clients(&self) -> usize {
-        self.caches.len()
-    }
-
     /// Number of (client, item) registrations currently held.
     pub fn registrations(&self) -> usize {
         self.caches.values().map(|s| s.len()).sum()

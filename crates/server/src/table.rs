@@ -96,16 +96,6 @@ impl<V> ItemTable<V> {
         matches!(self, ItemTable::Dense { .. })
     }
 
-    /// Layout name for telemetry: `"dense"` for the vec-indexed fast
-    /// path, `"hashed"` for the fallback.
-    pub fn layout_name(&self) -> &'static str {
-        if self.is_dense() {
-            "dense"
-        } else {
-            "hashed"
-        }
-    }
-
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         match self {

@@ -112,11 +112,6 @@ impl UplinkProcessor {
         self.stats.get(item).copied().unwrap_or_default()
     }
 
-    /// All items with activity this period, ascending by item id.
-    pub fn active_items(&self) -> impl Iterator<Item = (ItemId, ItemUplinkStats)> + '_ {
-        self.stats.iter_sorted().map(|(k, &v)| (k, v))
-    }
-
     /// Total uplink queries since construction (never reset).
     pub fn total_uplink_queries(&self) -> u64 {
         self.total_uplink

@@ -59,11 +59,6 @@ impl SubsetFamily {
         self.f
     }
 
-    /// Membership probability `1/(f+1)`.
-    pub fn membership_probability(&self) -> f64 {
-        1.0 / (self.f as f64 + 1.0)
-    }
-
     /// True iff item `i ∈ S_j` (`j` is zero-based, `j < m`).
     #[inline]
     pub fn contains(&self, j: u32, item: u64) -> bool {

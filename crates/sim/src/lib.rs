@@ -10,8 +10,6 @@
 //!
 //! * [`time`] — a virtual clock ([`SimTime`]) measured in seconds with
 //!   total ordering and interval arithmetic;
-//! * [`event`] — a deterministic event queue ([`EventQueue`]) with
-//!   stable FIFO tie-breaking;
 //! * [`rng`] — reproducible, stream-split random number generation
 //!   ([`RngStream`]) so that e.g. the update process and each client's
 //!   query process draw from independent, replayable streams;
@@ -19,8 +17,6 @@
 //!   arrivals with exponential inter-arrival times (queries at rate λ,
 //!   updates at rate μ) and the per-interval Bernoulli sleep process
 //!   (probability `s` of being disconnected in an interval);
-//! * [`stats`] — streaming statistics (Welford mean/variance, counters,
-//!   fixed-bucket histograms) used by the metrics layer;
 //! * [`runner`] — the order-preserving parallel sweep runner
 //!   ([`ParallelRunner`]) and the two deterministic seed-derivation
 //!   domains ([`cell_seed`] for figure sweeps, [`mesh_seed`] for mesh
@@ -32,16 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod process;
 pub mod rng;
 pub mod runner;
-pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, ScheduledEvent};
 pub use process::{BernoulliIntervalProcess, IntervalClock, PoissonProcess};
 pub use rng::{MasterSeed, RngStream, StreamId};
 pub use runner::{cell_seed, mesh_seed, ParallelRunner};
-pub use stats::{Counter, Histogram, RatioEstimator, Welford};
 pub use time::{SimDuration, SimTime};

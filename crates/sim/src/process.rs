@@ -54,17 +54,6 @@ impl PoissonProcess {
         (self.rate > 0.0).then_some(self.next)
     }
 
-    /// Pops the next arrival if it happens at or before `horizon`,
-    /// scheduling the one after it.
-    pub fn next_before(&mut self, horizon: SimTime, rng: &mut RngStream) -> Option<SimTime> {
-        if self.rate <= 0.0 || self.next > horizon {
-            return None;
-        }
-        let fired = self.next;
-        self.advance(rng, fired);
-        Some(fired)
-    }
-
     /// Draws every arrival in the half-open window `(from, to]`.
     ///
     /// The window convention matches the paper's report definitions,

@@ -5,6 +5,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The script leaves the tree as it found it; checked at the bottom.
+tree_before=$(git status --porcelain)
+
 # Runs "$@" until it succeeds: every 0.1 s, for 10 s at most.
 retry() {
     retry_tries=0
@@ -181,8 +184,9 @@ cargo bench -p sw-bench --bench hot_paths --features faults -- --test
 echo "==> hot-path zero-cost guard: observe+faults compiled in must stay within 5%"
 # Build the probe twice — feature-off, then with observe+faults armed
 # at compile time (both disabled at runtime) — and interleave rounds.
-# The best-of-N comparison makes the A/B a hard guard on the
-# zero-cost disabled path instead of an eyeballed smoke.
+# Each round prints the 5th percentile of its 60 timed intervals; the
+# best-of-N comparison of those floors makes the A/B a hard guard on
+# the zero-cost disabled path instead of an eyeballed smoke.
 cargo build --release -q -p sw-experiments --bin hot_guard
 hot_off_bin=$(mktemp)
 cp target/release/hot_guard "$hot_off_bin"
@@ -195,8 +199,8 @@ for _ in 1 2 3 4 5; do
     hot_on="$hot_on $(target/release/hot_guard)"
 done
 rm -f "$hot_off_bin"
-echo "   feature-off rounds (us/interval):$hot_off"
-echo "   feature-on  rounds (us/interval):$hot_on"
+echo "   feature-off rounds (p05 interval, us):$hot_off"
+echo "   feature-on  rounds (p05 interval, us):$hot_on"
 awk -v off="$hot_off" -v on="$hot_on" 'BEGIN {
     split(off, a, " "); split(on, b, " ");
     min_off = a[1]; for (i in a) if (a[i] + 0 < min_off) min_off = a[i] + 0;
@@ -228,5 +232,11 @@ echo "==> bench smoke: mesh_step (sharded envelope vs single-cell baseline)"
 # single-cell driver and must stay green untouched; mesh_step measures
 # what the sharded envelope and the migration barrier add on top.
 cargo bench -p sw-bench --bench mesh_step -- --test
+
+[ "$(git status --porcelain)" = "$tree_before" ] || {
+    echo "check.sh changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+}
 
 echo "All checks passed."
