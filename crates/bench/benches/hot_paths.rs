@@ -1,6 +1,6 @@
 //! Microbenches for the hot-path overhaul: per-MU report application,
 //! the per-broadcast report digest (build, and per-client probing),
-//! dense vs hashed per-item tables, and wake-heap vs full-scan sleeper
+//! the per-item table, and wake-heap vs full-scan sleeper
 //! handling. These are the mechanisms the per-interval loop is built
 //! from; `BENCH_report.json` (see the `bench_report` binary) and
 //! `benchmark/` measure their end-to-end effect.
@@ -31,7 +31,7 @@ fn loaded_db(n_items: u64, mu: f64, horizon: f64) -> Database {
 }
 
 /// One interval of a single MU: generate queries, hear the TS report,
-/// answer from cache — with the cache dense (universe known) or hashed.
+/// answer from cache.
 fn bench_report_apply_per_mu(c: &mut Criterion) {
     let db = loaded_db(N_ITEMS, 1e-4, 1_000.0);
     let latency = SimDuration::from_secs(10.0);
@@ -39,46 +39,44 @@ fn bench_report_apply_per_mu(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("report_apply_per_mu");
     group.throughput(Throughput::Elements(1));
-    for (label, universe) in [("dense_cache", Some(N_ITEMS)), ("hashed_cache", None)] {
-        group.bench_function(label, |b| {
-            b.iter_batched(
-                || {
-                    let mut rng = MasterSeed(7).stream(StreamId::Queries { index: 1 });
-                    let mut unit = MobileUnit::new(
-                        MuConfig {
-                            id: 1,
-                            hotspot: (0..100).collect(),
-                            query_rate_per_item: 0.02,
-                            sleep_probability: 0.0,
-                            cache_capacity: None,
-                            replacement: ReplacementPolicy::Lru,
-                            replacement_window: SimDuration::ZERO,
-                            piggyback_hits: false,
-                            item_universe: universe,
-                        },
-                        RuleHandler::new(ReportRule::ts(latency, 100)),
-                        &mut rng,
-                    );
-                    for item in 0..50 {
-                        unit.install_answer(sleepers::server::QueryAnswer {
-                            item,
-                            value: item,
-                            timestamp: SimTime::from_secs(995.0),
-                        });
-                    }
-                    let mut qrng = MasterSeed(8).stream(StreamId::Queries { index: 2 });
-                    unit.begin_awake_interval(
-                        SimTime::from_secs(990.0),
-                        SimTime::from_secs(1_000.0),
-                        &mut qrng,
-                    );
-                    unit
-                },
-                |mut unit| black_box(unit.hear_report_and_answer(&payload)),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    group.bench_function("dense_cache", |b| {
+        b.iter_batched(
+            || {
+                let mut rng = MasterSeed(7).stream(StreamId::Queries { index: 1 });
+                let mut unit = MobileUnit::new(
+                    MuConfig {
+                        id: 1,
+                        hotspot: (0..100).collect(),
+                        query_rate_per_item: 0.02,
+                        sleep_probability: 0.0,
+                        cache_capacity: None,
+                        replacement: ReplacementPolicy::Lru,
+                        replacement_window: SimDuration::ZERO,
+                        piggyback_hits: false,
+                        item_universe: Some(N_ITEMS),
+                    },
+                    RuleHandler::new(ReportRule::ts(latency, 100)),
+                    &mut rng,
+                );
+                for item in 0..50 {
+                    unit.install_answer(sleepers::server::QueryAnswer {
+                        item,
+                        value: item,
+                        timestamp: SimTime::from_secs(995.0),
+                    });
+                }
+                let mut qrng = MasterSeed(8).stream(StreamId::Queries { index: 2 });
+                unit.begin_awake_interval(
+                    SimTime::from_secs(990.0),
+                    SimTime::from_secs(1_000.0),
+                    &mut qrng,
+                );
+                unit
+            },
+            |mut unit| black_box(unit.hear_report_and_answer(&payload)),
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 
@@ -130,35 +128,30 @@ fn bench_report_digest(c: &mut Criterion) {
     group.finish();
 }
 
-/// The raw table layouts under a per-interval access pattern: populate,
+/// The item table under a per-interval access pattern: populate,
 /// point-probe, ordered scan.
 fn bench_item_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("item_table");
     group.throughput(Throughput::Elements(N_ITEMS));
-    for (label, make) in [
-        ("dense", ItemTable::dense as fn(u64) -> ItemTable<u64>),
-        ("hashed", (|_| ItemTable::hashed()) as fn(u64) -> ItemTable<u64>),
-    ] {
-        group.bench_function(format!("{label}/fill_probe_scan"), |b| {
-            b.iter(|| {
-                let mut t = make(N_ITEMS);
-                for item in 0..N_ITEMS {
-                    t.insert(item, item * 3);
+    group.bench_function("dense/fill_probe_scan", |b| {
+        b.iter(|| {
+            let mut t = ItemTable::dense(N_ITEMS);
+            for item in 0..N_ITEMS {
+                t.insert(item, item * 3);
+            }
+            // Pseudo-random probes (fixed LCG, not wall-clock).
+            let mut x = 0x9E37u64;
+            let mut found = 0u64;
+            for _ in 0..N_ITEMS {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                if t.get(x % N_ITEMS).is_some() {
+                    found += 1;
                 }
-                // Pseudo-random probes (fixed LCG, not wall-clock).
-                let mut x = 0x9E37u64;
-                let mut found = 0u64;
-                for _ in 0..N_ITEMS {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    if t.get(x % N_ITEMS).is_some() {
-                        found += 1;
-                    }
-                }
-                let sum: u64 = t.iter_sorted().map(|(_, &v)| v).sum();
-                black_box((found, sum))
-            })
-        });
-    }
+            }
+            let sum: u64 = t.iter().map(|(_, &v)| v).sum();
+            black_box((found, sum))
+        })
+    });
     group.finish();
 }
 

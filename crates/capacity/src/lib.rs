@@ -15,7 +15,7 @@
 //!   TS's window `w = kL` as dead weight and evicts it first;
 //! * [`victim_key`] — the total eviction order. Both backends evict
 //!   the entry with the minimal key, and the key ends in the item id,
-//!   so dense and hashed table iteration orders can never disagree;
+//!   so the two backends' iteration orders can never disagree;
 //! * [`GhostFate`] — the bookkeeping behind the eviction statistics
 //!   family (`evictions`, `capacity_misses`, `evicted_then_requeried`);
 //! * [`CoopConfig`] / [`CoopStats`] / [`CoopDirectory`] — the
@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use sw_sim::{SimDuration, SimTime};
+use sw_sim::{counters, SimDuration, SimTime};
 
 /// Which entry a bounded cache sacrifices when it is full.
 ///
@@ -123,27 +123,20 @@ pub enum GhostFate {
     Stale,
 }
 
-/// The eviction statistics family, as folded into `SimulationReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CapacityStats {
-    /// Entries evicted to make room (not invalidations or drops).
-    pub evictions: u64,
-    /// Misses on items whose evicted copy was still fresh — the misses
-    /// the capacity bound itself caused. For the signature family and
-    /// group strategies, ghosts are only retired by whole-cache drops,
-    /// so this counter is an upper bound there.
-    pub capacity_misses: u64,
-    /// Misses on any previously evicted item, fresh or stale — how
-    /// often the workload re-touched what replacement threw away.
-    pub evicted_then_requeried: u64,
-}
-
-impl CapacityStats {
-    /// Element-wise accumulation across clients or cells.
-    pub fn absorb(&mut self, other: CapacityStats) {
-        self.evictions += other.evictions;
-        self.capacity_misses += other.capacity_misses;
-        self.evicted_then_requeried += other.evicted_then_requeried;
+counters! {
+    /// The eviction statistics family, as folded into `SimulationReport`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CapacityStats {
+        /// Entries evicted to make room (not invalidations or drops).
+        pub evictions as "capacity_evictions",
+        /// Misses on items whose evicted copy was still fresh — the misses
+        /// the capacity bound itself caused. For the signature family and
+        /// group strategies, ghosts are only retired by whole-cache drops,
+        /// so this counter is an upper bound there.
+        pub capacity_misses,
+        /// Misses on any previously evicted item, fresh or stale — how
+        /// often the workload re-touched what replacement threw away.
+        pub evicted_then_requeried,
     }
 }
 
@@ -170,24 +163,17 @@ impl Default for CoopConfig {
     }
 }
 
-/// Cooperative miss path counters, as folded into `SimulationReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoopStats {
-    /// Misses served by a neighbor's verifiably fresh copy.
-    pub coop_served: u64,
-    /// Sidelink bits paid for those serves (`coop_served · b_coop`).
-    pub coop_bits: u64,
-    /// Misses that consulted the feed but fell back to the uplink —
-    /// no neighbor copy, or the strategy could not vouch freshness.
-    pub coop_declined: u64,
-}
-
-impl CoopStats {
-    /// Element-wise accumulation across clients or cells.
-    pub fn absorb(&mut self, other: CoopStats) {
-        self.coop_served += other.coop_served;
-        self.coop_bits += other.coop_bits;
-        self.coop_declined += other.coop_declined;
+counters! {
+    /// Cooperative miss path counters, as folded into `SimulationReport`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CoopStats {
+        /// Misses served by a neighbor's verifiably fresh copy.
+        pub coop_served,
+        /// Sidelink bits paid for those serves (`coop_served · b_coop`).
+        pub coop_bits,
+        /// Misses that consulted the feed but fell back to the uplink —
+        /// no neighbor copy, or the strategy could not vouch freshness.
+        pub coop_declined,
     }
 }
 
@@ -353,30 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_and_coop_stats_absorb_elementwise() {
-        let mut c = CapacityStats {
-            evictions: 1,
-            capacity_misses: 2,
-            evicted_then_requeried: 3,
-        };
-        c.absorb(CapacityStats {
-            evictions: 10,
-            capacity_misses: 20,
-            evicted_then_requeried: 30,
-        });
-        assert_eq!(c.evictions, 11);
-        assert_eq!(c.capacity_misses, 22);
-        assert_eq!(c.evicted_then_requeried, 33);
-
-        let mut s = CoopStats::default();
-        s.absorb(CoopStats {
-            coop_served: 4,
-            coop_bits: 512,
-            coop_declined: 1,
-        });
-        assert_eq!(s.coop_served, 4);
-        assert_eq!(s.coop_bits, 512);
-        assert_eq!(s.coop_declined, 1);
+    fn capacity_and_coop_stats_obey_the_counter_laws() {
+        sw_sim::counters::assert_laws::<CapacityStats>();
+        sw_sim::counters::assert_laws::<CoopStats>();
     }
 
     #[test]

@@ -55,8 +55,9 @@ struct GhostEntry {
 ///
 /// Item ids are dense, so the cell driver constructs caches with
 /// [`Cache::for_universe`]: a vec-indexed table with no hashing on the
-/// per-query hot path, and free id-ordered iteration. The hashed
-/// constructors remain for callers with unknown universes.
+/// per-query hot path, and free id-ordered iteration. The
+/// constructors that take no universe start empty and grow to the
+/// largest id inserted.
 #[derive(Debug, Clone)]
 pub struct Cache {
     entries: ItemTable<CacheEntry>,
@@ -74,21 +75,13 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an unbounded cache (the paper's model) over an unknown
-    /// item universe (hashed table).
+    /// item universe.
     pub fn unbounded() -> Self {
-        Cache {
-            entries: ItemTable::hashed(),
-            ghosts: None,
-            capacity: None,
-            policy: ReplacementPolicy::Lru,
-            window: SimDuration::ZERO,
-            clock: 0,
-            evictions: 0,
-        }
+        Self::for_universe(0)
     }
 
     /// Creates an unbounded cache pre-sized for items `0..universe`
-    /// (dense table; the fast path used by the cell simulation).
+    /// (the fast path used by the cell simulation).
     pub fn for_universe(universe: u64) -> Self {
         Cache {
             entries: ItemTable::dense(universe),
@@ -104,20 +97,11 @@ impl Cache {
     /// Creates a cache holding at most `capacity` items, evicting the
     /// least recently used on overflow.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        Cache {
-            entries: ItemTable::hashed(),
-            ghosts: Some(ItemTable::hashed()),
-            capacity: Some(capacity),
-            policy: ReplacementPolicy::Lru,
-            window: SimDuration::ZERO,
-            clock: 0,
-            evictions: 0,
-        }
+        Self::with_capacity_for_universe(capacity, 0)
     }
 
-    /// Creates a capacity-bounded LRU cache over a dense universe of
-    /// `universe` items.
+    /// Creates a capacity-bounded LRU cache pre-sized for items
+    /// `0..universe`.
     pub fn with_capacity_for_universe(capacity: usize, universe: u64) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Cache {
@@ -153,13 +137,6 @@ impl Cache {
     /// Number of capacity evictions so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Whether the cache runs on the dense (vec-indexed) table layout;
-    /// `false` means the hashed fallback activated (unknown universe) —
-    /// surfaced by the observability layer at simulation start.
-    pub fn is_dense(&self) -> bool {
-        self.entries.is_dense()
     }
 
     /// True if `item` is cached.
@@ -202,9 +179,8 @@ impl Cache {
         if let Some(cap) = self.capacity {
             while self.entries.len() > cap {
                 // The victim key ends in the item id, so the minimum is
-                // unique: eviction is independent of iteration order
-                // (dense vs hashed) and byte-identical to the columnar
-                // fleet's scan.
+                // unique: eviction is independent of iteration order and
+                // byte-identical to the columnar fleet's scan.
                 let (policy, window) = (self.policy, self.window);
                 let victim = self
                     .entries
@@ -280,7 +256,7 @@ impl Cache {
     }
 
     /// Cached ids as a sorted vector (deterministic iteration for the
-    /// strategy algorithms and tests). Free of sorting for dense caches.
+    /// strategy algorithms and tests): the table's own walk order.
     pub fn sorted_items(&self) -> Vec<ItemId> {
         self.entries.sorted_ids()
     }
@@ -312,9 +288,7 @@ impl CacheSlots for Cache {
             }
             true
         });
-        // Ascending already for dense caches; hashed ones visit in
-        // arbitrary order.
-        invalidated.sort_unstable();
+        // The table walks ascending, so the list is already sorted.
         invalidated
     }
 
@@ -409,36 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_cache_behaves_like_hashed() {
-        let mut dense = Cache::for_universe(16);
-        let mut hashed = Cache::unbounded();
-        for c in [&mut dense, &mut hashed] {
-            for i in [9u64, 3, 7, 1] {
-                c.insert(i, i * 2, SimTime::from_secs(i as f64));
-            }
-            c.remove(7);
-        }
-        assert_eq!(dense.sorted_items(), hashed.sorted_items());
-        assert_eq!(dense.len(), hashed.len());
-        assert_eq!(dense.peek(9).unwrap().value, 18);
-        // Beyond the pre-sized universe still works (table grows).
-        dense.insert(100, 1, SimTime::ZERO);
-        assert!(dense.contains(100));
-    }
-
-    #[test]
-    fn dense_lru_evicts_like_hashed() {
-        let mut c = Cache::with_capacity_for_universe(2, 8);
-        c.insert(1, 1, SimTime::ZERO);
-        c.insert(2, 2, SimTime::ZERO);
-        let _ = c.get(1);
-        c.insert(3, 3, SimTime::ZERO);
-        assert!(c.contains(1));
-        assert!(!c.contains(2));
-        assert_eq!(c.evictions(), 1);
-    }
-
-    #[test]
     fn reinsert_replaces_value() {
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(1.0));
@@ -527,30 +471,5 @@ mod tests {
         c.remove(1);
         assert_eq!(c.take_ghost(1), None);
         assert_eq!(c.ghost_len(), 0);
-    }
-
-    #[test]
-    fn dense_and_hashed_bounded_caches_agree_per_policy() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Lfu,
-            ReplacementPolicy::WindowAge,
-        ] {
-            let mut dense = Cache::with_capacity_for_universe(3, 64);
-            let mut hashed = Cache::with_capacity(3);
-            for c in [&mut dense, &mut hashed] {
-                c.set_replacement(policy, SimDuration::from_secs(20.0));
-                for i in 0..6u64 {
-                    c.insert(i, i, SimTime::from_secs(i as f64));
-                    let _ = c.get(i / 2);
-                }
-            }
-            assert_eq!(
-                dense.sorted_items(),
-                hashed.sorted_items(),
-                "{policy:?} diverged between table layouts"
-            );
-            assert_eq!(dense.evictions(), hashed.evictions());
-        }
     }
 }

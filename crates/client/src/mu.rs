@@ -14,9 +14,11 @@
 //! * a unit that posed queries stays up to hear the closing report and
 //!   answer them, then may sleep again (§4's stated simplification).
 
-use sw_capacity::{GhostFate, ReplacementPolicy};
+use sw_capacity::{CapacityStats, GhostFate, ReplacementPolicy};
 use sw_server::{ItemId, ItemTable, PiggybackInfo, QueryAnswer};
-use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
+use sw_sim::{
+    counters, BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime,
+};
 use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
@@ -57,44 +59,47 @@ pub struct MuConfig {
     pub piggyback_hits: bool,
     /// Size of the item universe, when known: pre-sizes the cache and
     /// hit-history tables as dense vectors (no hashing on the query hot
-    /// path). `None` falls back to hashed tables.
+    /// path). `None` starts them empty; they grow to the largest id
+    /// seen.
     pub item_universe: Option<u64>,
 }
 
-/// Counters the experiments read out.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MuStats {
-    /// Raw queries posed (each arrival counts).
-    pub queries_posed: u64,
-    /// Query events (item × interval) answered from cache.
-    pub hit_events: u64,
-    /// Query events that had to go uplink.
-    pub miss_events: u64,
-    /// Intervals spent awake.
-    pub intervals_awake: u64,
-    /// Intervals spent asleep.
-    pub intervals_asleep: u64,
-    /// Whole-cache drops forced by disconnection gaps.
-    pub cache_drops: u64,
-    /// Individual items invalidated by reports.
-    pub items_invalidated: u64,
-    /// Reports the unit listened for but never received intact (lost,
-    /// corrupted, or missed through clock drift — fault injection).
-    pub reports_missed: u64,
-    /// Sum of query answer latencies in seconds (posed → answered at
-    /// the next report; §2's guaranteed-latency property of synchronous
-    /// methods).
-    pub latency_sum_secs: f64,
-    /// Largest single query latency observed, in seconds.
-    pub latency_max_secs: f64,
-    /// Entries evicted to make room (capacity enforcement only — not
-    /// invalidations or gap drops). Zero for unbounded caches.
-    pub evictions: u64,
-    /// Misses on items whose evicted copy was still fresh: the misses
-    /// the capacity bound itself caused.
-    pub capacity_misses: u64,
-    /// Misses on any previously evicted item, fresh or stale.
-    pub evicted_then_requeried: u64,
+counters! {
+    /// Counters the experiments read out.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct MuStats {
+        /// Sum of query answer latencies in seconds (posed → answered at
+        /// the next report; §2's guaranteed-latency property of synchronous
+        /// methods).
+        pub latency_sum_secs: f64,
+        /// Largest single query latency observed, in seconds.
+        pub latency_max_secs: f64;
+        /// Raw queries posed (each arrival counts).
+        pub queries_posed,
+        /// Query events (item × interval) answered from cache.
+        pub hit_events,
+        /// Query events that had to go uplink.
+        pub miss_events,
+        /// Intervals spent awake.
+        pub intervals_awake,
+        /// Intervals spent asleep.
+        pub intervals_asleep,
+        /// Whole-cache drops forced by disconnection gaps.
+        pub cache_drops,
+        /// Individual items invalidated by reports.
+        pub items_invalidated,
+        /// Reports the unit listened for but never received intact (lost,
+        /// corrupted, or missed through clock drift — fault injection).
+        pub reports_missed,
+        /// Entries evicted to make room (capacity enforcement only — not
+        /// invalidations or gap drops). Zero for unbounded caches.
+        pub evictions,
+        /// Misses on items whose evicted copy was still fresh: the misses
+        /// the capacity bound itself caused.
+        pub capacity_misses,
+        /// Misses on any previously evicted item, fresh or stale.
+        pub evicted_then_requeried,
+    }
 }
 
 impl MuStats {
@@ -111,6 +116,15 @@ impl MuStats {
     /// Total query events.
     pub fn query_events(&self) -> u64 {
         self.hit_events + self.miss_events
+    }
+
+    /// The eviction statistics family, as its own record.
+    pub fn capacity(&self) -> CapacityStats {
+        CapacityStats {
+            evictions: self.evictions,
+            capacity_misses: self.capacity_misses,
+            evicted_then_requeried: self.evicted_then_requeried,
+        }
     }
 }
 
@@ -158,17 +172,15 @@ impl MobileUnit {
             "query rate must be non-negative"
         );
         let total_rate = config.query_rate_per_item * config.hotspot.len() as f64;
-        let mut cache = match (config.cache_capacity, config.item_universe) {
-            (Some(cap), Some(n)) => Cache::with_capacity_for_universe(cap, n),
-            (Some(cap), None) => Cache::with_capacity(cap),
-            (None, Some(n)) => Cache::for_universe(n),
-            (None, None) => Cache::unbounded(),
+        // An unknown universe starts the tables empty; they grow.
+        let universe = config.item_universe.unwrap_or(0);
+        let mut cache = match config.cache_capacity {
+            Some(cap) => Cache::with_capacity_for_universe(cap, universe),
+            None => Cache::for_universe(universe),
         };
         cache.set_replacement(config.replacement, config.replacement_window);
-        let local_hits = match config.item_universe {
-            Some(n) if config.piggyback_hits => ItemTable::dense(n),
-            _ => ItemTable::hashed(),
-        };
+        // Hit times are only collected for piggybacking.
+        let local_hits = ItemTable::dense(if config.piggyback_hits { universe } else { 0 });
         MobileUnit {
             sleep: BernoulliIntervalProcess::new(config.sleep_probability),
             queries: PoissonProcess::new(total_rate, rng),
@@ -439,6 +451,11 @@ impl MobileUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mu_stats_obey_the_counter_laws() {
+        sw_sim::counters::assert_laws::<MuStats>();
+    }
     use crate::rule::ReportRule;
     use sw_sim::{MasterSeed, SimDuration, StreamId};
 

@@ -70,9 +70,9 @@ impl Verdict {
 
 /// One client's cache as the algorithms see it.
 ///
-/// Walk order is the implementor's business — a dense [`crate::Cache`]
-/// and a slot block visit ascending, a hashed `Cache` arbitrarily — but the
-/// *results* are ordered: [`CacheSlots::sweep`] and
+/// Walk order is the implementor's business — [`crate::Cache`] and a
+/// slot block both happen to visit ascending — but the *results* are
+/// ordered: [`CacheSlots::sweep`] and
 /// [`CacheSlots::sorted_items`] return ascending item ids whatever the
 /// visit order, so [`ProcessOutcome::invalidated`] is identical on
 /// every store.

@@ -34,7 +34,7 @@ use sw_server::{
     Database, ItemId, ItemTable, PiggybackInfo, QueryAnswer, ReportBuilder, StatefulServer,
     TsBuilder, UpdateEngine, UpdateRecord, UplinkProcessor,
 };
-use sw_sim::{MasterSeed, RngStream, SimDuration, SimTime, StreamId};
+use sw_sim::{counters, MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::FramePayload;
 use sw_workload::ScenarioParams;
 
@@ -263,8 +263,8 @@ impl ServerDriver {
     /// closes a period: drains the builder's mention counts and the
     /// uplink processor's per-item stats, feeds the window controller,
     /// and widens the database's update-log retention to cover the
-    /// largest granted window. Returns `(default_k, exceptions)` when a
-    /// period actually closed (for observation), `None` otherwise.
+    /// largest granted window. Returns the closed period (for
+    /// observation), `None` when none closed.
     /// Private: [`CellServer::close_interval`] is the one caller, so the
     /// boundary cannot be sequenced against the log prune a second way.
     fn end_period_if_due(
@@ -272,7 +272,7 @@ impl ServerDriver {
         i: u64,
         uplink: &mut UplinkProcessor,
         db: &mut Database,
-    ) -> Option<(u32, usize)> {
+    ) -> Option<AdaptivePeriod> {
         let Side::Adaptive {
             builder,
             controller,
@@ -292,9 +292,9 @@ impl ServerDriver {
         // Both tables iterate in ascending id order; merge the two
         // sorted id streams.
         let mut items: Vec<ItemId> = mentions
-            .iter_sorted()
+            .iter()
             .map(|(item, _)| item)
-            .chain(uplink_stats.iter_sorted().map(|(item, _)| item))
+            .chain(uplink_stats.iter().map(|(item, _)| item))
             .collect();
         items.sort_unstable();
         items.dedup();
@@ -332,10 +332,23 @@ impl ServerDriver {
             .max()
             .unwrap_or(1);
         db.widen_log_retention(builder.latency().scaled(max_k as f64 + 2.0));
-        Some((
-            builder.windows().default_k(),
-            builder.windows().exceptions().len(),
-        ))
+        Some(AdaptivePeriod {
+            default_k: builder.windows().default_k() as u64,
+            exceptions: builder.windows().exceptions().len() as u64,
+        })
+    }
+}
+
+counters! {
+    /// A closed adaptive evaluation period: the fields of the
+    /// `adaptive_period` event, on the simulator's trace and on the live
+    /// server's trace and flight ring alike.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AdaptivePeriod {
+        /// The default window multiplier `k` after the boundary.
+        pub default_k,
+        /// Items holding a per-item window exception.
+        pub exceptions,
     }
 }
 
@@ -451,8 +464,8 @@ impl CellServer {
     /// complete: the adaptive evaluation-period boundary, *then* the
     /// log prune — a boundary that grows a window widens the retention
     /// first, so the history the wider window reports from is still
-    /// there. Returns `(default_k, exceptions)` when a period closed.
-    pub fn close_interval(&mut self) -> Option<(u32, usize)> {
+    /// there. Returns the period when one closed.
+    pub fn close_interval(&mut self) -> Option<AdaptivePeriod> {
         let closed = self
             .driver
             .end_period_if_due(self.interval, &mut self.uplink, &mut self.db);
@@ -508,6 +521,11 @@ mod tests {
     use sw_sim::IntervalClock;
 
     const ITEM: ItemId = 7;
+
+    #[test]
+    fn adaptive_period_obeys_the_counter_laws() {
+        sw_sim::counters::assert_laws::<AdaptivePeriod>();
+    }
 
     fn listed(payload: &FramePayload) -> Vec<ItemId> {
         match payload {

@@ -300,15 +300,6 @@ impl Fleet {
         }
     }
 
-    /// How many clients' caches use the dense item-table layout
-    /// (columnar slot blocks are dense by construction).
-    pub(crate) fn dense_layouts(&self) -> usize {
-        match self {
-            Fleet::Units(seats) => seats.iter().filter(|s| s.unit().cache().is_dense()).count(),
-            Fleet::Columnar(fleet) => fleet.n,
-        }
-    }
-
     /// Phase 1 for one waking unit: settle its sleep run, pose queries.
     #[inline]
     pub(crate) fn open_interval(&mut self, idx: usize, i: u64, from: SimTime, to: SimTime) {

@@ -9,28 +9,31 @@ use sw_capacity::{CapacityStats, CoopStats};
 use sw_faults::FaultTotals;
 use sw_observe::ObserveSnapshot;
 use sw_query::QueryStats;
+use sw_sim::counters;
 use sw_wireless::{EnergyTotals, TrafficTotals};
 
 use crate::safety::SafetyStats;
 
-/// Handoff counters for a cell participating in a mesh. All zeros for
-/// a standalone cell — nothing here affects single-cell metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Units that arrived from another cell.
-    pub migrations_in: u64,
-    /// Units that departed for another cell.
-    pub migrations_out: u64,
-    /// Arrivals whose carried cache was lost to the handoff — either
-    /// dropped at attach because the cells' report histories diverged,
-    /// or dropped by the unit's own strategy at the first report heard
-    /// in the new cell (AT always; TS when the transit gap exceeded
-    /// its window).
-    pub handoff_drops: u64,
-    /// Stateful baseline only: wake-up registrations by units that
-    /// migrated in (each costs a directed control message, the §2
-    /// per-cell state the paper charges the stateful server for).
-    pub cross_cell_registrations: u64,
+counters! {
+    /// Handoff counters for a cell participating in a mesh. All zeros for
+    /// a standalone cell — nothing here affects single-cell metrics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MigrationStats {
+        /// Units that arrived from another cell.
+        pub migrations_in as "migrations",
+        /// Units that departed for another cell.
+        pub migrations_out,
+        /// Arrivals whose carried cache was lost to the handoff — either
+        /// dropped at attach because the cells' report histories diverged,
+        /// or dropped by the unit's own strategy at the first report heard
+        /// in the new cell (AT always; TS when the transit gap exceeded
+        /// its window).
+        pub handoff_drops,
+        /// Stateful baseline only: wake-up registrations by units that
+        /// migrated in (each costs a directed control message, the §2
+        /// per-cell state the paper charges the stateful server for).
+        pub cross_cell_registrations,
+    }
 }
 
 /// Everything one simulation run measured.
@@ -203,6 +206,11 @@ mod tests {
             t_max_analytic: 10_000.0,
             observe: None,
         }
+    }
+
+    #[test]
+    fn migration_stats_obey_the_counter_laws() {
+        sw_sim::counters::assert_laws::<MigrationStats>();
     }
 
     #[test]

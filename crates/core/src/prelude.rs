@@ -19,6 +19,6 @@ pub use sw_analysis::{
 };
 pub use sw_faults::{ClockDrift, FaultPlan, FaultTotals, LossModel, UplinkFaults};
 pub use sw_query::{QueryPlaneConfig, QueryPredicate, QueryStats};
-pub use sw_sim::{MasterSeed, SimDuration, SimTime};
+pub use sw_sim::{Counters, MasterSeed, SimDuration, SimTime};
 pub use sw_wireless::DeliveryMode;
 pub use sw_workload::{Popularity, ScenarioParams, SweepAxis};

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use sw_server::{ItemId, UpdateRecord};
-use sw_sim::SimTime;
+use sw_sim::{counters, SimTime};
 
 /// Full value history of every item, for invariant checking only.
 ///
@@ -75,14 +75,16 @@ impl ValueHistory {
     }
 }
 
-/// Violation counters kept by the simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SafetyStats {
-    /// Cache entries checked.
-    pub entries_checked: u64,
-    /// Entries whose value did not match the history (stale reads
-    /// waiting to happen).
-    pub violations: u64,
+counters! {
+    /// Violation counters kept by the simulation.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SafetyStats {
+        /// Cache entries checked.
+        pub entries_checked,
+        /// Entries whose value did not match the history (stale reads
+        /// waiting to happen).
+        pub violations as "safety_false_validations",
+    }
 }
 
 impl SafetyStats {
@@ -158,6 +160,11 @@ mod tests {
             value,
             previous: 0,
         }
+    }
+
+    #[test]
+    fn safety_stats_obey_the_counter_laws() {
+        sw_sim::counters::assert_laws::<SafetyStats>();
     }
 
     #[test]

@@ -33,6 +33,13 @@
 //!    pruned;
 //! 8. `schedule_sleep` — every awake unit draws its next sleep run;
 //!    `record_interval` writes the observation record.
+//!
+//! What an observed interval records is declared once, beside
+//! `Interval`: `Tally` *is* the series row (its field names are the
+//! columns), `Counted` the unconditional counters, and the fault,
+//! capacity and coop families are snapshotted as the interval opens
+//! and reported as `now.since(&before)` — each emitted whole, from its
+//! own declaration, only when its plane is armed.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -43,7 +50,7 @@ use sw_faults::{FaultLayer, FaultTotals, ReportFate};
 use sw_observe::{Recorder, Value};
 use sw_query::{QueryPlane, QueryStats};
 use sw_server::{Database, ItemId, PiggybackInfo, QueryAnswer};
-use sw_sim::{IntervalClock, RngStream, SimDuration, SimTime, StreamId};
+use sw_sim::{counters, Counters, IntervalClock, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::frame::checksum64;
 use sw_wireless::{
     BroadcastChannel, ChannelError, EnergyTotals, FramePayload, ReportDelivery, WireEncode,
@@ -166,21 +173,62 @@ enum ExchangeOutcome {
 /// the cell driver.
 pub struct HandoffClient(ClientSeat);
 
-/// What the phases of one interval observed, for the interval record.
-/// Cheap register-width counters, dead code when the recorder is
-/// disabled (and compiled out entirely without the `observe` feature,
-/// where `is_enabled()` is a compile-time `false`).
-#[derive(Default)]
-struct Tally {
-    hits: u64,
-    misses: u64,
-    invalidated: u64,
-    drops: u64,
-    false_alarms: u64,
-    unmatched: u64,
-    query: QueryStats,
-    updates: u64,
-    report_bits: u64,
+counters! {
+    /// Interval `i` of one cell as its series row: the columns are these
+    /// fields, in this order (mesh shards append `migrations`). The
+    /// phases write what they observe as they go; `record_interval`
+    /// fills in what only the closed interval knows (`awake`, `uplinks`,
+    /// `used_bits`, `lost`, `retries`). Cheap register-width counters,
+    /// dead code when the recorder is disabled (and compiled out
+    /// entirely without the `observe` feature, where `is_enabled()` is
+    /// a compile-time `false`) — except `report_bits`, which `step`
+    /// returns and the energy model reads.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct Tally {
+        awake,
+        hits,
+        misses,
+        uplinks,
+        invalidated,
+        drops,
+        report_bits,
+        used_bits,
+        overflow,
+        lost,
+        retries,
+    }
+}
+
+counters! {
+    /// What an interval adds to the trace's unconditional counters,
+    /// under their trace names.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct Counted {
+        intervals,
+        updates_applied,
+        overflow_exchanges,
+        sig_false_alarms,
+        sig_unmatched_subsets,
+    }
+}
+
+/// The cell's cumulative counter families, each emitted only when its
+/// plane is armed; an observed interval reports `now.since(&before)`.
+#[derive(Clone, Copy, Default)]
+struct Families {
+    faults: FaultTotals,
+    capacity: CapacityStats,
+    coop: CoopStats,
+}
+
+impl Families {
+    fn since(&self, before: &Families) -> Families {
+        Families {
+            faults: self.faults.since(&before.faults),
+            capacity: self.capacity.since(&before.capacity),
+            coop: self.coop.since(&before.coop),
+        }
+    }
 }
 
 /// One interval in flight, handed from phase to phase.
@@ -195,16 +243,13 @@ struct Interval {
     uplinks: Vec<u32>,
     observing: bool,
     tally: Tally,
-    // Cell-level counters as the interval opened; the record reports
-    // their deltas.
-    overflow_before: u64,
-    violations_before: u64,
-    faults_before: FaultTotals,
-    /// Eviction counters live per client; an O(n) fold before/after
-    /// catches every eviction this interval caused. Only paid when
-    /// observing a bounded cell.
-    capacity_before: Option<CapacityStats>,
-    coop_before: CoopStats,
+    counted: Counted,
+    /// Query-plane deltas of the clients merged so far.
+    query: QueryStats,
+    /// The families as the interval opened, snapshotted only when
+    /// observing: eviction counters live per client, so the snapshot
+    /// is an O(n) fold on a bounded cell.
+    before: Option<Families>,
 }
 
 /// One simulated cell.
@@ -344,32 +389,12 @@ impl CellSimulation {
             // Mesh shards get one extra per-interval column: arrivals
             // by handoff. Standalone schemas are unchanged, keeping
             // every pre-mesh trace artifact byte-identical.
-            let mut schema = vec![
-                "awake",
-                "hits",
-                "misses",
-                "uplinks",
-                "invalidated",
-                "drops",
-                "report_bits",
-                "used_bits",
-                "overflow",
-                "lost",
-                "retries",
-            ];
-            if config.backbone.is_some() {
-                schema.push("migrations");
-            }
-            obs.series_schema(&schema);
-            // ItemTable layout census: every hashed entry is a dense
-            // fast-path fallback activation.
-            let dense = fleet.dense_layouts();
-            obs.add("cache_dense_layouts", dense as u64);
-            obs.add("cache_hashed_fallbacks", (config.n_clients - dense) as u64);
+            let migrations = config.backbone.map(|_| "migrations");
+            obs.series_schema(Tally::NAMES.iter().copied().chain(migrations));
             obs.event(
                 0,
                 "sim_start",
-                &[
+                [
                     ("strategy", Value::Str(strategy.name().to_string())),
                     (
                         "wake_mode",
@@ -453,16 +478,23 @@ impl CellSimulation {
         self.fleet.is_columnar()
     }
 
-    /// Fleet-wide eviction counters: one O(n) fold over the per-client
-    /// stats, on either backend. All zeros for unbounded cells.
-    fn capacity_totals(&self) -> CapacityStats {
-        let mut total = CapacityStats::default();
-        for s in self.fleet.stats_iter() {
-            total.evictions += s.evictions;
-            total.capacity_misses += s.capacity_misses;
-            total.evicted_then_requeried += s.evicted_then_requeried;
+    /// Fleet-wide client totals: one O(n) fold over the per-client
+    /// stats, on either backend.
+    fn client_totals(&self) -> MuStats {
+        MuStats::total(self.fleet.stats_iter())
+    }
+
+    /// The cumulative families right now. The eviction family is all
+    /// zeros on an unbounded cell, which skips the fold.
+    fn families(&self) -> Families {
+        Families {
+            faults: self.faults.totals(),
+            capacity: match self.config.cache_capacity {
+                Some(_) => self.client_totals().capacity(),
+                None => CapacityStats::default(),
+            },
+            coop: self.coop_stats,
         }
-        total
     }
 
     /// Snapshot of every cache entry stamped exactly at the last
@@ -616,8 +648,8 @@ impl CellSimulation {
         Ok(iv.tally.report_bits)
     }
 
-    /// Ticks the clock, opens the channel budget, and snapshots the
-    /// cell-level counters the interval record reports deltas of.
+    /// Ticks the clock, opens the channel budget, and — when observing —
+    /// snapshots the families the interval record reports deltas of.
     fn begin_interval(&mut self) -> Interval {
         let (i, t_i) = self.clock.tick();
         self.channel.begin_interval();
@@ -630,12 +662,9 @@ impl CellSimulation {
             uplinks: Vec::new(),
             observing,
             tally: Tally::default(),
-            overflow_before: self.overflow_exchanges,
-            violations_before: self.safety.violations,
-            faults_before: self.faults.totals(),
-            capacity_before: (observing && self.config.cache_capacity.is_some())
-                .then(|| self.capacity_totals()),
-            coop_before: self.coop_stats,
+            counted: Counted::default(),
+            query: QueryStats::default(),
+            before: observing.then(|| self.families()),
         }
     }
 
@@ -708,7 +737,7 @@ impl CellSimulation {
                 }
             }
         }
-        iv.tally.updates = recs.len() as u64;
+        iv.counted.updates_applied = recs.len() as u64;
     }
 
     /// Phase 3: build and broadcast the report (not charged by the
@@ -843,7 +872,7 @@ impl CellSimulation {
                 self.obs.event(
                     iv.i,
                     "report_missed",
-                    &[
+                    [
                         ("client", Value::U64(idx as u64)),
                         ("fate", Value::Str(fate.to_string())),
                     ],
@@ -878,12 +907,12 @@ impl CellSimulation {
                 if let Some((_, Some(t_l))) = &sw.pre {
                     for &item in &po.invalidated {
                         if self.server.database().updated_at(item) <= *t_l {
-                            iv.tally.false_alarms += 1;
+                            iv.counted.sig_false_alarms += 1;
                         }
                     }
                 }
                 if let Some(u) = self.fleet.last_unmatched_subsets(idx) {
-                    iv.tally.unmatched += u as u64;
+                    iv.counted.sig_unmatched_subsets += u as u64;
                 }
             }
             for (item, piggyback) in outcome.uplink_requests {
@@ -933,13 +962,11 @@ impl CellSimulation {
                         // First deferral of a fresh exchange: count the
                         // overage once (retries are the same exchange).
                         self.overflow_exchanges += 1;
+                        iv.tally.overflow += 1;
                         if iv.observing {
                             let mu_id = self.fleet.id(idx);
-                            self.obs.event(
-                                i,
-                                "overflow",
-                                &[("client", Value::U64(mu_id)), ("item", Value::U64(item))],
-                            );
+                            self.obs
+                                .event(i, "overflow", [("client", mu_id), ("item", item)]);
                         }
                     }
                     ExchangeOutcome::FaultDeferred => {}
@@ -963,19 +990,22 @@ impl CellSimulation {
                         // The entry stays unmaterialized (a txn read
                         // aborts conservatively); count the overage
                         // like any deferred exchange.
-                        ExchangeOutcome::Saturated => self.overflow_exchanges += 1,
+                        ExchangeOutcome::Saturated => {
+                            self.overflow_exchanges += 1;
+                            iv.tally.overflow += 1;
+                        }
                         ExchangeOutcome::FaultDeferred => {}
                     }
                 }
                 self.fleet.settle_queries(idx, t_i);
                 if let (Some(before), Some(after)) = (before, self.client_query_stats(idx)) {
-                    iv.tally.query.absorb(&after.since(&before));
+                    iv.query.absorb(&after.since(&before));
                 }
             }
             if let Some((pre_stats, _)) = sw.pre {
-                let s = self.fleet.stats(idx);
-                iv.tally.hits += s.hit_events - pre_stats.hit_events;
-                iv.tally.misses += s.miss_events - pre_stats.miss_events;
+                let gained = self.fleet.stats(idx).since(&pre_stats);
+                iv.tally.hits += gained.hit_events;
+                iv.tally.misses += gained.miss_events;
             }
         }
     }
@@ -1043,6 +1073,7 @@ impl CellSimulation {
         let Some(history) = self.server.history() else {
             return Ok(());
         };
+        let before = self.safety;
         let safety = &mut self.safety;
         let mut check = |item, value, timestamp| {
             safety.entries_checked += 1;
@@ -1056,7 +1087,7 @@ impl CellSimulation {
                 check(row.item, row.value, row.timestamp);
             }
         }
-        let violations = self.safety.violations - iv.violations_before;
+        let violations = self.safety.since(&before).violations;
         if iv.observing {
             // Stale entries the strategy validated anyway — SIG's
             // false-validation risk made visible per interval.
@@ -1078,17 +1109,8 @@ impl CellSimulation {
 
     /// Phase 7: period boundaries and log hygiene.
     fn close_period(&mut self, iv: &Interval) {
-        if let Some((default_k, exceptions)) = self.server.close_interval() {
-            if iv.observing {
-                self.obs.event(
-                    iv.i,
-                    "adaptive_period",
-                    &[
-                        ("default_k", Value::U64(default_k as u64)),
-                        ("exceptions", Value::U64(exceptions as u64)),
-                    ],
-                );
-            }
+        if let Some(period) = self.server.close_interval() {
+            self.obs.event(iv.i, "adaptive_period", period.named());
         }
     }
 
@@ -1114,106 +1136,50 @@ impl CellSimulation {
     /// one series row). Nothing here feeds back into the simulation.
     fn record_interval(&mut self, iv: &Interval) {
         let arrivals = std::mem::take(&mut self.arrivals_since_step);
-        if !iv.observing {
+        let Some(before) = &iv.before else {
             return;
-        }
-        let tally = &iv.tally;
-        let uplinks: u64 = iv.uplinks.iter().map(|&c| c as u64).sum();
-        let overflow = self.overflow_exchanges - iv.overflow_before;
-        let ft = self.faults.totals();
-        let faults_before = &iv.faults_before;
-        self.obs.add("intervals", 1);
-        self.obs.add("updates_applied", tally.updates);
-        self.obs.add("overflow_exchanges", overflow);
-        self.obs.add("sig_false_alarms", tally.false_alarms);
-        self.obs.add("sig_unmatched_subsets", tally.unmatched);
+        };
+        let gained = self.families().since(before);
+        let row = Tally {
+            awake: iv.awake.len() as u64,
+            uplinks: iv.uplinks.iter().map(|&c| c as u64).sum(),
+            used_bits: self.channel.budget().used,
+            lost: gained.faults.reports_missed_total(),
+            retries: gained.faults.uplink_retries,
+            ..iv.tally
+        };
+        let counted = Counted {
+            intervals: 1,
+            overflow_exchanges: row.overflow,
+            ..iv.counted
+        };
+        self.obs.add_all(counted.named());
+        // Each family stays absent (and the traces of cells without it
+        // byte-identical) unless its plane is armed.
         if self.config.query.is_some() {
-            // The query-plane counter family mirrors the item-plane
-            // one; absent (and traces unchanged) unless a query
-            // config is armed.
-            self.obs.add("query_posed", tally.query.queries_posed);
-            self.obs.add("query_hits", tally.query.hits);
-            self.obs.add("query_misses", tally.query.misses);
-            self.obs
-                .add("query_invalidated", tally.query.entries_invalidated);
-            self.obs
-                .add("query_reverified", tally.query.entries_reverified);
-            self.obs.add("query_txn_commits", tally.query.txn_commits);
-            self.obs.add("query_txn_aborts", tally.query.txn_aborts);
+            self.obs.add_all(iv.query.named());
         }
         if self.faults.is_active() {
-            // The fault event family: counters stay absent (and
-            // faultless trace summaries stay byte-identical) unless
-            // a plan is actually armed.
-            self.obs
-                .add("reports_lost", ft.reports_lost - faults_before.reports_lost);
-            self.obs.add(
-                "frames_corrupted",
-                ft.frames_corrupted - faults_before.frames_corrupted,
-            );
-            self.obs.add(
-                "drift_missed_reports",
-                ft.drift_missed_reports - faults_before.drift_missed_reports,
-            );
-            self.obs.add(
-                "uplink_retries",
-                ft.uplink_retries - faults_before.uplink_retries,
-            );
-            self.obs.add(
-                "backoff_intervals",
-                ft.backoff_intervals - faults_before.backoff_intervals,
-            );
-            // Every whole-cache drop this interval followed a
-            // report gap (sleep- or fault-induced): the recovery
-            // cost the fig_loss sweep plots.
-            self.obs.add("cache_drops_on_gap", tally.drops);
+            self.obs.add_all(gained.faults.named());
+            // Every whole-cache drop this interval followed a report
+            // gap (sleep- or fault-induced): the recovery cost the
+            // fig_loss sweep plots.
+            self.obs.add("cache_drops_on_gap", row.drops);
         }
-        if let Some(before) = &iv.capacity_before {
-            // The eviction-statistics family: absent (and traces
-            // unchanged) unless the cell bounds its caches.
-            let after = self.capacity_totals();
-            self.obs
-                .add("capacity_evictions", after.evictions - before.evictions);
-            self.obs.add(
-                "capacity_misses",
-                after.capacity_misses - before.capacity_misses,
-            );
-            self.obs.add(
-                "evicted_then_requeried",
-                after.evicted_then_requeried - before.evicted_then_requeried,
-            );
+        if self.config.cache_capacity.is_some() {
+            self.obs.add_all(gained.capacity.named());
         }
         if self.config.coop.is_some() {
-            let (now, before) = (self.coop_stats, iv.coop_before);
-            self.obs
-                .add("coop_served", now.coop_served - before.coop_served);
-            self.obs.add("coop_bits", now.coop_bits - before.coop_bits);
-            self.obs
-                .add("coop_declined", now.coop_declined - before.coop_declined);
+            self.obs.add_all(gained.coop.named());
         }
-        self.obs.record("report_bits", tally.report_bits);
-        self.obs.record("awake_clients", iv.awake.len() as u64);
-        self.obs.record("uplinks_per_interval", uplinks);
-        self.obs.record("used_bits", self.channel.budget().used);
-        let mut row = vec![
-            iv.awake.len() as u64,
-            tally.hits,
-            tally.misses,
-            uplinks,
-            tally.invalidated,
-            tally.drops,
-            tally.report_bits,
-            self.channel.budget().used,
-            overflow,
-            ft.reports_missed_total() - faults_before.reports_missed_total(),
-            ft.uplink_retries - faults_before.uplink_retries,
-        ];
-        if self.config.backbone.is_some() {
-            // The mesh series column: units that arrived by handoff
-            // at the barrier preceding this interval.
-            row.push(arrivals);
-        }
-        self.obs.series_row(iv.i, &row);
+        self.obs.record("report_bits", row.report_bits);
+        self.obs.record("awake_clients", row.awake);
+        self.obs.record("uplinks_per_interval", row.uplinks);
+        self.obs.record("used_bits", row.used_bits);
+        // The mesh series column: units that arrived by handoff at the
+        // barrier preceding this interval.
+        let migrations = self.config.backbone.map(|_| arrivals);
+        self.obs.series_row(iv.i, row.values().chain(migrations));
     }
 
     /// Runs `intervals` broadcast intervals and summarizes.
@@ -1267,32 +1233,18 @@ impl CellSimulation {
 
     /// Snapshot of the metrics so far.
     pub fn report(&self) -> SimulationReport {
-        let mut hit_events = 0;
-        let mut miss_events = 0;
-        let mut queries_posed = 0;
-        let mut cache_drops = 0;
-        let mut items_invalidated = 0;
-        for s in self.fleet.stats_iter() {
-            hit_events += s.hit_events;
-            miss_events += s.miss_events;
-            queries_posed += s.queries_posed;
-            cache_drops += s.cache_drops;
-            items_invalidated += s.items_invalidated;
-        }
-        let mut query = QueryStats::default();
-        for plane in self.fleet.query_planes() {
-            query.absorb(&plane.stats());
-        }
+        let clients = self.client_totals();
+        let query = QueryStats::total(self.fleet.query_planes().map(QueryPlane::stats));
         let params = &self.config.params;
         SimulationReport {
             strategy: self.strategy.name(),
             intervals: self.channel.intervals_elapsed(),
             n_clients: self.present_clients(),
-            hit_events,
-            miss_events,
-            queries_posed,
-            cache_drops,
-            items_invalidated,
+            hit_events: clients.hit_events,
+            miss_events: clients.miss_events,
+            queries_posed: clients.queries_posed,
+            cache_drops: clients.cache_drops,
+            items_invalidated: clients.items_invalidated,
             report_bits_total: self.report_bits_total,
             traffic: self.channel.totals().clone(),
             overflow_exchanges: self.overflow_exchanges,
@@ -1302,7 +1254,7 @@ impl CellSimulation {
             query,
             migration: self.migration,
             faults: self.faults.totals(),
-            capacity: self.capacity_totals(),
+            capacity: clients.capacity(),
             coop: self.coop_stats,
             interval_bits: params.latency_secs * params.bandwidth_bps as f64,
             per_query_bits: (params.query_bits + params.answer_bits) as f64,
@@ -1489,6 +1441,61 @@ mod tests {
             .with_clients(8)
             .with_hotspot_size(20)
             .with_seed(42)
+    }
+
+    /// The series columns and the unconditional counters are the two
+    /// records' field names: pinned here against literals, because a
+    /// renamed field would otherwise rename a column silently.
+    #[test]
+    fn interval_records_name_the_series_columns_and_counters() {
+        sw_sim::counters::assert_laws::<Tally>();
+        sw_sim::counters::assert_laws::<Counted>();
+        assert_eq!(
+            Tally::NAMES,
+            [
+                "awake", "hits", "misses", "uplinks", "invalidated", "drops", "report_bits",
+                "used_bits", "overflow", "lost", "retries",
+            ]
+        );
+        assert_eq!(
+            Counted::NAMES,
+            [
+                "intervals", "updates_applied", "overflow_exchanges", "sig_false_alarms",
+                "sig_unmatched_subsets",
+            ]
+        );
+    }
+
+    /// One observed interval is one series row under that schema and
+    /// one `intervals` count; a bounded, query-armed cell adds its two
+    /// families whole, an unarmed cell neither.
+    #[cfg(feature = "observe")]
+    #[test]
+    fn observed_intervals_emit_the_records_and_only_the_armed_families() {
+        let plain = config(0.0).with_observe("plain");
+        let armed = config(0.0)
+            .with_observe("armed")
+            .with_query(sw_query::QueryPlaneConfig::new())
+            .with_cache_capacity(5);
+        let run = |cfg| {
+            let mut sim = CellSimulation::new(cfg, Strategy::BroadcastTimestamps).unwrap();
+            sim.run(12).unwrap().observe.expect("observing")
+        };
+        let (plain, armed) = (run(plain), run(armed));
+        for snap in [&plain, &armed] {
+            assert_eq!(snap.series.columns, Tally::NAMES);
+            assert_eq!(snap.series.rows.len(), 12);
+            assert_eq!(snap.counter("intervals"), 12);
+        }
+        let has = |snap: &sw_observe::ObserveSnapshot, name: &str| {
+            snap.counters.iter().any(|(counter, _)| *counter == name)
+        };
+        for family in [QueryStats::NAMES, CapacityStats::NAMES] {
+            for name in family {
+                assert!(has(&armed, name), "{name} missing from the armed cell");
+                assert!(!has(&plain, name), "{name} on an unarmed cell");
+            }
+        }
     }
 
     #[test]

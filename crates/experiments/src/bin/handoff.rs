@@ -50,11 +50,11 @@ fn new_cell(n: u64, k: u32, latency: SimDuration) -> Cell {
         db: Database::new(n, |i| i * 13 + 5, latency.scaled(k as f64 + 2.0)),
         ts: TsBuilder::new(latency, k),
         at: AtBuilder::new(latency),
-        uplink: UplinkProcessor::new(),
+        uplink: UplinkProcessor::with_universe(n),
     }
 }
 
-fn mu(seed: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit {
+fn mu(seed: u64, n: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit {
     let mut rng = MasterSeed(seed).stream(StreamId::Queries { index: seed });
     MobileUnit::new(
         MuConfig {
@@ -66,7 +66,7 @@ fn mu(seed: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit {
             replacement: ReplacementPolicy::Lru,
             replacement_window: SimDuration::ZERO,
             piggyback_hits: false,
-            item_universe: None,
+            item_universe: Some(n),
         },
         handler,
         &mut rng,
@@ -96,7 +96,7 @@ fn run_client(
     } else {
         ReportRule::at(latency)
     });
-    let mut client = mu(1, (0..25).collect(), handler);
+    let mut client = mu(1, n, (0..25).collect(), handler);
     let mut srng = MasterSeed(2).stream(StreamId::Sleep { index: 1 });
     let mut qrng = MasterSeed(3).stream(StreamId::Custom { tag: 1 });
 

@@ -22,6 +22,7 @@
 //! and every injection call compiles away. The *plan* types are always
 //! compiled so configs mentioning faults still type-check.
 
+use sw_sim::counters;
 use sw_sim::rng::MasterSeed;
 #[cfg(feature = "faults")]
 use sw_sim::rng::{RngStream, StreamId};
@@ -302,25 +303,27 @@ impl ReportFate {
     }
 }
 
-/// Aggregate fault counters for one run.
-///
-/// Always compiled (it appears in `SimulationReport`); all zeros when
-/// fault injection is compiled out or no plan is set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultTotals {
-    /// Reports dropped by the loss model.
-    pub reports_lost: u64,
-    /// Reports corrupted in flight (and detected by checksum).
-    pub frames_corrupted: u64,
-    /// Reports missed because drift pushed the wake-up past airtime.
-    pub drift_missed_reports: u64,
-    /// Failed uplink exchange attempts that were retried or abandoned.
-    pub uplink_retries: u64,
-    /// Backoff waits charged against the interval budget.
-    pub backoff_intervals: u64,
-    /// Corrupted frames the checksum failed to detect (must stay 0 for
-    /// single-bit-flip corruption; a 64-bit FNV-1a catches all of them).
-    pub undetected_corruptions: u64,
+counters! {
+    /// Aggregate fault counters for one run.
+    ///
+    /// Always compiled (it appears in `SimulationReport`); all zeros when
+    /// fault injection is compiled out or no plan is set.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct FaultTotals {
+        /// Reports dropped by the loss model.
+        pub reports_lost,
+        /// Reports corrupted in flight (and detected by checksum).
+        pub frames_corrupted,
+        /// Reports missed because drift pushed the wake-up past airtime.
+        pub drift_missed_reports,
+        /// Failed uplink exchange attempts that were retried or abandoned.
+        pub uplink_retries,
+        /// Backoff waits charged against the interval budget.
+        pub backoff_intervals,
+        /// Corrupted frames the checksum failed to detect (must stay 0 for
+        /// single-bit-flip corruption; a 64-bit FNV-1a catches all of them).
+        pub undetected_corruptions,
+    }
 }
 
 impl FaultTotals {
@@ -622,6 +625,11 @@ impl FaultLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fault_totals_obey_the_counter_laws() {
+        sw_sim::counters::assert_laws::<FaultTotals>();
+    }
 
     #[test]
     fn empty_plan_is_inert() {

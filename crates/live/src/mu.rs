@@ -17,7 +17,10 @@
 //! reports. Queries buffer in the unit until the next heard report
 //! answers them locally or sends them uplink — the paper's latency
 //! rule (§2) — and a missed or corrupt report triggers the strategy's
-//! own recovery at the next intact one.
+//! own recovery at the next intact one. However an interval went —
+//! slept through, blacked out mid-failover, missed, heard — it ends on
+//! one path: its [`DecisionRow`] is filed, shown on the flight ring and
+//! the gauges, audited, and sent as the lockstep `Done`.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
@@ -31,12 +34,11 @@ use sleepers::{CellConfig, ClientSeat, Strategy};
 use sw_client::handler::{time_from_micros, time_to_micros};
 use sw_client::{DigestScratch, MuStats};
 use sw_faults::{FaultLayer, ReportFate};
-use sw_observe::event::Value;
 use sw_observe::{ObserveSnapshot, Recorder};
 use sw_ops::{FlightRecorder, MetricsHub, Published};
 use sw_query::QueryStats;
 use sw_server::uplink::{PiggybackInfo, QueryAnswer};
-use sw_sim::{IntervalClock, RngStream, SimDuration, StreamId};
+use sw_sim::{Counters, IntervalClock, RngStream, SimDuration, StreamId};
 use sw_wireless::frame::{
     open_frame, seal_frame, FramePayload, WireDecodeError, WireEncode,
 };
@@ -610,15 +612,7 @@ impl Uplink {
         loop {
             if self.link.is_none() {
                 self.connect(index, udp_port, backoff, STARTUP_ATTEMPTS)?;
-                self.reconnects += 1;
-                flight.push(
-                    i,
-                    "reconnect",
-                    &[
-                        ("epoch", Value::U64(self.epoch_seen)),
-                        ("reconnects", Value::U64(self.reconnects)),
-                    ],
-                );
+                self.note_reconnect(i, flight);
             }
             let link = self.link.as_mut().expect("link just ensured");
             match link.recv() {
@@ -636,6 +630,14 @@ impl Uplink {
                 Err(_) => self.link = None,
             }
         }
+    }
+
+    /// Counts a mid-session re-registration and puts it on the flight
+    /// ring.
+    fn note_reconnect(&mut self, i: u64, flight: &mut FlightRecorder) {
+        self.reconnects += 1;
+        let fields = [("epoch", self.epoch_seen), ("reconnects", self.reconnects)];
+        flight.push(i, "reconnect", fields);
     }
 
     /// Best-effort send: a failure just drops the link (the next
@@ -753,50 +755,6 @@ pub fn run_mu(
     let mut consecutive_missed = 0u64;
     let mut storm_dumped = false;
     let mut last_heard_interval = 0u64;
-    let index_label = index.to_string();
-    let bounded = cfg.cache_capacity.is_some();
-    let publish_tick = |i: u64,
-                        heard: u64,
-                        missed: u64,
-                        window: u64,
-                        awake: bool,
-                        s: &MuStats,
-                        q: Option<QueryStats>| {
-        let Some(hub) = opts.metrics.as_ref() else {
-            return;
-        };
-        let answered = s.hit_events + s.miss_events;
-        let hit_ratio = if answered == 0 {
-            0.0
-        } else {
-            s.hit_events as f64 / answered as f64
-        };
-        let mut tick = Published::at(i)
-            .label("role", "mu")
-            .label("index", index_label.clone())
-            .label("strategy", strategy.name())
-            .gauge("awake", if awake { 1.0 } else { 0.0 })
-            .gauge("cache_hit_ratio", hit_ratio)
-            .gauge("reports_heard", heard as f64)
-            .gauge("reports_missed", missed as f64)
-            .gauge("staleness_window", window as f64)
-            .gauge("queries", s.queries_posed as f64);
-        if let Some(q) = q {
-            tick = tick
-                .gauge("sw_query_hits", q.hits as f64)
-                .gauge("sw_query_misses", q.misses as f64)
-                .gauge("sw_query_invalidated", q.entries_invalidated as f64)
-                .gauge("sw_query_txn_commits", q.txn_commits as f64)
-                .gauge("sw_query_txn_aborts", q.txn_aborts as f64);
-        }
-        if bounded {
-            tick = tick
-                .gauge("sw_capacity_evictions", s.evictions as f64)
-                .gauge("sw_capacity_misses", s.capacity_misses as f64);
-        }
-        hub.publish(tick);
-    };
-
     'session: for i in 1..=intervals {
         // `started == false` only mid-failover in lockstep: the
         // broadcaster skipped this interval entirely (it died before
@@ -823,210 +781,181 @@ pub fn run_mu(
         } else {
             true
         };
-        if i < live.next_wake() {
+        let row = if i < live.next_wake() {
             // Asleep: no listening, no rng draws — the simulator's
             // sleepers cost nothing per interval either.
-            let row = live.asleep_row(i);
-            rows.push(row);
-            flight.push(i, "decision", &[("awake", Value::U64(0))]);
-            publish_tick(
-                i,
-                reports_heard,
-                reports_missed,
-                i - last_heard_interval,
-                false,
-                &live.stats(),
-                live.query_stats(),
-            );
-            if lockstep {
-                if started {
-                    uplink.send_soft(&Msg::Done { row });
+            live.asleep_row(i)
+        } else {
+            live.begin_interval(i);
+            // The report's bytes and the fate they arrive under; `None`
+            // is a miss. A blackout interval draws no fate and reads no
+            // socket.
+            let delivered = if started {
+                let fate = live.report_fate(i);
+                let expected = live.expected_report_micros(i);
+                // Live-level receive drop (soak): the datagram is simply
+                // never read; a fate that already missed the report
+                // skips the socket too (the bytes go stale and are
+                // discarded by timestamp). A corruption fate still needs
+                // the real bytes to flip.
+                let dropped_rx = match rx_drop_rng.as_mut() {
+                    Some(rng) => rng.uniform() < opts.rx_drop,
+                    None => false,
+                };
+                let wants_bytes =
+                    fate == ReportFate::Heard && !dropped_rx || fate == ReportFate::Corrupted;
+                let deadline = if lockstep {
+                    Instant::now() + Duration::from_secs(5)
+                } else {
+                    t0 + interval * i as u32 + paced_grace(interval)
+                };
+                if wants_bytes {
+                    recv_report(
+                        &udp,
+                        &live,
+                        expected,
+                        deadline,
+                        &mut lookahead,
+                        &mut uplink.epoch_seen,
+                    )?
+                    .map(|datagram| (datagram, fate))
+                } else {
+                    None
                 }
             } else {
-                sleep_until(t0 + interval * i as u32);
-            }
-            continue;
-        }
-
-        live.begin_interval(i);
-        if !started {
-            live.miss_report();
-            reports_missed += 1;
-            consecutive_missed += 1;
-            obs.event(i, "report_missed", &[]);
-            flight.push(
-                i,
-                "report_blackout",
-                &[("consecutive", Value::U64(consecutive_missed))],
-            );
-            let row = live.end_interval(i);
-            rows.push(row);
-            publish_tick(
-                i,
-                reports_heard,
-                reports_missed,
-                i - last_heard_interval,
-                true,
-                &live.stats(),
-                live.query_stats(),
-            );
-            if opts.audit_cache {
-                audit.extend(live.audit_snapshot(i));
-            }
-            continue;
-        }
-        let fate = live.report_fate(i);
-        let expected = live.expected_report_micros(i);
-        // Live-level receive drop (soak): the datagram is simply never
-        // read; a fate that already missed the report skips the socket
-        // too (the bytes go stale and are discarded by timestamp). A
-        // corruption fate still needs the real bytes to flip.
-        let dropped_rx = match rx_drop_rng.as_mut() {
-            Some(rng) => rng.uniform() < opts.rx_drop,
-            None => false,
-        };
-        let wants_bytes = fate == ReportFate::Heard && !dropped_rx || fate == ReportFate::Corrupted;
-        let deadline = if lockstep {
-            Instant::now() + Duration::from_secs(5)
-        } else {
-            t0 + interval * i as u32 + paced_grace(interval)
-        };
-        let datagram = if wants_bytes {
-            recv_report(
-                &udp,
-                &live,
-                expected,
-                deadline,
-                &mut lookahead,
-                &mut uplink.epoch_seen,
-            )?
-        } else {
-            None
-        };
-        let requests = match &datagram {
-            Some(frame) => live
-                .hear_frame(frame, fate)
-                .map_err(|e| other_err(format!("undecodable report: {e}")))?,
-            None => {
-                live.miss_report();
-                Vec::new()
-            }
-        };
-        let heard = datagram.is_some() && fate == ReportFate::Heard;
-        if heard {
-            reports_heard += 1;
-            consecutive_missed = 0;
-            last_heard_interval = i;
-        } else {
-            reports_missed += 1;
-            obs.event(i, "report_missed", &[]);
-            consecutive_missed += 1;
-            flight.push(
-                i,
-                "report_missed",
-                &[("consecutive", Value::U64(consecutive_missed))],
-            );
-            if opts.storm_threshold > 0
-                && consecutive_missed >= opts.storm_threshold
-                && !storm_dumped
-            {
-                storm_dumped = true;
-                flight.push(
-                    i,
-                    "fault_storm",
-                    &[
-                        ("consecutive", Value::U64(consecutive_missed)),
-                        ("threshold", Value::U64(opts.storm_threshold)),
-                    ],
-                );
-                if let Some(dir) = opts.flight_dir.as_deref() {
-                    let path = dir.join(format!("sw-flight-mu{index}.ndjson"));
-                    let reason = format!(
-                        "fault storm: {consecutive_missed} consecutive missed \
-                         reports at interval {i}"
+                None
+            };
+            let requests = match &delivered {
+                Some((frame, fate)) => live
+                    .hear_frame(frame, *fate)
+                    .map_err(|e| other_err(format!("undecodable report: {e}")))?,
+                None => {
+                    live.miss_report();
+                    Vec::new()
+                }
+            };
+            let heard = matches!(delivered, Some((_, ReportFate::Heard)));
+            if heard {
+                reports_heard += 1;
+                consecutive_missed = 0;
+                last_heard_interval = i;
+            } else {
+                reports_missed += 1;
+                consecutive_missed += 1;
+                let missed = [("consecutive", consecutive_missed)];
+                obs.event(i, "report_missed", missed);
+                let kind = if started {
+                    "report_missed"
+                } else {
+                    "report_blackout"
+                };
+                flight.push(i, kind, missed);
+                if started
+                    && opts.storm_threshold > 0
+                    && consecutive_missed >= opts.storm_threshold
+                    && !storm_dumped
+                {
+                    storm_dumped = true;
+                    flight.push(
+                        i,
+                        "fault_storm",
+                        [
+                            ("consecutive", consecutive_missed),
+                            ("threshold", opts.storm_threshold),
+                        ],
                     );
-                    match flight.dump(&path, &reason) {
-                        Ok(n) => eprintln!(
-                            "mu{index}: fault storm; dumped {n}-byte flight ring to {}",
-                            path.display()
-                        ),
-                        Err(e) => eprintln!(
-                            "mu{index}: fault storm; flight dump to {} failed: {e}",
-                            path.display()
-                        ),
+                    if let Some(dir) = opts.flight_dir.as_deref() {
+                        let path = dir.join(format!("sw-flight-mu{index}.ndjson"));
+                        let reason = format!(
+                            "fault storm: {consecutive_missed} consecutive missed \
+                             reports at interval {i}"
+                        );
+                        match flight.dump(&path, &reason) {
+                            Ok(n) => eprintln!(
+                                "mu{index}: fault storm; dumped {n}-byte flight ring to {}",
+                                path.display()
+                            ),
+                            Err(e) => eprintln!(
+                                "mu{index}: fault storm; flight dump to {} failed: {e}",
+                                path.display()
+                            ),
+                        }
+                    }
+                }
+                if !lockstep && reconnect_after > 0 && consecutive_missed >= reconnect_after {
+                    // The broadcaster has gone quiet; probe the rotation
+                    // for the announced successor. Failure is soft — the
+                    // unit stays offline, treats further silence as
+                    // ordinary misses, and probes again next interval.
+                    uplink.drop_link();
+                    let budget = uplink.targets.len() as u32 * 2;
+                    if uplink
+                        .connect(index, udp_port, &mut backoff, budget)
+                        .is_ok()
+                    {
+                        consecutive_missed = 0;
+                        uplink.note_reconnect(i, &mut flight);
                     }
                 }
             }
-            if !lockstep && reconnect_after > 0 && consecutive_missed >= reconnect_after {
-                // The broadcaster has gone quiet; probe the rotation
-                // for the announced successor. Failure is soft — the
-                // unit stays offline, treats further silence as
-                // ordinary misses, and probes again next interval.
-                uplink.drop_link();
-                let budget = uplink.targets.len() as u32 * 2;
-                if uplink.connect(index, udp_port, &mut backoff, budget).is_ok() {
-                    uplink.reconnects += 1;
-                    consecutive_missed = 0;
-                    flight.push(
-                        i,
-                        "reconnect",
-                        &[
-                            ("epoch", Value::U64(uplink.epoch_seen)),
-                            ("reconnects", Value::U64(uplink.reconnects)),
-                        ],
-                    );
-                }
-            }
-        }
-        // Piggybacked hit histories are an adaptive-strategy input; the
-        // live wire carries the plain query (static strategies never
-        // read them server-side).
-        if !uplink.fetch(&mut live, requests.into_iter().map(|(item, _)| item))? {
-            halted = true;
-            break 'session;
-        }
-        if heard {
-            // Query plane, in the simulator's order: footprint check
-            // against the just-settled item cache, fetch the missing
-            // footprint rows over the same uplink, then materialize and
-            // resolve transactional reads. Missed reports skip all of
-            // it — the plane already queued its work via miss_report.
-            let footprint = live.check_queries(i);
-            if !uplink.fetch(&mut live, footprint)? {
+            // Piggybacked hit histories are an adaptive-strategy input;
+            // the live wire carries the plain query (static strategies
+            // never read them server-side).
+            if !uplink.fetch(&mut live, requests.into_iter().map(|(item, _)| item))? {
                 halted = true;
                 break 'session;
             }
-            live.settle_queries(i);
-        }
-        let row = live.end_interval(i);
+            if heard {
+                // Query plane, in the simulator's order: footprint check
+                // against the just-settled item cache, fetch the missing
+                // footprint rows over the same uplink, then materialize
+                // and resolve transactional reads. Missed reports skip
+                // all of it — the plane already queued its work via
+                // miss_report.
+                let footprint = live.check_queries(i);
+                if !uplink.fetch(&mut live, footprint)? {
+                    halted = true;
+                    break 'session;
+                }
+                live.settle_queries(i);
+            }
+            live.end_interval(i)
+        };
+        // The one way interval `i` finishes — slept through, blacked
+        // out, missed or heard: the row is filed, shown on the flight
+        // ring and the gauges, audited, and (lockstep) releases the
+        // server's barrier.
         rows.push(row);
-        flight.push(
-            i,
-            "decision",
-            &[
-                ("awake", Value::U64(1)),
-                ("heard", Value::U64(row.heard as u64)),
-                ("queries", Value::U64(row.queries)),
-                ("hits", Value::U64(row.hits)),
-                ("misses", Value::U64(row.misses)),
-                ("invalidated", Value::U64(row.invalidated)),
-                ("drops", Value::U64(row.drops)),
-            ],
-        );
-        publish_tick(
-            i,
-            reports_heard,
-            reports_missed,
-            i - last_heard_interval,
-            true,
-            &live.stats(),
-            live.query_stats(),
-        );
-        if opts.audit_cache {
+        flight.push(i, "decision", row.flight_fields());
+        if let Some(hub) = opts.metrics.as_ref() {
+            let s = live.stats();
+            let mut tick = Published::at(i)
+                .label("role", "mu")
+                .label("index", index.to_string())
+                .label("strategy", strategy.name())
+                .gauge("awake", if row.awake { 1.0 } else { 0.0 })
+                .gauge("cache_hit_ratio", s.hit_ratio())
+                .gauge("reports_heard", reports_heard as f64)
+                .gauge("reports_missed", reports_missed as f64)
+                .gauge("staleness_window", (i - last_heard_interval) as f64)
+                .gauge("queries", s.queries_posed as f64);
+            if let Some(q) = live.query_stats() {
+                tick = tick.gauges(q.named());
+            }
+            if cfg.cache_capacity.is_some() {
+                tick = tick.gauges(s.capacity().named());
+            }
+            hub.publish(tick);
+        }
+        if row.awake && opts.audit_cache {
             audit.extend(live.audit_snapshot(i));
         }
         if lockstep {
-            uplink.send_soft(&Msg::Done { row });
+            if started {
+                uplink.send_soft(&Msg::Done { row });
+            }
+        } else if !row.awake {
+            sleep_until(t0 + interval * i as u32);
         }
     }
     if !halted {
@@ -1043,10 +972,7 @@ pub fn run_mu(
         obs.add("reports_missed", reports_missed);
         obs.add("cache_drops", stats.cache_drops);
         obs.add("items_invalidated", stats.items_invalidated);
-        obs.add("query_hits", query.hits);
-        obs.add("query_misses", query.misses);
-        obs.add("query_txn_commits", query.txn_commits);
-        obs.add("query_txn_aborts", query.txn_aborts);
+        obs.add_all(query.named());
     }
     Ok(LiveMuReport {
         index,

@@ -12,12 +12,18 @@
 //! ([`sw_wireless::frame::seal_frame`]) the simulator charges to the
 //! channel — so the codec under test on the UDP path is also the codec
 //! on the TCP path.
+//!
+//! [`DecisionRow`] — the client's per-interval record — is declared
+//! here once as a `counters!` record; its 97-byte wire form, the
+//! `Done` barrier message and the flight ring's `decision` line all
+//! walk that one field list.
 
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 
 use sw_client::MuStats;
 use sw_query::QueryStats;
+use sw_sim::{counters, Counters};
 use sw_wireless::frame::checksum64;
 
 /// Hard cap on a single control message, far above any real frame
@@ -25,49 +31,52 @@ use sw_wireless::frame::checksum64;
 /// bytes). Guards the length prefix against garbage peers.
 pub const MAX_MESSAGE: usize = 64 << 20;
 
-/// One client's decisions for one broadcast interval — the unit of the
-/// sim-vs-live conformance comparison. Every counter is the delta of
-/// the corresponding [`sw_client::MuStats`] field across the interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DecisionRow {
-    /// The broadcast interval index `i` (report time `T_i = i·L`).
-    pub interval: u64,
-    /// Whether the unit was awake for this interval.
-    pub awake: bool,
-    /// Whether an intact report was heard (always `false` when asleep).
-    pub heard: bool,
-    /// Queries posed during the interval.
-    pub queries: u64,
-    /// Query events answered from cache at the report.
-    pub hits: u64,
-    /// Query events that went uplink.
-    pub misses: u64,
-    /// Items invalidated by the report.
-    pub invalidated: u64,
-    /// Whole-cache drops (AT disconnection rule, TS window overrun).
-    pub drops: u64,
-    /// Query-plane results served from the result cache (zero unless
-    /// the session runs a query plane; the delta of
-    /// [`sw_query::QueryStats::hits`]).
-    pub qhits: u64,
-    /// Query-plane misses (materialization fetches went uplink).
-    pub qmisses: u64,
-    /// Multi-item transactional reads committed this interval.
-    pub qcommits: u64,
-    /// Multi-item transactional reads aborted this interval.
-    pub qaborts: u64,
-    /// Entries evicted by the replacement policy (zero unless the
-    /// session runs a bounded cache; the delta of
-    /// [`sw_client::MuStats::evictions`]).
-    pub evictions: u64,
-    /// Misses whose item had been evicted while still fresh — the
-    /// capacity-attributable share of the miss count.
-    pub capacity_misses: u64,
+counters! {
+    /// One client's decisions for one broadcast interval — the unit of the
+    /// sim-vs-live conformance comparison, and the one declaration the
+    /// wire row, the flight `decision` line and the `Done` barrier message
+    /// are projections of. Every counter is the delta of a
+    /// [`sw_client::MuStats`] or [`sw_query::QueryStats`] field across the
+    /// interval ([`DecisionRow::from_deltas`] says which).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct DecisionRow {
+        /// The broadcast interval index `i` (report time `T_i = i·L`).
+        pub interval: u64,
+        /// Whether the unit was awake for this interval.
+        pub awake: bool,
+        /// Whether an intact report was heard (always `false` when asleep).
+        pub heard: bool;
+        /// Queries posed during the interval.
+        pub queries,
+        /// Query events answered from cache at the report.
+        pub hits,
+        /// Query events that went uplink.
+        pub misses,
+        /// Items invalidated by the report.
+        pub invalidated,
+        /// Whole-cache drops (AT disconnection rule, TS window overrun).
+        pub drops,
+        /// Query-plane results served from the result cache (zero unless
+        /// the session runs a query plane).
+        pub qhits,
+        /// Query-plane misses (materialization fetches went uplink).
+        pub qmisses,
+        /// Multi-item transactional reads committed this interval.
+        pub qcommits,
+        /// Multi-item transactional reads aborted this interval.
+        pub qaborts,
+        /// Entries evicted by the replacement policy (zero unless the
+        /// session runs a bounded cache).
+        pub evictions,
+        /// Misses whose item had been evicted while still fresh — the
+        /// capacity-attributable share of the miss count.
+        pub capacity_misses,
+    }
 }
 
 impl DecisionRow {
-    /// Serialized width: interval + flags byte + eleven counters.
-    pub const WIRE_LEN: usize = 8 + 1 + 11 * 8;
+    /// Serialized width: interval + flags byte + one word per counter.
+    pub const WIRE_LEN: usize = 8 + 1 + 8 * Self::NAMES.len();
 
     /// Interval `i`'s row from the client's item- and query-plane stats
     /// before (`prev`, `prev_q`) and after (`s`, `q`) it: all zeros
@@ -79,54 +88,48 @@ impl DecisionRow {
         prev_q: &QueryStats,
         q: &QueryStats,
     ) -> Self {
-        if s.intervals_awake == prev.intervals_awake {
+        let (d, dq) = (s.since(prev), q.since(prev_q));
+        if d.intervals_awake == 0 {
             return Self {
                 interval: i,
                 ..Self::default()
             };
         }
-        let dq = q.since(prev_q);
         Self {
             interval: i,
             awake: true,
-            heard: s.reports_missed == prev.reports_missed,
-            queries: s.queries_posed - prev.queries_posed,
-            hits: s.hit_events - prev.hit_events,
-            misses: s.miss_events - prev.miss_events,
-            invalidated: s.items_invalidated - prev.items_invalidated,
-            drops: s.cache_drops - prev.cache_drops,
+            heard: d.reports_missed == 0,
+            queries: d.queries_posed,
+            hits: d.hit_events,
+            misses: d.miss_events,
+            invalidated: d.items_invalidated,
+            drops: d.cache_drops,
             qhits: dq.hits,
             qmisses: dq.misses,
             qcommits: dq.txn_commits,
             qaborts: dq.txn_aborts,
-            evictions: s.evictions - prev.evictions,
-            capacity_misses: s.capacity_misses - prev.capacity_misses,
+            evictions: d.evictions,
+            capacity_misses: d.capacity_misses,
         }
     }
 
-    /// Fixed-width big-endian encoding; decision logs are compared as
-    /// the concatenation of these.
+    /// The flight `decision` line: an asleep interval is the one field
+    /// saying so, an awake one carries the flags and every counter.
+    pub fn flight_fields(&self) -> impl Iterator<Item = (&'static str, u64)> + use<> {
+        let flags = [("awake", self.awake as u64), ("heard", self.heard as u64)];
+        let shown = if self.awake { Self::NAMES.len() + 2 } else { 1 };
+        flags.into_iter().chain(self.named()).take(shown)
+    }
+
+    /// Fixed-width big-endian encoding — interval, flags byte, then the
+    /// counters in declaration order; decision logs are compared as the
+    /// concatenation of these.
     pub fn to_bytes(&self) -> [u8; Self::WIRE_LEN] {
         let mut out = [0u8; Self::WIRE_LEN];
         out[0..8].copy_from_slice(&self.interval.to_be_bytes());
         out[8] = (self.awake as u8) | ((self.heard as u8) << 1);
-        for (slot, v) in [
-            self.queries,
-            self.hits,
-            self.misses,
-            self.invalidated,
-            self.drops,
-            self.qhits,
-            self.qmisses,
-            self.qcommits,
-            self.qaborts,
-            self.evictions,
-            self.capacity_misses,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            out[9 + slot * 8..17 + slot * 8].copy_from_slice(&v.to_be_bytes());
+        for (slot, v) in out[9..].chunks_exact_mut(8).zip(self.values()) {
+            slot.copy_from_slice(&v.to_be_bytes());
         }
         out
     }
@@ -136,26 +139,21 @@ impl DecisionRow {
         if b.len() != Self::WIRE_LEN {
             return Err(bad_data("decision row length"));
         }
-        let word = |i: usize| u64::from_be_bytes(b[i..i + 8].try_into().unwrap());
         if b[8] & !0b11 != 0 {
             return Err(bad_data("decision row flags"));
         }
-        Ok(Self {
-            interval: word(0),
+        let mut words = b[9..].chunks_exact(8);
+        let mut row = Self {
+            interval: u64::from_be_bytes(b[0..8].try_into().expect("8 bytes")),
             awake: b[8] & 1 != 0,
             heard: b[8] & 2 != 0,
-            queries: word(9),
-            hits: word(17),
-            misses: word(25),
-            invalidated: word(33),
-            drops: word(41),
-            qhits: word(49),
-            qmisses: word(57),
-            qcommits: word(65),
-            qaborts: word(73),
-            evictions: word(81),
-            capacity_misses: word(89),
-        })
+            ..Self::default()
+        };
+        row.zip(&Self::default(), |field, _| {
+            let word = words.next().expect("WIRE_LEN holds one word per counter");
+            *field = u64::from_be_bytes(word.try_into().expect("8 bytes"));
+        });
+        Ok(row)
     }
 }
 
@@ -604,6 +602,54 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The wire row's byte layout against a literal: `interval` at
+    /// 0..8, the flags byte at 8, then one big-endian word per counter
+    /// in declaration order. Sim and live share `to_bytes`, so
+    /// conformance cannot see a reordering; this can.
+    #[test]
+    fn decision_row_byte_layout_is_pinned() {
+        sw_sim::counters::assert_laws::<DecisionRow>();
+        let row = DecisionRow {
+            interval: 0x0102_0304_0506_0708,
+            awake: true,
+            heard: true,
+            queries: 0x11,
+            hits: 0x12,
+            misses: 0x13,
+            invalidated: 0x14,
+            drops: 0x15,
+            qhits: 0x16,
+            qmisses: 0x17,
+            qcommits: 0x18,
+            qaborts: 0x19,
+            evictions: 0x1A,
+            capacity_misses: 0x1B,
+        };
+        #[rustfmt::skip]
+        let expected: [u8; 97] = [
+            1, 2, 3, 4, 5, 6, 7, 8,
+            0b11,
+            0, 0, 0, 0, 0, 0, 0, 0x11, // queries
+            0, 0, 0, 0, 0, 0, 0, 0x12, // hits
+            0, 0, 0, 0, 0, 0, 0, 0x13, // misses
+            0, 0, 0, 0, 0, 0, 0, 0x14, // invalidated
+            0, 0, 0, 0, 0, 0, 0, 0x15, // drops
+            0, 0, 0, 0, 0, 0, 0, 0x16, // qhits
+            0, 0, 0, 0, 0, 0, 0, 0x17, // qmisses
+            0, 0, 0, 0, 0, 0, 0, 0x18, // qcommits
+            0, 0, 0, 0, 0, 0, 0, 0x19, // qaborts
+            0, 0, 0, 0, 0, 0, 0, 0x1A, // evictions
+            0, 0, 0, 0, 0, 0, 0, 0x1B, // capacity_misses
+        ];
+        assert_eq!(DecisionRow::WIRE_LEN, 97);
+        assert_eq!(row.to_bytes(), expected);
+        assert_eq!(DecisionRow::from_bytes(&expected).unwrap(), row);
+        let asleep = DecisionRow { awake: false, heard: false, ..row };
+        assert_eq!(asleep.to_bytes()[8], 0);
+        assert_eq!(asleep.flight_fields().collect::<Vec<_>>(), [("awake", 0)]);
+        assert_eq!(row.flight_fields().count(), 13);
+    }
 
     #[test]
     fn messages_round_trip_through_a_byte_pipe() {

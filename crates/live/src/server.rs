@@ -18,6 +18,11 @@
 //! registration condvar (all clients present → session starts) and
 //! the lockstep barrier condvar (all clients done → next interval).
 //!
+//! What a tick did is one record, `TickFacts`, declared beside
+//! `ticker_loop`: the flight ring's `report` line is its fields, the
+//! trace's series row and the `/metrics` gauges are read off it and off
+//! the session totals it is absorbed into.
+//!
 //! Pacing is either wall-clock (`Pace::Paced`, the daemon mode) or a
 //! TCP barrier (`Pace::Lockstep`, the conformance mode, where the
 //! session advances exactly one interval at a time with no timers at
@@ -35,10 +40,9 @@ use sleepers::adaptive::FeedbackMethod;
 use sleepers::safety::ValueHistory;
 use sleepers::{CellConfig, CellServer, Strategy};
 use sw_client::handler::time_to_micros;
-use sw_observe::event::Value;
 use sw_observe::{ObserveSnapshot, Recorder};
 use sw_ops::{FlightRecorder, MetricsExporter, MetricsHub, Published};
-use sw_sim::{IntervalClock, SimDuration};
+use sw_sim::{counters, Counters, IntervalClock, SimDuration};
 use sw_wireless::frame::{open_frame, seal_frame, FramePayload, WireEncode};
 
 use crate::proto::{DecisionRow, Msg};
@@ -659,6 +663,16 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                         "expected an uplink query frame",
                     ));
                 };
+                // The codec admits any `id_bits`-wide id; the database
+                // holds `n_items`. Refuse the rest here, as `Publish`
+                // does, before it can index the database under the
+                // core mutex every other thread needs.
+                if item >= shared.n_items {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("query for item {item} outside the universe"),
+                    ));
+                }
                 // No piggyback: the live frame does not carry it, which
                 // is why adaptive Method 1 is not servable.
                 let answer = shared
@@ -772,6 +786,57 @@ fn wait_for_registration(shared: &Shared, timeout: Duration) -> io::Result<()> {
     Ok(())
 }
 
+counters! {
+    /// What one report tick did — the flight ring's `report` line, field
+    /// for field. Every node builds one every tick (a silent replica's
+    /// `bytes` and `fanout_us` stay zero); the session totals are these
+    /// absorbed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct TickFacts {
+        bytes,
+        updates,
+        answers,
+        queue_depth,
+        build_us,
+        fanout_us,
+    }
+}
+
+impl TickFacts {
+    /// The tick that brings these session totals up to `server`'s
+    /// counters, with `queue_depth` publishes waiting.
+    fn next(&self, server: &CellServer, queue_depth: usize) -> TickFacts {
+        TickFacts {
+            updates: server.updates_applied() - self.updates,
+            answers: server.uplink_answers() - self.answers,
+            queue_depth: queue_depth as u64,
+            ..TickFacts::default()
+        }
+    }
+
+    /// The trace's series row: column names beside this tick's values.
+    fn series(&self) -> [(&'static str, u64); 3] {
+        [
+            ("report_bits", self.bytes * 8),
+            ("updates", self.updates),
+            ("answers", self.answers),
+        ]
+    }
+}
+
+/// The ticker's running view of its session: what `/metrics` shows
+/// after every tick.
+#[derive(Default)]
+struct TickView {
+    registered: usize,
+    epoch: u64,
+    primary: bool,
+    datagrams_sent: u64,
+    /// The latest tick, and every tick so far absorbed.
+    tick: TickFacts,
+    totals: TickFacts,
+}
+
 fn ticker_loop(
     shared: Arc<Shared>,
     latency: SimDuration,
@@ -781,13 +846,18 @@ fn ticker_loop(
     metrics: Option<(Arc<MetricsHub>, MetricsExporter)>,
     mut coordinator: Option<Box<dyn TickCoordinator>>,
 ) -> io::Result<LiveServerReport> {
-    let (mut epoch, mut is_primary) = match coordinator.as_deref() {
+    let (epoch, primary) = match coordinator.as_deref() {
         Some(c) => c.status(),
         None => (0, true),
     };
+    let mut view = TickView {
+        epoch,
+        primary,
+        ..TickView::default()
+    };
     // Phase 1: the primary waits for the full fleet; a replica serves
     // nobody yet and begins its (silent) cadence immediately.
-    if is_primary {
+    if view.primary {
         wait_for_registration(&shared, opts.registration_timeout)?;
     }
     let lockstep = shared.session.lockstep;
@@ -806,33 +876,17 @@ fn ticker_loop(
     let mut t0 = Instant::now();
     let udp = UdpSocket::bind(("0.0.0.0", 0))?;
     let mut clock = IntervalClock::new(latency);
-    let mut datagrams_sent = 0u64;
-    let mut report_bytes = 0u64;
     let mut report_bits = 0u64;
     let mut intervals_run = 0u64;
     if obs.is_enabled() {
-        obs.series_schema(&["report_bits", "updates", "answers"]);
+        obs.series_schema(TickFacts::default().series().map(|(column, _)| column));
         obs.add("clients_registered", greeted.len() as u64);
     }
-    let mut prev_answers = 0u64;
-    let mut prev_updates = 0u64;
     let mut flight = FlightRecorder::new(opts.flight_capacity);
     // Publishes one immutable view of this tick for scrapers; gauges
     // cover the uninstrumented build, the attached recorder snapshot
     // adds the full counter/histogram plane when `observe` is on.
-    #[allow(clippy::too_many_arguments)]
-    let publish_tick = |i: u64,
-                            obs: &Recorder,
-                            registered: usize,
-                            epoch: u64,
-                            primary: bool,
-                            queue_depth: usize,
-                            build: Duration,
-                            fanout: Duration,
-                            datagrams: u64,
-                            bytes: u64,
-                            answers: u64,
-                            updates: u64| {
+    let publish_tick = |i: u64, obs: &Recorder, view: &TickView| {
         let Some((hub, _)) = metrics.as_ref() else {
             return;
         };
@@ -840,16 +894,16 @@ fn ticker_loop(
             Published::at(i)
                 .label("role", "server")
                 .label("strategy", strategy_name)
-                .gauge("mu_registered", registered as f64)
-                .gauge("ha_epoch", epoch as f64)
-                .gauge("ha_role", if primary { 1.0 } else { 0.0 })
-                .gauge("uplink_queue_depth", queue_depth as f64)
-                .gauge("report_build_seconds", build.as_secs_f64())
-                .gauge("udp_fanout_seconds", fanout.as_secs_f64())
-                .gauge("datagrams_sent", datagrams as f64)
-                .gauge("report_bytes", bytes as f64)
-                .gauge("uplink_answers", answers as f64)
-                .gauge("updates_applied", updates as f64)
+                .gauge("mu_registered", view.registered as f64)
+                .gauge("ha_epoch", view.epoch as f64)
+                .gauge("ha_role", if view.primary { 1.0 } else { 0.0 })
+                .gauge("uplink_queue_depth", view.tick.queue_depth as f64)
+                .gauge("report_build_seconds", view.tick.build_us as f64 / 1e6)
+                .gauge("udp_fanout_seconds", view.tick.fanout_us as f64 / 1e6)
+                .gauge("datagrams_sent", view.datagrams_sent as f64)
+                .gauge("report_bytes", view.totals.bytes as f64)
+                .gauge("uplink_answers", view.totals.answers as f64)
+                .gauge("updates_applied", view.totals.updates as f64)
                 .snapshot(obs.snapshot()),
         );
     };
@@ -860,7 +914,7 @@ fn ticker_loop(
     'run: for _ in 0..opts.intervals {
         let (i, t_i) = clock.tick();
         let from = clock.report_time(i - 1);
-        if is_primary {
+        if view.primary {
             if let Pace::Paced { interval_ms } = opts.pace {
                 let due = t0 + Duration::from_millis(interval_ms) * i as u32;
                 if !paced_sleep_until(&shared, due) {
@@ -885,19 +939,19 @@ fn ticker_loop(
             },
             None => TickDirective::solo(local),
         };
-        epoch = dir.epoch;
-        is_primary = dir.primary;
+        (view.epoch, view.primary) = (dir.epoch, dir.primary);
+        let epoch = view.epoch;
         {
             let mut ha = shared.ha.lock().expect("ha lock");
             ha.epoch = epoch;
-            ha.primary = is_primary;
+            ha.primary = view.primary;
         }
         if dir.promoted {
             // Takeover: this replica is now the broadcaster. Record
             // it, dump the flight ring for the post-mortem, adopt the
             // original cadence, and (lockstep) wait for the fleet to
             // re-register — nobody can answer a Start before that.
-            flight.push(i, "takeover", &[("epoch", Value::U64(epoch))]);
+            flight.push(i, "takeover", [("epoch", epoch)]);
             if let Some(dir_path) = opts.flight_dir.as_deref() {
                 let path = dir_path.join("sw-flight-takeover.ndjson");
                 let reason = format!("takeover at interval {i}, epoch {epoch}");
@@ -919,16 +973,15 @@ fn ticker_loop(
             }
         }
         let build_started = Instant::now();
-        let queue_depth = dir.publishes.len();
-        let (payload, answers_now, updates_now) = {
+        let (payload, mut tick) = {
             let _span = obs.span("report_build");
             let mut core = shared.core.lock().expect("core lock");
             core.server.advance(i, from, t_i, &dir.publishes);
-            (core.server.build(), core.server.uplink_answers(), core.server.updates_applied())
+            let payload = core.server.build();
+            (payload, view.totals.next(&core.server, dir.publishes.len()))
         };
-        let build_elapsed = build_started.elapsed();
+        tick.build_us = build_started.elapsed().as_micros() as u64;
         let peers = current_peers(&shared);
-        let mut fanout_elapsed = Duration::ZERO;
         if dir.broadcast {
             let datagram = {
                 let _span = obs.span("report_encode");
@@ -939,54 +992,22 @@ fn ticker_loop(
                 let _span = obs.span("udp_send");
                 for peer in &peers {
                     if udp.send_to(&datagram, peer.udp).is_ok() {
-                        datagrams_sent += 1;
+                        view.datagrams_sent += 1;
                     }
                 }
             }
-            fanout_elapsed = fanout_started.elapsed();
-            report_bytes += datagram.len() as u64;
+            tick.fanout_us = fanout_started.elapsed().as_micros() as u64;
+            tick.bytes = datagram.len() as u64;
             report_bits += shared.encode.payload_bits(&payload);
-            if obs.is_enabled() {
-                obs.add("reports_built", 1);
-                obs.series_row(
-                    i,
-                    &[
-                        datagram.len() as u64 * 8,
-                        updates_now - prev_updates,
-                        answers_now - prev_answers,
-                    ],
-                );
-            }
-            flight.push(
-                i,
-                "report",
-                &[
-                    ("bytes", Value::U64(datagram.len() as u64)),
-                    ("updates", Value::U64(updates_now - prev_updates)),
-                    ("answers", Value::U64(answers_now - prev_answers)),
-                    ("queue_depth", Value::U64(queue_depth as u64)),
-                    ("build_us", Value::U64(build_elapsed.as_micros() as u64)),
-                    ("fanout_us", Value::U64(fanout_elapsed.as_micros() as u64)),
-                ],
-            );
+            obs.add("reports_built", 1);
+            obs.series_row(i, tick.series().map(|(_, value)| value));
+            flight.push(i, "report", tick.named());
         }
         intervals_run = i;
-        prev_updates = updates_now;
-        prev_answers = answers_now;
-        publish_tick(
-            i,
-            &obs,
-            peers.len(),
-            epoch,
-            is_primary,
-            queue_depth,
-            build_elapsed,
-            fanout_elapsed,
-            datagrams_sent,
-            report_bytes,
-            answers_now,
-            updates_now,
-        );
+        view.registered = peers.len();
+        view.tick = tick;
+        view.totals.absorb(&tick);
+        publish_tick(i, &obs, &view);
         if let Some(c) = coordinator.as_deref_mut() {
             if let Err(e) = c.after_broadcast(i) {
                 crash_err = Some(e);
@@ -1027,25 +1048,9 @@ fn ticker_loop(
         // close periods exactly as the simulator does regardless of
         // uplink arrival order.
         let closed = shared.core.lock().expect("core lock").server.close_interval();
-        if let Some((default_k, exceptions)) = closed {
-            if obs.is_enabled() {
-                obs.event(
-                    i,
-                    "adaptive_period",
-                    &[
-                        ("default_k", Value::U64(default_k as u64)),
-                        ("exceptions", Value::U64(exceptions as u64)),
-                    ],
-                );
-            }
-            flight.push(
-                i,
-                "adaptive_period",
-                &[
-                    ("default_k", Value::U64(default_k as u64)),
-                    ("exceptions", Value::U64(exceptions as u64)),
-                ],
-            );
+        if let Some(period) = closed {
+            obs.event(i, "adaptive_period", period.named());
+            flight.push(i, "adaptive_period", period.named());
         }
     }
 
@@ -1088,41 +1093,31 @@ fn ticker_loop(
         let mut bar = shared.bar.lock().expect("barrier lock");
         std::mem::take(&mut bar.rows)
     };
-    let registered = shared.reg.lock().expect("registry lock").registered;
+    view.registered = shared.reg.lock().expect("registry lock").registered;
     let mut core = shared.core.lock().expect("core lock");
-    if obs.is_enabled() {
-        obs.add("updates_applied", core.server.updates_applied());
-        obs.add("publishes_applied", core.server.publishes_applied());
-        obs.add("uplink_answers", core.server.uplink_answers());
-        obs.add("report_bytes", report_bytes);
-    }
     // One last view so a scraper that polls right at session end sees
-    // the final totals, then tear the endpoint down with the session.
-    publish_tick(
-        intervals_run,
-        &obs,
-        registered,
-        epoch,
-        is_primary,
-        core.pending_publishes.len(),
-        Duration::ZERO,
-        Duration::ZERO,
-        datagrams_sent,
-        report_bytes,
-        core.server.uplink_answers(),
-        core.server.updates_applied(),
-    );
+    // the final totals (uplink answers keep arriving after the last
+    // tick), then tear the endpoint down with the session.
+    view.tick = view.totals.next(&core.server, core.pending_publishes.len());
+    view.totals.absorb(&view.tick);
+    if obs.is_enabled() {
+        obs.add("updates_applied", view.totals.updates);
+        obs.add("publishes_applied", core.server.publishes_applied());
+        obs.add("uplink_answers", view.totals.answers);
+        obs.add("report_bytes", view.totals.bytes);
+    }
+    publish_tick(intervals_run, &obs, &view);
     if let Some((_, mut exporter)) = metrics {
         exporter.shutdown();
     }
     Ok(LiveServerReport {
         intervals: intervals_run,
-        datagrams_sent,
-        report_bytes,
+        datagrams_sent: view.datagrams_sent,
+        report_bytes: view.totals.bytes,
         report_bits,
-        updates_applied: core.server.updates_applied(),
+        updates_applied: view.totals.updates,
         publishes_applied: core.server.publishes_applied(),
-        uplink_answers: core.server.uplink_answers(),
+        uplink_answers: view.totals.answers,
         rows,
         history: core.server.take_history(),
         observe: obs.snapshot(),
@@ -1148,6 +1143,21 @@ fn paced_sleep_until(shared: &Shared, due: Instant) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tick_facts_obey_the_counter_laws_and_project_their_series() {
+        sw_sim::counters::assert_laws::<TickFacts>();
+        let tick = TickFacts {
+            bytes: 25,
+            updates: 3,
+            answers: 2,
+            ..TickFacts::default()
+        };
+        assert_eq!(
+            tick.series(),
+            [("report_bits", 200), ("updates", 3), ("answers", 2)]
+        );
+    }
 
     #[test]
     fn late_done_after_the_rows_were_harvested_is_an_error_not_a_panic() {

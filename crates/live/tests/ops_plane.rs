@@ -9,8 +9,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use sleepers::query::QueryPlaneConfig;
 use sleepers::{CellConfig, Strategy};
-use sw_live::{run_mu, LiveOptions, LiveServer, MetricsHub, MuOptions};
+use sw_live::{run_mu, LiveMuReport, LiveOptions, LiveServer, MetricsHub, MuOptions};
+use sw_observe::Value;
 use sw_workload::ScenarioParams;
 
 const CLIENTS: usize = 3;
@@ -190,5 +192,137 @@ fn rx_drop_storm_dumps_flight_ring() {
     );
     // Units that heard their reports never dump.
     assert!(!dir.join("sw-flight-mu1.ndjson").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A lockstep TS session over a query-armed cell whose caches hold 12
+/// of each unit's 15 hot items, so both optional counter families
+/// move. `options(idx)` configures unit `idx`.
+fn query_bounded_session(
+    cfg: &CellConfig,
+    intervals: u64,
+    options: impl Fn(usize) -> MuOptions,
+) -> Vec<LiveMuReport> {
+    let handle = LiveServer::spawn(
+        cfg.clone(),
+        Strategy::BroadcastTimestamps,
+        LiveOptions::lockstep(intervals),
+    )
+    .expect("spawn live server");
+    let addr = handle.addr();
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|idx| {
+            let (cfg, opts) = (cfg.clone(), options(idx));
+            thread::spawn(move || run_mu(addr, &cfg, Strategy::BroadcastTimestamps, idx, opts))
+        })
+        .collect();
+    let reports = workers
+        .into_iter()
+        .map(|w| w.join().expect("client thread").expect("client session"))
+        .collect();
+    handle.wait().expect("server session");
+    reports
+}
+
+fn query_bounded_cell(s: f64, seed: u64) -> CellConfig {
+    cell(s, seed)
+        .with_query(QueryPlaneConfig::new())
+        .with_cache_capacity(12)
+}
+
+/// The renderer prefixes `sw_` itself, so the MU must publish its
+/// query and capacity families unprefixed — as `QueryStats` and
+/// `CapacityStats` name them — for `/metrics` to read as DESIGN §15
+/// documents.
+#[test]
+fn mu_metrics_page_names_the_query_and_capacity_families_once() {
+    let hub = MetricsHub::new();
+    let cfg = query_bounded_cell(0.0, 0x0B5E_0015);
+    let reports = query_bounded_session(&cfg, 30, |idx| MuOptions {
+        metrics: (idx == 0).then(|| Arc::clone(&hub)),
+        ..MuOptions::default()
+    });
+    let page = sw_ops::prom::render_metrics(&hub.read());
+    for name in [
+        "sw_query_hits",
+        "sw_query_misses",
+        "sw_query_invalidated",
+        "sw_query_txn_commits",
+        "sw_query_txn_aborts",
+        "sw_capacity_evictions",
+        "sw_capacity_misses",
+    ] {
+        assert!(gauge(&page, name).is_some(), "{name} is not on the page:\n{page}");
+    }
+    let doubled: Vec<_> = page.lines().filter(|l| l.starts_with("sw_sw_")).collect();
+    assert!(doubled.is_empty(), "doubly prefixed metrics: {doubled:?}");
+    // The families are the unit's own counters, not placeholders.
+    let mu0 = &reports[0];
+    assert!(mu0.query.hits > 0 && mu0.stats.evictions > 0, "the session was too quiet");
+    assert_eq!(gauge(&page, "sw_query_hits"), Some(mu0.query.hits as f64));
+    assert_eq!(
+        gauge(&page, "sw_capacity_evictions"),
+        Some(mu0.stats.evictions as f64)
+    );
+}
+
+/// Reads the unsigned field `name` off one NDJSON line.
+fn ndjson_field(line: &str, name: &str) -> Option<u64> {
+    let key = format!("\"{name}\":");
+    let digits = &line[line.find(&key)? + key.len()..];
+    digits.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok()
+}
+
+/// An awake interval's flight `decision` line is the whole
+/// `DecisionRow` — flags, then every counter — so the fault-storm dump
+/// can explain a query-plane or a capacity decision; an asleep
+/// interval stays the one field saying so.
+#[test]
+fn awake_decision_lines_carry_every_counter_into_the_storm_dump() {
+    let dir = std::env::temp_dir().join(format!("sw-ops-decision-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cfg = query_bounded_cell(0.3, 0x0B5E_0016);
+    let reports = query_bounded_session(&cfg, 200, |idx| MuOptions {
+        // Unit 0 loses every other report at the receiver: sooner or
+        // later six in a row, which is its storm.
+        rx_drop: if idx == 0 { 0.5 } else { 0.0 },
+        flight_capacity: 512,
+        storm_threshold: 6,
+        flight_dir: Some(dir.clone()),
+        ..MuOptions::default()
+    });
+
+    // The flags, then `DecisionRow`'s counters in declaration order.
+    let whole_row = [
+        "awake", "heard", "queries", "hits", "misses", "invalidated", "drops", "qhits", "qmisses",
+        "qcommits", "qaborts", "evictions", "capacity_misses",
+    ];
+    let (mut awake, mut asleep) = (0, 0);
+    for entry in reports[0].flight.entries().filter(|e| e.kind == "decision") {
+        let names: Vec<&str> = entry.fields.iter().map(|(name, _)| *name).collect();
+        if entry.fields[0] == ("awake", Value::U64(1)) {
+            assert_eq!(names, whole_row, "interval {}", entry.t);
+            awake += 1;
+        } else {
+            assert_eq!(entry.fields, [("awake", Value::U64(0))], "interval {}", entry.t);
+            asleep += 1;
+        }
+    }
+    assert!(awake > 0 && asleep > 0, "{awake} awake, {asleep} asleep");
+
+    let dump = std::fs::read_to_string(dir.join("sw-flight-mu0.ndjson"))
+        .expect("six reports in a row were lost and the ring was dumped");
+    let decisions: Vec<&str> = dump
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"decision\""))
+        .collect();
+    for counter in ["qhits", "evictions"] {
+        assert!(
+            decisions
+                .iter()
+                .any(|l| ndjson_field(l, counter).is_some_and(|v| v > 0)),
+            "no decision line before the storm shows a non-zero {counter}:\n{dump}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -35,7 +35,7 @@ use sleepers::capacity::{CapacityStats, CoopConfig, CoopDirectory, CoopFeed, Coo
 use sleepers::{
     CellConfig, CellSimulation, MigrationStats, SimulationError, SimulationReport, Strategy,
 };
-use sw_sim::{mesh_seed, MasterSeed, ParallelRunner, RngStream, StreamId};
+use sw_sim::{mesh_seed, Counters, MasterSeed, ParallelRunner, RngStream, StreamId};
 
 use crate::graph::CellGraph;
 use crate::mobility::MobilityModel;
@@ -359,14 +359,7 @@ impl MeshReport {
     /// level they agree with [`migrations`](MeshReport::migrations)
     /// over the same window.
     pub fn migration(&self) -> MigrationStats {
-        let mut total = MigrationStats::default();
-        for c in &self.cells {
-            total.migrations_in += c.migration.migrations_in;
-            total.migrations_out += c.migration.migrations_out;
-            total.handoff_drops += c.migration.handoff_drops;
-            total.cross_cell_registrations += c.migration.cross_cell_registrations;
-        }
-        total
+        MigrationStats::total(self.cells.iter().map(|c| c.migration))
     }
 
     /// Mesh-wide safety violations (stale cache entries validated).
@@ -377,20 +370,12 @@ impl MeshReport {
     /// Summed eviction statistics across all shards (zero when the
     /// mesh runs unbounded caches).
     pub fn capacity(&self) -> CapacityStats {
-        let mut total = CapacityStats::default();
-        for c in &self.cells {
-            total.absorb(c.capacity);
-        }
-        total
+        CapacityStats::total(self.cells.iter().map(|c| c.capacity))
     }
 
     /// Summed cooperative-miss statistics across all shards (zero when
     /// [`MeshConfig::with_coop`] was never armed).
     pub fn coop(&self) -> CoopStats {
-        let mut total = CoopStats::default();
-        for c in &self.cells {
-            total.absorb(c.coop);
-        }
-        total
+        CoopStats::total(self.cells.iter().map(|c| c.coop))
     }
 }

@@ -182,6 +182,15 @@ impl Recorder {
         }
     }
 
+    /// Adds every `(name, n)` pair of a counter record — what
+    /// `Counters::named()` yields — to the counters of those names.
+    #[inline]
+    pub fn add_all(&mut self, named: impl IntoIterator<Item = (&'static str, u64)>) {
+        if self.is_enabled() {
+            named.into_iter().for_each(|(name, n)| self.add(name, n));
+        }
+    }
+
     /// Records one sample into the named value histogram
     /// (deterministic data: bits, counts — never wall-clock).
     #[inline]
@@ -196,55 +205,60 @@ impl Recorder {
         }
     }
 
-    /// Appends one trace event at interval `t`.
-    pub fn event(&mut self, t: u64, kind: &'static str, fields: &[(&'static str, Value)]) {
+    /// Appends one trace event at interval `t`. Fields are `(name,
+    /// value)` pairs — `Value`s, or bare `u64`s as a counter record's
+    /// `named()` yields them.
+    pub fn event<V: Into<Value>>(
+        &mut self,
+        t: u64,
+        kind: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, V)>,
+    ) {
         #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.events.push(Event {
                 cell: 0,
                 t,
                 kind,
-                fields: fields.to_vec(),
+                fields: fields.into_iter().map(|(k, v)| (k, v.into())).collect(),
             });
         }
         #[cfg(not(feature = "observe"))]
         {
-            let _ = (&self, t, kind, fields);
+            let _ = (&self, t, kind, fields.into_iter());
         }
     }
 
-    /// Declares the time-series column schema (once, before any row).
-    pub fn series_schema(&mut self, columns: &[&'static str]) {
+    /// Declares the time-series column schema (once, before any row)
+    /// — a row record's `NAMES`.
+    pub fn series_schema(&mut self, columns: impl IntoIterator<Item = &'static str>) {
         #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
             debug_assert!(inner.columns.is_empty(), "series schema already declared");
-            inner.columns = columns.to_vec();
+            inner.columns = columns.into_iter().collect();
         }
         #[cfg(not(feature = "observe"))]
         {
-            let _ = (&self, columns);
+            let _ = (&self, columns.into_iter());
         }
     }
 
-    /// Appends one series row at interval `t`; `values` must be
-    /// parallel to the declared schema.
-    pub fn series_row(&mut self, t: u64, values: &[u64]) {
+    /// Appends one series row at interval `t`; `values` — a row
+    /// record's `values()` — must be parallel to the declared schema.
+    pub fn series_row(&mut self, t: u64, values: impl IntoIterator<Item = u64>) {
         #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
+            let values: Vec<u64> = values.into_iter().collect();
             debug_assert_eq!(
                 values.len(),
                 inner.columns.len(),
                 "series row width must match the declared schema"
             );
-            inner.rows.push(SeriesRow {
-                cell: 0,
-                t,
-                values: values.to_vec(),
-            });
+            inner.rows.push(SeriesRow { cell: 0, t, values });
         }
         #[cfg(not(feature = "observe"))]
         {
-            let _ = (&self, t, values);
+            let _ = (&self, t, values.into_iter());
         }
     }
 
@@ -357,9 +371,10 @@ mod tests {
         let mut rec = Recorder::disabled();
         rec.add("c", 1);
         rec.record("h", 10);
-        rec.event(1, "k", &[("f", Value::U64(1))]);
-        rec.series_schema(&["a"]);
-        rec.series_row(1, &[2]);
+        rec.add_all([("c", 1)]);
+        rec.event(1, "k", [("f", Value::U64(1))]);
+        rec.series_schema(["a"]);
+        rec.series_row(1, [2]);
         let t = rec.timer("t");
         rec.finish(t);
         drop(rec.span("s"));
@@ -373,12 +388,12 @@ mod tests {
     fn enabled_recorder_captures_everything() {
         let mut rec = Recorder::enabled("cell-0");
         assert!(rec.is_enabled());
-        rec.series_schema(&["hits", "misses"]);
-        rec.add("queries", 3);
+        rec.series_schema(["hits", "misses"]);
+        rec.add_all([("queries", 3)]);
         obs!(rec, add("queries", 2));
         rec.record("report_bits", 640);
-        rec.event(5, "overflow", &[("item", Value::U64(9))]);
-        rec.series_row(5, &[2, 1]);
+        rec.event(5, "overflow", [("item", 9u64)]);
+        rec.series_row(5, [2, 1]);
         {
             let _span = rec.span("build");
         }

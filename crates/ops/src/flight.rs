@@ -65,8 +65,15 @@ impl FlightRecorder {
         self.capacity == 0
     }
 
-    /// Appends one entry, evicting the oldest when full.
-    pub fn push(&mut self, t: u64, kind: &'static str, fields: &[(&'static str, Value)]) {
+    /// Appends one entry, evicting the oldest when full. Fields are
+    /// `(name, count)` pairs — a counter record's `named()`, or a
+    /// literal list.
+    pub fn push(
+        &mut self,
+        t: u64,
+        kind: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, u64)>,
+    ) {
         if self.capacity == 0 {
             return;
         }
@@ -77,7 +84,10 @@ impl FlightRecorder {
         self.entries.push_back(FlightEntry {
             t,
             kind,
-            fields: fields.to_vec(),
+            fields: fields
+                .into_iter()
+                .map(|(k, v)| (k, Value::U64(v)))
+                .collect(),
         });
     }
 
@@ -132,7 +142,7 @@ mod tests {
     fn ring_keeps_only_the_most_recent() {
         let mut fr = FlightRecorder::new(3);
         for t in 1..=5u64 {
-            fr.push(t, "decision", &[("queries", Value::U64(t))]);
+            fr.push(t, "decision", [("queries", t)]);
         }
         assert_eq!(fr.len(), 3);
         let ts: Vec<u64> = fr.entries().map(|e| e.t).collect();
@@ -153,7 +163,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_disabled() {
         let mut fr = FlightRecorder::new(0);
-        fr.push(1, "decision", &[]);
+        fr.push(1, "decision", []);
         assert!(fr.is_disabled());
         assert!(fr.is_empty());
         assert_eq!(fr.to_ndjson("r").lines().count(), 1, "meta line only");
@@ -162,7 +172,7 @@ mod tests {
     #[test]
     fn dump_writes_ndjson_to_disk() {
         let mut fr = FlightRecorder::new(2);
-        fr.push(7, "safety_violation", &[("item", Value::U64(42))]);
+        fr.push(7, "safety_violation", [("item", 42)]);
         let dir = std::env::temp_dir().join(format!("sw-ops-flight-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dump.ndjson");

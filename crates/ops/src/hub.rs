@@ -54,6 +54,14 @@ impl Published {
         self
     }
 
+    /// Sets one gauge per `(name, count)` pair of a counter record —
+    /// what `Counters::named()` yields.
+    pub fn gauges(self, named: impl IntoIterator<Item = (&'static str, u64)>) -> Self {
+        named
+            .into_iter()
+            .fold(self, |view, (name, v)| view.gauge(name, v as f64))
+    }
+
     /// Attaches the recorder snapshot (pass [`sw_observe::Recorder::snapshot`]
     /// output directly; `None` is the disabled recorder and is fine).
     pub fn snapshot(mut self, snap: Option<ObserveSnapshot>) -> Self {
@@ -114,12 +122,14 @@ mod tests {
             Published::at(7)
                 .label("strategy", "TS")
                 .gauge("queue_depth", 3.0)
-                .gauge("queue_depth", 4.0),
+                .gauge("queue_depth", 4.0)
+                .gauges([("answers", 5), ("updates", 6)]),
         );
         let view = hub.read();
         assert_eq!(view.interval, 7);
         assert_eq!(view.labels, vec![("strategy", "TS".to_string())]);
         assert_eq!(view.gauge_value("queue_depth"), Some(4.0));
+        assert_eq!(view.gauge_value("updates"), Some(6.0));
         assert_eq!(view.gauge_value("absent"), None);
         assert!(view.snapshot.is_none());
     }

@@ -25,19 +25,14 @@ pub struct EpsilonFilter {
 }
 
 impl EpsilonFilter {
-    /// Creates the filter with tolerance `ε` (absolute value units);
-    /// hashed baseline table for arbitrary item ids.
+    /// Creates the filter with tolerance `ε` (absolute value units)
+    /// over an unknown item universe.
     pub fn new(epsilon: u64) -> Self {
-        EpsilonFilter {
-            epsilon,
-            last_reported: ItemTable::hashed(),
-            suppressed: 0,
-            passed: 0,
-        }
+        Self::for_universe(epsilon, 0)
     }
 
-    /// Same, but dense over items `0..universe` — `should_report` sits
-    /// on the per-update path, so known universes skip hashing.
+    /// Same, pre-sized for items `0..universe` — `should_report` sits
+    /// on the per-update path.
     pub fn for_universe(epsilon: u64, universe: u64) -> Self {
         EpsilonFilter {
             epsilon,

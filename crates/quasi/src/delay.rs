@@ -31,18 +31,14 @@ pub struct ObligationTracker {
 
 impl ObligationTracker {
     /// Creates the tracker with allowed lag `α = alpha_intervals · L`
-    /// (hashed table — arbitrary item ids).
+    /// over an unknown item universe.
     pub fn new(alpha_intervals: u64) -> Self {
-        assert!(alpha_intervals >= 1, "α must be at least one interval");
-        ObligationTracker {
-            alpha_intervals,
-            lists: ItemTable::hashed(),
-        }
+        Self::for_universe(alpha_intervals, 0)
     }
 
-    /// Same, but with dense obligation lists over items `0..universe` —
-    /// `due` is probed for every database item on every report build,
-    /// so the dense layout keeps that scan hash-free.
+    /// Same, with the obligation lists pre-sized for items
+    /// `0..universe` — `due` is probed for every database item on every
+    /// report build.
     pub fn for_universe(alpha_intervals: u64, universe: u64) -> Self {
         assert!(alpha_intervals >= 1, "α must be at least one interval");
         ObligationTracker {

@@ -36,7 +36,7 @@
 
 use sw_client::Cache;
 use sw_server::ItemId;
-use sw_sim::{RngStream, SimTime};
+use sw_sim::{counters, RngStream, SimTime};
 use sw_workload::{QueryWorkload, QueryWorkloadSpec};
 
 /// A value predicate applied to an entry's footprint rows — the "stock
@@ -255,59 +255,34 @@ pub struct CommittedRead {
     pub pins: Vec<ResultRow>,
 }
 
-/// Counters the experiments and decision logs read out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Predicate queries drawn.
-    pub queries_posed: u64,
-    /// Query events answered from a verified entry.
-    pub hits: u64,
-    /// Query events that materialized (or re-materialized) an entry.
-    pub misses: u64,
-    /// Entries dropped by the footprint check.
-    pub entries_invalidated: u64,
-    /// Entries re-verified by the footprint check.
-    pub entries_reverified: u64,
-    /// Footprint items requested over the uplink.
-    pub fetch_items: u64,
-    /// Transactions begun.
-    pub txns_begun: u64,
-    /// Transactions committed (consistent snapshot witnessed).
-    pub txn_commits: u64,
-    /// Transactions aborted (non-serializable interleaving detected, or
-    /// a pin could not be read).
-    pub txn_aborts: u64,
+counters! {
+    /// Counters the experiments and decision logs read out, each under
+    /// the name it bears on a trace and a `/metrics` page.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct QueryStats {
+        /// Predicate queries drawn.
+        pub queries_posed as "query_posed",
+        /// Query events answered from a verified entry.
+        pub hits as "query_hits",
+        /// Query events that materialized (or re-materialized) an entry.
+        pub misses as "query_misses",
+        /// Entries dropped by the footprint check.
+        pub entries_invalidated as "query_invalidated",
+        /// Entries re-verified by the footprint check.
+        pub entries_reverified as "query_reverified",
+        /// Footprint items requested over the uplink.
+        pub fetch_items as "query_fetch_items",
+        /// Transactions begun.
+        pub txns_begun as "query_txns_begun",
+        /// Transactions committed (consistent snapshot witnessed).
+        pub txn_commits as "query_txn_commits",
+        /// Transactions aborted (non-serializable interleaving detected,
+        /// or a pin could not be read).
+        pub txn_aborts as "query_txn_aborts",
+    }
 }
 
 impl QueryStats {
-    /// Applies `f` to every counter paired with `other`'s: the one
-    /// field list [`absorb`](Self::absorb) and [`since`](Self::since)
-    /// share, so a new counter is added here and nowhere else.
-    fn zip(&mut self, other: &QueryStats, f: impl Fn(&mut u64, u64)) {
-        f(&mut self.queries_posed, other.queries_posed);
-        f(&mut self.hits, other.hits);
-        f(&mut self.misses, other.misses);
-        f(&mut self.entries_invalidated, other.entries_invalidated);
-        f(&mut self.entries_reverified, other.entries_reverified);
-        f(&mut self.fetch_items, other.fetch_items);
-        f(&mut self.txns_begun, other.txns_begun);
-        f(&mut self.txn_commits, other.txn_commits);
-        f(&mut self.txn_aborts, other.txn_aborts);
-    }
-
-    /// Folds another counter set into this one (fleet-level totals).
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.zip(other, |mine, theirs| *mine += theirs);
-    }
-
-    /// What these counters gained since the earlier snapshot `before`
-    /// of the same plane (per-interval deltas).
-    pub fn since(&self, before: &QueryStats) -> QueryStats {
-        let mut delta = *self;
-        delta.zip(before, |now, then| *now -= then);
-        delta
-    }
-
     /// Measured query hit ratio.
     pub fn hit_ratio(&self) -> f64 {
         let events = self.hits + self.misses;
@@ -635,7 +610,7 @@ impl QueryPlane {
 mod tests {
     use super::*;
     use sw_client::{CacheSlots, Verdict};
-    use sw_sim::{MasterSeed, StreamId};
+    use sw_sim::{Counters, MasterSeed, StreamId};
 
     fn rng(i: u64) -> RngStream {
         MasterSeed::TEST.stream(StreamId::QueryPlan { index: i })
@@ -660,10 +635,11 @@ mod tests {
     }
 
     /// Every field spelled out (no `..Default::default()`): a new
-    /// counter fails to compile here until it is given a value, and the
-    /// round trip below fails until `QueryStats::zip` lists it.
+    /// counter fails to compile here until it is given a value, and it
+    /// joins the round trip by being declared.
     #[test]
     fn since_then_absorb_round_trips_every_counter() {
+        sw_sim::counters::assert_laws::<QueryStats>();
         let after = QueryStats {
             queries_posed: 90,
             hits: 80,

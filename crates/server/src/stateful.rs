@@ -38,13 +38,13 @@ pub struct StatefulServer {
 }
 
 impl StatefulServer {
-    /// Creates an empty registry (hashed watcher index).
+    /// Creates an empty registry over an unknown item universe.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty registry with a dense watcher index over items
-    /// `0..universe` — no hashing on the per-update path.
+    /// Creates an empty registry with the watcher index pre-sized for
+    /// items `0..universe`.
     pub fn with_universe(universe: u64) -> Self {
         StatefulServer {
             watchers: ItemTable::dense(universe),

@@ -58,24 +58,22 @@ impl ItemUplinkStats {
 /// Answers uplink queries and accumulates the per-item statistics the
 /// adaptive controllers consume.
 ///
-/// The per-item table is dense when the item universe is known (the
-/// cell driver sizes it from the database), avoiding hashing on the
-/// per-query hot path.
+/// The per-item table is pre-sized when the item universe is known
+/// (the cell driver sizes it from the database) and grows otherwise; no
+/// hashing on the per-query hot path either way.
 #[derive(Debug, Clone, Default)]
 pub struct UplinkProcessor {
-    // `ItemTable`'s Default is the hashed layout, matching `new()`.
     stats: ItemTable<ItemUplinkStats>,
     total_uplink: u64,
 }
 
 impl UplinkProcessor {
-    /// Creates an empty processor over an unknown item universe
-    /// (hashed stats table).
+    /// Creates an empty processor over an unknown item universe.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a processor whose stats table is dense over items
+    /// Creates a processor whose stats table is pre-sized for items
     /// `0..universe`.
     pub fn with_universe(universe: u64) -> Self {
         UplinkProcessor {

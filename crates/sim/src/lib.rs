@@ -20,7 +20,10 @@
 //! * [`runner`] — the order-preserving parallel sweep runner
 //!   ([`ParallelRunner`]) and the two deterministic seed-derivation
 //!   domains ([`cell_seed`] for figure sweeps, [`mesh_seed`] for mesh
-//!   shards).
+//!   shards);
+//! * [`counters`] — the [`Counters`] trait and the [`counters!`] macro:
+//!   every stats struct and per-interval record declares its `u64`
+//!   fields once, and folds, deltas and sinks read that one list.
 //!
 //! All randomness is deterministic given a master seed, which makes the
 //! integration tests and the figure-regeneration experiments replayable.
@@ -28,11 +31,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod process;
 pub mod rng;
 pub mod runner;
 pub mod time;
 
+pub use counters::{Counters, MAX_COUNTERS};
 pub use process::{BernoulliIntervalProcess, IntervalClock, PoissonProcess};
 pub use rng::{MasterSeed, RngStream, StreamId};
 pub use runner::{cell_seed, mesh_seed, ParallelRunner};

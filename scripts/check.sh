@@ -105,26 +105,39 @@ echo "==> failover smoke (two-node sw-ha fleet, kill -9 primary mid-run, zero-st
 ha_dir=$(mktemp -d)
 ./target/release/sw-serve --port 0 --clients 2 --intervals 120 --interval-ms 25 \
     --ha-node 0 --ha-announce "$ha_dir/node0" --ha-peer "$ha_dir/node1" \
-    --announce "$ha_dir/addr0" >/dev/null 2>&1 &
+    --announce "$ha_dir/addr0" \
+    --metrics-port 0 --metrics-announce "$ha_dir/metrics0" >/dev/null 2>&1 &
 ha_pid0=$!
 ./target/release/sw-serve --port 0 --clients 2 --intervals 120 --interval-ms 25 \
     --ha-node 1 --ha-announce "$ha_dir/node1" --ha-peer "$ha_dir/node0" \
     --metrics-port 0 --metrics-announce "$ha_dir/metrics1" >"$ha_dir/serve1.log" 2>&1 &
 ha_pid1=$!
-retry [ -s "$ha_dir/addr0" ] && retry [ -s "$ha_dir/metrics1" ] || {
+retry [ -s "$ha_dir/addr0" ] && retry [ -s "$ha_dir/metrics0" ] &&
+    retry [ -s "$ha_dir/metrics1" ] || {
     echo "sw-ha fleet never announced its addresses" >&2
     kill "$ha_pid0" "$ha_pid1" 2>/dev/null || true
     exit 1
 }
 ha_addr0=$(cat "$ha_dir/addr0")
 ha_addr1=$(awk '{print $2}' "$ha_dir/node1")
+ha_metrics0=$(cat "$ha_dir/metrics0")
 ha_metrics1=$(cat "$ha_dir/metrics1")
 ./target/release/sw-mu --server "$ha_addr0,$ha_addr1" --index 0 --clients 2 >/dev/null &
 ha_mu0=$!
 ./target/release/sw-mu --server "$ha_addr0,$ha_addr1" --index 1 --clients 2 >/dev/null &
 ha_mu1=$!
-# Let the primary air ~40 of 120 intervals, then kill it the hard way.
-sleep 1
+# Kill the primary the hard way once its own metrics page says it is in
+# the middle third of the 120 intervals — mid-run by its clock, not by
+# this script's, on a slow host and a fast one alike.
+ha_mid_run() {
+    ./target/release/sw-top --metrics "$ha_metrics0" --once 2>/dev/null |
+        grep -Eq 'interval (4[1-9]|[5-7][0-9]|80)( |$)'
+}
+retry ha_mid_run || {
+    echo "primary never reported an interval in 41..80" >&2
+    kill "$ha_pid0" "$ha_pid1" "$ha_mu0" "$ha_mu1" 2>/dev/null || true
+    exit 1
+}
 kill -9 "$ha_pid0" 2>/dev/null || true
 # The takeover must be observable *during* the run: the replica's
 # epoch gauge bumps to 2 and its role flips to PRIMARY.

@@ -20,6 +20,7 @@ use std::net::SocketAddr;
 use std::thread;
 
 use sleepers::query::{QueryPlaneConfig, QueryStats};
+use sleepers::sim::Counters;
 use sleepers::{CellConfig, Strategy};
 use sw_live::{
     audit_against_history, run_mu, FlightRecorder, LiveMuReport, LiveOptions, LiveServer,
