@@ -113,7 +113,8 @@ impl RuleHandler {
 
     /// Number of subset signatures currently tracked (0 for the rules
     /// that track none).
-    pub fn tracked_subsets(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_subsets(&self) -> usize {
         match &self.state {
             State::Sig(s) => s.count,
             _ => 0,

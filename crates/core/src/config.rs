@@ -10,7 +10,7 @@ use sw_capacity::{CoopConfig, ReplacementPolicy};
 use sw_faults::FaultPlan;
 use sw_query::QueryPlaneConfig;
 use sw_sim::MasterSeed;
-use sw_wireless::{DeliveryMode, EnergyModel};
+use sw_wireless::DeliveryMode;
 use sw_workload::{Popularity, ScenarioParams};
 
 /// How the cell tracks which units wake in which interval.
@@ -100,9 +100,6 @@ pub struct CellConfig {
     /// Record full value history and verify the no-stale-reads
     /// invariant after every interval (O(updates) memory; test use).
     pub check_safety: bool,
-    /// Per-second energy weights for the client radio states (§9/§10
-    /// listening-cost accounting).
-    pub energy_model: EnergyModel,
     /// Optional per-client sleep probabilities, assigned cyclically —
     /// a *mixed population* of sleepers and workaholics in one cell
     /// (the paper analyzes homogeneous populations; the title's two
@@ -183,7 +180,6 @@ impl CellConfig {
             query_zipf: None,
             coop: None,
             check_safety: false,
-            energy_model: EnergyModel::default(),
             sleep_profile: None,
             wake_mode: None,
             observe: None,
@@ -267,12 +263,6 @@ impl CellConfig {
     /// Enables the per-interval no-stale-reads invariant checker.
     pub fn with_safety_checking(mut self) -> Self {
         self.check_safety = true;
-        self
-    }
-
-    /// Sets the client energy model.
-    pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy_model = model;
         self
     }
 

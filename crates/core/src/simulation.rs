@@ -53,7 +53,8 @@ use sw_server::{Database, ItemId, PiggybackInfo, QueryAnswer};
 use sw_sim::{counters, Counters, IntervalClock, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::frame::checksum64;
 use sw_wireless::{
-    BroadcastChannel, ChannelError, EnergyTotals, FramePayload, ReportDelivery, WireEncode,
+    BroadcastChannel, ChannelError, EnergyModel, EnergyTotals, FramePayload, ReportDelivery,
+    WireEncode,
 };
 
 use crate::config::{CellConfig, WakeMode};
@@ -1015,7 +1016,7 @@ impl CellSimulation {
     /// dependent), transmit their queries, receive their answers, and
     /// doze the rest of the interval.
     fn charge_energy(&mut self, iv: &Interval) {
-        let model = self.config.energy_model;
+        let model = EnergyModel::default();
         let params = &self.config.params;
         let interval = SimDuration::from_secs(params.latency_secs);
         // One O(1) charge settles the whole sleeping population for

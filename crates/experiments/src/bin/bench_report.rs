@@ -107,7 +107,7 @@ fn run_current(sleep_s: f64, warmup: u64, intervals: u64) -> (f64, f64, u64) {
             &format!("BENCH_series_s{sleep_s}.csv"),
             &snap.series_csv(),
         ) {
-            Ok(f) => eprintln!("wrote {}", f.path.display()),
+            Ok(f) => eprintln!("wrote {}", f.display()),
             Err(e) => eprintln!("could not write bench series: {e}"),
         }
     }

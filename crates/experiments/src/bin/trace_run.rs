@@ -89,13 +89,13 @@ fn trace_mesh(fast: bool) {
             ("series.csv", snap.series_csv()),
         ] {
             match write_text(&format!("trace_mesh.cell{cell}.{suffix}"), &body) {
-                Ok(f) => println!("wrote {}", f.path.display()),
+                Ok(f) => println!("wrote {}", f.display()),
                 Err(e) => eprintln!("could not write trace_mesh.cell{cell}.{suffix}: {e}"),
             }
         }
     }
     match write_text("trace_mesh.summary.txt", &combined) {
-        Ok(f) => println!("wrote {}", f.path.display()),
+        Ok(f) => println!("wrote {}", f.display()),
         Err(e) => eprintln!("could not write trace_mesh.summary.txt: {e}"),
     }
 }
@@ -170,7 +170,7 @@ fn trace_live(fast: bool) {
         ("summary.txt", summary),
     ] {
         match write_text(&format!("trace_live.{suffix}"), &body) {
-            Ok(f) => println!("wrote {}", f.path.display()),
+            Ok(f) => println!("wrote {}", f.display()),
             Err(e) => eprintln!("could not write trace_live.{suffix}: {e}"),
         }
     }
@@ -222,7 +222,7 @@ fn main() {
         ("summary.txt", summary),
     ] {
         match write_text(&format!("trace_fig{figure}.{suffix}"), &body) {
-            Ok(f) => println!("wrote {}", f.path.display()),
+            Ok(f) => println!("wrote {}", f.display()),
             Err(e) => eprintln!("could not write trace_fig{figure}.{suffix}: {e}"),
         }
     }

@@ -1,4 +1,4 @@
-//! E18 (ablations): the design knobs behind the strategies, swept one
+//! Ablations: the design knobs behind the strategies, swept one
 //! at a time on a Scenario-1-like base.
 //!
 //! * **TS window multiple k** — the sleeper-immunity vs report-size
@@ -24,8 +24,7 @@ fn base() -> ScenarioParams {
     p
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 150 } else { 600 };
     let mut out = serde_json::Map::new();
 
@@ -148,8 +147,5 @@ fn main() {
     println!("G = n is exact AT; coarser groups shrink the id list but");
     println!("invalidate innocent same-group neighbours (lower h).");
 
-    match sw_experiments::write_json("ablations", &serde_json::Value::Object(out)) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&serde_json::Value::Object(out))
 }

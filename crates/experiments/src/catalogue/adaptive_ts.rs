@@ -1,4 +1,4 @@
-//! E13: §8 adaptive invalidation reports.
+//! §8 adaptive invalidation reports.
 //!
 //! Reproduces the two motivating cases and the headline comparison:
 //!
@@ -22,7 +22,7 @@ struct ComparisonRow {
     report_bits_adaptive: u64,
 }
 
-fn run(strategy: Strategy, params: ScenarioParams, intervals: u64) -> SimulationReport {
+fn measure(strategy: Strategy, params: ScenarioParams, intervals: u64) -> SimulationReport {
     let cfg = CellConfig::new(params)
         .with_clients(12)
         .with_hotspot_size(20)
@@ -31,8 +31,7 @@ fn run(strategy: Strategy, params: ScenarioParams, intervals: u64) -> Simulation
     sim.run_measured(intervals / 4, intervals).unwrap()
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 300 } else { 1200 };
 
     // A sleepy population with a modest static window: static TS drops
@@ -43,17 +42,17 @@ fn main() {
     base.mu = 5e-4;
     base.k = 3;
 
-    println!("E13 — adaptive TS (per-item windows, Eq. 29–32) vs static TS");
+    println!("adaptive TS (per-item windows, Eq. 29–32) vs static TS");
     println!("{:>5} {:>9} {:>10} {:>12} {:>14} {:>16}", "s", "method", "h static", "h adaptive", "bits static", "bits adaptive");
     let mut rows = Vec::new();
     for &s in &[0.3, 0.5, 0.7] {
         let params = base.with_s(s);
-        let static_report = run(Strategy::BroadcastTimestamps, params, intervals);
+        let static_report = measure(Strategy::BroadcastTimestamps, params, intervals);
         for (label, method) in [
             ("method1", FeedbackMethod::Method1),
             ("method2", FeedbackMethod::Method2),
         ] {
-            let adaptive_report = run(
+            let adaptive_report = measure(
                 Strategy::AdaptiveTs {
                     method,
                     eval_period: 10,
@@ -134,8 +133,5 @@ fn main() {
         "hot_static_window_trajectory": hot_static_window,
         "hot_churn_window_trajectory": hot_churn_window,
     });
-    match sw_experiments::write_json("adaptive_ts", &payload) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&payload)
 }

@@ -1,4 +1,4 @@
-//! Regenerates the two asymptotic tables of §5 (experiments E7/E8):
+//! Regenerates the two asymptotic tables of §5:
 //! limits of q₀, p₀ and the hit ratios as s → 0, s → 1, and u₀ → 1,
 //! plus a programmatic check of §5's qualitative conclusions.
 
@@ -7,7 +7,7 @@ use sleepers::analysis::asymptotics::{
 };
 use sleepers::prelude::ScenarioParams;
 
-fn main() {
+pub(super) fn run(_fast: bool) -> String {
     let base = ScenarioParams::scenario1();
 
     println!("§5 Table 1 — limits as s → 0 (workaholics) and s → 1 (sleepers)");
@@ -53,8 +53,5 @@ fn main() {
             "claim": c, "holds": ok
         })).collect::<Vec<_>>(),
     });
-    match sw_experiments::write_json("asymptotics", &payload) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&payload)
 }

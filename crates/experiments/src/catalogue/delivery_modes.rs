@@ -1,4 +1,4 @@
-//! E15 (extension): §9 network environments and the §10 listening-cost
+//! Extension: §9 network environments and the §10 listening-cost
 //! discussion, quantified.
 //!
 //! The invalidation-report idea is network-agnostic, but *how* a dozing
@@ -22,7 +22,7 @@ struct Row {
     hit_ratio: f64,
 }
 
-fn run(strategy: Strategy, delivery: DeliveryMode, intervals: u64) -> SimulationReport {
+fn measure(strategy: Strategy, delivery: DeliveryMode, intervals: u64) -> SimulationReport {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 1e-3; // visible report sizes
@@ -37,8 +37,7 @@ fn run(strategy: Strategy, delivery: DeliveryMode, intervals: u64) -> Simulation
     sim.run_measured(intervals / 4, intervals).expect("fits")
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 150 } else { 600 };
 
     let modes = [
@@ -62,7 +61,7 @@ fn main() {
         Strategy::Signatures,
     ];
 
-    println!("E15 — report delivery modes (§9) and listening energy (§10)");
+    println!("report delivery modes (§9) and listening energy (§10)");
     println!(
         "{:>6} {:>22} {:>18} {:>14} {:>9}",
         "strat", "mode", "energy/client/ivl", "B_c bits", "h"
@@ -70,7 +69,7 @@ fn main() {
     let mut rows = Vec::new();
     for strategy in strategies {
         for (label, mode) in modes {
-            let r = run(strategy, mode, intervals);
+            let r = measure(strategy, mode, intervals);
             println!(
                 "{:>6} {:>22} {:>18.3} {:>14.1} {:>9.4}",
                 strategy.name(),
@@ -93,8 +92,5 @@ fn main() {
     println!("(TS > SIG > AT); across modes, clock skew is pure listening");
     println!("waste, and multicast NIC filtering eliminates it.");
 
-    match sw_experiments::write_json("delivery_modes", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

@@ -1,4 +1,4 @@
-//! E18 (extension): bounded caches under memory pressure.
+//! Extension: bounded caches under memory pressure.
 //!
 //! The paper's units cache every answer they ever fetch — fine for a
 //! 25-item hotspot, wrong for a palmtop. This sweep arms finite cache
@@ -13,12 +13,9 @@
 //! capacity, a fresh miss served from a neighbor cell's vouched copy
 //! (`b_coop` bits over the backbone) replaces a full uplink exchange,
 //! and the leg records exactly how many uplink bits that saves.
-//!
-//! `cargo run --release -p sw-experiments --bin fig_capacity`
-//! (`SW_FAST=1` for a coarse sweep).
 
 use sleepers::prelude::*;
-use sw_experiments::{cell_seed, ParallelRunner};
+use sw_sim::runner::{cell_seed, ParallelRunner};
 use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sw_sim::MasterSeed;
 
@@ -191,8 +188,7 @@ struct FigCapacity {
     coop: CoopLeg,
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 200 } else { 800 };
     let sleep_probs: &[f64] = if fast {
         &[0.0, 0.4, 0.8]
@@ -235,7 +231,7 @@ fn main() {
 
     let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals));
 
-    println!("E18 — bounded caches: capacity × replacement × strategy × s (theta = {THETA})");
+    println!("bounded caches: capacity × replacement × strategy × s (theta = {THETA})");
     println!(
         "{:>6} {:>10} {:>4} {:>5} {:>8} {:>8} {:>9} {:>9} {:>13}",
         "strat", "policy", "cap", "s", "hit", "evicted", "cap miss", "requery", "uplink bits"
@@ -299,8 +295,5 @@ fn main() {
     println!("cheaper backbone traffic at equal capacity.");
 
     let out = FigCapacity { rows, flips, coop };
-    match sw_experiments::write_json("fig_capacity", &out) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&out)
 }

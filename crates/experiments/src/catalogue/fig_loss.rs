@@ -1,4 +1,4 @@
-//! E16 (extension): caching strategies under report loss.
+//! Extension: caching strategies under report loss.
 //!
 //! The paper's recovery rules — AT drops its whole cache after any
 //! missed report, TS restamps across gaps shorter than `w = kL`, SIG
@@ -11,11 +11,11 @@
 //! matched average rate to show that *clustered* losses are the regime
 //! separating TS's window recovery from AT's drop-everything rule.
 //!
-//! Requires the `faults` cargo feature:
-//! `cargo run --release -p sw-experiments --features faults --bin fig_loss`.
+//! Injects nothing unless the `faults` cargo feature is compiled in;
+//! the catalogue row's `needs_faults` refuses to run it otherwise.
 
 use sleepers::prelude::*;
-use sw_experiments::{cell_seed, ParallelRunner};
+use sw_sim::runner::{cell_seed, ParallelRunner};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -64,15 +64,7 @@ fn run_cell(cell: &Cell, intervals: u64) -> Row {
     }
 }
 
-fn main() {
-    if !sleepers::faults::compiled_in() {
-        eprintln!(
-            "fig_loss: fault injection is compiled out; rebuild with \
-             `--features faults` to run this sweep"
-        );
-        std::process::exit(2);
-    }
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 200 } else { 800 };
     let rates: &[f64] = if fast {
         &[0.0, 0.05, 0.2]
@@ -111,7 +103,7 @@ fn main() {
 
     let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals));
 
-    println!("E16 — hit ratio and uplink traffic vs report loss");
+    println!("hit ratio and uplink traffic vs report loss");
     println!(
         "{:>6} {:>10} {:>7} {:>9} {:>14} {:>8} {:>8} {:>10}",
         "strat", "model", "loss", "h", "uplink bits", "drops", "lost", "missed/ci"
@@ -136,8 +128,5 @@ fn main() {
     println!("re-validate the surviving cache; bursty loss at a matched average");
     println!("rate widens the TS-vs-AT spread (multi-report gaps).");
 
-    match sw_experiments::write_json("fig_loss", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

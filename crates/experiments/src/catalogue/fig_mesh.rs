@@ -1,4 +1,4 @@
-//! E21 (extension): caching strategies under inter-cell mobility.
+//! Extension: caching strategies under inter-cell mobility.
 //!
 //! The paper's gap rules are derived for units that sleep through
 //! reports; a handoff produces the same gap (the one-interval transit
@@ -66,8 +66,7 @@ fn run_mesh(strategy: Strategy, tag: u64, rate: f64, intervals: u64) -> Row {
     }
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 200 } else { 600 };
     let rates: &[f64] = if fast {
         &[0.0, 0.05, 0.2]
@@ -90,7 +89,7 @@ fn main() {
         }
     }
 
-    println!("E21 — hit ratio, uplink traffic, and handoff drops vs migration rate");
+    println!("hit ratio, uplink traffic, and handoff drops vs migration rate");
     println!(
         "{:>6} {:>7} {:>9} {:>14} {:>8} {:>8} {:>8} {:>6}",
         "strat", "rate", "h", "uplink bits", "drops", "moves", "re-reg", "viol"
@@ -154,8 +153,5 @@ fn main() {
     println!("per move and collapses; SIG re-diagnoses with zero handoff drops; zero");
     println!("safety violations for the never-stale strategies.");
 
-    match sw_experiments::write_json("fig_mesh", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

@@ -1,4 +1,4 @@
-//! E17 (extension): query-result caching over the invalidation stream.
+//! Extension: query-result caching over the invalidation stream.
 //!
 //! The paper's figures measure the *item* cache. This sweep arms the
 //! `sw-query` plane — cached predicate screens plus multi-item
@@ -8,12 +8,9 @@
 //! uplink, entries dropped by the footprint check, and the fraction of
 //! multi-item reads aborted because their pinned rows straddled an
 //! update (non-serializable under the report clock).
-//!
-//! `cargo run --release -p sw-experiments --bin fig_query`
-//! (`SW_FAST=1` for a coarse sweep).
 
 use sleepers::prelude::*;
-use sw_experiments::{cell_seed, ParallelRunner};
+use sw_sim::runner::{cell_seed, ParallelRunner};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -69,8 +66,7 @@ fn run_cell(cell: &Cell, intervals: u64) -> Row {
     }
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 200 } else { 800 };
     let sleep_probs: &[f64] = if fast {
         &[0.0, 0.4, 0.8]
@@ -96,7 +92,7 @@ fn main() {
 
     let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals));
 
-    println!("E17 — query-result caching vs sleep probability");
+    println!("query-result caching vs sleep probability");
     println!(
         "{:>6} {:>5} {:>8} {:>8} {:>13} {:>8} {:>8} {:>8} {:>7} {:>8}",
         "strat", "s", "item h", "query h", "uplink bits", "fetched", "inval", "reverif", "txns", "abort%"
@@ -126,8 +122,5 @@ fn main() {
     println!("pinned reads across more reports, so more multi-item reads watch");
     println!("an update land between their legs and get detected-and-aborted.");
 
-    match sw_experiments::write_json("fig_query", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

@@ -1,4 +1,4 @@
-//! E20 (extension): inter-cell handoff — the future work §2 defers
+//! Extension: inter-cell handoff — the future work §2 defers
 //! ("In this article, we do not treat the case of MUs moving between
 //! cells. Therefore, all our algorithms deal with caching data within
 //! one cell only.").
@@ -188,11 +188,10 @@ fn run_mesh(strategy: Strategy, mobility: MobilityModel, intervals: u64) -> (f64
     (report.hit_ratio(), report.migration().handoff_drops)
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 300 } else { 1000 };
 
-    println!("E20 — inter-cell handoff with replicated servers and synchronized reports");
+    println!("inter-cell handoff with replicated servers and synchronized reports");
     println!();
     println!("Twin harness (single hand-driven client):");
     println!("{:>28} {:>10} {:>10}", "client", "h (TS)", "h (AT)");
@@ -245,8 +244,5 @@ fn main() {
     println!("§3 algorithms extend to mobility between cells without");
     println!("modification.");
 
-    match sw_experiments::write_json("handoff", &serde_json::Value::Array(rows)) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&serde_json::Value::Array(rows))
 }

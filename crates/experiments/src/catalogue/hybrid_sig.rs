@@ -1,4 +1,4 @@
-//! E16 (extension): §10's weighted hybrid reports — "the 'hot spot'
+//! Extension: §10's weighted hybrid reports — "the 'hot spot'
 //! items can be individually broadcasted, while the rest of the
 //! database items would participate in the signatures."
 //!
@@ -21,7 +21,7 @@ struct Row {
     report_bits_mean: f64,
 }
 
-fn run(strategy: Strategy, s: f64, intervals: u64) -> SimulationReport {
+fn measure(strategy: Strategy, s: f64, intervals: u64) -> SimulationReport {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 1e-3;
@@ -36,11 +36,10 @@ fn run(strategy: Strategy, s: f64, intervals: u64) -> SimulationReport {
     sim.run_measured(intervals / 4, intervals).expect("fits")
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 150 } else { 600 };
 
-    println!("E16 — §10 hybrid weighted reports under Zipf(1.0) queries");
+    println!("§10 hybrid weighted reports under Zipf(1.0) queries");
     println!(
         "{:>5} {:>6} {:>5} {:>9} {:>9} {:>12}",
         "s", "strat", "hot", "h", "e", "B_c bits"
@@ -55,7 +54,7 @@ fn main() {
             entries.push((Strategy::HybridSig { hot_count: hot }, hot));
         }
         for (strategy, hot) in entries {
-            let r = run(strategy, s, intervals);
+            let r = measure(strategy, s, intervals);
             println!(
                 "{:>5.1} {:>6} {:>5} {:>9.4} {:>9.4} {:>12.1}",
                 s,
@@ -80,8 +79,5 @@ fn main() {
     println!("for sleepers hybrid beats AT on hit ratio (cold items survive");
     println!("naps) while carrying a smaller id list than full TS would.");
 
-    match sw_experiments::write_json("hybrid_sig", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

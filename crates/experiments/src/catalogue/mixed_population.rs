@@ -1,4 +1,4 @@
-//! E19 (extension): a *mixed* population — the title's two species in
+//! Extension: a *mixed* population — the title's two species in
 //! one cell.
 //!
 //! The paper analyzes homogeneous populations (every client shares
@@ -23,8 +23,7 @@ struct Row {
     effectiveness: f64,
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 200 } else { 800 };
 
     let mut params = ScenarioParams::scenario1();
@@ -36,7 +35,7 @@ fn main() {
     // sleepers (s = 0.8).
     let profile = vec![0.0, 0.8];
 
-    println!("E19 — mixed population: half workaholics (s=0), half sleepers (s=0.8)");
+    println!("mixed population: half workaholics (s=0), half sleepers (s=0.8)");
     println!(
         "{:>6} {:>8} {:>8} {:>10} {:>10} {:>12} {:>8}",
         "strat", "h work", "h sleep", "lat mean", "lat max", "B_c bits", "e"
@@ -122,8 +121,5 @@ fn main() {
     println!("report tax on everyone. Max latency ≤ L = {} s for every strategy —", params.latency_secs);
     println!("the §2 guarantee of synchronous broadcasting, measured.");
 
-    match sw_experiments::write_json("mixed_population", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

@@ -1,4 +1,4 @@
-//! E12: §7 quasi-copies — how much report traffic the delay condition
+//! §7 quasi-copies — how much report traffic the delay condition
 //! (obligation lists) and the arithmetic condition (ε-filter) save,
 //! relative to plain TS reporting.
 
@@ -88,11 +88,10 @@ fn run_arithmetic(epsilon: u64, steps: u64) -> ArithmeticRow {
     }
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 150 } else { 600 };
 
-    println!("E12a — delay condition (obligation lists) vs plain TS, s=0.3, μ=1e-3");
+    println!("(a) delay condition (obligation lists) vs plain TS, s=0.3, μ=1e-3");
     println!(
         "{:>8} {:>16} {:>16} {:>9} {:>9} {:>9}",
         "α (×L)", "TS bits", "quasi bits", "saved %", "h plain", "h quasi"
@@ -113,7 +112,7 @@ fn main() {
     }
 
     println!();
-    println!("E12b — arithmetic condition: ε-filter suppression on random-walk prices");
+    println!("(b) arithmetic condition: ε-filter suppression on random-walk prices");
     println!("{:>8} {:>10} {:>10} {:>12}", "ε", "updates", "reported", "suppressed %");
     let steps = if fast { 20_000 } else { 100_000 };
     let mut arith_rows = Vec::new();
@@ -127,8 +126,5 @@ fn main() {
     }
 
     let payload = serde_json::json!({ "delay": delay_rows, "arithmetic": arith_rows });
-    match sw_experiments::write_json("quasi_copies", &payload) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&payload)
 }

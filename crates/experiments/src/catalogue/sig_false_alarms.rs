@@ -1,4 +1,4 @@
-//! E14: Monte-Carlo measurement of SIG's false-alarm and missed-
+//! Monte-Carlo measurement of SIG's false-alarm and missed-
 //! detection rates against the analytical quantities of §4.5 — the
 //! Chernoff bound of Eq. 22 and the detection guarantee of the
 //! degree-normalized decoder (see `sw_signature::syndrome` for why the
@@ -98,11 +98,10 @@ fn experiment(f: u32, d: u32, trials: u32) -> Row {
     }
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let trials = if fast { 10 } else { 60 };
 
-    println!("E14 — SIG diagnosis quality (Monte Carlo, n=1000, g=16, cache=30)");
+    println!("SIG diagnosis quality (Monte Carlo, n=1000, g=16, cache=30)");
     println!(
         "{:>4} {:>8} {:>8} {:>14} {:>14} {:>14}",
         "f", "actual d", "trials", "false alarm", "missed", "Chernoff(K)"
@@ -127,8 +126,5 @@ fn main() {
     println!("  * d > f: decoder returns a SUPERSET — false alarms climb,");
     println!("    detections stay (safe direction).");
 
-    match sw_experiments::write_json("sig_false_alarms", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

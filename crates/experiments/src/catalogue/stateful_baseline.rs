@@ -1,4 +1,4 @@
-//! E17 (extension): the §2 stateful-server baseline, measured.
+//! Extension: the §2 stateful-server baseline, measured.
 //!
 //! "To maintain the server state, the clients must inform the server
 //! when they come and go ... Besides, even if the client is not about
@@ -22,7 +22,7 @@ struct Row {
     hit_ratio_stateful: f64,
 }
 
-fn run(strategy: Strategy, clients: usize, s: f64, intervals: u64) -> SimulationReport {
+fn measure(strategy: Strategy, clients: usize, s: f64, intervals: u64) -> SimulationReport {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 2e-3;
@@ -35,11 +35,10 @@ fn run(strategy: Strategy, clients: usize, s: f64, intervals: u64) -> Simulation
     sim.run_measured(intervals / 4, intervals).expect("fits")
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals = if fast { 150 } else { 600 };
 
-    println!("E17 — stateful server (§2) vs stateless AT broadcast");
+    println!("stateful server (§2) vs stateless AT broadcast");
     println!(
         "{:>8} {:>5} {:>16} {:>16} {:>10} {:>9} {:>9}",
         "clients", "s", "stateless bits", "stateful bits", "reg msgs", "h (AT)", "h (SF)"
@@ -47,8 +46,8 @@ fn main() {
     let mut rows = Vec::new();
     for &clients in &[4usize, 8, 16, 32] {
         for &s in &[0.0, 0.4] {
-            let at = run(Strategy::AmnesicTerminals, clients, s, intervals);
-            let sf = run(Strategy::Stateful, clients, s, intervals);
+            let at = measure(Strategy::AmnesicTerminals, clients, s, intervals);
+            let sf = measure(Strategy::Stateful, clients, s, intervals);
             let stateless_bits = at.traffic.downlink_bits() - at.traffic.answer_bits;
             let stateful_bits = sf.traffic.downlink_bits() - sf.traffic.answer_bits;
             println!(
@@ -78,8 +77,5 @@ fn main() {
     println!("the stateful directed traffic and registration chatter grow");
     println!("with every client added — §2's argument, measured.");
 
-    match sw_experiments::write_json("stateful_baseline", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

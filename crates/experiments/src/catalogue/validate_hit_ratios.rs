@@ -1,4 +1,4 @@
-//! E11: validates the simulator against the closed-form hit ratios —
+//! Validates the simulator against the closed-form hit ratios —
 //! simulated `h_AT` vs Eq. 41, `h_SIG` vs Eq. 43, and `h_TS` against
 //! the Appendix-1 bounds — across a grid of (s, μ).
 
@@ -29,8 +29,7 @@ fn simulate(params: ScenarioParams, strategy: Strategy, intervals: u64) -> f64 {
         .hit_ratio()
 }
 
-fn main() {
-    let fast = std::env::var("SW_FAST").is_ok();
+pub(super) fn run(fast: bool) -> String {
     let intervals: u64 = if fast { 200 } else { 800 };
 
     // A small-n base so simulation is fast; hit ratios do not depend on
@@ -42,7 +41,7 @@ fn main() {
     let s_values = [0.0, 0.2, 0.4, 0.6, 0.8];
     let mu_values = [1e-4, 1e-3];
 
-    println!("E11 — simulated hit ratios vs the closed forms ({} intervals/cell)", intervals);
+    println!("simulated hit ratios vs the closed forms ({} intervals/cell)", intervals);
     println!(
         "{:>5} {:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9} {:>9} {:>6}",
         "s", "mu", "h_at sim", "Eq.41", "h_sig sim", "Eq.43", "h_ts sim", "lower", "upper", "in?"
@@ -94,8 +93,5 @@ fn main() {
     println!("worst |h_sig sim − Eq.43| = {worst_sig:.4}");
     println!("h_ts points outside the Appendix-1 bounds (±0.05 slack): {ts_out_of_bounds}");
 
-    match sw_experiments::write_json("validate_hit_ratios", &rows) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    crate::results::to_json(&rows)
 }

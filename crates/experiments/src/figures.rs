@@ -89,11 +89,11 @@ impl Default for SimSettings {
         // interval, so even the cache-less strategy fits. The old
         // 10 × 30 default silently overflowed the budget on
         // Scenarios 1/3/5 (validation h and B_c stayed unbiased, but
-        // the traffic accounting was fiction); `run_figure_main` now
+        // the traffic accounting was fiction); `run_paper_figure` now
         // asserts the default configurations stay overflow-free. The
         // longer horizon restores the query-event sample the smaller
         // fleet gives up — Eq. 9's 1/(1−h) amplifies h noise hard
-        // near h = 1 (`run_figure_main` trims it back to 400 for the
+        // near h = 1 (`run_paper_figure` trims it back to 400 for the
         // update-intensive figures, whose h sits far from 1 and whose
         // update engines dominate runtime at the scaled item counts).
         SimSettings {
@@ -145,7 +145,7 @@ pub struct SimPoint {
     /// Query exchanges that overflowed the interval bit budget. Must be
     /// zero for every default figure configuration — a non-zero value
     /// means the cell is oversubscribed and the throughput numbers are
-    /// unreliable ([`run_figure_main`] warns and asserts on it).
+    /// unreliable ([`run_paper_figure`] warns and asserts on it).
     pub overflow_exchanges: u64,
 }
 
@@ -180,7 +180,7 @@ pub fn run_figure(spec: &FigureSpec, sim: SimSettings) -> FigureResult {
 }
 
 /// [`run_figure`], keeping the observation snapshots the cells
-/// captured (the figure bins and `trace_run` use this form).
+/// captured (`trace_run` uses this form).
 pub fn run_figure_with(spec: &FigureSpec, sim: SimSettings) -> ObservedFigure {
     let analytic = Sweep::run(
         format!("Figure {} / {}", spec.figure, spec.scenario),
@@ -209,7 +209,7 @@ pub fn run_figure_with(spec: &FigureSpec, sim: SimSettings) -> ObservedFigure {
         .iter()
         .flat_map(|&x| strategies.iter().map(move |&s| (x, s)))
         .collect();
-    let runner = crate::runner::ParallelRunner::from_env();
+    let runner = sw_sim::runner::ParallelRunner::from_env();
     let results = runner.run(&tasks, |_, &(x, strategy)| {
         simulate_point(sim_base, spec.axis, x, strategy, sim)
     });
@@ -264,7 +264,7 @@ fn simulate_point(
         .name()
         .bytes()
         .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64));
-    let seed = crate::runner::cell_seed(sim.seed, &[x.to_bits(), strategy_tag]);
+    let seed = sw_sim::runner::cell_seed(sim.seed, &[x.to_bits(), strategy_tag]);
     let mut config = CellConfig::new(params)
         .with_clients(sim.clients)
         .with_hotspot_size(sim.hotspot.min(params.n_items as usize))
@@ -316,7 +316,7 @@ fn unusable(x: f64, strategy: Strategy) -> SimPoint {
 
 /// Prints the figure as the paper-shaped table: one row per x, one
 /// column per strategy, `--` where unusable.
-pub fn print_figure_table(result: &FigureResult, x_label: &str) {
+fn print_figure_table(result: &FigureResult, x_label: &str) {
     println!(
         "Figure {} — {} (analytic effectiveness, Eq. 10)",
         result.figure, result.scenario
@@ -368,14 +368,13 @@ pub fn print_figure_table(result: &FigureResult, x_label: &str) {
     }
 }
 
-/// Shared `main` for the `fig3`…`fig8` binaries: runs the figure,
-/// prints the table and an ASCII chart, writes the JSON artifact.
-/// Set `SW_FAST=1` for the quick settings (used by CI-ish smoke runs)
-/// and `SW_OBSERVE=1` to also capture and write an observation trace
-/// (needs the `observe` cargo feature to record anything).
-pub fn run_figure_main(figure: u8) {
+/// The `fig3`…`fig8` catalogue entries: runs the figure (quick
+/// settings when `fast`), prints the table and an ASCII chart, and
+/// returns the JSON artifact text. `trace_run <figure>` is the observed
+/// twin of this path.
+pub fn run_paper_figure(figure: u8, fast: bool) -> String {
     let spec = FigureSpec::for_figure(figure);
-    let mut settings = if std::env::var("SW_FAST").is_ok() {
+    let settings = if fast {
         SimSettings::quick()
     } else {
         let mut s = SimSettings::default();
@@ -389,9 +388,7 @@ pub fn run_figure_main(figure: u8) {
         }
         s
     };
-    settings.observe = std::env::var("SW_OBSERVE").is_ok();
-    let observed = run_figure_with(&spec, settings);
-    let result = observed.result;
+    let result = run_figure(&spec, settings);
     print_figure_table(&result, spec.x_label());
 
     let curves = result.analytic.curves();
@@ -423,30 +420,6 @@ pub fn run_figure_main(figure: u8) {
         )
     );
 
-    match crate::results::write_json(&format!("fig{figure}"), &result) {
-        Ok(f) => println!("wrote {}", f.path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
-
-    if let Some(snap) = &observed.observe {
-        println!();
-        println!("{}", sw_observe::sink::summary(snap));
-        for (suffix, body) in [
-            ("trace.ndjson", snap.to_ndjson()),
-            ("series.csv", snap.series_csv()),
-        ] {
-            match crate::results::write_text(&format!("fig{figure}.{suffix}"), &body) {
-                Ok(f) => println!("wrote {}", f.path.display()),
-                Err(e) => eprintln!("could not write fig{figure}.{suffix}: {e}"),
-            }
-        }
-    } else if settings.observe {
-        eprintln!(
-            "SW_OBSERVE is set but this binary was built without the `observe` \
-             cargo feature; rerun with `--features observe` to capture a trace."
-        );
-    }
-
     // The paper's figure configurations run the cell far below channel
     // saturation; overflowing exchanges would make every throughput
     // number above meaningless, so surface it loudly and refuse to
@@ -459,6 +432,7 @@ pub fn run_figure_main(figure: u8) {
         overflow, 0,
         "figure {figure}'s default configuration oversubscribed the uplink channel"
     );
+    crate::results::to_json(&result)
 }
 
 #[cfg(test)]

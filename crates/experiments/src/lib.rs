@@ -1,18 +1,11 @@
 //! # sw-experiments — the figure/table regeneration harness
 //!
-//! One binary per paper artifact (see DESIGN.md §3's experiment index):
-//!
-//! | bin | artifact |
-//! |-----|----------|
-//! | `fig3`…`fig8` | Figures 3–8 (Scenarios 1–6 effectiveness curves) |
-//! | `asymptotics` | the two §5 limit tables |
-//! | `validate_hit_ratios` | E11: simulated vs closed-form hit ratios |
-//! | `quasi_copies` | E12: §7 report-size reduction |
-//! | `adaptive_ts` | E13: §8 adaptive windows vs static TS |
-//! | `sig_false_alarms` | E14: SIG false-alarm rate vs the Chernoff bound |
-//!
-//! Each binary prints the paper-shaped table to stdout and writes a
-//! JSON artifact under `results/` for EXPERIMENTS.md.
+//! Every paper artifact is one row of [`catalogue::CATALOGUE`], and one
+//! binary drives them all: `sw-exp list` prints the index, `sw-exp run
+//! <name>` / `sw-exp all` print the paper-shaped table to stdout and
+//! write `results/<name>.json` for EXPERIMENTS.md, and `sw-exp check`
+//! regenerates every artifact and compares it byte for byte with the
+//! committed file.
 //!
 //! Simulation points run the full discrete-event simulator. For the
 //! 10⁶-item scenarios (2, 4, 6) the simulated database is scaled down
@@ -24,13 +17,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod catalogue;
 pub mod figures;
 pub mod live_cli;
 pub mod plot;
 pub mod results;
-pub mod runner;
 
 pub use figures::{FigureResult, FigureSpec, SimPoint, SimSettings};
 pub use plot::ascii_chart;
-pub use results::{write_json, ResultFile};
-pub use runner::{cell_seed, mesh_seed, ParallelRunner};

@@ -1,5 +1,5 @@
-//! Terminal ASCII charts, so `cargo run -p sw-experiments --bin fig3`
-//! shows the curve shapes without any plotting dependency.
+//! Terminal ASCII charts, so `sw-exp run fig3` shows the curve shapes
+//! without any plotting dependency.
 
 /// One chart series: marker character, legend name, and `(x, y)` points.
 pub type Series<'a> = (char, &'a str, &'a [(f64, f64)]);

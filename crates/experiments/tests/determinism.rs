@@ -8,7 +8,7 @@
 //! `Debug` rendering, which covers every counter and float).
 
 use sleepers::prelude::*;
-use sw_experiments::{cell_seed, ParallelRunner};
+use sw_sim::runner::{cell_seed, ParallelRunner};
 
 /// One grid cell: a strategy at a swept sleep probability.
 #[derive(Clone, Copy)]

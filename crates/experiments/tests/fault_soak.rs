@@ -17,7 +17,7 @@
 //! at 1, 2, and 8 threads must yield byte-identical reports.
 
 use sleepers::prelude::*;
-use sw_experiments::{cell_seed, ParallelRunner};
+use sw_sim::runner::{cell_seed, ParallelRunner};
 
 fn hostile_plan() -> FaultPlan {
     FaultPlan::none()

@@ -3,14 +3,15 @@
 //! The mesh layer derives its shard seeds in a separate domain
 //! (`mesh_seed`) from the figure sweeps (`cell_seed`). These tests pin
 //! that separation from the artifact side: the exact seeds the Figure 3
-//! harness derives, the non-aliasing of the two domains, and — byte for
-//! byte — the committed `results/fig3.json` itself. If any of them
-//! fail, a seed-derivation change has invalidated every committed
-//! `fig<N>.json`; regenerate them all or revert.
+//! harness derives, the non-aliasing of the two domains, and the
+//! analytic half of the committed `results/fig3.json` (`sw-exp check`
+//! compares the whole file, and every other artifact, byte for byte).
+//! If any of them fail, a seed-derivation change has invalidated every
+//! committed `fig<N>.json`; regenerate them all or revert.
 
 use sleepers::prelude::*;
-use sw_experiments::figures::{run_figure, FigureSpec, SimSettings};
-use sw_experiments::{cell_seed, mesh_seed};
+use sw_experiments::figures::{FigureSpec, SimSettings};
+use sw_sim::runner::{cell_seed, mesh_seed};
 
 fn committed_fig3() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fig3.json");
@@ -75,23 +76,5 @@ fn fig3_analytic_sweep_matches_the_committed_artifact() {
         Some(&serde::Serialize::to_value(&fresh)),
         committed.get("analytic"),
         "the analytic sweep drifted from the committed results/fig3.json"
-    );
-}
-
-/// Full-fidelity regression: regenerating Figure 3 at the default
-/// settings reproduces the committed `results/fig3.json` byte for
-/// byte — proof that the mesh subsystem (shared-backbone plumbing,
-/// mobility streams, `mesh_seed`) left the single-cell figure harness
-/// untouched. Expensive (the real 1200-interval sweep), so ignored by
-/// default; `scripts/check.sh` runs it in release.
-#[test]
-#[ignore = "full Figure 3 regeneration; run in release via scripts/check.sh"]
-fn fig3_results_are_bit_identical_to_the_committed_artifact() {
-    let result = run_figure(&FigureSpec::for_figure(3), SimSettings::default());
-    let fresh = serde_json::to_string_pretty(&result).expect("serializable figure");
-    assert_eq!(
-        fresh,
-        committed_fig3(),
-        "Figure 3 regenerated differently — the figure seed domain moved"
     );
 }

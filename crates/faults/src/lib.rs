@@ -23,9 +23,7 @@
 //! compiled so configs mentioning faults still type-check.
 
 use sw_sim::counters;
-use sw_sim::rng::MasterSeed;
-#[cfg(feature = "faults")]
-use sw_sim::rng::{RngStream, StreamId};
+use sw_sim::rng::{MasterSeed, RngStream, StreamId};
 
 pub mod server;
 
@@ -338,7 +336,6 @@ pub const fn compiled_in() -> bool {
     cfg!(feature = "faults")
 }
 
-#[cfg(feature = "faults")]
 #[derive(Debug)]
 struct FaultInner {
     plan: FaultPlan,
@@ -353,6 +350,46 @@ struct FaultInner {
     totals: FaultTotals,
 }
 
+/// Where a [`FaultLayer`] keeps its state. Only this type is gated on
+/// the cargo feature, so every method below is written once: with
+/// `faults` on it is an `Option<Box<_>>` (one null check per call);
+/// with it off it is a zero-sized stand-in that is never filled and
+/// whose `as_deref`/`as_deref_mut` are a constant `None`, which folds
+/// every method body away.
+#[cfg(feature = "faults")]
+mod slot {
+    pub(crate) type Slot = Option<Box<super::FaultInner>>;
+
+    pub(crate) fn fill(make: impl FnOnce() -> Slot) -> Slot {
+        make()
+    }
+}
+
+#[cfg(not(feature = "faults"))]
+mod slot {
+    use super::FaultInner;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct Slot;
+
+    impl Slot {
+        #[inline(always)]
+        pub(crate) fn as_deref(&self) -> Option<&FaultInner> {
+            None
+        }
+
+        #[inline(always)]
+        pub(crate) fn as_deref_mut(&mut self) -> Option<&mut FaultInner> {
+            None
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn fill(_make: impl FnOnce() -> Option<Box<FaultInner>>) -> Slot {
+        Slot
+    }
+}
+
 /// The runtime fault injector owned by the simulation.
 ///
 /// Zero-sized and inert without the `faults` cargo feature; with it,
@@ -360,18 +397,15 @@ struct FaultInner {
 /// run with `plan: None` costs a single null check per interval.
 #[derive(Debug, Default)]
 pub struct FaultLayer {
-    #[cfg(feature = "faults")]
-    inner: Option<Box<FaultInner>>,
+    inner: slot::Slot,
 }
 
 impl FaultLayer {
     /// Builds the injector for `n_clients` clients. With the feature
     /// off, or `plan` absent/empty, the layer is inert.
-    #[allow(unused_variables)]
     pub fn new(plan: Option<&FaultPlan>, seed: MasterSeed, n_clients: usize) -> Self {
-        #[cfg(feature = "faults")]
-        {
-            let inner = plan.filter(|p| !p.is_empty()).map(|plan| {
+        let inner = slot::fill(|| {
+            plan.filter(|p| !p.is_empty()).map(|plan| {
                 Box::new(FaultInner {
                     plan: *plan,
                     streams: (0..n_clients)
@@ -382,13 +416,9 @@ impl FaultLayer {
                     last_interval: vec![0; n_clients],
                     totals: FaultTotals::default(),
                 })
-            });
-            FaultLayer { inner }
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            FaultLayer {}
-        }
+            })
+        });
+        FaultLayer { inner }
     }
 
     /// Appends fault state for one newly attached client slot — the
@@ -398,9 +428,7 @@ impl FaultLayer {
     /// seed and the slot index, like everything else. `interval` seeds
     /// the drift accounting: the unit resynchronized in transit, so
     /// drift accrues from its arrival interval, not from zero.
-    #[allow(unused_variables)]
     pub fn push_client(&mut self, seed: MasterSeed, slot: usize, interval: u64) {
-        #[cfg(feature = "faults")]
         if let Some(inner) = self.inner.as_deref_mut() {
             inner
                 .streams
@@ -416,27 +444,13 @@ impl FaultLayer {
     /// vanish entirely.
     #[inline(always)]
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            false
-        }
+        self.inner.as_deref().is_some()
     }
 
     /// The configured uplink failure model, if any.
     #[inline]
     pub fn uplink_model(&self) -> Option<UplinkFaults> {
-        #[cfg(feature = "faults")]
-        {
-            self.inner.as_ref().and_then(|i| i.plan.uplink)
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            None
-        }
+        self.inner.as_deref().and_then(|i| i.plan.uplink)
     }
 
     /// Decides the fate of the report aired at `interval` for awake
@@ -455,143 +469,112 @@ impl FaultLayer {
     /// randomness at all, so a blackout-only plan leaves every stream
     /// untouched — the property that makes it the exact client-side
     /// twin of a server that simply was not broadcasting.
-    #[allow(unused_variables)]
     pub fn report_fate(
         &mut self,
         client: usize,
         interval: u64,
         misses_with_drift: impl Fn(f64) -> bool,
     ) -> ReportFate {
-        #[cfg(feature = "faults")]
-        {
-            let Some(inner) = self.inner.as_deref_mut() else {
-                return ReportFate::Heard;
-            };
-            if let Some(b) = inner.plan.blackout {
-                if (b.from..=b.until).contains(&interval) {
-                    inner.totals.reports_lost += 1;
-                    return ReportFate::Lost;
-                }
+        let Some(inner) = self.inner.as_deref_mut() else {
+            return ReportFate::Heard;
+        };
+        if let Some(b) = inner.plan.blackout {
+            if (b.from..=b.until).contains(&interval) {
+                inner.totals.reports_lost += 1;
+                return ReportFate::Lost;
             }
-            let rng = &mut inner.streams[client];
-            if let Some(drift) = inner.plan.drift {
-                let elapsed = interval.saturating_sub(inner.last_interval[client]);
-                inner.last_interval[client] = interval;
-                let mut d = inner.drift_secs[client]
-                    + elapsed as f64 * drift.rate_secs_per_interval;
-                if drift.jitter_secs > 0.0 {
-                    d += drift.jitter_secs * rng.uniform();
-                }
-                inner.drift_secs[client] = d;
-                if misses_with_drift(d) {
-                    inner.totals.drift_missed_reports += 1;
-                    inner.drift_secs[client] = 0.0;
-                    return ReportFate::DriftMissed;
-                }
+        }
+        let rng = &mut inner.streams[client];
+        if let Some(drift) = inner.plan.drift {
+            let elapsed = interval.saturating_sub(inner.last_interval[client]);
+            inner.last_interval[client] = interval;
+            let mut d = inner.drift_secs[client] + elapsed as f64 * drift.rate_secs_per_interval;
+            if drift.jitter_secs > 0.0 {
+                d += drift.jitter_secs * rng.uniform();
             }
-            if let Some(loss) = inner.plan.loss {
-                let lost = match loss {
-                    LossModel::Bernoulli { p } => rng.bernoulli(p),
-                    LossModel::GilbertElliott {
-                        p_enter_burst,
-                        p_exit_burst,
-                        loss_good,
-                        loss_burst,
-                    } => {
-                        let burst = &mut inner.in_burst[client];
-                        *burst = if *burst {
-                            !rng.bernoulli(p_exit_burst)
-                        } else {
-                            rng.bernoulli(p_enter_burst)
-                        };
-                        rng.bernoulli(if *burst { loss_burst } else { loss_good })
-                    }
-                };
-                if lost {
-                    inner.totals.reports_lost += 1;
-                    return ReportFate::Lost;
-                }
-            }
-            if let Some(c) = inner.plan.corruption {
-                if rng.bernoulli(c.p) {
-                    inner.totals.frames_corrupted += 1;
-                    return ReportFate::Corrupted;
-                }
-            }
-            if inner.plan.drift.is_some() {
+            inner.drift_secs[client] = d;
+            if misses_with_drift(d) {
+                inner.totals.drift_missed_reports += 1;
                 inner.drift_secs[client] = 0.0;
+                return ReportFate::DriftMissed;
             }
-            ReportFate::Heard
         }
-        #[cfg(not(feature = "faults"))]
-        {
-            ReportFate::Heard
+        if let Some(loss) = inner.plan.loss {
+            let lost = match loss {
+                LossModel::Bernoulli { p } => rng.bernoulli(p),
+                LossModel::GilbertElliott {
+                    p_enter_burst,
+                    p_exit_burst,
+                    loss_good,
+                    loss_burst,
+                } => {
+                    let burst = &mut inner.in_burst[client];
+                    *burst = if *burst {
+                        !rng.bernoulli(p_exit_burst)
+                    } else {
+                        rng.bernoulli(p_enter_burst)
+                    };
+                    rng.bernoulli(if *burst { loss_burst } else { loss_good })
+                }
+            };
+            if lost {
+                inner.totals.reports_lost += 1;
+                return ReportFate::Lost;
+            }
         }
+        if let Some(c) = inner.plan.corruption {
+            if rng.bernoulli(c.p) {
+                inner.totals.frames_corrupted += 1;
+                return ReportFate::Corrupted;
+            }
+        }
+        if inner.plan.drift.is_some() {
+            inner.drift_secs[client] = 0.0;
+        }
+        ReportFate::Heard
     }
 
     /// Whether the next transmitted uplink attempt by `client` fails.
     /// Draws only when an uplink model with positive `p_fail` is set.
-    #[allow(unused_variables)]
     #[inline]
     pub fn uplink_attempt_fails(&mut self, client: usize) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            match self.inner.as_deref_mut() {
-                Some(inner) => match inner.plan.uplink {
-                    Some(u) if u.p_fail > 0.0 => inner.streams[client].bernoulli(u.p_fail),
-                    _ => false,
-                },
-                None => false,
-            }
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            false
+        match self.inner.as_deref_mut() {
+            Some(inner) => match inner.plan.uplink {
+                Some(u) if u.p_fail > 0.0 => inner.streams[client].bernoulli(u.p_fail),
+                _ => false,
+            },
+            None => false,
         }
     }
 
     /// Picks which bit of a `bit_len`-bit serialized frame to flip for
     /// a corrupted delivery (used to demonstrate checksum detection).
-    #[allow(unused_variables)]
     pub fn corrupt_bit_index(&mut self, client: usize, bit_len: u64) -> u64 {
-        #[cfg(feature = "faults")]
-        {
-            match self.inner.as_deref_mut() {
-                Some(inner) if bit_len > 0 => inner.streams[client].uniform_index(bit_len),
-                _ => 0,
-            }
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            0
+        match self.inner.as_deref_mut() {
+            Some(inner) if bit_len > 0 => inner.streams[client].uniform_index(bit_len),
+            _ => 0,
         }
     }
 
     /// Records a failed uplink attempt that will be retried or abandoned.
-    #[allow(unused_variables)]
     #[inline]
     pub fn note_uplink_retry(&mut self) {
-        #[cfg(feature = "faults")]
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.totals.uplink_retries += 1;
         }
     }
 
     /// Records one backoff wait charged against the interval budget.
-    #[allow(unused_variables)]
     #[inline]
     pub fn note_backoff_interval(&mut self) {
-        #[cfg(feature = "faults")]
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.totals.backoff_intervals += 1;
         }
     }
 
     /// Records a corrupted frame the checksum failed to catch.
-    #[allow(unused_variables)]
     #[inline]
     pub fn note_undetected_corruption(&mut self) {
-        #[cfg(feature = "faults")]
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.totals.undetected_corruptions += 1;
         }
@@ -599,23 +582,12 @@ impl FaultLayer {
 
     /// Aggregate counters so far (all zeros when inert).
     pub fn totals(&self) -> FaultTotals {
-        #[cfg(feature = "faults")]
-        {
-            self.inner
-                .as_ref()
-                .map(|i| i.totals)
-                .unwrap_or_default()
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            FaultTotals::default()
-        }
+        self.inner.as_deref().map(|i| i.totals).unwrap_or_default()
     }
 
     /// Zeroes the counters without touching channel/drift state (used
     /// when a warm-up window ends; the fault processes keep evolving).
     pub fn reset_totals(&mut self) {
-        #[cfg(feature = "faults")]
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.totals = FaultTotals::default();
         }

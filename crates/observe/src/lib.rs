@@ -49,12 +49,10 @@ pub use series::{SeriesData, SeriesRow};
 pub use sink::{overflow_warning, summary};
 pub use snapshot::ObserveSnapshot;
 
-#[cfg(feature = "observe")]
 use std::time::Instant;
 
 /// Live recorder state; boxed so a disabled-at-runtime recorder is one
 /// null-pointer check on every call.
-#[cfg(feature = "observe")]
 struct Inner {
     cell: String,
     counters: Vec<(&'static str, u64)>,
@@ -65,6 +63,64 @@ struct Inner {
     events: Vec<Event>,
 }
 
+/// Where [`Recorder`], [`SpanGuard`] and [`Timer`] keep their state.
+/// Only this type is gated on the cargo feature, so every method below
+/// is written once: with `observe` on a `Slot<T>` is an `Option<T>`;
+/// with it off it is a zero-sized stand-in that is never filled and
+/// whose accessors are a constant `None`, which folds every method
+/// body away.
+#[cfg(feature = "observe")]
+mod slot {
+    pub(crate) type Slot<T> = Option<T>;
+
+    pub(crate) fn fill<T>(make: impl FnOnce() -> Option<T>) -> Slot<T> {
+        make()
+    }
+}
+
+#[cfg(not(feature = "observe"))]
+mod slot {
+    use core::marker::PhantomData;
+    use core::ops::{Deref, DerefMut};
+
+    pub(crate) struct Slot<T>(PhantomData<T>);
+
+    impl<T> Slot<T> {
+        #[inline(always)]
+        pub(crate) fn is_some(&self) -> bool {
+            false
+        }
+
+        #[inline(always)]
+        pub(crate) fn take(&mut self) -> Option<T> {
+            None
+        }
+
+        #[inline(always)]
+        pub(crate) fn as_deref(&self) -> Option<&T::Target>
+        where
+            T: Deref,
+        {
+            None
+        }
+
+        #[inline(always)]
+        pub(crate) fn as_deref_mut(&mut self) -> Option<&mut T::Target>
+        where
+            T: DerefMut,
+        {
+            None
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn fill<T>(_make: impl FnOnce() -> Option<T>) -> Slot<T> {
+        Slot(PhantomData)
+    }
+}
+
+use slot::Slot;
+
 /// The instrumentation handle a simulation owns.
 ///
 /// Three states, two of them free:
@@ -73,13 +129,11 @@ struct Inner {
 /// - feature on, [`Recorder::enabled`]: records into an owned buffer,
 ///   harvested once at the end of the run via [`Recorder::snapshot`].
 pub struct Recorder {
-    #[cfg(feature = "observe")]
-    inner: Option<Box<Inner>>,
+    inner: Slot<Box<Inner>>,
 }
 
 /// A live span: the timing sink to record into, the span name, and the
 /// start instant.
-#[cfg(feature = "observe")]
 type ActiveSpan<'a> = (&'a mut Vec<(&'static str, Histogram)>, &'static str, Instant);
 
 /// RAII span timer: records the elapsed wall-clock nanoseconds into the
@@ -87,46 +141,35 @@ type ActiveSpan<'a> = (&'a mut Vec<(&'static str, Histogram)>, &'static str, Ins
 /// the recorder for its whole extent; use [`Recorder::timer`] /
 /// [`Recorder::finish`] for regions that also record events.
 #[must_use = "a span records on drop; binding it to _ discards the measurement"]
-#[cfg(feature = "observe")]
 pub struct SpanGuard<'a> {
-    inner: Option<ActiveSpan<'a>>,
+    inner: Slot<ActiveSpan<'a>>,
 }
 
-/// RAII span timer (no-op: the `observe` feature is off).
-#[must_use = "a span records on drop; binding it to _ discards the measurement"]
-#[cfg(not(feature = "observe"))]
-pub struct SpanGuard<'a> {
-    _ph: core::marker::PhantomData<&'a ()>,
-}
-
-#[cfg(feature = "observe")]
 impl Drop for SpanGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         if let Some((sink, name, start)) = self.inner.take() {
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            snapshot::hist_slot(sink, name).record(ns);
+            snapshot::hist_slot(sink, name).record(elapsed_ns(start));
         }
     }
 }
 
 /// Detached span timer for regions that keep using the recorder; pass
 /// back to [`Recorder::finish`] to record.
-#[cfg(feature = "observe")]
 pub struct Timer {
-    inner: Option<(&'static str, Instant)>,
+    inner: Slot<(&'static str, Instant)>,
 }
 
-/// Detached span timer (no-op: the `observe` feature is off).
-#[cfg(not(feature = "observe"))]
-pub struct Timer;
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
 
 impl Recorder {
     /// A recorder that records nothing (the normal simulation state).
     #[inline]
     pub fn disabled() -> Self {
         Recorder {
-            #[cfg(feature = "observe")]
-            inner: None,
+            inner: slot::fill(|| None),
         }
     }
 
@@ -134,10 +177,9 @@ impl Recorder {
     /// `observe` feature this still returns the no-op recorder, so
     /// callers never need their own `cfg`.
     pub fn enabled(cell: impl Into<String>) -> Self {
-        #[cfg(feature = "observe")]
-        {
-            Recorder {
-                inner: Some(Box::new(Inner {
+        Recorder {
+            inner: slot::fill(|| {
+                Some(Box::new(Inner {
                     cell: cell.into(),
                     counters: Vec::new(),
                     hists: Vec::new(),
@@ -145,13 +187,8 @@ impl Recorder {
                     columns: Vec::new(),
                     rows: Vec::new(),
                     events: Vec::new(),
-                })),
-            }
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = cell.into();
-            Recorder {}
+                }))
+            }),
         }
     }
 
@@ -159,26 +196,14 @@ impl Recorder {
     /// without the `observe` feature, so guarded blocks are dead code.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "observe")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Adds `n` to the named monotonic counter.
     #[inline]
     pub fn add(&mut self, name: &'static str, n: u64) {
-        #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
             snapshot::bump(&mut inner.counters, name, n);
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = (&self, name, n);
         }
     }
 
@@ -195,13 +220,8 @@ impl Recorder {
     /// (deterministic data: bits, counts — never wall-clock).
     #[inline]
     pub fn record(&mut self, name: &'static str, value: u64) {
-        #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
             snapshot::hist_slot(&mut inner.hists, name).record(value);
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = (&self, name, value);
         }
     }
 
@@ -214,7 +234,6 @@ impl Recorder {
         kind: &'static str,
         fields: impl IntoIterator<Item = (&'static str, V)>,
     ) {
-        #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.events.push(Event {
                 cell: 0,
@@ -223,30 +242,20 @@ impl Recorder {
                 fields: fields.into_iter().map(|(k, v)| (k, v.into())).collect(),
             });
         }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = (&self, t, kind, fields.into_iter());
-        }
     }
 
     /// Declares the time-series column schema (once, before any row)
     /// — a row record's `NAMES`.
     pub fn series_schema(&mut self, columns: impl IntoIterator<Item = &'static str>) {
-        #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
             debug_assert!(inner.columns.is_empty(), "series schema already declared");
             inner.columns = columns.into_iter().collect();
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = (&self, columns.into_iter());
         }
     }
 
     /// Appends one series row at interval `t`; `values` — a row
     /// record's `values()` — must be parallel to the declared schema.
     pub fn series_row(&mut self, t: u64, values: impl IntoIterator<Item = u64>) {
-        #[cfg(feature = "observe")]
         if let Some(inner) = self.inner.as_deref_mut() {
             let values: Vec<u64> = values.into_iter().collect();
             debug_assert_eq!(
@@ -256,83 +265,53 @@ impl Recorder {
             );
             inner.rows.push(SeriesRow { cell: 0, t, values });
         }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = (&self, t, values.into_iter());
-        }
     }
 
     /// Opens an RAII wall-clock span; the elapsed nanoseconds land in
     /// the named timing histogram when the guard drops.
+    #[inline]
     pub fn span(&mut self, name: &'static str) -> SpanGuard<'_> {
-        #[cfg(feature = "observe")]
-        {
-            SpanGuard {
-                inner: self
-                    .inner
+        SpanGuard {
+            inner: slot::fill(|| {
+                self.inner
                     .as_deref_mut()
-                    .map(|i| (&mut i.timings, name, Instant::now())),
-            }
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = (&self, name);
-            SpanGuard {
-                _ph: core::marker::PhantomData,
-            }
+                    .map(|i| (&mut i.timings, name, Instant::now()))
+            }),
         }
     }
 
     /// Starts a detached wall-clock timer (no borrow held; the timed
     /// region may keep recording).
+    #[inline]
     pub fn timer(&self, name: &'static str) -> Timer {
-        #[cfg(feature = "observe")]
-        {
-            Timer {
-                inner: self.inner.is_some().then(|| (name, Instant::now())),
-            }
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            let _ = (&self, name);
-            Timer
+        Timer {
+            inner: slot::fill(|| self.is_enabled().then(|| (name, Instant::now()))),
         }
     }
 
     /// Stops a detached timer and records its elapsed nanoseconds.
-    pub fn finish(&mut self, timer: Timer) {
-        #[cfg(feature = "observe")]
-        if let (Some(inner), Some((name, start))) = (self.inner.as_deref_mut(), timer.inner) {
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            snapshot::hist_slot(&mut inner.timings, name).record(ns);
-        }
-        #[cfg(not(feature = "observe"))]
+    #[inline]
+    pub fn finish(&mut self, mut timer: Timer) {
+        if let (Some(inner), Some((name, start))) = (self.inner.as_deref_mut(), timer.inner.take())
         {
-            let _ = (&self, timer);
+            snapshot::hist_slot(&mut inner.timings, name).record(elapsed_ns(start));
         }
     }
 
     /// Clones everything recorded so far into a detached snapshot;
     /// `None` when disabled (either way).
     pub fn snapshot(&self) -> Option<ObserveSnapshot> {
-        #[cfg(feature = "observe")]
-        {
-            self.inner.as_deref().map(|i| ObserveSnapshot {
-                cells: vec![i.cell.clone()],
-                counters: i.counters.clone(),
-                hists: i.hists.clone(),
-                timings: i.timings.clone(),
-                series: SeriesData {
-                    columns: i.columns.clone(),
-                    rows: i.rows.clone(),
-                },
-                events: i.events.clone(),
-            })
-        }
-        #[cfg(not(feature = "observe"))]
-        {
-            None
-        }
+        self.inner.as_deref().map(|i| ObserveSnapshot {
+            cells: vec![i.cell.clone()],
+            counters: i.counters.clone(),
+            hists: i.hists.clone(),
+            timings: i.timings.clone(),
+            series: SeriesData {
+                columns: i.columns.clone(),
+                rows: i.rows.clone(),
+            },
+            events: i.events.clone(),
+        })
     }
 }
 

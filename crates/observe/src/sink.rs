@@ -3,7 +3,7 @@
 //! The NDJSON trace writer lives on the snapshot itself
 //! ([`crate::ObserveSnapshot::to_ndjson`]); this module renders the
 //! human-facing end-of-run view — counters, histogram quantiles, series
-//! totals — plus the overload warning the figure bins print when a run
+//! totals — plus the overload warning the figure rows print when a run
 //! overflowed its channel budget.
 
 use std::fmt::Write as _;

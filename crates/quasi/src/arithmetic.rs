@@ -84,7 +84,8 @@ impl EpsilonFilter {
     /// `item` given the server value `current`: distance from the
     /// baseline (every copy equals some reported value ≥ baseline
     /// recency). `None` if the item was never seen.
-    pub fn copy_deviation_bound(&self, item: ItemId, current: u64) -> Option<u64> {
+    #[cfg(test)]
+    fn copy_deviation_bound(&self, item: ItemId, current: u64) -> Option<u64> {
         self.last_reported
             .get(item)
             .map(|&b| current.abs_diff(b))

@@ -60,11 +60,6 @@ impl GroupMap {
         item * self.groups / self.n_items
     }
 
-    /// Items per group, on average.
-    pub fn mean_group_size(&self) -> f64 {
-        self.n_items as f64 / self.groups as f64
-    }
-
     /// Bits to name one group: `⌈log₂ G⌉`.
     pub fn group_id_bits(&self) -> u32 {
         if self.groups <= 1 {
@@ -147,7 +142,6 @@ mod tests {
         assert_eq!(m.group_of(9), 0);
         assert_eq!(m.group_of(10), 1);
         assert_eq!(m.group_of(99), 9);
-        assert_eq!(m.mean_group_size(), 10.0);
     }
 
     #[test]

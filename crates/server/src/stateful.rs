@@ -80,20 +80,6 @@ impl StatefulServer {
         }
     }
 
-    /// A client informs the server it dropped `item` from its cache.
-    pub fn unregister_cache(&mut self, client: ClientId, item: ItemId) {
-        if let Some(cache) = self.caches.get_mut(&client) {
-            if cache.remove(&item) {
-                if let Some(w) = self.watchers.get_mut(item) {
-                    w.remove(&client);
-                    if w.is_empty() {
-                        self.watchers.remove(item);
-                    }
-                }
-            }
-        }
-    }
-
     /// A client disconnects (or leaves the cell): all its registrations
     /// are dropped — "disconnection automatically implies loosing a
     /// cache" (§1).
@@ -208,16 +194,6 @@ mod tests {
         s.connect(1);
         assert!(s.is_connected(1));
         assert_eq!(s.registrations(), 0);
-    }
-
-    #[test]
-    fn unregister_stops_notifications() {
-        let mut s = StatefulServer::new();
-        s.connect(1);
-        s.register_cache(1, 7);
-        s.unregister_cache(1, 7);
-        assert!(s.on_update(&upd(7)).is_empty());
-        assert_eq!(s.invalidations_sent(), 0);
     }
 
     #[test]

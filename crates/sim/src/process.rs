@@ -199,12 +199,6 @@ impl IntervalClock {
         self.index += 1;
         (self.index, self.report_time(self.index))
     }
-
-    /// The window `(T_{i-1}, T_i]` covered by report `i`.
-    pub fn interval_window(&self, i: u64) -> (SimTime, SimTime) {
-        assert!(i >= 1, "interval 0 has no predecessor");
-        (self.report_time(i - 1), self.report_time(i))
-    }
 }
 
 #[cfg(test)]
@@ -299,9 +293,6 @@ mod tests {
         let mut c = IntervalClock::new(SimDuration::from_secs(10.0));
         assert_eq!(c.tick(), (1, SimTime::from_secs(10.0)));
         assert_eq!(c.tick(), (2, SimTime::from_secs(20.0)));
-        let (lo, hi) = c.interval_window(2);
-        assert_eq!(lo, SimTime::from_secs(10.0));
-        assert_eq!(hi, SimTime::from_secs(20.0));
     }
 
     #[test]

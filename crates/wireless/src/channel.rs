@@ -195,11 +195,6 @@ impl BroadcastChannel {
         self.bandwidth_bps
     }
 
-    /// Interval capacity `L·W` in bits.
-    pub fn interval_capacity_bits(&self) -> u64 {
-        self.budget.capacity
-    }
-
     /// Number of completed `begin_interval` calls.
     pub fn intervals_elapsed(&self) -> u64 {
         self.intervals
@@ -367,7 +362,7 @@ mod tests {
     #[test]
     fn capacity_is_lw() {
         let c = channel();
-        assert_eq!(c.interval_capacity_bits(), 100_000);
+        assert_eq!(c.budget().capacity, 100_000);
     }
 
     #[test]

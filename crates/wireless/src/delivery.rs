@@ -132,16 +132,6 @@ impl ReportDelivery {
             DeliveryMode::Multicast { .. } => false,
         }
     }
-
-    /// Worst-case lateness of the report relative to its schedule.
-    pub fn worst_case_delay(&self, tx_time: SimDuration) -> SimDuration {
-        match self.mode {
-            DeliveryMode::TimerSynchronized { .. } => tx_time,
-            DeliveryMode::Multicast { max_jitter } => {
-                SimDuration::from_secs(max_jitter) + tx_time
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,16 +200,6 @@ mod tests {
         assert!(timer.misses_with_drift(0.500001));
         let multicast = ReportDelivery::new(DeliveryMode::Multicast { max_jitter: 3.0 });
         assert!(!multicast.misses_with_drift(1e9)); // NIC wakes the CPU
-    }
-
-    #[test]
-    fn worst_case_delay_ordering() {
-        let timer = ReportDelivery::new(DeliveryMode::TimerSynchronized {
-            clock_skew_bound: 0.0,
-        });
-        let multicast = ReportDelivery::new(DeliveryMode::Multicast { max_jitter: 3.0 });
-        let tx = SimDuration::from_secs(0.5);
-        assert!(timer.worst_case_delay(tx) < multicast.worst_case_delay(tx));
     }
 
     #[test]

@@ -172,21 +172,12 @@ echo "==> cargo test --workspace (release, --features observe,faults)"
 # fault soak (fault_soak.rs) on top of both single-feature configs.
 cargo test --workspace --release -q --features observe,faults
 
-echo "==> fault-matrix smoke (fig_loss: loss 0/0.05/0.2 x TS/AT/SIG + burst)"
-smoke faults fig_loss
-
-echo "==> mesh smoke (fig_mesh: migration-rate sweep, paper-consistent ordering asserted)"
-smoke "" fig_mesh
-
-echo "==> query smoke (fig_query: query hit ratio / uplink bits / abort rate vs s)"
-smoke "" fig_query
-
-echo "==> capacity smoke (fig_capacity: capacity x replacement x strategy x s + coop mesh leg)"
-smoke "" fig_capacity
+echo "==> sw-exp all (quick settings, scratch dir: all 21 catalogue rows run, fig_loss included)"
+smoke faults sw-exp all
 rm -rf "$smoke_dir"
 
-echo "==> figure artifact A/B guard: mesh seed domain must not move results/fig3.json"
-cargo test --release -q -p sw-experiments --test fig3_regression -- --ignored
+echo "==> sw-exp check (all 21 results/*.json regenerated at full settings and byte-compared; 5 min 37 s measured on 2 vCPUs, fig6 most of it)"
+./target/release/sw-exp check >/dev/null
 
 echo "==> bench smoke (criterion --test mode)"
 cargo bench -p sw-bench --bench hot_paths -- --test
