@@ -70,3 +70,82 @@ fn the_docs_mention_every_row() {
         );
     }
 }
+
+/// The `name = "…"` values of a manifest, in file order.
+fn manifest_names(manifest: &str) -> Vec<String> {
+    manifest
+        .lines()
+        .filter_map(|line| line.strip_prefix("name = \""))
+        .filter_map(|rest| rest.split('"').next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every `--bin <name>`, `-p <crate>` and `--manifest-path <path>` the
+/// docs put in a command names something the tree has: a binary target
+/// of this package, a workspace member, an existing manifest.
+#[test]
+fn the_docs_name_only_targets_that_exist() {
+    let root = repo_root();
+    let read = |path: PathBuf| std::fs::read_to_string(path).unwrap();
+    let subdirs = |dir: &str| {
+        std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect::<Vec<_>>()
+    };
+
+    // Bin targets: the `[[bin]]` tables (the package's own name comes
+    // first), plus every src/bin file no table claims by path.
+    let manifest = read(root.join("crates/experiments/Cargo.toml"));
+    let mut bins: BTreeSet<String> = manifest_names(&manifest).into_iter().skip(1).collect();
+    for file in subdirs("crates/experiments/src/bin") {
+        let stem = file.file_stem().unwrap().to_str().unwrap();
+        if !manifest.contains(&format!("path = \"src/bin/{stem}.rs\"")) {
+            bins.insert(stem.to_string());
+        }
+    }
+    // Workspace members: the root package and `crates/*`, `vendor/*`.
+    let members: BTreeSet<String> = [root.join("Cargo.toml")]
+        .into_iter()
+        .chain(
+            ["crates", "vendor"]
+                .iter()
+                .flat_map(|dir| subdirs(dir))
+                .map(|d| d.join("Cargo.toml")),
+        )
+        .filter_map(|manifest| manifest_names(&read(manifest)).into_iter().next())
+        .collect();
+
+    // A value is its word's run of name characters, without the quoting
+    // or the full stop that may surround it.
+    let named = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = read(root.join(doc));
+        let words: Vec<&str> = text.split_whitespace().collect();
+        for pair in words.windows(2) {
+            let value = pair[1].trim_start_matches(|c| !named(c));
+            let value = value
+                .split(|c| !named(c))
+                .next()
+                .unwrap_or("")
+                .trim_end_matches('.');
+            match pair[0].trim_start_matches('`') {
+                "--bin" => assert!(bins.contains(value), "{doc}: no binary `{value}`"),
+                "-p" => assert!(
+                    members.contains(value),
+                    "{doc}: no workspace member `{value}`"
+                ),
+                "--manifest-path" => {
+                    assert!(root.join(value).is_file(), "{doc}: no manifest `{value}`")
+                }
+                _ => {}
+            }
+        }
+    }
+}

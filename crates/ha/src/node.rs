@@ -57,15 +57,6 @@ pub struct HaOptions {
     pub live: LiveOptions,
     /// This node's seeded fault schedule.
     pub faults: ServerFaultPlan,
-    /// How long the primary waits for majority acks before proceeding
-    /// degraded (the entry is still committed locally and replayed to
-    /// late peers via their `RepHello`).
-    pub ack_timeout: Duration,
-    /// Replica-side silence bound: with the primary's link still up
-    /// but no appends heard for this long, the primary is presumed
-    /// partitioned and the successor takes over. (A *dead* primary is
-    /// detected faster — by its link closing.)
-    pub promote_after: Duration,
     /// This process is a restart of a crashed cluster member: join as
     /// a replica and wait for `RepHello` catch-up replay to begin
     /// before coordinating any tick, instead of assuming the cold-start
@@ -83,8 +74,6 @@ impl HaOptions {
             peers,
             live,
             faults: ServerFaultPlan::none(),
-            ack_timeout: Duration::from_millis(250),
-            promote_after: Duration::from_secs(2),
             rejoin: false,
         }
     }
@@ -95,24 +84,28 @@ impl HaOptions {
         self
     }
 
-    /// Overrides the majority-ack wait bound.
-    pub fn with_ack_timeout(mut self, t: Duration) -> Self {
-        self.ack_timeout = t;
-        self
-    }
-
-    /// Overrides the replica-side silence bound.
-    pub fn with_promote_after(mut self, t: Duration) -> Self {
-        self.promote_after = t;
-        self
-    }
-
     /// Marks this process as a restarted cluster member rejoining
     /// mid-session (see [`HaOptions::rejoin`]).
     pub fn with_rejoin(mut self) -> Self {
         self.rejoin = true;
         self
     }
+}
+
+/// How long the primary waits for majority acks before proceeding
+/// degraded (the entry is still committed locally and replayed to
+/// late peers via their `RepHello`).
+const ACK_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Replica-side silence bound: with the primary's link still up but no
+/// append heard for this long after the epoch's previous one, the
+/// primary is presumed partitioned and the successor takes over. Never
+/// shorter than four of the session's own report intervals — a slowly
+/// paced primary is not a silent one. (A *dead* primary is detected
+/// faster — by its link closing.)
+fn silence_bound(interval_ms: Option<u64>) -> Duration {
+    let floor = Duration::from_secs(2);
+    interval_ms.map_or(floor, |ms| floor.max(Duration::from_millis(ms) * 4))
 }
 
 /// What one HA node brings home.
@@ -149,8 +142,11 @@ struct RepCore {
     /// Live links by peer node id.
     links: HashMap<u32, LinkWriter>,
     last_applied: u64,
-    /// Last time primary traffic arrived (replica side).
-    last_heard: Instant,
+    /// When the current epoch's latest entry arrived (replica side).
+    /// `None` until its first one: a primary still waiting for its
+    /// fleet to register has nothing to append, and its silence is not
+    /// a fault.
+    last_entry: Option<Instant>,
     /// The primary's link died.
     primary_dead: bool,
     took_over_at: Option<u64>,
@@ -182,7 +178,6 @@ impl RepShared {
         core.links.insert(peer, writer);
         if peer == core.primary {
             core.primary_dead = false;
-            core.last_heard = Instant::now();
         }
         drop(core);
         self.cv.notify_all();
@@ -257,7 +252,7 @@ fn apply_rep_msg(shared: &RepShared, peer: u32, msg: Msg) -> bool {
                     }
                     // The appender is the epoch's writer.
                     core.primary = peer;
-                    core.last_heard = Instant::now();
+                    core.last_entry = Some(Instant::now());
                     if let Some(ms) = shared.interval_ms {
                         core.anchor = Instant::now()
                             .checked_sub(Duration::from_millis(ms) * interval as u32)
@@ -284,7 +279,7 @@ fn apply_rep_msg(shared: &RepShared, peer: u32, msg: Msg) -> bool {
                     core.epoch = epoch;
                     core.primary = peer;
                     core.primary_dead = false;
-                    core.last_heard = Instant::now();
+                    core.last_entry = None;
                 }
             }
             _ => return false,
@@ -312,8 +307,6 @@ struct HaCoordinator {
     /// Membership sorted by node id (= successor order).
     peers: Vec<PeerSpec>,
     clock: ServerFaultClock,
-    ack_timeout: Duration,
-    promote_after: Duration,
     links_awaited: bool,
     /// [`HaOptions::rejoin`]: wait for catch-up replay before the
     /// first tick.
@@ -434,7 +427,7 @@ impl HaCoordinator {
             for link in &links {
                 let _ = msg.write_to(&mut *link.lock().expect("link writer lock"));
             }
-            let deadline = Instant::now() + self.ack_timeout;
+            let deadline = Instant::now() + ACK_TIMEOUT;
             let mut core = self.shared.lock();
             loop {
                 if core.primary != self.node {
@@ -492,7 +485,9 @@ impl HaCoordinator {
                 return ReplicaOutcome::Reconsider;
             }
             let linkless = !core.links.contains_key(&core.primary);
-            let silent = core.last_heard.elapsed() >= self.promote_after;
+            let silent = core
+                .last_entry
+                .is_some_and(|at| at.elapsed() >= silence_bound(self.shared.interval_ms));
             if core.primary_dead || linkless || silent {
                 // Deterministic successor: the lowest-id survivor.
                 let successor = core
@@ -704,7 +699,7 @@ impl HaNode {
                 acks: HashMap::new(),
                 links: HashMap::new(),
                 last_applied: 0,
-                last_heard: Instant::now(),
+                last_entry: None,
                 primary_dead: false,
                 took_over_at: None,
                 anchor: None,
@@ -740,8 +735,6 @@ impl HaNode {
             node: opts.node,
             peers,
             clock: ServerFaultClock::new(&opts.faults, cfg.seed, opts.node),
-            ack_timeout: opts.ack_timeout,
-            promote_after: opts.promote_after,
             links_awaited: false,
             rejoin: opts.rejoin,
         };
@@ -921,5 +914,18 @@ impl HaHandle {
             }),
             Err(e) => Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn silence_bound_spans_several_of_the_sessions_own_intervals() {
+        let two_s = Duration::from_secs(2);
+        assert_eq!(silence_bound(None), two_s, "lockstep: no cadence");
+        assert_eq!(silence_bound(Some(25)), two_s, "fast pace: the floor");
+        assert_eq!(silence_bound(Some(2000)), Duration::from_secs(8));
     }
 }

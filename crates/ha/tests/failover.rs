@@ -22,18 +22,17 @@ use std::time::{Duration, Instant};
 
 use sleepers::{CellConfig, Strategy};
 use sw_faults::server::{CrashPoint, ServerFaultPlan};
-use sw_ha::{HaNode, HaOptions, HaReport, PeerSpec};
+use sw_ha::{HaOptions, HaReport};
 use sw_live::{audit_against_history, run_mu, LiveMuReport, LiveOptions, MuOptions};
 use sw_workload::ScenarioParams;
+
+mod common;
+use common::bind_pair;
 
 const CLIENTS: usize = 4;
 const INTERVALS: u64 = 80;
 const INTERVAL_MS: u64 = 25;
 const CRASH_AT: u64 = 30;
-
-fn loopback() -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], 0))
-}
 
 fn cell(seed: u64, s: f64) -> CellConfig {
     let mut params = ScenarioParams::scenario1().with_s(s);
@@ -45,24 +44,6 @@ fn cell(seed: u64, s: f64) -> CellConfig {
         .with_hotspot_size(15)
         .with_seed(seed)
         .with_safety_checking()
-}
-
-/// Binds a two-node fleet on ephemeral ports and returns the bound
-/// nodes plus the shared membership list.
-fn bind_pair() -> (Vec<HaNode>, Vec<PeerSpec>) {
-    let nodes: Vec<HaNode> = (0..2)
-        .map(|_| HaNode::bind(loopback(), loopback()).expect("bind node"))
-        .collect();
-    let peers: Vec<PeerSpec> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| PeerSpec {
-            node: i as u32,
-            rep: n.rep_addr().expect("rep addr"),
-            client: n.client_addr().expect("client addr"),
-        })
-        .collect();
-    (nodes, peers)
 }
 
 struct Outcome {

@@ -26,20 +26,19 @@ use std::time::{Duration, Instant};
 use sleepers::query::QueryPlaneConfig;
 use sleepers::{CellConfig, Strategy};
 use sw_faults::server::{CrashPoint, ServerFaultPlan};
-use sw_ha::{HaNode, HaOptions, PeerSpec};
+use sw_ha::{HaNode, HaOptions};
 use sw_live::server::LiveOptions;
 use sw_live::{audit_against_history, run_mu, LiveMuReport, MuOptions};
 use sw_workload::ScenarioParams;
+
+mod common;
+use common::bind_pair;
 
 const CLIENTS: usize = 4;
 const INTERVALS: u64 = 100;
 const INTERVAL_MS: u64 = 25;
 const CRASH_AT: u64 = 30;
 const DOWN_INTERVALS: u64 = 10;
-
-fn loopback() -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], 0))
-}
 
 fn cell(seed: u64) -> CellConfig {
     let mut params = ScenarioParams::scenario1().with_s(0.3);
@@ -52,22 +51,6 @@ fn cell(seed: u64) -> CellConfig {
         .with_seed(seed)
         .with_safety_checking()
         .with_query(QueryPlaneConfig::new())
-}
-
-fn bind_pair() -> (Vec<HaNode>, Vec<PeerSpec>) {
-    let nodes: Vec<HaNode> = (0..2)
-        .map(|_| HaNode::bind(loopback(), loopback()).expect("bind node"))
-        .collect();
-    let peers: Vec<PeerSpec> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| PeerSpec {
-            node: i as u32,
-            rep: n.rep_addr().expect("rep addr"),
-            client: n.client_addr().expect("client addr"),
-        })
-        .collect();
-    (nodes, peers)
 }
 
 #[test]

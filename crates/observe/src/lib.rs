@@ -15,9 +15,9 @@
 //! type, every method is an inlined no-op, [`Recorder::is_enabled`]
 //! returns a compile-time `false` (so `if rec.is_enabled() { … }`
 //! blocks are dead code), and the [`obs!`] macro expands to nothing —
-//! its arguments are never evaluated. `cargo bench hot_paths` is the
-//! enforcement: an instrumented-but-disabled build must be within noise
-//! of an uninstrumented one.
+//! its arguments are never evaluated. The `hot_guard` gate of
+//! `scripts/check.sh` is the enforcement: an instrumented-but-disabled
+//! build must stay within 5% of an uninstrumented one.
 //!
 //! **Deterministic when on.** Counters, value histograms, events and
 //! series are pure functions of the simulation seed; the determinism

@@ -1,12 +1,43 @@
 #!/usr/bin/env sh
-# Repo health check: build, full test suite, lints, bench smoke.
+# Repo health check: build, full test suite, lints, smokes.
 # Everything runs offline against the vendored registry.
 set -eu
 
 cd "$(dirname "$0")/.."
+repo=$PWD
 
-# The script leaves the tree as it found it; checked at the bottom.
+# The script leaves the tree and the process table as it found them,
+# however it ends: every scratch file lives under $tmp, every
+# background process is listed in $children, and benchmark/Cargo.lock
+# is put back (a PR that changes the crates may not touch benchmark/,
+# so when it moves a dependency edge cargo re-resolves that lock file
+# on the spot — offline, path dependencies only).
 tree_before=$(git status --porcelain)
+tmp=$(mktemp -d)
+cp benchmark/Cargo.lock "$tmp/benchmark.lock"
+children=""
+cleanup() {
+    status=$?
+    trap - EXIT
+    # shellcheck disable=SC2086
+    kill $children 2>/dev/null || true
+    cp "$tmp/benchmark.lock" benchmark/Cargo.lock
+    rm -rf "$tmp"
+    [ "$(git status --porcelain)" = "$tree_before" ] || {
+        echo "check.sh changed the working tree:" >&2
+        git status --porcelain >&2
+        status=1
+    }
+    [ "$status" -ne 0 ] || echo "All checks passed."
+    exit "$status"
+}
+trap cleanup EXIT
+trap 'exit 129' HUP INT TERM
+
+fail() {
+    echo "$1" >&2
+    exit 1
+}
 
 # Runs "$@" until it succeeds: every 0.1 s, for 10 s at most.
 retry() {
@@ -23,86 +54,70 @@ retry() {
 # ./results, so a smoke never overwrites the committed full-run
 # artifacts under results/.
 # Usage: smoke <features, "" for none> <bin> [bin args...]
-repo=$PWD
-smoke_dir=$(mktemp -d)
+mkdir "$tmp/smoke"
 smoke() {
     smoke_bin=$2
     cargo build --release -q -p sw-experiments --features "$1" --bin "$smoke_bin"
     shift 2
-    (cd "$smoke_dir" && SW_FAST=1 "$repo/target/release/$smoke_bin" "$@" >/dev/null)
+    (cd "$tmp/smoke" && SW_FAST=1 "$repo/target/release/$smoke_bin" "$@" >/dev/null)
 }
 
 echo "==> cargo build --release"
 cargo build --release
 
+# Two feature configurations are tested and linted in full: every
+# cfg(feature) test in the tree also runs under observe,faults and
+# every cfg(not(feature)) test under the default build. Each pass is
+# the whole suite for its configuration, so no crate or test filter is
+# re-run on its own. The single-feature builds only have to compile.
 echo "==> cargo test --workspace (release)"
-# Each feature config's workspace pass is the whole suite for that
-# config — the sw-query/sw-capacity crates, the query and bounded
-# conformance and equivalence tests, the query-plane integration tests,
-# the mesh coop tests and the eviction soak included — so no crate or
-# test filter is re-run on its own.
 cargo test --workspace --release -q
 
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test --workspace (release, --features observe)"
-cargo test --workspace --release -q --features observe
-
-echo "==> cargo clippy --workspace -D warnings (--features observe)"
-cargo clippy --workspace --all-targets --features observe -- -D warnings
-
-echo "==> trace_run smoke (figure 3, quick settings, observed)"
-smoke observe trace_run 3
-
-echo "==> trace_run smoke (live session, lockstep, merged server+client trace)"
-smoke observe trace_run live
+echo "==> benchmark smoke (benchmark/: every workload at 1/50 size, all checks on)"
+# Its own package and lock file, outside the workspace the legs above
+# cover; this is what keeps it compiling against the crates' public API.
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> live smoke (sw-serve + metrics plane, one sw-mu round, sw-top --once, clean shutdown)"
-live_addr_file=$(mktemp)
-live_metrics_file=$(mktemp)
-rm -f "$live_addr_file" "$live_metrics_file"
 ./target/release/sw-serve --port 0 --clients 1 --intervals 30 --interval-ms 20 \
-    --announce "$live_addr_file" \
-    --metrics-port 0 --metrics-announce "$live_metrics_file" --flight 16 >/dev/null &
+    --announce "$tmp/live_addr" \
+    --metrics-port 0 --metrics-announce "$tmp/live_metrics" --flight 16 >/dev/null &
 live_serve_pid=$!
-retry [ -s "$live_addr_file" ] && retry [ -s "$live_metrics_file" ] || {
-    echo "sw-serve never announced its addresses" >&2
-    kill "$live_serve_pid" 2>/dev/null || true
-    exit 1
-}
-live_metrics_addr=$(cat "$live_metrics_file")
+children="$children $live_serve_pid"
+retry [ -s "$tmp/live_addr" ] && retry [ -s "$tmp/live_metrics" ] ||
+    fail "sw-serve never announced its addresses"
+live_metrics_addr=$(cat "$tmp/live_metrics")
 # The ops plane is probed *before* the one client registers: sw-serve
 # blocks in wait_for_registration until then, so the session cannot
 # have ended under the probes however slow the host (a 30 x 20 ms
 # session is over 600 ms after sw-mu connects). Health, a well-formed
 # Prometheus page, and one sw-top frame; the pages of a ticking session
 # are the live crate's ops_plane and conformance tests' business.
-live_probe_failed() {
-    echo "$1" >&2
-    kill "$live_serve_pid" 2>/dev/null || true
-    exit 1
-}
 if command -v curl >/dev/null 2>&1; then
     [ "$(curl -sf "http://$live_metrics_addr/healthz")" = "ok" ] ||
-        live_probe_failed "metrics /healthz did not answer ok"
+        fail "metrics /healthz did not answer ok"
     live_metrics_page() { curl -sf "http://$live_metrics_addr/metrics" | grep -q '^sw_interval'; }
-    retry live_metrics_page || live_probe_failed "metrics /metrics is missing sw_interval"
+    retry live_metrics_page || fail "metrics /metrics is missing sw_interval"
 else
     echo "   curl not found; probing via sw-top only"
 fi
 live_top_frame() {
     ./target/release/sw-top --metrics "$live_metrics_addr" --once | grep -q 'sw-top'
 }
-retry live_top_frame || live_probe_failed "sw-top --once produced no dashboard frame"
-./target/release/sw-mu --server "$(cat "$live_addr_file")" --index 0 --clients 1 >/dev/null &
+retry live_top_frame || fail "sw-top --once produced no dashboard frame"
+./target/release/sw-mu --server "$(cat "$tmp/live_addr")" --index 0 --clients 1 >/dev/null &
 live_mu_pid=$!
+children="$children $live_mu_pid"
 wait "$live_mu_pid"
 wait "$live_serve_pid"
-rm -f "$live_addr_file" "$live_metrics_file"
+children=""
 
 echo "==> failover smoke (two-node sw-ha fleet, kill -9 primary mid-run, zero-stale takeover)"
-ha_dir=$(mktemp -d)
+ha_dir=$tmp/ha
+mkdir "$ha_dir"
 ./target/release/sw-serve --port 0 --clients 2 --intervals 120 --interval-ms 25 \
     --ha-node 0 --ha-announce "$ha_dir/node0" --ha-peer "$ha_dir/node1" \
     --announce "$ha_dir/addr0" \
@@ -112,12 +127,9 @@ ha_pid0=$!
     --ha-node 1 --ha-announce "$ha_dir/node1" --ha-peer "$ha_dir/node0" \
     --metrics-port 0 --metrics-announce "$ha_dir/metrics1" >"$ha_dir/serve1.log" 2>&1 &
 ha_pid1=$!
+children="$children $ha_pid0 $ha_pid1"
 retry [ -s "$ha_dir/addr0" ] && retry [ -s "$ha_dir/metrics0" ] &&
-    retry [ -s "$ha_dir/metrics1" ] || {
-    echo "sw-ha fleet never announced its addresses" >&2
-    kill "$ha_pid0" "$ha_pid1" 2>/dev/null || true
-    exit 1
-}
+    retry [ -s "$ha_dir/metrics1" ] || fail "sw-ha fleet never announced its addresses"
 ha_addr0=$(cat "$ha_dir/addr0")
 ha_addr1=$(awk '{print $2}' "$ha_dir/node1")
 ha_metrics0=$(cat "$ha_dir/metrics0")
@@ -126,6 +138,7 @@ ha_metrics1=$(cat "$ha_dir/metrics1")
 ha_mu0=$!
 ./target/release/sw-mu --server "$ha_addr0,$ha_addr1" --index 1 --clients 2 >/dev/null &
 ha_mu1=$!
+children="$children $ha_mu0 $ha_mu1"
 # Kill the primary the hard way once its own metrics page says it is in
 # the middle third of the 120 intervals — mid-run by its clock, not by
 # this script's, on a slow host and a fast one alike.
@@ -133,11 +146,7 @@ ha_mid_run() {
     ./target/release/sw-top --metrics "$ha_metrics0" --once 2>/dev/null |
         grep -Eq 'interval (4[1-9]|[5-7][0-9]|80)( |$)'
 }
-retry ha_mid_run || {
-    echo "primary never reported an interval in 41..80" >&2
-    kill "$ha_pid0" "$ha_pid1" "$ha_mu0" "$ha_mu1" 2>/dev/null || true
-    exit 1
-}
+retry ha_mid_run || fail "primary never reported an interval in 41..80"
 kill -9 "$ha_pid0" 2>/dev/null || true
 # The takeover must be observable *during* the run: the replica's
 # epoch gauge bumps to 2 and its role flips to PRIMARY.
@@ -145,45 +154,36 @@ ha_took_over() {
     ./target/release/sw-top --metrics "$ha_metrics1" --once 2>/dev/null |
         grep -q 'epoch 2 PRIMARY'
 }
-retry ha_took_over || {
-    echo "replica never took over (no epoch-2 PRIMARY on its metrics page)" >&2
-    kill "$ha_pid1" "$ha_mu0" "$ha_mu1" 2>/dev/null || true
-    exit 1
-}
+retry ha_took_over || fail "replica never took over (no epoch-2 PRIMARY on its metrics page)"
 # Everyone still standing must complete the session cleanly.
 wait "$ha_mu0"
 wait "$ha_mu1"
 wait "$ha_pid1"
-grep -q 'took over at interval' "$ha_dir/serve1.log" || {
-    echo "survivor finished without reporting its takeover" >&2; exit 1; }
-rm -rf "$ha_dir"
+children=""
+grep -q 'took over at interval' "$ha_dir/serve1.log" ||
+    fail "survivor finished without reporting its takeover"
 
-echo "==> failover acceptance (paced zero-stale audit + lockstep crash conformance)"
-cargo test --release -q -p sw-ha --features faults --test failover
-
-echo "==> cargo test --workspace (release, --features faults)"
-cargo test --workspace --release -q --features faults
-
-echo "==> cargo clippy --workspace -D warnings (--features faults)"
-cargo clippy --workspace --all-targets --features faults -- -D warnings
+echo "==> cargo check --workspace --all-targets (--features observe, then --features faults)"
+cargo check --workspace --all-targets --features observe
+cargo check --workspace --all-targets --features faults
 
 echo "==> cargo test --workspace (release, --features observe,faults)"
-# The combined build pins the observe-side SIG counters of the mesh
-# fault soak (fault_soak.rs) on top of both single-feature configs.
+# The lockstep crash conformance of crates/ha/tests/failover.rs and the
+# observe-side SIG counters of the mesh fault soak run here.
 cargo test --workspace --release -q --features observe,faults
+
+echo "==> cargo clippy --workspace -D warnings (--features observe,faults)"
+cargo clippy --workspace --all-targets --features observe,faults -- -D warnings
+
+echo "==> trace_run smokes (figure 3 at quick settings; a lockstep live session, merged server+client trace)"
+smoke observe trace_run 3
+smoke observe trace_run live
 
 echo "==> sw-exp all (quick settings, scratch dir: all 21 catalogue rows run, fig_loss included)"
 smoke faults sw-exp all
-rm -rf "$smoke_dir"
 
 echo "==> sw-exp check (all 21 results/*.json regenerated at full settings and byte-compared; 5 min 37 s measured on 2 vCPUs, fig6 most of it)"
 ./target/release/sw-exp check >/dev/null
-
-echo "==> bench smoke (criterion --test mode)"
-cargo bench -p sw-bench --bench hot_paths -- --test
-
-echo "==> bench smoke A/B: faults compiled in must not touch the hot paths"
-cargo bench -p sw-bench --bench hot_paths --features faults -- --test
 
 echo "==> hot-path zero-cost guard: observe+faults compiled in must stay within 5%"
 # Build the probe twice — feature-off, then with observe+faults armed
@@ -192,17 +192,14 @@ echo "==> hot-path zero-cost guard: observe+faults compiled in must stay within 
 # best-of-N comparison of those floors makes the A/B a hard guard on
 # the zero-cost disabled path instead of an eyeballed smoke.
 cargo build --release -q -p sw-experiments --bin hot_guard
-hot_off_bin=$(mktemp)
-cp target/release/hot_guard "$hot_off_bin"
-chmod +x "$hot_off_bin"
+cp target/release/hot_guard "$tmp/hot_guard_off"
 cargo build --release -q -p sw-experiments --features observe,faults --bin hot_guard
 hot_off=""
 hot_on=""
 for _ in 1 2 3 4 5; do
-    hot_off="$hot_off $("$hot_off_bin")"
+    hot_off="$hot_off $("$tmp/hot_guard_off")"
     hot_on="$hot_on $(target/release/hot_guard)"
 done
-rm -f "$hot_off_bin"
 echo "   feature-off rounds (p05 interval, us):$hot_off"
 echo "   feature-on  rounds (p05 interval, us):$hot_on"
 awk -v off="$hot_off" -v on="$hot_on" 'BEGIN {
@@ -218,29 +215,3 @@ awk -v off="$hot_off" -v on="$hot_on" 'BEGIN {
         exit 1;
     }
 }'
-
-echo "==> benchmark smoke (benchmark/: every workload at 1/50 size, all checks on)"
-# Its own package and lock file, outside the workspace the legs above
-# cover; this is what keeps it compiling against the crates' public API.
-# A PR that changes the crates may not touch benchmark/, so when it
-# moves a dependency edge cargo re-resolves the lock file on the spot
-# (offline, path dependencies only): put the committed one back.
-bench_lock=$(mktemp)
-cp benchmark/Cargo.lock "$bench_lock"
-cargo test --offline --manifest-path benchmark/Cargo.toml
-cp "$bench_lock" benchmark/Cargo.lock
-rm -f "$bench_lock"
-
-echo "==> bench smoke: mesh_step (sharded envelope vs single-cell baseline)"
-# The A/B guard for the mesh PR: hot_paths above exercises only the
-# single-cell driver and must stay green untouched; mesh_step measures
-# what the sharded envelope and the migration barrier add on top.
-cargo bench -p sw-bench --bench mesh_step -- --test
-
-[ "$(git status --porcelain)" = "$tree_before" ] || {
-    echo "check.sh changed the working tree:" >&2
-    git status --porcelain >&2
-    exit 1
-}
-
-echo "All checks passed."

@@ -460,3 +460,39 @@ fn digest_kernels_match_units_at_scale() {
         }
     }
 }
+
+/// The only six-figure fleet the tree ever builds: 100 000 columnar TS
+/// clients in one cell, λ cut tenfold so the sweep (not query
+/// generation) is the work, the channel widened with the fleet so no
+/// exchange is ever deferred. The chunked sweep must be invisible here
+/// too — same hit ratio, same queries — and the cell must construct and
+/// run at all. No timing is asserted; `benchmark/` measures speed.
+#[test]
+fn hundred_thousand_clients_ignore_sweep_threads() {
+    const CLIENTS: usize = 100_000;
+    let run = |threads: usize| {
+        let mut params = ScenarioParams::scenario1().with_s(0.5);
+        params.n_items = 2_000;
+        params.lambda *= 0.1;
+        params.bandwidth_bps *= 2_048 * (CLIENTS as u64 / 1_000);
+        let cfg = CellConfig::new(params)
+            .with_clients(CLIENTS)
+            .with_hotspot_size(30)
+            .with_seed(11)
+            .with_sweep_threads(threads);
+        let mut sim =
+            CellSimulation::new(cfg, Strategy::BroadcastTimestamps).expect("valid config");
+        assert!(sim.is_columnar(), "a fleet this size must be columnar");
+        sim.run(5).expect("warm-up runs");
+        sim.reset_metrics();
+        let report = sim.run(20).expect("report fits");
+        assert_eq!(report.overflow_exchanges, 0, "scale channel saturated");
+        assert!(report.queries_posed > CLIENTS as u64, "the fleet sat idle");
+        (report.hit_ratio(), report.queries_posed)
+    };
+    assert_eq!(
+        run(1),
+        run(2),
+        "(hit_ratio, queries_posed) changed at 2 sweep threads"
+    );
+}
