@@ -30,7 +30,7 @@ pub enum FeedbackMethod {
 }
 
 /// Per-item statistics for one evaluation period, supplied by the cell
-/// driver (uplink processor + report builder + histories).
+/// driver (uplink processor + report mention counts + histories).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodItemStats {
     /// The item.

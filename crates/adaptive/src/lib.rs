@@ -20,10 +20,12 @@
 //! window").
 //!
 //! [`window`] holds the per-item window table shared (by value, via the
-//! report) between server and clients; [`server`] implements the
-//! adaptive report builder; [`controller`] runs the evaluation periods.
-//! The client half — §3.1's whole-cache drop check made *per item*,
-//! `T_i − T_l > w_i` — is `sw_client::ReportRule::AdaptiveTs`.
+//! report) between server and clients; [`controller`] runs the
+//! evaluation periods. The server half — the report listing each item
+//! updated within *its own* window — is the adaptive arm of
+//! `sleepers::ServerDriver`. The client half — §3.1's whole-cache drop
+//! check made *per item*, `T_i − T_l > w_i` — is
+//! `sw_client::ReportRule::AdaptiveTs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,11 +33,9 @@
 pub mod controller;
 pub mod method1;
 pub mod method2;
-pub mod server;
 pub mod window;
 
 pub use controller::{Adjustment, AdaptiveController, FeedbackMethod, PeriodItemStats, PeriodSummary};
 pub use method1::{estimate_ahr, estimate_mhr, gain_method1};
 pub use method2::gain_method2;
-pub use server::{AdaptiveReport, AdaptiveTsBuilder};
-pub use window::{WindowTable, WINDOW_FIELD_BITS};
+pub use window::WindowTable;

@@ -6,18 +6,14 @@
 //! stores only *exceptions* from the default `w_0 = k_0·L`; the
 //! exception list is what the adaptive report broadcasts so that every
 //! awake client always has the current windows (see
-//! [`crate::server::AdaptiveReport`]).
+//! `sleepers::ServerDriver`'s adaptive arm).
 
 use sw_server::ItemId;
+use sw_wireless::frame::WINDOW_FIELD_BITS;
 
-/// Wire width of one window value in the exception list (intervals,
-/// saturating at 2^16−1 ≈ "infinite"). Implementation choice documented
-/// in DESIGN.md: the paper does not specify how clients learn the
-/// current windows.
-pub const WINDOW_FIELD_BITS: u32 = 16;
-
-/// Sentinel for an effectively infinite window.
-pub const INFINITE_WINDOW: u32 = u16::MAX as u32;
+/// Sentinel for an effectively infinite window: the largest value the
+/// report's window field carries.
+pub const INFINITE_WINDOW: u32 = (1 << WINDOW_FIELD_BITS) - 1;
 
 /// Per-item windows in units of intervals, defaulting to `k0`.
 ///
@@ -112,17 +108,6 @@ impl WindowTable {
             self.exceptions.dedup_by_key(|&mut (item, _)| item);
         }
     }
-
-    /// Extra report bits the exception list costs:
-    /// `|exceptions|·(⌈log₂ n⌉ + 16)`.
-    pub fn exception_bits(&self, n_items: u64) -> u64 {
-        let id_bits = if n_items <= 1 {
-            1
-        } else {
-            (64 - (n_items - 1).leading_zeros()) as u64
-        };
-        self.exceptions.len() as u64 * (id_bits + WINDOW_FIELD_BITS as u64)
-    }
 }
 
 #[cfg(test)]
@@ -173,16 +158,6 @@ mod tests {
         assert_eq!(client.get(3), 50);
         assert_eq!(client.get(7), 0);
         assert_eq!(client.get(4), 10);
-    }
-
-    #[test]
-    fn exception_bits_scale_with_count() {
-        let mut t = WindowTable::new(10);
-        assert_eq!(t.exception_bits(1000), 0);
-        t.set(1, 20);
-        t.set(2, 30);
-        // 2 entries × (10-bit id + 16-bit window).
-        assert_eq!(t.exception_bits(1000), 2 * 26);
     }
 
     #[test]

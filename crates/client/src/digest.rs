@@ -27,10 +27,8 @@ use sw_server::ItemId;
 use sw_sim::SimTime;
 use sw_wireless::FramePayload;
 
-use crate::handler::time_from_micros;
-
 /// Ids below this bound get a bit in the membership set (2 MiB at the
-/// very most). Larger ids — no report builder emits them, only
+/// very most). Larger ids — no server report carries them, only
 /// hand-built or hostile payloads do — go to a sorted overflow list, so
 /// one huge id in a received frame cannot size an allocation.
 const BITSET_ID_BOUND: u64 = 1 << 24;
@@ -95,7 +93,7 @@ impl DigestScratch {
             }
         }
         self.overflow.sort_unstable();
-        // Report builders emit entries in strictly ascending item
+        // Server reports carry entries in strictly ascending item
         // order, which is what the binary search needs; anything else
         // (hand-built, hostile) is normalised into the scratch copy.
         let entries = if entries.windows(2).all(|w| w[0].0 < w[1].0) {
@@ -115,7 +113,7 @@ impl DigestScratch {
         };
         ReportDigest {
             payload,
-            t_i: time_from_micros(micros),
+            t_i: SimTime::from_micros(micros),
             bits: &self.bits,
             overflow: &self.overflow,
             entries,
@@ -230,7 +228,7 @@ mod tests {
                 // The scratch is reused across payloads of every shape:
                 // nothing of the previous digest may leak into the next.
                 let digest = scratch.digest(payload);
-                assert_eq!(digest.report_time(), time_from_micros(report_ts_micros));
+                assert_eq!(digest.report_time(), SimTime::from_micros(report_ts_micros));
                 let is_ts = matches!(payload, FramePayload::TimestampReport { .. });
                 for probe in ID_POOL.iter().copied().chain([3, 66, 1_000, 1 << 30]) {
                     assert_eq!(

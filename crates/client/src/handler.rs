@@ -22,18 +22,6 @@ use crate::cache::Cache;
 use crate::digest::{DigestScratch, ReportDigest};
 use crate::rule::{Lent, ReportRule, SigTrack};
 
-/// Converts a wire timestamp (integer micros) back to [`SimTime`].
-#[inline]
-pub fn time_from_micros(micros: u64) -> SimTime {
-    SimTime::from_secs(micros as f64 / 1e6)
-}
-
-/// Converts a [`SimTime`] to wire micros (mirror of the server side).
-#[inline]
-pub fn time_to_micros(t: SimTime) -> u64 {
-    (t.as_secs() * 1e6).round() as u64
-}
-
 /// What processing one report did to the cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessOutcome {
@@ -47,9 +35,6 @@ pub struct ProcessOutcome {
     /// on every backend. HYB alone has two runs: ascending within the
     /// hot pass, then ascending within the cold pass.
     pub invalidated: Vec<ItemId>,
-    /// Items that survived (restamped to `T_i`, except quasi-delay
-    /// copies still within their allowed lag).
-    pub revalidated: usize,
 }
 
 /// One boxed client's signature-tracking state; what a [`SigTrack`]
@@ -97,8 +82,7 @@ impl RuleHandler {
         RuleHandler { rule, state }
     }
 
-    /// Strategy name, matching the server builder ("TS", "AT", "SIG",
-    /// "NC", …).
+    /// Strategy name ("TS", "AT", "SIG", "NC", …).
     pub fn name(&self) -> &'static str {
         self.rule.name()
     }
@@ -185,6 +169,8 @@ impl RuleHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_server::{Database, HotSet, SignatureVector};
+    use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
     use sw_sim::SimDuration;
 
     fn ts_report(t_i: f64, entries: Vec<(u64, f64)>) -> FramePayload {
@@ -290,7 +276,7 @@ mod tests {
         let out = h.process(&mut c, &at_report(20.0, vec![]), Some(SimTime::from_secs(10.0)));
         assert!(!out.dropped_all);
         assert!(c.contains(1));
-        assert_eq!(out.revalidated, 1);
+        assert_eq!(c.peek(1).unwrap().timestamp, SimTime::from_secs(20.0));
     }
 
     #[test]
@@ -317,7 +303,6 @@ mod tests {
             c.insert(1, 1, SimTime::ZERO);
             let out = h.process(&mut c, &payload, None);
             assert!(c.is_empty());
-            assert_eq!(out.revalidated, 0);
             assert_eq!(out.report_time, SimTime::from_secs(10.0));
         }
     }
@@ -330,45 +315,55 @@ mod tests {
         h.process(&mut c, &at_report(10.0, vec![]), None);
     }
 
+    /// A SIG/HYB server's signatures over `n` items (item `i` valued
+    /// `i + base`), beside the rule a client of that server applies.
+    fn sig_setup(
+        n: u64,
+        base: u64,
+        seed: u64,
+        hot: HotSet,
+        rule: impl FnOnce(SyndromeDecoder) -> ReportRule,
+    ) -> (Database, SignatureVector, RuleHandler) {
+        let db = Database::new(n, |i| i + base, SimDuration::from_secs(1e6));
+        let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
+        let decoder = SyndromeDecoder::new(SubsetFamily::new(seed, plan.m, plan.f), plan);
+        let sigs = SignatureVector::new(decoder.clone(), hot, &db);
+        (db, sigs, RuleHandler::new(rule(decoder)))
+    }
+
     mod hybrid {
         use super::*;
-        use sw_server::{Database, HotSet, HybridSigBuilder, ReportBuilder};
-        use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
-        use sw_sim::SimDuration;
 
-        fn setup() -> (Database, HybridSigBuilder, RuleHandler) {
-            let n = 300;
-            let db = Database::new(n, |i| i + 9000, SimDuration::from_secs(1e6));
-            let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
-            let family = SubsetFamily::new(0xCAFE, plan.m, plan.f);
-            let latency = SimDuration::from_secs(10.0);
-            let builder = HybridSigBuilder::new(
-                latency,
-                HotSet::top_by_rank(20),
-                plan,
-                family,
-                &db,
-            );
-            let handler = RuleHandler::new(ReportRule::hybrid(
-                latency,
-                HotSet::top_by_rank(20),
-                SyndromeDecoder::new(family, plan),
-            ));
-            (db, builder, handler)
+        fn setup() -> (Database, SignatureVector, RuleHandler) {
+            sig_setup(300, 9000, 0xCAFE, HotSet::top_by_rank(20), |decoder| {
+                ReportRule::hybrid(
+                    SimDuration::from_secs(10.0),
+                    HotSet::top_by_rank(20),
+                    decoder,
+                )
+            })
+        }
+
+        /// The HYB report at `t` listing the hot updates `hot_ids`.
+        fn report(sigs: &SignatureVector, t: f64, hot_ids: Vec<u64>) -> FramePayload {
+            FramePayload::HybridReport {
+                report_ts_micros: SimTime::from_secs(t).as_micros(),
+                hot_ids,
+                sig_bits: sigs.sig_bits(),
+                signatures: sigs.snapshot(),
+            }
         }
 
         #[test]
         fn hot_item_follows_at_rules() {
-            let (mut db, mut builder, mut handler) = setup();
+            let (mut db, mut sigs, mut handler) = setup();
             let mut c = Cache::unbounded();
-            let r1 = builder.build(1, SimTime::from_secs(10.0), &db);
-            handler.process(&mut c, &r1, None);
+            handler.process(&mut c, &report(&sigs, 10.0, vec![]), None);
             c.insert(5, db.value(5), SimTime::from_secs(10.0)); // hot
             c.insert(100, db.value(100), SimTime::from_secs(10.0)); // cold
             // Hot item updated in interval 2.
-            let rec = db.apply_update(5, 777, SimTime::from_secs(15.0));
-            builder.on_update(&rec);
-            let r2 = builder.build(2, SimTime::from_secs(20.0), &db);
+            sigs.patch(&db.apply_update(5, 777, SimTime::from_secs(15.0)));
+            let r2 = report(&sigs, 20.0, vec![5]);
             let out = handler.process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
             assert_eq!(out.invalidated, vec![5]);
             assert!(c.contains(100));
@@ -376,16 +371,15 @@ mod tests {
 
         #[test]
         fn missed_report_drops_hot_but_not_cold() {
-            let (db, mut builder, mut handler) = setup();
+            let (db, sigs, mut handler) = setup();
             let mut c = Cache::unbounded();
-            let r1 = builder.build(1, SimTime::from_secs(10.0), &db);
-            handler.process(&mut c, &r1, None);
+            handler.process(&mut c, &report(&sigs, 10.0, vec![]), None);
             c.insert(5, db.value(5), SimTime::from_secs(10.0)); // hot
             c.insert(100, db.value(100), SimTime::from_secs(10.0)); // cold
             // Track cold subsets by hearing report 2, then nap through 3.
-            let r2 = builder.build(2, SimTime::from_secs(20.0), &db);
+            let r2 = report(&sigs, 20.0, vec![]);
             handler.process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
-            let r4 = builder.build(4, SimTime::from_secs(40.0), &db);
+            let r4 = report(&sigs, 40.0, vec![]);
             let out = handler.process(&mut c, &r4, Some(SimTime::from_secs(20.0)));
             assert!(out.invalidated.contains(&5), "hot items are amnesic");
             assert!(c.contains(100), "cold items ride the signatures");
@@ -393,19 +387,17 @@ mod tests {
 
         #[test]
         fn cold_update_diagnosed_after_nap() {
-            let (mut db, mut builder, mut handler) = setup();
+            let (mut db, mut sigs, mut handler) = setup();
             let mut c = Cache::unbounded();
-            let r1 = builder.build(1, SimTime::from_secs(10.0), &db);
-            handler.process(&mut c, &r1, None);
+            handler.process(&mut c, &report(&sigs, 10.0, vec![]), None);
             for i in 100..110 {
                 c.insert(i, db.value(i), SimTime::from_secs(10.0));
             }
-            let r2 = builder.build(2, SimTime::from_secs(20.0), &db);
+            let r2 = report(&sigs, 20.0, vec![]);
             handler.process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
-            let rec = db.apply_update(105, 31337, SimTime::from_secs(33.0));
-            builder.on_update(&rec);
+            sigs.patch(&db.apply_update(105, 31337, SimTime::from_secs(33.0)));
             // Nap through report 3; wake at 5.
-            let r5 = builder.build(5, SimTime::from_secs(50.0), &db);
+            let r5 = report(&sigs, 50.0, vec![]);
             let out = handler.process(&mut c, &r5, Some(SimTime::from_secs(20.0)));
             assert!(out.invalidated.contains(&105));
             assert!(c.contains(104), "untouched cold neighbours survive");
@@ -414,77 +406,66 @@ mod tests {
 
     mod sig {
         use super::*;
-        use sw_server::{Database, ReportBuilder, SigBuilder};
-        use sw_signature::{SigPlan, SubsetFamily};
 
-        fn setup(n: u64) -> (Database, SigBuilder, RuleHandler) {
-            let db = Database::new(n, |i| i + 5000, SimDuration::from_secs(1e6));
-            let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
-            let family = SubsetFamily::new(0xFEED, plan.m, plan.f);
-            let builder = SigBuilder::new(plan, family, &db);
-            let handler = RuleHandler::new(ReportRule::Sig {
-                decoder: builder.decoder(),
-            });
-            (db, builder, handler)
+        fn setup(n: u64) -> (Database, SignatureVector, RuleHandler) {
+            sig_setup(n, 5000, 0xFEED, HotSet::default(), |decoder| {
+                ReportRule::Sig { decoder }
+            })
         }
 
-        fn report(builder: &mut SigBuilder, i: u64, t: f64, db: &Database) -> FramePayload {
-            builder.build(i, SimTime::from_secs(t), db)
+        /// The SIG report at `t`.
+        fn report(sigs: &SignatureVector, t: f64) -> FramePayload {
+            FramePayload::SignatureReport {
+                report_ts_micros: SimTime::from_secs(t).as_micros(),
+                sig_bits: sigs.sig_bits(),
+                signatures: sigs.snapshot(),
+            }
         }
 
         #[test]
         fn survives_sleep_and_detects_change() {
-            let (mut db, mut builder, mut handler) = setup(300);
+            let (mut db, mut sigs, mut handler) = setup(300);
             let mut c = Cache::unbounded();
             // Hear report 1, cache items 0..20.
-            let r1 = report(&mut builder, 1, 10.0, &db);
-            handler.process(&mut c, &r1, None);
+            handler.process(&mut c, &report(&sigs, 10.0), None);
             for i in 0..20 {
                 c.insert(i, db.value(i), SimTime::from_secs(10.0));
             }
             // Track the subsets by hearing report 2.
-            let r2 = report(&mut builder, 2, 20.0, &db);
-            let out = handler.process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
+            let out = handler.process(&mut c, &report(&sigs, 20.0), Some(SimTime::from_secs(10.0)));
             assert!(out.invalidated.is_empty());
             // Sleep through reports 3..7 while item 5 changes.
-            let rec = db.apply_update(5, 123_456, SimTime::from_secs(42.0));
-            builder.on_update(&rec);
+            sigs.patch(&db.apply_update(5, 123_456, SimTime::from_secs(42.0)));
             // Wake for report 8 — SIG does NOT drop the cache on a gap.
-            let r8 = report(&mut builder, 8, 80.0, &db);
-            let out = handler.process(&mut c, &r8, Some(SimTime::from_secs(20.0)));
+            let out = handler.process(&mut c, &report(&sigs, 80.0), Some(SimTime::from_secs(20.0)));
             assert!(out.invalidated.contains(&5), "stale item must be caught");
             assert!(c.contains(6), "untouched items survive the nap");
         }
 
         #[test]
         fn no_updates_no_invalidation() {
-            let (db, mut builder, mut handler) = setup(300);
+            let (db, sigs, mut handler) = setup(300);
             let mut c = Cache::unbounded();
-            let r1 = report(&mut builder, 1, 10.0, &db);
-            handler.process(&mut c, &r1, None);
+            handler.process(&mut c, &report(&sigs, 10.0), None);
             for i in 0..30 {
                 c.insert(i, db.value(i), SimTime::from_secs(10.0));
             }
-            let r2 = report(&mut builder, 2, 20.0, &db);
-            handler.process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
-            let r3 = report(&mut builder, 3, 30.0, &db);
-            let out = handler.process(&mut c, &r3, Some(SimTime::from_secs(20.0)));
+            handler.process(&mut c, &report(&sigs, 20.0), Some(SimTime::from_secs(10.0)));
+            let out = handler.process(&mut c, &report(&sigs, 30.0), Some(SimTime::from_secs(20.0)));
             assert!(out.invalidated.is_empty());
             assert_eq!(c.len(), 30);
         }
 
         #[test]
         fn tracking_scopes_to_cache() {
-            let (db, mut builder, mut handler) = setup(300);
+            let (db, sigs, mut handler) = setup(300);
             let mut c = Cache::unbounded();
             c.insert(7, db.value(7), SimTime::from_secs(5.0));
-            let r1 = report(&mut builder, 1, 10.0, &db);
-            handler.process(&mut c, &r1, None);
+            handler.process(&mut c, &report(&sigs, 10.0), None);
             let with_item = handler.tracked_subsets();
             assert!(with_item > 0);
             c.clear();
-            let r2 = report(&mut builder, 2, 20.0, &db);
-            handler.process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
+            handler.process(&mut c, &report(&sigs, 20.0), Some(SimTime::from_secs(10.0)));
             assert_eq!(handler.tracked_subsets(), 0);
         }
     }

@@ -41,7 +41,7 @@ use sw_sim::{SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
 use crate::digest::ReportDigest;
-use crate::handler::{time_to_micros, ProcessOutcome};
+use crate::handler::ProcessOutcome;
 
 /// What the walk does with one cached entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,8 +163,8 @@ fn positive(latency: SimDuration) -> SimDuration {
 }
 
 /// A strategy's client half: which algorithm, with the parameters a
-/// whole fleet shares. Must match the server's report builder — the
-/// pairing is made in one place, `Strategy::report_rule`.
+/// whole fleet shares. Must match the server's report — the pairing is
+/// made in one place, `Strategy::report_rule`.
 #[derive(Debug, Clone)]
 pub enum ReportRule {
     /// §3.1 Broadcasting Timestamps.
@@ -248,8 +248,8 @@ impl ReportRule {
         }
     }
 
-    /// The GR rule; `map` must match the server's
-    /// [`sw_server::GroupReportBuilder`].
+    /// The GR rule; `map` must be the partition the server groups its
+    /// report by.
     pub fn group(latency: SimDuration, map: GroupMap) -> Self {
         ReportRule::Group {
             latency: positive(latency),
@@ -258,7 +258,7 @@ impl ReportRule {
     }
 
     /// The HYB rule; `hot` and `decoder` must match the server's
-    /// [`sw_server::HybridSigBuilder`].
+    /// [`sw_server::SignatureVector`].
     pub fn hybrid(latency: SimDuration, hot: HotSet, decoder: SyndromeDecoder) -> Self {
         ReportRule::Hybrid {
             latency: positive(latency),
@@ -285,7 +285,7 @@ impl ReportRule {
         }
     }
 
-    /// Strategy name, matching the server builder.
+    /// Strategy name, matching `Strategy::name`.
     pub fn name(&self) -> &'static str {
         match self {
             ReportRule::Ts { .. } => "TS",
@@ -346,7 +346,7 @@ impl ReportRule {
     ///
     /// # Panics
     /// Panics if the rule does not [accept](Self::accepts) the frame —
-    /// a mis-wired builder, since outside input is screened first — or
+    /// a mis-wired server, since outside input is screened first — or
     /// if `lent` is not the state the rule needs.
     pub fn apply<C: CacheSlots>(
         &self,
@@ -390,13 +390,12 @@ impl ReportRule {
                     report_time: t_i,
                     dropped_all: true,
                     invalidated: Vec::new(),
-                    revalidated: 0,
                 };
             }
             ReportRule::Ts { .. } => {
                 // if [j, t_j] in U_i { if t_cache < t_j drop else t_cache := T_i }
                 // (not mentioned ⇒ unchanged within w ⇒ t_cache := T_i)
-                let newer = |item, stamp| digest.ts_newer_than(item, time_to_micros(stamp));
+                let newer = |item, stamp: SimTime| digest.ts_newer_than(item, stamp.as_micros());
                 let invalidated =
                     cache.sweep(t_i, |item, stamp| Verdict::drop_if(newer(item, stamp)));
                 // Sound as a ghost proof because any update inside the
@@ -428,8 +427,7 @@ impl ReportRule {
                     };
                     // A gap of exactly `w_j` is survivable, as for TS.
                     Verdict::drop_if(
-                        gap > w_j * (1.0 + 1e-12)
-                            || digest.ts_newer_than(item, time_to_micros(stamp)),
+                        gap > w_j * (1.0 + 1e-12) || digest.ts_newer_than(item, stamp.as_micros()),
                     )
                 })
             }
@@ -487,7 +485,6 @@ impl ReportRule {
             report_time: t_i,
             dropped_all: false,
             invalidated,
-            revalidated: cache.len(),
         }
     }
 
@@ -571,7 +568,6 @@ mod tests {
     use super::*;
     use crate::cache::Cache;
     use crate::digest::DigestScratch;
-    use crate::handler::time_from_micros;
     use sw_signature::{SigPlan, SubsetFamily};
     use sw_sim::{MasterSeed, RngStream, StreamId};
 
@@ -661,7 +657,7 @@ mod tests {
             ),
             other => panic!("not a report: {other:?}"),
         };
-        let t_i = time_from_micros(t_i);
+        let t_i = SimTime::from_micros(t_i);
         // if (T_i − T_l > tolerance): a unit that never heard a report
         // is past every tolerance.
         let gap_over = |tolerance: f64| {
@@ -672,7 +668,7 @@ mod tests {
         let ts_newer = |j: ItemId, t_cache: SimTime| {
             entries
                 .iter()
-                .any(|&(id, t_j)| id == j && time_to_micros(t_cache) < t_j)
+                .any(|&(id, t_j)| id == j && t_cache.as_micros() < t_j)
         };
         // §3.3: j is invalid iff it sits in too many unmatched subsets.
         let sig_valid = |j: ItemId, decoder: &SyndromeDecoder| {
@@ -846,7 +842,6 @@ mod tests {
             );
             // ... and no false alarm the pseudo-code does not raise.
             assert_eq!(kept, expected, "{context}");
-            assert_eq!(outcome.revalidated, kept.len(), "{context}");
             for &(j, before) in cached.iter().filter(|e| kept.contains(&e.0)) {
                 // §7 alone keeps a copy without vouching for it: one
                 // still under α keeps its lag clock.
@@ -1005,9 +1000,10 @@ mod tests {
         fn young_entries_keep_their_lag_clock() {
             let mut c = cache_of(&[(1, 10.0)]);
             let out = hear(3, &mut c, 20.0, &[], 10.0);
-            // Age 10 < α = 30: timestamp untouched (lag clock running).
+            // Age 10 < α = 30: kept, timestamp untouched (lag clock
+            // running).
+            assert!(out.invalidated.is_empty());
             assert_eq!(c.peek(1).unwrap().timestamp, t(10.0));
-            assert_eq!(out.revalidated, 1);
         }
 
         #[test]

@@ -1,14 +1,26 @@
 //! The server half of Figure 2, shared by the simulator and the live
 //! daemon.
 //!
-//! A *static* broadcast strategy (TS, AT, SIG, hybrid) is fully
-//! described by its [`ReportBuilder`]: feed it updates, ask it for the
-//! report. The driver-constructed strategies carry extra server state —
-//! adaptive TS folds per-period query/update feedback into its window
-//! controller, quasi-delay thins the TS report to the *due* obligations,
-//! and the stateful baseline keeps a per-client registry for directed
-//! invalidations. [`ServerDriver`] packages all four shapes behind one
-//! seam.
+//! [`ServerDriver`] is every strategy's server algorithm, one arm per
+//! kind of report and one `match` per phase (construct, ingest an
+//! update, build the report, note an uplink answer, close an evaluation
+//! period):
+//!
+//! * the *window* arm — TS, AT, NC, GR and QD. §3's history-based
+//!   reports: the items the update log holds for `(T_i − w, T_i]`, with
+//!   `w = kL` (TS, each entry stamped `t_j`), `w = L` (AT ids, GR group
+//!   ids) or `w = αL` (QD, thinned to the *due* obligations); NC's
+//!   window is empty;
+//! * the *signatures* arm — SIG, and HYB = SIG over the items outside a
+//!   hot set plus the hot ids of the `w = L` window. §3.3's state-based
+//!   report: a [`SignatureVector`] XOR-patched per update;
+//! * the *adaptive* arm — §8's per-item windows: the window walk at the
+//!   widest window, filtered per item, plus the controller that adjusts
+//!   the windows from per-period feedback;
+//! * the *stateful* arm — §2's baseline, a per-client registry for
+//!   directed invalidations.
+//!
+//! Every history-based report is one walk of the update log.
 //!
 //! [`CellServer`] is the paper's one server loop around that driver
 //! (§2): the database, the update process, the uplink processor and the
@@ -20,19 +32,17 @@
 //! of one server, and there is one place where the retention rule, the
 //! seed streams and the phase order are spelled.
 //!
-//! The live daemon can host every driver shape except the stateful
-//! baseline (directed messages need per-client connections the
-//! broadcast wire does not model) and adaptive Method 1 (its MHR
-//! estimate needs piggybacked local-hit times, which the live uplink
-//! frame does not carry).
+//! The live daemon can host every arm except the stateful baseline
+//! (directed messages need per-client connections the broadcast wire
+//! does not model) and adaptive Method 1 (its MHR estimate needs
+//! piggybacked local-hit times, which the live uplink frame does not
+//! carry).
 
-use sw_adaptive::{
-    AdaptiveController, AdaptiveTsBuilder, FeedbackMethod, PeriodItemStats,
-};
+use sw_adaptive::{AdaptiveController, FeedbackMethod, PeriodItemStats, WindowTable};
 use sw_quasi::ObligationTracker;
 use sw_server::{
-    Database, ItemId, ItemTable, PiggybackInfo, QueryAnswer, ReportBuilder, StatefulServer,
-    TsBuilder, UpdateEngine, UpdateRecord, UplinkProcessor,
+    Database, GroupMap, HotSet, ItemId, ItemTable, PiggybackInfo, QueryAnswer, SignatureVector,
+    StatefulServer, UpdateEngine, UpdateRecord, UplinkProcessor,
 };
 use sw_sim::{counters, MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::FramePayload;
@@ -40,28 +50,47 @@ use sw_workload::ScenarioParams;
 
 use crate::config::CellConfig;
 use crate::safety::ValueHistory;
-use crate::strategy::Strategy;
+use crate::strategy::{group_map, hot_set, sig_decoder, Strategy};
 
-/// Server-side machinery; adaptive and quasi strategies carry extra
-/// state beyond the plain report builder.
-// One Side exists per driver; the variant size spread is irrelevant
+/// What each entry of a window report carries.
+enum Carry {
+    /// TS: `(j, t_j)`, the item's latest update in the window.
+    Stamps,
+    /// AT (and NC, whose window is empty): the id.
+    Ids,
+    /// GR: the id's group, each group once.
+    Groups(GroupMap),
+    /// QD: `(j, t_j)` for the items whose oldest outstanding copy
+    /// reaches its allowed lag this interval (§7's obligation lists).
+    Due(ObligationTracker),
+}
+
+/// One strategy's server algorithm. See the module docs.
+// One Arm exists per driver; the variant size spread is irrelevant
 // next to the database it sits beside.
 #[allow(clippy::large_enum_variant)]
-enum Side {
-    Static(Box<dyn ReportBuilder + Send>),
+enum Arm {
+    /// TS, AT, NC, GR, QD: what the update log holds for the window.
+    Window { window: SimDuration, carry: Carry },
+    /// SIG, and HYB, whose report also lists the hot items updated in
+    /// `hot_window` (`L`) by id.
+    Signatures {
+        sigs: SignatureVector,
+        hot_window: Option<SimDuration>,
+    },
+    /// Adaptive TS (§8).
     Adaptive {
-        builder: AdaptiveTsBuilder,
+        latency: SimDuration,
+        windows: WindowTable,
         controller: AdaptiveController,
         eval_period: u32,
         method: FeedbackMethod,
+        /// Report mentions per item this period (`Report(i, new)`).
+        mentions: ItemTable<u32>,
         /// Per-item query timestamps this period (uplink + piggybacked).
         query_times: ItemTable<Vec<SimTime>>,
         /// Per-item update timestamps this period.
         update_times: ItemTable<Vec<SimTime>>,
-    },
-    QuasiDelay {
-        builder: TsBuilder,
-        tracker: ObligationTracker,
     },
     /// §2's stateful baseline: directed invalidation messages to
     /// registered holders instead of a broadcast report. `pending_ids`
@@ -73,15 +102,28 @@ enum Side {
     },
 }
 
+/// The update log's view of `(T_i − w, T_i]`, clamped at the origin:
+/// each item updated in the window once, ascending, with its latest
+/// update time.
+fn walk(db: &Database, t_i: SimTime, window: SimDuration) -> Vec<(ItemId, SimTime)> {
+    let from = SimTime::from_secs((t_i.as_secs() - window.as_secs()).max(0.0));
+    db.updated_in_window(from, t_i)
+}
+
+/// The widest window in the adaptive table, in intervals.
+fn widest(default_k: u32, exceptions: &[(ItemId, u32)]) -> u32 {
+    exceptions.iter().map(|&(_, k)| k).fold(default_k, u32::max)
+}
+
 /// One strategy's complete server half. See the module docs.
 pub struct ServerDriver {
-    side: Side,
+    arm: Arm,
 }
 
 impl ServerDriver {
-    /// Builds the server half of `strategy`. `n_clients` seeds the
-    /// stateful baseline's registry (every unit starts connected);
-    /// the other shapes ignore it.
+    /// Builds the server half of `strategy`. `protocol_seed` and `db`
+    /// seed the SIG/HYB signatures; `n_clients` seeds the stateful
+    /// baseline's registry (every unit starts connected).
     pub fn new(
         strategy: Strategy,
         params: &ScenarioParams,
@@ -90,13 +132,42 @@ impl ServerDriver {
         n_clients: usize,
     ) -> Self {
         let latency = SimDuration::from_secs(params.latency_secs);
-        let side = match strategy {
+        let window = |intervals: u64, carry| Arm::Window {
+            window: latency.scaled(intervals as f64),
+            carry,
+        };
+        let signatures =
+            |hot: HotSet| SignatureVector::new(sig_decoder(params, protocol_seed), hot, db);
+        let arm = match strategy {
+            Strategy::BroadcastTimestamps => window(params.k as u64, Carry::Stamps),
+            Strategy::AmnesicTerminals => window(1, Carry::Ids),
+            // No report: an empty window lists nothing, zero bits.
+            Strategy::NoCache => window(0, Carry::Ids),
+            Strategy::GroupReports { groups } => {
+                window(1, Carry::Groups(group_map(groups, params)))
+            }
+            Strategy::QuasiDelay { alpha_intervals } => window(
+                alpha_intervals,
+                Carry::Due(ObligationTracker::for_universe(
+                    alpha_intervals,
+                    params.n_items,
+                )),
+            ),
+            Strategy::Signatures => Arm::Signatures {
+                sigs: signatures(HotSet::default()),
+                hot_window: None,
+            },
+            Strategy::HybridSig { hot_count } => Arm::Signatures {
+                sigs: signatures(hot_set(hot_count, params)),
+                hot_window: Some(latency),
+            },
             Strategy::AdaptiveTs {
                 method,
                 eval_period,
                 step,
-            } => Side::Adaptive {
-                builder: AdaptiveTsBuilder::new(latency, params.k),
+            } => Arm::Adaptive {
+                latency,
+                windows: WindowTable::new(params.k),
                 controller: AdaptiveController::new(
                     method,
                     step,
@@ -107,118 +178,183 @@ impl ServerDriver {
                 ),
                 eval_period,
                 method,
+                mentions: ItemTable::dense(params.n_items),
                 query_times: ItemTable::dense(params.n_items),
                 update_times: ItemTable::dense(params.n_items),
-            },
-            Strategy::QuasiDelay { alpha_intervals } => Side::QuasiDelay {
-                builder: TsBuilder::with_window(latency.scaled(alpha_intervals as f64)),
-                tracker: ObligationTracker::for_universe(alpha_intervals, params.n_items),
             },
             Strategy::Stateful => {
                 let mut registry = StatefulServer::with_universe(params.n_items);
                 for idx in 0..n_clients as u64 {
                     registry.connect(idx);
                 }
-                Side::Stateful {
+                Arm::Stateful {
                     registry,
                     pending_ids: Vec::new(),
                 }
             }
-            other => Side::Static(other.make_builder(params, protocol_seed, db)),
         };
-        ServerDriver { side }
+        ServerDriver { arm }
     }
 
     /// Whether this driver runs the stateful baseline (directed
     /// messages instead of a broadcast report).
     pub fn is_stateful(&self) -> bool {
-        matches!(self.side, Side::Stateful { .. })
+        matches!(self.arm, Arm::Stateful { .. })
     }
 
     /// The stateful baseline's registry, for connect/disconnect and
-    /// directed-recipient bookkeeping. `None` for every other shape.
+    /// directed-recipient bookkeeping. `None` for every other arm.
     pub fn registry_mut(&mut self) -> Option<&mut StatefulServer> {
-        match &mut self.side {
-            Side::Stateful { registry, .. } => Some(registry),
+        match &mut self.arm {
+            Arm::Stateful { registry, .. } => Some(registry),
             _ => None,
         }
     }
 
     /// Current per-item adaptive window (adaptive strategy only).
     pub fn adaptive_window(&self, item: ItemId) -> Option<u32> {
-        match &self.side {
-            Side::Adaptive { builder, .. } => Some(builder.windows().get(item)),
+        match &self.arm {
+            Arm::Adaptive { windows, .. } => Some(windows.get(item)),
             _ => None,
         }
     }
 
     /// Ingests one applied update.
     pub fn on_update(&mut self, rec: &UpdateRecord) {
-        match &mut self.side {
-            Side::Static(b) => b.on_update(rec),
-            Side::Adaptive {
-                builder,
-                update_times,
-                ..
-            } => {
-                builder.on_update(rec);
-                update_times
-                    .get_or_insert_with(rec.item, Vec::new)
-                    .push(rec.at);
-            }
-            Side::QuasiDelay { .. } => {}
+        match &mut self.arm {
+            // The update log is the window arm's whole state.
+            Arm::Window { .. } => {}
+            Arm::Signatures { sigs, .. } => sigs.patch(rec),
+            Arm::Adaptive { update_times, .. } => update_times
+                .get_or_insert_with(rec.item, Vec::new)
+                .push(rec.at),
             // Stateful invalidations are charged by the caller, which
             // owns the channel; here we only remember the ids for the
             // client-side framing.
-            Side::Stateful { pending_ids, .. } => pending_ids.push(rec.item),
+            Arm::Stateful { pending_ids, .. } => pending_ids.push(rec.item),
         }
     }
 
     /// Builds interval `i`'s report payload, broadcast at `t_i`.
     pub fn build(&mut self, i: u64, t_i: SimTime, db: &Database) -> FramePayload {
-        match &mut self.side {
-            Side::Static(b) => b.build(i, t_i, db),
-            Side::Adaptive { builder, .. } => builder.build(i, t_i, db),
-            Side::QuasiDelay { builder, tracker } => {
-                // Build the full TS report over window α, then thin it to
-                // the *due* items (§7: an item "can be considered for
-                // reporting" only when an outstanding copy reaches its
-                // allowed lag).
-                let payload = builder.build(i, t_i, db);
-                let entries = match payload {
-                    FramePayload::TimestampReport { entries, .. } => entries,
-                    other => unreachable!("TS builder produced {other:?}"),
-                };
-                let mut kept = Vec::new();
-                for (item, ts) in entries {
+        let report_ts_micros = t_i.as_micros();
+        let ids = |window| walk(db, t_i, window).into_iter().map(|(item, _)| item);
+        match &mut self.arm {
+            Arm::Window {
+                window,
+                carry: Carry::Stamps,
+            } => FramePayload::TimestampReport {
+                report_ts_micros,
+                entries: walk(db, t_i, *window)
+                    .into_iter()
+                    .map(|(item, at)| (item, at.as_micros()))
+                    .collect(),
+            },
+            Arm::Window {
+                window,
+                carry: Carry::Ids,
+            } => FramePayload::AmnesicReport {
+                report_ts_micros,
+                ids: ids(*window).collect(),
+            },
+            Arm::Window {
+                window,
+                carry: Carry::Groups(map),
+            } => {
+                // Group ids ride an AmnesicReport frame, which the wire
+                // charges ⌈log₂ n⌉ bits per id where a group id needs
+                // only ⌈log₂ G⌉: the over-charge is conservative against
+                // the strategy, so the ablation's measured savings are a
+                // lower bound. Ascending items map to ascending groups.
+                let mut groups: Vec<u64> = ids(*window).map(|item| map.group_of(item)).collect();
+                groups.dedup();
+                FramePayload::AmnesicReport {
+                    report_ts_micros,
+                    ids: groups,
+                }
+            }
+            Arm::Window {
+                window,
+                carry: Carry::Due(tracker),
+            } => {
+                // §7: an item "can be considered for reporting" only
+                // when an outstanding copy reaches its allowed lag.
+                // Reported: those copies will be dropped and re-fetched
+                // (fresh obligations arrive via the uplink path).
+                let mut entries = Vec::new();
+                for (item, at) in walk(db, t_i, *window) {
                     if tracker.due(item, i) {
-                        kept.push((item, ts));
-                        // Reported: outstanding copies will be dropped
-                        // and re-fetched (fresh obligations arrive via
-                        // the uplink path).
+                        entries.push((item, at.as_micros()));
                         tracker.consume(item, i, false);
                     }
                 }
                 // Due items that did NOT change within α are implicitly
                 // re-validated by their absence; their obligation clock
                 // restarts.
-                let due_unchanged: Vec<ItemId> = (0..db.len())
-                    .filter(|&item| tracker.due(item, i))
-                    .collect();
-                for item in due_unchanged {
-                    tracker.consume(item, i, true);
+                for item in 0..db.len() {
+                    if tracker.due(item, i) {
+                        tracker.consume(item, i, true);
+                    }
                 }
                 FramePayload::TimestampReport {
-                    report_ts_micros: (t_i.as_secs() * 1e6).round() as u64,
-                    entries: kept,
+                    report_ts_micros,
+                    entries,
                 }
             }
-            Side::Stateful { pending_ids, .. } => {
+            Arm::Signatures {
+                sigs,
+                hot_window: None,
+            } => FramePayload::SignatureReport {
+                report_ts_micros,
+                sig_bits: sigs.sig_bits(),
+                signatures: sigs.snapshot(),
+            },
+            Arm::Signatures {
+                sigs,
+                hot_window: Some(window),
+            } => FramePayload::HybridReport {
+                report_ts_micros,
+                hot_ids: ids(*window)
+                    .filter(|&item| sigs.hot().contains(item))
+                    .collect(),
+                sig_bits: sigs.sig_bits(),
+                signatures: sigs.snapshot(),
+            },
+            Arm::Adaptive {
+                latency,
+                windows,
+                mentions,
+                ..
+            } => {
+                // One walk at the widest window bounds the work by recent
+                // update volume; each candidate is then held to its own
+                // window `w_j`. A zero window starts at `T_i` itself, so
+                // its item is never listed (§8: "the item should not be
+                // included in the report").
+                let window_exceptions = windows.exceptions();
+                let widest = widest(windows.default_k(), &window_exceptions);
+                let mut entries = Vec::new();
+                for (item, at) in walk(db, t_i, latency.scaled(widest as f64)) {
+                    let w_j = windows.get(item) as f64 * latency.as_secs();
+                    if at.as_secs() > t_i.as_secs() - w_j {
+                        entries.push((item, at.as_micros()));
+                        *mentions.get_or_insert_with(item, || 0) += 1;
+                    }
+                }
+                // The exception list rides every report, so clients
+                // always apply the windows the server used.
+                FramePayload::AdaptiveTimestampReport {
+                    report_ts_micros,
+                    entries,
+                    window_exceptions,
+                }
+            }
+            Arm::Stateful { pending_ids, .. } => {
                 let mut ids = std::mem::take(pending_ids);
                 ids.sort_unstable();
                 ids.dedup();
                 FramePayload::AmnesicReport {
-                    report_ts_micros: (t_i.as_secs() * 1e6).round() as u64,
+                    report_ts_micros,
                     ids,
                 }
             }
@@ -238,8 +374,8 @@ impl ServerDriver {
         t_i: SimTime,
         piggyback: Option<&PiggybackInfo>,
     ) {
-        match &mut self.side {
-            Side::Adaptive {
+        match &mut self.arm {
+            Arm::Adaptive {
                 query_times,
                 method: FeedbackMethod::Method1,
                 ..
@@ -250,21 +386,22 @@ impl ServerDriver {
                 }
                 times.push(t_i);
             }
-            Side::QuasiDelay { tracker, .. } => tracker.on_uplink(item, i),
-            Side::Stateful { registry, .. } => {
-                // Registration rides the uplink query for free.
-                registry.register_cache(mu_id, item);
-            }
+            Arm::Window {
+                carry: Carry::Due(tracker),
+                ..
+            } => tracker.on_uplink(item, i),
+            // Registration rides the uplink query for free.
+            Arm::Stateful { registry, .. } => registry.register_cache(mu_id, item),
             _ => {}
         }
     }
 
     /// Runs the adaptive evaluation-period boundary when interval `i`
-    /// closes a period: drains the builder's mention counts and the
-    /// uplink processor's per-item stats, feeds the window controller,
-    /// and widens the database's update-log retention to cover the
-    /// largest granted window. Returns the closed period (for
-    /// observation), `None` when none closed.
+    /// closes a period: drains the mention counts and the uplink
+    /// processor's per-item stats, feeds the window controller, and
+    /// widens the database's update-log retention to cover the largest
+    /// granted window. Returns the closed period (for observation),
+    /// `None` when none closed.
     /// Private: [`CellServer::close_interval`] is the one caller, so the
     /// boundary cannot be sequenced against the log prune a second way.
     fn end_period_if_due(
@@ -273,21 +410,23 @@ impl ServerDriver {
         uplink: &mut UplinkProcessor,
         db: &mut Database,
     ) -> Option<AdaptivePeriod> {
-        let Side::Adaptive {
-            builder,
+        let Arm::Adaptive {
+            latency,
+            windows,
             controller,
             eval_period,
             method,
+            mentions,
             query_times,
             update_times,
-        } = &mut self.side
+        } = &mut self.arm
         else {
             return None;
         };
         if !i.is_multiple_of(*eval_period as u64) {
             return None;
         }
-        let mentions = builder.end_period();
+        let mentions = mentions.take();
         let uplink_stats = uplink.end_period();
         // Both tables iterate in ascending id order; merge the two
         // sorted id streams.
@@ -319,22 +458,16 @@ impl ServerDriver {
                 }
             })
             .collect();
-        controller.end_period(builder.windows_mut(), stats);
+        controller.end_period(windows, stats);
         query_times.clear();
         update_times.clear();
         // Growing windows need deeper update history.
-        let max_k = builder
-            .windows()
-            .exceptions()
-            .iter()
-            .map(|&(_, k)| k)
-            .chain(std::iter::once(builder.windows().default_k()))
-            .max()
-            .unwrap_or(1);
-        db.widen_log_retention(builder.latency().scaled(max_k as f64 + 2.0));
+        let exceptions = windows.exceptions();
+        let widest = widest(windows.default_k(), &exceptions);
+        db.widen_log_retention(latency.scaled(widest as f64 + 2.0));
         Some(AdaptivePeriod {
-            default_k: builder.windows().default_k() as u64,
-            exceptions: builder.windows().exceptions().len() as u64,
+            default_k: windows.default_k() as u64,
+            exceptions: exceptions.len() as u64,
         })
     }
 }
@@ -516,74 +649,4 @@ impl CellServer {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use sw_sim::IntervalClock;
-
-    const ITEM: ItemId = 7;
-
-    #[test]
-    fn adaptive_period_obeys_the_counter_laws() {
-        sw_sim::counters::assert_laws::<AdaptivePeriod>();
-    }
-
-    fn listed(payload: &FramePayload) -> Vec<ItemId> {
-        match payload {
-            FramePayload::AdaptiveTimestampReport { entries, .. } => {
-                entries.iter().map(|&(item, _)| item).collect()
-            }
-            other => panic!("adaptive TS builds adaptive reports, not {other:?}"),
-        }
-    }
-
-    /// The order inside [`CellServer::close_interval`] is behaviour:
-    /// swap its two lines and this fails at report 9.
-    ///
-    /// `k = 1`, so the log starts out retaining `4L`. One update to
-    /// `ITEM` lands at `T_1 = L` and one uplink query asks for it. The
-    /// boundary at interval 4 grows its window 1 → 5 (retention `7L`),
-    /// the boundary at interval 8 grows it 5 → 9 (retention `11L`). At
-    /// `T_8` the update is exactly `7L` old: pruning under the *old*
-    /// retention before the boundary widens it throws the record away,
-    /// and report 9 — whose window `(0, 9L]` covers it — would go out
-    /// without the entry sleepers of up to nine intervals rely on.
-    #[test]
-    fn close_interval_widens_retention_before_it_prunes() {
-        let mut params = ScenarioParams::scenario1();
-        params.n_items = 64;
-        params.mu = 0.0; // the one published update is the only update
-        params.k = 1;
-        let strategy = Strategy::AdaptiveTs {
-            method: FeedbackMethod::Method2,
-            eval_period: 4,
-            step: 4,
-        };
-        let mut server = CellServer::new(&CellConfig::new(params), strategy);
-        let mut clock = IntervalClock::new(SimDuration::from_secs(params.latency_secs));
-        let mut reports = Vec::new();
-        for _ in 0..9 {
-            let (i, t_i) = clock.tick();
-            let publishes: &[(ItemId, u64)] = if i == 1 { &[(ITEM, 0xFEED)] } else { &[] };
-            server.advance(i, clock.report_time(i - 1), t_i, publishes);
-            reports.push(listed(&server.build()));
-            if i == 1 {
-                server.answer(0, ITEM, None);
-            }
-            server.close_interval();
-        }
-        assert_eq!(server.driver().adaptive_window(ITEM), Some(9));
-        assert_eq!(
-            (server.updates_applied(), server.publishes_applied(), server.uplink_answers()),
-            (0, 1, 1),
-            "the publish is not a seeded update; the one query was answered"
-        );
-        assert_eq!(reports[0], [ITEM], "report 1 lists the fresh update");
-        assert_eq!(reports[4], [ITEM], "the 5-interval window reaches back to T_1");
-        assert!(reports[7].is_empty(), "at T_8 the update is outside w = 5L");
-        assert_eq!(
-            reports[8],
-            [ITEM],
-            "the window grown at T_8 covers the update again; its log record must have survived"
-        );
-    }
-}
+mod tests;

@@ -4,7 +4,7 @@
 //! schedules the cell driver never produces.
 //!
 //! `tests/columnar_equivalence.rs` only ever feeds both stores what
-//! `ReportBuilder`s emit (ascending, unique), so the
+//! `ServerDriver` builds (ascending, unique), so the
 //! `ProcessOutcome::invalidated` ordering contract, the duplicate-id
 //! verdicts and the gap rule at its exact boundary are pinned here, for
 //! every rule, where a payload can be hand-built: unsorted, with

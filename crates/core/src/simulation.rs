@@ -44,7 +44,6 @@
 use std::collections::{HashSet, VecDeque};
 
 use sw_capacity::{CapacityStats, CoopDirectory, CoopFeed, CoopStats};
-use sw_client::handler::time_to_micros;
 use sw_client::{DigestScratch, MuStats, ReportDigest};
 use sw_faults::{FaultLayer, FaultTotals, ReportFate};
 use sw_observe::{Recorder, Value};
@@ -936,9 +935,9 @@ impl CellSimulation {
                         Some(value)
                             if coop_vouch(
                                 digest,
-                                time_to_micros(
-                                    feed.stamp.expect("a holding feed carries its stamp"),
-                                ),
+                                feed.stamp
+                                    .expect("a holding feed carries its stamp")
+                                    .as_micros(),
                                 item,
                             ) =>
                         {

@@ -1,17 +1,15 @@
 //! The strategy catalogue.
 //!
-//! [`Strategy`] names every invalidation scheme this library implements
-//! and knows how to construct the matching server-side report builder
-//! and client-side handler pair. The pairing is load-bearing: a TS
-//! server with an AT client would be silently wrong, so construction
-//! goes through this one place.
+//! [`Strategy`] names every invalidation scheme this library implements.
+//! Its server half is the matching arm of [`crate::ServerDriver`]; its
+//! client half is [`Strategy::report_rule`]. The pairing is
+//! load-bearing — a TS server with an AT client would be silently
+//! wrong — so both sides derive the shared state (SIG decoder, hot set,
+//! group map) from the helpers at the bottom of this file.
 
 use sw_adaptive::FeedbackMethod;
 use sw_client::{ReportRule, RuleHandler};
-use sw_server::{
-    AtBuilder, Database, GroupMap, GroupReportBuilder, HotSet, HybridSigBuilder, NoReportBuilder,
-    ReportBuilder, SigBuilder, TsBuilder,
-};
+use sw_server::{GroupMap, HotSet};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, SimDuration, StreamId};
 use sw_workload::ScenarioParams;
@@ -122,60 +120,6 @@ impl Strategy {
     /// rest; 1% holds with a wide margin at the paper's `g = 16`.
     pub const SIG_VIOLATION_BOUND: f64 = 0.01;
 
-    /// Builds the server-side report builder. `db` is needed by SIG to
-    /// compute the initial combined signatures.
-    ///
-    /// Adaptive TS is *not* constructed here — it needs the controller
-    /// wiring the simulation owns; see `simulation::ServerSide`.
-    ///
-    /// Public because the live runtime (`sw-live`) constructs the same
-    /// builder/handler pairs the simulation does — the simulator is the
-    /// executable spec of the daemon, so both must derive identical
-    /// protocol state from a shared seed. Panics (`unreachable!`) for
-    /// the driver-constructed strategies (adaptive TS, stateful).
-    pub fn make_builder(
-        &self,
-        params: &ScenarioParams,
-        seed: MasterSeed,
-        db: &Database,
-    ) -> Box<dyn ReportBuilder + Send> {
-        let latency = SimDuration::from_secs(params.latency_secs);
-        match self {
-            Strategy::BroadcastTimestamps => Box::new(TsBuilder::new(latency, params.k)),
-            Strategy::AmnesicTerminals => Box::new(AtBuilder::new(latency)),
-            Strategy::Signatures => {
-                let decoder = sig_decoder(params, seed);
-                Box::new(SigBuilder::new(*decoder.plan(), *decoder.family(), db))
-            }
-            Strategy::NoCache => Box::new(NoReportBuilder),
-            Strategy::AdaptiveTs { .. } => {
-                unreachable!("adaptive TS is constructed by the simulation driver")
-            }
-            // Quasi-delay uses plain TS reports server-side; the
-            // obligation-list report *thinning* is layered by the
-            // simulation driver.
-            Strategy::QuasiDelay { alpha_intervals } => Box::new(TsBuilder::with_window(
-                latency.scaled(*alpha_intervals as f64),
-            )),
-            Strategy::Stateful => {
-                unreachable!("the stateful baseline is constructed by the simulation driver")
-            }
-            Strategy::HybridSig { hot_count } => {
-                let decoder = sig_decoder(params, seed);
-                Box::new(HybridSigBuilder::new(
-                    latency,
-                    hot_set(*hot_count, params),
-                    *decoder.plan(),
-                    *decoder.family(),
-                    db,
-                ))
-            }
-            Strategy::GroupReports { groups } => {
-                Box::new(GroupReportBuilder::new(latency, group_map(*groups, params)))
-            }
-        }
-    }
-
     /// The strategy's client half as a [`ReportRule`]: the algorithm
     /// and the window/latency/decoder/hot-set/group-map/lag bound every
     /// client of a cell shares. The one description boxed units
@@ -211,9 +155,8 @@ impl Strategy {
     /// Builds one client's report handler: the rule plus fresh
     /// per-client state.
     ///
-    /// Public for the same reason as [`Strategy::make_builder`]: a live
-    /// MU must process reports with exactly the handler the simulated
-    /// MU would use.
+    /// Public because a live MU must process reports with exactly the
+    /// handler the simulated MU would use.
     pub fn make_handler(&self, params: &ScenarioParams, seed: MasterSeed) -> RuleHandler {
         RuleHandler::new(self.report_rule(params, seed))
     }
@@ -222,7 +165,7 @@ impl Strategy {
 /// The SIG/HYB decoder (plan + subset family) both sides derive from
 /// the scenario parameters and the master seed — otherwise every
 /// diagnosis is garbage.
-fn sig_decoder(params: &ScenarioParams, seed: MasterSeed) -> SyndromeDecoder {
+pub(crate) fn sig_decoder(params: &ScenarioParams, seed: MasterSeed) -> SyndromeDecoder {
     let plan = SigPlan::new(
         params.f,
         params.g,
@@ -234,12 +177,12 @@ fn sig_decoder(params: &ScenarioParams, seed: MasterSeed) -> SyndromeDecoder {
 }
 
 /// HYB's individually broadcast items: the `hot_count` most popular.
-fn hot_set(hot_count: u64, params: &ScenarioParams) -> HotSet {
+pub(crate) fn hot_set(hot_count: u64, params: &ScenarioParams) -> HotSet {
     HotSet::top_by_rank(hot_count.min(params.n_items))
 }
 
 /// GR's partition of the database into `groups` contiguous groups.
-fn group_map(groups: u64, params: &ScenarioParams) -> GroupMap {
+pub(crate) fn group_map(groups: u64, params: &ScenarioParams) -> GroupMap {
     GroupMap::new(params.n_items, groups.clamp(1, params.n_items))
 }
 
@@ -253,15 +196,6 @@ fn sig_seed(seed: MasterSeed) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sw_sim::SimDuration;
-
-    fn db(params: &ScenarioParams) -> Database {
-        Database::new(
-            params.n_items,
-            |i| i,
-            SimDuration::from_secs(params.window_secs().max(params.latency_secs) * 2.0),
-        )
-    }
 
     #[test]
     fn names_are_stable() {
@@ -272,18 +206,27 @@ mod tests {
     }
 
     #[test]
-    fn builder_and_handler_names_match() {
+    fn handler_names_match_strategy_names() {
         let params = ScenarioParams::scenario1();
-        let d = db(&params);
         for s in [
             Strategy::BroadcastTimestamps,
             Strategy::AmnesicTerminals,
             Strategy::Signatures,
             Strategy::NoCache,
+            Strategy::AdaptiveTs {
+                method: FeedbackMethod::Method2,
+                eval_period: 4,
+                step: 1,
+            },
+            Strategy::QuasiDelay { alpha_intervals: 2 },
+            Strategy::HybridSig { hot_count: 10 },
+            Strategy::GroupReports { groups: 10 },
         ] {
-            let b = s.make_builder(&params, MasterSeed::TEST, &d);
-            let h = s.make_handler(&params, MasterSeed::TEST);
-            assert_eq!(b.name(), h.name(), "strategy {s:?}");
+            assert_eq!(
+                s.make_handler(&params, MasterSeed::TEST).name(),
+                s.name(),
+                "{s:?}"
+            );
         }
     }
 

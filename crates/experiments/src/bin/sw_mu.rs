@@ -1,9 +1,9 @@
 //! `sw-mu` — a live mobile-unit client.
 //!
 //! Connects to a running `sw-serve`, registers over TCP, listens for
-//! UDP invalidation reports, and runs the real [`sw_client`] cache
-//! against them: queries buffered until the next heard report, misses
-//! answered over the TCP uplink, per-strategy recovery on missed
+//! UDP invalidation reports, and runs the real [`sleepers::client`]
+//! cache against them: queries buffered until the next heard report,
+//! misses answered over the TCP uplink, per-strategy recovery on missed
 //! frames.
 //!
 //! Usage:

@@ -30,27 +30,32 @@
 //!    asserted bit-identical to two independent single-cell runs — the
 //!    sharded environment itself must be invisible.
 
-use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule, RuleHandler};
-use sleepers::server::AtBuilder;
-use sleepers::server::{Database, ReportBuilder, TsBuilder, UpdateEngine, UplinkProcessor};
+use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, RuleHandler};
+use sleepers::server::{Database, UpdateEngine, UplinkProcessor};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
-use sleepers::{CellConfig, CellSimulation, Strategy};
+use sleepers::{CellConfig, CellSimulation, ServerDriver, Strategy};
 use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sw_workload::ScenarioParams;
 
 struct Cell {
     db: Database,
-    ts: TsBuilder,
-    at: AtBuilder,
+    server: ServerDriver,
     uplink: UplinkProcessor,
 }
 
-fn new_cell(n: u64, k: u32, latency: SimDuration) -> Cell {
+/// One replica: the database `params` sizes and `strategy`'s server
+/// half over it.
+fn new_cell(strategy: Strategy, params: &ScenarioParams) -> Cell {
+    let latency = SimDuration::from_secs(params.latency_secs);
+    let db = Database::new(
+        params.n_items,
+        |i| i * 13 + 5,
+        latency.scaled(params.k as f64 + 2.0),
+    );
     Cell {
-        db: Database::new(n, |i| i * 13 + 5, latency.scaled(k as f64 + 2.0)),
-        ts: TsBuilder::new(latency, k),
-        at: AtBuilder::new(latency),
-        uplink: UplinkProcessor::with_universe(n),
+        server: ServerDriver::new(strategy, params, MasterSeed(0xE20), &db, 0),
+        db,
+        uplink: UplinkProcessor::with_universe(params.n_items),
     }
 }
 
@@ -73,29 +78,27 @@ fn mu(seed: u64, n: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit 
     )
 }
 
-/// Runs one client for `intervals`, hearing cell A or B's report per
-/// the `in_cell_a` schedule; `nap_on_handoff` adds a one-interval nap
-/// at every cell switch.
+/// Runs one `strategy` client for `intervals`, hearing cell A or B's
+/// report per the `in_cell_a` schedule; `nap_on_handoff` adds a
+/// one-interval nap at every cell switch.
 fn run_client(
-    use_ts: bool,
+    strategy: Strategy,
     migrate_every: Option<u64>,
     nap_on_handoff: bool,
     intervals: u64,
 ) -> f64 {
     let n = 500u64;
-    let k = 10u32;
-    let latency = SimDuration::from_secs(10.0);
-    let mut a = new_cell(n, k, latency);
-    let mut b = new_cell(n, k, latency);
+    let mut params = ScenarioParams::scenario1();
+    params.latency_secs = 10.0;
+    params.n_items = n;
+    params.k = 10;
+    let mut a = new_cell(strategy, &params);
+    let mut b = new_cell(strategy, &params);
     // One shared update stream keeps the replicas consistent.
     let mut update_rng = MasterSeed(0xE20).stream(StreamId::Updates);
     let mut engine = UpdateEngine::new(n, 1e-3, &mut update_rng);
 
-    let handler = RuleHandler::new(if use_ts {
-        ReportRule::ts(latency, k)
-    } else {
-        ReportRule::at(latency)
-    });
+    let handler = strategy.make_handler(&params, MasterSeed(0xE20));
     let mut client = mu(1, n, (0..25).collect(), handler);
     let mut srng = MasterSeed(2).stream(StreamId::Sleep { index: 1 });
     let mut qrng = MasterSeed(3).stream(StreamId::Custom { tag: 1 });
@@ -105,20 +108,13 @@ fn run_client(
         let from = SimTime::from_secs((i - 1) as f64 * 10.0);
         let to = SimTime::from_secs(i as f64 * 10.0);
         // Replicated update stream reaches both servers identically.
-        let recs = engine.advance(&mut a.db, from, to, &mut update_rng);
-        for rec in &recs {
-            b.db.apply_update(rec.item, rec.value, rec.at);
+        for rec in engine.advance(&mut a.db, from, to, &mut update_rng) {
+            a.server.on_update(&rec);
+            b.server
+                .on_update(&b.db.apply_update(rec.item, rec.value, rec.at));
         }
-        let payload_a = if use_ts {
-            a.ts.build(i, to, &a.db)
-        } else {
-            a.at.build(i, to, &a.db)
-        };
-        let payload_b = if use_ts {
-            b.ts.build(i, to, &b.db)
-        } else {
-            b.at.build(i, to, &b.db)
-        };
+        let payload_a = a.server.build(i, to, &a.db);
+        let payload_b = b.server.build(i, to, &b.db);
 
         let mut napping = false;
         if let Some(every) = migrate_every {
@@ -201,8 +197,8 @@ pub(super) fn run(fast: bool) -> String {
         ("migrates every 5 ivls", Some(5), false),
         ("migrates + naps in transit", Some(5), true),
     ] {
-        let h_ts = run_client(true, every, nap, intervals);
-        let h_at = run_client(false, every, nap, intervals);
+        let h_ts = run_client(Strategy::BroadcastTimestamps, every, nap, intervals);
+        let h_at = run_client(Strategy::AmnesicTerminals, every, nap, intervals);
         println!("{label:>28} {h_ts:>10.4} {h_at:>10.4}");
         rows.push(serde_json::json!({
             "harness": "twin", "client": label, "h_ts": h_ts, "h_at": h_at

@@ -13,7 +13,7 @@
 //!   the larger dials; the dialer redials on link death, which is how
 //!   a restarted node is re-absorbed).
 //!
-//! All coordination state lives in one mutex-guarded [`RepCore`]; the
+//! All coordination state lives in one mutex-guarded `RepCore`; the
 //! coordinator's waits are short condvar timeouts so a stop request is
 //! never blocked on.
 

@@ -31,14 +31,13 @@ use std::time::{Duration, Instant};
 use sleepers::safety::ValueHistory;
 use sleepers::seat::{demonstrate_corruption, shared_zipf};
 use sleepers::{CellConfig, ClientSeat, Strategy};
-use sw_client::handler::{time_from_micros, time_to_micros};
 use sw_client::{DigestScratch, MuStats};
 use sw_faults::{FaultLayer, ReportFate};
 use sw_observe::{ObserveSnapshot, Recorder};
 use sw_ops::{FlightRecorder, MetricsHub, Published};
 use sw_query::QueryStats;
 use sw_server::uplink::{PiggybackInfo, QueryAnswer};
-use sw_sim::{Counters, IntervalClock, RngStream, SimDuration, StreamId};
+use sw_sim::{Counters, IntervalClock, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::frame::{
     open_frame, seal_frame, FramePayload, WireDecodeError, WireEncode,
 };
@@ -65,7 +64,7 @@ const STARTUP_ATTEMPTS: u32 = 40;
 /// client `index` (hotspot, query, sleep, Zipf, query plan), and each
 /// method below is one phase of `CellSimulation::step` for that client,
 /// delegated to the seat. Timestamps cross the wire as integer
-/// microseconds and convert back via [`time_from_micros`], which
+/// microseconds and convert back via [`SimTime::from_micros`], which
 /// round-trips exactly whenever `L·10⁶` is integral.
 pub struct LiveMu {
     seat: ClientSeat,
@@ -113,7 +112,7 @@ impl LiveMu {
     /// report, in wire microseconds — the tag live receivers filter
     /// stale datagrams by.
     pub fn expected_report_micros(&self, i: u64) -> u64 {
-        time_to_micros(self.clock.report_time(i))
+        self.clock.report_time(i).as_micros()
     }
 
     /// Decodes a frame far enough to read a report's timestamp stamp —
@@ -261,7 +260,7 @@ impl LiveMu {
         self.seat.install_answer(QueryAnswer {
             item,
             value,
-            timestamp: time_from_micros(ts_micros),
+            timestamp: SimTime::from_micros(ts_micros),
         });
         Ok(())
     }
@@ -309,7 +308,7 @@ impl LiveMu {
                 interval: i,
                 item,
                 value,
-                ts_micros: time_to_micros(timestamp),
+                ts_micros: timestamp.as_micros(),
             })
             .collect()
     }
@@ -334,7 +333,7 @@ pub struct CacheAuditRow {
 pub fn audit_against_history(history: &ValueHistory, audit: &[CacheAuditRow]) -> (u64, u64) {
     let mut violations = 0u64;
     for row in audit {
-        if !history.is_consistent(row.item, row.value, time_from_micros(row.ts_micros)) {
+        if !history.is_consistent(row.item, row.value, SimTime::from_micros(row.ts_micros)) {
             violations += 1;
         }
     }
@@ -1061,8 +1060,8 @@ fn sleep_until(at: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sleepers::ServerDriver;
     use sw_server::Database;
-    use sw_sim::SimTime;
     use sw_workload::ScenarioParams;
 
     /// A well-formed datagram of another strategy's report kind, or a
@@ -1086,7 +1085,7 @@ mod tests {
         let t_1 = SimTime::from_secs(params.latency_secs);
         let genuine: Vec<FramePayload> = strategies
             .iter()
-            .map(|s| s.make_builder(&params, cfg.protocol_seed(), &db).build(1, t_1, &db))
+            .map(|&s| ServerDriver::new(s, &params, cfg.protocol_seed(), &db, 1).build(1, t_1, &db))
             .collect();
         for (own, strategy) in strategies.iter().enumerate() {
             let mut live = LiveMu::new(&cfg, *strategy, 0);

@@ -39,7 +39,6 @@ use std::time::{Duration, Instant};
 use sleepers::adaptive::FeedbackMethod;
 use sleepers::safety::ValueHistory;
 use sleepers::{CellConfig, CellServer, Strategy};
-use sw_client::handler::time_to_micros;
 use sw_observe::{ObserveSnapshot, Recorder};
 use sw_ops::{FlightRecorder, MetricsExporter, MetricsHub, Published};
 use sw_sim::{counters, Counters, IntervalClock, SimDuration};
@@ -684,7 +683,7 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                 let payload = FramePayload::QueryAnswer {
                     item: answer.item,
                     value: answer.value,
-                    ts_micros: time_to_micros(answer.timestamp),
+                    ts_micros: answer.timestamp.as_micros(),
                 };
                 let epoch = shared.ha.lock().expect("ha lock").epoch;
                 let datagram = seal_frame(epoch, shared.encode.serialize_payload(&payload));

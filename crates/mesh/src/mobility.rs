@@ -28,8 +28,8 @@ pub enum MobilityModel {
     /// neighbor in cyclic order (its hop count indexes the neighbor
     /// list). Barriers are numbered from 1.
     Periodic {
-        /// Barrier period between hops (0 behaves as [`Stationary`]
-        /// (Self::Stationary)).
+        /// Barrier period between hops (0 behaves as
+        /// [`MobilityModel::Stationary`]).
         every: u64,
     },
 }

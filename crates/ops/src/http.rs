@@ -3,8 +3,8 @@
 //! One accept thread serving one request per connection is exactly the
 //! right size for a scrape endpoint — Prometheus polls at seconds
 //! cadence, `sw-top` at hundreds of milliseconds, and every response
-//! is rendered from an immutable [`Published`] view cloned out of the
-//! hub in O(1), so a slow or malicious scraper can never hold the
+//! is rendered from an immutable [`crate::Published`] view cloned out
+//! of the hub in O(1), so a slow or malicious scraper can never hold the
 //! publisher. Shutdown uses the same pattern as the live server:
 //! an `AtomicBool` plus one self-connect to unblock `accept`.
 

@@ -693,6 +693,11 @@ mod tests {
         CacheSlots::sweep(cache, t, |_, _| Verdict::Restamp);
     }
 
+    /// A heard report at `t` that names `victim` only.
+    fn invalidate_one(cache: &mut Cache, victim: ItemId, t: SimTime) {
+        CacheSlots::sweep(cache, t, |item, _| Verdict::drop_if(item == victim));
+    }
+
     #[test]
     fn miss_then_hit_through_materialization() {
         let d = domain();
@@ -759,8 +764,7 @@ mod tests {
         // The server updates one footprint item of the first cached
         // entry: the report handler removes it from the item cache.
         let victim = plane.cache().get(cached[0]).unwrap().rows[0].item;
-        cache.remove(victim);
-        restamp_all(&mut cache, t(20.0));
+        invalidate_one(&mut cache, victim, t(20.0));
         plane.observe_report(&cache, t(20.0));
         assert!(
             plane.cache().get(cached[0]).is_none(),
@@ -892,8 +896,7 @@ mod tests {
         // An update hits a pinned item between the two reads: the
         // report at t=20 invalidates it from the item cache.
         let pinned = plane.txn.as_ref().unwrap().pins[0].item;
-        cache.remove(pinned);
-        restamp_all(&mut cache, t(20.0));
+        invalidate_one(&mut cache, pinned, t(20.0));
         let check = plane.observe_report(&cache, t(20.0));
         // The second read may need the invalidated item refetched; a
         // refetch delivers a NEW value, so simulate the uplink install.

@@ -3,7 +3,7 @@
 //! Items are identified by dense ids `0..n` ([`ItemId`]). Every item
 //! carries the timestamp of its last update, and the database maintains
 //! an [`UpdateLog`] — a pruned, time-ordered log of recent updates — from
-//! which the report builders extract their windows:
+//! which the server driver extracts its report windows:
 //!
 //! * TS needs `{j : T_i − w < t_j ≤ T_i}` (Eq. 1),
 //! * AT needs `{j : T_{i−1} < t_j ≤ T_i}` (Eq. 2).
@@ -30,7 +30,7 @@ pub struct UpdateRecord {
 
 /// Time-ordered log of recent updates, pruned to a retention horizon.
 ///
-/// Retention must cover the largest window any report builder uses
+/// Retention must cover the largest window any report uses
 /// (`w = kL` for TS, or the largest per-item window under adaptive TS).
 #[derive(Debug, Clone)]
 pub struct UpdateLog {
@@ -161,7 +161,7 @@ impl Database {
         self.update_count
     }
 
-    /// The update log (for report builders).
+    /// The update log.
     pub fn log(&self) -> &UpdateLog {
         &self.log
     }

@@ -9,8 +9,8 @@
 //! considered, with varying granularity of … items (changes reported
 //! only per group of items)."
 //!
-//! [`GroupReportBuilder`] partitions the database into `G` contiguous
-//! groups and broadcasts, AT-style, the ids of groups containing at
+//! A [`GroupMap`] partitions the database into `G` contiguous groups;
+//! the server broadcasts, AT-style, the ids of groups containing at
 //! least one change in the last interval. A group id costs `⌈log₂ G⌉`
 //! bits instead of `⌈log₂ n⌉` per item — and one entry can cover any
 //! number of same-group changes — at the price of *group-level false
@@ -18,11 +18,7 @@
 //! Coarser groups ⇒ smaller reports ⇒ more collateral invalidation;
 //! the `ablations` experiment sweeps the trade-off.
 
-use sw_sim::{SimDuration, SimTime};
-use sw_wireless::FramePayload;
-
-use crate::database::{Database, ItemId, UpdateRecord};
-use crate::report::{wire_micros, ReportBuilder};
+use crate::database::ItemId;
 
 /// The item → group mapping shared by server and clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,67 +66,6 @@ impl GroupMap {
     }
 }
 
-/// Server half: an AT report at group granularity. The payload reuses
-/// [`FramePayload::AmnesicReport`] with *group* ids; the analytic bits
-/// are adjusted to the group id width by scaling the entry count (the
-/// channel charges `entries·⌈log₂n⌉`, so we emit
-/// `⌈entries·log₂G/log₂n⌉` placeholder-packed ids — see
-/// [`GroupReportBuilder::build`] for the exact accounting).
-#[derive(Debug, Clone)]
-pub struct GroupReportBuilder {
-    latency: SimDuration,
-    map: GroupMap,
-}
-
-impl GroupReportBuilder {
-    /// Creates the builder.
-    pub fn new(latency: SimDuration, map: GroupMap) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        GroupReportBuilder { latency, map }
-    }
-
-    /// The shared group map.
-    pub fn map(&self) -> &GroupMap {
-        &self.map
-    }
-
-    /// The changed groups in `(t_i − L, t_i]`, sorted.
-    pub fn changed_groups(&self, t_i: SimTime, db: &Database) -> Vec<u64> {
-        let from = SimTime::from_secs((t_i.as_secs() - self.latency.as_secs()).max(0.0));
-        let mut groups: Vec<u64> = db
-            .updated_in_window(from, t_i)
-            .into_iter()
-            .map(|(item, _)| self.map.group_of(item))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
-        groups
-    }
-}
-
-impl ReportBuilder for GroupReportBuilder {
-    fn name(&self) -> &'static str {
-        "GR"
-    }
-
-    fn on_update(&mut self, _rec: &UpdateRecord) {}
-
-    fn build(&mut self, _i: u64, t_i: SimTime, db: &Database) -> FramePayload {
-        // Group ids ride an AmnesicReport frame. The wire encoder
-        // charges ⌈log₂ n⌉ bits per id; group ids only need
-        // ⌈log₂ G⌉. Rather than add a frame variant for an experiment
-        // the paper only sketches, we bias the id values: the *client*
-        // interprets every id < G as a group id, and the analytic
-        // over-charge (log₂n vs log₂G per entry) is conservative
-        // against the strategy — the measured savings in the ablation
-        // are therefore a lower bound.
-        FramePayload::AmnesicReport {
-            report_ts_micros: wire_micros(t_i),
-            ids: self.changed_groups(t_i, db),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,36 +103,6 @@ mod tests {
         assert_eq!(GroupMap::new(1000, 10).group_id_bits(), 4);
         assert_eq!(GroupMap::new(1000, 1000).group_id_bits(), 10);
         assert_eq!(GroupMap::new(1000, 1).group_id_bits(), 1);
-    }
-
-    #[test]
-    fn report_lists_changed_groups_once() {
-        let mut db = Database::new(100, |i| i, SimDuration::from_secs(1e4));
-        db.apply_update(3, 1, SimTime::from_secs(15.0)); // group 0
-        db.apply_update(7, 1, SimTime::from_secs(16.0)); // group 0 too
-        db.apply_update(55, 1, SimTime::from_secs(17.0)); // group 5
-        let mut b = GroupReportBuilder::new(
-            SimDuration::from_secs(10.0),
-            GroupMap::new(100, 10),
-        );
-        match b.build(2, SimTime::from_secs(20.0), &db) {
-            FramePayload::AmnesicReport { ids, .. } => assert_eq!(ids, vec![0, 5]),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn old_updates_not_reported() {
-        let mut db = Database::new(100, |i| i, SimDuration::from_secs(1e4));
-        db.apply_update(3, 1, SimTime::from_secs(5.0)); // previous interval
-        let mut b = GroupReportBuilder::new(
-            SimDuration::from_secs(10.0),
-            GroupMap::new(100, 10),
-        );
-        match b.build(2, SimTime::from_secs(20.0), &db) {
-            FramePayload::AmnesicReport { ids, .. } => assert!(ids.is_empty()),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -8,20 +8,13 @@
 //! participate in the signatures. In this way, the signature will vary
 //! from cell to cell, depending on the local usage patterns."
 //!
-//! [`HybridSigBuilder`] splits the database into a *hot set* (broadcast
-//! AT-style: ids updated in the last interval) and the cold remainder
-//! (covered by combined signatures that simply exclude hot members).
-//! Hot items get AT's precision and tiny per-update cost; cold items
-//! get SIG's nap-resilience at a fixed price.
+//! A [`HotSet`] splits the database into hot items (broadcast AT-style:
+//! ids updated in the last interval) and the cold remainder (covered by
+//! a [`crate::SignatureVector`] that simply excludes hot members). Hot
+//! items get AT's precision and tiny per-update cost; cold items get
+//! SIG's nap-resilience at a fixed price.
 
-use std::sync::Arc;
-
-use sw_signature::{item_signature, CombinedSignature, SigPlan, SubsetFamily};
-use sw_sim::{SimDuration, SimTime};
-use sw_wireless::FramePayload;
-
-use crate::database::{Database, ItemId, UpdateRecord};
-use crate::report::{wire_micros, ReportBuilder};
+use crate::database::ItemId;
 
 /// The hot/cold split shared by server and clients.
 ///
@@ -77,195 +70,5 @@ impl HotSet {
     /// True if no items are hot (degenerates to plain SIG).
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-}
-
-/// Server half of the hybrid scheme.
-#[derive(Debug, Clone)]
-pub struct HybridSigBuilder {
-    latency: SimDuration,
-    hot: HotSet,
-    plan: SigPlan,
-    family: SubsetFamily,
-    sigs: Arc<Vec<CombinedSignature>>,
-}
-
-impl HybridSigBuilder {
-    /// Creates the builder; the combined signatures are computed over
-    /// the *cold* items only.
-    pub fn new(
-        latency: SimDuration,
-        hot: HotSet,
-        plan: SigPlan,
-        family: SubsetFamily,
-        db: &Database,
-    ) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        assert_eq!(family.m(), plan.m, "family/plan m mismatch");
-        let mut sigs = vec![0u64; plan.m as usize];
-        for item in 0..db.len() {
-            if hot.contains(item) {
-                continue;
-            }
-            let s = item_signature(item, db.value(item), plan.g);
-            for j in family.subsets_of(item) {
-                sigs[j as usize] ^= s;
-            }
-        }
-        HybridSigBuilder {
-            latency,
-            hot,
-            plan,
-            family,
-            sigs: Arc::new(sigs),
-        }
-    }
-
-    /// The hot/cold split (shared with clients).
-    pub fn hot_set(&self) -> &HotSet {
-        &self.hot
-    }
-
-    /// The plan (shared with clients).
-    pub fn plan(&self) -> &SigPlan {
-        &self.plan
-    }
-
-    /// The subset family (shared with clients).
-    pub fn family(&self) -> &SubsetFamily {
-        &self.family
-    }
-}
-
-impl ReportBuilder for HybridSigBuilder {
-    fn name(&self) -> &'static str {
-        "HYB"
-    }
-
-    fn on_update(&mut self, rec: &UpdateRecord) {
-        if self.hot.contains(rec.item) {
-            return; // hot items ride the id list, not the signatures
-        }
-        let patch = item_signature(rec.item, rec.previous, self.plan.g)
-            ^ item_signature(rec.item, rec.value, self.plan.g);
-        // Copy-on-write against the last broadcast payload, like
-        // `SigBuilder::on_update`.
-        let sigs = Arc::make_mut(&mut self.sigs);
-        for j in self.family.subsets_of(rec.item) {
-            sigs[j as usize] ^= patch;
-        }
-    }
-
-    fn build(&mut self, _i: u64, t_i: SimTime, db: &Database) -> FramePayload {
-        let from = SimTime::from_secs((t_i.as_secs() - self.latency.as_secs()).max(0.0));
-        let hot_ids = db
-            .updated_in_window(from, t_i)
-            .into_iter()
-            .map(|(item, _)| item)
-            .filter(|&item| self.hot.contains(item))
-            .collect();
-        FramePayload::HybridReport {
-            report_ts_micros: wire_micros(t_i),
-            hot_ids,
-            sig_bits: self.plan.g,
-            signatures: Arc::clone(&self.sigs),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sw_signature::combine;
-
-    fn db() -> Database {
-        Database::new(200, |i| i + 77, SimDuration::from_secs(1e5))
-    }
-
-    fn builder(db: &Database, hot_count: u64) -> HybridSigBuilder {
-        let plan = SigPlan::new(5, 16, db.len(), 0.05, SigPlan::DEFAULT_K);
-        let family = SubsetFamily::new(0x1234, plan.m, plan.f);
-        HybridSigBuilder::new(
-            SimDuration::from_secs(10.0),
-            HotSet::top_by_rank(hot_count),
-            plan,
-            family,
-            db,
-        )
-    }
-
-    fn parts(p: FramePayload) -> (Vec<u64>, Vec<u64>) {
-        match p {
-            FramePayload::HybridReport {
-                hot_ids,
-                signatures,
-                ..
-            } => (hot_ids, signatures.to_vec()),
-            other => panic!("unexpected payload {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hot_updates_ride_the_id_list() {
-        let mut d = db();
-        d.apply_update(3, 1, SimTime::from_secs(15.0)); // hot
-        d.apply_update(150, 2, SimTime::from_secs(16.0)); // cold
-        let mut b = builder(&d, 10);
-        let (hot_ids, _) = parts(b.build(2, SimTime::from_secs(20.0), &d));
-        assert_eq!(hot_ids, vec![3], "only the hot update is listed");
-    }
-
-    #[test]
-    fn cold_updates_patch_the_signatures() {
-        let mut d = db();
-        let b_before = builder(&d, 10);
-        let rec = d.apply_update(150, 999, SimTime::from_secs(5.0));
-        let mut b = builder(&db(), 10);
-        b.on_update(&rec);
-        let fresh = builder(&d, 10);
-        assert_eq!(b.sigs, fresh.sigs, "incremental patch = recompute");
-        assert_ne!(b.sigs, b_before.sigs, "the cold update changed something");
-    }
-
-    #[test]
-    fn hot_updates_do_not_touch_signatures() {
-        let d = db();
-        let mut b = builder(&d, 10);
-        b.on_update(&UpdateRecord {
-            item: 3,
-            at: SimTime::from_secs(1.0),
-            value: 42,
-            previous: 80,
-        });
-        // A fresh builder over the unchanged database must agree: the
-        // hot update never reached the signature vector.
-        assert_eq!(b.sigs, builder(&d, 10).sigs);
-    }
-
-    #[test]
-    fn signatures_exclude_hot_members() {
-        // Brute-force one subset: only cold members contribute.
-        let d = db();
-        let b = builder(&d, 10);
-        for j in [0u32, 3] {
-            let expected = combine(
-                b.family()
-                    .members(j, d.len())
-                    .into_iter()
-                    .filter(|&i| i >= 10)
-                    .map(|i| item_signature(i, d.value(i), 16)),
-            );
-            assert_eq!(b.sigs[j as usize], expected, "subset {j}");
-        }
-    }
-
-    #[test]
-    fn empty_hot_set_degenerates_to_sig() {
-        let d = db();
-        let hybrid = builder(&d, 0);
-        let plan = SigPlan::new(5, 16, d.len(), 0.05, SigPlan::DEFAULT_K);
-        let family = SubsetFamily::new(0x1234, plan.m, plan.f);
-        let sig = crate::report::SigBuilder::new(plan, family, &d);
-        assert_eq!(hybrid.sigs.as_slice(), sig.current());
     }
 }

@@ -8,10 +8,12 @@
 //! * [`update`] — the update process: per-item exponential updates at
 //!   rate μ, realized as the superposed Poisson process at rate `n·μ`
 //!   (§4 model assumptions);
-//! * [`report`] — the report builders that fulfill each obligation:
-//!   [`report::TsBuilder`] (§3.1), [`report::AtBuilder`] (§3.2),
-//!   [`report::SigBuilder`] (§3.3), plus the windowless
-//!   [`report::NoReportBuilder`] for the no-caching baseline;
+//! * [`signatures`] — the combined signatures SIG (§3.3) broadcasts,
+//!   kept materialized and XOR-patched per update; [`hybrid`]'s hot set
+//!   and [`group`]'s item → group map are the state the §10 variants
+//!   share with their clients. Which items a report lists is decided by
+//!   the strategy's server driver (`sleepers::ServerDriver`), from the
+//!   database's update log;
 //! * [`async_bcast`] — the asynchronous per-update invalidation
 //!   broadcast that §3.2 proves equivalent to AT;
 //! * [`stateful`] — the stateful-server baseline of §2, which tracks
@@ -28,7 +30,7 @@ pub mod async_bcast;
 pub mod database;
 pub mod group;
 pub mod hybrid;
-pub mod report;
+pub mod signatures;
 pub mod stateful;
 pub mod table;
 pub mod update;
@@ -36,9 +38,9 @@ pub mod uplink;
 
 pub use async_bcast::AsyncBroadcaster;
 pub use database::{Database, ItemId, UpdateLog, UpdateRecord};
-pub use group::{GroupMap, GroupReportBuilder};
-pub use hybrid::{HotSet, HybridSigBuilder};
-pub use report::{AtBuilder, NoReportBuilder, ReportBuilder, SigBuilder, TsBuilder};
+pub use group::GroupMap;
+pub use hybrid::HotSet;
+pub use signatures::SignatureVector;
 pub use stateful::StatefulServer;
 pub use table::ItemTable;
 pub use update::UpdateEngine;

@@ -4,16 +4,16 @@
 //! plane's `QueryStats`, the fault, capacity, coop, migration and safety
 //! families, and the three per-interval records (the client's decision
 //! row, the server's tick, the cell's series row) — is a plain struct
-//! of `u64` fields. [`counters!`] declares such a struct and, from the
-//! same field list, its [`Counters`] impl: the names the fields bear on
-//! a trace, a `/metrics` page or a flight line, and the pairwise walk
-//! that `since`, `absorb`, `total`, `values` and `named` are written
-//! over once.
+//! of `u64` fields. [`counters!`](macro@crate::counters) declares such
+//! a struct and, from the same field list, its [`Counters`] impl: the
+//! names the fields bear on a trace, a `/metrics` page or a flight
+//! line, and the pairwise walk that `since`, `absorb`, `total`,
+//! `values` and `named` are written over once.
 //! A new counter is one field in one declaration; every fold, delta,
 //! wire layout and sink that reads the record picks it up.
 
 /// The most counters one record may hold: [`Counters::values`] gathers
-/// them in a stack buffer this wide ([`counters!`] checks the bound at
+/// them in a stack buffer this wide ([`counters!`](macro@crate::counters) checks the bound at
 /// compile time).
 pub const MAX_COUNTERS: usize = 16;
 

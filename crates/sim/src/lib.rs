@@ -21,9 +21,10 @@
 //!   ([`ParallelRunner`]) and the two deterministic seed-derivation
 //!   domains ([`cell_seed`] for figure sweeps, [`mesh_seed`] for mesh
 //!   shards);
-//! * [`counters`] — the [`Counters`] trait and the [`counters!`] macro:
-//!   every stats struct and per-interval record declares its `u64`
-//!   fields once, and folds, deltas and sinks read that one list.
+//! * [`counters`](mod@counters) — the [`Counters`] trait and the
+//!   [`counters!`](macro@counters) macro: every stats struct and
+//!   per-interval record declares its `u64` fields once, and folds,
+//!   deltas and sinks read that one list.
 //!
 //! All randomness is deterministic given a master seed, which makes the
 //! integration tests and the figure-regeneration experiments replayable.

@@ -47,6 +47,21 @@ impl SimTime {
         self.0
     }
 
+    /// The wire representation: integer microseconds since the origin,
+    /// rounded to nearest. Every report, answer and live tag carries
+    /// time in this unit.
+    #[inline]
+    pub fn as_micros(self) -> u64 {
+        (self.0 * 1e6).round() as u64
+    }
+
+    /// The inverse of [`SimTime::as_micros`]: a wire timestamp back on
+    /// the simulation clock.
+    #[inline]
+    pub fn from_micros(micros: u64) -> Self {
+        SimTime::from_secs(micros as f64 / 1e6)
+    }
+
     /// The (non-negative) duration from `earlier` to `self`.
     ///
     /// # Panics
@@ -238,6 +253,13 @@ mod tests {
         assert_eq!(SimTime::from_secs(9.999).interval_index(latency), 0);
         assert_eq!(SimTime::from_secs(10.0).interval_index(latency), 1);
         assert_eq!(SimTime::from_secs(25.0).interval_index(latency), 2);
+    }
+
+    #[test]
+    fn micros_round_to_nearest_and_round_trip() {
+        assert_eq!(SimTime::from_secs(17.0).as_micros(), 17_000_000);
+        assert_eq!(SimTime::from_secs(0.1 + 0.2).as_micros(), 300_000);
+        assert_eq!(SimTime::from_micros(12_345_678).as_micros(), 12_345_678);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `b_q + b_a` bits (Eq. 9). [`BroadcastChannel`] enforces exactly that
 //! budget and keeps cumulative [`TrafficTotals`].
 
-use crate::frame::{Frame, FrameKind, FramePayload, WireEncode};
+use crate::frame::{FrameKind, FramePayload, WireEncode};
 
 /// Error returned when an interval's bit budget cannot fit a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,8 +152,9 @@ impl IntervalBudget {
 /// broadcast intervals of `L` seconds.
 ///
 /// Usage per interval: call [`begin_interval`](Self::begin_interval),
-/// send the report with [`send_report`](Self::send_report), then any
-/// number of [`send_query_exchange`](Self::send_query_exchange) until the
+/// send the report with
+/// [`send_report_payload`](Self::send_report_payload), then any number
+/// of [`send_query_exchange`](Self::send_query_exchange) until the
 /// budget runs out.
 #[derive(Debug, Clone)]
 pub struct BroadcastChannel {
@@ -235,29 +236,12 @@ impl BroadcastChannel {
     }
 
     /// Broadcasts the invalidation report, charging `B_c` bits against
-    /// the interval.
+    /// the interval. The payload is borrowed and sized in place, so
+    /// nothing is cloned. Returns the charged bit count on success.
     ///
     /// Fails with [`ChannelError::ReportExceedsInterval`] when the report
     /// alone does not fit in `L·W` — the condition under which the paper
     /// declares TS "unusable" in Scenarios 3 and 4.
-    pub fn send_report(&mut self, report: &Frame) -> Result<(), ChannelError> {
-        debug_assert!(matches!(
-            WireEncode::kind(&report.payload),
-            FrameKind::Report
-        ));
-        if report.bits > self.budget.capacity {
-            return Err(ChannelError::ReportExceedsInterval {
-                needed: report.bits,
-                capacity: self.budget.capacity,
-            });
-        }
-        self.consume(FrameKind::Report, report.bits)
-    }
-
-    /// Broadcasts the invalidation report directly from a borrowed
-    /// payload — the zero-copy path: the payload is sized in place and
-    /// never wrapped in a [`Frame`], so nothing is cloned. Returns the
-    /// charged bit count on success.
     pub fn send_report_payload(&mut self, payload: &FramePayload) -> Result<u64, ChannelError> {
         debug_assert!(matches!(WireEncode::kind(payload), FrameKind::Report));
         let bits = self.encode.payload_bits(payload);
@@ -369,12 +353,11 @@ mod tests {
     fn report_charges_budget() {
         let mut c = channel();
         c.begin_interval();
-        let enc = *c.encoder();
-        let report = enc.frame(FramePayload::AmnesicReport {
+        let report = FramePayload::AmnesicReport {
             report_ts_micros: 0,
             ids: vec![1, 2, 3, 4],
-        });
-        c.send_report(&report).unwrap();
+        };
+        assert_eq!(c.send_report_payload(&report), Ok(40));
         assert_eq!(c.budget().used, 40);
         assert_eq!(c.totals().report_bits, 40);
     }
@@ -384,13 +367,12 @@ mod tests {
         let mut c = channel();
         c.begin_interval();
         // TS in Scenario 3: ~632 changed items × 522 bits ≈ 330k bits > 100k.
-        let enc = *c.encoder();
         let entries: Vec<(u64, u64)> = (0..700).map(|i| (i, i)).collect();
-        let report = enc.frame(FramePayload::TimestampReport {
+        let report = FramePayload::TimestampReport {
             report_ts_micros: 0,
             entries,
-        });
-        match c.send_report(&report) {
+        };
+        match c.send_report_payload(&report) {
             Err(ChannelError::ReportExceedsInterval { needed, capacity }) => {
                 assert!(needed > capacity);
             }

@@ -34,6 +34,12 @@ pub fn id_bits(n: u64) -> u32 {
     }
 }
 
+/// Wire width of one window value in an adaptive report's exception
+/// list, in intervals (its largest value stands for an infinite
+/// window). An implementation choice documented in DESIGN.md: the paper
+/// does not specify how clients learn the current windows.
+pub const WINDOW_FIELD_BITS: u32 = 16;
+
 /// What a frame carries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FramePayload {
@@ -203,7 +209,7 @@ impl WireEncode {
                 ..
             } => {
                 self.ts_report_bits(entries.len())
-                    + window_exceptions.len() as u64 * (self.id_bits() as u64 + 16)
+                    + window_exceptions.len() as u64 * (self.id_bits() + WINDOW_FIELD_BITS) as u64
             }
             FramePayload::AmnesicReport { ids, .. } => self.at_report_bits(ids.len()),
             FramePayload::SignatureReport {
@@ -232,17 +238,6 @@ impl WireEncode {
         Frame { payload, bits }
     }
 
-    /// Serializes a frame into bytes: a fixed 10-byte header (kind,
-    /// wire version, body length in *bits*), a per-kind extension
-    /// header where the body alone is ambiguous (entry counts that a
-    /// byte length cannot recover — see [`WireEncode::deserialize`]),
-    /// and the bit-packed body padded to a whole byte. The total length
-    /// is `10 + ext + ⌈bits/8⌉`; the header is excluded from analytical
-    /// accounting to match the paper, which charges payloads only.
-    pub fn serialize(&self, frame: &Frame) -> Vec<u8> {
-        self.serialize_payload(&frame.payload)
-    }
-
     /// Extension-header length in bytes for a frame kind: counts the
     /// decoder cannot recover from the bit length alone. Adaptive
     /// reports carry the window-exception count, SIG reports the
@@ -256,9 +251,13 @@ impl WireEncode {
         }
     }
 
-    /// Serializes a payload directly (the zero-copy broadcast path and
-    /// the fault injector's corruption check hold borrowed payloads,
-    /// never whole [`Frame`]s).
+    /// Serializes a payload into bytes: a fixed 10-byte header (kind,
+    /// wire version, body length in *bits*), a per-kind extension
+    /// header where the body alone is ambiguous (entry counts that a
+    /// byte length cannot recover — see [`WireEncode::deserialize`]),
+    /// and the bit-packed body padded to a whole byte. The total length
+    /// is `10 + ext + ⌈bits/8⌉`; the header is excluded from analytical
+    /// accounting to match the paper, which charges payloads only.
     pub fn serialize_payload(&self, payload: &FramePayload) -> Vec<u8> {
         let mut w = BitWriter::new();
         match payload {
@@ -293,7 +292,7 @@ impl WireEncode {
                 }
                 for (id, win) in window_exceptions {
                     w.put_bits(*id, self.id_bits());
-                    w.put_bits(*win as u64, 16);
+                    w.put_bits(*win as u64, WINDOW_FIELD_BITS);
                 }
             }
             FramePayload::SignatureReport {
@@ -490,7 +489,7 @@ impl WireEncode {
             }
             6 => {
                 let n_exc = u32::from_be_bytes(ext.try_into().expect("4 bytes")) as u64;
-                let exc_w = id_w as u64 + 16;
+                let exc_w = (id_w + WINDOW_FIELD_BITS) as u64;
                 let exc_bits = n_exc
                     .checked_mul(exc_w)
                     .ok_or(WireDecodeError::Malformed("exception count overflows"))?;
@@ -507,7 +506,8 @@ impl WireEncode {
                 }
                 let mut window_exceptions = Vec::with_capacity(n_exc as usize);
                 for _ in 0..n_exc {
-                    window_exceptions.push((r.get_bits(id_w)?, r.get_bits(16)? as u32));
+                    let (id, win) = (r.get_bits(id_w)?, r.get_bits(WINDOW_FIELD_BITS)?);
+                    window_exceptions.push((id, win as u32));
                 }
                 FramePayload::AdaptiveTimestampReport {
                     report_ts_micros,
@@ -720,7 +720,7 @@ pub fn open_frame(datagram: &[u8]) -> Result<(u64, &[u8]), WireDecodeError> {
     Ok((epoch, frame))
 }
 
-/// Minimal MSB-first bit packer backing [`WireEncode::serialize`].
+/// Minimal MSB-first bit packer backing [`WireEncode::serialize_payload`].
 struct BitWriter {
     buf: Vec<u8>,
     cur: u8,
@@ -902,7 +902,7 @@ mod tests {
             report_ts_micros: 42,
             ids: vec![1, 2, 3],
         });
-        let bytes = e.serialize(&f);
+        let bytes = e.serialize_payload(&f.payload);
         // header (10) + ceil((512 + 30)/8) = 10 + 68
         assert_eq!(bytes.len(), 10 + 68);
     }
@@ -914,20 +914,23 @@ mod tests {
             report_ts_micros: 10,
             entries: vec![(1, 5), (2, 9)],
         });
-        assert_eq!(e.serialize(&f), e.serialize(&f));
+        assert_eq!(
+            e.serialize_payload(&f.payload),
+            e.serialize_payload(&f.payload)
+        );
     }
 
     #[test]
     fn distinct_payloads_distinct_bytes() {
         let e = enc();
-        let a = e.serialize(&e.frame(FramePayload::AmnesicReport {
+        let a = e.serialize_payload(&FramePayload::AmnesicReport {
             report_ts_micros: 0,
             ids: vec![1],
-        }));
-        let b = e.serialize(&e.frame(FramePayload::AmnesicReport {
+        });
+        let b = e.serialize_payload(&FramePayload::AmnesicReport {
             report_ts_micros: 0,
             ids: vec![2],
-        }));
+        });
         assert_ne!(a, b);
     }
 
@@ -992,19 +995,12 @@ mod tests {
             },
         ] {
             let f = e.frame(payload);
-            assert_eq!(e.serialize(&f), e.serialize(&f));
+            assert_eq!(
+                e.serialize_payload(&f.payload),
+                e.serialize_payload(&f.payload)
+            );
             assert_eq!(WireEncode::kind(&f.payload), FrameKind::Report);
         }
-    }
-
-    #[test]
-    fn serialize_payload_matches_serialize() {
-        let e = enc();
-        let f = e.frame(FramePayload::TimestampReport {
-            report_ts_micros: 10,
-            entries: vec![(1, 5), (2, 9)],
-        });
-        assert_eq!(e.serialize(&f), e.serialize_payload(&f.payload));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! exposes the per-interval budget `L·W − B_c` of Eq. 9 — the bits left
 //! for answering cache misses after the invalidation report is sent.
 //!
-//! [`frame`] gives reports and queries a concrete wire encoding (with
-//! [`bytes`]) so that sizes are *measured from real serialization*, not
+//! [`frame`] gives reports and queries a concrete wire encoding (real
+//! byte buffers) so that sizes are *measured from real serialization*, not
 //! just computed from the analytical formulas — the tests assert the two
 //! agree. [`delivery`] models §9's two addressing schemes (precise timer
 //! synchronization à la PRMA/MACAW vs multicast-address wakeup à la

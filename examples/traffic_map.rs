@@ -17,9 +17,10 @@
 //! ```
 
 use sleepers_workaholics::client::{Cache, ReportRule, RuleHandler};
-use sleepers_workaholics::server::{AtBuilder, Database, ReportBuilder, UpdateEngine, UplinkProcessor};
+use sleepers_workaholics::server::{Database, UpdateEngine, UplinkProcessor};
 use sleepers_workaholics::sim::{MasterSeed, SimDuration, SimTime, StreamId};
-use sleepers_workaholics::workload::{TrafficGrid, TrafficMapWorkload};
+use sleepers_workaholics::workload::{ScenarioParams, TrafficGrid, TrafficMapWorkload};
+use sleepers_workaholics::{ServerDriver, Strategy};
 
 fn main() {
     let grid = TrafficGrid::new(30, 30); // 900 map sections
@@ -38,7 +39,10 @@ fn main() {
     let mut db = Database::new(grid.n_items(), |i| i * 3 + 1, latency.scaled(4.0));
     let mut update_rng = seed.stream(StreamId::Updates);
     let mut engine = UpdateEngine::new(grid.n_items(), mu, &mut update_rng);
-    let mut builder = AtBuilder::new(latency);
+    let mut params = ScenarioParams::scenario1();
+    params.latency_secs = latency.as_secs();
+    params.n_items = grid.n_items();
+    let mut server = ServerDriver::new(Strategy::AmnesicTerminals, &params, seed, &db, 0);
     let mut uplink = UplinkProcessor::new();
 
     // Five drivers with their own walks and AT caches.
@@ -62,8 +66,10 @@ fn main() {
     for i in 1..=intervals {
         let t_prev = SimTime::from_secs((i - 1) as f64 * latency.as_secs());
         let t_i = SimTime::from_secs(i as f64 * latency.as_secs());
-        engine.advance(&mut db, t_prev, t_i, &mut update_rng);
-        let payload = builder.build(i, t_i, &db);
+        for rec in engine.advance(&mut db, t_prev, t_i, &mut update_rng) {
+            server.on_update(&rec);
+        }
+        let payload = server.build(i, t_i, &db);
 
         for u in 0..walks.len() {
             // The display refreshes every interval: query the whole 3×3

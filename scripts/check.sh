@@ -76,6 +76,9 @@ cargo test --workspace --release -q
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "==> benchmark smoke (benchmark/: every workload at 1/50 size, all checks on)"
 # Its own package and lock file, outside the workspace the legs above
 # cover; this is what keeps it compiling against the crates' public API.

@@ -9,17 +9,29 @@
 //! We drive the same update stream into both mechanisms and check the
 //! two halves of the claim.
 
-use sleepers_workaholics::server::{
-    AsyncBroadcaster, AtBuilder, Database, ReportBuilder, UpdateEngine,
-};
-use sleepers_workaholics::sim::{MasterSeed, SimDuration, SimTime, StreamId};
+use sleepers_workaholics::server::{AsyncBroadcaster, Database, UpdateEngine};
+use sleepers_workaholics::sim::{MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sleepers_workaholics::wireless::FramePayload;
+use sleepers_workaholics::workload::ScenarioParams;
+use sleepers_workaholics::{ServerDriver, Strategy};
 
-fn setup(n: u64, mu: f64) -> (Database, UpdateEngine, sleepers_workaholics::sim::RngStream) {
+/// An `n`-item database updated at rate `mu` per item, with the AT
+/// server (`L` = 10 s) over it.
+fn setup(n: u64, mu: f64) -> (Database, UpdateEngine, RngStream, ServerDriver) {
     let mut rng = MasterSeed(0xE10).stream(StreamId::Updates);
     let db = Database::new(n, |i| i, SimDuration::from_secs(1e5));
     let engine = UpdateEngine::new(n, mu, &mut rng);
-    (db, engine, rng)
+    let mut params = ScenarioParams::scenario1();
+    params.latency_secs = 10.0;
+    params.n_items = n;
+    let at = ServerDriver::new(
+        Strategy::AmnesicTerminals,
+        &params,
+        MasterSeed(0xE10),
+        &db,
+        0,
+    );
+    (db, engine, rng, at)
 }
 
 /// Per update, the async scheme sends exactly one message; AT groups
@@ -28,9 +40,7 @@ fn setup(n: u64, mu: f64) -> (Database, UpdateEngine, sleepers_workaholics::sim:
 /// number of packets" — the ids covered are identical).
 #[test]
 fn same_invalidations_per_interval() {
-    let latency = SimDuration::from_secs(10.0);
-    let (mut db, mut engine, mut rng) = setup(500, 2e-3);
-    let mut at = AtBuilder::new(latency);
+    let (mut db, mut engine, mut rng, mut at) = setup(500, 2e-3);
     let mut async_bcast = AsyncBroadcaster::new();
 
     for i in 1..=200u64 {
@@ -39,6 +49,7 @@ fn same_invalidations_per_interval() {
         let recs = engine.advance(&mut db, from, to, &mut rng);
         for rec in &recs {
             async_bcast.on_update(rec);
+            at.on_update(rec);
         }
         // The async messages this interval, deduplicated and sorted,
         // must equal the AT report's id list exactly.
@@ -62,9 +73,7 @@ fn same_invalidations_per_interval() {
 /// item is updated twice in one interval, never more.
 #[test]
 fn total_message_accounting() {
-    let latency = SimDuration::from_secs(10.0);
-    let (mut db, mut engine, mut rng) = setup(2_000, 1e-3);
-    let mut at = AtBuilder::new(latency);
+    let (mut db, mut engine, mut rng, mut at) = setup(2_000, 1e-3);
     let mut async_bcast = AsyncBroadcaster::new();
     let mut at_entries = 0usize;
     let mut updates = 0usize;
@@ -76,6 +85,7 @@ fn total_message_accounting() {
         updates += recs.len();
         for rec in &recs {
             async_bcast.on_update(rec);
+            at.on_update(rec);
         }
         if let FramePayload::AmnesicReport { ids, .. } = at.build(i, to, &db) {
             at_entries += ids.len();

@@ -11,8 +11,10 @@
 use sleepers_workaholics::client::{
     MobileUnit, MuConfig, ReplacementPolicy, ReportRule, RuleHandler,
 };
-use sleepers_workaholics::server::{AtBuilder, Database, QueryAnswer, ReportBuilder, UplinkProcessor};
+use sleepers_workaholics::server::{Database, QueryAnswer, UplinkProcessor};
 use sleepers_workaholics::sim::{MasterSeed, SimDuration, SimTime, StreamId};
+use sleepers_workaholics::workload::ScenarioParams;
+use sleepers_workaholics::{ServerDriver, Strategy};
 
 fn mu_with_hotspot(hotspot: Vec<u64>, lambda: f64) -> MobileUnit {
     let mut rng = MasterSeed(0xE9).stream(StreamId::Queries { index: 0 });
@@ -76,14 +78,17 @@ fn answer_reflects_update_made_after_the_query_in_the_same_interval() {
     // (delivered after the report at t = 10) must carry the t = 7 value.
     let mut db = Database::new(10, |i| i * 100, SimDuration::from_secs(1e4));
     let mut uplink = UplinkProcessor::new();
-    let mut at = AtBuilder::new(SimDuration::from_secs(10.0));
+    let mut params = ScenarioParams::scenario1();
+    params.latency_secs = 10.0;
+    params.n_items = 10;
+    let mut at = ServerDriver::new(Strategy::AmnesicTerminals, &params, MasterSeed(2), &db, 0);
 
     let mut mu = mu_with_hotspot(vec![3], 0.2);
     let mut srng = MasterSeed(2).stream(StreamId::Sleep { index: 0 });
     let mut qrng = MasterSeed(2).stream(StreamId::Custom { tag: 7 });
     mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
     // Mid-interval update, after queries may have been posed.
-    db.apply_update(3, 999_999, SimTime::from_secs(7.0));
+    at.on_update(&db.apply_update(3, 999_999, SimTime::from_secs(7.0)));
 
     let payload = at.build(1, SimTime::from_secs(10.0), &db);
     let out = mu.hear_report_and_answer(&payload);

@@ -5,10 +5,12 @@
 //! `RngStream` (seeded, replayable) rather than an external
 //! property-testing framework.
 
-use sleepers_workaholics::server::{AtBuilder, Database, ReportBuilder, TsBuilder};
+use sleepers_workaholics::server::Database;
 use sleepers_workaholics::signature::{combine, item_signature, SubsetFamily};
 use sleepers_workaholics::sim::{MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sleepers_workaholics::wireless::FramePayload;
+use sleepers_workaholics::workload::ScenarioParams;
+use sleepers_workaholics::{ServerDriver, Strategy};
 
 fn rng(tag: u64) -> RngStream {
     MasterSeed(0xC0FF_EE00_0000_0000 | tag).stream(StreamId::Custom { tag })
@@ -33,6 +35,16 @@ fn distinct_items(rng: &mut RngStream, universe: u64, min: usize, max: usize) ->
     set.into_iter().collect()
 }
 
+/// The server half of `strategy` over `db`: `L` = 10 s, TS window
+/// `w = kL`.
+fn server(strategy: Strategy, k: u32, db: &Database) -> ServerDriver {
+    let mut params = ScenarioParams::scenario1();
+    params.latency_secs = 10.0;
+    params.n_items = db.len();
+    params.k = k;
+    ServerDriver::new(strategy, &params, MasterSeed::TEST, db, 0)
+}
+
 fn apply(db: &mut Database, schedule: &[(u64, f64)]) {
     for (step, &(item, at)) in schedule.iter().enumerate() {
         // Monotone per-item times are guaranteed by the global sort.
@@ -48,13 +60,15 @@ fn ts_report_is_exactly_the_window() {
     for case in 0..64 {
         let schedule = update_schedule(&mut rng, 50, 200.0);
         let k = 1 + rng.uniform_index(7) as u32;
-        let latency = SimDuration::from_secs(10.0);
         let mut db = Database::new(50, |i| i, SimDuration::from_secs(1e4));
         apply(&mut db, &schedule);
-        let mut builder = TsBuilder::new(latency, k);
         let t_i = 200.0;
         let w = k as f64 * 10.0;
-        let payload = builder.build((t_i / 10.0) as u64, SimTime::from_secs(t_i), &db);
+        let payload = server(Strategy::BroadcastTimestamps, k, &db).build(
+            (t_i / 10.0) as u64,
+            SimTime::from_secs(t_i),
+            &db,
+        );
         let entries = match payload {
             FramePayload::TimestampReport { entries, .. } => entries,
             other => panic!("unexpected {other:?}"),
@@ -63,7 +77,7 @@ fn ts_report_is_exactly_the_window() {
         let mut expected = std::collections::BTreeMap::new();
         for &(item, at) in &schedule {
             if at > t_i - w && at <= t_i {
-                expected.insert(item, (at * 1e6).round() as u64);
+                expected.insert(item, SimTime::from_secs(at).as_micros());
             }
         }
         let got: std::collections::BTreeMap<u64, u64> = entries.into_iter().collect();
@@ -77,11 +91,10 @@ fn at_report_is_exactly_one_interval() {
     let mut rng = rng(2);
     for case in 0..64 {
         let schedule = update_schedule(&mut rng, 50, 200.0);
-        let latency = SimDuration::from_secs(10.0);
         let mut db = Database::new(50, |i| i, SimDuration::from_secs(1e4));
         apply(&mut db, &schedule);
-        let mut builder = AtBuilder::new(latency);
-        let payload = builder.build(20, SimTime::from_secs(200.0), &db);
+        let payload =
+            server(Strategy::AmnesicTerminals, 1, &db).build(20, SimTime::from_secs(200.0), &db);
         let ids = match payload {
             FramePayload::AmnesicReport { ids, .. } => ids,
             other => panic!("unexpected {other:?}"),
