@@ -40,5 +40,5 @@ pub use cache::{Cache, CacheEntry};
 pub use digest::{DigestScratch, ReportDigest};
 pub use sw_capacity::{GhostFate, ReplacementPolicy};
 pub use handler::{ProcessOutcome, RuleHandler};
-pub use mu::{IntervalReport, MobileUnit, MuConfig, MuStats, PendingQuery};
+pub use mu::{IntervalReport, MobileUnit, MuConfig, MuStats};
 pub use rule::{CacheSlots, Lent, ReportRule, SigTrack, Verdict};

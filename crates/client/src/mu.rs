@@ -25,15 +25,6 @@ use crate::cache::Cache;
 use crate::digest::{DigestScratch, ReportDigest};
 use crate::handler::{ProcessOutcome, RuleHandler};
 
-/// A query waiting for the next report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PendingQuery {
-    /// The queried item.
-    pub item: ItemId,
-    /// When the query was posed (within the current interval).
-    pub posed_at: SimTime,
-}
-
 /// Static configuration of one mobile unit.
 #[derive(Debug, Clone)]
 pub struct MuConfig {
@@ -145,7 +136,10 @@ pub struct MobileUnit {
     sleep: BernoulliIntervalProcess,
     queries: PoissonProcess,
     t_l: Option<SimTime>,
-    pending: Vec<PendingQuery>,
+    /// The queries waiting for the next report: the items asked, and
+    /// (parallel) when each was posed.
+    pending: Vec<ItemId>,
+    posed_at: Vec<SimTime>,
     awake: bool,
     local_hits: ItemTable<Vec<SimTime>>,
     stats: MuStats,
@@ -188,6 +182,7 @@ impl MobileUnit {
             handler,
             t_l: None,
             pending: Vec::new(),
+            posed_at: Vec::new(),
             awake: true,
             local_hits,
             stats: MuStats::default(),
@@ -278,13 +273,15 @@ impl MobileUnit {
     ) {
         self.awake = true;
         self.stats.intervals_awake += 1;
-        for at in self.queries.arrivals_in(from, to, query_rng) {
+        let posed = self.posed_at.len();
+        self.queries
+            .arrivals_in(from, to, query_rng, &mut self.posed_at);
+        for _ in posed..self.posed_at.len() {
             let idx = match pick.as_deref_mut() {
                 Some(pick) => pick(),
                 None => query_rng.uniform_index(self.config.hotspot.len() as u64) as usize,
             };
-            let item = self.config.hotspot[idx];
-            self.pending.push(PendingQuery { item, posed_at: at });
+            self.pending.push(self.config.hotspot[idx]);
             self.stats.queries_posed += 1;
         }
     }
@@ -330,8 +327,8 @@ impl MobileUnit {
             .process_digest(&mut self.cache, digest, self.t_l);
         let t_i = outcome.report_time;
         // Latency accounting: every pending query is answered now.
-        for q in &self.pending {
-            let lat = t_i.saturating_duration_since(q.posed_at).as_secs();
+        for &posed_at in &self.posed_at {
+            let lat = t_i.saturating_duration_since(posed_at).as_secs();
             self.stats.latency_sum_secs += lat;
             if lat > self.stats.latency_max_secs {
                 self.stats.latency_max_secs = lat;
@@ -348,11 +345,10 @@ impl MobileUnit {
         // history, not a property of the current cache incarnation.
 
         // Answer Q_i: one event per distinct pending item.
-        let mut seen: Vec<ItemId> = self.pending.iter().map(|q| q.item).collect();
-        seen.sort_unstable();
-        seen.dedup();
+        self.pending.sort_unstable();
+        self.pending.dedup();
         let mut uplink = Vec::new();
-        for item in seen {
+        for &item in &self.pending {
             if self.cache.get(item).is_some() {
                 self.stats.hit_events += 1;
                 if self.config.piggyback_hits {
@@ -381,6 +377,7 @@ impl MobileUnit {
             }
         }
         self.pending.clear();
+        self.posed_at.clear();
         IntervalReport {
             outcome,
             uplink_requests: uplink,

@@ -48,7 +48,9 @@ use crate::handler::ProcessOutcome;
 pub enum Verdict {
     /// Invalid: the copy is dropped.
     Drop,
-    /// Verified as of `T_i`: `t_cache := T_i`.
+    /// Verified as of `T_i`: `t_cache := T_i`. A store need not write
+    /// that per entry: the columnar fleet records it once, as the
+    /// client's `T_l` (see [`CacheSlots`]), and writes nothing here.
     Restamp,
     /// §7 only: the copy may lag, so it stays with its stamp untouched
     /// — the lag clock keeps running from the copy's birth.
@@ -72,10 +74,18 @@ impl Verdict {
 ///
 /// Walk order is the implementor's business — [`crate::Cache`] and a
 /// slot block both happen to visit ascending — but the *results* are
-/// ordered: [`CacheSlots::sweep`] and
+/// ordered: [`CacheSlots::sweep`], [`CacheSlots::drop_listed`] and
 /// [`CacheSlots::sorted_items`] return ascending item ids whatever the
 /// visit order, so [`ProcessOutcome::invalidated`] is identical on
 /// every store.
+///
+/// How a store records "verified as of `T_i`" is its business too.
+/// [`crate::Cache`] writes `T_i` into every surviving entry. The
+/// columnar fleet's slot block stores each entry's *install* stamp and
+/// reads the validity stamp as `max(stamp, T_l)`: every rule it hosts
+/// ends a heard report with each survivor verified as of `T_i` and
+/// `T_l := T_i`, so a restamp costs it nothing and a §7 `Keep` (a
+/// survivor *not* vouched for) is refused there.
 pub trait CacheSlots {
     /// Number of cached items.
     fn len(&self) -> usize;
@@ -99,6 +109,27 @@ pub trait CacheSlots {
         t_i: SimTime,
         verdict: impl FnMut(ItemId, SimTime) -> Verdict,
     ) -> Vec<ItemId>;
+
+    /// The walk of a report that can only condemn what it lists: among
+    /// the cached entries `listed(item)` names, drop those
+    /// `stale(item, t_cache)` condemns; every other entry is verified as
+    /// of `T_i`. `stale` runs only for listed entries. The dropped ids
+    /// are returned, ascending.
+    ///
+    /// The default body is one [`Self::sweep`]. A store whose restamp
+    /// is free overrides it to read a stamp only for `report ∩ cache`
+    /// and write nothing for the rest, so a report that lists next to
+    /// nothing costs a membership probe per cached entry.
+    fn drop_listed(
+        &mut self,
+        t_i: SimTime,
+        listed: impl Fn(ItemId) -> bool,
+        mut stale: impl FnMut(ItemId, SimTime) -> bool,
+    ) -> Vec<ItemId> {
+        self.sweep(t_i, |item, stamp| {
+            Verdict::drop_if(listed(item) && stale(item, stamp))
+        })
+    }
 
     /// Ghost retire: marks every still-fresh ghost (the memory of an
     /// evicted entry) for which `proven_stale(item, eviction_stamp)`
@@ -396,8 +427,7 @@ impl ReportRule {
                 // if [j, t_j] in U_i { if t_cache < t_j drop else t_cache := T_i }
                 // (not mentioned ⇒ unchanged within w ⇒ t_cache := T_i)
                 let newer = |item, stamp: SimTime| digest.ts_newer_than(item, stamp.as_micros());
-                let invalidated =
-                    cache.sweep(t_i, |item, stamp| Verdict::drop_if(newer(item, stamp)));
+                let invalidated = cache.drop_listed(t_i, |item| digest.listed(item), newer);
                 // Sound as a ghost proof because any update inside the
                 // window w appears in the report.
                 cache.retire_ghosts(newer);
@@ -448,16 +478,15 @@ impl ReportRule {
             ReportRule::At { .. } => {
                 // A listed id changed this interval: drop the copy —
                 // and any evicted copy of it is provably stale.
-                let listed = |item, _| digest.listed(item);
-                let invalidated =
-                    cache.sweep(t_i, |item, stamp| Verdict::drop_if(listed(item, stamp)));
-                cache.retire_ghosts(listed);
+                let listed = |item| digest.listed(item);
+                let invalidated = cache.drop_listed(t_i, listed, |_, _| true);
+                cache.retire_ghosts(|item, _| listed(item));
                 invalidated
             }
             // The report lists changed *group* ids.
-            ReportRule::Group { map, .. } => cache.sweep(t_i, |item, _| {
-                Verdict::drop_if(digest.listed(map.group_of(item)))
-            }),
+            ReportRule::Group { map, .. } => {
+                cache.drop_listed(t_i, |item| digest.listed(map.group_of(item)), |_, _| true)
+            }
             ReportRule::NoCache => {
                 cache.clear();
                 Vec::new()
@@ -468,13 +497,14 @@ impl ReportRule {
                 // missed report condemns every hot copy (the amnesic id
                 // list cannot be reconstructed), a heard one the listed
                 // ids. Cold half: SIG semantics over what remains.
-                let mut invalidated = cache.sweep(t_i, |item, _| {
-                    Verdict::drop_if(if missed_report {
+                let condemned = |item| {
+                    if missed_report {
                         hot.contains(item)
                     } else {
                         digest.listed(item)
-                    })
-                });
+                    }
+                };
+                let mut invalidated = cache.drop_listed(t_i, condemned, |_, _| true);
                 invalidated.extend(decode(cache, decoder, lent.sig(), digest, |item| {
                     !hot.contains(item)
                 }));

@@ -30,7 +30,10 @@
 //!
 //! * `slot_items` — the hotspot, sorted (slot → item id);
 //! * `valid` — one bit per slot (cached or not), `⌈H/64⌉` words/client;
-//! * `values`, `stamps` — the cached value and validity timestamp;
+//! * `values` — the cached value;
+//! * `stamps` — install stamp; the validity stamp is `max(stamp, T_l)`
+//!   ([`validity`]), because every rule the store hosts ends a heard
+//!   report with each survivor verified as of `T_i` and `T_l := T_i`;
 //! * `draw_slot` — the hotspot in draw order, as slots (query draw
 //!   index → slot);
 //! * `pending_mask` — one bit per slot queried since the last heard
@@ -52,7 +55,12 @@
 //! every item j *in the MU cache*" — ascending over the client's valid
 //! bits (slot order is item-id order), with the broadcast's shared
 //! [`ReportDigest`] only *probed*, a bit test per slot: an interval
-//! costs O(|report| + awake·H). What remains for
+//! costs O(|report| + awake·H) bit tests. Because a survivor's validity
+//! stamp is derived from `T_l`, nothing restamps it: TS, AT, GR and
+//! HYB's hot half go through [`CacheSlots::drop_listed`], which reads a
+//! stamp only for `report ∩ cache`, and the sweep writes no stamp at
+//! all — Σ|report ∩ cache| stamp reads per interval instead of awake·H
+//! stamp writes. What remains for
 //! `tests/columnar_equivalence.rs` to pin is what the stores do around
 //! the rule: the answer loop, capacity columns, query draws.
 //!
@@ -95,6 +103,12 @@ use crate::strategy::Strategy;
 /// its thread hand-off; the sequential path runs instead. Purely a
 /// performance threshold — both paths are bit-identical.
 const SWEEP_PAR_MIN: usize = 256;
+
+/// Why adaptive TS, quasi-delay and the stateful baseline stay on
+/// seats: [`Fleet::new`]'s refusal, and the reason a slot block refuses
+/// §7's `Keep`.
+const FEEDBACK_ONLY_ON_SEATS: &str =
+    "builds its reports from per-client feedback state that only boxed units carry";
 
 /// Per-client output of the (possibly parallel) report sweep. The
 /// sweep applies the shared report to disjoint client ranges; the
@@ -172,8 +186,7 @@ impl Fleet {
                 }
                 if feedback {
                     reasons.push(format!(
-                        "strategy {} builds its reports from per-client feedback \
-                         state that only boxed units carry",
+                        "strategy {} {FEEDBACK_ONLY_ON_SEATS}",
                         strategy.name()
                     ));
                 }
@@ -591,6 +604,23 @@ fn set_bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
     })
 }
 
+/// The validity stamp `t_x` of a columnar entry installed at `installed`
+/// by a client that last heard a report at `t_l`: the one reading of
+/// the `stamps` column. Every rule the store hosts ends a heard report
+/// with each survivor verified as of `T_i` and `T_l := T_i`, and an
+/// install is stamped at the server's clock, never before `T_l` — so an
+/// entry installed since the last report carries its own stamp and
+/// every other survivor carries `T_l`.
+#[inline]
+fn validity(installed: SimTime, t_l: Option<SimTime>) -> SimTime {
+    // `max`, compared as seconds: a `SimTime` is never NaN, and the
+    // float compare carries no panic path into a sweep that ignores it.
+    match t_l {
+        Some(t_l) if t_l.as_secs() > installed.as_secs() => t_l,
+        _ => installed,
+    }
+}
+
 /// Per-client SIG/HYB tracking state, columnar: what each client lends
 /// the rule as a [`SigTrack`] — `m` signature slots per client, the
 /// tracked count, the last-heard report share, and the unmatched-subset
@@ -675,7 +705,8 @@ pub(crate) struct ColumnarFleet {
     valid: Vec<u64>,
     /// Cached values, stride `h`.
     values: Vec<u64>,
-    /// Validity timestamps `t_x`, stride `h`.
+    /// Install stamps, stride `h`; written by `install_answer` alone.
+    /// The validity stamp `t_x` is [`validity`]`(stamp, t_l)`.
     stamps: Vec<SimTime>,
     /// Live slot count per client (= `cache.len()`).
     cached: Vec<u32>,
@@ -859,14 +890,16 @@ impl ColumnarFleet {
             .zipf
             .as_mut()
             .map(|(picker, rngs)| (&**picker, &mut rngs[idx]));
-        for at in self.queries[idx].arrivals_in(from, to, query_rng) {
+        let posed_at = &mut self.posed_at[idx];
+        let posed = posed_at.len();
+        self.queries[idx].arrivals_in(from, to, query_rng, posed_at);
+        for _ in posed..posed_at.len() {
             let j = match &mut zipf {
                 Some((picker, rng)) => picker.draw(rng),
                 None => query_rng.uniform_index(self.h as u64) as usize,
             };
             let slot = self.draw_slot[base + j] as usize;
             self.pending_mask[idx * self.words + slot / 64] |= 1 << (slot % 64);
-            self.posed_at[idx].push(at);
             stats.queries_posed += 1;
         }
     }
@@ -923,7 +956,7 @@ impl ColumnarFleet {
                         EntryMeta {
                             last_used: cap.last_used[base + s],
                             use_count: cap.use_count[base + s],
-                            stamp: self.stamps[base + s],
+                            stamp: validity(self.stamps[base + s], self.t_l[idx]),
                         },
                         answer.timestamp,
                         cap.spec.window,
@@ -937,7 +970,7 @@ impl ColumnarFleet {
                 self.valid[idx * self.words + vslot / 64] &= !(1 << (vslot % 64));
                 self.cached[idx] -= 1;
                 cap.ghost[base + vslot] = 1;
-                cap.ghost_stamps[base + vslot] = self.stamps[base + vslot];
+                cap.ghost_stamps[base + vslot] = validity(self.stamps[base + vslot], self.t_l[idx]);
                 self.stats[idx].evictions += 1;
             }
         }
@@ -957,7 +990,9 @@ impl ColumnarFleet {
 
     /// Visits every cached entry as `(item, value, timestamp)` in
     /// client order, items ascending — the iteration order of the
-    /// boxed-unit safety check.
+    /// boxed-unit safety check. The timestamp is the validity stamp: the
+    /// audit checks the value against the history *there*, where an
+    /// install stamp would always match.
     fn for_each_cached_entry(&self, mut f: impl FnMut(ItemId, u64, SimTime)) {
         for idx in 0..self.n {
             let base = idx * self.h;
@@ -966,7 +1001,7 @@ impl ColumnarFleet {
                     f(
                         self.slot_items[base + slot],
                         self.values[base + slot],
-                        self.stamps[base + slot],
+                        validity(self.stamps[base + slot], self.t_l[idx]),
                     );
                 }
             }
@@ -980,9 +1015,9 @@ impl ColumnarFleet {
             h: self.h,
             words: self.words,
             slot_items: &self.slot_items,
+            stamps: &self.stamps,
             awake: &self.awake,
             valid: &mut self.valid,
-            stamps: &mut self.stamps,
             cached: &mut self.cached,
             t_l: &mut self.t_l,
             pending_mask: &mut self.pending_mask,
@@ -1034,9 +1069,10 @@ struct ChunkView<'a> {
     h: usize,
     words: usize,
     slot_items: &'a [ItemId],
+    /// The sweep reads install stamps and never writes them.
+    stamps: &'a [SimTime],
     awake: &'a [bool],
     valid: &'a mut [u64],
-    stamps: &'a mut [SimTime],
     cached: &'a mut [u32],
     t_l: &'a mut [Option<SimTime>],
     pending_mask: &'a mut [u64],
@@ -1053,10 +1089,39 @@ struct SlotBlock<'a> {
     items: &'a [ItemId],
     /// The client's validity words.
     valid: &'a mut [u64],
-    stamps: &'a mut [SimTime],
+    /// The client's install stamps — read, never written.
+    stamps: &'a [SimTime],
+    /// When every survivor was last verified: the client's `T_l` on
+    /// entry, `T_i` after a walk.
+    vouched: Option<SimTime>,
     cached: &'a mut u32,
     /// Ghost state and eviction stamp per slot (bounded fleets only).
     ghosts: Option<(&'a mut [u8], &'a [SimTime])>,
+}
+
+impl SlotBlock<'_> {
+    /// The one walk behind both of [`CacheSlots`]' walks: drops each
+    /// cached slot `condemned(item, slot)` names, ascending, and
+    /// vouches for every survivor as of `t_i` — O(1), no stamp written.
+    fn drop_where(
+        &mut self,
+        t_i: SimTime,
+        mut condemned: impl FnMut(ItemId, usize) -> bool,
+    ) -> Vec<ItemId> {
+        let mut invalidated = Vec::new();
+        for (w, word) in self.valid.iter_mut().enumerate() {
+            for slot in set_bits(*word, w * 64) {
+                let item = self.items[slot];
+                if condemned(item, slot) {
+                    *word &= !(1 << (slot % 64));
+                    *self.cached -= 1;
+                    invalidated.push(item);
+                }
+            }
+        }
+        self.vouched = Some(t_i);
+        invalidated
+    }
 }
 
 impl CacheSlots for SlotBlock<'_> {
@@ -1077,23 +1142,29 @@ impl CacheSlots for SlotBlock<'_> {
         t_i: SimTime,
         mut verdict: impl FnMut(ItemId, SimTime) -> Verdict,
     ) -> Vec<ItemId> {
-        let mut invalidated = Vec::new();
-        for (w, word) in self.valid.iter_mut().enumerate() {
-            for slot in set_bits(*word, w * 64) {
-                let item = self.items[slot];
-                let stamp = &mut self.stamps[slot];
-                match verdict(item, *stamp) {
-                    Verdict::Drop => {
-                        *word &= !(1 << (slot % 64));
-                        *self.cached -= 1;
-                        invalidated.push(item);
-                    }
-                    Verdict::Restamp => *stamp = t_i,
-                    Verdict::Keep => {}
-                }
+        let (stamps, vouched) = (self.stamps, self.vouched);
+        self.drop_where(t_i, |item, slot| {
+            match verdict(item, validity(stamps[slot], vouched)) {
+                Verdict::Drop => true,
+                Verdict::Restamp => false,
+                Verdict::Keep => panic!(
+                    "§7's Keep leaves a survivor unvouched by T_l, and the columnar fleet \
+                     refuses it: quasi-delay {FEEDBACK_ONLY_ON_SEATS}"
+                ),
             }
-        }
-        invalidated
+        })
+    }
+
+    fn drop_listed(
+        &mut self,
+        t_i: SimTime,
+        listed: impl Fn(ItemId) -> bool,
+        mut stale: impl FnMut(ItemId, SimTime) -> bool,
+    ) -> Vec<ItemId> {
+        let (stamps, vouched) = (self.stamps, self.vouched);
+        self.drop_where(t_i, |item, slot| {
+            listed(item) && stale(item, validity(stamps[slot], vouched))
+        })
     }
 
     fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
@@ -1124,9 +1195,9 @@ impl SweepStore for ChunkView<'_> {
             h,
             words,
             slot_items: self.slot_items,
+            stamps: self.stamps,
             awake: self.awake,
             valid: front(&mut self.valid, n * words),
-            stamps: front(&mut self.stamps, n * h),
             cached: front(&mut self.cached, n),
             t_l: front(&mut self.t_l, n),
             pending_mask: front(&mut self.pending_mask, n * words),
@@ -1166,7 +1237,8 @@ impl SweepStore for ChunkView<'_> {
         let mut block = SlotBlock {
             items: &self.slot_items[idx * h..(idx + 1) * h],
             valid: &mut self.valid[local * words..(local + 1) * words],
-            stamps: &mut self.stamps[local * h..(local + 1) * h],
+            stamps: &self.stamps[idx * h..(idx + 1) * h],
+            vouched: self.t_l[local],
             cached: &mut self.cached[local],
             ghosts: self.cap.as_mut().map(|cap| {
                 (

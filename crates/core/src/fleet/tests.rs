@@ -10,12 +10,16 @@
 //! every rule, where a payload can be hand-built: unsorted, with
 //! duplicated ids, with ids outside every hot spot. Both stores apply
 //! the same `ReportRule`; what can differ is the `CacheSlots` store
-//! under it and the answer loop around it. The remaining rows pin what
-//! the seat and the columns each keep beside the cache: sleep-run
-//! settlement across a stats reset, the never-wake sentinel, the Zipf
-//! pick's stream discipline, and the pending set across missed reports.
+//! under it and the answer loop around it. Every row compares each
+//! cached entry's `(item, value, stamp)` too: the columns store install
+//! stamps and derive validity from `T_l`, the seat restamps, and the
+//! two must read the same. The remaining rows pin what the seat and the
+//! columns each keep beside the cache: sleep-run settlement across a
+//! stats reset, the never-wake sentinel, the Zipf pick's stream
+//! discipline, the pending set across missed reports — and, on a bare
+//! slot block, that a heard report reads only `report ∩ cache`.
 
-use sw_client::{DigestScratch, MobileUnit, MuConfig, ProcessOutcome, RuleHandler};
+use sw_client::{Cache, DigestScratch, MobileUnit, MuConfig, ProcessOutcome, RuleHandler};
 use sw_server::{GroupMap, HotSet};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, StreamId};
@@ -120,13 +124,22 @@ impl Fleet {
         (report.outcome, uplink, self.summary())
     }
 
+    /// Every cached `(item, value, stamp)`: the stamps are the validity
+    /// stamps the safety audit and the mesh's coop directory read.
+    fn cached(&self) -> Vec<(ItemId, u64, SimTime)> {
+        let mut cached = Vec::new();
+        self.for_each_cached_entry(|item, value, stamp| cached.push((item, value, stamp)));
+        cached
+    }
+
     fn summary(&self) -> String {
         format!(
-            "{:?} unmatched={:?} awake={} next_wake={}",
+            "{:?} unmatched={:?} awake={} next_wake={} cached={:?}",
             self.stats(0),
             self.last_unmatched_subsets(0),
             self.is_awake(0),
-            self.next_wake(0)
+            self.next_wake(0),
+            self.cached()
         )
     }
 }
@@ -406,14 +419,13 @@ fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
     // The query stream with nothing but arrival times drawn from it.
     let mut rng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
     let mut arrivals = PoissonProcess::new(LAMBDA * HOTSPOT.len() as f64, &mut rng);
-    let mut posed = 0u64;
+    let mut posed_at = Vec::new();
     for i in 1..=12 {
-        posed += arrivals
-            .arrivals_in(report_time(i - 1), report_time(i), &mut rng)
-            .len() as u64;
+        arrivals.arrivals_in(report_time(i - 1), report_time(i), &mut rng, &mut posed_at);
         for fleet in [&mut boxed, &mut columnar, &mut uniform] {
             fleet.open(i);
         }
+        let posed = posed_at.len() as u64;
         assert_eq!(boxed.stats(0).queries_posed, posed, "interval {i}");
         assert_eq!(columnar.stats(0).queries_posed, posed, "interval {i}");
         let payload = Reports::new(Kind::At).next(i);
@@ -424,6 +436,7 @@ fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
         );
         uniform.hear(&payload);
     }
+    let posed = posed_at.len() as u64;
     assert!(posed > 20, "the row needs arrivals to mean anything");
     assert_ne!(
         uniform.stats(0).queries_posed,
@@ -477,4 +490,142 @@ fn missed_reports_keep_the_pending_set_and_accrue_latency() {
         "latency keeps accruing across missed reports: {}",
         stats.latency_max_secs
     );
+}
+
+/// An entry installed before the client ever heard a report has no
+/// `T_l` to vouch for it: it carries its own install stamp until the
+/// first heard report decides it — a whole-cache drop under a gap rule,
+/// a survivor verified as of `T_1` under SIG.
+#[test]
+fn installs_before_the_first_heard_report_keep_their_own_stamp() {
+    use Kind::*;
+    let installed = SimTime::from_secs(4.0);
+    for kind in [Ts, At, Gr, Nc, Sig, Hyb] {
+        let [mut boxed, mut columnar] = both(kind, None, 0.0, None);
+        for fleet in [&mut boxed, &mut columnar] {
+            fleet.open(1);
+            for item in [3, 64] {
+                fleet.install_answer(
+                    0,
+                    QueryAnswer {
+                        item,
+                        value: item + 1,
+                        timestamp: installed,
+                    },
+                );
+            }
+            assert!(
+                fleet.cached().iter().all(|e| e.2 == installed),
+                "{kind:?}: {:?}",
+                fleet.cached()
+            );
+        }
+        assert_eq!(
+            boxed.summary(),
+            columnar.summary(),
+            "{kind:?} before any report"
+        );
+        let first = Reports::new(kind).next(1);
+        assert_eq!(boxed.hear(&first), columnar.hear(&first), "{kind:?}");
+    }
+}
+
+/// One TS report applied to `cache` through `drop_listed`, with a
+/// counting `stale`: the ids dropped and how often `stale` ran.
+fn hear_counted<C: CacheSlots>(
+    cache: &mut C,
+    t_i: f64,
+    entries: &[(u64, f64)],
+) -> (Vec<ItemId>, u32) {
+    let payload = FramePayload::TimestampReport {
+        report_ts_micros: secs(t_i),
+        entries: entries.iter().map(|&(id, t)| (id, secs(t))).collect(),
+    };
+    let mut scratch = DigestScratch::default();
+    let digest = scratch.digest(&payload);
+    let mut calls = 0;
+    let dropped = cache.drop_listed(
+        digest.report_time(),
+        |item| digest.listed(item),
+        |item, stamp| {
+            calls += 1;
+            digest.ts_newer_than(item, stamp.as_micros())
+        },
+    );
+    (dropped, calls)
+}
+
+/// The mechanism, pinned by equality rather than timing: a full slot
+/// block hearing a TS report runs `stale` once per *listed cached* id —
+/// never for the uncached ids the report also lists — and writes no
+/// stamp, yet every survivor reads as verified at `T_i`; a later report
+/// naming a cached id with a newer `t_j` drops it, judged against that
+/// vouched stamp, not the install stamp. `sw_client::Cache` reaches the
+/// same outcome through `drop_listed`'s default body, restamping.
+#[test]
+fn drop_listed_runs_stale_only_on_report_and_cache_and_writes_no_stamp() {
+    let Fleet::Columnar(mut columns) = fleet(true, Kind::Ts, None, 0.0, None) else {
+        unreachable!("asked for the columnar store")
+    };
+    let mut boxed = Cache::unbounded();
+    let t_1 = report_time(1);
+    for item in HOTSPOT {
+        columns.install_answer(
+            0,
+            QueryAnswer {
+                item,
+                value: item + 1,
+                timestamp: t_1,
+            },
+        );
+        boxed.insert(item, item + 1, t_1);
+    }
+    let installed = columns.stamps.clone();
+    let mut block = SlotBlock {
+        items: &columns.slot_items,
+        valid: &mut columns.valid,
+        stamps: &columns.stamps,
+        vouched: Some(t_1),
+        cached: &mut columns.cached[0],
+        ghosts: None,
+    };
+    assert_eq!(block.len(), HOTSPOT.len(), "the block is full");
+    // (T_i, the report's entries, (the ids it drops, `stale` calls))
+    let reports = [
+        // Cached 9 listed but not newer; 1, 2 and 500 listed, uncached.
+        (
+            20.0,
+            vec![(1, 15.0), (2, 18.0), (9, 5.0), (500, 19.0)],
+            (vec![], 1),
+        ),
+        // 64 changed after the vouched T = 20; 9's t_j = 15 is newer
+        // than its install stamp (10) but not than its validity (20).
+        (30.0, vec![(9, 15.0), (64, 25.0)], (vec![64], 2)),
+    ];
+    for (t_i, entries, want) in reports {
+        assert_eq!(
+            hear_counted(&mut block, t_i, &entries),
+            want,
+            "slot block at {t_i}"
+        );
+        assert_eq!(
+            hear_counted(&mut boxed, t_i, &entries),
+            want,
+            "boxed cache at {t_i}"
+        );
+        let survivors: Vec<(ItemId, SimTime)> = CacheSlots::sorted_items(&block)
+            .into_iter()
+            .map(|item| {
+                let slot = block.items.binary_search(&item).expect("a hotspot item");
+                (item, validity(block.stamps[slot], block.vouched))
+            })
+            .collect();
+        let boxed_survivors: Vec<(ItemId, SimTime)> = Cache::sorted_items(&boxed)
+            .into_iter()
+            .map(|item| (item, boxed.peek(item).expect("listed").timestamp))
+            .collect();
+        assert_eq!(survivors, boxed_survivors, "at {t_i}");
+        assert!(survivors.iter().all(|e| e.1 == SimTime::from_secs(t_i)));
+    }
+    assert_eq!(columns.stamps, installed, "the sweep wrote a stamp");
 }

@@ -15,8 +15,13 @@
 //! row that needs a `--features faults` build fails in any other. Under
 //! cargo, `results/` is the workspace's; outside cargo it is
 //! `./results`. `SW_THREADS` sizes the sweep runner as everywhere else.
+//!
+//! `run`, `all` and `check` print each row's wall time to stderr as
+//! `<name>: <s> s`, then `total: <s> s`, so a log that discards stdout
+//! still says where the time went.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use sw_experiments::catalogue::{Experiment, CATALOGUE};
 use sw_experiments::results::{results_dir, write_text_in};
@@ -55,9 +60,11 @@ fn main() -> ExitCode {
     let fast = !check && std::env::var("SW_FAST").is_ok();
     let dir = results_dir();
     let mut failed = Vec::new();
+    let started = Instant::now();
     for e in &rows {
         println!("== {} {} — {}", e.id, e.name, e.about);
         let path = dir.join(e.file_name());
+        let row_started = Instant::now();
         let outcome = if !e.runnable() {
             Err("fault injection is compiled out; rebuild with `--features faults`".to_string())
         } else {
@@ -74,6 +81,7 @@ fn main() -> ExitCode {
                     .map_err(|err| format!("{}: {err}", path.display()))
             }
         };
+        eprintln!("{}: {:.1} s", e.name, row_started.elapsed().as_secs_f64());
         match outcome {
             Ok(verb) => println!("{verb} {}\n", path.display()),
             Err(why) => {
@@ -82,6 +90,7 @@ fn main() -> ExitCode {
             }
         }
     }
+    eprintln!("total: {:.1} s", started.elapsed().as_secs_f64());
     if check {
         println!(
             "{} of {} artifacts byte-identical to {}",

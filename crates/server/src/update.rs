@@ -16,6 +16,8 @@ use crate::database::{Database, UpdateRecord};
 pub struct UpdateEngine {
     per_item_rate: f64,
     process: PoissonProcess,
+    /// One interval's update times, reused across calls.
+    times: Vec<SimTime>,
 }
 
 impl UpdateEngine {
@@ -31,6 +33,7 @@ impl UpdateEngine {
         UpdateEngine {
             per_item_rate,
             process: PoissonProcess::new(n as f64 * per_item_rate, rng),
+            times: Vec::new(),
         }
     }
 
@@ -52,9 +55,10 @@ impl UpdateEngine {
         to: SimTime,
         rng: &mut RngStream,
     ) -> Vec<UpdateRecord> {
-        let times = self.process.arrivals_in(from, to, rng);
-        let mut out = Vec::with_capacity(times.len());
-        for at in times {
+        self.times.clear();
+        self.process.arrivals_in(from, to, rng, &mut self.times);
+        let mut out = Vec::with_capacity(self.times.len());
+        for &at in &self.times {
             let item = rng.uniform_index(db.len());
             let old = db.value(item);
             let mut value = rng.next_u64();

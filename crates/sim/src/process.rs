@@ -54,7 +54,11 @@ impl PoissonProcess {
         (self.rate > 0.0).then_some(self.next)
     }
 
-    /// Draws every arrival in the half-open window `(from, to]`.
+    /// Draws every arrival in the half-open window `(from, to]` and
+    /// appends them to `out`, ascending. Every exponential of the window
+    /// is drawn before this returns, so a caller that then draws one
+    /// pick per arrival from the same `rng` sees the same stream
+    /// whatever buffer it passes.
     ///
     /// The window convention matches the paper's report definitions,
     /// which use half-open windows such as `T_{i-1} < t_j ≤ T_i` (AT,
@@ -64,11 +68,11 @@ impl PoissonProcess {
         from: SimTime,
         to: SimTime,
         rng: &mut RngStream,
-    ) -> Vec<SimTime> {
+        out: &mut Vec<SimTime>,
+    ) {
         assert!(to >= from, "window end precedes start");
-        let mut out = Vec::new();
         if self.rate <= 0.0 {
-            return out;
+            return;
         }
         // Skip any stale arrivals at or before `from` (can happen if the
         // caller jumps forward, e.g. a client that slept through
@@ -82,13 +86,6 @@ impl PoissonProcess {
             let at = self.next;
             self.advance(rng, at);
         }
-        out
-    }
-
-    /// Number of arrivals in `(from, to]`, without materializing the
-    /// timestamps.
-    pub fn count_in(&mut self, from: SimTime, to: SimTime, rng: &mut RngStream) -> u64 {
-        self.arrivals_in(from, to, rng).len() as u64
     }
 
     fn advance(&mut self, rng: &mut RngStream, after: SimTime) {
@@ -210,12 +207,24 @@ mod tests {
         MasterSeed::TEST.stream(StreamId::Custom { tag: 99 })
     }
 
+    /// The arrivals of `(from, to]` in a fresh buffer.
+    fn arrivals(
+        p: &mut PoissonProcess,
+        from: SimTime,
+        to: SimTime,
+        r: &mut RngStream,
+    ) -> Vec<SimTime> {
+        let mut out = Vec::new();
+        p.arrivals_in(from, to, r, &mut out);
+        out
+    }
+
     #[test]
     fn poisson_count_matches_rate() {
         let mut r = rng();
         let mut p = PoissonProcess::new(0.5, &mut r);
         let horizon = SimTime::from_secs(100_000.0);
-        let n = p.count_in(SimTime::ZERO, horizon, &mut r);
+        let n = arrivals(&mut p, SimTime::ZERO, horizon, &mut r).len();
         let expected = 0.5 * 100_000.0;
         assert!(
             (n as f64 - expected).abs() / expected < 0.02,
@@ -228,9 +237,7 @@ mod tests {
         let mut r = rng();
         let mut p = PoissonProcess::new(0.0, &mut r);
         assert_eq!(p.peek(), None);
-        assert!(p
-            .arrivals_in(SimTime::ZERO, SimTime::from_secs(1e9), &mut r)
-            .is_empty());
+        assert!(arrivals(&mut p, SimTime::ZERO, SimTime::from_secs(1e9), &mut r).is_empty());
     }
 
     #[test]
@@ -239,7 +246,7 @@ mod tests {
         let mut p = PoissonProcess::new(2.0, &mut r);
         let from = SimTime::from_secs(10.0);
         let to = SimTime::from_secs(20.0);
-        for t in p.arrivals_in(from, to, &mut r) {
+        for t in arrivals(&mut p, from, to, &mut r) {
             assert!(t > from && t <= to, "arrival {t:?} outside ({from:?}, {to:?}]");
         }
     }
@@ -248,20 +255,23 @@ mod tests {
     fn arrivals_are_sorted() {
         let mut r = rng();
         let mut p = PoissonProcess::new(5.0, &mut r);
-        let ts = p.arrivals_in(SimTime::ZERO, SimTime::from_secs(100.0), &mut r);
+        let ts = arrivals(&mut p, SimTime::ZERO, SimTime::from_secs(100.0), &mut r);
         assert!(ts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn consecutive_windows_partition_arrivals() {
-        // Drawing (0,50] then (50,100] must never yield an arrival ≤ 50
-        // in the second call.
+        // Drawing (0,50] then (50,100] into one buffer must append, and
+        // never yield an arrival ≤ 50 in the second call.
         let mut r = rng();
         let mut p = PoissonProcess::new(1.0, &mut r);
         let mid = SimTime::from_secs(50.0);
-        let _first = p.arrivals_in(SimTime::ZERO, mid, &mut r);
-        let second = p.arrivals_in(mid, SimTime::from_secs(100.0), &mut r);
-        assert!(second.iter().all(|&t| t > mid));
+        let mut out = Vec::new();
+        p.arrivals_in(SimTime::ZERO, mid, &mut r, &mut out);
+        let first = out.len();
+        p.arrivals_in(mid, SimTime::from_secs(100.0), &mut r, &mut out);
+        assert!(out[..first].iter().all(|&t| t <= mid));
+        assert!(out[first..].iter().all(|&t| t > mid));
     }
 
     #[test]
@@ -276,7 +286,7 @@ mod tests {
         for i in 0..trials {
             let from = SimTime::from_secs(i as f64 * l);
             let to = SimTime::from_secs((i + 1) as f64 * l);
-            if p.count_in(from, to, &mut r) == 0 {
+            if arrivals(&mut p, from, to, &mut r).is_empty() {
                 empty += 1;
             }
         }

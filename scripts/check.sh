@@ -185,7 +185,7 @@ smoke observe trace_run live
 echo "==> sw-exp all (quick settings, scratch dir: all 21 catalogue rows run, fig_loss included)"
 smoke faults sw-exp all
 
-echo "==> sw-exp check (all 21 results/*.json regenerated at full settings and byte-compared; 5 min 37 s measured on 2 vCPUs, fig6 most of it)"
+echo "==> sw-exp check (all 21 results/*.json regenerated at full settings and byte-compared; 331 s total on 2 vCPUs, fig6 288 s of it; per-row times on stderr)"
 ./target/release/sw-exp check >/dev/null
 
 echo "==> hot-path zero-cost guard: observe+faults compiled in must stay within 5%"

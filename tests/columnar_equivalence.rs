@@ -4,8 +4,12 @@
 //! for every eligible strategy, at any sweep worker count, with and
 //! without faults armed. "Indistinguishable" is checked the blunt way:
 //! the full `Debug` rendering of the simulation report and of every
-//! client's stats must match byte for byte.
+//! client's stats must match byte for byte, and so must the coop
+//! directory — the set of entries whose validity stamp is the last
+//! report's `T_i`, which the columnar store derives from `T_l` instead
+//! of restamping.
 
+use sleepers_workaholics::capacity::CoopDirectory;
 use sleepers_workaholics::prelude::*;
 
 const ELIGIBLE: &[Strategy] = &[
@@ -29,15 +33,24 @@ fn base_config(n_clients: usize, s: f64, seed: u64) -> CellConfig {
         .with_seed(seed)
 }
 
-/// Runs a config+strategy on one fleet backend and renders everything
+/// Everything observable about a run: the report and every client's
+/// stats, rendered, and the coop directory — compared with `PartialEq`,
+/// since its `Debug` walks a `HashMap` in no fixed order.
+type Fingerprint = (String, Vec<String>, CoopDirectory);
+
+/// Runs a config+strategy on one fleet backend and captures everything
 /// observable.
-fn fingerprint(cfg: CellConfig, strategy: Strategy, intervals: u64) -> (String, Vec<String>) {
+fn fingerprint(cfg: CellConfig, strategy: Strategy, intervals: u64) -> Fingerprint {
     let mut sim = CellSimulation::new(cfg, strategy).expect("valid config");
     sim.run(intervals).expect("report fits");
     let per_client = (0..sim.client_slots())
         .map(|idx| format!("{:?}", sim.client_stats(idx)))
         .collect();
-    (format!("{:?}", sim.report()), per_client)
+    (
+        format!("{:?}", sim.report()),
+        per_client,
+        sim.coop_directory(),
+    )
 }
 
 #[test]
@@ -61,6 +74,11 @@ fn columnar_matches_units_for_every_eligible_strategy() {
         assert_eq!(
             units.1, columnar.1,
             "{} per-client stats diverged between fleet backends",
+            strategy.name()
+        );
+        assert!(
+            units.2 == columnar.2,
+            "{} coop directory diverged between fleet backends",
             strategy.name()
         );
     }
@@ -104,6 +122,11 @@ fn columnar_matches_units_under_faults() {
             strategy.name()
         );
         assert_eq!(units.1, columnar.1, "{} faulted stats diverged", strategy.name());
+        assert!(
+            units.2 == columnar.2,
+            "{} faulted coop directory diverged",
+            strategy.name()
+        );
     }
 }
 
@@ -112,7 +135,7 @@ fn sweep_thread_count_is_invisible() {
     // Big enough that the parallel path actually engages (the sweep
     // fans out at ≥ 256 listening clients), on both backends.
     for backend in [FleetBackend::Units, FleetBackend::Columnar] {
-        let mut baseline: Option<(String, Vec<String>)> = None;
+        let mut baseline: Option<Fingerprint> = None;
         for threads in [1usize, 2, 8] {
             let got = fingerprint(
                 base_config(500, 0.2, 31)
@@ -131,6 +154,10 @@ fn sweep_thread_count_is_invisible() {
                     assert_eq!(
                         want.1, got.1,
                         "{backend:?} per-client stats changed at {threads} sweep threads"
+                    );
+                    assert!(
+                        want.2 == got.2,
+                        "{backend:?} coop directory changed at {threads} sweep threads"
                     );
                 }
             }
@@ -357,6 +384,13 @@ fn bounded_caches_match_across_backends_per_policy() {
                     strategy.name(),
                     policy.name()
                 );
+                assert!(
+                    units.2 == columnar.2,
+                    "{} coop directory diverged under {} replacement at {threads} \
+                     sweep threads",
+                    strategy.name(),
+                    policy.name()
+                );
             }
         }
     }
@@ -367,7 +401,7 @@ fn bounded_caches_match_across_backends_per_policy() {
 #[test]
 fn bounded_caches_ignore_sweep_threads_at_scale() {
     for backend in [FleetBackend::Units, FleetBackend::Columnar] {
-        let mut baseline: Option<(String, Vec<String>)> = None;
+        let mut baseline: Option<Fingerprint> = None;
         for threads in [1usize, 2, 8] {
             let got = fingerprint(
                 base_config(500, 0.2, 31)
@@ -388,6 +422,10 @@ fn bounded_caches_ignore_sweep_threads_at_scale() {
                     assert_eq!(
                         want.1, got.1,
                         "{backend:?} bounded stats changed at {threads} sweep threads"
+                    );
+                    assert!(
+                        want.2 == got.2,
+                        "{backend:?} bounded coop directory changed at {threads} sweep threads"
                     );
                 }
             }
@@ -457,6 +495,10 @@ fn digest_kernels_match_units_at_scale() {
             );
             assert_eq!(want.0, got.0, "{name}: report diverged at {threads} sweep threads");
             assert_eq!(want.1, got.1, "{name}: client stats diverged at {threads} sweep threads");
+            assert!(
+                want.2 == got.2,
+                "{name}: coop directory diverged at {threads} sweep threads"
+            );
         }
     }
 }
