@@ -87,6 +87,11 @@ impl RuleHandler {
         self.rule.name()
     }
 
+    /// The rule this handler applies.
+    pub fn rule(&self) -> &ReportRule {
+        &self.rule
+    }
+
     /// Whether `payload` is a report this handler can process. Frames
     /// from outside the program (a live MU's socket) are screened with
     /// this and discarded like line noise when refused;

@@ -537,7 +537,7 @@ impl ReportRule {
         if sig.last_report.is_empty() {
             return; // fetched before any report was heard
         }
-        for j in decoder.family().subsets_of(item) {
+        for &j in decoder.subsets_of(item) {
             let slot = &mut sig.tracked[j as usize];
             if slot.is_none() {
                 *slot = Some(sig.last_report[j as usize]);
@@ -579,7 +579,7 @@ fn decode<C: CacheSlots>(
             return Verdict::Drop;
         }
         if scope(item) {
-            for j in decoder.family().subsets_of(item) {
+            for &j in decoder.subsets_of(item) {
                 let slot = &mut sig.tracked[j as usize];
                 if slot.is_none() {
                     *sig.count += 1;

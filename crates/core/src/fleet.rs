@@ -198,10 +198,13 @@ impl Fleet {
             _ => eligible,
         };
         let zipf = shared_zipf(config);
+        // One rule for the whole cell, on either store: every seat holds
+        // a clone, so SIG's subset lists are filled once per cell.
+        let rule = strategy.report_rule(params, config.protocol_seed());
         if !columnar {
             return Ok(Fleet::Units(
                 (0..config.n_clients)
-                    .map(|idx| ClientSeat::new(config, strategy, idx, zipf.as_ref()))
+                    .map(|idx| ClientSeat::new(config, strategy, &rule, idx, zipf.as_ref()))
                     .collect(),
             ));
         }
@@ -212,7 +215,6 @@ impl Fleet {
             policy: config.replacement,
             window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
         });
-        let rule = strategy.report_rule(params, config.protocol_seed());
         let mut fleet = ColumnarFleet::new(config.hotspot_size, rule, capacity, zipf);
         for idx in 0..config.n_clients {
             fleet.push_client(ClientStreams::draw(config, idx), params.lambda);

@@ -357,6 +357,29 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
     }
 }
 
+/// A boxed SIG cell builds its rule once: every seat's decoder reads
+/// the same subset list, filled by whichever seat asked first.
+#[test]
+fn the_seats_of_a_units_sig_cell_share_one_subset_list_table() {
+    let config = CellConfig::new(sw_workload::ScenarioParams::scenario1())
+        .with_clients(3)
+        .with_fleet(FleetBackend::Units);
+    let Ok(Fleet::Units(seats)) = Fleet::new(&config, Strategy::Signatures) else {
+        panic!("a forced Units fleet is boxed seats");
+    };
+    let decoder = |seat: &ClientSeat| {
+        let rule = seat.unit().handler().rule();
+        rule.decoder().expect("SIG rules decode").clone()
+    };
+    let (first, last) = (decoder(&seats[0]), decoder(&seats[2]));
+    for item in [0, 17, config.params.n_items - 1] {
+        assert!(
+            std::ptr::eq(first.subsets_of(item), last.subsets_of(item)),
+            "item {item}"
+        );
+    }
+}
+
 #[test]
 fn sleep_run_straddling_a_stats_reset_credits_no_pre_reset_intervals() {
     for mut fleet in both(Kind::Ts, None, 0.0, None) {

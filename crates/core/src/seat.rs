@@ -129,10 +129,13 @@ pub struct ClientSeat {
 
 impl ClientSeat {
     /// Builds client `index` of `cfg`, asleep or awake per its first
-    /// sleep run. `zipf` is the cell's [`shared_zipf`] picker.
+    /// sleep run. `rule` is the cell's `strategy.report_rule(..)`, built
+    /// once per cell so its seats share one SIG subset-list table;
+    /// `zipf` is the cell's [`shared_zipf`] picker.
     pub fn new(
         cfg: &CellConfig,
         strategy: Strategy,
+        rule: &ReportRule,
         index: usize,
         zipf: Option<&Arc<ZipfPicker>>,
     ) -> Self {
@@ -158,7 +161,7 @@ impl ClientSeat {
             piggyback_hits: piggybacks(cfg, strategy),
             item_universe: Some(params.n_items),
         };
-        let handler = strategy.make_handler(params, cfg.protocol_seed());
+        let handler = RuleHandler::new(rule.clone());
         let mut query_rng = streams.query_rng;
         let mu = MobileUnit::new(mu_config, handler, &mut query_rng);
         let zipf = zipf.cloned().zip(streams.zipf_rng);

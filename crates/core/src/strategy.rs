@@ -122,9 +122,11 @@ impl Strategy {
 
     /// The strategy's client half as a [`ReportRule`]: the algorithm
     /// and the window/latency/decoder/hot-set/group-map/lag bound every
-    /// client of a cell shares. The one description boxed units
-    /// ([`Strategy::make_handler`]), the columnar fleet and — through
-    /// `MobileUnit` — the live MU all apply.
+    /// client of a cell shares. The one description boxed units, the
+    /// columnar fleet and — through `MobileUnit` — the live MU all
+    /// apply. A cell builds it once for all its clients, on either
+    /// store, so a SIG cell fills each item's subset list once; a
+    /// single unit can take [`Strategy::make_handler`].
     pub fn report_rule(&self, params: &ScenarioParams, seed: MasterSeed) -> ReportRule {
         let latency = SimDuration::from_secs(params.latency_secs);
         match self {

@@ -85,7 +85,13 @@ impl LiveMu {
     pub fn new(cfg: &CellConfig, strategy: Strategy, index: usize) -> Self {
         let params = cfg.params;
         Self {
-            seat: ClientSeat::new(cfg, strategy, index, shared_zipf(cfg).as_ref()),
+            seat: ClientSeat::new(
+                cfg,
+                strategy,
+                &strategy.report_rule(&params, cfg.protocol_seed()),
+                index,
+                shared_zipf(cfg).as_ref(),
+            ),
             // The full-fleet layer (same per-client streams as the
             // simulator's); this unit only ever consumes slot `index`.
             faults: FaultLayer::new(cfg.faults.as_ref(), cfg.seed, cfg.n_clients),
@@ -249,20 +255,25 @@ impl LiveMu {
     pub fn install_answer_frame(&mut self, datagram: &[u8]) -> Result<(), WireDecodeError> {
         let (_epoch, frame) = open_frame(datagram)?;
         let decoded = self.encode.deserialize(frame)?;
-        let FramePayload::QueryAnswer {
-            item,
-            value,
-            ts_micros,
-        } = decoded.payload
-        else {
-            return Err(WireDecodeError::Malformed("expected a query answer"));
-        };
-        self.seat.install_answer(QueryAnswer {
-            item,
-            value,
-            timestamp: SimTime::from_micros(ts_micros),
-        });
-        Ok(())
+        // The id field is sized to the next power of two above `n`; no
+        // server answers for an id past the database.
+        match decoded.payload {
+            FramePayload::QueryAnswer {
+                item,
+                value,
+                ts_micros,
+            } if item < self.encode.n_items => {
+                self.seat.install_answer(QueryAnswer {
+                    item,
+                    value,
+                    timestamp: SimTime::from_micros(ts_micros),
+                });
+                Ok(())
+            }
+            _ => Err(WireDecodeError::Malformed(
+                "expected a query answer for an item in the database",
+            )),
+        }
     }
 
     /// Closes interval `i`: computes the decision row from the stat
@@ -1126,5 +1137,30 @@ mod tests {
                 .expect("the unit's own report is heard after the hostile ones");
             assert_eq!(live.end_interval(1).drops, 0, "nothing was half-applied");
         }
+    }
+
+    /// An answer frame can name ids up to the id field's power of two:
+    /// one past the database is refused before it reaches the cache or
+    /// SIG's subset lists.
+    #[test]
+    fn an_answer_for_an_item_outside_the_database_is_refused() {
+        let mut params = ScenarioParams::scenario1().with_s(0.0);
+        params.n_items = 300;
+        let cfg = CellConfig::new(params).with_clients(1).with_hotspot_size(15);
+        let mut live = LiveMu::new(&cfg, Strategy::Signatures, 0);
+        let answer = |item| {
+            let payload = FramePayload::QueryAnswer {
+                item,
+                value: 1,
+                ts_micros: 0,
+            };
+            seal_frame(0, live.encoder().serialize_payload(&payload))
+        };
+        let (outside, inside) = (answer(params.n_items), answer(params.n_items - 1));
+        assert!(matches!(
+            live.install_answer_frame(&outside),
+            Err(WireDecodeError::Malformed(_))
+        ));
+        live.install_answer_frame(&inside).expect("the last id is in the database");
     }
 }

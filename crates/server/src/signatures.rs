@@ -4,8 +4,9 @@
 //! The server "computes the m combined signatures sig_1 … sig_m and
 //! broadcasts them". [`SignatureVector`] keeps them materialized: built
 //! once from the database, then XOR-patched on every update — each
-//! update touches the `m/(f+1)` expected subsets containing the item, so
-//! a report costs O(m) whatever the database size. Items of an optional
+//! update touches the `deg(i)` subsets containing the item (`m/(f+1)`
+//! expected), read from the decoder's stored list for that item, so a
+//! report costs O(m) whatever the database size. Items of an optional
 //! [`HotSet`] never participate (HYB broadcasts those by id instead).
 
 use std::sync::Arc;
@@ -30,7 +31,11 @@ pub struct SignatureVector {
 
 impl SignatureVector {
     /// Computes the signatures of every item outside `hot` (an empty set
-    /// for plain SIG) from the database — O(n·m/(f+1)), done once.
+    /// for plain SIG) from the database — one O(n·m) scan of the family,
+    /// done once. It asks the family, not the decoder's lists: filling
+    /// a list for every item would keep `n·m/(f+1)` subset ids alive for
+    /// the whole run, where the lists otherwise hold only the items an
+    /// update touches.
     pub fn new(decoder: SyndromeDecoder, hot: HotSet, db: &Database) -> Self {
         let plan = decoder.plan();
         let mut sigs = vec![0u64; plan.m as usize];
@@ -48,8 +53,9 @@ impl SignatureVector {
     }
 
     /// Folds one applied update in: swaps the item's old signature for
-    /// its new one in every subset containing it. Hot items ride the id
-    /// list, not the signatures.
+    /// its new one in every subset containing it — `deg(i)` XORs over
+    /// the decoder's list for the item, which the item's first update
+    /// fills. Hot items ride the id list, not the signatures.
     pub fn patch(&mut self, rec: &UpdateRecord) {
         if self.hot.contains(rec.item) {
             return;
@@ -58,7 +64,7 @@ impl SignatureVector {
         let patch =
             item_signature(rec.item, rec.previous, g) ^ item_signature(rec.item, rec.value, g);
         let sigs = Arc::make_mut(&mut self.sigs);
-        for j in self.decoder.family().subsets_of(rec.item) {
+        for &j in self.decoder.subsets_of(rec.item) {
             sigs[j as usize] ^= patch;
         }
     }

@@ -70,6 +70,8 @@ pub struct SigPlan {
     pub g: u32,
     /// Number of combined signatures `m`.
     pub m: u32,
+    /// Database size `n`: item ids run over `0..n`.
+    pub n: u64,
     /// Decision threshold factor `K` (`count > K·m·p` ⇒ invalid).
     pub k: f64,
     /// The per-subset false-positive probability `p` (Eq. 21).
@@ -105,6 +107,7 @@ impl SigPlan {
             f,
             g,
             m,
+            n,
             k,
             p,
             false_alarm_bound,

@@ -10,8 +10,14 @@
 //! construct the same family from the shared seed, which is exactly the
 //! paper's requirement that "the composition of the subsets of each
 //! combined signature is universally known and agreed on before any
-//! exchange of information takes place" — and it costs O(1) memory no
-//! matter how large the database (Scenario 2/4 run n = 10^6).
+//! exchange of information takes place" — and the family itself costs
+//! O(1) memory no matter how large the database (the paper's Scenarios
+//! 2 and 4 have n = 10^6; the simulator scales them to 10^4).
+//!
+//! Finding the subsets of one item this way hashes all `m` of them. The
+//! hot paths ask [`crate::SyndromeDecoder::subsets_of`] instead, which
+//! does that once per item and keeps the list: O(items touched ·
+//! m/(f+1)) memory, for the items a client cached or an update touched.
 
 /// A deterministic family of `m` random subsets with per-item membership
 /// probability `1/(f+1)`.

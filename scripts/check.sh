@@ -182,10 +182,12 @@ echo "==> trace_run smokes (figure 3 at quick settings; a lockstep live session,
 smoke observe trace_run 3
 smoke observe trace_run live
 
-echo "==> sw-exp all (quick settings, scratch dir: all 21 catalogue rows run, fig_loss included)"
-smoke faults sw-exp all
+# sw-exp check runs every catalogue row at full settings, fig_loss (a
+# faults row) included; the quick settings are covered by
+# crates/experiments/tests/catalogue.rs, which parses every row's run(true).
+cargo build --release -q -p sw-experiments --features faults --bin sw-exp
 
-echo "==> sw-exp check (all 21 results/*.json regenerated at full settings and byte-compared; 331 s total on 2 vCPUs, fig6 288 s of it; per-row times on stderr)"
+echo "==> sw-exp check (all 21 results/*.json regenerated at full settings and byte-compared; 31 s total on 2 vCPUs, fig6 13 s of it; per-row times on stderr)"
 ./target/release/sw-exp check >/dev/null
 
 echo "==> hot-path zero-cost guard: observe+faults compiled in must stay within 5%"
