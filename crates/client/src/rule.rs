@@ -145,16 +145,17 @@ pub trait CacheSlots {
 /// HYB), borrowed for one call.
 #[derive(Debug)]
 pub struct SigTrack<'a> {
-    /// Tracked combined signature per subset index, dense over the
-    /// plan's `m` subsets (`None` = untracked). Subset indices are dense
-    /// by construction, so no hashing on the per-report path.
-    pub tracked: &'a mut [Option<CombinedSignature>],
-    /// How many of `tracked` are `Some`.
-    pub count: &'a mut usize,
+    /// Which of the plan's `m` subsets the client tracks: bit `j % 64`
+    /// of word `j / 64`, `⌈m/64⌉` words, no bit at or above `m`. A
+    /// tracked subset's combined signature is `last_report[j]` — what a
+    /// heard report adopts and a fetch copies — so the values are never
+    /// stored twice.
+    pub tracked: &'a mut [u64],
     /// The signatures of the last heard report — an [`Arc`] share of
-    /// the broadcast payload, never a copy — kept so that uplink
-    /// fetches within the current interval can adopt tracking for their
-    /// subsets (see [`ReportRule::on_fetch`]). Empty before the first.
+    /// the broadcast payload, never a copy — the value of every tracked
+    /// subset, and what uplink fetches within the current interval
+    /// adopt tracking from (see [`ReportRule::on_fetch`]). Empty before
+    /// the first; nothing is tracked until then.
     pub last_report: &'a mut Arc<Vec<CombinedSignature>>,
     /// Unmatched-subset count from the last diagnosis (telemetry).
     pub last_unmatched: &'a mut u32,
@@ -170,6 +171,30 @@ pub enum Lent<'a> {
     /// Adaptive TS: the client's view of the per-item windows, reloaded
     /// from every heard report.
     Windows(&'a mut WindowTable),
+}
+
+impl SigTrack<'_> {
+    /// The mask words a client of `decoder` keeps: `⌈m/64⌉`.
+    pub fn words(decoder: &SyndromeDecoder) -> usize {
+        (decoder.plan().m as usize).div_ceil(64)
+    }
+
+    /// How many subsets `mask` tracks.
+    pub fn count(mask: &[u64]) -> usize {
+        mask.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// Whether bit `j` of `mask` is set.
+#[inline]
+fn bit(mask: &[u64], j: u32) -> bool {
+    mask[j as usize / 64] & (1 << (j % 64)) != 0
+}
+
+/// Sets bit `j` of `mask`.
+#[inline]
+fn set_bit(mask: &mut [u64], j: u32) {
+    mask[j as usize / 64] |= 1 << (j % 64);
 }
 
 impl<'a> Lent<'a> {
@@ -538,11 +563,7 @@ impl ReportRule {
             return; // fetched before any report was heard
         }
         for &j in decoder.subsets_of(item) {
-            let slot = &mut sig.tracked[j as usize];
-            if slot.is_none() {
-                *slot = Some(sig.last_report[j as usize]);
-                *sig.count += 1;
-            }
+            set_bit(sig.tracked, j);
         }
     }
 }
@@ -554,6 +575,8 @@ impl ReportRule {
 /// ("the combined uncached signatures are considered equal to the ones
 /// that are being broadcast"). Survivors are valid as of `T_i` with
 /// probability `P_nf`.
+// Out of line: inlined into `apply`, it slows the sweeps of rules that never decode.
+#[inline(never)]
 fn decode<C: CacheSlots>(
     cache: &mut C,
     decoder: &SyndromeDecoder,
@@ -568,11 +591,14 @@ fn decode<C: CacheSlots>(
     };
     let mut items = cache.sorted_items();
     items.retain(|&item| scope(item));
-    let tracked = &*sig.tracked;
-    let diagnosis = decoder.diagnose(&items, |j| tracked[j as usize], signatures);
+    let (tracked, last_report) = (&*sig.tracked, &**sig.last_report);
+    let diagnosis = decoder.diagnose(
+        &items,
+        |j| bit(tracked, j).then(|| last_report[j as usize]),
+        signatures,
+    );
     *sig.last_unmatched = diagnosis.unmatched_subsets;
-    sig.tracked.fill(None);
-    *sig.count = 0;
+    sig.tracked.fill(0);
     let condemned = &diagnosis.invalidated; // ascending, as `items` is
     cache.sweep(digest.report_time(), |item, _| {
         if condemned.binary_search(&item).is_ok() {
@@ -580,11 +606,7 @@ fn decode<C: CacheSlots>(
         }
         if scope(item) {
             for &j in decoder.subsets_of(item) {
-                let slot = &mut sig.tracked[j as usize];
-                if slot.is_none() {
-                    *sig.count += 1;
-                }
-                *slot = Some(signatures[j as usize]);
+                set_bit(sig.tracked, j);
             }
         }
         Verdict::Restamp
@@ -831,31 +853,36 @@ mod tests {
             ][rng.uniform_index(4) as usize]
                 .map(SimTime::from_secs);
             let payload = random_payload(rule, (t_i * 1e6) as u64, &mut rng);
-            // Tracking state: most subsets tracked, a round-dependent
-            // share of them out of date — from "nothing changed" to
-            // "everything did", across the decoder's threshold.
+            // Tracking state: most subsets tracked, and the last heard
+            // report differing from this one in a round-dependent share
+            // of them — from "nothing changed" to "everything did",
+            // across the decoder's threshold.
             let stale_share = [0.0, 0.1, 0.4, 1.0][round / 24 % 4];
             let on_air: &[u64] = match &payload {
                 FramePayload::SignatureReport { signatures, .. }
                 | FramePayload::HybridReport { signatures, .. } => signatures,
                 _ => &[],
             };
-            let mut tracked: Vec<Option<CombinedSignature>> = on_air
-                .iter()
-                .map(|&sig| {
-                    rng.bernoulli(0.8)
-                        .then(|| sig + rng.bernoulli(stale_share) as u64)
-                })
-                .collect();
+            let mut mask = vec![0; on_air.len().div_ceil(64)];
+            let mut last_report: Vec<CombinedSignature> = on_air.to_vec();
+            // What the oracle reads: the values the client tracks.
+            let mut tracked = Vec::new();
+            for (j, last) in last_report.iter_mut().enumerate() {
+                let on = rng.bernoulli(0.8);
+                if on {
+                    set_bit(&mut mask, j as u32);
+                    *last += rng.bernoulli(stale_share) as u64;
+                }
+                tracked.push(on.then_some(*last));
+            }
             let expected = oracle(rule, &cached, &tracked, &payload, t_l);
 
-            let (mut count, mut last_report, mut last_unmatched) = (0, Arc::new(Vec::new()), 0);
+            let (mut last_report, mut last_unmatched) = (Arc::new(last_report), 0);
             let mut windows = WindowTable::new(K);
             let lent = match rule {
                 ReportRule::AdaptiveTs { .. } => Lent::Windows(&mut windows),
                 _ if rule.decoder().is_some() => Lent::Sig(SigTrack {
-                    tracked: &mut tracked,
-                    count: &mut count,
+                    tracked: &mut mask,
                     last_report: &mut last_report,
                     last_unmatched: &mut last_unmatched,
                 }),

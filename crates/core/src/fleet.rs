@@ -38,6 +38,9 @@
 //!   index → slot);
 //! * `pending_mask` — one bit per slot queried since the last heard
 //!   report: the deduplicated `Q_i`, already in answer order;
+//! * SIG/HYB only ([`SigColumns`]): one bit per subset the client
+//!   tracks, `⌈m/64⌉` words/client, and the client's [`Arc`] share of
+//!   its last heard report, which is the value of every tracked subset;
 //! * plus per-client scalars — everything a [`ClientSeat`] holds beside
 //!   its cache: stats, `T_l`, awake flag, query pose times, the
 //!   query/sleep processes and their streams, the settled-interval and
@@ -624,14 +627,14 @@ fn validity(installed: SimTime, t_l: Option<SimTime>) -> SimTime {
 }
 
 /// Per-client SIG/HYB tracking state, columnar: what each client lends
-/// the rule as a [`SigTrack`] — `m` signature slots per client, the
-/// tracked count, the last-heard report share, and the unmatched-subset
-/// telemetry.
+/// the rule as a [`SigTrack`] — an `m`-bit mask of the tracked subsets
+/// per client, the last-heard report share that holds their values,
+/// and the unmatched-subset telemetry.
 struct SigColumns {
-    m: usize,
-    /// Tracked combined signature per subset, stride `m` per client.
-    tracked: Vec<Option<CombinedSignature>>,
-    tracked_count: Vec<usize>,
+    /// Mask words per client, `⌈m/64⌉`.
+    words: usize,
+    /// Tracked-subset mask, stride `words`.
+    tracked: Vec<u64>,
     last_report: Vec<Arc<Vec<CombinedSignature>>>,
     last_unmatched: Vec<u32>,
 }
@@ -640,9 +643,8 @@ impl SigColumns {
     /// All clients' columns as one chunk.
     fn chunk(&mut self) -> SigChunk<'_> {
         SigChunk {
-            m: self.m,
+            words: self.words,
             tracked: &mut self.tracked,
-            tracked_count: &mut self.tracked_count,
             last_report: &mut self.last_report,
             last_unmatched: &mut self.last_unmatched,
         }
@@ -748,15 +750,11 @@ impl ColumnarFleet {
         zipf: Option<Arc<ZipfPicker>>,
     ) -> Self {
         assert!(hotspot_size > 0, "hotspot cannot be empty");
-        let sig = rule.decoder().map(|d| {
-            let m = d.plan().m as usize;
-            SigColumns {
-                m,
-                tracked: Vec::new(),
-                tracked_count: Vec::new(),
-                last_report: Vec::new(),
-                last_unmatched: Vec::new(),
-            }
+        let sig = rule.decoder().map(|d| SigColumns {
+            words: SigTrack::words(d),
+            tracked: Vec::new(),
+            last_report: Vec::new(),
+            last_unmatched: Vec::new(),
         });
         let cap = capacity.map(|spec| {
             assert!(spec.cap > 0, "cache capacity must be positive");
@@ -847,8 +845,7 @@ impl ColumnarFleet {
         self.last_settled.push(0);
         self.next_wake.push(0);
         if let Some(sig) = &mut self.sig {
-            sig.tracked.extend(std::iter::repeat_n(None, sig.m));
-            sig.tracked_count.push(0);
+            sig.tracked.extend(std::iter::repeat_n(0u64, sig.words));
             sig.last_report.push(Arc::new(Vec::new()));
             sig.last_unmatched.push(0);
         }
@@ -1039,9 +1036,8 @@ impl ColumnarFleet {
 
 /// SIG columns of one contiguous client chunk.
 struct SigChunk<'a> {
-    m: usize,
-    tracked: &'a mut [Option<CombinedSignature>],
-    tracked_count: &'a mut [usize],
+    words: usize,
+    tracked: &'a mut [u64],
     last_report: &'a mut [Arc<Vec<CombinedSignature>>],
     last_unmatched: &'a mut [u32],
 }
@@ -1052,8 +1048,7 @@ impl SigChunk<'_> {
     fn lend<'a>(chunk: &'a mut Option<SigChunk<'_>>, local: usize) -> Lent<'a> {
         match chunk {
             Some(chunk) => Lent::Sig(SigTrack {
-                tracked: &mut chunk.tracked[local * chunk.m..(local + 1) * chunk.m],
-                count: &mut chunk.tracked_count[local],
+                tracked: &mut chunk.tracked[local * chunk.words..(local + 1) * chunk.words],
                 last_report: &mut chunk.last_report[local],
                 last_unmatched: &mut chunk.last_unmatched[local],
             }),
@@ -1206,9 +1201,8 @@ impl SweepStore for ChunkView<'_> {
             posed_at: front(&mut self.posed_at, n),
             stats: front(&mut self.stats, n),
             sig: self.sig.as_mut().map(|s| SigChunk {
-                m: s.m,
-                tracked: front(&mut s.tracked, n * s.m),
-                tracked_count: front(&mut s.tracked_count, n),
+                words: s.words,
+                tracked: front(&mut s.tracked, n * s.words),
                 last_report: front(&mut s.last_report, n),
                 last_unmatched: front(&mut s.last_unmatched, n),
             }),

@@ -165,9 +165,10 @@ enum ExchangeOutcome {
 /// its source cell and not yet attached to its destination.
 ///
 /// The whole [`ClientSeat`] travels: the cache, the strategy handler
-/// (so SIG's tracked signatures survive the move), the query and sleep
-/// streams, and the wake and settled-interval marks (the mesh's cells
-/// share one absolute interval clock, so these carry over). The mesh
+/// (so SIG's tracked-subset mask and last heard report survive the
+/// move), the query and sleep streams, and the wake and settled-interval
+/// marks (the mesh's cells share one absolute interval clock, so these
+/// carry over). The mesh
 /// layer only ferries this between [`CellSimulation::detach_client`]
 /// and [`CellSimulation::attach_client`]; the contents stay private to
 /// the cell driver.
