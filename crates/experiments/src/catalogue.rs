@@ -1,10 +1,16 @@
 //! The experiment catalogue: every committed `results/<name>.json` is
 //! one row of [`CATALOGUE`], and `sw-exp` is the one binary that lists,
-//! runs and byte-checks them. An id, a name or an artifact that is not
-//! in this table does not exist; `tests/catalogue.rs` holds the docs
-//! and `results/` to it.
+//! runs and byte-checks them. Beside each artifact sits
+//! `results/<name>.ci.json`, the row's [`REPLICATES`] seed replicates
+//! summarised leaf by leaf ([`crate::replicate`]); `sw-exp check
+//! --stat` judges a re-drawn stream against it. An id, a name or an
+//! artifact that is not in this table does not exist;
+//! `tests/catalogue.rs` holds the docs and `results/` to it.
+
+use sw_sim::runner::ParallelRunner;
 
 use crate::figures::run_paper_figure;
+use crate::replicate::{Summary, REPLICATES};
 
 mod ablations;
 mod adaptive_ts;
@@ -34,8 +40,11 @@ pub struct Experiment {
     /// is compiled in.
     pub needs_faults: bool,
     /// Prints the paper-shaped table to stdout and returns the JSON
-    /// artifact text; `fast` selects the quick (smoke) settings.
-    pub run: fn(fast: bool) -> String,
+    /// artifact text; `fast` selects the quick (smoke) settings, and
+    /// `replicate` the seeds: 0 is the committed artifact's, any other
+    /// mixes into every base seed the row owns through
+    /// [`crate::replicate::replicate_seed`].
+    pub run: fn(fast: bool, replicate: u64) -> String,
 }
 
 impl Experiment {
@@ -48,13 +57,27 @@ impl Experiment {
     pub fn file_name(&self) -> String {
         format!("{}.json", self.name)
     }
+
+    /// The file name of its replicate summary under `results/`.
+    pub fn ci_file_name(&self) -> String {
+        format!("{}.ci.json", self.name)
+    }
+
+    /// Runs replicates `first..first + REPLICATES` at full settings
+    /// (quick ones when `fast`) across the sweep runner and summarises
+    /// them leaf by leaf.
+    pub fn replicates(&self, fast: bool, first: u64) -> Summary {
+        let seeds: Vec<u64> = (first..first + REPLICATES).collect();
+        let texts = ParallelRunner::from_env().run(&seeds, |_, &r| (self.run)(fast, r));
+        Summary::of(first, &texts)
+    }
 }
 
 const fn row(
     id: &'static str,
     name: &'static str,
     about: &'static str,
-    run: fn(bool) -> String,
+    run: fn(bool, u64) -> String,
 ) -> Experiment {
     Experiment {
         id,
@@ -68,12 +91,12 @@ const fn row(
 /// Every artifact of the reproduction, in id order.
 #[rustfmt::skip]
 pub const CATALOGUE: &[Experiment] = &[
-    row("E1", "fig3", "Figure 3 (Scenario 1): effectiveness vs s, infrequent updates", |fast| run_paper_figure(3, fast)),
-    row("E2", "fig4", "Figure 4 (Scenario 2): big database, wide band", |fast| run_paper_figure(4, fast)),
-    row("E3", "fig5", "Figure 5 (Scenario 3): update-intensive, TS unusable", |fast| run_paper_figure(5, fast)),
-    row("E4", "fig6", "Figure 6 (Scenario 4): update-intensive, big database", |fast| run_paper_figure(6, fast)),
-    row("E5", "fig7", "Figure 7 (Scenario 5): workaholics, effectiveness vs mu", |fast| run_paper_figure(7, fast)),
-    row("E6", "fig8", "Figure 8 (Scenario 6): Scenario 5 at n = 1e6", |fast| run_paper_figure(8, fast)),
+    row("E1", "fig3", "Figure 3 (Scenario 1): effectiveness vs s, infrequent updates", |fast, r| run_paper_figure(3, fast, r)),
+    row("E2", "fig4", "Figure 4 (Scenario 2): big database, wide band", |fast, r| run_paper_figure(4, fast, r)),
+    row("E3", "fig5", "Figure 5 (Scenario 3): update-intensive, TS unusable", |fast, r| run_paper_figure(5, fast, r)),
+    row("E4", "fig6", "Figure 6 (Scenario 4): update-intensive, big database", |fast, r| run_paper_figure(6, fast, r)),
+    row("E5", "fig7", "Figure 7 (Scenario 5): workaholics, effectiveness vs mu", |fast, r| run_paper_figure(7, fast, r)),
+    row("E6", "fig8", "Figure 8 (Scenario 6): Scenario 5 at n = 1e6", |fast, r| run_paper_figure(8, fast, r)),
     row("E7/E8", "asymptotics", "the two §5 limit tables and §5's conclusions", asymptotics::run),
     row("E11", "validate_hit_ratios", "simulated hit ratios vs Eq. 41, Eq. 43 and the Appendix-1 bounds", validate_hit_ratios::run),
     row("E12", "quasi_copies", "§7 quasi-copies: report bits saved by delay and ε conditions", quasi_copies::run),

@@ -14,6 +14,7 @@
 //! * **group-report granularity G** — §10's aggregate reports: report
 //!   bits vs collateral invalidation, simulated.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 
 fn base() -> ScenarioParams {
@@ -24,13 +25,16 @@ fn base() -> ScenarioParams {
     p
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals = if fast { 150 } else { 600 };
     let mut out = serde_json::Map::new();
 
     // --- k: TS window multiple (analytic, s = 0.5 sleepers) ---------
     println!("Ablation 1 — TS window multiple k (s = 0.5, μ = 1e-3)");
-    println!("{:>6} {:>10} {:>12} {:>10}", "k", "h_ts(mid)", "B_c bits", "e_ts");
+    println!(
+        "{:>6} {:>10} {:>12} {:>10}",
+        "k", "h_ts(mid)", "B_c bits", "e_ts"
+    );
     let mut k_rows = Vec::new();
     for k in [1u32, 2, 5, 10, 20, 50] {
         let mut p = base().with_s(0.5);
@@ -79,7 +83,13 @@ pub(super) fn run(fast: bool) -> String {
         p.latency_secs = l;
         let e = effectiveness_at(&p, 0.3);
         let show = |v: Option<f64>| v.map(|e| format!("{e:.4}")).unwrap_or_else(|| "--".into());
-        println!("{:>6} {:>10} {:>10} {:>10}", l, show(e.e_ts), show(e.e_at), show(e.e_sig));
+        println!(
+            "{:>6} {:>10} {:>10} {:>10}",
+            l,
+            show(e.e_ts),
+            show(e.e_at),
+            show(e.e_sig)
+        );
         l_rows.push(serde_json::json!({
             "latency": l, "e_ts": e.e_ts, "e_at": e.e_at, "e_sig": e.e_sig
         }));
@@ -89,9 +99,19 @@ pub(super) fn run(fast: bool) -> String {
     // --- SIG g and f (analytic) --------------------------------------
     println!();
     println!("Ablation 4 — SIG width g and budget f");
-    println!("{:>4} {:>4} {:>8} {:>12} {:>10}", "f", "g", "m", "B_c bits", "e_sig");
+    println!(
+        "{:>4} {:>4} {:>8} {:>12} {:>10}",
+        "f", "g", "m", "B_c bits", "e_sig"
+    );
     let mut sig_rows = Vec::new();
-    for (f, g) in [(5u32, 16u32), (10, 8), (10, 16), (10, 32), (20, 16), (40, 16)] {
+    for (f, g) in [
+        (5u32, 16u32),
+        (10, 8),
+        (10, 16),
+        (10, 32),
+        (20, 16),
+        (40, 16),
+    ] {
         let mut p = base().with_s(0.3);
         p.f = f;
         p.g = g;
@@ -124,9 +144,8 @@ pub(super) fn run(fast: bool) -> String {
         let cfg = CellConfig::new(base().with_s(0.3))
             .with_clients(10)
             .with_hotspot_size(25)
-            .with_seed(0xE18);
-        let mut sim =
-            CellSimulation::new(cfg, Strategy::GroupReports { groups }).expect("valid");
+            .with_seed(replicate_seed(0xE18, replicate));
+        let mut sim = CellSimulation::new(cfg, Strategy::GroupReports { groups }).expect("valid");
         let r = sim.run_measured(intervals / 4, intervals).expect("fits");
         let entries_per_interval = r.report_bits_mean() / 10.0; // ⌈log₂1000⌉ = 10 bits/id
         println!(

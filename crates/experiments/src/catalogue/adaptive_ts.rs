@@ -10,6 +10,7 @@
 //! * overall: adaptive TS vs static TS for a sleepy population, with
 //!   both feedback methods.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 
 #[derive(serde::Serialize)]
@@ -22,17 +23,23 @@ struct ComparisonRow {
     report_bits_adaptive: u64,
 }
 
-fn measure(strategy: Strategy, params: ScenarioParams, intervals: u64) -> SimulationReport {
+fn measure(
+    strategy: Strategy,
+    params: ScenarioParams,
+    intervals: u64,
+    seed: u64,
+) -> SimulationReport {
     let cfg = CellConfig::new(params)
         .with_clients(12)
         .with_hotspot_size(20)
-        .with_seed(0xE13);
+        .with_seed(seed);
     let mut sim = CellSimulation::new(cfg, strategy).unwrap();
     sim.run_measured(intervals / 4, intervals).unwrap()
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals = if fast { 300 } else { 1200 };
+    let seed = replicate_seed(0xE13, replicate);
 
     // A sleepy population with a modest static window: static TS drops
     // caches after k intervals of sleep; adaptive TS can learn better
@@ -43,11 +50,14 @@ pub(super) fn run(fast: bool) -> String {
     base.k = 3;
 
     println!("adaptive TS (per-item windows, Eq. 29–32) vs static TS");
-    println!("{:>5} {:>9} {:>10} {:>12} {:>14} {:>16}", "s", "method", "h static", "h adaptive", "bits static", "bits adaptive");
+    println!(
+        "{:>5} {:>9} {:>10} {:>12} {:>14} {:>16}",
+        "s", "method", "h static", "h adaptive", "bits static", "bits adaptive"
+    );
     let mut rows = Vec::new();
     for &s in &[0.3, 0.5, 0.7] {
         let params = base.with_s(s);
-        let static_report = measure(Strategy::BroadcastTimestamps, params, intervals);
+        let static_report = measure(Strategy::BroadcastTimestamps, params, intervals, seed);
         for (label, method) in [
             ("method1", FeedbackMethod::Method1),
             ("method2", FeedbackMethod::Method2),
@@ -60,6 +70,7 @@ pub(super) fn run(fast: bool) -> String {
                 },
                 params,
                 intervals,
+                seed,
             );
             println!(
                 "{:>5.1} {:>9} {:>10.4} {:>12.4} {:>14} {:>16}",
@@ -126,7 +137,11 @@ pub(super) fn run(fast: bool) -> String {
         hot_static_window.last().unwrap() > &3,
         "hot-static window must grow"
     );
-    assert_eq!(*hot_churn_window.last().unwrap(), 0, "hot-churn window must hit zero");
+    assert_eq!(
+        *hot_churn_window.last().unwrap(),
+        0,
+        "hot-churn window must hit zero"
+    );
 
     let payload = serde_json::json!({
         "comparison": rows,

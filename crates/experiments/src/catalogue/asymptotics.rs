@@ -7,14 +7,17 @@ use sleepers::analysis::asymptotics::{
 };
 use sleepers::prelude::ScenarioParams;
 
-pub(super) fn run(_fast: bool) -> String {
+pub(super) fn run(_fast: bool, _replicate: u64) -> String {
     let base = ScenarioParams::scenario1();
 
     println!("§5 Table 1 — limits as s → 0 (workaholics) and s → 1 (sleepers)");
     println!("(Scenario 1 parameters: λ=0.1, μ=1e-4, L=10, k=100, f=10, g=16)");
     println!();
     let table = sleep_limit_table(&base);
-    println!("{:>10} | {:>14} {:>14} | {:>14} {:>14}", "parameter", "s→0 symbolic", "s→0 numeric", "s→1 symbolic", "s→1 numeric");
+    println!(
+        "{:>10} | {:>14} {:>14} | {:>14} {:>14}",
+        "parameter", "s→0 symbolic", "s→0 numeric", "s→1 symbolic", "s→1 numeric"
+    );
     for (w, s) in table.workaholic.iter().zip(&table.sleeper) {
         println!(
             "{:>10} | {:>14.8} {:>14.8} | {:>14.8} {:>14.8}",
@@ -26,7 +29,10 @@ pub(super) fn run(_fast: bool) -> String {
     println!("§5 Table 2 — limits as u₀ → 1 (infrequent updates), by sleep level");
     for s in [0.0, 0.3, 0.7] {
         println!("\n  s = {s}:");
-        println!("  {:>28} | {:>14} {:>14}", "parameter", "symbolic", "numeric");
+        println!(
+            "  {:>28} | {:>14} {:>14}",
+            "parameter", "symbolic", "numeric"
+        );
         for row in update_limit_table(&base.with_s(s)) {
             println!(
                 "  {:>28} | {:>14.8} {:>14.8}",

@@ -11,6 +11,7 @@
 //! "this presents a problem if the user is paying for the listening
 //! time".
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 
 #[derive(serde::Serialize)]
@@ -22,7 +23,12 @@ struct Row {
     hit_ratio: f64,
 }
 
-fn measure(strategy: Strategy, delivery: DeliveryMode, intervals: u64) -> SimulationReport {
+fn measure(
+    strategy: Strategy,
+    delivery: DeliveryMode,
+    intervals: u64,
+    seed: u64,
+) -> SimulationReport {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 1e-3; // visible report sizes
@@ -32,13 +38,14 @@ fn measure(strategy: Strategy, delivery: DeliveryMode, intervals: u64) -> Simula
         .with_clients(10)
         .with_hotspot_size(25)
         .with_delivery(delivery)
-        .with_seed(0xE15);
+        .with_seed(seed);
     let mut sim = CellSimulation::new(cfg, strategy).expect("valid");
     sim.run_measured(intervals / 4, intervals).expect("fits")
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals = if fast { 150 } else { 600 };
+    let seed = replicate_seed(0xE15, replicate);
 
     let modes = [
         (
@@ -53,7 +60,10 @@ pub(super) fn run(fast: bool) -> String {
                 clock_skew_bound: 0.5,
             },
         ),
-        ("multicast(jitter=1s)", DeliveryMode::Multicast { max_jitter: 1.0 }),
+        (
+            "multicast(jitter=1s)",
+            DeliveryMode::Multicast { max_jitter: 1.0 },
+        ),
     ];
     let strategies = [
         Strategy::BroadcastTimestamps,
@@ -69,7 +79,7 @@ pub(super) fn run(fast: bool) -> String {
     let mut rows = Vec::new();
     for strategy in strategies {
         for (label, mode) in modes {
-            let r = measure(strategy, mode, intervals);
+            let r = measure(strategy, mode, intervals, seed);
             println!(
                 "{:>6} {:>22} {:>18.3} {:>14.1} {:>9.4}",
                 strategy.name(),

@@ -14,9 +14,10 @@
 //! (`b_coop` bits over the backbone) replaces a full uplink exchange,
 //! and the leg records exactly how many uplink bits that saves.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
-use sw_sim::runner::{cell_seed, ParallelRunner};
 use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
+use sw_sim::runner::{cell_seed, ParallelRunner};
 use sw_sim::MasterSeed;
 
 /// Zipf exponent for the skewed query stream: a pronounced head
@@ -49,13 +50,13 @@ struct Cell {
     tag: u64,
 }
 
-fn run_cell(cell: &Cell, intervals: u64) -> Row {
+fn run_cell(cell: &Cell, intervals: u64, seed: u64) -> Row {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 500;
     params.mu = 2e-3;
     params.k = 10;
     let params = params.with_s(cell.s);
-    let seed = cell_seed(0xCA9A_C17F, &[cell.s.to_bits(), cell.tag]);
+    let seed = cell_seed(seed, &[cell.s.to_bits(), cell.tag]);
     let mut cfg = CellConfig::new(params)
         .with_clients(10)
         .with_hotspot_size(25)
@@ -98,7 +99,10 @@ struct Flip {
 fn ranking<'a>(rows: impl Iterator<Item = &'a Row>) -> Vec<String> {
     let mut ranked: Vec<(&str, f64)> = rows.map(|r| (r.strategy.as_str(), r.hit_ratio)).collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-    ranked.into_iter().map(|(name, _)| name.to_string()).collect()
+    ranked
+        .into_iter()
+        .map(|(name, _)| name.to_string())
+        .collect()
 }
 
 fn find_flips(rows: &[Row]) -> Vec<Flip> {
@@ -145,7 +149,7 @@ struct CoopLeg {
     net_saved_bits: i64,
 }
 
-fn run_coop_leg(intervals: u64) -> CoopLeg {
+fn run_coop_leg(intervals: u64, seed: u64) -> CoopLeg {
     const CAPACITY: usize = 8;
     let run = |coop: bool| {
         let mut params = ScenarioParams::scenario1();
@@ -156,7 +160,7 @@ fn run_coop_leg(intervals: u64) -> CoopLeg {
             .with_clients(8)
             .with_hotspot_size(20)
             .with_cache_capacity(CAPACITY);
-        let mut config = MeshConfig::new(CellGraph::ring(4), base, MasterSeed(0xC0_09))
+        let mut config = MeshConfig::new(CellGraph::ring(4), base, MasterSeed(seed))
             .with_mobility(MobilityModel::Markov { rate: 0.05 });
         if coop {
             config = config.with_coop(CoopConfig::default());
@@ -188,7 +192,8 @@ struct FigCapacity {
     coop: CoopLeg,
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
+    let seed = replicate_seed(0xCA9A_C17F, replicate);
     let intervals = if fast { 200 } else { 800 };
     let sleep_probs: &[f64] = if fast {
         &[0.0, 0.4, 0.8]
@@ -229,7 +234,7 @@ pub(super) fn run(fast: bool) -> String {
         }
     }
 
-    let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals));
+    let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals, seed));
 
     println!("bounded caches: capacity × replacement × strategy × s (theta = {THETA})");
     println!(
@@ -256,7 +261,10 @@ pub(super) fn run(fast: bool) -> String {
     if flips.is_empty() {
         println!("no ranking flips found — widen the sweep");
     } else {
-        println!("ranking flips under memory pressure ({} cells):", flips.len());
+        println!(
+            "ranking flips under memory pressure ({} cells):",
+            flips.len()
+        );
         for f in &flips {
             println!(
                 "  s={:.2} cap={:>2} {:>10}: unbounded {} → bounded {}",
@@ -269,7 +277,7 @@ pub(super) fn run(fast: bool) -> String {
         }
     }
 
-    let coop = run_coop_leg(intervals);
+    let coop = run_coop_leg(intervals, replicate_seed(0xC0_09, replicate));
     println!();
     println!(
         "coop leg (mesh, cap {}): uplink {} → {} bits, {} served / {} declined, \

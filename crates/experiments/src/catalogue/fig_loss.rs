@@ -14,6 +14,7 @@
 //! Injects nothing unless the `faults` cargo feature is compiled in;
 //! the catalogue row's `needs_faults` refuses to run it otherwise.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 use sw_sim::runner::{cell_seed, ParallelRunner};
 
@@ -37,13 +38,13 @@ struct Cell {
     tag: u64,
 }
 
-fn run_cell(cell: &Cell, intervals: u64) -> Row {
+fn run_cell(cell: &Cell, intervals: u64, seed: u64) -> Row {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 1e-3;
     params.k = 10;
     let params = params.with_s(0.3);
-    let seed = cell_seed(0xFA_0175, &[cell.loss_rate.to_bits(), cell.tag]);
+    let seed = cell_seed(seed, &[cell.loss_rate.to_bits(), cell.tag]);
     let cfg = CellConfig::new(params)
         .with_clients(10)
         .with_hotspot_size(25)
@@ -64,7 +65,8 @@ fn run_cell(cell: &Cell, intervals: u64) -> Row {
     }
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
+    let seed = replicate_seed(0xFA_0175, replicate);
     let intervals = if fast { 200 } else { 800 };
     let rates: &[f64] = if fast {
         &[0.0, 0.05, 0.2]
@@ -101,7 +103,7 @@ pub(super) fn run(fast: bool) -> String {
         });
     }
 
-    let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals));
+    let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals, seed));
 
     println!("hit ratio and uplink traffic vs report loss");
     println!(

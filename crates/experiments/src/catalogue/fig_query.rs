@@ -9,6 +9,7 @@
 //! multi-item reads aborted because their pinned rows straddled an
 //! update (non-serializable under the report clock).
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 use sw_sim::runner::{cell_seed, ParallelRunner};
 
@@ -32,13 +33,13 @@ struct Cell {
     tag: u64,
 }
 
-fn run_cell(cell: &Cell, intervals: u64) -> Row {
+fn run_cell(cell: &Cell, intervals: u64, seed: u64) -> Row {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 500;
     params.mu = 2e-3;
     params.k = 10;
     let params = params.with_s(cell.s);
-    let seed = cell_seed(0xF1_9E34, &[cell.s.to_bits(), cell.tag]);
+    let seed = cell_seed(seed, &[cell.s.to_bits(), cell.tag]);
     let cfg = CellConfig::new(params)
         .with_clients(10)
         .with_hotspot_size(25)
@@ -66,7 +67,8 @@ fn run_cell(cell: &Cell, intervals: u64) -> Row {
     }
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
+    let seed = replicate_seed(0xF1_9E34, replicate);
     let intervals = if fast { 200 } else { 800 };
     let sleep_probs: &[f64] = if fast {
         &[0.0, 0.4, 0.8]
@@ -90,12 +92,21 @@ pub(super) fn run(fast: bool) -> String {
         }
     }
 
-    let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals));
+    let rows = ParallelRunner::from_env().run(&cells, |_, cell| run_cell(cell, intervals, seed));
 
     println!("query-result caching vs sleep probability");
     println!(
         "{:>6} {:>5} {:>8} {:>8} {:>13} {:>8} {:>8} {:>8} {:>7} {:>8}",
-        "strat", "s", "item h", "query h", "uplink bits", "fetched", "inval", "reverif", "txns", "abort%"
+        "strat",
+        "s",
+        "item h",
+        "query h",
+        "uplink bits",
+        "fetched",
+        "inval",
+        "reverif",
+        "txns",
+        "abort%"
     );
     for row in &rows {
         println!(

@@ -30,6 +30,7 @@
 //!    asserted bit-identical to two independent single-cell runs — the
 //!    sharded environment itself must be invisible.
 
+use crate::replicate::replicate_seed;
 use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, RuleHandler};
 use sleepers::server::{Database, UpdateEngine, UplinkProcessor};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
@@ -45,7 +46,7 @@ struct Cell {
 
 /// One replica: the database `params` sizes and `strategy`'s server
 /// half over it.
-fn new_cell(strategy: Strategy, params: &ScenarioParams) -> Cell {
+fn new_cell(strategy: Strategy, params: &ScenarioParams, replicate: u64) -> Cell {
     let latency = SimDuration::from_secs(params.latency_secs);
     let db = Database::new(
         params.n_items,
@@ -53,17 +54,23 @@ fn new_cell(strategy: Strategy, params: &ScenarioParams) -> Cell {
         latency.scaled(params.k as f64 + 2.0),
     );
     Cell {
-        server: ServerDriver::new(strategy, params, MasterSeed(0xE20), &db, 0),
+        server: ServerDriver::new(
+            strategy,
+            params,
+            MasterSeed(replicate_seed(0xE20, replicate)),
+            &db,
+            0,
+        ),
         db,
         uplink: UplinkProcessor::with_universe(params.n_items),
     }
 }
 
-fn mu(seed: u64, n: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit {
-    let mut rng = MasterSeed(seed).stream(StreamId::Queries { index: seed });
+fn mu(id: u64, seed: u64, n: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit {
+    let mut rng = MasterSeed(seed).stream(StreamId::Queries { index: id });
     MobileUnit::new(
         MuConfig {
-            id: seed,
+            id,
             hotspot,
             query_rate_per_item: 0.05,
             sleep_probability: 0.0,
@@ -86,22 +93,29 @@ fn run_client(
     migrate_every: Option<u64>,
     nap_on_handoff: bool,
     intervals: u64,
+    replicate: u64,
 ) -> f64 {
     let n = 500u64;
     let mut params = ScenarioParams::scenario1();
     params.latency_secs = 10.0;
     params.n_items = n;
     params.k = 10;
-    let mut a = new_cell(strategy, &params);
-    let mut b = new_cell(strategy, &params);
+    let mut a = new_cell(strategy, &params, replicate);
+    let mut b = new_cell(strategy, &params, replicate);
     // One shared update stream keeps the replicas consistent.
-    let mut update_rng = MasterSeed(0xE20).stream(StreamId::Updates);
+    let mut update_rng = MasterSeed(replicate_seed(0xE20, replicate)).stream(StreamId::Updates);
     let mut engine = UpdateEngine::new(n, 1e-3, &mut update_rng);
 
-    let handler = strategy.make_handler(&params, MasterSeed(0xE20));
-    let mut client = mu(1, n, (0..25).collect(), handler);
-    let mut srng = MasterSeed(2).stream(StreamId::Sleep { index: 1 });
-    let mut qrng = MasterSeed(3).stream(StreamId::Custom { tag: 1 });
+    let handler = strategy.make_handler(&params, MasterSeed(replicate_seed(0xE20, replicate)));
+    let mut client = mu(
+        1,
+        replicate_seed(1, replicate),
+        n,
+        (0..25).collect(),
+        handler,
+    );
+    let mut srng = MasterSeed(replicate_seed(2, replicate)).stream(StreamId::Sleep { index: 1 });
+    let mut qrng = MasterSeed(replicate_seed(3, replicate)).stream(StreamId::Custom { tag: 1 });
 
     let mut in_a = true;
     for i in 1..=intervals {
@@ -148,20 +162,27 @@ fn run_client(
     client.stats().hit_ratio()
 }
 
-fn mesh_config(mobility: MobilityModel) -> MeshConfig {
+fn mesh_config(mobility: MobilityModel, replicate: u64) -> MeshConfig {
     let mut params = ScenarioParams::scenario1().with_s(0.0);
     params.n_items = 500;
     params.lambda = 0.05;
     params.mu = 1e-3;
     params.k = 10;
-    let base = CellConfig::new(params).with_clients(8).with_hotspot_size(25);
-    MeshConfig::new(CellGraph::line(2), base, MasterSeed(0xE20)).with_mobility(mobility)
+    let base = CellConfig::new(params)
+        .with_clients(8)
+        .with_hotspot_size(25);
+    MeshConfig::new(
+        CellGraph::line(2),
+        base,
+        MasterSeed(replicate_seed(0xE20, replicate)),
+    )
+    .with_mobility(mobility)
 }
 
 /// Cross-check: a stationary mesh must be bit-identical to its cells
 /// run standalone — the sharded environment adds nothing by itself.
-fn assert_mesh_matches_single_cells(strategy: Strategy, intervals: u64) {
-    let config = mesh_config(MobilityModel::Stationary);
+fn assert_mesh_matches_single_cells(strategy: Strategy, intervals: u64, replicate: u64) {
+    let config = mesh_config(MobilityModel::Stationary, replicate);
     let mut mesh = MeshSimulation::new(config.clone(), strategy).expect("mesh construction");
     let report = mesh.run(intervals).expect("mesh run");
     for cell in 0..2 {
@@ -178,13 +199,19 @@ fn assert_mesh_matches_single_cells(strategy: Strategy, intervals: u64) {
 }
 
 /// Full-mesh measurement: mesh-wide hit ratio and handoff drops.
-fn run_mesh(strategy: Strategy, mobility: MobilityModel, intervals: u64) -> (f64, u64) {
-    let mut mesh = MeshSimulation::new(mesh_config(mobility), strategy).expect("mesh construction");
+fn run_mesh(
+    strategy: Strategy,
+    mobility: MobilityModel,
+    intervals: u64,
+    replicate: u64,
+) -> (f64, u64) {
+    let mut mesh =
+        MeshSimulation::new(mesh_config(mobility, replicate), strategy).expect("mesh construction");
     let report = mesh.run(intervals).expect("mesh run");
     (report.hit_ratio(), report.migration().handoff_drops)
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals = if fast { 300 } else { 1000 };
 
     println!("inter-cell handoff with replicated servers and synchronized reports");
@@ -197,8 +224,14 @@ pub(super) fn run(fast: bool) -> String {
         ("migrates every 5 ivls", Some(5), false),
         ("migrates + naps in transit", Some(5), true),
     ] {
-        let h_ts = run_client(Strategy::BroadcastTimestamps, every, nap, intervals);
-        let h_at = run_client(Strategy::AmnesicTerminals, every, nap, intervals);
+        let h_ts = run_client(
+            Strategy::BroadcastTimestamps,
+            every,
+            nap,
+            intervals,
+            replicate,
+        );
+        let h_at = run_client(Strategy::AmnesicTerminals, every, nap, intervals, replicate);
         println!("{label:>28} {h_ts:>10.4} {h_at:>10.4}");
         rows.push(serde_json::json!({
             "harness": "twin", "client": label, "h_ts": h_ts, "h_at": h_at
@@ -207,7 +240,7 @@ pub(super) fn run(fast: bool) -> String {
 
     // The real mesh. First prove the environment itself is invisible…
     for strategy in [Strategy::BroadcastTimestamps, Strategy::AmnesicTerminals] {
-        assert_mesh_matches_single_cells(strategy, intervals.min(200));
+        assert_mesh_matches_single_cells(strategy, intervals.min(200), replicate);
     }
     println!();
     println!("cross-check ok: stationary mesh ≡ independent single-cell runs (bit-identical)");
@@ -221,11 +254,22 @@ pub(super) fn run(fast: bool) -> String {
     );
     for (label, mobility) in [
         ("stationary", MobilityModel::Stationary),
-        ("migrates every 5 ivls", MobilityModel::Periodic { every: 5 }),
+        (
+            "migrates every 5 ivls",
+            MobilityModel::Periodic { every: 5 },
+        ),
     ] {
-        let (h_ts, d_ts) = run_mesh(Strategy::BroadcastTimestamps, mobility, intervals);
-        let (h_at, d_at) = run_mesh(Strategy::AmnesicTerminals, mobility, intervals);
-        println!("{label:>28} {h_ts:>10.4} {h_at:>10.4} {:>12}", format!("{d_ts}/{d_at}"));
+        let (h_ts, d_ts) = run_mesh(
+            Strategy::BroadcastTimestamps,
+            mobility,
+            intervals,
+            replicate,
+        );
+        let (h_at, d_at) = run_mesh(Strategy::AmnesicTerminals, mobility, intervals, replicate);
+        println!(
+            "{label:>28} {h_ts:>10.4} {h_at:>10.4} {:>12}",
+            format!("{d_ts}/{d_at}")
+        );
         rows.push(serde_json::json!({
             "harness": "mesh", "client": label, "h_ts": h_ts, "h_at": h_at,
             "handoff_drops_ts": d_ts, "handoff_drops_at": d_at

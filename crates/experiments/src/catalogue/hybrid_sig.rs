@@ -8,6 +8,7 @@
 //! broadcast items help workaholic-style precision on the hottest data,
 //! while the signatures keep everything else nap-proof at fixed cost.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 use sleepers::workload::Popularity;
 
@@ -21,7 +22,7 @@ struct Row {
     report_bits_mean: f64,
 }
 
-fn measure(strategy: Strategy, s: f64, intervals: u64) -> SimulationReport {
+fn measure(strategy: Strategy, s: f64, intervals: u64, seed: u64) -> SimulationReport {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 1e-3;
@@ -31,13 +32,14 @@ fn measure(strategy: Strategy, s: f64, intervals: u64) -> SimulationReport {
         .with_clients(10)
         .with_hotspot_size(25)
         .with_popularity(Popularity::Zipf { theta: 1.0 })
-        .with_seed(0xE16);
+        .with_seed(seed);
     let mut sim = CellSimulation::new(cfg, strategy).expect("valid");
     sim.run_measured(intervals / 4, intervals).expect("fits")
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals = if fast { 150 } else { 600 };
+    let seed = replicate_seed(0xE16, replicate);
 
     println!("§10 hybrid weighted reports under Zipf(1.0) queries");
     println!(
@@ -46,15 +48,13 @@ pub(super) fn run(fast: bool) -> String {
     );
     let mut rows = Vec::new();
     for &s in &[0.0, 0.3, 0.6] {
-        let mut entries: Vec<(Strategy, u64)> = vec![
-            (Strategy::AmnesicTerminals, 0),
-            (Strategy::Signatures, 0),
-        ];
+        let mut entries: Vec<(Strategy, u64)> =
+            vec![(Strategy::AmnesicTerminals, 0), (Strategy::Signatures, 0)];
         for hot in [10u64, 50, 200] {
             entries.push((Strategy::HybridSig { hot_count: hot }, hot));
         }
         for (strategy, hot) in entries {
-            let r = measure(strategy, s, intervals);
+            let r = measure(strategy, s, intervals, seed);
             println!(
                 "{:>5.1} {:>6} {:>5} {:>9.4} {:>9.4} {:>12.1}",
                 s,

@@ -10,6 +10,7 @@
 //! with bigger reports, and the latency guarantee (≤ L for every
 //! query, §2) holds for everyone regardless.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 
 #[derive(serde::Serialize)]
@@ -23,7 +24,7 @@ struct Row {
     effectiveness: f64,
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals = if fast { 200 } else { 800 };
 
     let mut params = ScenarioParams::scenario1();
@@ -51,7 +52,7 @@ pub(super) fn run(fast: bool) -> String {
             .with_clients(12)
             .with_hotspot_size(25)
             .with_sleep_profile(profile.clone())
-            .with_seed(0xE19);
+            .with_seed(replicate_seed(0xE19, replicate));
         let mut sim = CellSimulation::new(cfg, strategy).expect("valid");
         for _ in 0..intervals / 4 {
             sim.step().expect("fits");
@@ -118,7 +119,10 @@ pub(super) fn run(fast: bool) -> String {
     println!();
     println!("AT abandons the sleepers (h_sleep ≈ AT's homogeneous s=0.8 value)");
     println!("while its report stays tiny; SIG/TS carry the sleepers at a fixed");
-    println!("report tax on everyone. Max latency ≤ L = {} s for every strategy —", params.latency_secs);
+    println!(
+        "report tax on everyone. Max latency ≤ L = {} s for every strategy —",
+        params.latency_secs
+    );
     println!("the §2 guarantee of synchronous broadcasting, measured.");
 
     crate::results::to_json(&rows)

@@ -2,6 +2,7 @@
 //! (obligation lists) and the arithmetic condition (ε-filter) save,
 //! relative to plain TS reporting.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 use sleepers::quasi::EpsilonFilter;
 use sleepers::sim::{MasterSeed, StreamId};
@@ -16,21 +17,21 @@ struct DelayRow {
     hit_ratio_quasi: f64,
 }
 
-fn run_delay(alpha: u64, intervals: u64) -> DelayRow {
+fn run_delay(alpha: u64, intervals: u64, seed: u64) -> DelayRow {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 1e-3;
     params.k = alpha as u32; // plain TS gets the same window for fairness
-    // A wider channel than Scenario 1: at α = 20 the *plain* TS report
-    // would not even fit 10 kb/s (which is the quasi scheme's whole
-    // point); the experiment compares report bits, not channel fit.
+                             // A wider channel than Scenario 1: at α = 20 the *plain* TS report
+                             // would not even fit 10 kb/s (which is the quasi scheme's whole
+                             // point); the experiment compares report bits, not channel fit.
     params.bandwidth_bps = 50_000;
     let params = params.with_s(0.3);
     let cfg = || {
         CellConfig::new(params)
             .with_clients(12)
             .with_hotspot_size(25)
-            .with_seed(0xE12)
+            .with_seed(seed)
     };
     let mut plain = CellSimulation::new(cfg(), Strategy::BroadcastTimestamps).unwrap();
     let plain_report = plain.run_measured(intervals / 4, intervals).unwrap();
@@ -64,9 +65,9 @@ struct ArithmeticRow {
 }
 
 /// Random-walk stock prices through the ε-filter (Eq. 28).
-fn run_arithmetic(epsilon: u64, steps: u64) -> ArithmeticRow {
+fn run_arithmetic(epsilon: u64, steps: u64, seed: u64) -> ArithmeticRow {
     let mut filter = EpsilonFilter::new(epsilon);
-    let mut rng = MasterSeed(0xE12).stream(StreamId::Custom { tag: epsilon });
+    let mut rng = MasterSeed(seed).stream(StreamId::Custom { tag: epsilon });
     let n_items = 100u64;
     let mut prices = vec![10_000i64; n_items as usize];
     for (i, p) in prices.iter_mut().enumerate() {
@@ -88,7 +89,8 @@ fn run_arithmetic(epsilon: u64, steps: u64) -> ArithmeticRow {
     }
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
+    let seed = replicate_seed(0xE12, replicate);
     let intervals = if fast { 150 } else { 600 };
 
     println!("(a) delay condition (obligation lists) vs plain TS, s=0.3, μ=1e-3");
@@ -98,7 +100,7 @@ pub(super) fn run(fast: bool) -> String {
     );
     let mut delay_rows = Vec::new();
     for alpha in [2u64, 5, 10, 20] {
-        let row = run_delay(alpha, intervals);
+        let row = run_delay(alpha, intervals, seed);
         println!(
             "{:>8} {:>16} {:>16} {:>9.1} {:>9.4} {:>9.4}",
             row.alpha_intervals,
@@ -113,11 +115,14 @@ pub(super) fn run(fast: bool) -> String {
 
     println!();
     println!("(b) arithmetic condition: ε-filter suppression on random-walk prices");
-    println!("{:>8} {:>10} {:>10} {:>12}", "ε", "updates", "reported", "suppressed %");
+    println!(
+        "{:>8} {:>10} {:>10} {:>12}",
+        "ε", "updates", "reported", "suppressed %"
+    );
     let steps = if fast { 20_000 } else { 100_000 };
     let mut arith_rows = Vec::new();
     for eps in [0u64, 5, 10, 25, 50, 100] {
-        let row = run_arithmetic(eps, steps);
+        let row = run_arithmetic(eps, steps, seed);
         println!(
             "{:>8} {:>10} {:>10} {:>12.1}",
             row.epsilon, row.updates, row.reported, row.suppressed_pct

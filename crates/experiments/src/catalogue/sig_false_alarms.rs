@@ -4,9 +4,8 @@
 //! degree-normalized decoder (see `sw_signature::syndrome` for why the
 //! operational threshold differs from the paper's literal `K·m·p`).
 
-use sleepers::signature::{
-    combine, item_signature, SigPlan, SubsetFamily, SyndromeDecoder,
-};
+use crate::replicate::replicate_seed;
+use sleepers::signature::{combine, item_signature, SigPlan, SubsetFamily, SyndromeDecoder};
 use sleepers::sim::{MasterSeed, StreamId};
 
 #[derive(serde::Serialize)]
@@ -19,12 +18,14 @@ struct Row {
     chernoff_bound_k2: f64,
 }
 
-fn experiment(f: u32, d: u32, trials: u32) -> Row {
+fn experiment(f: u32, d: u32, trials: u32, replicate: u64) -> Row {
     let n = 1_000u64;
     let g = 16;
     let cache_size = 30usize;
     let plan = SigPlan::new(f, g, n, 0.05, SigPlan::DEFAULT_K);
-    let mut rng = MasterSeed(0xE14).stream(StreamId::Custom { tag: (f as u64) << 32 | d as u64 });
+    let mut rng = MasterSeed(replicate_seed(0xE14, replicate)).stream(StreamId::Custom {
+        tag: (f as u64) << 32 | d as u64,
+    });
 
     let mut false_alarms = 0u64;
     let mut valid_checked = 0u64;
@@ -32,7 +33,7 @@ fn experiment(f: u32, d: u32, trials: u32) -> Row {
     let mut invalid_checked = 0u64;
 
     for trial in 0..trials {
-        let family = SubsetFamily::new(0xBEEF ^ trial as u64, plan.m, f);
+        let family = SubsetFamily::new(replicate_seed(0xBEEF, replicate) ^ trial as u64, plan.m, f);
         let decoder = SyndromeDecoder::new(family, plan);
         let values: Vec<u64> = (0..n).map(|i| i * 77 + 13).collect();
         // Client caches items 0..cache_size with current signatures.
@@ -98,7 +99,7 @@ fn experiment(f: u32, d: u32, trials: u32) -> Row {
     }
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let trials = if fast { 10 } else { 60 };
 
     println!("SIG diagnosis quality (Monte Carlo, n=1000, g=16, cache=30)");
@@ -107,8 +108,15 @@ pub(super) fn run(fast: bool) -> String {
         "f", "actual d", "trials", "false alarm", "missed", "Chernoff(K)"
     );
     let mut rows = Vec::new();
-    for (f, d) in [(10u32, 1u32), (10, 5), (10, 10), (10, 30), (20, 10), (20, 60)] {
-        let row = experiment(f, d, trials);
+    for (f, d) in [
+        (10u32, 1u32),
+        (10, 5),
+        (10, 10),
+        (10, 30),
+        (20, 10),
+        (20, 60),
+    ] {
+        let row = experiment(f, d, trials, replicate);
         println!(
             "{:>4} {:>8} {:>8} {:>14.4} {:>14.4} {:>14.6}",
             row.f,

@@ -9,6 +9,7 @@
 //! the stateless AT broadcast costs the same regardless of who is
 //! listening — the scalability case for statelessness.
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 
 #[derive(serde::Serialize)]
@@ -22,7 +23,13 @@ struct Row {
     hit_ratio_stateful: f64,
 }
 
-fn measure(strategy: Strategy, clients: usize, s: f64, intervals: u64) -> SimulationReport {
+fn measure(
+    strategy: Strategy,
+    clients: usize,
+    s: f64,
+    intervals: u64,
+    seed: u64,
+) -> SimulationReport {
     let mut params = ScenarioParams::scenario1();
     params.n_items = 1_000;
     params.mu = 2e-3;
@@ -30,13 +37,14 @@ fn measure(strategy: Strategy, clients: usize, s: f64, intervals: u64) -> Simula
     let cfg = CellConfig::new(params)
         .with_clients(clients)
         .with_hotspot_size(25)
-        .with_seed(0xE17);
+        .with_seed(seed);
     let mut sim = CellSimulation::new(cfg, strategy).expect("valid");
     sim.run_measured(intervals / 4, intervals).expect("fits")
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals = if fast { 150 } else { 600 };
+    let seed = replicate_seed(0xE17, replicate);
 
     println!("stateful server (§2) vs stateless AT broadcast");
     println!(
@@ -46,8 +54,8 @@ pub(super) fn run(fast: bool) -> String {
     let mut rows = Vec::new();
     for &clients in &[4usize, 8, 16, 32] {
         for &s in &[0.0, 0.4] {
-            let at = measure(Strategy::AmnesicTerminals, clients, s, intervals);
-            let sf = measure(Strategy::Stateful, clients, s, intervals);
+            let at = measure(Strategy::AmnesicTerminals, clients, s, intervals, seed);
+            let sf = measure(Strategy::Stateful, clients, s, intervals, seed);
             let stateless_bits = at.traffic.downlink_bits() - at.traffic.answer_bits;
             let stateful_bits = sf.traffic.downlink_bits() - sf.traffic.answer_bits;
             println!(

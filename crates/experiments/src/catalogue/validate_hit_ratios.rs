@@ -2,6 +2,7 @@
 //! simulated `h_AT` vs Eq. 41, `h_SIG` vs Eq. 43, and `h_TS` against
 //! the Appendix-1 bounds — across a grid of (s, μ).
 
+use crate::replicate::replicate_seed;
 use sleepers::prelude::*;
 
 #[derive(serde::Serialize)]
@@ -18,19 +19,20 @@ struct Row {
     ts_in_bounds: bool,
 }
 
-fn simulate(params: ScenarioParams, strategy: Strategy, intervals: u64) -> f64 {
+fn simulate(params: ScenarioParams, strategy: Strategy, intervals: u64, seed: u64) -> f64 {
     let config = CellConfig::new(params)
         .with_clients(16)
         .with_hotspot_size(25)
-        .with_seed(0xE11);
+        .with_seed(seed);
     let mut sim = CellSimulation::new(config, strategy).expect("valid config");
     sim.run_measured(intervals / 4, intervals)
         .expect("run")
         .hit_ratio()
 }
 
-pub(super) fn run(fast: bool) -> String {
+pub(super) fn run(fast: bool, replicate: u64) -> String {
     let intervals: u64 = if fast { 200 } else { 800 };
+    let seed = replicate_seed(0xE11, replicate);
 
     // A small-n base so simulation is fast; hit ratios do not depend on
     // n in the model (per-item rates are fixed).
@@ -41,7 +43,10 @@ pub(super) fn run(fast: bool) -> String {
     let s_values = [0.0, 0.2, 0.4, 0.6, 0.8];
     let mu_values = [1e-4, 1e-3];
 
-    println!("simulated hit ratios vs the closed forms ({} intervals/cell)", intervals);
+    println!(
+        "simulated hit ratios vs the closed forms ({} intervals/cell)",
+        intervals
+    );
     println!(
         "{:>5} {:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9} {:>9} {:>6}",
         "s", "mu", "h_at sim", "Eq.41", "h_sig sim", "Eq.43", "h_ts sim", "lower", "upper", "in?"
@@ -54,9 +59,9 @@ pub(super) fn run(fast: bool) -> String {
     for &mu in &mu_values {
         for &s in &s_values {
             let params = base.with_s(s).with_mu(mu);
-            let h_at_sim = simulate(params, Strategy::AmnesicTerminals, intervals);
-            let h_sig_sim = simulate(params, Strategy::Signatures, intervals);
-            let h_ts_sim = simulate(params, Strategy::BroadcastTimestamps, intervals);
+            let h_at_sim = simulate(params, Strategy::AmnesicTerminals, intervals, seed);
+            let h_sig_sim = simulate(params, Strategy::Signatures, intervals, seed);
+            let h_ts_sim = simulate(params, Strategy::BroadcastTimestamps, intervals, seed);
             let at_model = h_at(&params);
             let p_nf = sleepers::analysis::throughput::sig_p_nf(&params);
             let sig_model = h_sig(&params, p_nf);

@@ -369,10 +369,10 @@ fn print_figure_table(result: &FigureResult, x_label: &str) {
 }
 
 /// The `fig3`…`fig8` catalogue entries: runs the figure (quick
-/// settings when `fast`), prints the table and an ASCII chart, and
-/// returns the JSON artifact text. `trace_run <figure>` is the observed
-/// twin of this path.
-pub fn run_paper_figure(figure: u8, fast: bool) -> String {
+/// settings when `fast`) at the master seed of `replicate`, prints the
+/// table and an ASCII chart, and returns the JSON artifact text.
+/// `trace_run <figure>` is the observed twin of this path.
+pub fn run_paper_figure(figure: u8, fast: bool, replicate: u64) -> String {
     let spec = FigureSpec::for_figure(figure);
     let settings = if fast {
         SimSettings::quick()
@@ -387,6 +387,10 @@ pub fn run_paper_figure(figure: u8, fast: bool) -> String {
             s.intervals = 400;
         }
         s
+    };
+    let settings = SimSettings {
+        seed: crate::replicate::replicate_seed(settings.seed, replicate),
+        ..settings
     };
     let result = run_figure(&spec, settings);
     print_figure_table(&result, spec.x_label());
@@ -423,13 +427,15 @@ pub fn run_paper_figure(figure: u8, fast: bool) -> String {
     // The paper's figure configurations run the cell far below channel
     // saturation; overflowing exchanges would make every throughput
     // number above meaningless, so surface it loudly and refuse to
-    // pass silently.
+    // commit such an artifact. A seed replicate reports its overflow
+    // as one more leaf of the summary instead: figure 7 overflows one
+    // exchange on some replicate seeds.
     let overflow: u64 = result.simulated.iter().map(|p| p.overflow_exchanges).sum();
     if let Some(warning) = sw_observe::sink::overflow_warning(overflow) {
         eprintln!("{warning}");
     }
-    assert_eq!(
-        overflow, 0,
+    assert!(
+        overflow == 0 || replicate != 0,
         "figure {figure}'s default configuration oversubscribed the uplink channel"
     );
     crate::results::to_json(&result)

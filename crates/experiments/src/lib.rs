@@ -21,6 +21,7 @@ pub mod catalogue;
 pub mod figures;
 pub mod live_cli;
 pub mod plot;
+pub mod replicate;
 pub mod results;
 
 pub use figures::{FigureResult, FigureSpec, SimPoint, SimSettings};

@@ -18,8 +18,9 @@ fn ids_and_names_are_unique() {
     assert_eq!(names.len(), CATALOGUE.len(), "duplicate experiment name");
 }
 
-/// Every row has its committed artifact, and `results/` holds nothing
-/// else (`trace_*` is `trace_run`'s git-ignored output).
+/// Every row has its committed artifact and its replicate summary, and
+/// `results/` holds nothing else (`trace_*` is `trace_run`'s
+/// git-ignored output).
 #[test]
 fn results_dir_is_exactly_the_catalogue() {
     let on_disk: BTreeSet<String> = std::fs::read_dir(repo_root().join("results"))
@@ -27,8 +28,36 @@ fn results_dir_is_exactly_the_catalogue() {
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .filter(|name| !name.starts_with("trace_"))
         .collect();
-    let catalogued: BTreeSet<String> = CATALOGUE.iter().map(|e| e.file_name()).collect();
+    let catalogued: BTreeSet<String> = CATALOGUE
+        .iter()
+        .flat_map(|e| [e.file_name(), e.ci_file_name()])
+        .collect();
     assert_eq!(on_disk, catalogued);
+}
+
+/// Every committed replicate summary parses, covers the
+/// `REPLICATES` seeds from 0, and agrees with its artifact on every
+/// leaf no seed moves.
+#[test]
+fn replicate_summaries_hold_their_artifacts() {
+    use sw_experiments::replicate::{Leaf, Summary, REPLICATES};
+    for e in CATALOGUE {
+        let read = |file: String| std::fs::read_to_string(repo_root().join("results").join(file));
+        let summary = Summary::parse(&read(e.ci_file_name()).unwrap())
+            .unwrap_or_else(|err| panic!("{}: {err}", e.ci_file_name()));
+        assert_eq!((summary.first, summary.count), (0, REPLICATES), "{}", e.name);
+        let artifact = Summary::of(0, &[read(e.file_name()).unwrap()]);
+        for (path, leaf) in &summary.leaves {
+            if let Leaf::Exact(v) = leaf {
+                assert_eq!(
+                    artifact.leaves.get(path),
+                    Some(&Leaf::Exact(v.clone())),
+                    "{}{path}",
+                    e.name
+                );
+            }
+        }
+    }
 }
 
 /// Every row runs at the quick settings and returns JSON. A
@@ -36,7 +65,7 @@ fn results_dir_is_exactly_the_catalogue() {
 #[test]
 fn every_runnable_row_returns_json_at_quick_settings() {
     for e in CATALOGUE.iter().filter(|e| e.runnable()) {
-        let text = (e.run)(true);
+        let text = (e.run)(true, 0);
         serde_json::from_str::<serde_json::Value>(&text)
             .unwrap_or_else(|err| panic!("{} returned unparseable JSON: {err:?}", e.name));
     }
