@@ -128,11 +128,12 @@ fn main() -> ExitCode {
     };
 
     let check = command == "check";
+    let summaries = stat || command == "replicate";
     let fast = !check && std::env::var("SW_FAST").is_ok();
     let dir = results_dir();
     let mut failed = Vec::new();
     let started = Instant::now();
-    if stat || command == "replicate" {
+    if summaries {
         eprintln!(
             "replicates {first}..{} ({REPLICATES} seeds per row)",
             first + REPLICATES
@@ -140,7 +141,7 @@ fn main() -> ExitCode {
     }
     for e in &rows {
         println!("== {} {} — {}", e.id, e.name, e.about);
-        let file = if stat || command == "replicate" {
+        let file = if summaries {
             e.ci_file_name()
         } else {
             e.file_name()
@@ -152,7 +153,7 @@ fn main() -> ExitCode {
         } else if stat {
             stat_check(e, first, &dir)
         } else {
-            let fresh = if command == "replicate" {
+            let fresh = if summaries {
                 e.replicates(fast, 0).to_json()
             } else {
                 (e.run)(fast, 0)

@@ -378,8 +378,8 @@ const MESH_SOAK_SIG_COLLISIONS: u64 = 0;
 #[cfg(feature = "faults")]
 const MESH_SOAK_SIG_HANDOFF_DROPS: u64 = 0;
 #[cfg(feature = "faults")]
-const MESH_SOAK_SIG_ENTRIES_CHECKED: u64 = 2_315_309;
+const MESH_SOAK_SIG_ENTRIES_CHECKED: u64 = 2_313_403;
 #[cfg(feature = "faults")]
 const MESH_SOAK_SIG_REPORTS_MISSED: u64 = 13_696;
 #[cfg(all(feature = "faults", feature = "observe"))]
-const MESH_SOAK_SIG_FALSE_ALARMS: u64 = 32_004;
+const MESH_SOAK_SIG_FALSE_ALARMS: u64 = 31_971;

@@ -60,6 +60,14 @@ impl PoissonProcess {
     /// pick per arrival from the same `rng` sees the same stream
     /// whatever buffer it passes.
     ///
+    /// A window that starts after the pending arrival (a unit waking
+    /// from a sleep) restarts the process at `from` with one draw: the
+    /// process is memoryless, so the first arrival after `from` is
+    /// `from + Exp(rate)` whatever happened while nobody listened. A
+    /// wake therefore costs one exponential however long the sleep was,
+    /// and contiguous windows never take this path, so their stream is
+    /// the same as one long window's.
+    ///
     /// The window convention matches the paper's report definitions,
     /// which use half-open windows such as `T_{i-1} < t_j ≤ T_i` (AT,
     /// Eq. 2).
@@ -74,12 +82,8 @@ impl PoissonProcess {
         if self.rate <= 0.0 {
             return;
         }
-        // Skip any stale arrivals at or before `from` (can happen if the
-        // caller jumps forward, e.g. a client that slept through
-        // intervals and does not care about arrivals while asleep).
-        while self.next <= from {
-            let at = self.next;
-            self.advance(rng, at);
+        if self.next <= from {
+            self.advance(rng, from);
         }
         while self.next <= to {
             out.push(self.next);
@@ -272,6 +276,49 @@ mod tests {
         p.arrivals_in(mid, SimTime::from_secs(100.0), &mut r, &mut out);
         assert!(out[..first].iter().all(|&t| t <= mid));
         assert!(out[first..].iter().all(|&t| t > mid));
+    }
+
+    #[test]
+    fn a_wake_after_a_long_sleep_draws_one_exponential() {
+        let mut r = rng();
+        let mut p = PoissonProcess::new(2.0, &mut r);
+        // 10⁴ s asleep: the skipped stretch holds ~2·10⁴ arrivals.
+        let from = SimTime::from_secs(10_000.0);
+        let mut expected = r.clone();
+        let gap = expected.exponential(2.0);
+        let ts = arrivals(&mut p, from, from, &mut r);
+        assert!(ts.is_empty());
+        assert_eq!(p.peek(), Some(from + SimDuration::from_secs(gap)));
+        assert_eq!(r.next_u64(), expected.next_u64(), "one draw, no more");
+        // An already-pending arrival after `from` is kept: no draw.
+        let mut expected = r.clone();
+        let pending = p.peek();
+        arrivals(&mut p, from, from, &mut r);
+        assert_eq!(p.peek(), pending);
+        assert_eq!(r.next_u64(), expected.next_u64());
+    }
+
+    #[test]
+    fn first_arrival_after_a_wake_is_exponential() {
+        // Memorylessness: after any sleep, the wait to the first
+        // arrival has mean 1/λ (and SD 1/λ).
+        let mut r = rng();
+        let lambda = 0.5;
+        let mut p = PoissonProcess::new(lambda, &mut r);
+        let n = 20_000;
+        let mut sum = 0.0;
+        for i in 1..=n {
+            let from = SimTime::from_secs(i as f64 * 100.0);
+            arrivals(&mut p, from, from, &mut r);
+            sum += (p.peek().unwrap() - from).as_secs();
+        }
+        let mean = sum / n as f64;
+        let se = 1.0 / lambda / (n as f64).sqrt();
+        assert!(
+            (mean - 1.0 / lambda).abs() < 4.0 * se,
+            "mean wait {mean} vs 1/λ = {} (SE {se})",
+            1.0 / lambda
+        );
     }
 
     #[test]

@@ -190,7 +190,7 @@ cargo build --release -q -p sw-experiments --features faults --bin sw-exp
 echo "==> sw-exp check (all 21 results/*.json regenerated at full settings and byte-compared; 31 s total on 2 vCPUs, fig6 13 s of it; per-row times on stderr)"
 ./target/release/sw-exp check >/dev/null
 
-echo "==> sw-exp check --stat (10 seed replicates of every row against results/*.ci.json, two-sample test per leaf; 240 s on 2 vCPUs, fig6 120 s of it)"
+echo "==> sw-exp check --stat (10 seed replicates of every row against results/*.ci.json, two-sample test per leaf; 240-300 s on 2 vCPUs, fig6 ~120 s of it)"
 ./target/release/sw-exp check --stat >/dev/null
 
 echo "==> hot-path zero-cost guard: observe+faults compiled in must stay within 5%"
