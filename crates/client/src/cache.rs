@@ -265,12 +265,13 @@ impl CacheSlots for Cache {
         &mut self,
         t_i: SimTime,
         mut verdict: impl FnMut(ItemId, SimTime) -> Verdict,
-    ) -> Vec<ItemId> {
-        let mut invalidated = Vec::new();
+        dropped: &mut Vec<ItemId>,
+    ) {
+        // The table walks ascending, so the ids append sorted.
         self.entries.retain_mut(|item, entry| {
             match verdict(item, entry.timestamp) {
                 Verdict::Drop => {
-                    invalidated.push(item);
+                    dropped.push(item);
                     return false;
                 }
                 Verdict::Restamp => entry.timestamp = t_i,
@@ -278,8 +279,6 @@ impl CacheSlots for Cache {
             }
             true
         });
-        // The table walks ascending, so the list is already sorted.
-        invalidated
     }
 
     fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
@@ -458,7 +457,14 @@ mod tests {
         let mut c = Cache::unbounded();
         c.insert(1, 1, SimTime::ZERO);
         c.insert(2, 2, SimTime::ZERO);
-        CacheSlots::sweep(&mut c, SimTime::ZERO, |item, _| Verdict::drop_if(item == 1));
+        let mut dropped = vec![7];
+        CacheSlots::sweep(
+            &mut c,
+            SimTime::ZERO,
+            |item, _| Verdict::drop_if(item == 1),
+            &mut dropped,
+        );
+        assert_eq!(dropped, vec![7, 1], "the walk appends to what it is lent");
         assert_eq!(c.sorted_items(), vec![2]);
         assert_eq!(c.take_ghost(1), None);
     }

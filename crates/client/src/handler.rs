@@ -163,7 +163,13 @@ impl RuleHandler {
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
         let (rule, lent) = self.parts();
-        rule.apply(cache, lent, digest, t_l)
+        let mut invalidated = Vec::new();
+        let dropped_all = rule.apply(cache, lent, digest, t_l, &mut invalidated);
+        ProcessOutcome {
+            report_time: digest.report_time(),
+            dropped_all,
+            invalidated,
+        }
     }
 }
 

@@ -41,7 +41,6 @@ use sw_sim::{SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
 use crate::digest::ReportDigest;
-use crate::handler::ProcessOutcome;
 
 /// What the walk does with one cached entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,10 +73,15 @@ impl Verdict {
 ///
 /// Walk order is the implementor's business — [`crate::Cache`] and a
 /// slot block both happen to visit ascending — but the *results* are
-/// ordered: [`CacheSlots::sweep`], [`CacheSlots::drop_listed`] and
-/// [`CacheSlots::sorted_items`] return ascending item ids whatever the
-/// visit order, so [`ProcessOutcome::invalidated`] is identical on
-/// every store.
+/// ordered: [`CacheSlots::sweep`] and [`CacheSlots::drop_listed`] append
+/// the ids they drop ascending, and [`CacheSlots::sorted_items`] returns
+/// ascending ids, whatever the visit order, so
+/// [`crate::ProcessOutcome::invalidated`] is identical on every store.
+///
+/// The walks append to a buffer the caller lends rather than return a
+/// list of their own, so a caller that sweeps many clients (the
+/// columnar fleet) keeps one buffer across clients and intervals and a
+/// walk allocates nothing.
 ///
 /// How a store records "verified as of `T_i`" is its business too.
 /// [`crate::Cache`] writes `T_i` into every surviving entry. The
@@ -102,19 +106,20 @@ pub trait CacheSlots {
 
     /// "For every item j in the MU cache": one walk, `verdict(item,
     /// t_cache)` deciding each entry's fate. The dropped ids are
-    /// returned, ascending. Report processing is not a read: recency is
-    /// untouched.
+    /// appended to `dropped`, ascending. Report processing is not a
+    /// read: recency is untouched.
     fn sweep(
         &mut self,
         t_i: SimTime,
         verdict: impl FnMut(ItemId, SimTime) -> Verdict,
-    ) -> Vec<ItemId>;
+        dropped: &mut Vec<ItemId>,
+    );
 
     /// The walk of a report that can only condemn what it lists: among
     /// the cached entries `listed(item)` names, drop those
     /// `stale(item, t_cache)` condemns; every other entry is verified as
     /// of `T_i`. `stale` runs only for listed entries. The dropped ids
-    /// are returned, ascending.
+    /// are appended to `dropped`, ascending.
     ///
     /// The default body is one [`Self::sweep`]. A store whose restamp
     /// is free overrides it to read a stamp only for `report ∩ cache`
@@ -125,10 +130,13 @@ pub trait CacheSlots {
         t_i: SimTime,
         listed: impl Fn(ItemId) -> bool,
         mut stale: impl FnMut(ItemId, SimTime) -> bool,
-    ) -> Vec<ItemId> {
-        self.sweep(t_i, |item, stamp| {
-            Verdict::drop_if(listed(item) && stale(item, stamp))
-        })
+        dropped: &mut Vec<ItemId>,
+    ) {
+        self.sweep(
+            t_i,
+            |item, stamp| Verdict::drop_if(listed(item) && stale(item, stamp)),
+            dropped,
+        )
     }
 
     /// Ghost retire: marks every still-fresh ghost (the memory of an
@@ -398,7 +406,12 @@ impl ReportRule {
     /// Processes the report behind `digest`, heard at `T_i`, against one
     /// client's cache. `t_l` is when the client last heard a report
     /// (`None`: never); `lent` the per-client state this rule keeps, if
-    /// any.
+    /// any. The ids the report invalidates are appended to
+    /// `invalidated` — ascending, and for HYB in two ascending runs, as
+    /// [`crate::ProcessOutcome::invalidated`] documents — which the caller
+    /// lends and may already hold other clients' ids. Returns whether
+    /// the whole cache was dropped instead (a gap the rule cannot
+    /// bridge), in which case nothing is appended.
     ///
     /// # Panics
     /// Panics if the rule does not [accept](Self::accepts) the frame —
@@ -410,7 +423,8 @@ impl ReportRule {
         lent: Lent<'_>,
         digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
+        invalidated: &mut Vec<ItemId>,
+    ) -> bool {
         assert!(
             self.accepts(digest.payload()),
             "{} rule fed a report it cannot process: {:?}",
@@ -435,28 +449,23 @@ impl ReportRule {
             Some(t_l) => t_i.saturating_duration_since(t_l) > tolerance,
             None => true,
         });
-        let invalidated = match self {
+        match self {
             // `{ drop the entire cache }` — HYB alone confines the drop
             // to its hot half, below.
             ReportRule::Ts { .. } | ReportRule::At { .. } | ReportRule::Group { .. }
                 if missed_report && (t_l.is_some() || !cache.is_empty()) =>
             {
                 cache.clear();
-                return ProcessOutcome {
-                    report_time: t_i,
-                    dropped_all: true,
-                    invalidated: Vec::new(),
-                };
+                return true;
             }
             ReportRule::Ts { .. } => {
                 // if [j, t_j] in U_i { if t_cache < t_j drop else t_cache := T_i }
                 // (not mentioned ⇒ unchanged within w ⇒ t_cache := T_i)
                 let newer = |item, stamp: SimTime| digest.ts_newer_than(item, stamp.as_micros());
-                let invalidated = cache.drop_listed(t_i, |item| digest.listed(item), newer);
+                cache.drop_listed(t_i, |item| digest.listed(item), newer, invalidated);
                 // Sound as a ghost proof because any update inside the
                 // window w appears in the report.
                 cache.retire_ghosts(newer);
-                invalidated
             }
             ReportRule::AdaptiveTs { latency, .. } => {
                 let Lent::Windows(windows) = lent else {
@@ -473,50 +482,62 @@ impl ReportRule {
                 let gap = t_l.map_or(f64::INFINITY, |t_l| {
                     t_i.saturating_duration_since(t_l).as_secs()
                 });
-                cache.sweep(t_i, |item, stamp| {
-                    // §8: "it makes sense to keep an 'infinite' window
-                    // for an item like this" — no gap can age it out.
-                    let w_j = match windows.get(item) {
-                        k if k >= INFINITE_WINDOW => f64::INFINITY,
-                        k => k as f64 * latency.as_secs(),
-                    };
-                    // A gap of exactly `w_j` is survivable, as for TS.
-                    Verdict::drop_if(
-                        gap > w_j * (1.0 + 1e-12) || digest.ts_newer_than(item, stamp.as_micros()),
-                    )
-                })
+                cache.sweep(
+                    t_i,
+                    |item, stamp| {
+                        // §8: "it makes sense to keep an 'infinite'
+                        // window for an item like this" — no gap can
+                        // age it out.
+                        let w_j = match windows.get(item) {
+                            k if k >= INFINITE_WINDOW => f64::INFINITY,
+                            k => k as f64 * latency.as_secs(),
+                        };
+                        // A gap of exactly `w_j` is survivable, as for TS.
+                        Verdict::drop_if(
+                            gap > w_j * (1.0 + 1e-12)
+                                || digest.ts_newer_than(item, stamp.as_micros()),
+                        )
+                    },
+                    invalidated,
+                );
             }
-            ReportRule::QuasiDelay { alpha, .. } => cache.sweep(t_i, |item, stamp| {
-                // A copy reaches its allowed lag at age = α exactly, the
-                // interval the server's obligation comes due (`l + j`):
-                // `≥` keeps the two in lockstep, a strict `>` would look
-                // one interval late, after the obligation was popped.
-                let age = t_i.saturating_duration_since(stamp).as_secs();
-                if age < alpha.as_secs() * (1.0 - 1e-12) {
-                    Verdict::Keep
-                } else {
-                    // Due: named ⇒ drop; a unit that slept past a report
-                    // cannot know whether the due one named it.
-                    Verdict::drop_if(digest.listed(item) || missed_report)
-                }
-            }),
+            ReportRule::QuasiDelay { alpha, .. } => cache.sweep(
+                t_i,
+                |item, stamp| {
+                    // A copy reaches its allowed lag at age = α exactly,
+                    // the interval the server's obligation comes due
+                    // (`l + j`): `≥` keeps the two in lockstep, a strict
+                    // `>` would look one interval late, after the
+                    // obligation was popped.
+                    let age = t_i.saturating_duration_since(stamp).as_secs();
+                    if age < alpha.as_secs() * (1.0 - 1e-12) {
+                        Verdict::Keep
+                    } else {
+                        // Due: named ⇒ drop; a unit that slept past a
+                        // report cannot know whether the due one named it.
+                        Verdict::drop_if(digest.listed(item) || missed_report)
+                    }
+                },
+                invalidated,
+            ),
             ReportRule::At { .. } => {
                 // A listed id changed this interval: drop the copy —
                 // and any evicted copy of it is provably stale.
                 let listed = |item| digest.listed(item);
-                let invalidated = cache.drop_listed(t_i, listed, |_, _| true);
+                cache.drop_listed(t_i, listed, |_, _| true, invalidated);
                 cache.retire_ghosts(|item, _| listed(item));
-                invalidated
             }
             // The report lists changed *group* ids.
-            ReportRule::Group { map, .. } => {
-                cache.drop_listed(t_i, |item| digest.listed(map.group_of(item)), |_, _| true)
+            ReportRule::Group { map, .. } => cache.drop_listed(
+                t_i,
+                |item| digest.listed(map.group_of(item)),
+                |_, _| true,
+                invalidated,
+            ),
+            ReportRule::NoCache => cache.clear(),
+            ReportRule::Sig { decoder } => {
+                decode(cache, decoder, lent.sig(), digest, |_| true, invalidated)
             }
-            ReportRule::NoCache => {
-                cache.clear();
-                Vec::new()
-            }
-            ReportRule::Sig { decoder } => decode(cache, decoder, lent.sig(), digest, |_| true),
             ReportRule::Hybrid { hot, decoder, .. } => {
                 // Hot half: AT semantics, scoped to hot items only — a
                 // missed report condemns every hot copy (the amnesic id
@@ -529,18 +550,18 @@ impl ReportRule {
                         digest.listed(item)
                     }
                 };
-                let mut invalidated = cache.drop_listed(t_i, condemned, |_, _| true);
-                invalidated.extend(decode(cache, decoder, lent.sig(), digest, |item| {
-                    !hot.contains(item)
-                }));
-                invalidated
+                cache.drop_listed(t_i, condemned, |_, _| true, invalidated);
+                decode(
+                    cache,
+                    decoder,
+                    lent.sig(),
+                    digest,
+                    |item| !hot.contains(item),
+                    invalidated,
+                );
             }
-        };
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
         }
+        false
     }
 
     /// Observes an uplink fetch installing `item` (after the report for
@@ -574,7 +595,8 @@ impl ReportRule {
 /// re-scope tracking to the survivors and adopt the broadcast values
 /// ("the combined uncached signatures are considered equal to the ones
 /// that are being broadcast"). Survivors are valid as of `T_i` with
-/// probability `P_nf`.
+/// probability `P_nf`. The dropped ids — exactly the diagnosis's, which
+/// names only cached items in scope — are appended to `invalidated`.
 // Out of line: inlined into `apply`, it slows the sweeps of rules that never decode.
 #[inline(never)]
 fn decode<C: CacheSlots>(
@@ -583,7 +605,8 @@ fn decode<C: CacheSlots>(
     sig: SigTrack<'_>,
     digest: &ReportDigest<'_>,
     scope: impl Fn(ItemId) -> bool,
-) -> Vec<ItemId> {
+    invalidated: &mut Vec<ItemId>,
+) {
     let (FramePayload::SignatureReport { signatures, .. }
     | FramePayload::HybridReport { signatures, .. }) = digest.payload()
     else {
@@ -600,19 +623,22 @@ fn decode<C: CacheSlots>(
     *sig.last_unmatched = diagnosis.unmatched_subsets;
     sig.tracked.fill(0);
     let condemned = &diagnosis.invalidated; // ascending, as `items` is
-    cache.sweep(digest.report_time(), |item, _| {
-        if condemned.binary_search(&item).is_ok() {
-            return Verdict::Drop;
-        }
-        if scope(item) {
-            for &j in decoder.subsets_of(item) {
-                set_bit(sig.tracked, j);
+    cache.sweep(
+        digest.report_time(),
+        |item, _| {
+            if condemned.binary_search(&item).is_ok() {
+                return Verdict::Drop;
             }
-        }
-        Verdict::Restamp
-    });
+            if scope(item) {
+                for &j in decoder.subsets_of(item) {
+                    set_bit(sig.tracked, j);
+                }
+            }
+            Verdict::Restamp
+        },
+        invalidated,
+    );
     *sig.last_report = Arc::clone(signatures);
-    diagnosis.invalidated
 }
 
 #[cfg(test)]
@@ -620,8 +646,26 @@ mod tests {
     use super::*;
     use crate::cache::Cache;
     use crate::digest::DigestScratch;
+    use crate::handler::ProcessOutcome;
     use sw_signature::{SigPlan, SubsetFamily};
     use sw_sim::{MasterSeed, RngStream, StreamId};
+
+    /// [`ReportRule::apply`] into a fresh buffer, as an outcome.
+    fn outcome<C: CacheSlots>(
+        rule: &ReportRule,
+        cache: &mut C,
+        lent: Lent<'_>,
+        digest: &ReportDigest<'_>,
+        t_l: Option<SimTime>,
+    ) -> ProcessOutcome {
+        let mut invalidated = Vec::new();
+        let dropped_all = rule.apply(cache, lent, digest, t_l, &mut invalidated);
+        ProcessOutcome {
+            report_time: digest.report_time(),
+            dropped_all,
+            invalidated,
+        }
+    }
 
     const L: f64 = 10.0;
     const K: u32 = 3;
@@ -888,7 +932,7 @@ mod tests {
                 }),
                 _ => Lent::Nothing,
             };
-            let outcome = rule.apply(&mut cache, lent, &scratch.digest(&payload), t_l);
+            let outcome = outcome(rule, &mut cache, lent, &scratch.digest(&payload), t_l);
 
             let kept = Cache::sorted_items(&cache);
             let context =
@@ -954,7 +998,8 @@ mod tests {
                 entries: micros(entries),
                 window_exceptions: window_exceptions.to_vec(),
             };
-            ReportRule::adaptive_ts(SimDuration::from_secs(L), windows.default_k()).apply(
+            outcome(
+                &ReportRule::adaptive_ts(SimDuration::from_secs(L), windows.default_k()),
                 cache,
                 Lent::Windows(windows),
                 &DigestScratch::default().digest(&payload),
@@ -1045,7 +1090,8 @@ mod tests {
                 report_ts_micros: (t_i * 1e6) as u64,
                 entries: micros(entries),
             };
-            ReportRule::quasi_delay(SimDuration::from_secs(L), alpha).apply(
+            outcome(
+                &ReportRule::quasi_delay(SimDuration::from_secs(L), alpha),
                 cache,
                 Lent::Nothing,
                 &DigestScratch::default().digest(&payload),

@@ -10,7 +10,11 @@
 //! driver never asks which one it has. Both start every client from
 //! the same [`ClientStreams`], so the backend choice never perturbs a
 //! random stream, and both sweep a report with the one parallel driver
-//! in this module ([`SweepStore`]).
+//! in this module ([`SweepStore`]). A swept client leaves one
+//! [`SweepItem`]: its awake-set position, what the merge needs to know,
+//! and two ranges into its sweep worker's flat lists of invalidated ids
+//! and uplink requests ([`SweepOut`]). The cell keeps one `SweepOut` per
+//! worker across intervals, so a steady-state sweep allocates nothing.
 //!
 //! # The columnar store
 //!
@@ -85,14 +89,13 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sw_capacity::{victim_key, EntryMeta, ReplacementPolicy};
-use sw_client::{
-    CacheSlots, IntervalReport, Lent, MuStats, ReportDigest, ReportRule, SigTrack, Verdict,
-};
+use sw_client::{CacheSlots, Lent, MuStats, ReportDigest, ReportRule, SigTrack, Verdict};
 use sw_query::QueryPlane;
-use sw_server::{ItemId, QueryAnswer};
+use sw_server::{ItemId, PiggybackInfo, QueryAnswer};
 use sw_signature::CombinedSignature;
 use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
 use sw_workload::ZipfPicker;
@@ -117,7 +120,8 @@ const FEEDBACK_ONLY_ON_SEATS: &str =
 /// sweep applies the shared report to disjoint client ranges; the
 /// items are then merged sequentially in ascending client order, so
 /// every channel charge, random draw, and observation event happens in
-/// the same order at any worker count.
+/// the same order at any worker count. The client's lists live in its
+/// worker's [`SweepOut`]; the item holds its ranges there.
 pub(crate) struct SweepItem {
     /// Position in the interval's awake set.
     pub(crate) slot: usize,
@@ -128,8 +132,43 @@ pub(crate) struct SweepItem {
     /// This was the unit's first report after a handoff and it dropped
     /// a non-empty carried cache: the cell switch cost it its cache.
     pub(crate) handoff_drop: bool,
-    /// What the client did with the report and which fetches it needs.
-    pub(crate) outcome: IntervalReport,
+    /// The report dropped the whole cache (a gap the rule cannot
+    /// bridge).
+    pub(crate) dropped_all: bool,
+    /// The ids the report invalidated, ascending: a range of
+    /// [`SweepOut::invalidated`].
+    pub(crate) invalidated: Range<usize>,
+    /// The deduplicated misses that go uplink, ascending: a range of
+    /// [`SweepOut::uplinks`].
+    pub(crate) uplinks: Range<usize>,
+}
+
+/// One sweep worker's output: an item per client it swept, and the
+/// flat lists those items' ranges point into. The cell keeps one per
+/// worker across intervals and the sweep clears them before it
+/// appends, so a steady-state sweep allocates nothing however many
+/// clients invalidate or miss.
+#[derive(Default)]
+pub(crate) struct SweepOut {
+    /// One per swept client, ascending.
+    pub(crate) items: Vec<SweepItem>,
+    /// Every swept client's invalidated ids, back to back.
+    pub(crate) invalidated: Vec<ItemId>,
+    /// Every swept client's uplink requests, back to back.
+    pub(crate) uplinks: Vec<ItemId>,
+    /// Each uplink request's piggybacked hit history: parallel to
+    /// `uplinks` when seats are swept, and empty on the columnar store,
+    /// which hosts no piggybacking.
+    pub(crate) piggybacks: Vec<Option<PiggybackInfo>>,
+}
+
+impl SweepOut {
+    fn clear(&mut self) {
+        self.items.clear();
+        self.invalidated.clear();
+        self.uplinks.clear();
+        self.piggybacks.clear();
+    }
 }
 
 /// The cell's clients, on either store. See the module docs.
@@ -333,22 +372,23 @@ impl Fleet {
     /// The report sweep: every listening client (the `heard` positions
     /// of the awake set, client indices `awake[slot]` ascending) walks
     /// its own cache probing the broadcast's shared digest, then
-    /// answers its pending queries. Results ascend by client at any
-    /// `threads`.
+    /// answers its pending queries. One worker per element of `out`,
+    /// each writing its own; read in order, the items ascend by client
+    /// at any worker count.
     pub(crate) fn sweep(
         &mut self,
         heard: &[usize],
         awake: &[usize],
         digest: &ReportDigest<'_>,
         observing: bool,
-        threads: usize,
-    ) -> Vec<SweepItem> {
+        out: &mut [SweepOut],
+    ) {
         match self {
             Fleet::Units(seats) => {
-                sweep_store(&mut seats[..], heard, awake, digest, observing, threads)
+                sweep_store(&mut seats[..], heard, awake, digest, observing, out)
             }
             Fleet::Columnar(fleet) => {
-                sweep_store(fleet.view(), heard, awake, digest, observing, threads)
+                sweep_store(fleet.view(), heard, awake, digest, observing, out)
             }
         }
     }
@@ -499,10 +539,10 @@ trait SweepStore: Send {
     fn split_front(&mut self, n: usize) -> Self;
 
     /// One client's share of the sweep — apply the shared digest,
-    /// answer pending queries, record what the merge needs. Touches
-    /// only that client, draws no randomness. `local` is the client's
-    /// position in this store, `idx` its fleet index, `slot` its
-    /// position in the awake set.
+    /// answer pending queries, append what the merge needs to `out`.
+    /// Touches only that client, draws no randomness. `local` is the
+    /// client's position in this store, `idx` its fleet index, `slot`
+    /// its position in the awake set.
     fn sweep_client(
         &mut self,
         local: usize,
@@ -510,12 +550,15 @@ trait SweepStore: Send {
         slot: usize,
         observing: bool,
         digest: &ReportDigest<'_>,
-    ) -> SweepItem;
+        out: &mut SweepOut,
+    );
 }
 
-/// Sweeps the `heard` clients of `store`. The per-client work is
-/// independent, so with `threads > 1` and enough listeners the store is
-/// split into contiguous client ranges swept by scoped workers; results
+/// Sweeps the `heard` clients of `store` into `out`, one worker per
+/// element. The per-client work is independent, so with more than one
+/// worker and enough listeners the store is split into contiguous
+/// client ranges swept by scoped workers, the k-th range into `out[k]`;
+/// fewer listeners go to `out[0]` alone. Read in order, the items
 /// ascend by client either way, bit-identical at any worker count.
 fn sweep_store<S: SweepStore>(
     mut store: S,
@@ -523,40 +566,39 @@ fn sweep_store<S: SweepStore>(
     awake: &[usize],
     digest: &ReportDigest<'_>,
     observing: bool,
-    threads: usize,
-) -> Vec<SweepItem> {
-    if threads <= 1 || heard.len() < SWEEP_PAR_MIN {
-        return heard
-            .iter()
-            .map(|&slot| store.sweep_client(awake[slot], awake[slot], slot, observing, digest))
-            .collect();
+    out: &mut [SweepOut],
+) {
+    out.iter_mut().for_each(SweepOut::clear);
+    if out.len() <= 1 || heard.len() < SWEEP_PAR_MIN {
+        for &slot in heard {
+            let idx = awake[slot];
+            store.sweep_client(idx, idx, slot, observing, digest, &mut out[0]);
+        }
+        return;
     }
-    let chunk_len = heard.len().div_ceil(threads.min(heard.len()));
-    let mut out = Vec::with_capacity(heard.len());
+    let chunk_len = heard.len().div_ceil(out.len().min(heard.len()));
     let mut base = 0usize;
+    // The scope joins every worker, and re-raises a worker's panic.
     std::thread::scope(|scope| {
-        let workers: Vec<_> = heard
-            .chunks(chunk_len)
-            .map(|chunk| {
-                let end = awake[*chunk.last().expect("chunks are non-empty")] + 1;
-                let mut mine = store.split_front(end - base);
-                let mine_base = std::mem::replace(&mut base, end);
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|&slot| {
-                            let idx = awake[slot];
-                            mine.sweep_client(idx - mine_base, idx, slot, observing, digest)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for worker in workers {
-            out.extend(worker.join().expect("sweep worker panicked"));
+        for (chunk, out) in heard.chunks(chunk_len).zip(out) {
+            let end = awake[*chunk.last().expect("chunks are non-empty")] + 1;
+            let mut mine = store.split_front(end - base);
+            let mine_base = std::mem::replace(&mut base, end);
+            scope.spawn(move || {
+                for &slot in chunk {
+                    let idx = awake[slot];
+                    mine.sweep_client(idx - mine_base, idx, slot, observing, digest, out);
+                }
+            });
         }
     });
-    out
+}
+
+/// Appends `items` to `list`; returns where they landed.
+fn append<T>(list: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> Range<usize> {
+    let start = list.len();
+    list.extend(items);
+    start..list.len()
 }
 
 /// Splits the first `n` elements off a column.
@@ -578,7 +620,8 @@ impl SweepStore for &mut [ClientSeat] {
         slot: usize,
         observing: bool,
         digest: &ReportDigest<'_>,
-    ) -> SweepItem {
+        out: &mut SweepOut,
+    ) {
         let seat = &mut self[local];
         let unit = seat.unit();
         // The last-report time is the false-alarm reference point (§6).
@@ -587,13 +630,18 @@ impl SweepStore for &mut [ClientSeat] {
         // attributable to the cell switch (an empty carried cache has
         // nothing to lose and counts no drop).
         let carrying = seat.newly_migrated() && !unit.cache().is_empty();
-        let outcome = seat.hear(digest);
-        SweepItem {
+        let report = seat.hear(digest);
+        let dropped_all = report.outcome.dropped_all;
+        out.items.push(SweepItem {
             slot,
             pre,
-            handoff_drop: carrying && outcome.outcome.dropped_all,
-            outcome,
-        }
+            handoff_drop: carrying && dropped_all,
+            dropped_all,
+            invalidated: append(&mut out.invalidated, report.outcome.invalidated),
+            uplinks: append(&mut out.uplinks, report.uplink_requests.iter().map(|r| r.0)),
+        });
+        out.piggybacks
+            .extend(report.uplink_requests.into_iter().map(|r| r.1));
     }
 }
 
@@ -1104,20 +1152,19 @@ impl SlotBlock<'_> {
         &mut self,
         t_i: SimTime,
         mut condemned: impl FnMut(ItemId, usize) -> bool,
-    ) -> Vec<ItemId> {
-        let mut invalidated = Vec::new();
+        dropped: &mut Vec<ItemId>,
+    ) {
         for (w, word) in self.valid.iter_mut().enumerate() {
             for slot in set_bits(*word, w * 64) {
                 let item = self.items[slot];
                 if condemned(item, slot) {
                     *word &= !(1 << (slot % 64));
                     *self.cached -= 1;
-                    invalidated.push(item);
+                    dropped.push(item);
                 }
             }
         }
         self.vouched = Some(t_i);
-        invalidated
     }
 }
 
@@ -1138,18 +1185,21 @@ impl CacheSlots for SlotBlock<'_> {
         &mut self,
         t_i: SimTime,
         mut verdict: impl FnMut(ItemId, SimTime) -> Verdict,
-    ) -> Vec<ItemId> {
+        dropped: &mut Vec<ItemId>,
+    ) {
         let (stamps, vouched) = (self.stamps, self.vouched);
-        self.drop_where(t_i, |item, slot| {
-            match verdict(item, validity(stamps[slot], vouched)) {
+        self.drop_where(
+            t_i,
+            |item, slot| match verdict(item, validity(stamps[slot], vouched)) {
                 Verdict::Drop => true,
                 Verdict::Restamp => false,
                 Verdict::Keep => panic!(
                     "§7's Keep leaves a survivor unvouched by T_l, and the columnar fleet \
                      refuses it: quasi-delay {FEEDBACK_ONLY_ON_SEATS}"
                 ),
-            }
-        })
+            },
+            dropped,
+        )
     }
 
     fn drop_listed(
@@ -1157,11 +1207,14 @@ impl CacheSlots for SlotBlock<'_> {
         t_i: SimTime,
         listed: impl Fn(ItemId) -> bool,
         mut stale: impl FnMut(ItemId, SimTime) -> bool,
-    ) -> Vec<ItemId> {
+        dropped: &mut Vec<ItemId>,
+    ) {
         let (stamps, vouched) = (self.stamps, self.vouched);
-        self.drop_where(t_i, |item, slot| {
-            listed(item) && stale(item, validity(stamps[slot], vouched))
-        })
+        self.drop_where(
+            t_i,
+            |item, slot| listed(item) && stale(item, validity(stamps[slot], vouched)),
+            dropped,
+        )
     }
 
     fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
@@ -1226,7 +1279,8 @@ impl SweepStore for ChunkView<'_> {
         awake_slot: usize,
         observing: bool,
         digest: &ReportDigest<'_>,
-    ) -> SweepItem {
+        out: &mut SweepOut,
+    ) {
         assert!(self.awake[idx], "a sleeping unit cannot hear a report");
         let pre = observing.then(|| (self.stats[local], self.t_l[local]));
         let (h, words) = (self.h, self.words);
@@ -1244,8 +1298,16 @@ impl SweepStore for ChunkView<'_> {
             }),
         };
         let lent = SigChunk::lend(&mut self.sig, local);
-        let outcome = self.rule.apply(&mut block, lent, digest, self.t_l[local]);
-        let t_i = outcome.report_time;
+        let first = out.invalidated.len();
+        let dropped_all = self.rule.apply(
+            &mut block,
+            lent,
+            digest,
+            self.t_l[local],
+            &mut out.invalidated,
+        );
+        let invalidated = first..out.invalidated.len();
+        let t_i = digest.report_time();
         let stats = &mut self.stats[local];
         for &posed_at in &self.posed_at[local] {
             let lat = t_i.saturating_duration_since(posed_at).as_secs();
@@ -1256,14 +1318,14 @@ impl SweepStore for ChunkView<'_> {
         }
         self.posed_at[local].clear();
         self.t_l[local] = Some(t_i);
-        if outcome.dropped_all {
+        if dropped_all {
             stats.cache_drops += 1;
         }
-        stats.items_invalidated += outcome.invalidated.len() as u64;
+        stats.items_invalidated += invalidated.len() as u64;
         // Answer Q_i: one event per distinct pending item. The pending mask
         // is that set already — one bit per queried slot, and ascending
         // bits are ascending item ids.
-        let mut uplink = Vec::new();
+        let first = out.uplinks.len();
         for w in 0..self.words {
             let word = local * self.words + w;
             for slot in set_bits(std::mem::take(&mut self.pending_mask[word]), w * 64) {
@@ -1298,18 +1360,17 @@ impl SweepStore for ChunkView<'_> {
                 }
                 // Piggyback histories are ineligible for the columnar
                 // fleet, so the uplink request never carries one.
-                uplink.push((self.slot_items[idx * self.h + slot], None));
+                out.uplinks.push(self.slot_items[idx * self.h + slot]);
             }
         }
-        SweepItem {
+        out.items.push(SweepItem {
             slot: awake_slot,
             pre,
             handoff_drop: false,
-            outcome: IntervalReport {
-                outcome,
-                uplink_requests: uplink,
-            },
-        }
+            dropped_all,
+            invalidated,
+            uplinks: first..out.uplinks.len(),
+        });
     }
 }
 

@@ -109,13 +109,18 @@ impl Fleet {
     fn hear(&mut self, payload: &FramePayload) -> Heard {
         let mut scratch = DigestScratch::default();
         let digest = scratch.digest(payload);
-        let mut items = self.sweep(&[0], &[0], &digest, false, 1);
-        let report = items.pop().expect("one listener, one item").outcome;
-        let uplink: Vec<ItemId> = report
-            .uplink_requests
-            .iter()
-            .map(|(item, _)| *item)
-            .collect();
+        let mut out = [SweepOut::default()];
+        self.sweep(&[0], &[0], &digest, false, &mut out);
+        let [out] = out;
+        let [swept] = &out.items[..] else {
+            panic!("one listener, one item")
+        };
+        let outcome = ProcessOutcome {
+            report_time: digest.report_time(),
+            dropped_all: swept.dropped_all,
+            invalidated: out.invalidated[swept.invalidated.clone()].to_vec(),
+        };
+        let uplink = out.uplinks[swept.uplinks.clone()].to_vec();
         for &item in &uplink {
             let answer = QueryAnswer {
                 item,
@@ -124,7 +129,7 @@ impl Fleet {
             };
             self.install_answer(0, answer);
         }
-        (report.outcome, uplink, self.summary())
+        (outcome, uplink, self.summary())
     }
 
     /// SIG/HYB: how many subsets the client vouches for — the set bits
@@ -621,7 +626,7 @@ fn a_fetch_tracks_its_items_subsets_and_hyb_only_a_cold_items() {
             fleet.open(1);
             // The first report over an empty cache leaves the queries
             // unanswered and nothing tracked.
-            fleet.sweep(&[0], &[0], &digest, false, 1);
+            fleet.sweep(&[0], &[0], &digest, false, &mut [SweepOut::default()]);
             assert_eq!(fleet.tracked_subsets(0), 0, "{kind:?}");
             fleet.install_answer(0, answer(hot));
             assert_eq!(fleet.tracked_subsets(0), vouched(&[hot]), "{kind:?}");
@@ -668,14 +673,15 @@ fn hear_counted<C: CacheSlots>(
     };
     let mut scratch = DigestScratch::default();
     let digest = scratch.digest(&payload);
-    let mut calls = 0;
-    let dropped = cache.drop_listed(
+    let (mut calls, mut dropped) = (0, Vec::new());
+    cache.drop_listed(
         digest.report_time(),
         |item| digest.listed(item),
         |item, stamp| {
             calls += 1;
             digest.ts_newer_than(item, stamp.as_micros())
         },
+        &mut dropped,
     );
     (dropped, calls)
 }

@@ -58,7 +58,7 @@ use sw_wireless::{
 
 use crate::config::{CellConfig, WakeMode};
 use crate::driver::CellServer;
-use crate::fleet::{Fleet, SweepItem, WakeSchedule};
+use crate::fleet::{Fleet, SweepOut, WakeSchedule};
 use crate::metrics::{MigrationStats, SimulationReport};
 use crate::safety::{SafetyExpectation, SafetyStats};
 use crate::seat::{demonstrate_corruption, ClientSeat};
@@ -253,6 +253,36 @@ struct Interval {
     before: Option<Families>,
 }
 
+/// The lists one interval fills and the next reuses: cleared, never
+/// freed, so a steady-state columnar [`CellSimulation::step`] makes the
+/// same few heap allocations however many clients wake, invalidate or
+/// miss (DESIGN §8 item 10).
+#[derive(Default)]
+struct StepBuffers {
+    /// The awake set, lent to each interval's [`Interval::awake`].
+    awake: Vec<usize>,
+    /// Lent to each interval's [`Interval::uplinks`].
+    uplinks: Vec<u32>,
+    /// The awake-set positions that heard the report.
+    heard: Vec<usize>,
+    /// Behind the per-broadcast [`ReportDigest`].
+    digest: DigestScratch,
+    /// One per worker of the intra-cell report sweep. The count is
+    /// resolved once at construction from the config (or
+    /// `SW_THREADS`/machine parallelism); results are bit-identical at
+    /// any value, so it is purely a throughput knob.
+    swept: Vec<SweepOut>,
+}
+
+impl StepBuffers {
+    fn new(sweep_threads: usize) -> Self {
+        StepBuffers {
+            swept: (0..sweep_threads).map(|_| SweepOut::default()).collect(),
+            ..StepBuffers::default()
+        }
+    }
+}
+
 /// One simulated cell.
 pub struct CellSimulation {
     config: CellConfig,
@@ -291,14 +321,8 @@ pub struct CellSimulation {
     /// phase. Normally empty: the simulated fleet sits far below
     /// channel capacity.
     pending_uplinks: VecDeque<QueuedExchange>,
-    /// Worker count for the intra-cell report sweep. Resolved once at
-    /// construction from the config (or `SW_THREADS`/machine
-    /// parallelism); results are bit-identical at any value, so this
-    /// is purely a throughput knob.
-    sweep_threads: usize,
-    /// Buffers behind the per-broadcast [`ReportDigest`], reused every
-    /// interval.
-    digest_scratch: DigestScratch,
+    /// What each interval fills and the next reuses.
+    buffers: StepBuffers,
     /// Mirror of `pending_uplinks` as a membership set, so the
     /// duplicate-fetch check is O(1) instead of a queue scan. Under a
     /// saturated cold start the queue holds tens of thousands of
@@ -432,10 +456,11 @@ impl CellSimulation {
             registration_messages: 0,
             safety: SafetyStats::default(),
             pending_uplinks: VecDeque::new(),
-            sweep_threads: config
-                .sweep_threads
-                .unwrap_or_else(|| sw_sim::ParallelRunner::from_env().threads()),
-            digest_scratch: DigestScratch::default(),
+            buffers: StepBuffers::new(
+                config
+                    .sweep_threads
+                    .unwrap_or_else(|| sw_sim::ParallelRunner::from_env().threads()),
+            ),
             queued_exchanges: HashSet::new(),
             faults,
             delivery,
@@ -627,25 +652,34 @@ impl CellSimulation {
         let payload = self.broadcast(&mut iv)?;
         let process_timer = self.obs.timer("client_process");
         self.drain_deferred_uplinks(&mut iv);
-        let heard = self.draw_fates(&iv, &payload);
+        // The buffers leave `self` so the digest can outlive the
+        // merge's `&mut self` calls.
+        let mut buffers = std::mem::take(&mut self.buffers);
+        self.draw_fates(&iv, &payload, &mut buffers.heard);
         // The report is digested once — its time plus a membership
         // bitset over the listed ids — and every listening client walks
-        // its *own* cache probing that digest. (The scratch leaves
-        // `self` so the digest can outlive the merge's `&mut self`
-        // calls.)
-        let mut digest_scratch = std::mem::take(&mut self.digest_scratch);
-        let digest = digest_scratch.digest(&payload);
-        let swept = self
-            .fleet
-            .sweep(&heard, &iv.awake, &digest, iv.observing, self.sweep_threads);
-        self.merge(&mut iv, swept, &digest);
-        self.digest_scratch = digest_scratch;
+        // its *own* cache probing that digest.
+        let digest = buffers.digest.digest(&payload);
+        self.fleet.sweep(
+            &buffers.heard,
+            &iv.awake,
+            &digest,
+            iv.observing,
+            &mut buffers.swept,
+        );
+        // The workers' outputs in order are ascending client order.
+        for out in &mut buffers.swept {
+            self.merge(&mut iv, out, &digest);
+        }
+        self.buffers = buffers;
         self.obs.finish(process_timer);
         self.charge_energy(&iv);
         self.audit_safety(&iv)?;
         self.close_period(&iv);
         self.schedule_sleep(&iv);
         self.record_interval(&iv);
+        self.buffers.awake = iv.awake;
+        self.buffers.uplinks = iv.uplinks;
         Ok(iv.tally.report_bits)
     }
 
@@ -655,12 +689,14 @@ impl CellSimulation {
         let (i, t_i) = self.clock.tick();
         self.channel.begin_interval();
         let observing = self.obs.is_enabled();
+        let mut awake = std::mem::take(&mut self.buffers.awake);
+        awake.clear();
         Interval {
             i,
             from: self.clock.report_time(i - 1),
             t_i,
-            awake: Vec::new(),
-            uplinks: Vec::new(),
+            awake,
+            uplinks: std::mem::take(&mut self.buffers.uplinks),
             observing,
             tally: Tally::default(),
             counted: Counted::default(),
@@ -680,7 +716,8 @@ impl CellSimulation {
         for &idx in &iv.awake {
             self.fleet.open_interval(idx, iv.i, iv.from, iv.t_i);
         }
-        iv.uplinks = vec![0; iv.awake.len()];
+        iv.uplinks.clear();
+        iv.uplinks.resize(iv.awake.len(), 0);
     }
 
     /// Stateful baseline only: clients announce connects/disconnects;
@@ -826,8 +863,8 @@ impl CellSimulation {
         }
     }
 
-    /// Phase 4b: decide every awake client's report fate; returns the
-    /// awake-set positions that hear the report. Drift (woke too
+    /// Phase 4b: decide every awake client's report fate; fills `heard`
+    /// with the awake-set positions that hear the report. Drift (woke too
     /// late), loss (fade-out), or corruption (checksum failure) all
     /// mean the strategy's recovery path runs at the *next* intact
     /// report, exactly as the paper prescribes for a unit that slept
@@ -835,15 +872,16 @@ impl CellSimulation {
     /// ascending index order (a client's fate draw always precedes its
     /// uplink-retry draws), and drawing them here leaves the report
     /// sweep entirely free of randomness.
-    fn draw_fates(&mut self, iv: &Interval, payload: &FramePayload) -> Vec<usize> {
+    fn draw_fates(&mut self, iv: &Interval, payload: &FramePayload, heard: &mut Vec<usize>) {
+        heard.clear();
         // Fault injection only attacks the *broadcast* downlink; the
         // stateful baseline's directed invalidations model a reliable
         // connection-oriented link (its consistency story depends on
         // it, §2).
         if !self.faults.is_active() || self.server.driver().is_stateful() {
-            return (0..iv.awake.len()).collect();
+            heard.extend(0..iv.awake.len());
+            return;
         }
-        let mut heard = Vec::with_capacity(iv.awake.len());
         // The serialized report, computed lazily at most once per
         // interval, only when a corruption fate needs real bytes to
         // flip.
@@ -880,33 +918,38 @@ impl CellSimulation {
                 );
             }
         }
-        heard
     }
 
     /// Phase 4d: the sequential merge of the sweep's results in
     /// ascending client order — handoff drop accounting, observation
     /// deltas, and the uplink exchanges: everything that charges the
-    /// shared channel, draws randomness, or emits events.
-    fn merge(&mut self, iv: &mut Interval, swept: Vec<SweepItem>, digest: &ReportDigest<'_>) {
+    /// shared channel, draws randomness, or emits events — over one
+    /// sweep worker's output.
+    fn merge(&mut self, iv: &mut Interval, out: &mut SweepOut, digest: &ReportDigest<'_>) {
         let (i, t_i) = (iv.i, iv.t_i);
-        for sw in swept {
+        let SweepOut {
+            items,
+            invalidated,
+            uplinks,
+            piggybacks,
+        } = out;
+        for sw in items.iter() {
             let slot = sw.slot;
             let idx = iv.awake[slot];
-            let outcome = sw.outcome;
             if sw.handoff_drop {
                 self.migration.handoff_drops += 1;
                 self.obs.add("handoff_drops", 1);
             }
             if iv.observing {
-                let po = &outcome.outcome;
-                iv.tally.invalidated += po.invalidated.len() as u64;
-                iv.tally.drops += po.dropped_all as u64;
+                let invalidated = &invalidated[sw.invalidated.clone()];
+                iv.tally.invalidated += invalidated.len() as u64;
+                iv.tally.drops += sw.dropped_all as u64;
                 // The last-report time is the false-alarm reference
                 // point: an invalidation is *false* iff the item did
                 // not actually change since this client last heard a
                 // report (SIG's diagnosis risk, §6).
                 if let Some((_, Some(t_l))) = &sw.pre {
-                    for &item in &po.invalidated {
+                    for &item in invalidated {
                         if self.server.database().updated_at(item) <= *t_l {
                             iv.counted.sig_false_alarms += 1;
                         }
@@ -916,7 +959,8 @@ impl CellSimulation {
                     iv.counted.sig_unmatched_subsets += u as u64;
                 }
             }
-            for (item, piggyback) in outcome.uplink_requests {
+            for k in sw.uplinks.clone() {
+                let (item, piggyback) = (uplinks[k], piggybacks.get_mut(k).and_then(Option::take));
                 if self.exchange_queued(idx, item) {
                     // The same fetch is already waiting from an earlier
                     // interval; answering it once is enough.

@@ -690,12 +690,17 @@ mod tests {
 
     /// A heard report that names nothing: every entry verified as of `t`.
     fn restamp_all(cache: &mut Cache, t: SimTime) {
-        CacheSlots::sweep(cache, t, |_, _| Verdict::Restamp);
+        CacheSlots::sweep(cache, t, |_, _| Verdict::Restamp, &mut Vec::new());
     }
 
     /// A heard report at `t` that names `victim` only.
     fn invalidate_one(cache: &mut Cache, victim: ItemId, t: SimTime) {
-        CacheSlots::sweep(cache, t, |item, _| Verdict::drop_if(item == victim));
+        CacheSlots::sweep(
+            cache,
+            t,
+            |item, _| Verdict::drop_if(item == victim),
+            &mut Vec::new(),
+        );
     }
 
     #[test]

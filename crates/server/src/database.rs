@@ -90,11 +90,17 @@ impl UpdateLog {
         }
     }
 
-    /// All updates with `from < t ≤ to`, oldest first.
-    pub fn window(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &UpdateRecord> {
-        self.entries
-            .iter()
-            .filter(move |r| r.at > from && r.at <= to)
+    /// All updates with `from < t ≤ to`, oldest first. The log is
+    /// time-ordered, so the window is one contiguous range found by two
+    /// binary searches, and its exact length is known up front.
+    pub fn window(
+        &self,
+        from: SimTime,
+        to: SimTime,
+    ) -> impl ExactSizeIterator<Item = &UpdateRecord> {
+        let first = self.entries.partition_point(|r| r.at <= from);
+        let end = self.entries.partition_point(|r| r.at <= to).max(first);
+        self.entries.range(first..end)
     }
 
     /// Number of retained entries.

@@ -258,24 +258,26 @@ impl BroadcastChannel {
     /// Sends one uplink query and its downlink answer, charging
     /// `b_q + b_a` bits. Fails if the interval has no room, in which case
     /// the caller re-queues the query for the next interval.
-    pub fn send_query_exchange(&mut self, client: u64, item: u64) -> Result<(), ChannelError> {
-        let q = self
-            .encode
-            .frame(FramePayload::UplinkQuery { client, item });
-        let a = self.encode.frame(FramePayload::QueryAnswer {
-            item,
-            value: 0,
-            ts_micros: 0,
-        });
-        let needed = q.bits + a.bits;
+    ///
+    /// The paper prices every exchange alike (Eq. 9, Eq. 14): `b_q` and
+    /// `b_a` are the encoder's two constants, and neither the client nor
+    /// the item changes the size, so neither is read. The parameters
+    /// stay so that each call site names the exchange it charges, and
+    /// existing callers keep compiling.
+    pub fn send_query_exchange(&mut self, _client: u64, _item: u64) -> Result<(), ChannelError> {
+        let (query, answer) = (
+            self.encode.query_bits as u64,
+            self.encode.answer_bits as u64,
+        );
+        let needed = query + answer;
         if needed > self.budget.remaining() {
             return Err(ChannelError::IntervalSaturated {
                 needed,
                 remaining: self.budget.remaining(),
             });
         }
-        self.consume(FrameKind::Query, q.bits)?;
-        self.consume(FrameKind::Answer, a.bits)
+        self.consume(FrameKind::Query, query)?;
+        self.consume(FrameKind::Answer, answer)
     }
 
     /// Charges `bits` of dead air against the interval budget without
@@ -390,6 +392,14 @@ mod tests {
         assert_eq!(c.budget().used, 1024);
         assert_eq!(c.totals().query_bits, 512);
         assert_eq!(c.totals().answer_bits, 512);
+        assert_eq!(c.totals().frames.get(FrameKind::Query), 1);
+        assert_eq!(c.totals().frames.get(FrameKind::Answer), 1);
+        assert_eq!(c.totals().frames.total(), 2);
+        // The ids do not size the exchange: any other pair costs the same.
+        c.send_query_exchange(999, 0).unwrap();
+        assert_eq!(c.budget().used, 2 * 1024);
+        assert_eq!(c.totals().query_bits, 2 * 512);
+        assert_eq!(c.totals().answer_bits, 2 * 512);
     }
 
     #[test]
