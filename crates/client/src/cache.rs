@@ -20,12 +20,127 @@
 //! capacity miss (the copy was still fresh — one more slot would have
 //! made it a hit) or an unavoidable one (a report proved the copy stale
 //! anyway). Reports retire ghosts through [`CacheSlots::retire_ghosts`].
+//!
+//! The replacement vocabulary lives here too: [`ReplacementPolicy`],
+//! the total eviction order [`victim_key`], [`GhostFate`] and the
+//! [`CapacityStats`] family. Both client stores enforce it identically
+//! — this cache behind the boxed [`MobileUnit`](crate::MobileUnit), and
+//! the columnar fleet in `sleepers`, which ranks its victims through
+//! the same [`victim_key`] — so bounded runs stay byte-identical
+//! across the two.
 
-use sw_capacity::{victim_key, EntryMeta, GhostFate, ReplacementPolicy};
 use sw_server::{ItemId, ItemTable};
-use sw_sim::{SimDuration, SimTime};
+use sw_sim::{counters, SimDuration, SimTime};
 
 use crate::rule::{CacheSlots, Verdict};
+
+/// Which entry a bounded cache sacrifices when it is full.
+///
+/// The default is [`ReplacementPolicy::Lru`], which is what
+/// `with_cache_capacity` armed before policies became pluggable — the
+/// pre-existing bounded behavior is the LRU point of this enum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ReplacementPolicy {
+    /// Evict the least-recently-used entry (recency clock).
+    #[default]
+    Lru,
+    /// Evict the least-frequently-used entry; recency breaks ties.
+    Lfu,
+    /// Strategy-aware: an entry whose stamp is older than the TS window
+    /// `w = kL` is dead weight — the next report cannot restamp it, so
+    /// it will be dropped on the next gap check anyway. Evict dead
+    /// entries first (oldest stamp first), then fall back to LRU over
+    /// the live ones.
+    WindowAge,
+}
+
+impl ReplacementPolicy {
+    /// Short lowercase name for figure rows and log lines.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReplacementPolicy::Lru => "lru",
+            ReplacementPolicy::Lfu => "lfu",
+            ReplacementPolicy::WindowAge => "window-age",
+        }
+    }
+}
+
+/// Per-entry metadata the replacement policies rank on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EntryMeta {
+    /// Recency clock value at the entry's last hit or install.
+    pub last_used: u64,
+    /// Hits since install (1 at install).
+    pub use_count: u64,
+    /// The entry's cache stamp (install or last restamp time).
+    pub stamp: SimTime,
+}
+
+/// The total eviction order: the cache evicts the entry with the
+/// **minimal** key. The final component is the item id, so the order is
+/// total even when two entries tie on every policy axis — this is what
+/// makes eviction independent of table iteration order, and therefore
+/// byte-identical between the boxed and columnar backends.
+///
+/// `now` is the timestamp of the answer being installed (eviction only
+/// happens at install time); `window` is the TS window `w = kL` used by
+/// [`ReplacementPolicy::WindowAge`] (ignored by the other policies).
+#[inline]
+pub fn victim_key(
+    policy: ReplacementPolicy,
+    meta: EntryMeta,
+    now: SimTime,
+    window: SimDuration,
+    item: u64,
+) -> [u64; 4] {
+    match policy {
+        ReplacementPolicy::Lru => [1, meta.last_used, 0, item],
+        ReplacementPolicy::Lfu => [1, meta.use_count, meta.last_used, item],
+        ReplacementPolicy::WindowAge => {
+            let dead = now.saturating_duration_since(meta.stamp) > window;
+            if dead {
+                // Non-negative finite f64 bit patterns order like the
+                // values, so the oldest stamp has the smallest key.
+                [0, meta.stamp.as_secs().to_bits(), meta.last_used, item]
+            } else {
+                [1, meta.last_used, 0, item]
+            }
+        }
+    }
+}
+
+/// What a requery learned about a previously evicted item.
+///
+/// A bounded cache remembers evicted items as *ghosts* (item id +
+/// eviction-time stamp). Reports mark a ghost [`GhostFate::Stale`] when
+/// they prove the item changed after the eviction; a requery consumes
+/// the ghost and classifies the miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GhostFate {
+    /// The evicted copy was still fresh — this miss is a pure capacity
+    /// miss: it would have been a hit with one more cache slot.
+    Fresh,
+    /// The evicted copy had been invalidated anyway — the eviction cost
+    /// nothing; the uplink fetch was unavoidable.
+    Stale,
+}
+
+counters! {
+    /// The eviction statistics family, as folded into `SimulationReport`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CapacityStats {
+        /// Entries evicted to make room (not invalidations or drops).
+        pub evictions as "capacity_evictions",
+        /// Misses on items whose evicted copy was still fresh — the misses
+        /// the capacity bound itself caused. For the signature family and
+        /// group strategies, ghosts are only retired by whole-cache drops,
+        /// so this counter is an upper bound there.
+        pub capacity_misses,
+        /// Misses on any previously evicted item, fresh or stale — how
+        /// often the workload re-touched what replacement threw away.
+        pub evicted_then_requeried,
+    }
+}
 
 /// One cached item.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,30 +295,23 @@ impl Cache {
             while self.entries.len() > cap {
                 // The victim key ends in the item id, so the minimum is
                 // unique: eviction is independent of iteration order and
-                // byte-identical to the columnar fleet's scan.
-                let (policy, window) = (self.policy, self.window);
-                let victim = self
-                    .entries
-                    .iter()
-                    .map(|(k, e)| {
-                        (
-                            victim_key(
-                                policy,
-                                EntryMeta {
-                                    last_used: e.last_used,
-                                    use_count: e.use_count,
-                                    stamp: e.timestamp,
-                                },
-                                timestamp,
-                                window,
-                                k,
-                            ),
-                            k,
-                        )
-                    })
-                    .min()
-                    .map(|(_, k)| k)
-                    .expect("cache over capacity cannot be empty");
+                // byte-identical to the columnar fleet's scan, whose loop
+                // this is. Every adapter's `next` is `#[inline]`, so the
+                // loop compiles into `insert` wherever rustc would have
+                // placed the `fold` of a `.map(..).min()` chain.
+                let mut victim: Option<([u64; 4], ItemId)> = None;
+                for (k, e) in self.entries.iter() {
+                    let meta = EntryMeta {
+                        last_used: e.last_used,
+                        use_count: e.use_count,
+                        stamp: e.timestamp,
+                    };
+                    let key = victim_key(self.policy, meta, timestamp, self.window, k);
+                    if victim.is_none_or(|(best, _)| key < best) {
+                        victim = Some((key, k));
+                    }
+                }
+                let (_, victim) = victim.expect("cache over capacity cannot be empty");
                 let gone = self
                     .entries
                     .remove(victim)
@@ -450,6 +558,85 @@ mod tests {
         assert_eq!(c.take_ghost(2), Some(GhostFate::Fresh));
         cleared.clear();
         assert_eq!(cleared.take_ghost(2), None);
+    }
+
+    fn meta(last_used: u64, use_count: u64, stamp: f64) -> EntryMeta {
+        EntryMeta {
+            last_used,
+            use_count,
+            stamp: SimTime::from_secs(stamp),
+        }
+    }
+
+    #[test]
+    fn lru_orders_by_recency_then_item() {
+        let now = SimTime::from_secs(100.0);
+        let w = SimDuration::from_secs(50.0);
+        let old = victim_key(ReplacementPolicy::Lru, meta(3, 9, 90.0), now, w, 7);
+        let newer = victim_key(ReplacementPolicy::Lru, meta(5, 1, 10.0), now, w, 2);
+        assert!(old < newer, "lower recency clock must evict first");
+        let tie_a = victim_key(ReplacementPolicy::Lru, meta(4, 1, 0.0), now, w, 2);
+        let tie_b = victim_key(ReplacementPolicy::Lru, meta(4, 1, 0.0), now, w, 9);
+        assert!(tie_a < tie_b, "item id breaks exact ties");
+    }
+
+    #[test]
+    fn lfu_orders_by_frequency_then_recency() {
+        let now = SimTime::from_secs(100.0);
+        let w = SimDuration::from_secs(50.0);
+        let rare = victim_key(ReplacementPolicy::Lfu, meta(9, 1, 0.0), now, w, 1);
+        let hot = victim_key(ReplacementPolicy::Lfu, meta(1, 8, 0.0), now, w, 2);
+        assert!(rare < hot, "lower use count must evict first");
+        let a = victim_key(ReplacementPolicy::Lfu, meta(2, 4, 0.0), now, w, 1);
+        let b = victim_key(ReplacementPolicy::Lfu, meta(6, 4, 0.0), now, w, 2);
+        assert!(a < b, "equal counts fall back to recency");
+    }
+
+    #[test]
+    fn window_age_evicts_dead_entries_before_any_live_one() {
+        let now = SimTime::from_secs(1000.0);
+        let w = SimDuration::from_secs(100.0);
+        // Stamped 850 s ago — far outside the window, dead weight.
+        let dead = victim_key(ReplacementPolicy::WindowAge, meta(99, 9, 150.0), now, w, 5);
+        // Live entry, never touched since install.
+        let live = victim_key(ReplacementPolicy::WindowAge, meta(1, 1, 950.0), now, w, 3);
+        assert!(dead < live, "dead entries evict before live ones");
+        // Two dead entries: the older stamp goes first.
+        let older = victim_key(ReplacementPolicy::WindowAge, meta(7, 1, 100.0), now, w, 8);
+        assert!(older < dead, "older dead stamp evicts first");
+        // Entries inside the window rank exactly like LRU.
+        let lru = victim_key(ReplacementPolicy::Lru, meta(1, 1, 950.0), now, w, 3);
+        assert_eq!(live, lru);
+    }
+
+    #[test]
+    fn window_age_boundary_is_exclusive() {
+        // age == window is still live (the gap check drops on >, not >=).
+        let now = SimTime::from_secs(200.0);
+        let w = SimDuration::from_secs(100.0);
+        let at_edge = victim_key(ReplacementPolicy::WindowAge, meta(4, 1, 100.0), now, w, 1);
+        assert_eq!(at_edge[0], 1, "age == w is not dead");
+        let past_edge = victim_key(
+            ReplacementPolicy::WindowAge,
+            meta(4, 1, 99.999),
+            now,
+            w,
+            1,
+        );
+        assert_eq!(past_edge[0], 0, "age > w is dead");
+    }
+
+    #[test]
+    fn capacity_stats_obey_the_counter_laws() {
+        sw_sim::counters::assert_laws::<CapacityStats>();
+    }
+
+    #[test]
+    fn policy_names_are_stable() {
+        assert_eq!(ReplacementPolicy::default(), ReplacementPolicy::Lru);
+        assert_eq!(ReplacementPolicy::Lru.name(), "lru");
+        assert_eq!(ReplacementPolicy::Lfu.name(), "lfu");
+        assert_eq!(ReplacementPolicy::WindowAge.name(), "window-age");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use sw_adaptive::WindowTable;
 use sw_server::ItemId;
 use sw_signature::CombinedSignature;
 use sw_sim::SimTime;
@@ -21,6 +20,7 @@ use sw_wireless::FramePayload;
 use crate::cache::Cache;
 use crate::digest::{DigestScratch, ReportDigest};
 use crate::rule::{Lent, ReportRule, SigTrack};
+use crate::window::WindowTable;
 
 /// What processing one report did to the cache.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,8 +4,8 @@
 //!
 //! * [`cache`] — the MU cache: item → (value, validity timestamp `t_x`),
 //!   with optional capacity-bounded eviction under a pluggable
-//!   `sw-capacity` replacement policy (LRU/LFU/window-age) plus ghost
-//!   bookkeeping for the capacity-miss statistics;
+//!   replacement policy (LRU/LFU/window-age) plus ghost bookkeeping for
+//!   the capacity-miss statistics;
 //! * [`digest`] — the per-broadcast [`digest::ReportDigest`]: the
 //!   report time plus a membership bitset over the listed ids, built
 //!   once per report so every client walks its own cache and only
@@ -18,6 +18,8 @@
 //!   §8 adaptive TS, generic over a [`rule::CacheSlots`] view that
 //!   [`cache::Cache`] and the columnar fleet's per-client slot block
 //!   both implement;
+//! * [`WindowTable`] — §8's per-item windows, which adaptive TS's
+//!   report broadcasts and [`rule::ReportRule::AdaptiveTs`] reads;
 //! * [`handler`] — [`handler::RuleHandler`], what a [`mu::MobileUnit`]
 //!   holds its strategy by: a rule plus the per-client state it borrows
 //!   (signature tracking, adaptive windows);
@@ -35,10 +37,11 @@ pub mod digest;
 pub mod handler;
 pub mod mu;
 pub mod rule;
+mod window;
 
-pub use cache::{Cache, CacheEntry};
+pub use cache::{Cache, CacheEntry, CapacityStats, GhostFate, ReplacementPolicy};
 pub use digest::{DigestScratch, ReportDigest};
-pub use sw_capacity::{GhostFate, ReplacementPolicy};
 pub use handler::{ProcessOutcome, RuleHandler};
 pub use mu::{IntervalReport, MobileUnit, MuConfig, MuStats};
 pub use rule::{CacheSlots, Lent, ReportRule, SigTrack, Verdict};
+pub use window::WindowTable;

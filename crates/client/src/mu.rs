@@ -14,14 +14,13 @@
 //! * a unit that posed queries stays up to hear the closing report and
 //!   answer them, then may sleep again (§4's stated simplification).
 
-use sw_capacity::{CapacityStats, GhostFate, ReplacementPolicy};
 use sw_server::{ItemId, ItemTable, PiggybackInfo, QueryAnswer};
 use sw_sim::{
     counters, BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime,
 };
 use sw_wireless::FramePayload;
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CapacityStats, GhostFate, ReplacementPolicy};
 use crate::digest::{DigestScratch, ReportDigest};
 use crate::handler::{ProcessOutcome, RuleHandler};
 

@@ -34,13 +34,13 @@
 
 use std::sync::Arc;
 
-use sw_adaptive::window::{WindowTable, INFINITE_WINDOW};
 use sw_server::{GroupMap, HotSet, ItemId};
 use sw_signature::{CombinedSignature, SyndromeDecoder};
 use sw_sim::{SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
 use crate::digest::ReportDigest;
+use crate::window::{WindowTable, INFINITE_WINDOW};
 
 /// What the walk does with one cached entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,15 +5,17 @@
 //! "multiples of the invalidation report latencies L"). The table
 //! stores only *exceptions* from the default `w_0 = k_0·L`; the
 //! exception list is what the adaptive report broadcasts so that every
-//! awake client always has the current windows (see
-//! `sleepers::ServerDriver`'s adaptive arm).
+//! awake client always has the current windows. The server half is
+//! `sleepers::ServerDriver`'s adaptive arm, which adjusts the table
+//! through `sleepers::adaptive`; the client half is
+//! [`ReportRule::AdaptiveTs`](crate::ReportRule::AdaptiveTs).
 
 use sw_server::ItemId;
 use sw_wireless::frame::WINDOW_FIELD_BITS;
 
 /// Sentinel for an effectively infinite window: the largest value the
 /// report's window field carries.
-pub const INFINITE_WINDOW: u32 = (1 << WINDOW_FIELD_BITS) - 1;
+pub(crate) const INFINITE_WINDOW: u32 = (1 << WINDOW_FIELD_BITS) - 1;
 
 /// Per-item windows in units of intervals, defaulting to `k0`.
 ///
@@ -92,11 +94,6 @@ impl WindowTable {
         self.exceptions.clone()
     }
 
-    /// Number of exception entries.
-    pub fn exception_count(&self) -> usize {
-        self.exceptions.len()
-    }
-
     /// Replaces the exception list wholesale (client side, from the
     /// broadcast). The broadcast list is already item-sorted; unsorted
     /// input is sorted here so lookups stay correct.
@@ -119,7 +116,7 @@ mod tests {
         let t = WindowTable::new(10);
         assert_eq!(t.get(0), 10);
         assert_eq!(t.get(999), 10);
-        assert_eq!(t.exception_count(), 0);
+        assert!(t.exceptions().is_empty());
     }
 
     #[test]
@@ -129,7 +126,7 @@ mod tests {
         assert_eq!(t.adjust(5, true, 2), 14);
         assert_eq!(t.adjust(5, false, 4), 10);
         // Back at the default: exception evaporates.
-        assert_eq!(t.exception_count(), 0);
+        assert!(t.exceptions().is_empty());
     }
 
     #[test]

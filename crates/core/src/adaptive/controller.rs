@@ -14,11 +14,11 @@
 
 use std::collections::HashMap;
 
+use sw_client::WindowTable;
 use sw_server::ItemId;
 
-use crate::method1::gain_method1;
-use crate::method2::gain_method2;
-use crate::window::WindowTable;
+use super::method1::gain_method1;
+use super::method2::gain_method2;
 
 /// Which feedback signal drives window adjustment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,12 +48,12 @@ pub struct PeriodItemStats {
 
 impl PeriodItemStats {
     /// Total queries `q[i]` = uplink + local hits.
-    pub fn total_queries(&self) -> u64 {
+    pub(crate) fn total_queries(&self) -> u64 {
         self.uplink_queries + self.piggybacked_hits
     }
 
     /// Actual hit ratio this period.
-    pub fn ahr(&self) -> f64 {
+    pub(crate) fn ahr(&self) -> f64 {
         let total = self.total_queries();
         if total == 0 {
             0.0
@@ -128,11 +128,6 @@ impl AdaptiveController {
             n_items,
             prev: HashMap::new(),
         }
-    }
-
-    /// The feedback method in force.
-    pub fn method(&self) -> FeedbackMethod {
-        self.method
     }
 
     /// Processes one period's per-item statistics, adjusting `windows`

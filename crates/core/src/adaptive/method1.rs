@@ -7,7 +7,7 @@
 //! can compute both MHR(i) and AHR(i)."
 //!
 //! * `AHR(i)` — actual hit ratio: local hits / total queries in the
-//!   period;
+//!   period ([`PeriodItemStats::ahr`](super::PeriodItemStats::ahr));
 //! * `MHR(i)` — the hit ratio a never-sleeping client would have
 //!   achieved: replay the merged query/update sequence; a query hits
 //!   iff no update landed since the previous query (Eq. 12's discrete
@@ -25,22 +25,12 @@
 
 use sw_sim::SimTime;
 
-/// Actual hit ratio over one evaluation period: `local_hits` of
-/// `total_queries` were served from cache.
-pub fn estimate_ahr(local_hits: u64, total_queries: u64) -> f64 {
-    if total_queries == 0 {
-        0.0
-    } else {
-        local_hits as f64 / total_queries as f64
-    }
-}
-
 /// Maximal hit ratio for an item given its full (merged) query and
 /// update history in the period: a query is a *potential* hit iff no
 /// update occurred since the previous query. The first query of the
 /// period is charged as a miss (matching the paper's MHR derivation,
 /// which conditions on a previous query existing).
-pub fn estimate_mhr(query_times: &[SimTime], update_times: &[SimTime]) -> f64 {
+pub(crate) fn estimate_mhr(query_times: &[SimTime], update_times: &[SimTime]) -> f64 {
     if query_times.is_empty() {
         return 0.0;
     }
@@ -75,7 +65,7 @@ pub fn estimate_mhr(query_times: &[SimTime], update_times: &[SimTime]) -> f64 {
 /// Eq. 30 (reconstructed): positive gain ⇒ the window change paid for
 /// itself in channel bits.
 #[allow(clippy::too_many_arguments)]
-pub fn gain_method1(
+pub(crate) fn gain_method1(
     ahr_new: f64,
     ahr_old: f64,
     total_queries: u64,
@@ -101,13 +91,6 @@ mod tests {
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
-    }
-
-    #[test]
-    fn ahr_basics() {
-        assert_eq!(estimate_ahr(0, 0), 0.0);
-        assert_eq!(estimate_ahr(3, 4), 0.75);
-        assert_eq!(estimate_ahr(4, 4), 1.0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! diagnose the need to change the window size."
 
 /// Eq. 32 (reconstructed).
-pub fn gain_method2(
+pub(crate) fn gain_method2(
     uplink_old: u64,
     uplink_new: u64,
     query_bits: u32,

@@ -6,12 +6,14 @@
 //! hotspot sizes and popularity skew, the random seed, the report
 //! delivery mode (§9), and whether expensive safety checking is on.
 
-use sw_capacity::{CoopConfig, ReplacementPolicy};
+use sw_client::ReplacementPolicy;
 use sw_faults::FaultPlan;
 use sw_query::QueryPlaneConfig;
 use sw_sim::MasterSeed;
 use sw_wireless::DeliveryMode;
 use sw_workload::{Popularity, ScenarioParams};
+
+use crate::mesh::CoopConfig;
 
 /// How the cell tracks which units wake in which interval.
 ///
@@ -94,9 +96,10 @@ pub struct CellConfig {
     /// Cooperative-miss configuration: a bounded client's fresh miss
     /// may be answered by a neighbor cell holding a verifiably fresh
     /// copy, charged at `b_coop` bits instead of an uplink exchange.
-    /// `None` — the default — arms nothing. Requires a mesh backbone
-    /// (neighbors only exist in a `CellGraph`).
-    pub coop: Option<CoopConfig>,
+    /// `None` — the default — arms nothing. Only
+    /// [`MeshConfig::with_coop`](crate::mesh::MeshConfig::with_coop)
+    /// sets it: neighbors only exist in a `CellGraph`.
+    pub(crate) coop: Option<CoopConfig>,
     /// Record full value history and verify the no-stale-reads
     /// invariant after every interval (O(updates) memory; test use).
     pub check_safety: bool,
@@ -156,7 +159,8 @@ pub struct CellConfig {
     /// precondition for a migrated cache entry to be meaningful at all
     /// — and the cell keeps a rolling log of report digests so the
     /// mesh can test the "report histories diverge" handoff clause.
-    pub backbone: Option<MasterSeed>,
+    /// Only [`MeshConfig`](crate::mesh::MeshConfig) sets it.
+    pub(crate) backbone: Option<MasterSeed>,
 }
 
 impl CellConfig {
@@ -253,13 +257,6 @@ impl CellConfig {
         self
     }
 
-    /// Arms cooperative misses over the mesh backbone: fresh misses may
-    /// be served by a neighbor cell's verified copy at `b_coop` bits.
-    pub fn with_coop(mut self, coop: CoopConfig) -> Self {
-        self.coop = Some(coop);
-        self
-    }
-
     /// Enables the per-interval no-stale-reads invariant checker.
     pub fn with_safety_checking(mut self) -> Self {
         self.check_safety = true;
@@ -325,15 +322,6 @@ impl CellConfig {
     /// reports as the item cache, plus transactional multi-item reads.
     pub fn with_query(mut self, query: QueryPlaneConfig) -> Self {
         self.query = Some(query);
-        self
-    }
-
-    /// Marks the cell as a mesh shard sharing the given backbone seed
-    /// (see the `backbone` field for exactly which streams move over).
-    /// Standalone runs never set this, which is what keeps every
-    /// pre-mesh artifact byte-identical.
-    pub fn with_backbone(mut self, backbone: MasterSeed) -> Self {
-        self.backbone = Some(backbone);
         self
     }
 
@@ -473,7 +461,8 @@ mod tests {
     fn protocol_seed_follows_backbone() {
         let standalone = CellConfig::new(ScenarioParams::scenario1()).with_seed(7);
         assert_eq!(standalone.protocol_seed(), MasterSeed(7));
-        let shard = standalone.clone().with_backbone(MasterSeed(99));
+        let mut shard = standalone.clone();
+        shard.backbone = Some(MasterSeed(99));
         assert_eq!(shard.protocol_seed(), MasterSeed(99));
         assert_eq!(shard.seed, MasterSeed(7), "client streams keep the cell seed");
     }
@@ -491,11 +480,11 @@ mod tests {
 
     #[test]
     fn coop_requires_backbone() {
-        let standalone =
-            CellConfig::new(ScenarioParams::scenario1()).with_coop(CoopConfig::default());
-        assert!(standalone.validate().is_err());
-        let shard = standalone.with_backbone(MasterSeed(5));
-        shard.validate().unwrap();
+        let mut config = CellConfig::new(ScenarioParams::scenario1());
+        config.coop = Some(CoopConfig::default());
+        assert!(config.validate().is_err());
+        config.backbone = Some(MasterSeed(5));
+        config.validate().unwrap();
     }
 
     #[test]
@@ -504,11 +493,9 @@ mod tests {
         base.clone().with_query_zipf(0.8).validate().unwrap();
         assert!(base.clone().with_query_zipf(-1.0).validate().is_err());
         assert!(base.clone().with_query_zipf(f64::NAN).validate().is_err());
-        assert!(base
-            .with_query_zipf(0.8)
-            .with_backbone(MasterSeed(5))
-            .validate()
-            .is_err());
+        let mut shard = base.with_query_zipf(0.8);
+        shard.backbone = Some(MasterSeed(5));
+        assert!(shard.validate().is_err());
     }
 
     #[test]

@@ -38,8 +38,7 @@
 //! piggybacked local-hit times, which the live uplink frame does not
 //! carry).
 
-use sw_adaptive::{AdaptiveController, FeedbackMethod, PeriodItemStats, WindowTable};
-use sw_quasi::ObligationTracker;
+use sw_client::WindowTable;
 use sw_server::{
     Database, GroupMap, HotSet, ItemId, ItemTable, PiggybackInfo, QueryAnswer, SignatureVector,
     StatefulServer, UpdateEngine, UpdateRecord, UplinkProcessor,
@@ -48,7 +47,9 @@ use sw_sim::{counters, MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::FramePayload;
 use sw_workload::ScenarioParams;
 
+use crate::adaptive::{AdaptiveController, FeedbackMethod, PeriodItemStats};
 use crate::config::CellConfig;
+use crate::quasi::ObligationTracker;
 use crate::safety::ValueHistory;
 use crate::strategy::{group_map, hot_set, sig_decoder, Strategy};
 
@@ -445,7 +446,7 @@ impl ServerDriver {
                     FeedbackMethod::Method1 => {
                         let queries = query_times.get(item).map(|v| v.as_slice()).unwrap_or(&[]);
                         let updates = update_times.get(item).map(|v| v.as_slice()).unwrap_or(&[]);
-                        Some(sw_adaptive::estimate_mhr(queries, updates))
+                        Some(crate::adaptive::estimate_mhr(queries, updates))
                     }
                     FeedbackMethod::Method2 => None,
                 };

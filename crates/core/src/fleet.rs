@@ -92,8 +92,10 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use sw_capacity::{victim_key, EntryMeta, ReplacementPolicy};
-use sw_client::{CacheSlots, Lent, MuStats, ReportDigest, ReportRule, SigTrack, Verdict};
+use sw_client::cache::{victim_key, EntryMeta};
+use sw_client::{
+    CacheSlots, Lent, MuStats, ReplacementPolicy, ReportDigest, ReportRule, SigTrack, Verdict,
+};
 use sw_query::QueryPlane;
 use sw_server::{ItemId, PiggybackInfo, QueryAnswer};
 use sw_signature::CombinedSignature;

@@ -39,16 +39,22 @@
 //! [`analysis`]); the discrete-event simulator in [`simulation`]. The
 //! two are validated against each other in the integration test-suite
 //! and the experiment harness regenerates every figure of the paper
-//! from both.
+//! from both. The paper's extensions sit beside the cell they drive:
+//! [`quasi`] (§7 quasi-copies) and [`adaptive`] (§8 adaptive windows)
+//! feed arms of the [`ServerDriver`], and [`mesh`] composes cells into
+//! a multi-cell network with handoffs and cooperative misses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adaptive;
 pub mod config;
 pub mod driver;
 pub(crate) mod fleet;
+pub mod mesh;
 pub mod metrics;
 pub mod prelude;
+pub mod quasi;
 pub mod safety;
 pub mod seat;
 pub mod simulation;
@@ -58,7 +64,7 @@ pub use config::{CellConfig, FleetBackend, WakeMode};
 pub use driver::{CellServer, ServerDriver};
 pub use metrics::{MigrationStats, SimulationReport};
 pub use seat::ClientSeat;
-pub use simulation::{CellSimulation, HandoffClient, SimulationError};
+pub use simulation::{CellSimulation, SimulationError};
 pub use strategy::Strategy;
 
 /// Re-export: the analytical model (closed-form formulas of §4–§5).
@@ -75,10 +81,6 @@ pub use sw_sim as sim;
 pub use sw_wireless as wireless;
 /// Re-export: workloads and scenario presets.
 pub use sw_workload as workload;
-/// Re-export: adaptive invalidation reports (§8).
-pub use sw_adaptive as adaptive;
-/// Re-export: quasi-copy coherency (§7).
-pub use sw_quasi as quasi;
 /// Re-export: query-result caching and transactional multi-item reads
 /// over the invalidation stream.
 pub use sw_query as query;
@@ -88,6 +90,3 @@ pub use sw_observe as observe;
 /// Re-export: deterministic fault injection (report loss, frame
 /// corruption, uplink retry with backoff, clock drift).
 pub use sw_faults as faults;
-/// Re-export: bounded caches — replacement policies, eviction
-/// statistics, and the cooperative-miss building blocks.
-pub use sw_capacity as capacity;

@@ -1,10 +1,10 @@
-//! # sw-mesh — the multi-cell network environment
+//! The multi-cell network environment.
 //!
 //! The paper's world is a mesh of cells, each served by a mobile
 //! support station broadcasting invalidation reports, with mobile
 //! units roaming between them (§1's architecture). The single-cell
-//! simulator ([`sleepers::CellSimulation`]) models one cell in
-//! isolation; this crate composes N of them into a
+//! simulator ([`CellSimulation`](crate::CellSimulation)) models one
+//! cell in isolation; this module composes N of them into a
 //! [`MeshSimulation`]: a shared backbone database replicated across
 //! every cell, a [`CellGraph`] saying which cells abut, and a
 //! deterministic [`MobilityModel`] migrating units at interval
@@ -20,8 +20,7 @@
 //!
 //! ```
 //! use sleepers::prelude::*;
-//! use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
-//! use sw_sim::MasterSeed;
+//! use sleepers::mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 //!
 //! let params = ScenarioParams::scenario1().with_s(0.3);
 //! let base = CellConfig::new(params).with_clients(10).with_hotspot_size(50);
@@ -36,14 +35,19 @@
 //! Runs are byte-identical at any `SW_THREADS` setting: cells step in
 //! parallel between barriers, but every migration decision and every
 //! handoff applies in fixed home-index order on one thread.
+//!
+//! The same barrier carries cooperative misses (Joy & Jacob's
+//! cooperative caching, one cell apart): a bounded client's fresh miss
+//! may be served by a neighbor cell's verifiably fresh copy, charged at
+//! [`CoopConfig::b_coop`] bits instead of an uplink exchange (armed by
+//! [`MeshConfig::with_coop`]).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
+mod coop;
 pub mod graph;
 pub mod mobility;
 pub mod sim;
 
+pub use coop::{CoopConfig, CoopDirectory, CoopStats};
 pub use graph::CellGraph;
 pub use mobility::MobilityModel;
 pub use sim::{MeshConfig, MeshReport, MeshSimulation};

@@ -31,14 +31,13 @@
 //! the figure harness's [`cell_seed`](sw_sim::cell_seed) — so meshes
 //! never replay a figure sweep's randomness.
 
-use sleepers::capacity::{CapacityStats, CoopConfig, CoopDirectory, CoopFeed, CoopStats};
-use sleepers::{
-    CellConfig, CellSimulation, MigrationStats, SimulationError, SimulationReport, Strategy,
-};
+use sw_client::CapacityStats;
 use sw_sim::{mesh_seed, Counters, MasterSeed, ParallelRunner, RngStream, StreamId};
 
-use crate::graph::CellGraph;
-use crate::mobility::MobilityModel;
+use super::{CellGraph, CoopConfig, CoopDirectory, CoopStats, MobilityModel};
+use crate::{
+    CellConfig, CellSimulation, MigrationStats, SimulationError, SimulationReport, Strategy,
+};
 
 /// Configuration for a [`MeshSimulation`].
 #[derive(Debug, Clone)]
@@ -47,9 +46,8 @@ pub struct MeshConfig {
     pub graph: CellGraph,
     /// Template for every cell: scenario parameters, per-cell fleet
     /// size, wake mode, safety checking, fault plans, observe label.
-    /// The template's `seed` and `backbone` are ignored — each cell
-    /// gets its own seed from the mesh seed domain and the mesh seed
-    /// as backbone.
+    /// The template's `seed` is ignored — each cell gets its own seed
+    /// from the mesh seed domain and the mesh seed as backbone.
     pub base: CellConfig,
     /// Master seed of the mesh: the backbone protocol seed shared by
     /// all shards, and the root of every mobility stream.
@@ -217,7 +215,7 @@ impl MeshSimulation {
                 .iter()
                 .map(|&n| &directories[n])
                 .collect();
-            sim.install_coop_feed(CoopFeed::merge(&neighbor_dirs));
+            sim.install_coop_feed(CoopDirectory::merge(&neighbor_dirs));
         }
     }
 

@@ -5,13 +5,14 @@
 //! so the validation tests and the experiment harness can put the
 //! simulator and the model side by side.
 
-use sw_capacity::{CapacityStats, CoopStats};
+use sw_client::CapacityStats;
 use sw_faults::FaultTotals;
 use sw_observe::ObserveSnapshot;
 use sw_query::QueryStats;
 use sw_sim::counters;
 use sw_wireless::{EnergyTotals, TrafficTotals};
 
+use crate::mesh::CoopStats;
 use crate::safety::SafetyStats;
 
 counters! {
@@ -83,7 +84,8 @@ pub struct SimulationReport {
     /// for unbounded cells).
     pub capacity: CapacityStats,
     /// Cooperative-miss counters (all zeros unless
-    /// [`crate::config::CellConfig::with_coop`] armed the path).
+    /// [`MeshConfig::with_coop`](crate::mesh::MeshConfig::with_coop)
+    /// armed the path).
     pub coop: CoopStats,
     /// Interval capacity `L·W` in bits.
     pub interval_bits: f64,

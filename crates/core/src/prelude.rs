@@ -11,8 +11,9 @@ pub use crate::metrics::{MigrationStats, SimulationReport};
 pub use crate::simulation::{CellSimulation, SimulationError};
 pub use crate::strategy::Strategy;
 
-pub use sw_adaptive::FeedbackMethod;
-pub use sw_capacity::{CapacityStats, CoopConfig, CoopStats, ReplacementPolicy};
+pub use crate::adaptive::FeedbackMethod;
+pub use crate::mesh::{CoopConfig, CoopStats};
+pub use sw_client::{CapacityStats, ReplacementPolicy};
 pub use sw_analysis::{
     effectiveness_at, h_at, h_sig, h_ts_bounds, h_ts_estimate, mhr, throughput_at,
     throughput_max, throughput_nc, throughput_sig, throughput_ts, Sweep, Throughputs,

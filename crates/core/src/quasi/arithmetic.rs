@@ -28,23 +28,12 @@ impl EpsilonFilter {
     /// Creates the filter with tolerance `ε` (absolute value units)
     /// over an unknown item universe.
     pub fn new(epsilon: u64) -> Self {
-        Self::for_universe(epsilon, 0)
-    }
-
-    /// Same, pre-sized for items `0..universe` — `should_report` sits
-    /// on the per-update path.
-    pub fn for_universe(epsilon: u64, universe: u64) -> Self {
         EpsilonFilter {
             epsilon,
-            last_reported: ItemTable::dense(universe),
+            last_reported: ItemTable::dense(0),
             suppressed: 0,
             passed: 0,
         }
-    }
-
-    /// The tolerance `ε`.
-    pub fn epsilon(&self) -> u64 {
-        self.epsilon
     }
 
     /// Seeds the baseline for `item` (its initial value, known to every

@@ -23,23 +23,17 @@ use sw_server::{ItemId, ItemTable};
 
 /// Server-side obligation lists for the delay condition.
 #[derive(Debug, Clone)]
-pub struct ObligationTracker {
+pub(crate) struct ObligationTracker {
     /// `α` in intervals (`α = j·L`).
     alpha_intervals: u64,
     lists: ItemTable<VecDeque<u64>>,
 }
 
 impl ObligationTracker {
-    /// Creates the tracker with allowed lag `α = alpha_intervals · L`
-    /// over an unknown item universe.
-    pub fn new(alpha_intervals: u64) -> Self {
-        Self::for_universe(alpha_intervals, 0)
-    }
-
-    /// Same, with the obligation lists pre-sized for items
-    /// `0..universe` — `due` is probed for every database item on every
-    /// report build.
-    pub fn for_universe(alpha_intervals: u64, universe: u64) -> Self {
+    /// Creates the tracker with allowed lag `α = alpha_intervals · L`,
+    /// its obligation lists pre-sized for items `0..universe` — `due`
+    /// is probed for every database item on every report build.
+    pub(crate) fn for_universe(alpha_intervals: u64, universe: u64) -> Self {
         assert!(alpha_intervals >= 1, "α must be at least one interval");
         ObligationTracker {
             alpha_intervals,
@@ -47,17 +41,9 @@ impl ObligationTracker {
         }
     }
 
-    /// Records that `item` was reported at interval `i` (every client
-    /// copy is now at most as old as `T_i`).
-    pub fn on_reported(&mut self, item: ItemId, interval: u64) {
-        self.lists
-            .get_or_insert_with(item, VecDeque::new)
-            .push_back(interval);
-    }
-
     /// Records an uplink fetch of `item` answered just before interval
     /// `p` (a fresh copy went out, stamped `p`).
-    pub fn on_uplink(&mut self, item: ItemId, interval: u64) {
+    pub(crate) fn on_uplink(&mut self, item: ItemId, interval: u64) {
         self.lists
             .get_or_insert_with(item, VecDeque::new)
             .push_back(interval);
@@ -69,7 +55,7 @@ impl ObligationTracker {
     /// Consuming the head entry on a positive answer is the caller's
     /// job via [`Self::consume`] once the item is actually reported (or
     /// verified unchanged).
-    pub fn due(&self, item: ItemId, next_interval: u64) -> bool {
+    pub(crate) fn due(&self, item: ItemId, next_interval: u64) -> bool {
         self.lists
             .get(item)
             .and_then(|q| q.front())
@@ -80,7 +66,7 @@ impl ObligationTracker {
     /// heads `l` with `l + j ≤ interval`): the broadcast either
     /// invalidated those copies or re-validated them, so the lag clock
     /// restarts — a re-validated item is obligated again from now.
-    pub fn consume(&mut self, item: ItemId, interval: u64, revalidated: bool) {
+    pub(crate) fn consume(&mut self, item: ItemId, interval: u64, revalidated: bool) {
         let j = self.alpha_intervals;
         if let Some(q) = self.lists.get_mut(item) {
             while q.front().is_some_and(|&l| l + j <= interval) {
@@ -94,11 +80,6 @@ impl ObligationTracker {
             }
         }
     }
-
-    /// Number of items with outstanding obligations.
-    pub fn outstanding(&self) -> usize {
-        self.lists.len()
-    }
 }
 
 #[cfg(test)]
@@ -106,17 +87,20 @@ mod tests {
     mod tracker {
         use super::super::ObligationTracker;
 
+        fn tracker(alpha_intervals: u64) -> ObligationTracker {
+            ObligationTracker::for_universe(alpha_intervals, 0)
+        }
+
         #[test]
         fn item_without_copies_is_never_due() {
-            let t = ObligationTracker::new(3);
+            let t = tracker(3);
             assert!(!t.due(1, 100));
-            assert_eq!(t.outstanding(), 0);
         }
 
         #[test]
         fn due_exactly_at_l_plus_j() {
-            let mut t = ObligationTracker::new(3);
-            t.on_reported(1, 10);
+            let mut t = tracker(3);
+            t.on_uplink(1, 10);
             assert!(!t.due(1, 12));
             assert!(t.due(1, 13));
             assert!(t.due(1, 20));
@@ -124,15 +108,15 @@ mod tests {
 
         #[test]
         fn uplink_creates_obligation() {
-            let mut t = ObligationTracker::new(2);
+            let mut t = tracker(2);
             t.on_uplink(5, 7);
             assert!(t.due(5, 9));
         }
 
         #[test]
         fn consume_revalidated_restarts_clock() {
-            let mut t = ObligationTracker::new(2);
-            t.on_reported(1, 10);
+            let mut t = tracker(2);
+            t.on_uplink(1, 10);
             t.consume(1, 12, true);
             assert!(!t.due(1, 13), "fresh obligation from interval 12");
             assert!(t.due(1, 14));
@@ -140,17 +124,16 @@ mod tests {
 
         #[test]
         fn consume_invalidated_clears() {
-            let mut t = ObligationTracker::new(2);
-            t.on_reported(1, 10);
+            let mut t = tracker(2);
+            t.on_uplink(1, 10);
             t.consume(1, 12, false);
-            assert_eq!(t.outstanding(), 0);
             assert!(!t.due(1, 1000));
         }
 
         #[test]
         fn multiple_copies_queue_fifo() {
-            let mut t = ObligationTracker::new(5);
-            t.on_reported(1, 10);
+            let mut t = tracker(5);
+            t.on_uplink(1, 10);
             t.on_uplink(1, 12);
             // Due from the oldest copy: 10 + 5 = 15.
             assert!(t.due(1, 15));

@@ -26,9 +26,9 @@
 
 use std::sync::Arc;
 
-use sw_adaptive::FeedbackMethod;
-use sw_capacity::ReplacementPolicy;
-use sw_client::{IntervalReport, MobileUnit, MuConfig, ReportDigest, ReportRule, RuleHandler};
+use sw_client::{
+    IntervalReport, MobileUnit, MuConfig, ReplacementPolicy, ReportDigest, ReportRule, RuleHandler,
+};
 use sw_faults::FaultLayer;
 use sw_query::QueryPlane;
 use sw_server::{ItemId, QueryAnswer};
@@ -36,6 +36,7 @@ use sw_sim::{MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::frame::{checksum64, flip_bit};
 use sw_workload::{HotspotSpec, ZipfPicker};
 
+use crate::adaptive::FeedbackMethod;
 use crate::config::CellConfig;
 use crate::strategy::Strategy;
 

@@ -43,8 +43,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use sw_capacity::{CapacityStats, CoopDirectory, CoopFeed, CoopStats};
-use sw_client::{DigestScratch, MuStats, ReportDigest};
+use sw_client::{CapacityStats, DigestScratch, MuStats, ReportDigest};
 use sw_faults::{FaultLayer, FaultTotals, ReportFate};
 use sw_observe::{Recorder, Value};
 use sw_query::{QueryPlane, QueryStats};
@@ -59,6 +58,7 @@ use sw_wireless::{
 use crate::config::{CellConfig, WakeMode};
 use crate::driver::CellServer;
 use crate::fleet::{Fleet, SweepOut, WakeSchedule};
+use crate::mesh::{CoopDirectory, CoopStats};
 use crate::metrics::{MigrationStats, SimulationReport};
 use crate::safety::{SafetyExpectation, SafetyStats};
 use crate::seat::{demonstrate_corruption, ClientSeat};
@@ -160,19 +160,6 @@ enum ExchangeOutcome {
     /// attempts *did* burn airtime and are charged as traffic.
     FaultDeferred,
 }
-
-/// A mobile unit in transit between two cells of a mesh, detached from
-/// its source cell and not yet attached to its destination.
-///
-/// The whole [`ClientSeat`] travels: the cache, the strategy handler
-/// (so SIG's tracked-subset mask and last heard report survive the
-/// move), the query and sleep streams, and the wake and settled-interval
-/// marks (the mesh's cells share one absolute interval clock, so these
-/// carry over). The mesh
-/// layer only ferries this between [`CellSimulation::detach_client`]
-/// and [`CellSimulation::attach_client`]; the contents stay private to
-/// the cell driver.
-pub struct HandoffClient(ClientSeat);
 
 counters! {
     /// Interval `i` of one cell as its series row: the columns are these
@@ -309,7 +296,7 @@ pub struct CellSimulation {
     /// the merged neighbor directory installed at the last barrier,
     /// consumed by this interval's fresh misses. `None` for standalone
     /// cells and before the first barrier.
-    coop_feed: Option<CoopFeed>,
+    coop_feed: Option<CoopDirectory>,
     /// Sidelink serve counters (all zeros unless `config.coop` armed).
     coop_stats: CoopStats,
     report_bits_total: u64,
@@ -528,7 +515,7 @@ impl CellSimulation {
     /// to a neighbor, because any copy stamped at the report the whole
     /// backbone just heard is provably current as of `T_i`. The mesh
     /// builds these at its barrier and hands each cell the merged
-    /// neighbor view via [`Self::install_coop_feed`].
+    /// neighbor view for its next interval's misses.
     ///
     /// Clients are visited in ascending slot order and items in sorted
     /// order, keeping the snapshot deterministic.
@@ -545,14 +532,8 @@ impl CellSimulation {
 
     /// Installs the merged neighbor directory the next interval's
     /// misses may be served from (mesh barrier hook).
-    pub fn install_coop_feed(&mut self, feed: CoopFeed) {
+    pub(crate) fn install_coop_feed(&mut self, feed: CoopDirectory) {
         self.coop_feed = Some(feed);
-    }
-
-    /// Cooperative-miss counters accumulated so far (all zeros unless
-    /// `config.coop` armed the path).
-    pub fn coop_stats(&self) -> CoopStats {
-        self.coop_stats
     }
 
     /// Query-plane stats for the client in slot `idx` (`None` unless
@@ -1323,13 +1304,6 @@ impl CellSimulation {
         self.server.driver().adaptive_window(item)
     }
 
-    /// The interval index the next [`step`](Self::step) will simulate.
-    /// Mesh barriers use it as the shared absolute clock.
-    pub fn next_interval(&self) -> u64 {
-        // The clock's stored index is the last interval ticked.
-        self.clock.next_index() + 1
-    }
-
     /// The cell's configuration.
     pub fn config(&self) -> &CellConfig {
         &self.config
@@ -1339,12 +1313,6 @@ impl CellSimulation {
     /// departed husks).
     pub fn present_clients(&self) -> usize {
         self.client_slots() - self.departed_count
-    }
-
-    /// The rolling `(interval, report checksum)` log (mesh shards only;
-    /// empty for standalone cells). Newest last.
-    pub fn report_digests(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.report_digests.iter().copied()
     }
 
     /// Whether two cells' report histories agree over the overlapping
@@ -1358,7 +1326,7 @@ impl CellSimulation {
     /// e.g. one cell just started logging — counts as agreement: the
     /// gap rule alone then decides, exactly as for a freshly woken
     /// sleeper.
-    pub fn report_history_agrees(&self, other: &CellSimulation) -> bool {
+    pub(crate) fn report_history_agrees(&self, other: &CellSimulation) -> bool {
         let mut mine = self.report_digests.iter().rev().peekable();
         let mut theirs = other.report_digests.iter().rev().peekable();
         loop {
@@ -1382,7 +1350,11 @@ impl CellSimulation {
     }
 
     /// Detaches the unit in slot `idx` for a handoff, returning the
-    /// traveling client. The seat moves out whole; the slot keeps an
+    /// traveling client. The whole [`ClientSeat`] travels: the cache,
+    /// the strategy handler (so SIG's tracked-subset mask and last
+    /// heard report survive the move), the query and sleep streams, and
+    /// the wake and settled-interval marks (the mesh's cells share one
+    /// absolute interval clock, so these carry over). The slot keeps an
     /// inert husk (zero query rate, permanently asleep, never
     /// scheduled). Slots are never reused, so every outstanding index —
     /// heap entries, queued exchanges — stays valid.
@@ -1401,7 +1373,7 @@ impl CellSimulation {
     /// # Panics
     ///
     /// Panics if the slot already departed, or on a columnar cell.
-    pub fn detach_client(&mut self, idx: usize) -> HandoffClient {
+    pub(crate) fn detach_client(&mut self, idx: usize) -> ClientSeat {
         assert!(!self.fleet.is_departed(idx), "slot {idx} already departed");
         let seat = self.fleet.detach(idx);
         self.departed_count += 1;
@@ -1415,7 +1387,7 @@ impl CellSimulation {
         }
         self.migration.migrations_out += 1;
         self.obs.add("migrations_out", 1);
-        HandoffClient(seat)
+        seat
     }
 
     /// Attaches a traveling unit to this cell, appending a fresh slot,
@@ -1443,8 +1415,7 @@ impl CellSimulation {
     /// sleeper over the blackout — the drop-vs-keep verdict falls to
     /// its strategy at the first report it actually hears, which
     /// closes a gap of 2L.
-    pub fn attach_client(&mut self, traveler: HandoffClient, histories_agree: bool) -> usize {
-        let HandoffClient(mut seat) = traveler;
+    pub(crate) fn attach_client(&mut self, mut seat: ClientSeat, histories_agree: bool) -> usize {
         let transit = self.clock.next_index() + 1;
         if seat.arrive(self.next_client_id, transit, histories_agree) {
             self.migration.handoff_drops += 1;
@@ -1466,7 +1437,7 @@ impl CellSimulation {
 mod tests {
     use super::*;
     use crate::config::FleetBackend;
-    use sw_adaptive::FeedbackMethod;
+    use crate::adaptive::FeedbackMethod;
     use sw_sim::MasterSeed;
     use sw_workload::ScenarioParams;
 
@@ -2224,10 +2195,9 @@ mod tests {
             };
             assert!(matches!(err, SimulationError::InvalidConfig(_)));
 
-            let err = query_config(0.3)
-                .with_backbone(MasterSeed(99))
-                .validate()
-                .unwrap_err();
+            let mut shard = query_config(0.3);
+            shard.backbone = Some(MasterSeed(99));
+            let err = shard.validate().unwrap_err();
             assert!(err.contains("standalone"), "got: {err}");
         }
     }

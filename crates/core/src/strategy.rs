@@ -7,12 +7,13 @@
 //! wrong — so both sides derive the shared state (SIG decoder, hot set,
 //! group map) from the helpers at the bottom of this file.
 
-use sw_adaptive::FeedbackMethod;
 use sw_client::{ReportRule, RuleHandler};
 use sw_server::{GroupMap, HotSet};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, SimDuration, StreamId};
 use sw_workload::ScenarioParams;
+
+use crate::adaptive::FeedbackMethod;
 
 /// Every cache-invalidation strategy in the catalogue.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,8 +1,8 @@
 //! Mesh acceptance suite: zero-mobility equivalence, thread-count
 //! determinism, and per-strategy handoff recovery.
 
+use sleepers::mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sleepers::prelude::*;
-use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sw_sim::{MasterSeed, ParallelRunner};
 
 fn quick_params() -> ScenarioParams {

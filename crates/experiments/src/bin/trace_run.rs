@@ -27,10 +27,10 @@
 //! counters, the `lost`/`retries` series columns) then shows up in all
 //! three artifacts.
 
+use sleepers::mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sleepers::prelude::*;
 use sw_experiments::figures::{run_figure_with, FigureSpec, SimSettings};
 use sw_experiments::results::write_text;
-use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sw_sim::MasterSeed;
 
 fn fault_plan() -> Option<FaultPlan> {

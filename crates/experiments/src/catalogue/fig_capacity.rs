@@ -15,8 +15,8 @@
 //! and the leg records exactly how many uplink bits that saves.
 
 use crate::replicate::replicate_seed;
+use sleepers::mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sleepers::prelude::*;
-use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sw_sim::runner::{cell_seed, ParallelRunner};
 use sw_sim::MasterSeed;
 

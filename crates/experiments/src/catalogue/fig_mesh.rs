@@ -16,8 +16,8 @@
 //! cache, and the stateful baseline pays a re-registration per move.
 
 use crate::replicate::replicate_seed;
+use sleepers::mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sleepers::prelude::*;
-use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sw_sim::{mesh_seed, MasterSeed};
 
 #[derive(serde::Serialize)]

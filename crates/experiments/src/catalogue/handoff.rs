@@ -24,7 +24,7 @@
 //!    algorithms (its nap is elective, so its "migrates without nap"
 //!    row shows the pure-relocation case the full mesh cannot
 //!    express).
-//! 2. **Mesh** — the real [`sw_mesh::MeshSimulation`] on a 2-cell
+//! 2. **Mesh** — the real [`sleepers::mesh::MeshSimulation`] on a 2-cell
 //!    graph with periodic mobility: full fleets, real channels, real
 //!    handoff machinery. Before measuring, a stationary mesh is
 //!    asserted bit-identical to two independent single-cell runs — the
@@ -32,10 +32,10 @@
 
 use crate::replicate::replicate_seed;
 use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, RuleHandler};
+use sleepers::mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sleepers::server::{Database, UpdateEngine, UplinkProcessor};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
 use sleepers::{CellConfig, CellSimulation, ServerDriver, Strategy};
-use sw_mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sw_workload::ScenarioParams;
 
 struct Cell {

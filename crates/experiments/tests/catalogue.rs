@@ -178,3 +178,34 @@ fn the_docs_name_only_targets_that_exist() {
         }
     }
 }
+
+/// The crate maps in README's Architecture section and DESIGN §5 name
+/// exactly the directories under `crates/`: a crate added, folded or
+/// renamed must be redrawn in both maps.
+#[test]
+fn the_crate_maps_name_exactly_the_crates() {
+    let root = repo_root();
+    let on_disk: BTreeSet<String> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.path().join("Cargo.toml").is_file())
+        .map(|entry| entry.file_name().into_string().unwrap())
+        .collect();
+    for doc in ["README.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        // A map is the fenced block opened by a bare `crates/` line; its
+        // entries are the two-space-indented `name/` lines up to the
+        // first line that is not indented.
+        let mut maps = text.split("```\ncrates/\n").skip(1);
+        let map = maps.next().unwrap_or_else(|| panic!("{doc}: no crate map"));
+        assert!(maps.next().is_none(), "{doc}: more than one crate map");
+        let drawn: BTreeSet<String> = map
+            .lines()
+            .take_while(|line| line.starts_with(' '))
+            .filter_map(|line| line.strip_prefix("  "))
+            .filter(|line| !line.starts_with(' '))
+            .map(|line| line.split('/').next().unwrap().to_string())
+            .collect();
+        assert_eq!(drawn, on_disk, "{doc}: the crate map is not crates/");
+    }
+}

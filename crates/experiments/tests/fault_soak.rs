@@ -240,8 +240,8 @@ fn mesh_hostile_plan() -> FaultPlan {
 }
 
 #[cfg(feature = "faults")]
-fn mesh_soak_config(strategy_tag: u64) -> sw_mesh::MeshConfig {
-    use sw_mesh::{CellGraph, MeshConfig, MobilityModel};
+fn mesh_soak_config(strategy_tag: u64) -> sleepers::mesh::MeshConfig {
+    use sleepers::mesh::{CellGraph, MeshConfig, MobilityModel};
     use sw_sim::{mesh_seed, MasterSeed};
 
     let mut params = ScenarioParams::scenario1();
@@ -286,7 +286,7 @@ fn five_thousand_interval_mesh_soak_composes_faults_with_mobility() {
         (Strategy::AmnesicTerminals, 2),
         (Strategy::Signatures, 3),
     ] {
-        let mut mesh = sw_mesh::MeshSimulation::new(mesh_soak_config(tag), strategy)
+        let mut mesh = sleepers::mesh::MeshSimulation::new(mesh_soak_config(tag), strategy)
             .expect("valid mesh config");
         // A never-stale strategy that validated a stale entry — after
         // a lost report, a drifted wake-up, or a handoff — aborts here

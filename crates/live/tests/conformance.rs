@@ -109,7 +109,7 @@ fn query_armed_decision_logs_are_byte_identical() {
 /// under eviction pressure.
 #[test]
 fn bounded_cache_decision_logs_are_byte_identical() {
-    use sleepers::capacity::ReplacementPolicy;
+    use sleepers::client::ReplacementPolicy;
 
     for policy in [
         ReplacementPolicy::Lru,
@@ -138,7 +138,7 @@ fn bounded_cache_decision_logs_are_byte_identical() {
 /// evicted.
 #[test]
 fn zipf_bounded_decision_logs_are_byte_identical() {
-    use sleepers::capacity::ReplacementPolicy;
+    use sleepers::client::ReplacementPolicy;
 
     let cell = |s: f64| {
         small_cell(s)

@@ -27,7 +27,7 @@
 //! [`ObserveSnapshot::timings`] and surface only in the summary table,
 //! never in the trace or the series.
 //!
-//! **Multi-cell runs.** The mesh layer (`sw-mesh`) gives each shard
+//! **Multi-cell runs.** The mesh layer (`sleepers::mesh`) gives each shard
 //! its own recorder labelled `<label>/cell<N>`, so per-cell traces
 //! never interleave and can be merged or diffed offline. Mesh cells
 //! additionally record the migration counter family — `migrations`

@@ -20,7 +20,7 @@
 //!
 //! **One channel per cell.** A [`BroadcastChannel`] is strictly
 //! cell-local: it never carries a bit for a unit in another cell. The
-//! mesh layer (`sw-mesh`) instantiates one per shard, which is what
+//! mesh layer (`sleepers::mesh`) instantiates one per shard, which is what
 //! makes the cells independently steppable between migration barriers;
 //! a unit in transit between cells is on *no* channel for that
 //! interval, and the resulting report gap — not any cross-cell

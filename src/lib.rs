@@ -5,7 +5,3 @@
 #![forbid(unsafe_code)]
 
 pub use sleepers::*;
-
-/// Re-export: the multi-cell mesh layer (cell graph, deterministic
-/// client mobility, sharded execution).
-pub use sw_mesh as mesh;

@@ -9,7 +9,7 @@
 //! report's `T_i`, which the columnar store derives from `T_l` instead
 //! of restamping.
 
-use sleepers_workaholics::capacity::CoopDirectory;
+use sleepers_workaholics::mesh::CoopDirectory;
 use sleepers_workaholics::prelude::*;
 
 const ELIGIBLE: &[Strategy] = &[
