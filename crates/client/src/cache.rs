@@ -22,12 +22,13 @@
 //! anyway). Reports retire ghosts through [`CacheSlots::retire_ghosts`].
 //!
 //! The replacement vocabulary lives here too: [`ReplacementPolicy`],
-//! the total eviction order [`victim_key`], [`GhostFate`] and the
-//! [`CapacityStats`] family. Both client stores enforce it identically
-//! — this cache behind the boxed [`MobileUnit`](crate::MobileUnit), and
-//! the columnar fleet in `sleepers`, which ranks its victims through
-//! the same [`victim_key`] — so bounded runs stay byte-identical
-//! across the two.
+//! the total eviction order [`victim_key`], the one victim scan
+//! [`victim`], [`GhostFate`] and the [`CapacityStats`] family. Both
+//! client stores enforce it identically — this cache behind the boxed
+//! [`MobileUnit`](crate::MobileUnit), and the columnar fleet in
+//! `sleepers`, which picks its victims with the same [`victim`] and
+//! keeps an `Option<GhostFate>` per slot — so bounded runs stay
+//! byte-identical across the two.
 
 use sw_server::{ItemId, ItemTable};
 use sw_sim::{counters, SimDuration, SimTime};
@@ -109,6 +110,33 @@ pub fn victim_key(
     }
 }
 
+/// The entry a full cache evicts: the candidate `(at, item, meta)` with
+/// the minimal [`victim_key`], returned as its `at` and the stamp its
+/// ghost keeps. This loop is the only victim scan: the boxed [`Cache`]
+/// runs it over its table, the columnar fleet over a client's valid
+/// slots. The key ends in the item id, so the minimum is unique and the
+/// candidates' order cannot change the victim.
+///
+/// # Panics
+/// Panics if there are no candidates.
+#[inline]
+pub fn victim<K>(
+    policy: ReplacementPolicy,
+    now: SimTime,
+    window: SimDuration,
+    candidates: impl IntoIterator<Item = (K, ItemId, EntryMeta)>,
+) -> (K, SimTime) {
+    let mut victim: Option<([u64; 4], K, SimTime)> = None;
+    for (at, item, meta) in candidates {
+        let key = victim_key(policy, meta, now, window, item);
+        if victim.as_ref().is_none_or(|(best, ..)| key < *best) {
+            victim = Some((key, at, meta.stamp));
+        }
+    }
+    let (_, at, stamp) = victim.expect("cache over capacity cannot be empty");
+    (at, stamp)
+}
+
 /// What a requery learned about a previously evicted item.
 ///
 /// A bounded cache remembers evicted items as *ghosts* (item id +
@@ -161,8 +189,9 @@ pub struct CacheEntry {
 struct GhostEntry {
     /// The evicted entry's validity stamp at eviction time.
     stamp: SimTime,
-    /// True once a report proved the item changed after `stamp`.
-    stale: bool,
+    /// [`GhostFate::Fresh`] until a report proves the item changed
+    /// after `stamp`.
+    fate: GhostFate,
 }
 
 /// The MU cache: item → entry, with optional bounded capacity under a
@@ -293,37 +322,19 @@ impl Cache {
         }
         if let Some(cap) = self.capacity {
             while self.entries.len() > cap {
-                // The victim key ends in the item id, so the minimum is
-                // unique: eviction is independent of iteration order and
-                // byte-identical to the columnar fleet's scan, whose loop
-                // this is. Every adapter's `next` is `#[inline]`, so the
-                // loop compiles into `insert` wherever rustc would have
-                // placed the `fold` of a `.map(..).min()` chain.
-                let mut victim: Option<([u64; 4], ItemId)> = None;
-                for (k, e) in self.entries.iter() {
+                let candidates = self.entries.iter().map(|(k, e)| {
                     let meta = EntryMeta {
                         last_used: e.last_used,
                         use_count: e.use_count,
                         stamp: e.timestamp,
                     };
-                    let key = victim_key(self.policy, meta, timestamp, self.window, k);
-                    if victim.is_none_or(|(best, _)| key < best) {
-                        victim = Some((key, k));
-                    }
-                }
-                let (_, victim) = victim.expect("cache over capacity cannot be empty");
-                let gone = self
-                    .entries
-                    .remove(victim)
-                    .expect("victim scan returned a live entry");
+                    (k, k, meta)
+                });
+                let (gone, stamp) = victim(self.policy, timestamp, self.window, candidates);
+                self.entries.remove(gone);
                 if let Some(ghosts) = &mut self.ghosts {
-                    ghosts.insert(
-                        victim,
-                        GhostEntry {
-                            stamp: gone.timestamp,
-                            stale: false,
-                        },
-                    );
+                    let fate = GhostFate::Fresh;
+                    ghosts.insert(gone, GhostEntry { stamp, fate });
                 }
                 self.evictions += 1;
             }
@@ -344,13 +355,7 @@ impl Cache {
     /// Consumes the ghost of `item`, if any: what a requery learned
     /// about the evicted copy. Called on every miss by the unit driver.
     pub fn take_ghost(&mut self, item: ItemId) -> Option<GhostFate> {
-        self.ghosts.as_mut()?.remove(item).map(|g| {
-            if g.stale {
-                GhostFate::Stale
-            } else {
-                GhostFate::Fresh
-            }
-        })
+        self.ghosts.as_mut()?.remove(item).map(|g| g.fate)
     }
 
     /// Cached ids as a sorted vector (deterministic iteration for the
@@ -392,8 +397,8 @@ impl CacheSlots for Cache {
     fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
         if let Some(ghosts) = &mut self.ghosts {
             ghosts.for_each_mut(|item, g| {
-                if !g.stale && proven_stale(item, g.stamp) {
-                    g.stale = true;
+                if g.fate == GhostFate::Fresh && proven_stale(item, g.stamp) {
+                    g.fate = GhostFate::Stale;
                 }
             });
         }

@@ -23,11 +23,15 @@
 //! * [`handler`] — [`handler::RuleHandler`], what a [`mu::MobileUnit`]
 //!   holds its strategy by: a rule plus the per-client state it borrows
 //!   (signature tracking, adaptive windows);
-//! * [`mu`] — the [`mu::MobileUnit`] driver that ties the sleep process,
-//!   the query stream, the pending-query list `Q_i`, and the handler
-//!   together, implementing the interval semantics of Figure 2: queries
-//!   posed during `(T_{i−1}, T_i]` are answered only after the report at
-//!   `T_i` is processed.
+//! * [`UnitState`] — one unit's interval bookkeeping (stats, `T_l`, the
+//!   awake flag, the pose times of waiting queries, the query and sleep
+//!   processes), whose methods are the only text of each Figure 2 step
+//!   on either client store;
+//! * [`mu`] — the [`mu::MobileUnit`] driver that ties a [`UnitState`],
+//!   the cache, the pending-query list `Q_i`, and the handler together,
+//!   implementing the interval semantics of Figure 2: queries posed
+//!   during `(T_{i−1}, T_i]` are answered only after the report at `T_i`
+//!   is processed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +41,7 @@ pub mod digest;
 pub mod handler;
 pub mod mu;
 pub mod rule;
+mod unit;
 mod window;
 
 pub use cache::{Cache, CacheEntry, CapacityStats, GhostFate, ReplacementPolicy};
@@ -44,4 +49,5 @@ pub use digest::{DigestScratch, ReportDigest};
 pub use handler::{ProcessOutcome, RuleHandler};
 pub use mu::{IntervalReport, MobileUnit, MuConfig, MuStats};
 pub use rule::{CacheSlots, Lent, ReportRule, SigTrack, Verdict};
+pub use unit::UnitState;
 pub use window::WindowTable;

@@ -1,7 +1,10 @@
 //! The mobile unit driver.
 //!
-//! Ties together the sleep process, the query stream, the cache, and the
-//! strategy handler, implementing the interval semantics of Figure 2:
+//! Ties together a [`UnitState`] (stats, `T_l`, the sleep process, the
+//! query stream), the cache, the pending list and the strategy handler,
+//! implementing the interval semantics of Figure 2. The steps themselves
+//! are `UnitState`'s, shared with the columnar fleet; what this driver
+//! adds is where a boxed unit keeps its cache and its pending queries:
 //!
 //! * the unit "keeps a list of items queried during an interval and
 //!   answers them after receiving the next report";
@@ -15,14 +18,13 @@
 //!   answer them, then may sleep again (§4's stated simplification).
 
 use sw_server::{ItemId, ItemTable, PiggybackInfo, QueryAnswer};
-use sw_sim::{
-    counters, BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime,
-};
+use sw_sim::{counters, RngStream, SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
-use crate::cache::{Cache, CapacityStats, GhostFate, ReplacementPolicy};
+use crate::cache::{Cache, CapacityStats, ReplacementPolicy};
 use crate::digest::{DigestScratch, ReportDigest};
 use crate::handler::{ProcessOutcome, RuleHandler};
+use crate::unit::UnitState;
 
 /// Static configuration of one mobile unit.
 #[derive(Debug, Clone)]
@@ -127,21 +129,16 @@ pub struct IntervalReport {
     pub uplink_requests: Vec<(ItemId, Option<PiggybackInfo>)>,
 }
 
-/// One mobile unit.
+/// One mobile unit: a cache, a strategy handler, the pending list `Q_i`
+/// and a [`UnitState`] for the rest of its interval bookkeeping.
 pub struct MobileUnit {
     config: MuConfig,
     cache: Cache,
     handler: RuleHandler,
-    sleep: BernoulliIntervalProcess,
-    queries: PoissonProcess,
-    t_l: Option<SimTime>,
-    /// The queries waiting for the next report: the items asked, and
-    /// (parallel) when each was posed.
+    state: UnitState,
+    /// The items asked since the last heard report.
     pending: Vec<ItemId>,
-    posed_at: Vec<SimTime>,
-    awake: bool,
     local_hits: ItemTable<Vec<SimTime>>,
-    stats: MuStats,
 }
 
 impl std::fmt::Debug for MobileUnit {
@@ -150,7 +147,7 @@ impl std::fmt::Debug for MobileUnit {
             .field("id", &self.config.id)
             .field("strategy", &self.handler.name())
             .field("cache_len", &self.cache.len())
-            .field("t_l", &self.t_l)
+            .field("t_l", &self.state.last_report_heard())
             .finish_non_exhaustive()
     }
 }
@@ -175,16 +172,11 @@ impl MobileUnit {
         // Hit times are only collected for piggybacking.
         let local_hits = ItemTable::dense(if config.piggyback_hits { universe } else { 0 });
         MobileUnit {
-            sleep: BernoulliIntervalProcess::new(config.sleep_probability),
-            queries: PoissonProcess::new(total_rate, rng),
+            state: UnitState::new(total_rate, config.sleep_probability, rng),
             cache,
             handler,
-            t_l: None,
             pending: Vec::new(),
-            posed_at: Vec::new(),
-            awake: true,
             local_hits,
-            stats: MuStats::default(),
             config,
         }
     }
@@ -201,18 +193,25 @@ impl MobileUnit {
 
     /// Accumulated statistics.
     pub fn stats(&self) -> MuStats {
-        self.stats
+        self.state.stats()
     }
 
     /// Zeroes the statistics (cache and protocol state untouched) —
     /// used to discard warm-up intervals before measuring.
     pub fn reset_stats(&mut self) {
-        self.stats = MuStats::default();
+        self.state.reset_stats();
     }
 
-    /// Time the unit last heard a report.
-    pub fn last_report_heard(&self) -> Option<SimTime> {
-        self.t_l
+    /// The unit's interval bookkeeping: `T_l`, the awake flag, the
+    /// stats.
+    pub fn state(&self) -> &UnitState {
+        &self.state
+    }
+
+    /// The same, for a driver that keeps the unit's streams itself and
+    /// credits, draws and misses through it (`sleepers`' `ClientSeat`).
+    pub fn state_mut(&mut self) -> &mut UnitState {
+        &mut self.state
     }
 
     /// The unit's strategy: its name, which report frames it
@@ -220,33 +219,6 @@ impl MobileUnit {
     /// its signature telemetry.
     pub fn handler(&self) -> &RuleHandler {
         &self.handler
-    }
-
-    /// Whether the unit is awake in the current interval.
-    pub fn is_awake(&self) -> bool {
-        self.awake
-    }
-
-    /// Starts interval `(from, to]`: draws the sleep state and, if
-    /// awake, generates this interval's query arrivals into the pending
-    /// list.
-    ///
-    /// Unit-level convenience built on [`Self::begin_awake_interval`] /
-    /// [`Self::enter_sleep`]; the cell driver schedules wake-ups with a
-    /// heap instead and never touches sleeping units.
-    pub fn begin_interval(
-        &mut self,
-        from: SimTime,
-        to: SimTime,
-        sleep_rng: &mut RngStream,
-        query_rng: &mut RngStream,
-    ) {
-        if self.sleep.draw_asleep(sleep_rng) {
-            self.enter_sleep();
-            self.credit_asleep_intervals(1);
-        } else {
-            self.begin_awake_interval(from, to, query_rng);
-        }
     }
 
     /// Starts interval `(from, to]` with the unit known awake: generates
@@ -268,42 +240,34 @@ impl MobileUnit {
         from: SimTime,
         to: SimTime,
         query_rng: &mut RngStream,
-        mut pick: Option<&mut dyn FnMut() -> usize>,
+        pick: Option<&mut dyn FnMut() -> usize>,
     ) {
-        self.awake = true;
-        self.stats.intervals_awake += 1;
-        let posed = self.posed_at.len();
-        self.queries
-            .arrivals_in(from, to, query_rng, &mut self.posed_at);
-        for _ in posed..self.posed_at.len() {
-            let idx = match pick.as_deref_mut() {
-                Some(pick) => pick(),
-                None => query_rng.uniform_index(self.config.hotspot.len() as u64) as usize,
-            };
-            self.pending.push(self.config.hotspot[idx]);
-            self.stats.queries_posed += 1;
-        }
+        let (hotspot, pending) = (&self.config.hotspot, &mut self.pending);
+        self.state
+            .pose(from, to, query_rng, hotspot.len(), pick, |j| {
+                pending.push(hotspot[j])
+            });
     }
 
     /// Marks the unit asleep. Asleep intervals are credited lazily with
     /// [`Self::credit_asleep_intervals`] when the unit wakes (the cell
     /// driver never iterates sleeping units).
     pub fn enter_sleep(&mut self) {
-        self.awake = false;
+        self.state.enter_sleep();
     }
 
     /// Draws a whole sleep run from the unit's sleep process (see
-    /// [`BernoulliIntervalProcess::draw_sleep_run`]): the number of
-    /// consecutive asleep intervals before the next awake one. The cell
-    /// driver uses this to schedule the unit's wake-up on a heap.
+    /// [`UnitState::draw_sleep_run`]): the number of consecutive asleep
+    /// intervals before the next awake one. The cell driver uses this
+    /// to schedule the unit's wake-up on a heap.
     pub fn draw_sleep_run(&self, rng: &mut RngStream) -> u64 {
-        self.sleep.draw_sleep_run(rng)
+        self.state.draw_sleep_run(rng)
     }
 
     /// Credits `k` intervals spent asleep (lazy settlement of a whole
     /// sleep run at wake-up time).
     pub fn credit_asleep_intervals(&mut self, k: u64) {
-        self.stats.intervals_asleep += k;
+        self.state.credit_asleep_intervals(k);
     }
 
     /// Hears the report closing the current interval (awake units only)
@@ -320,24 +284,11 @@ impl MobileUnit {
     /// [`Self::hear_report_and_answer`] given the broadcast's shared
     /// digest: a cell digests each report once for all its listeners.
     pub fn hear_digest_and_answer(&mut self, digest: &ReportDigest<'_>) -> IntervalReport {
-        assert!(self.awake, "a sleeping unit cannot hear a report");
-        let outcome = self
-            .handler
-            .process_digest(&mut self.cache, digest, self.t_l);
+        let t_l = self.state.hearing();
+        let outcome = self.handler.process_digest(&mut self.cache, digest, t_l);
         let t_i = outcome.report_time;
-        // Latency accounting: every pending query is answered now.
-        for &posed_at in &self.posed_at {
-            let lat = t_i.saturating_duration_since(posed_at).as_secs();
-            self.stats.latency_sum_secs += lat;
-            if lat > self.stats.latency_max_secs {
-                self.stats.latency_max_secs = lat;
-            }
-        }
-        self.t_l = Some(t_i);
-        if outcome.dropped_all {
-            self.stats.cache_drops += 1;
-        }
-        self.stats.items_invalidated += outcome.invalidated.len() as u64;
+        self.state
+            .settle(t_i, outcome.dropped_all, outcome.invalidated.len());
         // Note: the piggyback history survives invalidation on purpose —
         // §8.1 defines it as "all the timestamps of requests ... satisfied
         // locally from the time of the previous uplink request", a query
@@ -349,22 +300,14 @@ impl MobileUnit {
         let mut uplink = Vec::new();
         for &item in &self.pending {
             if self.cache.get(item).is_some() {
-                self.stats.hit_events += 1;
+                self.state.hit();
                 if self.config.piggyback_hits {
                     self.local_hits
                         .get_or_insert_with(item, Vec::new)
                         .push(t_i);
                 }
             } else {
-                self.stats.miss_events += 1;
-                match self.cache.take_ghost(item) {
-                    Some(GhostFate::Fresh) => {
-                        self.stats.capacity_misses += 1;
-                        self.stats.evicted_then_requeried += 1;
-                    }
-                    Some(GhostFate::Stale) => self.stats.evicted_then_requeried += 1,
-                    None => {}
-                }
+                self.state.miss(self.cache.take_ghost(item));
                 let piggyback = if self.config.piggyback_hits {
                     Some(PiggybackInfo {
                         local_hit_times: self.local_hits.remove(item).unwrap_or_default(),
@@ -376,32 +319,10 @@ impl MobileUnit {
             }
         }
         self.pending.clear();
-        self.posed_at.clear();
         IntervalReport {
             outcome,
             uplink_requests: uplink,
         }
-    }
-
-    /// Records that the awake unit listened for the interval-closing
-    /// report but never received it intact (lost, corrupted, or missed
-    /// through clock drift).
-    ///
-    /// Crucially, `t_l` does *not* advance and the pending queries are
-    /// *not* answered: to this unit the interval looks exactly like a
-    /// nap, so the next intact report triggers the strategy's ordinary
-    /// gap recovery (AT drops the cache after any missed report, TS
-    /// drops iff the silent span exceeds the window `w`, SIG proceeds
-    /// modulo collisions). Pending queries wait for that next report,
-    /// accruing latency — the §2 latency guarantee is exactly what a
-    /// lossy channel breaks.
-    ///
-    /// # Panics
-    /// Panics if called while asleep — a sleeping unit was not
-    /// listening in the first place.
-    pub fn miss_report(&mut self) {
-        assert!(self.awake, "a sleeping unit was not listening for the report");
-        self.stats.reports_missed += 1;
     }
 
     /// Installs the answer to an uplink request: caches the fresh copy
@@ -411,7 +332,7 @@ impl MobileUnit {
         let before = self.cache.evictions();
         self.cache
             .insert(answer.item, answer.value, answer.timestamp);
-        self.stats.evictions += self.cache.evictions() - before;
+        self.state.note_evictions(self.cache.evictions() - before);
         self.handler.on_fetch(answer.item);
     }
 
@@ -438,7 +359,7 @@ impl MobileUnit {
         let dropped = self.cache.len();
         if dropped > 0 {
             self.cache.clear();
-            self.stats.cache_drops += 1;
+            self.state.note_cache_drop();
         }
         dropped
     }
@@ -489,28 +410,36 @@ mod tests {
         (mu, qrng, srng)
     }
 
+    /// Opens the awake interval `(t0, t0 + 10]`.
+    fn open(mu: &mut MobileUnit, qrng: &mut RngStream, t0: f64) {
+        let (from, to) = (SimTime::from_secs(t0), SimTime::from_secs(t0 + 10.0));
+        mu.begin_awake_interval(from, to, qrng);
+    }
+
     #[test]
     fn awake_unit_generates_queries() {
-        let (mut mu, mut qrng, mut srng) = unit(0.0, 1.0);
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
-        assert!(mu.is_awake());
+        let (mut mu, mut qrng, _) = unit(0.0, 1.0);
+        open(&mut mu, &mut qrng, 0.0);
+        assert!(mu.state().is_awake());
         assert!(mu.pending_len() > 0, "λ·|hotspot|·L = 100 expected arrivals");
     }
 
     #[test]
     fn asleep_unit_generates_nothing() {
-        let (mut mu, mut qrng, mut srng) = unit(1.0, 1.0);
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
-        assert!(!mu.is_awake());
+        let (mut mu, _, mut srng) = unit(1.0, 1.0);
+        assert_eq!(mu.draw_sleep_run(&mut srng), u64::MAX, "s = 1 never wakes");
+        mu.enter_sleep();
+        mu.credit_asleep_intervals(1);
+        assert!(!mu.state().is_awake());
         assert_eq!(mu.pending_len(), 0);
         assert_eq!(mu.stats().intervals_asleep, 1);
     }
 
     #[test]
     fn misses_become_uplink_requests_and_hits_after_install() {
-        let (mut mu, mut qrng, mut srng) = unit(0.0, 1.0);
+        let (mut mu, mut qrng, _) = unit(0.0, 1.0);
         // Interval 1: all queries miss (cold cache).
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 0.0);
         let rep = mu.hear_report_and_answer(&at_report(10.0, vec![]));
         assert!(!rep.uplink_requests.is_empty());
         assert_eq!(mu.stats().hit_events, 0);
@@ -525,16 +454,16 @@ mod tests {
             });
         }
         // Interval 2: no updates — queried items that repeat are hits.
-        mu.begin_interval(SimTime::from_secs(10.0), SimTime::from_secs(20.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 10.0);
         let _ = mu.hear_report_and_answer(&at_report(20.0, vec![]));
         assert!(mu.stats().hit_events > 0, "repeat queries should hit");
     }
 
     #[test]
     fn duplicate_queries_in_interval_are_one_event() {
-        let (mut mu, mut qrng, mut srng) = unit(0.0, 10.0);
+        let (mut mu, mut qrng, _) = unit(0.0, 10.0);
         // Very high λ: many arrivals, only ≤10 distinct hotspot items.
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 0.0);
         assert!(mu.pending_len() > 100);
         let rep = mu.hear_report_and_answer(&at_report(10.0, vec![]));
         assert!(rep.uplink_requests.len() <= 10);
@@ -543,8 +472,8 @@ mod tests {
 
     #[test]
     fn invalidated_item_misses_next_time() {
-        let (mut mu, mut qrng, mut srng) = unit(0.0, 5.0);
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+        let (mut mu, mut qrng, _) = unit(0.0, 5.0);
+        open(&mut mu, &mut qrng, 0.0);
         let rep = mu.hear_report_and_answer(&at_report(10.0, vec![]));
         for (item, _) in &rep.uplink_requests {
             mu.install_answer(QueryAnswer {
@@ -554,7 +483,7 @@ mod tests {
             });
         }
         // Interval 2: the report invalidates item 3.
-        mu.begin_interval(SimTime::from_secs(10.0), SimTime::from_secs(20.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 10.0);
         let rep2 = mu.hear_report_and_answer(&at_report(20.0, vec![3]));
         // If item 3 was queried this interval it must be among the misses.
         let missed: Vec<ItemId> = rep2.uplink_requests.iter().map(|(i, _)| *i).collect();
@@ -566,9 +495,9 @@ mod tests {
 
     #[test]
     fn piggyback_carries_local_hit_history() {
-        let (mut mu, mut qrng, mut srng) = unit(0.0, 5.0);
+        let (mut mu, mut qrng, _) = unit(0.0, 5.0);
         // Warm the cache.
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 0.0);
         let rep = mu.hear_report_and_answer(&at_report(10.0, vec![]));
         for (item, _) in &rep.uplink_requests {
             mu.install_answer(QueryAnswer {
@@ -580,18 +509,13 @@ mod tests {
         // Several hit intervals.
         for i in 2..6u64 {
             let t0 = (i - 1) as f64 * 10.0;
-            mu.begin_interval(
-                SimTime::from_secs(t0),
-                SimTime::from_secs(t0 + 10.0),
-                &mut srng,
-                &mut qrng,
-            );
+            open(&mut mu, &mut qrng, t0);
             let _ = mu.hear_report_and_answer(&at_report(t0 + 10.0, vec![]));
         }
         assert!(mu.stats().hit_events > 0);
         // Now invalidate everything; the next miss must carry history.
         let all: Vec<ItemId> = (0..10).collect();
-        mu.begin_interval(SimTime::from_secs(50.0), SimTime::from_secs(60.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 50.0);
         let rep = mu.hear_report_and_answer(&at_report(60.0, all));
         let with_history = rep
             .uplink_requests
@@ -606,8 +530,8 @@ mod tests {
 
     #[test]
     fn gap_drop_counts_once() {
-        let (mut mu, mut qrng, mut srng) = unit(0.0, 1.0);
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+        let (mut mu, mut qrng, _) = unit(0.0, 1.0);
+        open(&mut mu, &mut qrng, 0.0);
         let rep = mu.hear_report_and_answer(&at_report(10.0, vec![]));
         for (item, _) in &rep.uplink_requests {
             mu.install_answer(QueryAnswer {
@@ -617,7 +541,7 @@ mod tests {
             });
         }
         // Simulate a missed report: next heard report is at 30 (gap 20 > L).
-        mu.begin_interval(SimTime::from_secs(20.0), SimTime::from_secs(30.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 20.0);
         let _ = mu.hear_report_and_answer(&at_report(30.0, vec![]));
         assert_eq!(mu.stats().cache_drops, 1);
         assert!(mu.cache().is_empty());
@@ -625,8 +549,8 @@ mod tests {
 
     #[test]
     fn missed_report_defers_answers_and_triggers_gap_recovery() {
-        let (mut mu, mut qrng, mut srng) = unit(0.0, 1.0);
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+        let (mut mu, mut qrng, _) = unit(0.0, 1.0);
+        open(&mut mu, &mut qrng, 0.0);
         let rep = mu.hear_report_and_answer(&at_report(10.0, vec![]));
         for (item, _) in &rep.uplink_requests {
             mu.install_answer(QueryAnswer {
@@ -636,18 +560,18 @@ mod tests {
             });
         }
         // Interval 2: the report is lost in flight.
-        mu.begin_interval(SimTime::from_secs(10.0), SimTime::from_secs(20.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 10.0);
         let pending_before = mu.pending_len();
         assert!(pending_before > 0);
-        mu.miss_report();
+        mu.state_mut().miss_report();
         assert_eq!(mu.stats().reports_missed, 1);
         // Queries stay queued; t_l still points at the last heard report.
         assert_eq!(mu.pending_len(), pending_before);
-        assert_eq!(mu.last_report_heard(), Some(SimTime::from_secs(10.0)));
+        assert_eq!(mu.state().last_report_heard(), Some(SimTime::from_secs(10.0)));
         assert_eq!(mu.stats().query_events(), rep.uplink_requests.len() as u64);
         // Interval 3: the next intact report closes a 20 s gap > L = 10 s,
         // so the AT handler drops the whole cache — the paper's recovery.
-        mu.begin_interval(SimTime::from_secs(20.0), SimTime::from_secs(30.0), &mut srng, &mut qrng);
+        open(&mut mu, &mut qrng, 20.0);
         let rep3 = mu.hear_report_and_answer(&at_report(30.0, vec![]));
         assert_eq!(mu.stats().cache_drops, 1);
         assert!(mu.cache().is_empty());
@@ -660,15 +584,10 @@ mod tests {
         // queries most of the hotspot, so insertion churn must evict
         // and later requeries must find fresh ghosts (no invalidations
         // arrive — the reports are empty).
-        let (mut mu, mut qrng, mut srng) = unit_with_capacity(0.0, 5.0, Some(3));
+        let (mut mu, mut qrng, _) = unit_with_capacity(0.0, 5.0, Some(3));
         for i in 0..6u64 {
             let t0 = i as f64 * 10.0;
-            mu.begin_interval(
-                SimTime::from_secs(t0),
-                SimTime::from_secs(t0 + 10.0),
-                &mut srng,
-                &mut qrng,
-            );
+            open(&mut mu, &mut qrng, t0);
             let rep = mu.hear_report_and_answer(&at_report(t0 + 10.0, vec![]));
             for (item, _) in &rep.uplink_requests {
                 mu.install_answer(QueryAnswer {
@@ -713,16 +632,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "was not listening")]
     fn sleeping_unit_cannot_miss_a_report() {
-        let (mut mu, mut qrng, mut srng) = unit(1.0, 1.0);
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
-        mu.miss_report();
+        let (mut mu, _, mut srng) = unit(1.0, 1.0);
+        let run = mu.draw_sleep_run(&mut srng);
+        assert!(run > 0);
+        mu.enter_sleep();
+        mu.state_mut().miss_report();
     }
 
     #[test]
     #[should_panic(expected = "sleeping unit cannot hear")]
     fn sleeping_unit_rejects_report() {
-        let (mut mu, mut qrng, mut srng) = unit(1.0, 1.0);
-        mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+        let (mut mu, _, mut srng) = unit(1.0, 1.0);
+        let run = mu.draw_sleep_run(&mut srng);
+        assert!(run > 0);
+        mu.enter_sleep();
         let _ = mu.hear_report_and_answer(&at_report(10.0, vec![]));
     }
 }

@@ -45,10 +45,22 @@
 //! * SIG/HYB only ([`SigColumns`]): one bit per subset the client
 //!   tracks, `⌈m/64⌉` words/client, and the client's [`Arc`] share of
 //!   its last heard report, which is the value of every tracked subset;
-//! * plus per-client scalars — everything a [`ClientSeat`] holds beside
-//!   its cache: stats, `T_l`, awake flag, query pose times, the
-//!   query/sleep processes and their streams, the settled-interval and
-//!   next-wake marks.
+//! * `cached` — the live slot count per client;
+//! * `units` — one [`UnitState`] per client, the record a boxed
+//!   `MobileUnit` holds too: stats, `T_l`, awake flag, query pose
+//!   times, the query and sleep processes;
+//! * `streams` — one [`ClientStreams`] per client, the record a
+//!   [`ClientSeat`] holds too: the query, sleep and Zipf streams and the
+//!   settled-interval mark, with the one `open` and `close`;
+//! * `next_wake` — the next interval each client is awake in, a column
+//!   of its own because the scan wake reads it for every client each
+//!   interval, sleepers included.
+//!
+//! So every step of the interval protocol beside the cache —
+//! crediting a sleep run, posing queries, settling a heard report,
+//! counting a hit or a miss, drawing the next sleep run — is the same
+//! text on both stores; what the columns add is where the cache and
+//! the pending set live.
 //!
 //! One report sweep is then a cache-friendly linear scan over the slot
 //! block, and disjoint client ranges of the columns can be swept by
@@ -68,18 +80,19 @@
 //! stamp only for `report ∩ cache`, and the sweep writes no stamp at
 //! all — Σ|report ∩ cache| stamp reads per interval instead of awake·H
 //! stamp writes. What remains for
-//! `tests/columnar_equivalence.rs` to pin is what the stores do around
-//! the rule: the answer loop, capacity columns, query draws.
+//! `tests/columnar_equivalence.rs` to pin is where the stores differ
+//! around the rule: a pending mask against a pending list, and the
+//! capacity columns against the `Cache`'s tables.
 //!
 //! Bounded caches ride along as optional columns ([`CapColumns`]):
 //! per-slot recency/frequency ticks, a per-client access clock, and a
-//! per-slot ghost byte remembering evicted-entry stamps. They are
-//! materialized only when the cell bounds its caches, so unbounded
-//! sweeps touch nothing new; when armed, eviction at install time and
-//! ghost classification at answer time follow
-//! `sw_client::Cache` exactly (the victim key's item-id tiebreak makes
-//! the minimum unique, so the slot scan and the boxed table walk pick
-//! the same victim).
+//! per-slot `Option<GhostFate>` and stamp remembering evicted entries.
+//! They are materialized only when the cell bounds its caches, so
+//! unbounded sweeps touch nothing new; when armed, eviction at install
+//! time runs `sw_client::cache::victim`, the boxed `Cache`'s own victim
+//! scan, over the client's valid slots, and ghost classification at
+//! answer time hands [`UnitState::miss`] the slot's ghost as the boxed
+//! unit hands it `Cache::take_ghost`'s.
 //!
 //! Eligibility is decided in [`Fleet::new`]: TS/AT/SIG/NC/HYB/GR only
 //! (adaptive TS, quasi-delay and the stateful baseline stay on seats),
@@ -92,18 +105,18 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use sw_client::cache::{victim_key, EntryMeta};
+use sw_client::cache::{victim, EntryMeta};
 use sw_client::{
-    CacheSlots, Lent, MuStats, ReplacementPolicy, ReportDigest, ReportRule, SigTrack, Verdict,
+    CacheSlots, GhostFate, Lent, MuStats, ReplacementPolicy, ReportDigest, ReportRule, SigTrack,
+    UnitState, Verdict,
 };
 use sw_query::QueryPlane;
 use sw_server::{ItemId, PiggybackInfo, QueryAnswer};
 use sw_signature::CombinedSignature;
-use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
-use sw_workload::ZipfPicker;
+use sw_sim::{SimDuration, SimTime};
 
 use crate::config::{CellConfig, FleetBackend, WakeMode};
-use crate::seat::{piggybacks, shared_zipf, wake_after, ClientSeat, ClientStreams};
+use crate::seat::{piggybacks, shared_zipf, ClientSeat, ClientStart, ClientStreams};
 use crate::simulation::SimulationError;
 use crate::strategy::Strategy;
 
@@ -259,9 +272,14 @@ impl Fleet {
             policy: config.replacement,
             window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
         });
-        let mut fleet = ColumnarFleet::new(config.hotspot_size, rule, capacity, zipf);
+        let mut fleet = ColumnarFleet::new(config.hotspot_size, rule, capacity);
+        // Sized once: a client's `UnitState` and `ClientStreams` hold a
+        // few hundred bytes, and growing the two by doubling would leave
+        // every smaller copy behind in the heap.
+        fleet.units.reserve_exact(config.n_clients);
+        fleet.streams.reserve_exact(config.n_clients);
         for idx in 0..config.n_clients {
-            fleet.push_client(ClientStreams::draw(config, idx), params.lambda);
+            fleet.push_client(ClientStreams::draw(config, idx, zipf.as_ref()), params.lambda);
         }
         Ok(Fleet::Columnar(fleet))
     }
@@ -270,7 +288,7 @@ impl Fleet {
     pub(crate) fn len(&self) -> usize {
         match self {
             Fleet::Units(seats) => seats.len(),
-            Fleet::Columnar(fleet) => fleet.n,
+            Fleet::Columnar(fleet) => fleet.units.len(),
         }
     }
 
@@ -314,25 +332,23 @@ impl Fleet {
         (0..self.len()).filter_map(|idx| self.query_plane(idx))
     }
 
+    /// The unit's interval bookkeeping: the same record on either store.
+    #[inline]
+    pub(crate) fn unit(&self, idx: usize) -> &UnitState {
+        match self {
+            Fleet::Units(seats) => seats[idx].unit().state(),
+            Fleet::Columnar(fleet) => &fleet.units[idx],
+        }
+    }
+
     #[inline]
     pub(crate) fn stats(&self, idx: usize) -> MuStats {
-        match self {
-            Fleet::Units(seats) => seats[idx].unit().stats(),
-            Fleet::Columnar(fleet) => fleet.stats[idx],
-        }
+        self.unit(idx).stats()
     }
 
     /// Every slot's stats, in slot order (husks report zeros).
     pub(crate) fn stats_iter(&self) -> impl Iterator<Item = MuStats> + '_ {
         (0..self.len()).map(|idx| self.stats(idx))
-    }
-
-    #[inline]
-    pub(crate) fn is_awake(&self, idx: usize) -> bool {
-        match self {
-            Fleet::Units(seats) => seats[idx].unit().is_awake(),
-            Fleet::Columnar(fleet) => fleet.awake[idx],
-        }
     }
 
     /// The next interval the unit is awake in (`u64::MAX` = never).
@@ -627,7 +643,7 @@ impl SweepStore for &mut [ClientSeat] {
         let seat = &mut self[local];
         let unit = seat.unit();
         // The last-report time is the false-alarm reference point (§6).
-        let pre = observing.then(|| (unit.stats(), unit.last_report_heard()));
+        let pre = observing.then(|| (unit.stats(), unit.state().last_report_heard()));
         // A whole-cache drop at the first report after a handoff is
         // attributable to the cell switch (an empty carried cache has
         // nothing to lose and counts no drop).
@@ -723,10 +739,11 @@ struct CapColumns {
     last_used: Vec<u64>,
     /// Hits since install (1 at install), stride `h`.
     use_count: Vec<u64>,
-    /// Ghost state per slot: 0 = none, 1 = fresh, 2 = proven stale.
-    ghost: Vec<u8>,
-    /// Evicted entry's validity stamp (meaningful where `ghost != 0`),
-    /// stride `h`.
+    /// What is known of each slot's evicted copy, stride `h`: `None`
+    /// (nothing evicted, or its ghost was consumed), or its fate.
+    ghost: Vec<Option<GhostFate>>,
+    /// Evicted entry's validity stamp (meaningful where `ghost` is
+    /// `Some`), stride `h`.
     ghost_stamps: Vec<SimTime>,
     /// Per-client access clock (`Cache::clock`): bumped on every
     /// answer-loop read — hit or miss — and on every install.
@@ -737,14 +754,13 @@ struct CapColumns {
 struct CapChunk<'a> {
     last_used: &'a mut [u64],
     use_count: &'a mut [u64],
-    ghost: &'a mut [u8],
+    ghost: &'a mut [Option<GhostFate>],
     ghost_stamps: &'a mut [SimTime],
     clock: &'a mut [u64],
 }
 
 /// The columnar client store. See the module docs for the layout.
 pub(crate) struct ColumnarFleet {
-    n: usize,
     /// Hotspot size `H` = slots per client.
     h: usize,
     /// Validity bitmap words per client.
@@ -764,25 +780,18 @@ pub(crate) struct ColumnarFleet {
     stamps: Vec<SimTime>,
     /// Live slot count per client (= `cache.len()`).
     cached: Vec<u32>,
-    t_l: Vec<Option<SimTime>>,
-    awake: Vec<bool>,
     /// Slots queried since the last heard report, one bit each, stride
     /// `words` — the deduplicated `Q_i`, already in answer order.
     pending_mask: Vec<u64>,
-    /// When each of those queries was posed (latency accounting).
-    posed_at: Vec<Vec<SimTime>>,
-    stats: Vec<MuStats>,
-    queries: Vec<PoissonProcess>,
-    sleep: Vec<BernoulliIntervalProcess>,
-    query_rngs: Vec<RngStream>,
-    sleep_rngs: Vec<RngStream>,
-    /// The cell's shared Zipf rank CDF and each client's pick stream
-    /// (`None` when queries pick uniformly from the query stream).
-    zipf: Option<(Arc<ZipfPicker>, Vec<RngStream>)>,
-    /// Last interval whose sleep accounting was settled, per client.
-    last_settled: Vec<u64>,
+    /// Each client's interval bookkeeping: the same [`UnitState`] a
+    /// boxed `MobileUnit` holds.
+    units: Vec<UnitState>,
+    /// Each client's streams and settled-interval mark: the same
+    /// record a seat holds.
+    streams: Vec<ClientStreams>,
     /// Next interval each client is awake in (`u64::MAX` = never); the
-    /// scan wake schedule reads this column directly.
+    /// scan wake schedule reads this column directly, sleepers
+    /// included.
     next_wake: Vec<u64>,
     /// The strategy's client half, shared by every client.
     rule: ReportRule,
@@ -797,7 +806,6 @@ impl ColumnarFleet {
         hotspot_size: usize,
         rule: ReportRule,
         capacity: Option<CapacitySpec>,
-        zipf: Option<Arc<ZipfPicker>>,
     ) -> Self {
         assert!(hotspot_size > 0, "hotspot cannot be empty");
         let sig = rule.decoder().map(|d| SigColumns {
@@ -818,7 +826,6 @@ impl ColumnarFleet {
             }
         });
         ColumnarFleet {
-            n: 0,
             h: hotspot_size,
             words: hotspot_size.div_ceil(64),
             draw_slot: Vec::new(),
@@ -827,17 +834,9 @@ impl ColumnarFleet {
             values: Vec::new(),
             stamps: Vec::new(),
             cached: Vec::new(),
-            t_l: Vec::new(),
-            awake: Vec::new(),
             pending_mask: Vec::new(),
-            posed_at: Vec::new(),
-            stats: Vec::new(),
-            queries: Vec::new(),
-            sleep: Vec::new(),
-            query_rngs: Vec::new(),
-            sleep_rngs: Vec::new(),
-            zipf: zipf.map(|picker| (picker, Vec::new())),
-            last_settled: Vec::new(),
+            units: Vec::new(),
+            streams: Vec::new(),
             next_wake: Vec::new(),
             rule,
             sig,
@@ -850,14 +849,8 @@ impl ColumnarFleet {
     /// for the Poisson process's first arrival, one geometric from the
     /// sleep stream for the first sleep run. The hotspot arrives in
     /// draw order and is sorted into slot order here.
-    pub(crate) fn push_client(&mut self, streams: ClientStreams, query_rate_per_item: f64) {
-        let ClientStreams {
-            hotspot,
-            sleep_probability,
-            mut query_rng,
-            sleep_rng,
-            zipf_rng,
-        } = streams;
+    pub(crate) fn push_client(&mut self, start: ClientStart, query_rate_per_item: f64) {
+        let (hotspot, sleep_probability, mut streams) = start;
         assert_eq!(hotspot.len(), self.h, "fleet hotspots must share one size");
         let total_rate = query_rate_per_item * hotspot.len() as f64;
         let mut sorted = hotspot.clone();
@@ -879,20 +872,12 @@ impl ColumnarFleet {
         self.stamps
             .extend(std::iter::repeat_n(SimTime::ZERO, self.h));
         self.cached.push(0);
-        self.t_l.push(None);
-        self.awake.push(true);
-        self.posed_at.push(Vec::new());
-        self.stats.push(MuStats::default());
-        self.queries
-            .push(PoissonProcess::new(total_rate, &mut query_rng));
-        self.sleep
-            .push(BernoulliIntervalProcess::new(sleep_probability));
-        self.query_rngs.push(query_rng);
-        self.sleep_rngs.push(sleep_rng);
-        if let Some((_, rngs)) = &mut self.zipf {
-            rngs.push(zipf_rng.expect("a Zipf cell draws every client a pick stream"));
-        }
-        self.last_settled.push(0);
+        self.units.push(UnitState::new(
+            total_rate,
+            sleep_probability,
+            streams.query_rng(),
+        ));
+        self.streams.push(streams);
         self.next_wake.push(0);
         if let Some(sig) = &mut self.sig {
             sig.tracked.extend(std::iter::repeat_n(0u64, sig.words));
@@ -902,64 +887,42 @@ impl ColumnarFleet {
         if let Some(cap) = &mut self.cap {
             cap.last_used.extend(std::iter::repeat_n(0u64, self.h));
             cap.use_count.extend(std::iter::repeat_n(0u64, self.h));
-            cap.ghost.extend(std::iter::repeat_n(0u8, self.h));
+            cap.ghost.extend(std::iter::repeat_n(None, self.h));
             cap.ghost_stamps
                 .extend(std::iter::repeat_n(SimTime::ZERO, self.h));
             cap.clock.push(0);
         }
-        self.n += 1;
         // The first sleep run, as if closing interval 0.
-        self.close_interval(self.n - 1, 0);
+        self.close_interval(self.units.len() - 1, 0);
     }
 
     /// Zeroes every client's stats (warm-up reset at interval `now`).
     /// Sleep runs straddling the reset must not credit their pre-reset
     /// intervals into the fresh stats.
     fn reset_stats(&mut self, now: u64) {
-        self.stats.fill(MuStats::default());
-        for settled in &mut self.last_settled {
-            *settled = (*settled).max(now);
+        for (unit, streams) in self.units.iter_mut().zip(&mut self.streams) {
+            unit.reset_stats();
+            streams.settled_through(now);
         }
     }
 
-    /// [`ClientSeat::open_interval`] over the columns: credits the
-    /// sleep run that just ended and generates interval `i`'s query
-    /// arrivals into the pending set, consuming the client's streams
-    /// draw for draw like the seat (a Zipf pick leaves the uniform draw
-    /// on the query stream *unconsumed*).
+    /// [`ClientSeat::open_interval`] over the columns: the same
+    /// [`ClientStreams::open`] and [`UnitState::pose`], with each posed
+    /// query's bit set in the client's pending mask.
     fn open_interval(&mut self, idx: usize, i: u64, from: SimTime, to: SimTime) {
-        let stats = &mut self.stats[idx];
-        stats.intervals_asleep += i - self.last_settled[idx] - 1;
-        self.last_settled[idx] = i;
-        self.awake[idx] = true;
-        stats.intervals_awake += 1;
-        let base = idx * self.h;
-        let query_rng = &mut self.query_rngs[idx];
-        let mut zipf = self
-            .zipf
-            .as_mut()
-            .map(|(picker, rngs)| (&**picker, &mut rngs[idx]));
-        let posed_at = &mut self.posed_at[idx];
-        let posed = posed_at.len();
-        self.queries[idx].arrivals_in(from, to, query_rng, posed_at);
-        for _ in posed..posed_at.len() {
-            let j = match &mut zipf {
-                Some((picker, rng)) => picker.draw(rng),
-                None => query_rng.uniform_index(self.h as u64) as usize,
-            };
-            let slot = self.draw_slot[base + j] as usize;
-            self.pending_mask[idx * self.words + slot / 64] |= 1 << (slot % 64);
-            stats.queries_posed += 1;
-        }
+        let unit = &mut self.units[idx];
+        let (query_rng, pick) = self.streams[idx].open(unit, i);
+        let draw_slot = &self.draw_slot[idx * self.h..(idx + 1) * self.h];
+        let pending = &mut self.pending_mask[idx * self.words..(idx + 1) * self.words];
+        unit.pose(from, to, query_rng, self.h, pick, |j| {
+            let slot = draw_slot[j] as usize;
+            pending[slot / 64] |= 1 << (slot % 64);
+        });
     }
 
     /// [`ClientSeat::close_interval`] over the columns.
     fn close_interval(&mut self, idx: usize, i: u64) -> u64 {
-        let run = self.sleep[idx].draw_sleep_run(&mut self.sleep_rngs[idx]);
-        if run > 0 {
-            self.awake[idx] = false;
-        }
-        self.next_wake[idx] = wake_after(i, run);
+        self.next_wake[idx] = self.streams[idx].close(&mut self.units[idx], i);
         self.next_wake[idx]
     }
 
@@ -990,37 +953,31 @@ impl ColumnarFleet {
             cap.last_used[base + slot] = cap.clock[idx];
             cap.use_count[base + slot] = 1;
             // A fresh install clears any ghost of the item.
-            cap.ghost[base + slot] = 0;
+            cap.ghost[base + slot] = None;
+            let t_l = self.units[idx].last_report_heard();
             while self.cached[idx] as usize > cap.spec.cap {
-                // Same victim scan as `Cache::insert`: the key ends in
-                // the item id, so the minimum is unique and the slot
-                // order cannot disagree with the boxed table walk.
-                let mut victim: Option<([u64; 4], usize)> = None;
-                for s in 0..self.h {
-                    if self.valid[idx * self.words + s / 64] & (1 << (s % 64)) == 0 {
-                        continue;
-                    }
-                    let key = victim_key(
-                        cap.spec.policy,
-                        EntryMeta {
+                let valid = &self.valid[idx * self.words..(idx + 1) * self.words];
+                let candidates = (0..self.h)
+                    .filter(|s| valid[s / 64] & (1 << (s % 64)) != 0)
+                    .map(|s| {
+                        let meta = EntryMeta {
                             last_used: cap.last_used[base + s],
                             use_count: cap.use_count[base + s],
-                            stamp: validity(self.stamps[base + s], self.t_l[idx]),
-                        },
-                        answer.timestamp,
-                        cap.spec.window,
-                        self.slot_items[base + s],
-                    );
-                    if victim.is_none_or(|(best, _)| key < best) {
-                        victim = Some((key, s));
-                    }
-                }
-                let (_, vslot) = victim.expect("cache over capacity cannot be empty");
-                self.valid[idx * self.words + vslot / 64] &= !(1 << (vslot % 64));
+                            stamp: validity(self.stamps[base + s], t_l),
+                        };
+                        (s, self.slot_items[base + s], meta)
+                    });
+                let (gone, stamp) = victim(
+                    cap.spec.policy,
+                    answer.timestamp,
+                    cap.spec.window,
+                    candidates,
+                );
+                self.valid[idx * self.words + gone / 64] &= !(1 << (gone % 64));
                 self.cached[idx] -= 1;
-                cap.ghost[base + vslot] = 1;
-                cap.ghost_stamps[base + vslot] = validity(self.stamps[base + vslot], self.t_l[idx]);
-                self.stats[idx].evictions += 1;
+                cap.ghost[base + gone] = Some(GhostFate::Fresh);
+                cap.ghost_stamps[base + gone] = stamp;
+                self.units[idx].note_evictions(1);
             }
         }
         let mut sig = self.sig.as_mut().map(SigColumns::chunk);
@@ -1030,11 +987,7 @@ impl ColumnarFleet {
 
     /// Records a listened-for-but-missed report (fault injection).
     fn miss_report(&mut self, idx: usize) {
-        assert!(
-            self.awake[idx],
-            "a sleeping unit was not listening for the report"
-        );
-        self.stats[idx].reports_missed += 1;
+        self.units[idx].miss_report();
     }
 
     /// Visits every cached entry as `(item, value, timestamp)` in
@@ -1043,14 +996,15 @@ impl ColumnarFleet {
     /// audit checks the value against the history *there*, where an
     /// install stamp would always match.
     fn for_each_cached_entry(&self, mut f: impl FnMut(ItemId, u64, SimTime)) {
-        for idx in 0..self.n {
+        for idx in 0..self.units.len() {
             let base = idx * self.h;
+            let t_l = self.units[idx].last_report_heard();
             for slot in 0..self.h {
                 if self.valid[idx * self.words + slot / 64] & (1 << (slot % 64)) != 0 {
                     f(
                         self.slot_items[base + slot],
                         self.values[base + slot],
-                        validity(self.stamps[base + slot], self.t_l[idx]),
+                        validity(self.stamps[base + slot], t_l),
                     );
                 }
             }
@@ -1065,13 +1019,10 @@ impl ColumnarFleet {
             words: self.words,
             slot_items: &self.slot_items,
             stamps: &self.stamps,
-            awake: &self.awake,
             valid: &mut self.valid,
             cached: &mut self.cached,
-            t_l: &mut self.t_l,
             pending_mask: &mut self.pending_mask,
-            posed_at: &mut self.posed_at,
-            stats: &mut self.stats,
+            units: &mut self.units,
             sig: self.sig.as_mut().map(SigColumns::chunk),
             cap: self.cap.as_mut().map(|c| CapChunk {
                 last_used: &mut c.last_used,
@@ -1118,13 +1069,10 @@ struct ChunkView<'a> {
     slot_items: &'a [ItemId],
     /// The sweep reads install stamps and never writes them.
     stamps: &'a [SimTime],
-    awake: &'a [bool],
     valid: &'a mut [u64],
     cached: &'a mut [u32],
-    t_l: &'a mut [Option<SimTime>],
     pending_mask: &'a mut [u64],
-    posed_at: &'a mut [Vec<SimTime>],
-    stats: &'a mut [MuStats],
+    units: &'a mut [UnitState],
     sig: Option<SigChunk<'a>>,
     cap: Option<CapChunk<'a>>,
 }
@@ -1143,7 +1091,7 @@ struct SlotBlock<'a> {
     vouched: Option<SimTime>,
     cached: &'a mut u32,
     /// Ghost state and eviction stamp per slot (bounded fleets only).
-    ghosts: Option<(&'a mut [u8], &'a [SimTime])>,
+    ghosts: Option<(&'a mut [Option<GhostFate>], &'a [SimTime])>,
 }
 
 impl SlotBlock<'_> {
@@ -1179,7 +1127,7 @@ impl CacheSlots for SlotBlock<'_> {
         self.valid.fill(0);
         *self.cached = 0;
         if let Some((ghost, _)) = &mut self.ghosts {
-            ghost.fill(0);
+            ghost.fill(None);
         }
     }
 
@@ -1223,9 +1171,10 @@ impl CacheSlots for SlotBlock<'_> {
         let Some((ghost, ghost_stamps)) = &mut self.ghosts else {
             return;
         };
-        for (slot, state) in ghost.iter_mut().enumerate() {
-            if *state == 1 && proven_stale(self.items[slot], ghost_stamps[slot]) {
-                *state = 2;
+        for (slot, fate) in ghost.iter_mut().enumerate() {
+            if *fate == Some(GhostFate::Fresh) && proven_stale(self.items[slot], ghost_stamps[slot])
+            {
+                *fate = Some(GhostFate::Stale);
             }
         }
     }
@@ -1248,13 +1197,10 @@ impl SweepStore for ChunkView<'_> {
             words,
             slot_items: self.slot_items,
             stamps: self.stamps,
-            awake: self.awake,
             valid: front(&mut self.valid, n * words),
             cached: front(&mut self.cached, n),
-            t_l: front(&mut self.t_l, n),
             pending_mask: front(&mut self.pending_mask, n * words),
-            posed_at: front(&mut self.posed_at, n),
-            stats: front(&mut self.stats, n),
+            units: front(&mut self.units, n),
             sig: self.sig.as_mut().map(|s| SigChunk {
                 words: s.words,
                 tracked: front(&mut s.tracked, n * s.words),
@@ -1283,14 +1229,15 @@ impl SweepStore for ChunkView<'_> {
         digest: &ReportDigest<'_>,
         out: &mut SweepOut,
     ) {
-        assert!(self.awake[idx], "a sleeping unit cannot hear a report");
-        let pre = observing.then(|| (self.stats[local], self.t_l[local]));
+        let unit = &mut self.units[local];
+        let t_l = unit.hearing();
+        let pre = observing.then(|| (unit.stats(), t_l));
         let (h, words) = (self.h, self.words);
         let mut block = SlotBlock {
             items: &self.slot_items[idx * h..(idx + 1) * h],
             valid: &mut self.valid[local * words..(local + 1) * words],
             stamps: &self.stamps[idx * h..(idx + 1) * h],
-            vouched: self.t_l[local],
+            vouched: t_l,
             cached: &mut self.cached[local],
             ghosts: self.cap.as_mut().map(|cap| {
                 (
@@ -1301,29 +1248,11 @@ impl SweepStore for ChunkView<'_> {
         };
         let lent = SigChunk::lend(&mut self.sig, local);
         let first = out.invalidated.len();
-        let dropped_all = self.rule.apply(
-            &mut block,
-            lent,
-            digest,
-            self.t_l[local],
-            &mut out.invalidated,
-        );
+        let dropped_all = self
+            .rule
+            .apply(&mut block, lent, digest, t_l, &mut out.invalidated);
         let invalidated = first..out.invalidated.len();
-        let t_i = digest.report_time();
-        let stats = &mut self.stats[local];
-        for &posed_at in &self.posed_at[local] {
-            let lat = t_i.saturating_duration_since(posed_at).as_secs();
-            stats.latency_sum_secs += lat;
-            if lat > stats.latency_max_secs {
-                stats.latency_max_secs = lat;
-            }
-        }
-        self.posed_at[local].clear();
-        self.t_l[local] = Some(t_i);
-        if dropped_all {
-            stats.cache_drops += 1;
-        }
-        stats.items_invalidated += invalidated.len() as u64;
+        unit.settle(digest.report_time(), dropped_all, invalidated.len());
         // Answer Q_i: one event per distinct pending item. The pending mask
         // is that set already — one bit per queried slot, and ascending
         // bits are ascending item ids.
@@ -1344,22 +1273,12 @@ impl SweepStore for ChunkView<'_> {
                     }
                 }
                 if hit {
-                    stats.hit_events += 1;
+                    unit.hit();
                     continue;
                 }
-                stats.miss_events += 1;
-                // `Cache::take_ghost`: classify the requery of an evicted
-                // copy — fresh ghost ⇒ the capacity bound caused this miss.
-                if let Some(cap) = &mut self.cap {
-                    match std::mem::take(&mut cap.ghost[at]) {
-                        1 => {
-                            stats.capacity_misses += 1;
-                            stats.evicted_then_requeried += 1;
-                        }
-                        2 => stats.evicted_then_requeried += 1,
-                        _ => {}
-                    }
-                }
+                // `Cache::take_ghost`: what the requery learned of an
+                // evicted copy.
+                unit.miss(self.cap.as_mut().and_then(|cap| cap.ghost[at].take()));
                 // Piggyback histories are ineligible for the columnar
                 // fleet, so the uplink request never carries one.
                 out.uplinks.push(self.slot_items[idx * self.h + slot]);

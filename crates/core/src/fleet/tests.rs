@@ -25,8 +25,9 @@
 use sw_client::{Cache, DigestScratch, MobileUnit, MuConfig, ProcessOutcome, RuleHandler};
 use sw_server::{GroupMap, HotSet};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
-use sw_sim::{MasterSeed, StreamId};
+use sw_sim::{MasterSeed, PoissonProcess, StreamId};
 use sw_wireless::FramePayload;
+use sw_workload::ZipfPicker;
 
 use super::*;
 
@@ -157,30 +158,29 @@ impl Fleet {
             self.stats(0),
             self.last_unmatched_subsets(0),
             self.tracked_subsets(0),
-            self.is_awake(0),
+            self.unit(0).is_awake(),
             self.next_wake(0),
             self.cached()
         )
     }
 }
 
-/// Client `index`'s streams over `HOTSPOT`, with sleep probability `s`.
-fn streams(index: u64, s: f64, zipf: Option<f64>) -> ClientStreams {
+/// Client `index`'s start over `HOTSPOT`, with sleep probability `s`.
+fn streams(index: u64, s: f64, zipf: Option<f64>) -> ClientStart {
     let stream = |id| MasterSeed::TEST.stream(id);
-    ClientStreams {
-        hotspot: HOTSPOT.to_vec(),
-        sleep_probability: s,
-        query_rng: stream(StreamId::Queries { index }),
-        sleep_rng: stream(StreamId::Sleep { index }),
-        zipf_rng: zipf.map(|_| stream(StreamId::ZipfQuery { index })),
-    }
+    let picker = |theta| Arc::new(ZipfPicker::new(HOTSPOT.len(), theta));
+    let streams = ClientStreams::new(
+        stream(StreamId::Queries { index }),
+        stream(StreamId::Sleep { index }),
+        zipf.map(|theta| (picker(theta), stream(StreamId::ZipfQuery { index }))),
+    );
+    (HOTSPOT.to_vec(), s, streams)
 }
 
 /// One client over `HOTSPOT` with sleep probability `s`, on either
 /// store, from the same streams.
 fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Option<f64>) -> Fleet {
-    let streams = streams(0, s, zipf);
-    let picker = zipf.map(|theta| Arc::new(ZipfPicker::new(HOTSPOT.len(), theta)));
+    let start = streams(0, s, zipf);
     let window = SimDuration::from_secs(LATENCY).scaled(K as f64);
     if columnar {
         let capacity = capacity.map(|cap| CapacitySpec {
@@ -188,13 +188,14 @@ fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Opti
             policy: ReplacementPolicy::Lru,
             window,
         });
-        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(kind), capacity, picker);
-        fleet.push_client(streams, LAMBDA);
+        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(kind), capacity);
+        fleet.push_client(start, LAMBDA);
         Fleet::Columnar(fleet)
     } else {
+        let (hotspot, _, mut streams) = start;
         let config = MuConfig {
             id: 0,
-            hotspot: streams.hotspot,
+            hotspot,
             query_rate_per_item: LAMBDA,
             sleep_probability: s,
             cache_capacity: capacity,
@@ -204,16 +205,8 @@ fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Opti
             item_universe: Some(UNIVERSE),
         };
         let handler = RuleHandler::new(rule(kind));
-        let mut query_rng = streams.query_rng;
-        let mu = MobileUnit::new(config, handler, &mut query_rng);
-        let zipf = picker.zip(streams.zipf_rng);
-        Fleet::Units(vec![ClientSeat::seated(
-            mu,
-            query_rng,
-            streams.sleep_rng,
-            zipf,
-            None,
-        )])
+        let mu = MobileUnit::new(config, handler, streams.query_rng());
+        Fleet::Units(vec![ClientSeat::seated(mu, streams, None)])
     }
 }
 
@@ -433,7 +426,7 @@ fn never_wake_sentinel_leaves_the_schedule_under_both_wake_modes() {
     for fleet in both(Kind::At, None, 1.0, None) {
         // s = 1: the first sleep run is the sentinel.
         assert_eq!(fleet.next_wake(0), u64::MAX);
-        assert!(!fleet.is_awake(0));
+        assert!(!fleet.unit(0).is_awake());
         for mode in [WakeMode::Scan, WakeMode::Heap] {
             let mut schedule = WakeSchedule::new(mode, &fleet);
             let mut awake = Vec::new();
@@ -641,7 +634,7 @@ fn a_fetch_tracks_its_items_subsets_and_hyb_only_a_cold_items() {
 #[test]
 fn a_sig_columnar_fleet_holds_one_mask_bit_per_subset_per_client() {
     let n = 5;
-    let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(Kind::Sig), None, None);
+    let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(Kind::Sig), None);
     for index in 0..n {
         fleet.push_client(streams(index, 0.0, None), LAMBDA);
     }

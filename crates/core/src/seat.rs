@@ -1,11 +1,11 @@
 //! One seat per client: everything one boxed mobile unit is, and the
 //! interval protocol of Figure 2 written once.
 //!
-//! A [`ClientSeat`] owns a client's [`MobileUnit`], its query, sleep
-//! and Zipf streams, its optional query-result plane, and its
-//! settled-interval and next-wake marks. It is built from a
-//! [`CellConfig`] in exactly one place ([`ClientSeat::new`]) and
-//! offers one method per protocol phase:
+//! A [`ClientSeat`] owns a client's [`MobileUnit`], its
+//! `ClientStreams` (query, sleep and Zipf streams and the
+//! settled-interval mark), its optional query-result plane, and its
+//! next-wake mark. It is built from a [`CellConfig`] in exactly one
+//! place ([`ClientSeat::new`]) and offers one method per protocol phase:
 //!
 //! 1. [`open_interval`](ClientSeat::open_interval) — wake: settle the
 //!    sleep run that just ended, pose the interval's queries;
@@ -21,13 +21,17 @@
 //! The same seat is what the boxed fleet stores, what a mesh handoff
 //! carries between cells, and what `sw_live::LiveMu` wraps behind its
 //! sockets, so the three agree by construction. The columnar fleet
-//! offers the same phase methods over its columns and starts every
-//! client from the same per-client stream draw (`ClientStreams`).
+//! offers the same phase methods over its columns, from the same two
+//! records per client: the [`UnitState`] a `MobileUnit` holds, and the
+//! `ClientStreams` a seat holds, whose `open` and `close` both stores
+//! call. So a per-client fact beside the cache is one field in one of
+//! those two structs.
 
 use std::sync::Arc;
 
 use sw_client::{
     IntervalReport, MobileUnit, MuConfig, ReplacementPolicy, ReportDigest, ReportRule, RuleHandler,
+    UnitState,
 };
 use sw_faults::FaultLayer;
 use sw_query::QueryPlane;
@@ -64,63 +68,116 @@ pub fn shared_zipf(cfg: &CellConfig) -> Option<Arc<ZipfPicker>> {
         .map(|theta| Arc::new(ZipfPicker::new(cfg.hotspot_size, theta)))
 }
 
-/// The interval a unit is next awake in after drawing a sleep run of
-/// `run` at the close of interval `i` (`u64::MAX` = never again).
-pub(crate) fn wake_after(i: u64, run: u64) -> u64 {
-    if run == u64::MAX {
-        u64::MAX
-    } else {
-        (i + 1).saturating_add(run)
-    }
-}
-
 /// What client `index` of a configuration starts from on either fleet
-/// backend: its hotspot, its sleep probability, and its private
-/// streams, each a pure function of `(seed, StreamId { index })`.
+/// backend: its hotspot (in draw order), its sleep probability, and its
+/// private streams, each a pure function of `(seed, StreamId { index })`.
+pub(crate) type ClientStart = (Vec<ItemId>, f64, ClientStreams);
+
+/// A client's private streams and its settled-interval mark: one record
+/// on either store, with the one [`open`](Self::open) and the one
+/// [`close`](Self::close) of an awake interval.
 pub(crate) struct ClientStreams {
-    /// The hotspot, in draw order.
-    pub(crate) hotspot: Vec<ItemId>,
-    pub(crate) sleep_probability: f64,
     /// Arrival times, and the item pick unless Zipf is armed.
-    pub(crate) query_rng: RngStream,
-    pub(crate) sleep_rng: RngStream,
-    /// The per-arrival Zipf rank draw (`Some` iff `query_zipf` is set),
-    /// so unarmed runs consume exactly the classic draw sequence.
-    pub(crate) zipf_rng: Option<RngStream>,
+    query_rng: RngStream,
+    sleep_rng: RngStream,
+    /// The cell's shared Zipf rank CDF and the per-arrival rank draw
+    /// (`Some` iff `query_zipf` is set), so unarmed runs consume exactly
+    /// the classic draw sequence.
+    zipf: Option<(Arc<ZipfPicker>, RngStream)>,
+    /// Last interval whose sleep accounting was settled (sleep runs are
+    /// credited lazily at wake-up).
+    last_settled: u64,
 }
 
 impl ClientStreams {
-    pub(crate) fn draw(cfg: &CellConfig, index: usize) -> Self {
+    pub(crate) fn new(
+        query_rng: RngStream,
+        sleep_rng: RngStream,
+        zipf: Option<(Arc<ZipfPicker>, RngStream)>,
+    ) -> Self {
+        ClientStreams {
+            query_rng,
+            sleep_rng,
+            zipf,
+            last_settled: 0,
+        }
+    }
+
+    /// Client `index` of `cfg`; `zipf` is the cell's [`shared_zipf`]
+    /// picker.
+    pub(crate) fn draw(
+        cfg: &CellConfig,
+        index: usize,
+        zipf: Option<&Arc<ZipfPicker>>,
+    ) -> ClientStart {
         let idx = index as u64;
         let spec = HotspotSpec::new(cfg.params.n_items, cfg.hotspot_size, cfg.popularity);
-        ClientStreams {
-            hotspot: spec.draw(&mut cfg.seed.stream(StreamId::Hotspot { index: idx })),
-            sleep_probability: match &cfg.sleep_profile {
+        (
+            spec.draw(&mut cfg.seed.stream(StreamId::Hotspot { index: idx })),
+            match &cfg.sleep_profile {
                 Some(profile) => profile[index % profile.len()],
                 None => cfg.params.s,
             },
-            query_rng: cfg.seed.stream(StreamId::Queries { index: idx }),
-            sleep_rng: cfg.seed.stream(StreamId::Sleep { index: idx }),
-            zipf_rng: cfg
-                .query_zipf
-                .map(|_| cfg.seed.stream(StreamId::ZipfQuery { index: idx })),
+            ClientStreams::new(
+                cfg.seed.stream(StreamId::Queries { index: idx }),
+                cfg.seed.stream(StreamId::Sleep { index: idx }),
+                zipf.map(|picker| {
+                    let rng = cfg.seed.stream(StreamId::ZipfQuery { index: idx });
+                    (Arc::clone(picker), rng)
+                }),
+            ),
+        )
+    }
+
+    /// The query stream, which a unit's constructor draws its first
+    /// arrival from.
+    pub(crate) fn query_rng(&mut self) -> &mut RngStream {
+        &mut self.query_rng
+    }
+
+    /// Opens interval `i` for the waking `unit`: credits the sleep run
+    /// that just ended, then hands back what
+    /// [`UnitState::pose`](sw_client::UnitState::pose) draws the
+    /// interval's queries from — the query stream, and the pick on the
+    /// Zipf stream when Zipf is armed.
+    pub(crate) fn open(
+        &mut self,
+        unit: &mut UnitState,
+        i: u64,
+    ) -> (&mut RngStream, Option<impl FnMut() -> usize + '_>) {
+        unit.credit_asleep_intervals(i - self.last_settled - 1);
+        self.last_settled = i;
+        let pick = self.zipf.as_mut();
+        let pick = pick.map(|(picker, rng)| move || picker.draw(rng));
+        (&mut self.query_rng, pick)
+    }
+
+    /// Closes interval `i` for `unit`: draws its next sleep run and
+    /// returns the next interval it is awake in (`u64::MAX` = never).
+    pub(crate) fn close(&mut self, unit: &mut UnitState, i: u64) -> u64 {
+        let run = unit.draw_sleep_run(&mut self.sleep_rng);
+        if run > 0 {
+            unit.enter_sleep();
         }
+        // A never-waking run, `u64::MAX`, saturates to itself.
+        (i + 1).saturating_add(run)
+    }
+
+    /// Credits no asleep interval up to `i` at the next wake: a warm-up
+    /// reset at `i`, or a handoff in transit through `i`.
+    pub(crate) fn settled_through(&mut self, i: u64) {
+        self.last_settled = self.last_settled.max(i);
     }
 }
 
 /// One client of a cell. See the module docs.
 pub struct ClientSeat {
     mu: MobileUnit,
-    query_rng: RngStream,
-    sleep_rng: RngStream,
-    zipf: Option<(Arc<ZipfPicker>, RngStream)>,
+    streams: ClientStreams,
     /// Draws only from `StreamId::QueryPlan { index }`, so arming it
     /// never perturbs the item-plane streams. Does not travel: query
     /// cells are standalone.
     plane: Option<QueryPlane>,
-    /// Last interval whose sleep accounting was settled (sleep runs
-    /// are credited lazily at wake-up).
-    last_settled: u64,
     /// The next interval the unit is awake in (`u64::MAX` = never).
     next_wake: u64,
     /// Arrived by handoff and has not heard a report here yet; the
@@ -141,20 +198,20 @@ impl ClientSeat {
         zipf: Option<&Arc<ZipfPicker>>,
     ) -> Self {
         let params = &cfg.params;
-        let streams = ClientStreams::draw(cfg, index);
+        let (hotspot, sleep_probability, mut streams) = ClientStreams::draw(cfg, index, zipf);
         // The query plane's workload is a pure function of its own
         // stream over the hotspot the item plane drew.
         let plane = cfg.query.map(|qc| {
             let rng = cfg.seed.stream(StreamId::QueryPlan {
                 index: index as u64,
             });
-            QueryPlane::new(&streams.hotspot, qc, rng)
+            QueryPlane::new(&hotspot, qc, rng)
         });
         let mu_config = MuConfig {
             id: index as u64,
-            hotspot: streams.hotspot,
+            hotspot,
             query_rate_per_item: params.lambda,
-            sleep_probability: streams.sleep_probability,
+            sleep_probability,
             cache_capacity: cfg.cache_capacity,
             replacement: cfg.replacement,
             replacement_window: SimDuration::from_secs(params.latency_secs)
@@ -163,28 +220,21 @@ impl ClientSeat {
             item_universe: Some(params.n_items),
         };
         let handler = RuleHandler::new(rule.clone());
-        let mut query_rng = streams.query_rng;
-        let mu = MobileUnit::new(mu_config, handler, &mut query_rng);
-        let zipf = zipf.cloned().zip(streams.zipf_rng);
-        Self::seated(mu, query_rng, streams.sleep_rng, zipf, plane)
+        let mu = MobileUnit::new(mu_config, handler, streams.query_rng());
+        Self::seated(mu, streams, plane)
     }
 
     /// Seats `mu` and draws its first sleep run: one geometric draw
     /// from the sleep stream, as if closing interval 0.
     pub(crate) fn seated(
         mu: MobileUnit,
-        query_rng: RngStream,
-        sleep_rng: RngStream,
-        zipf: Option<(Arc<ZipfPicker>, RngStream)>,
+        streams: ClientStreams,
         plane: Option<QueryPlane>,
     ) -> Self {
         let mut seat = ClientSeat {
             mu,
-            query_rng,
-            sleep_rng,
-            zipf,
+            streams,
             plane,
-            last_settled: 0,
             next_wake: 0,
             newly_migrated: false,
         };
@@ -207,8 +257,13 @@ impl ClientSeat {
             piggyback_hits: false,
             item_universe: None,
         };
-        let mu = MobileUnit::new(config, RuleHandler::new(ReportRule::NoCache), &mut rng());
-        Self::seated(mu, rng(), rng(), None, None)
+        let mut streams = ClientStreams::new(rng(), rng(), None);
+        let mu = MobileUnit::new(
+            config,
+            RuleHandler::new(ReportRule::NoCache),
+            streams.query_rng(),
+        );
+        Self::seated(mu, streams, None)
     }
 
     /// Whether this is a departed slot's [`husk`](Self::husk).
@@ -249,17 +304,10 @@ impl ClientSeat {
     #[inline]
     pub fn open_interval(&mut self, i: u64, from: SimTime, to: SimTime) {
         debug_assert!(i >= self.next_wake, "opened before the scheduled wake");
-        self.mu.credit_asleep_intervals(i - self.last_settled - 1);
-        self.last_settled = i;
-        match &mut self.zipf {
-            Some((picker, rng)) => self.mu.begin_awake_interval_skewed(
-                from,
-                to,
-                &mut self.query_rng,
-                Some(&mut || picker.draw(rng)),
-            ),
-            None => self.mu.begin_awake_interval(from, to, &mut self.query_rng),
-        }
+        let (query_rng, mut pick) = self.streams.open(self.mu.state_mut(), i);
+        let pick = pick.as_mut().map(|pick| pick as &mut dyn FnMut() -> usize);
+        self.mu
+            .begin_awake_interval_skewed(from, to, query_rng, pick);
         if let Some(plane) = &mut self.plane {
             plane.begin_awake_interval();
         }
@@ -270,7 +318,7 @@ impl ClientSeat {
     /// strategy the interval looks like a nap.
     #[inline]
     pub fn miss_report(&mut self) {
-        self.mu.miss_report();
+        self.mu.state_mut().miss_report();
         if let Some(plane) = &mut self.plane {
             plane.on_report_missed();
         }
@@ -311,11 +359,7 @@ impl ClientSeat {
     /// next interval the unit is awake in.
     #[inline]
     pub fn close_interval(&mut self, i: u64) -> u64 {
-        let run = self.mu.draw_sleep_run(&mut self.sleep_rng);
-        if run > 0 {
-            self.mu.enter_sleep();
-        }
-        self.next_wake = wake_after(i, run);
+        self.next_wake = self.streams.close(self.mu.state_mut(), i);
         self.next_wake
     }
 
@@ -324,7 +368,7 @@ impl ClientSeat {
     /// pre-reset intervals into the fresh stats.
     pub(crate) fn reset_stats(&mut self, now: u64) {
         self.mu.reset_stats();
-        self.last_settled = self.last_settled.max(now);
+        self.streams.settled_through(now);
         if let Some(plane) = &mut self.plane {
             plane.reset_stats();
         }
@@ -339,7 +383,7 @@ impl ClientSeat {
     pub(crate) fn arrive(&mut self, id: u64, transit: u64, histories_agree: bool) -> bool {
         self.mu.reassign_id(id);
         self.mu.enter_sleep();
-        self.last_settled = self.last_settled.max(transit);
+        self.streams.settled_through(transit);
         self.next_wake = self.next_wake.max(transit.saturating_add(1));
         self.newly_migrated = true;
         !histories_agree && self.mu.drop_cache_for_handoff() > 0

@@ -387,7 +387,7 @@ impl CellSimulation {
         let wake = WakeSchedule::new(wake_mode, &fleet);
         let pending_disconnects = if server.driver().is_stateful() {
             (0..fleet.len())
-                .filter(|&idx| !fleet.is_awake(idx))
+                .filter(|&idx| !fleet.unit(idx).is_awake())
                 .collect()
         } else {
             Vec::new()
@@ -823,7 +823,7 @@ impl CellSimulation {
                 self.queued_exchanges.remove(&(q.idx, q.item));
                 continue;
             }
-            if stalled || !self.fleet.is_awake(q.idx) {
+            if stalled || !self.fleet.unit(q.idx).is_awake() {
                 self.pending_uplinks.push_back(q);
                 continue;
             }
@@ -1148,7 +1148,7 @@ impl CellSimulation {
         let stateful = self.server.driver().is_stateful();
         for &idx in &iv.awake {
             let next_wake = self.fleet.close_interval(idx, iv.i);
-            if stateful && !self.fleet.is_awake(idx) {
+            if stateful && !self.fleet.unit(idx).is_awake() {
                 self.pending_disconnects.push(idx);
             }
             if iv.observing && next_wake == u64::MAX {

@@ -111,6 +111,7 @@ fn assert_pinned(
 
 fn main() {
     an_at_churn_cell_allocates_four_times_per_step_at_any_size();
+    a_bounded_at_churn_cell_allocates_nothing_to_evict_or_classify_ghosts();
     a_two_worker_ts_cell_allocates_a_fixed_count_per_step_at_any_size();
 }
 
@@ -129,6 +130,38 @@ fn an_at_churn_cell_allocates_four_times_per_step_at_any_size() {
                 .with_hotspot_size(30)
                 .with_sweep_threads(1)
         },
+        Strategy::AmnesicTerminals,
+    );
+}
+
+/// The same churn with every cache bounded at 20 of its 30 hot-spot
+/// items under LRU: each refetch past the bound evicts, and each
+/// requery of an evicted item classifies its ghost. Both happen in the
+/// columns the fleet sized at construction, so the count is the
+/// unbounded cell's four.
+fn a_bounded_at_churn_cell_allocates_nothing_to_evict_or_classify_ghosts() {
+    let config = |clients: usize| {
+        CellConfig::new(widened(ScenarioParams::scenario3().with_s(0.2), clients))
+            .with_clients(clients)
+            .with_hotspot_size(30)
+            .with_cache_capacity(20)
+            .with_replacement(ReplacementPolicy::Lru)
+            .with_sweep_threads(1)
+    };
+    // The bound bites: refetches evict, and requeries find fresh ghosts.
+    let mut cell =
+        CellSimulation::new(config(250), Strategy::AmnesicTerminals).expect("a valid cell");
+    cell.run(WARM_UP as u64).expect("warm-up");
+    let capacity = cell.report().capacity;
+    assert!(
+        capacity.evictions > 0 && capacity.capacity_misses > 0,
+        "{capacity:?}"
+    );
+    assert_pinned(
+        "bounded AT",
+        4,
+        [250, 1_000],
+        config,
         Strategy::AmnesicTerminals,
     );
 }

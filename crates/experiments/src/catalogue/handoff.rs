@@ -114,7 +114,6 @@ fn run_client(
         (0..25).collect(),
         handler,
     );
-    let mut srng = MasterSeed(replicate_seed(2, replicate)).stream(StreamId::Sleep { index: 1 });
     let mut qrng = MasterSeed(replicate_seed(3, replicate)).stream(StreamId::Custom { tag: 1 });
 
     let mut in_a = true;
@@ -137,16 +136,13 @@ fn run_client(
                 napping = nap_on_handoff;
             }
         }
-        client.begin_interval(from, to, &mut srng, &mut qrng);
+        client.begin_awake_interval(from, to, &mut qrng);
         if napping {
-            // Model the relocation blackout: the unit misses this
-            // interval's report entirely. MobileUnit's sleep draw is
-            // s = 0, so emulate the nap by dropping its pending queries
-            // through a skipped report — we simply do not deliver one,
-            // which the next interval's gap check will see.
-            // (Queries posed during the blackout are answered after it,
-            // matching the paper's elective-disconnection model.)
-            let _ = client.is_awake();
+            // The relocation blackout: the unit never sleeps on its own
+            // (s = 0), so the nap is this interval's report not being
+            // delivered, which the next interval's gap check sees. The
+            // queries posed meanwhile wait and are answered after it,
+            // matching the paper's elective-disconnection model.
             continue;
         }
         let payload = if in_a { &payload_a } else { &payload_b };

@@ -126,18 +126,13 @@ impl BernoulliIntervalProcess {
         self.sleep_probability
     }
 
-    /// Draws whether the unit sleeps through the next interval.
-    pub fn draw_asleep(&self, rng: &mut RngStream) -> bool {
-        rng.bernoulli(self.sleep_probability)
-    }
-
     /// Draws a whole *sleep run*: the number `k ≥ 0` of consecutive
     /// asleep intervals before the next awake one, distributed
-    /// `P(K = k) = s^k · (1 − s)` — exactly the run length that `k + 1`
-    /// successive [`Self::draw_asleep`] calls would produce, but in one
+    /// `P(K = k) = s^k · (1 − s)` — the run length of independent
+    /// per-interval coin flips, asleep with probability `s`, but in one
     /// draw. This is what lets the cell driver schedule each unit's next
     /// wake-up on a heap instead of flipping a coin for every sleeper
-    /// every interval.
+    /// every interval. It is the process's only draw.
     ///
     /// Returns [`u64::MAX`] as an effectively-infinite sentinel when
     /// `s = 1` (the unit never wakes).
@@ -350,16 +345,6 @@ mod tests {
         let mut c = IntervalClock::new(SimDuration::from_secs(10.0));
         assert_eq!(c.tick(), (1, SimTime::from_secs(10.0)));
         assert_eq!(c.tick(), (2, SimTime::from_secs(20.0)));
-    }
-
-    #[test]
-    fn sleep_process_frequency() {
-        let mut r = rng();
-        let p = BernoulliIntervalProcess::new(0.7);
-        let n = 100_000;
-        let asleep = (0..n).filter(|_| p.draw_asleep(&mut r)).count();
-        let freq = asleep as f64 / n as f64;
-        assert!((freq - 0.7).abs() < 0.01);
     }
 
     #[test]

@@ -55,17 +55,21 @@ fn fingerprint(cfg: CellConfig, strategy: Strategy, intervals: u64) -> Fingerpri
 
 #[test]
 fn columnar_matches_units_for_every_eligible_strategy() {
-    for &strategy in ELIGIBLE {
-        let units = fingerprint(
-            base_config(40, 0.4, 77).with_fleet(FleetBackend::Units),
-            strategy,
-            80,
-        );
-        let columnar = fingerprint(
-            base_config(40, 0.4, 77).with_fleet(FleetBackend::Columnar),
-            strategy,
-            80,
-        );
+    // The plain cell, and a mixed population: workaholics beside deep
+    // sleepers (s = 0.9), every client posing Zipf-skewed queries, so
+    // both stores credit long sleep runs and pose from the Zipf stream.
+    let inputs = [
+        base_config(40, 0.4, 77),
+        base_config(40, 0.4, 77)
+            .with_sleep_profile(vec![0.0, 0.9])
+            .with_query_zipf(0.8),
+    ];
+    for (cfg, &strategy) in inputs
+        .iter()
+        .flat_map(|cfg| ELIGIBLE.iter().map(move |strategy| (cfg, strategy)))
+    {
+        let units = fingerprint(cfg.clone().with_fleet(FleetBackend::Units), strategy, 80);
+        let columnar = fingerprint(cfg.clone().with_fleet(FleetBackend::Columnar), strategy, 80);
         assert_eq!(
             units.0, columnar.0,
             "{} report diverged between fleet backends",

@@ -38,9 +38,8 @@ fn mu_with_hotspot(hotspot: Vec<u64>, lambda: f64) -> MobileUnit {
 #[test]
 fn queries_wait_for_the_next_report() {
     let mut mu = mu_with_hotspot(vec![0, 1, 2], 1.0);
-    let mut srng = MasterSeed(0xE9).stream(StreamId::Sleep { index: 0 });
     let mut qrng = MasterSeed(0xE9).stream(StreamId::Custom { tag: 5 });
-    mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+    mu.begin_awake_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut qrng);
     // Queries are pending but unanswered until the report arrives.
     assert!(mu.pending_len() > 0);
     assert_eq!(mu.stats().query_events(), 0, "no answers before the report");
@@ -59,9 +58,8 @@ fn same_item_queries_answered_once_per_interval() {
     // λ so high every item is queried many times per interval; each
     // distinct item is one query event and one uplink request.
     let mut mu = mu_with_hotspot(vec![7, 8], 50.0);
-    let mut srng = MasterSeed(1).stream(StreamId::Sleep { index: 0 });
     let mut qrng = MasterSeed(1).stream(StreamId::Custom { tag: 6 });
-    mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+    mu.begin_awake_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut qrng);
     assert!(mu.stats().queries_posed > 100, "the burst really happened");
     let report = sleepers_workaholics::wireless::FramePayload::AmnesicReport {
         report_ts_micros: 10_000_000,
@@ -84,9 +82,8 @@ fn answer_reflects_update_made_after_the_query_in_the_same_interval() {
     let mut at = ServerDriver::new(Strategy::AmnesicTerminals, &params, MasterSeed(2), &db, 0);
 
     let mut mu = mu_with_hotspot(vec![3], 0.2);
-    let mut srng = MasterSeed(2).stream(StreamId::Sleep { index: 0 });
     let mut qrng = MasterSeed(2).stream(StreamId::Custom { tag: 7 });
-    mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+    mu.begin_awake_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut qrng);
     // Mid-interval update, after queries may have been posed.
     at.on_update(&db.apply_update(3, 999_999, SimTime::from_secs(7.0)));
 
@@ -152,11 +149,10 @@ fn cache_hits_answer_with_report_validated_values() {
     // An item cached and revalidated by the report answers queries
     // locally — and the validity timestamp is the report's.
     let mut mu = mu_with_hotspot(vec![4], 0.5);
-    let mut srng = MasterSeed(3).stream(StreamId::Sleep { index: 0 });
     let mut qrng = MasterSeed(3).stream(StreamId::Custom { tag: 8 });
 
     // Interval 1: fetch the item.
-    mu.begin_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut srng, &mut qrng);
+    mu.begin_awake_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut qrng);
     let report1 = sleepers_workaholics::wireless::FramePayload::AmnesicReport {
         report_ts_micros: 10_000_000,
         ids: vec![],
@@ -170,7 +166,11 @@ fn cache_hits_answer_with_report_validated_values() {
         });
     }
     // Interval 2: the report revalidates; a repeat query hits locally.
-    mu.begin_interval(SimTime::from_secs(10.0), SimTime::from_secs(20.0), &mut srng, &mut qrng);
+    mu.begin_awake_interval(
+        SimTime::from_secs(10.0),
+        SimTime::from_secs(20.0),
+        &mut qrng,
+    );
     let report2 = sleepers_workaholics::wireless::FramePayload::AmnesicReport {
         report_ts_micros: 20_000_000,
         ids: vec![],
