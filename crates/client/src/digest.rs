@@ -16,7 +16,9 @@
 //! [`ReportDigest::ts_newer_than`], are the single definition of
 //! keep / restamp / invalidate for TS, AT, GR, the hot half of HYB,
 //! adaptive TS and quasi-delay; nothing else compares against the
-//! report on its own.
+//! report on its own. [`ReportDigest::window`] reads §8's per-item
+//! windows off an adaptive report: the windows are a property of the
+//! broadcast, so no client keeps a copy of them.
 //!
 //! The buffers live in a [`DigestScratch`] the cell keeps across
 //! intervals: building a digest allocates nothing once the scratch has
@@ -45,6 +47,36 @@ pub struct DigestScratch {
     /// kept per id) — filled only when the payload's own entries are
     /// not already in that shape.
     sorted: Vec<(u64, u64)>,
+    /// An adaptive report's window exceptions re-sorted (strictly
+    /// ascending ids, the smallest window kept per id) — filled only
+    /// when the payload's own list is not already in that shape.
+    sorted_windows: Vec<(u64, u32)>,
+}
+
+/// `list` if its ids ascend strictly, which is what a binary search
+/// needs and what a server report carries; otherwise (hand-built,
+/// hostile) a normalised copy in `scratch`: sorted by id, each id once,
+/// its value chosen by `keep(kept, later)` over the duplicates in
+/// ascending order.
+fn strictly_ascending<'a, V: Copy + Ord>(
+    list: &'a [(u64, V)],
+    scratch: &'a mut Vec<(u64, V)>,
+    keep: fn(V, V) -> V,
+) -> &'a [(u64, V)] {
+    if list.windows(2).all(|w| w[0].0 < w[1].0) {
+        return list;
+    }
+    scratch.clear();
+    scratch.extend_from_slice(list);
+    scratch.sort_unstable();
+    scratch.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = keep(kept.1, later.1);
+        }
+        same
+    });
+    scratch
 }
 
 impl DigestScratch {
@@ -77,6 +109,12 @@ impl DigestScratch {
             } => (*report_ts_micros, &[], &[]),
             other => panic!("cannot digest a non-report frame: {other:?}"),
         };
+        let windows: &[(u64, u32)] = match payload {
+            FramePayload::AdaptiveTimestampReport {
+                window_exceptions, ..
+            } => window_exceptions,
+            _ => &[],
+        };
         let listed = || entries.iter().map(|e| e.0).chain(ids.iter().copied());
         let words = listed()
             .filter(|&id| id < BITSET_ID_BOUND)
@@ -93,30 +131,16 @@ impl DigestScratch {
             }
         }
         self.overflow.sort_unstable();
-        // Server reports carry entries in strictly ascending item
-        // order, which is what the binary search needs; anything else
-        // (hand-built, hostile) is normalised into the scratch copy.
-        let entries = if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            entries
-        } else {
-            self.sorted.clear();
-            self.sorted.extend_from_slice(entries);
-            self.sorted.sort_unstable();
-            self.sorted.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    kept.1 = later.1; // sorted: the later duplicate is the newer
-                }
-                same
-            });
-            &self.sorted
-        };
         ReportDigest {
             payload,
             t_i: SimTime::from_micros(micros),
             bits: &self.bits,
             overflow: &self.overflow,
-            entries,
+            // An id listed twice is judged by its newest `t_j`, and
+            // windowed by its smallest `w_j`: both drop more, the
+            // conservative reading.
+            entries: strictly_ascending(entries, &mut self.sorted, u64::max),
+            windows: strictly_ascending(windows, &mut self.sorted_windows, u32::min),
         }
     }
 }
@@ -130,6 +154,7 @@ pub struct ReportDigest<'a> {
     bits: &'a [u64],
     overflow: &'a [u64],
     entries: &'a [(u64, u64)],
+    windows: &'a [(u64, u32)],
 }
 
 impl<'a> ReportDigest<'a> {
@@ -139,8 +164,8 @@ impl<'a> ReportDigest<'a> {
         self.t_i
     }
 
-    /// The digested payload (signatures, window exceptions and the
-    /// frame kind are read from here; ids and entries never are).
+    /// The digested payload (signatures and the frame kind are read
+    /// from here; ids, entries and windows never are).
     #[inline]
     pub fn payload(&self) -> &'a FramePayload {
         self.payload
@@ -166,6 +191,17 @@ impl<'a> ReportDigest<'a> {
                 .entries
                 .binary_search_by_key(&item, |&(id, _)| id)
                 .is_ok_and(|ix| cached_micros < self.entries[ix].1)
+    }
+
+    /// §8: the window, in intervals, an adaptive report gives `item`
+    /// when it lists one for it; `None` puts the item at the default
+    /// `k_0` (and is every answer for any other kind of report).
+    #[inline]
+    pub fn window(&self, item: ItemId) -> Option<u32> {
+        self.windows
+            .binary_search_by_key(&item, |&(id, _)| id)
+            .ok()
+            .map(|ix| self.windows[ix].1)
     }
 }
 
@@ -196,6 +232,12 @@ mod tests {
         entries.iter().any(|&(id, t_j)| id == item && cached < t_j)
     }
 
+    /// An id's window: its smallest listed one, the reading that drops
+    /// the most.
+    fn naive_window(windows: &[(u64, u32)], item: u64) -> Option<u32> {
+        windows.iter().filter(|w| w.0 == item).map(|w| w.1).min()
+    }
+
     #[test]
     fn verdicts_match_the_naive_definition_on_random_payloads() {
         let mut rng = MasterSeed(0xD16E57).stream(StreamId::Custom { tag: 1 });
@@ -213,6 +255,20 @@ mod tests {
                 })
                 .collect();
             let ids: Vec<u64> = entries.iter().map(|e| e.0).collect();
+            // Window exceptions drawn the same way, independently of the
+            // entries: sorted, unsorted or duplicated as the draw falls,
+            // and sorted outright every third round.
+            let mut windows: Vec<(u64, u32)> = (0..rng.uniform_index(8))
+                .map(|_| {
+                    (
+                        ID_POOL[rng.uniform_index(ID_POOL.len() as u64) as usize],
+                        rng.uniform_index(6) as u32,
+                    )
+                })
+                .collect();
+            if round % 3 == 0 {
+                windows.sort_unstable();
+            }
             let report_ts_micros = 10_000_000 + round;
             let payloads = [
                 FramePayload::TimestampReport {
@@ -223,13 +279,19 @@ mod tests {
                     report_ts_micros,
                     ids: ids.clone(),
                 },
+                FramePayload::AdaptiveTimestampReport {
+                    report_ts_micros,
+                    entries: entries.clone(),
+                    window_exceptions: windows.clone(),
+                },
             ];
             for payload in &payloads {
                 // The scratch is reused across payloads of every shape:
                 // nothing of the previous digest may leak into the next.
                 let digest = scratch.digest(payload);
                 assert_eq!(digest.report_time(), SimTime::from_micros(report_ts_micros));
-                let is_ts = matches!(payload, FramePayload::TimestampReport { .. });
+                let has_entries = !matches!(payload, FramePayload::AmnesicReport { .. });
+                let is_adaptive = matches!(payload, FramePayload::AdaptiveTimestampReport { .. });
                 for probe in ID_POOL.iter().copied().chain([3, 66, 1_000, 1 << 30]) {
                     assert_eq!(
                         digest.listed(probe),
@@ -239,10 +301,15 @@ mod tests {
                     for cached in 0..4 {
                         assert_eq!(
                             digest.ts_newer_than(probe, cached),
-                            is_ts && naive_newer(&entries, probe, cached),
+                            has_entries && naive_newer(&entries, probe, cached),
                             "ts_newer_than({probe}, {cached}) over {entries:?}"
                         );
                     }
+                    assert_eq!(
+                        digest.window(probe),
+                        naive_window(&windows, probe).filter(|_| is_adaptive),
+                        "window({probe}) over {windows:?}"
+                    );
                 }
             }
         }
@@ -260,6 +327,15 @@ mod tests {
         assert!(!digest.ts_newer_than(4, 2));
         assert!(!digest.ts_newer_than(5, 0));
         assert!(scratch.sorted.is_empty());
+        let payload = FramePayload::AdaptiveTimestampReport {
+            report_ts_micros: 1,
+            entries: vec![(1, 5)],
+            window_exceptions: vec![(2, 0), (7, 9)],
+        };
+        let digest = scratch.digest(&payload);
+        assert_eq!((digest.window(2), digest.window(7)), (Some(0), Some(9)));
+        assert_eq!(digest.window(3), None);
+        assert!(scratch.sorted_windows.is_empty());
     }
 
     #[test]

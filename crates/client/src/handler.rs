@@ -7,8 +7,8 @@
 //!
 //! The algorithms themselves are not here: they are
 //! [`ReportRule::apply`]. A handler is one rule plus the per-client
-//! state that rule borrows — SIG/HYB's signature tracking, adaptive
-//! TS's window table, nothing for the rest.
+//! state that rule borrows — SIG/HYB's signature tracking, nothing for
+//! the rest (adaptive TS reads its windows off each heard report).
 
 use std::sync::Arc;
 
@@ -20,7 +20,6 @@ use sw_wireless::FramePayload;
 use crate::cache::Cache;
 use crate::digest::{DigestScratch, ReportDigest};
 use crate::rule::{Lent, ReportRule, SigTrack};
-use crate::window::WindowTable;
 
 /// What processing one report did to the cache.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,37 +45,23 @@ struct SigState {
     last_unmatched: u32,
 }
 
-/// What one boxed client keeps between reports; what a [`Lent`]
-/// borrows.
-#[derive(Debug, Clone)]
-enum State {
-    Nothing,
-    Sig(SigState),
-    Windows(WindowTable),
-}
-
 /// A [`ReportRule`] as one boxed unit's handler.
 #[derive(Debug, Clone)]
 pub struct RuleHandler {
     rule: ReportRule,
-    state: State,
+    /// What the client keeps between reports (SIG/HYB only); what a
+    /// [`Lent`] borrows.
+    state: Option<SigState>,
 }
 
 impl RuleHandler {
-    /// Wraps `rule` with fresh per-client state: nothing tracked, every
-    /// window at its default.
+    /// Wraps `rule` with fresh per-client state: nothing tracked.
     pub fn new(rule: ReportRule) -> Self {
-        let state = match (&rule, rule.decoder()) {
-            (ReportRule::AdaptiveTs { default_k, .. }, _) => {
-                State::Windows(WindowTable::new(*default_k))
-            }
-            (_, Some(decoder)) => State::Sig(SigState {
-                tracked: vec![0; SigTrack::words(decoder)],
-                last_report: Arc::new(Vec::new()),
-                last_unmatched: 0,
-            }),
-            (_, None) => State::Nothing,
-        };
+        let state = rule.decoder().map(|decoder| SigState {
+            tracked: vec![0; SigTrack::words(decoder)],
+            last_report: Arc::new(Vec::new()),
+            last_unmatched: 0,
+        });
         RuleHandler { rule, state }
     }
 
@@ -101,10 +86,9 @@ impl RuleHandler {
     /// Number of subsets currently tracked (0 for the rules that track
     /// none).
     pub fn tracked_subsets(&self) -> usize {
-        match &self.state {
-            State::Sig(s) => SigTrack::count(&s.tracked),
-            _ => 0,
-        }
+        self.state
+            .as_ref()
+            .map_or(0, |s| SigTrack::count(&s.tracked))
     }
 
     /// Syndrome-decode telemetry: how many cached subsets' signatures
@@ -114,21 +98,17 @@ impl RuleHandler {
     /// decoding threshold, its false validations) originate, so the
     /// observability layer tracks them per interval.
     pub fn last_unmatched_subsets(&self) -> Option<u32> {
-        match &self.state {
-            State::Sig(s) => Some(s.last_unmatched),
-            _ => None,
-        }
+        self.state.as_ref().map(|s| s.last_unmatched)
     }
 
     fn parts(&mut self) -> (&ReportRule, Lent<'_>) {
         let lent = match &mut self.state {
-            State::Nothing => Lent::Nothing,
-            State::Sig(s) => Lent::Sig(SigTrack {
+            None => Lent::Nothing,
+            Some(s) => Lent::Sig(SigTrack {
                 tracked: &mut s.tracked,
                 last_report: &mut s.last_report,
                 last_unmatched: &mut s.last_unmatched,
             }),
-            State::Windows(windows) => Lent::Windows(windows),
         };
         (&self.rule, lent)
     }
@@ -496,7 +476,7 @@ mod tests {
                 .filter(|&j| (0..n).any(|i| decoder.family().contains(j, i)))
                 .count();
             assert_eq!(handler.tracked_subsets(), nonempty);
-            let State::Sig(s) = &handler.state else {
+            let Some(s) = &handler.state else {
                 unreachable!("a SIG handler tracks signatures")
             };
             assert_eq!(s.tracked.len(), (m as usize).div_ceil(64));

@@ -7,10 +7,11 @@
 //!   replacement policy (LRU/LFU/window-age) plus ghost bookkeeping for
 //!   the capacity-miss statistics;
 //! * [`digest`] — the per-broadcast [`digest::ReportDigest`]: the
-//!   report time plus a membership bitset over the listed ids, built
-//!   once per report so every client walks its own cache and only
-//!   *probes* the report; its verdict methods are the one definition of
-//!   keep / restamp / invalidate;
+//!   report time plus a membership bitset over the listed ids (and an
+//!   adaptive report's per-item windows), built once per report so
+//!   every client walks its own cache and only *probes* the report; its
+//!   verdict methods are the one definition of keep / restamp /
+//!   invalidate;
 //! * [`rule`] — the report-processing algorithms, once:
 //!   [`rule::ReportRule::apply`] holds the frame check, the gap rule,
 //!   the keep / restamp / invalidate walk, ghost retire and SIG's
@@ -18,11 +19,9 @@
 //!   §8 adaptive TS, generic over a [`rule::CacheSlots`] view that
 //!   [`cache::Cache`] and the columnar fleet's per-client slot block
 //!   both implement;
-//! * [`WindowTable`] — §8's per-item windows, which adaptive TS's
-//!   report broadcasts and [`rule::ReportRule::AdaptiveTs`] reads;
 //! * [`handler`] — [`handler::RuleHandler`], what a [`mu::MobileUnit`]
 //!   holds its strategy by: a rule plus the per-client state it borrows
-//!   (signature tracking, adaptive windows);
+//!   (signature tracking, the only such state);
 //! * [`UnitState`] — one unit's interval bookkeeping (stats, `T_l`, the
 //!   awake flag, the pose times of waiting queries, the query and sleep
 //!   processes), whose methods are the only text of each Figure 2 step
@@ -42,7 +41,6 @@ pub mod handler;
 pub mod mu;
 pub mod rule;
 mod unit;
-mod window;
 
 pub use cache::{Cache, CacheEntry, CapacityStats, GhostFate, ReplacementPolicy};
 pub use digest::{DigestScratch, ReportDigest};
@@ -50,4 +48,3 @@ pub use handler::{ProcessOutcome, RuleHandler};
 pub use mu::{IntervalReport, MobileUnit, MuConfig, MuStats};
 pub use rule::{CacheSlots, Lent, ReportRule, SigTrack, Verdict};
 pub use unit::UnitState;
-pub use window::WindowTable;

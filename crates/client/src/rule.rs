@@ -17,10 +17,10 @@
 //!   client's slot block of its columns. Both run the same
 //!   monomorphised `apply`.
 //! * [`Lent`] is the per-client state a rule borrows for one call —
-//!   SIG/HYB's signature tracking ([`SigTrack`]), adaptive TS's window
-//!   table — lent by whoever stores it (a
-//!   [`crate::handler::RuleHandler`] field, or a row of the fleet's SIG
-//!   columns).
+//!   SIG/HYB's signature tracking ([`SigTrack`]), the only such state —
+//!   lent by whoever stores it (a [`crate::handler::RuleHandler`]
+//!   field, or a row of the fleet's SIG columns). Adaptive TS keeps
+//!   none: its windows ride every report and are read off the digest.
 //!
 //! Safety discipline: TS, AT, GR and adaptive TS "will only allow false
 //! alarm errors and will always correctly inform the client if his copy
@@ -37,10 +37,10 @@ use std::sync::Arc;
 use sw_server::{GroupMap, HotSet, ItemId};
 use sw_signature::{CombinedSignature, SyndromeDecoder};
 use sw_sim::{SimDuration, SimTime};
+use sw_wireless::frame::INFINITE_WINDOW;
 use sw_wireless::FramePayload;
 
 use crate::digest::ReportDigest;
-use crate::window::{WindowTable, INFINITE_WINDOW};
 
 /// What the walk does with one cached entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,13 +172,10 @@ pub struct SigTrack<'a> {
 /// The per-client state a rule borrows for one call.
 #[derive(Debug)]
 pub enum Lent<'a> {
-    /// TS, AT, NC, GR and QD keep nothing per client.
+    /// TS, AT, NC, GR, adaptive TS and QD keep nothing per client.
     Nothing,
     /// SIG and HYB: the signature-tracking state.
     Sig(SigTrack<'a>),
-    /// Adaptive TS: the client's view of the per-item windows, reloaded
-    /// from every heard report.
-    Windows(&'a mut WindowTable),
 }
 
 impl SigTrack<'_> {
@@ -274,7 +271,9 @@ pub enum ReportRule {
     /// §8 adaptive TS: §3.1 with the window per item. The whole-cache
     /// drop `T_i − T_l > w` becomes "drop `j` iff `T_i − T_l > w_j`" —
     /// within `w_j` the report still mentions any update to `j` the
-    /// client could have missed — and the rest follow the TS test.
+    /// client could have missed — and the rest follow the TS test. The
+    /// windows are the ones the heard report lists
+    /// ([`ReportDigest::window`]), `k_0` for every item it does not.
     AdaptiveTs {
         /// The broadcast latency `L`; windows are multiples of it.
         latency: SimDuration,
@@ -467,28 +466,18 @@ impl ReportRule {
                 // window w appears in the report.
                 cache.retire_ghosts(newer);
             }
-            ReportRule::AdaptiveTs { latency, .. } => {
-                let Lent::Windows(windows) = lent else {
-                    panic!("the adaptive TS rule needs the client's window table")
-                };
-                let FramePayload::AdaptiveTimestampReport {
-                    window_exceptions, ..
-                } = digest.payload()
-                else {
-                    unreachable!("`accepts` admits only adaptive reports to the adaptive rule")
-                };
-                // The current windows ride in with every report.
-                windows.load_exceptions(window_exceptions);
+            ReportRule::AdaptiveTs { latency, default_k } => {
                 let gap = t_l.map_or(f64::INFINITY, |t_l| {
                     t_i.saturating_duration_since(t_l).as_secs()
                 });
                 cache.sweep(
                     t_i,
                     |item, stamp| {
+                        // The current windows ride in with every report.
                         // §8: "it makes sense to keep an 'infinite'
                         // window for an item like this" — no gap can
                         // age it out.
-                        let w_j = match windows.get(item) {
+                        let w_j = match digest.window(item).unwrap_or(*default_k) {
                             k if k >= INFINITE_WINDOW => f64::INFINITY,
                             k => k as f64 * latency.as_secs(),
                         };
@@ -696,8 +685,7 @@ mod tests {
 
     /// §3, §7 and §8 as the paper prints them — a loop over the cached
     /// items with a linear scan of the raw report inside — returning
-    /// the ids that may stay. No digest, no `CacheSlots`, no decoder,
-    /// no window table.
+    /// the ids that may stay. No digest, no `CacheSlots`, no decoder.
     fn oracle(
         rule: &ReportRule,
         cached: &[(ItemId, SimTime)],
@@ -800,8 +788,10 @@ mod tests {
             ReportRule::AdaptiveTs { default_k, .. } => {
                 let k_j = windows
                     .iter()
-                    .find(|&&(id, _)| id == j)
-                    .map_or(*default_k, |&(_, k)| k);
+                    .filter(|&&(id, _)| id == j)
+                    .map(|&(_, k)| k)
+                    .min()
+                    .unwrap_or(*default_k);
                 (k_j == INFINITE_WINDOW || !gap_over(k_j as f64 * L)) && !ts_newer(j, t_cache)
             }
             // §7: a copy that reached age α drops iff the report names
@@ -922,15 +912,14 @@ mod tests {
             let expected = oracle(rule, &cached, &tracked, &payload, t_l);
 
             let (mut last_report, mut last_unmatched) = (Arc::new(last_report), 0);
-            let mut windows = WindowTable::new(K);
-            let lent = match rule {
-                ReportRule::AdaptiveTs { .. } => Lent::Windows(&mut windows),
-                _ if rule.decoder().is_some() => Lent::Sig(SigTrack {
+            let lent = if rule.decoder().is_some() {
+                Lent::Sig(SigTrack {
                     tracked: &mut mask,
                     last_report: &mut last_report,
                     last_unmatched: &mut last_unmatched,
-                }),
-                _ => Lent::Nothing,
+                })
+            } else {
+                Lent::Nothing
             };
             let outcome = outcome(rule, &mut cache, lent, &scratch.digest(&payload), t_l);
 
@@ -984,10 +973,10 @@ mod tests {
         use super::*;
 
         /// One adaptive report heard at `t_i` by a client (`L` = 10 s,
-        /// default window from `windows`) that last heard one at `t_l`.
+        /// default window `k_0` intervals) that last heard one at `t_l`.
         fn hear(
             cache: &mut Cache,
-            windows: &mut WindowTable,
+            k_0: u32,
             t_i: f64,
             entries: &[(u64, f64)],
             window_exceptions: &[(u64, u32)],
@@ -999,9 +988,9 @@ mod tests {
                 window_exceptions: window_exceptions.to_vec(),
             };
             outcome(
-                &ReportRule::adaptive_ts(SimDuration::from_secs(L), windows.default_k()),
+                &ReportRule::adaptive_ts(SimDuration::from_secs(L), k_0),
                 cache,
-                Lent::Windows(windows),
+                Lent::Nothing,
                 &DigestScratch::default().digest(&payload),
                 t_l.map(t),
             )
@@ -1015,8 +1004,7 @@ mod tests {
         fn a_twice_listed_id_is_judged_by_its_newest_entry() {
             for entries in [[(5, 30.0), (5, 10.0)], [(5, 10.0), (5, 30.0)]] {
                 let mut c = cache_of(&[(5, 20.0)]);
-                let mut w = WindowTable::new(2);
-                let out = hear(&mut c, &mut w, 40.0, &entries, &[], Some(30.0));
+                let out = hear(&mut c, 2, 40.0, &entries, &[], Some(30.0));
                 assert_eq!(out.invalidated, vec![5], "{entries:?}");
                 assert!(c.is_empty());
             }
@@ -1026,9 +1014,8 @@ mod tests {
         fn per_item_gap_check() {
             // Item 1 on the default w = 20, item 2 on w = 100.
             let mut c = cache_of(&[(1, 10.0), (2, 10.0)]);
-            let mut w = WindowTable::new(2);
             // Gap = 40 − 10 = 30 > 20 for item 1, but ≤ 100 for item 2.
-            let out = hear(&mut c, &mut w, 40.0, &[], &[(2, 10)], Some(10.0));
+            let out = hear(&mut c, 2, 40.0, &[], &[(2, 10)], Some(10.0));
             assert_eq!(out.invalidated, vec![1]);
             assert!(!out.dropped_all, "the per-item check subsumes the whole-cache drop");
             assert!(c.contains(2));
@@ -1037,9 +1024,8 @@ mod tests {
         #[test]
         fn infinite_window_survives_any_nap() {
             let mut c = cache_of(&[(7, 10.0)]);
-            let mut w = WindowTable::new(1);
             let forever = [(7, INFINITE_WINDOW)];
-            let out = hear(&mut c, &mut w, 1_000_000.0, &[], &forever, Some(10.0));
+            let out = hear(&mut c, 1, 1_000_000.0, &[], &forever, Some(10.0));
             assert!(out.invalidated.is_empty());
             assert!(c.contains(7));
         }
@@ -1047,8 +1033,7 @@ mod tests {
         #[test]
         fn timestamp_comparison_still_applies() {
             let mut c = cache_of(&[(3, 10.0)]);
-            let mut w = WindowTable::new(10);
-            let out = hear(&mut c, &mut w, 20.0, &[(3, 15.0)], &[], Some(10.0));
+            let out = hear(&mut c, 10, 20.0, &[(3, 15.0)], &[], Some(10.0));
             assert_eq!(out.invalidated, vec![3]);
         }
 
@@ -1057,20 +1042,24 @@ mod tests {
             // A zero-window item is never reported, so the client cannot
             // trust it across a report boundary at all.
             let mut c = cache_of(&[(4, 10.0)]);
-            let mut w = WindowTable::new(5);
-            let out = hear(&mut c, &mut w, 20.0, &[], &[(4, 0)], Some(10.0));
+            let out = hear(&mut c, 5, 20.0, &[], &[(4, 0)], Some(10.0));
             assert_eq!(out.invalidated, vec![4]);
         }
 
         #[test]
-        fn windows_update_with_each_report() {
-            let mut c = Cache::unbounded();
-            let mut w = WindowTable::new(2);
-            hear(&mut c, &mut w, 10.0, &[], &[(1, 50)], None);
-            assert_eq!(w.get(1), 50);
-            // Next report shrinks it back.
-            hear(&mut c, &mut w, 20.0, &[], &[], Some(10.0));
-            assert_eq!(w.get(1), 2);
+        fn a_report_without_exceptions_puts_every_item_back_at_k0() {
+            // A report puts items 1 and 2 on w = 500. A 90 s nap later,
+            // a report that still lists those windows keeps both copies;
+            // one that lists no exception judges the nap by the default
+            // w = 20, whatever the report before it said.
+            let long = [(1, 50), (2, 50)];
+            for (exceptions, dropped) in [(&long[..], vec![]), (&[][..], vec![1, 2])] {
+                let mut c = cache_of(&[(1, 10.0), (2, 10.0)]);
+                let first = hear(&mut c, 2, 20.0, &[], &long, Some(10.0));
+                assert!(first.invalidated.is_empty());
+                let out = hear(&mut c, 2, 110.0, &[], exceptions, Some(20.0));
+                assert_eq!(out.invalidated, dropped, "{exceptions:?}");
+            }
         }
     }
 

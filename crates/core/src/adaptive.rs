@@ -19,18 +19,21 @@
 //! report") and unbounded above ("it makes sense to keep an 'infinite'
 //! window").
 //!
-//! The per-item [`WindowTable`](sw_client::WindowTable), shared by
-//! value through the report, lives beside its reader in `sw-client`;
-//! [`AdaptiveController`] runs the evaluation periods. The server half
+//! The per-item [`WindowTable`] is the server's; its exception list
+//! rides every adaptive report, and [`AdaptiveController`] runs the
+//! evaluation periods that adjust it. The server half
 //! — the report listing each item updated within *its own* window — is
 //! the adaptive arm of [`ServerDriver`](crate::ServerDriver), this
 //! module's only caller. The client half — §3.1's whole-cache drop
 //! check made *per item*, `T_i − T_l > w_i` — is
-//! [`ReportRule::AdaptiveTs`](sw_client::ReportRule::AdaptiveTs).
+//! [`ReportRule::AdaptiveTs`](sw_client::ReportRule::AdaptiveTs), which
+//! reads each `w_i` off the report it hears.
 
 mod controller;
 mod method1;
 mod method2;
+mod window;
 
 pub use controller::{Adjustment, AdaptiveController, FeedbackMethod, PeriodItemStats, PeriodSummary};
 pub(crate) use method1::estimate_mhr;
+pub use window::WindowTable;

@@ -14,11 +14,11 @@
 
 use std::collections::HashMap;
 
-use sw_client::WindowTable;
 use sw_server::ItemId;
 
 use super::method1::gain_method1;
 use super::method2::gain_method2;
+use super::WindowTable;
 
 /// Which feedback signal drives window adjustment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,23 +5,22 @@
 //! "multiples of the invalidation report latencies L"). The table
 //! stores only *exceptions* from the default `w_0 = k_0·L`; the
 //! exception list is what the adaptive report broadcasts so that every
-//! awake client always has the current windows. The server half is
-//! `sleepers::ServerDriver`'s adaptive arm, which adjusts the table
-//! through `sleepers::adaptive`; the client half is
-//! [`ReportRule::AdaptiveTs`](crate::ReportRule::AdaptiveTs).
+//! awake client always has the current windows. The table is the
+//! server's alone: [`ServerDriver`](crate::ServerDriver)'s adaptive arm
+//! holds it and adjusts it through [`AdaptiveController`]; a client
+//! reads the windows off the report it hears
+//! ([`ReportDigest::window`](sw_client::ReportDigest::window)).
+//!
+//! [`AdaptiveController`]: super::AdaptiveController
 
 use sw_server::ItemId;
-use sw_wireless::frame::WINDOW_FIELD_BITS;
-
-/// Sentinel for an effectively infinite window: the largest value the
-/// report's window field carries.
-pub(crate) const INFINITE_WINDOW: u32 = (1 << WINDOW_FIELD_BITS) - 1;
+use sw_wireless::frame::INFINITE_WINDOW;
 
 /// Per-item windows in units of intervals, defaulting to `k0`.
 ///
-/// Exceptions live in an item-sorted vector: `get` is on the client's
-/// per-cached-item hot path, where a binary search over the (typically
-/// short) exception list beats hashing; mutation only happens at
+/// Exceptions live in an item-sorted vector: `get` runs once per
+/// report candidate, where a binary search over the (typically short)
+/// exception list beats hashing; mutation only happens at
 /// evaluation-period boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowTable {
@@ -93,18 +92,6 @@ impl WindowTable {
     pub fn exceptions(&self) -> Vec<(ItemId, u32)> {
         self.exceptions.clone()
     }
-
-    /// Replaces the exception list wholesale (client side, from the
-    /// broadcast). The broadcast list is already item-sorted; unsorted
-    /// input is sorted here so lookups stay correct.
-    pub fn load_exceptions(&mut self, exceptions: &[(ItemId, u32)]) {
-        self.exceptions.clear();
-        self.exceptions.extend_from_slice(exceptions);
-        if !self.exceptions.windows(2).all(|w| w[0].0 < w[1].0) {
-            self.exceptions.sort_unstable_by_key(|&(item, _)| item);
-            self.exceptions.dedup_by_key(|&mut (item, _)| item);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,16 +132,23 @@ mod tests {
         assert_eq!(t.get(1), INFINITE_WINDOW);
     }
 
+    /// What the server sets is what a client reads off the report.
     #[test]
     fn exceptions_roundtrip_through_broadcast() {
         let mut server = WindowTable::new(10);
-        server.set(3, 50);
         server.set(7, 0);
-        let mut client = WindowTable::new(10);
-        client.load_exceptions(&server.exceptions());
-        assert_eq!(client.get(3), 50);
-        assert_eq!(client.get(7), 0);
-        assert_eq!(client.get(4), 10);
+        server.set(3, 50);
+        let report = sw_wireless::FramePayload::AdaptiveTimestampReport {
+            report_ts_micros: 1,
+            entries: Vec::new(),
+            window_exceptions: server.exceptions(),
+        };
+        let mut scratch = sw_client::DigestScratch::default();
+        let digest = scratch.digest(&report);
+        for item in [3, 4, 7] {
+            let read = digest.window(item).unwrap_or(10);
+            assert_eq!(read, server.get(item), "item {item}");
+        }
     }
 
     #[test]

@@ -44,18 +44,18 @@ pub enum WakeMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetBackend {
     /// One [`sw_client::MobileUnit`] struct per client: caches are
-    /// per-client item tables, handlers are boxed trait objects. The
-    /// fully general backend — required for the driver-constructed
-    /// strategies (adaptive TS, quasi-delay, stateful), bounded caches,
-    /// piggybacking, and mesh shards (whose units migrate as whole
-    /// structs).
+    /// per-client item tables, each unit holds its own
+    /// [`sw_client::RuleHandler`]. The fully general backend: it hosts
+    /// every configuration, including the few the columnar store
+    /// refuses — listed once, in the docs of the crate-private
+    /// `Fleet::new` (`crates/core/src/fleet.rs`).
     Units,
     /// Struct-of-arrays: per-item cache timestamps, values, and
     /// validity bitmaps for *all* clients live in dense parallel
     /// vectors strided by the hotspot size (a client can only ever
     /// cache items it queries, and it only queries its hotspot), with
     /// per-client strategy state held in typed columns instead of
-    /// boxed handlers. One report sweep is a cache-friendly linear
+    /// per-unit handlers. One report sweep is a cache-friendly linear
     /// scan, and memory scales with `clients × hotspot` instead of
     /// `clients × n_items` — the layout that makes 10⁵–10⁶-client
     /// cells tractable.
@@ -133,10 +133,9 @@ pub struct CellConfig {
     /// every random draw happens outside the parallel section.
     pub sweep_threads: Option<usize>,
     /// Client-state storage backend. `None` — the default — picks the
-    /// columnar struct-of-arrays fleet whenever the configuration is
-    /// eligible (static report strategies, unbounded caches, no
-    /// piggybacking, standalone cell) and the per-unit struct fleet
-    /// otherwise. Both backends are bit-identical; the explicit
+    /// columnar struct-of-arrays fleet unless the columnar store refuses
+    /// the configuration (see [`FleetBackend::Units`] for where the
+    /// refusals are listed) and the per-unit struct fleet otherwise. Both backends are bit-identical; the explicit
     /// settings exist for A/B equivalence tests.
     pub fleet: Option<FleetBackend>,
     /// Optional query-result plane (`sw-query`): every client runs a

@@ -38,7 +38,6 @@
 //! piggybacked local-hit times, which the live uplink frame does not
 //! carry).
 
-use sw_client::WindowTable;
 use sw_server::{
     Database, GroupMap, HotSet, ItemId, ItemTable, PiggybackInfo, QueryAnswer, SignatureVector,
     StatefulServer, UpdateEngine, UpdateRecord, UplinkProcessor,
@@ -47,7 +46,7 @@ use sw_sim::{counters, MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::FramePayload;
 use sw_workload::ScenarioParams;
 
-use crate::adaptive::{AdaptiveController, FeedbackMethod, PeriodItemStats};
+use crate::adaptive::{AdaptiveController, FeedbackMethod, PeriodItemStats, WindowTable};
 use crate::config::CellConfig;
 use crate::quasi::ObligationTracker;
 use crate::safety::ValueHistory;
@@ -90,7 +89,8 @@ enum Arm {
         mentions: ItemTable<u32>,
         /// Per-item query timestamps this period (uplink + piggybacked).
         query_times: ItemTable<Vec<SimTime>>,
-        /// Per-item update timestamps this period.
+        /// Per-item update timestamps this period (Method 1 only, whose
+        /// MHR estimate is their one reader).
         update_times: ItemTable<Vec<SimTime>>,
     },
     /// §2's stateful baseline: directed invalidation messages to
@@ -223,12 +223,17 @@ impl ServerDriver {
     /// Ingests one applied update.
     pub fn on_update(&mut self, rec: &UpdateRecord) {
         match &mut self.arm {
-            // The update log is the window arm's whole state.
-            Arm::Window { .. } => {}
             Arm::Signatures { sigs, .. } => sigs.patch(rec),
-            Arm::Adaptive { update_times, .. } => update_times
+            Arm::Adaptive {
+                update_times,
+                method: FeedbackMethod::Method1,
+                ..
+            } => update_times
                 .get_or_insert_with(rec.item, Vec::new)
                 .push(rec.at),
+            // The update log is the whole state of the window arm and of
+            // adaptive Method 2.
+            Arm::Window { .. } | Arm::Adaptive { .. } => {}
             // Stateful invalidations are charged by the caller, which
             // owns the channel; here we only remember the ids for the
             // client-side framing.
@@ -334,8 +339,9 @@ impl ServerDriver {
                 // included in the report").
                 let window_exceptions = windows.exceptions();
                 let widest = widest(windows.default_k(), &window_exceptions);
-                let mut entries = Vec::new();
-                for (item, at) in walk(db, t_i, latency.scaled(widest as f64)) {
+                let candidates = walk(db, t_i, latency.scaled(widest as f64));
+                let mut entries = Vec::with_capacity(candidates.len());
+                for (item, at) in candidates {
                     let w_j = windows.get(item) as f64 * latency.as_secs();
                     if at.as_secs() > t_i.as_secs() - w_j {
                         entries.push((item, at.as_micros()));

@@ -94,11 +94,12 @@
 //! answer time hands [`UnitState::miss`] the slot's ghost as the boxed
 //! unit hands it `Cache::take_ghost`'s.
 //!
-//! Eligibility is decided in [`Fleet::new`]: TS/AT/SIG/NC/HYB/GR only
-//! (adaptive TS, quasi-delay and the stateful baseline stay on seats),
-//! no piggyback histories, no query plane, standalone cells (no mesh
-//! backbone — handoffs move whole seats). Everything else stays on
-//! seats.
+//! Eligibility is decided in [`Fleet::new`], whose docs hold the one
+//! list of refusals: mesh shards, piggyback histories, the query plane
+//! and quasi-delay stay on seats. Every other strategy runs on the
+//! columns — adaptive TS too, since its windows ride every report and
+//! are read off the digest, and the stateful baseline, whose clients run
+//! the AT rule and whose registry is the server's.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -125,11 +126,10 @@ use crate::strategy::Strategy;
 /// performance threshold — both paths are bit-identical.
 const SWEEP_PAR_MIN: usize = 256;
 
-/// Why adaptive TS, quasi-delay and the stateful baseline stay on
-/// seats: [`Fleet::new`]'s refusal, and the reason a slot block refuses
-/// §7's `Keep`.
-const FEEDBACK_ONLY_ON_SEATS: &str =
-    "builds its reports from per-client feedback state that only boxed units carry";
+/// Why quasi-delay stays on seats: [`Fleet::new`]'s refusal, and the
+/// reason a slot block refuses §7's `Keep`.
+const KEEP_ONLY_ON_SEATS: &str = "keeps copies a heard report does not vouch for (§7's Keep), \
+     and the columnar store reads every survivor's validity stamp off T_l";
 
 /// Per-client output of the (possibly parallel) report sweep. The
 /// sweep applies the shared report to disjoint client ranges; the
@@ -215,17 +215,17 @@ impl Fleet {
     /// Builds the cell's clients. The columnar store hosts every
     /// eligible configuration unless `config.fleet` forces the choice
     /// (the equivalence suite runs both on the same config).
+    ///
+    /// The one list of refusals: a configuration stays on seats when it
+    /// has a mesh backbone, piggybacks hit histories (`piggyback_hits`
+    /// or adaptive TS's Method 1), arms the query plane, or runs
+    /// quasi-delay, whose §7 `Keep` leaves a survivor its report does
+    /// not vouch for. Everything else runs on either store.
     pub(crate) fn new(config: &CellConfig, strategy: Strategy) -> Result<Self, SimulationError> {
         let params = &config.params;
         let piggyback = piggybacks(config, strategy);
-        // Adaptive TS (a window table per client), quasi-delay and the
-        // stateful baseline run on seats only.
-        let feedback = matches!(
-            strategy,
-            Strategy::AdaptiveTs { .. } | Strategy::QuasiDelay { .. } | Strategy::Stateful
-        );
-        let eligible =
-            config.backbone.is_none() && !piggyback && config.query.is_none() && !feedback;
+        let keeps = matches!(strategy, Strategy::QuasiDelay { .. });
+        let eligible = config.backbone.is_none() && !piggyback && config.query.is_none() && !keeps;
         let columnar = match config.fleet {
             Some(FleetBackend::Units) => false,
             Some(FleetBackend::Columnar) if !eligible => {
@@ -241,11 +241,8 @@ impl Fleet {
                 if config.query.is_some() {
                     reasons.push("the query-result plane attaches to boxed units".into());
                 }
-                if feedback {
-                    reasons.push(format!(
-                        "strategy {} {FEEDBACK_ONLY_ON_SEATS}",
-                        strategy.name()
-                    ));
+                if keeps {
+                    reasons.push(format!("strategy {} {KEEP_ONLY_ON_SEATS}", strategy.name()));
                 }
                 return Err(SimulationError::InvalidConfig(format!(
                     "the columnar fleet cannot host this configuration: {}",
@@ -272,12 +269,7 @@ impl Fleet {
             policy: config.replacement,
             window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
         });
-        let mut fleet = ColumnarFleet::new(config.hotspot_size, rule, capacity);
-        // Sized once: a client's `UnitState` and `ClientStreams` hold a
-        // few hundred bytes, and growing the two by doubling would leave
-        // every smaller copy behind in the heap.
-        fleet.units.reserve_exact(config.n_clients);
-        fleet.streams.reserve_exact(config.n_clients);
+        let mut fleet = ColumnarFleet::new(config.hotspot_size, config.n_clients, rule, capacity);
         for idx in 0..config.n_clients {
             fleet.push_client(ClientStreams::draw(config, idx, zipf.as_ref()), params.lambda);
         }
@@ -800,44 +792,49 @@ pub(crate) struct ColumnarFleet {
 }
 
 impl ColumnarFleet {
-    /// Creates an empty fleet; clients are appended by
-    /// [`Self::push_client`].
+    /// Creates an empty fleet with room for `clients` clients, which
+    /// [`Self::push_client`] appends. Every column is sized once here:
+    /// growing one by doubling would leave each smaller copy behind in
+    /// the heap.
     pub(crate) fn new(
         hotspot_size: usize,
+        clients: usize,
         rule: ReportRule,
         capacity: Option<CapacitySpec>,
     ) -> Self {
         assert!(hotspot_size > 0, "hotspot cannot be empty");
+        let (h, words) = (hotspot_size, hotspot_size.div_ceil(64));
+        let (n, slots, bitmap) = (clients, clients * h, clients * words);
         let sig = rule.decoder().map(|d| SigColumns {
             words: SigTrack::words(d),
-            tracked: Vec::new(),
-            last_report: Vec::new(),
-            last_unmatched: Vec::new(),
+            tracked: Vec::with_capacity(n * SigTrack::words(d)),
+            last_report: Vec::with_capacity(n),
+            last_unmatched: Vec::with_capacity(n),
         });
         let cap = capacity.map(|spec| {
             assert!(spec.cap > 0, "cache capacity must be positive");
             CapColumns {
                 spec,
-                last_used: Vec::new(),
-                use_count: Vec::new(),
-                ghost: Vec::new(),
-                ghost_stamps: Vec::new(),
-                clock: Vec::new(),
+                last_used: Vec::with_capacity(slots),
+                use_count: Vec::with_capacity(slots),
+                ghost: Vec::with_capacity(slots),
+                ghost_stamps: Vec::with_capacity(slots),
+                clock: Vec::with_capacity(n),
             }
         });
         ColumnarFleet {
-            h: hotspot_size,
-            words: hotspot_size.div_ceil(64),
-            draw_slot: Vec::new(),
-            slot_items: Vec::new(),
-            valid: Vec::new(),
-            values: Vec::new(),
-            stamps: Vec::new(),
-            cached: Vec::new(),
-            pending_mask: Vec::new(),
-            units: Vec::new(),
-            streams: Vec::new(),
-            next_wake: Vec::new(),
+            h,
+            words,
+            draw_slot: Vec::with_capacity(slots),
+            slot_items: Vec::with_capacity(slots),
+            valid: Vec::with_capacity(bitmap),
+            values: Vec::with_capacity(slots),
+            stamps: Vec::with_capacity(slots),
+            cached: Vec::with_capacity(n),
+            pending_mask: Vec::with_capacity(bitmap),
+            units: Vec::with_capacity(n),
+            streams: Vec::with_capacity(n),
+            next_wake: Vec::with_capacity(n),
             rule,
             sig,
             cap,
@@ -1143,10 +1140,9 @@ impl CacheSlots for SlotBlock<'_> {
             |item, slot| match verdict(item, validity(stamps[slot], vouched)) {
                 Verdict::Drop => true,
                 Verdict::Restamp => false,
-                Verdict::Keep => panic!(
-                    "§7's Keep leaves a survivor unvouched by T_l, and the columnar fleet \
-                     refuses it: quasi-delay {FEEDBACK_ONLY_ON_SEATS}"
-                ),
+                Verdict::Keep => {
+                    panic!("the columnar fleet refuses quasi-delay, which {KEEP_ONLY_ON_SEATS}")
+                }
             },
             dropped,
         )

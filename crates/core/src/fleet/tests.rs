@@ -26,6 +26,7 @@ use sw_client::{Cache, DigestScratch, MobileUnit, MuConfig, ProcessOutcome, Rule
 use sw_server::{GroupMap, HotSet};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, PoissonProcess, StreamId};
+use sw_wireless::frame::INFINITE_WINDOW;
 use sw_wireless::FramePayload;
 use sw_workload::ZipfPicker;
 
@@ -55,6 +56,7 @@ enum Kind {
     Nc,
     Sig,
     Hyb,
+    Ats,
 }
 
 fn secs(t: f64) -> u64 {
@@ -87,6 +89,7 @@ fn rule(kind: Kind) -> ReportRule {
             hot: HotSet::new(HOT),
             decoder: decoder(),
         },
+        Kind::Ats => ReportRule::adaptive_ts(latency, K),
     }
 }
 
@@ -188,7 +191,7 @@ fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Opti
             policy: ReplacementPolicy::Lru,
             window,
         });
-        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(kind), capacity);
+        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), 1, rule(kind), capacity);
         fleet.push_client(start, LAMBDA);
         Fleet::Columnar(fleet)
     } else {
@@ -311,6 +314,27 @@ impl Reports {
                 sig_bits: 16,
                 signatures,
             },
+            // The same windows every report — 9 outlasts both naps, 3
+            // any nap, 64 none, and 65 is listed at 9 and at 2, so it
+            // takes 2 — on the hostile reports out of order and
+            // repeated, with an id no hot spot holds.
+            Kind::Ats => FramePayload::AdaptiveTimestampReport {
+                report_ts_micros,
+                entries: entries.into_iter().map(|(id, t)| (id, secs(t))).collect(),
+                window_exceptions: if i.is_multiple_of(2) {
+                    vec![
+                        (65, 9),
+                        (9, 20),
+                        (64, 0),
+                        (5_000_000_000, 1),
+                        (65, 2),
+                        (3, INFINITE_WINDOW),
+                        (9, 20),
+                    ]
+                } else {
+                    vec![(3, INFINITE_WINDOW), (9, 20), (64, 0), (65, 2)]
+                },
+            },
         }
     }
 }
@@ -327,6 +351,7 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
         (Nc, 0, 0),
         (Sig, 8, 0),
         (Hyb, 8, 0),
+        (Ats, 12, 0),
     ] {
         for capacity in [None, Some(4)] {
             let [mut boxed, mut columnar] = both(kind, capacity, 0.0, None);
@@ -488,7 +513,7 @@ fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
 
 #[test]
 fn missed_reports_keep_the_pending_set_and_accrue_latency() {
-    for kind in [Kind::Ts, Kind::Sig, Kind::Hyb] {
+    for kind in [Kind::Ts, Kind::Sig, Kind::Hyb, Kind::Ats] {
         missed_reports_keep_the_pending_set(kind);
     }
 }
@@ -547,7 +572,7 @@ fn missed_reports_keep_the_pending_set(kind: Kind) {
 fn installs_before_the_first_heard_report_keep_their_own_stamp() {
     use Kind::*;
     let installed = SimTime::from_secs(4.0);
-    for kind in [Ts, At, Gr, Nc, Sig, Hyb] {
+    for kind in [Ts, At, Gr, Nc, Sig, Hyb, Ats] {
         let [mut boxed, mut columnar] = both(kind, None, 0.0, None);
         for fleet in [&mut boxed, &mut columnar] {
             fleet.open(1);
@@ -634,7 +659,7 @@ fn a_fetch_tracks_its_items_subsets_and_hyb_only_a_cold_items() {
 #[test]
 fn a_sig_columnar_fleet_holds_one_mask_bit_per_subset_per_client() {
     let n = 5;
-    let mut fleet = ColumnarFleet::new(HOTSPOT.len(), rule(Kind::Sig), None);
+    let mut fleet = ColumnarFleet::new(HOTSPOT.len(), n as usize, rule(Kind::Sig), None);
     for index in 0..n {
         fleet.push_client(streams(index, 0.0, None), LAMBDA);
     }

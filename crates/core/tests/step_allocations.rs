@@ -113,6 +113,7 @@ fn main() {
     an_at_churn_cell_allocates_four_times_per_step_at_any_size();
     a_bounded_at_churn_cell_allocates_nothing_to_evict_or_classify_ghosts();
     a_two_worker_ts_cell_allocates_a_fixed_count_per_step_at_any_size();
+    an_adaptive_ts_cell_reads_its_windows_without_allocating();
 }
 
 /// Scenario 3's churn (μ = λ = 0.1, AT): each interval invalidates and
@@ -187,4 +188,39 @@ fn a_two_worker_ts_cell_allocates_a_fixed_count_per_step_at_any_size() {
         },
         Strategy::BroadcastTimestamps,
     );
+}
+
+/// Adaptive TS on uplink-count feedback (Method 2), sleepers among the
+/// workers: every listening client looks up each cached item's window
+/// in the report it heard. The evaluation period (50 intervals) closes
+/// at the end of the warm-up and next after the measured steps, so no
+/// window moves while allocations are counted. The six allocations are
+/// the server's: the update records, the window walk (its list, sort
+/// scratch and output), the report's entries and its copy of the window
+/// exceptions.
+fn an_adaptive_ts_cell_reads_its_windows_without_allocating() {
+    let strategy = Strategy::AdaptiveTs {
+        method: FeedbackMethod::Method2,
+        eval_period: 50,
+        step: 1,
+    };
+    let config = |clients: usize| {
+        let mut params = ScenarioParams::scenario1().with_s(0.2).with_mu(1e-3);
+        params.n_items = 2_000;
+        CellConfig::new(widened(params, clients))
+            .with_clients(clients)
+            .with_hotspot_size(30)
+            .with_sweep_threads(1)
+    };
+    // The windows have left the default by the end of the warm-up, so
+    // the lookups find exceptions to read.
+    let cfg = config(250);
+    let (k_0, n) = (cfg.params.k, cfg.params.n_items);
+    let mut cell = CellSimulation::new(cfg, strategy).expect("a valid cell");
+    cell.run(WARM_UP as u64).expect("warm-up");
+    assert!(
+        (0..n).any(|item| cell.adaptive_window(item) != Some(k_0)),
+        "no window left k_0 = {k_0}"
+    );
+    assert_pinned("adaptive TS", 6, [250, 1_000], config, strategy);
 }

@@ -96,8 +96,7 @@ pub(super) fn run(fast: bool, replicate: u64) -> String {
     // directly on the controller.
     println!();
     println!("Window trajectories (direct controller drive, §8's two extremes):");
-    use sleepers::adaptive::{AdaptiveController, PeriodItemStats};
-    use sleepers::client::WindowTable;
+    use sleepers::adaptive::{AdaptiveController, PeriodItemStats, WindowTable};
     let mut controller = AdaptiveController::new(FeedbackMethod::Method1, 1, 0.0, 512, 512, 500);
     let mut windows = WindowTable::new(3);
     let mut hot_static_window = Vec::new();

@@ -40,6 +40,10 @@ pub fn id_bits(n: u64) -> u32 {
 /// does not specify how clients learn the current windows.
 pub const WINDOW_FIELD_BITS: u32 = 16;
 
+/// Sentinel for an effectively infinite window: the largest value the
+/// window field carries.
+pub const INFINITE_WINDOW: u32 = (1 << WINDOW_FIELD_BITS) - 1;
+
 /// What a frame carries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FramePayload {

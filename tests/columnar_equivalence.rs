@@ -12,6 +12,15 @@
 use sleepers_workaholics::mesh::CoopDirectory;
 use sleepers_workaholics::prelude::*;
 
+/// §8 adaptive TS on uplink-count feedback: its windows ride every
+/// report, so the columnar store hosts it. (Method 1 piggybacks hit
+/// histories, which keeps it on boxed units.)
+const ADAPTIVE_TS: Strategy = Strategy::AdaptiveTs {
+    method: FeedbackMethod::Method2,
+    eval_period: 10,
+    step: 1,
+};
+
 const ELIGIBLE: &[Strategy] = &[
     Strategy::BroadcastTimestamps,
     Strategy::AmnesicTerminals,
@@ -19,6 +28,19 @@ const ELIGIBLE: &[Strategy] = &[
     Strategy::NoCache,
     Strategy::HybridSig { hot_count: 30 },
     Strategy::GroupReports { groups: 20 },
+    Strategy::Stateful,
+    ADAPTIVE_TS,
+];
+
+/// What the fault, sweep-thread and bounded-cache inputs run: one
+/// strategy per kind of report the columnar store hosts — a TS window,
+/// signatures, the stateful baseline's directed ids and adaptive TS's
+/// per-item windows.
+const REPORT_KINDS: [Strategy; 4] = [
+    Strategy::BroadcastTimestamps,
+    Strategy::Signatures,
+    Strategy::Stateful,
+    ADAPTIVE_TS,
 ];
 
 fn base_config(n_clients: usize, s: f64, seed: u64) -> CellConfig {
@@ -55,6 +77,14 @@ fn fingerprint(cfg: CellConfig, strategy: Strategy, intervals: u64) -> Fingerpri
 
 #[test]
 fn columnar_matches_units_for_every_eligible_strategy() {
+    // Adaptive TS moves windows off `k_0` within the run, so its cells
+    // judge cached items by windows read off the report.
+    let cfg = base_config(40, 0.4, 77);
+    let (k_0, n) = (cfg.params.k, cfg.params.n_items);
+    let mut sim = CellSimulation::new(cfg, ADAPTIVE_TS).expect("valid config");
+    sim.run(80).expect("report fits");
+    let moved = (0..n).any(|i| sim.adaptive_window(i) != Some(k_0));
+    assert!(moved, "no adaptive window left k_0 = {k_0}");
     // The plain cell, and a mixed population: workaholics beside deep
     // sleepers (s = 0.9), every client posing Zipf-skewed queries, so
     // both stores credit long sleep runs and pose from the Zipf stream.
@@ -105,7 +135,7 @@ fn columnar_matches_units_under_faults() {
             rate_secs_per_interval: 0.3,
             jitter_secs: 0.5,
         });
-    for &strategy in &[Strategy::BroadcastTimestamps, Strategy::Signatures] {
+    for strategy in REPORT_KINDS {
         let units = fingerprint(
             base_config(40, 0.4, 99)
                 .with_faults(plan)
@@ -138,31 +168,34 @@ fn columnar_matches_units_under_faults() {
 fn sweep_thread_count_is_invisible() {
     // Big enough that the parallel path actually engages (the sweep
     // fans out at ≥ 256 listening clients), on both backends.
-    for backend in [FleetBackend::Units, FleetBackend::Columnar] {
-        let mut baseline: Option<Fingerprint> = None;
-        for threads in [1usize, 2, 8] {
-            let got = fingerprint(
-                base_config(500, 0.2, 31)
-                    .with_fleet(backend)
-                    .with_sweep_threads(threads),
-                Strategy::BroadcastTimestamps,
-                40,
-            );
-            match &baseline {
-                None => baseline = Some(got),
-                Some(want) => {
-                    assert_eq!(
-                        want.0, got.0,
-                        "{backend:?} report changed at {threads} sweep threads"
-                    );
-                    assert_eq!(
-                        want.1, got.1,
-                        "{backend:?} per-client stats changed at {threads} sweep threads"
-                    );
-                    assert!(
-                        want.2 == got.2,
-                        "{backend:?} coop directory changed at {threads} sweep threads"
-                    );
+    for strategy in REPORT_KINDS {
+        let name = strategy.name();
+        for backend in [FleetBackend::Units, FleetBackend::Columnar] {
+            let mut baseline: Option<Fingerprint> = None;
+            for threads in [1usize, 2, 8] {
+                let got = fingerprint(
+                    base_config(500, 0.2, 31)
+                        .with_fleet(backend)
+                        .with_sweep_threads(threads),
+                    strategy,
+                    40,
+                );
+                match &baseline {
+                    None => baseline = Some(got),
+                    Some(want) => {
+                        assert_eq!(
+                            want.0, got.0,
+                            "{name} {backend:?} report changed at {threads} sweep threads"
+                        );
+                        assert_eq!(
+                            want.1, got.1,
+                            "{name} {backend:?} per-client stats changed at {threads} sweep threads"
+                        );
+                        assert!(
+                            want.2 == got.2,
+                            "{name} {backend:?} coop directory changed at {threads} sweep threads"
+                        );
+                    }
                 }
             }
         }
@@ -226,7 +259,7 @@ fn observe_snapshots_match_across_backends_under_faults() {
             rate_secs_per_interval: 0.3,
             jitter_secs: 0.5,
         });
-    for &strategy in &[Strategy::BroadcastTimestamps, Strategy::Signatures] {
+    for strategy in REPORT_KINDS {
         let units = observe_digest(
             base_config(40, 0.4, 99)
                 .with_faults(plan)
@@ -289,12 +322,12 @@ fn eligible_configs_default_to_columnar() {
 
 #[test]
 fn ineligible_configs_stay_on_boxed_units() {
-    // Driver-wired strategies.
+    // Quasi-delay keeps copies the report does not vouch for; adaptive
+    // TS's Method 1 piggybacks hit histories.
     for strategy in [
-        Strategy::Stateful,
         Strategy::QuasiDelay { alpha_intervals: 3 },
         Strategy::AdaptiveTs {
-            method: FeedbackMethod::Method2,
+            method: FeedbackMethod::Method1,
             eval_period: 10,
             step: 1,
         },
@@ -332,11 +365,11 @@ fn ineligible_configs_stay_on_boxed_units() {
     }
     let err = CellSimulation::new(
         base_config(8, 0.3, 5).with_fleet(FleetBackend::Columnar),
-        Strategy::Stateful,
+        Strategy::QuasiDelay { alpha_intervals: 3 },
     );
     match err {
         Err(SimulationError::InvalidConfig(msg)) => assert!(
-            msg.contains("per-client feedback"),
+            msg.contains("§7's Keep"),
             "the error must name the strategy's disqualifier, got: {msg}"
         ),
         Ok(_) => panic!("expected InvalidConfig, got a running simulation"),
@@ -348,8 +381,9 @@ fn ineligible_configs_stay_on_boxed_units() {
 /// capacity columns must replay the boxed cache's clock/eviction
 /// machinery byte for byte — for every replacement policy, at every
 /// sweep worker count the suite pins (`SW_THREADS ∈ {1, 2, 8}` via
-/// `with_sweep_threads`), across the static strategy family. Capacity
-/// is set well below the hotspot so replacement actually churns.
+/// `with_sweep_threads`), for AT and every strategy of `REPORT_KINDS`.
+/// Capacity is set well below the hotspot so replacement actually
+/// churns.
 #[test]
 fn bounded_caches_match_across_backends_per_policy() {
     for &policy in &[
@@ -357,11 +391,7 @@ fn bounded_caches_match_across_backends_per_policy() {
         ReplacementPolicy::Lfu,
         ReplacementPolicy::WindowAge,
     ] {
-        for &strategy in &[
-            Strategy::BroadcastTimestamps,
-            Strategy::AmnesicTerminals,
-            Strategy::Signatures,
-        ] {
+        for strategy in std::iter::once(Strategy::AmnesicTerminals).chain(REPORT_KINDS) {
             for threads in [1usize, 2, 8] {
                 let cfg = |backend| {
                     base_config(40, 0.4, 77)
