@@ -47,12 +47,12 @@ use crate::digest::ReportDigest;
 pub enum Verdict {
     /// Invalid: the copy is dropped.
     Drop,
-    /// Verified as of `T_i`: `t_cache := T_i`. A store need not write
-    /// that per entry: the columnar fleet records it once, as the
-    /// client's `T_l` (see [`CacheSlots`]), and writes nothing here.
+    /// Verified as of `T_i`: `t_cache := T_i`. Under a rule that
+    /// [vouches for every survivor](ReportRule::vouches_survivors) the
+    /// columnar fleet records it once per client, as `T_l`.
     Restamp,
-    /// §7 only: the copy may lag, so it stays with its stamp untouched
-    /// — the lag clock keeps running from the copy's birth.
+    /// §7 only (no rule that vouches for every survivor): the copy may
+    /// lag, so its stamp stays untouched — the lag clock keeps running.
     Keep,
 }
 
@@ -84,12 +84,11 @@ impl Verdict {
 /// walk allocates nothing.
 ///
 /// How a store records "verified as of `T_i`" is its business too.
-/// [`crate::Cache`] writes `T_i` into every surviving entry. The
-/// columnar fleet's slot block stores each entry's *install* stamp and
-/// reads the validity stamp as `max(stamp, T_l)`: every rule it hosts
-/// ends a heard report with each survivor verified as of `T_i` and
-/// `T_l := T_i`, so a restamp costs it nothing and a §7 `Keep` (a
-/// survivor *not* vouched for) is refused there.
+/// [`crate::Cache`] writes `T_i` into every surviving entry. Under a
+/// rule that [vouches for every survivor](ReportRule::vouches_survivors)
+/// the columnar fleet's slot block reads the validity stamp as
+/// `max(install stamp, T_l)`, so a restamp costs nothing; under
+/// quasi-delay it writes `T_i` on a restamp, as the `Cache` does.
 pub trait CacheSlots {
     /// Number of cached items.
     fn len(&self) -> usize;
@@ -360,6 +359,12 @@ impl ReportRule {
             ReportRule::AdaptiveTs { .. } => "ATS",
             ReportRule::QuasiDelay { .. } => "QD",
         }
+    }
+
+    /// Whether every copy a heard report leaves is verified as of `T_i`:
+    /// false for quasi-delay alone, whose §7 `Keep` lets a stamp run.
+    pub fn vouches_survivors(&self) -> bool {
+        !matches!(self, ReportRule::QuasiDelay { .. })
     }
 
     /// The syndrome decoder, for the rules that track signatures.

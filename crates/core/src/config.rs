@@ -78,8 +78,6 @@ pub struct CellConfig {
     /// Report delivery mode (§9). Timing only; defaults to exact timer
     /// synchronization.
     pub delivery: DeliveryMode,
-    /// Collect local-hit timestamps for uplink piggybacking (§8.1).
-    pub piggyback_hits: bool,
     /// Optional per-client cache capacity (None = unbounded).
     pub cache_capacity: Option<usize>,
     /// Replacement policy for bounded caches. Ignored (and must stay at
@@ -165,7 +163,7 @@ pub struct CellConfig {
 impl CellConfig {
     /// Creates a config with sensible defaults: 10 clients, hotspots of
     /// 50 items (clamped to `n`), uniform popularity, the test seed,
-    /// timer-synchronized delivery, no piggybacking, safety checks off.
+    /// timer-synchronized delivery, safety checks off.
     pub fn new(params: ScenarioParams) -> Self {
         let hotspot = 50.min(params.n_items as usize);
         CellConfig {
@@ -177,7 +175,6 @@ impl CellConfig {
             delivery: DeliveryMode::TimerSynchronized {
                 clock_skew_bound: 0.0,
             },
-            piggyback_hits: false,
             cache_capacity: None,
             replacement: ReplacementPolicy::default(),
             query_zipf: None,
@@ -226,12 +223,6 @@ impl CellConfig {
     /// Sets the delivery mode.
     pub fn with_delivery(mut self, delivery: DeliveryMode) -> Self {
         self.delivery = delivery;
-        self
-    }
-
-    /// Enables uplink piggybacking of local-hit histories.
-    pub fn with_piggybacking(mut self) -> Self {
-        self.piggyback_hits = true;
         self
     }
 
@@ -418,13 +409,11 @@ mod tests {
             .with_clients(5)
             .with_hotspot_size(20)
             .with_seed(99)
-            .with_piggybacking()
             .with_cache_capacity(10)
             .with_safety_checking();
         assert_eq!(c.n_clients, 5);
         assert_eq!(c.hotspot_size, 20);
         assert_eq!(c.seed, MasterSeed(99));
-        assert!(c.piggyback_hits);
         assert_eq!(c.cache_capacity, Some(10));
         assert!(c.check_safety);
     }

@@ -36,10 +36,12 @@
 //! * `valid` — one bit per slot (cached or not), `⌈H/64⌉` words/client;
 //! * `values` — the cached value;
 //! * `stamps` — install stamp; the validity stamp is `max(stamp, T_l)`
-//!   ([`validity`]), because every rule the store hosts ends a heard
-//!   report with each survivor verified as of `T_i` and `T_l := T_i`;
+//!   ([`validity`]) under a rule that [vouches for every
+//!   survivor](ReportRule::vouches_survivors), else the stamp itself;
 //! * `draw_slot` — the hotspot in draw order, as slots (query draw
 //!   index → slot);
+//! * `hit_times` (adaptive TS's Method 1 only) — the times of a slot's
+//!   local hits since its last uplink, which the next miss piggybacks;
 //! * `pending_mask` — one bit per slot queried since the last heard
 //!   report: the deduplicated `Q_i`, already in answer order;
 //! * SIG/HYB only ([`SigColumns`]): one bit per subset the client
@@ -74,12 +76,13 @@
 //! every item j *in the MU cache*" — ascending over the client's valid
 //! bits (slot order is item-id order), with the broadcast's shared
 //! [`ReportDigest`] only *probed*, a bit test per slot: an interval
-//! costs O(|report| + awake·H) bit tests. Because a survivor's validity
+//! costs O(|report| + awake·H) bit tests. Where a survivor's validity
 //! stamp is derived from `T_l`, nothing restamps it: TS, AT, GR and
 //! HYB's hot half go through [`CacheSlots::drop_listed`], which reads a
 //! stamp only for `report ∩ cache`, and the sweep writes no stamp at
 //! all — Σ|report ∩ cache| stamp reads per interval instead of awake·H
-//! stamp writes. What remains for
+//! stamp writes. Quasi-delay alone writes the stamps it restamps. What
+//! remains for
 //! `tests/columnar_equivalence.rs` to pin is where the stores differ
 //! around the rule: a pending mask against a pending list, and the
 //! capacity columns against the `Cache`'s tables.
@@ -95,11 +98,10 @@
 //! unit hands it `Cache::take_ghost`'s.
 //!
 //! Eligibility is decided in [`Fleet::new`], whose docs hold the one
-//! list of refusals: mesh shards, piggyback histories, the query plane
-//! and quasi-delay stay on seats. Every other strategy runs on the
-//! columns — adaptive TS too, since its windows ride every report and
-//! are read off the digest, and the stateful baseline, whose clients run
-//! the AT rule and whose registry is the server's.
+//! list of refusals: mesh shards and the query plane stay on seats. No
+//! strategy is refused — adaptive TS reads its windows off the digest,
+//! the stateful baseline's clients run the AT rule, and quasi-delay and
+//! Method 1 keep what they need beside the cache in the columns above.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -125,11 +127,6 @@ use crate::strategy::Strategy;
 /// its thread hand-off; the sequential path runs instead. Purely a
 /// performance threshold — both paths are bit-identical.
 const SWEEP_PAR_MIN: usize = 256;
-
-/// Why quasi-delay stays on seats: [`Fleet::new`]'s refusal, and the
-/// reason a slot block refuses §7's `Keep`.
-const KEEP_ONLY_ON_SEATS: &str = "keeps copies a heard report does not vouch for (§7's Keep), \
-     and the columnar store reads every survivor's validity stamp off T_l";
 
 /// Per-client output of the (possibly parallel) report sweep. The
 /// sweep applies the shared report to disjoint client ranges; the
@@ -172,9 +169,9 @@ pub(crate) struct SweepOut {
     /// Every swept client's uplink requests, back to back.
     pub(crate) uplinks: Vec<ItemId>,
     /// Each uplink request's piggybacked hit history: parallel to
-    /// `uplinks` when seats are swept, and empty on the columnar store,
-    /// which hosts no piggybacking.
-    pub(crate) piggybacks: Vec<Option<PiggybackInfo>>,
+    /// `uplinks` when the cell piggybacks (adaptive TS's Method 1), and
+    /// empty otherwise, on either store.
+    pub(crate) piggybacks: Vec<PiggybackInfo>,
 }
 
 impl SweepOut {
@@ -217,32 +214,22 @@ impl Fleet {
     /// (the equivalence suite runs both on the same config).
     ///
     /// The one list of refusals: a configuration stays on seats when it
-    /// has a mesh backbone, piggybacks hit histories (`piggyback_hits`
-    /// or adaptive TS's Method 1), arms the query plane, or runs
-    /// quasi-delay, whose §7 `Keep` leaves a survivor its report does
-    /// not vouch for. Everything else runs on either store.
+    /// has a mesh backbone or arms the query plane. Every strategy runs
+    /// on either store.
     pub(crate) fn new(config: &CellConfig, strategy: Strategy) -> Result<Self, SimulationError> {
         let params = &config.params;
-        let piggyback = piggybacks(config, strategy);
-        let keeps = matches!(strategy, Strategy::QuasiDelay { .. });
-        let eligible = config.backbone.is_none() && !piggyback && config.query.is_none() && !keeps;
+        let eligible = config.backbone.is_none() && config.query.is_none();
         let columnar = match config.fleet {
             Some(FleetBackend::Units) => false,
             Some(FleetBackend::Columnar) if !eligible => {
                 // The caller forced the columnar store: name every
                 // disqualifier, not just the first.
-                let mut reasons: Vec<String> = Vec::new();
+                let mut reasons = Vec::new();
                 if config.backbone.is_some() {
-                    reasons.push("mesh handoffs move whole boxed units between cells".into());
-                }
-                if piggyback {
-                    reasons.push("piggybacked hit histories live on boxed units".into());
+                    reasons.push("mesh handoffs move whole boxed units between cells");
                 }
                 if config.query.is_some() {
-                    reasons.push("the query-result plane attaches to boxed units".into());
-                }
-                if keeps {
-                    reasons.push(format!("strategy {} {KEEP_ONLY_ON_SEATS}", strategy.name()));
+                    reasons.push("the query-result plane attaches to boxed units");
                 }
                 return Err(SimulationError::InvalidConfig(format!(
                     "the columnar fleet cannot host this configuration: {}",
@@ -269,8 +256,9 @@ impl Fleet {
             policy: config.replacement,
             window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
         });
-        let mut fleet = ColumnarFleet::new(config.hotspot_size, config.n_clients, rule, capacity);
-        for idx in 0..config.n_clients {
+        let (h, n) = (config.hotspot_size, config.n_clients);
+        let mut fleet = ColumnarFleet::new(h, n, rule, capacity, piggybacks(strategy));
+        for idx in 0..n {
             fleet.push_client(ClientStreams::draw(config, idx, zipf.as_ref()), params.lambda);
         }
         Ok(Fleet::Columnar(fleet))
@@ -651,7 +639,7 @@ impl SweepStore for &mut [ClientSeat] {
             uplinks: append(&mut out.uplinks, report.uplink_requests.iter().map(|r| r.0)),
         });
         out.piggybacks
-            .extend(report.uplink_requests.into_iter().map(|r| r.1));
+            .extend(report.uplink_requests.into_iter().filter_map(|r| r.1));
     }
 }
 
@@ -667,13 +655,13 @@ fn set_bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
     })
 }
 
-/// The validity stamp `t_x` of a columnar entry installed at `installed`
-/// by a client that last heard a report at `t_l`: the one reading of
-/// the `stamps` column. Every rule the store hosts ends a heard report
-/// with each survivor verified as of `T_i` and `T_l := T_i`, and an
-/// install is stamped at the server's clock, never before `T_l` — so an
-/// entry installed since the last report carries its own stamp and
-/// every other survivor carries `T_l`.
+/// The validity stamp `t_x` of a columnar entry stamped `installed`
+/// whose survivors were last vouched for at `t_l`: the one reading of
+/// the `stamps` column. A rule that vouches ends a heard report with
+/// each survivor verified as of `T_i` and `T_l := T_i`, and an install
+/// is stamped at the server's clock, never before `T_l` — so an entry
+/// installed since the last report carries its own stamp and every
+/// other survivor carries `T_l`. Otherwise `t_l` is `None`.
 #[inline]
 fn validity(installed: SimTime, t_l: Option<SimTime>) -> SimTime {
     // `max`, compared as seconds: a `SimTime` is never NaN, and the
@@ -767,8 +755,9 @@ pub(crate) struct ColumnarFleet {
     valid: Vec<u64>,
     /// Cached values, stride `h`.
     values: Vec<u64>,
-    /// Install stamps, stride `h`; written by `install_answer` alone.
-    /// The validity stamp `t_x` is [`validity`]`(stamp, t_l)`.
+    /// Stamps, stride `h`: the validity stamp `t_x` is
+    /// [`validity`]`(stamp, t_l)`, and only quasi-delay's restamps write
+    /// one outside `install_answer`.
     stamps: Vec<SimTime>,
     /// Live slot count per client (= `cache.len()`).
     cached: Vec<u32>,
@@ -787,20 +776,26 @@ pub(crate) struct ColumnarFleet {
     next_wake: Vec<u64>,
     /// The strategy's client half, shared by every client.
     rule: ReportRule,
+    /// The rule's [`ReportRule::vouches_survivors`], asked once.
+    vouches: bool,
     sig: Option<SigColumns>,
     cap: Option<CapColumns>,
+    /// Adaptive TS's Method 1 only: each slot's local-hit times since
+    /// its last uplink, stride `h` — `MobileUnit`'s piggyback history.
+    hit_times: Option<Vec<Vec<SimTime>>>,
 }
 
 impl ColumnarFleet {
     /// Creates an empty fleet with room for `clients` clients, which
-    /// [`Self::push_client`] appends. Every column is sized once here:
-    /// growing one by doubling would leave each smaller copy behind in
-    /// the heap.
+    /// [`Self::push_client`] appends; `piggyback` arms the hit
+    /// histories. Every column is sized once here: growing one by
+    /// doubling would leave each smaller copy behind in the heap.
     pub(crate) fn new(
         hotspot_size: usize,
         clients: usize,
         rule: ReportRule,
         capacity: Option<CapacitySpec>,
+        piggyback: bool,
     ) -> Self {
         assert!(hotspot_size > 0, "hotspot cannot be empty");
         let (h, words) = (hotspot_size, hotspot_size.div_ceil(64));
@@ -835,9 +830,11 @@ impl ColumnarFleet {
             units: Vec::with_capacity(n),
             streams: Vec::with_capacity(n),
             next_wake: Vec::with_capacity(n),
+            vouches: rule.vouches_survivors(),
             rule,
             sig,
             cap,
+            hit_times: piggyback.then(|| Vec::with_capacity(slots)),
         }
     }
 
@@ -888,6 +885,9 @@ impl ColumnarFleet {
             cap.ghost_stamps
                 .extend(std::iter::repeat_n(SimTime::ZERO, self.h));
             cap.clock.push(0);
+        }
+        if let Some(hit_times) = &mut self.hit_times {
+            hit_times.resize_with(hit_times.len() + self.h, Vec::new);
         }
         // The first sleep run, as if closing interval 0.
         self.close_interval(self.units.len() - 1, 0);
@@ -951,7 +951,7 @@ impl ColumnarFleet {
             cap.use_count[base + slot] = 1;
             // A fresh install clears any ghost of the item.
             cap.ghost[base + slot] = None;
-            let t_l = self.units[idx].last_report_heard();
+            let t_l = self.units[idx].last_report_heard().filter(|_| self.vouches);
             while self.cached[idx] as usize > cap.spec.cap {
                 let valid = &self.valid[idx * self.words..(idx + 1) * self.words];
                 let candidates = (0..self.h)
@@ -995,7 +995,7 @@ impl ColumnarFleet {
     fn for_each_cached_entry(&self, mut f: impl FnMut(ItemId, u64, SimTime)) {
         for idx in 0..self.units.len() {
             let base = idx * self.h;
-            let t_l = self.units[idx].last_report_heard();
+            let t_l = self.units[idx].last_report_heard().filter(|_| self.vouches);
             for slot in 0..self.h {
                 if self.valid[idx * self.words + slot / 64] & (1 << (slot % 64)) != 0 {
                     f(
@@ -1015,7 +1015,8 @@ impl ColumnarFleet {
             h: self.h,
             words: self.words,
             slot_items: &self.slot_items,
-            stamps: &self.stamps,
+            vouches: self.vouches,
+            stamps: &mut self.stamps,
             valid: &mut self.valid,
             cached: &mut self.cached,
             pending_mask: &mut self.pending_mask,
@@ -1028,6 +1029,7 @@ impl ColumnarFleet {
                 ghost_stamps: &mut c.ghost_stamps,
                 clock: &mut c.clock,
             }),
+            hit_times: self.hit_times.as_deref_mut(),
         }
     }
 }
@@ -1064,14 +1066,15 @@ struct ChunkView<'a> {
     h: usize,
     words: usize,
     slot_items: &'a [ItemId],
-    /// The sweep reads install stamps and never writes them.
-    stamps: &'a [SimTime],
+    vouches: bool,
+    stamps: &'a mut [SimTime],
     valid: &'a mut [u64],
     cached: &'a mut [u32],
     pending_mask: &'a mut [u64],
     units: &'a mut [UnitState],
     sig: Option<SigChunk<'a>>,
     cap: Option<CapChunk<'a>>,
+    hit_times: Option<&'a mut [Vec<SimTime>]>,
 }
 
 /// One client's block of the cache columns: the fleet's [`CacheSlots`].
@@ -1081,10 +1084,12 @@ struct SlotBlock<'a> {
     items: &'a [ItemId],
     /// The client's validity words.
     valid: &'a mut [u64],
-    /// The client's install stamps — read, never written.
-    stamps: &'a [SimTime],
-    /// When every survivor was last verified: the client's `T_l` on
-    /// entry, `T_i` after a walk.
+    /// The client's stamps: a restamp writes one only when `!vouches`.
+    stamps: &'a mut [SimTime],
+    /// [`ReportRule::vouches_survivors`].
+    vouches: bool,
+    /// When every survivor was last verified, if `vouches`: the client's
+    /// `T_l` on entry, `T_i` after a walk. `None` otherwise.
     vouched: Option<SimTime>,
     cached: &'a mut u32,
     /// Ghost state and eviction stamp per slot (bounded fleets only).
@@ -1092,26 +1097,35 @@ struct SlotBlock<'a> {
 }
 
 impl SlotBlock<'_> {
-    /// The one walk behind both of [`CacheSlots`]' walks: drops each
-    /// cached slot `condemned(item, slot)` names, ascending, and
-    /// vouches for every survivor as of `t_i` — O(1), no stamp written.
-    fn drop_where(
+    /// The one walk behind both of [`CacheSlots`]' walks: applies
+    /// `verdict(item, stamps, slot)` to each cached slot, ascending.
+    /// Under a rule that vouches for every survivor it writes no stamp
+    /// and vouches for them all as of `t_i`, O(1); otherwise a restamp
+    /// writes `t_i` into the slot and a `Keep` leaves the stamp running.
+    fn walk(
         &mut self,
         t_i: SimTime,
-        mut condemned: impl FnMut(ItemId, usize) -> bool,
+        mut verdict: impl FnMut(ItemId, &[SimTime], usize) -> Verdict,
         dropped: &mut Vec<ItemId>,
     ) {
         for (w, word) in self.valid.iter_mut().enumerate() {
             for slot in set_bits(*word, w * 64) {
                 let item = self.items[slot];
-                if condemned(item, slot) {
-                    *word &= !(1 << (slot % 64));
-                    *self.cached -= 1;
-                    dropped.push(item);
+                match verdict(item, self.stamps, slot) {
+                    Verdict::Drop => {
+                        *word &= !(1 << (slot % 64));
+                        *self.cached -= 1;
+                        dropped.push(item);
+                    }
+                    Verdict::Restamp if !self.vouches => self.stamps[slot] = t_i,
+                    Verdict::Restamp => {}
+                    Verdict::Keep => assert!(!self.vouches, "a vouching rule kept a copy"),
                 }
             }
         }
-        self.vouched = Some(t_i);
+        if self.vouches {
+            self.vouched = Some(t_i);
+        }
     }
 }
 
@@ -1134,16 +1148,10 @@ impl CacheSlots for SlotBlock<'_> {
         mut verdict: impl FnMut(ItemId, SimTime) -> Verdict,
         dropped: &mut Vec<ItemId>,
     ) {
-        let (stamps, vouched) = (self.stamps, self.vouched);
-        self.drop_where(
+        let vouched = self.vouched;
+        self.walk(
             t_i,
-            |item, slot| match verdict(item, validity(stamps[slot], vouched)) {
-                Verdict::Drop => true,
-                Verdict::Restamp => false,
-                Verdict::Keep => {
-                    panic!("the columnar fleet refuses quasi-delay, which {KEEP_ONLY_ON_SEATS}")
-                }
-            },
+            |item, stamps, slot| verdict(item, validity(stamps[slot], vouched)),
             dropped,
         )
     }
@@ -1155,10 +1163,12 @@ impl CacheSlots for SlotBlock<'_> {
         mut stale: impl FnMut(ItemId, SimTime) -> bool,
         dropped: &mut Vec<ItemId>,
     ) {
-        let (stamps, vouched) = (self.stamps, self.vouched);
-        self.drop_where(
+        let vouched = self.vouched;
+        self.walk(
             t_i,
-            |item, slot| listed(item) && stale(item, validity(stamps[slot], vouched)),
+            |item, stamps, slot| {
+                Verdict::drop_if(listed(item) && stale(item, validity(stamps[slot], vouched)))
+            },
             dropped,
         )
     }
@@ -1192,7 +1202,8 @@ impl SweepStore for ChunkView<'_> {
             h,
             words,
             slot_items: self.slot_items,
-            stamps: self.stamps,
+            vouches: self.vouches,
+            stamps: front(&mut self.stamps, n * h),
             valid: front(&mut self.valid, n * words),
             cached: front(&mut self.cached, n),
             pending_mask: front(&mut self.pending_mask, n * words),
@@ -1210,6 +1221,7 @@ impl SweepStore for ChunkView<'_> {
                 ghost_stamps: front(&mut c.ghost_stamps, n * h),
                 clock: front(&mut c.clock, n),
             }),
+            hit_times: self.hit_times.as_mut().map(|t| front(t, n * h)),
         }
     }
 
@@ -1232,8 +1244,9 @@ impl SweepStore for ChunkView<'_> {
         let mut block = SlotBlock {
             items: &self.slot_items[idx * h..(idx + 1) * h],
             valid: &mut self.valid[local * words..(local + 1) * words],
-            stamps: &self.stamps[idx * h..(idx + 1) * h],
-            vouched: t_l,
+            stamps: &mut self.stamps[local * h..(local + 1) * h],
+            vouches: self.vouches,
+            vouched: t_l.filter(|_| self.vouches),
             cached: &mut self.cached[local],
             ghosts: self.cap.as_mut().map(|cap| {
                 (
@@ -1248,7 +1261,8 @@ impl SweepStore for ChunkView<'_> {
             .rule
             .apply(&mut block, lent, digest, t_l, &mut out.invalidated);
         let invalidated = first..out.invalidated.len();
-        unit.settle(digest.report_time(), dropped_all, invalidated.len());
+        let t_i = digest.report_time();
+        unit.settle(t_i, dropped_all, invalidated.len());
         // Answer Q_i: one event per distinct pending item. The pending mask
         // is that set already — one bit per queried slot, and ascending
         // bits are ascending item ids.
@@ -1268,16 +1282,23 @@ impl SweepStore for ChunkView<'_> {
                         cap.use_count[at] += 1;
                     }
                 }
+                // The hit history outlives invalidation, as a boxed
+                // unit's does: the next miss ships it uplink.
                 if hit {
                     unit.hit();
+                    if let Some(hit_times) = &mut self.hit_times {
+                        hit_times[at].push(t_i);
+                    }
                     continue;
                 }
                 // `Cache::take_ghost`: what the requery learned of an
                 // evicted copy.
                 unit.miss(self.cap.as_mut().and_then(|cap| cap.ghost[at].take()));
-                // Piggyback histories are ineligible for the columnar
-                // fleet, so the uplink request never carries one.
                 out.uplinks.push(self.slot_items[idx * self.h + slot]);
+                if let Some(hit_times) = &mut self.hit_times {
+                    let local_hit_times = std::mem::take(&mut hit_times[at]);
+                    out.piggybacks.push(PiggybackInfo { local_hit_times });
+                }
             }
         }
         out.items.push(SweepItem {

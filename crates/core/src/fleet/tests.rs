@@ -12,13 +12,16 @@
 //! the same `ReportRule`; what can differ is the `CacheSlots` store
 //! under it and the answer loop around it. Every row compares each
 //! cached entry's `(item, value, stamp)` too: the columns store install
-//! stamps and derive validity from `T_l`, the seat restamps, and the
-//! two must read the same. The remaining rows pin what the seat and the
+//! stamps and derive validity from `T_l` (quasi-delay's restamp writes
+//! its slot), the seat restamps, and the two must read the same — and
+//! every uplink's piggybacked hit history, which only Method 1 carries.
+//! The remaining rows pin what the seat and the
 //! columns each keep beside the cache: sleep-run settlement across a
 //! stats reset, the never-wake sentinel, the Zipf pick's stream
 //! discipline, the pending set across missed reports, the SIG subsets a
 //! fetch tracks and the size of the SIG columns — and, on a bare slot
-//! block, that a heard report reads only `report ∩ cache`. `summary`
+//! block, that a heard report reads only `report ∩ cache`, and that
+//! quasi-delay's kept copies keep their stamps. `summary`
 //! carries each store's tracked-subset count, so every row that compares
 //! summaries also compares what the two stores vouch for.
 
@@ -47,6 +50,8 @@ const LAMBDA: f64 = 0.4;
 /// AT, GR and HYB's hot half — and at report 13 it is `4L`, past `w`.
 const ASLEEP: [u64; 5] = [5, 6, 10, 11, 12];
 const INTERVALS: u64 = 16;
+/// Quasi-delay's allowed lag, in intervals: `α = 2L`.
+const ALPHA: u64 = 2;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
@@ -57,6 +62,10 @@ enum Kind {
     Sig,
     Hyb,
     Ats,
+    /// Adaptive TS whose clients piggyback their hit histories (Method
+    /// 1): the `Ats` rule and reports.
+    M1,
+    Qd,
 }
 
 fn secs(t: f64) -> u64 {
@@ -89,12 +98,15 @@ fn rule(kind: Kind) -> ReportRule {
             hot: HotSet::new(HOT),
             decoder: decoder(),
         },
-        Kind::Ats => ReportRule::adaptive_ts(latency, K),
+        Kind::Ats | Kind::M1 => ReportRule::adaptive_ts(latency, K),
+        Kind::Qd => ReportRule::quasi_delay(latency, ALPHA),
     }
 }
 
-/// What one heard report did, in comparable form.
-type Heard = (ProcessOutcome, Vec<ItemId>, String);
+/// What one heard report did, in comparable form: the outcome, the
+/// uplinks and their piggybacked hit histories, and the summary after
+/// the answers are installed.
+type Heard = (ProcessOutcome, Vec<ItemId>, Vec<PiggybackInfo>, String);
 
 fn report_time(i: u64) -> SimTime {
     SimTime::from_secs(LATENCY * i as f64)
@@ -125,6 +137,9 @@ impl Fleet {
             invalidated: out.invalidated[swept.invalidated.clone()].to_vec(),
         };
         let uplink = out.uplinks[swept.uplinks.clone()].to_vec();
+        // Parallel to the uplinks when the client piggybacks, else empty.
+        let piggybacks = out.piggybacks.clone();
+        assert!(piggybacks.is_empty() || piggybacks.len() == uplink.len());
         for &item in &uplink {
             let answer = QueryAnswer {
                 item,
@@ -133,7 +148,7 @@ impl Fleet {
             };
             self.install_answer(0, answer);
         }
-        (outcome, uplink, self.summary())
+        (outcome, uplink, piggybacks, self.summary())
     }
 
     /// SIG/HYB: how many subsets the client vouches for — the set bits
@@ -191,7 +206,8 @@ fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Opti
             policy: ReplacementPolicy::Lru,
             window,
         });
-        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), 1, rule(kind), capacity);
+        let mut fleet =
+            ColumnarFleet::new(HOTSPOT.len(), 1, rule(kind), capacity, kind == Kind::M1);
         fleet.push_client(start, LAMBDA);
         Fleet::Columnar(fleet)
     } else {
@@ -204,7 +220,7 @@ fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Opti
             cache_capacity: capacity,
             replacement: ReplacementPolicy::Lru,
             replacement_window: window,
-            piggyback_hits: false,
+            piggyback_hits: kind == Kind::M1,
             item_universe: Some(UNIVERSE),
         };
         let handler = RuleHandler::new(rule(kind));
@@ -282,7 +298,7 @@ impl Reports {
         }
         let signatures = Arc::new(self.signatures.clone());
         match self.kind {
-            Kind::Ts => FramePayload::TimestampReport {
+            Kind::Ts | Kind::Qd => FramePayload::TimestampReport {
                 report_ts_micros,
                 entries: entries.into_iter().map(|(id, t)| (id, secs(t))).collect(),
             },
@@ -318,7 +334,7 @@ impl Reports {
             // any nap, 64 none, and 65 is listed at 9 and at 2, so it
             // takes 2 — on the hostile reports out of order and
             // repeated, with an id no hot spot holds.
-            Kind::Ats => FramePayload::AdaptiveTimestampReport {
+            Kind::Ats | Kind::M1 => FramePayload::AdaptiveTimestampReport {
                 report_ts_micros,
                 entries: entries.into_iter().map(|(id, t)| (id, secs(t))).collect(),
                 window_exceptions: if i.is_multiple_of(2) {
@@ -352,6 +368,8 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
         (Sig, 8, 0),
         (Hyb, 8, 0),
         (Ats, 12, 0),
+        (M1, 12, 0),
+        (Qd, 4, 0),
     ] {
         for capacity in [None, Some(4)] {
             let [mut boxed, mut columnar] = both(kind, capacity, 0.0, None);
@@ -513,7 +531,14 @@ fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
 
 #[test]
 fn missed_reports_keep_the_pending_set_and_accrue_latency() {
-    for kind in [Kind::Ts, Kind::Sig, Kind::Hyb, Kind::Ats] {
+    for kind in [
+        Kind::Ts,
+        Kind::Sig,
+        Kind::Hyb,
+        Kind::Ats,
+        Kind::M1,
+        Kind::Qd,
+    ] {
         missed_reports_keep_the_pending_set(kind);
     }
 }
@@ -567,12 +592,13 @@ fn missed_reports_keep_the_pending_set(kind: Kind) {
 /// An entry installed before the client ever heard a report has no
 /// `T_l` to vouch for it: it carries its own install stamp until the
 /// first heard report decides it — a whole-cache drop under a gap rule,
-/// a survivor verified as of `T_1` under SIG.
+/// a survivor verified as of `T_1` under SIG, a copy kept on its install
+/// stamp under quasi-delay until it is due.
 #[test]
 fn installs_before_the_first_heard_report_keep_their_own_stamp() {
     use Kind::*;
     let installed = SimTime::from_secs(4.0);
-    for kind in [Ts, At, Gr, Nc, Sig, Hyb, Ats] {
+    for kind in [Ts, At, Gr, Nc, Sig, Hyb, Ats, M1, Qd] {
         let [mut boxed, mut columnar] = both(kind, None, 0.0, None);
         for fleet in [&mut boxed, &mut columnar] {
             fleet.open(1);
@@ -659,7 +685,7 @@ fn a_fetch_tracks_its_items_subsets_and_hyb_only_a_cold_items() {
 #[test]
 fn a_sig_columnar_fleet_holds_one_mask_bit_per_subset_per_client() {
     let n = 5;
-    let mut fleet = ColumnarFleet::new(HOTSPOT.len(), n as usize, rule(Kind::Sig), None);
+    let mut fleet = ColumnarFleet::new(HOTSPOT.len(), n as usize, rule(Kind::Sig), None, false);
     for index in 0..n {
         fleet.push_client(streams(index, 0.0, None), LAMBDA);
     }
@@ -733,7 +759,8 @@ fn drop_listed_runs_stale_only_on_report_and_cache_and_writes_no_stamp() {
     let mut block = SlotBlock {
         items: &columns.slot_items,
         valid: &mut columns.valid,
-        stamps: &columns.stamps,
+        stamps: &mut columns.stamps,
+        vouches: true,
         vouched: Some(t_1),
         cached: &mut columns.cached[0],
         ghosts: None,
@@ -777,4 +804,131 @@ fn drop_listed_runs_stale_only_on_report_and_cache_and_writes_no_stamp() {
         assert!(survivors.iter().all(|e| e.1 == SimTime::from_secs(t_i)));
     }
     assert_eq!(columns.stamps, installed, "the sweep wrote a stamp");
+}
+
+/// Quasi-delay over a bare slot block, which vouches for nothing: a copy
+/// younger than `α` is kept with its stamp running, a due copy the
+/// report does not name is restamped `T_i` in its slot, and a named one
+/// is dropped — after every report the same `(item, value, stamp)` as
+/// `sw_client::Cache` under the same rule.
+#[test]
+fn quasi_delay_keeps_stamps_running_and_restamps_its_slots() {
+    let Fleet::Columnar(mut columns) = fleet(true, Kind::Qd, None, 0.0, None) else {
+        unreachable!("asked for the columnar store")
+    };
+    assert!(!columns.vouches, "quasi-delay vouches for no survivor");
+    let mut boxed = Cache::unbounded();
+    // 0, 3 and 9 installed at T_1, the rest at T_2.
+    for item in HOTSPOT {
+        let stamp = report_time(if item < 10 { 1 } else { 2 });
+        let answer = QueryAnswer {
+            item,
+            value: item + 1,
+            timestamp: stamp,
+        };
+        columns.install_answer(0, answer);
+        boxed.insert(item, item + 1, stamp);
+    }
+    let rule = rule(Kind::Qd);
+    let mut block = SlotBlock {
+        items: &columns.slot_items,
+        valid: &mut columns.valid,
+        stamps: &mut columns.stamps,
+        vouches: false,
+        vouched: None,
+        cached: &mut columns.cached[0],
+        ghosts: None,
+    };
+    // (report i, its entries, the ids it drops, each survivor's stamp
+    // as the report interval that stamped it)
+    let reports = [
+        // The T_1 copies are due: 9 is named, 0 and 3 restamped; the
+        // T_2 copies are kept.
+        (
+            3,
+            vec![(9, 25.0)],
+            vec![9],
+            vec![(0, 3), (3, 3), (64, 2), (65, 2), (70, 2)],
+        ),
+        // The T_2 copies are due: 64 is named; 0 and 3 are kept on T_3
+        // although the report names 3.
+        (
+            4,
+            vec![(64, 35.0), (3, 36.0)],
+            vec![64],
+            vec![(0, 3), (3, 3), (65, 4), (70, 4)],
+        ),
+        (5, vec![(3, 45.0)], vec![3], vec![(0, 5), (65, 4), (70, 4)]),
+    ];
+    for (i, entries, want_dropped, want) in reports {
+        let payload = FramePayload::TimestampReport {
+            report_ts_micros: secs(LATENCY * i as f64),
+            entries: entries.iter().map(|&(id, t)| (id, secs(t))).collect(),
+        };
+        let mut scratch = DigestScratch::default();
+        let digest = scratch.digest(&payload);
+        let t_l = Some(report_time(i - 1));
+        let (mut dropped, mut boxed_dropped) = (Vec::new(), Vec::new());
+        let drop_all = rule.apply(&mut block, Lent::Nothing, &digest, t_l, &mut dropped);
+        let boxed_drop_all =
+            rule.apply(&mut boxed, Lent::Nothing, &digest, t_l, &mut boxed_dropped);
+        assert!(!drop_all && !boxed_drop_all, "report {i}");
+        assert_eq!(dropped, want_dropped, "slot block, report {i}");
+        assert_eq!(boxed_dropped, want_dropped, "boxed cache, report {i}");
+        let survivors: Vec<(ItemId, u64, SimTime)> = CacheSlots::sorted_items(&block)
+            .into_iter()
+            .map(|item| {
+                let slot = block.items.binary_search(&item).expect("a hotspot item");
+                (item, columns.values[slot], block.stamps[slot])
+            })
+            .collect();
+        let boxed_survivors: Vec<(ItemId, u64, SimTime)> = Cache::sorted_items(&boxed)
+            .into_iter()
+            .map(|item| {
+                let entry = boxed.peek(item).expect("listed");
+                (item, entry.value, entry.timestamp)
+            })
+            .collect();
+        assert_eq!(survivors, boxed_survivors, "report {i}");
+        let want: Vec<(ItemId, u64, SimTime)> = want
+            .into_iter()
+            .map(|(item, stamped)| (item, item + 1, report_time(stamped)))
+            .collect();
+        assert_eq!(survivors, want, "report {i}");
+    }
+}
+
+/// Method 1: a slot's hit history is the boxed unit's `PiggybackInfo`
+/// for the same queries — the hits since the item's last uplink, kept
+/// across the report that invalidates the copy and shipped with the
+/// miss that follows.
+#[test]
+fn a_slots_hit_history_is_the_units_piggyback() {
+    let [mut boxed, mut columnar] = both(Kind::M1, None, 0.0, None);
+    let mut reports = Reports::new(Kind::M1);
+    let mut invalidated_with_history = 0;
+    for i in 1..=INTERVALS {
+        let payload = reports.next(i);
+        boxed.open(i);
+        columnar.open(i);
+        let heard = boxed.hear(&payload);
+        assert_eq!(heard, columnar.hear(&payload), "interval {i}");
+        let (outcome, uplinks, piggybacks, _) = heard;
+        assert_eq!(piggybacks.len(), uplinks.len(), "interval {i}");
+        // A hit before the invalidation, shipped by the miss after it:
+        // every hit was logged at an earlier report than this one.
+        for (item, piggyback) in uplinks.iter().zip(&piggybacks) {
+            let times = &piggyback.local_hit_times;
+            if outcome.invalidated.contains(item) && !times.is_empty() {
+                assert!(times.iter().all(|&t| t < report_time(i)), "{times:?}");
+                invalidated_with_history += 1;
+            }
+        }
+        boxed.close_interval(0, i);
+        columnar.close_interval(0, i);
+    }
+    assert!(
+        invalidated_with_history > 0,
+        "no invalidated item shipped a hit history"
+    );
 }

@@ -47,18 +47,16 @@ use crate::strategy::Strategy;
 /// The id a departed slot's husk carries; real ids count up from zero.
 const HUSK_ID: u64 = u64::MAX;
 
-/// Whether this cell's units collect local-hit histories for uplink
-/// piggybacking: on request, or because adaptive Method 1 feeds on
-/// them (§8.1).
-pub(crate) fn piggybacks(cfg: &CellConfig, strategy: Strategy) -> bool {
-    cfg.piggyback_hits
-        || matches!(
-            strategy,
-            Strategy::AdaptiveTs {
-                method: FeedbackMethod::Method1,
-                ..
-            }
-        )
+/// Whether a cell's units collect local-hit histories for uplink
+/// piggybacking: adaptive TS's Method 1 feeds on them (§8.1).
+pub(crate) fn piggybacks(strategy: Strategy) -> bool {
+    matches!(
+        strategy,
+        Strategy::AdaptiveTs {
+            method: FeedbackMethod::Method1,
+            ..
+        }
+    )
 }
 
 /// The Zipf rank CDF every client of the cell shares
@@ -216,7 +214,7 @@ impl ClientSeat {
             replacement: cfg.replacement,
             replacement_window: SimDuration::from_secs(params.latency_secs)
                 .scaled(params.k as f64),
-            piggyback_hits: piggybacks(cfg, strategy),
+            piggyback_hits: piggybacks(strategy),
             item_universe: Some(params.n_items),
         };
         let handler = RuleHandler::new(rule.clone());

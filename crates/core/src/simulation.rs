@@ -941,7 +941,7 @@ impl CellSimulation {
                 }
             }
             for k in sw.uplinks.clone() {
-                let (item, piggyback) = (uplinks[k], piggybacks.get_mut(k).and_then(Option::take));
+                let (item, piggyback) = (uplinks[k], piggybacks.get_mut(k).map(std::mem::take));
                 if self.exchange_queued(idx, item) {
                     // The same fetch is already waiting from an earlier
                     // interval; answering it once is enough.

@@ -174,6 +174,12 @@ fn adaptive_and_quasi_go_live_and_conform() {
         Strategy::QuasiDelay { alpha_intervals: 3 },
         40,
     );
+    // Without a query plane the simulated side is a columnar cell,
+    // whose slots carry quasi-delay's running stamps.
+    let quasi = Strategy::QuasiDelay { alpha_intervals: 3 };
+    let sim = sleepers::CellSimulation::new(small_cell(0.5), quasi).expect("a valid cell");
+    assert!(sim.is_columnar(), "quasi-delay runs on the columnar store");
+    assert_conforms(&small_cell(0.5), quasi, 40);
     // Windows that grow past the starting retention (`k = 1`, four
     // intervals a step): the report after a period boundary reaches
     // back into history a prune *before* the boundary has already

@@ -7,19 +7,31 @@
 //! client's stats must match byte for byte, and so must the coop
 //! directory — the set of entries whose validity stamp is the last
 //! report's `T_i`, which the columnar store derives from `T_l` instead
-//! of restamping.
+//! of restamping (quasi-delay's alone writes it into the slot).
 
 use sleepers_workaholics::mesh::CoopDirectory;
 use sleepers_workaholics::prelude::*;
 
 /// §8 adaptive TS on uplink-count feedback: its windows ride every
-/// report, so the columnar store hosts it. (Method 1 piggybacks hit
-/// histories, which keeps it on boxed units.)
+/// report and are read off it.
 const ADAPTIVE_TS: Strategy = Strategy::AdaptiveTs {
     method: FeedbackMethod::Method2,
     eval_period: 10,
     step: 1,
 };
+
+/// §8.1's Method 1: the same windows, fed by the hit histories each
+/// client piggybacks on its uplinks — a slot column on the columnar
+/// store.
+const METHOD_1: Strategy = Strategy::AdaptiveTs {
+    method: FeedbackMethod::Method1,
+    eval_period: 10,
+    step: 1,
+};
+
+/// §7's quasi-delay: a copy not yet due keeps its stamp running, which
+/// the columnar store writes per slot.
+const QUASI_DELAY: Strategy = Strategy::QuasiDelay { alpha_intervals: 3 };
 
 const ELIGIBLE: &[Strategy] = &[
     Strategy::BroadcastTimestamps,
@@ -30,17 +42,22 @@ const ELIGIBLE: &[Strategy] = &[
     Strategy::GroupReports { groups: 20 },
     Strategy::Stateful,
     ADAPTIVE_TS,
+    METHOD_1,
+    QUASI_DELAY,
 ];
 
 /// What the fault, sweep-thread and bounded-cache inputs run: one
-/// strategy per kind of report the columnar store hosts — a TS window,
-/// signatures, the stateful baseline's directed ids and adaptive TS's
-/// per-item windows.
-const REPORT_KINDS: [Strategy; 4] = [
+/// strategy per kind of report or client state the columnar store
+/// hosts — a TS window, signatures, the stateful baseline's directed
+/// ids, adaptive TS's per-item windows on either feedback, and
+/// quasi-delay's running stamps.
+const REPORT_KINDS: [Strategy; 6] = [
     Strategy::BroadcastTimestamps,
     Strategy::Signatures,
     Strategy::Stateful,
     ADAPTIVE_TS,
+    METHOD_1,
+    QUASI_DELAY,
 ];
 
 fn base_config(n_clients: usize, s: f64, seed: u64) -> CellConfig {
@@ -77,14 +94,33 @@ fn fingerprint(cfg: CellConfig, strategy: Strategy, intervals: u64) -> Fingerpri
 
 #[test]
 fn columnar_matches_units_for_every_eligible_strategy() {
-    // Adaptive TS moves windows off `k_0` within the run, so its cells
-    // judge cached items by windows read off the report.
-    let cfg = base_config(40, 0.4, 77);
-    let (k_0, n) = (cfg.params.k, cfg.params.n_items);
-    let mut sim = CellSimulation::new(cfg, ADAPTIVE_TS).expect("valid config");
-    sim.run(80).expect("report fits");
-    let moved = (0..n).any(|i| sim.adaptive_window(i) != Some(k_0));
-    assert!(moved, "no adaptive window left k_0 = {k_0}");
+    // Adaptive TS moves windows off `k_0` within the run on either
+    // feedback, so its cells judge cached items by windows read off the
+    // report — and under Method 1 each store's piggybacked histories
+    // move the same windows.
+    for strategy in [ADAPTIVE_TS, METHOD_1] {
+        let cfg = base_config(40, 0.4, 77);
+        let (k_0, n) = (cfg.params.k, cfg.params.n_items);
+        let run = |backend| {
+            let cfg = cfg.clone().with_fleet(backend);
+            let mut sim = CellSimulation::new(cfg, strategy).expect("valid config");
+            sim.run(80).expect("report fits");
+            (0..n).map(|i| sim.adaptive_window(i)).collect::<Vec<_>>()
+        };
+        let windows = run(FleetBackend::Columnar);
+        let moved = windows.iter().any(|&w| w != Some(k_0));
+        assert!(
+            moved,
+            "{}: no adaptive window left k_0 = {k_0}",
+            strategy.name()
+        );
+        assert_eq!(
+            windows,
+            run(FleetBackend::Units),
+            "{}: the windows diverged between fleet backends",
+            strategy.name()
+        );
+    }
     // The plain cell, and a mixed population: workaholics beside deep
     // sleepers (s = 0.9), every client posing Zipf-skewed queries, so
     // both stores credit long sleep runs and pose from the Zipf stream.
@@ -218,7 +254,7 @@ fn observe_digest(cfg: CellConfig, strategy: Strategy, intervals: u64) -> String
 /// The telemetry oracle: with the recorder armed, the columnar fleet
 /// must emit the byte-identical deterministic observation digest the
 /// boxed fleet emits — same counters, same per-interval series, same
-/// event trace, same value histograms — for every eligible strategy.
+/// event trace, same value histograms — for every strategy.
 #[cfg(feature = "observe")]
 #[test]
 fn observe_snapshots_match_across_backends() {
@@ -322,18 +358,20 @@ fn eligible_configs_default_to_columnar() {
 
 #[test]
 fn ineligible_configs_stay_on_boxed_units() {
-    // Quasi-delay keeps copies the report does not vouch for; adaptive
-    // TS's Method 1 piggybacks hit histories.
-    for strategy in [
-        Strategy::QuasiDelay { alpha_intervals: 3 },
-        Strategy::AdaptiveTs {
-            method: FeedbackMethod::Method1,
-            eval_period: 10,
-            step: 1,
-        },
-    ] {
-        let sim = CellSimulation::new(base_config(8, 0.3, 5), strategy).unwrap();
-        assert!(!sim.is_columnar(), "{} must stay boxed", strategy.name());
+    // The query plane attaches to boxed units, whatever the strategy.
+    // (The mesh backbone, the other refusal, is crate-private; the mesh
+    // suite covers it.)
+    for &strategy in ELIGIBLE {
+        let sim = CellSimulation::new(
+            base_config(8, 0.3, 5).with_query(QueryPlaneConfig::new()),
+            strategy,
+        )
+        .unwrap();
+        assert!(
+            !sim.is_columnar(),
+            "{} with a query plane must stay boxed",
+            strategy.name()
+        );
     }
     // Bounded caches are columnar-eligible: the replacement clocks ride
     // along as extra columns.
@@ -351,26 +389,14 @@ fn ineligible_configs_stay_on_boxed_units() {
     // silent fallback or a bare settings dump.
     let err = CellSimulation::new(
         base_config(8, 0.3, 5)
-            .with_piggybacking()
+            .with_query(QueryPlaneConfig::new())
             .with_fleet(FleetBackend::Columnar),
         Strategy::BroadcastTimestamps,
     );
     match err {
         Err(SimulationError::InvalidConfig(msg)) => assert!(
-            msg.contains("piggybacked hit histories"),
+            msg.contains("the query-result plane attaches to boxed units"),
             "the error must name the disqualifying reason, got: {msg}"
-        ),
-        Ok(_) => panic!("expected InvalidConfig, got a running simulation"),
-        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
-    }
-    let err = CellSimulation::new(
-        base_config(8, 0.3, 5).with_fleet(FleetBackend::Columnar),
-        Strategy::QuasiDelay { alpha_intervals: 3 },
-    );
-    match err {
-        Err(SimulationError::InvalidConfig(msg)) => assert!(
-            msg.contains("§7's Keep"),
-            "the error must name the strategy's disqualifier, got: {msg}"
         ),
         Ok(_) => panic!("expected InvalidConfig, got a running simulation"),
         Err(other) => panic!("expected InvalidConfig, got {other:?}"),
