@@ -23,9 +23,9 @@
 //!   holds its strategy by: a rule plus the per-client state it borrows
 //!   (signature tracking, the only such state);
 //! * [`UnitState`] — one unit's interval bookkeeping (stats, `T_l`, the
-//!   awake flag, the pose times of waiting queries, the query and sleep
-//!   processes), whose methods are the only text of each Figure 2 step
-//!   on either client store;
+//!   awake flag, the waiting queries' count and latency sums, the query
+//!   count law and the sleep process; plain data), whose methods are the
+//!   only text of each Figure 2 step on either client store;
 //! * [`mu`] — the [`mu::MobileUnit`] driver that ties a [`UnitState`],
 //!   the cache, the pending-query list `Q_i`, and the handler together,
 //!   implementing the interval semantics of Figure 2: queries posed

@@ -153,9 +153,10 @@ impl std::fmt::Debug for MobileUnit {
 }
 
 impl MobileUnit {
-    /// Creates the unit with its strategy handler, drawing the query
-    /// process's first arrival from `rng`.
-    pub fn new(config: MuConfig, handler: RuleHandler, rng: &mut RngStream) -> Self {
+    /// Creates the unit with its strategy handler. Draws nothing: each
+    /// interval's queries are drawn when it opens, so `_query_rng` (the
+    /// stream those draws will come from) is left as it was.
+    pub fn new(config: MuConfig, handler: RuleHandler, _query_rng: &mut RngStream) -> Self {
         assert!(!config.hotspot.is_empty(), "hotspot cannot be empty");
         assert!(
             config.query_rate_per_item.is_finite() && config.query_rate_per_item >= 0.0,
@@ -172,7 +173,7 @@ impl MobileUnit {
         // Hit times are only collected for piggybacking.
         let local_hits = ItemTable::dense(if config.piggyback_hits { universe } else { 0 });
         MobileUnit {
-            state: UnitState::new(total_rate, config.sleep_probability, rng),
+            state: UnitState::new(total_rate, config.sleep_probability),
             cache,
             handler,
             pending: Vec::new(),
@@ -221,20 +222,21 @@ impl MobileUnit {
         &self.handler
     }
 
-    /// Starts interval `(from, to]` with the unit known awake: generates
-    /// this interval's query arrivals into the pending list. The sleep
+    /// Starts interval `(from, to]` with the unit known awake: draws
+    /// this interval's queries into the pending list
+    /// ([`UnitState::pose`]). The sleep
     /// decision is the caller's (the cell driver's wake heap).
     pub fn begin_awake_interval(&mut self, from: SimTime, to: SimTime, query_rng: &mut RngStream) {
         self.begin_awake_interval_skewed(from, to, query_rng, None);
     }
 
     /// [`Self::begin_awake_interval`] with an optional skewed item
-    /// pick: when `pick` is `Some`, each arrival's hotspot index comes
+    /// pick: when `pick` is `Some`, each query's hotspot index comes
     /// from the closure (a Zipf draw over a dedicated RNG stream)
     /// instead of a uniform draw on `query_rng` — so the classic
     /// uniform draw sequence is *not consumed*, and unarmed runs are
-    /// untouched. Arrival times keep coming from `query_rng` either
-    /// way.
+    /// untouched. The query count and pose times keep coming from
+    /// `query_rng` either way.
     pub fn begin_awake_interval_skewed(
         &mut self,
         from: SimTime,

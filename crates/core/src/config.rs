@@ -88,8 +88,8 @@ pub struct CellConfig {
     /// `None` — the default — keeps the paper's uniform hotspot draw
     /// and leaves every pre-existing run byte-identical; `Some(θ)`
     /// draws item picks from the dedicated
-    /// `StreamId::ZipfQuery { index }` streams (arrival *times* still
-    /// come from the untouched query streams). Standalone cells only.
+    /// `StreamId::ZipfQuery { index }` streams (query counts and pose
+    /// times still come from the query streams). Standalone cells only.
     pub query_zipf: Option<f64>,
     /// Cooperative-miss configuration: a bounded client's fresh miss
     /// may be answered by a neighbor cell holding a verifiably fresh

@@ -839,12 +839,11 @@ impl ColumnarFleet {
     }
 
     /// Appends one client, consuming exactly the draws
-    /// `ClientSeat::new` would: one exponential from the query stream
-    /// for the Poisson process's first arrival, one geometric from the
-    /// sleep stream for the first sleep run. The hotspot arrives in
-    /// draw order and is sorted into slot order here.
+    /// `ClientSeat::new` would: one geometric from the sleep stream for
+    /// the first sleep run, none from the query stream. The hotspot
+    /// arrives in draw order and is sorted into slot order here.
     pub(crate) fn push_client(&mut self, start: ClientStart, query_rate_per_item: f64) {
-        let (hotspot, sleep_probability, mut streams) = start;
+        let (hotspot, sleep_probability, streams) = start;
         assert_eq!(hotspot.len(), self.h, "fleet hotspots must share one size");
         let total_rate = query_rate_per_item * hotspot.len() as f64;
         let mut sorted = hotspot.clone();
@@ -866,11 +865,8 @@ impl ColumnarFleet {
         self.stamps
             .extend(std::iter::repeat_n(SimTime::ZERO, self.h));
         self.cached.push(0);
-        self.units.push(UnitState::new(
-            total_rate,
-            sleep_probability,
-            streams.query_rng(),
-        ));
+        self.units
+            .push(UnitState::new(total_rate, sleep_probability));
         self.streams.push(streams);
         self.next_wake.push(0);
         if let Some(sig) = &mut self.sig {

@@ -28,7 +28,7 @@
 use sw_client::{Cache, DigestScratch, MobileUnit, MuConfig, ProcessOutcome, RuleHandler};
 use sw_server::{GroupMap, HotSet};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
-use sw_sim::{MasterSeed, PoissonProcess, StreamId};
+use sw_sim::{MasterSeed, PoissonCount, StreamId};
 use sw_wireless::frame::INFINITE_WINDOW;
 use sw_wireless::FramePayload;
 use sw_workload::ZipfPicker;
@@ -500,16 +500,21 @@ fn never_wake_sentinel_leaves_the_schedule_under_both_wake_modes() {
 fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
     let [mut boxed, mut columnar] = both(Kind::At, None, 0.0, Some(0.8));
     let [mut uniform, _] = both(Kind::At, None, 0.0, None);
-    // The query stream with nothing but arrival times drawn from it.
+    // The query stream with nothing but each window's count and pose
+    // times drawn from it.
     let mut rng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
-    let mut arrivals = PoissonProcess::new(LAMBDA * HOTSPOT.len() as f64, &mut rng);
-    let mut posed_at = Vec::new();
+    let mut count = PoissonCount::new(LAMBDA * HOTSPOT.len() as f64);
+    let mut posed = 0;
     for i in 1..=12 {
-        arrivals.arrivals_in(report_time(i - 1), report_time(i), &mut rng, &mut posed_at);
+        let window = report_time(i).duration_since(report_time(i - 1));
+        let n = count.draw(window, &mut rng);
+        for _ in 0..n {
+            rng.uniform();
+        }
+        posed += n;
         for fleet in [&mut boxed, &mut columnar, &mut uniform] {
             fleet.open(i);
         }
-        let posed = posed_at.len() as u64;
         assert_eq!(boxed.stats(0).queries_posed, posed, "interval {i}");
         assert_eq!(columnar.stats(0).queries_posed, posed, "interval {i}");
         let payload = Reports::new(Kind::At).next(i);
@@ -520,12 +525,11 @@ fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
         );
         uniform.hear(&payload);
     }
-    let posed = posed_at.len() as u64;
-    assert!(posed > 20, "the row needs arrivals to mean anything");
+    assert!(posed > 20, "the row needs queries to mean anything");
     assert_ne!(
         uniform.stats(0).queries_posed,
         posed,
-        "uniform picks interleave with the arrival draws, so the schedules part"
+        "uniform picks interleave with the pose-time draws, so the schedules part"
     );
 }
 

@@ -75,7 +75,8 @@ pub(crate) type ClientStart = (Vec<ItemId>, f64, ClientStreams);
 /// on either store, with the one [`open`](Self::open) and the one
 /// [`close`](Self::close) of an awake interval.
 pub(crate) struct ClientStreams {
-    /// Arrival times, and the item pick unless Zipf is armed.
+    /// Each window's query count and pose times, and the item pick
+    /// unless Zipf is armed.
     query_rng: RngStream,
     sleep_rng: RngStream,
     /// The cell's shared Zipf rank CDF and the per-arrival rank draw
@@ -127,8 +128,8 @@ impl ClientStreams {
         )
     }
 
-    /// The query stream, which a unit's constructor draws its first
-    /// arrival from.
+    /// The query stream, which `MobileUnit::new` is handed and draws
+    /// nothing from.
     pub(crate) fn query_rng(&mut self) -> &mut RngStream {
         &mut self.query_rng
     }
@@ -297,8 +298,9 @@ impl ClientSeat {
 
     /// Opens interval `i = (from, to]` for the waking unit: credits the
     /// sleep run that just ended and poses the interval's queries.
-    /// Arrival times come from the query stream; each arrival's item
-    /// from the Zipf stream when armed, else from the query stream.
+    /// The query count and pose times come from the query stream; each
+    /// query's item from the Zipf stream when armed, else from the query
+    /// stream.
     #[inline]
     pub fn open_interval(&mut self, i: u64, from: SimTime, to: SimTime) {
         debug_assert!(i >= self.next_wake, "opened before the scheduled wake");

@@ -5,14 +5,15 @@
 //! uplink processor), the broadcast channel, and a fleet of mobile
 //! units. Time advances interval by interval (everything in the paper
 //! synchronizes on the report at `T_i = i·L`); within an interval,
-//! updates and query arrivals occur at exact exponential arrival times.
+//! updates occur at exact exponential arrival times, and each awake
+//! unit's queries are a Poisson count with uniform pose times.
 //!
 //! Per interval `i` (covering `(T_{i−1}, T_i]`), [`CellSimulation::step`]
 //! runs these phases in order over the crate's `Fleet` — boxed seats or
 //! columns; no phase asks which:
 //!
 //! 1. `wake_and_pose` — the units due this interval wake, settle the
-//!    sleep run that just ended, and generate their query arrivals
+//!    sleep run that just ended, and draw their queries
 //!    (`registry_transitions` then charges the stateful baseline's
 //!    connect/disconnect messages);
 //! 2. `apply_updates` — `CellServer::advance` applies this interval's
@@ -687,7 +688,7 @@ impl CellSimulation {
     }
 
     /// Phase 1: take this interval's wake-ups off the schedule and
-    /// generate their query arrivals. Each unit drew its whole sleep
+    /// draw their queries. Each unit drew its whole sleep
     /// run when it went under, so sleepers cost nothing here beyond (in
     /// scan mode) one sequential wake-time comparison. Either wake mode
     /// yields the awake set in ascending client index, so the rng

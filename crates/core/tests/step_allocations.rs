@@ -21,13 +21,7 @@
 //! touched or reaches a new longest length — 9 to 19 allocations per
 //! step at 250 clients and 8 to 10 at 1 000 (α = 3L, s = 0.2, μ = 10⁻³,
 //! 2 000 items), a count that moves with the update stream and does not
-//! grow with the client count, so it is not pinned. One per-client
-//! allocation is left
-//! on purpose: a client's pending-query list keeps its capacity, so it
-//! grows only when the client poses more queries in one interval than
-//! in any interval before. Both cells pose ~30 queries per client per
-//! interval (λ·H·L = 0.1 × 30 × 10), so every list reaches its
-//! steady capacity during the warm-up.
+//! grow with the client count, so it is not pinned.
 //!
 //! This binary holds its own counting allocator and runs without the
 //! test harness (`harness = false`): the harness's own threads and its

@@ -378,8 +378,8 @@ const MESH_SOAK_SIG_COLLISIONS: u64 = 0;
 #[cfg(feature = "faults")]
 const MESH_SOAK_SIG_HANDOFF_DROPS: u64 = 0;
 #[cfg(feature = "faults")]
-const MESH_SOAK_SIG_ENTRIES_CHECKED: u64 = 2_313_403;
+const MESH_SOAK_SIG_ENTRIES_CHECKED: u64 = 2_313_488;
 #[cfg(feature = "faults")]
 const MESH_SOAK_SIG_REPORTS_MISSED: u64 = 13_696;
 #[cfg(all(feature = "faults", feature = "observe"))]
-const MESH_SOAK_SIG_FALSE_ALARMS: u64 = 31_971;
+const MESH_SOAK_SIG_FALSE_ALARMS: u64 = 31_978;

@@ -194,11 +194,11 @@ fn adaptive_and_quasi_go_live_and_conform() {
     assert_conforms(&grower, growing, 300);
     // The same drift where no client happens to decide differently:
     // only the servers' totals tell the two orders apart (the
-    // prune-first daemon aired 1 103 378 bits here).
+    // prune-first daemon aired 1 107 509 bits here).
     let mut quiet = small_cell(0.4);
     quiet.params.k = 1;
     let outcome = check_conformance(&quiet, growing, 120).expect("ATS k=1 conformance");
-    assert_eq!(outcome.server.report_bits, 1_102_236);
+    assert_eq!(outcome.server.report_bits, 1_106_367);
 }
 
 /// Arming the ops plane must not perturb the session: with the metrics

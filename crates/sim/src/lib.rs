@@ -14,9 +14,10 @@
 //!   ([`RngStream`]) so that e.g. the update process and each client's
 //!   query process draw from independent, replayable streams;
 //! * [`process`] — the stochastic processes the paper assumes: Poisson
-//!   arrivals with exponential inter-arrival times (queries at rate λ,
-//!   updates at rate μ) and the per-interval Bernoulli sleep process
-//!   (probability `s` of being disconnected in an interval);
+//!   streams (a window's query count at rate λ drawn by its law, update
+//!   arrivals at rate μ drawn in order with exponential inter-arrival
+//!   times) and the per-interval Bernoulli sleep process (probability
+//!   `s` of being disconnected in an interval);
 //! * [`runner`] — the order-preserving parallel sweep runner
 //!   ([`ParallelRunner`]) and the two deterministic seed-derivation
 //!   domains ([`cell_seed`] for figure sweeps, [`mesh_seed`] for mesh
@@ -39,7 +40,9 @@ pub mod runner;
 pub mod time;
 
 pub use counters::{Counters, MAX_COUNTERS};
-pub use process::{BernoulliIntervalProcess, IntervalClock, PoissonProcess};
+pub use process::{
+    poisson_inverse_cdf, BernoulliIntervalProcess, IntervalClock, PoissonCount, PoissonProcess,
+};
 pub use rng::{MasterSeed, RngStream, StreamId};
 pub use runner::{cell_seed, mesh_seed, ParallelRunner};
 pub use time::{SimDuration, SimTime};

@@ -1,9 +1,11 @@
 //! The stochastic processes of the paper's model (§4).
 //!
-//! * Queries at a mobile unit arrive at rate λ per hotspot item, with
-//!   exponential inter-arrival times — a Poisson process
-//!   ([`PoissonProcess`]).
-//! * Updates at the server occur at rate μ per item, also exponential.
+//! * Queries at a mobile unit arrive at rate λ per hotspot item, a
+//!   Poisson stream read one window at a time: [`PoissonCount`] draws a
+//!   window's count by its law (Eq. 3 is its zero case), and given the
+//!   count the arrival times are iid uniform over the window.
+//! * Updates at the server occur at rate μ per item, with exponential
+//!   inter-arrival times drawn in order ([`PoissonProcess`]).
 //! * Sleep is modeled per broadcast interval: in each interval a unit is
 //!   disconnected with probability `s` independently of history
 //!   ([`BernoulliIntervalProcess`]); the paper states this independence
@@ -60,13 +62,12 @@ impl PoissonProcess {
     /// pick per arrival from the same `rng` sees the same stream
     /// whatever buffer it passes.
     ///
-    /// A window that starts after the pending arrival (a unit waking
-    /// from a sleep) restarts the process at `from` with one draw: the
-    /// process is memoryless, so the first arrival after `from` is
-    /// `from + Exp(rate)` whatever happened while nobody listened. A
-    /// wake therefore costs one exponential however long the sleep was,
-    /// and contiguous windows never take this path, so their stream is
-    /// the same as one long window's.
+    /// A window that starts after the pending arrival (one that skips
+    /// a stretch nobody listened to) restarts the process at `from` with
+    /// one draw: the process is memoryless, so the first arrival after
+    /// `from` is `from + Exp(rate)` whatever happened in the gap.
+    /// Contiguous windows never take this path, so their stream is the
+    /// same as one long window's.
     ///
     /// The window convention matches the paper's report definitions,
     /// which use half-open windows such as `T_{i-1} < t_j ≤ T_i` (AT,
@@ -99,6 +100,93 @@ impl PoissonProcess {
     }
 }
 
+/// The largest mean [`poisson_inverse_cdf`] is asked for: `e^{−m}`
+/// underflows past `m ≈ 745`, so a larger mean is split into equal parts
+/// of at most this much, whose counts add up (a sum of independent
+/// Poisson counts is Poisson with the summed mean).
+const MAX_PART_MEAN: f64 = 500.0;
+
+/// The Poisson law's inverse CDF: the least `n` with
+/// `P[N ≤ n] > u` for `N ~ Poisson(m)`, given `e_neg_m = e^{−m}` (which
+/// callers cache, since a window's mean repeats). `u ∈ [0, 1)` is one
+/// uniform, so a count costs one draw and no `ln`.
+///
+/// The search walks up from `n = 0`, adding `P[N = n]` term by term,
+/// and stops where the cumulative sum stops growing: a `u` above every
+/// representable partial sum returns the far end of the tail rather
+/// than looping.
+pub fn poisson_inverse_cdf(m: f64, e_neg_m: f64, u: f64) -> u64 {
+    let (mut n, mut term, mut cdf) = (0u64, e_neg_m, e_neg_m);
+    while u >= cdf {
+        n += 1;
+        term *= m / n as f64;
+        let next = cdf + term;
+        if next == cdf {
+            break;
+        }
+        cdf = next;
+    }
+    n
+}
+
+/// The count of a Poisson stream at `rate` over one window:
+/// `N ~ Poisson(rate · len)`, drawn by [`poisson_inverse_cdf`].
+///
+/// `e^{−m}` is computed when the window length changes and reused while
+/// it repeats (every interval of a cell is `L` long), so a draw is one
+/// uniform and a short walk. A zero mean (zero rate or empty window)
+/// draws nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct PoissonCount {
+    rate: f64,
+    /// The window length, in seconds, the cached part is for.
+    len: f64,
+    /// The mean of each part, `e^{−part}`, and how many parts make the
+    /// window's mean (zero for a zero mean).
+    part: f64,
+    e_neg_part: f64,
+    parts: u64,
+}
+
+impl PoissonCount {
+    /// The count law of a stream at `rate` events per second.
+    pub fn new(rate: f64) -> Self {
+        assert!(
+            rate.is_finite() && rate >= 0.0,
+            "Poisson rate must be non-negative, got {rate}"
+        );
+        PoissonCount {
+            rate,
+            len: 0.0,
+            part: 0.0,
+            e_neg_part: 1.0,
+            parts: 0,
+        }
+    }
+
+    /// Draws the number of arrivals in a window `len` long: one uniform
+    /// from `rng` per part of the mean (one up to a mean of 500), none
+    /// for a zero mean.
+    #[inline]
+    pub fn draw(&mut self, len: SimDuration, rng: &mut RngStream) -> u64 {
+        let len = len.as_secs();
+        if len != self.len {
+            let m = self.rate * len;
+            self.len = len;
+            self.parts = (m / MAX_PART_MEAN).ceil() as u64;
+            self.part = if self.parts == 0 {
+                0.0
+            } else {
+                m / self.parts as f64
+            };
+            self.e_neg_part = (-self.part).exp();
+        }
+        (0..self.parts)
+            .map(|_| poisson_inverse_cdf(self.part, self.e_neg_part, rng.uniform()))
+            .sum()
+    }
+}
+
 /// The per-interval sleep process: in every broadcast interval the unit
 /// is disconnected ("asleep") with probability `s`, independently.
 ///
@@ -106,7 +194,7 @@ impl PoissonProcess {
 /// a probability s of being disconnected, and 1 − s of being connected
 /// ... the behavior of the MU in each interval is independent of the
 /// behavior of the previous interval."
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct BernoulliIntervalProcess {
     sleep_probability: f64,
 }
@@ -274,10 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn a_wake_after_a_long_sleep_draws_one_exponential() {
+    fn a_window_after_a_gap_draws_one_exponential() {
         let mut r = rng();
         let mut p = PoissonProcess::new(2.0, &mut r);
-        // 10⁴ s asleep: the skipped stretch holds ~2·10⁴ arrivals.
+        // A 10⁴ s gap: the skipped stretch holds ~2·10⁴ arrivals.
         let from = SimTime::from_secs(10_000.0);
         let mut expected = r.clone();
         let gap = expected.exponential(2.0);
@@ -294,8 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn first_arrival_after_a_wake_is_exponential() {
-        // Memorylessness: after any sleep, the wait to the first
+    fn first_arrival_after_a_gap_is_exponential() {
+        // Memorylessness: after any gap, the wait to the first
         // arrival has mean 1/λ (and SD 1/λ).
         let mut r = rng();
         let lambda = 0.5;
@@ -320,24 +408,69 @@ mod tests {
     fn no_queries_probability_matches_eq3() {
         // Eq. 3: Prob[no queries in an interval | awake] = e^{-λL}.
         let mut r = rng();
-        let lambda = 0.1;
-        let l = 10.0;
-        let mut p = PoissonProcess::new(lambda, &mut r);
-        let mut empty = 0u64;
+        let (lambda, l) = (0.1, 10.0);
+        let mut count = PoissonCount::new(lambda);
         let trials = 50_000u64;
-        for i in 0..trials {
-            let from = SimTime::from_secs(i as f64 * l);
-            let to = SimTime::from_secs((i + 1) as f64 * l);
-            if arrivals(&mut p, from, to, &mut r).is_empty() {
-                empty += 1;
-            }
-        }
+        let empty = (0..trials)
+            .filter(|_| count.draw(SimDuration::from_secs(l), &mut r) == 0)
+            .count();
         let freq = empty as f64 / trials as f64;
         let expected = (-lambda * l).exp();
         assert!(
             (freq - expected).abs() < 0.01,
             "P[no queries] {freq} vs e^-λL {expected}"
         );
+    }
+
+    #[test]
+    fn count_mean_and_variance_match_the_law() {
+        // Poisson(m): mean m, variance m. The sample variance's SE is
+        // √((m + 2m²)/n) (fourth central moment m(1 + 3m)).
+        let mut r = rng();
+        let n = 20_000;
+        for m in [0.3, 3.0, 30.0, 1_000.0] {
+            let mut count = PoissonCount::new(m);
+            let draws: Vec<f64> = (0..n)
+                .map(|_| count.draw(SimDuration::from_secs(1.0), &mut r) as f64)
+                .collect();
+            let mean = draws.iter().sum::<f64>() / n as f64;
+            let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+            let (se_mean, se_var) = ((m / n as f64).sqrt(), ((m + 2.0 * m * m) / n as f64).sqrt());
+            assert!((mean - m).abs() < 4.0 * se_mean, "m = {m}: mean {mean}");
+            assert!((var - m).abs() < 4.0 * se_var, "m = {m}: variance {var}");
+        }
+    }
+
+    #[test]
+    fn a_zero_mean_draws_nothing() {
+        let mut r = rng();
+        let mut expected = r.clone();
+        let mut silent = PoissonCount::new(0.0);
+        assert_eq!(silent.draw(SimDuration::from_secs(1e9), &mut r), 0);
+        let mut busy = PoissonCount::new(5.0);
+        assert_eq!(busy.draw(SimDuration::ZERO, &mut r), 0);
+        assert_eq!(r.next_u64(), expected.next_u64(), "no draw consumed");
+        // A window the law has not seen re-derives its mean.
+        assert_eq!(busy.draw(SimDuration::from_secs(1.0), &mut r), {
+            let u = expected.uniform();
+            poisson_inverse_cdf(5.0, (-5.0f64).exp(), u)
+        });
+    }
+
+    #[test]
+    fn inverse_cdf_terminates_at_both_ends_of_the_uniform() {
+        // The largest value `RngStream::uniform` returns.
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for m in [1e-9, 0.3, 3.0, 30.0, MAX_PART_MEAN] {
+            let e = (-m).exp();
+            assert_eq!(poisson_inverse_cdf(m, e, 0.0), 0, "m = {m}");
+            let far = poisson_inverse_cdf(m, e, top);
+            assert!(
+                far as f64 > m,
+                "m = {m}: the top uniform reaches the tail, got {far}"
+            );
+            assert!((far as f64) < m + 60.0 * m.sqrt() + 60.0, "m = {m}: {far}");
+        }
     }
 
     #[test]

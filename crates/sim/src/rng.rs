@@ -178,8 +178,8 @@ impl RngStream {
 
     /// Exponential draw with the given `rate` (mean `1/rate`).
     ///
-    /// This is the inter-arrival distribution of the paper's query and
-    /// update processes (§4: "Updates occur following an exponential
+    /// This is the inter-arrival distribution of the paper's update
+    /// process (§4: "Updates occur following an exponential
     /// distribution, at an update rate of μ per item").
     ///
     /// # Panics
