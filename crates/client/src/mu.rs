@@ -342,29 +342,6 @@ impl MobileUnit {
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
-
-    /// Reassigns the unit's id (mesh handoff: the destination cell
-    /// hands the arriving unit a fresh id in its own id space, so
-    /// stateful registries and traces never alias it with a resident
-    /// or a previous visitor).
-    pub fn reassign_id(&mut self, id: u64) {
-        self.config.id = id;
-    }
-
-    /// Drops the entire cache as part of a conservative handoff (the
-    /// mesh detected diverged report histories between the source and
-    /// destination cells, so no entry can be trusted). Returns how many
-    /// entries were dropped; a non-empty drop counts in
-    /// [`MuStats::cache_drops`] exactly like the strategies' own gap
-    /// drops.
-    pub fn drop_cache_for_handoff(&mut self) -> usize {
-        let dropped = self.cache.len();
-        if dropped > 0 {
-            self.cache.clear();
-            self.state.note_cache_drop();
-        }
-        dropped
-    }
 }
 
 #[cfg(test)]

@@ -19,11 +19,26 @@
 //! iid uniform over the window. A report answers every waiting query at
 //! once, so the pose times are only ever read as a latency sum and max,
 //! and that is all the unit keeps of them.
+//!
+//! A mesh moves units between cells (§2 leaves that case out), so a
+//! unit also knows its [`Presence`] there.
 
 use sw_sim::{BernoulliIntervalProcess, PoissonCount, RngStream, SimTime};
 
 use crate::cache::GhostFate;
 use crate::mu::MuStats;
+
+/// Where a unit stands with respect to its cell. Every unit of a
+/// standalone cell stays resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Presence {
+    /// In the cell since it was built, or since it heard a report here.
+    Resident,
+    /// Arrived by handoff and has not yet heard a report here.
+    Arrived,
+    /// Left the cell by handoff.
+    Departed,
+}
 
 /// A unit's per-interval state. See the module docs.
 #[derive(Debug, Clone, Copy)]
@@ -31,6 +46,7 @@ pub struct UnitState {
     stats: MuStats,
     t_l: Option<SimTime>,
     awake: bool,
+    presence: Presence,
     queries: PoissonCount,
     sleep: BernoulliIntervalProcess,
     /// Queries waiting for the next report.
@@ -60,12 +76,23 @@ impl UnitState {
             stats: MuStats::default(),
             t_l: None,
             awake: true,
+            presence: Presence::Resident,
             queries: PoissonCount::new(query_rate),
             sleep: BernoulliIntervalProcess::new(sleep_probability),
             waiting: 0,
             anchor: SimTime::ZERO,
             lag_sum: 0.0,
             oldest_lag: 0.0,
+        }
+    }
+
+    /// What a slot keeps when its unit leaves the cell: zero stats,
+    /// asleep, posing nothing.
+    pub fn departed() -> Self {
+        UnitState {
+            awake: false,
+            presence: Presence::Departed,
+            ..UnitState::new(0.0, 1.0)
         }
     }
 
@@ -88,6 +115,19 @@ impl UnitState {
     /// Whether the unit is awake in the current interval.
     pub fn is_awake(&self) -> bool {
         self.awake
+    }
+
+    /// Where the unit stands with respect to its cell.
+    #[inline]
+    pub fn presence(&self) -> Presence {
+        self.presence
+    }
+
+    /// Lands the unit in a new cell by handoff: asleep in transit, and
+    /// [`Arrived`](Presence::Arrived) until it hears a report here.
+    pub fn land(&mut self) {
+        self.awake = false;
+        self.presence = Presence::Arrived;
     }
 
     /// Wakes the unit for interval `(from, to]` and poses its queries.
@@ -152,8 +192,8 @@ impl UnitState {
 
     /// Settles the heard report at `t_i`, after the rule applied it:
     /// every waiting query is answered now (latency sum and max),
-    /// `T_l := T_i`, and the rule's whole-cache drop and `invalidated`
-    /// item count are recorded.
+    /// `T_l := T_i`, the unit is resident, and the rule's whole-cache
+    /// drop and `invalidated` item count are recorded.
     #[inline]
     pub fn settle(&mut self, t_i: SimTime, dropped_all: bool, invalidated: usize) {
         if self.waiting > 0 {
@@ -165,6 +205,7 @@ impl UnitState {
             self.oldest_lag = 0.0;
         }
         self.t_l = Some(t_i);
+        self.presence = Presence::Resident;
         if dropped_all {
             self.note_cache_drop();
         }

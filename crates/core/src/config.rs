@@ -45,10 +45,10 @@ pub enum WakeMode {
 pub enum FleetBackend {
     /// One [`sw_client::MobileUnit`] struct per client: caches are
     /// per-client item tables, each unit holds its own
-    /// [`sw_client::RuleHandler`]. The fully general backend: it hosts
-    /// every configuration, including the few the columnar store
-    /// refuses — listed once, in the docs of the crate-private
-    /// `Fleet::new` (`crates/core/src/fleet.rs`).
+    /// [`sw_client::RuleHandler`]. It hosts every standalone cell, and
+    /// alone hosts the query plane; mesh shards, whose handoffs move a
+    /// client's row of the columns, run columnar. The refusals are listed
+    /// once, in the docs of the crate-private `Fleet::new`.
     Units,
     /// Struct-of-arrays: per-item cache timestamps, values, and
     /// validity bitmaps for *all* clients live in dense parallel
@@ -131,10 +131,10 @@ pub struct CellConfig {
     /// every random draw happens outside the parallel section.
     pub sweep_threads: Option<usize>,
     /// Client-state storage backend. `None` — the default — picks the
-    /// columnar struct-of-arrays fleet unless the columnar store refuses
-    /// the configuration (see [`FleetBackend::Units`] for where the
-    /// refusals are listed) and the per-unit struct fleet otherwise. Both backends are bit-identical; the explicit
-    /// settings exist for A/B equivalence tests.
+    /// per-unit struct fleet if the cell arms the query plane and the
+    /// columnar one otherwise; forcing a store a configuration rules out
+    /// is `InvalidConfig` (see [`FleetBackend::Units`]). Both backends
+    /// are bit-identical; the explicit settings exist for A/B tests.
     pub fleet: Option<FleetBackend>,
     /// Optional query-result plane (`sw-query`): every client runs a
     /// predicate-query workload whose cached results are invalidated by
@@ -143,7 +143,8 @@ pub struct CellConfig {
     /// leaves every pre-query run byte-identical (the plane draws only
     /// from `StreamId::QueryPlan { index }`). Query-armed cells always
     /// use the boxed-unit fleet (the plane reads each client's item
-    /// cache directly) and must be standalone (no mesh backbone).
+    /// cache directly) and must be standalone (no mesh backbone, whose
+    /// shards run on the columnar fleet).
     pub query: Option<QueryPlaneConfig>,
     /// Backbone seed for mesh membership. `None` — the default — means
     /// the cell is standalone and derives *everything* from `seed`.
@@ -380,8 +381,9 @@ impl CellConfig {
             query.validate()?;
             if self.backbone.is_some() {
                 return Err(
-                    "the query plane is standalone-only (mesh shards hand whole units \
-                     between cells; a traveling query cache is not modeled)"
+                    "the query plane is standalone-only (mesh shards hand a client's \
+                     row of the columnar store between cells; a traveling query cache \
+                     is not modeled)"
                         .into(),
                 );
             }

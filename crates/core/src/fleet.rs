@@ -97,11 +97,13 @@
 //! answer time hands [`UnitState::miss`] the slot's ghost as the boxed
 //! unit hands it `Cache::take_ghost`'s.
 //!
-//! Eligibility is decided in [`Fleet::new`], whose docs hold the one
-//! list of refusals: mesh shards and the query plane stay on seats. No
-//! strategy is refused — adaptive TS reads its windows off the digest,
-//! the stateful baseline's clients run the AT rule, and quasi-delay and
-//! Method 1 keep what they need beside the cache in the columns above.
+//! The store is chosen in [`Fleet::new`], whose docs hold the one list
+//! of refusals: the query plane stays on seats, mesh shards on the
+//! columns, where a handoff moves one client's row
+//! ([`ColumnarFleet::move_row`]). No strategy is refused — adaptive TS
+//! reads its windows off the digest, the stateful baseline's clients
+//! run the AT rule, and quasi-delay and Method 1 keep what they need
+//! beside the cache in the columns above.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -110,8 +112,8 @@ use std::sync::Arc;
 
 use sw_client::cache::{victim, EntryMeta};
 use sw_client::{
-    CacheSlots, GhostFate, Lent, MuStats, ReplacementPolicy, ReportDigest, ReportRule, SigTrack,
-    UnitState, Verdict,
+    CacheSlots, GhostFate, Lent, MuStats, Presence, ReplacementPolicy, ReportDigest, ReportRule,
+    SigTrack, UnitState, Verdict,
 };
 use sw_query::QueryPlane;
 use sw_server::{ItemId, PiggybackInfo, QueryAnswer};
@@ -188,7 +190,7 @@ impl SweepOut {
 // only put a pointer hop in front of every phase call.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Fleet {
-    /// One [`ClientSeat`] per slot; departed slots hold husks.
+    /// One [`ClientSeat`] per slot.
     Units(Vec<ClientSeat>),
     /// Struct-of-arrays columns.
     Columnar(ColumnarFleet),
@@ -210,39 +212,38 @@ macro_rules! per_client {
 
 impl Fleet {
     /// Builds the cell's clients. The columnar store hosts every
-    /// eligible configuration unless `config.fleet` forces the choice
+    /// configuration it can unless `config.fleet` forces the choice
     /// (the equivalence suite runs both on the same config).
     ///
-    /// The one list of refusals: a configuration stays on seats when it
-    /// has a mesh backbone or arms the query plane. Every strategy runs
-    /// on either store.
+    /// The one list of refusals, one per store: a cell that arms the
+    /// query plane runs on seats, and a mesh shard (backbone set) on the
+    /// columns. Every strategy runs on either store.
     pub(crate) fn new(config: &CellConfig, strategy: Strategy) -> Result<Self, SimulationError> {
         let params = &config.params;
-        let eligible = config.backbone.is_none() && config.query.is_none();
-        let columnar = match config.fleet {
-            Some(FleetBackend::Units) => false,
-            Some(FleetBackend::Columnar) if !eligible => {
-                // The caller forced the columnar store: name every
-                // disqualifier, not just the first.
-                let mut reasons = Vec::new();
-                if config.backbone.is_some() {
-                    reasons.push("mesh handoffs move whole boxed units between cells");
-                }
-                if config.query.is_some() {
-                    reasons.push("the query-result plane attaches to boxed units");
-                }
-                return Err(SimulationError::InvalidConfig(format!(
-                    "the columnar fleet cannot host this configuration: {}",
-                    reasons.join("; ")
-                )));
+        // `validate` keeps the query plane off mesh shards.
+        let backend = config.fleet.unwrap_or(match config.query {
+            Some(_) => FleetBackend::Units,
+            None => FleetBackend::Columnar,
+        });
+        let refusal = match backend {
+            FleetBackend::Units if config.backbone.is_some() => {
+                Some("mesh handoffs move a client's row of the columnar store")
             }
-            _ => eligible,
+            FleetBackend::Columnar if config.query.is_some() => {
+                Some("the query-result plane attaches to boxed units")
+            }
+            _ => None,
         };
+        if let Some(reason) = refusal {
+            return Err(SimulationError::InvalidConfig(format!(
+                "FleetBackend::{backend:?} cannot host this configuration: {reason}"
+            )));
+        }
         let zipf = shared_zipf(config);
         // One rule for the whole cell, on either store: every seat holds
         // a clone, so SIG's subset lists are filled once per cell.
         let rule = strategy.report_rule(params, config.protocol_seed());
-        if !columnar {
+        if backend == FleetBackend::Units {
             return Ok(Fleet::Units(
                 (0..config.n_clients)
                     .map(|idx| ClientSeat::new(config, strategy, &rule, idx, zipf.as_ref()))
@@ -264,7 +265,7 @@ impl Fleet {
         Ok(Fleet::Columnar(fleet))
     }
 
-    /// Number of client slots, departed husks included.
+    /// Number of client slots, departed ones included.
     pub(crate) fn len(&self) -> usize {
         match self {
             Fleet::Units(seats) => seats.len(),
@@ -276,35 +277,17 @@ impl Fleet {
         matches!(self, Fleet::Columnar(_))
     }
 
-    #[inline]
-    fn seat(&self, idx: usize) -> Option<&ClientSeat> {
-        match self {
-            Fleet::Units(seats) => Some(&seats[idx]),
-            Fleet::Columnar(_) => None,
-        }
-    }
-
-    /// The unit's id. Columnar cells are standalone: slots are never
-    /// reassigned, so the id a seat would carry is the slot index.
-    #[inline]
-    pub(crate) fn id(&self, idx: usize) -> u64 {
-        self.seat(idx).map_or(idx as u64, |seat| seat.unit().id())
-    }
-
-    /// Whether slot `idx` holds the husk of a unit that migrated away.
+    /// Whether the unit in slot `idx` migrated away.
     #[inline]
     pub(crate) fn is_departed(&self, idx: usize) -> bool {
-        self.seat(idx).is_some_and(ClientSeat::is_husk)
-    }
-
-    /// Whether the unit arrived by handoff and has not yet heard a
-    /// report here.
-    pub(crate) fn newly_migrated(&self, idx: usize) -> bool {
-        self.seat(idx).is_some_and(ClientSeat::newly_migrated)
+        self.unit(idx).presence() == Presence::Departed
     }
 
     pub(crate) fn query_plane(&self, idx: usize) -> Option<&QueryPlane> {
-        self.seat(idx)?.query_plane()
+        match self {
+            Fleet::Units(seats) => seats[idx].query_plane(),
+            Fleet::Columnar(_) => None,
+        }
     }
 
     /// Every armed query plane, in slot order.
@@ -326,7 +309,7 @@ impl Fleet {
         self.unit(idx).stats()
     }
 
-    /// Every slot's stats, in slot order (husks report zeros).
+    /// Every slot's stats, in slot order (departed slots report zeros).
     pub(crate) fn stats_iter(&self) -> impl Iterator<Item = MuStats> + '_ {
         (0..self.len()).map(|idx| self.stats(idx))
     }
@@ -445,26 +428,12 @@ impl Fleet {
         }
     }
 
-    fn seats_mut(&mut self) -> &mut Vec<ClientSeat> {
+    /// A mesh shard's columns, which handoffs move rows between.
+    pub(crate) fn shard_mut(&mut self) -> &mut ColumnarFleet {
         match self {
-            Fleet::Units(seats) => seats,
-            Fleet::Columnar(_) => panic!(
-                "handoffs move whole boxed units; mesh shards (backbone set) \
-                 never construct the columnar fleet"
-            ),
+            Fleet::Columnar(fleet) => fleet,
+            Fleet::Units(_) => unreachable!("mesh shards run on the columnar store"),
         }
-    }
-
-    /// Moves the seat in slot `idx` out for a handoff, leaving a husk.
-    pub(crate) fn detach(&mut self, idx: usize) -> ClientSeat {
-        std::mem::replace(&mut self.seats_mut()[idx], ClientSeat::husk())
-    }
-
-    /// Appends an arriving seat; returns its slot.
-    pub(crate) fn attach(&mut self, seat: ClientSeat) -> usize {
-        let seats = self.seats_mut();
-        seats.push(seat);
-        seats.len() - 1
     }
 }
 
@@ -624,16 +593,13 @@ impl SweepStore for &mut [ClientSeat] {
         let unit = seat.unit();
         // The last-report time is the false-alarm reference point (§6).
         let pre = observing.then(|| (unit.stats(), unit.state().last_report_heard()));
-        // A whole-cache drop at the first report after a handoff is
-        // attributable to the cell switch (an empty carried cache has
-        // nothing to lose and counts no drop).
-        let carrying = seat.newly_migrated() && !unit.cache().is_empty();
         let report = seat.hear(digest);
         let dropped_all = report.outcome.dropped_all;
         out.items.push(SweepItem {
             slot,
             pre,
-            handoff_drop: carrying && dropped_all,
+            // Seats never travel: mesh shards run on the columns.
+            handoff_drop: false,
             dropped_all,
             invalidated: append(&mut out.invalidated, report.outcome.invalidated),
             uplinks: append(&mut out.uplinks, report.uplink_requests.iter().map(|r| r.0)),
@@ -788,8 +754,9 @@ pub(crate) struct ColumnarFleet {
 impl ColumnarFleet {
     /// Creates an empty fleet with room for `clients` clients, which
     /// [`Self::push_client`] appends; `piggyback` arms the hit
-    /// histories. Every column is sized once here: growing one by
-    /// doubling would leave each smaller copy behind in the heap.
+    /// histories. A standalone cell's columns are sized once here:
+    /// growing one by doubling would leave each smaller copy behind in
+    /// the heap. A mesh shard's grow as units arrive.
     pub(crate) fn new(
         hotspot_size: usize,
         clients: usize,
@@ -1004,6 +971,65 @@ impl ColumnarFleet {
         }
     }
 
+    /// A mesh handoff: moves client `idx`'s row of every per-client
+    /// column to the end of `to`, a fleet of the same configuration,
+    /// and returns its slot there. The rule and the capacity spec are
+    /// cell-wide and stay. So does the slot, departed: no valid bits,
+    /// zero stats, never woken.
+    pub(crate) fn move_row(&mut self, idx: usize, to: &mut ColumnarFleet) -> usize {
+        assert_eq!(self.h, to.h, "fleet hotspots must share one size");
+        let (h, words) = (self.h, self.words);
+        shift(&mut self.draw_slot, &mut to.draw_slot, idx, h);
+        shift(&mut self.slot_items, &mut to.slot_items, idx, h);
+        shift(&mut self.valid, &mut to.valid, idx, words);
+        shift(&mut self.values, &mut to.values, idx, h);
+        shift(&mut self.stamps, &mut to.stamps, idx, h);
+        shift(&mut self.cached, &mut to.cached, idx, 1);
+        shift(&mut self.pending_mask, &mut to.pending_mask, idx, words);
+        let unit = std::mem::replace(&mut self.units[idx], UnitState::departed());
+        to.units.push(unit);
+        // The copy left behind is never opened again.
+        to.streams.push(self.streams[idx].clone());
+        to.next_wake
+            .push(std::mem::replace(&mut self.next_wake[idx], u64::MAX));
+        if let (Some(from), Some(to)) = (&mut self.sig, &mut to.sig) {
+            shift(&mut from.tracked, &mut to.tracked, idx, from.words);
+            shift(&mut from.last_report, &mut to.last_report, idx, 1);
+            shift(&mut from.last_unmatched, &mut to.last_unmatched, idx, 1);
+        }
+        if let (Some(from), Some(to)) = (&mut self.cap, &mut to.cap) {
+            shift(&mut from.last_used, &mut to.last_used, idx, h);
+            shift(&mut from.use_count, &mut to.use_count, idx, h);
+            shift(&mut from.ghost, &mut to.ghost, idx, h);
+            shift(&mut from.ghost_stamps, &mut to.ghost_stamps, idx, h);
+            shift(&mut from.clock, &mut to.clock, idx, 1);
+        }
+        if let (Some(from), Some(to)) = (&mut self.hit_times, &mut to.hit_times) {
+            shift(from, to, idx, h);
+        }
+        to.units.len() - 1
+    }
+
+    /// Lands client `idx`, just moved here: in transit, asleep, through
+    /// interval `transit`. With diverged report histories no report of
+    /// this cell can vouch for the carried cache, so it is dropped,
+    /// entries and ghosts; returns whether that lost any.
+    pub(crate) fn land(&mut self, idx: usize, transit: u64, histories_agree: bool) -> bool {
+        self.units[idx].land();
+        self.streams[idx].settled_through(transit);
+        self.next_wake[idx] = self.next_wake[idx].max(transit.saturating_add(1));
+        let lost = !histories_agree && self.cached[idx] > 0;
+        if lost {
+            self.valid[idx * self.words..(idx + 1) * self.words].fill(0);
+            self.cached[idx] = 0;
+            if let Some(cap) = &mut self.cap {
+                cap.ghost[idx * self.h..(idx + 1) * self.h].fill(None);
+            }
+            self.units[idx].note_cache_drop();
+        }
+        lost
+    }
+
     /// Every client's sweep-time columns as one chunk.
     fn view(&mut self) -> ChunkView<'_> {
         ChunkView {
@@ -1028,6 +1054,12 @@ impl ColumnarFleet {
             hit_times: self.hit_times.as_deref_mut(),
         }
     }
+}
+
+/// Moves client `idx`'s run of a stride-`n` column to the end of `to`,
+/// leaving defaults behind.
+fn shift<T: Default>(from: &mut [T], to: &mut Vec<T>, idx: usize, n: usize) {
+    to.extend(from[idx * n..(idx + 1) * n].iter_mut().map(std::mem::take));
 }
 
 /// SIG columns of one contiguous client chunk.
@@ -1236,6 +1268,10 @@ impl SweepStore for ChunkView<'_> {
         let unit = &mut self.units[local];
         let t_l = unit.hearing();
         let pre = observing.then(|| (unit.stats(), t_l));
+        // A whole-cache drop at the first report after a handoff is
+        // attributable to the cell switch (an empty carried cache has
+        // nothing to lose and counts no drop).
+        let carrying = unit.presence() == Presence::Arrived && self.cached[local] > 0;
         let (h, words) = (self.h, self.words);
         let mut block = SlotBlock {
             items: &self.slot_items[idx * h..(idx + 1) * h],
@@ -1300,7 +1336,7 @@ impl SweepStore for ChunkView<'_> {
         out.items.push(SweepItem {
             slot: awake_slot,
             pre,
-            handoff_drop: false,
+            handoff_drop: carrying && dropped_all,
             dropped_all,
             invalidated,
             uplinks: first..out.uplinks.len(),

@@ -15,13 +15,14 @@
 //! stamps and derive validity from `T_l` (quasi-delay's restamp writes
 //! its slot), the seat restamps, and the two must read the same — and
 //! every uplink's piggybacked hit history, which only Method 1 carries.
-//! The remaining rows pin what the seat and the
-//! columns each keep beside the cache: sleep-run settlement across a
-//! stats reset, the never-wake sentinel, the Zipf pick's stream
-//! discipline, the pending set across missed reports, the SIG subsets a
-//! fetch tracks and the size of the SIG columns — and, on a bare slot
-//! block, that a heard report reads only `report ∩ cache`, and that
-//! quasi-delay's kept copies keep their stamps. `summary`
+//! The remaining rows pin what the seat and the columns each keep
+//! beside the cache: sleep-run settlement across a stats reset, the
+//! never-wake sentinel, the Zipf pick's stream discipline, the pending
+//! set across missed reports, the SIG subsets a fetch tracks and the
+//! size of the SIG columns — and, on a bare slot block, that a heard
+//! report reads only `report ∩ cache`, and that quasi-delay's kept
+//! copies keep their stamps. The last row moves one client's row of the
+//! columns between two fleets, as a mesh handoff does. `summary`
 //! carries each store's tracked-subset count, so every row that compares
 //! summaries also compares what the two stores vouch for.
 
@@ -935,4 +936,188 @@ fn a_slots_hit_history_is_the_units_piggyback() {
         invalidated_with_history > 0,
         "no invalidated item shipped a hit history"
     );
+}
+
+/// The columns of a columnar fixture.
+fn columns(fleet: &Fleet) -> &ColumnarFleet {
+    match fleet {
+        Fleet::Columnar(columns) => columns,
+        Fleet::Units(_) => unreachable!("the fixture is columnar"),
+    }
+}
+
+/// Client `idx`'s row of every per-client column, each as text, in the
+/// order `move_row` moves them; the SIG share is compared by pointer
+/// instead.
+fn row_of(fleet: &ColumnarFleet, idx: usize) -> Vec<(&'static str, String)> {
+    let slots = idx * fleet.h..(idx + 1) * fleet.h;
+    let words = idx * fleet.words..(idx + 1) * fleet.words;
+    let sig = fleet.sig.as_ref().expect("the fixture tracks signatures");
+    let cap = fleet.cap.as_ref().expect("the fixture bounds its caches");
+    let hit_times = fleet
+        .hit_times
+        .as_ref()
+        .expect("the fixture keeps hit histories");
+    let text = |column: &dyn std::fmt::Debug| format!("{column:?}");
+    vec![
+        ("draw_slot", text(&&fleet.draw_slot[slots.clone()])),
+        ("slot_items", text(&&fleet.slot_items[slots.clone()])),
+        ("valid", text(&&fleet.valid[words.clone()])),
+        ("values", text(&&fleet.values[slots.clone()])),
+        ("stamps", text(&&fleet.stamps[slots.clone()])),
+        ("cached", text(&fleet.cached[idx])),
+        ("pending_mask", text(&&fleet.pending_mask[words])),
+        ("unit", text(&fleet.units[idx])),
+        ("streams", text(&fleet.streams[idx])),
+        ("next_wake", text(&fleet.next_wake[idx])),
+        (
+            "tracked",
+            text(&&sig.tracked[idx * sig.words..(idx + 1) * sig.words]),
+        ),
+        ("last_unmatched", text(&sig.last_unmatched[idx])),
+        ("last_used", text(&&cap.last_used[slots.clone()])),
+        ("use_count", text(&&cap.use_count[slots.clone()])),
+        ("ghost", text(&&cap.ghost[slots.clone()])),
+        ("ghost_stamps", text(&&cap.ghost_stamps[slots.clone()])),
+        ("clock", text(&cap.clock[idx])),
+        ("hit_times", text(&&hit_times[slots])),
+    ]
+}
+
+/// A mesh handoff moves one client's row between two fleets: the slot
+/// it leaves is departed, the row lands whole, and an arrival under
+/// diverged report histories drops a carried cache exactly once.
+#[test]
+fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
+    // Bounded at 2 of 6 slots, so installs evict and leave ghosts, with
+    // every per-client column armed: SIG's mask, the capacity columns,
+    // the hit histories.
+    let bounded_sig = |indices: std::ops::Range<u64>| {
+        let capacity = CapacitySpec {
+            cap: 2,
+            policy: ReplacementPolicy::Lru,
+            window: SimDuration::from_secs(LATENCY).scaled(K as f64),
+        };
+        let clients = indices.end - indices.start;
+        let (sig, capacity) = (rule(Kind::Sig), Some(capacity));
+        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), clients as usize, sig, capacity, true);
+        for index in indices {
+            fleet.push_client(streams(index, 0.0, None), LAMBDA);
+        }
+        Fleet::Columnar(fleet)
+    };
+    let (mut a, mut b) = (bounded_sig(0..3), bounded_sig(10..12));
+    let mut reports = Reports::new(Kind::Sig);
+    let last = 6;
+    for i in 1..=last {
+        let payload = reports.next(i);
+        for fleet in [&mut a, &mut b] {
+            let everyone: Vec<usize> = (0..fleet.len()).collect();
+            for &idx in &everyone {
+                fleet.open_interval(idx, i, report_time(i - 1), report_time(i));
+            }
+            // The last report is lost, so the pending sets travel too.
+            if i == last {
+                for &idx in &everyone {
+                    fleet.miss_report(idx);
+                }
+            } else {
+                let mut scratch = DigestScratch::default();
+                let digest = scratch.digest(&payload);
+                let mut out = [SweepOut::default()];
+                fleet.sweep(&everyone, &everyone, &digest, false, &mut out);
+                let [out] = out;
+                for swept in &out.items {
+                    for &item in &out.uplinks[swept.uplinks.clone()] {
+                        let answer = QueryAnswer {
+                            item,
+                            value: item + 1,
+                            timestamp: digest.report_time(),
+                        };
+                        fleet.install_answer(swept.slot, answer);
+                    }
+                }
+            }
+            for &idx in &everyone {
+                fleet.close_interval(idx, i);
+            }
+        }
+    }
+    let k = 1;
+    let (h, words) = (columns(&a).h, columns(&a).words);
+    let before = row_of(columns(&a), k);
+    let share = Arc::clone(&columns(&a).sig.as_ref().unwrap().last_report[k]);
+    let carried = columns(&a).cached[k] as usize;
+    assert!(carried > 0, "the traveler carries a cache");
+    let ghosts = &columns(&a).cap.as_ref().unwrap().ghost[k * h..(k + 1) * h];
+    assert!(ghosts.iter().any(Option::is_some), "and ghosts");
+    let pending = &columns(&a).pending_mask[k * words..(k + 1) * words];
+    assert!(pending.iter().any(|&w| w != 0), "and queries still waiting");
+    let sig = columns(&a).sig.as_ref().unwrap();
+    let tracked = &sig.tracked[k * sig.words..(k + 1) * sig.words];
+    assert!(SigTrack::count(tracked) > 0, "and tracked subsets");
+    let entries_before = a.cached().len();
+    // Built before the cut: the heap keeps the traveler's entry.
+    let schedules = [WakeMode::Scan, WakeMode::Heap].map(|mode| WakeSchedule::new(mode, &a));
+
+    let landed = a.shard_mut().move_row(k, b.shard_mut());
+    // A's slot is departed: no valid bits, zero stats, never woken,
+    // nothing cached.
+    assert!(a.is_departed(k));
+    assert_eq!(a.stats(k), MuStats::default());
+    assert_eq!(a.next_wake(k), u64::MAX);
+    assert!(columns(&a).valid[k * words..(k + 1) * words]
+        .iter()
+        .all(|&w| w == 0));
+    assert_eq!(columns(&a).cached[k], 0);
+    assert_eq!(a.cached().len(), entries_before - carried);
+    for mut schedule in schedules {
+        let mut awake = Vec::new();
+        for i in last + 1..last + 20 {
+            schedule.pop_due(i, &a, &mut awake);
+        }
+        assert!(!awake.contains(&k), "a departed slot woke");
+        assert!(
+            awake.contains(&0) && awake.contains(&2),
+            "the residents still wake"
+        );
+    }
+    // B's new row is A's old one, column by column.
+    assert_eq!(landed, 2, "an arrival appends a slot");
+    assert_eq!(row_of(columns(&b), landed), before);
+    assert!(Arc::ptr_eq(
+        &columns(&b).sig.as_ref().unwrap().last_report[landed],
+        &share
+    ));
+
+    // Landing: asleep through the transit interval, arrived until it
+    // hears a report; histories that agree keep the cache.
+    let transit = last + 1;
+    assert!(
+        !b.shard_mut().land(landed, transit, true),
+        "agreeing histories drop nothing"
+    );
+    assert_eq!(b.unit(landed).presence(), Presence::Arrived);
+    assert!(!b.unit(landed).is_awake());
+    assert!(b.next_wake(landed) > transit);
+    assert_eq!(columns(&b).cached[landed] as usize, carried);
+    // Diverged histories empty the row — entries and ghosts — and count
+    // one drop; an empty row has nothing to lose and counts none.
+    let drops = b.stats(landed).cache_drops;
+    assert!(
+        b.shard_mut().land(landed, transit, false),
+        "a carried cache is lost"
+    );
+    assert_eq!(columns(&b).cached[landed], 0);
+    assert!(columns(&b).valid[landed * words..(landed + 1) * words]
+        .iter()
+        .all(|&w| w == 0));
+    let ghosts = &columns(&b).cap.as_ref().unwrap().ghost[landed * h..(landed + 1) * h];
+    assert!(ghosts.iter().all(Option::is_none));
+    assert_eq!(b.stats(landed).cache_drops, drops + 1);
+    assert!(
+        !b.shard_mut().land(landed, transit, false),
+        "an empty row loses nothing"
+    );
+    assert_eq!(b.stats(landed).cache_drops, drops + 1);
 }

@@ -267,7 +267,6 @@ impl MeshSimulation {
                 Some(dest) => dest,
                 None => continue,
             };
-            debug_assert_ne!(dest, cell, "graph has no self-loops");
             // The TS handoff clause: a traveler keeps its cache across
             // the handoff only if the destination has been broadcasting
             // the same invalidation information. With a shared backbone
@@ -275,8 +274,12 @@ impl MeshSimulation {
             // always true; adaptive/quasi builders fold local feedback
             // into their reports and can genuinely diverge.
             let agree = self.cells[cell].report_history_agrees(&self.cells[dest]);
-            let traveler = self.cells[cell].detach_client(slot);
-            let new_slot = self.cells[dest].attach_client(traveler, agree);
+            let [from, to] = self
+                .cells
+                .get_disjoint_mut([cell, dest])
+                .expect("graph has no self-loops");
+            let new_slot = from.detach_client(slot, to);
+            to.attach_client(new_slot, agree);
             self.locations[home] = Location {
                 cell: dest,
                 slot: new_slot,

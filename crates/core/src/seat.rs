@@ -18,34 +18,29 @@
 //! 4. [`close_interval`](ClientSeat::close_interval) — draw the next
 //!    sleep run, returning the next awake interval.
 //!
-//! The same seat is what the boxed fleet stores, what a mesh handoff
-//! carries between cells, and what `sw_live::LiveMu` wraps behind its
-//! sockets, so the three agree by construction. The columnar fleet
-//! offers the same phase methods over its columns, from the same two
-//! records per client: the [`UnitState`] a `MobileUnit` holds, and the
-//! `ClientStreams` a seat holds, whose `open` and `close` both stores
-//! call. So a per-client fact beside the cache is one field in one of
-//! those two structs.
+//! The same seat is what the boxed fleet stores and what
+//! `sw_live::LiveMu` wraps behind its sockets, so the two agree by
+//! construction. The columnar fleet offers the same phase methods over
+//! its columns, from the same two records per client: the [`UnitState`]
+//! a `MobileUnit` holds, and the `ClientStreams` a seat holds, whose
+//! `open` and `close` both stores call. So a per-client fact beside the
+//! cache is one field in one of those two structs.
 
 use std::sync::Arc;
 
 use sw_client::{
-    IntervalReport, MobileUnit, MuConfig, ReplacementPolicy, ReportDigest, ReportRule, RuleHandler,
-    UnitState,
+    IntervalReport, MobileUnit, MuConfig, ReportDigest, ReportRule, RuleHandler, UnitState,
 };
 use sw_faults::FaultLayer;
 use sw_query::QueryPlane;
 use sw_server::{ItemId, QueryAnswer};
-use sw_sim::{MasterSeed, RngStream, SimDuration, SimTime, StreamId};
+use sw_sim::{RngStream, SimDuration, SimTime, StreamId};
 use sw_wireless::frame::{checksum64, flip_bit};
 use sw_workload::{HotspotSpec, ZipfPicker};
 
 use crate::adaptive::FeedbackMethod;
 use crate::config::CellConfig;
 use crate::strategy::Strategy;
-
-/// The id a departed slot's husk carries; real ids count up from zero.
-const HUSK_ID: u64 = u64::MAX;
 
 /// Whether a cell's units collect local-hit histories for uplink
 /// piggybacking: adaptive TS's Method 1 feeds on them (§8.1).
@@ -74,6 +69,7 @@ pub(crate) type ClientStart = (Vec<ItemId>, f64, ClientStreams);
 /// A client's private streams and its settled-interval mark: one record
 /// on either store, with the one [`open`](Self::open) and the one
 /// [`close`](Self::close) of an awake interval.
+#[derive(Debug, Clone)]
 pub(crate) struct ClientStreams {
     /// Each window's query count and pose times, and the item pick
     /// unless Zipf is armed.
@@ -174,14 +170,10 @@ pub struct ClientSeat {
     mu: MobileUnit,
     streams: ClientStreams,
     /// Draws only from `StreamId::QueryPlan { index }`, so arming it
-    /// never perturbs the item-plane streams. Does not travel: query
-    /// cells are standalone.
+    /// never perturbs the item-plane streams.
     plane: Option<QueryPlane>,
     /// The next interval the unit is awake in (`u64::MAX` = never).
     next_wake: u64,
-    /// Arrived by handoff and has not heard a report here yet; the
-    /// first report heard decides whether the move cost it its cache.
-    newly_migrated: bool,
 }
 
 impl ClientSeat {
@@ -235,40 +227,9 @@ impl ClientSeat {
             streams,
             plane,
             next_wake: 0,
-            newly_migrated: false,
         };
         seat.close_interval(0);
         seat
-    }
-
-    /// What a departed slot keeps: never queries, never wakes, caches
-    /// nothing. Slots are never reused, so fleet indices stay stable.
-    pub(crate) fn husk() -> Self {
-        let rng = || MasterSeed(0).stream(StreamId::Custom { tag: 0xDEAD });
-        let config = MuConfig {
-            id: HUSK_ID,
-            hotspot: vec![0],
-            query_rate_per_item: 0.0,
-            sleep_probability: 1.0,
-            cache_capacity: None,
-            replacement: ReplacementPolicy::Lru,
-            replacement_window: SimDuration::ZERO,
-            piggyback_hits: false,
-            item_universe: None,
-        };
-        let mut streams = ClientStreams::new(rng(), rng(), None);
-        let mu = MobileUnit::new(
-            config,
-            RuleHandler::new(ReportRule::NoCache),
-            streams.query_rng(),
-        );
-        Self::seated(mu, streams, None)
-    }
-
-    /// Whether this is a departed slot's [`husk`](Self::husk).
-    #[inline]
-    pub(crate) fn is_husk(&self) -> bool {
-        self.mu.id() == HUSK_ID
     }
 
     /// The seated unit (stats, cache, id, awake flag).
@@ -287,13 +248,6 @@ impl ClientSeat {
     #[inline]
     pub fn next_wake(&self) -> u64 {
         self.next_wake
-    }
-
-    /// Whether the unit arrived by handoff and has yet to hear a report
-    /// in this cell.
-    #[inline]
-    pub(crate) fn newly_migrated(&self) -> bool {
-        self.newly_migrated
     }
 
     /// Opens interval `i = (from, to]` for the waking unit: credits the
@@ -327,7 +281,6 @@ impl ClientSeat {
     /// Hears the report closing the interval and answers `Q_i`.
     #[inline]
     pub fn hear(&mut self, digest: &ReportDigest<'_>) -> IntervalReport {
-        self.newly_migrated = false;
         self.mu.hear_digest_and_answer(digest)
     }
 
@@ -372,21 +325,6 @@ impl ClientSeat {
         if let Some(plane) = &mut self.plane {
             plane.reset_stats();
         }
-    }
-
-    /// Lands a traveling seat in a new cell under the id `id`. The unit
-    /// is in transit for the whole of interval `transit` and hears no
-    /// report in it: it sleeps until `transit + 1` at the earliest.
-    /// With diverged report histories no report of the new cell can
-    /// vouch for the carried cache, so it is dropped here; returns
-    /// whether that lost any entries.
-    pub(crate) fn arrive(&mut self, id: u64, transit: u64, histories_agree: bool) -> bool {
-        self.mu.reassign_id(id);
-        self.mu.enter_sleep();
-        self.streams.settled_through(transit);
-        self.next_wake = self.next_wake.max(transit.saturating_add(1));
-        self.newly_migrated = true;
-        !histories_agree && self.mu.drop_cache_for_handoff() > 0
     }
 }
 

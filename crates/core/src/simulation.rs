@@ -44,7 +44,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use sw_client::{CapacityStats, DigestScratch, MuStats, ReportDigest};
+use sw_client::{CapacityStats, DigestScratch, MuStats, Presence, ReportDigest};
 use sw_faults::{FaultLayer, FaultTotals, ReportFate};
 use sw_observe::{Recorder, Value};
 use sw_query::{QueryPlane, QueryStats};
@@ -62,7 +62,7 @@ use crate::fleet::{Fleet, SweepOut, WakeSchedule};
 use crate::mesh::{CoopDirectory, CoopStats};
 use crate::metrics::{MigrationStats, SimulationReport};
 use crate::safety::{SafetyExpectation, SafetyStats};
-use crate::seat::{demonstrate_corruption, ClientSeat};
+use crate::seat::demonstrate_corruption;
 use crate::strategy::Strategy;
 
 /// Errors a simulation can raise.
@@ -329,13 +329,10 @@ pub struct CellSimulation {
     delivery: ReportDelivery,
     delivery_rng: RngStream,
     energy: EnergyTotals,
-    /// Slots holding the husk of a unit that migrated away (present
-    /// population = `fleet.len() - departed_count`). Slots are never
-    /// reused; arrivals append.
+    /// Slots whose unit migrated away (present population =
+    /// `fleet.len() - departed_count`). Slots are never reused;
+    /// arrivals append, and a unit's id is its slot index.
     departed_count: usize,
-    /// Next id to hand an arriving unit (ids stay unique within the
-    /// cell across any number of arrivals).
-    next_client_id: u64,
     /// Handoff counters (all zero for standalone cells).
     migration: MigrationStats,
     /// Arrivals since the last step, for the mesh series column.
@@ -455,7 +452,6 @@ impl CellSimulation {
             delivery_rng,
             energy: EnergyTotals::default(),
             departed_count: 0,
-            next_client_id: config.n_clients as u64,
             migration: MigrationStats::default(),
             arrivals_since_step: 0,
             report_digests: VecDeque::new(),
@@ -475,14 +471,14 @@ impl CellSimulation {
         self.server.database()
     }
 
-    /// Number of client slots in the cell, including departed husks
+    /// Number of client slots in the cell, including departed ones
     /// (slot indices are stable; arrivals append).
     pub fn client_slots(&self) -> usize {
         self.fleet.len()
     }
 
     /// Stats snapshot of the client in slot `idx`, on either fleet
-    /// backend (a departed slot reports the zeroed husk stats).
+    /// backend (a departed slot reports zeroed stats).
     pub fn client_stats(&self, idx: usize) -> MuStats {
         self.fleet.stats(idx)
     }
@@ -586,7 +582,7 @@ impl CellSimulation {
         item: ItemId,
         piggyback: Option<PiggybackInfo>,
     ) -> ExchangeOutcome {
-        let mu_id = self.fleet.id(idx);
+        let mu_id = idx as u64;
         let uplink_model = self.faults.uplink_model();
         let max_attempts = uplink_model.map_or(1, |m| m.max_attempts);
         let mut attempt = 1u32;
@@ -718,11 +714,10 @@ impl CellSimulation {
             let _ = self.channel.send_invalidation(id); // control msg
             self.registration_messages += 1;
         }
+        // A unit that left the cell was taken off this list, and
+        // disconnected, at detach.
         for idx in self.pending_disconnects.drain(..) {
-            if self.fleet.is_departed(idx) {
-                continue; // already disconnected at detach
-            }
-            let id = self.fleet.id(idx);
+            let id = idx as u64;
             if registry.is_connected(id) {
                 registry.disconnect(id);
                 let _ = self.channel.send_invalidation(id); // control msg
@@ -730,12 +725,12 @@ impl CellSimulation {
             }
         }
         for &idx in &iv.awake {
-            let id = self.fleet.id(idx);
+            let id = idx as u64;
             if !registry.is_connected(id) {
                 registry.connect(id);
                 let _ = self.channel.send_invalidation(id); // control msg
                 self.registration_messages += 1;
-                if self.fleet.newly_migrated(idx) {
+                if self.fleet.unit(idx).presence() == Presence::Arrived {
                     // First registration with a server that has never
                     // seen this unit: the stateful baseline's
                     // per-handoff price.
@@ -991,7 +986,7 @@ impl CellSimulation {
                         self.overflow_exchanges += 1;
                         iv.tally.overflow += 1;
                         if iv.observing {
-                            let mu_id = self.fleet.id(idx);
+                            let mu_id = idx as u64;
                             self.obs
                                 .event(i, "overflow", [("client", mu_id), ("item", item)]);
                         }
@@ -1047,7 +1042,7 @@ impl CellSimulation {
         let interval = SimDuration::from_secs(params.latency_secs);
         // One O(1) charge settles the whole sleeping population for
         // this interval (sleep power is linear in time). Departed
-        // slots are husks, not sleepers — nobody pays for them.
+        // slots are not sleepers — nobody pays for them.
         let asleep = self.present_clients() - iv.awake.len();
         if asleep > 0 {
             self.energy
@@ -1311,7 +1306,7 @@ impl CellSimulation {
     }
 
     /// Number of units currently present (live slots, excluding
-    /// departed husks).
+    /// departed ones).
     pub fn present_clients(&self) -> usize {
         self.client_slots() - self.departed_count
     }
@@ -1350,15 +1345,16 @@ impl CellSimulation {
         }
     }
 
-    /// Detaches the unit in slot `idx` for a handoff, returning the
-    /// traveling client. The whole [`ClientSeat`] travels: the cache,
-    /// the strategy handler (so SIG's tracked-subset mask and last
-    /// heard report survive the move), the query and sleep streams, and
-    /// the wake and settled-interval marks (the mesh's cells share one
-    /// absolute interval clock, so these carry over). The slot keeps an
-    /// inert husk (zero query rate, permanently asleep, never
-    /// scheduled). Slots are never reused, so every outstanding index —
-    /// heap entries, queued exchanges — stays valid.
+    /// Detaches the unit in slot `idx` for a handoff to `dest`, moving
+    /// its row of the fleet's columns to the end of `dest`'s, and
+    /// returns its slot there; [`attach_client`](Self::attach_client)
+    /// lands it. The row carries the cache, SIG's tracked-subset mask
+    /// and last heard report, the unit's stats and interval state, the
+    /// query and sleep streams, and the wake and settled-interval marks
+    /// (the mesh's cells share one absolute interval clock, so these
+    /// carry over). The slot stays behind, departed: it caches nothing
+    /// and is never scheduled. Slots are never reused, so every
+    /// outstanding index — heap entries, queued exchanges — stays valid.
     ///
     /// A queued exchange belongs to the unit, not the slot; it
     /// re-queries from its destination cell at its next miss. The queue
@@ -1373,14 +1369,14 @@ impl CellSimulation {
     ///
     /// # Panics
     ///
-    /// Panics if the slot already departed, or on a columnar cell.
-    pub(crate) fn detach_client(&mut self, idx: usize) -> ClientSeat {
+    /// Panics if the slot already departed.
+    pub(crate) fn detach_client(&mut self, idx: usize, dest: &mut CellSimulation) -> usize {
         assert!(!self.fleet.is_departed(idx), "slot {idx} already departed");
-        let seat = self.fleet.detach(idx);
+        let landed = self.fleet.shard_mut().move_row(idx, dest.fleet.shard_mut());
         self.departed_count += 1;
         self.pending_disconnects.retain(|&p| p != idx);
         if let Some(registry) = self.server.driver_mut().registry_mut() {
-            let id = seat.unit().id();
+            let id = idx as u64;
             if registry.is_connected(id) {
                 registry.disconnect(id);
                 self.deferred_control.push(id);
@@ -1388,11 +1384,11 @@ impl CellSimulation {
         }
         self.migration.migrations_out += 1;
         self.obs.add("migrations_out", 1);
-        seat
+        landed
     }
 
-    /// Attaches a traveling unit to this cell, appending a fresh slot,
-    /// and returns its new index.
+    /// Attaches the traveling unit [`detach_client`](Self::detach_client)
+    /// moved into the fresh slot `idx`, which is also its id here.
     ///
     /// `histories_agree` is the caller's verdict on whether the source
     /// and destination cells broadcast the same invalidation
@@ -1416,21 +1412,17 @@ impl CellSimulation {
     /// sleeper over the blackout — the drop-vs-keep verdict falls to
     /// its strategy at the first report it actually hears, which
     /// closes a gap of 2L.
-    pub(crate) fn attach_client(&mut self, mut seat: ClientSeat, histories_agree: bool) -> usize {
+    pub(crate) fn attach_client(&mut self, idx: usize, histories_agree: bool) {
         let transit = self.clock.next_index() + 1;
-        if seat.arrive(self.next_client_id, transit, histories_agree) {
+        if self.fleet.shard_mut().land(idx, transit, histories_agree) {
             self.migration.handoff_drops += 1;
             self.obs.add("handoff_drops", 1);
         }
-        self.next_client_id += 1;
-        let wake = seat.next_wake();
-        let idx = self.fleet.attach(seat);
-        self.wake.schedule(idx, wake);
+        self.wake.schedule(idx, self.fleet.next_wake(idx));
         self.faults.push_client(self.config.seed, idx, transit);
         self.migration.migrations_in += 1;
         self.arrivals_since_step += 1;
         self.obs.add("migrations", 1);
-        idx
     }
 }
 

@@ -77,11 +77,11 @@ fn mesh_runs_are_identical_across_thread_counts() {
 }
 
 /// Acceptance: the *intra-cell* parallel report sweep is invisible in
-/// a mesh too — shards host boxed units (handoffs move whole units,
-/// so the columnar fleet never constructs there), and the chunked
-/// sweep must be byte-identical at any worker count even while
-/// clients migrate. Fleets are sized so the parallel path actually
-/// engages (it fans out at ≥ 256 listening clients per cell).
+/// a mesh too — shards run on the columnar store, whose chunked sweep
+/// splits columns that handoffs cut rows from and append rows to, and
+/// it must be byte-identical at any worker count even while clients
+/// migrate. Fleets are sized so the parallel path actually engages (it
+/// fans out at ≥ 256 listening clients per cell).
 #[test]
 fn mesh_sweep_thread_count_is_invisible() {
     let run = |sweep_threads: usize| {

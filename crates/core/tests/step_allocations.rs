@@ -30,6 +30,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sleepers::mesh::{CellGraph, MeshConfig};
 use sleepers::prelude::*;
 
 /// The system allocator, counting every allocation and reallocation on
@@ -114,6 +115,7 @@ fn main() {
     a_bounded_at_churn_cell_allocates_nothing_to_evict_or_classify_ghosts();
     a_two_worker_ts_cell_allocates_a_fixed_count_per_step_at_any_size();
     an_adaptive_ts_cell_reads_its_windows_without_allocating();
+    a_mesh_shard_pays_only_its_report_digest_log();
 }
 
 /// Scenario 3's churn (μ = λ = 0.1, AT): each interval invalidates and
@@ -223,4 +225,28 @@ fn an_adaptive_ts_cell_reads_its_windows_without_allocating() {
         "no window left k_0 = {k_0}"
     );
     assert_pinned("adaptive TS", 6, [250, 1_000], config, strategy);
+}
+
+/// The AT churn cell as one shard of a two-cell mesh, stepped on its
+/// own (no unit moves): a shard runs on the columnar store too. Beside
+/// the standalone cell's four, the nine more are all the report-digest
+/// log's: `broadcast` serializes each report (`serialize_payload`) to
+/// checksum it for the handoff's history-agreement test, into a byte
+/// buffer that grows from empty by doubling — nine steps at this
+/// churn's report size, a count set by the update stream and never by
+/// the client count.
+fn a_mesh_shard_pays_only_its_report_digest_log() {
+    assert_pinned(
+        "mesh shard AT",
+        13,
+        [250, 1_000],
+        |clients| {
+            let base = CellConfig::new(widened(ScenarioParams::scenario3().with_s(0.2), clients))
+                .with_clients(clients)
+                .with_hotspot_size(30)
+                .with_sweep_threads(1);
+            MeshConfig::new(CellGraph::line(2), base, MasterSeed(41)).cell_config(0)
+        },
+        Strategy::AmnesicTerminals,
+    );
 }

@@ -2,14 +2,16 @@
 //! sockets.
 //!
 //! [`LiveMu`] is the transport-free core: a [`ClientSeat`] — the very
-//! struct `CellSimulation` seats its boxed clients in, built by the
-//! same constructor and driven through the same phase methods — plus
-//! what only a live unit has: the wire codec, and its own copy of the
-//! fault layer's per-client fate draws. A live unit fed the same seed
-//! and the same report bytes therefore makes byte-identical decisions
-//! to its simulated twin by construction; the conformance harness
-//! (see [`crate::conformance`]) pins what is left — the codec, the
-//! server side, and the order the daemon calls the phases in.
+//! struct `CellSimulation`'s boxed fleet seats its clients in, built by
+//! the same constructor and driven through the same phase methods —
+//! plus what only a live unit has: the wire codec, and its own copy of
+//! the fault layer's per-client fate draws. Its simulated twin mostly
+//! runs columnar, whose columns step the same `UnitState` and streams
+//! a seat holds. A live unit fed the same seed and the same report
+//! bytes therefore makes byte-identical decisions to its simulated twin
+//! on either store by construction; the conformance harness (see
+//! [`crate::conformance`]) pins what is left — the codec, the server
+//! side, and the order the daemon calls the phases in.
 //!
 //! [`run_mu`] wraps the core in the actual transport: a TCP control
 //! connection to `sw-serve` (registration, uplink queries, lockstep

@@ -178,9 +178,10 @@ cargo test --workspace --release -q --features observe,faults
 echo "==> cargo clippy --workspace -D warnings (--features observe,faults)"
 cargo clippy --workspace --all-targets --features observe,faults -- -D warnings
 
-echo "==> trace_run smokes (figure 3 at quick settings; a lockstep live session, merged server+client trace)"
+echo "==> trace_run smokes (figure 3 at quick settings; a lockstep live session, merged server+client trace; a 2-cell columnar mesh with its per-cell migrations column)"
 smoke observe trace_run 3
 smoke observe trace_run live
+smoke observe trace_run mesh
 
 # sw-exp check runs every catalogue row at full settings, fig_loss (a
 # faults row) included; the quick settings are covered by

@@ -9,7 +9,7 @@
 //! report's `T_i`, which the columnar store derives from `T_l` instead
 //! of restamping (quasi-delay's alone writes it into the slot).
 
-use sleepers_workaholics::mesh::CoopDirectory;
+use sleepers_workaholics::mesh::{CellGraph, CoopDirectory, MeshConfig};
 use sleepers_workaholics::prelude::*;
 
 /// §8 adaptive TS on uplink-count feedback: its windows ride every
@@ -359,8 +359,9 @@ fn eligible_configs_default_to_columnar() {
 #[test]
 fn ineligible_configs_stay_on_boxed_units() {
     // The query plane attaches to boxed units, whatever the strategy.
-    // (The mesh backbone, the other refusal, is crate-private; the mesh
-    // suite covers it.)
+    // Mesh shards are the other refusal, the other way round: a handoff
+    // moves a client's row of the columns, so shards run columnar
+    // (last case below).
     for &strategy in ELIGIBLE {
         let sim = CellSimulation::new(
             base_config(8, 0.3, 5).with_query(QueryPlaneConfig::new()),
@@ -384,23 +385,37 @@ fn ineligible_configs_stay_on_boxed_units() {
         sim.is_columnar(),
         "bounded caches should auto-select the columnar fleet"
     );
-    // Forcing the columnar backend onto an ineligible config is a
-    // loud configuration error that names each disqualifier, not a
-    // silent fallback or a bare settings dump.
-    let err = CellSimulation::new(
-        base_config(8, 0.3, 5)
-            .with_query(QueryPlaneConfig::new())
-            .with_fleet(FleetBackend::Columnar),
+    // Forcing a store onto a config it refuses is a loud configuration
+    // error that names the disqualifier, not a silent fallback or a
+    // bare settings dump.
+    let refused = |config: CellConfig, reason: &str| match CellSimulation::new(
+        config,
         Strategy::BroadcastTimestamps,
-    );
-    match err {
+    ) {
         Err(SimulationError::InvalidConfig(msg)) => assert!(
-            msg.contains("the query-result plane attaches to boxed units"),
+            msg.contains(reason),
             "the error must name the disqualifying reason, got: {msg}"
         ),
         Ok(_) => panic!("expected InvalidConfig, got a running simulation"),
         Err(other) => panic!("expected InvalidConfig, got {other:?}"),
-    }
+    };
+    refused(
+        base_config(8, 0.3, 5)
+            .with_query(QueryPlaneConfig::new())
+            .with_fleet(FleetBackend::Columnar),
+        "the query-result plane attaches to boxed units",
+    );
+    // A mesh shard picks the columns, and refuses boxed units.
+    let mesh = MeshConfig::new(CellGraph::line(2), base_config(8, 0.3, 5), MasterSeed(5));
+    let shard = CellSimulation::new(mesh.cell_config(0), Strategy::BroadcastTimestamps).unwrap();
+    assert!(
+        shard.is_columnar(),
+        "a mesh shard runs on the columnar fleet"
+    );
+    refused(
+        mesh.cell_config(0).with_fleet(FleetBackend::Units),
+        "mesh handoffs move a client's row of the columnar store",
+    );
 }
 
 /// The tentpole oracle: with a finite capacity armed, the columnar
