@@ -403,10 +403,6 @@ impl CacheSlots for Cache {
             });
         }
     }
-
-    fn sorted_items(&self) -> Vec<ItemId> {
-        Cache::sorted_items(self)
-    }
 }
 
 impl Default for Cache {

@@ -58,7 +58,7 @@ impl RuleHandler {
     /// Wraps `rule` with fresh per-client state: nothing tracked.
     pub fn new(rule: ReportRule) -> Self {
         let state = rule.decoder().map(|decoder| SigState {
-            tracked: vec![0; SigTrack::words(decoder)],
+            tracked: vec![0; decoder.words()],
             last_report: Arc::new(Vec::new()),
             last_unmatched: 0,
         });
@@ -101,13 +101,16 @@ impl RuleHandler {
         self.state.as_ref().map(|s| s.last_unmatched)
     }
 
-    fn parts(&mut self) -> (&ReportRule, Lent<'_>) {
+    /// The rule and the state it borrows, with `syndrome` lent as a
+    /// decode's scratch.
+    fn parts<'a>(&'a mut self, syndrome: &'a mut Vec<u64>) -> (&'a ReportRule, Lent<'a>) {
         let lent = match &mut self.state {
             None => Lent::Nothing,
             Some(s) => Lent::Sig(SigTrack {
                 tracked: &mut s.tracked,
                 last_report: &mut s.last_report,
                 last_unmatched: &mut s.last_unmatched,
+                syndrome,
             }),
         };
         (&self.rule, lent)
@@ -118,7 +121,9 @@ impl RuleHandler {
     /// processed); see [`ReportRule::on_fetch`] for what the signature
     /// strategies do with it.
     pub fn on_fetch(&mut self, item: ItemId) {
-        let (rule, lent) = self.parts();
+        // A fetch decodes nothing: its syndrome scratch stays empty.
+        let mut syndrome = Vec::new();
+        let (rule, lent) = self.parts(&mut syndrome);
         rule.on_fetch(lent, item);
     }
 
@@ -142,7 +147,8 @@ impl RuleHandler {
         digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (rule, lent) = self.parts();
+        let mut syndrome = Vec::new();
+        let (rule, lent) = self.parts(&mut syndrome);
         let mut invalidated = Vec::new();
         let dropped_all = rule.apply(cache, lent, digest, t_l, &mut invalidated);
         ProcessOutcome {

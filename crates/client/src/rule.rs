@@ -74,8 +74,7 @@ impl Verdict {
 /// Walk order is the implementor's business — [`crate::Cache`] and a
 /// slot block both happen to visit ascending — but the *results* are
 /// ordered: [`CacheSlots::sweep`] and [`CacheSlots::drop_listed`] append
-/// the ids they drop ascending, and [`CacheSlots::sorted_items`] returns
-/// ascending ids, whatever the visit order, so
+/// the ids they drop ascending, whatever the visit order, so
 /// [`crate::ProcessOutcome::invalidated`] is identical on every store.
 ///
 /// The walks append to a buffer the caller lends rather than return a
@@ -143,9 +142,6 @@ pub trait CacheSlots {
     /// holds — that copy would have been dropped anyway, the eviction
     /// cost nothing. No-op on unbounded caches.
     fn retire_ghosts(&mut self, proven_stale: impl FnMut(ItemId, SimTime) -> bool);
-
-    /// Cached ids, ascending.
-    fn sorted_items(&self) -> Vec<ItemId>;
 }
 
 /// One client's signature-tracking state (SIG, and the cold half of
@@ -166,6 +162,11 @@ pub struct SigTrack<'a> {
     pub last_report: &'a mut Arc<Vec<CombinedSignature>>,
     /// Unmatched-subset count from the last diagnosis (telemetry).
     pub last_unmatched: &'a mut u32,
+    /// Scratch for a decode's syndrome `α`, lent by the caller: one per
+    /// sweep worker, kept across clients and intervals, so a decode
+    /// allocates nothing once it has grown to `⌈m/64⌉` words. Its
+    /// contents mean nothing between calls, and a fetch leaves it alone.
+    pub syndrome: &'a mut Vec<u64>,
 }
 
 /// The per-client state a rule borrows for one call.
@@ -178,27 +179,18 @@ pub enum Lent<'a> {
 }
 
 impl SigTrack<'_> {
-    /// The mask words a client of `decoder` keeps: `⌈m/64⌉`.
-    pub fn words(decoder: &SyndromeDecoder) -> usize {
-        (decoder.plan().m as usize).div_ceil(64)
-    }
-
     /// How many subsets `mask` tracks.
     pub fn count(mask: &[u64]) -> usize {
         mask.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
-/// Whether bit `j` of `mask` is set.
+/// `tracked |= members`: starts tracking every subset of one item.
 #[inline]
-fn bit(mask: &[u64], j: u32) -> bool {
-    mask[j as usize / 64] & (1 << (j % 64)) != 0
-}
-
-/// Sets bit `j` of `mask`.
-#[inline]
-fn set_bit(mask: &mut [u64], j: u32) {
-    mask[j as usize / 64] |= 1 << (j % 64);
+fn track(tracked: &mut [u64], members: &[u64]) {
+    for (word, &bits) in tracked.iter_mut().zip(members) {
+        *word |= bits;
+    }
 }
 
 impl<'a> Lent<'a> {
@@ -577,20 +569,18 @@ impl ReportRule {
         if sig.last_report.is_empty() {
             return; // fetched before any report was heard
         }
-        for &j in decoder.subsets_of(item) {
-            set_bit(sig.tracked, j);
-        }
+        track(sig.tracked, decoder.members(item));
     }
 }
 
 /// §3.3 over the cached items `scope` admits (all of them for SIG, the
-/// cold ones for HYB): diagnose the tracked signatures against the
-/// broadcast, drop the items in too many unmatched subsets, then
-/// re-scope tracking to the survivors and adopt the broadcast values
-/// ("the combined uncached signatures are considered equal to the ones
-/// that are being broadcast"). Survivors are valid as of `T_i` with
-/// probability `P_nf`. The dropped ids — exactly the diagnosis's, which
-/// names only cached items in scope — are appended to `invalidated`.
+/// cold ones for HYB): build the syndrome `α` of the tracked signatures
+/// against the broadcast, then in one walk drop each item in too many
+/// unmatched subsets and re-scope tracking to the survivors, and adopt
+/// the broadcast values ("the combined uncached signatures are
+/// considered equal to the ones that are being broadcast"). Survivors
+/// are valid as of `T_i` with probability `P_nf`. The dropped ids —
+/// cached items in scope only — are appended to `invalidated`.
 // Out of line: inlined into `apply`, it slows the sweeps of rules that never decode.
 #[inline(never)]
 fn decode<C: CacheSlots>(
@@ -606,27 +596,17 @@ fn decode<C: CacheSlots>(
     else {
         unreachable!("`accepts` admits only signature-bearing frames to a signature rule")
     };
-    let mut items = cache.sorted_items();
-    items.retain(|&item| scope(item));
-    let (tracked, last_report) = (&*sig.tracked, &**sig.last_report);
-    let diagnosis = decoder.diagnose(
-        &items,
-        |j| bit(tracked, j).then(|| last_report[j as usize]),
-        signatures,
-    );
-    *sig.last_unmatched = diagnosis.unmatched_subsets;
+    *sig.last_unmatched = decoder.syndrome(sig.tracked, sig.last_report, signatures, sig.syndrome);
     sig.tracked.fill(0);
-    let condemned = &diagnosis.invalidated; // ascending, as `items` is
+    let alpha = &**sig.syndrome;
     cache.sweep(
         digest.report_time(),
         |item, _| {
-            if condemned.binary_search(&item).is_ok() {
-                return Verdict::Drop;
-            }
             if scope(item) {
-                for &j in decoder.subsets_of(item) {
-                    set_bit(sig.tracked, j);
+                if decoder.suspected(item, alpha) {
+                    return Verdict::Drop;
                 }
+                track(sig.tracked, decoder.members(item));
             }
             Verdict::Restamp
         },
@@ -641,7 +621,7 @@ mod tests {
     use crate::cache::Cache;
     use crate::digest::DigestScratch;
     use crate::handler::ProcessOutcome;
-    use sw_signature::{SigPlan, SubsetFamily};
+    use sw_signature::{combine, item_signature, SigPlan, SubsetFamily};
     use sw_sim::{MasterSeed, RngStream, StreamId};
 
     /// [`ReportRule::apply`] into a fresh buffer, as an outcome.
@@ -866,6 +846,8 @@ mod tests {
     fn apply_over_cache_never_keeps_what_the_section_3_pseudo_code_drops() {
         let mut rng = MasterSeed(0x5EC7_1003).stream(StreamId::Custom { tag: 3 });
         let mut scratch = DigestScratch::default();
+        // One syndrome scratch across rounds, as a sweep worker lends it.
+        let mut syndrome = Vec::new();
         let t_i = 100.0;
         for round in 0..800 {
             let rule = &rules()[round % 8];
@@ -909,7 +891,7 @@ mod tests {
             for (j, last) in last_report.iter_mut().enumerate() {
                 let on = rng.bernoulli(0.8);
                 if on {
-                    set_bit(&mut mask, j as u32);
+                    mask[j / 64] |= 1 << (j % 64);
                     *last += rng.bernoulli(stale_share) as u64;
                 }
                 tracked.push(on.then_some(*last));
@@ -922,6 +904,7 @@ mod tests {
                     tracked: &mut mask,
                     last_report: &mut last_report,
                     last_unmatched: &mut last_unmatched,
+                    syndrome: &mut syndrome,
                 })
             } else {
                 Lent::Nothing
@@ -955,6 +938,182 @@ mod tests {
                 assert_eq!(all, before, "every entry is kept or reported\n{context}");
             }
         }
+    }
+
+    /// SIG and HYB's cold half over two reports with an uplink fetch
+    /// between them, against the paper's loop keeping its own book of
+    /// which subsets the client tracks (with no `m` a multiple of 64):
+    /// the first report re-tracks exactly the in-scope survivors'
+    /// subsets, the fetch adds the fetched item's, and the second
+    /// report's drops, unmatched count and re-tracked set are the
+    /// literal loop's over that book.
+    #[test]
+    fn a_second_report_decodes_against_the_retracked_survivors_and_the_fetch() {
+        let plan = SigPlan::new(10, 16, UNIVERSE, 0.05, SigPlan::DEFAULT_K);
+        assert_ne!(plan.m % 64, 0, "a partial last word");
+        let family = SubsetFamily::new(0x2EC, plan.m, plan.f);
+        let decoder = SyndromeDecoder::new(family, plan);
+        let latency = SimDuration::from_secs(L);
+        let hot = HotSet::top_by_rank(HOT_COUNT);
+        let mut rng = MasterSeed(0x7EAC).stream(StreamId::Custom { tag: 7 });
+        let (mut syndrome, mut dropped, mut survived) = (Vec::new(), 0, 0);
+        for round in 0..60 {
+            let (rule, hybrid) = if round % 2 == 0 {
+                (
+                    ReportRule::Sig {
+                        decoder: decoder.clone(),
+                    },
+                    false,
+                )
+            } else {
+                (
+                    ReportRule::hybrid(latency, hot.clone(), decoder.clone()),
+                    true,
+                )
+            };
+            let in_scope = |item| !hybrid || !hot.contains(item);
+            // The server's signatures over every in-scope item, as
+            // `SignatureVector` builds them, and the report carrying them.
+            let broadcast = |values: &[u64], t_i: f64| {
+                let signatures: Vec<CombinedSignature> = (0..plan.m)
+                    .map(|j| {
+                        combine(
+                            (0..UNIVERSE)
+                                .filter(|&i| in_scope(i) && family.contains(j, i))
+                                .map(|i| item_signature(i, values[i as usize], plan.g)),
+                        )
+                    })
+                    .collect();
+                let (report_ts_micros, signatures) = ((t_i * 1e6) as u64, Arc::new(signatures));
+                let payload = if hybrid {
+                    FramePayload::HybridReport {
+                        report_ts_micros,
+                        hot_ids: Vec::new(),
+                        sig_bits: plan.g,
+                        signatures: Arc::clone(&signatures),
+                    }
+                } else {
+                    FramePayload::SignatureReport {
+                        report_ts_micros,
+                        sig_bits: plan.g,
+                        signatures: Arc::clone(&signatures),
+                    }
+                };
+                (payload, signatures)
+            };
+            // The book: the subsets of `items` in scope, as a mask.
+            let book = |items: &[ItemId]| {
+                let mut mask = vec![0u64; plan.m.div_ceil(64) as usize];
+                for &i in items.iter().filter(|&&i| in_scope(i)) {
+                    for j in (0..plan.m).filter(|&j| family.contains(j, i)) {
+                        mask[j as usize / 64] |= 1 << (j % 64);
+                    }
+                }
+                mask
+            };
+            let mut values: Vec<u64> = (0..UNIVERSE).map(|_| rng.next_u64()).collect();
+            // Few items, so the fetch brings subsets nobody else covers.
+            let mut cache = Cache::for_universe(UNIVERSE);
+            for _ in 0..rng.uniform_index(8) {
+                cache.insert(rng.uniform_index(UNIVERSE), 0, t(0.0));
+            }
+            let (mut tracked, mut last_report, mut last_unmatched) =
+                (vec![0u64; decoder.words()], Arc::new(Vec::new()), 0);
+            macro_rules! lent {
+                () => {
+                    Lent::Sig(SigTrack {
+                        tracked: &mut tracked,
+                        last_report: &mut last_report,
+                        last_unmatched: &mut last_unmatched,
+                        syndrome: &mut syndrome,
+                    })
+                };
+            }
+            let context = |step: &str| format!("round {round} ({}), {step}", rule.name());
+
+            // Report 1 finds nothing tracked: every copy survives.
+            let (first, before) = broadcast(&values, L);
+            let mut scratch = DigestScratch::default();
+            let out = outcome(
+                &rule,
+                &mut cache,
+                lent!(),
+                &scratch.digest(&first),
+                Some(t(0.0)),
+            );
+            assert!(out.invalidated.is_empty(), "{}", context("report 1"));
+            assert_eq!(last_unmatched, 0);
+            let survivors = Cache::sorted_items(&cache);
+            assert_eq!(
+                tracked,
+                book(&survivors),
+                "{}",
+                context("re-tracked survivors")
+            );
+
+            // An uplink fetch adopts the fetched item's subsets.
+            let fetched = rng.uniform_index(UNIVERSE);
+            cache.insert(fetched, 0, t(L));
+            rule.on_fetch(lent!(), fetched);
+            let cached = Cache::sorted_items(&cache);
+            assert_eq!(tracked, book(&cached), "{}", context("fetch"));
+
+            // Some cached copies go stale, and a few other items change.
+            for &i in &cached {
+                if rng.bernoulli(0.3) {
+                    values[i as usize] ^= 1 + rng.next_u64();
+                }
+            }
+            for _ in 0..3 {
+                values[rng.uniform_index(UNIVERSE) as usize] ^= 1 + rng.next_u64();
+            }
+            let (second, after) = broadcast(&values, 2.0 * L);
+            let held = book(&cached);
+            let unmatched = |j: u32| {
+                held[j as usize / 64] & (1 << (j % 64)) != 0
+                    && before[j as usize] != after[j as usize]
+            };
+            let theta = plan.degree_threshold_fraction();
+            let expected: Vec<ItemId> = cached
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let subsets: Vec<u32> =
+                        (0..plan.m).filter(|&j| family.contains(j, i)).collect();
+                    let count = subsets.iter().filter(|&&j| unmatched(j)).count();
+                    in_scope(i) && count as f64 > theta * subsets.len() as f64
+                })
+                .collect();
+
+            let out = outcome(
+                &rule,
+                &mut cache,
+                lent!(),
+                &scratch.digest(&second),
+                Some(t(L)),
+            );
+            assert_eq!(out.invalidated, expected, "{}", context("report 2"));
+            dropped += expected.len();
+            assert_eq!(
+                last_unmatched,
+                (0..plan.m).filter(|&j| unmatched(j)).count() as u32,
+                "{}",
+                context("report 2's unmatched count")
+            );
+            let survivors = Cache::sorted_items(&cache);
+            assert_eq!(
+                tracked,
+                book(&survivors),
+                "{}",
+                context("re-tracked after report 2")
+            );
+            assert!(Arc::ptr_eq(&last_report, &after));
+            survived += survivors.len();
+        }
+        assert!(
+            dropped > 20 && survived > 100,
+            "{dropped} dropped, {survived} kept"
+        );
     }
 
     fn t(secs: f64) -> SimTime {

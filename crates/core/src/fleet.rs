@@ -174,6 +174,9 @@ pub(crate) struct SweepOut {
     /// `uplinks` when the cell piggybacks (adaptive TS's Method 1), and
     /// empty otherwise, on either store.
     pub(crate) piggybacks: Vec<PiggybackInfo>,
+    /// The worker's SIG/HYB syndrome scratch, lent to each client's
+    /// decode ([`SigTrack::syndrome`]); never read here.
+    syndrome: Vec<u64>,
 }
 
 impl SweepOut {
@@ -241,7 +244,7 @@ impl Fleet {
         }
         let zipf = shared_zipf(config);
         // One rule for the whole cell, on either store: every seat holds
-        // a clone, so SIG's subset lists are filled once per cell.
+        // a clone, so SIG's subset masks are filled once per cell.
         let rule = strategy.report_rule(params, config.protocol_seed());
         if backend == FleetBackend::Units {
             return Ok(Fleet::Units(
@@ -768,8 +771,8 @@ impl ColumnarFleet {
         let (h, words) = (hotspot_size, hotspot_size.div_ceil(64));
         let (n, slots, bitmap) = (clients, clients * h, clients * words);
         let sig = rule.decoder().map(|d| SigColumns {
-            words: SigTrack::words(d),
-            tracked: Vec::with_capacity(n * SigTrack::words(d)),
+            words: d.words(),
+            tracked: Vec::with_capacity(n * d.words()),
             last_report: Vec::with_capacity(n),
             last_unmatched: Vec::with_capacity(n),
         });
@@ -941,8 +944,10 @@ impl ColumnarFleet {
             }
         }
         let mut sig = self.sig.as_mut().map(SigColumns::chunk);
-        self.rule
-            .on_fetch(SigChunk::lend(&mut sig, idx), answer.item);
+        // A fetch decodes nothing: its syndrome scratch stays empty.
+        let mut syndrome = Vec::new();
+        let lent = SigChunk::lend(&mut sig, idx, &mut syndrome);
+        self.rule.on_fetch(lent, answer.item);
     }
 
     /// Records a listened-for-but-missed report (fault injection).
@@ -1072,13 +1077,19 @@ struct SigChunk<'a> {
 
 impl SigChunk<'_> {
     /// The tracking state of the chunk's `local`-th client, as the rule
-    /// borrows it (nothing when the fleet's rule tracks no signatures).
-    fn lend<'a>(chunk: &'a mut Option<SigChunk<'_>>, local: usize) -> Lent<'a> {
+    /// borrows it, with `syndrome` as its decode scratch (nothing when
+    /// the fleet's rule tracks no signatures).
+    fn lend<'a>(
+        chunk: &'a mut Option<SigChunk<'_>>,
+        local: usize,
+        syndrome: &'a mut Vec<u64>,
+    ) -> Lent<'a> {
         match chunk {
             Some(chunk) => Lent::Sig(SigTrack {
                 tracked: &mut chunk.tracked[local * chunk.words..(local + 1) * chunk.words],
                 last_report: &mut chunk.last_report[local],
                 last_unmatched: &mut chunk.last_unmatched[local],
+                syndrome,
             }),
             None => Lent::Nothing,
         }
@@ -1212,14 +1223,6 @@ impl CacheSlots for SlotBlock<'_> {
             }
         }
     }
-
-    fn sorted_items(&self) -> Vec<ItemId> {
-        let mut out = Vec::with_capacity(*self.cached as usize);
-        for (w, &word) in self.valid.iter().enumerate() {
-            out.extend(set_bits(word, w * 64).map(|slot| self.items[slot]));
-        }
-        out
-    }
 }
 
 impl SweepStore for ChunkView<'_> {
@@ -1287,7 +1290,7 @@ impl SweepStore for ChunkView<'_> {
                 )
             }),
         };
-        let lent = SigChunk::lend(&mut self.sig, local);
+        let lent = SigChunk::lend(&mut self.sig, local, &mut out.syndrome);
         let first = out.invalidated.len();
         let dropped_all = self
             .rule

@@ -420,7 +420,7 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
 }
 
 /// A boxed SIG cell builds its rule once: every seat's decoder reads
-/// the same subset list, filled by whichever seat asked first.
+/// the same subset mask and list, filled by whichever seat asked first.
 #[test]
 fn the_seats_of_a_units_sig_cell_share_one_subset_list_table() {
     let config = CellConfig::new(sw_workload::ScenarioParams::scenario1())
@@ -437,6 +437,10 @@ fn the_seats_of_a_units_sig_cell_share_one_subset_list_table() {
     for item in [0, 17, config.params.n_items - 1] {
         assert!(
             std::ptr::eq(first.subsets_of(item), last.subsets_of(item)),
+            "item {item}"
+        );
+        assert!(
+            std::ptr::eq(first.members(item), last.members(item)),
             "item {item}"
         );
     }
@@ -735,6 +739,15 @@ fn hear_counted<C: CacheSlots>(
     (dropped, calls)
 }
 
+/// A slot block's cached ids, ascending.
+fn cached_items(block: &SlotBlock<'_>) -> Vec<ItemId> {
+    let words = block.valid.iter().enumerate();
+    words
+        .flat_map(|(w, &word)| set_bits(word, w * 64))
+        .map(|slot| block.items[slot])
+        .collect()
+}
+
 /// The mechanism, pinned by equality rather than timing: a full slot
 /// block hearing a TS report runs `stale` once per *listed cached* id —
 /// never for the uncached ids the report also lists — and writes no
@@ -794,7 +807,7 @@ fn drop_listed_runs_stale_only_on_report_and_cache_and_writes_no_stamp() {
             want,
             "boxed cache at {t_i}"
         );
-        let survivors: Vec<(ItemId, SimTime)> = CacheSlots::sorted_items(&block)
+        let survivors: Vec<(ItemId, SimTime)> = cached_items(&block)
             .into_iter()
             .map(|item| {
                 let slot = block.items.binary_search(&item).expect("a hotspot item");
@@ -880,7 +893,7 @@ fn quasi_delay_keeps_stamps_running_and_restamps_its_slots() {
         assert!(!drop_all && !boxed_drop_all, "report {i}");
         assert_eq!(dropped, want_dropped, "slot block, report {i}");
         assert_eq!(boxed_dropped, want_dropped, "boxed cache, report {i}");
-        let survivors: Vec<(ItemId, u64, SimTime)> = CacheSlots::sorted_items(&block)
+        let survivors: Vec<(ItemId, u64, SimTime)> = cached_items(&block)
             .into_iter()
             .map(|item| {
                 let slot = block.items.binary_search(&item).expect("a hotspot item");

@@ -343,6 +343,9 @@ pub struct CellSimulation {
     /// histories diverge" handoff clause. Never feeds back into the
     /// simulation.
     report_digests: VecDeque<(u64, u64)>,
+    /// The serialized report the digest log checksums, kept across
+    /// intervals so a report allocates only when it outgrows the last.
+    report_bytes: Vec<u8>,
     /// Stateful baseline: control-message charges owed for clients that
     /// disconnected by *leaving the cell* between intervals (the
     /// registry is updated at detach; the channel can only be charged
@@ -455,6 +458,7 @@ impl CellSimulation {
             migration: MigrationStats::default(),
             arrivals_since_step: 0,
             report_digests: VecDeque::new(),
+            report_bytes: Vec::new(),
             deferred_control: Vec::new(),
             obs,
             config,
@@ -790,8 +794,11 @@ impl CellSimulation {
             // compare two cells' recent report histories at a handoff.
             // Pure bookkeeping over the already-built payload — no
             // randomness, no feedback into the simulation.
-            let bytes = self.channel.encoder().serialize_payload(&payload);
-            self.report_digests.push_back((iv.i, checksum64(&bytes)));
+            let bytes = &mut self.report_bytes;
+            self.channel
+                .encoder()
+                .serialize_payload_into(&payload, bytes);
+            self.report_digests.push_back((iv.i, checksum64(bytes)));
             let retention = self.config.params.k as usize + 4;
             while self.report_digests.len() > retention {
                 self.report_digests.pop_front();
@@ -909,6 +916,7 @@ impl CellSimulation {
             invalidated,
             uplinks,
             piggybacks,
+            ..
         } = out;
         for sw in items.iter() {
             let slot = sw.slot;

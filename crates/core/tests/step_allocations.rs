@@ -14,14 +14,13 @@
 //! `observe` and `faults` features compiled in as long as neither is
 //! armed, which is how these cells are built.
 //!
-//! Out of scope: SIG and HYB cells, whose syndrome decoder allocates its
-//! diagnosis inside `sw-signature`; boxed units, which return their
-//! lists in a public `IntervalReport`; quasi-delay cells, whose server
-//! keeps an obligation deque per item and allocates when one is first
-//! touched or reaches a new longest length — 9 to 19 allocations per
-//! step at 250 clients and 8 to 10 at 1 000 (α = 3L, s = 0.2, μ = 10⁻³,
-//! 2 000 items), a count that moves with the update stream and does not
-//! grow with the client count, so it is not pinned.
+//! Out of scope: boxed units, which return their lists in a public
+//! `IntervalReport`; quasi-delay cells, whose server keeps an
+//! obligation deque per item and allocates when one is first touched or
+//! reaches a new longest length — 9 to 19 allocations per step at 250
+//! clients and 8 to 10 at 1 000 (α = 3L, s = 0.2, μ = 10⁻³, 2 000
+//! items), a count that moves with the update stream and does not grow
+//! with the client count, so it is not pinned.
 //!
 //! This binary holds its own counting allocator and runs without the
 //! test harness (`harness = false`): the harness's own threads and its
@@ -116,6 +115,7 @@ fn main() {
     a_two_worker_ts_cell_allocates_a_fixed_count_per_step_at_any_size();
     an_adaptive_ts_cell_reads_its_windows_without_allocating();
     a_mesh_shard_pays_only_its_report_digest_log();
+    a_sleeper_sig_cell_decodes_without_allocating();
 }
 
 /// Scenario 3's churn (μ = λ = 0.1, AT): each interval invalidates and
@@ -228,17 +228,16 @@ fn an_adaptive_ts_cell_reads_its_windows_without_allocating() {
 }
 
 /// The AT churn cell as one shard of a two-cell mesh, stepped on its
-/// own (no unit moves): a shard runs on the columnar store too. Beside
-/// the standalone cell's four, the nine more are all the report-digest
-/// log's: `broadcast` serializes each report (`serialize_payload`) to
-/// checksum it for the handoff's history-agreement test, into a byte
-/// buffer that grows from empty by doubling — nine steps at this
-/// churn's report size, a count set by the update stream and never by
-/// the client count.
+/// own (no unit moves): a shard runs on the columnar store too, and
+/// makes the standalone cell's four allocations. Its report-digest log
+/// adds none: `broadcast` serializes each report to checksum it for the
+/// handoff's history-agreement test into a byte buffer the cell keeps
+/// (`serialize_payload_into`), which stops growing once it has held the
+/// longest report.
 fn a_mesh_shard_pays_only_its_report_digest_log() {
     assert_pinned(
         "mesh shard AT",
-        13,
+        4,
         [250, 1_000],
         |clients| {
             let base = CellConfig::new(widened(ScenarioParams::scenario3().with_s(0.2), clients))
@@ -248,5 +247,38 @@ fn a_mesh_shard_pays_only_its_report_digest_log() {
             MeshConfig::new(CellGraph::line(2), base, MasterSeed(41)).cell_config(0)
         },
         Strategy::AmnesicTerminals,
+    );
+}
+
+/// SIG in `sleeper_sig`'s shape — Scenario 1, heap wake, one sweep
+/// worker — with sleepers (s = 0.9, so each interval some clients
+/// listen). Every listening client builds its syndrome into the sweep
+/// worker's scratch and decodes its cache in one walk over the
+/// decoder's shared membership masks, so no allocation is per client.
+/// The three are the server's: the update records, and the
+/// copy-on-write of the signature vector, whose first patch after a
+/// report copies the `Arc<Vec<_>>` (its shared block and its buffer)
+/// that the clients who heard that report still hold as `last_report`.
+///
+/// The update rate is raised from Scenario 1's μ = 10⁻⁴ (one update per
+/// interval over 1 000 items) to 10⁻²: at 10⁻⁴ a step with no update
+/// allocates nothing, and an item's first update fills its subset list
+/// (nine allocations as the list grows), so the count follows the
+/// update stream, not the client count. At 10⁻² every step updates and
+/// every list is filled in the warm-up.
+fn a_sleeper_sig_cell_decodes_without_allocating() {
+    assert_pinned(
+        "SIG",
+        3,
+        [250, 1_000],
+        |clients| {
+            let params = ScenarioParams::scenario1().with_s(0.9).with_mu(1e-2);
+            CellConfig::new(widened(params, clients))
+                .with_clients(clients)
+                .with_hotspot_size(30)
+                .with_wake_mode(WakeMode::Heap)
+                .with_sweep_threads(1)
+        },
+        Strategy::Signatures,
     );
 }

@@ -27,6 +27,13 @@ fn experiment(f: u32, d: u32, trials: u32, replicate: u64) -> Row {
         tag: (f as u64) << 32 | d as u64,
     });
 
+    // The client tracks every subset, holding the pre-update values.
+    let mut tracked = vec![0u64; (plan.m as usize).div_ceil(64)];
+    for j in 0..plan.m as usize {
+        tracked[j / 64] |= 1 << (j % 64);
+    }
+    let mut alpha = Vec::new();
+
     let mut false_alarms = 0u64;
     let mut valid_checked = 0u64;
     let mut missed = 0u64;
@@ -67,14 +74,10 @@ fn experiment(f: u32, d: u32, trials: u32, replicate: u64) -> Row {
                 )
             })
             .collect();
-        let diag = decoder.diagnose(
-            &cached,
-            |j| Some(broadcast_before[j as usize]),
-            &broadcast_after,
-        );
+        decoder.syndrome(&tracked, &broadcast_before, &broadcast_after, &mut alpha);
         for &item in &cached {
             let truly_changed = item < inside as u64;
-            let flagged = diag.invalidated.contains(&item);
+            let flagged = decoder.suspected(item, &alpha);
             if truly_changed {
                 invalid_checked += 1;
                 if !flagged {

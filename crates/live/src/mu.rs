@@ -1143,7 +1143,7 @@ mod tests {
 
     /// An answer frame can name ids up to the id field's power of two:
     /// one past the database is refused before it reaches the cache or
-    /// SIG's subset lists.
+    /// SIG's subset masks.
     #[test]
     fn an_answer_for_an_item_outside_the_database_is_refused() {
         let mut params = ScenarioParams::scenario1().with_s(0.0);

@@ -105,4 +105,26 @@ mod tests {
         assert_eq!(*before, copy, "the broadcast payload keeps its values");
         assert_ne!(v.snapshot(), before, "the patch reached the live vector");
     }
+
+    /// The server patches through the index lists alone: building the
+    /// vector and patching every item fills one list per patched item
+    /// and never a membership mask, which only a client's decode reads.
+    #[test]
+    fn a_server_only_decoder_fills_lists_and_never_a_mask() {
+        let mut db = Database::new(300, |i| i * 3, SimDuration::from_secs(1e5));
+        let plan = SigPlan::new(10, 16, db.len(), 0.05, SigPlan::DEFAULT_K);
+        let decoder = SyndromeDecoder::new(SubsetFamily::new(0x5E7, plan.m, plan.f), plan);
+        let mut v = SignatureVector::new(decoder, HotSet::default(), &db);
+        assert!(
+            format!("{v:?}").contains("filled_lists: 0, filled_masks: 0"),
+            "{v:?}"
+        );
+        for item in 0..db.len() {
+            v.patch(&db.apply_update(item, item + 1, SimTime::from_secs(1.0)));
+        }
+        assert!(
+            format!("{v:?}").contains("filled_lists: 300, filled_masks: 0"),
+            "{v:?}"
+        );
+    }
 }

@@ -14,7 +14,8 @@
 //! * a client compares the broadcast signatures of subsets it caches
 //!   against its stored copies and diagnoses items appearing in "too
 //!   many" unmatching subsets — more than `m·δ_f` with `δ_f = K·p` —
-//!   as invalid ([`syndrome::SyndromeDecoder`]);
+//!   as invalid, by word operations over `m`-bit masks
+//!   ([`syndrome::SyndromeDecoder`]);
 //! * [`bounds`] provides the analytical side: the per-subset false-alarm
 //!   probability `p` (Eq. 21), the Chernoff bound on false diagnosis
 //!   (Eq. 22), the required number of signatures `m` (Eq. 24), and the
@@ -32,4 +33,4 @@ pub mod syndrome;
 pub use bounds::{chernoff_false_alarm_bound, p_valid_in_unmatched, prob_no_false_diagnosis, required_signatures, SigPlan};
 pub use sig::{combine, item_signature, CombinedSignature, ItemSignature};
 pub use subsets::SubsetFamily;
-pub use syndrome::{Diagnosis, SyndromeDecoder};
+pub use syndrome::SyndromeDecoder;

@@ -15,9 +15,11 @@
 //! 2 and 4 have n = 10^6; the simulator scales them to 10^4).
 //!
 //! Finding the subsets of one item this way hashes all `m` of them. The
-//! hot paths ask [`crate::SyndromeDecoder::subsets_of`] instead, which
-//! does that once per item and keeps the list: O(items touched ·
-//! m/(f+1)) memory, for the items a client cached or an update touched.
+//! hot paths ask the [`crate::SyndromeDecoder`] instead, which does that
+//! once per item and keeps the result: a membership mask
+//! ([`crate::SyndromeDecoder::members`], `⌈m/64⌉` words) for each item a
+//! client cached, an index list ([`crate::SyndromeDecoder::subsets_of`],
+//! ~m/(f+1) ids) for each item an update touched.
 
 /// A deterministic family of `m` random subsets with per-item membership
 /// probability `1/(f+1)`.

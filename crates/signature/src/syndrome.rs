@@ -12,11 +12,22 @@
 //! invalidate i  where  count[i] > m·δ_f        (δ_f = K·p)
 //! ```
 //!
-//! The code runs it item-major — for each cached `i`, over the subsets
-//! containing `i` — which gives identical counts: the subsets are fixed
-//! a priori, so the decoder looks up each item's subsets once
-//! ([`SyndromeDecoder::subsets_of`]) and a decode reads `Σ deg(i)` list
-//! entries instead of hashing all `m·|cache|` pairs.
+//! The code runs it as bit algebra over `m`-bit words, which gives
+//! identical counts. The subsets are fixed a priori, so the decoder
+//! keeps, per item, the membership mask `M_i` (bit `j` set iff
+//! `i ∈ S_j`, [`SyndromeDecoder::members`]), filled on first use. With
+//! the client's tracked subsets `T` as a mask too:
+//!
+//! ```text
+//! α        = T ∧ (last_report ≠ broadcast)        (one compare per tracked subset)
+//! |α|      = popcount(α)                          (the unmatched-subset count)
+//! count[i] = popcount(M_i ∧ α)      deg(i) = popcount(M_i)
+//! ```
+//!
+//! so a decode costs one pass over the `m` signatures and `⌈m/64⌉`
+//! word operations per cached item ([`SyndromeDecoder::syndrome`],
+//! [`SyndromeDecoder::suspected`]), and re-tracking a survivor's
+//! subsets is `T |= M_i`.
 //!
 //! An item in "too many" unmatching signatures is *suspected* of being
 //! out of date and dropped — possibly falsely (a false alarm, which only
@@ -34,6 +45,15 @@
 //! expectation to the paper's rule, immune to degree variance, and
 //! guaranteeing every truly-changed item is caught up to signature
 //! collisions (θ < 1). EXPERIMENTS.md quantifies the difference.
+//!
+//! **Why the server keeps lists.** The server's
+//! `SignatureVector::patch` XORs an update into each subset containing
+//! the item, so it needs the subset *indices*:
+//! [`SyndromeDecoder::subsets_of`] keeps them as a second, separately
+//! filled table. At Scenario 4 (f = 200, m = 20 268) an item's mask is
+//! 317 words against a list of about 100 ids, and the server patches
+//! every updated item, so it never fills a mask; clients never fill a
+//! list.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -42,22 +62,14 @@ use crate::bounds::SigPlan;
 use crate::sig::CombinedSignature;
 use crate::subsets::SubsetFamily;
 
-/// The outcome of decoding one report against one client cache.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Diagnosis {
-    /// Items declared invalid (to be dropped from the cache), in the
-    /// order of the `cached_items` input.
-    pub invalidated: Vec<u64>,
-    /// Number of cached subsets whose signatures did not match.
-    pub unmatched_subsets: u32,
-}
-
 /// Decodes syndromes for a fixed subset family and plan, and is the one
-/// place an item becomes the list of subsets containing it.
+/// place an item becomes the subsets containing it: as an `m`-bit
+/// membership mask for the client's decode, as a list of indices for
+/// the server's patch.
 ///
-/// The lists are filled lazily, one per item on first use, and shared
-/// by every clone: a fleet that clones one decoder into each client's
-/// rule computes an item's subsets once for all of them.
+/// Both tables are filled lazily, one entry per item on first use, and
+/// shared by every clone: a fleet that clones one decoder into each
+/// client's rule computes an item's mask once for all of them.
 #[derive(Clone)]
 pub struct SyndromeDecoder {
     family: SubsetFamily,
@@ -65,19 +77,21 @@ pub struct SyndromeDecoder {
     /// `lists[i]`: the subsets containing item `i`, ascending; one slot
     /// per item of the database.
     lists: Arc<[OnceLock<Box<[u32]>>]>,
+    /// `masks[i]`: the same subsets as an `m`-bit mask, `⌈m/64⌉` words,
+    /// no bit at or above `m`; one slot per item of the database.
+    masks: Arc<[OnceLock<Box<[u64]>>]>,
 }
 
 impl fmt::Debug for SyndromeDecoder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let filled = self
-            .lists
-            .iter()
-            .filter(|list| list.get().is_some())
-            .count();
+        fn filled<T>(table: &[OnceLock<T>]) -> usize {
+            table.iter().filter(|cell| cell.get().is_some()).count()
+        }
         f.debug_struct("SyndromeDecoder")
             .field("family", &self.family)
             .field("plan", &self.plan)
-            .field("filled_lists", &filled)
+            .field("filled_lists", &filled(&self.lists))
+            .field("filled_masks", &filled(&self.masks))
             .finish()
     }
 }
@@ -104,6 +118,7 @@ impl SyndromeDecoder {
             family,
             plan,
             lists: (0..n).map(|_| OnceLock::new()).collect(),
+            masks: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -117,66 +132,132 @@ impl SyndromeDecoder {
         &self.plan
     }
 
+    /// Words in an `m`-bit mask: `⌈m/64⌉`. Bit `j` of a mask is bit
+    /// `j % 64` of word `j / 64`.
+    pub fn words(&self) -> usize {
+        (self.plan.m as usize).div_ceil(64)
+    }
+
+    /// `item`'s entry of `table`.
+    ///
+    /// # Panics
+    /// Panics if `item` is not below the plan's database size `n`.
+    #[inline]
+    fn entry<'a, T>(&self, table: &'a [OnceLock<T>], item: u64) -> &'a OnceLock<T> {
+        match usize::try_from(item).ok().and_then(|i| table.get(i)) {
+            Some(entry) => entry,
+            None => panic!(
+                "item {item} is outside the database: the plan has n = {} items",
+                self.plan.n
+            ),
+        }
+    }
+
     /// The subsets containing `item`, ascending — `deg(item)` of them,
     /// `m/(f+1)` expected. The first call for an item hashes all `m`
     /// subsets; every later call, on this decoder or any clone, reads
-    /// the stored list.
+    /// the stored list. The server's patch reads these; a client reads
+    /// [`Self::members`].
     ///
     /// # Panics
     /// Panics if `item` is not below the plan's database size `n`.
     #[inline]
     pub fn subsets_of(&self, item: u64) -> &[u32] {
-        let Some(list) = usize::try_from(item).ok().and_then(|i| self.lists.get(i)) else {
-            panic!(
-                "item {item} is outside the database: the plan has n = {} items",
-                self.plan.n
-            )
-        };
-        list.get_or_init(|| self.family.subsets_of(item).collect())
+        self.entry(&self.lists, item)
+            .get_or_init(|| self.family.subsets_of(item).collect())
     }
 
-    /// Runs the diagnosis algorithm of §3.3.
+    /// The subsets containing `item` as an `m`-bit mask of
+    /// [`Self::words`] words: `M_item` of the module docs. The first
+    /// call for an item hashes all `m` subsets; every later call, on
+    /// this decoder or any clone, reads the stored mask.
     ///
-    /// * `cached_items` — the ids currently in the client cache;
-    /// * `cached_sigs(j)` — the client's stored signature for subset
-    ///   `j`, or `None` if the client does not cache that subset
-    ///   ("combined uncached signatures are considered equal to the ones
-    ///   that are being broadcast", i.e. they never unmatch);
-    /// * `broadcast` — the `m` signatures from the report.
+    /// # Panics
+    /// Panics if `item` is not below the plan's database size `n`.
+    #[inline]
+    pub fn members(&self, item: u64) -> &[u64] {
+        self.entry(&self.masks, item).get_or_init(|| {
+            let mut mask = vec![0u64; self.words()];
+            for j in self.family.subsets_of(item) {
+                mask[j as usize / 64] |= 1 << (j % 64);
+            }
+            mask.into()
+        })
+    }
+
+    /// Builds the syndrome of §3.3 into `alpha` and returns `|α|`, the
+    /// number of unmatched subsets: `α_j = 1` iff the client tracks
+    /// subset `j` (bit `j` of `tracked`) and the value it holds for it,
+    /// `held[j]`, differs from `broadcast[j]`. Untracked subsets never
+    /// unmatch ("combined uncached signatures are considered equal to
+    /// the ones that are being broadcast"), so `held` may be empty while
+    /// nothing is tracked. `alpha` is scratch: whatever it held, it ends
+    /// [`Self::words`] long.
     ///
-    /// Item `i` is invalidated iff more than `θ·deg(i)` of its subsets
-    /// unmatch (see the module docs), decided as its list is walked.
-    pub fn diagnose<F>(
+    /// # Panics
+    /// Panics if `broadcast` does not carry exactly `m` signatures, if
+    /// `tracked` is not [`Self::words`] long, or if a subset is tracked
+    /// without `m` held values.
+    pub fn syndrome(
         &self,
-        cached_items: &[u64],
-        cached_sigs: F,
+        tracked: &[u64],
+        held: &[CombinedSignature],
         broadcast: &[CombinedSignature],
-    ) -> Diagnosis
-    where
-        F: Fn(u32) -> Option<CombinedSignature>,
-    {
+        alpha: &mut Vec<u64>,
+    ) -> u32 {
+        let m = self.plan.m as usize;
         assert_eq!(
             broadcast.len(),
-            self.plan.m as usize,
-            "report carries {} signatures, expected m={}",
-            broadcast.len(),
-            self.plan.m
+            m,
+            "report carries {} signatures, expected m={m}",
+            broadcast.len()
         );
-        let alpha = |j: u32| cached_sigs(j).is_some_and(|mine| mine != broadcast[j as usize]);
-        let threshold = self.plan.degree_threshold_fraction();
-        let invalidated = cached_items
-            .iter()
-            .copied()
-            .filter(|&item| {
-                let subsets = self.subsets_of(item);
-                let count = subsets.iter().filter(|&&j| alpha(j)).count();
-                count as f64 > threshold * subsets.len() as f64
-            })
-            .collect();
-        Diagnosis {
-            invalidated,
-            unmatched_subsets: (0..self.plan.m).filter(|&j| alpha(j)).count() as u32,
+        assert_eq!(
+            tracked.len(),
+            self.words(),
+            "a tracked mask is ⌈m/64⌉ words"
+        );
+        assert!(
+            held.len() == m || tracked.iter().all(|&word| word == 0),
+            "{} held signatures for tracked subsets, expected m={m}",
+            held.len()
+        );
+        alpha.clear();
+        alpha.extend(tracked.iter().enumerate().map(|(w, &mine)| {
+            if mine == 0 {
+                return 0;
+            }
+            let span = w * 64..m.min(w * 64 + 64);
+            let differs = held[span.clone()]
+                .iter()
+                .zip(&broadcast[span])
+                .enumerate()
+                .fold(0u64, |word, (b, (held, sent))| {
+                    word | u64::from(held != sent) << b
+                });
+            mine & differs
+        }));
+        alpha.iter().map(|word| word.count_ones()).sum()
+    }
+
+    /// Whether `item` is suspected of being out of date under the
+    /// syndrome `alpha` that [`Self::syndrome`] built: more than
+    /// `θ·deg(item)` of the subsets containing it unmatch (see the
+    /// module docs).
+    ///
+    /// # Panics
+    /// Panics if `item` is not below the plan's database size `n`, or if
+    /// `alpha` is not [`Self::words`] long.
+    #[inline]
+    pub fn suspected(&self, item: u64, alpha: &[u64]) -> bool {
+        let members = self.members(item);
+        assert_eq!(alpha.len(), members.len(), "a syndrome is ⌈m/64⌉ words");
+        let (mut count, mut degree) = (0u32, 0u32);
+        for (&mine, &a) in members.iter().zip(alpha) {
+            count += (mine & a).count_ones();
+            degree += mine.count_ones();
         }
+        count as f64 > self.plan.degree_threshold_fraction() * degree as f64
     }
 }
 
@@ -244,22 +325,65 @@ mod tests {
         sigs
     }
 
+    /// What a decode finds: the suspected items, in the order of the
+    /// cached items given, and the unmatched-subset count `|α|`.
+    #[derive(Debug, PartialEq)]
+    struct Found {
+        suspected: Vec<u64>,
+        unmatched: u32,
+    }
+
+    /// The mask decode — [`SyndromeDecoder::syndrome`], then
+    /// [`SyndromeDecoder::suspected`] per cached item — with the
+    /// client's tracked values given per subset by `cached_sigs`
+    /// (`None`: untracked), as a client holds them: a mask over one
+    /// held vector.
+    fn decode<F>(
+        decoder: &SyndromeDecoder,
+        cached_items: &[u64],
+        cached_sigs: F,
+        broadcast: &[CombinedSignature],
+    ) -> Found
+    where
+        F: Fn(u32) -> Option<CombinedSignature>,
+    {
+        let mut tracked = vec![0u64; decoder.words()];
+        let mut held = vec![0; decoder.plan().m as usize];
+        for j in 0..decoder.plan().m {
+            if let Some(sig) = cached_sigs(j) {
+                tracked[j as usize / 64] |= 1 << (j % 64);
+                held[j as usize] = sig;
+            }
+        }
+        // Stale scratch from an earlier, wider decode must not leak in.
+        let mut alpha = vec![u64::MAX; decoder.words() + 3];
+        let unmatched = decoder.syndrome(&tracked, &held, broadcast, &mut alpha);
+        Found {
+            suspected: cached_items
+                .iter()
+                .copied()
+                .filter(|&item| decoder.suspected(item, &alpha))
+                .collect(),
+            unmatched,
+        }
+    }
+
     /// The paper's subset-major loop, hashing every `(j, i)` pair —
-    /// the reference `diagnose` must agree with. Returns the diagnosis
-    /// and the per-item unmatch counts and degrees, parallel to
+    /// the reference the mask decode must agree with. Returns what it
+    /// finds and the per-item unmatch counts and degrees, parallel to
     /// `cached_items`.
     fn literal_diagnose<F>(
         decoder: &SyndromeDecoder,
         cached_items: &[u64],
         cached_sigs: F,
         broadcast: &[CombinedSignature],
-    ) -> (Diagnosis, Vec<u32>, Vec<u32>)
+    ) -> (Found, Vec<u32>, Vec<u32>)
     where
         F: Fn(u32) -> Option<CombinedSignature>,
     {
         let mut counts = vec![0u32; cached_items.len()];
         let mut degrees = vec![0u32; cached_items.len()];
-        let mut unmatched_subsets = 0u32;
+        let mut unmatched = 0u32;
         for (j, &bsig) in broadcast.iter().enumerate() {
             let j = j as u32;
             let alpha = match cached_sigs(j) {
@@ -267,7 +391,7 @@ mod tests {
                 None => false,
             };
             if alpha {
-                unmatched_subsets += 1;
+                unmatched += 1;
             }
             for (idx, &item) in cached_items.iter().enumerate() {
                 if decoder.family().contains(j, item) {
@@ -279,17 +403,17 @@ mod tests {
             }
         }
         let threshold = decoder.plan().degree_threshold_fraction();
-        let invalidated = cached_items
+        let suspected = cached_items
             .iter()
             .zip(counts.iter().zip(&degrees))
             .filter(|&(_, (&c, &d))| c as f64 > threshold * d as f64)
             .map(|(&i, _)| i)
             .collect();
-        let diagnosis = Diagnosis {
-            invalidated,
-            unmatched_subsets,
+        let found = Found {
+            suspected,
+            unmatched,
         };
-        (diagnosis, counts, degrees)
+        (found, counts, degrees)
     }
 
     #[test]
@@ -297,9 +421,14 @@ mod tests {
         let (server, decoder) = setup(10, 500);
         let cached: Vec<u64> = (0..20).collect();
         let sigs = snapshot(&decoder, &server, &cached);
-        let d = decoder.diagnose(&cached, |j| sigs.get(&j).copied(), &server.broadcast());
-        assert!(d.invalidated.is_empty());
-        assert_eq!(d.unmatched_subsets, 0);
+        let d = decode(
+            &decoder,
+            &cached,
+            |j| sigs.get(&j).copied(),
+            &server.broadcast(),
+        );
+        assert!(d.suspected.is_empty());
+        assert_eq!(d.unmatched, 0);
         let (_, counts, _) = literal_diagnose(
             &decoder,
             &cached,
@@ -315,7 +444,12 @@ mod tests {
         let cached: Vec<u64> = (0..20).collect();
         let sigs = snapshot(&decoder, &server, &cached);
         server.update(5, 999_999);
-        let d = decoder.diagnose(&cached, |j| sigs.get(&j).copied(), &server.broadcast());
+        let d = decode(
+            &decoder,
+            &cached,
+            |j| sigs.get(&j).copied(),
+            &server.broadcast(),
+        );
         let (_, counts, _) = literal_diagnose(
             &decoder,
             &cached,
@@ -323,7 +457,7 @@ mod tests {
             &server.broadcast(),
         );
         assert!(
-            d.invalidated.contains(&5),
+            d.suspected.contains(&5),
             "item 5 should be diagnosed; counts: {counts:?}"
         );
     }
@@ -339,11 +473,16 @@ mod tests {
         for u in 0..10 {
             server.update(400 + u, 777_000 + u);
         }
-        let d = decoder.diagnose(&cached, |j| sigs.get(&j).copied(), &server.broadcast());
+        let d = decode(
+            &decoder,
+            &cached,
+            |j| sigs.get(&j).copied(),
+            &server.broadcast(),
+        );
         assert!(
-            d.invalidated.len() <= 2,
+            d.suspected.len() <= 2,
             "too many false alarms: {:?}",
-            d.invalidated
+            d.suspected
         );
     }
 
@@ -355,9 +494,18 @@ mod tests {
         for item in [3u64, 11, 27] {
             server.update(item, item + 1_000_000);
         }
-        let d = decoder.diagnose(&cached, |j| sigs.get(&j).copied(), &server.broadcast());
+        let d = decode(
+            &decoder,
+            &cached,
+            |j| sigs.get(&j).copied(),
+            &server.broadcast(),
+        );
         for item in [3u64, 11, 27] {
-            assert!(d.invalidated.contains(&item), "missed {item}: {:?}", d.invalidated);
+            assert!(
+                d.suspected.contains(&item),
+                "missed {item}: {:?}",
+                d.suspected
+            );
         }
     }
 
@@ -374,21 +522,32 @@ mod tests {
         for round in 0..50u64 {
             server.update(100, 5_000 + round);
         }
-        let d = decoder.diagnose(&cached, |j| sigs.get(&j).copied(), &server.broadcast());
-        assert!(d.invalidated.contains(&100));
+        let d = decode(
+            &decoder,
+            &cached,
+            |j| sigs.get(&j).copied(),
+            &server.broadcast(),
+        );
+        assert!(d.suspected.contains(&100));
     }
 
     #[test]
     fn uncached_subsets_never_unmatch() {
         let (mut server, decoder) = setup(10, 500);
         // Client caches nothing: no subsets cached, so no alarm no matter
-        // how much the database churns.
+        // how much the database churns — and with nothing tracked it
+        // needs no held values either.
         for i in 0..100 {
             server.update(i, i + 42);
         }
-        let d = decoder.diagnose(&[], |_| None, &server.broadcast());
-        assert_eq!(d.unmatched_subsets, 0);
-        assert!(d.invalidated.is_empty());
+        let mut alpha = Vec::new();
+        let tracked = vec![0; decoder.words()];
+        assert_eq!(
+            decoder.syndrome(&tracked, &[], &server.broadcast(), &mut alpha),
+            0
+        );
+        assert_eq!(alpha, tracked);
+        assert!(!(0..500).any(|item| decoder.suspected(item, &alpha)));
     }
 
     #[test]
@@ -426,16 +585,20 @@ mod tests {
         }
     }
 
-    /// Item-major `diagnose` against the subset-major loop, over seeded
+    /// The mask decode against the subset-major loop, over seeded
     /// random cases: f from "every item in every subset" to Scenario
-    /// 4's 200, empty to full caches, tracking that leaves subsets
-    /// uncached and a varying share of the tracked ones out of date.
+    /// 4's 200 (m above 4 096, so a mask spans more than 64 words), no
+    /// m a multiple of 64, empty to full caches, tracking that leaves
+    /// subsets uncached and a varying share of the tracked ones out of
+    /// date.
     #[test]
-    fn item_major_diagnose_matches_the_subset_major_loop() {
+    fn mask_decode_matches_the_subset_major_loop() {
         let n = 300u64;
         let mut rng = Rng(0xD1A6);
         for f in [0u32, 1, 10, 200] {
             let plan = SigPlan::new(f, 16, n, 0.05, SigPlan::DEFAULT_K);
+            assert_ne!(plan.m % 64, 0, "f={f}: a partial last word");
+            assert_eq!(f == 200, plan.m > 4_096, "f={f}: m={}", plan.m);
             for case in 0..12u64 {
                 let decoder =
                     SyndromeDecoder::new(SubsetFamily::new(case ^ 0x51C, plan.m, f), plan);
@@ -456,42 +619,54 @@ mod tests {
                     .collect();
                 let sigs = |j: u32| tracked[j as usize];
                 let (expected, _, degrees) = literal_diagnose(&decoder, &cached, sigs, &broadcast);
-                let d = decoder.diagnose(&cached, sigs, &broadcast);
-                assert_eq!(d, expected, "f={f} case {case}");
+                assert_eq!(
+                    decode(&decoder, &cached, sigs, &broadcast),
+                    expected,
+                    "f={f} case {case}"
+                );
                 for (&item, &deg) in cached.iter().zip(&degrees) {
-                    assert_eq!(decoder.subsets_of(item).len(), deg as usize, "deg({item})");
+                    let members = decoder.members(item);
+                    let ones: u32 = members.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(ones, deg, "deg({item})");
                 }
             }
         }
     }
 
     /// The stored lists are the family's membership, in ascending
-    /// order, and a clone reads the very same slice.
+    /// order; the stored masks set exactly the listed bits; a clone
+    /// reads the very same slices.
     #[test]
-    fn subset_lists_match_the_family_and_are_shared_by_clones() {
+    fn subset_lists_and_masks_match_the_family_and_are_shared_by_clones() {
         for f in [0u32, 1, 10, 200] {
             let (_, decoder) = setup(f, 200);
             let clone = decoder.clone();
             for i in 0..200 {
                 let expected: Vec<u32> = decoder.family().subsets_of(i).collect();
                 assert_eq!(decoder.subsets_of(i), &expected[..], "f={f} item {i}");
+                let mut mask = vec![0u64; decoder.words()];
+                for &j in decoder.subsets_of(i) {
+                    mask[j as usize / 64] |= 1 << (j % 64);
+                }
+                assert_eq!(decoder.members(i), &mask[..], "f={f} item {i}");
                 assert!(std::ptr::eq(decoder.subsets_of(i), clone.subsets_of(i)));
+                assert!(std::ptr::eq(decoder.members(i), clone.members(i)));
             }
             let fresh = clone.clone();
             assert!(std::ptr::eq(fresh.subsets_of(7), decoder.subsets_of(7)));
+            assert!(std::ptr::eq(fresh.members(7), decoder.members(7)));
         }
     }
 
     #[test]
-    fn debug_counts_the_filled_lists() {
+    fn debug_counts_the_filled_lists_and_masks() {
         let (_, decoder) = setup(10, 200);
         for item in [3, 5, 3] {
             decoder.subsets_of(item);
         }
-        assert!(
-            format!("{decoder:?}").contains("filled_lists: 2"),
-            "{decoder:?}"
-        );
+        decoder.members(9);
+        let text = format!("{decoder:?}");
+        assert!(text.contains("filled_lists: 2, filled_masks: 1"), "{text}");
     }
 
     #[test]
@@ -502,10 +677,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "item 200 is outside the database: the plan has n = 200 items")]
+    fn a_mask_beyond_the_database_is_rejected() {
+        let (_, decoder) = setup(10, 200);
+        decoder.members(200);
+    }
+
+    #[test]
     #[should_panic(expected = "report carries")]
     fn wrong_report_length_rejected() {
         let (_, decoder) = setup(10, 200);
-        let _ = decoder.diagnose(&[], |_| None, &[0, 1, 2]);
+        let tracked = vec![0; decoder.words()];
+        let _ = decoder.syndrome(&tracked, &[], &[0, 1, 2], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "held signatures for tracked subsets")]
+    fn tracking_without_held_values_is_rejected() {
+        let (server, decoder) = setup(10, 200);
+        let mut tracked = vec![0; decoder.words()];
+        tracked[0] = 1;
+        let _ = decoder.syndrome(&tracked, &[], &server.broadcast(), &mut Vec::new());
     }
 
     #[test]

@@ -263,7 +263,51 @@ impl WireEncode {
     /// is `10 + ext + ⌈bits/8⌉`; the header is excluded from analytical
     /// accounting to match the paper, which charges payloads only.
     pub fn serialize_payload(&self, payload: &FramePayload) -> Vec<u8> {
-        let mut w = BitWriter::new();
+        let mut out = Vec::new();
+        self.serialize_payload_into(payload, &mut out);
+        out
+    }
+
+    /// [`Self::serialize_payload`] into a buffer the caller keeps:
+    /// `out` is cleared, then holds exactly the bytes
+    /// `serialize_payload` returns, so a caller that serializes every
+    /// report reuses one buffer and allocates only when a report
+    /// outgrows it.
+    pub fn serialize_payload_into(&self, payload: &FramePayload, out: &mut Vec<u8>) {
+        let kind = match payload {
+            FramePayload::TimestampReport { .. } => 0u8,
+            FramePayload::AdaptiveTimestampReport { .. } => 6,
+            FramePayload::HybridReport { .. } => 7,
+            FramePayload::AmnesicReport { .. } => 1,
+            FramePayload::SignatureReport { .. } => 2,
+            FramePayload::UplinkQuery { .. } => 3,
+            FramePayload::QueryAnswer { .. } => 4,
+            FramePayload::Invalidation { .. } => 5,
+        };
+        out.clear();
+        out.push(kind);
+        out.push(WIRE_VERSION);
+        // The body length in bits, written once the body is.
+        out.extend_from_slice(&[0; 8]);
+        match payload {
+            FramePayload::SignatureReport { sig_bits, .. } => {
+                out.extend_from_slice(&sig_bits.to_be_bytes());
+            }
+            FramePayload::AdaptiveTimestampReport {
+                window_exceptions, ..
+            } => {
+                out.extend_from_slice(&(window_exceptions.len() as u32).to_be_bytes());
+            }
+            FramePayload::HybridReport {
+                hot_ids, sig_bits, ..
+            } => {
+                out.extend_from_slice(&(hot_ids.len() as u32).to_be_bytes());
+                out.extend_from_slice(&sig_bits.to_be_bytes());
+            }
+            _ => {}
+        }
+        debug_assert_eq!(out.len(), 10 + Self::ext_header_len(kind));
+        let mut w = BitWriter::new(out);
         match payload {
             FramePayload::TimestampReport {
                 report_ts_micros,
@@ -340,41 +384,8 @@ impl WireEncode {
                 w.put_bits(*item, self.id_bits());
             }
         }
-        let kind = match payload {
-            FramePayload::TimestampReport { .. } => 0u8,
-            FramePayload::AdaptiveTimestampReport { .. } => 6,
-            FramePayload::HybridReport { .. } => 7,
-            FramePayload::AmnesicReport { .. } => 1,
-            FramePayload::SignatureReport { .. } => 2,
-            FramePayload::UplinkQuery { .. } => 3,
-            FramePayload::QueryAnswer { .. } => 4,
-            FramePayload::Invalidation { .. } => 5,
-        };
-        let bits = w.bits_written();
-        let body = w.finish();
-        let mut out = Vec::with_capacity(body.len() + 10 + Self::ext_header_len(kind));
-        out.push(kind);
-        out.push(WIRE_VERSION);
-        out.extend_from_slice(&bits.to_be_bytes());
-        match payload {
-            FramePayload::SignatureReport { sig_bits, .. } => {
-                out.extend_from_slice(&sig_bits.to_be_bytes());
-            }
-            FramePayload::AdaptiveTimestampReport {
-                window_exceptions, ..
-            } => {
-                out.extend_from_slice(&(window_exceptions.len() as u32).to_be_bytes());
-            }
-            FramePayload::HybridReport {
-                hot_ids, sig_bits, ..
-            } => {
-                out.extend_from_slice(&(hot_ids.len() as u32).to_be_bytes());
-                out.extend_from_slice(&sig_bits.to_be_bytes());
-            }
-            _ => {}
-        }
-        out.extend_from_slice(&body);
-        out
+        let bits = w.finish();
+        out[2..10].copy_from_slice(&bits.to_be_bytes());
     }
 
     /// Decodes a serialized frame back into the payload it was built
@@ -724,28 +735,23 @@ pub fn open_frame(datagram: &[u8]) -> Result<(u64, &[u8]), WireDecodeError> {
     Ok((epoch, frame))
 }
 
-/// Minimal MSB-first bit packer backing [`WireEncode::serialize_payload`].
-struct BitWriter {
-    buf: Vec<u8>,
+/// Minimal MSB-first bit packer backing [`WireEncode::serialize_payload`]:
+/// appends whole bytes to a buffer it borrows.
+struct BitWriter<'a> {
+    buf: &'a mut Vec<u8>,
     cur: u8,
     filled: u32,
     bits: u64,
 }
 
-impl BitWriter {
-    fn new() -> Self {
+impl<'a> BitWriter<'a> {
+    fn new(buf: &'a mut Vec<u8>) -> Self {
         BitWriter {
-            buf: Vec::new(),
+            buf,
             cur: 0,
             filled: 0,
             bits: 0,
         }
-    }
-
-    /// Exact number of bits written so far (the serialized header's
-    /// length field; the final byte's padding is not counted).
-    fn bits_written(&self) -> u64 {
-        self.bits
     }
 
     /// Writes the low `width` bits of `value`, MSB first. `width` beyond
@@ -773,12 +779,15 @@ impl BitWriter {
         }
     }
 
-    fn finish(mut self) -> Vec<u8> {
+    /// Pads the last byte with zero bits; returns the exact number of
+    /// bits written (the serialized header's length field, padding not
+    /// counted).
+    fn finish(mut self) -> u64 {
         if self.filled > 0 {
             self.cur <<= 8 - self.filled;
             self.buf.push(self.cur);
         }
-        self.buf
+        self.bits
     }
 }
 
@@ -1047,18 +1056,51 @@ mod tests {
 
     #[test]
     fn bitwriter_packs_msb_first() {
-        let mut w = BitWriter::new();
+        let mut v = Vec::new();
+        let mut w = BitWriter::new(&mut v);
         w.put_bits(0b101, 3);
         w.put_bits(0b11111, 5);
-        let v = w.finish();
+        assert_eq!(w.finish(), 8);
         assert_eq!(v, vec![0b1011_1111]);
     }
 
     #[test]
     fn bitwriter_pads_final_byte() {
-        let mut w = BitWriter::new();
+        let mut v = vec![7];
+        let mut w = BitWriter::new(&mut v);
         w.put_bits(0b1, 1);
-        assert_eq!(w.finish(), vec![0b1000_0000]);
+        assert_eq!(w.finish(), 1);
+        assert_eq!(v, vec![7, 0b1000_0000], "appended after what was there");
+    }
+
+    /// The kept-buffer form writes exactly the fresh one's bytes, over
+    /// whatever a longer or shorter earlier frame left in the buffer.
+    #[test]
+    fn serialize_payload_into_a_used_buffer_matches_a_fresh_one() {
+        let e = enc();
+        let payloads = [
+            FramePayload::AdaptiveTimestampReport {
+                report_ts_micros: 9,
+                entries: vec![(3, 1), (4, 2)],
+                window_exceptions: vec![(3, 5)],
+            },
+            FramePayload::Invalidation { item: 17 },
+            FramePayload::HybridReport {
+                report_ts_micros: 5,
+                hot_ids: vec![1, 2, 3],
+                sig_bits: 12,
+                signatures: Arc::new(vec![0xABC, 0x123]),
+            },
+            FramePayload::AmnesicReport {
+                report_ts_micros: 7,
+                ids: vec![],
+            },
+        ];
+        let mut kept = vec![0xEE; 300];
+        for p in &payloads {
+            e.serialize_payload_into(p, &mut kept);
+            assert_eq!(kept, e.serialize_payload(p), "{p:?}");
+        }
     }
 
     #[test]
@@ -1163,9 +1205,10 @@ mod tests {
     #[test]
     fn wide_timestamps_zero_pad() {
         // 512-bit field with a 64-bit value: 448 zero bits then the value.
-        let mut w = BitWriter::new();
+        let mut v = Vec::new();
+        let mut w = BitWriter::new(&mut v);
         w.put_bits(u64::MAX, 512);
-        let v = w.finish();
+        assert_eq!(w.finish(), 512);
         assert_eq!(v.len(), 64);
         assert!(v[..56].iter().all(|&b| b == 0));
         assert!(v[56..].iter().all(|&b| b == 0xFF));
