@@ -1,4 +1,4 @@
-//! The mobile unit's cache.
+//! The mobile unit's cache, as one row of the slot store sees it.
 //!
 //! Each entry pairs the item's value with its validity timestamp `t_x`:
 //! "if a client determines that a particular item's cache is valid after
@@ -11,29 +11,44 @@
 //! The paper assumes cache storage survives power-off ("on a disk ...
 //! or any storage system that survives power disconnections, such as
 //! flash memories", §1) — sleeping does *not* clear the cache; only the
-//! strategy algorithms do. An optional capacity bound models small
-//! devices, with a pluggable [`ReplacementPolicy`] (LRU by default);
-//! the paper's scenarios are capacity-unbounded.
+//! strategy algorithms do.
 //!
-//! A bounded cache also keeps a *ghost list*: the id and stamp of every
-//! evicted entry, so a later requery can be classified as a pure
-//! capacity miss (the copy was still fresh — one more slot would have
-//! made it a hit) or an unavoidable one (a report proved the copy stale
-//! anyway). Reports retire ghosts through [`CacheSlots::retire_ghosts`].
+//! A client only ever caches items of its hot spot (queries draw only
+//! hot-spot items, and entries are installed only by answers to
+//! queries), so its cache is a fixed block of one *slot* per hot-spot
+//! item, in ascending id order, in the columns of the
+//! [`SlotStore`](crate::SlotStore). This module holds the two ways to
+//! look at one such block:
 //!
-//! The replacement vocabulary lives here too: [`ReplacementPolicy`],
-//! the total eviction order [`victim_key`], the one victim scan
-//! [`victim`], [`GhostFate`] and the [`CapacityStats`] family. Both
-//! client stores enforce it identically — this cache behind the boxed
-//! [`MobileUnit`](crate::MobileUnit), and the columnar fleet in
-//! `sleepers`, which picks its victims with the same [`victim`] and
-//! keeps an `Option<GhostFate>` per slot — so bounded runs stay
-//! byte-identical across the two.
+//! * [`SlotBlock`] — what [`ReportRule::apply`](crate::ReportRule::apply)
+//!   walks: "for every item j in the MU cache", ascending over the
+//!   block's valid bits, with each entry's fate decided by a
+//!   [`Verdict`];
+//! * [`CacheView`] — a read-only view, for the query plane, the safety
+//!   audit and tests.
+//!
+//! A slot stores its install stamp; the validity stamp is
+//! `max(stamp, T_l)` under a rule that [vouches for every
+//! survivor](crate::ReportRule::vouches_survivors), so a heard report
+//! verifies every survivor as of `T_i` without writing a stamp.
+//! Quasi-delay alone writes the stamps it restamps.
+//!
+//! An optional capacity bound models small devices, with a pluggable
+//! [`ReplacementPolicy`] (LRU by default); the paper's scenarios are
+//! capacity-unbounded. A bounded cache also remembers each evicted
+//! entry as a *ghost* (its slot's [`GhostFate`] and eviction-time
+//! stamp), so a later requery can be classified as a pure capacity
+//! miss (the copy was still fresh — one more slot would have made it a
+//! hit) or an unavoidable one (a report proved the copy stale anyway).
+//! Reports retire ghosts through [`SlotBlock::retire_ghosts`]. The
+//! replacement vocabulary lives here too: [`ReplacementPolicy`], the
+//! total eviction order [`victim_key`], the one victim scan [`victim`],
+//! [`GhostFate`] and the [`CapacityStats`] family.
 
-use sw_server::{ItemId, ItemTable};
+use sw_server::ItemId;
 use sw_sim::{counters, SimDuration, SimTime};
 
-use crate::rule::{CacheSlots, Verdict};
+use crate::rule::Verdict;
 
 /// Which entry a bounded cache sacrifices when it is full.
 ///
@@ -80,8 +95,8 @@ pub struct EntryMeta {
 /// The total eviction order: the cache evicts the entry with the
 /// **minimal** key. The final component is the item id, so the order is
 /// total even when two entries tie on every policy axis — this is what
-/// makes eviction independent of table iteration order, and therefore
-/// byte-identical between the boxed and columnar backends.
+/// makes eviction independent of the order the candidates are visited
+/// in.
 ///
 /// `now` is the timestamp of the answer being installed (eviction only
 /// happens at install time); `window` is the TS window `w = kL` used by
@@ -112,10 +127,10 @@ pub fn victim_key(
 
 /// The entry a full cache evicts: the candidate `(at, item, meta)` with
 /// the minimal [`victim_key`], returned as its `at` and the stamp its
-/// ghost keeps. This loop is the only victim scan: the boxed [`Cache`]
-/// runs it over its table, the columnar fleet over a client's valid
-/// slots. The key ends in the item id, so the minimum is unique and the
-/// candidates' order cannot change the victim.
+/// ghost keeps. This loop is the only victim scan; the slot store runs
+/// it over a client's valid slots. The key ends in the item id, so the
+/// minimum is unique and the candidates' order cannot change the
+/// victim.
 ///
 /// # Panics
 /// Panics if there are no candidates.
@@ -170,7 +185,7 @@ counters! {
     }
 }
 
-/// One cached item.
+/// One cached item, as a [`CacheView`] reads it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheEntry {
     /// The cached value.
@@ -178,246 +193,271 @@ pub struct CacheEntry {
     /// Validity timestamp `t_x`: the latest server-clock instant at
     /// which this value is known to have been current.
     pub timestamp: SimTime,
-    /// Recency tick of the last access (insert or read).
-    last_used: u64,
-    /// Hits since install (1 at install) — the LFU frequency estimate.
-    use_count: u64,
 }
 
-/// Memory of an evicted entry (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct GhostEntry {
-    /// The evicted entry's validity stamp at eviction time.
-    stamp: SimTime,
-    /// [`GhostFate::Fresh`] until a report proves the item changed
-    /// after `stamp`.
-    fate: GhostFate,
+/// The validity stamp `t_x` of an entry stamped `installed` whose
+/// survivors were last vouched for at `vouched`: the one reading of a
+/// slot's stamp. A rule that vouches ends a heard report with each
+/// survivor verified as of `T_i` and `T_l := T_i`, and an install is
+/// stamped at the server's clock, never before `T_l` — so an entry
+/// installed since the last report carries its own stamp and every
+/// other survivor carries `T_l`. Otherwise `vouched` is `None`.
+#[inline]
+pub(crate) fn validity(installed: SimTime, vouched: Option<SimTime>) -> SimTime {
+    // `max`, compared as seconds: a `SimTime` is never NaN, and the
+    // float compare carries no panic path into a sweep that ignores it.
+    match vouched {
+        Some(t_l) if t_l.as_secs() > installed.as_secs() => t_l,
+        _ => installed,
+    }
 }
 
-/// The MU cache: item → entry, with optional bounded capacity under a
-/// pluggable [`ReplacementPolicy`].
+/// Set bit positions of `word`, ascending, offset by `base`. `word` is
+/// a copy, so the loop body may clear bits of the column it came from.
+#[inline]
+pub(crate) fn set_bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            base + bit
+        })
+    })
+}
+
+/// One client's block of the cache columns: what
+/// [`ReportRule::apply`](crate::ReportRule::apply) walks. Slot order is
+/// ascending item id, so every walk visits, and every list of dropped
+/// ids it appends, ascends.
 ///
-/// Item ids are dense, so the cell driver constructs caches with
-/// [`Cache::for_universe`]: a vec-indexed table with no hashing on the
-/// per-query hot path, and free id-ordered iteration. The
-/// constructors that take no universe start empty and grow to the
-/// largest id inserted.
-#[derive(Debug, Clone)]
-pub struct Cache {
-    entries: ItemTable<CacheEntry>,
-    /// Ghost list, allocated only for bounded caches (unbounded caches
-    /// never evict, so they never pay for the second table).
-    ghosts: Option<ItemTable<GhostEntry>>,
-    capacity: Option<usize>,
-    policy: ReplacementPolicy,
-    /// TS window `w = kL` for [`ReplacementPolicy::WindowAge`]; ignored
-    /// by the other policies.
-    window: SimDuration,
-    clock: u64,
-    evictions: u64,
+/// The walks append to a buffer the caller lends rather than return a
+/// list of their own, so a caller that sweeps many clients keeps one
+/// buffer across clients and intervals and a walk allocates nothing.
+///
+/// Under a rule that [vouches for every
+/// survivor](crate::ReportRule::vouches_survivors) the block reads the
+/// validity stamp as `max(install stamp, T_l)`, so a restamp
+/// costs nothing; under quasi-delay it writes `T_i` into the slot on a
+/// restamp.
+#[derive(Debug)]
+pub struct SlotBlock<'a> {
+    /// Slot → item: the client's hot spot, ascending.
+    pub(crate) items: &'a [ItemId],
+    /// The client's validity words.
+    pub(crate) valid: &'a mut [u64],
+    /// The client's stamps: a restamp writes one only when `!vouches`.
+    pub(crate) stamps: &'a mut [SimTime],
+    /// [`ReportRule::vouches_survivors`](crate::ReportRule::vouches_survivors).
+    pub(crate) vouches: bool,
+    /// When every survivor was last verified, if `vouches`: the client's
+    /// `T_l` on entry, `T_i` after a walk. `None` otherwise.
+    pub(crate) vouched: Option<SimTime>,
+    pub(crate) cached: &'a mut u32,
+    /// Ghost state and eviction stamp per slot (bounded caches only).
+    pub(crate) ghosts: Option<(&'a mut [Option<GhostFate>], &'a [SimTime])>,
 }
 
-impl Cache {
-    /// Creates an unbounded cache (the paper's model) over an unknown
-    /// item universe.
-    pub fn unbounded() -> Self {
-        Self::for_universe(0)
-    }
-
-    /// Creates an unbounded cache pre-sized for items `0..universe`
-    /// (the fast path used by the cell simulation).
-    pub fn for_universe(universe: u64) -> Self {
-        Cache {
-            entries: ItemTable::dense(universe),
-            ghosts: None,
-            capacity: None,
-            policy: ReplacementPolicy::Lru,
-            window: SimDuration::ZERO,
-            clock: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Creates a cache holding at most `capacity` items, evicting the
-    /// least recently used on overflow.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_for_universe(capacity, 0)
-    }
-
-    /// Creates a capacity-bounded LRU cache pre-sized for items
-    /// `0..universe`.
-    pub fn with_capacity_for_universe(capacity: usize, universe: u64) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        Cache {
-            entries: ItemTable::dense(universe),
-            ghosts: Some(ItemTable::dense(universe)),
-            capacity: Some(capacity),
-            policy: ReplacementPolicy::Lru,
-            window: SimDuration::ZERO,
-            clock: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Switches a bounded cache's replacement policy (`window` is the
-    /// TS window `w = kL`, consulted only by
-    /// [`ReplacementPolicy::WindowAge`]). No-op semantics change for
-    /// unbounded caches, which never evict.
-    pub fn set_replacement(&mut self, policy: ReplacementPolicy, window: SimDuration) {
-        self.policy = policy;
-        self.window = window;
-    }
-
+impl SlotBlock<'_> {
     /// Number of cached items.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        *self.cached as usize
     }
 
     /// True if nothing is cached.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        *self.cached == 0
     }
 
-    /// Number of capacity evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// True if `item` is cached.
-    pub fn contains(&self, item: ItemId) -> bool {
-        self.entries.contains(item)
-    }
-
-    /// Reads `item` (bumping recency; on a hit, also the LFU count).
-    pub fn get(&mut self, item: ItemId) -> Option<CacheEntry> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(item).map(|e| {
-            e.last_used = clock;
-            e.use_count += 1;
-            *e
-        })
-    }
-
-    /// Reads `item` without touching recency (for invariant checks).
-    pub fn peek(&self, item: ItemId) -> Option<&CacheEntry> {
-        self.entries.get(item)
-    }
-
-    /// Inserts or replaces `item`, evicting per the replacement policy
-    /// if over capacity. A fresh install clears any ghost of the item.
-    pub fn insert(&mut self, item: ItemId, value: u64, timestamp: SimTime) {
-        self.clock += 1;
-        self.entries.insert(
-            item,
-            CacheEntry {
-                value,
-                timestamp,
-                last_used: self.clock,
-                use_count: 1,
-            },
-        );
-        if let Some(ghosts) = &mut self.ghosts {
-            ghosts.remove(item);
-        }
-        if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                let candidates = self.entries.iter().map(|(k, e)| {
-                    let meta = EntryMeta {
-                        last_used: e.last_used,
-                        use_count: e.use_count,
-                        stamp: e.timestamp,
-                    };
-                    (k, k, meta)
-                });
-                let (gone, stamp) = victim(self.policy, timestamp, self.window, candidates);
-                self.entries.remove(gone);
-                if let Some(ghosts) = &mut self.ghosts {
-                    let fate = GhostFate::Fresh;
-                    ghosts.insert(gone, GhostEntry { stamp, fate });
-                }
-                self.evictions += 1;
-            }
-        }
-    }
-
-    /// Drops the entire cache (the `T_i − T_l > w` / `> L` path of the
-    /// §3 algorithms). Ghosts are dropped too: after a whole-cache drop
-    /// *nothing* would have been a hit, so no later miss is
+    /// Drops the entire cache, ghosts included: after a whole-cache
+    /// drop *nothing* would have been a hit, so no later miss is
     /// attributable to an earlier eviction.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        if let Some(ghosts) = &mut self.ghosts {
-            ghosts.clear();
+        self.valid.fill(0);
+        *self.cached = 0;
+        if let Some((ghost, _)) = &mut self.ghosts {
+            ghost.fill(None);
         }
     }
 
-    /// Consumes the ghost of `item`, if any: what a requery learned
-    /// about the evicted copy. Called on every miss by the unit driver.
-    pub fn take_ghost(&mut self, item: ItemId) -> Option<GhostFate> {
-        self.ghosts.as_mut()?.remove(item).map(|g| g.fate)
+    /// The one walk behind both of the rule's walks: applies
+    /// `verdict(item, stamps, slot)` to each cached slot, ascending.
+    /// Under a rule that vouches for every survivor it writes no stamp
+    /// and vouches for them all as of `t_i`, O(1); otherwise a restamp
+    /// writes `t_i` into the slot and a `Keep` leaves the stamp running.
+    #[inline]
+    fn walk(
+        &mut self,
+        t_i: SimTime,
+        mut verdict: impl FnMut(ItemId, &[SimTime], usize) -> Verdict,
+        dropped: &mut Vec<ItemId>,
+    ) {
+        for (w, word) in self.valid.iter_mut().enumerate() {
+            for slot in set_bits(*word, w * 64) {
+                let item = self.items[slot];
+                match verdict(item, self.stamps, slot) {
+                    Verdict::Drop => {
+                        *word &= !(1 << (slot % 64));
+                        *self.cached -= 1;
+                        dropped.push(item);
+                    }
+                    Verdict::Restamp if !self.vouches => self.stamps[slot] = t_i,
+                    Verdict::Restamp => {}
+                    Verdict::Keep => assert!(!self.vouches, "a vouching rule kept a copy"),
+                }
+            }
+        }
+        if self.vouches {
+            self.vouched = Some(t_i);
+        }
     }
 
-    /// Cached ids as a sorted vector (deterministic iteration for the
-    /// strategy algorithms and tests): the table's own walk order.
-    pub fn sorted_items(&self) -> Vec<ItemId> {
-        self.entries.sorted_ids()
-    }
-}
-
-impl CacheSlots for Cache {
-    fn len(&self) -> usize {
-        Cache::len(self)
-    }
-
-    fn clear(&mut self) {
-        Cache::clear(self);
-    }
-
-    fn sweep(
+    /// "For every item j in the MU cache": one walk, `verdict(item,
+    /// t_cache)` deciding each entry's fate. The dropped ids are
+    /// appended to `dropped`, ascending. Report processing is not a
+    /// read: recency is untouched.
+    #[inline]
+    pub fn sweep(
         &mut self,
         t_i: SimTime,
         mut verdict: impl FnMut(ItemId, SimTime) -> Verdict,
         dropped: &mut Vec<ItemId>,
     ) {
-        // The table walks ascending, so the ids append sorted.
-        self.entries.retain_mut(|item, entry| {
-            match verdict(item, entry.timestamp) {
-                Verdict::Drop => {
-                    dropped.push(item);
-                    return false;
-                }
-                Verdict::Restamp => entry.timestamp = t_i,
-                Verdict::Keep => {}
-            }
-            true
-        });
+        let vouched = self.vouched;
+        self.walk(
+            t_i,
+            |item, stamps, slot| verdict(item, validity(stamps[slot], vouched)),
+            dropped,
+        )
     }
 
-    fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
-        if let Some(ghosts) = &mut self.ghosts {
-            ghosts.for_each_mut(|item, g| {
-                if g.fate == GhostFate::Fresh && proven_stale(item, g.stamp) {
-                    g.fate = GhostFate::Stale;
-                }
-            });
+    /// The walk of a report that can only condemn what it lists: among
+    /// the cached entries `listed(item)` names, drop those
+    /// `stale(item, t_cache)` condemns; every other entry is verified as
+    /// of `T_i`. `stale` runs only for listed entries, so a stamp is read
+    /// only for `report ∩ cache`, and a report that lists next to
+    /// nothing costs a membership probe per cached entry. The dropped
+    /// ids are appended to `dropped`, ascending.
+    #[inline]
+    pub fn drop_listed(
+        &mut self,
+        t_i: SimTime,
+        listed: impl Fn(ItemId) -> bool,
+        mut stale: impl FnMut(ItemId, SimTime) -> bool,
+        dropped: &mut Vec<ItemId>,
+    ) {
+        let vouched = self.vouched;
+        self.walk(
+            t_i,
+            |item, stamps, slot| {
+                Verdict::drop_if(listed(item) && stale(item, validity(stamps[slot], vouched)))
+            },
+            dropped,
+        )
+    }
+
+    /// Ghost retire: marks every still-fresh ghost (the memory of an
+    /// evicted entry) for which `proven_stale(item, eviction_stamp)`
+    /// holds — that copy would have been dropped anyway, the eviction
+    /// cost nothing. No-op on unbounded caches.
+    #[inline]
+    pub fn retire_ghosts(&mut self, mut proven_stale: impl FnMut(ItemId, SimTime) -> bool) {
+        let Some((ghost, ghost_stamps)) = &mut self.ghosts else {
+            return;
+        };
+        for (slot, fate) in ghost.iter_mut().enumerate() {
+            if *fate == Some(GhostFate::Fresh) && proven_stale(self.items[slot], ghost_stamps[slot])
+            {
+                *fate = Some(GhostFate::Stale);
+            }
         }
     }
 }
 
-impl Default for Cache {
-    fn default() -> Self {
-        Cache::unbounded()
+/// A read-only view of one client's cache: its entries with their
+/// validity stamps, as of the last report the client heard. Reading
+/// through it is not an access: recency and the LFU counts stay as
+/// they are.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheView<'a> {
+    pub(crate) items: &'a [ItemId],
+    pub(crate) valid: &'a [u64],
+    pub(crate) values: &'a [u64],
+    pub(crate) stamps: &'a [SimTime],
+    pub(crate) vouched: Option<SimTime>,
+    pub(crate) cached: u32,
+}
+
+impl<'a> CacheView<'a> {
+    /// Number of cached items.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.cached as usize
+    }
+
+    /// True if nothing is cached.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.cached == 0
+    }
+
+    /// The entry of `item`, if cached.
+    #[inline]
+    pub fn peek(&self, item: ItemId) -> Option<CacheEntry> {
+        let slot = self.items.binary_search(&item).ok()?;
+        self.cached(slot).then(|| self.entry(slot))
+    }
+
+    /// True if `item` is cached.
+    #[inline]
+    pub fn contains(&self, item: ItemId) -> bool {
+        self.peek(item).is_some()
+    }
+
+    /// Every cached `(item, entry)`, ascending by item.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (ItemId, CacheEntry)> + 'a {
+        let view = *self;
+        let words = view.valid.iter().enumerate();
+        words
+            .flat_map(|(w, &word)| set_bits(word, w * 64))
+            .map(move |slot| (view.items[slot], view.entry(slot)))
+    }
+
+    #[inline]
+    fn cached(&self, slot: usize) -> bool {
+        self.valid[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    #[inline]
+    fn entry(&self, slot: usize) -> CacheEntry {
+        CacheEntry {
+            value: self.values[slot],
+            timestamp: validity(self.stamps[slot], self.vouched),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::fixture::Row;
+
+    /// The universe the tests' rows span.
+    const UNIVERSE: u64 = 20;
+
+    fn unbounded() -> Row {
+        Row::universe(crate::ReportRule::NoCache, UNIVERSE)
+    }
+
+    fn with_capacity(cap: usize) -> Row {
+        Row::bounded(UNIVERSE, cap, ReplacementPolicy::Lru, SimDuration::ZERO)
+    }
 
     #[test]
     fn insert_get_roundtrip() {
-        let mut c = Cache::unbounded();
+        let mut c = unbounded();
         c.insert(5, 42, SimTime::from_secs(1.0));
         let e = c.get(5).unwrap();
         assert_eq!(e.value, 42);
@@ -429,7 +469,7 @@ mod tests {
     #[test]
     fn timestamps_can_differ_between_entries() {
         // §3.1: "the timestamps in the cache need not be all the same".
-        let mut c = Cache::unbounded();
+        let mut c = unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         c.insert(2, 20, SimTime::from_secs(17.3));
         assert_ne!(
@@ -440,7 +480,7 @@ mod tests {
 
     #[test]
     fn clear_drops_everything() {
-        let mut c = Cache::unbounded();
+        let mut c = unbounded();
         for i in 0..10 {
             c.insert(i, i, SimTime::from_secs(1.0));
         }
@@ -450,7 +490,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = Cache::with_capacity(2);
+        let mut c = with_capacity(2);
         c.insert(1, 1, SimTime::ZERO);
         c.insert(2, 2, SimTime::ZERO);
         let _ = c.get(1); // 1 is now more recent than 2
@@ -463,7 +503,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_bump_recency() {
-        let mut c = Cache::with_capacity(2);
+        let mut c = with_capacity(2);
         c.insert(1, 1, SimTime::ZERO);
         c.insert(2, 2, SimTime::ZERO);
         let _ = c.peek(1); // no recency bump: 1 remains LRU
@@ -473,16 +513,16 @@ mod tests {
 
     #[test]
     fn sorted_items_is_sorted() {
-        let mut c = Cache::unbounded();
+        let mut c = unbounded();
         for i in [9u64, 3, 7, 1] {
             c.insert(i, 0, SimTime::ZERO);
         }
-        assert_eq!(c.sorted_items(), vec![1, 3, 7, 9]);
+        assert_eq!(c.items(), vec![1, 3, 7, 9]);
     }
 
     #[test]
     fn reinsert_replaces_value() {
-        let mut c = Cache::unbounded();
+        let mut c = unbounded();
         c.insert(1, 10, SimTime::from_secs(1.0));
         c.insert(1, 20, SimTime::from_secs(2.0));
         assert_eq!(c.len(), 1);
@@ -491,8 +531,7 @@ mod tests {
 
     #[test]
     fn lfu_evicts_least_frequently_used() {
-        let mut c = Cache::with_capacity(2);
-        c.set_replacement(ReplacementPolicy::Lfu, SimDuration::ZERO);
+        let mut c = Row::bounded(UNIVERSE, 2, ReplacementPolicy::Lfu, SimDuration::ZERO);
         c.insert(1, 1, SimTime::ZERO);
         c.insert(2, 2, SimTime::ZERO);
         // Item 2 is hit twice, item 1 never: LFU sacrifices 1 even
@@ -507,8 +546,12 @@ mod tests {
 
     #[test]
     fn window_age_evicts_dead_entries_first() {
-        let mut c = Cache::with_capacity(2);
-        c.set_replacement(ReplacementPolicy::WindowAge, SimDuration::from_secs(50.0));
+        let mut c = Row::bounded(
+            UNIVERSE,
+            2,
+            ReplacementPolicy::WindowAge,
+            SimDuration::from_secs(50.0),
+        );
         // Item 1 stamped far outside the window but *hot* (recently
         // used); item 2 fresh but LRU-cold. LRU would evict 2;
         // window-age knows 1 is dead weight.
@@ -523,7 +566,7 @@ mod tests {
 
     #[test]
     fn ghost_classifies_requeries() {
-        let mut c = Cache::with_capacity(1);
+        let mut c = with_capacity(1);
         c.insert(1, 1, SimTime::from_secs(1.0));
         c.insert(2, 2, SimTime::from_secs(2.0)); // evicts 1 → fresh ghost
         assert_eq!(c.take_ghost(1), Some(GhostFate::Fresh));
@@ -536,7 +579,7 @@ mod tests {
 
     #[test]
     fn retire_ghosts_uses_eviction_stamp() {
-        let mut c = Cache::with_capacity(1);
+        let mut c = with_capacity(1);
         c.insert(1, 1, SimTime::from_secs(5.0));
         c.insert(2, 2, SimTime::from_secs(6.0)); // ghost(1) stamped 5.0
         // An update at t = 4 predates the evicted copy: still fresh.
@@ -550,13 +593,17 @@ mod tests {
 
     #[test]
     fn reinstall_clears_ghost_and_clear_drops_ghosts() {
-        let mut c = Cache::with_capacity(1);
-        c.insert(1, 1, SimTime::ZERO);
-        c.insert(2, 2, SimTime::ZERO); // ghost(1)
-        c.insert(1, 10, SimTime::ZERO); // reinstall 1; ghost(1) gone, ghost(2) born
+        let reinstalled = || {
+            let mut c = with_capacity(1);
+            c.insert(1, 1, SimTime::ZERO);
+            c.insert(2, 2, SimTime::ZERO); // ghost(1)
+            c.insert(1, 10, SimTime::ZERO); // reinstall 1; ghost(1) gone, ghost(2) born
+            c
+        };
+        let mut c = reinstalled();
         assert_eq!(c.take_ghost(1), None);
-        let mut cleared = c.clone();
         assert_eq!(c.take_ghost(2), Some(GhostFate::Fresh));
+        let mut cleared = reinstalled();
         cleared.clear();
         assert_eq!(cleared.take_ghost(2), None);
     }
@@ -566,6 +613,30 @@ mod tests {
             last_used,
             use_count,
             stamp: SimTime::from_secs(stamp),
+        }
+    }
+
+    /// Two candidates that tie on every policy axis: the lower item id
+    /// goes, in whichever order the candidates are visited.
+    #[test]
+    fn victim_breaks_exact_ties_by_item_id_in_any_order() {
+        let now = SimTime::from_secs(100.0);
+        let w = SimDuration::from_secs(50.0);
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Lfu,
+            ReplacementPolicy::WindowAge,
+        ] {
+            for stamp in [10.0, 90.0] {
+                let tied = meta(4, 2, stamp);
+                let forward = [("a", 3, tied), ("b", 8, tied)];
+                let backward = [("b", 8, tied), ("a", 3, tied)];
+                for candidates in [forward, backward] {
+                    let (gone, kept) = victim(policy, now, w, candidates);
+                    assert_eq!(gone, "a", "{policy:?} stamp {stamp}");
+                    assert_eq!(kept, SimTime::from_secs(stamp));
+                }
+            }
         }
     }
 
@@ -642,18 +713,17 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_ghosts() {
-        let mut c = Cache::unbounded();
+        let mut c = unbounded();
         c.insert(1, 1, SimTime::ZERO);
         c.insert(2, 2, SimTime::ZERO);
         let mut dropped = vec![7];
-        CacheSlots::sweep(
-            &mut c,
+        c.sweep(
             SimTime::ZERO,
             |item, _| Verdict::drop_if(item == 1),
             &mut dropped,
         );
         assert_eq!(dropped, vec![7, 1], "the walk appends to what it is lent");
-        assert_eq!(c.sorted_items(), vec![2]);
+        assert_eq!(c.items(), vec![2]);
         assert_eq!(c.take_ghost(1), None);
     }
 }

@@ -7,9 +7,10 @@
 //! makes the probe O(1): built once per broadcast from the
 //! [`FramePayload`], it holds the report time `T_i` and one membership
 //! bitset over the listed ids (AT ids, HYB `hot_ids`, GR changed-group
-//! ids, TS entry ids). Every listening client — a boxed
-//! [`crate::handler`] or a columnar slot block — then walks its own
-//! cache and asks the digest, so an interval costs O(|report| +
+//! ids, TS entry ids). Every listening client — a row of the
+//! [`SlotStore`](crate::SlotStore), on either of its owners — then
+//! walks its own slot block and asks the digest, so an interval costs
+//! O(|report| +
 //! awake·H) instead of O(awake·|report|·log H).
 //!
 //! The two verdict methods, [`ReportDigest::listed`] and

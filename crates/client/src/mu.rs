@@ -1,10 +1,13 @@
-//! The mobile unit driver.
+//! The mobile unit: one row of the slot store.
 //!
-//! Ties together a [`UnitState`] (stats, `T_l`, the sleep process, the
-//! query stream), the cache, the pending list and the strategy handler,
-//! implementing the interval semantics of Figure 2. The steps themselves
-//! are `UnitState`'s, shared with the columnar fleet; what this driver
-//! adds is where a boxed unit keeps its cache and its pending queries:
+//! A [`MobileUnit`] is a [`SlotStore`] with a single row, plus its id:
+//! its cache, its pending set `Q_i` and its [`UnitState`] are that row,
+//! and hearing a report or installing an answer runs the store's one
+//! per-client path, the very code the cell's columnar fleet runs for
+//! each of its rows. What this type adds is the boxed unit's interface,
+//! for a driver that keeps the unit's streams itself (`sleepers`'
+//! `ClientSeat`, hence the live MU, and hand-built harnesses), which
+//! implements the interval semantics of Figure 2:
 //!
 //! * the unit "keeps a list of items queried during an interval and
 //!   answers them after receiving the next report";
@@ -17,13 +20,14 @@
 //! * a unit that posed queries stays up to hear the closing report and
 //!   answer them, then may sleep again (§4's stated simplification).
 
-use sw_server::{ItemId, ItemTable, PiggybackInfo, QueryAnswer};
+use sw_server::{ItemId, PiggybackInfo, QueryAnswer};
 use sw_sim::{counters, RngStream, SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
-use crate::cache::{Cache, CapacityStats, ReplacementPolicy};
+use crate::cache::{CacheView, CapacityStats, ReplacementPolicy};
 use crate::digest::{DigestScratch, ReportDigest};
-use crate::handler::{ProcessOutcome, RuleHandler};
+use crate::rule::ReportRule;
+use crate::store::{CapacitySpec, Heard, SlotStore, SweepLists};
 use crate::unit::UnitState;
 
 /// Static configuration of one mobile unit.
@@ -33,7 +37,8 @@ pub struct MuConfig {
     pub id: u64,
     /// The unit's hotspot: the subset of the database it queries
     /// repeatedly (§2: "The MUs exhibit a large degree of data locality,
-    /// repeatedly querying a particular subset of the database").
+    /// repeatedly querying a particular subset of the database"). Its
+    /// ids must be distinct: each owns one slot of the cache.
     pub hotspot: Vec<ItemId>,
     /// Per-item query rate λ (queries/second).
     pub query_rate_per_item: f64,
@@ -49,10 +54,8 @@ pub struct MuConfig {
     /// Whether to collect local-hit timestamps for uplink piggybacking
     /// (adaptive Method 1, §8.1).
     pub piggyback_hits: bool,
-    /// Size of the item universe, when known: pre-sizes the cache and
-    /// hit-history tables as dense vectors (no hashing on the query hot
-    /// path). `None` starts them empty; they grow to the largest id
-    /// seen.
+    /// Size of the item universe, when known: every hotspot id must be
+    /// below it. The cache is sized by the hotspot, never by this.
     pub item_universe: Option<u64>,
 }
 
@@ -120,112 +123,156 @@ impl MuStats {
     }
 }
 
-/// What one interval did at this unit (for the cell driver's log).
+/// What processing one report did to the cache.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProcessOutcome {
+    /// The report timestamp `T_i`.
+    pub report_time: SimTime,
+    /// True if the whole cache was dropped (disconnection gap exceeded
+    /// the strategy's tolerance).
+    pub dropped_all: bool,
+    /// Items individually invalidated by this report, ascending by item
+    /// id for *any* payload — sorted, unsorted or with duplicated ids.
+    /// HYB alone has two runs: ascending within the hot pass, then
+    /// ascending within the cold pass.
+    pub invalidated: Vec<ItemId>,
+}
+
+/// What one interval did at this unit, as its own lists.
 #[derive(Debug, Clone)]
 pub struct IntervalReport {
     /// Outcome of report processing.
     pub outcome: ProcessOutcome,
-    /// Query events that missed and must go uplink, deduplicated.
+    /// Query events that missed and must go uplink, deduplicated,
+    /// ascending, each with its piggybacked hit history when the unit
+    /// collects one.
     pub uplink_requests: Vec<(ItemId, Option<PiggybackInfo>)>,
 }
 
-/// One mobile unit: a cache, a strategy handler, the pending list `Q_i`
-/// and a [`UnitState`] for the rest of its interval bookkeeping.
+/// One mobile unit: a one-row [`SlotStore`] and its id.
 pub struct MobileUnit {
-    config: MuConfig,
-    cache: Cache,
-    handler: RuleHandler,
-    state: UnitState,
-    /// The items asked since the last heard report.
-    pending: Vec<ItemId>,
-    local_hits: ItemTable<Vec<SimTime>>,
+    id: u64,
+    store: SlotStore,
 }
 
 impl std::fmt::Debug for MobileUnit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MobileUnit")
-            .field("id", &self.config.id)
-            .field("strategy", &self.handler.name())
-            .field("cache_len", &self.cache.len())
-            .field("t_l", &self.state.last_report_heard())
+            .field("id", &self.id)
+            .field("strategy", &self.rule().name())
+            .field("cache_len", &self.cache().len())
+            .field("t_l", &self.state().last_report_heard())
             .finish_non_exhaustive()
     }
 }
 
 impl MobileUnit {
-    /// Creates the unit with its strategy handler. Draws nothing: each
-    /// interval's queries are drawn when it opens, so `_query_rng` (the
-    /// stream those draws will come from) is left as it was.
-    pub fn new(config: MuConfig, handler: RuleHandler, _query_rng: &mut RngStream) -> Self {
-        assert!(!config.hotspot.is_empty(), "hotspot cannot be empty");
+    /// Creates the unit, applying `rule` to every report it hears. Draws
+    /// nothing: each interval's queries are drawn when it opens, so
+    /// `_query_rng` (the stream those draws will come from) is left as
+    /// it was.
+    ///
+    /// # Panics
+    /// Panics if the hotspot is empty or names an item twice, if a
+    /// hotspot id is not below a known `item_universe`, or if the query
+    /// rate is negative.
+    pub fn new(config: MuConfig, rule: ReportRule, _query_rng: &mut RngStream) -> Self {
         assert!(
             config.query_rate_per_item.is_finite() && config.query_rate_per_item >= 0.0,
             "query rate must be non-negative"
         );
-        let total_rate = config.query_rate_per_item * config.hotspot.len() as f64;
-        // An unknown universe starts the tables empty; they grow.
-        let universe = config.item_universe.unwrap_or(0);
-        let mut cache = match config.cache_capacity {
-            Some(cap) => Cache::with_capacity_for_universe(cap, universe),
-            None => Cache::for_universe(universe),
-        };
-        cache.set_replacement(config.replacement, config.replacement_window);
-        // Hit times are only collected for piggybacking.
-        let local_hits = ItemTable::dense(if config.piggyback_hits { universe } else { 0 });
+        if let Some(universe) = config.item_universe {
+            if let Some(&item) = config.hotspot.iter().find(|&&item| item >= universe) {
+                panic!("hotspot item {item} is outside the item universe of {universe}");
+            }
+        }
+        let capacity = config.cache_capacity.map(|cap| CapacitySpec {
+            cap,
+            policy: config.replacement,
+            window: config.replacement_window,
+        });
+        let h = config.hotspot.len();
+        let mut store = SlotStore::new(h, 1, rule, capacity, config.piggyback_hits);
+        store.push_row(
+            &config.hotspot,
+            config.query_rate_per_item,
+            config.sleep_probability,
+        );
         MobileUnit {
-            state: UnitState::new(total_rate, config.sleep_probability),
-            cache,
-            handler,
-            pending: Vec::new(),
-            local_hits,
-            config,
+            id: config.id,
+            store,
         }
     }
 
     /// Unit id.
     pub fn id(&self) -> u64 {
-        self.config.id
+        self.id
     }
 
-    /// Read access to the cache (tests and invariant checks).
-    pub fn cache(&self) -> &Cache {
-        &self.cache
+    /// Read access to the cache (the query plane, audits and tests).
+    #[inline]
+    pub fn cache(&self) -> CacheView<'_> {
+        self.store.cache(0)
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> MuStats {
-        self.state.stats()
+        self.state().stats()
     }
 
     /// Zeroes the statistics (cache and protocol state untouched) —
     /// used to discard warm-up intervals before measuring.
     pub fn reset_stats(&mut self) {
-        self.state.reset_stats();
+        self.store.reset_stats();
     }
 
     /// The unit's interval bookkeeping: `T_l`, the awake flag, the
     /// stats.
+    #[inline]
     pub fn state(&self) -> &UnitState {
-        &self.state
+        self.store.unit(0)
     }
 
     /// The same, for a driver that keeps the unit's streams itself and
     /// credits, draws and misses through it (`sleepers`' `ClientSeat`).
+    #[inline]
     pub fn state_mut(&mut self) -> &mut UnitState {
-        &mut self.state
+        self.store.unit_mut(0)
     }
 
-    /// The unit's strategy: its name, which report frames it
-    /// [accepts](RuleHandler::accepts) (hearing one it refuses panics),
-    /// its signature telemetry.
-    pub fn handler(&self) -> &RuleHandler {
-        &self.handler
+    /// The unit's strategy: its name, and which report frames it
+    /// [accepts](ReportRule::accepts) (hearing one it refuses panics).
+    pub fn rule(&self) -> &ReportRule {
+        self.store.rule()
+    }
+
+    /// Whether `item` is in the unit's hotspot: the only items it can
+    /// ask for, so the only answers it can install.
+    pub fn in_hotspot(&self, item: ItemId) -> bool {
+        self.store.slot_of(0, item).is_some()
+    }
+
+    /// Syndrome-decode telemetry: how many tracked subsets' signatures
+    /// failed to match in the last processed report. `None` for
+    /// non-signature strategies. Mismatched subsets are where SIG's
+    /// false alarms (and, when the mismatch count stays under the
+    /// decoding threshold, its false validations) originate, so the
+    /// observability layer tracks them per interval.
+    #[inline]
+    pub fn last_unmatched_subsets(&self) -> Option<u32> {
+        self.store.last_unmatched(0)
+    }
+
+    /// Number of subsets currently tracked (0 for the rules that track
+    /// none).
+    pub fn tracked_subsets(&self) -> usize {
+        self.store.tracked_subsets(0)
     }
 
     /// Starts interval `(from, to]` with the unit known awake: draws
-    /// this interval's queries into the pending list
-    /// ([`UnitState::pose`]). The sleep
-    /// decision is the caller's (the cell driver's wake heap).
+    /// this interval's queries into the pending set
+    /// ([`UnitState::pose`]). The sleep decision is the caller's (the
+    /// cell driver's wake heap).
     pub fn begin_awake_interval(&mut self, from: SimTime, to: SimTime, query_rng: &mut RngStream) {
         self.begin_awake_interval_skewed(from, to, query_rng, None);
     }
@@ -237,6 +284,7 @@ impl MobileUnit {
     /// uniform draw sequence is *not consumed*, and unarmed runs are
     /// untouched. The query count and pose times keep coming from
     /// `query_rng` either way.
+    #[inline]
     pub fn begin_awake_interval_skewed(
         &mut self,
         from: SimTime,
@@ -244,18 +292,14 @@ impl MobileUnit {
         query_rng: &mut RngStream,
         pick: Option<&mut dyn FnMut() -> usize>,
     ) {
-        let (hotspot, pending) = (&self.config.hotspot, &mut self.pending);
-        self.state
-            .pose(from, to, query_rng, hotspot.len(), pick, |j| {
-                pending.push(hotspot[j])
-            });
+        self.store.pose(0, from, to, query_rng, pick);
     }
 
     /// Marks the unit asleep. Asleep intervals are credited lazily with
     /// [`Self::credit_asleep_intervals`] when the unit wakes (the cell
     /// driver never iterates sleeping units).
     pub fn enter_sleep(&mut self) {
-        self.state.enter_sleep();
+        self.state_mut().enter_sleep();
     }
 
     /// Draws a whole sleep run from the unit's sleep process (see
@@ -263,13 +307,13 @@ impl MobileUnit {
     /// intervals before the next awake one. The cell driver uses this
     /// to schedule the unit's wake-up on a heap.
     pub fn draw_sleep_run(&self, rng: &mut RngStream) -> u64 {
-        self.state.draw_sleep_run(rng)
+        self.state().draw_sleep_run(rng)
     }
 
     /// Credits `k` intervals spent asleep (lazy settlement of a whole
     /// sleep run at wake-up time).
     pub fn credit_asleep_intervals(&mut self, k: u64) {
-        self.state.credit_asleep_intervals(k);
+        self.state_mut().credit_asleep_intervals(k);
     }
 
     /// Hears the report closing the current interval (awake units only)
@@ -286,61 +330,53 @@ impl MobileUnit {
     /// [`Self::hear_report_and_answer`] given the broadcast's shared
     /// digest: a cell digests each report once for all its listeners.
     pub fn hear_digest_and_answer(&mut self, digest: &ReportDigest<'_>) -> IntervalReport {
-        let t_l = self.state.hearing();
-        let outcome = self.handler.process_digest(&mut self.cache, digest, t_l);
-        let t_i = outcome.report_time;
-        self.state
-            .settle(t_i, outcome.dropped_all, outcome.invalidated.len());
-        // Note: the piggyback history survives invalidation on purpose —
-        // §8.1 defines it as "all the timestamps of requests ... satisfied
-        // locally from the time of the previous uplink request", a query
-        // history, not a property of the current cache incarnation.
-
-        // Answer Q_i: one event per distinct pending item.
-        self.pending.sort_unstable();
-        self.pending.dedup();
-        let mut uplink = Vec::new();
-        for &item in &self.pending {
-            if self.cache.get(item).is_some() {
-                self.state.hit();
-                if self.config.piggyback_hits {
-                    self.local_hits
-                        .get_or_insert_with(item, Vec::new)
-                        .push(t_i);
-                }
-            } else {
-                self.state.miss(self.cache.take_ghost(item));
-                let piggyback = if self.config.piggyback_hits {
-                    Some(PiggybackInfo {
-                        local_hit_times: self.local_hits.remove(item).unwrap_or_default(),
-                    })
-                } else {
-                    None
-                };
-                uplink.push((item, piggyback));
-            }
-        }
-        self.pending.clear();
+        let mut lists = SweepLists::default();
+        let heard = self.hear_into(digest, &mut lists);
+        let SweepLists {
+            invalidated,
+            uplinks,
+            piggybacks,
+            ..
+        } = lists;
+        // Parallel to the uplinks when the unit collects hit histories,
+        // else empty.
+        let mut piggybacks = piggybacks.into_iter();
         IntervalReport {
-            outcome,
-            uplink_requests: uplink,
+            outcome: ProcessOutcome {
+                report_time: digest.report_time(),
+                dropped_all: heard.dropped_all,
+                invalidated,
+            },
+            uplink_requests: uplinks
+                .into_iter()
+                .map(|item| (item, piggybacks.next()))
+                .collect(),
         }
+    }
+
+    /// [`Self::hear_digest_and_answer`] into a sweep worker's lists: the
+    /// invalidated ids and the uplink requests are appended to `lists`,
+    /// and their ranges returned, so a driver that keeps the lists
+    /// allocates nothing.
+    #[inline]
+    pub fn hear_into(&mut self, digest: &ReportDigest<'_>, lists: &mut SweepLists) -> Heard {
+        self.store.rows().hear(0, 0, digest, lists)
     }
 
     /// Installs the answer to an uplink request: caches the fresh copy
-    /// with the request's server timestamp and notifies the strategy
-    /// handler (SIG starts tracking the item's subsets immediately).
+    /// with the request's server timestamp, evicting past a capacity
+    /// bound, and (SIG/HYB) starts tracking the item's subsets.
+    ///
+    /// # Panics
+    /// Panics if the item is not [in the hotspot](Self::in_hotspot).
+    #[inline]
     pub fn install_answer(&mut self, answer: QueryAnswer) {
-        let before = self.cache.evictions();
-        self.cache
-            .insert(answer.item, answer.value, answer.timestamp);
-        self.state.note_evictions(self.cache.evictions() - before);
-        self.handler.on_fetch(answer.item);
+        self.store.install(0, answer);
     }
 
-    /// Number of queries waiting for the next report (test hook).
+    /// Number of distinct items waiting for the next report.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.store.pending_len(0)
     }
 }
 
@@ -384,8 +420,7 @@ mod tests {
         };
         let mut qrng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
         let srng = MasterSeed::TEST.stream(StreamId::Sleep { index: 0 });
-        let handler = RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0)));
-        let mu = MobileUnit::new(cfg, handler, &mut qrng);
+        let mu = MobileUnit::new(cfg, ReportRule::at(SimDuration::from_secs(10.0)), &mut qrng);
         (mu, qrng, srng)
     }
 
@@ -443,7 +478,8 @@ mod tests {
         let (mut mu, mut qrng, _) = unit(0.0, 10.0);
         // Very high λ: many arrivals, only ≤10 distinct hotspot items.
         open(&mut mu, &mut qrng, 0.0);
-        assert!(mu.pending_len() > 100);
+        assert!(mu.stats().queries_posed > 100);
+        assert!(mu.pending_len() <= 10, "the pending set is distinct items");
         let rep = mu.hear_report_and_answer(&at_report(10.0, vec![]));
         assert!(rep.uplink_requests.len() <= 10);
         assert_eq!(mu.stats().query_events(), rep.uplink_requests.len() as u64);
@@ -616,6 +652,47 @@ mod tests {
         assert!(run > 0);
         mu.enter_sleep();
         mu.state_mut().miss_report();
+    }
+
+    /// A config for the hotspot `hotspot` over a universe of `universe`.
+    fn config(hotspot: Vec<ItemId>, universe: Option<u64>) -> MuConfig {
+        MuConfig {
+            id: 0,
+            hotspot,
+            query_rate_per_item: 1.0,
+            sleep_probability: 0.0,
+            cache_capacity: None,
+            replacement: ReplacementPolicy::Lru,
+            replacement_window: SimDuration::ZERO,
+            piggyback_hits: false,
+            item_universe: universe,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hotspot item 10 is outside the item universe of 10")]
+    fn a_hotspot_item_past_the_universe_is_refused() {
+        let mut qrng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
+        let rule = ReportRule::at(SimDuration::from_secs(10.0));
+        MobileUnit::new(config(vec![3, 10, 4], Some(10)), rule, &mut qrng);
+    }
+
+    #[test]
+    #[should_panic(expected = "hotspot ids must be distinct")]
+    fn a_hotspot_naming_an_item_twice_is_refused() {
+        let mut qrng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
+        let rule = ReportRule::at(SimDuration::from_secs(10.0));
+        MobileUnit::new(config(vec![3, 7, 3], Some(10)), rule, &mut qrng);
+    }
+
+    #[test]
+    fn a_hotspot_inside_the_universe_is_seated() {
+        let mut qrng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
+        let rule = ReportRule::at(SimDuration::from_secs(10.0));
+        let mu = MobileUnit::new(config(vec![9, 0, 4], Some(10)), rule, &mut qrng);
+        assert!(mu.in_hotspot(9) && mu.in_hotspot(0) && !mu.in_hotspot(5));
+        let unknown = MobileUnit::new(config(vec![1 << 40], None), ReportRule::NoCache, &mut qrng);
+        assert!(unknown.in_hotspot(1 << 40), "an unknown universe bounds nothing");
     }
 
     #[test]

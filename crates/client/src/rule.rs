@@ -8,19 +8,14 @@
 //! bound); [`ReportRule::apply`] is the only text of the algorithms in
 //! the workspace: the frame-kind check, the disconnection gap rule, the
 //! keep / restamp / invalidate walk, ghost retire, and SIG's diagnose →
-//! drop → re-scope tracking → adopt the broadcast signatures. It is
-//! generic over *where the cache lives*:
-//!
-//! * [`CacheSlots`] is the view of one client's cache the algorithms
-//!   need. [`crate::Cache`] (boxed [`crate::MobileUnit`]s, hence the
-//!   live MU) implements it; the columnar fleet implements it for one
-//!   client's slot block of its columns. Both run the same
-//!   monomorphised `apply`.
-//! * [`Lent`] is the per-client state a rule borrows for one call —
-//!   SIG/HYB's signature tracking ([`SigTrack`]), the only such state —
-//!   lent by whoever stores it (a [`crate::handler::RuleHandler`]
-//!   field, or a row of the fleet's SIG columns). Adaptive TS keeps
-//!   none: its windows ride every report and are read off the digest.
+//! drop → re-scope tracking → adopt the broadcast signatures. It walks
+//! one client's [`SlotBlock`], the row of the
+//! [`SlotStore`](crate::SlotStore) that every client cache is — the
+//! cell's columnar fleet and a [`MobileUnit`](crate::MobileUnit), hence
+//! the live MU, alike — and borrows the per-client state a rule keeps
+//! as a [`Lent`]: SIG/HYB's signature tracking ([`SigTrack`]), the only
+//! such state, lent from the row's SIG columns. Adaptive TS keeps none:
+//! its windows ride every report and are read off the digest.
 //!
 //! Safety discipline: TS, AT, GR and adaptive TS "will only allow false
 //! alarm errors and will always correctly inform the client if his copy
@@ -40,6 +35,7 @@ use sw_sim::{SimDuration, SimTime};
 use sw_wireless::frame::INFINITE_WINDOW;
 use sw_wireless::FramePayload;
 
+use crate::cache::SlotBlock;
 use crate::digest::ReportDigest;
 
 /// What the walk does with one cached entry.
@@ -49,7 +45,7 @@ pub enum Verdict {
     Drop,
     /// Verified as of `T_i`: `t_cache := T_i`. Under a rule that
     /// [vouches for every survivor](ReportRule::vouches_survivors) the
-    /// columnar fleet records it once per client, as `T_l`.
+    /// slot block records it once per client, as `T_l`.
     Restamp,
     /// §7 only (no rule that vouches for every survivor): the copy may
     /// lag, so its stamp stays untouched — the lag clock keeps running.
@@ -67,81 +63,6 @@ impl Verdict {
             Verdict::Restamp
         }
     }
-}
-
-/// One client's cache as the algorithms see it.
-///
-/// Walk order is the implementor's business — [`crate::Cache`] and a
-/// slot block both happen to visit ascending — but the *results* are
-/// ordered: [`CacheSlots::sweep`] and [`CacheSlots::drop_listed`] append
-/// the ids they drop ascending, whatever the visit order, so
-/// [`crate::ProcessOutcome::invalidated`] is identical on every store.
-///
-/// The walks append to a buffer the caller lends rather than return a
-/// list of their own, so a caller that sweeps many clients (the
-/// columnar fleet) keeps one buffer across clients and intervals and a
-/// walk allocates nothing.
-///
-/// How a store records "verified as of `T_i`" is its business too.
-/// [`crate::Cache`] writes `T_i` into every surviving entry. Under a
-/// rule that [vouches for every survivor](ReportRule::vouches_survivors)
-/// the columnar fleet's slot block reads the validity stamp as
-/// `max(install stamp, T_l)`, so a restamp costs nothing; under
-/// quasi-delay it writes `T_i` on a restamp, as the `Cache` does.
-pub trait CacheSlots {
-    /// Number of cached items.
-    fn len(&self) -> usize;
-
-    /// True if nothing is cached.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops the entire cache, ghosts included: after a whole-cache
-    /// drop *nothing* would have been a hit, so no later miss is
-    /// attributable to an earlier eviction.
-    fn clear(&mut self);
-
-    /// "For every item j in the MU cache": one walk, `verdict(item,
-    /// t_cache)` deciding each entry's fate. The dropped ids are
-    /// appended to `dropped`, ascending. Report processing is not a
-    /// read: recency is untouched.
-    fn sweep(
-        &mut self,
-        t_i: SimTime,
-        verdict: impl FnMut(ItemId, SimTime) -> Verdict,
-        dropped: &mut Vec<ItemId>,
-    );
-
-    /// The walk of a report that can only condemn what it lists: among
-    /// the cached entries `listed(item)` names, drop those
-    /// `stale(item, t_cache)` condemns; every other entry is verified as
-    /// of `T_i`. `stale` runs only for listed entries. The dropped ids
-    /// are appended to `dropped`, ascending.
-    ///
-    /// The default body is one [`Self::sweep`]. A store whose restamp
-    /// is free overrides it to read a stamp only for `report ∩ cache`
-    /// and write nothing for the rest, so a report that lists next to
-    /// nothing costs a membership probe per cached entry.
-    fn drop_listed(
-        &mut self,
-        t_i: SimTime,
-        listed: impl Fn(ItemId) -> bool,
-        mut stale: impl FnMut(ItemId, SimTime) -> bool,
-        dropped: &mut Vec<ItemId>,
-    ) {
-        self.sweep(
-            t_i,
-            |item, stamp| Verdict::drop_if(listed(item) && stale(item, stamp)),
-            dropped,
-        )
-    }
-
-    /// Ghost retire: marks every still-fresh ghost (the memory of an
-    /// evicted entry) for which `proven_stale(item, eviction_stamp)`
-    /// holds — that copy would have been dropped anyway, the eviction
-    /// cost nothing. No-op on unbounded caches.
-    fn retire_ghosts(&mut self, proven_stale: impl FnMut(ItemId, SimTime) -> bool);
 }
 
 /// One client's signature-tracking state (SIG, and the cold half of
@@ -403,9 +324,10 @@ impl ReportRule {
     /// client's cache. `t_l` is when the client last heard a report
     /// (`None`: never); `lent` the per-client state this rule keeps, if
     /// any. The ids the report invalidates are appended to
-    /// `invalidated` — ascending, and for HYB in two ascending runs, as
-    /// [`crate::ProcessOutcome::invalidated`] documents — which the caller
-    /// lends and may already hold other clients' ids. Returns whether
+    /// `invalidated` — ascending, and for HYB in two ascending runs (hot
+    /// then cold), for any payload, sorted, unsorted or with duplicated
+    /// ids — which the caller lends and may already hold other clients'
+    /// ids. Returns whether
     /// the whole cache was dropped instead (a gap the rule cannot
     /// bridge), in which case nothing is appended.
     ///
@@ -413,9 +335,9 @@ impl ReportRule {
     /// Panics if the rule does not [accept](Self::accepts) the frame —
     /// a mis-wired server, since outside input is screened first — or
     /// if `lent` is not the state the rule needs.
-    pub fn apply<C: CacheSlots>(
+    pub fn apply(
         &self,
-        cache: &mut C,
+        cache: &mut SlotBlock<'_>,
         lent: Lent<'_>,
         digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
@@ -583,8 +505,8 @@ impl ReportRule {
 /// cached items in scope only — are appended to `invalidated`.
 // Out of line: inlined into `apply`, it slows the sweeps of rules that never decode.
 #[inline(never)]
-fn decode<C: CacheSlots>(
-    cache: &mut C,
+fn decode(
+    cache: &mut SlotBlock<'_>,
     decoder: &SyndromeDecoder,
     sig: SigTrack<'_>,
     digest: &ReportDigest<'_>,
@@ -618,22 +540,25 @@ fn decode<C: CacheSlots>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::Cache;
     use crate::digest::DigestScratch;
-    use crate::handler::ProcessOutcome;
+    use crate::mu::ProcessOutcome;
+    use crate::store::fixture::Row;
+    use crate::store::CapacitySpec;
+    use crate::ReplacementPolicy;
     use sw_signature::{combine, item_signature, SigPlan, SubsetFamily};
     use sw_sim::{MasterSeed, RngStream, StreamId};
 
-    /// [`ReportRule::apply`] into a fresh buffer, as an outcome.
-    fn outcome<C: CacheSlots>(
-        rule: &ReportRule,
-        cache: &mut C,
-        lent: Lent<'_>,
+    /// [`ReportRule::apply`] of `row`'s rule into a fresh buffer, as an
+    /// outcome, lending `lent` if given, else the row's own tracking
+    /// state.
+    fn outcome(
+        row: &mut Row,
+        lent: Option<Lent<'_>>,
         digest: &ReportDigest<'_>,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
         let mut invalidated = Vec::new();
-        let dropped_all = rule.apply(cache, lent, digest, t_l, &mut invalidated);
+        let dropped_all = row.apply(lent, digest, t_l, &mut invalidated);
         ProcessOutcome {
             report_time: digest.report_time(),
             dropped_all,
@@ -670,7 +595,7 @@ mod tests {
 
     /// §3, §7 and §8 as the paper prints them — a loop over the cached
     /// items with a linear scan of the raw report inside — returning
-    /// the ids that may stay. No digest, no `CacheSlots`, no decoder.
+    /// the ids that may stay. No digest, no slot block, no decoder.
     fn oracle(
         rule: &ReportRule,
         cached: &[(ItemId, SimTime)],
@@ -851,19 +776,21 @@ mod tests {
         let t_i = 100.0;
         for round in 0..800 {
             let rule = &rules()[round % 8];
-            let mut cache = match round / 8 % 3 {
-                0 => Cache::for_universe(UNIVERSE),
-                1 => Cache::unbounded(),
-                _ => Cache::with_capacity_for_universe(64, UNIVERSE),
-            };
+            // Three rows: unbounded; unbounded with its survivors
+            // vouched for at `T_l`, as a row that heard that report
+            // reads them; bounded at 64 of its 200 slots.
+            let variant = round / 8 % 3;
+            let universe: Vec<ItemId> = (0..UNIVERSE).collect();
+            let capacity = (variant == 2).then_some(CapacitySpec {
+                cap: 64,
+                policy: ReplacementPolicy::Lru,
+                window: SimDuration::from_secs(K as f64 * L),
+            });
+            let mut cache = Row::new(rule.clone(), &universe, capacity);
             for _ in 0..rng.uniform_index(25) {
                 let stamp = t_i - rng.uniform_index(50) as f64;
                 cache.insert(rng.uniform_index(UNIVERSE), 0, SimTime::from_secs(stamp));
             }
-            let cached: Vec<(ItemId, SimTime)> = Cache::sorted_items(&cache)
-                .into_iter()
-                .map(|j| (j, cache.peek(j).expect("just listed").timestamp))
-                .collect();
             // Never heard, heard the previous report, asleep for exactly
             // the TS window, and one report longer than that.
             let t_l = [
@@ -873,6 +800,10 @@ mod tests {
                 Some(t_i - (K + 1) as f64 * L),
             ][rng.uniform_index(4) as usize]
                 .map(SimTime::from_secs);
+            if variant == 1 && rule.vouches_survivors() {
+                cache.vouch(t_l);
+            }
+            let cached = cache.stamped();
             let payload = random_payload(rule, (t_i * 1e6) as u64, &mut rng);
             // Tracking state: most subsets tracked, and the last heard
             // report differing from this one in a round-dependent share
@@ -909,9 +840,9 @@ mod tests {
             } else {
                 Lent::Nothing
             };
-            let outcome = outcome(rule, &mut cache, lent, &scratch.digest(&payload), t_l);
+            let outcome = outcome(&mut cache, Some(lent), &scratch.digest(&payload), t_l);
 
-            let kept = Cache::sorted_items(&cache);
+            let kept = cache.items();
             let context =
                 format!("round {round}: {rule:?}\n{payload:?}\nt_l={t_l:?} cached={cached:?}");
             assert!(
@@ -1013,7 +944,7 @@ mod tests {
             };
             let mut values: Vec<u64> = (0..UNIVERSE).map(|_| rng.next_u64()).collect();
             // Few items, so the fetch brings subsets nobody else covers.
-            let mut cache = Cache::for_universe(UNIVERSE);
+            let mut cache = Row::universe(rule.clone(), UNIVERSE);
             for _ in 0..rng.uniform_index(8) {
                 cache.insert(rng.uniform_index(UNIVERSE), 0, t(0.0));
             }
@@ -1035,15 +966,14 @@ mod tests {
             let (first, before) = broadcast(&values, L);
             let mut scratch = DigestScratch::default();
             let out = outcome(
-                &rule,
                 &mut cache,
-                lent!(),
+                Some(lent!()),
                 &scratch.digest(&first),
                 Some(t(0.0)),
             );
             assert!(out.invalidated.is_empty(), "{}", context("report 1"));
             assert_eq!(last_unmatched, 0);
-            let survivors = Cache::sorted_items(&cache);
+            let survivors = cache.items();
             assert_eq!(
                 tracked,
                 book(&survivors),
@@ -1055,7 +985,7 @@ mod tests {
             let fetched = rng.uniform_index(UNIVERSE);
             cache.insert(fetched, 0, t(L));
             rule.on_fetch(lent!(), fetched);
-            let cached = Cache::sorted_items(&cache);
+            let cached = cache.items();
             assert_eq!(tracked, book(&cached), "{}", context("fetch"));
 
             // Some cached copies go stale, and a few other items change.
@@ -1086,9 +1016,8 @@ mod tests {
                 .collect();
 
             let out = outcome(
-                &rule,
                 &mut cache,
-                lent!(),
+                Some(lent!()),
                 &scratch.digest(&second),
                 Some(t(L)),
             );
@@ -1100,7 +1029,7 @@ mod tests {
                 "{}",
                 context("report 2's unmatched count")
             );
-            let survivors = Cache::sorted_items(&cache);
+            let survivors = cache.items();
             assert_eq!(
                 tracked,
                 book(&survivors),
@@ -1120,9 +1049,10 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    /// A cache of copies `(item, stamp)`.
-    fn cache_of(copies: &[(ItemId, f64)]) -> Cache {
-        let mut cache = Cache::unbounded();
+    /// A row running `rule` over the universe, holding copies `(item,
+    /// stamp)`.
+    fn cache_of(rule: ReportRule, copies: &[(ItemId, f64)]) -> Row {
+        let mut cache = Row::universe(rule, UNIVERSE);
         for &(item, stamp) in copies {
             cache.insert(item, 0, t(stamp));
         }
@@ -1136,11 +1066,16 @@ mod tests {
     mod adaptive_ts {
         use super::*;
 
-        /// One adaptive report heard at `t_i` by a client (`L` = 10 s,
-        /// default window `k_0` intervals) that last heard one at `t_l`.
+        /// A client whose default window is `k_0` intervals, holding
+        /// copies `(item, stamp)`.
+        fn cache_of(k_0: u32, copies: &[(ItemId, f64)]) -> Row {
+            super::cache_of(ReportRule::adaptive_ts(SimDuration::from_secs(L), k_0), copies)
+        }
+
+        /// One adaptive report heard at `t_i` by a client (`L` = 10 s)
+        /// that last heard one at `t_l`.
         fn hear(
-            cache: &mut Cache,
-            k_0: u32,
+            cache: &mut Row,
             t_i: f64,
             entries: &[(u64, f64)],
             window_exceptions: &[(u64, u32)],
@@ -1152,9 +1087,8 @@ mod tests {
                 window_exceptions: window_exceptions.to_vec(),
             };
             outcome(
-                &ReportRule::adaptive_ts(SimDuration::from_secs(L), k_0),
                 cache,
-                Lent::Nothing,
+                None,
                 &DigestScratch::default().digest(&payload),
                 t_l.map(t),
             )
@@ -1167,8 +1101,8 @@ mod tests {
         #[test]
         fn a_twice_listed_id_is_judged_by_its_newest_entry() {
             for entries in [[(5, 30.0), (5, 10.0)], [(5, 10.0), (5, 30.0)]] {
-                let mut c = cache_of(&[(5, 20.0)]);
-                let out = hear(&mut c, 2, 40.0, &entries, &[], Some(30.0));
+                let mut c = cache_of(2, &[(5, 20.0)]);
+                let out = hear(&mut c, 40.0, &entries, &[], Some(30.0));
                 assert_eq!(out.invalidated, vec![5], "{entries:?}");
                 assert!(c.is_empty());
             }
@@ -1177,9 +1111,9 @@ mod tests {
         #[test]
         fn per_item_gap_check() {
             // Item 1 on the default w = 20, item 2 on w = 100.
-            let mut c = cache_of(&[(1, 10.0), (2, 10.0)]);
+            let mut c = cache_of(2, &[(1, 10.0), (2, 10.0)]);
             // Gap = 40 − 10 = 30 > 20 for item 1, but ≤ 100 for item 2.
-            let out = hear(&mut c, 2, 40.0, &[], &[(2, 10)], Some(10.0));
+            let out = hear(&mut c, 40.0, &[], &[(2, 10)], Some(10.0));
             assert_eq!(out.invalidated, vec![1]);
             assert!(!out.dropped_all, "the per-item check subsumes the whole-cache drop");
             assert!(c.contains(2));
@@ -1187,17 +1121,17 @@ mod tests {
 
         #[test]
         fn infinite_window_survives_any_nap() {
-            let mut c = cache_of(&[(7, 10.0)]);
+            let mut c = cache_of(1, &[(7, 10.0)]);
             let forever = [(7, INFINITE_WINDOW)];
-            let out = hear(&mut c, 1, 1_000_000.0, &[], &forever, Some(10.0));
+            let out = hear(&mut c, 1_000_000.0, &[], &forever, Some(10.0));
             assert!(out.invalidated.is_empty());
             assert!(c.contains(7));
         }
 
         #[test]
         fn timestamp_comparison_still_applies() {
-            let mut c = cache_of(&[(3, 10.0)]);
-            let out = hear(&mut c, 10, 20.0, &[(3, 15.0)], &[], Some(10.0));
+            let mut c = cache_of(10, &[(3, 10.0)]);
+            let out = hear(&mut c, 20.0, &[(3, 15.0)], &[], Some(10.0));
             assert_eq!(out.invalidated, vec![3]);
         }
 
@@ -1205,8 +1139,8 @@ mod tests {
         fn zero_window_item_dropped_on_any_gap() {
             // A zero-window item is never reported, so the client cannot
             // trust it across a report boundary at all.
-            let mut c = cache_of(&[(4, 10.0)]);
-            let out = hear(&mut c, 5, 20.0, &[], &[(4, 0)], Some(10.0));
+            let mut c = cache_of(5, &[(4, 10.0)]);
+            let out = hear(&mut c, 20.0, &[], &[(4, 0)], Some(10.0));
             assert_eq!(out.invalidated, vec![4]);
         }
 
@@ -1218,10 +1152,10 @@ mod tests {
             // w = 20, whatever the report before it said.
             let long = [(1, 50), (2, 50)];
             for (exceptions, dropped) in [(&long[..], vec![]), (&[][..], vec![1, 2])] {
-                let mut c = cache_of(&[(1, 10.0), (2, 10.0)]);
-                let first = hear(&mut c, 2, 20.0, &[], &long, Some(10.0));
+                let mut c = cache_of(2, &[(1, 10.0), (2, 10.0)]);
+                let first = hear(&mut c, 20.0, &[], &long, Some(10.0));
                 assert!(first.invalidated.is_empty());
-                let out = hear(&mut c, 2, 110.0, &[], exceptions, Some(20.0));
+                let out = hear(&mut c, 110.0, &[], exceptions, Some(20.0));
                 assert_eq!(out.invalidated, dropped, "{exceptions:?}");
             }
         }
@@ -1230,11 +1164,16 @@ mod tests {
     mod quasi_delay {
         use super::*;
 
-        /// One report naming `entries`, heard at `t_i` by a client with
-        /// `α = alpha·L` (`L` = 10 s) that last heard one at `t_l`.
+        /// A client with `α = alpha·L` (`L` = 10 s), holding copies
+        /// `(item, stamp)`.
+        fn cache_of(alpha: u64, copies: &[(ItemId, f64)]) -> Row {
+            super::cache_of(ReportRule::quasi_delay(SimDuration::from_secs(L), alpha), copies)
+        }
+
+        /// One report naming `entries`, heard at `t_i` by a client that
+        /// last heard one at `t_l`.
         fn hear(
-            alpha: u64,
-            cache: &mut Cache,
+            cache: &mut Row,
             t_i: f64,
             entries: &[(u64, f64)],
             t_l: f64,
@@ -1244,9 +1183,8 @@ mod tests {
                 entries: micros(entries),
             };
             outcome(
-                &ReportRule::quasi_delay(SimDuration::from_secs(L), alpha),
                 cache,
-                Lent::Nothing,
+                None,
                 &DigestScratch::default().digest(&payload),
                 Some(t(t_l)),
             )
@@ -1254,8 +1192,8 @@ mod tests {
 
         #[test]
         fn young_entries_keep_their_lag_clock() {
-            let mut c = cache_of(&[(1, 10.0)]);
-            let out = hear(3, &mut c, 20.0, &[], 10.0);
+            let mut c = cache_of(3, &[(1, 10.0)]);
+            let out = hear(&mut c, 20.0, &[], 10.0);
             // Age 10 < α = 30: kept, timestamp untouched (lag clock
             // running).
             assert!(out.invalidated.is_empty());
@@ -1264,40 +1202,359 @@ mod tests {
 
         #[test]
         fn over_alpha_unreported_is_revalidated() {
-            let mut c = cache_of(&[(1, 10.0)]);
+            let mut c = cache_of(2, &[(1, 10.0)]);
             // Heard every report; at T=30 the age reaches exactly α = 20
             // — the due instant — with the item absent from the report →
             // keep and restamp to T=30 (the lag clock restarts).
             for t_i in [20.0, 30.0, 40.0] {
-                hear(2, &mut c, t_i, &[], t_i - 10.0);
+                hear(&mut c, t_i, &[], t_i - 10.0);
             }
             assert_eq!(c.peek(1).unwrap().timestamp, t(30.0));
         }
 
         #[test]
         fn over_alpha_reported_is_dropped() {
-            let mut c = cache_of(&[(1, 10.0)]);
-            let out = hear(2, &mut c, 40.0, &[(1, 35.0)], 30.0);
+            let mut c = cache_of(2, &[(1, 10.0)]);
+            let out = hear(&mut c, 40.0, &[(1, 35.0)], 30.0);
             assert_eq!(out.invalidated, vec![1]);
         }
 
         #[test]
         fn sleeper_over_alpha_drops_conservatively() {
-            let mut c = cache_of(&[(1, 10.0)]);
+            let mut c = cache_of(2, &[(1, 10.0)]);
             // Slept from 20 to 50 (gap 30 > L): over-α entries must go
             // even though this report does not name them.
-            let out = hear(2, &mut c, 50.0, &[], 20.0);
+            let out = hear(&mut c, 50.0, &[], 20.0);
             assert_eq!(out.invalidated, vec![1]);
             assert!(!out.dropped_all);
         }
 
         #[test]
         fn sleeper_under_alpha_keeps_entry() {
-            let mut c = cache_of(&[(1, 10.0)]);
+            let mut c = cache_of(10, &[(1, 10.0)]);
             // Slept 20→50; age 40 < α = 100: the delay condition holds.
-            let out = hear(10, &mut c, 50.0, &[], 20.0);
+            let out = hear(&mut c, 50.0, &[], 20.0);
             assert!(out.invalidated.is_empty());
             assert!(c.contains(1));
+        }
+    }
+
+    /// The strategies' walks, one report at a time, over a row that
+    /// keeps its own tracking state between reports.
+    mod one_report_at_a_time {
+        use super::*;
+        use sw_server::{Database, HotSet, SignatureVector};
+
+        /// The row's rule applied to `payload` against `t_l`, lending
+        /// the row's own tracking state.
+        fn process(row: &mut Row, payload: &FramePayload, t_l: Option<SimTime>) -> ProcessOutcome {
+            outcome(row, None, &DigestScratch::default().digest(payload), t_l)
+        }
+
+        fn ts_report(t_i: f64, entries: Vec<(u64, f64)>) -> FramePayload {
+            FramePayload::TimestampReport {
+                report_ts_micros: (t_i * 1e6) as u64,
+                entries: entries
+                    .into_iter()
+                    .map(|(i, t)| (i, (t * 1e6) as u64))
+                    .collect(),
+            }
+        }
+
+        fn at_report(t_i: f64, ids: Vec<u64>) -> FramePayload {
+            FramePayload::AmnesicReport {
+                report_ts_micros: (t_i * 1e6) as u64,
+                ids,
+            }
+        }
+
+        #[test]
+        fn ts_drops_updated_item() {
+            let mut c = Row::universe(ReportRule::ts(SimDuration::from_secs(10.0), 10), UNIVERSE);
+            c.insert(1, 10, SimTime::from_secs(10.0));
+            c.insert(2, 20, SimTime::from_secs(10.0));
+            // Item 1 changed at t = 15 > its cache stamp.
+            let out = process(
+                &mut c,
+                &ts_report(20.0, vec![(1, 15.0)]),
+                Some(SimTime::from_secs(10.0)),
+            );
+            assert_eq!(out.invalidated, vec![1]);
+            assert!(!c.contains(1));
+            assert!(c.contains(2));
+            // Survivor restamped to T_i.
+            assert_eq!(c.peek(2).unwrap().timestamp, SimTime::from_secs(20.0));
+        }
+
+        #[test]
+        fn ts_keeps_item_updated_before_fetch() {
+            // Cache stamped at 16 (uplink fetch), item's last change was 15:
+            // the cached copy already reflects it.
+            let mut c = Row::universe(ReportRule::ts(SimDuration::from_secs(10.0), 10), UNIVERSE);
+            c.insert(1, 99, SimTime::from_secs(16.0));
+            let out = process(
+                &mut c,
+                &ts_report(20.0, vec![(1, 15.0)]),
+                Some(SimTime::from_secs(10.0)),
+            );
+            assert!(out.invalidated.is_empty());
+            assert!(c.contains(1));
+        }
+
+        #[test]
+        fn ts_window_gap_drops_cache() {
+            let mut c = Row::universe(ReportRule::ts(SimDuration::from_secs(10.0), 2), UNIVERSE); // w = 20
+            c.insert(1, 10, SimTime::from_secs(10.0));
+            // Last report heard at 10; this one at 40: gap 30 > 20.
+            let out = process(&mut c, &ts_report(40.0, vec![]), Some(SimTime::from_secs(10.0)));
+            assert!(out.dropped_all);
+            assert!(c.is_empty());
+        }
+
+        #[test]
+        fn ts_gap_exactly_w_is_kept() {
+            let mut c = Row::universe(ReportRule::ts(SimDuration::from_secs(10.0), 2), UNIVERSE); // w = 20
+            c.insert(1, 10, SimTime::from_secs(10.0));
+            let out = process(&mut c, &ts_report(30.0, vec![]), Some(SimTime::from_secs(10.0)));
+            assert!(!out.dropped_all);
+            assert!(c.contains(1));
+        }
+
+        #[test]
+        fn at_drops_reported_ids() {
+            let mut c = Row::universe(ReportRule::at(SimDuration::from_secs(10.0)), UNIVERSE);
+            c.insert(1, 10, SimTime::from_secs(10.0));
+            c.insert(2, 20, SimTime::from_secs(10.0));
+            let out = process(&mut c, &at_report(20.0, vec![1, 5]), Some(SimTime::from_secs(10.0)));
+            assert_eq!(out.invalidated, vec![1]);
+            assert!(c.contains(2));
+        }
+
+        #[test]
+        fn at_missed_report_drops_cache() {
+            let mut c = Row::universe(ReportRule::at(SimDuration::from_secs(10.0)), UNIVERSE);
+            c.insert(1, 10, SimTime::from_secs(10.0));
+            // Heard the report at 10, slept through 20, hears 30: gap 20 > L.
+            let out = process(&mut c, &at_report(30.0, vec![]), Some(SimTime::from_secs(10.0)));
+            assert!(out.dropped_all);
+            assert!(c.is_empty());
+        }
+
+        #[test]
+        fn at_consecutive_reports_keep_cache() {
+            let mut c = Row::universe(ReportRule::at(SimDuration::from_secs(10.0)), UNIVERSE);
+            c.insert(1, 10, SimTime::from_secs(10.0));
+            let out = process(&mut c, &at_report(20.0, vec![]), Some(SimTime::from_secs(10.0)));
+            assert!(!out.dropped_all);
+            assert!(c.contains(1));
+            assert_eq!(c.peek(1).unwrap().timestamp, SimTime::from_secs(20.0));
+        }
+
+        #[test]
+        fn first_report_with_empty_cache_is_clean() {
+            let latency = SimDuration::from_secs(10.0);
+            let mut ts = Row::universe(ReportRule::ts(latency, 5), UNIVERSE);
+            let mut at = Row::universe(ReportRule::at(latency), UNIVERSE);
+            assert!(!process(&mut ts, &ts_report(10.0, vec![]), None).dropped_all);
+            assert!(!process(&mut at, &at_report(10.0, vec![]), None).dropped_all);
+        }
+
+        #[test]
+        fn nc_never_retains() {
+            // Whatever kind of report is on the air: NC reads only `T_i`.
+            let hybrid = FramePayload::HybridReport {
+                report_ts_micros: 10_000_000,
+                hot_ids: vec![1],
+                sig_bits: 16,
+                signatures: Arc::new(vec![0; 4]),
+            };
+            for payload in [at_report(10.0, vec![]), ts_report(10.0, vec![]), hybrid] {
+                let mut c = Row::universe(ReportRule::NoCache, UNIVERSE);
+                c.insert(1, 1, SimTime::ZERO);
+                let out = process(&mut c, &payload, None);
+                assert!(c.is_empty());
+                assert_eq!(out.report_time, SimTime::from_secs(10.0));
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "TS rule fed a report it cannot process")]
+        fn ts_rejects_wrong_payload() {
+            let mut c = Row::universe(ReportRule::ts(SimDuration::from_secs(10.0), 5), UNIVERSE);
+            process(&mut c, &at_report(10.0, vec![]), None);
+        }
+
+        /// A SIG/HYB server's signatures over `n` items (item `i` valued
+        /// `i + base`), beside the rule a client of that server applies.
+        fn sig_setup(
+            n: u64,
+            base: u64,
+            seed: u64,
+            hot: HotSet,
+            rule: impl FnOnce(SyndromeDecoder) -> ReportRule,
+        ) -> (Database, SignatureVector, Row) {
+            let db = Database::new(n, |i| i + base, SimDuration::from_secs(1e6));
+            let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
+            let decoder = SyndromeDecoder::new(SubsetFamily::new(seed, plan.m, plan.f), plan);
+            let sigs = SignatureVector::new(decoder.clone(), hot, &db);
+            (db, sigs, Row::universe(rule(decoder), n))
+        }
+
+        mod hybrid {
+            use super::*;
+
+            fn setup() -> (Database, SignatureVector, Row) {
+                sig_setup(300, 9000, 0xCAFE, HotSet::top_by_rank(20), |decoder| {
+                    ReportRule::hybrid(
+                        SimDuration::from_secs(10.0),
+                        HotSet::top_by_rank(20),
+                        decoder,
+                    )
+                })
+            }
+
+            /// The HYB report at `t` listing the hot updates `hot_ids`.
+            fn report(sigs: &SignatureVector, t: f64, hot_ids: Vec<u64>) -> FramePayload {
+                FramePayload::HybridReport {
+                    report_ts_micros: SimTime::from_secs(t).as_micros(),
+                    hot_ids,
+                    sig_bits: sigs.sig_bits(),
+                    signatures: sigs.snapshot(),
+                }
+            }
+
+            #[test]
+            fn hot_item_follows_at_rules() {
+                let (mut db, mut sigs, mut c) = setup();
+                process(&mut c, &report(&sigs, 10.0, vec![]), None);
+                c.insert(5, db.value(5), SimTime::from_secs(10.0)); // hot
+                c.insert(100, db.value(100), SimTime::from_secs(10.0)); // cold
+                // Hot item updated in interval 2.
+                sigs.patch(&db.apply_update(5, 777, SimTime::from_secs(15.0)));
+                let r2 = report(&sigs, 20.0, vec![5]);
+                let out = process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
+                assert_eq!(out.invalidated, vec![5]);
+                assert!(c.contains(100));
+            }
+
+            #[test]
+            fn missed_report_drops_hot_but_not_cold() {
+                let (db, sigs, mut c) = setup();
+                process(&mut c, &report(&sigs, 10.0, vec![]), None);
+                c.insert(5, db.value(5), SimTime::from_secs(10.0)); // hot
+                c.insert(100, db.value(100), SimTime::from_secs(10.0)); // cold
+                // Track cold subsets by hearing report 2, then nap through 3.
+                let r2 = report(&sigs, 20.0, vec![]);
+                process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
+                let r4 = report(&sigs, 40.0, vec![]);
+                let out = process(&mut c, &r4, Some(SimTime::from_secs(20.0)));
+                assert!(out.invalidated.contains(&5), "hot items are amnesic");
+                assert!(c.contains(100), "cold items ride the signatures");
+            }
+
+            #[test]
+            fn cold_update_diagnosed_after_nap() {
+                let (mut db, mut sigs, mut c) = setup();
+                process(&mut c, &report(&sigs, 10.0, vec![]), None);
+                for i in 100..110 {
+                    c.insert(i, db.value(i), SimTime::from_secs(10.0));
+                }
+                let r2 = report(&sigs, 20.0, vec![]);
+                process(&mut c, &r2, Some(SimTime::from_secs(10.0)));
+                sigs.patch(&db.apply_update(105, 31337, SimTime::from_secs(33.0)));
+                // Nap through report 3; wake at 5.
+                let r5 = report(&sigs, 50.0, vec![]);
+                let out = process(&mut c, &r5, Some(SimTime::from_secs(20.0)));
+                assert!(out.invalidated.contains(&105));
+                assert!(c.contains(104), "untouched cold neighbours survive");
+            }
+        }
+
+        mod sig {
+            use super::*;
+
+            fn setup(n: u64) -> (Database, SignatureVector, Row) {
+                sig_setup(n, 5000, 0xFEED, HotSet::default(), |decoder| {
+                    ReportRule::Sig { decoder }
+                })
+            }
+
+            /// The SIG report at `t`.
+            fn report(sigs: &SignatureVector, t: f64) -> FramePayload {
+                FramePayload::SignatureReport {
+                    report_ts_micros: SimTime::from_secs(t).as_micros(),
+                    sig_bits: sigs.sig_bits(),
+                    signatures: sigs.snapshot(),
+                }
+            }
+
+            #[test]
+            fn survives_sleep_and_detects_change() {
+                let (mut db, mut sigs, mut c) = setup(300);
+                // Hear report 1, cache items 0..20.
+                process(&mut c, &report(&sigs, 10.0), None);
+                for i in 0..20 {
+                    c.insert(i, db.value(i), SimTime::from_secs(10.0));
+                }
+                // Track the subsets by hearing report 2.
+                let out = process(&mut c, &report(&sigs, 20.0), Some(SimTime::from_secs(10.0)));
+                assert!(out.invalidated.is_empty());
+                // Sleep through reports 3..7 while item 5 changes.
+                sigs.patch(&db.apply_update(5, 123_456, SimTime::from_secs(42.0)));
+                // Wake for report 8 — SIG does NOT drop the cache on a gap.
+                let out = process(&mut c, &report(&sigs, 80.0), Some(SimTime::from_secs(20.0)));
+                assert!(out.invalidated.contains(&5), "stale item must be caught");
+                assert!(c.contains(6), "untouched items survive the nap");
+            }
+
+            #[test]
+            fn no_updates_no_invalidation() {
+                let (db, sigs, mut c) = setup(300);
+                process(&mut c, &report(&sigs, 10.0), None);
+                for i in 0..30 {
+                    c.insert(i, db.value(i), SimTime::from_secs(10.0));
+                }
+                process(&mut c, &report(&sigs, 20.0), Some(SimTime::from_secs(10.0)));
+                let out = process(&mut c, &report(&sigs, 30.0), Some(SimTime::from_secs(20.0)));
+                assert!(out.invalidated.is_empty());
+                assert_eq!(c.len(), 30);
+            }
+
+            #[test]
+            fn tracking_scopes_to_cache() {
+                let (db, sigs, mut c) = setup(300);
+                c.insert(7, db.value(7), SimTime::from_secs(5.0));
+                process(&mut c, &report(&sigs, 10.0), None);
+                let with_item = c.store.tracked_subsets(0);
+                assert!(with_item > 0);
+                c.clear();
+                process(&mut c, &report(&sigs, 20.0), Some(SimTime::from_secs(10.0)));
+                assert_eq!(c.store.tracked_subsets(0), 0);
+            }
+
+            /// A decode over every item tracks every subset that holds one,
+            /// and the mask's last word keeps its bits at and above `m`
+            /// clear.
+            #[test]
+            fn a_full_cache_decode_sets_no_bit_at_or_above_m() {
+                let n = 300;
+                let (db, sigs, mut c) = setup(n);
+                let decoder = c.store.rule().decoder().expect("SIG decodes").clone();
+                let m = decoder.plan().m;
+                assert_ne!(m % 64, 0, "the last word must have bits above m");
+                for i in 0..n {
+                    c.insert(i, db.value(i), SimTime::from_secs(5.0));
+                }
+                process(&mut c, &report(&sigs, 10.0), None);
+                assert_eq!(c.len(), n as usize, "nothing changed, nothing drops");
+                let nonempty = (0..m)
+                    .filter(|&j| (0..n).any(|i| decoder.family().contains(j, i)))
+                    .count();
+                assert_eq!(c.store.tracked_subsets(0), nonempty);
+                let tracked = c.tracked();
+                assert_eq!(tracked.len(), (m as usize).div_ceil(64));
+                assert_eq!(tracked.last().map(|w| w >> (m % 64)), Some(0));
+            }
         }
     }
 }

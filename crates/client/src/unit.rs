@@ -1,4 +1,4 @@
-//! One unit's interval bookkeeping, written once for every client store.
+//! One unit's interval bookkeeping, written once.
 //!
 //! Figure 2 (§2) fixes what a unit does each interval: queries posed in
 //! `(T_{i−1}, T_i]` wait for the report at `T_i`, hearing it moves `T_l`
@@ -6,13 +6,10 @@
 //! takes beside the cache — the stats, `T_l`, the awake flag, the
 //! waiting queries' count and latency sums, the query count law and the
 //! sleep process — and its methods are the only text of each step. It
-//! is plain data, no heap buffer, so a fleet of them is one flat
-//! vector. The boxed [`MobileUnit`](crate::MobileUnit) holds one; the
-//! columnar fleet in `sleepers` holds one per client in a vector beside
-//! its slot columns. The stores differ only in where the cache and the
-//! pending set live, so they hand each step the part that lives with
-//! them: a pose sink, a rule's outcome, a hit, a miss with its
-//! [`GhostFate`].
+//! is plain data, no heap buffer, so the [`SlotStore`](crate::SlotStore)
+//! keeps one per row in one flat vector beside its slot columns, and
+//! hands each step the part that lives in the columns: a pose sink, a
+//! rule's outcome, a hit, a miss with its [`GhostFate`].
 //!
 //! Queries are drawn by their law, not arrival by arrival (§4): a
 //! window's count is Poisson, and given the count the pose times are

@@ -36,28 +36,26 @@ pub enum WakeMode {
     Heap,
 }
 
-/// Which storage layout holds the client fleet's mutable state.
+/// Which owner holds the cell's client store.
 ///
-/// Both layouts simulate the identical model and produce bit-identical
-/// reports (pinned by the equivalence suite); the choice is purely a
-/// memory-layout/performance trade.
+/// Every client cache is a row of one `sw_client::SlotStore`, and both
+/// owners run its one install path and its one apply-and-answer path,
+/// so they produce bit-identical reports (pinned by the equivalence
+/// suite); they differ in what they keep beside the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetBackend {
-    /// One [`sw_client::MobileUnit`] struct per client: caches are
-    /// per-client item tables, each unit holds its own
-    /// [`sw_client::RuleHandler`]. It hosts every standalone cell, and
+    /// One [`sw_client::MobileUnit`] per client — a one-row store — in
+    /// a seat with its streams. It hosts every standalone cell, and
     /// alone hosts the query plane; mesh shards, whose handoffs move a
     /// client's row of the columns, run columnar. The refusals are listed
     /// once, in the docs of the crate-private `Fleet::new`.
     Units,
-    /// Struct-of-arrays: per-item cache timestamps, values, and
+    /// One store with a row per client: cache timestamps, values, and
     /// validity bitmaps for *all* clients live in dense parallel
     /// vectors strided by the hotspot size (a client can only ever
-    /// cache items it queries, and it only queries its hotspot), with
-    /// per-client strategy state held in typed columns instead of
-    /// per-unit handlers. One report sweep is a cache-friendly linear
-    /// scan, and memory scales with `clients × hotspot` instead of
-    /// `clients × n_items` — the layout that makes 10⁵–10⁶-client
+    /// cache items it queries, and it only queries its hotspot). One
+    /// report sweep is a cache-friendly linear scan, and memory scales
+    /// with `clients × hotspot` — the layout that makes 10⁵–10⁶-client
     /// cells tractable.
     Columnar,
 }

@@ -3,31 +3,29 @@
 //! `sweep`, `install_answer`, `close_interval` — on payloads and
 //! schedules the cell driver never produces.
 //!
-//! `tests/columnar_equivalence.rs` only ever feeds both stores what
-//! `ServerDriver` builds (ascending, unique), so the
-//! `ProcessOutcome::invalidated` ordering contract, the duplicate-id
-//! verdicts and the gap rule at its exact boundary are pinned here, for
-//! every rule, where a payload can be hand-built: unsorted, with
-//! duplicated ids, with ids outside every hot spot. Both stores apply
-//! the same `ReportRule`; what can differ is the `CacheSlots` store
-//! under it and the answer loop around it. Every row compares each
-//! cached entry's `(item, value, stamp)` too: the columns store install
-//! stamps and derive validity from `T_l` (quasi-delay's restamp writes
-//! its slot), the seat restamps, and the two must read the same — and
-//! every uplink's piggybacked hit history, which only Method 1 carries.
-//! The remaining rows pin what the seat and the columns each keep
-//! beside the cache: sleep-run settlement across a stats reset, the
-//! never-wake sentinel, the Zipf pick's stream discipline, the pending
-//! set across missed reports, the SIG subsets a fetch tracks and the
-//! size of the SIG columns — and, on a bare slot block, that a heard
-//! report reads only `report ∩ cache`, and that quasi-delay's kept
-//! copies keep their stamps. The last row moves one client's row of the
-//! columns between two fleets, as a mesh handoff does. `summary`
-//! carries each store's tracked-subset count, so every row that compares
-//! summaries also compares what the two stores vouch for.
+//! Both owners run one client store (`sw_client::SlotStore`): the seat
+//! a one-row store inside its `MobileUnit`, the columns a row of the
+//! fleet's. What the rows below pin is that the owners drive it alike —
+//! the same phase calls reach the same row code with the same streams —
+//! on hand-built payloads: unsorted, with duplicated ids, with ids
+//! outside every hot spot, the gap rule at its exact boundary, for
+//! every rule. Every row compares each cached entry's `(item, value,
+//! stamp)` too, and every uplink's piggybacked hit history, which only
+//! Method 1 carries. The remaining rows pin what the seat and the
+//! columns each keep beside the store: sleep-run settlement across a
+//! stats reset, the never-wake sentinel, the Zipf pick's stream
+//! discipline, the pending set across missed reports, the SIG subsets
+//! a fetch tracks. The last row moves one client's row between two
+//! fleets, as a mesh handoff does. `summary` carries each owner's
+//! tracked-subset count, so every row that compares summaries also
+//! compares what the two vouch for. The store's own columns — the SIG
+//! columns' size, the slot block's walks, a moved row column by column
+//! — are pinned in `sw_client::store`'s tests.
 
-use sw_client::{Cache, DigestScratch, MobileUnit, MuConfig, ProcessOutcome, RuleHandler};
-use sw_server::{GroupMap, HotSet};
+use std::sync::Arc;
+
+use sw_client::{DigestScratch, MobileUnit, MuConfig, ProcessOutcome, ReplacementPolicy};
+use sw_server::{GroupMap, HotSet, PiggybackInfo};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, PoissonCount, StreamId};
 use sw_wireless::frame::INFINITE_WINDOW;
@@ -132,14 +130,15 @@ impl Fleet {
         let [swept] = &out.items[..] else {
             panic!("one listener, one item")
         };
+        let (heard, lists) = (&swept.heard, &out.lists);
         let outcome = ProcessOutcome {
             report_time: digest.report_time(),
-            dropped_all: swept.dropped_all,
-            invalidated: out.invalidated[swept.invalidated.clone()].to_vec(),
+            dropped_all: heard.dropped_all,
+            invalidated: lists.invalidated[heard.invalidated.clone()].to_vec(),
         };
-        let uplink = out.uplinks[swept.uplinks.clone()].to_vec();
+        let uplink = lists.uplinks[heard.uplinks.clone()].to_vec();
         // Parallel to the uplinks when the client piggybacks, else empty.
-        let piggybacks = out.piggybacks.clone();
+        let piggybacks = lists.piggybacks.clone();
         assert!(piggybacks.is_empty() || piggybacks.len() == uplink.len());
         for &item in &uplink {
             let answer = QueryAnswer {
@@ -156,10 +155,8 @@ impl Fleet {
     /// of its row of the mask (0 for the rules that track none).
     fn tracked_subsets(&self, idx: usize) -> usize {
         match self {
-            Fleet::Units(seats) => seats[idx].unit().handler().tracked_subsets(),
-            Fleet::Columnar(fleet) => fleet.sig.as_ref().map_or(0, |s| {
-                SigTrack::count(&s.tracked[idx * s.words..(idx + 1) * s.words])
-            }),
+            Fleet::Units(seats) => seats[idx].unit().tracked_subsets(),
+            Fleet::Columnar(fleet) => fleet.store.tracked_subsets(idx),
         }
     }
 
@@ -224,8 +221,7 @@ fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Opti
             piggyback_hits: kind == Kind::M1,
             item_universe: Some(UNIVERSE),
         };
-        let handler = RuleHandler::new(rule(kind));
-        let mu = MobileUnit::new(config, handler, streams.query_rng());
+        let mu = MobileUnit::new(config, rule(kind), streams.query_rng());
         Fleet::Units(vec![ClientSeat::seated(mu, streams, None)])
     }
 }
@@ -430,7 +426,7 @@ fn the_seats_of_a_units_sig_cell_share_one_subset_list_table() {
         panic!("a forced Units fleet is boxed seats");
     };
     let decoder = |seat: &ClientSeat| {
-        let rule = seat.unit().handler().rule();
+        let rule = seat.unit().rule();
         rule.decoder().expect("SIG rules decode").clone()
     };
     let (first, last) = (decoder(&seats[0]), decoder(&seats[2]));
@@ -689,237 +685,10 @@ fn a_fetch_tracks_its_items_subsets_and_hyb_only_a_cold_items() {
     }
 }
 
-/// The SIG columns hold one mask word per 64 subsets per client, and
-/// no per-subset value: the values are the last report's.
-#[test]
-fn a_sig_columnar_fleet_holds_one_mask_bit_per_subset_per_client() {
-    let n = 5;
-    let mut fleet = ColumnarFleet::new(HOTSPOT.len(), n as usize, rule(Kind::Sig), None, false);
-    for index in 0..n {
-        fleet.push_client(streams(index, 0.0, None), LAMBDA);
-    }
-    // Exhaustive, so a column added to the SIG state fails to compile
-    // here until this row sizes it.
-    let SigColumns {
-        words,
-        tracked,
-        last_report,
-        last_unmatched,
-    } = fleet.sig.as_ref().expect("a SIG fleet tracks signatures");
-    let m = decoder().plan().m as usize;
-    assert_eq!(*words, m.div_ceil(64));
-    assert_eq!(tracked.len(), n as usize * words);
-    assert_eq!(last_report.len(), n as usize);
-    assert_eq!(last_unmatched.len(), n as usize);
-}
-
-/// One TS report applied to `cache` through `drop_listed`, with a
-/// counting `stale`: the ids dropped and how often `stale` ran.
-fn hear_counted<C: CacheSlots>(
-    cache: &mut C,
-    t_i: f64,
-    entries: &[(u64, f64)],
-) -> (Vec<ItemId>, u32) {
-    let payload = FramePayload::TimestampReport {
-        report_ts_micros: secs(t_i),
-        entries: entries.iter().map(|&(id, t)| (id, secs(t))).collect(),
-    };
-    let mut scratch = DigestScratch::default();
-    let digest = scratch.digest(&payload);
-    let (mut calls, mut dropped) = (0, Vec::new());
-    cache.drop_listed(
-        digest.report_time(),
-        |item| digest.listed(item),
-        |item, stamp| {
-            calls += 1;
-            digest.ts_newer_than(item, stamp.as_micros())
-        },
-        &mut dropped,
-    );
-    (dropped, calls)
-}
-
-/// A slot block's cached ids, ascending.
-fn cached_items(block: &SlotBlock<'_>) -> Vec<ItemId> {
-    let words = block.valid.iter().enumerate();
-    words
-        .flat_map(|(w, &word)| set_bits(word, w * 64))
-        .map(|slot| block.items[slot])
-        .collect()
-}
-
-/// The mechanism, pinned by equality rather than timing: a full slot
-/// block hearing a TS report runs `stale` once per *listed cached* id —
-/// never for the uncached ids the report also lists — and writes no
-/// stamp, yet every survivor reads as verified at `T_i`; a later report
-/// naming a cached id with a newer `t_j` drops it, judged against that
-/// vouched stamp, not the install stamp. `sw_client::Cache` reaches the
-/// same outcome through `drop_listed`'s default body, restamping.
-#[test]
-fn drop_listed_runs_stale_only_on_report_and_cache_and_writes_no_stamp() {
-    let Fleet::Columnar(mut columns) = fleet(true, Kind::Ts, None, 0.0, None) else {
-        unreachable!("asked for the columnar store")
-    };
-    let mut boxed = Cache::unbounded();
-    let t_1 = report_time(1);
-    for item in HOTSPOT {
-        columns.install_answer(
-            0,
-            QueryAnswer {
-                item,
-                value: item + 1,
-                timestamp: t_1,
-            },
-        );
-        boxed.insert(item, item + 1, t_1);
-    }
-    let installed = columns.stamps.clone();
-    let mut block = SlotBlock {
-        items: &columns.slot_items,
-        valid: &mut columns.valid,
-        stamps: &mut columns.stamps,
-        vouches: true,
-        vouched: Some(t_1),
-        cached: &mut columns.cached[0],
-        ghosts: None,
-    };
-    assert_eq!(block.len(), HOTSPOT.len(), "the block is full");
-    // (T_i, the report's entries, (the ids it drops, `stale` calls))
-    let reports = [
-        // Cached 9 listed but not newer; 1, 2 and 500 listed, uncached.
-        (
-            20.0,
-            vec![(1, 15.0), (2, 18.0), (9, 5.0), (500, 19.0)],
-            (vec![], 1),
-        ),
-        // 64 changed after the vouched T = 20; 9's t_j = 15 is newer
-        // than its install stamp (10) but not than its validity (20).
-        (30.0, vec![(9, 15.0), (64, 25.0)], (vec![64], 2)),
-    ];
-    for (t_i, entries, want) in reports {
-        assert_eq!(
-            hear_counted(&mut block, t_i, &entries),
-            want,
-            "slot block at {t_i}"
-        );
-        assert_eq!(
-            hear_counted(&mut boxed, t_i, &entries),
-            want,
-            "boxed cache at {t_i}"
-        );
-        let survivors: Vec<(ItemId, SimTime)> = cached_items(&block)
-            .into_iter()
-            .map(|item| {
-                let slot = block.items.binary_search(&item).expect("a hotspot item");
-                (item, validity(block.stamps[slot], block.vouched))
-            })
-            .collect();
-        let boxed_survivors: Vec<(ItemId, SimTime)> = Cache::sorted_items(&boxed)
-            .into_iter()
-            .map(|item| (item, boxed.peek(item).expect("listed").timestamp))
-            .collect();
-        assert_eq!(survivors, boxed_survivors, "at {t_i}");
-        assert!(survivors.iter().all(|e| e.1 == SimTime::from_secs(t_i)));
-    }
-    assert_eq!(columns.stamps, installed, "the sweep wrote a stamp");
-}
-
-/// Quasi-delay over a bare slot block, which vouches for nothing: a copy
-/// younger than `α` is kept with its stamp running, a due copy the
-/// report does not name is restamped `T_i` in its slot, and a named one
-/// is dropped — after every report the same `(item, value, stamp)` as
-/// `sw_client::Cache` under the same rule.
-#[test]
-fn quasi_delay_keeps_stamps_running_and_restamps_its_slots() {
-    let Fleet::Columnar(mut columns) = fleet(true, Kind::Qd, None, 0.0, None) else {
-        unreachable!("asked for the columnar store")
-    };
-    assert!(!columns.vouches, "quasi-delay vouches for no survivor");
-    let mut boxed = Cache::unbounded();
-    // 0, 3 and 9 installed at T_1, the rest at T_2.
-    for item in HOTSPOT {
-        let stamp = report_time(if item < 10 { 1 } else { 2 });
-        let answer = QueryAnswer {
-            item,
-            value: item + 1,
-            timestamp: stamp,
-        };
-        columns.install_answer(0, answer);
-        boxed.insert(item, item + 1, stamp);
-    }
-    let rule = rule(Kind::Qd);
-    let mut block = SlotBlock {
-        items: &columns.slot_items,
-        valid: &mut columns.valid,
-        stamps: &mut columns.stamps,
-        vouches: false,
-        vouched: None,
-        cached: &mut columns.cached[0],
-        ghosts: None,
-    };
-    // (report i, its entries, the ids it drops, each survivor's stamp
-    // as the report interval that stamped it)
-    let reports = [
-        // The T_1 copies are due: 9 is named, 0 and 3 restamped; the
-        // T_2 copies are kept.
-        (
-            3,
-            vec![(9, 25.0)],
-            vec![9],
-            vec![(0, 3), (3, 3), (64, 2), (65, 2), (70, 2)],
-        ),
-        // The T_2 copies are due: 64 is named; 0 and 3 are kept on T_3
-        // although the report names 3.
-        (
-            4,
-            vec![(64, 35.0), (3, 36.0)],
-            vec![64],
-            vec![(0, 3), (3, 3), (65, 4), (70, 4)],
-        ),
-        (5, vec![(3, 45.0)], vec![3], vec![(0, 5), (65, 4), (70, 4)]),
-    ];
-    for (i, entries, want_dropped, want) in reports {
-        let payload = FramePayload::TimestampReport {
-            report_ts_micros: secs(LATENCY * i as f64),
-            entries: entries.iter().map(|&(id, t)| (id, secs(t))).collect(),
-        };
-        let mut scratch = DigestScratch::default();
-        let digest = scratch.digest(&payload);
-        let t_l = Some(report_time(i - 1));
-        let (mut dropped, mut boxed_dropped) = (Vec::new(), Vec::new());
-        let drop_all = rule.apply(&mut block, Lent::Nothing, &digest, t_l, &mut dropped);
-        let boxed_drop_all =
-            rule.apply(&mut boxed, Lent::Nothing, &digest, t_l, &mut boxed_dropped);
-        assert!(!drop_all && !boxed_drop_all, "report {i}");
-        assert_eq!(dropped, want_dropped, "slot block, report {i}");
-        assert_eq!(boxed_dropped, want_dropped, "boxed cache, report {i}");
-        let survivors: Vec<(ItemId, u64, SimTime)> = cached_items(&block)
-            .into_iter()
-            .map(|item| {
-                let slot = block.items.binary_search(&item).expect("a hotspot item");
-                (item, columns.values[slot], block.stamps[slot])
-            })
-            .collect();
-        let boxed_survivors: Vec<(ItemId, u64, SimTime)> = Cache::sorted_items(&boxed)
-            .into_iter()
-            .map(|item| {
-                let entry = boxed.peek(item).expect("listed");
-                (item, entry.value, entry.timestamp)
-            })
-            .collect();
-        assert_eq!(survivors, boxed_survivors, "report {i}");
-        let want: Vec<(ItemId, u64, SimTime)> = want
-            .into_iter()
-            .map(|(item, stamped)| (item, item + 1, report_time(stamped)))
-            .collect();
-        assert_eq!(survivors, want, "report {i}");
-    }
-}
-
-/// Method 1: a slot's hit history is the boxed unit's `PiggybackInfo`
-/// for the same queries — the hits since the item's last uplink, kept
-/// across the report that invalidates the copy and shipped with the
-/// miss that follows.
+/// Method 1: a slot's hit history is the uplink's `PiggybackInfo` on
+/// either owner for the same queries — the hits since the item's last
+/// uplink, kept across the report that invalidates the copy and shipped
+/// with the miss that follows.
 #[test]
 fn a_slots_hit_history_is_the_units_piggyback() {
     let [mut boxed, mut columnar] = both(Kind::M1, None, 0.0, None);
@@ -959,41 +728,23 @@ fn columns(fleet: &Fleet) -> &ColumnarFleet {
     }
 }
 
-/// Client `idx`'s row of every per-client column, each as text, in the
-/// order `move_row` moves them; the SIG share is compared by pointer
-/// instead.
+/// Client `idx`'s row as the fleet moves it: its streams, its wake
+/// mark, and what its row of the store reads as — the unit, the cached
+/// entries with their validity stamps, the pending count, the tracked
+/// subsets and the last unmatched count. (`sw_client::store`'s tests
+/// compare a moved row column by column.)
 fn row_of(fleet: &ColumnarFleet, idx: usize) -> Vec<(&'static str, String)> {
-    let slots = idx * fleet.h..(idx + 1) * fleet.h;
-    let words = idx * fleet.words..(idx + 1) * fleet.words;
-    let sig = fleet.sig.as_ref().expect("the fixture tracks signatures");
-    let cap = fleet.cap.as_ref().expect("the fixture bounds its caches");
-    let hit_times = fleet
-        .hit_times
-        .as_ref()
-        .expect("the fixture keeps hit histories");
+    let store = &fleet.store;
     let text = |column: &dyn std::fmt::Debug| format!("{column:?}");
+    let cached: Vec<_> = store.cache(idx).iter().collect();
     vec![
-        ("draw_slot", text(&&fleet.draw_slot[slots.clone()])),
-        ("slot_items", text(&&fleet.slot_items[slots.clone()])),
-        ("valid", text(&&fleet.valid[words.clone()])),
-        ("values", text(&&fleet.values[slots.clone()])),
-        ("stamps", text(&&fleet.stamps[slots.clone()])),
-        ("cached", text(&fleet.cached[idx])),
-        ("pending_mask", text(&&fleet.pending_mask[words])),
-        ("unit", text(&fleet.units[idx])),
         ("streams", text(&fleet.streams[idx])),
         ("next_wake", text(&fleet.next_wake[idx])),
-        (
-            "tracked",
-            text(&&sig.tracked[idx * sig.words..(idx + 1) * sig.words]),
-        ),
-        ("last_unmatched", text(&sig.last_unmatched[idx])),
-        ("last_used", text(&&cap.last_used[slots.clone()])),
-        ("use_count", text(&&cap.use_count[slots.clone()])),
-        ("ghost", text(&&cap.ghost[slots.clone()])),
-        ("ghost_stamps", text(&&cap.ghost_stamps[slots.clone()])),
-        ("clock", text(&cap.clock[idx])),
-        ("hit_times", text(&&hit_times[slots])),
+        ("unit", text(store.unit(idx))),
+        ("cached", text(&cached)),
+        ("pending", text(&store.pending_len(idx))),
+        ("tracked", text(&store.tracked_subsets(idx))),
+        ("last_unmatched", text(&store.last_unmatched(idx))),
     ]
 }
 
@@ -1041,7 +792,7 @@ fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
                 fleet.sweep(&everyone, &everyone, &digest, false, &mut out);
                 let [out] = out;
                 for swept in &out.items {
-                    for &item in &out.uplinks[swept.uplinks.clone()] {
+                    for &item in &out.lists.uplinks[swept.heard.uplinks.clone()] {
                         let answer = QueryAnswer {
                             item,
                             value: item + 1,
@@ -1057,32 +808,28 @@ fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
         }
     }
     let k = 1;
-    let (h, words) = (columns(&a).h, columns(&a).words);
     let before = row_of(columns(&a), k);
-    let share = Arc::clone(&columns(&a).sig.as_ref().unwrap().last_report[k]);
-    let carried = columns(&a).cached[k] as usize;
+    let carried = columns(&a).store.cache(k).len();
     assert!(carried > 0, "the traveler carries a cache");
-    let ghosts = &columns(&a).cap.as_ref().unwrap().ghost[k * h..(k + 1) * h];
-    assert!(ghosts.iter().any(Option::is_some), "and ghosts");
-    let pending = &columns(&a).pending_mask[k * words..(k + 1) * words];
-    assert!(pending.iter().any(|&w| w != 0), "and queries still waiting");
-    let sig = columns(&a).sig.as_ref().unwrap();
-    let tracked = &sig.tracked[k * sig.words..(k + 1) * sig.words];
-    assert!(SigTrack::count(tracked) > 0, "and tracked subsets");
+    assert!(columns(&a).store.unit(k).stats().evictions > 0, "and ghosts");
+    assert!(
+        columns(&a).store.pending_len(k) > 0,
+        "and queries still waiting"
+    );
+    assert!(
+        columns(&a).store.tracked_subsets(k) > 0,
+        "and tracked subsets"
+    );
     let entries_before = a.cached().len();
     // Built before the cut: the heap keeps the traveler's entry.
     let schedules = [WakeMode::Scan, WakeMode::Heap].map(|mode| WakeSchedule::new(mode, &a));
 
     let landed = a.shard_mut().move_row(k, b.shard_mut());
-    // A's slot is departed: no valid bits, zero stats, never woken,
-    // nothing cached.
+    // A's slot is departed: zero stats, never woken, nothing cached.
     assert!(a.is_departed(k));
     assert_eq!(a.stats(k), MuStats::default());
     assert_eq!(a.next_wake(k), u64::MAX);
-    assert!(columns(&a).valid[k * words..(k + 1) * words]
-        .iter()
-        .all(|&w| w == 0));
-    assert_eq!(columns(&a).cached[k], 0);
+    assert!(columns(&a).store.cache(k).is_empty());
     assert_eq!(a.cached().len(), entries_before - carried);
     for mut schedule in schedules {
         let mut awake = Vec::new();
@@ -1095,13 +842,9 @@ fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
             "the residents still wake"
         );
     }
-    // B's new row is A's old one, column by column.
+    // B's new row is A's old one.
     assert_eq!(landed, 2, "an arrival appends a slot");
     assert_eq!(row_of(columns(&b), landed), before);
-    assert!(Arc::ptr_eq(
-        &columns(&b).sig.as_ref().unwrap().last_report[landed],
-        &share
-    ));
 
     // Landing: asleep through the transit interval, arrived until it
     // hears a report; histories that agree keep the cache.
@@ -1113,20 +856,15 @@ fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
     assert_eq!(b.unit(landed).presence(), Presence::Arrived);
     assert!(!b.unit(landed).is_awake());
     assert!(b.next_wake(landed) > transit);
-    assert_eq!(columns(&b).cached[landed] as usize, carried);
-    // Diverged histories empty the row — entries and ghosts — and count
-    // one drop; an empty row has nothing to lose and counts none.
+    assert_eq!(columns(&b).store.cache(landed).len(), carried);
+    // Diverged histories empty the row and count one drop; an empty row
+    // has nothing to lose and counts none.
     let drops = b.stats(landed).cache_drops;
     assert!(
         b.shard_mut().land(landed, transit, false),
         "a carried cache is lost"
     );
-    assert_eq!(columns(&b).cached[landed], 0);
-    assert!(columns(&b).valid[landed * words..(landed + 1) * words]
-        .iter()
-        .all(|&w| w == 0));
-    let ghosts = &columns(&b).cap.as_ref().unwrap().ghost[landed * h..(landed + 1) * h];
-    assert!(ghosts.iter().all(Option::is_none));
+    assert!(columns(&b).store.cache(landed).is_empty());
     assert_eq!(b.stats(landed).cache_drops, drops + 1);
     assert!(
         !b.shard_mut().land(landed, transit, false),

@@ -1,7 +1,8 @@
 //! One seat per client: everything one boxed mobile unit is, and the
 //! interval protocol of Figure 2 written once.
 //!
-//! A [`ClientSeat`] owns a client's [`MobileUnit`], its
+//! A [`ClientSeat`] owns a client's [`MobileUnit`] (a one-row
+//! `SlotStore`, the columnar fleet's store with one row), its
 //! `ClientStreams` (query, sleep and Zipf streams and the
 //! settled-interval mark), its optional query-result plane, and its
 //! next-wake mark. It is built from a [`CellConfig`] in exactly one
@@ -21,15 +22,16 @@
 //! The same seat is what the boxed fleet stores and what
 //! `sw_live::LiveMu` wraps behind its sockets, so the two agree by
 //! construction. The columnar fleet offers the same phase methods over
-//! its columns, from the same two records per client: the [`UnitState`]
-//! a `MobileUnit` holds, and the `ClientStreams` a seat holds, whose
-//! `open` and `close` both stores call. So a per-client fact beside the
-//! cache is one field in one of those two structs.
+//! its rows of the same store, with the same `ClientStreams` per
+//! client, whose `open` and `close` both owners call. So hearing a
+//! report, answering the pending queries and installing an answer are
+//! one piece of code on every owner, and a per-client fact beside the
+//! store is one field of `ClientStreams`.
 
 use std::sync::Arc;
 
 use sw_client::{
-    IntervalReport, MobileUnit, MuConfig, ReportDigest, ReportRule, RuleHandler, UnitState,
+    Heard, IntervalReport, MobileUnit, MuConfig, ReportDigest, ReportRule, SweepLists, UnitState,
 };
 use sw_faults::FaultLayer;
 use sw_query::QueryPlane;
@@ -210,8 +212,7 @@ impl ClientSeat {
             piggyback_hits: piggybacks(strategy),
             item_universe: Some(params.n_items),
         };
-        let handler = RuleHandler::new(rule.clone());
-        let mu = MobileUnit::new(mu_config, handler, streams.query_rng());
+        let mu = MobileUnit::new(mu_config, rule.clone(), streams.query_rng());
         Self::seated(mu, streams, plane)
     }
 
@@ -278,10 +279,18 @@ impl ClientSeat {
         }
     }
 
-    /// Hears the report closing the interval and answers `Q_i`.
+    /// Hears the report closing the interval and answers `Q_i`, as its
+    /// own lists.
     #[inline]
     pub fn hear(&mut self, digest: &ReportDigest<'_>) -> IntervalReport {
         self.mu.hear_digest_and_answer(digest)
+    }
+
+    /// [`Self::hear`] into a sweep worker's lists (see
+    /// [`MobileUnit::hear_into`]).
+    #[inline]
+    pub fn hear_into(&mut self, digest: &ReportDigest<'_>, lists: &mut SweepLists) -> Heard {
+        self.mu.hear_into(digest, lists)
     }
 
     /// The query plane's footprint check against the item cache the

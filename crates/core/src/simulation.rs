@@ -44,7 +44,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use sw_client::{CapacityStats, DigestScratch, MuStats, Presence, ReportDigest};
+use sw_client::{CapacityStats, DigestScratch, MuStats, Presence, ReportDigest, SweepLists};
 use sw_faults::{FaultLayer, FaultTotals, ReportFate};
 use sw_observe::{Recorder, Value};
 use sw_query::{QueryPlane, QueryStats};
@@ -911,24 +911,25 @@ impl CellSimulation {
     /// sweep worker's output.
     fn merge(&mut self, iv: &mut Interval, out: &mut SweepOut, digest: &ReportDigest<'_>) {
         let (i, t_i) = (iv.i, iv.t_i);
-        let SweepOut {
-            items,
+        let SweepOut { items, lists } = out;
+        let SweepLists {
             invalidated,
             uplinks,
             piggybacks,
             ..
-        } = out;
+        } = lists;
         for sw in items.iter() {
+            let heard = &sw.heard;
             let slot = sw.slot;
             let idx = iv.awake[slot];
-            if sw.handoff_drop {
+            if heard.handoff_drop {
                 self.migration.handoff_drops += 1;
                 self.obs.add("handoff_drops", 1);
             }
             if iv.observing {
-                let invalidated = &invalidated[sw.invalidated.clone()];
+                let invalidated = &invalidated[heard.invalidated.clone()];
                 iv.tally.invalidated += invalidated.len() as u64;
-                iv.tally.drops += sw.dropped_all as u64;
+                iv.tally.drops += heard.dropped_all as u64;
                 // The last-report time is the false-alarm reference
                 // point: an invalidation is *false* iff the item did
                 // not actually change since this client last heard a
@@ -944,7 +945,7 @@ impl CellSimulation {
                     iv.counted.sig_unmatched_subsets += u as u64;
                 }
             }
-            for k in sw.uplinks.clone() {
+            for k in heard.uplinks.clone() {
                 let (item, piggyback) = (uplinks[k], piggybacks.get_mut(k).map(std::mem::take));
                 if self.exchange_queued(idx, item) {
                     // The same fetch is already waiting from an earlier

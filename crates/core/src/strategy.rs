@@ -7,7 +7,7 @@
 //! wrong — so both sides derive the shared state (SIG decoder, hot set,
 //! group map) from the helpers at the bottom of this file.
 
-use sw_client::{ReportRule, RuleHandler};
+use sw_client::ReportRule;
 use sw_server::{GroupMap, HotSet};
 use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, SimDuration, StreamId};
@@ -123,11 +123,11 @@ impl Strategy {
 
     /// The strategy's client half as a [`ReportRule`]: the algorithm
     /// and the window/latency/decoder/hot-set/group-map/lag bound every
-    /// client of a cell shares. The one description boxed units, the
-    /// columnar fleet and — through `MobileUnit` — the live MU all
-    /// apply. A cell builds it once for all its clients, on either
-    /// store, so a SIG cell fills each item's subset list once; a
-    /// single unit can take [`Strategy::make_handler`].
+    /// client of a cell shares, and what a `MobileUnit` is built with.
+    /// The one description every row of the client store applies — the
+    /// columnar fleet's, a seat's, the live MU's. A cell builds it once
+    /// for all its clients, so a SIG cell fills each item's subset list
+    /// once.
     pub fn report_rule(&self, params: &ScenarioParams, seed: MasterSeed) -> ReportRule {
         let latency = SimDuration::from_secs(params.latency_secs);
         match self {
@@ -155,13 +155,10 @@ impl Strategy {
         }
     }
 
-    /// Builds one client's report handler: the rule plus fresh
-    /// per-client state.
-    ///
-    /// Public because a live MU must process reports with exactly the
-    /// handler the simulated MU would use.
-    pub fn make_handler(&self, params: &ScenarioParams, seed: MasterSeed) -> RuleHandler {
-        RuleHandler::new(self.report_rule(params, seed))
+    /// Alias of [`Self::report_rule`], for callers that seat a
+    /// `MobileUnit` by hand.
+    pub fn make_handler(&self, params: &ScenarioParams, seed: MasterSeed) -> ReportRule {
+        self.report_rule(params, seed)
     }
 }
 

@@ -14,8 +14,13 @@
 //! `observe` and `faults` features compiled in as long as neither is
 //! armed, which is how these cells are built.
 //!
-//! Out of scope: boxed units, which return their lists in a public
-//! `IntervalReport`; quasi-delay cells, whose server keeps an
+//! The boxed units of `FleetBackend::Units` are held to the same count:
+//! each seat's `MobileUnit` is a one-row slot store that hears into the
+//! same per-worker lists, so the AT churn cell pins at four on either
+//! owner. (The public `MobileUnit::hear_report_and_answer` still returns
+//! its lists in an `IntervalReport`; the cell never calls it.)
+//!
+//! Out of scope: quasi-delay cells, whose server keeps an
 //! obligation deque per item and allocates when one is first touched or
 //! reaches a new longest length — 9 to 19 allocations per step at 250
 //! clients and 8 to 10 at 1 000 (α = 3L, s = 0.2, μ = 10⁻³, 2 000
@@ -69,8 +74,13 @@ const MEASURED: usize = 30;
 
 /// Allocations made by each of `MEASURED` steps after `WARM_UP` steps.
 fn allocations_per_step(config: CellConfig, strategy: Strategy) -> Vec<u64> {
+    let boxed = config.fleet == Some(FleetBackend::Units);
     let mut cell = CellSimulation::new(config, strategy).expect("a valid cell");
-    assert!(cell.is_columnar(), "the gate measures the columnar store");
+    assert_eq!(
+        cell.is_columnar(),
+        !boxed,
+        "the gate measures the owner the cell asks for"
+    );
     for _ in 0..WARM_UP {
         cell.step().expect("warm-up step");
     }
@@ -111,6 +121,7 @@ fn assert_pinned(
 
 fn main() {
     an_at_churn_cell_allocates_four_times_per_step_at_any_size();
+    an_at_churn_cell_on_boxed_units_allocates_as_the_columns_do();
     a_bounded_at_churn_cell_allocates_nothing_to_evict_or_classify_ghosts();
     a_two_worker_ts_cell_allocates_a_fixed_count_per_step_at_any_size();
     an_adaptive_ts_cell_reads_its_windows_without_allocating();
@@ -132,6 +143,27 @@ fn an_at_churn_cell_allocates_four_times_per_step_at_any_size() {
                 .with_clients(clients)
                 .with_hotspot_size(30)
                 .with_sweep_threads(1)
+        },
+        Strategy::AmnesicTerminals,
+    );
+}
+
+/// The same AT churn cell forced onto `FleetBackend::Units`: one boxed
+/// `MobileUnit` per client, each a one-row slot store. Its sweep hears
+/// every seat into the worker's lists and its installs write the seat's
+/// own columns, sized when the seat was built, so the count is the
+/// columnar cell's four, all the server's.
+fn an_at_churn_cell_on_boxed_units_allocates_as_the_columns_do() {
+    assert_pinned(
+        "AT on boxed units",
+        4,
+        [250, 1_000],
+        |clients| {
+            CellConfig::new(widened(ScenarioParams::scenario3().with_s(0.2), clients))
+                .with_clients(clients)
+                .with_hotspot_size(30)
+                .with_sweep_threads(1)
+                .with_fleet(FleetBackend::Units)
         },
         Strategy::AmnesicTerminals,
     );
@@ -263,9 +295,10 @@ fn a_mesh_shard_pays_only_its_report_digest_log() {
 /// The update rate is raised from Scenario 1's μ = 10⁻⁴ (one update per
 /// interval over 1 000 items) to 10⁻²: at 10⁻⁴ a step with no update
 /// allocates nothing, and an item's first update fills its subset list
-/// (nine allocations as the list grows), so the count follows the
-/// update stream, not the client count. At 10⁻² every step updates and
-/// every list is filled in the warm-up.
+/// (one exact-size allocation, pinned in `sw-signature`'s
+/// `subset_list_allocations`), so the count follows the update stream,
+/// not the client count. At 10⁻² every step updates and every list is
+/// filled in the warm-up.
 fn a_sleeper_sig_cell_decodes_without_allocating() {
     assert_pinned(
         "SIG",

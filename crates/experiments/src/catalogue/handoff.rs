@@ -31,7 +31,7 @@
 //!    sharded environment itself must be invisible.
 
 use crate::replicate::replicate_seed;
-use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, RuleHandler};
+use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule};
 use sleepers::mesh::{CellGraph, MeshConfig, MeshSimulation, MobilityModel};
 use sleepers::server::{Database, UpdateEngine, UplinkProcessor};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
@@ -66,7 +66,7 @@ fn new_cell(strategy: Strategy, params: &ScenarioParams, replicate: u64) -> Cell
     }
 }
 
-fn mu(id: u64, seed: u64, n: u64, hotspot: Vec<u64>, handler: RuleHandler) -> MobileUnit {
+fn mu(id: u64, seed: u64, n: u64, hotspot: Vec<u64>, rule: ReportRule) -> MobileUnit {
     let mut rng = MasterSeed(seed).stream(StreamId::Queries { index: id });
     MobileUnit::new(
         MuConfig {
@@ -80,7 +80,7 @@ fn mu(id: u64, seed: u64, n: u64, hotspot: Vec<u64>, handler: RuleHandler) -> Mo
             piggyback_hits: false,
             item_universe: Some(n),
         },
-        handler,
+        rule,
         &mut rng,
     )
 }
@@ -106,13 +106,13 @@ fn run_client(
     let mut update_rng = MasterSeed(replicate_seed(0xE20, replicate)).stream(StreamId::Updates);
     let mut engine = UpdateEngine::new(n, 1e-3, &mut update_rng);
 
-    let handler = strategy.make_handler(&params, MasterSeed(replicate_seed(0xE20, replicate)));
+    let rule = strategy.report_rule(&params, MasterSeed(replicate_seed(0xE20, replicate)));
     let mut client = mu(
         1,
         replicate_seed(1, replicate),
         n,
         (0..25).collect(),
-        handler,
+        rule,
     );
     let mut qrng = MasterSeed(replicate_seed(3, replicate)).stream(StreamId::Custom { tag: 1 });
 

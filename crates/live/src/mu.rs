@@ -1,17 +1,19 @@
-//! The live mobile-unit: a real `crates/client` cache behind real
+//! The live mobile-unit: the simulator's client cache behind real
 //! sockets.
 //!
 //! [`LiveMu`] is the transport-free core: a [`ClientSeat`] — the very
 //! struct `CellSimulation`'s boxed fleet seats its clients in, built by
 //! the same constructor and driven through the same phase methods —
 //! plus what only a live unit has: the wire codec, and its own copy of
-//! the fault layer's per-client fate draws. Its simulated twin mostly
-//! runs columnar, whose columns step the same `UnitState` and streams
-//! a seat holds. A live unit fed the same seed and the same report
-//! bytes therefore makes byte-identical decisions to its simulated twin
-//! on either store by construction; the conformance harness (see
-//! [`crate::conformance`]) pins what is left — the codec, the server
-//! side, and the order the daemon calls the phases in.
+//! the fault layer's per-client fate draws. The seat's `MobileUnit` is
+//! a one-row `SlotStore`, and its simulated twin, which mostly runs
+//! columnar, is a row of a many-row one: hearing a report, answering
+//! the pending queries and installing an answer are the same code on
+//! both, over the same `UnitState` and streams. A live unit fed the
+//! same seed and the same report bytes therefore makes byte-identical
+//! decisions to its simulated twin by construction; the conformance
+//! harness (see [`crate::conformance`]) pins what is left — the codec,
+//! the server side, and the order the daemon calls the phases in.
 //!
 //! [`run_mu`] wraps the core in the actual transport: a TCP control
 //! connection to `sw-serve` (registration, uplink queries, lockstep
@@ -130,7 +132,7 @@ impl LiveMu {
     /// full decode is cheap).
     pub fn report_stamp_micros(&self, frame: &[u8]) -> Option<u64> {
         let payload = self.encode.deserialize(frame).ok()?.payload;
-        if !self.seat.unit().handler().accepts(&payload) {
+        if !self.seat.unit().rule().accepts(&payload) {
             return None;
         }
         match payload {
@@ -204,7 +206,7 @@ impl LiveMu {
             return Ok(Vec::new());
         }
         let decoded = self.encode.deserialize(frame)?;
-        if !self.seat.unit().handler().accepts(&decoded.payload) {
+        if !self.seat.unit().rule().accepts(&decoded.payload) {
             return Err(WireDecodeError::Malformed(
                 "not a report this unit's strategy can process",
             ));
@@ -257,14 +259,15 @@ impl LiveMu {
     pub fn install_answer_frame(&mut self, datagram: &[u8]) -> Result<(), WireDecodeError> {
         let (_epoch, frame) = open_frame(datagram)?;
         let decoded = self.encode.deserialize(frame)?;
-        // The id field is sized to the next power of two above `n`; no
-        // server answers for an id past the database.
+        // The id field is sized to the next power of two above `n`, and
+        // the unit asks only for its hotspot's items: no server answers
+        // for any other id.
         match decoded.payload {
             FramePayload::QueryAnswer {
                 item,
                 value,
                 ts_micros,
-            } if item < self.encode.n_items => {
+            } if item < self.encode.n_items && self.seat.unit().in_hotspot(item) => {
                 self.seat.install_answer(QueryAnswer {
                     item,
                     value,
@@ -273,7 +276,7 @@ impl LiveMu {
                 Ok(())
             }
             _ => Err(WireDecodeError::Malformed(
-                "expected a query answer for an item in the database",
+                "expected a query answer for an item this unit asks for",
             )),
         }
     }
@@ -305,10 +308,9 @@ impl LiveMu {
     /// [`ValueHistory`] after the run.
     pub fn audit_snapshot(&self, i: u64) -> Vec<CacheAuditRow> {
         let cache = self.seat.unit().cache();
-        let items = cache.sorted_items().into_iter().map(|item| {
-            let entry = cache.peek(item).expect("iterating cached items");
-            (item, entry.value, entry.timestamp)
-        });
+        let items = cache
+            .iter()
+            .map(|(item, entry)| (item, entry.value, entry.timestamp));
         let rows = self.seat.query_plane().into_iter().flat_map(|plane| {
             plane
                 .cache()
@@ -1143,26 +1145,42 @@ mod tests {
 
     /// An answer frame can name ids up to the id field's power of two:
     /// one past the database is refused before it reaches the cache or
-    /// SIG's subset masks.
+    /// SIG's subset masks, and so is an id in the database that the
+    /// unit never asks for (one outside its hotspot).
     #[test]
     fn an_answer_for_an_item_outside_the_database_is_refused() {
         let mut params = ScenarioParams::scenario1().with_s(0.0);
         params.n_items = 300;
         let cfg = CellConfig::new(params).with_clients(1).with_hotspot_size(15);
         let mut live = LiveMu::new(&cfg, Strategy::Signatures, 0);
+        let encode = live.encoder();
         let answer = |item| {
             let payload = FramePayload::QueryAnswer {
                 item,
                 value: 1,
                 ts_micros: 0,
             };
-            seal_frame(0, live.encoder().serialize_payload(&payload))
+            seal_frame(0, encode.serialize_payload(&payload))
         };
-        let (outside, inside) = (answer(params.n_items), answer(params.n_items - 1));
-        assert!(matches!(
-            live.install_answer_frame(&outside),
-            Err(WireDecodeError::Malformed(_))
-        ));
-        live.install_answer_frame(&inside).expect("the last id is in the database");
+        let unit = live.seat.unit();
+        let stranger = (0..params.n_items)
+            .rev()
+            .find(|&item| !unit.in_hotspot(item))
+            .expect("a 15-item hotspot leaves most of the database out");
+        let mine = (0..params.n_items)
+            .find(|&item| unit.in_hotspot(item))
+            .expect("the hotspot is not empty");
+        for refused in [params.n_items, stranger] {
+            assert!(
+                matches!(
+                    live.install_answer_frame(&answer(refused)),
+                    Err(WireDecodeError::Malformed(_))
+                ),
+                "item {refused}"
+            );
+        }
+        live.install_answer_frame(&answer(mine))
+            .expect("a hotspot item is in the database");
+        assert_eq!(live.seat.unit().cache().len(), 1, "only the answer it asked for");
     }
 }

@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sw_client::Cache;
+use sw_client::CacheView;
 use sw_server::ItemId;
 use sw_sim::{counters, RngStream, SimTime};
 use sw_workload::{QueryWorkload, QueryWorkloadSpec};
@@ -451,7 +451,7 @@ impl QueryPlane {
     /// or drops. Pending query events resolve to hits (entry survived)
     /// or misses (entry absent — the returned fetch list names the
     /// footprint items the uplink must supply before [`Self::settle`]).
-    pub fn observe_report(&mut self, items: &Cache, t_i: SimTime) -> QueryCheck {
+    pub fn observe_report(&mut self, items: CacheView<'_>, t_i: SimTime) -> QueryCheck {
         // 1. Footprint check over the whole query cache.
         for slot in self.cache.entries.iter_mut() {
             let Some(entry) = slot else { continue };
@@ -525,7 +525,7 @@ impl QueryPlane {
     /// fault backoff) leaves that entry unmaterialized — the query
     /// stays a miss and a later event retries; a transaction read
     /// hitting the same condition aborts conservatively.
-    pub fn settle(&mut self, items: &Cache, t_i: SimTime) {
+    pub fn settle(&mut self, items: CacheView<'_>, t_i: SimTime) {
         for &rank in &self.to_materialize {
             let footprint = self.workload.footprint(rank);
             let mut rows = Vec::with_capacity(footprint.len());
@@ -609,19 +609,87 @@ impl QueryPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sw_client::{CacheSlots, Verdict};
-    use sw_sim::{Counters, MasterSeed, StreamId};
+    use sw_client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule};
+    use sw_server::QueryAnswer;
+    use sw_sim::{Counters, MasterSeed, SimDuration, StreamId};
+    use sw_wireless::FramePayload;
 
     fn rng(i: u64) -> RngStream {
         MasterSeed::TEST.stream(StreamId::QueryPlan { index: i })
     }
 
-    fn warm_cache(domain: &[ItemId], t: SimTime) -> Cache {
-        let mut c = Cache::unbounded();
-        for &item in domain {
-            c.insert(item, item * 10 + 1, t);
+    /// The item cache under a plane: a mobile unit over the plane's
+    /// domain running TS with a window of ten 10 s intervals, posing no
+    /// item queries of its own, which hears the reports the tests name.
+    struct Items {
+        unit: MobileUnit,
+        rng: RngStream,
+    }
+
+    impl Items {
+        /// An empty cache over `domain`.
+        fn cold(domain: &[ItemId]) -> Self {
+            let config = MuConfig {
+                id: 0,
+                hotspot: domain.to_vec(),
+                query_rate_per_item: 0.0,
+                sleep_probability: 0.0,
+                cache_capacity: None,
+                replacement: ReplacementPolicy::Lru,
+                replacement_window: SimDuration::ZERO,
+                piggyback_hits: false,
+                item_universe: None,
+            };
+            let mut rng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
+            let rule = ReportRule::ts(SimDuration::from_secs(10.0), 10);
+            let unit = MobileUnit::new(config, rule, &mut rng);
+            Items { unit, rng }
         }
-        c
+
+        /// Every item of `domain` cached (valued `item · 10 + 1`) and
+        /// verified as of a report heard at `t`.
+        fn warm(domain: &[ItemId], t: SimTime) -> Self {
+            let mut items = Items::cold(domain);
+            items.hear(t, vec![]);
+            for &item in domain {
+                items.insert(item, item * 10 + 1, t);
+            }
+            items
+        }
+
+        fn view(&self) -> CacheView<'_> {
+            self.unit.cache()
+        }
+
+        /// The report at `t` listing `entries` as `(item, t_j)`.
+        fn hear(&mut self, t: SimTime, entries: Vec<(ItemId, SimTime)>) {
+            let payload = FramePayload::TimestampReport {
+                report_ts_micros: t.as_micros(),
+                entries: entries.into_iter().map(|(j, t_j)| (j, t_j.as_micros())).collect(),
+            };
+            self.unit.begin_awake_interval(t, t, &mut self.rng);
+            self.unit.hear_report_and_answer(&payload);
+        }
+
+        /// An uplink answer installed at `t`.
+        fn insert(&mut self, item: ItemId, value: u64, timestamp: SimTime) {
+            self.unit.install_answer(QueryAnswer {
+                item,
+                value,
+                timestamp,
+            });
+        }
+
+        /// A heard report that names nothing: every entry verified as
+        /// of `t`.
+        fn restamp_all(&mut self, t: SimTime) {
+            self.hear(t, vec![]);
+        }
+
+        /// A heard report at `t` that names `victim` only, updated at `t`.
+        fn invalidate_one(&mut self, victim: ItemId, t: SimTime) {
+            self.hear(t, vec![(victim, t)]);
+        }
     }
 
     fn config() -> QueryPlaneConfig {
@@ -688,21 +756,6 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    /// A heard report that names nothing: every entry verified as of `t`.
-    fn restamp_all(cache: &mut Cache, t: SimTime) {
-        CacheSlots::sweep(cache, t, |_, _| Verdict::Restamp, &mut Vec::new());
-    }
-
-    /// A heard report at `t` that names `victim` only.
-    fn invalidate_one(cache: &mut Cache, victim: ItemId, t: SimTime) {
-        CacheSlots::sweep(
-            cache,
-            t,
-            |item, _| Verdict::drop_if(item == victim),
-            &mut Vec::new(),
-        );
-    }
-
     #[test]
     fn miss_then_hit_through_materialization() {
         let d = domain();
@@ -712,24 +765,24 @@ mod tests {
             ..config()
         };
         let mut plane = QueryPlane::new(&d, cfg, rng(0));
-        let cache = warm_cache(&d, t(10.0));
+        let cache = Items::warm(&d, t(10.0));
         plane.begin_awake_interval();
-        let check = plane.observe_report(&cache, t(10.0));
+        let check = plane.observe_report(cache.view(), t(10.0));
         assert!(plane.stats().misses > 0);
         assert_eq!(plane.stats().hits, 0);
         // Footprint items are all cached-fresh: nothing to fetch.
         assert!(check.fetch.is_empty());
-        plane.settle(&cache, t(10.0));
+        plane.settle(cache.view(), t(10.0));
         assert!(!plane.cache().is_empty());
 
         // Same templates queried again next interval: hits now.
         let misses_before = plane.stats().misses;
         plane.begin_awake_interval();
-        let mut cache2 = cache.clone();
-        restamp_all(&mut cache2, t(20.0));
-        let check2 = plane.observe_report(&cache2, t(20.0));
+        let mut cache2 = cache;
+        cache2.restamp_all(t(20.0));
+        let check2 = plane.observe_report(cache2.view(), t(20.0));
         assert!(check2.fetch.is_empty());
-        plane.settle(&cache2, t(20.0));
+        plane.settle(cache2.view(), t(20.0));
         assert!(plane.stats().hits > 0, "repeat queries should hit");
         assert_eq!(
             plane.stats().misses,
@@ -742,9 +795,9 @@ mod tests {
     fn cold_item_cache_produces_fetch_list() {
         let d = domain();
         let mut plane = QueryPlane::new(&d, config(), rng(1));
-        let cache = Cache::unbounded();
+        let cache = Items::cold(&d);
         plane.begin_awake_interval();
-        let check = plane.observe_report(&cache, t(10.0));
+        let check = plane.observe_report(cache.view(), t(10.0));
         assert!(!check.fetch.is_empty());
         let mut sorted = check.fetch.clone();
         sorted.sort_unstable();
@@ -752,7 +805,7 @@ mod tests {
         assert_eq!(sorted, check.fetch, "fetch list is sorted and distinct");
         // Nothing fetched: the entry must not materialize, and the
         // cache stays empty (no stale result can be served).
-        plane.settle(&cache, t(10.0));
+        plane.settle(cache.view(), t(10.0));
         assert!(plane.cache().is_empty());
     }
 
@@ -760,17 +813,17 @@ mod tests {
     fn footprint_update_invalidates_the_entry() {
         let d = domain();
         let mut plane = QueryPlane::new(&d, config(), rng(2));
-        let mut cache = warm_cache(&d, t(10.0));
+        let mut cache = Items::warm(&d, t(10.0));
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(10.0));
-        plane.settle(&cache, t(10.0));
+        plane.observe_report(cache.view(), t(10.0));
+        plane.settle(cache.view(), t(10.0));
         let cached: Vec<usize> = plane.cache().iter().map(|e| e.rank).collect();
         assert!(!cached.is_empty());
         // The server updates one footprint item of the first cached
         // entry: the report handler removes it from the item cache.
         let victim = plane.cache().get(cached[0]).unwrap().rows[0].item;
-        invalidate_one(&mut cache, victim, t(20.0));
-        plane.observe_report(&cache, t(20.0));
+        cache.invalidate_one(victim, t(20.0));
+        plane.observe_report(cache.view(), t(20.0));
         assert!(
             plane.cache().get(cached[0]).is_none(),
             "entry with an invalidated footprint item must drop"
@@ -784,15 +837,15 @@ mod tests {
         // materialized result no longer matches and must drop.
         let d = domain();
         let mut plane = QueryPlane::new(&d, config(), rng(3));
-        let mut cache = warm_cache(&d, t(10.0));
+        let mut cache = Items::warm(&d, t(10.0));
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(10.0));
-        plane.settle(&cache, t(10.0));
+        plane.observe_report(cache.view(), t(10.0));
+        plane.settle(cache.view(), t(10.0));
         let entry = plane.cache().iter().next().unwrap();
         let (rank, victim) = (entry.rank, entry.rows[0].item);
         cache.insert(victim, 0xDEAD_BEEF, t(20.0));
-        restamp_all(&mut cache, t(20.0));
-        plane.observe_report(&cache, t(20.0));
+        cache.restamp_all(t(20.0));
+        plane.observe_report(cache.view(), t(20.0));
         assert!(plane.cache().get(rank).is_none());
     }
 
@@ -800,16 +853,16 @@ mod tests {
     fn stale_stamp_blocks_serving_and_reverify_bumps_the_clock() {
         let d = domain();
         let mut plane = QueryPlane::new(&d, config(), rng(4));
-        let cache = warm_cache(&d, t(10.0));
+        let cache = Items::warm(&d, t(10.0));
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(10.0));
-        plane.settle(&cache, t(10.0));
+        plane.observe_report(cache.view(), t(10.0));
+        plane.settle(cache.view(), t(10.0));
         let n = plane.cache().len();
         assert!(n > 0);
         // Next report at t=20 but the item cache was NOT restamped
         // (models a handler that dropped everything silently — stamps
         // stuck at 10): every entry must drop, none re-verify.
-        plane.observe_report(&cache, t(20.0));
+        plane.observe_report(cache.view(), t(20.0));
         assert_eq!(plane.cache().len(), 0);
         assert_eq!(plane.stats().entries_invalidated as usize, n);
     }
@@ -818,12 +871,12 @@ mod tests {
     fn reverified_entries_advance_verified_at() {
         let d = domain();
         let mut plane = QueryPlane::new(&d, config(), rng(5));
-        let mut cache = warm_cache(&d, t(10.0));
+        let mut cache = Items::warm(&d, t(10.0));
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(10.0));
-        plane.settle(&cache, t(10.0));
-        restamp_all(&mut cache, t(20.0));
-        plane.observe_report(&cache, t(20.0));
+        plane.observe_report(cache.view(), t(10.0));
+        plane.settle(cache.view(), t(10.0));
+        cache.restamp_all(t(20.0));
+        plane.observe_report(cache.view(), t(20.0));
         for e in plane.cache().iter() {
             assert_eq!(e.verified_at, t(20.0));
             for row in &e.rows {
@@ -870,17 +923,17 @@ mod tests {
     fn quiet_footprints_commit_with_a_coherent_witness() {
         let d = domain();
         let mut plane = QueryPlane::new(&d, txn_config(), rng(6));
-        let mut cache = warm_cache(&d, t(10.0));
+        let mut cache = Items::warm(&d, t(10.0));
         // Interval 1: txn begins, first read pins at the report.
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(10.0));
-        plane.settle(&cache, t(10.0));
+        plane.observe_report(cache.view(), t(10.0));
+        plane.settle(cache.view(), t(10.0));
         assert!(plane.txn_in_flight());
         assert_eq!(plane.stats().txns_begun, 1);
         // Interval 2: nothing changed; the second read commits.
-        restamp_all(&mut cache, t(20.0));
-        plane.observe_report(&cache, t(20.0));
-        plane.settle(&cache, t(20.0));
+        cache.restamp_all(t(20.0));
+        plane.observe_report(cache.view(), t(20.0));
+        plane.settle(cache.view(), t(20.0));
         assert!(!plane.txn_in_flight());
         assert_eq!(plane.stats().txn_commits, 1);
         assert_eq!(plane.stats().txn_aborts, 0);
@@ -893,22 +946,22 @@ mod tests {
     fn interleaved_update_is_detected_and_aborted() {
         let d = domain();
         let mut plane = QueryPlane::new(&d, txn_config(), rng(6));
-        let mut cache = warm_cache(&d, t(10.0));
+        let mut cache = Items::warm(&d, t(10.0));
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(10.0));
-        plane.settle(&cache, t(10.0));
+        plane.observe_report(cache.view(), t(10.0));
+        plane.settle(cache.view(), t(10.0));
         assert!(plane.txn_in_flight());
         // An update hits a pinned item between the two reads: the
         // report at t=20 invalidates it from the item cache.
         let pinned = plane.txn.as_ref().unwrap().pins[0].item;
-        invalidate_one(&mut cache, pinned, t(20.0));
-        let check = plane.observe_report(&cache, t(20.0));
+        cache.invalidate_one(pinned, t(20.0));
+        let check = plane.observe_report(cache.view(), t(20.0));
         // The second read may need the invalidated item refetched; a
         // refetch delivers a NEW value, so simulate the uplink install.
         if check.fetch.contains(&pinned) {
             cache.insert(pinned, 0x0BAD_CAFE, t(20.5));
         }
-        plane.settle(&cache, t(20.0));
+        plane.settle(cache.view(), t(20.0));
         assert!(!plane.txn_in_flight());
         assert_eq!(
             plane.stats().txn_aborts,
@@ -923,13 +976,13 @@ mod tests {
         let d = domain();
         let run = || {
             let mut plane = QueryPlane::new(&d, QueryPlaneConfig::new(), rng(9));
-            let mut cache = warm_cache(&d, t(0.0));
+            let mut cache = Items::warm(&d, t(0.0));
             for i in 1..=50u64 {
                 let t_i = t(i as f64 * 10.0);
-                restamp_all(&mut cache, t_i);
+                cache.restamp_all(t_i);
                 plane.begin_awake_interval();
-                plane.observe_report(&cache, t_i);
-                plane.settle(&cache, t_i);
+                plane.observe_report(cache.view(), t_i);
+                plane.settle(cache.view(), t_i);
             }
             plane.stats()
         };
@@ -940,10 +993,10 @@ mod tests {
     fn missed_reports_defer_without_state_loss() {
         let d = domain();
         let mut plane = QueryPlane::new(&d, config(), rng(10));
-        let mut cache = warm_cache(&d, t(10.0));
+        let mut cache = Items::warm(&d, t(10.0));
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(10.0));
-        plane.settle(&cache, t(10.0));
+        plane.observe_report(cache.view(), t(10.0));
+        plane.settle(cache.view(), t(10.0));
         let posed_before = plane.stats().queries_posed;
         // Interval 2: report lost. Queries stay pending.
         plane.begin_awake_interval();
@@ -953,10 +1006,10 @@ mod tests {
         // Interval 3: the next intact report answers the backlog. The
         // item handler dropped nothing (values unchanged), stamps
         // advance to the heard report.
-        restamp_all(&mut cache, t(30.0));
+        cache.restamp_all(t(30.0));
         plane.begin_awake_interval();
-        plane.observe_report(&cache, t(30.0));
-        plane.settle(&cache, t(30.0));
+        plane.observe_report(cache.view(), t(30.0));
+        plane.settle(cache.view(), t(30.0));
         assert!(
             plane.stats().hits + plane.stats().misses > answered,
             "deferred queries answered at the next heard report"

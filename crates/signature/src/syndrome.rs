@@ -155,16 +155,22 @@ impl SyndromeDecoder {
 
     /// The subsets containing `item`, ascending — `deg(item)` of them,
     /// `m/(f+1)` expected. The first call for an item hashes all `m`
-    /// subsets; every later call, on this decoder or any clone, reads
-    /// the stored list. The server's patch reads these; a client reads
+    /// subsets twice, once to count them and once to fill a list of
+    /// exactly that length, so it allocates once; every later call, on
+    /// this decoder or any clone, reads the stored list and allocates
+    /// nothing. The server's patch reads these; a client reads
     /// [`Self::members`].
     ///
     /// # Panics
     /// Panics if `item` is not below the plan's database size `n`.
     #[inline]
     pub fn subsets_of(&self, item: u64) -> &[u32] {
-        self.entry(&self.lists, item)
-            .get_or_init(|| self.family.subsets_of(item).collect())
+        self.entry(&self.lists, item).get_or_init(|| {
+            let mut list = Vec::with_capacity(self.family.subsets_of(item).count());
+            list.extend(self.family.subsets_of(item));
+            // Filled to its capacity: the box takes the buffer as it is.
+            list.into_boxed_slice()
+        })
     }
 
     /// The subsets containing `item` as an `m`-bit mask of

@@ -16,7 +16,7 @@
 //! cargo run --example traffic_map
 //! ```
 
-use sleepers_workaholics::client::{Cache, ReportRule, RuleHandler};
+use sleepers_workaholics::client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule};
 use sleepers_workaholics::server::{Database, UpdateEngine, UplinkProcessor};
 use sleepers_workaholics::sim::{MasterSeed, SimDuration, SimTime, StreamId};
 use sleepers_workaholics::workload::{ScenarioParams, TrafficGrid, TrafficMapWorkload};
@@ -52,11 +52,27 @@ fn main() {
             TrafficMapWorkload::new(grid, 0.3, &mut rng)
         })
         .collect();
-    let mut caches: Vec<Cache> = (0..5).map(|_| Cache::unbounded()).collect();
-    let mut handlers: Vec<RuleHandler> = (0..5)
-        .map(|_| RuleHandler::new(ReportRule::at(latency)))
+    // Each driver's unit may cache any section, so its hotspot is the
+    // whole map; it poses no queries of its own (λ = 0): the display
+    // reads its neighborhood below.
+    let mut units: Vec<MobileUnit> = (0..5)
+        .map(|u| {
+            let config = MuConfig {
+                id: u,
+                hotspot: (0..grid.n_items()).collect(),
+                query_rate_per_item: 0.0,
+                sleep_probability: 0.0,
+                cache_capacity: None,
+                replacement: ReplacementPolicy::Lru,
+                replacement_window: SimDuration::ZERO,
+                piggyback_hits: false,
+                item_universe: Some(grid.n_items()),
+            };
+            let mut rng = seed.stream(StreamId::Queries { index: u });
+            MobileUnit::new(config, ReportRule::at(latency), &mut rng)
+        })
         .collect();
-    let mut t_l: Vec<Option<SimTime>> = vec![None; 5];
+    let mut idle_rng = seed.stream(StreamId::Custom { tag: 10 });
     let mut walk_rng = seed.stream(StreamId::Custom { tag: 9 });
 
     let mut hits = 0u64;
@@ -74,16 +90,15 @@ fn main() {
         for u in 0..walks.len() {
             // The display refreshes every interval: query the whole 3×3
             // neighborhood.
-            let _ = handlers[u].process(&mut caches[u], &payload, t_l[u]);
-            t_l[u] = Some(t_i);
+            units[u].begin_awake_interval(t_prev, t_i, &mut idle_rng);
+            let _ = units[u].hear_report_and_answer(&payload);
             let neighborhood = walks[u].hotspot();
             for &section in &neighborhood {
-                if caches[u].get(section).is_some() {
+                if units[u].cache().contains(section) {
                     hits += 1;
                 } else {
                     misses += 1;
-                    let ans = uplink.answer(&db, section, t_i, None);
-                    caches[u].insert(ans.item, ans.value, ans.timestamp);
+                    units[u].install_answer(uplink.answer(&db, section, t_i, None));
                 }
             }
             // Drive on; entering a new section pulls a fresh row of

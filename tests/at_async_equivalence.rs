@@ -109,18 +109,41 @@ fn total_message_accounting() {
 /// client that slept through individual messages must also do.
 #[test]
 fn both_lose_cache_on_disconnection() {
-    use sleepers_workaholics::client::{Cache, ReportRule, RuleHandler};
+    use sleepers_workaholics::client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule};
+    use sleepers_workaholics::server::QueryAnswer;
     let latency = SimDuration::from_secs(10.0);
-    let mut handler = RuleHandler::new(ReportRule::at(latency));
-    let mut cache = Cache::unbounded();
-    cache.insert(1, 10, SimTime::from_secs(10.0));
-    cache.insert(2, 20, SimTime::from_secs(10.0));
-    // Missed the report at 20; hears the one at 30.
-    let report = FramePayload::AmnesicReport {
-        report_ts_micros: 30_000_000,
+    let mut rng = MasterSeed(0xA7).stream(StreamId::Queries { index: 0 });
+    let config = MuConfig {
+        id: 0,
+        hotspot: vec![1, 2],
+        query_rate_per_item: 0.0,
+        sleep_probability: 0.0,
+        cache_capacity: None,
+        replacement: ReplacementPolicy::Lru,
+        replacement_window: SimDuration::ZERO,
+        piggyback_hits: false,
+        item_universe: None,
+    };
+    let mut unit = MobileUnit::new(config, ReportRule::at(latency), &mut rng);
+    let report = |t: u64| FramePayload::AmnesicReport {
+        report_ts_micros: t * 1_000_000,
         ids: vec![],
     };
-    let out = handler.process(&mut cache, &report, Some(SimTime::from_secs(10.0)));
-    assert!(out.dropped_all);
-    assert!(cache.is_empty());
+    // Hears the report at 10, then fetches both items.
+    unit.begin_awake_interval(SimTime::ZERO, SimTime::from_secs(10.0), &mut rng);
+    unit.hear_report_and_answer(&report(10));
+    for (item, value) in [(1, 10), (2, 20)] {
+        let timestamp = SimTime::from_secs(10.0);
+        unit.install_answer(QueryAnswer {
+            item,
+            value,
+            timestamp,
+        });
+    }
+    assert_eq!(unit.cache().len(), 2);
+    // Missed the report at 20; hears the one at 30.
+    unit.begin_awake_interval(SimTime::from_secs(20.0), SimTime::from_secs(30.0), &mut rng);
+    let out = unit.hear_report_and_answer(&report(30));
+    assert!(out.outcome.dropped_all);
+    assert!(unit.cache().is_empty());
 }

@@ -8,9 +8,7 @@
 //!   during the interval in which the query was posed ... even if the
 //!   query predates the update during the interval."
 
-use sleepers_workaholics::client::{
-    MobileUnit, MuConfig, ReplacementPolicy, ReportRule, RuleHandler,
-};
+use sleepers_workaholics::client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule};
 use sleepers_workaholics::server::{Database, QueryAnswer, UplinkProcessor};
 use sleepers_workaholics::sim::{MasterSeed, SimDuration, SimTime, StreamId};
 use sleepers_workaholics::workload::ScenarioParams;
@@ -30,7 +28,7 @@ fn mu_with_hotspot(hotspot: Vec<u64>, lambda: f64) -> MobileUnit {
             piggyback_hits: false,
             item_universe: None,
         },
-        RuleHandler::new(ReportRule::at(SimDuration::from_secs(10.0))),
+        ReportRule::at(SimDuration::from_secs(10.0)),
         &mut rng,
     )
 }

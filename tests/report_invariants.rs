@@ -5,7 +5,8 @@
 //! `RngStream` (seeded, replayable) rather than an external
 //! property-testing framework.
 
-use sleepers_workaholics::server::Database;
+use sleepers_workaholics::client::{MobileUnit, MuConfig, ReplacementPolicy, ReportRule};
+use sleepers_workaholics::server::{Database, QueryAnswer};
 use sleepers_workaholics::signature::{combine, item_signature, SubsetFamily};
 use sleepers_workaholics::sim::{MasterSeed, RngStream, SimDuration, SimTime, StreamId};
 use sleepers_workaholics::wireless::FramePayload;
@@ -192,41 +193,68 @@ fn families_agree_and_empty_cache_is_silent() {
     }
 }
 
+/// A unit running `rule` over the hot spot `{1}` that heard the report
+/// at `t_l` (its first, over an empty cache) and then fetched item 1,
+/// stamped `t_l`: awake, nothing pending.
+fn unit_holding_item_1(rule: ReportRule, t_l: f64, first: FramePayload) -> MobileUnit {
+    let mut rng = MasterSeed(0x1D).stream(StreamId::Queries { index: 0 });
+    let config = MuConfig {
+        id: 0,
+        hotspot: vec![1],
+        query_rate_per_item: 0.0,
+        sleep_probability: 0.0,
+        cache_capacity: None,
+        replacement: ReplacementPolicy::Lru,
+        replacement_window: SimDuration::ZERO,
+        piggyback_hits: false,
+        item_universe: None,
+    };
+    let mut unit = MobileUnit::new(config, rule, &mut rng);
+    let t_l = SimTime::from_secs(t_l);
+    unit.begin_awake_interval(SimTime::ZERO, t_l, &mut rng);
+    assert!(!unit.hear_report_and_answer(&first).outcome.dropped_all);
+    unit.install_answer(QueryAnswer {
+        item: 1,
+        value: 1,
+        timestamp: t_l,
+    });
+    unit.begin_awake_interval(t_l, t_l, &mut rng);
+    unit
+}
+
 /// Invariant 2 (boundary discipline): TS drops the whole cache iff the
 /// gap strictly exceeds `w`; AT iff it strictly exceeds `L` — checked at
 /// the exact boundary, one tick inside, and one tick outside.
 #[test]
 fn drop_boundaries_are_exact() {
-    use sleepers_workaholics::client::{Cache, ReportRule, RuleHandler};
     let latency = SimDuration::from_secs(10.0);
+    let ts_report = |t: f64| FramePayload::TimestampReport {
+        report_ts_micros: (t * 1e6) as u64,
+        entries: vec![],
+    };
+    let at_report = |t: f64| FramePayload::AmnesicReport {
+        report_ts_micros: (t * 1e6) as u64,
+        ids: vec![],
+    };
 
     for (gap, expect_drop) in [(20.0, false), (20.0001, true), (19.9999, false)] {
-        let mut h = RuleHandler::new(ReportRule::ts(latency, 2)); // w = 20
-        let mut c = Cache::unbounded();
-        c.insert(1, 1, SimTime::from_secs(100.0));
-        let report = FramePayload::TimestampReport {
-            report_ts_micros: ((100.0 + gap) * 1e6) as u64,
-            entries: vec![],
-        };
-        let out = h.process(&mut c, &report, Some(SimTime::from_secs(100.0)));
+        // w = 20
+        let mut c = unit_holding_item_1(ReportRule::ts(latency, 2), 100.0, ts_report(100.0));
+        let out = c.hear_report_and_answer(&ts_report(100.0 + gap));
         assert_eq!(
-            out.dropped_all, expect_drop,
+            out.outcome.dropped_all, expect_drop,
             "TS gap {gap}: expected drop={expect_drop}"
         );
+        assert_eq!(c.cache().is_empty(), expect_drop);
     }
 
     for (gap, expect_drop) in [(10.0, false), (10.001, true)] {
-        let mut h = RuleHandler::new(ReportRule::at(latency));
-        let mut c = Cache::unbounded();
-        c.insert(1, 1, SimTime::from_secs(100.0));
-        let report = FramePayload::AmnesicReport {
-            report_ts_micros: ((100.0 + gap) * 1e6) as u64,
-            ids: vec![],
-        };
-        let out = h.process(&mut c, &report, Some(SimTime::from_secs(100.0)));
+        let mut c = unit_holding_item_1(ReportRule::at(latency), 100.0, at_report(100.0));
+        let out = c.hear_report_and_answer(&at_report(100.0 + gap));
         assert_eq!(
-            out.dropped_all, expect_drop,
+            out.outcome.dropped_all, expect_drop,
             "AT gap {gap}: expected drop={expect_drop}"
         );
+        assert_eq!(c.cache().is_empty(), expect_drop);
     }
 }
