@@ -6,8 +6,9 @@
 //!   and interval bookkeeping as parallel columns, one row per client,
 //!   with the one install-and-evict path ([`SlotStore::install`]) and
 //!   the one per-client apply-and-answer ([`store::Rows::hear`]). The
-//!   cell's columnar fleet in `sleepers` holds one with a row per
-//!   client; a [`MobileUnit`] is one with a single row;
+//!   fleet in `sleepers` holds one with a row per client (the live
+//!   MU's, one with its own row); a [`MobileUnit`] is one with a
+//!   single row;
 //! * [`cache`] — one row's cache: the [`SlotBlock`] the algorithms
 //!   walk, the read-only [`CacheView`], each entry's validity stamp
 //!   `t_x`, and the replacement vocabulary of a capacity-bounded cache

@@ -5,9 +5,9 @@
 //! and hearing a report or installing an answer runs the store's one
 //! per-client path, the very code the cell's columnar fleet runs for
 //! each of its rows. What this type adds is the boxed unit's interface,
-//! for a driver that keeps the unit's streams itself (`sleepers`'
-//! `ClientSeat`, hence the live MU, and hand-built harnesses), which
-//! implements the interval semantics of Figure 2:
+//! for a driver that keeps the unit's streams itself (the boxed layout
+//! of `sleepers`' fleet, and hand-built harnesses), which implements
+//! the interval semantics of Figure 2:
 //!
 //! * the unit "keeps a list of items queried during an interval and
 //!   answers them after receiving the next report";
@@ -234,7 +234,7 @@ impl MobileUnit {
     }
 
     /// The same, for a driver that keeps the unit's streams itself and
-    /// credits, draws and misses through it (`sleepers`' `ClientSeat`).
+    /// credits, draws and misses through it (`sleepers`' fleet).
     #[inline]
     pub fn state_mut(&mut self) -> &mut UnitState {
         self.store.unit_mut(0)
@@ -249,7 +249,7 @@ impl MobileUnit {
     /// Whether `item` is in the unit's hotspot: the only items it can
     /// ask for, so the only answers it can install.
     pub fn in_hotspot(&self, item: ItemId) -> bool {
-        self.store.slot_of(0, item).is_some()
+        self.store.in_hotspot(0, item)
     }
 
     /// Syndrome-decode telemetry: how many tracked subsets' signatures
@@ -324,14 +324,10 @@ impl MobileUnit {
     /// Panics if called while asleep — the cell driver must not deliver
     /// reports to sleeping units.
     pub fn hear_report_and_answer(&mut self, payload: &FramePayload) -> IntervalReport {
-        self.hear_digest_and_answer(&DigestScratch::default().digest(payload))
-    }
-
-    /// [`Self::hear_report_and_answer`] given the broadcast's shared
-    /// digest: a cell digests each report once for all its listeners.
-    pub fn hear_digest_and_answer(&mut self, digest: &ReportDigest<'_>) -> IntervalReport {
+        let mut scratch = DigestScratch::default();
+        let digest = scratch.digest(payload);
         let mut lists = SweepLists::default();
-        let heard = self.hear_into(digest, &mut lists);
+        let heard = self.hear_into(&digest, &mut lists);
         let SweepLists {
             invalidated,
             uplinks,
@@ -354,10 +350,10 @@ impl MobileUnit {
         }
     }
 
-    /// [`Self::hear_digest_and_answer`] into a sweep worker's lists: the
-    /// invalidated ids and the uplink requests are appended to `lists`,
-    /// and their ranges returned, so a driver that keeps the lists
-    /// allocates nothing.
+    /// [`Self::hear_report_and_answer`] given the broadcast's shared
+    /// digest, into a sweep worker's lists: the invalidated ids and the
+    /// uplink requests are appended to `lists`, and their ranges
+    /// returned, so a driver that keeps the lists allocates nothing.
     #[inline]
     pub fn hear_into(&mut self, digest: &ReportDigest<'_>, lists: &mut SweepLists) -> Heard {
         self.store.rows().hear(0, 0, digest, lists)

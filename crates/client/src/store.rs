@@ -30,13 +30,14 @@
 //! * `units` — one [`UnitState`] per row: stats, `T_l`, the awake flag,
 //!   the waiting queries' latency sums, the query and sleep processes.
 //!
-//! The store has two owners and no other: the cell's columnar fleet in
-//! `sleepers` holds one with a row per client (plus each client's
-//! streams and next-wake mark), and a [`MobileUnit`](crate::MobileUnit)
-//! is one with a single row (plus its id). Both run the same two
-//! per-client paths, [`SlotStore::install`] (install and evict) and
-//! [`Rows::hear`] (apply the report, then answer the pending queries),
-//! and the §3 algorithms inside the latter are
+//! The store is held two ways: `sleepers`' fleet holds one with a row
+//! per client (or, for the live MU, one with its client's row) beside
+//! each client's streams, next-wake mark and query plane, and a
+//! [`MobileUnit`](crate::MobileUnit) is one with a single row (plus its
+//! id), which the fleet's boxed layout holds per client. Both run the
+//! same two per-client paths, [`SlotStore::install`] (install and
+//! evict) and [`Rows::hear`] (apply the report, then answer the pending
+//! queries), and the §3 algorithms inside the latter are
 //! [`ReportRule::apply`] over the row's [`SlotBlock`].
 //!
 //! A report sweep is a cache-friendly linear scan over each listening
@@ -274,7 +275,7 @@ impl SlotStore {
     }
 
     /// The rule every row applies.
-    pub(crate) fn rule(&self) -> &ReportRule {
+    pub fn rule(&self) -> &ReportRule {
         &self.rule
     }
 
@@ -323,6 +324,12 @@ impl SlotStore {
     #[inline]
     pub(crate) fn slot_of(&self, idx: usize, item: ItemId) -> Option<usize> {
         self.slot_items[self.slots(idx)].binary_search(&item).ok()
+    }
+
+    /// Whether `item` is in row `idx`'s hot spot: the only items it can
+    /// ask for, so the only answers it can install.
+    pub fn in_hotspot(&self, idx: usize, item: ItemId) -> bool {
+        self.slot_of(idx, item).is_some()
     }
 
     /// Distinct items row `idx` queried since the last report it heard.

@@ -36,19 +36,24 @@ pub enum WakeMode {
     Heap,
 }
 
-/// Which owner holds the cell's client store.
+/// Which row layout holds the cell's client store.
 ///
-/// Every client cache is a row of one `sw_client::SlotStore`, and both
-/// owners run its one install path and its one apply-and-answer path,
-/// so they produce bit-identical reports (pinned by the equivalence
-/// suite); they differ in what they keep beside the store.
+/// Every client cache is a row of one `sw_client::SlotStore`, and the
+/// cell's [`Fleet`](crate::Fleet) keeps each client's streams, wake
+/// mark and query plane in columns beside the rows whichever layout
+/// they take. Both layouts run the store's one install path and its
+/// one apply-and-answer path, so they produce bit-identical reports
+/// (pinned by the equivalence suite), and either hosts every strategy,
+/// bounded caches and the query plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetBackend {
-    /// One [`sw_client::MobileUnit`] per client — a one-row store — in
-    /// a seat with its streams. It hosts every standalone cell, and
-    /// alone hosts the query plane; mesh shards, whose handoffs move a
-    /// client's row of the columns, run columnar. The refusals are listed
-    /// once, in the docs of the crate-private `Fleet::new`.
+    /// One boxed [`sw_client::MobileUnit`] per client — a one-row
+    /// store. It hosts every standalone cell; mesh shards, whose
+    /// handoffs move a client's row of the columns, run columnar, the
+    /// one refusal (listed in the docs of the crate-private
+    /// `Fleet::new`). Query-plane cells default to it only so that the
+    /// benchmark's `boxed_query_bounded` workload keeps measuring boxed
+    /// units.
     Units,
     /// One store with a row per client: cache timestamps, values, and
     /// validity bitmaps for *all* clients live in dense parallel
@@ -129,8 +134,9 @@ pub struct CellConfig {
     /// every random draw happens outside the parallel section.
     pub sweep_threads: Option<usize>,
     /// Client-state storage backend. `None` — the default — picks the
-    /// per-unit struct fleet if the cell arms the query plane and the
-    /// columnar one otherwise; forcing a store a configuration rules out
+    /// boxed units if the cell arms the query plane (kept only for the
+    /// benchmark's boxed workload; either layout hosts the plane) and
+    /// the columnar one otherwise; forcing boxed units onto a mesh shard
     /// is `InvalidConfig` (see [`FleetBackend::Units`]). Both backends
     /// are bit-identical; the explicit settings exist for A/B tests.
     pub fleet: Option<FleetBackend>,
@@ -139,10 +145,12 @@ pub struct CellConfig {
     /// the same reports the item cache hears, plus multi-item
     /// transactional reads. `None` — the default — arms nothing and
     /// leaves every pre-query run byte-identical (the plane draws only
-    /// from `StreamId::QueryPlan { index }`). Query-armed cells always
-    /// use the boxed-unit fleet (the plane reads each client's item
-    /// cache directly) and must be standalone (no mesh backbone, whose
-    /// shards run on the columnar fleet).
+    /// from `StreamId::QueryPlan { index }`). Each client's plane is a
+    /// column of the fleet and reads its client's item cache through a
+    /// read-only view, so either [`FleetBackend`] hosts it (boxed units
+    /// by default, see [`Self::fleet`]). Query-armed cells must be
+    /// standalone (no mesh backbone: a traveling query cache is not
+    /// modeled).
     pub query: Option<QueryPlaneConfig>,
     /// Backbone seed for mesh membership. `None` — the default — means
     /// the cell is standalone and derives *everything* from `seed`.
@@ -299,8 +307,8 @@ impl CellConfig {
     }
 
     /// Forces the client-state storage backend (A/B equivalence tests;
-    /// normal runs pick automatically). Forcing `Columnar` on an
-    /// ineligible configuration is a construction error.
+    /// normal runs pick automatically). Forcing `Units` on a mesh shard
+    /// is a construction error.
     pub fn with_fleet(mut self, backend: FleetBackend) -> Self {
         self.fleet = Some(backend);
         self

@@ -1,5 +1,5 @@
-//! The client fleet: one set of interval-protocol phase calls over one
-//! client store with two owners.
+//! The client fleet: every client's phase calls, written once, over
+//! one client store in either of two row layouts.
 //!
 //! Every client cache in the workspace is a row of one
 //! [`SlotStore`] (`sw_client::store`): its slot columns, its pending
@@ -7,49 +7,58 @@
 //! install-and-evict path ([`SlotStore::install`]) and the one
 //! per-client apply-and-answer ([`Rows::hear`], which runs
 //! [`ReportRule::apply`](sw_client::ReportRule::apply) over the row's
-//! slot block). [`Fleet`] is what the cell driver steps, and its two
-//! variants are the store's two owners:
+//! slot block). A [`Fleet`] is those rows plus what the driver keeps
+//! per client beside them, each fact in one column indexed by client:
 //!
-//! * [`Fleet::Columnar`] — [`ColumnarFleet`], one store with a row per
-//!   client, plus each client's [`ClientStreams`] and a `next_wake`
-//!   column of its own (the scan wake reads it for every client each
-//!   interval, sleepers included);
-//! * [`Fleet::Units`] — a vector of [`ClientSeat`]s, each a boxed
-//!   [`MobileUnit`](sw_client::MobileUnit) (a one-row store and its id)
-//!   with its streams, its next-wake mark and an optional query plane.
+//! * `streams` — each client's [`ClientStreams`] (query, sleep and
+//!   Zipf streams and the settled-interval mark), whose one `open` and
+//!   one `close` bracket every awake interval;
+//! * `next_wake` — the next interval each client is awake in (the scan
+//!   wake reads it for every client each interval, sleepers included);
+//! * `planes` — each client's query-result plane, empty unless the
+//!   cell arms one; a plane reads its client's item cache through a
+//!   [`CacheView`](sw_client::CacheView), which either layout gives.
 //!
-//! Both answer the same calls — `open_interval`, `miss_report`,
-//! `sweep`, `install_answer`, `close_interval` — and the driver never
-//! asks which one it has. Both start every client from the same
-//! [`ClientStreams`], so the owner never perturbs a random stream, and
-//! both sweep a report with the one parallel driver in this module
-//! ([`SweepStore`]), calling `Rows::hear` per listener. A swept client
-//! leaves one [`SweepItem`]: its awake-set position, what the merge
-//! needs to know, and two ranges into its sweep worker's flat lists of
-//! invalidated ids and uplink requests ([`SweepOut`]). The cell keeps
-//! one `SweepOut` per worker across intervals, so a steady-state sweep
-//! allocates nothing on either owner.
+//! The rows themselves are either one many-row [`SlotStore`] (the
+//! default) or one boxed [`MobileUnit`] per client, each a one-row
+//! store (`FleetBackend::Units`, kept as the equivalence suite's
+//! oracle and as the query-plane cells' default). Only the store-level
+//! calls branch on the layout — a row's unit, its pose, its install,
+//! its cache, its rule and hotspot probe, its SIG telemetry, and its
+//! hearing, one row's or the sweep's; the phase calls
+//! (`open_interval`, `miss_report`, `install_answer`, the query plane's
+//! `check_queries`/`settle_queries`, `close_interval`, the warm-up
+//! reset, a mesh handoff's `move_row` and `land`) are written once, so
+//! the driver never asks which layout it has. Every client starts from
+//! the same [`ClientStreams`] on either, so the layout never perturbs a
+//! random stream.
 //!
-//! What the owners still differ in is what lives beside the store:
-//! the seats carry the query-result plane, which attaches to one boxed
-//! unit's cache, and the columns carry mesh handoffs, which move one
-//! client's row ([`ColumnarFleet::move_row`]). The store is chosen in
-//! [`Fleet::new`], whose docs hold the one list of refusals. No
-//! strategy is refused by either.
+//! Both layouts sweep a report with the one parallel driver in this
+//! module ([`SweepStore`]), calling `Rows::hear` per listener. A swept
+//! client leaves one [`SweepItem`]: its awake-set position, what the
+//! merge needs to know, and two ranges into its sweep worker's flat
+//! lists of invalidated ids and uplink requests ([`SweepOut`]). The
+//! cell keeps one `SweepOut` per worker across intervals, so a
+//! steady-state sweep allocates nothing on either layout.
+//!
+//! A cell builds its fleet in [`Fleet::new`], whose docs hold the one
+//! refusal; the live MU (`sw_live::LiveMu`) runs a one-row fleet
+//! ([`Fleet::client`]) on the slot store, through the same phase calls.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use sw_client::{
-    CapacitySpec, Heard, MuStats, Presence, ReportDigest, ReportRule, Rows, SlotStore,
-    SweepLists, UnitState,
+    CacheView, CapacitySpec, Heard, MobileUnit, MuConfig, MuStats, Presence, ReportDigest,
+    ReportRule, Rows, SlotStore, SweepLists, UnitState,
 };
 use sw_query::QueryPlane;
 use sw_server::{ItemId, QueryAnswer};
-use sw_sim::{SimDuration, SimTime};
+use sw_sim::{RngStream, SimDuration, SimTime, StreamId};
 
 use crate::config::{CellConfig, FleetBackend, WakeMode};
-use crate::seat::{piggybacks, shared_zipf, ClientSeat, ClientStart, ClientStreams};
+use crate::seat::{piggybacks, shared_zipf, ClientStreams};
 use crate::simulation::SimulationError;
 use crate::strategy::Strategy;
 
@@ -97,96 +106,229 @@ impl SweepOut {
     }
 }
 
-/// The cell's clients, on either store. See the module docs.
-// One per cell and never moved once built: boxing the columns would
-// only put a pointer hop in front of every phase call.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Fleet {
-    /// One [`ClientSeat`] per slot.
-    Units(Vec<ClientSeat>),
-    /// Struct-of-arrays columns.
-    Columnar(ColumnarFleet),
+/// A cell's clients: their rows of the client store
+/// (`sw_client::SlotStore`), one many-row store or one boxed one-row
+/// store per client, and beside them one column per client fact — its
+/// streams, its next-wake mark and its query plane. Every phase call of
+/// the interval protocol is written once over these; only the calls
+/// that reach into a row branch on the layout.
+pub struct Fleet {
+    /// Every client's cache, pending set and interval bookkeeping.
+    store: RowStore,
+    /// Each client's streams and settled-interval mark.
+    streams: Vec<ClientStreams>,
+    /// Next interval each client is awake in (`u64::MAX` = never).
+    next_wake: Vec<u64>,
+    /// Each client's query-result plane; empty unless the cell arms
+    /// one. A plane draws only from `StreamId::QueryPlan { index }`, so
+    /// arming it never perturbs the item-plane streams.
+    planes: Vec<QueryPlane>,
 }
 
-/// `method(idx, args…)` on either store: the seat's `method(args…)`,
-/// or the columnar fleet's `method(idx, args…)`. The per-client calls
-/// below are `#[inline]` (as are the seat's): they sit between the
-/// driver's phase loops and the stores in other modules, and without
-/// the hint each would be a call per client per phase.
-macro_rules! per_client {
-    ($fleet:expr, $idx:expr, $method:ident($($arg:expr),*)) => {
-        match $fleet {
-            Fleet::Units(seats) => seats[$idx].$method($($arg),*),
-            Fleet::Columnar(fleet) => fleet.$method($idx $(, $arg)*),
+/// The rows of a fleet, in one of the two layouts of the one client
+/// store.
+// One per fleet and never moved once built: boxing the store would only
+// put a pointer hop in front of every row call.
+#[allow(clippy::large_enum_variant)]
+enum RowStore {
+    /// One store with a row per client.
+    Slots(SlotStore),
+    /// One boxed one-row store per client.
+    Units(Vec<MobileUnit>),
+}
+
+impl RowStore {
+    #[inline]
+    fn unit(&self, idx: usize) -> &UnitState {
+        match self {
+            RowStore::Slots(store) => store.unit(idx),
+            RowStore::Units(units) => units[idx].state(),
         }
-    };
+    }
+
+    #[inline]
+    fn unit_mut(&mut self, idx: usize) -> &mut UnitState {
+        match self {
+            RowStore::Slots(store) => store.unit_mut(idx),
+            RowStore::Units(units) => units[idx].state_mut(),
+        }
+    }
+
+    #[inline]
+    fn pose<P: FnMut() -> usize>(
+        &mut self,
+        idx: usize,
+        from: SimTime,
+        to: SimTime,
+        query_rng: &mut RngStream,
+        pick: Option<P>,
+    ) {
+        match self {
+            RowStore::Slots(store) => store.pose(idx, from, to, query_rng, pick),
+            RowStore::Units(units) => {
+                let mut pick = pick;
+                let pick = pick.as_mut().map(|pick| pick as &mut dyn FnMut() -> usize);
+                units[idx].begin_awake_interval_skewed(from, to, query_rng, pick);
+            }
+        }
+    }
+
+    #[inline]
+    fn install(&mut self, idx: usize, answer: QueryAnswer) {
+        match self {
+            RowStore::Slots(store) => store.install(idx, answer),
+            RowStore::Units(units) => units[idx].install_answer(answer),
+        }
+    }
+
+    #[inline]
+    fn cache(&self, idx: usize) -> CacheView<'_> {
+        match self {
+            RowStore::Slots(store) => store.cache(idx),
+            RowStore::Units(units) => units[idx].cache(),
+        }
+    }
+
+    /// The slot store of a mesh shard, whose handoffs move its rows.
+    fn slots(&mut self) -> &mut SlotStore {
+        match self {
+            RowStore::Slots(store) => store,
+            RowStore::Units(_) => unreachable!("mesh shards run on the slot store"),
+        }
+    }
 }
 
 impl Fleet {
-    /// Builds the cell's clients. The columnar store hosts every
-    /// configuration it can unless `config.fleet` forces the choice
-    /// (the equivalence suite runs both on the same config).
+    /// Builds the cell's clients. The slot store holds the rows unless
+    /// the cell arms the query plane, whose cells keep the boxed
+    /// layout by default, or `config.fleet` forces the choice (the
+    /// equivalence suite runs both on the same config). Either layout
+    /// hosts every strategy, bounded caches and the query plane.
     ///
-    /// The one list of refusals, one per store: a cell that arms the
-    /// query plane runs on seats, and a mesh shard (backbone set) on the
-    /// columns. Every strategy runs on either store.
+    /// The one refusal: a mesh shard (backbone set) on boxed units,
+    /// since a handoff moves a client's row of the slot store.
     pub(crate) fn new(config: &CellConfig, strategy: Strategy) -> Result<Self, SimulationError> {
-        let params = &config.params;
         // `validate` keeps the query plane off mesh shards.
         let backend = config.fleet.unwrap_or(match config.query {
             Some(_) => FleetBackend::Units,
             None => FleetBackend::Columnar,
         });
-        let refusal = match backend {
-            FleetBackend::Units if config.backbone.is_some() => {
-                Some("mesh handoffs move a client's row of the columnar store")
-            }
-            FleetBackend::Columnar if config.query.is_some() => {
-                Some("the query-result plane attaches to boxed units")
-            }
-            _ => None,
-        };
-        if let Some(reason) = refusal {
-            return Err(SimulationError::InvalidConfig(format!(
-                "FleetBackend::{backend:?} cannot host this configuration: {reason}"
-            )));
-        }
-        let zipf = shared_zipf(config);
-        // One rule for the whole cell, on either store: every seat holds
-        // a clone, so SIG's subset masks are filled once per cell.
-        let rule = strategy.report_rule(params, config.protocol_seed());
-        if backend == FleetBackend::Units {
-            return Ok(Fleet::Units(
-                (0..config.n_clients)
-                    .map(|idx| ClientSeat::new(config, strategy, &rule, idx, zipf.as_ref()))
-                    .collect(),
+        if backend == FleetBackend::Units && config.backbone.is_some() {
+            return Err(SimulationError::InvalidConfig(
+                "FleetBackend::Units cannot host this configuration: mesh handoffs move a \
+                 client's row of the columnar store"
+                    .into(),
             ));
         }
-        // Finite capacity runs on either store with the same policy and
+        Ok(Self::build(config, strategy, backend, 0..config.n_clients))
+    }
+
+    /// Client `index` of `config` alone, as `CellSimulation::new` would
+    /// build it: a one-row fleet on the slot store whose row 0 draws
+    /// client `index`'s streams (the live MU's core).
+    pub fn client(config: &CellConfig, strategy: Strategy, index: usize) -> Self {
+        Self::build(config, strategy, FleetBackend::Columnar, index..index + 1)
+    }
+
+    /// The clients `clients` of `config` on `backend`, each asleep or
+    /// awake per its first sleep run.
+    fn build(
+        config: &CellConfig,
+        strategy: Strategy,
+        backend: FleetBackend,
+        clients: Range<usize>,
+    ) -> Self {
+        let params = &config.params;
+        let zipf = shared_zipf(config);
+        // One rule for the whole cell: every row applies it, and every
+        // boxed unit holds a clone, so SIG's subset masks are filled
+        // once per cell.
+        let rule = strategy.report_rule(params, config.protocol_seed());
+        // Finite capacity runs on either layout with the same policy and
         // the same TS window `w = kL` feeding the window-age rule.
-        let capacity = config.cache_capacity.map(|cap| CapacitySpec {
-            cap,
-            policy: config.replacement,
-            window: SimDuration::from_secs(params.latency_secs).scaled(params.k as f64),
-        });
-        let (h, n) = (config.hotspot_size, config.n_clients);
-        let mut fleet = ColumnarFleet::new(h, n, rule, capacity, piggybacks(strategy));
-        for idx in 0..n {
-            fleet.push_client(ClientStreams::draw(config, idx, zipf.as_ref()), params.lambda);
+        let window = SimDuration::from_secs(params.latency_secs).scaled(params.k as f64);
+        let piggyback = piggybacks(strategy);
+        let n = clients.len();
+        let store = match backend {
+            FleetBackend::Columnar => {
+                let capacity = config.cache_capacity.map(|cap| CapacitySpec {
+                    cap,
+                    policy: config.replacement,
+                    window,
+                });
+                let h = config.hotspot_size;
+                RowStore::Slots(SlotStore::new(h, n, rule.clone(), capacity, piggyback))
+            }
+            FleetBackend::Units => RowStore::Units(Vec::with_capacity(n)),
+        };
+        let mut fleet = Fleet::with_store(store, n);
+        if config.query.is_some() {
+            fleet.planes.reserve_exact(n);
         }
-        Ok(Fleet::Columnar(fleet))
+        for index in clients {
+            let (hotspot, sleep_probability, mut streams) =
+                ClientStreams::draw(config, index, zipf.as_ref());
+            // The query plane's workload is a pure function of its own
+            // stream over the hotspot the item plane drew.
+            if let Some(qc) = config.query {
+                let rng = config.seed.stream(StreamId::QueryPlan {
+                    index: index as u64,
+                });
+                fleet.planes.push(QueryPlane::new(&hotspot, qc, rng));
+            }
+            match &mut fleet.store {
+                RowStore::Slots(store) => {
+                    store.push_row(&hotspot, params.lambda, sleep_probability);
+                }
+                RowStore::Units(units) => {
+                    let mu_config = MuConfig {
+                        id: index as u64,
+                        hotspot,
+                        query_rate_per_item: params.lambda,
+                        sleep_probability,
+                        cache_capacity: config.cache_capacity,
+                        replacement: config.replacement,
+                        replacement_window: window,
+                        piggyback_hits: piggyback,
+                        item_universe: Some(params.n_items),
+                    };
+                    let rng = streams.query_rng();
+                    units.push(MobileUnit::new(mu_config, rule.clone(), rng));
+                }
+            }
+            fleet.push_client(streams);
+        }
+        fleet
+    }
+
+    /// A fleet over `store`'s rows with room for `clients` clients'
+    /// columns, which [`Self::push_client`] appends.
+    fn with_store(store: RowStore, clients: usize) -> Self {
+        Fleet {
+            store,
+            streams: Vec::with_capacity(clients),
+            next_wake: Vec::with_capacity(clients),
+            planes: Vec::new(),
+        }
+    }
+
+    /// Appends the columns of the client in the store's next row and
+    /// draws its first sleep run: one geometric from the sleep stream,
+    /// as if closing interval 0, and none from the query stream.
+    fn push_client(&mut self, streams: ClientStreams) {
+        let idx = self.streams.len();
+        self.streams.push(streams);
+        self.next_wake.push(0);
+        self.close_interval(idx, 0);
     }
 
     /// Number of client slots, departed ones included.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Fleet::Units(seats) => seats.len(),
-            Fleet::Columnar(fleet) => fleet.store.len(),
-        }
+        self.streams.len()
     }
 
     pub(crate) fn is_columnar(&self) -> bool {
-        matches!(self, Fleet::Columnar(_))
+        matches!(self.store, RowStore::Slots(_))
     }
 
     /// Whether the unit in slot `idx` migrated away.
@@ -195,25 +337,22 @@ impl Fleet {
         self.unit(idx).presence() == Presence::Departed
     }
 
-    pub(crate) fn query_plane(&self, idx: usize) -> Option<&QueryPlane> {
-        match self {
-            Fleet::Units(seats) => seats[idx].query_plane(),
-            Fleet::Columnar(_) => None,
-        }
+    /// Client `idx`'s query-result plane (`None` unless the cell arms
+    /// one).
+    pub fn query_plane(&self, idx: usize) -> Option<&QueryPlane> {
+        self.planes.get(idx)
     }
 
     /// Every armed query plane, in slot order.
     pub(crate) fn query_planes(&self) -> impl Iterator<Item = &QueryPlane> + '_ {
-        (0..self.len()).filter_map(|idx| self.query_plane(idx))
+        self.planes.iter()
     }
 
-    /// The unit's interval bookkeeping: the same record on either store.
+    /// Client `idx`'s interval bookkeeping: `T_l`, the awake flag, the
+    /// stats.
     #[inline]
-    pub(crate) fn unit(&self, idx: usize) -> &UnitState {
-        match self {
-            Fleet::Units(seats) => seats[idx].unit().state(),
-            Fleet::Columnar(fleet) => fleet.store.unit(idx),
-        }
+    pub fn unit(&self, idx: usize) -> &UnitState {
+        self.store.unit(idx)
     }
 
     #[inline]
@@ -226,40 +365,92 @@ impl Fleet {
         (0..self.len()).map(|idx| self.stats(idx))
     }
 
-    /// The next interval the unit is awake in (`u64::MAX` = never).
+    /// Client `idx`'s item cache as of the last report it heard.
     #[inline]
-    pub(crate) fn next_wake(&self, idx: usize) -> u64 {
-        match self {
-            Fleet::Units(seats) => seats[idx].next_wake(),
-            Fleet::Columnar(fleet) => fleet.next_wake[idx],
+    pub fn cache(&self, idx: usize) -> CacheView<'_> {
+        self.store.cache(idx)
+    }
+
+    /// The strategy's client half, which every row applies: its name,
+    /// and which report frames it accepts.
+    ///
+    /// # Panics
+    /// Panics on a boxed fleet with no client.
+    pub fn rule(&self) -> &ReportRule {
+        match &self.store {
+            RowStore::Slots(store) => store.rule(),
+            RowStore::Units(units) => units[0].rule(),
         }
+    }
+
+    /// Whether `item` is in client `idx`'s hotspot: the only items it
+    /// can ask for, so the only answers it can install.
+    pub fn in_hotspot(&self, idx: usize, item: ItemId) -> bool {
+        match &self.store {
+            RowStore::Slots(store) => store.in_hotspot(idx, item),
+            RowStore::Units(units) => units[idx].in_hotspot(item),
+        }
+    }
+
+    /// The next interval client `idx` is awake in (`u64::MAX` = never).
+    #[inline]
+    pub fn next_wake(&self, idx: usize) -> u64 {
+        self.next_wake[idx]
     }
 
     /// Appends every unit due at interval `i` to `awake`, ascending.
     pub(crate) fn due(&self, i: u64, awake: &mut Vec<usize>) {
-        awake.extend((0..self.len()).filter(|&idx| self.next_wake(idx) <= i));
+        let due = self.next_wake.iter().enumerate();
+        awake.extend(due.filter(|&(_, &wake)| wake <= i).map(|(idx, _)| idx));
     }
 
     /// Unmatched-subset telemetry from the last processed report
     /// (SIG/HYB only).
     #[inline]
     pub(crate) fn last_unmatched_subsets(&self, idx: usize) -> Option<u32> {
-        match self {
-            Fleet::Units(seats) => seats[idx].unit().last_unmatched_subsets(),
-            Fleet::Columnar(fleet) => fleet.store.last_unmatched(idx),
+        match &self.store {
+            RowStore::Slots(store) => store.last_unmatched(idx),
+            RowStore::Units(units) => units[idx].last_unmatched_subsets(),
         }
     }
 
-    /// Phase 1 for one waking unit: settle its sleep run, pose queries.
+    /// Opens interval `i = (from, to]` for waking client `idx`: credits
+    /// the sleep run that just ended and poses the interval's queries —
+    /// the count and pose times from the query stream, each item from
+    /// the Zipf stream when armed, else from the query stream — then
+    /// opens its query plane's interval.
     #[inline]
-    pub(crate) fn open_interval(&mut self, idx: usize, i: u64, from: SimTime, to: SimTime) {
-        per_client!(self, idx, open_interval(i, from, to))
+    pub fn open_interval(&mut self, idx: usize, i: u64, from: SimTime, to: SimTime) {
+        let (query_rng, pick) = self.streams[idx].open(self.store.unit_mut(idx), i);
+        self.store.pose(idx, from, to, query_rng, pick);
+        if let Some(plane) = self.planes.get_mut(idx) {
+            plane.begin_awake_interval();
+        }
     }
 
-    /// The unit listened for the report and never received it intact.
+    /// Client `idx` listened for the report closing the interval and
+    /// never received it intact: pending queries (both planes') wait
+    /// for the next one, and to the strategy the interval looks like a
+    /// nap.
     #[inline]
-    pub(crate) fn miss_report(&mut self, idx: usize) {
-        per_client!(self, idx, miss_report())
+    pub fn miss_report(&mut self, idx: usize) {
+        self.store.unit_mut(idx).miss_report();
+        if let Some(plane) = self.planes.get_mut(idx) {
+            plane.on_report_missed();
+        }
+    }
+
+    /// Client `idx` hears the report behind `digest` and answers its
+    /// pending queries: [`Rows::hear`] on its row, its invalidated ids
+    /// and uplink requests appended to `lists`.
+    ///
+    /// # Panics
+    /// Panics if the client is asleep.
+    pub fn hear(&mut self, idx: usize, digest: &ReportDigest<'_>, lists: &mut SweepLists) -> Heard {
+        match &mut self.store {
+            RowStore::Slots(store) => store.rows().hear(idx, idx, digest, lists),
+            RowStore::Units(units) => units[idx].hear_into(digest, lists),
+        }
     }
 
     /// The report sweep: every listening client (the `heard` positions
@@ -276,80 +467,93 @@ impl Fleet {
         observing: bool,
         out: &mut [SweepOut],
     ) {
-        match self {
-            Fleet::Units(seats) => {
-                sweep_store(&mut seats[..], heard, awake, digest, observing, out)
-            }
-            Fleet::Columnar(fleet) => {
-                sweep_store(fleet.store.rows(), heard, awake, digest, observing, out)
-            }
+        match &mut self.store {
+            RowStore::Slots(store) => sweep_store(store.rows(), heard, awake, digest, observing, out),
+            RowStore::Units(units) => sweep_store(&mut units[..], heard, awake, digest, observing, out),
         }
     }
 
+    /// Installs one uplink answer in client `idx`'s cache.
+    ///
+    /// # Panics
+    /// Panics if the item is not [in its hotspot](Self::in_hotspot).
     #[inline]
-    pub(crate) fn install_answer(&mut self, idx: usize, answer: QueryAnswer) {
-        per_client!(self, idx, install_answer(answer))
+    pub fn install_answer(&mut self, idx: usize, answer: QueryAnswer) {
+        self.store.install(idx, answer);
     }
 
-    /// The query plane's fetch list after a heard report (`None`: the
-    /// client has no plane).
+    /// The query plane's footprint check against the item cache the
+    /// report at `t_i` just settled: the items to fetch before
+    /// [`settle_queries`](Self::settle_queries). `None`: the client has
+    /// no plane.
     #[inline]
-    pub(crate) fn check_queries(&mut self, idx: usize, t_i: SimTime) -> Option<Vec<ItemId>> {
-        match self {
-            Fleet::Units(seats) => seats[idx].check_queries(t_i),
-            Fleet::Columnar(_) => None,
+    pub fn check_queries(&mut self, idx: usize, t_i: SimTime) -> Option<Vec<ItemId>> {
+        let plane = self.planes.get_mut(idx)?;
+        Some(plane.observe_report(self.store.cache(idx), t_i).fetch)
+    }
+
+    /// Materializes missed query results and resolves transactional
+    /// reads once the fetch list was served. No-op without a plane.
+    #[inline]
+    pub fn settle_queries(&mut self, idx: usize, t_i: SimTime) {
+        if let Some(plane) = self.planes.get_mut(idx) {
+            plane.settle(self.store.cache(idx), t_i);
         }
     }
 
+    /// Closes interval `i` for awake client `idx`: draws its next sleep
+    /// run and returns the next interval it is awake in.
     #[inline]
-    pub(crate) fn settle_queries(&mut self, idx: usize, t_i: SimTime) {
-        if let Fleet::Units(seats) = self {
-            seats[idx].settle_queries(t_i);
-        }
+    pub fn close_interval(&mut self, idx: usize, i: u64) -> u64 {
+        self.next_wake[idx] = self.streams[idx].close(self.store.unit_mut(idx), i);
+        self.next_wake[idx]
     }
 
-    /// Last phase for one awake unit: draw its next sleep run; returns
-    /// the next interval it is awake in.
-    #[inline]
-    pub(crate) fn close_interval(&mut self, idx: usize, i: u64) -> u64 {
-        per_client!(self, idx, close_interval(i))
-    }
-
-    /// Zeroes every client's stats after a warm-up ending at `now`.
+    /// Zeroes every client's and plane's stats after a warm-up ending
+    /// at `now`. Sleep runs straddling the reset must not credit their
+    /// pre-reset intervals into the fresh stats.
     pub(crate) fn reset_stats(&mut self, now: u64) {
-        match self {
-            Fleet::Units(seats) => seats.iter_mut().for_each(|seat| seat.reset_stats(now)),
-            Fleet::Columnar(fleet) => fleet.reset_stats(now),
+        for idx in 0..self.len() {
+            self.store.unit_mut(idx).reset_stats();
         }
+        for streams in &mut self.streams {
+            streams.settled_through(now);
+        }
+        self.planes.iter_mut().for_each(QueryPlane::reset_stats);
     }
 
     /// Visits every cached entry as `(item, value, timestamp)` in
     /// client order, items ascending.
     pub(crate) fn for_each_cached_entry(&self, mut f: impl FnMut(ItemId, u64, SimTime)) {
-        match self {
-            Fleet::Units(seats) => {
-                for seat in seats {
-                    for (item, entry) in seat.unit().cache().iter() {
-                        f(item, entry.value, entry.timestamp);
-                    }
-                }
-            }
-            Fleet::Columnar(fleet) => {
-                for idx in 0..fleet.store.len() {
-                    for (item, entry) in fleet.store.cache(idx).iter() {
-                        f(item, entry.value, entry.timestamp);
-                    }
-                }
+        for idx in 0..self.len() {
+            for (item, entry) in self.cache(idx).iter() {
+                f(item, entry.value, entry.timestamp);
             }
         }
     }
 
-    /// A mesh shard's columns, which handoffs move rows between.
-    pub(crate) fn shard_mut(&mut self) -> &mut ColumnarFleet {
-        match self {
-            Fleet::Columnar(fleet) => fleet,
-            Fleet::Units(_) => unreachable!("mesh shards run on the columnar store"),
-        }
+    /// A mesh handoff: moves client `idx`'s row of the store, its
+    /// streams and its wake mark to the end of `to`, a fleet of the
+    /// same configuration, and returns its slot there. The slot left
+    /// behind is departed: no valid bits, zero stats, never woken.
+    pub(crate) fn move_row(&mut self, idx: usize, to: &mut Fleet) -> usize {
+        debug_assert!(self.planes.is_empty(), "mesh shards host no query plane");
+        let landed = self.store.slots().move_row(idx, to.store.slots());
+        // The copy left behind is never opened again.
+        to.streams.push(self.streams[idx].clone());
+        to.next_wake
+            .push(std::mem::replace(&mut self.next_wake[idx], u64::MAX));
+        landed
+    }
+
+    /// Lands client `idx`, just moved here: in transit, asleep, through
+    /// interval `transit`. With diverged report histories no report of
+    /// this cell can vouch for the carried cache, so it is dropped,
+    /// entries and ghosts; returns whether that lost any.
+    pub(crate) fn land(&mut self, idx: usize, transit: u64, histories_agree: bool) -> bool {
+        self.streams[idx].settled_through(transit);
+        self.next_wake[idx] = self.next_wake[idx].max(transit.saturating_add(1));
+        self.store.slots().land(idx, histories_agree)
     }
 }
 
@@ -416,25 +620,23 @@ impl WakeSchedule {
 }
 
 /// A client store the report sweep can split at client boundaries:
-/// the seats as a slice, the columns as [`Rows`].
+/// the boxed units as a slice, the slot store as [`Rows`].
 trait SweepStore: Send {
     /// Splits the first `n` clients off the front.
     fn split_front(&mut self, n: usize) -> Self;
 
-    /// One client's share of the sweep — [`Rows::hear`] on its row of
-    /// the store, then its item appended to `out`. Touches only that
-    /// client, draws no randomness. `local` is the client's position in
-    /// this store, `idx` its fleet index, `slot` its position in the
-    /// awake set.
-    fn sweep_client(
+    /// The `local`-th client's interval bookkeeping.
+    fn unit(&self, local: usize) -> &UnitState;
+
+    /// [`Rows::hear`] on the `local`-th client's row (fleet index
+    /// `idx`).
+    fn hear(
         &mut self,
         local: usize,
         idx: usize,
-        slot: usize,
-        observing: bool,
         digest: &ReportDigest<'_>,
-        out: &mut SweepOut,
-    );
+        lists: &mut SweepLists,
+    ) -> Heard;
 }
 
 /// Sweeps the `heard` clients of `store` into `out`, one worker per
@@ -455,7 +657,7 @@ fn sweep_store<S: SweepStore>(
     if out.len() <= 1 || heard.len() < SWEEP_PAR_MIN {
         for &slot in heard {
             let idx = awake[slot];
-            store.sweep_client(idx, idx, slot, observing, digest, &mut out[0]);
+            sweep_client(&mut store, idx, idx, slot, observing, digest, &mut out[0]);
         }
         return;
     }
@@ -470,40 +672,52 @@ fn sweep_store<S: SweepStore>(
             scope.spawn(move || {
                 for &slot in chunk {
                     let idx = awake[slot];
-                    mine.sweep_client(idx - mine_base, idx, slot, observing, digest, out);
+                    sweep_client(&mut mine, idx - mine_base, idx, slot, observing, digest, out);
                 }
             });
         }
     });
 }
 
-/// Splits the first `n` elements off a slice.
-fn front<'a, T>(column: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-    column
-        .split_off_mut(..n)
-        .expect("a chunk ends inside the column")
+/// One client's share of the sweep: its row hears the report, and its
+/// item is appended to `out`. Touches only that client, draws no
+/// randomness. `local` is the client's position in `store`, `idx` its
+/// fleet index, `slot` its position in the awake set.
+#[inline]
+fn sweep_client<S: SweepStore>(
+    store: &mut S,
+    local: usize,
+    idx: usize,
+    slot: usize,
+    observing: bool,
+    digest: &ReportDigest<'_>,
+    out: &mut SweepOut,
+) {
+    let unit = store.unit(local);
+    // The last-report time is the false-alarm reference point (§6).
+    let pre = observing.then(|| (unit.stats(), unit.last_report_heard()));
+    let heard = store.hear(local, idx, digest, &mut out.lists);
+    out.items.push(SweepItem { slot, pre, heard });
 }
 
-impl SweepStore for &mut [ClientSeat] {
+impl SweepStore for &mut [MobileUnit] {
     fn split_front(&mut self, n: usize) -> Self {
-        front(self, n)
+        self.split_off_mut(..n)
+            .expect("a chunk ends inside the fleet")
     }
 
-    fn sweep_client(
+    fn unit(&self, local: usize) -> &UnitState {
+        self[local].state()
+    }
+
+    fn hear(
         &mut self,
         local: usize,
         _idx: usize,
-        slot: usize,
-        observing: bool,
         digest: &ReportDigest<'_>,
-        out: &mut SweepOut,
-    ) {
-        let seat = &mut self[local];
-        let unit = seat.unit().state();
-        // The last-report time is the false-alarm reference point (§6).
-        let pre = observing.then(|| (unit.stats(), unit.last_report_heard()));
-        let heard = seat.hear_into(digest, &mut out.lists);
-        out.items.push(SweepItem { slot, pre, heard });
+        lists: &mut SweepLists,
+    ) -> Heard {
+        self[local].hear_into(digest, lists)
     }
 }
 
@@ -513,126 +727,19 @@ impl SweepStore for Rows<'_> {
     }
 
     #[inline]
-    fn sweep_client(
+    fn unit(&self, local: usize) -> &UnitState {
+        Rows::unit(self, local)
+    }
+
+    #[inline]
+    fn hear(
         &mut self,
         local: usize,
         idx: usize,
-        slot: usize,
-        observing: bool,
         digest: &ReportDigest<'_>,
-        out: &mut SweepOut,
-    ) {
-        let unit = self.unit(local);
-        let pre = observing.then(|| (unit.stats(), unit.last_report_heard()));
-        let heard = self.hear(local, idx, digest, &mut out.lists);
-        out.items.push(SweepItem { slot, pre, heard });
-    }
-}
-
-/// The columnar owner of the client store: one [`SlotStore`] row per
-/// client, plus what the driver keeps per client beside it.
-pub(crate) struct ColumnarFleet {
-    /// Every client's cache, pending set and interval bookkeeping.
-    store: SlotStore,
-    /// Each client's streams and settled-interval mark: the same
-    /// record a seat holds.
-    streams: Vec<ClientStreams>,
-    /// Next interval each client is awake in (`u64::MAX` = never); the
-    /// scan wake schedule reads this column directly, sleepers
-    /// included.
-    next_wake: Vec<u64>,
-}
-
-impl ColumnarFleet {
-    /// Creates an empty fleet with room for `clients` clients, which
-    /// [`Self::push_client`] appends; `piggyback` arms the hit
-    /// histories. A standalone cell's columns are sized once here; a
-    /// mesh shard's grow as units arrive.
-    pub(crate) fn new(
-        hotspot_size: usize,
-        clients: usize,
-        rule: ReportRule,
-        capacity: Option<CapacitySpec>,
-        piggyback: bool,
-    ) -> Self {
-        ColumnarFleet {
-            store: SlotStore::new(hotspot_size, clients, rule, capacity, piggyback),
-            streams: Vec::with_capacity(clients),
-            next_wake: Vec::with_capacity(clients),
-        }
-    }
-
-    /// Appends one client, consuming exactly the draws
-    /// `ClientSeat::new` would: one geometric from the sleep stream for
-    /// the first sleep run, none from the query stream.
-    pub(crate) fn push_client(&mut self, start: ClientStart, query_rate_per_item: f64) {
-        let (hotspot, sleep_probability, streams) = start;
-        let idx = self
-            .store
-            .push_row(&hotspot, query_rate_per_item, sleep_probability);
-        self.streams.push(streams);
-        self.next_wake.push(0);
-        // The first sleep run, as if closing interval 0.
-        self.close_interval(idx, 0);
-    }
-
-    /// Zeroes every client's stats (warm-up reset at interval `now`).
-    /// Sleep runs straddling the reset must not credit their pre-reset
-    /// intervals into the fresh stats.
-    fn reset_stats(&mut self, now: u64) {
-        self.store.reset_stats();
-        for streams in &mut self.streams {
-            streams.settled_through(now);
-        }
-    }
-
-    /// [`ClientSeat::open_interval`] over the columns: the same
-    /// [`ClientStreams::open`], then [`SlotStore::pose`].
-    #[inline]
-    fn open_interval(&mut self, idx: usize, i: u64, from: SimTime, to: SimTime) {
-        let (query_rng, pick) = self.streams[idx].open(self.store.unit_mut(idx), i);
-        self.store.pose(idx, from, to, query_rng, pick);
-    }
-
-    /// [`ClientSeat::close_interval`] over the columns.
-    #[inline]
-    fn close_interval(&mut self, idx: usize, i: u64) -> u64 {
-        self.next_wake[idx] = self.streams[idx].close(self.store.unit_mut(idx), i);
-        self.next_wake[idx]
-    }
-
-    #[inline]
-    fn install_answer(&mut self, idx: usize, answer: QueryAnswer) {
-        self.store.install(idx, answer);
-    }
-
-    /// Records a listened-for-but-missed report (fault injection).
-    #[inline]
-    fn miss_report(&mut self, idx: usize) {
-        self.store.unit_mut(idx).miss_report();
-    }
-
-    /// A mesh handoff: moves client `idx`'s row of the store, its
-    /// streams and its wake mark to the end of `to`, a fleet of the
-    /// same configuration, and returns its slot there. The slot left
-    /// behind is departed: no valid bits, zero stats, never woken.
-    pub(crate) fn move_row(&mut self, idx: usize, to: &mut ColumnarFleet) -> usize {
-        let landed = self.store.move_row(idx, &mut to.store);
-        // The copy left behind is never opened again.
-        to.streams.push(self.streams[idx].clone());
-        to.next_wake
-            .push(std::mem::replace(&mut self.next_wake[idx], u64::MAX));
-        landed
-    }
-
-    /// Lands client `idx`, just moved here: in transit, asleep, through
-    /// interval `transit`. With diverged report histories no report of
-    /// this cell can vouch for the carried cache, so it is dropped,
-    /// entries and ghosts; returns whether that lost any.
-    pub(crate) fn land(&mut self, idx: usize, transit: u64, histories_agree: bool) -> bool {
-        self.streams[idx].settled_through(transit);
-        self.next_wake[idx] = self.next_wake[idx].max(transit.saturating_add(1));
-        self.store.land(idx, histories_agree)
+        lists: &mut SweepLists,
+    ) -> Heard {
+        Rows::hear(self, local, idx, digest, lists)
     }
 }
 

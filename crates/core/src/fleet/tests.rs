@@ -1,26 +1,26 @@
-//! `Fleet::Units` against `Fleet::Columnar`, one client each, driven
-//! through the *same* phase calls — `open_interval`, `miss_report`,
-//! `sweep`, `install_answer`, `close_interval` — on payloads and
-//! schedules the cell driver never produces.
+//! A fleet on boxed units against a fleet on the slot store, one client
+//! each, driven through the *same* phase calls — `open_interval`,
+//! `miss_report`, `sweep`, `install_answer`, `close_interval` — on
+//! payloads and schedules the cell driver never produces.
 //!
-//! Both owners run one client store (`sw_client::SlotStore`): the seat
-//! a one-row store inside its `MobileUnit`, the columns a row of the
-//! fleet's. What the rows below pin is that the owners drive it alike —
-//! the same phase calls reach the same row code with the same streams —
-//! on hand-built payloads: unsorted, with duplicated ids, with ids
-//! outside every hot spot, the gap rule at its exact boundary, for
-//! every rule. Every row compares each cached entry's `(item, value,
-//! stamp)` too, and every uplink's piggybacked hit history, which only
-//! Method 1 carries. The remaining rows pin what the seat and the
-//! columns each keep beside the store: sleep-run settlement across a
-//! stats reset, the never-wake sentinel, the Zipf pick's stream
-//! discipline, the pending set across missed reports, the SIG subsets
-//! a fetch tracks. The last row moves one client's row between two
-//! fleets, as a mesh handoff does. `summary` carries each owner's
-//! tracked-subset count, so every row that compares summaries also
-//! compares what the two vouch for. The store's own columns — the SIG
-//! columns' size, the slot block's walks, a moved row column by column
-//! — are pinned in `sw_client::store`'s tests.
+//! Both layouts are rows of one client store (`sw_client::SlotStore`):
+//! a boxed `MobileUnit` is a one-row store, the slot layout a row of
+//! the fleet's. What the rows below pin is that the fleet drives both
+//! alike — the same phase calls reach the same row code with the same
+//! streams — on hand-built payloads: unsorted, with duplicated ids,
+//! with ids outside every hot spot, the gap rule at its exact boundary,
+//! for every rule. Every row compares each cached entry's `(item,
+//! value, stamp)` too, and every uplink's piggybacked hit history,
+//! which only Method 1 carries. The remaining rows pin what the fleet
+//! keeps beside the rows: sleep-run settlement across a stats reset,
+//! the never-wake sentinel, the Zipf pick's stream discipline, the
+//! pending set across missed reports, the SIG subsets a fetch tracks.
+//! The last row moves one client's row between two fleets, as a mesh
+//! handoff does. `summary` carries each layout's tracked-subset count,
+//! so every row that compares summaries also compares what the two
+//! vouch for. The store's own columns — the SIG columns' size, the slot
+//! block's walks, a moved row column by column — are pinned in
+//! `sw_client::store`'s tests.
 
 use std::sync::Arc;
 
@@ -113,7 +113,7 @@ fn report_time(i: u64) -> SimTime {
 
 /// One-client fleets are driven through the interval protocol by the
 /// phase calls `CellSimulation::step` makes — the same ones on either
-/// variant.
+/// layout.
 impl Fleet {
     fn open(&mut self, i: u64) {
         self.open_interval(0, i, report_time(i - 1), report_time(i));
@@ -121,7 +121,7 @@ impl Fleet {
 
     /// Hears `payload`, then installs an answer stamped `T_i` for every
     /// miss (the uplink exchange of the merge phase).
-    fn hear(&mut self, payload: &FramePayload) -> Heard {
+    fn hear_payload(&mut self, payload: &FramePayload) -> Heard {
         let mut scratch = DigestScratch::default();
         let digest = scratch.digest(payload);
         let mut out = [SweepOut::default()];
@@ -154,9 +154,17 @@ impl Fleet {
     /// SIG/HYB: how many subsets the client vouches for — the set bits
     /// of its row of the mask (0 for the rules that track none).
     fn tracked_subsets(&self, idx: usize) -> usize {
-        match self {
-            Fleet::Units(seats) => seats[idx].unit().tracked_subsets(),
-            Fleet::Columnar(fleet) => fleet.store.tracked_subsets(idx),
+        match &self.store {
+            RowStore::Slots(store) => store.tracked_subsets(idx),
+            RowStore::Units(units) => units[idx].tracked_subsets(),
+        }
+    }
+
+    /// The slot store of a fleet on that layout.
+    fn columns(&self) -> &SlotStore {
+        match &self.store {
+            RowStore::Slots(store) => store,
+            RowStore::Units(_) => unreachable!("the fixture is columnar"),
         }
     }
 
@@ -181,49 +189,53 @@ impl Fleet {
     }
 }
 
-/// Client `index`'s start over `HOTSPOT`, with sleep probability `s`.
-fn streams(index: u64, s: f64, zipf: Option<f64>) -> ClientStart {
+/// Client `index`'s streams, with Zipf picks over `HOTSPOT` if armed.
+fn streams(index: u64, zipf: Option<f64>) -> ClientStreams {
     let stream = |id| MasterSeed::TEST.stream(id);
     let picker = |theta| Arc::new(ZipfPicker::new(HOTSPOT.len(), theta));
-    let streams = ClientStreams::new(
+    ClientStreams::new(
         stream(StreamId::Queries { index }),
         stream(StreamId::Sleep { index }),
         zipf.map(|theta| (picker(theta), stream(StreamId::ZipfQuery { index }))),
-    );
-    (HOTSPOT.to_vec(), s, streams)
+    )
+}
+
+/// An empty slot store over `HOTSPOT`-sized rows, bounded at
+/// `capacity` under LRU.
+fn slot_store(rule: ReportRule, capacity: Option<usize>, piggyback: bool) -> SlotStore {
+    let capacity = capacity.map(|cap| CapacitySpec {
+        cap,
+        policy: ReplacementPolicy::Lru,
+        window: SimDuration::from_secs(LATENCY).scaled(K as f64),
+    });
+    SlotStore::new(HOTSPOT.len(), 1, rule, capacity, piggyback)
 }
 
 /// One client over `HOTSPOT` with sleep probability `s`, on either
-/// store, from the same streams.
+/// layout, from the same streams.
 fn fleet(columnar: bool, kind: Kind, capacity: Option<usize>, s: f64, zipf: Option<f64>) -> Fleet {
-    let start = streams(0, s, zipf);
-    let window = SimDuration::from_secs(LATENCY).scaled(K as f64);
-    if columnar {
-        let capacity = capacity.map(|cap| CapacitySpec {
-            cap,
-            policy: ReplacementPolicy::Lru,
-            window,
-        });
-        let mut fleet =
-            ColumnarFleet::new(HOTSPOT.len(), 1, rule(kind), capacity, kind == Kind::M1);
-        fleet.push_client(start, LAMBDA);
-        Fleet::Columnar(fleet)
+    let mut streams = streams(0, zipf);
+    let store = if columnar {
+        let mut store = slot_store(rule(kind), capacity, kind == Kind::M1);
+        store.push_row(&HOTSPOT, LAMBDA, s);
+        RowStore::Slots(store)
     } else {
-        let (hotspot, _, mut streams) = start;
         let config = MuConfig {
             id: 0,
-            hotspot,
+            hotspot: HOTSPOT.to_vec(),
             query_rate_per_item: LAMBDA,
             sleep_probability: s,
             cache_capacity: capacity,
             replacement: ReplacementPolicy::Lru,
-            replacement_window: window,
+            replacement_window: SimDuration::from_secs(LATENCY).scaled(K as f64),
             piggyback_hits: kind == Kind::M1,
             item_universe: Some(UNIVERSE),
         };
-        let mu = MobileUnit::new(config, rule(kind), streams.query_rng());
-        Fleet::Units(vec![ClientSeat::seated(mu, streams, None)])
-    }
+        RowStore::Units(vec![MobileUnit::new(config, rule(kind), streams.query_rng())])
+    };
+    let mut fleet = Fleet::with_store(store, 1);
+    fleet.push_client(streams);
+    fleet
 }
 
 /// Both stores of the same one-client cell.
@@ -381,10 +393,10 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
                 columnar.open(i);
                 // The first report finds the cache empty (and `T_l`
                 // unset): no rule may call that a drop.
-                let expected = boxed.hear(&payload);
+                let expected = boxed.hear_payload(&payload);
                 assert_eq!(
                     expected,
-                    columnar.hear(&payload),
+                    columnar.hear_payload(&payload),
                     "{kind:?} capacity={capacity:?} interval {i}"
                 );
                 // A workaholic is due again the very next interval.
@@ -415,21 +427,19 @@ fn hand_built_unsorted_and_duplicated_payloads_agree_across_backends() {
     }
 }
 
-/// A boxed SIG cell builds its rule once: every seat's decoder reads
-/// the same subset mask and list, filled by whichever seat asked first.
+/// A boxed SIG cell builds its rule once: every unit's decoder reads
+/// the same subset mask and list, filled by whichever unit asked first.
 #[test]
-fn the_seats_of_a_units_sig_cell_share_one_subset_list_table() {
+fn the_units_of_a_boxed_sig_cell_share_one_subset_list_table() {
     let config = CellConfig::new(sw_workload::ScenarioParams::scenario1())
         .with_clients(3)
         .with_fleet(FleetBackend::Units);
-    let Ok(Fleet::Units(seats)) = Fleet::new(&config, Strategy::Signatures) else {
-        panic!("a forced Units fleet is boxed seats");
+    let fleet = Fleet::new(&config, Strategy::Signatures).expect("a valid cell");
+    let RowStore::Units(units) = &fleet.store else {
+        panic!("a forced Units fleet is boxed units");
     };
-    let decoder = |seat: &ClientSeat| {
-        let rule = seat.unit().rule();
-        rule.decoder().expect("SIG rules decode").clone()
-    };
-    let (first, last) = (decoder(&seats[0]), decoder(&seats[2]));
+    let decoder = |unit: &MobileUnit| unit.rule().decoder().expect("SIG rules decode").clone();
+    let (first, last) = (decoder(&units[0]), decoder(&units[2]));
     for item in [0, 17, config.params.n_items - 1] {
         assert!(
             std::ptr::eq(first.subsets_of(item), last.subsets_of(item)),
@@ -446,7 +456,7 @@ fn the_seats_of_a_units_sig_cell_share_one_subset_list_table() {
 fn sleep_run_straddling_a_stats_reset_credits_no_pre_reset_intervals() {
     for mut fleet in both(Kind::Ts, None, 0.0, None) {
         fleet.open(1);
-        fleet.hear(&Reports::new(Kind::Ts).next(1));
+        fleet.hear_payload(&Reports::new(Kind::Ts).next(1));
         fleet.close_interval(0, 1);
         // Asleep over 2..=6; the warm-up ends after interval 4.
         fleet.reset_stats(4);
@@ -520,11 +530,11 @@ fn zipf_pick_consumes_no_uniform_draw_from_the_query_stream() {
         assert_eq!(columnar.stats(0).queries_posed, posed, "interval {i}");
         let payload = Reports::new(Kind::At).next(i);
         assert_eq!(
-            boxed.hear(&payload),
-            columnar.hear(&payload),
+            boxed.hear_payload(&payload),
+            columnar.hear_payload(&payload),
             "interval {i}"
         );
-        uniform.hear(&payload);
+        uniform.hear_payload(&payload);
     }
     assert!(posed > 20, "the row needs queries to mean anything");
     assert_ne!(
@@ -555,7 +565,7 @@ fn missed_reports_keep_the_pending_set(kind: Kind) {
         fleet.open(1);
     }
     let first = reports.next(1);
-    assert_eq!(boxed.hear(&first), columnar.hear(&first));
+    assert_eq!(boxed.hear_payload(&first), columnar.hear_payload(&first));
     let answered = boxed.stats(0).query_events();
     // Intervals 2 and 3: queries are posed, the report never arrives.
     for i in 2..=3 {
@@ -579,8 +589,8 @@ fn missed_reports_keep_the_pending_set(kind: Kind) {
     for fleet in [&mut boxed, &mut columnar] {
         fleet.open(4);
     }
-    let heard = boxed.hear(&fourth);
-    assert_eq!(heard, columnar.hear(&fourth));
+    let heard = boxed.hear_payload(&fourth);
+    assert_eq!(heard, columnar.hear_payload(&fourth));
     let stats = boxed.stats(0);
     assert!(
         stats.query_events() > answered,
@@ -632,7 +642,7 @@ fn installs_before_the_first_heard_report_keep_their_own_stamp() {
             "{kind:?} before any report"
         );
         let first = Reports::new(kind).next(1);
-        assert_eq!(boxed.hear(&first), columnar.hear(&first), "{kind:?}");
+        assert_eq!(boxed.hear_payload(&first), columnar.hear_payload(&first), "{kind:?}");
     }
 }
 
@@ -686,7 +696,7 @@ fn a_fetch_tracks_its_items_subsets_and_hyb_only_a_cold_items() {
 }
 
 /// Method 1: a slot's hit history is the uplink's `PiggybackInfo` on
-/// either owner for the same queries — the hits since the item's last
+/// either layout for the same queries — the hits since the item's last
 /// uplink, kept across the report that invalidates the copy and shipped
 /// with the miss that follows.
 #[test]
@@ -698,8 +708,8 @@ fn a_slots_hit_history_is_the_units_piggyback() {
         let payload = reports.next(i);
         boxed.open(i);
         columnar.open(i);
-        let heard = boxed.hear(&payload);
-        assert_eq!(heard, columnar.hear(&payload), "interval {i}");
+        let heard = boxed.hear_payload(&payload);
+        assert_eq!(heard, columnar.hear_payload(&payload), "interval {i}");
         let (outcome, uplinks, piggybacks, _) = heard;
         assert_eq!(piggybacks.len(), uplinks.len(), "interval {i}");
         // A hit before the invalidation, shipped by the miss after it:
@@ -720,21 +730,13 @@ fn a_slots_hit_history_is_the_units_piggyback() {
     );
 }
 
-/// The columns of a columnar fixture.
-fn columns(fleet: &Fleet) -> &ColumnarFleet {
-    match fleet {
-        Fleet::Columnar(columns) => columns,
-        Fleet::Units(_) => unreachable!("the fixture is columnar"),
-    }
-}
-
 /// Client `idx`'s row as the fleet moves it: its streams, its wake
 /// mark, and what its row of the store reads as — the unit, the cached
 /// entries with their validity stamps, the pending count, the tracked
 /// subsets and the last unmatched count. (`sw_client::store`'s tests
 /// compare a moved row column by column.)
-fn row_of(fleet: &ColumnarFleet, idx: usize) -> Vec<(&'static str, String)> {
-    let store = &fleet.store;
+fn row_of(fleet: &Fleet, idx: usize) -> Vec<(&'static str, String)> {
+    let store = fleet.columns();
     let text = |column: &dyn std::fmt::Debug| format!("{column:?}");
     let cached: Vec<_> = store.cache(idx).iter().collect();
     vec![
@@ -757,18 +759,13 @@ fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
     // every per-client column armed: SIG's mask, the capacity columns,
     // the hit histories.
     let bounded_sig = |indices: std::ops::Range<u64>| {
-        let capacity = CapacitySpec {
-            cap: 2,
-            policy: ReplacementPolicy::Lru,
-            window: SimDuration::from_secs(LATENCY).scaled(K as f64),
-        };
-        let clients = indices.end - indices.start;
-        let (sig, capacity) = (rule(Kind::Sig), Some(capacity));
-        let mut fleet = ColumnarFleet::new(HOTSPOT.len(), clients as usize, sig, capacity, true);
+        let store = slot_store(rule(Kind::Sig), Some(2), true);
+        let mut fleet = Fleet::with_store(RowStore::Slots(store), indices.clone().count());
         for index in indices {
-            fleet.push_client(streams(index, 0.0, None), LAMBDA);
+            fleet.store.slots().push_row(&HOTSPOT, LAMBDA, 0.0);
+            fleet.push_client(streams(index, None));
         }
-        Fleet::Columnar(fleet)
+        fleet
     };
     let (mut a, mut b) = (bounded_sig(0..3), bounded_sig(10..12));
     let mut reports = Reports::new(Kind::Sig);
@@ -808,28 +805,28 @@ fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
         }
     }
     let k = 1;
-    let before = row_of(columns(&a), k);
-    let carried = columns(&a).store.cache(k).len();
+    let before = row_of(&a, k);
+    let carried = a.columns().cache(k).len();
     assert!(carried > 0, "the traveler carries a cache");
-    assert!(columns(&a).store.unit(k).stats().evictions > 0, "and ghosts");
+    assert!(a.columns().unit(k).stats().evictions > 0, "and ghosts");
     assert!(
-        columns(&a).store.pending_len(k) > 0,
+        a.columns().pending_len(k) > 0,
         "and queries still waiting"
     );
     assert!(
-        columns(&a).store.tracked_subsets(k) > 0,
+        a.columns().tracked_subsets(k) > 0,
         "and tracked subsets"
     );
     let entries_before = a.cached().len();
     // Built before the cut: the heap keeps the traveler's entry.
     let schedules = [WakeMode::Scan, WakeMode::Heap].map(|mode| WakeSchedule::new(mode, &a));
 
-    let landed = a.shard_mut().move_row(k, b.shard_mut());
+    let landed = a.move_row(k, &mut b);
     // A's slot is departed: zero stats, never woken, nothing cached.
     assert!(a.is_departed(k));
     assert_eq!(a.stats(k), MuStats::default());
     assert_eq!(a.next_wake(k), u64::MAX);
-    assert!(columns(&a).store.cache(k).is_empty());
+    assert!(a.columns().cache(k).is_empty());
     assert_eq!(a.cached().len(), entries_before - carried);
     for mut schedule in schedules {
         let mut awake = Vec::new();
@@ -844,30 +841,30 @@ fn a_handoff_moves_one_row_and_leaves_a_departed_slot() {
     }
     // B's new row is A's old one.
     assert_eq!(landed, 2, "an arrival appends a slot");
-    assert_eq!(row_of(columns(&b), landed), before);
+    assert_eq!(row_of(&b, landed), before);
 
     // Landing: asleep through the transit interval, arrived until it
     // hears a report; histories that agree keep the cache.
     let transit = last + 1;
     assert!(
-        !b.shard_mut().land(landed, transit, true),
+        !b.land(landed, transit, true),
         "agreeing histories drop nothing"
     );
     assert_eq!(b.unit(landed).presence(), Presence::Arrived);
     assert!(!b.unit(landed).is_awake());
     assert!(b.next_wake(landed) > transit);
-    assert_eq!(columns(&b).store.cache(landed).len(), carried);
+    assert_eq!(b.columns().cache(landed).len(), carried);
     // Diverged histories empty the row and count one drop; an empty row
     // has nothing to lose and counts none.
     let drops = b.stats(landed).cache_drops;
     assert!(
-        b.shard_mut().land(landed, transit, false),
+        b.land(landed, transit, false),
         "a carried cache is lost"
     );
-    assert!(columns(&b).store.cache(landed).is_empty());
+    assert!(b.columns().cache(landed).is_empty());
     assert_eq!(b.stats(landed).cache_drops, drops + 1);
     assert!(
-        !b.shard_mut().land(landed, transit, false),
+        !b.land(landed, transit, false),
         "an empty row loses nothing"
     );
     assert_eq!(b.stats(landed).cache_drops, drops + 1);

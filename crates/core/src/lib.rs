@@ -62,8 +62,8 @@ pub mod strategy;
 
 pub use config::{CellConfig, FleetBackend, WakeMode};
 pub use driver::{CellServer, ServerDriver};
+pub use fleet::Fleet;
 pub use metrics::{MigrationStats, SimulationReport};
-pub use seat::ClientSeat;
 pub use simulation::{CellSimulation, SimulationError};
 pub use strategy::Strategy;
 

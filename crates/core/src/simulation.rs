@@ -9,8 +9,8 @@
 //! unit's queries are a Poisson count with uniform pose times.
 //!
 //! Per interval `i` (covering `(T_{i−1}, T_i]`), [`CellSimulation::step`]
-//! runs these phases in order over the crate's `Fleet` — boxed seats or
-//! columns; no phase asks which:
+//! runs these phases in order over the cell's [`Fleet`] — its rows boxed
+//! or columnar; no phase asks which:
 //!
 //! 1. `wake_and_pose` — the units due this interval wake, settle the
 //!    sleep run that just ended, and draw their queries
@@ -281,10 +281,11 @@ pub struct CellSimulation {
     server: CellServer,
     channel: BroadcastChannel,
     clock: IntervalClock,
-    /// The clients: boxed seats or struct-of-arrays columns, chosen at
-    /// construction (see [`Fleet::new`]) and bit-identical either way
-    /// (pinned by the columnar-equivalence suite). Everything
-    /// per-client lives in here.
+    /// The clients: their rows, boxed or struct-of-arrays, chosen at
+    /// construction (see `Fleet::new`) and bit-identical either way
+    /// (pinned by the columnar-equivalence suite), and their streams,
+    /// wake marks and query planes as columns beside the rows.
+    /// Everything per-client lives in here.
     fleet: Fleet,
     /// The per-interval loop takes exactly the awake set from this —
     /// heap-backed sleeper cells never visit sleepers; scan-backed
@@ -1381,7 +1382,7 @@ impl CellSimulation {
     /// Panics if the slot already departed.
     pub(crate) fn detach_client(&mut self, idx: usize, dest: &mut CellSimulation) -> usize {
         assert!(!self.fleet.is_departed(idx), "slot {idx} already departed");
-        let landed = self.fleet.shard_mut().move_row(idx, dest.fleet.shard_mut());
+        let landed = self.fleet.move_row(idx, &mut dest.fleet);
         self.departed_count += 1;
         self.pending_disconnects.retain(|&p| p != idx);
         if let Some(registry) = self.server.driver_mut().registry_mut() {
@@ -1423,7 +1424,7 @@ impl CellSimulation {
     /// closes a gap of 2L.
     pub(crate) fn attach_client(&mut self, idx: usize, histories_agree: bool) {
         let transit = self.clock.next_index() + 1;
-        if self.fleet.shard_mut().land(idx, transit, histories_agree) {
+        if self.fleet.land(idx, transit, histories_agree) {
             self.migration.handoff_drops += 1;
             self.obs.add("handoff_drops", 1);
         }
@@ -1438,7 +1439,6 @@ impl CellSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FleetBackend;
     use crate::adaptive::FeedbackMethod;
     use sw_sim::MasterSeed;
     use sw_workload::ScenarioParams;
@@ -2188,15 +2188,7 @@ mod tests {
         }
 
         #[test]
-        fn rejects_columnar_and_backbone() {
-            let Err(err) = CellSimulation::new(
-                query_config(0.3).with_fleet(FleetBackend::Columnar),
-                Strategy::BroadcastTimestamps,
-            ) else {
-                panic!("forcing Columnar under a query plane must be rejected");
-            };
-            assert!(matches!(err, SimulationError::InvalidConfig(_)));
-
+        fn rejects_a_mesh_shard() {
             let mut shard = query_config(0.3);
             shard.backbone = Some(MasterSeed(99));
             let err = shard.validate().unwrap_err();

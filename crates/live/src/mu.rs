@@ -1,19 +1,20 @@
 //! The live mobile-unit: the simulator's client cache behind real
 //! sockets.
 //!
-//! [`LiveMu`] is the transport-free core: a [`ClientSeat`] — the very
-//! struct `CellSimulation`'s boxed fleet seats its clients in, built by
-//! the same constructor and driven through the same phase methods —
-//! plus what only a live unit has: the wire codec, and its own copy of
-//! the fault layer's per-client fate draws. The seat's `MobileUnit` is
-//! a one-row `SlotStore`, and its simulated twin, which mostly runs
-//! columnar, is a row of a many-row one: hearing a report, answering
-//! the pending queries and installing an answer are the same code on
-//! both, over the same `UnitState` and streams. A live unit fed the
-//! same seed and the same report bytes therefore makes byte-identical
-//! decisions to its simulated twin by construction; the conformance
-//! harness (see [`crate::conformance`]) pins what is left — the codec,
-//! the server side, and the order the daemon calls the phases in.
+//! [`LiveMu`] is the transport-free core: a one-row [`Fleet`] — the very
+//! type `CellSimulation` steps, built for client `index` alone on the
+//! slot store and driven through the same phase calls — plus what only
+//! a live unit has: the wire codec, a digest scratch and sweep lists
+//! kept across ticks, and its own copy of the fault layer's per-client
+//! fate draws. Its row, streams, wake mark and query plane are the
+//! fleet's columns for that client, and its simulated twin is a row of
+//! a many-row fleet: hearing a report, answering the pending queries
+//! and installing an answer are the same code on both, over the same
+//! `UnitState` and streams. A live unit fed the same seed and the same
+//! report bytes therefore makes byte-identical decisions to its
+//! simulated twin by construction; the conformance harness (see
+//! [`crate::conformance`]) pins what is left — the codec, the server
+//! side, and the order the daemon calls the phases in.
 //!
 //! [`run_mu`] wraps the core in the actual transport: a TCP control
 //! connection to `sw-serve` (registration, uplink queries, lockstep
@@ -33,9 +34,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sleepers::safety::ValueHistory;
-use sleepers::seat::{demonstrate_corruption, shared_zipf};
-use sleepers::{CellConfig, ClientSeat, Strategy};
-use sw_client::{DigestScratch, MuStats};
+use sleepers::seat::demonstrate_corruption;
+use sleepers::{CellConfig, Fleet, Strategy};
+use sw_client::{DigestScratch, MuStats, SweepLists};
 use sw_faults::{FaultLayer, ReportFate};
 use sw_observe::{ObserveSnapshot, Recorder};
 use sw_ops::{FlightRecorder, MetricsHub, Published};
@@ -64,14 +65,20 @@ const STARTUP_ATTEMPTS: u32 = 40;
 
 /// Transport-free twin of one simulated client.
 ///
-/// The seat consumes exactly the streams the simulator consumes for
-/// client `index` (hotspot, query, sleep, Zipf, query plan), and each
-/// method below is one phase of `CellSimulation::step` for that client,
-/// delegated to the seat. Timestamps cross the wire as integer
-/// microseconds and convert back via [`SimTime::from_micros`], which
-/// round-trips exactly whenever `L·10⁶` is integral.
+/// The one-row fleet consumes exactly the streams the simulator
+/// consumes for client `index` (hotspot, query, sleep, Zipf, query
+/// plan), and each method below is one phase of `CellSimulation::step`
+/// for that client, delegated to the fleet's row 0. Timestamps cross
+/// the wire as integer microseconds and convert back via
+/// [`SimTime::from_micros`], which round-trips exactly whenever `L·10⁶`
+/// is integral.
 pub struct LiveMu {
-    seat: ClientSeat,
+    /// Client `index` alone, as its row 0.
+    fleet: Fleet,
+    /// The report digest's scratch and the heard report's lists, kept
+    /// across ticks and cleared before each use.
+    scratch: DigestScratch,
+    lists: SweepLists,
     faults: FaultLayer,
     delivery: ReportDelivery,
     clock: IntervalClock,
@@ -84,18 +91,14 @@ pub struct LiveMu {
 }
 
 impl LiveMu {
-    /// Seats client `index` of this configuration exactly as
+    /// Builds client `index` of this configuration exactly as
     /// `CellSimulation::new` does.
     pub fn new(cfg: &CellConfig, strategy: Strategy, index: usize) -> Self {
         let params = cfg.params;
         Self {
-            seat: ClientSeat::new(
-                cfg,
-                strategy,
-                &strategy.report_rule(&params, cfg.protocol_seed()),
-                index,
-                shared_zipf(cfg).as_ref(),
-            ),
+            fleet: Fleet::client(cfg, strategy, index),
+            scratch: DigestScratch::default(),
+            lists: SweepLists::default(),
             // The full-fleet layer (same per-client streams as the
             // simulator's); this unit only ever consumes slot `index`.
             faults: FaultLayer::new(cfg.faults.as_ref(), cfg.seed, cfg.n_clients),
@@ -115,7 +118,7 @@ impl LiveMu {
 
     /// First interval the unit will be awake for (`u64::MAX`: never).
     pub fn next_wake(&self) -> u64 {
-        self.seat.next_wake()
+        self.fleet.next_wake(0)
     }
 
     /// The report timestamp the server stamps on interval `i`'s
@@ -132,7 +135,7 @@ impl LiveMu {
     /// full decode is cheap).
     pub fn report_stamp_micros(&self, frame: &[u8]) -> Option<u64> {
         let payload = self.encode.deserialize(frame).ok()?.payload;
-        if !self.seat.unit().rule().accepts(&payload) {
+        if !self.fleet.rule().accepts(&payload) {
             return None;
         }
         match payload {
@@ -169,7 +172,7 @@ impl LiveMu {
         self.prev = self.stats();
         self.prev_q = self.query_stats().unwrap_or_default();
         let (from, to) = (self.clock.report_time(i - 1), self.clock.report_time(i));
-        self.seat.open_interval(i, from, to);
+        self.fleet.open_interval(0, i, from, to);
     }
 
     /// Draws this interval's delivery fate from the unit's own fault
@@ -206,20 +209,25 @@ impl LiveMu {
             return Ok(Vec::new());
         }
         let decoded = self.encode.deserialize(frame)?;
-        if !self.seat.unit().rule().accepts(&decoded.payload) {
+        if !self.fleet.rule().accepts(&decoded.payload) {
             return Err(WireDecodeError::Malformed(
                 "not a report this unit's strategy can process",
             ));
         }
-        let mut scratch = DigestScratch::default();
-        let heard = self.seat.hear(&scratch.digest(&decoded.payload));
-        Ok(heard.uplink_requests)
+        self.lists.clear();
+        let digest = self.scratch.digest(&decoded.payload);
+        let heard = self.fleet.hear(0, &digest, &mut self.lists);
+        // Parallel to the uplinks when the unit collects hit histories,
+        // else empty.
+        let mut piggybacks = self.lists.piggybacks.drain(..);
+        let uplinks = self.lists.uplinks[heard.uplinks].iter();
+        Ok(uplinks.map(|&item| (item, piggybacks.next())).collect())
     }
 
     /// Records a report that never arrived (loss, drift, a receive
     /// timeout): pending queries stay queued for the next report.
     pub fn miss_report(&mut self) {
-        self.seat.miss_report();
+        self.fleet.miss_report(0);
     }
 
     /// Runs the query plane's footprint check against the item cache
@@ -229,19 +237,19 @@ impl LiveMu {
     /// plane is armed.
     pub fn check_queries(&mut self, i: u64) -> Vec<u64> {
         let t_i = self.clock.report_time(i);
-        self.seat.check_queries(t_i).unwrap_or_default()
+        self.fleet.check_queries(0, t_i).unwrap_or_default()
     }
 
     /// Settles the query plane for interval `i` after the fetch list
     /// was served: materializes missed results and resolves
     /// transactional reads. No-op when no plane is armed.
     pub fn settle_queries(&mut self, i: u64) {
-        self.seat.settle_queries(self.clock.report_time(i));
+        self.fleet.settle_queries(0, self.clock.report_time(i));
     }
 
     /// Accumulated query-plane counters (`None`: no plane armed).
     pub fn query_stats(&self) -> Option<QueryStats> {
-        self.seat.query_plane().map(|p| p.stats())
+        self.fleet.query_plane(0).map(|p| p.stats())
     }
 
     /// Serializes and seals an uplink query frame for `item`. The
@@ -267,8 +275,8 @@ impl LiveMu {
                 item,
                 value,
                 ts_micros,
-            } if item < self.encode.n_items && self.seat.unit().in_hotspot(item) => {
-                self.seat.install_answer(QueryAnswer {
+            } if item < self.encode.n_items && self.fleet.in_hotspot(0, item) => {
+                self.fleet.install_answer(0, QueryAnswer {
                     item,
                     value,
                     timestamp: SimTime::from_micros(ts_micros),
@@ -287,13 +295,13 @@ impl LiveMu {
     pub fn end_interval(&mut self, i: u64) -> DecisionRow {
         let q = self.query_stats().unwrap_or_default();
         let row = DecisionRow::from_deltas(i, &self.prev, &self.stats(), &self.prev_q, &q);
-        self.seat.close_interval(i);
+        self.fleet.close_interval(0, i);
         row
     }
 
     /// Cumulative client statistics.
     pub fn stats(&self) -> MuStats {
-        self.seat.unit().stats()
+        self.fleet.unit(0).stats()
     }
 
     /// The cell's wire-encoding parameters.
@@ -307,11 +315,11 @@ impl LiveMu {
     /// simulator's phase-6 safety sweep, audited against the server's
     /// [`ValueHistory`] after the run.
     pub fn audit_snapshot(&self, i: u64) -> Vec<CacheAuditRow> {
-        let cache = self.seat.unit().cache();
+        let cache = self.fleet.cache(0);
         let items = cache
             .iter()
             .map(|(item, entry)| (item, entry.value, entry.timestamp));
-        let rows = self.seat.query_plane().into_iter().flat_map(|plane| {
+        let rows = self.fleet.query_plane(0).into_iter().flat_map(|plane| {
             plane
                 .cache()
                 .iter()
@@ -1162,13 +1170,13 @@ mod tests {
             };
             seal_frame(0, encode.serialize_payload(&payload))
         };
-        let unit = live.seat.unit();
+        let fleet = &live.fleet;
         let stranger = (0..params.n_items)
             .rev()
-            .find(|&item| !unit.in_hotspot(item))
+            .find(|&item| !fleet.in_hotspot(0, item))
             .expect("a 15-item hotspot leaves most of the database out");
         let mine = (0..params.n_items)
-            .find(|&item| unit.in_hotspot(item))
+            .find(|&item| fleet.in_hotspot(0, item))
             .expect("the hotspot is not empty");
         for refused in [params.n_items, stranger] {
             assert!(
@@ -1181,6 +1189,6 @@ mod tests {
         }
         live.install_answer_frame(&answer(mine))
             .expect("a hotspot item is in the database");
-        assert_eq!(live.seat.unit().cache().len(), 1, "only the answer it asked for");
+        assert_eq!(live.fleet.cache(0).len(), 1, "only the answer it asked for");
     }
 }

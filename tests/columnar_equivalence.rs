@@ -1,13 +1,14 @@
 //! The columnar-fleet oracle: the struct-of-arrays client backend must
 //! be observably indistinguishable from the boxed-`MobileUnit` fleet —
-//! same report, same per-client stats, same safety and fault counters —
-//! for every eligible strategy, at any sweep worker count, with and
-//! without faults armed. "Indistinguishable" is checked the blunt way:
-//! the full `Debug` rendering of the simulation report and of every
-//! client's stats must match byte for byte, and so must the coop
-//! directory — the set of entries whose validity stamp is the last
-//! report's `T_i`, which the columnar store derives from `T_l` instead
-//! of restamping (quasi-delay's alone writes it into the slot).
+//! same report, same per-client stats, same safety and fault counters,
+//! same query planes — for every eligible strategy, at any sweep worker
+//! count, with and without faults armed. "Indistinguishable" is checked
+//! the blunt way: the full `Debug` rendering of the simulation report
+//! and of every client's stats, query-plane stats and committed reads
+//! must match byte for byte, and so must the coop directory — the set
+//! of entries whose validity stamp is the last report's `T_i`, which
+//! the columnar store derives from `T_l` instead of restamping
+//! (quasi-delay's alone writes it into the slot).
 
 use sleepers_workaholics::mesh::{CellGraph, CoopDirectory, MeshConfig};
 use sleepers_workaholics::prelude::*;
@@ -73,8 +74,9 @@ fn base_config(n_clients: usize, s: f64, seed: u64) -> CellConfig {
 }
 
 /// Everything observable about a run: the report and every client's
-/// stats, rendered, and the coop directory — compared with `PartialEq`,
-/// since its `Debug` walks a `HashMap` in no fixed order.
+/// stats, query-plane stats and committed reads, rendered, and the coop
+/// directory — compared with `PartialEq`, since its `Debug` walks a
+/// `HashMap` in no fixed order.
 type Fingerprint = (String, Vec<String>, CoopDirectory);
 
 /// Runs a config+strategy on one fleet backend and captures everything
@@ -83,7 +85,12 @@ fn fingerprint(cfg: CellConfig, strategy: Strategy, intervals: u64) -> Fingerpri
     let mut sim = CellSimulation::new(cfg, strategy).expect("valid config");
     sim.run(intervals).expect("report fits");
     let per_client = (0..sim.client_slots())
-        .map(|idx| format!("{:?}", sim.client_stats(idx)))
+        .map(|idx| {
+            let plane = sim
+                .query_plane(idx)
+                .map(|plane| (plane.stats(), plane.committed_reads()));
+            format!("{:?} {plane:?}", sim.client_stats(idx))
+        })
         .collect();
     (
         format!("{:?}", sim.report()),
@@ -130,12 +137,44 @@ fn columnar_matches_units_for_every_eligible_strategy() {
             .with_sleep_profile(vec![0.0, 0.9])
             .with_query_zipf(0.8),
     ];
-    for (cfg, &strategy) in inputs
+    // Query cells, each recording its commits: a plane reads its
+    // client's item cache through the same view on either store, so the
+    // report's query totals and every client's plane stats and
+    // committed reads must match too. `boxed_query_bounded`'s shape (TS,
+    // 24 of 30 slots under LRU, Zipf 0.8), then an AT and a SIG cell
+    // with more transactions than the default.
+    let plane = QueryPlaneConfig::new().with_commit_recording();
+    let query_cells = [
+        (
+            base_config(40, 0.5, 71)
+                .with_hotspot_size(30)
+                .with_cache_capacity(24)
+                .with_replacement(ReplacementPolicy::Lru)
+                .with_query_zipf(0.8)
+                .with_query(plane),
+            Strategy::BroadcastTimestamps,
+        ),
+        (
+            base_config(40, 0.4, 73).with_query(plane.with_txn_probability(0.5)),
+            Strategy::AmnesicTerminals,
+        ),
+        (
+            base_config(40, 0.4, 79).with_query(plane.with_txn_probability(0.5)),
+            Strategy::Signatures,
+        ),
+    ];
+    let cells = inputs
         .iter()
-        .flat_map(|cfg| ELIGIBLE.iter().map(move |strategy| (cfg, strategy)))
-    {
+        .flat_map(|cfg| ELIGIBLE.iter().map(move |&strategy| (cfg.clone(), strategy)))
+        .chain(query_cells);
+    for (cfg, strategy) in cells {
         let units = fingerprint(cfg.clone().with_fleet(FleetBackend::Units), strategy, 80);
         let columnar = fingerprint(cfg.clone().with_fleet(FleetBackend::Columnar), strategy, 80);
+        assert!(
+            cfg.query.is_none() || units.1.iter().any(|client| client.contains("CommittedRead")),
+            "{}: no client recorded a committed read",
+            strategy.name()
+        );
         assert_eq!(
             units.0, columnar.0,
             "{} report diverged between fleet backends",
@@ -358,10 +397,11 @@ fn eligible_configs_default_to_columnar() {
 
 #[test]
 fn ineligible_configs_stay_on_boxed_units() {
-    // The query plane attaches to boxed units, whatever the strategy.
-    // Mesh shards are the other refusal, the other way round: a handoff
-    // moves a client's row of the columns, so shards run columnar
-    // (last case below).
+    // A query cell defaults to boxed units, whatever the strategy,
+    // though either store hosts the plane (the query cells of
+    // `columnar_matches_units_for_every_eligible_strategy`). Mesh shards
+    // are the one refusal: a handoff moves a client's row of the
+    // columns, so shards run columnar (last case below).
     for &strategy in ELIGIBLE {
         let sim = CellSimulation::new(
             base_config(8, 0.3, 5).with_query(QueryPlaneConfig::new()),
@@ -385,7 +425,7 @@ fn ineligible_configs_stay_on_boxed_units() {
         sim.is_columnar(),
         "bounded caches should auto-select the columnar fleet"
     );
-    // Forcing a store onto a config it refuses is a loud configuration
+    // Forcing boxed units onto a mesh shard is a loud configuration
     // error that names the disqualifier, not a silent fallback or a
     // bare settings dump.
     let refused = |config: CellConfig, reason: &str| match CellSimulation::new(
@@ -399,12 +439,6 @@ fn ineligible_configs_stay_on_boxed_units() {
         Ok(_) => panic!("expected InvalidConfig, got a running simulation"),
         Err(other) => panic!("expected InvalidConfig, got {other:?}"),
     };
-    refused(
-        base_config(8, 0.3, 5)
-            .with_query(QueryPlaneConfig::new())
-            .with_fleet(FleetBackend::Columnar),
-        "the query-result plane attaches to boxed units",
-    );
     // A mesh shard picks the columns, and refuses boxed units.
     let mesh = MeshConfig::new(CellGraph::line(2), base_config(8, 0.3, 5), MasterSeed(5));
     let shard = CellSimulation::new(mesh.cell_config(0), Strategy::BroadcastTimestamps).unwrap();
