@@ -32,7 +32,7 @@
 //! NDJSON forensics before exiting.
 //!
 //! `--ha-node N` turns the daemon into one member of a replicated
-//! cell-server fleet (see `sw-ha`): it binds a second, peer-facing
+//! cell-server fleet (see `sw_live::ha`): it binds a second, peer-facing
 //! replication listener (`--ha-rep-port`), writes its own coordinates
 //! to `--ha-announce FILE` as one `NODE CLIENT_ADDR REP_ADDR` line,
 //! and polls each `--ha-peer FILE` (another node's `--ha-announce`
@@ -51,8 +51,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sw_experiments::live_cli::{parse_cell_args, take_flag, take_switch};
-use sw_faults::server::{CrashPoint, ServerFaultPlan};
-use sw_ha::{HaHandle, HaNode, HaOptions, PeerSpec};
+use sw_live::ha::{CrashPoint, HaHandle, HaNode, HaOptions, PeerSpec, ServerFaultPlan};
 use sw_live::{arm_termination_flag, LiveOptions, LiveServer, LiveServerReport, ServerHandle};
 
 /// How a session was spawned; both arms share the stopper type, so

@@ -25,8 +25,6 @@
 use sw_sim::counters;
 use sw_sim::rng::{MasterSeed, RngStream, StreamId};
 
-pub mod server;
-
 /// Per-client report-loss process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
@@ -176,7 +174,8 @@ impl ClockDrift {
 /// A deterministic broadcast blackout: every awake client misses every
 /// report in the closed interval window `[from, until]`, with no
 /// randomness drawn. This is the client-side twin of a server failover
-/// gap (`sw-ha`): a crash that suppresses broadcasting for some
+/// gap (`sw_live::ha`, whose server-side crash schedules live beside
+/// it): a crash that suppresses broadcasting for some
 /// intervals looks to each client exactly like this schedule, which is
 /// what lets a Lockstep conformance run pin a post-failover decision
 /// log against a `CellSimulation` fed the equivalent plan.

@@ -1,11 +1,44 @@
-//! The HA node: a replication coordinator wrapped around one
-//! [`LiveServer`] session.
+//! Replicated cell servers with zero-stale failover.
+//!
+//! The paper's server is *stateless* toward its clients (§2): every
+//! interval it broadcasts an invalidation report derived purely from
+//! the update history, and clients recover from arbitrarily long
+//! silences with their strategy's own rules — TS re-windows, AT drops
+//! on gap, SIG re-diagnoses. So *any* node that has seen the same
+//! update stream can take over broadcasting and no client cache ever
+//! goes stale. This module makes N live servers see the same stream:
+//!
+//! - the seeded update engine needs no replication at all (every node
+//!   replays it from the shared [`sleepers::CellConfig`] seed);
+//! - externally `Publish`ed updates are sequenced by an epoch-numbered
+//!   primary into a replicated log (simple majority-ack over TCP
+//!   between peers) that replicas fold into the same tick;
+//! - every node *builds* every tick — database, report builder, and
+//!   [`sleepers::safety::ValueHistory`] stay identical clusterwide —
+//!   but only the primary puts reports on the air.
+//!
+//! When the primary dies (a seeded [`ServerFaultPlan`] crash, or a real
+//! `kill -9`), the deterministic successor — the lowest-id surviving
+//! node — bumps the epoch, announces itself, and resumes broadcasting
+//! on the original cadence. Clients re-register via the successor
+//! roster announced at registration and treat the blackout as ordinary
+//! missed reports. Datagrams carry the epoch in the sealed frame
+//! header, so a deposed primary's late broadcasts are fenced off by
+//! every receiver.
+//!
+//! The fleet is deliberately *not* a consensus system: there is one
+//! log writer per epoch, acks are counted over the currently-live
+//! links, and a crashed node's unacked tail is at-most-once (a report
+//! that was never aired is simply a missed interval, which is a state
+//! the paper's clients already handle). The point is fidelity to the
+//! paper's recovery model, not Paxos.
 //!
 //! Threading, per node:
 //!
-//! - the `sw-live` session threads (accept / per-client / ticker),
-//!   exactly as unreplicated — the ticker simply asks the coordinator
-//!   for a [`TickDirective`] each interval;
+//! - the session threads of [`LiveServer`] (accept / per-client /
+//!   ticker), exactly as unreplicated — the ticker asks this node's
+//!   coordinator, instead of the unreplicated server's trivial one,
+//!   for each interval's directive;
 //! - one replication accept thread on the rep listener;
 //! - one reader thread per peer link, applying `RepAppend` /
 //!   `RepAck` / `RepPromote` to the shared replication core;
@@ -26,11 +59,17 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use sleepers::{CellConfig, Strategy};
-use sw_faults::server::{CrashPoint, ServerFaultClock, ServerFaultPlan};
-use sw_live::proto::Msg;
-use sw_live::server::{
-    LiveOptions, LiveServer, LiveServerReport, Pace, ServerHandle, TickCoordinator, TickDirective,
+
+use crate::proto::Msg;
+use crate::server::{
+    LiveOptions, LiveServer, LiveServerReport, Pace, ServerHandle, Stopper, TickCoordinator,
+    TickDirective,
 };
+
+mod fault;
+
+use fault::ServerFaultClock;
+pub use fault::{CrashPoint, ServerCrash, ServerFault, ServerFaultPlan};
 
 /// One cluster member's addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,10 +417,9 @@ impl HaCoordinator {
         }
     }
 
-    /// The injected-crash exit: sever every rep link abruptly (peers
-    /// see the same EOF a `kill -9` produces), take the rep plane
-    /// down, and hand the ticker the error that kills the session.
-    fn die(&mut self) -> io::Error {
+    /// Takes the rep plane down and severs every rep link abruptly:
+    /// peers see the same EOF a `kill -9` produces.
+    fn sever(&self) {
         self.shared.down.store(true, Ordering::SeqCst);
         let links: Vec<LinkWriter> = {
             let mut core = self.shared.lock();
@@ -393,6 +431,12 @@ impl HaCoordinator {
             }
         }
         self.shared.cv.notify_all();
+    }
+
+    /// The injected-crash exit: sever the rep plane and hand the ticker
+    /// the error that kills the session.
+    fn die(&self) -> io::Error {
+        self.sever();
         io::Error::new(io::ErrorKind::ConnectionAborted, "injected server crash")
     }
 
@@ -613,17 +657,7 @@ impl TickCoordinator for HaCoordinator {
     }
 
     fn halted(&mut self) {
-        self.shared.down.store(true, Ordering::SeqCst);
-        let links: Vec<LinkWriter> = {
-            let mut core = self.shared.lock();
-            core.links.drain().map(|(_, w)| w).collect()
-        };
-        for link in links {
-            if let Ok(w) = link.lock() {
-                let _ = w.get_ref().shutdown(Shutdown::Both);
-            }
-        }
-        self.shared.cv.notify_all();
+        self.sever();
     }
 }
 
@@ -713,7 +747,7 @@ impl HaNode {
             let shared = Arc::clone(&shared);
             let listener = self.rep_listener;
             thread::Builder::new()
-                .name(format!("sw-ha-rep-accept-{}", opts.node))
+                .name(format!("ha-rep-accept-{}", opts.node))
                 .spawn(move || rep_accept_loop(&shared, &listener))?
         };
         // The smaller id accepts, the larger dials: every pair gets
@@ -725,7 +759,7 @@ impl HaNode {
             let node = opts.node;
             dialers.push(
                 thread::Builder::new()
-                    .name(format!("sw-ha-rep-dial-{}-{}", node, peer.node))
+                    .name(format!("ha-rep-dial-{}-{}", node, peer.node))
                     .spawn(move || dial_loop(&shared, node, peer))?,
             );
         }
@@ -768,7 +802,7 @@ fn rep_accept_loop(shared: &Arc<RepShared>, listener: &TcpListener) {
         let Ok(stream) = stream else { continue };
         let shared = Arc::clone(shared);
         let _ = thread::Builder::new()
-            .name(format!("sw-ha-rep-link-{}", shared.node))
+            .name(format!("ha-rep-link-{}", shared.node))
             .spawn(move || {
                 let _ = serve_rep_link(&shared, stream);
             });
@@ -870,7 +904,7 @@ impl HaHandle {
     }
 
     /// A detached stop trigger for the wrapped session.
-    pub fn stopper(&self) -> sw_live::Stopper {
+    pub fn stopper(&self) -> Stopper {
         self.server.stopper()
     }
 

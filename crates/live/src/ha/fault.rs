@@ -1,18 +1,17 @@
-//! Deterministic server-side fault schedules for the `sw-ha`
-//! replication layer.
+//! Deterministic server-side fault schedules for the replicated
+//! servers of [`crate::ha`].
 //!
-//! The client-side families in the crate root perturb what a *client*
-//! hears; this module perturbs the *servers*: a primary that crashes at
-//! a chosen interval, crashes and comes back, or is partitioned away
-//! from its replicas while it keeps broadcasting. Schedules are seeded
-//! the same way as everything else — a dedicated
-//! `StreamId::Custom { tag }` stream per node resolves the optional
-//! jitter — so a failover run is a pure function of
+//! `sw-faults` perturbs what a *client* hears; this module perturbs the
+//! *servers*: a primary that crashes at a chosen interval, crashes and
+//! comes back, or is partitioned away from its replicas while it keeps
+//! broadcasting. Schedules are seeded the same way as everything else —
+//! a dedicated `StreamId::Custom { tag }` stream per node resolves the
+//! optional jitter — so a failover run is a pure function of
 //! `(MasterSeed, ServerFaultPlan, node)` and can be replayed
 //! byte-identically.
 //!
-//! Unlike [`crate::FaultLayer`], this module is *not* feature-gated:
-//! it steers the replication control plane (which intervals a node
+//! Unlike `sw_faults::FaultLayer`, nothing here is feature-gated: it
+//! steers the replication control plane (which intervals a node
 //! participates in), never the per-interval hot path, so there is
 //! nothing to compile away.
 
@@ -20,7 +19,7 @@ use sw_sim::rng::{MasterSeed, StreamId};
 
 /// Stream tag for server-fault jitter draws; XORed with the node id so
 /// each node resolves its schedule independently.
-pub const SERVER_FAULT_TAG: u64 = 0x5EF0_CA5C;
+const SERVER_FAULT_TAG: u64 = 0x5EF0_CA5C;
 
 /// Where in the interval's replication round a crash fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,7 +151,7 @@ impl ServerFaultPlan {
 /// The resolved, per-node schedule: plan + seeded jitter, queried by
 /// the replication coordinator each interval.
 #[derive(Debug, Clone, Copy)]
-pub struct ServerFaultClock {
+pub(crate) struct ServerFaultClock {
     fault: Option<ServerFault>,
     /// Jitter shift resolved at construction (0 when no jitter).
     shift: u64,
@@ -162,7 +161,7 @@ impl ServerFaultClock {
     /// Resolves `plan` for `node`: draws the jitter shift (if any) from
     /// `StreamId::Custom { tag: SERVER_FAULT_TAG ^ node }`. A plan with
     /// `jitter_intervals == 0` draws nothing.
-    pub fn new(plan: &ServerFaultPlan, seed: MasterSeed, node: u32) -> Self {
+    pub(crate) fn new(plan: &ServerFaultPlan, seed: MasterSeed, node: u32) -> Self {
         let shift = if plan.fault.is_some() && plan.jitter_intervals > 0 {
             let mut rng = seed.stream(StreamId::Custom {
                 tag: SERVER_FAULT_TAG ^ node as u64,
@@ -177,26 +176,8 @@ impl ServerFaultClock {
         }
     }
 
-    /// An inert clock (no plan).
-    pub fn inert() -> Self {
-        Self {
-            fault: None,
-            shift: 0,
-        }
-    }
-
-    /// The jitter-resolved trigger interval, if a fault is scheduled.
-    pub fn trigger_interval(&self) -> Option<u64> {
-        Some(match self.fault? {
-            ServerFault::Crash(c) | ServerFault::CrashRestart { crash: c, .. } => {
-                c.at_interval + self.shift
-            }
-            ServerFault::PrimaryPartition { at_interval, .. } => at_interval + self.shift,
-        })
-    }
-
     /// If this node crashes at `interval`, where in the round it dies.
-    pub fn crash_at(&self, interval: u64) -> Option<CrashPoint> {
+    pub(crate) fn crash_at(&self, interval: u64) -> Option<CrashPoint> {
         match self.fault? {
             ServerFault::Crash(c) | ServerFault::CrashRestart { crash: c, .. }
                 if c.at_interval + self.shift == interval =>
@@ -207,18 +188,9 @@ impl ServerFaultClock {
         }
     }
 
-    /// How long the node stays down after a crash before rejoining
-    /// (`None` = the crash is permanent).
-    pub fn restart_downtime(&self) -> Option<u64> {
-        match self.fault? {
-            ServerFault::CrashRestart { down_intervals, .. } => Some(down_intervals),
-            _ => None,
-        }
-    }
-
     /// Whether this node's replication links are partitioned away at
     /// `interval`.
-    pub fn partitioned_at(&self, interval: u64) -> bool {
+    pub(crate) fn partitioned_at(&self, interval: u64) -> bool {
         match self.fault {
             Some(ServerFault::PrimaryPartition {
                 at_interval,
@@ -236,13 +208,18 @@ impl ServerFaultClock {
 mod tests {
     use super::*;
 
+    /// The first interval at which `clock` crashes its node.
+    fn first_crash(clock: &ServerFaultClock) -> Option<u64> {
+        (0..100).find(|&i| clock.crash_at(i).is_some())
+    }
+
     #[test]
     fn empty_plan_yields_an_inert_clock() {
         let plan = ServerFaultPlan::none();
         assert!(plan.is_empty());
         plan.validate().unwrap();
         let clock = ServerFaultClock::new(&plan, MasterSeed::TEST, 0);
-        assert_eq!(clock.trigger_interval(), None);
+        assert_eq!(first_crash(&clock), None);
         for i in 0..100 {
             assert_eq!(clock.crash_at(i), None);
             assert!(!clock.partitioned_at(i));
@@ -269,8 +246,7 @@ mod tests {
     fn crash_fires_exactly_once_at_the_scheduled_interval() {
         let plan = ServerFaultPlan::none().with_crash(12, CrashPoint::AfterAppend);
         let clock = ServerFaultClock::new(&plan, MasterSeed::TEST, 0);
-        assert_eq!(clock.trigger_interval(), Some(12));
-        assert_eq!(clock.restart_downtime(), None);
+        assert_eq!(first_crash(&clock), Some(12));
         let fired: Vec<u64> = (0..50).filter(|&i| clock.crash_at(i).is_some()).collect();
         assert_eq!(fired, vec![12]);
         assert_eq!(clock.crash_at(12), Some(CrashPoint::AfterAppend));
@@ -291,9 +267,7 @@ mod tests {
             .with_crash(20, CrashPoint::BeforeAppend)
             .with_jitter(8);
         let t = |seed: MasterSeed, node: u32| {
-            ServerFaultClock::new(&plan, seed, node)
-                .trigger_interval()
-                .unwrap()
+            first_crash(&ServerFaultClock::new(&plan, seed, node)).unwrap()
         };
         // Replayable: same (seed, node) resolves the same trigger.
         assert_eq!(t(MasterSeed(7), 0), t(MasterSeed(7), 0));
@@ -314,6 +288,12 @@ mod tests {
         let plan = ServerFaultPlan::none().with_crash_restart(6, CrashPoint::AfterAppend, 4);
         let clock = ServerFaultClock::new(&plan, MasterSeed::TEST, 2);
         assert_eq!(clock.crash_at(6), Some(CrashPoint::AfterAppend));
-        assert_eq!(clock.restart_downtime(), Some(4));
+        assert!(matches!(
+            plan.fault,
+            Some(ServerFault::CrashRestart {
+                down_intervals: 4,
+                ..
+            })
+        ));
     }
 }

@@ -21,7 +21,16 @@
 //!   [`proto::DecisionRow`] decision-log encoding;
 //! - [`conformance`]: the harness that makes the simulator the
 //!   daemon's executable spec — same master seed and update schedule
-//!   ⇒ byte-identical per-client decision logs from equal report bits.
+//!   ⇒ byte-identical per-client decision logs from equal report bits;
+//! - [`ha`]: replicated cell servers with zero-stale failover — N
+//!   daemons that see one update stream, one of them on the air, and
+//!   the seeded server-fault schedules that crash or partition them.
+//!
+//! Who sequences a tick and who airs it is one decision, made by the
+//! ticker's coordinator: an unreplicated [`LiveServer::spawn`] runs a
+//! trivial one (epoch 0, always primary, always broadcast), and an
+//! [`ha::HaNode`] runs the replicated one. The seam is private to this
+//! crate.
 //!
 //! The `observe` and `faults` cargo features forward to the same
 //! switches everywhere else in the workspace: observation hangs
@@ -33,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod conformance;
+pub mod ha;
 pub mod mu;
 pub mod proto;
 pub mod server;
@@ -40,10 +50,7 @@ pub mod server;
 pub use conformance::{check_conformance, Conformance, ConformanceError, ServerTotals};
 pub use mu::{audit_against_history, run_mu, CacheAuditRow, LiveMu, LiveMuReport, MuOptions};
 pub use proto::{encode_rows, DecisionRow, Msg};
-pub use server::{
-    LiveOptions, LiveServer, LiveServerReport, Pace, ServerHandle, Stopper, TickCoordinator,
-    TickDirective,
-};
+pub use server::{LiveOptions, LiveServer, LiveServerReport, Pace, ServerHandle, Stopper};
 // The ops-plane types both reports embed and both sides of the wire
 // configure — re-exported so `sw-live` users need no direct `sw-ops`
 // dependency.

@@ -128,34 +128,19 @@ impl LiveMu {
         self.clock.report_time(i).as_micros()
     }
 
-    /// Decodes a frame far enough to read a report's timestamp stamp —
-    /// the tag live receivers discard stale datagrams by. `None` for
-    /// non-report traffic, undecodable bytes, and reports this unit's
-    /// strategy cannot process (reports are small by design, §3, so the
-    /// full decode is cheap).
-    pub fn report_stamp_micros(&self, frame: &[u8]) -> Option<u64> {
-        let payload = self.encode.deserialize(frame).ok()?.payload;
+    /// Decodes `frame` as a report this unit's strategy can process. A
+    /// well-formed frame of any other kind — another strategy's report,
+    /// a SIG/HYB report with the wrong signature count, non-report
+    /// traffic — is [`WireDecodeError::Malformed`], not a panic: any
+    /// peer can put one on the air.
+    fn decode_report(&self, frame: &[u8]) -> Result<FramePayload, WireDecodeError> {
+        let payload = self.encode.deserialize(frame)?.payload;
         if !self.fleet.rule().accepts(&payload) {
-            return None;
+            return Err(WireDecodeError::Malformed(
+                "not a report this unit's strategy can process",
+            ));
         }
-        match payload {
-            FramePayload::TimestampReport {
-                report_ts_micros, ..
-            }
-            | FramePayload::AmnesicReport {
-                report_ts_micros, ..
-            }
-            | FramePayload::SignatureReport {
-                report_ts_micros, ..
-            }
-            | FramePayload::AdaptiveTimestampReport {
-                report_ts_micros, ..
-            }
-            | FramePayload::HybridReport {
-                report_ts_micros, ..
-            } => Some(report_ts_micros),
-            _ => None,
-        }
+        Ok(payload)
     }
 
     /// The all-zero decision row an asleep interval contributes.
@@ -192,36 +177,41 @@ impl LiveMu {
     /// same bit the simulator would flip in these bytes, verifies the
     /// checksum catches it, and misses the report; `Heard` decodes and
     /// applies it, returning the uplink requests the report could not
-    /// satisfy locally. A well-formed frame the unit's strategy cannot
-    /// process — another strategy's report, a SIG/HYB report with the
-    /// wrong signature count — is [`WireDecodeError::Malformed`], not a
-    /// panic: any peer can put one on the air.
+    /// satisfy locally. A frame [`LiveMu`] cannot process is refused
+    /// whole, as [`WireDecodeError::Malformed`].
     pub fn hear_frame(
         &mut self,
         frame: &[u8],
         fate: ReportFate,
     ) -> Result<Vec<(u64, Option<PiggybackInfo>)>, WireDecodeError> {
         if fate.is_missed() {
-            if fate == ReportFate::Corrupted {
-                demonstrate_corruption(&mut self.faults, self.index, frame);
-            }
-            self.miss_report();
+            self.lose_report(frame, fate);
             return Ok(Vec::new());
         }
-        let decoded = self.encode.deserialize(frame)?;
-        if !self.fleet.rule().accepts(&decoded.payload) {
-            return Err(WireDecodeError::Malformed(
-                "not a report this unit's strategy can process",
-            ));
+        let payload = self.decode_report(frame)?;
+        Ok(self.hear_report(&payload))
+    }
+
+    /// Misses a report whose bytes arrived under a missed fate; a
+    /// `Corrupted` fate first flips the simulator's bit in `frame` and
+    /// checks the checksum catches it.
+    fn lose_report(&mut self, frame: &[u8], fate: ReportFate) {
+        if fate == ReportFate::Corrupted {
+            demonstrate_corruption(&mut self.faults, self.index, frame);
         }
+        self.miss_report();
+    }
+
+    /// Applies a decoded report [`LiveMu::decode_report`] accepted.
+    fn hear_report(&mut self, payload: &FramePayload) -> Vec<(u64, Option<PiggybackInfo>)> {
         self.lists.clear();
-        let digest = self.scratch.digest(&decoded.payload);
+        let digest = self.scratch.digest(payload);
         let heard = self.fleet.hear(0, &digest, &mut self.lists);
         // Parallel to the uplinks when the unit collects hit histories,
         // else empty.
         let mut piggybacks = self.lists.piggybacks.drain(..);
         let uplinks = self.lists.uplinks[heard.uplinks].iter();
-        Ok(uplinks.map(|&item| (item, piggybacks.next())).collect())
+        uplinks.map(|&item| (item, piggybacks.next())).collect()
     }
 
     /// Records a report that never arrived (loss, drift, a receive
@@ -767,9 +757,9 @@ pub fn run_mu(
     let mut reports_heard = 0u64;
     let mut reports_missed = 0u64;
     let mut audit = Vec::new();
-    // A datagram for a future interval, pulled off the socket while
+    // A report for a future interval, pulled off the socket while
     // hunting for the current one (paced mode only).
-    let mut lookahead: Option<(u64, Vec<u8>)> = None;
+    let mut lookahead: Option<(u64, HeardReport)> = None;
     let mut halted = false;
     let mut flight = FlightRecorder::new(opts.flight_capacity);
     // Fault-storm forensics: count *consecutive* missed reports, dump
@@ -840,7 +830,7 @@ pub fn run_mu(
                         &mut lookahead,
                         &mut uplink.epoch_seen,
                     )?
-                    .map(|datagram| (datagram, fate))
+                    .map(|report| (report, fate))
                 } else {
                     None
                 }
@@ -848,9 +838,11 @@ pub fn run_mu(
                 None
             };
             let requests = match &delivered {
-                Some((frame, fate)) => live
-                    .hear_frame(frame, *fate)
-                    .map_err(|e| other_err(format!("undecodable report: {e}")))?,
+                Some((report, ReportFate::Heard)) => live.hear_report(&report.payload),
+                Some((report, fate)) => {
+                    live.lose_report(&report.frame, *fate);
+                    Vec::new()
+                }
                 None => {
                     live.miss_report();
                     Vec::new()
@@ -1010,6 +1002,36 @@ pub fn run_mu(
     })
 }
 
+/// A datagram's frame that decoded to a report this unit accepts: the
+/// report, decoded once, and its bytes (a `Corrupted` fate flips one).
+struct HeardReport {
+    payload: FramePayload,
+    frame: Vec<u8>,
+}
+
+/// The timestamp a report is stamped with — the tag live receivers
+/// discard stale datagrams by.
+fn report_stamp_micros(payload: &FramePayload) -> Option<u64> {
+    match payload {
+        FramePayload::TimestampReport {
+            report_ts_micros, ..
+        }
+        | FramePayload::AmnesicReport {
+            report_ts_micros, ..
+        }
+        | FramePayload::SignatureReport {
+            report_ts_micros, ..
+        }
+        | FramePayload::AdaptiveTimestampReport {
+            report_ts_micros, ..
+        }
+        | FramePayload::HybridReport {
+            report_ts_micros, ..
+        } => Some(*report_ts_micros),
+        _ => None,
+    }
+}
+
 /// Pulls datagrams off the socket until one decodes to a report
 /// stamped `expected` micros, the deadline passes, or a *future*
 /// report shows up (stashed in `lookahead`; the current one is then
@@ -1019,12 +1041,12 @@ fn recv_report(
     live: &LiveMu,
     expected: u64,
     deadline: Instant,
-    lookahead: &mut Option<(u64, Vec<u8>)>,
+    lookahead: &mut Option<(u64, HeardReport)>,
     epoch_floor: &mut u64,
-) -> io::Result<Option<Vec<u8>>> {
+) -> io::Result<Option<HeardReport>> {
     if let Some((ts, _)) = lookahead {
         if *ts == expected {
-            return Ok(lookahead.take().map(|(_, frame)| frame));
+            return Ok(lookahead.take().map(|(_, report)| report));
         }
         if *ts > expected {
             return Ok(None);
@@ -1059,14 +1081,22 @@ fn recv_report(
             continue; // a deposed broadcaster from an older epoch
         }
         *epoch_floor = epoch.max(*epoch_floor);
-        let Some(ts) = live.report_stamp_micros(frame) else {
-            continue; // not a report frame, or not one of this strategy's
+        // Not a report frame, or not one of this strategy's.
+        let Ok(payload) = live.decode_report(frame) else {
+            continue;
+        };
+        let Some(ts) = report_stamp_micros(&payload) else {
+            continue;
+        };
+        let report = HeardReport {
+            payload,
+            frame: frame.to_vec(),
         };
         match ts.cmp(&expected) {
-            std::cmp::Ordering::Equal => return Ok(Some(frame.to_vec())),
+            std::cmp::Ordering::Equal => return Ok(Some(report)),
             std::cmp::Ordering::Less => continue, // stale: slept/missed past it
             std::cmp::Ordering::Greater => {
-                *lookahead = Some((ts, frame.to_vec()));
+                *lookahead = Some((ts, report));
                 return Ok(None);
             }
         }
@@ -1090,8 +1120,8 @@ mod tests {
     /// A well-formed datagram of another strategy's report kind, or a
     /// SIG/HYB report with one signature too few or too many, is what
     /// any peer on the segment can send: `hear_frame` must refuse it as
-    /// malformed (and `recv_report`, through `report_stamp_micros`,
-    /// discard it like line noise) instead of panicking the MU thread —
+    /// malformed (and `recv_report`, through `decode_report`, discard
+    /// it like line noise) instead of panicking the MU thread —
     /// and refuse it *whole*, so the genuine report still applies.
     #[test]
     fn reports_of_another_strategy_or_signature_count_are_refused_not_a_panic() {
@@ -1132,7 +1162,7 @@ mod tests {
             }
             for payload in &hostile {
                 let frame = live.encoder().serialize_payload(payload);
-                assert_eq!(live.report_stamp_micros(&frame), None, "{payload:?}");
+                assert!(live.decode_report(&frame).is_err(), "{payload:?}");
                 let refused = live.hear_frame(&frame, ReportFate::Heard);
                 assert!(
                     matches!(refused, Err(WireDecodeError::Malformed(_))),
@@ -1141,8 +1171,9 @@ mod tests {
                 );
             }
             let frame = live.encoder().serialize_payload(&genuine[own]);
+            let own = live.decode_report(&frame).expect("the unit's own report");
             assert_eq!(
-                live.report_stamp_micros(&frame),
+                report_stamp_micros(&own),
                 Some(live.expected_report_micros(1))
             );
             live.hear_frame(&frame, ReportFate::Heard)

@@ -6,12 +6,15 @@
 //! ingestion, and the lockstep barrier the conformance harness uses to
 //! replace wall-clock pacing with deterministic turn-taking.
 //!
-//! Message layout: `u32` big-endian body length, then a one-byte tag,
-//! then the tag-specific body. Uplink queries and answers carry a
-//! *sealed wire frame* — the same checksummed bytes
-//! ([`sw_wireless::frame::seal_frame`]) the simulator charges to the
-//! channel — so the codec under test on the UDP path is also the codec
-//! on the TCP path.
+//! Message layout: `u32` big-endian body length, then the body: a
+//! one-byte tag, the tag-specific payload, and a [`checksum64`] trailer
+//! over tag + payload. Every message is sealed by that one rule, in
+//! [`Msg::write_to`] and [`Msg::read_from`], so a flipped bit in a
+//! `Publish` or a `Start` is a refused message, never a different valid
+//! one. Uplink queries and answers also carry a *sealed wire frame* —
+//! the same checksummed bytes ([`sw_wireless::frame::seal_frame`]) the
+//! simulator charges to the channel — so the codec under test on the
+//! UDP path is also the codec on the TCP path.
 //!
 //! [`DecisionRow`] — the client's per-interval record — is declared
 //! here once as a `counters!` record; its 97-byte wire form, the
@@ -166,8 +169,7 @@ pub fn encode_rows(rows: &[DecisionRow]) -> Vec<u8> {
     out
 }
 
-/// A control message, either direction. Tags `0x0_` flow client →
-/// server, `0x8_`/`0x9_` server → client.
+/// A control message, either direction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
     /// Registration: the client's fleet index and the UDP port it
@@ -287,11 +289,6 @@ const TAG_WELCOME: u8 = 0x81;
 const TAG_ANSWER: u8 = 0x82;
 const TAG_START: u8 = 0x90;
 const TAG_HALT: u8 = 0x91;
-// The replication and failover tags carry a checksum64 trailer over
-// tag + payload (see `seal_body`). They are chosen so that no
-// single-bit flip of a sealed tag lands on a length-promiscuous
-// legacy tag (`TAG_QUERY`/`TAG_ANSWER` accept any body length and
-// would otherwise swallow a damaged message as a valid frame carrier).
 const TAG_REP_HELLO: u8 = 0x10;
 const TAG_REP_APPEND: u8 = 0x11;
 const TAG_REP_ACK: u8 = 0x14;
@@ -305,25 +302,25 @@ fn bad_data(what: &str) -> io::Error {
 
 /// Appends a [`checksum64`] trailer over tag byte + payload. The tag
 /// is inside the checksum so a bit flip there cannot mutate one valid
-/// sealed message into another.
+/// message into another.
 fn seal_body(mut b: Vec<u8>) -> Vec<u8> {
     let sum = checksum64(&b);
     b.extend_from_slice(&sum.to_be_bytes());
     b
 }
 
-/// Verifies and strips the trailer of a sealed body (tag at `body[0]`),
-/// returning the payload between tag and trailer.
-fn open_body<'a>(body: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
+/// Verifies and strips the trailer of a sealed body, returning tag +
+/// payload.
+fn open_body(body: &[u8]) -> io::Result<&[u8]> {
     if body.len() < 9 {
-        return Err(bad_data(what));
+        return Err(bad_data("message"));
     }
     let (data, trailer) = body.split_at(body.len() - 8);
     let declared = u64::from_be_bytes(trailer.try_into().unwrap());
     if checksum64(data) != declared {
-        return Err(bad_data(what));
+        return Err(bad_data("message checksum"));
     }
-    Ok(&data[1..])
+    Ok(data)
 }
 
 impl Msg {
@@ -382,12 +379,12 @@ impl Msg {
                     b.push(text.len() as u8);
                     b.extend_from_slice(text.as_bytes());
                 }
-                seal_body(b)
+                b
             }
             Msg::Standby { epoch } => {
                 let mut b = vec![TAG_STANDBY];
                 b.extend_from_slice(&epoch.to_be_bytes());
-                seal_body(b)
+                b
             }
             Msg::RepHello {
                 node,
@@ -398,7 +395,7 @@ impl Msg {
                 b.extend_from_slice(&node.to_be_bytes());
                 b.extend_from_slice(&epoch.to_be_bytes());
                 b.extend_from_slice(&last_applied.to_be_bytes());
-                seal_body(b)
+                b
             }
             Msg::RepAppend {
                 epoch,
@@ -413,19 +410,19 @@ impl Msg {
                     b.extend_from_slice(&item.to_be_bytes());
                     b.extend_from_slice(&value.to_be_bytes());
                 }
-                seal_body(b)
+                b
             }
             Msg::RepAck { epoch, interval } => {
                 let mut b = vec![TAG_REP_ACK];
                 b.extend_from_slice(&epoch.to_be_bytes());
                 b.extend_from_slice(&interval.to_be_bytes());
-                seal_body(b)
+                b
             }
             Msg::RepPromote { epoch, resume_at } => {
                 let mut b = vec![TAG_REP_PROMOTE];
                 b.extend_from_slice(&epoch.to_be_bytes());
                 b.extend_from_slice(&resume_at.to_be_bytes());
-                seal_body(b)
+                b
             }
         }
     }
@@ -492,110 +489,105 @@ impl Msg {
                 Ok(Msg::Halt)
             }
             TAG_SUCCESSORS => {
-                let payload = open_body(body, "successors")?;
-                if payload.len() < 2 {
+                if rest.len() < 2 {
                     return Err(bad_data("successors"));
                 }
-                let count = u16::from_be_bytes(payload[0..2].try_into().unwrap()) as usize;
+                let count = u16::from_be_bytes(rest[0..2].try_into().unwrap()) as usize;
                 let mut peers = Vec::with_capacity(count);
                 let mut at = 2;
                 for _ in 0..count {
-                    let len = *payload.get(at).ok_or_else(|| bad_data("successors"))? as usize;
+                    let len = *rest.get(at).ok_or_else(|| bad_data("successors"))? as usize;
                     at += 1;
-                    let text = payload
+                    let text = rest
                         .get(at..at + len)
                         .ok_or_else(|| bad_data("successors"))?;
                     at += len;
                     let text = std::str::from_utf8(text).map_err(|_| bad_data("successors"))?;
                     peers.push(text.parse().map_err(|_| bad_data("successors"))?);
                 }
-                if at != payload.len() {
+                if at != rest.len() {
                     return Err(bad_data("successors"));
                 }
                 Ok(Msg::Successors { peers })
             }
             TAG_STANDBY => {
-                let payload = open_body(body, "standby")?;
-                if payload.len() != 8 {
+                if rest.len() != 8 {
                     return Err(bad_data("standby"));
                 }
                 Ok(Msg::Standby {
-                    epoch: word(payload, 0),
+                    epoch: word(rest, 0),
                 })
             }
             TAG_REP_HELLO => {
-                let payload = open_body(body, "rep hello")?;
-                if payload.len() != 20 {
+                if rest.len() != 20 {
                     return Err(bad_data("rep hello"));
                 }
                 Ok(Msg::RepHello {
-                    node: u32::from_be_bytes(payload[0..4].try_into().unwrap()),
-                    epoch: word(payload, 4),
-                    last_applied: word(payload, 12),
+                    node: u32::from_be_bytes(rest[0..4].try_into().unwrap()),
+                    epoch: word(rest, 4),
+                    last_applied: word(rest, 12),
                 })
             }
             TAG_REP_APPEND => {
-                let payload = open_body(body, "rep append")?;
-                if payload.len() < 20 {
+                if rest.len() < 20 {
                     return Err(bad_data("rep append"));
                 }
-                let count = u32::from_be_bytes(payload[16..20].try_into().unwrap()) as usize;
-                if payload.len() != 20 + count * 16 {
+                let count = u32::from_be_bytes(rest[16..20].try_into().unwrap()) as usize;
+                if rest.len() != 20 + count * 16 {
                     return Err(bad_data("rep append"));
                 }
                 let publishes = (0..count)
-                    .map(|n| (word(payload, 20 + n * 16), word(payload, 28 + n * 16)))
+                    .map(|n| (word(rest, 20 + n * 16), word(rest, 28 + n * 16)))
                     .collect();
                 Ok(Msg::RepAppend {
-                    epoch: word(payload, 0),
-                    interval: word(payload, 8),
+                    epoch: word(rest, 0),
+                    interval: word(rest, 8),
                     publishes,
                 })
             }
             TAG_REP_ACK => {
-                let payload = open_body(body, "rep ack")?;
-                if payload.len() != 16 {
+                if rest.len() != 16 {
                     return Err(bad_data("rep ack"));
                 }
                 Ok(Msg::RepAck {
-                    epoch: word(payload, 0),
-                    interval: word(payload, 8),
+                    epoch: word(rest, 0),
+                    interval: word(rest, 8),
                 })
             }
             TAG_REP_PROMOTE => {
-                let payload = open_body(body, "rep promote")?;
-                if payload.len() != 16 {
+                if rest.len() != 16 {
                     return Err(bad_data("rep promote"));
                 }
                 Ok(Msg::RepPromote {
-                    epoch: word(payload, 0),
-                    resume_at: word(payload, 8),
+                    epoch: word(rest, 0),
+                    resume_at: word(rest, 8),
                 })
             }
             other => Err(bad_data(&format!("message tag {other:#04x}"))),
         }
     }
 
-    /// Writes the message (length prefix + body) and flushes.
+    /// Writes the message (length prefix + sealed body) and flushes.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let body = self.body();
+        let body = seal_body(self.body());
         w.write_all(&(body.len() as u32).to_be_bytes())?;
         w.write_all(&body)?;
         w.flush()
     }
 
-    /// Reads one message. An EOF before the length prefix maps to
+    /// Reads one message; a body whose trailer does not match is
+    /// refused. An EOF before the length prefix maps to
     /// `ErrorKind::UnexpectedEof` (a peer hanging up mid-session).
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Msg> {
         let mut len = [0u8; 4];
         r.read_exact(&mut len)?;
         let len = u32::from_be_bytes(len) as usize;
-        if len == 0 || len > MAX_MESSAGE {
+        if len > MAX_MESSAGE {
             return Err(bad_data("message length"));
         }
         let mut body = vec![0u8; len];
         r.read_exact(&mut body)?;
-        Msg::parse(&body)
+        Msg::parse(open_body(&body)?)
     }
 }
 

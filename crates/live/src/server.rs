@@ -142,51 +142,36 @@ impl LiveOptions {
 /// to the primary's); only the node the directive marks `broadcast`
 /// puts the report on the wire.
 #[derive(Debug, Clone)]
-pub struct TickDirective {
+pub(crate) struct TickDirective {
     /// Epoch the sealed datagram is stamped with.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Whether this node is (now) the primary.
-    pub primary: bool,
+    pub(crate) primary: bool,
     /// Whether this node broadcasts this interval's report.
-    pub broadcast: bool,
+    pub(crate) broadcast: bool,
     /// The replicated publish sequence for this interval — on the
     /// primary these are its own drained `Publish`es, on a replica the
     /// log entry's.
-    pub publishes: Vec<(u64, u64)>,
+    pub(crate) publishes: Vec<(u64, u64)>,
     /// On promotion: the estimated session start instant, so a paced
     /// successor resumes the original cadence instead of restarting it.
-    pub pace_anchor: Option<Instant>,
+    pub(crate) pace_anchor: Option<Instant>,
     /// True exactly on the tick where this node took over as primary.
-    pub promoted: bool,
+    pub(crate) promoted: bool,
 }
 
-impl TickDirective {
-    /// The directive an unreplicated server gives itself: epoch 0,
-    /// always primary, always broadcast, own publishes.
-    pub fn solo(publishes: Vec<(u64, u64)>) -> Self {
-        Self {
-            epoch: 0,
-            primary: true,
-            broadcast: true,
-            publishes,
-            pace_anchor: None,
-            promoted: false,
-        }
-    }
-}
-
-/// A replication coordinator plugged into the ticker via
-/// [`LiveServer::spawn_coordinated`]. The ticker calls
+/// Who sequences each tick and who airs it. The ticker calls
 /// [`TickCoordinator::coordinate`] once per interval *before* building
-/// the tick; on a replica the call blocks until the primary's log
-/// entry for that interval arrives — or until the primary is declared
-/// dead and this node promotes itself.
+/// the tick. An unreplicated session runs [`Solo`]; a replicated one
+/// runs the [`crate::ha`] node's coordinator, whose call blocks on a
+/// replica until the primary's log entry for that interval arrives — or
+/// until the primary is declared dead and this node promotes itself.
 ///
 /// An `Err` of kind [`io::ErrorKind::ConnectionAborted`] from
-/// `coordinate` or `after_broadcast` is the injected-crash signal: the
-/// ticker severs every client connection without a `Halt` (clients see
-/// the same abrupt EOF a `kill -9` produces) and returns the error.
-pub trait TickCoordinator: Send {
+/// `coordinate` is the injected-crash signal: the ticker severs every
+/// client connection without a `Halt` (clients see the same abrupt EOF
+/// a `kill -9` produces) and returns the error.
+pub(crate) trait TickCoordinator: Send {
     /// Sequences interval `interval`. `local_publishes` are the
     /// publishes this node's own clients submitted since the last
     /// tick; the primary replicates them, a replica's are discarded
@@ -197,12 +182,6 @@ pub trait TickCoordinator: Send {
         local_publishes: Vec<(u64, u64)>,
         stop: &AtomicBool,
     ) -> io::Result<TickDirective>;
-
-    /// Called after the tick was built (and broadcast, on the
-    /// primary) — the `AfterBroadcast`-style crash hook.
-    fn after_broadcast(&mut self, _interval: u64) -> io::Result<()> {
-        Ok(())
-    }
 
     /// `(epoch, is_primary)` before the session starts.
     fn status(&self) -> (u64, bool);
@@ -215,6 +194,32 @@ pub trait TickCoordinator: Send {
 
     /// The session ended cleanly; release replication-side resources.
     fn halted(&mut self) {}
+}
+
+/// The unreplicated server's coordinator: epoch 0, always primary,
+/// always broadcast, its own publishes.
+struct Solo;
+
+impl TickCoordinator for Solo {
+    fn coordinate(
+        &mut self,
+        _interval: u64,
+        local_publishes: Vec<(u64, u64)>,
+        _stop: &AtomicBool,
+    ) -> io::Result<TickDirective> {
+        Ok(TickDirective {
+            epoch: 0,
+            primary: true,
+            broadcast: true,
+            publishes: local_publishes,
+            pace_anchor: None,
+            promoted: false,
+        })
+    }
+
+    fn status(&self) -> (u64, bool) {
+        (0, true)
+    }
 }
 
 /// End-of-session accounting from the server side.
@@ -433,30 +438,20 @@ impl LiveServer {
         strategy: Strategy,
         opts: LiveOptions,
     ) -> io::Result<ServerHandle> {
-        Self::spawn_inner(cfg, strategy, opts, None, None)
+        let listener = TcpListener::bind(opts.bind)?;
+        Self::spawn_coordinated(cfg, strategy, opts, listener, Box::new(Solo))
     }
 
     /// Like [`LiveServer::spawn`], but with a pre-bound listener (so a
     /// replication layer can announce the address before the session
-    /// exists) and a [`TickCoordinator`] that sequences every interval
-    /// across the cluster. `opts.bind` is ignored in favor of
-    /// `listener`.
-    pub fn spawn_coordinated(
+    /// exists) and the [`TickCoordinator`] that sequences every
+    /// interval. `opts.bind` is ignored in favor of `listener`.
+    pub(crate) fn spawn_coordinated(
         cfg: CellConfig,
         strategy: Strategy,
         opts: LiveOptions,
         listener: TcpListener,
         coordinator: Box<dyn TickCoordinator>,
-    ) -> io::Result<ServerHandle> {
-        Self::spawn_inner(cfg, strategy, opts, Some(listener), Some(coordinator))
-    }
-
-    fn spawn_inner(
-        cfg: CellConfig,
-        strategy: Strategy,
-        opts: LiveOptions,
-        listener: Option<TcpListener>,
-        coordinator: Option<Box<dyn TickCoordinator>>,
     ) -> io::Result<ServerHandle> {
         if !matches!(
             strategy,
@@ -486,16 +481,9 @@ impl LiveServer {
             params.answer_bits,
         );
 
-        let listener = match listener {
-            Some(l) => l,
-            None => TcpListener::bind(opts.bind)?,
-        };
         let addr = listener.local_addr()?;
         let n_clients = cfg.n_clients;
-        let (initial_epoch, initial_primary) = match coordinator.as_deref() {
-            Some(c) => c.status(),
-            None => (0, true),
-        };
+        let (initial_epoch, initial_primary) = coordinator.status();
         let session = SessionMeta {
             interval_ms: match opts.pace {
                 Pace::Lockstep => 0,
@@ -527,10 +515,7 @@ impl LiveServer {
             ha: Mutex::new(HaState {
                 epoch: initial_epoch,
                 primary: initial_primary,
-                successors: coordinator
-                    .as_deref()
-                    .map(|c| c.successors())
-                    .unwrap_or_default(),
+                successors: coordinator.successors(),
                 started: false,
             }),
         });
@@ -843,12 +828,9 @@ fn ticker_loop(
     mut obs: Recorder,
     strategy_name: &'static str,
     metrics: Option<(Arc<MetricsHub>, MetricsExporter)>,
-    mut coordinator: Option<Box<dyn TickCoordinator>>,
+    mut coordinator: Box<dyn TickCoordinator>,
 ) -> io::Result<LiveServerReport> {
-    let (epoch, primary) = match coordinator.as_deref() {
-        Some(c) => c.status(),
-        None => (0, true),
-    };
+    let (epoch, primary) = coordinator.status();
     let mut view = TickView {
         epoch,
         primary,
@@ -928,15 +910,12 @@ fn ticker_loop(
             let mut core = shared.core.lock().expect("core lock");
             core.pending_publishes.drain(..).collect()
         };
-        let dir = match coordinator.as_deref_mut() {
-            Some(c) => match c.coordinate(i, local, &shared.stop) {
-                Ok(d) => d,
-                Err(e) => {
-                    crash_err = Some(e);
-                    break 'run;
-                }
-            },
-            None => TickDirective::solo(local),
+        let dir = match coordinator.coordinate(i, local, &shared.stop) {
+            Ok(d) => d,
+            Err(e) => {
+                crash_err = Some(e);
+                break 'run;
+            }
         };
         (view.epoch, view.primary) = (dir.epoch, dir.primary);
         let epoch = view.epoch;
@@ -1007,12 +986,6 @@ fn ticker_loop(
         view.tick = tick;
         view.totals.absorb(&tick);
         publish_tick(i, &obs, &view);
-        if let Some(c) = coordinator.as_deref_mut() {
-            if let Err(e) = c.after_broadcast(i) {
-                crash_err = Some(e);
-                break 'run;
-            }
-        }
 
         if lockstep && dir.broadcast {
             for peer in &peers {
@@ -1084,9 +1057,7 @@ fn ticker_loop(
         let _ = Msg::Halt.write_to(&mut *peer.writer.lock().expect("writer lock"));
     }
     shared.stop.store(true, Ordering::SeqCst);
-    if let Some(c) = coordinator.as_deref_mut() {
-        c.halted();
-    }
+    coordinator.halted();
 
     let rows = {
         let mut bar = shared.bar.lock().expect("barrier lock");

@@ -2,7 +2,7 @@
 
 use std::net::SocketAddr;
 
-use sw_ha::{HaNode, PeerSpec};
+use sw_live::ha::{HaNode, PeerSpec};
 
 /// Binds a two-node fleet on ephemeral loopback ports and returns the
 /// bound nodes plus the shared membership list.

@@ -21,8 +21,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sleepers::{CellConfig, Strategy};
-use sw_faults::server::{CrashPoint, ServerFaultPlan};
-use sw_ha::{HaOptions, HaReport};
+use sw_live::ha::{CrashPoint, HaOptions, HaReport, ServerFaultPlan};
 use sw_live::{audit_against_history, run_mu, LiveMuReport, LiveOptions, MuOptions};
 use sw_workload::ScenarioParams;
 

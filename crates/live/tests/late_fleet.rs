@@ -16,7 +16,7 @@ use std::thread;
 use std::time::Duration;
 
 use sleepers::{CellConfig, Strategy};
-use sw_ha::HaOptions;
+use sw_live::ha::HaOptions;
 use sw_live::{run_mu, LiveMuReport, LiveOptions, MuOptions};
 use sw_workload::ScenarioParams;
 

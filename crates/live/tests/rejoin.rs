@@ -25,8 +25,7 @@ use std::time::{Duration, Instant};
 
 use sleepers::query::QueryPlaneConfig;
 use sleepers::{CellConfig, Strategy};
-use sw_faults::server::{CrashPoint, ServerFaultPlan};
-use sw_ha::{HaNode, HaOptions};
+use sw_live::ha::{CrashPoint, HaNode, HaOptions, ServerFaultPlan};
 use sw_live::server::LiveOptions;
 use sw_live::{audit_against_history, run_mu, LiveMuReport, MuOptions};
 use sw_workload::ScenarioParams;

@@ -1,27 +1,25 @@
-//! Damage-resistance suite for the replication and failover control
-//! messages, mirroring the wire-codec properties pinned in
-//! `sw-wireless`'s `wire_roundtrip` suite:
+//! Damage-resistance suite for every control message, mirroring the
+//! wire-codec properties pinned in `sw-wireless`'s `wire_roundtrip`
+//! suite:
 //!
-//! 1. `read_from ∘ write_to ≡ id` for every sealed variant, across
+//! 1. `read_from ∘ write_to ≡ id` for every variant, across
 //!    seeded-random and extreme field values;
 //! 2. truncating the encoded stream at *every* byte boundary is a
 //!    clean error, never a panic;
 //! 3. any single-bit flip anywhere in the encoding (length prefix
-//!    included) is rejected — the `checksum64` trailer covers tag and
-//!    payload, and the sealed tag values are chosen so no flip lands
-//!    on a length-promiscuous legacy tag that would swallow the
-//!    damaged body as a valid message.
+//!    included) is rejected — every message carries a `checksum64`
+//!    trailer over tag and payload.
 //!
-//! The legacy client messages (`Hello`, `Query`, …) ride inside frames
-//! that carry their own datagram checksum; these control messages walk
-//! the replication TCP links naked, so the trailer here is the only
-//! integrity guard between a flaky peer link and a forged takeover.
+//! The trailer is the only integrity guard between a flaky TCP link
+//! and a forged takeover, a changed database write (`Publish`) or a
+//! skipped interval (`Start`); `Query` and `Answer` also carry a sealed
+//! datagram inside, which this suite treats as opaque bytes.
 
 use std::io::Cursor;
 use std::net::SocketAddr;
 
-use sw_live::Msg;
-use sw_sim::{MasterSeed, RngStream, StreamId};
+use sw_live::{DecisionRow, Msg};
+use sw_sim::{Counters, MasterSeed, RngStream, StreamId};
 
 fn addr4(rng: &mut RngStream) -> SocketAddr {
     let ip = [
@@ -41,7 +39,24 @@ fn addr6(rng: &mut RngStream) -> SocketAddr {
     SocketAddr::from((seg, rng.next_u64() as u16))
 }
 
-/// A seeded-random instance of every sealed control variant.
+/// A seeded-random decision row (every flag combination reachable).
+fn arbitrary_row(rng: &mut RngStream) -> DecisionRow {
+    let mut row = DecisionRow {
+        interval: rng.next_u64(),
+        awake: rng.next_u64().is_multiple_of(2),
+        heard: rng.next_u64().is_multiple_of(2),
+        ..DecisionRow::default()
+    };
+    row.zip(&DecisionRow::default(), |field, _| *field = rng.next_u64());
+    row
+}
+
+fn arbitrary_bytes(rng: &mut RngStream) -> Vec<u8> {
+    let len = (rng.next_u64() % 48) as usize;
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// A seeded-random instance of every control variant.
 fn arbitrary_sealed(rng: &mut RngStream) -> Vec<Msg> {
     let n_peers = (rng.next_u64() % 5) as usize;
     let peers: Vec<SocketAddr> = (0..n_peers)
@@ -58,6 +73,33 @@ fn arbitrary_sealed(rng: &mut RngStream) -> Vec<Msg> {
         .map(|_| (rng.next_u64(), rng.next_u64()))
         .collect();
     vec![
+        Msg::Hello {
+            index: rng.next_u64() as u32,
+            udp_port: rng.next_u64() as u16,
+        },
+        Msg::Query {
+            frame: arbitrary_bytes(rng),
+        },
+        Msg::Publish {
+            item: rng.next_u64(),
+            value: rng.next_u64(),
+        },
+        Msg::Done {
+            row: arbitrary_row(rng),
+        },
+        Msg::Bye,
+        Msg::Welcome {
+            interval_ms: rng.next_u64(),
+            intervals: rng.next_u64(),
+            lockstep: rng.next_u64().is_multiple_of(2),
+        },
+        Msg::Answer {
+            frame: arbitrary_bytes(rng),
+        },
+        Msg::Start {
+            interval: rng.next_u64(),
+        },
+        Msg::Halt,
         Msg::Successors { peers },
         Msg::Standby {
             epoch: rng.next_u64(),
@@ -83,9 +125,58 @@ fn arbitrary_sealed(rng: &mut RngStream) -> Vec<Msg> {
     ]
 }
 
-/// Extreme field values for every sealed variant.
+/// Extreme field values for every variant.
 fn extreme_sealed() -> Vec<Msg> {
+    let full = {
+        let mut row = DecisionRow {
+            interval: u64::MAX,
+            awake: true,
+            heard: true,
+            ..DecisionRow::default()
+        };
+        row.zip(&DecisionRow::default(), |field, _| *field = u64::MAX);
+        row
+    };
     vec![
+        Msg::Hello {
+            index: 0,
+            udp_port: 0,
+        },
+        Msg::Hello {
+            index: u32::MAX,
+            udp_port: u16::MAX,
+        },
+        Msg::Query { frame: vec![] },
+        Msg::Query {
+            frame: vec![0xFF; 64],
+        },
+        Msg::Publish { item: 0, value: 0 },
+        Msg::Publish {
+            item: u64::MAX,
+            value: u64::MAX,
+        },
+        Msg::Done {
+            row: DecisionRow::default(),
+        },
+        Msg::Done { row: full },
+        Msg::Bye,
+        Msg::Welcome {
+            interval_ms: 0,
+            intervals: 0,
+            lockstep: false,
+        },
+        Msg::Welcome {
+            interval_ms: u64::MAX,
+            intervals: u64::MAX,
+            lockstep: true,
+        },
+        Msg::Answer { frame: vec![] },
+        Msg::Answer {
+            frame: vec![0xFF; 64],
+        },
+        Msg::Start { interval: 0 },
+        Msg::Start { interval: u64::MAX },
+        Msg::Halt,
         Msg::Successors { peers: vec![] },
         Msg::Successors {
             peers: vec![

@@ -142,10 +142,9 @@ impl<V> ItemTable<V> {
     }
 
     /// Keeps only entries for which `keep(item, &mut value)` is true;
-    /// `keep` may mutate the value — the single-pass shape of the report
-    /// algorithms (restamp the survivors in place, drop the
-    /// invalidated). O(occupied), visited in ascending id order.
-    pub fn retain_mut<F: FnMut(ItemId, &mut V) -> bool>(&mut self, mut keep: F) {
+    /// `keep` may mutate the value. O(occupied), visited in ascending
+    /// id order.
+    fn retain_mut<F: FnMut(ItemId, &mut V) -> bool>(&mut self, mut keep: F) {
         for (w, word) in self.occupied.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
@@ -160,15 +159,6 @@ impl<V> ItemTable<V> {
                 }
             }
         }
-    }
-
-    /// Applies `f` to every entry mutably, in ascending id order. One
-    /// pass, no id vector, no re-lookups.
-    pub fn for_each_mut<F: FnMut(ItemId, &mut V)>(&mut self, mut f: F) {
-        self.retain_mut(|item, v| {
-            f(item, v);
-            true
-        });
     }
 
     /// Iterates entries in ascending id order, walking the occupancy
@@ -188,13 +178,8 @@ impl<V> ItemTable<V> {
             })
     }
 
-    /// All ids with an entry, ascending.
-    pub fn sorted_ids(&self) -> Vec<ItemId> {
-        self.iter().map(|(item, _)| item).collect()
-    }
-
     /// Grows the table's universe to at least `universe` slots.
-    pub fn reserve_universe(&mut self, universe: u64) {
+    fn reserve_universe(&mut self, universe: u64) {
         if self.slots.len() < universe as usize {
             self.slots.resize_with(universe as usize, || None);
             self.occupied.resize(words_for(self.slots.len()), 0);
@@ -261,7 +246,6 @@ mod tests {
             }
             let got: Vec<(u64, u64)> = t.iter().map(|(i, &v)| (i, v)).collect();
             assert_eq!(got, vec![(0, 0), (2, 20), (5, 50), (7, 70)]);
-            assert_eq!(t.sorted_ids(), vec![0, 2, 5, 7]);
         }
     }
 
@@ -272,7 +256,8 @@ mod tests {
                 t.insert(item, item);
             }
             t.retain_mut(|item, _| item % 2 == 0);
-            assert_eq!(t.sorted_ids(), vec![0, 2, 4]);
+            let kept: Vec<u64> = t.iter().map(|(item, _)| item).collect();
+            assert_eq!(kept, vec![0, 2, 4]);
             t.clear();
             assert!(t.is_empty());
             assert!(!t.contains(0));

@@ -701,8 +701,9 @@ impl std::error::Error for WireDecodeError {}
 /// actually put on the wire: `[epoch: 8][frame][checksum64: 8]`.
 ///
 /// The epoch numbers the *broadcaster*, not the report: replicated
-/// servers (`sw-ha`) bump it on every takeover so a receiver can fence
-/// datagrams from a deposed primary. Unreplicated senders use epoch 0.
+/// servers (`sw_live::ha`) bump it on every takeover so a receiver can
+/// fence datagrams from a deposed primary. Unreplicated senders use
+/// epoch 0.
 /// The checksum covers the epoch bytes too, so a bit flip in the header
 /// is detected exactly like a flip in the payload.
 pub fn seal_frame(epoch: u64, frame: Vec<u8>) -> Vec<u8> {

@@ -118,7 +118,7 @@ wait "$live_mu_pid"
 wait "$live_serve_pid"
 children=""
 
-echo "==> failover smoke (two-node sw-ha fleet, kill -9 primary mid-run, zero-stale takeover)"
+echo "==> failover smoke (two-node sw-serve --ha-node fleet, kill -9 primary mid-run, zero-stale takeover)"
 ha_dir=$tmp/ha
 mkdir "$ha_dir"
 ./target/release/sw-serve --port 0 --clients 2 --intervals 120 --interval-ms 25 \
@@ -132,7 +132,7 @@ ha_pid0=$!
 ha_pid1=$!
 children="$children $ha_pid0 $ha_pid1"
 retry [ -s "$ha_dir/addr0" ] && retry [ -s "$ha_dir/metrics0" ] &&
-    retry [ -s "$ha_dir/metrics1" ] || fail "sw-ha fleet never announced its addresses"
+    retry [ -s "$ha_dir/metrics1" ] || fail "HA fleet never announced its addresses"
 ha_addr0=$(cat "$ha_dir/addr0")
 ha_addr1=$(awk '{print $2}' "$ha_dir/node1")
 ha_metrics0=$(cat "$ha_dir/metrics0")
@@ -171,7 +171,7 @@ cargo check --workspace --all-targets --features observe
 cargo check --workspace --all-targets --features faults
 
 echo "==> cargo test --workspace (release, --features observe,faults)"
-# The lockstep crash conformance of crates/ha/tests/failover.rs and the
+# The lockstep crash conformance of crates/live/tests/failover.rs and the
 # observe-side SIG counters of the mesh fault soak run here.
 cargo test --workspace --release -q --features observe,faults
 
