@@ -7,12 +7,12 @@
 //! delivery mode (§9), and whether expensive safety checking is on.
 
 use sw_client::ReplacementPolicy;
-use sw_faults::FaultPlan;
 use sw_query::QueryPlaneConfig;
 use sw_sim::MasterSeed;
 use sw_wireless::DeliveryMode;
 use sw_workload::{Popularity, ScenarioParams};
 
+use crate::faults::FaultPlan;
 use crate::mesh::CoopConfig;
 
 /// How the cell tracks which units wake in which interval.
@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn fault_plan_is_validated() {
-        use sw_faults::LossModel;
+        use crate::faults::LossModel;
         let good = CellConfig::new(ScenarioParams::scenario1())
             .with_faults(FaultPlan::none().with_loss(LossModel::bernoulli(0.1)));
         good.validate().unwrap();

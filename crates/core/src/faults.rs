@@ -4,7 +4,7 @@
 //! when it has *missed* reports: AT drops its whole cache after one
 //! missed report, TS recovers iff the gap is shorter than the window
 //! `w = kL`, and SIG tolerates arbitrary gaps modulo collision
-//! probability. This crate supplies the adversary: a seed-streamed
+//! probability. This module supplies the adversary: a seed-streamed
 //! [`FaultPlan`] that loses reports (independently or in
 //! Gilbert–Elliott bursts), corrupts frames (detected by checksum and
 //! treated as missed — never half-applied), fails uplink exchanges
@@ -17,13 +17,14 @@
 //! sleep, and update streams.
 //!
 //! Like `sw-observe`, the runtime layer follows the zero-cost
-//! discipline: without the `faults` cargo feature, [`FaultLayer`] is a
-//! zero-sized type, [`FaultLayer::is_active`] is compile-time `false`,
-//! and every injection call compiles away. The *plan* types are always
+//! discipline: without `sleepers`' `faults` cargo feature,
+//! [`FaultLayer`] is a zero-sized type, [`FaultLayer::is_active`] is
+//! compile-time `false`, and every injection call compiles away. The *plan* types are always
 //! compiled so configs mentioning faults still type-check.
 
 use sw_sim::counters;
 use sw_sim::rng::{MasterSeed, RngStream, StreamId};
+use sw_wireless::frame::{checksum64, flip_bit};
 
 /// Per-client report-loss process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -546,9 +547,23 @@ impl FaultLayer {
         }
     }
 
+    /// Demonstrates corruption detection on real bytes: flips the bit
+    /// of `frame` this layer draws for `client` and requires the
+    /// checksum to notice. An undetected flip would mean a half-applied
+    /// report, so it is counted in
+    /// [`FaultTotals::undetected_corruptions`].
+    pub fn demonstrate_corruption(&mut self, client: usize, frame: &[u8]) {
+        let mut damaged = frame.to_vec();
+        let bit = self.corrupt_bit_index(client, damaged.len() as u64 * 8);
+        flip_bit(&mut damaged, bit);
+        if checksum64(&damaged) == checksum64(frame) {
+            self.note_undetected_corruption();
+        }
+    }
+
     /// Picks which bit of a `bit_len`-bit serialized frame to flip for
-    /// a corrupted delivery (used to demonstrate checksum detection).
-    pub fn corrupt_bit_index(&mut self, client: usize, bit_len: u64) -> u64 {
+    /// a corrupted delivery.
+    fn corrupt_bit_index(&mut self, client: usize, bit_len: u64) -> u64 {
         match self.inner.as_deref_mut() {
             Some(inner) if bit_len > 0 => inner.streams[client].uniform_index(bit_len),
             _ => 0,
@@ -557,7 +572,7 @@ impl FaultLayer {
 
     /// Records a failed uplink attempt that will be retried or abandoned.
     #[inline]
-    pub fn note_uplink_retry(&mut self) {
+    pub(crate) fn note_uplink_retry(&mut self) {
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.totals.uplink_retries += 1;
         }
@@ -565,7 +580,7 @@ impl FaultLayer {
 
     /// Records one backoff wait charged against the interval budget.
     #[inline]
-    pub fn note_backoff_interval(&mut self) {
+    pub(crate) fn note_backoff_interval(&mut self) {
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.totals.backoff_intervals += 1;
         }
@@ -573,7 +588,7 @@ impl FaultLayer {
 
     /// Records a corrupted frame the checksum failed to catch.
     #[inline]
-    pub fn note_undetected_corruption(&mut self) {
+    fn note_undetected_corruption(&mut self) {
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.totals.undetected_corruptions += 1;
         }

@@ -43,6 +43,10 @@
 //! [`quasi`] (§7 quasi-copies) and [`adaptive`] (§8 adaptive windows)
 //! feed arms of the [`ServerDriver`], and [`mesh`] composes cells into
 //! a multi-cell network with handoffs and cooperative misses.
+//! [`faults`] is the adversary the paper's recovery rules are tested
+//! against: seed-streamed report loss, frame corruption, uplink retry
+//! and clock drift, compiled in by the `faults` cargo feature and inert
+//! without it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +54,7 @@
 pub mod adaptive;
 pub mod config;
 pub mod driver;
+pub mod faults;
 pub(crate) mod fleet;
 pub mod mesh;
 pub mod metrics;
@@ -87,6 +92,3 @@ pub use sw_query as query;
 /// Re-export: zero-cost instrumentation (counters, histograms, span
 /// timers, NDJSON traces, per-interval series).
 pub use sw_observe as observe;
-/// Re-export: deterministic fault injection (report loss, frame
-/// corruption, uplink retry with backoff, clock drift).
-pub use sw_faults as faults;

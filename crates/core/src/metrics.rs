@@ -6,12 +6,12 @@
 //! simulator and the model side by side.
 
 use sw_client::CapacityStats;
-use sw_faults::FaultTotals;
 use sw_observe::ObserveSnapshot;
 use sw_query::QueryStats;
 use sw_sim::counters;
 use sw_wireless::{EnergyTotals, TrafficTotals};
 
+use crate::faults::FaultTotals;
 use crate::mesh::CoopStats;
 use crate::safety::SafetyStats;
 

@@ -8,16 +8,12 @@
 //! client in a column beside its rows, whichever layout the rows take,
 //! and the live MU's one-row fleet holds one too, so a client's streams
 //! are opened and closed by one piece of code everywhere.
-//! [`demonstrate_corruption`] is the fault layer's corruption check on
-//! real bytes, shared by the cell and the live MU.
 
 use std::sync::Arc;
 
 use sw_client::UnitState;
-use sw_faults::FaultLayer;
 use sw_server::ItemId;
 use sw_sim::{RngStream, StreamId};
-use sw_wireless::frame::{checksum64, flip_bit};
 use sw_workload::{HotspotSpec, ZipfPicker};
 
 use crate::adaptive::FeedbackMethod;
@@ -144,17 +140,5 @@ impl ClientStreams {
     /// reset at `i`, or a handoff in transit through `i`.
     pub(crate) fn settled_through(&mut self, i: u64) {
         self.last_settled = self.last_settled.max(i);
-    }
-}
-
-/// Demonstrates corruption detection on real bytes: flips the bit of
-/// `frame` the fault layer draws for `client` and requires the checksum
-/// to notice. An undetected flip would mean a half-applied report.
-pub fn demonstrate_corruption(faults: &mut FaultLayer, client: usize, frame: &[u8]) {
-    let mut damaged = frame.to_vec();
-    let bit = faults.corrupt_bit_index(client, damaged.len() as u64 * 8);
-    flip_bit(&mut damaged, bit);
-    if checksum64(&damaged) == checksum64(frame) {
-        faults.note_undetected_corruption();
     }
 }

@@ -45,7 +45,6 @@
 use std::collections::{HashSet, VecDeque};
 
 use sw_client::{CapacityStats, DigestScratch, MuStats, Presence, ReportDigest, SweepLists};
-use sw_faults::{FaultLayer, FaultTotals, ReportFate};
 use sw_observe::{Recorder, Value};
 use sw_query::{QueryPlane, QueryStats};
 use sw_server::{Database, ItemId, PiggybackInfo, QueryAnswer};
@@ -58,11 +57,11 @@ use sw_wireless::{
 
 use crate::config::{CellConfig, WakeMode};
 use crate::driver::CellServer;
+use crate::faults::{FaultLayer, FaultTotals, ReportFate};
 use crate::fleet::{Fleet, SweepOut, WakeSchedule};
 use crate::mesh::{CoopDirectory, CoopStats};
 use crate::metrics::{MigrationStats, SimulationReport};
 use crate::safety::{SafetyExpectation, SafetyStats};
-use crate::seat::demonstrate_corruption;
 use crate::strategy::Strategy;
 
 /// Errors a simulation can raise.
@@ -883,7 +882,7 @@ impl CellSimulation {
             if fate == ReportFate::Corrupted {
                 let bytes =
                     wire.get_or_insert_with(|| self.channel.encoder().serialize_payload(payload));
-                demonstrate_corruption(&mut self.faults, idx, bytes);
+                self.faults.demonstrate_corruption(idx, bytes);
             }
             self.fleet.miss_report(idx);
             if iv.observing {
@@ -1855,7 +1854,7 @@ mod tests {
 
     #[test]
     fn zero_probability_fault_plan_changes_nothing() {
-        use sw_faults::{FaultPlan, LossModel};
+        use crate::faults::{FaultPlan, LossModel};
         // An armed plan whose every probability is zero must be
         // bit-identical to no plan at all — in both feature configs
         // (compiled out it is trivially inert; compiled in, zero-p
@@ -1881,7 +1880,7 @@ mod tests {
     #[cfg(feature = "faults")]
     mod fault_injection {
         use super::*;
-        use sw_faults::{ClockDrift, FaultPlan, LossModel, UplinkFaults};
+        use crate::faults::{ClockDrift, FaultPlan, LossModel, UplinkFaults};
 
         fn run_with(
             plan: Option<FaultPlan>,

@@ -44,6 +44,11 @@
 //! deterministic primary crash at interval N — the kill-mid-run demo
 //! without having to aim a `kill -9` by hand.
 
+// Only the SIGTERM hook in `signal` may opt in to unsafe code.
+#![deny(unsafe_code)]
+
+mod signal;
+
 use std::net::SocketAddr;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,7 +57,9 @@ use std::time::{Duration, Instant};
 
 use sw_experiments::live_cli::{parse_cell_args, take_flag, take_switch};
 use sw_live::ha::{CrashPoint, HaHandle, HaNode, HaOptions, PeerSpec, ServerFaultPlan};
-use sw_live::{arm_termination_flag, LiveOptions, LiveServer, LiveServerReport, ServerHandle};
+use sw_live::{LiveOptions, LiveServer, LiveServerReport, ServerHandle};
+
+use signal::arm_termination_flag;
 
 /// How a session was spawned; both arms share the stopper type, so
 /// everything but the final wait is common.

@@ -160,7 +160,7 @@ fn main() {
     let mut at = 0usize;
     loop {
         let addr = addrs[at % addrs.len()];
-        match sw_ops::http::get(addr, "/metrics", timeout) {
+        match sw_live::ops::http::get(addr, "/metrics", timeout) {
             Ok(page) => {
                 seen_any = true;
                 attempts = 0;

@@ -1,19 +1,19 @@
 //! Deterministic server-side fault schedules for the replicated
 //! servers of [`crate::ha`].
 //!
-//! `sw-faults` perturbs what a *client* hears; this module perturbs the
-//! *servers*: a primary that crashes at a chosen interval, crashes and
-//! comes back, or is partitioned away from its replicas while it keeps
-//! broadcasting. Schedules are seeded the same way as everything else —
-//! a dedicated `StreamId::Custom { tag }` stream per node resolves the
-//! optional jitter — so a failover run is a pure function of
-//! `(MasterSeed, ServerFaultPlan, node)` and can be replayed
-//! byte-identically.
+//! [`sleepers::faults`] perturbs what a *client* hears; this module
+//! perturbs the *servers*: a primary that crashes at a chosen interval,
+//! crashes and comes back, or is partitioned away from its replicas
+//! while it keeps broadcasting. Schedules are seeded the same way as
+//! everything else — a dedicated `StreamId::Custom { tag }` stream per
+//! node resolves the optional jitter — so a failover run is a pure
+//! function of `(MasterSeed, ServerFaultPlan, node)` and can be
+//! replayed byte-identically.
 //!
-//! Unlike `sw_faults::FaultLayer`, nothing here is feature-gated: it
-//! steers the replication control plane (which intervals a node
-//! participates in), never the per-interval hot path, so there is
-//! nothing to compile away.
+//! Unlike [`sleepers::faults::FaultLayer`], nothing here is
+//! feature-gated: it steers the replication control plane (which
+//! intervals a node participates in), never the per-interval hot path,
+//! so there is nothing to compile away.
 
 use sw_sim::rng::{MasterSeed, StreamId};
 

@@ -25,6 +25,9 @@
 //! - [`ha`]: replicated cell servers with zero-stale failover — N
 //!   daemons that see one update stream, one of them on the air, and
 //!   the seeded server-fault schedules that crash or partition them.
+//! - [`ops`]: the operations plane both sides publish to — a metrics
+//!   hub, the Prometheus/JSON exporter `sw-top` scrapes, and the
+//!   flight recorder a dying session dumps.
 //!
 //! Who sequences a tick and who airs it is one decision, made by the
 //! ticker's coordinator: an unreplicated [`LiveServer::spawn`] runs a
@@ -44,6 +47,7 @@
 pub mod conformance;
 pub mod ha;
 pub mod mu;
+pub mod ops;
 pub mod proto;
 pub mod server;
 
@@ -51,7 +55,3 @@ pub use conformance::{check_conformance, Conformance, ConformanceError, ServerTo
 pub use mu::{audit_against_history, run_mu, CacheAuditRow, LiveMu, LiveMuReport, MuOptions};
 pub use proto::{encode_rows, DecisionRow, Msg};
 pub use server::{LiveOptions, LiveServer, LiveServerReport, Pace, ServerHandle, Stopper};
-// The ops-plane types both reports embed and both sides of the wire
-// configure — re-exported so `sw-live` users need no direct `sw-ops`
-// dependency.
-pub use sw_ops::{arm_termination_flag, FlightRecorder, MetricsExporter, MetricsHub, Published};

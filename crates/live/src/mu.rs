@@ -34,12 +34,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sleepers::safety::ValueHistory;
-use sleepers::seat::demonstrate_corruption;
+use sleepers::faults::{FaultLayer, ReportFate};
 use sleepers::{CellConfig, Fleet, Strategy};
 use sw_client::{DigestScratch, MuStats, SweepLists};
-use sw_faults::{FaultLayer, ReportFate};
 use sw_observe::{ObserveSnapshot, Recorder};
-use sw_ops::{FlightRecorder, MetricsHub, Published};
 use sw_query::QueryStats;
 use sw_server::uplink::{PiggybackInfo, QueryAnswer};
 use sw_sim::{Counters, IntervalClock, RngStream, SimDuration, SimTime, StreamId};
@@ -48,6 +46,8 @@ use sw_wireless::frame::{
 };
 use sw_wireless::ReportDelivery;
 
+use crate::ops::flight::FlightRecorder;
+use crate::ops::hub::{MetricsHub, Published};
 use crate::proto::{DecisionRow, Msg};
 
 /// Rng-stream tag for the live-level receive-drop injector (soak
@@ -197,7 +197,7 @@ impl LiveMu {
     /// checks the checksum catches it.
     fn lose_report(&mut self, frame: &[u8], fate: ReportFate) {
         if fate == ReportFate::Corrupted {
-            demonstrate_corruption(&mut self.faults, self.index, frame);
+            self.faults.demonstrate_corruption(self.index, frame);
         }
         self.miss_report();
     }
@@ -760,6 +760,11 @@ pub fn run_mu(
     // A report for a future interval, pulled off the socket while
     // hunting for the current one (paced mode only).
     let mut lookahead: Option<(u64, HeardReport)> = None;
+    // The one receive buffer every tick's `recv_report` reads into. UDP
+    // bounds a datagram at 64 KiB; a live report must fit one (the
+    // paper's reports are small by design — §3 sizes them in hundreds
+    // of bits; even a full Scenario-1 TS window is ~4 KiB).
+    let mut datagram = vec![0u8; 1 << 16];
     let mut halted = false;
     let mut flight = FlightRecorder::new(opts.flight_capacity);
     // Fault-storm forensics: count *consecutive* missed reports, dump
@@ -824,6 +829,7 @@ pub fn run_mu(
                 if wants_bytes {
                     recv_report(
                         &udp,
+                        &mut datagram,
                         &live,
                         expected,
                         deadline,
@@ -1036,8 +1042,10 @@ fn report_stamp_micros(payload: &FramePayload) -> Option<u64> {
 /// stamped `expected` micros, the deadline passes, or a *future*
 /// report shows up (stashed in `lookahead`; the current one is then
 /// declared missed). Stale or undecodable datagrams are discarded.
+/// Datagrams are read into the caller's `buf`.
 fn recv_report(
     udp: &UdpSocket,
+    buf: &mut [u8],
     live: &LiveMu,
     expected: u64,
     deadline: Instant,
@@ -1053,10 +1061,6 @@ fn recv_report(
         }
         *lookahead = None;
     }
-    // UDP bounds a datagram at 64 KiB; a live report must fit one
-    // (the paper's reports are small by design — §3 sizes them in
-    // hundreds of bits; even a full Scenario-1 TS window is ~4 KiB).
-    let mut buf = vec![0u8; 1 << 16];
     loop {
         let now = Instant::now();
         let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
@@ -1064,7 +1068,7 @@ fn recv_report(
             return Ok(None);
         };
         udp.set_read_timeout(Some(remaining))?;
-        let n = match udp.recv(&mut buf) {
+        let n = match udp.recv(buf) {
             Ok(n) => n,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock

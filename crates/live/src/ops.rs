@@ -1,8 +1,7 @@
-//! # sw-ops — the live operations plane
+//! The live operations plane.
 //!
-//! The paper's server is stateless toward its clients (§2); this crate
-//! is how an operator still *sees* it. Std-only and dependency-free
-//! (it sits right above `sw-observe`), it provides:
+//! The paper's server is stateless toward its clients (§2); this module
+//! is how an operator still *sees* it. Std-only, it provides:
 //!
 //! - [`hub::MetricsHub`]: the rendezvous between a running session and
 //!   its observers — the publisher (the server ticker, a client loop)
@@ -19,26 +18,14 @@
 //!   per-interval decisions/events, dumped to NDJSON when something
 //!   goes wrong (safety violation, fault storm, termination) — the
 //!   black box that turns "zero stale reads" from a claim into a
-//!   forensically checkable artifact;
-//! - [`signal::arm_termination_flag`]: a SIGTERM hook (one `AtomicBool`
-//!   set from an async-signal-safe handler) so daemons can drain,
-//!   dump their flight ring, and exit cleanly under `kill`.
+//!   forensically checkable artifact.
 //!
 //! Everything here works with or without the `observe` cargo feature:
 //! without it the published snapshots are simply absent and `/metrics`
 //! degrades to the gauge set, so the exporter can stay compiled into
 //! production binaries whose hot paths must remain uninstrumented.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod flight;
 pub mod http;
 pub mod hub;
 pub mod prom;
-pub mod signal;
-
-pub use flight::{FlightEntry, FlightRecorder};
-pub use http::MetricsExporter;
-pub use hub::{MetricsHub, Published};
-pub use signal::arm_termination_flag;

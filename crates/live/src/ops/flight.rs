@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use sw_observe::event::{push_json_str, push_json_value, Value};
+use sw_observe::event::push_json_str;
 
 /// One recorded entry: an interval stamp, a kind tag, and named fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +23,8 @@ pub struct FlightEntry {
     pub t: u64,
     /// Entry kind (`decision`, `report_missed`, `safety_violation`, …).
     pub kind: &'static str,
-    /// Named payload fields, rendered in insertion order.
-    pub fields: Vec<(&'static str, Value)>,
+    /// Named counts, rendered in insertion order.
+    pub fields: Vec<(&'static str, u64)>,
 }
 
 impl FlightEntry {
@@ -34,8 +34,7 @@ impl FlightEntry {
         for (name, value) in &self.fields {
             out.push(',');
             push_json_str(out, name);
-            out.push(':');
-            push_json_value(out, value);
+            let _ = write!(out, ":{value}");
         }
         out.push_str("}\n");
     }
@@ -84,10 +83,7 @@ impl FlightRecorder {
         self.entries.push_back(FlightEntry {
             t,
             kind,
-            fields: fields
-                .into_iter()
-                .map(|(k, v)| (k, Value::U64(v)))
-                .collect(),
+            fields: fields.into_iter().collect(),
         });
     }
 
@@ -173,7 +169,7 @@ mod tests {
     fn dump_writes_ndjson_to_disk() {
         let mut fr = FlightRecorder::new(2);
         fr.push(7, "safety_violation", [("item", 42)]);
-        let dir = std::env::temp_dir().join(format!("sw-ops-flight-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("sw-live-flight-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dump.ndjson");
         let n = fr.dump(&path, "unit test").unwrap();

@@ -3,8 +3,9 @@
 //! One accept thread serving one request per connection is exactly the
 //! right size for a scrape endpoint — Prometheus polls at seconds
 //! cadence, `sw-top` at hundreds of milliseconds, and every response
-//! is rendered from an immutable [`crate::Published`] view cloned out
-//! of the hub in O(1), so a slow or malicious scraper can never hold the
+//! is rendered from an immutable
+//! [`Published`](crate::ops::hub::Published) view cloned out of the
+//! hub in O(1), so a slow or malicious scraper can never hold the
 //! publisher. Shutdown uses the same pattern as the live server:
 //! an `AtomicBool` plus one self-connect to unblock `accept`.
 
@@ -15,8 +16,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::hub::MetricsHub;
-use crate::prom;
+use crate::ops::hub::MetricsHub;
+use crate::ops::prom;
 
 /// A running metrics endpoint bound to a local TCP port.
 ///
@@ -141,7 +142,7 @@ pub fn get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<String
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let mut stream = stream;
-    write!(stream, "GET {path} HTTP/1.0\r\nHost: sw-ops\r\n\r\n")?;
+    write!(stream, "GET {path} HTTP/1.0\r\nHost: sw-live\r\n\r\n")?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
     let mut status = String::new();
@@ -164,7 +165,7 @@ pub fn get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hub::Published;
+    use crate::ops::hub::Published;
 
     fn bind_local(hub: Arc<MetricsHub>) -> MetricsExporter {
         MetricsExporter::bind(SocketAddr::from(([127, 0, 0, 1], 0)), hub)

@@ -24,7 +24,7 @@ use sw_observe::event::{push_json_str, push_json_value, Value};
 use sw_observe::hist::bucket_upper;
 use sw_observe::Histogram;
 
-use crate::hub::Published;
+use crate::ops::hub::Published;
 
 /// Prometheus metric-name sanitation: every char outside
 /// `[a-zA-Z0-9_]` becomes `_`.

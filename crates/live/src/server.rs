@@ -40,10 +40,12 @@ use sleepers::adaptive::FeedbackMethod;
 use sleepers::safety::ValueHistory;
 use sleepers::{CellConfig, CellServer, Strategy};
 use sw_observe::{ObserveSnapshot, Recorder};
-use sw_ops::{FlightRecorder, MetricsExporter, MetricsHub, Published};
 use sw_sim::{counters, Counters, IntervalClock, SimDuration};
 use sw_wireless::frame::{open_frame, seal_frame, FramePayload, WireEncode};
 
+use crate::ops::flight::FlightRecorder;
+use crate::ops::http::MetricsExporter;
+use crate::ops::hub::{MetricsHub, Published};
 use crate::proto::{DecisionRow, Msg};
 
 /// How the session advances from one report interval to the next.

@@ -229,7 +229,7 @@ fn conformance_holds_with_metrics_exporter_polling() {
             let timeout = std::time::Duration::from_secs(2);
             let mut pages = 0u64;
             // Poll until the exporter dies with the session.
-            while let Ok(page) = sw_ops::http::get(addr, "/metrics", timeout) {
+            while let Ok(page) = sw_live::ops::http::get(addr, "/metrics", timeout) {
                 assert!(page.contains("sw_interval"), "malformed page: {page}");
                 pages += 1;
                 std::thread::sleep(std::time::Duration::from_millis(2));
@@ -282,7 +282,7 @@ fn observing_session_decides_identically() {
 #[test]
 fn faulty_downlink_decision_logs_are_byte_identical() {
     use sleepers::faults::compiled_in;
-    use sw_faults::{FaultPlan, LossModel};
+    use sleepers::faults::{FaultPlan, LossModel};
     assert!(compiled_in());
     let plan = FaultPlan::none()
         .with_loss(LossModel::bernoulli(0.15))

@@ -209,7 +209,7 @@ fn paced_primary_crash_hands_over_with_zero_stale_caches() {
 #[cfg(feature = "faults")]
 mod lockstep_conformance {
     use super::*;
-    use sw_faults::FaultPlan;
+    use sleepers::faults::FaultPlan;
     use sw_live::conformance::sim_decision_log;
     use sw_live::{encode_rows, DecisionRow};
 

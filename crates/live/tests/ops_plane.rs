@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use sleepers::query::QueryPlaneConfig;
 use sleepers::{CellConfig, Strategy};
-use sw_live::{run_mu, LiveMuReport, LiveOptions, LiveServer, MetricsHub, MuOptions};
-use sw_observe::Value;
+use sw_live::ops::hub::MetricsHub;
+use sw_live::{run_mu, LiveMuReport, LiveOptions, LiveServer, MuOptions};
 use sw_workload::ScenarioParams;
 
 const CLIENTS: usize = 3;
@@ -77,9 +77,9 @@ fn paced_session_serves_live_metrics_and_flight_ring() {
         let t = Duration::from_secs(2);
         let mut last_page = String::new();
         let mut pages = 0u64;
-        while let Ok(body) = sw_ops::http::get(metrics_addr, "/healthz", t) {
+        while let Ok(body) = sw_live::ops::http::get(metrics_addr, "/healthz", t) {
             assert_eq!(body, "ok\n");
-            if let Ok(page) = sw_ops::http::get(metrics_addr, "/metrics", t) {
+            if let Ok(page) = sw_live::ops::http::get(metrics_addr, "/metrics", t) {
                 pages += 1;
                 last_page = page;
             }
@@ -117,7 +117,7 @@ fn paced_session_serves_live_metrics_and_flight_ring() {
 
     // The endpoint dies with the session.
     assert!(
-        sw_ops::http::get(metrics_addr, "/healthz", Duration::from_millis(300)).is_err(),
+        sw_live::ops::http::get(metrics_addr, "/healthz", Duration::from_millis(300)).is_err(),
         "exporter outlived the session"
     );
 
@@ -145,7 +145,7 @@ fn rx_drop_storm_dumps_flight_ring() {
     // Workaholic fleet (s = 0): every unit is awake every interval, so
     // the full-drop client misses 12 reports in a row.
     let cfg = cell(0.0, 0x5708_0001);
-    let dir = std::env::temp_dir().join(format!("sw-ops-storm-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sw-live-storm-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
 
     let handle = LiveServer::spawn(
@@ -242,7 +242,7 @@ fn mu_metrics_page_names_the_query_and_capacity_families_once() {
         metrics: (idx == 0).then(|| Arc::clone(&hub)),
         ..MuOptions::default()
     });
-    let page = sw_ops::prom::render_metrics(&hub.read());
+    let page = sw_live::ops::prom::render_metrics(&hub.read());
     for name in [
         "sw_query_hits",
         "sw_query_misses",
@@ -279,7 +279,7 @@ fn ndjson_field(line: &str, name: &str) -> Option<u64> {
 /// interval stays the one field saying so.
 #[test]
 fn awake_decision_lines_carry_every_counter_into_the_storm_dump() {
-    let dir = std::env::temp_dir().join(format!("sw-ops-decision-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sw-live-decision-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let cfg = query_bounded_cell(0.3, 0x0B5E_0016);
     let reports = query_bounded_session(&cfg, 200, |idx| MuOptions {
@@ -300,11 +300,11 @@ fn awake_decision_lines_carry_every_counter_into_the_storm_dump() {
     let (mut awake, mut asleep) = (0, 0);
     for entry in reports[0].flight.entries().filter(|e| e.kind == "decision") {
         let names: Vec<&str> = entry.fields.iter().map(|(name, _)| *name).collect();
-        if entry.fields[0] == ("awake", Value::U64(1)) {
+        if entry.fields[0] == ("awake", 1) {
             assert_eq!(names, whole_row, "interval {}", entry.t);
             awake += 1;
         } else {
-            assert_eq!(entry.fields, [("awake", Value::U64(0))], "interval {}", entry.t);
+            assert_eq!(entry.fields, [("awake", 0)], "interval {}", entry.t);
             asleep += 1;
         }
     }

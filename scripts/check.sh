@@ -62,6 +62,13 @@ smoke() {
     (cd "$tmp/smoke" && SW_FAST=1 "$repo/target/release/$smoke_bin" "$@" >/dev/null)
 }
 
+echo "==> every library crate forbids unsafe code"
+# The SIGTERM hook is a private module of the sw-serve binary, so no
+# library needs an unsafe block; a crate that drops the attribute fails.
+for lib in crates/*/src/lib.rs; do
+    grep -qx '#!\[forbid(unsafe_code)\]' "$lib" || fail "$lib lacks #![forbid(unsafe_code)]"
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -22,10 +22,8 @@ use std::thread;
 use sleepers::query::{QueryPlaneConfig, QueryStats};
 use sleepers::sim::Counters;
 use sleepers::{CellConfig, Strategy};
-use sw_live::{
-    audit_against_history, run_mu, FlightRecorder, LiveMuReport, LiveOptions, LiveServer,
-    MuOptions,
-};
+use sw_live::ops::flight::FlightRecorder;
+use sw_live::{audit_against_history, run_mu, LiveMuReport, LiveOptions, LiveServer, MuOptions};
 use sw_workload::ScenarioParams;
 
 // ~30 seconds of wall clock: the three strategy stacks run in
