@@ -41,12 +41,14 @@
 //! miss (the copy was still fresh — one more slot would have made it a
 //! hit) or an unavoidable one (a report proved the copy stale anyway).
 //! Reports retire ghosts through [`SlotBlock::retire_ghosts`]. The
-//! replacement vocabulary lives here too: [`ReplacementPolicy`], the
-//! total eviction order [`victim_key`], the one victim scan [`victim`],
-//! [`GhostFate`] and the [`CapacityStats`] family.
+//! replacement vocabulary lives here too: [`ReplacementPolicy`],
+//! [`GhostFate`] and the [`CapacityStats`] family. The victim scan is
+//! the store's ([`SlotStore::install`](crate::SlotStore::install)),
+//! over the row's valid bits on each policy's own key; the tests hold
+//! it to the same order written out as one `[u64; 4]` key per entry.
 
 use sw_server::ItemId;
-use sw_sim::{counters, SimDuration, SimTime};
+use sw_sim::{counters, SimTime};
 
 use crate::rule::Verdict;
 
@@ -81,75 +83,57 @@ impl ReplacementPolicy {
     }
 }
 
-/// Per-entry metadata the replacement policies rank on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EntryMeta {
-    /// Recency clock value at the entry's last hit or install.
-    pub last_used: u64,
-    /// Hits since install (1 at install).
-    pub use_count: u64,
-    /// The entry's cache stamp (install or last restamp time).
-    pub stamp: SimTime,
-}
+/// The eviction order written out whole, one key per entry: the oracle
+/// the store's per-policy victim scan is tested against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use sw_sim::{SimDuration, SimTime};
 
-/// The total eviction order: the cache evicts the entry with the
-/// **minimal** key. The final component is the item id, so the order is
-/// total even when two entries tie on every policy axis — this is what
-/// makes eviction independent of the order the candidates are visited
-/// in.
-///
-/// `now` is the timestamp of the answer being installed (eviction only
-/// happens at install time); `window` is the TS window `w = kL` used by
-/// [`ReplacementPolicy::WindowAge`] (ignored by the other policies).
-#[inline]
-pub fn victim_key(
-    policy: ReplacementPolicy,
-    meta: EntryMeta,
-    now: SimTime,
-    window: SimDuration,
-    item: u64,
-) -> [u64; 4] {
-    match policy {
-        ReplacementPolicy::Lru => [1, meta.last_used, 0, item],
-        ReplacementPolicy::Lfu => [1, meta.use_count, meta.last_used, item],
-        ReplacementPolicy::WindowAge => {
-            let dead = now.saturating_duration_since(meta.stamp) > window;
-            if dead {
-                // Non-negative finite f64 bit patterns order like the
-                // values, so the oldest stamp has the smallest key.
-                [0, meta.stamp.as_secs().to_bits(), meta.last_used, item]
-            } else {
-                [1, meta.last_used, 0, item]
+    use super::ReplacementPolicy;
+
+    /// Per-entry metadata the replacement policies rank on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) struct EntryMeta {
+        /// Recency clock value at the entry's last hit or install.
+        pub last_used: u64,
+        /// Hits since install (1 at install).
+        pub use_count: u64,
+        /// The entry's validity stamp `t_x`.
+        pub stamp: SimTime,
+    }
+
+    /// The total eviction order: a full row evicts the entry with the
+    /// **minimal** key. The final component is the item id, so the
+    /// order is total even when two entries tie on every policy axis,
+    /// and the victim does not depend on the order the candidates are
+    /// visited in.
+    ///
+    /// `now` is the timestamp of the answer being installed (eviction
+    /// only happens at install time); `window` is the TS window
+    /// `w = kL` used by [`ReplacementPolicy::WindowAge`] (ignored by
+    /// the other policies).
+    pub(crate) fn victim_key(
+        policy: ReplacementPolicy,
+        meta: EntryMeta,
+        now: SimTime,
+        window: SimDuration,
+        item: u64,
+    ) -> [u64; 4] {
+        match policy {
+            ReplacementPolicy::Lru => [1, meta.last_used, 0, item],
+            ReplacementPolicy::Lfu => [1, meta.use_count, meta.last_used, item],
+            ReplacementPolicy::WindowAge => {
+                let dead = now.saturating_duration_since(meta.stamp) > window;
+                if dead {
+                    // Non-negative finite f64 bit patterns order like the
+                    // values, so the oldest stamp has the smallest key.
+                    [0, meta.stamp.as_secs().to_bits(), meta.last_used, item]
+                } else {
+                    [1, meta.last_used, 0, item]
+                }
             }
         }
     }
-}
-
-/// The entry a full cache evicts: the candidate `(at, item, meta)` with
-/// the minimal [`victim_key`], returned as its `at` and the stamp its
-/// ghost keeps. This loop is the only victim scan; the slot store runs
-/// it over a client's valid slots. The key ends in the item id, so the
-/// minimum is unique and the candidates' order cannot change the
-/// victim.
-///
-/// # Panics
-/// Panics if there are no candidates.
-#[inline]
-pub fn victim<K>(
-    policy: ReplacementPolicy,
-    now: SimTime,
-    window: SimDuration,
-    candidates: impl IntoIterator<Item = (K, ItemId, EntryMeta)>,
-) -> (K, SimTime) {
-    let mut victim: Option<([u64; 4], K, SimTime)> = None;
-    for (at, item, meta) in candidates {
-        let key = victim_key(policy, meta, now, window, item);
-        if victim.as_ref().is_none_or(|(best, ..)| key < *best) {
-            victim = Some((key, at, meta.stamp));
-        }
-    }
-    let (_, at, stamp) = victim.expect("cache over capacity cannot be empty");
-    (at, stamp)
 }
 
 /// What a requery learned about a previously evicted item.
@@ -441,8 +425,10 @@ impl<'a> CacheView<'a> {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{victim_key, EntryMeta};
     use super::*;
     use crate::store::fixture::Row;
+    use sw_sim::SimDuration;
 
     /// The universe the tests' rows span.
     const UNIVERSE: u64 = 20;
@@ -613,30 +599,6 @@ mod tests {
             last_used,
             use_count,
             stamp: SimTime::from_secs(stamp),
-        }
-    }
-
-    /// Two candidates that tie on every policy axis: the lower item id
-    /// goes, in whichever order the candidates are visited.
-    #[test]
-    fn victim_breaks_exact_ties_by_item_id_in_any_order() {
-        let now = SimTime::from_secs(100.0);
-        let w = SimDuration::from_secs(50.0);
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Lfu,
-            ReplacementPolicy::WindowAge,
-        ] {
-            for stamp in [10.0, 90.0] {
-                let tied = meta(4, 2, stamp);
-                let forward = [("a", 3, tied), ("b", 8, tied)];
-                let backward = [("b", 8, tied), ("a", 3, tied)];
-                for candidates in [forward, backward] {
-                    let (gone, kept) = victim(policy, now, w, candidates);
-                    assert_eq!(gone, "a", "{policy:?} stamp {stamp}");
-                    assert_eq!(kept, SimTime::from_secs(stamp));
-                }
-            }
         }
     }
 

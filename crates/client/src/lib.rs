@@ -4,7 +4,8 @@
 //!
 //! * [`store`] — the [`SlotStore`]: every client's cache, pending set
 //!   and interval bookkeeping as parallel columns, one row per client,
-//!   with the one install-and-evict path ([`SlotStore::install`]) and
+//!   with the one install-and-evict path ([`SlotStore::install`], whose
+//!   victim scan walks the row's valid bits on the policy's own key) and
 //!   the one per-client apply-and-answer ([`store::Rows::hear`]). The
 //!   fleet in `sleepers` holds one with a row per client (the live
 //!   MU's, one with its own row); a [`MobileUnit`] is one with a
@@ -12,8 +13,7 @@
 //! * [`cache`] — one row's cache: the [`SlotBlock`] the algorithms
 //!   walk, the read-only [`CacheView`], each entry's validity stamp
 //!   `t_x`, and the replacement vocabulary of a capacity-bounded cache
-//!   (LRU/LFU/window-age, the one victim scan, ghosts for the
-//!   capacity-miss statistics);
+//!   (LRU/LFU/window-age, ghosts for the capacity-miss statistics);
 //! * [`digest`] — the per-broadcast [`digest::ReportDigest`]: the
 //!   report time plus a membership bitset over the listed ids (and an
 //!   adaptive report's per-item windows), built once per report so

@@ -54,7 +54,7 @@ use sw_server::{ItemId, PiggybackInfo, QueryAnswer};
 use sw_signature::CombinedSignature;
 use sw_sim::{RngStream, SimDuration, SimTime};
 
-use crate::cache::{set_bits, victim, CacheView, EntryMeta, GhostFate, SlotBlock};
+use crate::cache::{set_bits, validity, CacheView, GhostFate, SlotBlock};
 use crate::digest::ReportDigest;
 use crate::rule::{Lent, ReportRule, SigTrack};
 use crate::{Presence, ReplacementPolicy, UnitState};
@@ -116,6 +116,62 @@ struct CapColumns {
     /// Per-row access clock: bumped on every answer-loop read — hit or
     /// miss — and on every install.
     clock: Vec<u64>,
+}
+
+impl CapColumns {
+    /// The slot a full row evicts at an install at `now`: among the
+    /// row's valid slots (the columns' range `slots`, bits `valid`,
+    /// install stamps `stamps`), the one with the least key under the
+    /// policy. This is the only victim scan. Each policy compares only
+    /// its own key, and reads the validity stamp only under window-age.
+    /// The scan ascends and replaces only on a strictly smaller key, so
+    /// exact ties go to the lowest slot, i.e. the lowest item id.
+    #[inline]
+    fn victim(
+        &self,
+        slots: Range<usize>,
+        valid: &[u64],
+        stamps: &[SimTime],
+        t_l: Option<SimTime>,
+        now: SimTime,
+    ) -> usize {
+        let last_used = &self.last_used[slots.clone()];
+        match self.spec.policy {
+            ReplacementPolicy::Lru => least(valid, |s| last_used[s]),
+            ReplacementPolicy::Lfu => {
+                let use_count = &self.use_count[slots];
+                least(valid, |s| (use_count[s], last_used[s]))
+            }
+            ReplacementPolicy::WindowAge => least(valid, |s| {
+                // Dead entries first, oldest stamp first: non-negative
+                // finite f64 bit patterns order like the values.
+                let stamp = validity(stamps[s], t_l);
+                if now.saturating_duration_since(stamp) > self.spec.window {
+                    (0, stamp.as_secs().to_bits(), last_used[s])
+                } else {
+                    (1, last_used[s], 0)
+                }
+            }),
+        }
+    }
+}
+
+/// The first set bit of `valid` with the least `key`.
+///
+/// # Panics
+/// Panics if no bit is set.
+#[inline]
+fn least<K: Ord>(valid: &[u64], mut key: impl FnMut(usize) -> K) -> usize {
+    let mut least: Option<(K, usize)> = None;
+    for (w, &word) in valid.iter().enumerate() {
+        for slot in set_bits(word, w * 64) {
+            let k = key(slot);
+            if least.as_ref().is_none_or(|(best, _)| k < *best) {
+                least = Some((k, slot));
+            }
+        }
+    }
+    least.expect("a row over capacity holds entries").1
 }
 
 /// The client store. See the module docs for the layout.
@@ -403,28 +459,15 @@ impl SlotStore {
             // A fresh install clears any ghost of the item.
             cap.ghost[base + slot] = None;
             let t_l = self.units[idx].last_report_heard().filter(|_| self.vouches);
+            let slots = base..base + self.h;
             while self.cached[idx] as usize > cap.spec.cap {
                 let valid = &self.valid[idx * self.words..(idx + 1) * self.words];
-                let candidates = (0..self.h)
-                    .filter(|s| valid[s / 64] & (1 << (s % 64)) != 0)
-                    .map(|s| {
-                        let meta = EntryMeta {
-                            last_used: cap.last_used[base + s],
-                            use_count: cap.use_count[base + s],
-                            stamp: crate::cache::validity(self.stamps[base + s], t_l),
-                        };
-                        (s, self.slot_items[base + s], meta)
-                    });
-                let (gone, stamp) = victim(
-                    cap.spec.policy,
-                    answer.timestamp,
-                    cap.spec.window,
-                    candidates,
-                );
+                let stamps = &self.stamps[slots.clone()];
+                let gone = cap.victim(slots.clone(), valid, stamps, t_l, answer.timestamp);
                 self.valid[idx * self.words + gone / 64] &= !(1 << (gone % 64));
                 self.cached[idx] -= 1;
                 cap.ghost[base + gone] = Some(GhostFate::Fresh);
-                cap.ghost_stamps[base + gone] = stamp;
+                cap.ghost_stamps[base + gone] = validity(stamps[gone], t_l);
                 self.units[idx].note_evictions(1);
             }
         }
@@ -1289,5 +1332,134 @@ mod tests {
         assert_eq!(b.unit(landed).stats().cache_drops, drops + 1);
         assert!(!b.land(landed, false), "an empty row loses nothing");
         assert_eq!(b.unit(landed).stats().cache_drops, drops + 1);
+    }
+
+    /// Exact ties go to the first set bit, across a word boundary too.
+    #[test]
+    fn least_breaks_exact_ties_to_the_lowest_slot() {
+        assert_eq!(least(&[0b1010, 0], |_| 7u64), 1);
+        assert_eq!(least(&[0, 1 << 5 | 1 << 9], |_| (0u64, 0u64)), 69);
+        assert_eq!(least(&[1 << 63, 1], |s| u64::from(s != 64)), 64);
+    }
+
+    /// The victim scan against its oracle, the minimum of `victim_key`
+    /// over the valid slots: seeded installs, reads, restamps and
+    /// invalidations on a bounded row over two validity words, under
+    /// every policy, for a rule that vouches for its survivors (NC: a
+    /// restamp moves `T_l`) and one that writes its restamps
+    /// (quasi-delay). Stamps are whole seconds, so window-age meets
+    /// entries exactly at the window's edge. Every eviction must take
+    /// the oracle's victim and leave its validity stamp in the ghost.
+    #[test]
+    fn the_victim_scan_takes_the_oracle_minimum_of_victim_key() {
+        use crate::cache::oracle::{victim_key, EntryMeta};
+        use crate::rule::Verdict;
+
+        const H: usize = 70;
+        let window = SimDuration::from_secs(20.0);
+        let hotspot: Vec<ItemId> = (0..H as u64).map(|i| i * 3 + 1).collect();
+        let quasi = ReportRule::QuasiDelay {
+            latency: SimDuration::from_secs(LATENCY),
+            alpha: SimDuration::from_secs(40.0),
+        };
+        let policies = [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Lfu,
+            ReplacementPolicy::WindowAge,
+        ];
+        for (p, policy) in policies.into_iter().enumerate() {
+            for (r, rule) in [ReportRule::NoCache, quasi.clone()].into_iter().enumerate() {
+                let vouches = rule.vouches_survivors();
+                let spec = CapacitySpec {
+                    cap: 9,
+                    policy,
+                    window,
+                };
+                let mut row = Row::new(rule, &hotspot, Some(spec));
+                let index = (p * 2 + r) as u64;
+                let mut rng = MasterSeed::TEST.stream(StreamId::Queries { index });
+                let mut now = 0u64;
+                let (mut evictions, mut dead, mut at_edge) = (0, 0, 0);
+                let mut dropped = Vec::new();
+                for _ in 0..20_000 {
+                    let slot = rng.uniform_index(H as u64) as usize;
+                    let item = hotspot[slot];
+                    let t = SimTime::from_secs(now as f64);
+                    match rng.uniform_index(16) {
+                        0..=7 => {
+                            now += rng.uniform_index(6);
+                            let t = SimTime::from_secs(now as f64);
+                            let mut before = row.store.valid.clone();
+                            before[slot / 64] |= 1 << (slot % 64);
+                            row.insert(item, 0, t);
+                            let store = &row.store;
+                            let set =
+                                |words: &[u64], s: usize| words[s / 64] & (1 << (s % 64)) != 0;
+                            let candidates = (0..H).filter(|&s| set(&before, s));
+                            let gone: Vec<usize> = candidates
+                                .clone()
+                                .filter(|&s| !set(&store.valid, s))
+                                .collect();
+                            let [gone] = gone[..] else {
+                                assert!(gone.is_empty(), "one install evicts at most one");
+                                continue;
+                            };
+                            let cap = store.cap.as_ref().unwrap();
+                            let t_l = store.unit(0).last_report_heard().filter(|_| vouches);
+                            let meta = |s: usize| EntryMeta {
+                                last_used: cap.last_used[s],
+                                use_count: cap.use_count[s],
+                                stamp: validity(store.stamps[s], t_l),
+                            };
+                            let oracle = candidates
+                                .clone()
+                                .min_by_key(|&s| victim_key(policy, meta(s), t, window, hotspot[s]))
+                                .unwrap();
+                            assert_eq!(gone, oracle, "{policy:?} under {}", store.rule.name());
+                            assert_eq!(cap.ghost[gone], Some(GhostFate::Fresh));
+                            assert_eq!(cap.ghost_stamps[gone], meta(gone).stamp);
+                            let age = |s: usize| t.saturating_duration_since(meta(s).stamp);
+                            evictions += 1;
+                            at_edge += candidates.filter(|&s| age(s) == window).count();
+                            dead += usize::from(age(gone) > window);
+                        }
+                        8..=11 => {
+                            let _ = row.get(item);
+                        }
+                        12 if vouches => row.store.unit_mut(0).settle(t, false, 0),
+                        12 => row.sweep(
+                            t,
+                            |i, _| {
+                                if i == item {
+                                    Verdict::Restamp
+                                } else {
+                                    Verdict::Keep
+                                }
+                            },
+                            &mut dropped,
+                        ),
+                        _ => row.sweep(
+                            t,
+                            |i, _| {
+                                if i == item {
+                                    Verdict::Drop
+                                } else if vouches {
+                                    Verdict::Restamp
+                                } else {
+                                    Verdict::Keep
+                                }
+                            },
+                            &mut dropped,
+                        ),
+                    }
+                }
+                assert!(evictions > 2_000, "{policy:?}: only {evictions} evictions");
+                assert!(at_edge > 0, "{policy:?}: no entry sat at the window edge");
+                if policy == ReplacementPolicy::WindowAge {
+                    let share = format!("{dead} of {evictions} victims dead");
+                    assert!(dead > 0 && dead < evictions, "{share}");
+                }
+            }
+        }
     }
 }

@@ -833,6 +833,7 @@ pub fn run_mu(
                         &live,
                         expected,
                         deadline,
+                        fate == ReportFate::Corrupted,
                         &mut lookahead,
                         &mut uplink.epoch_seen,
                     )?
@@ -846,7 +847,8 @@ pub fn run_mu(
             let requests = match &delivered {
                 Some((report, ReportFate::Heard)) => live.hear_report(&report.payload),
                 Some((report, fate)) => {
-                    live.lose_report(&report.frame, *fate);
+                    let frame = report.frame.as_deref();
+                    live.lose_report(frame.expect("a corrupted fate keeps its bytes"), *fate);
                     Vec::new()
                 }
                 None => {
@@ -1009,10 +1011,11 @@ pub fn run_mu(
 }
 
 /// A datagram's frame that decoded to a report this unit accepts: the
-/// report, decoded once, and its bytes (a `Corrupted` fate flips one).
+/// report, decoded once, and its bytes if a fate may need them (a
+/// `Corrupted` fate flips one).
 struct HeardReport {
     payload: FramePayload,
-    frame: Vec<u8>,
+    frame: Option<Vec<u8>>,
 }
 
 /// The timestamp a report is stamped with — the tag live receivers
@@ -1042,13 +1045,17 @@ fn report_stamp_micros(payload: &FramePayload) -> Option<u64> {
 /// stamped `expected` micros, the deadline passes, or a *future*
 /// report shows up (stashed in `lookahead`; the current one is then
 /// declared missed). Stale or undecodable datagrams are discarded.
-/// Datagrams are read into the caller's `buf`.
+/// Datagrams are read into the caller's `buf`; the current report keeps
+/// a copy of its bytes only if `keep_frame` (its fate reads them), and
+/// a stashed one always does (its fate is drawn later).
+#[allow(clippy::too_many_arguments)]
 fn recv_report(
     udp: &UdpSocket,
     buf: &mut [u8],
     live: &LiveMu,
     expected: u64,
     deadline: Instant,
+    keep_frame: bool,
     lookahead: &mut Option<(u64, HeardReport)>,
     epoch_floor: &mut u64,
 ) -> io::Result<Option<HeardReport>> {
@@ -1092,15 +1099,15 @@ fn recv_report(
         let Some(ts) = report_stamp_micros(&payload) else {
             continue;
         };
-        let report = HeardReport {
+        let report = |keep: bool| HeardReport {
             payload,
-            frame: frame.to_vec(),
+            frame: keep.then(|| frame.to_vec()),
         };
         match ts.cmp(&expected) {
-            std::cmp::Ordering::Equal => return Ok(Some(report)),
+            std::cmp::Ordering::Equal => return Ok(Some(report(keep_frame))),
             std::cmp::Ordering::Less => continue, // stale: slept/missed past it
             std::cmp::Ordering::Greater => {
-                *lookahead = Some((ts, report));
+                *lookahead = Some((ts, report(true)));
                 return Ok(None);
             }
         }

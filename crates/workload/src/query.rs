@@ -40,12 +40,12 @@ impl QueryWorkloadSpec {
     }
 }
 
-/// A client's generated template family plus its popularity CDF.
+/// A client's generated template family plus its Zipf popularity over
+/// the template ranks (rank 0 hottest).
 #[derive(Debug, Clone)]
 pub struct QueryWorkload {
     templates: Vec<Vec<u64>>,
-    /// Cumulative Zipf weights over template ranks (rank 0 hottest).
-    cdf: Vec<f64>,
+    popularity: ZipfPicker,
 }
 
 impl QueryWorkload {
@@ -64,13 +64,11 @@ impl QueryWorkload {
                 items
             })
             .collect();
-        let mut cdf = Vec::with_capacity(spec.n_templates);
-        let mut acc = 0.0f64;
-        for rank in 1..=spec.n_templates {
-            acc += 1.0 / (rank as f64).powf(spec.theta);
-            cdf.push(acc);
+        let popularity = ZipfPicker::new(spec.n_templates, spec.theta);
+        QueryWorkload {
+            templates,
+            popularity,
         }
-        QueryWorkload { templates, cdf }
     }
 
     /// Number of templates.
@@ -88,28 +86,23 @@ impl QueryWorkload {
         &self.templates[rank]
     }
 
-    /// Draws which template fires: inversion over the Zipf CDF.
+    /// Draws which template fires: [`ZipfPicker::draw`] over the ranks.
     pub fn draw(&self, rng: &mut RngStream) -> usize {
-        let total = *self.cdf.last().expect("non-empty family");
-        let u = rng.uniform() * total;
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.templates.len() - 1),
-        }
+        self.popularity.draw(rng)
     }
 }
 
-/// Zipf(θ) popularity over the *ranks* of a client's hotspot for
-/// single-item query picks (the bounded-cache workload knob).
+/// Zipf(θ) popularity over `n` ranks: the one CDF and its inversion,
+/// behind both [`QueryWorkload::draw`] (template ranks) and the
+/// single-item query picks over a client's hotspot ranks (the
+/// bounded-cache workload knob).
 ///
-/// Rank 0 is the hottest item — the first item drawn into the hotspot,
-/// so the popularity order is itself seed-streamed. `theta = 0`
-/// degenerates to the uniform pick the paper models; draws come from a
-/// dedicated [`sw_sim::StreamId::ZipfQuery`] stream so arming the knob
-/// never perturbs the classic arrival/pick sequences.
+/// For single-item picks, rank 0 is the hottest item — the first item
+/// drawn into the hotspot, so the popularity order is itself
+/// seed-streamed. `theta = 0` degenerates to the uniform pick the paper
+/// models; draws come from a dedicated [`sw_sim::StreamId::ZipfQuery`]
+/// stream so arming the knob never perturbs the classic arrival/pick
+/// sequences.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZipfPicker {
     cdf: Vec<f64>,
@@ -145,17 +138,21 @@ impl ZipfPicker {
         self.cdf.is_empty()
     }
 
-    /// Draws a rank in `[0, n)`: inversion over the Zipf CDF.
+    /// Draws a rank in `[0, n)`: inversion over the Zipf CDF, the
+    /// first rank whose cumulative weight reaches a uniform `u` of the
+    /// total weight. The CDF strictly increases, so this is the index a
+    /// three-way binary search for `u` finds, at one two-way compare
+    /// per halving, which a release build turns into a conditional move
+    /// rather than a branch that mispredicts on random `u`.
+    #[inline]
     pub fn draw(&self, rng: &mut RngStream) -> usize {
-        let total = *self.cdf.last().expect("non-empty domain");
-        let u = rng.uniform() * total;
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        self.rank(rng.uniform() * self.cdf[self.cdf.len() - 1])
+    }
+
+    /// The rank a draw of cumulative weight `u` lands on.
+    #[inline]
+    fn rank(&self, u: f64) -> usize {
+        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
 
@@ -281,6 +278,45 @@ mod tests {
                 (c as f64 - expected).abs() / expected < 0.1,
                 "rank {rank} drew {c}, far from uniform {expected}"
             );
+        }
+    }
+
+    /// The inversion `draw` replaced: a three-way binary search.
+    fn searched_rank(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN")) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    /// `partition_point` finds the binary search's index for every `u`
+    /// on a strictly increasing CDF — seeded uniforms, every exact
+    /// cumulative weight, and the total — so no stream is re-drawn.
+    #[test]
+    fn zipf_picker_picks_the_binary_search_rank() {
+        for n in [1, 2, 30, 200, 1000] {
+            for theta in [0.0, 0.8, 1.2] {
+                let picker = ZipfPicker::new(n, theta);
+                let cdf = &picker.cdf;
+                assert!(
+                    cdf.windows(2).all(|w| w[0] < w[1]),
+                    "CDF over {n} ranks at θ = {theta} must strictly increase"
+                );
+                let total = cdf[n - 1];
+                let mut draws = MasterSeed::TEST.stream(StreamId::ZipfQuery { index: n as u64 });
+                let mut again = draws.clone();
+                for _ in 0..1_000_000 {
+                    let u = again.uniform() * total;
+                    assert_eq!(picker.draw(&mut draws), searched_rank(cdf, u), "u = {u}");
+                }
+                for (i, &c) in cdf.iter().enumerate() {
+                    assert_eq!(picker.rank(c), i);
+                    assert_eq!(searched_rank(cdf, c), i);
+                }
+                for u in [0.0, total] {
+                    assert_eq!(picker.rank(u), searched_rank(cdf, u), "u = {u}");
+                }
+            }
         }
     }
 
